@@ -2,7 +2,8 @@
 # Staged CI gate.
 #
 #   ./ci.sh           full gate: fmt, clippy, debug tests, rustdoc lints,
-#                     release build, release chaos sweep, perf smoke
+#                     release build, release chaos sweep, bench stdout
+#                     goldens, perf smoke
 #   ./ci.sh --quick   quick gate: fmt + clippy + debug tests only — no
 #                     release binaries are built (runs on every push; the
 #                     full gate runs as CI's second job, see
@@ -93,14 +94,23 @@ stage reshard-chaos env SWARM_CHAOS_SEEDS="${SWARM_CHAOS_SEEDS:-8}" \
 stage repair-chaos env SWARM_CHAOS_SEEDS="${SWARM_CHAOS_SEEDS:-8}" \
     cargo test --release -q -p swarm-tests --test repair_chaos
 
+BIN_DIR="${CARGO_TARGET_DIR:-target}/release"
+
+# Bench stdout goldens: all 17 release binaries at the perf stages'
+# volumes, stdout diffed against crates/bench/goldens/<bin>.stdout (the
+# unified diff prints on mismatch). The threaded binaries run under two
+# SWARM_BENCH_THREADS / SWARM_SHARD_THREADS settings against the same
+# golden, so the thread-knob contract rides on the same check. Regenerate
+# with `sh crates/bench/goldens/check.sh --write` (see TESTING.md).
+stage stdout-parity sh crates/bench/goldens/check.sh "$BIN_DIR"
+
 # Perf smoke: quick fig5 single-threaded, a 2-thread fig8 sweep, and the
 # sharded scale bench, all volume-scaled, under generous budgets. Guards
 # the event loop (fig5 runs full quick volume), the threaded sweep driver,
 # and the one-Sim-per-shard driver from silent regressions. bench_shards
 # runs twice — single shard thread, then SWARM_SHARD_THREADS=2 — so the
 # threaded path (scoped threads, work stealing, shard-order merge) gets a
-# perf-budgeted exercise; its stdout is bit-identical either way.
-BIN_DIR="${CARGO_TARGET_DIR:-target}/release"
+# perf-budgeted exercise (stdout-parity above checks its output).
 perf_stage fig5 60 env SWARM_BENCH_THREADS=1 "$BIN_DIR/fig5"
 perf_stage fig8 120 env SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2 "$BIN_DIR/fig8"
 perf_stage bench_shards 120 env SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2 \
@@ -127,18 +137,17 @@ perf_stage tail-smoke 120 env SWARM_BENCH_THREADS=2 "$BIN_DIR/bench_tail"
 # Scenario smoke: the YCSB A-F x {static, flash-crowd} x 2-protocol (+ TTL
 # churn + bimodal values) scenario sweep at smoke volume, run twice with
 # different thread knobs. The binary validates every report's JSON before
-# it touches disk (swarm_bench::validate_json); this stage additionally
-# asserts the report files exist, are non-empty, and are byte-identical
-# across the two runs — the determinism contract of docs/SCENARIOS.md.
+# it touches disk (swarm_bench::validate_json); this stage asserts the
+# report files exist, are non-empty, and are byte-identical across the two
+# runs — the determinism contract of docs/SCENARIOS.md. (Its stdout is
+# covered by stdout-parity.)
 perf_stage scenario-smoke 120 sh -c '
     set -eu
     rm -rf target/reports target/reports.first
-    SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2 "$0/bench_scenarios" \
-        > target/scenario_smoke_a.out
+    SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2 "$0/bench_scenarios"
     mv target/reports target/reports.first
     SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=1 SWARM_SHARD_THREADS=2 \
-        "$0/bench_scenarios" > target/scenario_smoke_b.out
-    diff target/scenario_smoke_a.out target/scenario_smoke_b.out
+        "$0/bench_scenarios"
     diff -r target/reports.first target/reports
     [ "$(ls target/reports/*.json | wc -l)" -ge 14 ]
     for f in target/reports/ycsb_a_static target/reports/ycsb_e_flash \

@@ -1,0 +1,71 @@
+#!/usr/bin/env sh
+# Bench stdout goldens: runs every release bench binary at a fixed volume
+# and diffs its stdout against crates/bench/goldens/<bin>.stdout.
+#
+#   sh crates/bench/goldens/check.sh [BIN_DIR]           check (ci.sh's stdout-parity stage)
+#   sh crates/bench/goldens/check.sh --write [BIN_DIR]   regenerate the goldens
+#
+# Stdout carries only simulated numbers, so it is byte-identical across
+# reruns and across SWARM_BENCH_THREADS / SWARM_SHARD_THREADS; wall-clock
+# output goes to stderr and *_wall.csv and is outside the goldens. The
+# threaded binaries run twice, under two thread-knob settings, against the
+# same golden. Run from the repository root (the binaries write
+# target/experiments and target/reports relative to the cwd).
+set -eu
+
+WRITE=0
+if [ "${1:-}" = "--write" ]; then
+    WRITE=1
+    shift
+fi
+BIN_DIR="${1:-${CARGO_TARGET_DIR:-target}/release}"
+GOLDENS="$(dirname "$0")"
+OUT="${CARGO_TARGET_DIR:-target}/stdout-parity"
+mkdir -p "$OUT"
+FAILED=0
+
+golden() { # golden <bin> <VAR=value...>
+    _bin=$1; shift
+    env "$@" "$BIN_DIR/$_bin" > "$OUT/$_bin.stdout" 2> "$OUT/$_bin.stderr" || {
+        echo "FAIL $_bin: exit code $? under [$*]; stderr:" >&2
+        cat "$OUT/$_bin.stderr" >&2
+        exit 1
+    }
+    if [ "$WRITE" -eq 1 ]; then
+        cp "$OUT/$_bin.stdout" "$GOLDENS/$_bin.stdout"
+    elif ! diff -u "$GOLDENS/$_bin.stdout" "$OUT/$_bin.stdout"; then
+        echo "FAIL $_bin: stdout differs from $GOLDENS/$_bin.stdout under [$*]" >&2
+        FAILED=1
+    fi
+}
+
+# The volumes are the ones ci.sh's perf stages use: fig5 at full quick
+# volume; bench_repair and bench_tail unscaled (their in-binary assertions
+# need the volume); everything else at SWARM_BENCH_OPS_SCALE=0.05.
+SCALE="SWARM_BENCH_OPS_SCALE=0.05"
+golden fig5 SWARM_BENCH_THREADS=1
+for bin in table2 table3 fig6 fig11 fig12; do
+    golden "$bin" "$SCALE"
+done
+for bin in fig7 fig8 fig9 fig10 fig13 bench_multiget bench_scenarios; do
+    golden "$bin" "$SCALE" SWARM_BENCH_THREADS=2
+    [ "$WRITE" -eq 1 ] || golden "$bin" "$SCALE" SWARM_BENCH_THREADS=1
+done
+for bin in bench_shards bench_reshard; do
+    golden "$bin" "$SCALE" SWARM_BENCH_THREADS=2 SWARM_SHARD_THREADS=1
+    [ "$WRITE" -eq 1 ] || golden "$bin" "$SCALE" SWARM_BENCH_THREADS=1 SWARM_SHARD_THREADS=2
+done
+golden bench_repair SWARM_BENCH_THREADS=3 SWARM_SHARD_THREADS=1
+[ "$WRITE" -eq 1 ] || golden bench_repair SWARM_BENCH_THREADS=1 SWARM_SHARD_THREADS=2
+golden bench_tail SWARM_BENCH_THREADS=2
+[ "$WRITE" -eq 1 ] || golden bench_tail SWARM_BENCH_THREADS=1
+
+if [ "$FAILED" -ne 0 ]; then
+    echo "stdout-parity: FAILED (if the change is intended: sh $0 --write)" >&2
+    exit 1
+fi
+if [ "$WRITE" -eq 1 ]; then
+    echo "stdout-parity: wrote 17 goldens to $GOLDENS"
+else
+    echo "stdout-parity: 17 binaries match their goldens"
+fi

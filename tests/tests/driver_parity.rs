@@ -1,0 +1,443 @@
+//! Pinned digests of the three op drivers — `run_workload`, `run_scenario`,
+//! `run_sharded_plan` — at fixed seeds.
+//!
+//! Each cell digests everything a driver reports: `(measured_ops,
+//! failed_ops, start_ns, end_ns, scanned_items, rtts, time series, each
+//! class's sorted samples)` plus the fabric traffic the run generated (and,
+//! for planned runs, every op's outcome). The simulation is deterministic,
+//! so a digest moves only when a driver moves an RNG draw, an await point,
+//! or an accounting rule. The expected values were generated on the commit
+//! *before* the drivers were collapsed onto one op path (ISSUE 12); a
+//! refactor of the drivers must not change one of them.
+//!
+//! To regenerate after an intended behaviour change, run
+//! `cargo test -p swarm-tests --test driver_parity -- --nocapture` and copy
+//! the printed `("name", 0x...)` table over `PINNED`.
+
+use swarm_fabric::TrafficStats;
+use swarm_kv::{
+    plan_workload, run_scenario, run_sharded_plan, run_workload, ttl_stamp_never, OpOutcome,
+    Protocol, RunConfig, RunStats, ScenarioRunConfig, ScenarioStats, ShardMode, ShardRunOptions,
+    ShardSpec, StoreBuilder, TtlStore,
+};
+use swarm_sim::{Histogram, Sim, NANOS_PER_MICRO};
+use swarm_workload::{
+    OpType, Phase, ScenarioMix, ScenarioOpClass, ScenarioSpec, TtlSpec, ValueSizeDist, Workload,
+    WorkloadSpec,
+};
+
+const PINNED: &[(&str, u64)] = &[
+    ("workload/sequential", 0xdbe1ce5522b69754),
+    ("workload/sequential-fusee", 0xbbed51cae4feaefe),
+    ("workload/batch4", 0x12bc77dda6b356bf),
+    ("workload/batch4-abd-odd-volume", 0x4f58c471da99f161),
+    ("workload/concurrency4", 0xa5f9df633f960b3b),
+    ("workload/paced-deadlined-series", 0x73f197255edc157a),
+    ("workload/paced-batch4-series", 0x53ca25dd4e5a81f0),
+    ("workload/rtts-prewarm", 0xe753d822b99377b3),
+    ("workload/rtts-prewarm-abd", 0x731efd48fce98460),
+    ("workload/routed", 0x493847e73cb75811),
+    ("workload/routed-batch4", 0xe734f7988865cb56),
+    ("scenario/ttl-swarm", 0xf15bbb4ca44b1552),
+    ("scenario/ttl-fusee", 0xe6667ab30da13db4),
+    ("planned/batch1-single-sim", 0xd43472a2af461e5f),
+    ("planned/batch1-sequential", 0xd43472a2af461e5f),
+    ("planned/batch4-single-sim", 0x24c23b5d314c5bbe),
+    ("planned/batch4-sequential", 0x24c23b5d314c5bbe),
+];
+
+/// A mix with all four YCSB classes, so inserts, deletes, and the failed
+/// gets that follow a delete are all on the digested path.
+const MIXED: WorkloadSpec = WorkloadSpec {
+    get_pct: 50,
+    update_pct: 30,
+    insert_pct: 10,
+    delete_pct: 10,
+};
+
+const N_KEYS: u64 = 128;
+
+#[derive(Default)]
+struct Digest(Vec<u8>);
+
+impl Digest {
+    fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// A histogram's sample count and every sample, ascending.
+    fn hist(&mut self, mut h: Histogram) {
+        self.u64(h.len() as u64);
+        if !h.is_empty() {
+            // `cdf(n)` over `n` samples returns exactly rank 0..n.
+            for (ns, _) in h.cdf(h.len().max(2)) {
+                self.u64(ns);
+            }
+        }
+    }
+
+    fn traffic(&mut self, t: TrafficStats) {
+        for v in [
+            t.messages,
+            t.bytes,
+            t.hedges_fired,
+            t.hedges_won,
+            t.duplicates_discarded,
+        ] {
+            self.u64(v);
+        }
+    }
+
+    fn run_stats(&mut self, s: &RunStats) {
+        for v in [s.measured_ops, s.failed_ops, s.start_ns, s.end_ns, 0] {
+            self.u64(v);
+        }
+        for (i, op) in [OpType::Get, OpType::Update, OpType::Insert, OpType::Delete]
+            .into_iter()
+            .enumerate()
+        {
+            let mut rtts: Vec<(u64, u64)> = s
+                .rtts
+                .get(&op)
+                .map(|m| m.iter().map(|(&r, &c)| (r, c)).collect())
+                .unwrap_or_default();
+            rtts.sort_unstable();
+            for (r, c) in rtts {
+                self.u64(i as u64);
+                self.u64(r);
+                self.u64(c);
+            }
+        }
+        if let Some(series) = &s.series {
+            for (at, n, mean) in series.buckets() {
+                self.u64(at);
+                self.u64(n);
+                self.u64(mean.to_bits());
+            }
+        }
+        for op in [OpType::Get, OpType::Update, OpType::Insert, OpType::Delete] {
+            self.hist(s.lat(op));
+        }
+        // Scan and RMW: classes a YCSB run never emits.
+        self.hist(Histogram::new());
+        self.hist(Histogram::new());
+    }
+
+    fn scenario_stats(&mut self, s: &ScenarioStats) {
+        for v in [
+            s.measured_ops,
+            s.failed_ops,
+            s.start_ns,
+            s.end_ns,
+            s.scanned_items,
+        ] {
+            self.u64(v);
+        }
+        for class in ScenarioOpClass::all() {
+            self.hist(s.lat(class));
+        }
+    }
+
+    fn finish(self) -> u64 {
+        swarm_core::xxh64(&self.0, 12)
+    }
+}
+
+/// One `run_workload` cell over a single replica group.
+fn workload_cell(seed: u64, protocol: Protocol, clients: usize, cfg: RunConfig) -> u64 {
+    let sim = Sim::new(seed);
+    let cluster = StoreBuilder::new(protocol)
+        .value_size(64)
+        .max_clients(clients)
+        .build_cluster(&sim);
+    let wl = Workload::ycsb(MIXED, N_KEYS, 64);
+    cluster.load_keys(N_KEYS, |k| wl.value_for(k, 0));
+    let stats = run_workload(&sim, &cluster.clients(clients), &wl, &cfg);
+    let mut d = Digest::default();
+    d.run_stats(&stats);
+    d.traffic(cluster.fabric().stats());
+    d.u64(sim.now());
+    d.finish()
+}
+
+/// `run_workload` through cross-shard routers (the blanket batch path over
+/// `ShardRouter`).
+fn routed_cell(seed: u64, batch: usize) -> u64 {
+    let sim = Sim::new(seed);
+    let cluster = StoreBuilder::new(Protocol::SafeGuess)
+        .value_size(64)
+        .max_clients(2)
+        .shards(3)
+        .build_sharded(&sim);
+    let wl = Workload::ycsb(MIXED, N_KEYS, 64);
+    cluster.load_keys(N_KEYS, |k| wl.value_for(k, 0));
+    let cfg = RunConfig {
+        warmup_ops: 50,
+        measure_ops: 400,
+        batch,
+        ..Default::default()
+    };
+    let routers = cluster.routers(2);
+    let stats = run_workload(&sim, &routers, &wl, &cfg);
+    let mut d = Digest::default();
+    d.run_stats(&stats);
+    for t in cluster.per_shard_stats() {
+        d.traffic(t);
+    }
+    for r in &routers {
+        for n in r.routed_per_shard() {
+            d.u64(n);
+        }
+    }
+    d.finish()
+}
+
+/// `run_scenario` over lease-aware `TtlStore`s: scans, RMWs, TTL inserts,
+/// bimodal value sizes, a mid-run hot-set rotation.
+fn scenario_cell(seed: u64, protocol: Protocol) -> u64 {
+    let sim = Sim::new(seed);
+    // Registers provisioned for the 64-byte payload cap + 8-byte stamp.
+    let cluster = StoreBuilder::new(protocol)
+        .value_size(72)
+        .max_clients(3)
+        .build_cluster(&sim);
+    cluster.load_keys(64, |k| ttl_stamp_never(&[k as u8; 64]));
+    let clients: Vec<_> = (0..3)
+        .map(|i| TtlStore::new(&sim, cluster.client(i)))
+        .collect();
+    let spec = ScenarioSpec::new("parity", 64)
+        .phase(Phase::new(150, ScenarioMix::E).theta(0.9))
+        .phase(Phase::new(150, ScenarioMix::F).theta(0.99).rotate(32))
+        .phase(Phase::new(100, ScenarioMix::from(MIXED)))
+        .values(ValueSizeDist::Bimodal {
+            small: 32,
+            large: 64,
+            large_pct: 10,
+        })
+        .ttl(TtlSpec {
+            insert_pct: 50,
+            ttl_ns: 300 * NANOS_PER_MICRO,
+            ttl_keys: 16,
+        });
+    let cfg = ScenarioRunConfig {
+        seed: seed ^ 0x5CE9,
+        ..Default::default()
+    };
+    let stats = run_scenario(&sim, &clients, &spec, &cfg);
+    let mut d = Digest::default();
+    d.scenario_stats(&stats);
+    d.traffic(cluster.fabric().stats());
+    d.u64(sim.now());
+    d.finish()
+}
+
+/// `run_sharded_plan`: merged and per-shard stats, traffic, and every op's
+/// reassembled outcome.
+fn planned_cell(seed: u64, batch: usize, mode: ShardMode) -> u64 {
+    const SHARDS: usize = 3;
+    const ROUTERS: usize = 2;
+    let builder = StoreBuilder::new(Protocol::SafeGuess)
+        .value_size(64)
+        .max_clients(ROUTERS)
+        .shards(SHARDS);
+    let wl = Workload::ycsb(MIXED, N_KEYS, 64);
+    let cfg = RunConfig {
+        warmup_ops: 40,
+        measure_ops: 400,
+        batch,
+        ..Default::default()
+    };
+    let plan = plan_workload(seed, ShardSpec::new(SHARDS), &wl, &cfg, ROUTERS);
+    let opts = ShardRunOptions {
+        preload_keys: Some(N_KEYS),
+        collect_results: true,
+        ..Default::default()
+    };
+    let run = run_sharded_plan(&builder, seed, &plan, &wl, &opts, mode);
+    let mut d = Digest::default();
+    d.run_stats(&run.merged_stats());
+    for o in run.per_shard() {
+        d.run_stats(&o.stats);
+        d.traffic(o.traffic);
+    }
+    for outcome in run.results().into_iter().flatten() {
+        match outcome {
+            OpOutcome::Value(v) => {
+                d.u64(0);
+                d.0.extend_from_slice(&v);
+            }
+            OpOutcome::Absent => d.u64(1),
+            OpOutcome::Done => d.u64(2),
+            OpOutcome::Failed(e) => {
+                d.u64(3);
+                d.0.extend_from_slice(format!("{e:?}").as_bytes());
+            }
+        }
+    }
+    d.finish()
+}
+
+fn cells() -> Vec<(&'static str, u64)> {
+    let base = RunConfig {
+        warmup_ops: 100,
+        measure_ops: 600,
+        ..Default::default()
+    };
+    vec![
+        (
+            "workload/sequential",
+            workload_cell(101, Protocol::SafeGuess, 4, base.clone()),
+        ),
+        (
+            "workload/sequential-fusee",
+            workload_cell(102, Protocol::Fusee, 2, base.clone()),
+        ),
+        (
+            "workload/batch4",
+            workload_cell(
+                103,
+                Protocol::SafeGuess,
+                4,
+                RunConfig {
+                    batch: 4,
+                    ..base.clone()
+                },
+            ),
+        ),
+        (
+            "workload/batch4-abd-odd-volume",
+            workload_cell(
+                104,
+                Protocol::Abd,
+                3,
+                RunConfig {
+                    warmup_ops: 101,
+                    measure_ops: 599,
+                    batch: 4,
+                    ..base.clone()
+                },
+            ),
+        ),
+        (
+            "workload/concurrency4",
+            workload_cell(
+                105,
+                Protocol::SafeGuess,
+                2,
+                RunConfig {
+                    concurrency: 4,
+                    ..base.clone()
+                },
+            ),
+        ),
+        (
+            "workload/paced-deadlined-series",
+            workload_cell(
+                106,
+                Protocol::SafeGuess,
+                2,
+                RunConfig {
+                    measure_ops: 100_000,
+                    pace_ns: Some(8 * NANOS_PER_MICRO),
+                    deadline_ns: Some(3_000 * NANOS_PER_MICRO),
+                    bucket_ns: Some(500 * NANOS_PER_MICRO),
+                    ..base.clone()
+                },
+            ),
+        ),
+        (
+            "workload/paced-batch4-series",
+            workload_cell(
+                107,
+                Protocol::SafeGuess,
+                2,
+                RunConfig {
+                    pace_ns: Some(8 * NANOS_PER_MICRO),
+                    bucket_ns: Some(500 * NANOS_PER_MICRO),
+                    batch: 4,
+                    ..base.clone()
+                },
+            ),
+        ),
+        (
+            "workload/rtts-prewarm",
+            workload_cell(
+                108,
+                Protocol::SafeGuess,
+                2,
+                RunConfig {
+                    record_rtts: true,
+                    prewarm_keys: Some(N_KEYS),
+                    ..base.clone()
+                },
+            ),
+        ),
+        (
+            "workload/rtts-prewarm-abd",
+            workload_cell(
+                109,
+                Protocol::Abd,
+                2,
+                RunConfig {
+                    record_rtts: true,
+                    prewarm_keys: Some(N_KEYS),
+                    ..base
+                },
+            ),
+        ),
+        ("workload/routed", routed_cell(110, 1)),
+        ("workload/routed-batch4", routed_cell(111, 4)),
+        (
+            "scenario/ttl-swarm",
+            scenario_cell(201, Protocol::SafeGuess),
+        ),
+        ("scenario/ttl-fusee", scenario_cell(202, Protocol::Fusee)),
+        (
+            "planned/batch1-single-sim",
+            planned_cell(301, 1, ShardMode::SingleSim),
+        ),
+        (
+            "planned/batch1-sequential",
+            planned_cell(301, 1, ShardMode::Sequential),
+        ),
+        (
+            "planned/batch4-single-sim",
+            planned_cell(302, 4, ShardMode::SingleSim),
+        ),
+        (
+            "planned/batch4-sequential",
+            planned_cell(302, 4, ShardMode::Sequential),
+        ),
+    ]
+}
+
+#[test]
+fn driver_digests_match_the_pinned_values() {
+    let got = cells();
+    for (name, digest) in &got {
+        println!("    (\"{name}\", {digest:#018x}),");
+    }
+    assert_eq!(got.len(), PINNED.len(), "cell list and PINNED disagree");
+    for ((name, digest), (pinned_name, pinned)) in got.iter().zip(PINNED) {
+        assert_eq!(name, pinned_name, "cell order changed");
+        assert_eq!(
+            digest, pinned,
+            "{name}: digest {digest:#018x} != pinned {pinned:#018x}"
+        );
+    }
+}
+
+/// The digest has to be sensitive to what it pins: a different seed, one
+/// more op, or one more in-flight op must move it.
+#[test]
+fn digests_are_sensitive_to_seed_and_volume() {
+    let cfg = |measure_ops| RunConfig {
+        warmup_ops: 20,
+        measure_ops,
+        ..Default::default()
+    };
+    let a = workload_cell(7, Protocol::SafeGuess, 2, cfg(200));
+    assert_eq!(a, workload_cell(7, Protocol::SafeGuess, 2, cfg(200)));
+    assert_ne!(a, workload_cell(8, Protocol::SafeGuess, 2, cfg(200)));
+    assert_ne!(a, workload_cell(7, Protocol::SafeGuess, 2, cfg(201)));
+}
