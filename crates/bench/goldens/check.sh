@@ -7,10 +7,9 @@
 #
 # Stdout carries only simulated numbers, so it is byte-identical across
 # reruns and across SWARM_BENCH_THREADS / SWARM_SHARD_THREADS; wall-clock
-# output goes to stderr and *_wall.csv and is outside the goldens. The
-# threaded binaries run twice, under two thread-knob settings, against the
-# same golden. Run from the repository root (the binaries write
-# target/experiments and target/reports relative to the cwd).
+# output goes to stderr and *_wall.csv and is outside the goldens. Run from
+# the repository root (the binaries write target/experiments and
+# target/reports relative to the cwd).
 set -eu
 
 WRITE=0
@@ -39,26 +38,26 @@ golden() { # golden <bin> <VAR=value...>
     fi
 }
 
+# Binaries that read a thread knob (the sweep driver's SWARM_BENCH_THREADS,
+# bench_shards' SWARM_SHARD_THREADS) are checked under two settings.
+twice() { # twice <bin> [VAR=value...]
+    golden "$@" SWARM_BENCH_THREADS=2 SWARM_SHARD_THREADS=1
+    [ "$WRITE" -eq 1 ] || golden "$@" SWARM_BENCH_THREADS=1 SWARM_SHARD_THREADS=2
+}
+
 # The volumes are the ones ci.sh's perf stages use: fig5 at full quick
 # volume; bench_repair and bench_tail unscaled (their in-binary assertions
 # need the volume); everything else at SWARM_BENCH_OPS_SCALE=0.05.
-SCALE="SWARM_BENCH_OPS_SCALE=0.05"
 golden fig5 SWARM_BENCH_THREADS=1
+twice bench_repair
+twice bench_tail
 for bin in table2 table3 fig6 fig11 fig12; do
-    golden "$bin" "$SCALE"
+    golden "$bin" SWARM_BENCH_OPS_SCALE=0.05
 done
-for bin in fig7 fig8 fig9 fig10 fig13 bench_multiget bench_scenarios; do
-    golden "$bin" "$SCALE" SWARM_BENCH_THREADS=2
-    [ "$WRITE" -eq 1 ] || golden "$bin" "$SCALE" SWARM_BENCH_THREADS=1
+for bin in fig7 fig8 fig9 fig10 fig13 bench_multiget bench_shards bench_reshard \
+    bench_scenarios; do
+    twice "$bin" SWARM_BENCH_OPS_SCALE=0.05
 done
-for bin in bench_shards bench_reshard; do
-    golden "$bin" "$SCALE" SWARM_BENCH_THREADS=2 SWARM_SHARD_THREADS=1
-    [ "$WRITE" -eq 1 ] || golden "$bin" "$SCALE" SWARM_BENCH_THREADS=1 SWARM_SHARD_THREADS=2
-done
-golden bench_repair SWARM_BENCH_THREADS=3 SWARM_SHARD_THREADS=1
-[ "$WRITE" -eq 1 ] || golden bench_repair SWARM_BENCH_THREADS=1 SWARM_SHARD_THREADS=2
-golden bench_tail SWARM_BENCH_THREADS=2
-[ "$WRITE" -eq 1 ] || golden bench_tail SWARM_BENCH_THREADS=1
 
 if [ "$FAILED" -ne 0 ]; then
     echo "stdout-parity: FAILED (if the change is intended: sh $0 --write)" >&2

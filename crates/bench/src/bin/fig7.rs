@@ -34,7 +34,7 @@ fn main() {
         let avg: f64 = {
             let mut sum = 0.0;
             let mut n = 0u64;
-            for h in stats.latency.values() {
+            for h in &stats.latency {
                 sum += h.mean() * h.len() as f64;
                 n += h.len() as u64;
             }

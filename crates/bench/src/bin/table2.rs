@@ -25,12 +25,13 @@ fn main() {
             // Table 2 reports the steady state: all locations cached.
             rc.prewarm_keys = Some(p.n_keys);
         });
-        let common = |op| {
+        let common = |op: OpType| {
             // The most frequent roundtrip count.
-            let m = stats.rtts.get(&op).cloned().unwrap_or_default();
-            m.into_iter()
-                .max_by_key(|&(_, c)| c)
-                .map(|(r, _)| r)
+            stats
+                .rtt_counts(op)
+                .iter()
+                .max_by_key(|&(_, &c)| c)
+                .map(|(&r, _)| r)
                 .unwrap_or(0)
         };
         let (gc, uc) = (common(OpType::Get), common(OpType::Update));

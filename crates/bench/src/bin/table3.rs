@@ -38,7 +38,7 @@ fn main() {
         // CPU%: polling clients are busy for issue + poll + app work.
         let mut lat_sum = 0.0;
         let mut lat_n = 0u64;
-        for h in stats.latency.values() {
+        for h in &stats.latency {
             lat_sum += h.mean() * h.len() as f64;
             lat_n += h.len() as u64;
         }

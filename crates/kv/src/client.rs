@@ -26,9 +26,11 @@ use crate::cluster::{derive_label, Cluster, KeyInfo, ROLE_CACHE, ROLE_CLOCK};
 use crate::index::InsertOutcome;
 use crate::store::{with_deadline, KvError, KvResult, KvStore, KvStoreExt, ScanItems};
 
-/// Replication protocol driven by a [`KvClient`].
+/// Replication protocol driven by a [`KvClient`]. Crate-private: it
+/// encodes "not FUSEE" in the type; callers pick a `Protocol` on the
+/// `StoreBuilder`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Proto {
+pub(crate) enum Proto {
     /// SWARM-KV (Safe-Guess + In-n-Out).
     SafeGuess,
     /// DM-ABD baseline.
@@ -209,15 +211,11 @@ pub struct KvClient {
 
 impl KvClient {
     /// Creates client `client_id` (must be `< cluster.config().max_clients`
-    /// for replicated protocols) on a dedicated CPU core.
-    pub fn new(cluster: &Cluster, proto: Proto, client_id: usize, cfg: KvClientConfig) -> Rc<Self> {
-        Self::with_cpu(cluster, proto, client_id, cfg, None)
-    }
-
-    /// [`KvClient::new`], optionally sharing an existing CPU core. A
-    /// cross-shard router passes the same core to its per-shard clients so
-    /// that the set models *one* application thread, not one per shard.
-    pub fn with_cpu(
+    /// for replicated protocols), on a dedicated CPU core or sharing an
+    /// existing one. A cross-shard router passes the same core to its
+    /// per-shard clients so that the set models *one* application thread,
+    /// not one per shard. Minted by `StoreCluster::client`.
+    pub(crate) fn with_cpu(
         cluster: &Cluster,
         proto: Proto,
         client_id: usize,
@@ -268,11 +266,6 @@ impl KvClient {
             hedger: Hedger::new(cfg.hedge, cc.nodes, Some(cluster.fabric().clone())),
             adaptive: cfg.adaptive,
         })
-    }
-
-    /// The protocol this client drives.
-    pub fn proto(&self) -> Proto {
-        self.proto
     }
 
     /// Cache hit/miss statistics.
@@ -753,8 +746,21 @@ impl KvStore for KvClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::ClusterConfig;
+    use crate::{Protocol, StoreBuilder, StoreClient};
     use swarm_sim::Sim;
+
+    /// A SWARM-KV client over `keys` loaded keys, minted through the
+    /// builder; the tests below reach into its private routing state.
+    fn swarm_client(sim: &Sim, keys: u64, adaptive: AdaptiveConfig) -> Rc<KvClient> {
+        let cluster = StoreBuilder::new(Protocol::SafeGuess)
+            .adaptive(adaptive)
+            .build_cluster(sim);
+        cluster.load_keys(keys, |k| vec![k as u8; 64]);
+        match &*cluster.client(0) {
+            StoreClient::Swarm(client) => Rc::clone(client),
+            StoreClient::Fusee(_) => unreachable!("SafeGuess builds a swarm client"),
+        }
+    }
 
     /// Satellite bugfix pin: a cached [`KeyHandle`] built before a repair
     /// pass must not be served after one — its cached metadata could be
@@ -763,9 +769,7 @@ mod tests {
     #[test]
     fn repair_invalidates_cached_handles() {
         let sim = Sim::new(11);
-        let cluster = Cluster::new(&sim, ClusterConfig::default());
-        cluster.load_keys(4, |k| vec![k as u8; 64]);
-        let client = KvClient::new(&cluster, Proto::SafeGuess, 0, KvClientConfig::default());
+        let client = swarm_client(&sim, 4, AdaptiveConfig::default());
         sim.block_on(async move {
             let h1 = client.handle_for(3, false).await.expect("key 3 loaded");
             let h2 = client.handle_for(3, false).await.expect("key 3 cached");
@@ -797,13 +801,7 @@ mod tests {
     #[test]
     fn adaptive_router_needs_sustained_misses_and_decays_back() {
         let sim = Sim::new(21);
-        let cluster = Cluster::new(&sim, ClusterConfig::default());
-        cluster.load_keys(2, |k| vec![k as u8; 64]);
-        let cfg = KvClientConfig {
-            adaptive: AdaptiveConfig::on(),
-            ..Default::default()
-        };
-        let client = KvClient::new(&cluster, Proto::SafeGuess, 0, cfg);
+        let client = swarm_client(&sim, 2, AdaptiveConfig::on());
         sim.block_on(async move {
             let h = client.handle_for(1, false).await.expect("key 1 loaded");
             assert!(!client.route_verified(&h.contention), "cold key stays fast");
@@ -830,13 +828,7 @@ mod tests {
     #[test]
     fn verified_routed_writes_still_read_back() {
         let sim = Sim::new(22);
-        let cluster = Cluster::new(&sim, ClusterConfig::default());
-        cluster.load_keys(2, |k| vec![k as u8; 64]);
-        let cfg = KvClientConfig {
-            adaptive: AdaptiveConfig::on(),
-            ..Default::default()
-        };
-        let client = KvClient::new(&cluster, Proto::SafeGuess, 0, cfg);
+        let client = swarm_client(&sim, 2, AdaptiveConfig::on());
         sim.block_on(async move {
             let h = client.handle_for(1, false).await.expect("key 1 loaded");
             for _ in 0..32 {
@@ -855,9 +847,7 @@ mod tests {
     #[test]
     fn adaptive_disabled_tracks_nothing() {
         let sim = Sim::new(23);
-        let cluster = Cluster::new(&sim, ClusterConfig::default());
-        cluster.load_keys(2, |k| vec![k as u8; 64]);
-        let client = KvClient::new(&cluster, Proto::SafeGuess, 0, KvClientConfig::default());
+        let client = swarm_client(&sim, 2, AdaptiveConfig::default());
         sim.block_on(async move {
             let h = client.handle_for(1, false).await.expect("key 1 loaded");
             client.update(1, vec![5u8; 64]).await.expect("update ok");

@@ -1,0 +1,628 @@
+//! The one op path: how an operation is executed against a [`KvStore`]
+//! and accounted. The paper's evaluation (§7.1–§7.2) is one loop — clients
+//! issue ops and record latency and roundtrips — and this module holds the
+//! only copy of it: [`execute`] (the one `match` over op kinds that calls
+//! store methods), [`execute_batch`] (the one pipelined grouping),
+//! [`RunStats::record`], [`Worker::spawn`] and [`drive`]. The three drivers
+//! — `run_workload`, `run_scenario`, `run_sharded_plan` — differ only in
+//! their [`OpSource`].
+//!
+//! The unit of work is the six-class [`ScenarioOp`]; a YCSB op is its
+//! four-class case ([`ScenarioOp::ycsb`]). Payloads come from a caller
+//! supplied `value(key, version, size)`: `Workload::value_for` and
+//! `scenario_value` differ in their first eight bytes, and recorded
+//! histories depend on them.
+
+use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+use swarm_sim::{
+    join_boxed, BoxFuture, Histogram, Nanos, Sim, TimeSeries, NANOS_PER_MILLI, NANOS_PER_SEC,
+};
+use swarm_workload::{ScenarioOp, ScenarioOpClass, Workload};
+
+use crate::runner::RunConfig;
+use crate::store::{KvError, KvResult, KvStore};
+
+/// Number of operation classes ([`ScenarioOpClass::all`]).
+const CLASSES: usize = 6;
+
+/// Collected results of a run, whichever driver produced it.
+#[derive(Debug, Default)]
+pub struct RunStats {
+    /// Latency histogram per operation class, indexed by
+    /// `ScenarioOpClass as usize` (reporting order; see [`RunStats::lat`]).
+    pub latency: [Histogram; CLASSES],
+    /// Roundtrip-count histogram per operation class (`rtts -> ops`), same
+    /// indexing (see [`RunStats::rtt_counts`]). Filled only under
+    /// `RunConfig::record_rtts`.
+    pub rtts: [BTreeMap<u64, u64>; CLASSES],
+    /// Per-bucket throughput/latency over time (`RunConfig::bucket_ns`).
+    pub series: Option<TimeSeries>,
+    /// Measured operations completed (one RMW counts once).
+    pub measured_ops: u64,
+    /// Operations that returned failure/absence (a `Get`/`Rmw` of an
+    /// absent key counts here).
+    pub failed_ops: u64,
+    /// Total items returned across all scans.
+    pub scanned_items: u64,
+    /// First measured-op start time.
+    pub start_ns: Nanos,
+    /// Last measured-op completion time.
+    pub end_ns: Nanos,
+}
+
+impl RunStats {
+    /// Overall measured throughput in operations per second.
+    pub fn throughput_ops(&self) -> f64 {
+        if self.end_ns <= self.start_ns {
+            return 0.0;
+        }
+        self.measured_ops as f64 * NANOS_PER_SEC as f64 / (self.end_ns - self.start_ns) as f64
+    }
+
+    /// Latency histogram for one class — an `OpType` or a
+    /// `ScenarioOpClass` (empty histogram if none ran).
+    pub fn lat(&self, class: impl Into<ScenarioOpClass>) -> Histogram {
+        self.latency[class.into() as usize].clone()
+    }
+
+    /// Roundtrip counts (`rtts -> ops`) for one class.
+    pub fn rtt_counts(&self, class: impl Into<ScenarioOpClass>) -> &BTreeMap<u64, u64> {
+        &self.rtts[class.into() as usize]
+    }
+
+    /// Fraction of `class` operations that used exactly `r` roundtrips.
+    pub fn rtt_fraction(&self, class: impl Into<ScenarioOpClass>, r: u64) -> f64 {
+        let m = self.rtt_counts(class);
+        let total: u64 = m.values().sum();
+        if total == 0 {
+            return 0.0;
+        }
+        *m.get(&r).unwrap_or(&0) as f64 / total as f64
+    }
+
+    /// The roundtrip count at percentile `p` for `class`.
+    pub fn rtt_percentile(&self, class: impl Into<ScenarioOpClass>, p: f64) -> u64 {
+        let m = self.rtt_counts(class);
+        let total: u64 = m.values().sum();
+        let target = (p / 100.0 * total as f64).ceil() as u64;
+        let mut acc = 0;
+        for (&rtts, &ops) in m {
+            acc += ops;
+            if acc >= target {
+                return rtts;
+            }
+        }
+        0
+    }
+
+    /// Accounts one measured operation that ran over `[t0, t1]`.
+    pub(crate) fn record(&mut self, class: ScenarioOpClass, t0: Nanos, t1: Nanos, ok: bool) {
+        if self.measured_ops == 0 {
+            self.start_ns = t0;
+        }
+        self.measured_ops += 1;
+        self.end_ns = self.end_ns.max(t1);
+        if !ok {
+            self.failed_ops += 1;
+        }
+        self.latency[class as usize].record(t1 - t0);
+        if let Some(series) = &mut self.series {
+            series.record(t1, t1 - t0);
+        }
+    }
+
+    /// Folds another run's results into this one: histograms concatenate
+    /// (so percentiles are over the union), counts sum, and the
+    /// measurement window spans the earliest start to the latest end.
+    pub fn merge(&mut self, other: &RunStats) {
+        // Exhaustive on purpose: a new field must be merged to compile.
+        let RunStats {
+            latency,
+            rtts,
+            series,
+            measured_ops,
+            failed_ops,
+            scanned_items,
+            start_ns,
+            end_ns,
+        } = other;
+        for (mine, theirs) in self.latency.iter_mut().zip(latency) {
+            mine.merge(theirs);
+        }
+        for (mine, theirs) in self.rtts.iter_mut().zip(rtts) {
+            for (&r, &n) in theirs {
+                *mine.entry(r).or_insert(0) += n;
+            }
+        }
+        match (&mut self.series, series) {
+            (Some(mine), Some(theirs)) => mine.merge(theirs),
+            (mine @ None, Some(theirs)) => *mine = Some(theirs.clone()),
+            (_, None) => {}
+        }
+        if *measured_ops > 0 {
+            self.start_ns = if self.measured_ops == 0 {
+                *start_ns
+            } else {
+                self.start_ns.min(*start_ns)
+            };
+            self.end_ns = self.end_ns.max(*end_ns);
+        }
+        self.measured_ops += measured_ops;
+        self.failed_ops += failed_ops;
+        self.scanned_items += scanned_items;
+    }
+}
+
+/// The `Send` result of one operation (payloads are copied out of the
+/// simulation-confined `Rc`s), as reassembled by
+/// [`ShardedRun::results`](crate::ShardedRun::results).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum OpOutcome {
+    /// A get that found a value.
+    Value(Vec<u8>),
+    /// A get (or an RMW's read leg) that observed absence.
+    Absent,
+    /// A mutation that applied, or a scan that completed.
+    Done,
+    /// An operation that failed.
+    Failed(KvError),
+}
+
+/// What one executed op produced, still confined to its simulation's
+/// thread: a read's payload is the store's own `Rc`, copied out only when
+/// a caller asks for the `Send` [`OpOutcome`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Executed {
+    Value(Rc<Vec<u8>>),
+    Absent,
+    Done,
+    /// A scan that returned this many items.
+    Scanned(u64),
+    Failed(KvError),
+}
+
+impl Executed {
+    /// Absence counts as failure, like YCSB's not-found.
+    pub(crate) fn ok(&self) -> bool {
+        !matches!(self, Executed::Absent | Executed::Failed(_))
+    }
+
+    pub(crate) fn outcome(&self) -> OpOutcome {
+        match self {
+            Executed::Value(v) => OpOutcome::Value((**v).clone()),
+            Executed::Absent => OpOutcome::Absent,
+            Executed::Done | Executed::Scanned(_) => OpOutcome::Done,
+            Executed::Failed(e) => OpOutcome::Failed(*e),
+        }
+    }
+}
+
+fn wrote(r: KvResult<()>) -> Executed {
+    match r {
+        Ok(()) => Executed::Done,
+        Err(e) => Executed::Failed(e),
+    }
+}
+
+/// Executes one operation against `store`. Payloads are built only for
+/// mutating ops, at the moment they are issued (`value` is pure, so the
+/// laziness cannot perturb the execution).
+pub(crate) async fn execute<S: KvStore>(
+    store: &S,
+    op: ScenarioOp,
+    value: &impl Fn(u64, u64, usize) -> Vec<u8>,
+) -> Executed {
+    match op {
+        ScenarioOp::Get { key } => match store.get(key).await {
+            Ok(Some(v)) => Executed::Value(v),
+            Ok(None) => Executed::Absent,
+            Err(e) => Executed::Failed(e),
+        },
+        ScenarioOp::Update { key, size, version } => {
+            wrote(store.update(key, value(key, version, size)).await)
+        }
+        ScenarioOp::Insert {
+            key,
+            size,
+            version,
+            ttl_ns,
+        } => wrote(
+            store
+                .insert_ttl(key, value(key, version, size), ttl_ns)
+                .await,
+        ),
+        ScenarioOp::Delete { key } => wrote(store.delete(key).await),
+        ScenarioOp::Scan { start, limit } => match store.scan(start, limit).await {
+            Ok(items) => Executed::Scanned(items.len() as u64),
+            Err(e) => Executed::Failed(e),
+        },
+        // Read-modify-write: the read's observation feeds the write in a
+        // real application; here only the latency of the two dependent
+        // legs matters.
+        ScenarioOp::Rmw { key, size, version } => match store.get(key).await {
+            Ok(Some(_)) => wrote(store.update(key, value(key, version, size)).await),
+            Ok(None) => Executed::Absent,
+            Err(e) => Executed::Failed(e),
+        },
+    }
+}
+
+/// Executes `ops` as one pipelined round into `done` (input order): gets,
+/// updates, and inserts fan out concurrently through the client's
+/// ops-in-flight machinery (§7.2), so a batch of independent keys costs
+/// about one quorum roundtrip. Deletes are rare in the YCSB mixes and run
+/// after the round, one at a time — as would scans and RMWs, which no
+/// batching source emits. A batch of one is that op, executed directly.
+pub(crate) async fn execute_batch<S: KvStore>(
+    store: &S,
+    ops: &[ScenarioOp],
+    value: &impl Fn(u64, u64, usize) -> Vec<u8>,
+    done: &mut Vec<Executed>,
+) {
+    done.clear();
+    if let [op] = ops {
+        done.push(execute(store, *op, value).await);
+        return;
+    }
+    // First polls submit in this order: all gets, then updates, then
+    // inserts, each class in input order.
+    let pipelined = [
+        ScenarioOpClass::Get,
+        ScenarioOpClass::Update,
+        ScenarioOpClass::Insert,
+    ];
+    let order: Vec<usize> = pipelined
+        .iter()
+        .flat_map(|class| (0..ops.len()).filter(move |&i| ops[i].class() == *class))
+        .collect();
+    let round: Vec<BoxFuture<'_, Executed>> = order
+        .iter()
+        .map(|&i| Box::pin(execute(store, ops[i], value)) as BoxFuture<'_, _>)
+        .collect();
+    done.resize(ops.len(), Executed::Absent);
+    for (&i, r) in order.iter().zip(join_boxed(round).await) {
+        done[i] = r;
+    }
+    for (i, op) in ops.iter().enumerate() {
+        if !pipelined.contains(&op.class()) {
+            done[i] = execute(store, *op, value).await;
+        }
+    }
+}
+
+/// The run-wide op budget the workers of a [`OpSource::Drawn`] run share.
+pub(crate) struct Budget {
+    pub warmup_left: u64,
+    pub measure_left: u64,
+    /// Last payload version handed out (unique per mutation).
+    pub version: u64,
+}
+
+/// Where a worker's operations come from — the one thing the three
+/// drivers differ in.
+pub(crate) enum OpSource {
+    /// `run_workload`: slots are claimed from the shared [`Budget`], up to
+    /// `batch` at a time, and each op is drawn from the simulation's RNG
+    /// stream only once its client CPU work is paid.
+    Drawn {
+        workload: Workload,
+        batch: u64,
+        budget: Rc<RefCell<Budget>>,
+    },
+    /// Scenario and planned runs: pre-materialised `(measured, ops)`
+    /// batches.
+    Planned(std::vec::IntoIter<(bool, Vec<ScenarioOp>)>),
+}
+
+impl OpSource {
+    /// Claims the next batch: `(op count, measured)`, or `None` when the
+    /// source is exhausted. Warm-up and measured ops never share a batch.
+    fn claim(&mut self) -> Option<(u64, bool)> {
+        match self {
+            OpSource::Drawn { batch, budget, .. } => {
+                let mut b = budget.borrow_mut();
+                let (left, measured) = if b.warmup_left > 0 {
+                    (&mut b.warmup_left, false)
+                } else {
+                    (&mut b.measure_left, true)
+                };
+                let n = (*left).min(*batch);
+                *left -= n;
+                (n > 0).then_some((n, measured))
+            }
+            OpSource::Planned(batches) => {
+                let (measured, ops) = batches.as_slice().first()?;
+                Some((ops.len() as u64, *measured))
+            }
+        }
+    }
+
+    /// Materialises the claimed batch's `count` ops into `ops`.
+    fn take(&mut self, sim: &Sim, count: u64, ops: &mut Vec<ScenarioOp>) {
+        match self {
+            OpSource::Drawn {
+                workload, budget, ..
+            } => {
+                ops.clear();
+                for _ in 0..count {
+                    // Draw, then bump the version, and only after the
+                    // worker's CPU work: the `table2`/`fig5` ≡
+                    // `BENCH_seed.json` contract pins this order.
+                    let (op, key) = workload.next_op(sim.rand_u64(), sim.rand_f64());
+                    let mut b = budget.borrow_mut();
+                    b.version += 1;
+                    ops.push(ScenarioOp::ycsb(op, key, b.version, workload.value_size));
+                }
+            }
+            OpSource::Planned(batches) => *ops = batches.next().expect("a claimed batch").1,
+        }
+    }
+}
+
+/// The state a run's workers share: the statistics they record into and
+/// how many of them are still running.
+#[derive(Default)]
+pub(crate) struct Run {
+    pub stats: RefCell<RunStats>,
+    pub active: Cell<usize>,
+}
+
+/// One client worker: its op source, the knobs that pace it, the payload
+/// function, and where its results go.
+pub(crate) struct Worker<V> {
+    pub source: OpSource,
+    /// The per-op knobs; the volume knobs belong to whoever built `source`.
+    pub cfg: RunConfig,
+    /// Builds a mutation's payload from `(key, version, size)`.
+    pub value: V,
+    pub run: Rc<Run>,
+    /// When set, every op's outcome in issue order, measured or not.
+    pub outcomes: Option<Rc<RefCell<Vec<OpOutcome>>>>,
+}
+
+impl<V: Fn(u64, u64, usize) -> Vec<u8> + 'static> Worker<V> {
+    /// Spawns the worker loop on `sim` against `store`: claim a batch, pay
+    /// its client CPU work, execute it, record it — until the source runs
+    /// dry or the deadline passes. Every element of a multi-op batch is
+    /// accounted the whole batch's latency: the price an individual op
+    /// pays for riding in a batch.
+    pub(crate) fn spawn<S: KvStore + 'static>(mut self, sim: &Sim, store: Rc<S>) {
+        self.run.active.set(self.run.active.get() + 1);
+        let sim2 = sim.clone();
+        sim.spawn(async move {
+            let (sim, cfg) = (sim2, &self.cfg);
+            if let Some(n) = cfg.prewarm_keys {
+                for key in 0..n {
+                    let _ = store.get(key).await;
+                }
+            }
+            let (mut ops, mut done) = (Vec::new(), Vec::new());
+            let mut next_at = sim.now();
+            loop {
+                if cfg.pace_ns.is_some() {
+                    sim.sleep_until(next_at).await;
+                }
+                let Some((count, measured)) = self.source.claim() else {
+                    break;
+                };
+                // Open-loop pacing is per *op*: a batch of N ops advances
+                // the schedule by N paces, keeping the configured rate.
+                next_at += cfg.pace_ns.unwrap_or(0) * count;
+                if cfg.deadline_ns.is_some_and(|d| sim.now() >= d) {
+                    break;
+                }
+                // Client-side CPU work is paid per element, batched or not
+                // (keeps per-core throughput honest, §7.2).
+                store.endpoint().work(cfg.op_overhead_ns * count).await;
+                self.source.take(&sim, count, &mut ops);
+
+                let (r0, t0) = (store.rounds(), sim.now());
+                execute_batch(&*store, &ops, &self.value, &mut done).await;
+                let t1 = sim.now();
+
+                if measured {
+                    let mut stats = self.run.stats.borrow_mut();
+                    for (op, result) in ops.iter().zip(&done) {
+                        stats.record(op.class(), t0, t1, result.ok());
+                        if let Executed::Scanned(items) = result {
+                            stats.scanned_items += items;
+                        }
+                    }
+                    if cfg.record_rtts && cfg.batch <= 1 {
+                        let used = store.rounds() - r0;
+                        *stats.rtts[ops[0].class() as usize].entry(used).or_insert(0) += 1;
+                    }
+                }
+                if let Some(outcomes) = &self.outcomes {
+                    let mut outcomes = outcomes.borrow_mut();
+                    outcomes.extend(done.iter().map(Executed::outcome));
+                }
+            }
+            self.run.active.set(self.run.active.get() - 1);
+        });
+    }
+}
+
+/// Drives `sim` until every worker of `run` finished, then returns the
+/// collected statistics. Background tasks may continue; the stats are
+/// already final.
+pub(crate) fn drive(sim: &Sim, run: &Run) -> RunStats {
+    loop {
+        sim.run_until(sim.now() + 50 * NANOS_PER_MILLI);
+        if run.active.get() == 0 {
+            break;
+        }
+        assert!(
+            sim.live_tasks() > 0,
+            "simulation drained with workers still pending"
+        );
+    }
+    run.stats.take()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Protocol, StoreBuilder, StoreClient};
+    use swarm_workload::{scenario_value, OpType};
+
+    /// A client over keys `0..16` (so key `99` is absent).
+    fn client(sim: &Sim, protocol: Protocol) -> Rc<StoreClient> {
+        let cluster = StoreBuilder::new(protocol).build_cluster(sim);
+        cluster.load_keys(16, |k| vec![k as u8; 64]);
+        cluster.client(0)
+    }
+
+    fn rmw(key: u64) -> ScenarioOp {
+        let (size, version) = (64, 7);
+        ScenarioOp::Rmw { key, size, version }
+    }
+
+    #[test]
+    fn a_batch_of_one_is_the_op_itself() {
+        let ycsb = |op, key| ScenarioOp::ycsb(op, key, 7, 64);
+        let one_of_each = [
+            ycsb(OpType::Get, 3),
+            ycsb(OpType::Get, 99),
+            ycsb(OpType::Update, 4),
+            ycsb(OpType::Insert, 40),
+            ycsb(OpType::Delete, 5),
+            ScenarioOp::Scan { start: 2, limit: 4 },
+            rmw(6),
+            rmw(99),
+        ];
+        for protocol in [Protocol::SafeGuess, Protocol::Fusee] {
+            for op in one_of_each {
+                // Same seed, same store, two fresh simulations: outcome,
+                // `sim.now()` advance and `rounds()` delta must agree.
+                let run = |batched: bool| {
+                    let sim = Sim::new(5);
+                    let store = client(&sim, protocol);
+                    let s = sim.clone();
+                    sim.block_on(async move {
+                        let (t0, r0) = (s.now(), store.rounds());
+                        let mut done = Vec::new();
+                        if batched {
+                            execute_batch(&*store, &[op], &scenario_value, &mut done).await;
+                        } else {
+                            done.push(execute(&*store, op, &scenario_value).await);
+                        }
+                        (done, s.now() - t0, store.rounds() - r0)
+                    })
+                };
+                let single = run(false);
+                assert_eq!(single, run(true), "{}: {op:?}", protocol.name());
+                assert!(single.0.len() == 1 && single.1 > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_pipelines_and_answers_in_input_order() {
+        let sim = Sim::new(6);
+        let store = client(&sim, Protocol::SafeGuess);
+        let s = sim.clone();
+        sim.block_on(async move {
+            let ycsb = |op, key| ScenarioOp::ycsb(op, key, key, 64);
+            let ops = [
+                ycsb(OpType::Delete, 1),
+                ycsb(OpType::Update, 2),
+                ycsb(OpType::Get, 3),
+                ycsb(OpType::Get, 99),
+                ycsb(OpType::Update, 98),
+                ycsb(OpType::Get, 4),
+            ];
+            let mut done = Vec::new();
+            // Warm the location cache so the timing below is roundtrips.
+            execute_batch(&*store, &ops[1..], &scenario_value, &mut done).await;
+            let t0 = s.now();
+            execute_batch(&*store, &ops, &scenario_value, &mut done).await;
+            let batched = s.now() - t0;
+            assert_eq!(
+                done.iter().map(Executed::outcome).collect::<Vec<_>>(),
+                [
+                    OpOutcome::Done,
+                    OpOutcome::Done,
+                    OpOutcome::Value(vec![3u8; 64]),
+                    OpOutcome::Absent,
+                    OpOutcome::Failed(KvError::NotIndexed),
+                    OpOutcome::Value(vec![4u8; 64]),
+                ]
+            );
+            assert_eq!(
+                done.iter().map(Executed::ok).collect::<Vec<_>>(),
+                [true, true, true, false, false, true]
+            );
+            let t0 = s.now();
+            for op in &ops[1..] {
+                execute(&*store, *op, &scenario_value).await;
+            }
+            let sequential = s.now() - t0;
+            assert!(
+                batched < sequential,
+                "six ops in one round ({batched} ns) vs five in sequence ({sequential} ns)"
+            );
+        });
+    }
+
+    /// Every field set to something distinctive, derived from `n`.
+    fn stats(n: u64) -> RunStats {
+        let mut s = RunStats {
+            series: Some(TimeSeries::new(1_000)),
+            scanned_items: n,
+            ..Default::default()
+        };
+        s.record(ScenarioOpClass::Get, 100 * n, 100 * n + 10, true);
+        s.record(ScenarioOpClass::Rmw, 100 * n + 10, 100 * n + 50, false);
+        for rtts in [n, 9] {
+            *s.rtts[ScenarioOpClass::Get as usize]
+                .entry(rtts)
+                .or_insert(0) += 1;
+        }
+        s
+    }
+
+    /// `RunStats::merge` destructures `RunStats` exhaustively, so a new
+    /// field that is not merged does not compile; this pins what each
+    /// existing field merges to.
+    #[test]
+    fn merge_covers_every_field() {
+        let mut m = RunStats::default();
+        m.merge(&RunStats::default());
+        assert_eq!((m.measured_ops, m.start_ns, m.end_ns), (0, 0, 0));
+        m.merge(&stats(2));
+        assert_eq!((m.start_ns, m.end_ns), (200, 250), "first window");
+        m.merge(&stats(1));
+        m.merge(&RunStats::default());
+        assert_eq!((m.measured_ops, m.failed_ops, m.scanned_items), (4, 2, 3));
+        assert_eq!((m.start_ns, m.end_ns), (100, 250), "earliest to latest");
+        assert_eq!(m.lat(ScenarioOpClass::Get).len(), 2);
+        assert_eq!(m.lat(ScenarioOpClass::Rmw).max(), 40);
+        assert!(m.lat(ScenarioOpClass::Scan).is_empty());
+        let rtts: Vec<_> = m.rtt_counts(OpType::Get).iter().collect();
+        assert_eq!(rtts, [(&1, &1), (&2, &1), (&9, &2)]);
+        assert_eq!(m.rtt_fraction(OpType::Get, 9), 0.5);
+        assert_eq!(m.rtt_percentile(OpType::Get, 99.0), 9);
+        let series = m.series.expect("a series merges into none");
+        assert_eq!(series.buckets().map(|(_, n, _)| n).sum::<u64>(), 4);
+    }
+
+    #[test]
+    fn lat_takes_either_class_type() {
+        let s = stats(3);
+        for (op, class) in [
+            (OpType::Get, ScenarioOpClass::Get),
+            (OpType::Update, ScenarioOpClass::Update),
+            (OpType::Insert, ScenarioOpClass::Insert),
+            (OpType::Delete, ScenarioOpClass::Delete),
+        ] {
+            assert_eq!(ScenarioOpClass::from(op), class);
+            assert_eq!(s.lat(op).len(), s.lat(class).len());
+            assert_eq!(s.lat(op).cdf(2), s.lat(class).cdf(2));
+        }
+        assert_eq!(s.lat(OpType::Get).len(), 1);
+    }
+}

@@ -30,7 +30,7 @@ use swarm_fabric::{Endpoint, Fabric, FabricConfig, NodeId, Op, OpResult};
 use swarm_sim::{join_all, timeout_at, FifoResource, Nanos, Quorum, Sim, SimRng, NANOS_PER_MILLI};
 
 use crate::cache::LfuCache;
-use crate::client::{CacheCapacity, KvClientConfig};
+use crate::client::KvClientConfig;
 use crate::cluster::{derive_label, ROLE_CACHE, ROLE_FABRIC, ROLE_INDEX};
 use crate::index::Index;
 use crate::store::{with_deadline, KvError, KvResult, KvStore, KvStoreExt, ScanItems};
@@ -266,28 +266,12 @@ pub struct FuseeKv {
 }
 
 impl FuseeKv {
-    /// Creates client `client_id` with the given location-cache capacity.
-    pub fn new(cluster: &FuseeCluster, client_id: usize, cache: CacheCapacity) -> Rc<Self> {
-        Self::with_config(
-            cluster,
-            client_id,
-            KvClientConfig {
-                cache,
-                ..Default::default()
-            },
-        )
-    }
-
     /// Creates client `client_id` with the full per-client configuration
-    /// (cache capacity + optional per-operation deadline).
-    pub fn with_config(cluster: &FuseeCluster, client_id: usize, cfg: KvClientConfig) -> Rc<Self> {
-        Self::with_cpu(cluster, client_id, cfg, None)
-    }
-
-    /// [`FuseeKv::with_config`], optionally sharing an existing CPU core
-    /// (see `KvClient::with_cpu` — one application thread per cross-shard
-    /// router).
-    pub fn with_cpu(
+    /// (cache capacity + optional per-operation deadline), on a dedicated
+    /// CPU core or sharing an existing one (see `KvClient::with_cpu` — one
+    /// application thread per cross-shard router). Minted by
+    /// `StoreCluster::client`.
+    pub(crate) fn with_cpu(
         cluster: &FuseeCluster,
         client_id: usize,
         cfg: KvClientConfig,
@@ -777,12 +761,28 @@ mod tests {
         (sim, cluster)
     }
 
-    const CACHE: CacheCapacity = CacheCapacity::Entries(1024);
+    /// Client `id` with a 1024-entry location cache, on its own core.
+    fn client(cluster: &FuseeCluster, id: usize) -> Rc<FuseeKv> {
+        client_with(cluster, id, swarm_core::HedgeConfig::default())
+    }
+
+    fn client_with(
+        cluster: &FuseeCluster,
+        id: usize,
+        hedge: swarm_core::HedgeConfig,
+    ) -> Rc<FuseeKv> {
+        let cfg = KvClientConfig {
+            cache: crate::CacheCapacity::Entries(1024),
+            hedge,
+            ..Default::default()
+        };
+        FuseeKv::with_cpu(cluster, id, cfg, None)
+    }
 
     #[test]
     fn get_after_load_returns_value() {
         let (sim, cluster) = setup(1);
-        let c = FuseeKv::new(&cluster, 0, CACHE);
+        let c = client(&cluster, 0);
         let v = sim.block_on(async move { c.get(3).await });
         assert_eq!(*v.unwrap().unwrap(), vec![3u8; 64]);
     }
@@ -790,7 +790,7 @@ mod tests {
     #[test]
     fn update_takes_four_rounds_and_get_one_when_fresh() {
         let (sim, cluster) = setup(2);
-        let c = FuseeKv::new(&cluster, 0, CACHE);
+        let c = client(&cluster, 0);
         let c2 = Rc::clone(&c);
         sim.block_on(async move {
             c2.get(1).await.unwrap(); // warm the cache (2 rtts)
@@ -806,8 +806,8 @@ mod tests {
     #[test]
     fn stale_cached_pointer_costs_two_rounds() {
         let (sim, cluster) = setup(3);
-        let a = FuseeKv::new(&cluster, 0, CACHE);
-        let b = FuseeKv::new(&cluster, 1, CACHE);
+        let a = client(&cluster, 0);
+        let b = client(&cluster, 1);
         sim.block_on(async move {
             a.get(1).await.unwrap(); // A caches v1
             b.update(1, vec![7u8; 64]).await.unwrap(); // B moves to v2
@@ -829,7 +829,7 @@ mod tests {
             },
         );
         cluster.load_keys(4, |k| vec![k as u8; 64]);
-        let c = FuseeKv::new(&cluster, 0, CACHE);
+        let c = client(&cluster, 0);
         sim.block_on(async move {
             assert_eq!(
                 c.insert(100, vec![1u8; 64]).await,
@@ -854,7 +854,7 @@ mod tests {
             },
         );
         cluster.load_keys(4, |k| vec![k as u8; 64]);
-        let c = FuseeKv::new(&cluster, 0, CACHE);
+        let c = client(&cluster, 0);
         let index_len = {
             let cl = cluster.clone();
             move || cl.inner.index.len()
@@ -882,12 +882,7 @@ mod tests {
         // counts (update = 4, fresh get = 1) must not move when hedging is
         // enabled.
         let (sim, cluster) = setup(5);
-        let cfg = KvClientConfig {
-            cache: CACHE,
-            hedge: swarm_core::HedgeConfig::on(),
-            ..Default::default()
-        };
-        let c = FuseeKv::with_config(&cluster, 0, cfg);
+        let c = client_with(&cluster, 0, swarm_core::HedgeConfig::on());
         sim.block_on(async move {
             c.get(1).await.unwrap(); // warm the cache
             let r0 = c.rounds();

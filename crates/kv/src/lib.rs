@@ -49,49 +49,50 @@
 //! });
 //! ```
 //!
-//! ### Migrating from the pre-builder API
-//!
-//! | old | new |
-//! |---|---|
-//! | `KvClient::new(&cluster, Proto::SafeGuess, id, cfg)` | `StoreBuilder::new(Protocol::SafeGuess).build_cluster(&sim).client(id)` |
-//! | `FuseeKv::new(&cluster, id, entries)` | `StoreBuilder::new(Protocol::Fusee).cache(CacheCapacity::Entries(entries))…` |
-//! | `get(k) -> Option<Rc<Vec<u8>>>` | `get(k) -> Result<Option<Rc<Vec<u8>>>, KvError>` |
-//! | `update/insert/delete(..) -> bool` | `update/insert/delete(..) -> Result<(), KvError>` |
-//! | `KvClientConfig { cache_entries: usize::MAX / 2 }` | `KvClientConfig { cache: CacheCapacity::Unbounded }` |
-//! | N sequential `get`s | `multi_get(&keys)` (~1 roundtrip for cached keys) |
-//!
-//! `KvClient::new` / `FuseeKv::new` remain available for tests that need a
-//! hand-built substrate; the builder is the supported front door.
-//!
 //! # Inside
 //!
-//! * [`KvClient`] with [`Proto::SafeGuess`] is **SWARM-KV**: clients access
-//!   key-value pairs replicated over memory nodes directly, with
-//!   single-roundtrip `insert`/`update`/`get`/`delete` in the common case.
-//! * [`Proto::Abd`] is **DM-ABD**: the same substrate driven by classic ABD
-//!   with pure out-of-place updates (no in-place data, one shared metadata
-//!   word) — the "good engineering solution using known techniques" (§7).
-//! * [`Proto::Raw`] is **RAW**: unreplicated, no concurrency control; the
-//!   latency lower bound.
-//! * [`FuseeKv`] models **FUSEE** (FAST '23), the state-of-the-art
+//! * [`Protocol::SafeGuess`] is **SWARM-KV**: clients access key-value
+//!   pairs replicated over memory nodes directly, with single-roundtrip
+//!   `insert`/`update`/`get`/`delete` in the common case.
+//! * [`Protocol::Abd`] is **DM-ABD**: the same substrate driven by classic
+//!   ABD with pure out-of-place updates (no in-place data, one shared
+//!   metadata word) — the "good engineering solution using known
+//!   techniques" (§7).
+//! * [`Protocol::Raw`] is **RAW**: unreplicated, no concurrency control;
+//!   the latency lower bound.
+//! * [`Protocol::Fusee`] models **FUSEE** (FAST '23), the state-of-the-art
 //!   synchronously replicated disaggregated KV the paper compares against.
 //!
 //! Supporting services: a reliable [`Index`] (§5.2), an approximated-LFU
 //! location [`cache`](LfuCache) (§7.1), and a lease-based [`Membership`]
-//! service standing in for uKharon (§5.4). [`runner`](run_workload) drives
-//! YCSB workloads against any store — sequentially or in pipelined batches
-//! (`RunConfig::batch`) — and produces the statistics the paper's figures
-//! report. For correctness testing, [`HistoryRecorder`] wraps any store so
-//! every operation lands in a multi-key history checkable with
-//! `swarm_core::KvHistory` — the machinery behind the chaos suite (see
-//! `TESTING.md`).
+//! service standing in for uKharon (§5.4). For correctness testing,
+//! [`HistoryRecorder`] wraps any store so every operation lands in a
+//! multi-key history checkable with `swarm_core::KvHistory` — the
+//! machinery behind the chaos suite (see `TESTING.md`).
 //!
-//! For true multi-core sharded runs, [`plan_workload`] +
-//! [`run_sharded_plan`] pre-partition a workload into per-shard op streams
-//! and drive each shard on its *own* seeded `Sim` — sequentially, on
-//! `SWARM_SHARD_THREADS` OS threads ([`ShardMode`]), or on one shared
-//! simulation as a cross-check — with bit-identical per-shard outcomes in
-//! every mode (see `parallel.rs`'s module docs for the argument).
+//! # Driving a store: one op path, three sources
+//!
+//! The paper's evaluation is one loop — clients issue ops against a store
+//! and record latency and roundtrips — and the crate has one copy of it
+//! (`exec.rs`): one `execute` of a six-class op (a YCSB op is the
+//! four-class case) against any [`KvStore`], one pipelined batch grouping,
+//! one worker loop, one result type ([`RunStats`], whose `lat` takes an
+//! `OpType` or a `ScenarioOpClass`). The drivers differ only in where a
+//! worker's ops come from:
+//!
+//! * [`run_workload`] draws YCSB ops from the simulation's RNG stream at
+//!   runtime against a shared op budget — sequentially or in pipelined
+//!   batches ([`RunConfig::batch`]), paced, deadlined, counting per-op
+//!   roundtrips. This is what the paper's figures run.
+//! * [`run_scenario`] feeds a pre-materialised time-phased `ScenarioSpec`
+//!   stream (scans, read-modify-writes, TTL inserts, value-size
+//!   distributions), dealt round-robin to the clients.
+//! * [`plan_workload`] + [`run_sharded_plan`] pre-partition a YCSB stream
+//!   into per-shard op streams and drive each shard on its *own* seeded
+//!   `Sim` — sequentially, on `SWARM_SHARD_THREADS` OS threads
+//!   ([`ShardMode`]), or on one shared simulation as a cross-check — with
+//!   bit-identical per-shard outcomes in every mode (see `parallel.rs`'s
+//!   module docs for the argument).
 
 #![warn(missing_docs)]
 
@@ -100,6 +101,7 @@ mod cache;
 mod client;
 mod cluster;
 mod envknob;
+mod exec;
 mod fusee;
 mod index;
 mod membership;
@@ -115,18 +117,19 @@ mod ttl;
 
 pub use builder::{Protocol, StoreBuilder, StoreClient, StoreCluster};
 pub use cache::LfuCache;
-pub use client::{AdaptiveConfig, CacheCapacity, KvClient, KvClientConfig, Proto};
+pub use client::{AdaptiveConfig, CacheCapacity, KvClient, KvClientConfig};
 pub use cluster::{Cluster, ClusterConfig, KeyInfo, LOADER_TID};
 pub use envknob::{
     env_knob, hedge_config, hedge_delay_pct, hedge_max_inflight, parse_knob, repair_buckets,
     repair_period_ns,
 };
+pub use exec::{OpOutcome, RunStats};
 pub use fusee::{FuseeCluster, FuseeConfig, FuseeKv};
 pub use index::{Index, InsertOutcome, INDEX_MSG_BYTES};
 pub use membership::Membership;
 pub use parallel::{
-    plan_workload, run_sharded_plan, run_sharded_workload, shard_threads, OpOutcome, PlannedOp,
-    ShardMode, ShardOutcome, ShardRunOptions, ShardedRun, WorkloadPlan,
+    plan_workload, run_sharded_plan, run_sharded_workload, shard_threads, PlannedOp, ShardMode,
+    ShardOutcome, ShardRunOptions, ShardedRun, WorkloadPlan,
 };
 pub use recorder::{value_tag, HistoryRecorder, RecordingStore};
 pub use repair::{
@@ -136,8 +139,8 @@ pub use reshard::{
     split_point, ElasticClient, ElasticShard, ReshardAction, ReshardEvent, ReshardStats, Segment,
     ShardMap,
 };
-pub use runner::{ops_scale, run_workload, RunConfig, RunStats};
-pub use scenario_run::{run_scenario, ScenarioRunConfig, ScenarioStats};
+pub use runner::{ops_scale, run_workload, RunConfig};
+pub use scenario_run::{run_scenario, ScenarioRunConfig};
 pub use shard::{ShardRouter, ShardSpec, ShardedCluster};
 pub use store::{KvError, KvResult, KvStore, KvStoreExt, ScanItems};
 pub use swarm_core::HedgeConfig;

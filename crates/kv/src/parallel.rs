@@ -28,14 +28,17 @@
 //! `shard_parallel` asserts exactly this across seeds, thread counts, and
 //! per-shard fault plans.
 //!
-//! Note the planned driver is a *different* client model from
-//! [`run_workload`](crate::run_workload) over routers: there, op generation
-//! draws from the shared stream at runtime and a router's per-shard clients
-//! share one CPU core. Cross-shard CPU sharing cannot exist once shards
-//! live on different OS threads, so here each `(router, shard)` pair is its
-//! own client and a router's cross-shard batch runs as per-shard slices.
-//! Numbers from the two drivers are each deterministic but not comparable
-//! to one another.
+//! Every op of a planned run goes down the same op path as
+//! [`run_workload`](crate::run_workload) and
+//! [`run_scenario`](crate::run_scenario) — one `execute`, one batch
+//! grouping, one `RunStats` (see `exec.rs`); what differs is the op
+//! *source* and the client model around it. Under `run_workload` over
+//! routers, ops are drawn from the shared stream at runtime and a router's
+//! per-shard clients share one CPU core. Cross-shard CPU sharing cannot
+//! exist once shards live on different OS threads, so here the source is
+//! the pre-planned stream, each `(router, shard)` pair is its own client,
+//! and a router's cross-shard batch runs as per-shard slices. Numbers from
+//! the two are each deterministic but not comparable to one another.
 //!
 //! # Thread confinement
 //!
@@ -44,28 +47,27 @@
 //! [`ShardOutcome`] crosses threads — the same discipline as
 //! `swarm_bench::sweep`, one level down.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use swarm_core::KvHistory;
 use swarm_fabric::{FaultPlan, TrafficStats};
-use swarm_sim::{join2, Nanos, Sim, SimRng};
-use swarm_workload::{OpType, Workload};
+use swarm_sim::{Nanos, Sim, SimRng};
+use swarm_workload::{OpType, ScenarioOp, Workload};
 
 use crate::builder::{StoreBuilder, StoreCluster};
 use crate::cluster::derive_label;
 use crate::envknob::env_knob;
 #[cfg(test)]
 use crate::envknob::parse_knob;
+use crate::exec::{OpOutcome, OpSource, Run, RunStats, Worker};
 use crate::recorder::HistoryRecorder;
 use crate::repair::RepairStats;
 use crate::reshard::{ElasticShard, ReshardEvent, ReshardStats};
-use crate::runner::{RunConfig, RunStats};
+use crate::runner::RunConfig;
 use crate::shard::ShardSpec;
-use crate::store::{KvError, KvStore, KvStoreExt};
 
 /// Base label the per-router planning streams fork from. Distinct from the
 /// shard labels (`SHARD_RNG_BASE`) and the chaos-worker labels, so planned
@@ -335,20 +337,6 @@ pub struct ShardRunOptions {
     pub repair_until_ns: Option<Nanos>,
 }
 
-/// The `Send` result of one operation, reassembled across shards
-/// (payloads are copied out of the shard-confined `Rc`s).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum OpOutcome {
-    /// A get that found a value.
-    Value(Vec<u8>),
-    /// A get that observed absence.
-    Absent,
-    /// A mutation that applied.
-    Done,
-    /// An operation that failed.
-    Failed(KvError),
-}
-
 /// Everything that leaves one shard's simulation: plain `Send` data — the
 /// `Sim`, its wakers, and every `Rc` stay confined to the thread that
 /// built them.
@@ -363,7 +351,7 @@ pub struct ShardOutcome {
     /// [`ShardRunOptions::record_history`]).
     pub history: Option<KvHistory>,
     /// `(router, pos, outcome)` per op (when
-    /// [`ShardRunOptions::collect_results`]), in shard completion order.
+    /// [`ShardRunOptions::collect_results`]), by router, in stream order.
     pub results: Vec<(usize, usize, OpOutcome)>,
     /// The shard family's migration counters, when the shard ran with
     /// [`ShardRunOptions::reshards`] events (another bit-parity witness:
@@ -393,31 +381,13 @@ impl ShardedRun {
         &self.per_shard[s]
     }
 
-    /// Aggregate run statistics, merged in shard order: latency histograms
-    /// concatenate shard 0, 1, ... (so percentiles are over the union),
-    /// op counts sum, and the measurement window spans the earliest start
-    /// to the latest end.
+    /// Aggregate run statistics: the per-shard [`RunStats`] folded in shard
+    /// order ([`RunStats::merge`]).
     pub fn merged_stats(&self) -> RunStats {
-        let mut latency: HashMap<OpType, swarm_sim::Histogram> = HashMap::new();
-        let mut out = RunStats {
-            start_ns: Nanos::MAX,
-            ..Default::default()
-        };
+        let mut out = RunStats::default();
         for o in &self.per_shard {
-            for (&op, h) in &o.stats.latency {
-                latency.entry(op).or_default().merge(h);
-            }
-            out.measured_ops += o.stats.measured_ops;
-            out.failed_ops += o.stats.failed_ops;
-            if o.stats.measured_ops > 0 {
-                out.start_ns = out.start_ns.min(o.stats.start_ns);
-                out.end_ns = out.end_ns.max(o.stats.end_ns);
-            }
+            out.merge(&o.stats);
         }
-        if out.measured_ops == 0 {
-            out.start_ns = 0;
-        }
-        out.latency = latency;
         out
     }
 
@@ -504,7 +474,7 @@ pub fn run_sharded_plan(
                 .iter()
                 .zip(tasks)
                 .enumerate()
-                .map(|(s, (cluster, tasks))| finish_shard(s, cluster, tasks))
+                .map(|(s, (cluster, tasks))| finish_shard(s, cluster, plan, tasks))
                 .collect()
         }
         ShardMode::Sequential => (0..shards)
@@ -587,15 +557,16 @@ fn run_one_shard(
     let cluster = builder.build_one_shard(&sim, s);
     let tasks = setup_shard(&sim, &cluster, builder, plan, workload, opts, s);
     sim.run();
-    finish_shard(s, &cluster, tasks)
+    finish_shard(s, &cluster, plan, tasks)
 }
 
 /// The shard-confined run state workers write into.
 struct ShardTasks {
     rec: Option<HistoryRecorder>,
-    stats: Rc<RefCell<RunStats>>,
-    results: Rc<RefCell<Vec<(usize, usize, OpOutcome)>>>,
-    active: Rc<Cell<usize>>,
+    run: Rc<Run>,
+    /// Under [`ShardRunOptions::collect_results`], per spawned worker: its
+    /// router and its ops' outcomes in stream order.
+    outcomes: Vec<(usize, Rc<RefCell<Vec<OpOutcome>>>)>,
     /// The elastic family wrapping this shard, when
     /// [`ShardRunOptions::reshards`] scheduled events on it.
     family: Option<Rc<ElasticShard>>,
@@ -655,60 +626,38 @@ fn setup_shard(
         }
     }
 
-    let stats = Rc::new(RefCell::new(RunStats::default()));
-    let results = Rc::new(RefCell::new(Vec::new()));
-    let active = Rc::new(Cell::new(0usize));
+    let run = Rc::new(Run::default());
+    let mut outcomes = Vec::new();
     for r in 0..plan.routers {
         let slices = &plan.slices[s][r];
         if slices.is_empty() {
             continue;
         }
-        active.set(active.get() + 1);
-        let results = opts.collect_results.then(|| Rc::clone(&results));
+        let sink = opts
+            .collect_results
+            .then(|| Rc::new(RefCell::new(Vec::new())));
+        outcomes.extend(sink.iter().map(|sink| (r, Rc::clone(sink))));
+        let payloads = workload.clone();
+        let to_op = |o: &PlannedOp| ScenarioOp::ycsb(o.op, o.key, o.version, workload.value_size);
+        let batches: Vec<_> = slices
+            .iter()
+            .map(|sl| (sl.measured, sl.ops.iter().map(to_op).collect()))
+            .collect();
+        let worker = Worker {
+            source: OpSource::Planned(batches.into_iter()),
+            cfg: plan.cfg.clone(),
+            value: move |key, version, _size| payloads.value_for(key, version),
+            run: Rc::clone(&run),
+            outcomes: sink,
+        };
         // Four client shapes, one worker: elastic shards route through the
         // family (bounce-aware), static shards talk to the cluster
         // directly; either may be wrapped in the history recorder.
         match (&family, &rec) {
-            (Some(f), Some(rec)) => spawn_shard_worker(
-                sim,
-                rec.wrap(f.client(r)),
-                slices.clone(),
-                workload.clone(),
-                plan.cfg.clone(),
-                Rc::clone(&stats),
-                results,
-                Rc::clone(&active),
-            ),
-            (Some(f), None) => spawn_shard_worker(
-                sim,
-                f.client(r),
-                slices.clone(),
-                workload.clone(),
-                plan.cfg.clone(),
-                Rc::clone(&stats),
-                results,
-                Rc::clone(&active),
-            ),
-            (None, Some(rec)) => spawn_shard_worker(
-                sim,
-                rec.wrap(cluster.client(r)),
-                slices.clone(),
-                workload.clone(),
-                plan.cfg.clone(),
-                Rc::clone(&stats),
-                results,
-                Rc::clone(&active),
-            ),
-            (None, None) => spawn_shard_worker(
-                sim,
-                cluster.client(r),
-                slices.clone(),
-                workload.clone(),
-                plan.cfg.clone(),
-                Rc::clone(&stats),
-                results,
-                Rc::clone(&active),
-            ),
+            (Some(f), Some(rec)) => worker.spawn(sim, rec.wrap(f.client(r))),
+            (Some(f), None) => worker.spawn(sim, f.client(r)),
+            (None, Some(rec)) => worker.spawn(sim, rec.wrap(cluster.client(r))),
+            (None, None) => worker.spawn(sim, cluster.client(r)),
         }
     }
     if let Some(f) = &family {
@@ -718,17 +667,21 @@ fn setup_shard(
     }
     ShardTasks {
         rec,
-        stats,
-        results,
-        active,
+        run,
+        outcomes,
         family,
     }
 }
 
 /// Extracts the `Send` outcome once shard `s`'s simulation drained.
-fn finish_shard(s: usize, cluster: &StoreCluster, tasks: ShardTasks) -> ShardOutcome {
+fn finish_shard(
+    s: usize,
+    cluster: &StoreCluster,
+    plan: &WorkloadPlan,
+    tasks: ShardTasks,
+) -> ShardOutcome {
     assert_eq!(
-        tasks.active.get(),
+        tasks.run.active.get(),
         0,
         "shard {s}: simulation drained with workers still pending \
          (set StoreBuilder::op_deadline_ns when running fault plans)"
@@ -743,200 +696,27 @@ fn finish_shard(s: usize, cluster: &StoreCluster, tasks: ShardTasks) -> ShardOut
             cluster.repair().map(|agent| agent.stats()),
         ),
     };
+    // A worker's outcomes are in its stream's order, so they pair off with
+    // the plan's ops for that `(shard, router)`.
+    let results = tasks
+        .outcomes
+        .iter()
+        .flat_map(|(r, outcomes)| {
+            let planned = plan.slices[s][*r].iter().flat_map(|sl| &sl.ops);
+            planned
+                .zip(outcomes.take())
+                .map(|(op, outcome)| (op.router, op.pos, outcome))
+        })
+        .collect();
     ShardOutcome {
         shard: s,
-        stats: Rc::try_unwrap(tasks.stats)
-            .map(RefCell::into_inner)
-            .unwrap_or_else(|_| panic!("shard {s}: stats still shared after drain")),
+        stats: tasks.run.stats.take(),
         traffic,
         history: tasks.rec.map(|r| r.take_history()),
-        results: Rc::try_unwrap(tasks.results)
-            .map(RefCell::into_inner)
-            .unwrap_or_else(|_| panic!("shard {s}: results still shared after drain")),
+        results,
         reshard,
         repair,
     }
-}
-
-type ResultSink = Rc<RefCell<Vec<(usize, usize, OpOutcome)>>>;
-
-/// One shard-side worker: runs one router's slices on this shard, in
-/// stream order, mirroring the runner's semantics — per-op client CPU
-/// work, pipelined multi-ops for batched slices, measured-only stats.
-#[allow(clippy::too_many_arguments)]
-fn spawn_shard_worker<S: KvStore + 'static>(
-    sim: &Sim,
-    store: Rc<S>,
-    slices: Vec<Slice>,
-    workload: Workload,
-    cfg: RunConfig,
-    stats: Rc<RefCell<RunStats>>,
-    results: Option<ResultSink>,
-    active: Rc<Cell<usize>>,
-) {
-    let sim2 = sim.clone();
-    sim.spawn(async move {
-        for slice in &slices {
-            // Client-side CPU work is paid per op element, batched or not
-            // (the runner's accounting, §7.2).
-            store
-                .endpoint()
-                .work(cfg.op_overhead_ns * slice.ops.len() as u64)
-                .await;
-            if cfg.batch > 1 {
-                run_slice_batched(&sim2, &store, slice, &workload, &stats, results.as_ref()).await;
-            } else {
-                run_slice_sequential(&sim2, &store, slice, &workload, &stats, results.as_ref())
-                    .await;
-            }
-        }
-        active.set(active.get() - 1);
-    });
-}
-
-/// Executes a slice one op at a time (the plan's batch size is 1, so each
-/// slice holds a single op).
-async fn run_slice_sequential<S: KvStore>(
-    sim: &Sim,
-    store: &Rc<S>,
-    slice: &Slice,
-    workload: &Workload,
-    stats: &Rc<RefCell<RunStats>>,
-    results: Option<&ResultSink>,
-) {
-    for op in &slice.ops {
-        let t0 = sim.now();
-        let (ok, outcome) = execute_one(store, op, workload).await;
-        let t1 = sim.now();
-        if slice.measured {
-            record_measured(&mut stats.borrow_mut(), op.op, t0, t1, ok);
-        }
-        if let Some(results) = results {
-            results.borrow_mut().push((op.router, op.pos, outcome));
-        }
-    }
-}
-
-async fn execute_one<S: KvStore>(
-    store: &Rc<S>,
-    op: &PlannedOp,
-    workload: &Workload,
-) -> (bool, OpOutcome) {
-    match op.op {
-        OpType::Get => match store.get(op.key).await {
-            Ok(Some(v)) => (true, OpOutcome::Value((*v).clone())),
-            // The runner counts an absent get as a failed op.
-            Ok(None) => (false, OpOutcome::Absent),
-            Err(e) => (false, OpOutcome::Failed(e)),
-        },
-        OpType::Update => mutated(
-            store
-                .update(op.key, workload.value_for(op.key, op.version))
-                .await,
-        ),
-        OpType::Insert => mutated(
-            store
-                .insert(op.key, workload.value_for(op.key, op.version))
-                .await,
-        ),
-        OpType::Delete => mutated(store.delete(op.key).await),
-    }
-}
-
-fn mutated(r: Result<(), KvError>) -> (bool, OpOutcome) {
-    match r {
-        Ok(()) => (true, OpOutcome::Done),
-        Err(e) => (false, OpOutcome::Failed(e)),
-    }
-}
-
-/// Executes a slice as one pipelined multi-op round (the runner's batched
-/// worker): gets/updates/inserts fan out concurrently, deletes follow
-/// sequentially, and every element pays the whole slice's latency.
-async fn run_slice_batched<S: KvStore>(
-    sim: &Sim,
-    store: &Rc<S>,
-    slice: &Slice,
-    workload: &Workload,
-    stats: &Rc<RefCell<RunStats>>,
-    results: Option<&ResultSink>,
-) {
-    let mut gets: Vec<&PlannedOp> = Vec::new();
-    let mut updates: Vec<&PlannedOp> = Vec::new();
-    let mut inserts: Vec<&PlannedOp> = Vec::new();
-    let mut deletes: Vec<&PlannedOp> = Vec::new();
-    for op in &slice.ops {
-        match op.op {
-            OpType::Get => gets.push(op),
-            OpType::Update => updates.push(op),
-            OpType::Insert => inserts.push(op),
-            OpType::Delete => deletes.push(op),
-        }
-    }
-    let get_keys: Vec<u64> = gets.iter().map(|o| o.key).collect();
-    let value_ops = |ops: &[&PlannedOp]| -> Vec<(u64, Vec<u8>)> {
-        ops.iter()
-            .map(|o| (o.key, workload.value_for(o.key, o.version)))
-            .collect()
-    };
-    let update_ops = value_ops(&updates);
-    let insert_ops = value_ops(&inserts);
-
-    let t0 = sim.now();
-    let (got, (updated, inserted)) = join2(
-        store.multi_get(&get_keys),
-        join2(
-            store.multi_update(&update_ops),
-            store.multi_insert(&insert_ops),
-        ),
-    )
-    .await;
-    let mut deleted = Vec::with_capacity(deletes.len());
-    for op in &deletes {
-        deleted.push(store.delete(op.key).await);
-    }
-    let t1 = sim.now();
-
-    let finish = |op: &PlannedOp, ok: bool, outcome: OpOutcome| {
-        if slice.measured {
-            record_measured(&mut stats.borrow_mut(), op.op, t0, t1, ok);
-        }
-        if let Some(results) = results {
-            results.borrow_mut().push((op.router, op.pos, outcome));
-        }
-    };
-    for (op, r) in gets.iter().zip(got) {
-        let (ok, outcome) = match r {
-            Ok(Some(v)) => (true, OpOutcome::Value((*v).clone())),
-            Ok(None) => (false, OpOutcome::Absent),
-            Err(e) => (false, OpOutcome::Failed(e)),
-        };
-        finish(op, ok, outcome);
-    }
-    for (op, r) in updates.iter().zip(updated) {
-        let (ok, outcome) = mutated(r);
-        finish(op, ok, outcome);
-    }
-    for (op, r) in inserts.iter().zip(inserted) {
-        let (ok, outcome) = mutated(r);
-        finish(op, ok, outcome);
-    }
-    for (op, r) in deletes.iter().zip(deleted) {
-        let (ok, outcome) = mutated(r);
-        finish(op, ok, outcome);
-    }
-}
-
-fn record_measured(stats: &mut RunStats, op: OpType, t0: Nanos, t1: Nanos, ok: bool) {
-    if stats.measured_ops == 0 {
-        stats.start_ns = t0;
-    }
-    stats.measured_ops += 1;
-    stats.end_ns = stats.end_ns.max(t1);
-    if !ok {
-        stats.failed_ops += 1;
-    }
-    stats.latency.entry(op).or_default().record(t1 - t0);
 }
 
 #[cfg(test)]

@@ -647,19 +647,26 @@ pub fn divergent_stamp_pairs(cluster: &Cluster) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{KvClientConfig, Proto};
     use crate::cluster::ClusterConfig;
     use crate::store::KvStore;
-    use crate::KvClient;
+    use crate::{Protocol, StoreBuilder, StoreCluster};
     use swarm_core::{innout_hash, Stamp};
     use swarm_sim::Sim;
 
     const N_KEYS: u64 = 16;
 
-    fn cluster(seed: u64) -> (Sim, Cluster) {
+    /// A loaded SWARM-KV store through the front door, plus its substrate
+    /// (which the repair agent works on directly).
+    fn store(seed: u64) -> (Sim, StoreCluster, Cluster) {
         let sim = Sim::new(seed);
-        let c = Cluster::new(&sim, ClusterConfig::default());
-        c.load_keys(N_KEYS, |k| vec![k as u8; 64]);
+        let store = StoreBuilder::new(Protocol::SafeGuess).build_cluster(&sim);
+        store.load_keys(N_KEYS, |k| vec![k as u8; 64]);
+        let c = store.swarm().expect("SafeGuess runs on a Cluster").clone();
+        (sim, store, c)
+    }
+
+    fn cluster(seed: u64) -> (Sim, Cluster) {
+        let (sim, _, c) = store(seed);
         (sim, c)
     }
 
@@ -718,7 +725,7 @@ mod tests {
     /// never regress it — and a client read afterwards sees the new value.
     #[test]
     fn repair_flows_toward_the_higher_stamp() {
-        let (sim, c) = cluster(22);
+        let (sim, store, c) = store(22);
         let newer = vec![0xABu8; 64];
         poke_newer(&c, 5, 1, 2, &newer);
         assert_eq!(divergent_stamp_pairs(&c), 1);
@@ -734,7 +741,7 @@ mod tests {
             });
         }
         assert_eq!(divergent_stamp_pairs(&c), 0);
-        let client = KvClient::new(&c, Proto::SafeGuess, 0, KvClientConfig::default());
+        let client = store.client(0);
         sim.block_on(async move {
             let got = client.get(5).await.expect("no timeout").expect("present");
             assert_eq!(*got, newer, "repair replicated the newer value");

@@ -1,16 +1,18 @@
-//! YCSB workload runner: drives clients against a store and collects the
-//! statistics the paper's figures report (latency histograms/CDFs,
-//! throughput, per-op roundtrips, time series around failures).
+//! YCSB workload runner: the run parameters ([`RunConfig`]) and the
+//! runtime-drawn driver ([`run_workload`]) of the one op path in `exec.rs`,
+//! which collects the statistics the paper's figures report (latency
+//! histograms/CDFs, throughput, per-op roundtrips, time series around
+//! failures).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
-use swarm_sim::{join2, Histogram, Nanos, Sim, TimeSeries, NANOS_PER_SEC};
-use swarm_workload::{OpType, Workload};
+use swarm_sim::{Nanos, Sim, TimeSeries};
+use swarm_workload::Workload;
 
 use crate::envknob::env_knob;
-use crate::store::{KvStore, KvStoreExt};
+use crate::exec::{drive, Budget, OpSource, Run, RunStats, Worker};
+use crate::store::KvStore;
 
 /// The volume scale requested via `SWARM_BENCH_OPS_SCALE` (a positive float,
 /// e.g. `0.01`), or `None` if the variable is unset or unparsable. An
@@ -53,7 +55,7 @@ pub struct RunConfig {
     pub deadline_ns: Option<Nanos>,
     /// Record per-op roundtrip counts (only meaningful at concurrency 1 and
     /// batch 1: with several ops in flight per worker there is no per-op
-    /// roundtrip delta to attribute, and the batched worker skips it).
+    /// roundtrip delta to attribute, and a batching worker skips it).
     pub record_rtts: bool,
     /// Open-loop pacing: issue one op per worker every this many
     /// nanoseconds (Table 3 fixes clients at 200 kops each).
@@ -62,9 +64,9 @@ pub struct RunConfig {
     /// (steady-state location caches, as after the paper's 1M-op warm-up).
     pub prewarm_keys: Option<u64>,
     /// Operations per pipelined batch: each worker claims up to this many
-    /// ops at once and issues them through [`KvStoreExt`]'s multi-ops, so a
-    /// batch of independent keys costs ~1 quorum roundtrip. `1` (the
-    /// default) is the classic sequential per-op loop.
+    /// ops at once and issues them as one concurrent round, so a batch of
+    /// independent keys costs ~1 quorum roundtrip. `1` (the default) is the
+    /// classic sequential per-op loop.
     pub batch: usize,
 }
 
@@ -119,348 +121,51 @@ impl RunConfig {
     }
 }
 
-/// Collected results.
-#[derive(Debug, Default)]
-pub struct RunStats {
-    /// Latency histogram per op type.
-    pub latency: HashMap<OpType, Histogram>,
-    /// Roundtrip-count histogram per op type (`rtts -> ops`).
-    pub rtts: HashMap<OpType, HashMap<u64, u64>>,
-    /// Per-bucket throughput/latency over time.
-    pub series: Option<TimeSeries>,
-    /// Measured operations completed.
-    pub measured_ops: u64,
-    /// Operations that returned failure/absence.
-    pub failed_ops: u64,
-    /// First measured-op start time.
-    pub start_ns: Nanos,
-    /// Last measured-op completion time.
-    pub end_ns: Nanos,
-}
-
-impl RunStats {
-    /// Overall measured throughput in operations per second.
-    pub fn throughput_ops(&self) -> f64 {
-        if self.end_ns <= self.start_ns {
-            return 0.0;
-        }
-        self.measured_ops as f64 * NANOS_PER_SEC as f64 / (self.end_ns - self.start_ns) as f64
-    }
-
-    /// Latency histogram for one op type (empty histogram if none ran).
-    pub fn lat(&self, op: OpType) -> Histogram {
-        self.latency.get(&op).cloned().unwrap_or_default()
-    }
-
-    /// Fraction of `op` operations that used exactly `r` roundtrips.
-    pub fn rtt_fraction(&self, op: OpType, r: u64) -> f64 {
-        let Some(m) = self.rtts.get(&op) else {
-            return 0.0;
-        };
-        let total: u64 = m.values().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        *m.get(&r).unwrap_or(&0) as f64 / total as f64
-    }
-
-    /// The roundtrip count at percentile `p` for `op`.
-    pub fn rtt_percentile(&self, op: OpType, p: f64) -> u64 {
-        let Some(m) = self.rtts.get(&op) else {
-            return 0;
-        };
-        let total: u64 = m.values().sum();
-        if total == 0 {
-            return 0;
-        }
-        let target = (p / 100.0 * total as f64).ceil() as u64;
-        let mut keys: Vec<_> = m.keys().copied().collect();
-        keys.sort_unstable();
-        let mut acc = 0;
-        for k in keys {
-            acc += m[&k];
-            if acc >= target {
-                return k;
-            }
-        }
-        0
-    }
-}
-
-struct Shared {
-    warmup_left: u64,
-    measure_left: u64,
-    stats: RunStats,
-    version: u64,
-    active_workers: usize,
-}
-
-/// Runs `workload` against the given store handles (one per client) and
-/// returns the collected statistics. Drives the simulation internally.
+/// Runs `workload` against the given store handles (one per client,
+/// `cfg.concurrency` workers each) and returns the collected statistics.
+/// Drives the simulation internally.
+///
+/// This is the runtime-drawn driver of the one op path (`exec.rs`):
+/// workers claim op slots from a run-wide budget and draw each `(op, key)`
+/// from the simulation's RNG stream.
 pub fn run_workload<S: KvStore + 'static>(
     sim: &Sim,
     stores: &[Rc<S>],
     workload: &Workload,
     cfg: &RunConfig,
 ) -> RunStats {
-    let cfg = &cfg.env_scaled();
-    let shared = Rc::new(RefCell::new(Shared {
+    let cfg = cfg.env_scaled();
+    let run = Rc::new(Run::default());
+    run.stats.borrow_mut().series = cfg.bucket_ns.map(TimeSeries::new);
+    let budget = Rc::new(RefCell::new(Budget {
         warmup_left: cfg.warmup_ops,
         measure_left: cfg.measure_ops,
-        stats: RunStats {
-            series: cfg.bucket_ns.map(TimeSeries::new),
-            ..Default::default()
-        },
         version: 0,
-        active_workers: stores.len() * cfg.concurrency,
     }));
-
     for store in stores {
         for _ in 0..cfg.concurrency {
-            let store = Rc::clone(store);
-            let sim2 = sim.clone();
-            let shared = Rc::clone(&shared);
-            let workload = workload.clone();
-            let cfg = cfg.clone();
-            sim.spawn(async move {
-                if let Some(n) = cfg.prewarm_keys {
-                    for key in 0..n {
-                        let _ = store.get(key).await;
-                    }
-                }
-                if cfg.batch > 1 {
-                    run_worker_batched(&sim2, store, &workload, &cfg, &shared).await;
-                } else {
-                    run_worker(&sim2, store, &workload, &cfg, &shared).await;
-                }
-                shared.borrow_mut().active_workers -= 1;
-            });
+            let payloads = workload.clone();
+            Worker {
+                source: OpSource::Drawn {
+                    workload: workload.clone(),
+                    batch: cfg.batch.max(1) as u64,
+                    budget: Rc::clone(&budget),
+                },
+                cfg: cfg.clone(),
+                value: move |key, version, _size| payloads.value_for(key, version),
+                run: Rc::clone(&run),
+                outcomes: None,
+            }
+            .spawn(sim, Rc::clone(store));
         }
     }
-
-    // Drive until every worker finished (background tasks may continue; the
-    // stats below are already final).
-    loop {
-        let horizon = sim.now() + 50 * swarm_sim::NANOS_PER_MILLI;
-        sim.run_until(horizon);
-        if shared.borrow().active_workers == 0 {
-            break;
-        }
-        assert!(
-            sim.live_tasks() > 0,
-            "simulation drained with workers still pending"
-        );
-    }
-
-    let shared = Rc::try_unwrap(shared)
-        .ok()
-        .expect("workers still hold state");
-    shared.into_inner().stats
-}
-
-async fn run_worker<S: KvStore>(
-    sim: &Sim,
-    store: Rc<S>,
-    workload: &Workload,
-    cfg: &RunConfig,
-    shared: &Rc<RefCell<Shared>>,
-) {
-    let mut next_at = sim.now();
-    loop {
-        if let Some(pace) = cfg.pace_ns {
-            sim.sleep_until(next_at).await;
-            next_at += pace;
-        }
-        // Claim an operation slot.
-        let measuring = {
-            let mut sh = shared.borrow_mut();
-            if sh.warmup_left > 0 {
-                sh.warmup_left -= 1;
-                false
-            } else if sh.measure_left > 0 {
-                sh.measure_left -= 1;
-                true
-            } else {
-                return;
-            }
-        };
-        if let Some(deadline) = cfg.deadline_ns {
-            if sim.now() >= deadline {
-                return;
-            }
-        }
-
-        // Client-side per-op CPU work (keeps per-core throughput honest,
-        // §7.2).
-        store.endpoint().work(cfg.op_overhead_ns).await;
-
-        let (op, key) = workload.next_op(sim.rand_u64(), sim.rand_f64());
-        let version = {
-            let mut sh = shared.borrow_mut();
-            sh.version += 1;
-            sh.version
-        };
-
-        let r0 = store.rounds();
-        let t0 = sim.now();
-        // The payload is built only for mutating ops (it is pure in
-        // (key, version), so laziness cannot perturb the execution).
-        let ok = match op {
-            OpType::Get => matches!(store.get(key).await, Ok(Some(_))),
-            OpType::Update => store
-                .update(key, workload.value_for(key, version))
-                .await
-                .is_ok(),
-            OpType::Insert => store
-                .insert(key, workload.value_for(key, version))
-                .await
-                .is_ok(),
-            OpType::Delete => store.delete(key).await.is_ok(),
-        };
-        let t1 = sim.now();
-
-        if measuring {
-            let mut sh = shared.borrow_mut();
-            let st = &mut sh.stats;
-            if st.measured_ops == 0 {
-                st.start_ns = t0;
-            }
-            st.measured_ops += 1;
-            st.end_ns = st.end_ns.max(t1);
-            if !ok {
-                st.failed_ops += 1;
-            }
-            st.latency.entry(op).or_default().record(t1 - t0);
-            if let Some(series) = &mut st.series {
-                series.record(t1, t1 - t0);
-            }
-            if cfg.record_rtts {
-                let used = store.rounds() - r0;
-                *st.rtts.entry(op).or_default().entry(used).or_insert(0) += 1;
-            }
-        }
-    }
-}
-
-/// The batched worker loop (`cfg.batch > 1`): claims up to `batch` op slots
-/// at a time and issues them as one pipelined multi-op round through
-/// [`KvStoreExt`]. Per-element latency is the whole batch's latency — the
-/// price an individual op pays for riding in a batch.
-async fn run_worker_batched<S: KvStore>(
-    sim: &Sim,
-    store: Rc<S>,
-    workload: &Workload,
-    cfg: &RunConfig,
-    shared: &Rc<RefCell<Shared>>,
-) {
-    let mut next_at = sim.now();
-    loop {
-        if cfg.pace_ns.is_some() {
-            sim.sleep_until(next_at).await;
-        }
-        // Claim up to `batch` operation slots from the current phase.
-        let (count, measuring) = {
-            let mut sh = shared.borrow_mut();
-            if sh.warmup_left > 0 {
-                let n = sh.warmup_left.min(cfg.batch as u64);
-                sh.warmup_left -= n;
-                (n, false)
-            } else if sh.measure_left > 0 {
-                let n = sh.measure_left.min(cfg.batch as u64);
-                sh.measure_left -= n;
-                (n, true)
-            } else {
-                return;
-            }
-        };
-        if let Some(pace) = cfg.pace_ns {
-            // Open-loop pacing is per *op*: a batch of N ops advances the
-            // schedule by N paces, keeping the configured average rate.
-            next_at += pace * count;
-        }
-        if let Some(deadline) = cfg.deadline_ns {
-            if sim.now() >= deadline {
-                return;
-            }
-        }
-
-        // Per-op client CPU work is paid per element, batched or not.
-        store.endpoint().work(cfg.op_overhead_ns * count).await;
-
-        let mut gets = Vec::new();
-        let mut updates = Vec::new();
-        let mut inserts = Vec::new();
-        let mut deletes = Vec::new();
-        for _ in 0..count {
-            let (op, key) = workload.next_op(sim.rand_u64(), sim.rand_f64());
-            let version = {
-                let mut sh = shared.borrow_mut();
-                sh.version += 1;
-                sh.version
-            };
-            match op {
-                OpType::Get => gets.push(key),
-                OpType::Update => updates.push((key, workload.value_for(key, version))),
-                OpType::Insert => inserts.push((key, workload.value_for(key, version))),
-                OpType::Delete => deletes.push(key),
-            }
-        }
-
-        let t0 = sim.now();
-        let (got, (updated, inserted)) = join2(
-            store.multi_get(&gets),
-            join2(store.multi_update(&updates), store.multi_insert(&inserts)),
-        )
-        .await;
-        // Deletes are rare in the YCSB mixes; run them after the batch.
-        let mut deleted = Vec::with_capacity(deletes.len());
-        for &key in &deletes {
-            deleted.push(store.delete(key).await.is_ok());
-        }
-        let t1 = sim.now();
-
-        if measuring {
-            let mut sh = shared.borrow_mut();
-            let st = &mut sh.stats;
-            if st.measured_ops == 0 {
-                st.start_ns = t0;
-            }
-            st.measured_ops += count;
-            st.end_ns = st.end_ns.max(t1);
-            let lat = t1 - t0;
-            let mut record = |op: OpType, n: usize, failed: usize| {
-                if n == 0 {
-                    return;
-                }
-                st.failed_ops += failed as u64;
-                let hist = st.latency.entry(op).or_default();
-                for _ in 0..n {
-                    hist.record(lat);
-                }
-                if let Some(series) = &mut st.series {
-                    for _ in 0..n {
-                        series.record(t1, lat);
-                    }
-                }
-            };
-            let failed_gets = got.iter().filter(|r| !matches!(r, Ok(Some(_)))).count();
-            record(OpType::Get, got.len(), failed_gets);
-            let failed = |rs: &[crate::KvResult<()>]| rs.iter().filter(|r| r.is_err()).count();
-            record(OpType::Update, updated.len(), failed(&updated));
-            record(OpType::Insert, inserted.len(), failed(&inserted));
-            record(
-                OpType::Delete,
-                deleted.len(),
-                deleted.iter().filter(|ok| !**ok).count(),
-            );
-        }
-    }
+    drive(sim, &run)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Cluster, ClusterConfig, KvClient, KvClientConfig, Proto};
+    use crate::{Protocol, StoreBuilder};
     use swarm_workload::WorkloadSpec;
 
     #[test]
@@ -500,14 +205,11 @@ mod tests {
         // batch size: a batch of N advances the schedule by N paces.
         let tput = |batch: usize| {
             let sim = Sim::new(22);
-            let cluster = Cluster::new(&sim, ClusterConfig::default());
+            let cluster = StoreBuilder::new(Protocol::SafeGuess).build_cluster(&sim);
             cluster.load_keys(256, |k| vec![k as u8; 64]);
-            let clients: Vec<_> = (0..2)
-                .map(|i| KvClient::new(&cluster, Proto::SafeGuess, i, KvClientConfig::default()))
-                .collect();
             run_workload(
                 &sim,
-                &clients,
+                &cluster.clients(2),
                 &Workload::ycsb(WorkloadSpec::B, 256, 64),
                 &RunConfig {
                     warmup_ops: 0,
@@ -532,14 +234,11 @@ mod tests {
     fn batched_mode_completes_the_requested_volume() {
         let run = |batch: usize| {
             let sim = Sim::new(21);
-            let cluster = Cluster::new(&sim, ClusterConfig::default());
+            let cluster = StoreBuilder::new(Protocol::SafeGuess).build_cluster(&sim);
             cluster.load_keys(256, |k| vec![k as u8; 64]);
-            let clients: Vec<_> = (0..2)
-                .map(|i| KvClient::new(&cluster, Proto::SafeGuess, i, KvClientConfig::default()))
-                .collect();
             run_workload(
                 &sim,
-                &clients,
+                &cluster.clients(2),
                 &Workload::ycsb(WorkloadSpec::B, 256, 64),
                 &RunConfig {
                     warmup_ops: 100,

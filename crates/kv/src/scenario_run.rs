@@ -1,24 +1,25 @@
-//! Scenario runner: drives a time-phased [`ScenarioSpec`] op stream —
-//! including scans, read-modify-writes, and TTL-leased inserts — against
-//! any [`KvStore`] and collects per-class latency statistics.
+//! Scenario runner: feeds a time-phased [`ScenarioSpec`] op stream —
+//! including scans, read-modify-writes, and TTL-leased inserts — to the
+//! one op path in `exec.rs` as a pre-materialised source, against any
+//! [`KvStore`], and returns the same [`RunStats`] every driver returns.
 //!
 //! # Determinism
 //!
 //! The whole operation stream is materialized up front from
 //! `spec.ops(cfg.seed)` (pure in `(seed, spec)`) and dealt round-robin to
 //! the client handles; each worker then executes its slice sequentially on
-//! the shared deterministic `Sim`. Nothing in the runner draws from the
+//! the shared deterministic `Sim`. Nothing on this path draws from the
 //! simulator RNG, so a scenario run is bit-identical given the same
 //! `(seed, spec, store configuration)` — the property `bench_scenarios`
 //! relies on for machine-diffable reports.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
-use swarm_sim::{Histogram, Nanos, Sim, NANOS_PER_SEC};
-use swarm_workload::{scenario_value, ScenarioOp, ScenarioOpClass, ScenarioSpec};
+use swarm_sim::{Nanos, Sim};
+use swarm_workload::{scenario_value, ScenarioOp, ScenarioSpec};
 
+use crate::exec::{drive, OpSource, Run, RunStats, Worker};
+use crate::runner::RunConfig;
 use crate::store::KvStore;
 
 /// Scenario run parameters.
@@ -60,168 +61,51 @@ fn payload(key: u64, version: u64, size: usize, cap: usize) -> Vec<u8> {
     v
 }
 
-/// Collected scenario results.
-#[derive(Debug, Default)]
-pub struct ScenarioStats {
-    /// Latency histogram per operation class.
-    pub latency: HashMap<ScenarioOpClass, Histogram>,
-    /// Operations completed (one RMW counts once).
-    pub measured_ops: u64,
-    /// Operations that returned failure/absence (a `Get`/`Rmw` of an
-    /// absent key counts here, like the YCSB runner's `failed_ops`).
-    pub failed_ops: u64,
-    /// Total items returned across all scans.
-    pub scanned_items: u64,
-    /// First op start time.
-    pub start_ns: Nanos,
-    /// Last op completion time.
-    pub end_ns: Nanos,
-}
-
-impl ScenarioStats {
-    /// Overall measured throughput in operations per second.
-    pub fn throughput_ops(&self) -> f64 {
-        if self.end_ns <= self.start_ns {
-            return 0.0;
-        }
-        self.measured_ops as f64 * NANOS_PER_SEC as f64 / (self.end_ns - self.start_ns) as f64
-    }
-
-    /// Latency histogram for one class (empty if none ran).
-    pub fn lat(&self, class: ScenarioOpClass) -> Histogram {
-        self.latency.get(&class).cloned().unwrap_or_default()
-    }
-}
-
 /// Runs the scenario stream against the given store handles (the stream is
 /// dealt round-robin across them; each handle executes its slice
-/// sequentially) and returns the collected statistics. Drives the
-/// simulation internally.
+/// sequentially, every op measured) and returns the collected statistics.
+/// Drives the simulation internally.
 pub fn run_scenario<S: KvStore + 'static>(
     sim: &Sim,
     stores: &[Rc<S>],
     spec: &ScenarioSpec,
     cfg: &ScenarioRunConfig,
-) -> ScenarioStats {
+) -> RunStats {
     assert!(
         !stores.is_empty(),
         "a scenario run needs at least one client"
     );
     let ops = spec.ops(cfg.seed);
-    let shared = Rc::new(RefCell::new(Shared {
-        stats: ScenarioStats::default(),
-        active_workers: stores.len().min(ops.len().max(1)),
-    }));
-
-    let n_workers = shared.borrow().active_workers;
-    let mut slices: Vec<Vec<ScenarioOp>> = vec![Vec::new(); n_workers];
+    let n_workers = stores.len().min(ops.len().max(1));
+    // One single-op, measured batch per op.
+    let mut slices: Vec<Vec<(bool, Vec<ScenarioOp>)>> = vec![Vec::new(); n_workers];
     for (i, op) in ops.into_iter().enumerate() {
-        slices[i % n_workers].push(op);
+        slices[i % n_workers].push((true, vec![op]));
     }
 
+    let run = Rc::new(Run::default());
+    let cap = cfg.value_cap;
     for (store, slice) in stores.iter().zip(slices) {
-        let store = Rc::clone(store);
-        let sim2 = sim.clone();
-        let shared = Rc::clone(&shared);
-        let cfg = cfg.clone();
-        sim.spawn(async move {
-            run_slice(&sim2, store, slice, &cfg, &shared).await;
-            shared.borrow_mut().active_workers -= 1;
-        });
-    }
-
-    loop {
-        let horizon = sim.now() + 50 * swarm_sim::NANOS_PER_MILLI;
-        sim.run_until(horizon);
-        if shared.borrow().active_workers == 0 {
-            break;
-        }
-        assert!(
-            sim.live_tasks() > 0,
-            "simulation drained with scenario workers still pending"
-        );
-    }
-
-    let shared = Rc::try_unwrap(shared)
-        .ok()
-        .expect("workers still hold state");
-    shared.into_inner().stats
-}
-
-struct Shared {
-    stats: ScenarioStats,
-    active_workers: usize,
-}
-
-async fn run_slice<S: KvStore>(
-    sim: &Sim,
-    store: Rc<S>,
-    slice: Vec<ScenarioOp>,
-    cfg: &ScenarioRunConfig,
-    shared: &Rc<RefCell<Shared>>,
-) {
-    for op in slice {
-        store.endpoint().work(cfg.op_overhead_ns).await;
-        let t0 = sim.now();
-        let mut scanned = 0u64;
-        let ok = match op {
-            ScenarioOp::Get { key } => matches!(store.get(key).await, Ok(Some(_))),
-            ScenarioOp::Update { key, size, version } => store
-                .update(key, payload(key, version, size, cfg.value_cap))
-                .await
-                .is_ok(),
-            ScenarioOp::Insert {
-                key,
-                size,
-                version,
-                ttl_ns,
-            } => store
-                .insert_ttl(key, payload(key, version, size, cfg.value_cap), ttl_ns)
-                .await
-                .is_ok(),
-            ScenarioOp::Delete { key } => store.delete(key).await.is_ok(),
-            ScenarioOp::Scan { start, limit } => match store.scan(start, limit).await {
-                Ok(items) => {
-                    scanned = items.len() as u64;
-                    true
-                }
-                Err(_) => false,
+        Worker {
+            source: OpSource::Planned(slice.into_iter()),
+            cfg: RunConfig {
+                op_overhead_ns: cfg.op_overhead_ns,
+                ..Default::default()
             },
-            ScenarioOp::Rmw { key, size, version } => {
-                // Read-modify-write: the read's observation feeds the
-                // write in a real application; here only the latency of
-                // the two dependent legs matters.
-                match store.get(key).await {
-                    Ok(Some(_)) => store
-                        .update(key, payload(key, version, size, cfg.value_cap))
-                        .await
-                        .is_ok(),
-                    _ => false,
-                }
-            }
-        };
-        let t1 = sim.now();
-
-        let mut sh = shared.borrow_mut();
-        let st = &mut sh.stats;
-        if st.measured_ops == 0 {
-            st.start_ns = t0;
+            value: move |key, version, size| payload(key, version, size, cap),
+            run: Rc::clone(&run),
+            outcomes: None,
         }
-        st.measured_ops += 1;
-        st.end_ns = st.end_ns.max(t1);
-        st.scanned_items += scanned;
-        if !ok {
-            st.failed_ops += 1;
-        }
-        st.latency.entry(op.class()).or_default().record(t1 - t0);
+        .spawn(sim, Rc::clone(store));
     }
+    drive(sim, &run)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Protocol, StoreBuilder};
-    use swarm_workload::{Phase, ScenarioMix, TtlSpec, ValueSizeDist};
+    use swarm_workload::{Phase, ScenarioMix, ScenarioOpClass, TtlSpec, ValueSizeDist};
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec::new("mixed", 64)

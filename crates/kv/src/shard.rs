@@ -27,9 +27,10 @@
 //! **shared CPU core**, so a router models one application thread that
 //! happens to talk to many shards — not one thread per shard.
 //!
-//! Batched multi-key operations group keys by owning shard, fan one
-//! pipelined multi-op per shard out through `join_boxed`, and reassemble
-//! results into input order deterministically.
+//! Batched multi-key operations are the blanket [`crate::KvStoreExt`]
+//! ones: every element routes like a single-key op (absorbing
+//! [`KvError::WrongShard`] bounces), all elements fly concurrently, and
+//! results come back in input order.
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
@@ -41,7 +42,7 @@ use swarm_sim::{join_boxed, BoxFuture, FifoResource, Sim};
 use crate::builder::{Protocol, StoreClient, StoreCluster};
 use crate::cluster::derive_label;
 use crate::reshard::ShardMap;
-use crate::store::{KvError, KvResult, KvStore, KvStoreExt, ScanItems};
+use crate::store::{KvError, KvResult, KvStore, ScanItems};
 
 /// Base label the per-shard RNG streams are derived from (see
 /// `ClusterConfig::rng_label`).
@@ -209,9 +210,7 @@ impl ShardedCluster {
 }
 
 /// One application thread of a sharded store: implements [`KvStore`] by
-/// routing each operation to the shard that owns its key. Multi-key
-/// batches are fanned out across shards concurrently (one pipelined
-/// multi-op per shard) and reassembled in input order.
+/// routing each operation to the shard that owns its key.
 pub struct ShardRouter {
     spec: ShardSpec,
     /// The generation-stamped routing table (see `crate::reshard`). A
@@ -310,117 +309,6 @@ impl ShardRouter {
         }
         Err(KvError::Timeout)
     }
-
-    /// Reads many keys in one batch: keys group by owning shard, one
-    /// pipelined `multi_get` per shard runs concurrently, and results come
-    /// back in input order.
-    pub fn multi_get<'a>(
-        &'a self,
-        keys: &[u64],
-    ) -> impl Future<Output = Vec<KvResult<Option<Rc<Vec<u8>>>>>> + 'a {
-        let groups = self.group(keys.iter().copied());
-        let total = keys.len();
-        async move {
-            let futs: Vec<BoxFuture<'a, _>> = groups
-                .into_iter()
-                .map(|(shard, positions, keys)| {
-                    let client = Rc::clone(&self.clients[shard]);
-                    Box::pin(async move { (positions, client.multi_get(&keys).await) })
-                        as BoxFuture<'a, _>
-                })
-                .collect();
-            reassemble(total, join_boxed(futs).await)
-        }
-    }
-
-    /// Overwrites many keys in one batch (per-shard pipelined
-    /// `multi_update`s, results in input order).
-    pub fn multi_update<'a>(
-        &'a self,
-        ops: &[(u64, Vec<u8>)],
-    ) -> impl Future<Output = Vec<KvResult<()>>> + 'a {
-        self.multi_mutate(ops, MutateKind::Update)
-    }
-
-    /// Inserts many keys in one batch (per-shard pipelined `multi_insert`s,
-    /// results in input order).
-    pub fn multi_insert<'a>(
-        &'a self,
-        ops: &[(u64, Vec<u8>)],
-    ) -> impl Future<Output = Vec<KvResult<()>>> + 'a {
-        self.multi_mutate(ops, MutateKind::Insert)
-    }
-
-    fn multi_mutate<'a>(
-        &'a self,
-        ops: &[(u64, Vec<u8>)],
-        kind: MutateKind,
-    ) -> impl Future<Output = Vec<KvResult<()>>> + 'a {
-        let groups = self.group(ops.iter().map(|(k, _)| *k));
-        let total = ops.len();
-        // Values are cloned out of the borrowed slice, one heap copy per
-        // element (same contract as `KvStoreExt`).
-        let values: Vec<Vec<Vec<u8>>> = groups
-            .iter()
-            .map(|(_, positions, _)| positions.iter().map(|&p| ops[p].1.clone()).collect())
-            .collect();
-        async move {
-            let futs: Vec<BoxFuture<'a, _>> = groups
-                .into_iter()
-                .zip(values)
-                .map(|((shard, positions, keys), values)| {
-                    let client = Rc::clone(&self.clients[shard]);
-                    let ops: Vec<(u64, Vec<u8>)> = keys.into_iter().zip(values).collect();
-                    Box::pin(async move {
-                        let r = match kind {
-                            MutateKind::Update => client.multi_update(&ops).await,
-                            MutateKind::Insert => client.multi_insert(&ops).await,
-                        };
-                        (positions, r)
-                    }) as BoxFuture<'a, _>
-                })
-                .collect();
-            reassemble(total, join_boxed(futs).await)
-        }
-    }
-
-    /// Groups keys by owning shard: `(shard, input positions, keys)` per
-    /// non-empty shard, in shard order (deterministic).
-    fn group(&self, keys: impl Iterator<Item = u64>) -> Vec<(usize, Vec<usize>, Vec<u64>)> {
-        let mut per: Vec<(Vec<usize>, Vec<u64>)> = vec![Default::default(); self.spec.shards()];
-        let map = self.map.borrow();
-        for (pos, key) in keys.enumerate() {
-            let s = map.owner_of(key);
-            self.routed[s].set(self.routed[s].get() + 1);
-            per[s].0.push(pos);
-            per[s].1.push(key);
-        }
-        per.into_iter()
-            .enumerate()
-            .filter(|(_, (positions, _))| !positions.is_empty())
-            .map(|(s, (positions, keys))| (s, positions, keys))
-            .collect()
-    }
-}
-
-#[derive(Clone, Copy)]
-enum MutateKind {
-    Update,
-    Insert,
-}
-
-/// Scatters per-shard result groups back into input order.
-fn reassemble<T>(total: usize, groups: Vec<(Vec<usize>, Vec<T>)>) -> Vec<T> {
-    let mut out: Vec<Option<T>> = (0..total).map(|_| None).collect();
-    for (positions, results) in groups {
-        debug_assert_eq!(positions.len(), results.len());
-        for (pos, r) in positions.into_iter().zip(results) {
-            out[pos] = Some(r);
-        }
-    }
-    out.into_iter()
-        .map(|r| r.expect("every input position gets exactly one result"))
-        .collect()
 }
 
 impl KvStore for ShardRouter {
@@ -564,12 +452,6 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_is_rejected() {
         ShardSpec::new(0);
-    }
-
-    #[test]
-    fn reassemble_restores_input_order() {
-        let groups = vec![(vec![1, 3], vec!["b", "d"]), (vec![0, 2], vec!["a", "c"])];
-        assert_eq!(reassemble(4, groups), vec!["a", "b", "c", "d"]);
     }
 
     fn test_router(sim: &Sim) -> Rc<ShardRouter> {

@@ -239,6 +239,19 @@ impl TimeSeries {
         self.sums[idx] += latency_ns as u128;
     }
 
+    /// Adds another series' buckets into this one (same bucket width).
+    pub fn merge(&mut self, other: &TimeSeries) {
+        assert_eq!(self.bucket_ns, other.bucket_ns, "bucket widths differ");
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+            self.sums.resize(other.sums.len(), 0);
+        }
+        for (i, (&c, &s)) in other.counts.iter().zip(&other.sums).enumerate() {
+            self.counts[i] += c;
+            self.sums[i] += s;
+        }
+    }
+
     /// Bucket width in nanoseconds.
     pub fn bucket_ns(&self) -> Nanos {
         self.bucket_ns
@@ -341,6 +354,21 @@ mod tests {
         assert_eq!(buckets[0], (0, 2, 20.0));
         assert_eq!(buckets[1], (1_000, 1, 50.0));
         assert!((ts.throughput_ops_per_sec(0) - 2e6).abs() < 1.0);
+    }
+
+    #[test]
+    fn timeseries_merge_adds_bucketwise() {
+        let mut a = TimeSeries::new(1_000);
+        a.record(100, 10);
+        let mut b = TimeSeries::new(1_000);
+        b.record(900, 30);
+        b.record(2_500, 50);
+        a.merge(&b);
+        let buckets: Vec<_> = a.buckets().collect();
+        assert_eq!(
+            buckets,
+            vec![(0, 2, 20.0), (1_000, 0, 0.0), (2_000, 1, 50.0)]
+        );
     }
 
     #[test]

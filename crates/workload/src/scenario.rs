@@ -143,6 +143,22 @@ pub enum ScenarioOp {
 }
 
 impl ScenarioOp {
+    /// The four-class case: a YCSB `(op, key, version)` draw as a resolved
+    /// operation with a `size`-byte payload and no lease.
+    pub fn ycsb(op: crate::OpType, key: u64, version: u64, size: usize) -> ScenarioOp {
+        match op {
+            crate::OpType::Get => ScenarioOp::Get { key },
+            crate::OpType::Update => ScenarioOp::Update { key, size, version },
+            crate::OpType::Insert => ScenarioOp::Insert {
+                key,
+                size,
+                version,
+                ttl_ns: None,
+            },
+            crate::OpType::Delete => ScenarioOp::Delete { key },
+        }
+    }
+
     /// The operation's class (histogram axis).
     pub fn class(&self) -> ScenarioOpClass {
         match self {
@@ -299,6 +315,18 @@ impl From<crate::WorkloadSpec> for ScenarioMix {
             insert_pct: s.insert_pct,
             delete_pct: s.delete_pct,
             ..Self::ZERO
+        }
+    }
+}
+
+impl From<crate::OpType> for ScenarioOpClass {
+    /// The four YCSB op kinds are the first four classes.
+    fn from(op: crate::OpType) -> Self {
+        match op {
+            crate::OpType::Get => ScenarioOpClass::Get,
+            crate::OpType::Update => ScenarioOpClass::Update,
+            crate::OpType::Insert => ScenarioOpClass::Insert,
+            crate::OpType::Delete => ScenarioOpClass::Delete,
         }
     }
 }

@@ -11,7 +11,7 @@
 //! cargo run -p swarm-examples --example sharded_keyspace
 //! ```
 
-use swarm_kv::{KvStore, Protocol, StoreBuilder};
+use swarm_kv::{KvStore, KvStoreExt, Protocol, StoreBuilder};
 use swarm_sim::Sim;
 
 fn main() {
@@ -53,9 +53,8 @@ fn main() {
             String::from_utf8_lossy(&v[..11])
         );
 
-        // A cross-shard batch: keys group per shard, one pipelined
-        // multi-op per shard flies concurrently, results return in input
-        // order.
+        // A cross-shard batch: every key routes to its owning shard, all
+        // reads fly concurrently, results return in input order.
         let keys: Vec<u64> = (0..16).collect();
         let t0 = s.now();
         let got = alice.multi_get(&keys).await;

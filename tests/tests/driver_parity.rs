@@ -17,12 +17,12 @@
 use swarm_fabric::TrafficStats;
 use swarm_kv::{
     plan_workload, run_scenario, run_sharded_plan, run_workload, ttl_stamp_never, OpOutcome,
-    Protocol, RunConfig, RunStats, ScenarioRunConfig, ScenarioStats, ShardMode, ShardRunOptions,
-    ShardSpec, StoreBuilder, TtlStore,
+    Protocol, RunConfig, RunStats, ScenarioRunConfig, ShardMode, ShardRunOptions, ShardSpec,
+    StoreBuilder, TtlStore,
 };
 use swarm_sim::{Histogram, Sim, NANOS_PER_MICRO};
 use swarm_workload::{
-    OpType, Phase, ScenarioMix, ScenarioOpClass, ScenarioSpec, TtlSpec, ValueSizeDist, Workload,
+    Phase, ScenarioMix, ScenarioOpClass, ScenarioSpec, TtlSpec, ValueSizeDist, Workload,
     WorkloadSpec,
 };
 
@@ -89,41 +89,6 @@ impl Digest {
     }
 
     fn run_stats(&mut self, s: &RunStats) {
-        for v in [s.measured_ops, s.failed_ops, s.start_ns, s.end_ns, 0] {
-            self.u64(v);
-        }
-        for (i, op) in [OpType::Get, OpType::Update, OpType::Insert, OpType::Delete]
-            .into_iter()
-            .enumerate()
-        {
-            let mut rtts: Vec<(u64, u64)> = s
-                .rtts
-                .get(&op)
-                .map(|m| m.iter().map(|(&r, &c)| (r, c)).collect())
-                .unwrap_or_default();
-            rtts.sort_unstable();
-            for (r, c) in rtts {
-                self.u64(i as u64);
-                self.u64(r);
-                self.u64(c);
-            }
-        }
-        if let Some(series) = &s.series {
-            for (at, n, mean) in series.buckets() {
-                self.u64(at);
-                self.u64(n);
-                self.u64(mean.to_bits());
-            }
-        }
-        for op in [OpType::Get, OpType::Update, OpType::Insert, OpType::Delete] {
-            self.hist(s.lat(op));
-        }
-        // Scan and RMW: classes a YCSB run never emits.
-        self.hist(Histogram::new());
-        self.hist(Histogram::new());
-    }
-
-    fn scenario_stats(&mut self, s: &ScenarioStats) {
         for v in [
             s.measured_ops,
             s.failed_ops,
@@ -132,6 +97,20 @@ impl Digest {
             s.scanned_items,
         ] {
             self.u64(v);
+        }
+        for (i, class) in ScenarioOpClass::all().into_iter().enumerate() {
+            for (&rtts, &ops) in s.rtt_counts(class) {
+                self.u64(i as u64);
+                self.u64(rtts);
+                self.u64(ops);
+            }
+        }
+        if let Some(series) = &s.series {
+            for (at, n, mean) in series.buckets() {
+                self.u64(at);
+                self.u64(n);
+                self.u64(mean.to_bits());
+            }
         }
         for class in ScenarioOpClass::all() {
             self.hist(s.lat(class));
@@ -225,7 +204,7 @@ fn scenario_cell(seed: u64, protocol: Protocol) -> u64 {
     };
     let stats = run_scenario(&sim, &clients, &spec, &cfg);
     let mut d = Digest::default();
-    d.scenario_stats(&stats);
+    d.run_stats(&stats);
     d.traffic(cluster.fabric().stats());
     d.u64(sim.now());
     d.finish()
