@@ -10,17 +10,26 @@
 //! *before* the drivers were collapsed onto one op path (ISSUE 12); a
 //! refactor of the drivers must not change one of them.
 //!
+//! The `hedged/*`, `widen/*` and `tslock/*` cells pin the staged quorum wait
+//! itself — hedge fire/win/discard under delay spikes on all four protocols,
+//! op-deadline cancellation between fire and settle, widen + suspicion +
+//! payload-chase timeouts under crashes, and the timestamp-lock round under
+//! contention — and additionally digest the clients' roundtrip counters and
+//! the executor's event counters, so a moved timer shows even where no
+//! latency sample moves. They were generated on the commit *before* the six
+//! quorum waits were collapsed onto one staged round (ISSUE 14).
+//!
 //! To regenerate after an intended behaviour change, run
 //! `cargo test -p swarm-tests --test driver_parity -- --nocapture` and copy
 //! the printed `("name", 0x...)` table over `PINNED`.
 
-use swarm_fabric::TrafficStats;
+use swarm_fabric::{FaultPlan, NodeId, TrafficStats};
 use swarm_kv::{
-    plan_workload, run_scenario, run_sharded_plan, run_workload, ttl_stamp_never, OpOutcome,
-    Protocol, RunConfig, RunStats, ScenarioRunConfig, ShardMode, ShardRunOptions, ShardSpec,
-    StoreBuilder, TtlStore,
+    plan_workload, run_scenario, run_sharded_plan, run_workload, ttl_stamp_never, HedgeConfig,
+    KvStore, OpOutcome, Protocol, RunConfig, RunStats, ScenarioRunConfig, ShardMode,
+    ShardRunOptions, ShardSpec, StoreBuilder, TtlStore,
 };
-use swarm_sim::{Histogram, Sim, NANOS_PER_MICRO};
+use swarm_sim::{Histogram, Nanos, Sim, NANOS_PER_MICRO};
 use swarm_workload::{
     Phase, ScenarioMix, ScenarioOpClass, ScenarioSpec, TtlSpec, ValueSizeDist, Workload,
     WorkloadSpec,
@@ -44,6 +53,14 @@ const PINNED: &[(&str, u64)] = &[
     ("planned/batch1-sequential", 0xd43472a2af461e5f),
     ("planned/batch4-single-sim", 0x24c23b5d314c5bbe),
     ("planned/batch4-sequential", 0x24c23b5d314c5bbe),
+    ("hedged/spike-swarm", 0x8f60755c2d239238),
+    ("hedged/spike-abd", 0x8a5ef45f2af8b287),
+    ("hedged/spike-raw", 0x96e38c8846bf13d7),
+    ("hedged/spike-fusee", 0xb9eb20ddd798a363),
+    ("hedged/deadline-cancel-swarm", 0x6f910d93da314a68),
+    ("widen/crash-swarm", 0x46daa14c9f8479d6),
+    ("widen/crash-abd", 0x4ef9c28142b5b863),
+    ("tslock/one-key-16-clients", 0x63019e638d7cfc92),
 ];
 
 /// A mix with all four YCSB classes, so inserts, deletes, and the failed
@@ -137,6 +154,179 @@ fn workload_cell(seed: u64, protocol: Protocol, clients: usize, cfg: RunConfig) 
     d.traffic(cluster.fabric().stats());
     d.u64(sim.now());
     d.finish()
+}
+
+/// What a [`staged_cell`] runs under.
+struct Staging {
+    /// `None` = the hedge knob is never touched.
+    hedge: Option<HedgeConfig>,
+    op_deadline_ns: Option<Nanos>,
+    faults: FaultPlan,
+}
+
+/// Hedging armed after two samples per node, so estimates form (and hedges
+/// fire) within a few hundred ops; everything else at the defaults.
+fn eager_hedge() -> HedgeConfig {
+    HedgeConfig {
+        min_samples: 2,
+        ..HedgeConfig::on()
+    }
+}
+
+/// `bursts` delay bursts of +15 us one-way, 60 us long, one every 100 us
+/// from 10 us on, each on `width` adjacent nodes rotating over the four.
+fn spike_plan(bursts: u64, width: usize) -> FaultPlan {
+    let us = NANOS_PER_MICRO;
+    let mut plan = FaultPlan::new();
+    for i in 0..bursts {
+        for w in 0..width {
+            let node = NodeId((i as usize + w) % 4);
+            plan = plan.delay_spike((10 + 100 * i) * us, node, 15 * us, 60 * us);
+        }
+    }
+    plan
+}
+
+/// Node `i % 4` crashes every 300 us from 50 us on and restarts 150 us
+/// later, `cycles` times: one node down at a time, a majority always up.
+fn crash_plan(cycles: u64) -> FaultPlan {
+    let us = NANOS_PER_MICRO;
+    let mut plan = FaultPlan::new();
+    for i in 0..cycles {
+        let node = NodeId(i as usize % 4);
+        plan = plan
+            .crash_at((50 + 300 * i) * us, node)
+            .restart_at((200 + 300 * i) * us, node);
+    }
+    plan
+}
+
+/// One `run_workload` cell under a fault plan, optionally hedged and
+/// deadlined. Digests the run's stats, the traffic (hedge counters
+/// included), every client's roundtrip count and the executor's event
+/// counters; returns the traffic too so the caller can assert the cell
+/// exercises what its name says.
+fn staged_cell(
+    seed: u64,
+    protocol: Protocol,
+    clients: usize,
+    wl: &Workload,
+    cfg: RunConfig,
+    staging: Staging,
+) -> (u64, RunStats, TrafficStats) {
+    let sim = Sim::new(seed);
+    let mut builder = StoreBuilder::new(protocol)
+        .value_size(64)
+        .max_clients(clients);
+    if let Some(hedge) = staging.hedge {
+        builder = builder.hedge(hedge);
+    }
+    if let Some(ns) = staging.op_deadline_ns {
+        builder = builder.op_deadline_ns(ns);
+    }
+    let cluster = builder.build_cluster(&sim);
+    cluster.load_keys(N_KEYS, |k| wl.value_for(k, 0));
+    cluster.fabric().apply_fault_plan(&staging.faults);
+    let stores = cluster.clients(clients);
+    let stats = run_workload(&sim, &stores, wl, &cfg);
+    let traffic = cluster.fabric().stats();
+    let mut d = Digest::default();
+    d.run_stats(&stats);
+    d.traffic(traffic);
+    for c in &stores {
+        d.u64(c.rounds());
+    }
+    let c = sim.counters();
+    for v in [
+        c.events_scheduled,
+        c.timer_events,
+        c.boxed_events,
+        c.tasks_spawned,
+    ] {
+        d.u64(v);
+    }
+    d.u64(sim.now());
+    (d.finish(), stats, traffic)
+}
+
+/// The cells that pin the staged quorum wait (see the module docs), each
+/// with an assertion that it reaches the stage it is named after.
+fn staged_cells() -> Vec<(&'static str, u64)> {
+    // Gets and updates only: every op succeeds unless a deadline cancels it.
+    let mixed = Workload::ycsb(WorkloadSpec::A, N_KEYS, 64);
+    let cfg = RunConfig {
+        warmup_ops: 100,
+        measure_ops: 1_500,
+        ..Default::default()
+    };
+    let mut out = Vec::new();
+
+    for (name, seed, protocol) in [
+        ("hedged/spike-swarm", 401, Protocol::SafeGuess),
+        ("hedged/spike-abd", 402, Protocol::Abd),
+        ("hedged/spike-raw", 403, Protocol::Raw),
+        ("hedged/spike-fusee", 404, Protocol::Fusee),
+    ] {
+        let staging = Staging {
+            hedge: Some(eager_hedge()),
+            op_deadline_ns: None,
+            faults: spike_plan(200, 1),
+        };
+        let (digest, stats, t) = staged_cell(seed, protocol, 4, &mixed, cfg.clone(), staging);
+        assert_eq!(stats.failed_ops, 0, "{name}: spikes only delay");
+        assert_eq!(
+            t.hedges_fired,
+            t.hedges_won + t.duplicates_discarded,
+            "{name}"
+        );
+        // RAW has no quorum to hedge; the other three must fire and win.
+        let hedges = protocol != Protocol::Raw;
+        assert_eq!(t.hedges_won > 0, hedges, "{name}: {t:?}");
+        assert_eq!(t.duplicates_discarded > 0, hedges, "{name}: {t:?}");
+        out.push((name, digest));
+    }
+
+    // Two of a key's three replicas spiked at once: the hedge's spare is
+    // slow too, so the 8 us op deadline cancels ops between fire and settle
+    // and the dropped tickets must still balance the budget.
+    let staging = Staging {
+        hedge: Some(eager_hedge()),
+        op_deadline_ns: Some(8 * NANOS_PER_MICRO),
+        faults: spike_plan(200, 2),
+    };
+    let (digest, stats, t) = staged_cell(405, Protocol::SafeGuess, 4, &mixed, cfg.clone(), staging);
+    assert!(stats.failed_ops > 0, "no op hit its deadline");
+    assert!(t.hedges_fired > 0, "no hedge fired");
+    assert_eq!(t.hedges_fired, t.hedges_won + t.duplicates_discarded);
+    out.push(("hedged/deadline-cancel-swarm", digest));
+
+    for (name, seed, protocol) in [
+        ("widen/crash-swarm", 406, Protocol::SafeGuess),
+        ("widen/crash-abd", 407, Protocol::Abd),
+    ] {
+        let staging = Staging {
+            hedge: None,
+            op_deadline_ns: None,
+            faults: crash_plan(40),
+        };
+        let (digest, stats, t) = staged_cell(seed, protocol, 4, &mixed, cfg.clone(), staging);
+        assert_eq!(stats.failed_ops, 0, "{name}: a majority stays reachable");
+        assert_eq!(t.hedges_fired, 0, "{name}");
+        out.push((name, digest));
+    }
+
+    // Sixteen clients on one key of the loaded store: guesses collide, so
+    // writers and readers arbitrate through `TsLock::try_lock`.
+    let hot = Workload::ycsb(WorkloadSpec::A, 1, 64);
+    let staging = Staging {
+        hedge: None,
+        op_deadline_ns: None,
+        faults: FaultPlan::new(),
+    };
+    let (digest, stats, _) = staged_cell(408, Protocol::SafeGuess, 16, &hot, cfg, staging);
+    assert_eq!(stats.failed_ops, 0);
+    out.push(("tslock/one-key-16-clients", digest));
+    out
 }
 
 /// `run_workload` through cross-shard routers (the blanket batch path over
@@ -262,7 +452,7 @@ fn cells() -> Vec<(&'static str, u64)> {
         measure_ops: 600,
         ..Default::default()
     };
-    vec![
+    let mut cells = vec![
         (
             "workload/sequential",
             workload_cell(101, Protocol::SafeGuess, 4, base.clone()),
@@ -387,7 +577,9 @@ fn cells() -> Vec<(&'static str, u64)> {
             "planned/batch4-sequential",
             planned_cell(302, 4, ShardMode::Sequential),
         ),
-    ]
+    ];
+    cells.extend(staged_cells());
+    cells
 }
 
 #[test]
