@@ -2,8 +2,8 @@
 # Staged CI gate.
 #
 #   ./ci.sh           full gate: fmt, clippy, debug tests, rustdoc lints,
-#                     release build, release chaos sweep, bench stdout
-#                     goldens, perf smoke
+#                     release build, benchmark package build + tests,
+#                     release chaos sweep, bench stdout goldens, perf smoke
 #   ./ci.sh --quick   quick gate: fmt + clippy + debug tests only — no
 #                     release binaries are built (runs on every push; the
 #                     full gate runs as CI's second job, see
@@ -72,6 +72,11 @@ fi
 stage doc env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 stage build-release cargo build --release
 
+# The benchmark package is a nested workspace the stages above never
+# compile, and it calls swarm_core/swarm_kv constructors directly: build
+# and test it here so an API slip fails CI, not the benchmark driver.
+stage benchmark-build sh -c 'cd benchmark && cargo build --release --offline && cargo test --offline -q'
+
 # The chaos suite already ran once above with the pinned quick set; this
 # release-mode pass widens the sweep. SWARM_CHAOS_SEEDS controls seeds per
 # (protocol, fault-plan) cell — export a bigger N for deeper local hunts
@@ -128,12 +133,12 @@ perf_stage bench_reshard 60 env SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2
 # converges to zero residual divergence and BloomBuckets moves fewer
 # bytes than the full exchange.
 perf_stage bench_repair 60 env SWARM_BENCH_THREADS=3 "$BIN_DIR/bench_repair"
-# Tail smoke: the quick {no-hedge, hedge} x {static, adaptive} x
-# {calm, spike} sweep. The binary asserts in-process that hedged p99 is
-# >= 2x below unhedged under the canonical delay-spike plan with <= 5%
-# median regression, and that the hedge budget balances — so this stage
-# failing means the tail optimization regressed, not just a slow host.
-perf_stage tail-smoke 120 env SWARM_BENCH_THREADS=2 "$BIN_DIR/bench_tail"
+# Tail smoke: the quick {no-hedge, hedge} x {calm, spike} sweep (four
+# cells). The binary asserts in-process that hedged p99 is >= 2x below
+# unhedged under the canonical delay-spike plan with <= 5% median
+# regression, and that the hedge budget balances — so this stage failing
+# means the tail optimization regressed, not just a slow host.
+perf_stage tail-smoke 60 env SWARM_BENCH_THREADS=2 "$BIN_DIR/bench_tail"
 # Scenario smoke: the YCSB A-F x {static, flash-crowd} x 2-protocol (+ TTL
 # churn + bimodal values) scenario sweep at smoke volume, run twice with
 # different thread knobs. The binary validates every report's JSON before

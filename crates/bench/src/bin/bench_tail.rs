@@ -1,8 +1,8 @@
 //! Tail-latency bench (beyond the paper): p99/p999 under delay spikes,
-//! with and without hedged quorum requests and adaptive protocol routing.
+//! with and without hedged quorum requests.
 //!
-//! Eight cells — {calm, spike} × {unhedged, hedged} × {static, adaptive} —
-//! run the identical YCSB B phase on their own seeded `Sim`s. The spike
+//! Four cells — {calm, spike} × {unhedged, hedged} — run the identical
+//! YCSB B phase on their own seeded `Sim`s. The spike
 //! plan injects rotating one-node delay bursts (+15 µs one-way, 120 µs
 //! long, every 400 µs, node `i % 4`): an op whose optimistic quorum
 //! includes the spiked node stalls until the widen deadline fires, so the
@@ -10,9 +10,7 @@
 //! Hedged cells instead send one extra copy to a spare quorum member after
 //! the per-destination p99-tracked delay (`RttTracker`) and complete as
 //! soon as either copy answers, pulling the tail back near the healthy
-//! p99. Adaptive cells additionally arm the per-key contention router
-//! (`AdaptiveConfig`); YCSB B is contention-light, so they double as the
-//! "routing costs nothing when keys are cold" control.
+//! p99.
 //!
 //! The widen floor is raised to 20 µs in *all* cells so the hedged-vs-
 //! unhedged gap is attributable to hedging alone, not to a config skew.
@@ -29,9 +27,7 @@ use swarm_bench::{
     composed_threads, env_scaled_keys, run_workload, sweep_on, write_csv, ExpParams, Protocol,
 };
 use swarm_fabric::{FaultPlan, NodeId, TrafficStats};
-use swarm_kv::{
-    hedge_config, AdaptiveConfig, CacheCapacity, ClusterConfig, RunStats, StoreBuilder,
-};
+use swarm_kv::{CacheCapacity, ClusterConfig, HedgeConfig, RunStats, StoreBuilder};
 use swarm_sim::{Nanos, Sim, NANOS_PER_MILLI};
 use swarm_workload::{OpType, WorkloadSpec};
 
@@ -57,19 +53,17 @@ enum Plan {
 struct Cell {
     plan: Plan,
     hedged: bool,
-    adaptive: bool,
 }
 
 impl Cell {
     fn name(&self) -> String {
         format!(
-            "{}/{}/{}",
+            "{}/{}",
             match self.plan {
                 Plan::Calm => "calm",
                 Plan::Spike => "spike",
             },
             if self.hedged { "hedged" } else { "unhedged" },
-            if self.adaptive { "adaptive" } else { "static" },
         )
     }
 }
@@ -112,10 +106,7 @@ fn run_cell(p: &ExpParams, cell: Cell, spike_count: u64) -> CellResult {
         .inplace(p.inplace)
         .cache(CacheCapacity::Unbounded);
     if cell.hedged {
-        builder = builder.hedge(hedge_config());
-    }
-    if cell.adaptive {
-        builder = builder.adaptive(AdaptiveConfig::on());
+        builder = builder.hedge(HedgeConfig::on());
     }
     let cluster = builder.build_cluster(&sim);
     let wl = p.workload(WorkloadSpec::B);
@@ -154,15 +145,7 @@ fn main() {
 
     let cells: Vec<Cell> = [Plan::Calm, Plan::Spike]
         .iter()
-        .flat_map(|&plan| {
-            [(false, false), (true, false), (false, true), (true, true)]
-                .iter()
-                .map(move |&(hedged, adaptive)| Cell {
-                    plan,
-                    hedged,
-                    adaptive,
-                })
-        })
+        .flat_map(|&plan| [false, true].map(|hedged| Cell { plan, hedged }))
         .collect();
     eprintln!(
         "bench_tail: {cell_threads} sweep thread(s), {} cells",
@@ -227,7 +210,7 @@ fn main() {
     for r in &mut results {
         let (mut get, mut upd) = (r.stats.lat(OpType::Get), r.stats.lat(OpType::Update));
         println!(
-            r#"{{"bench":"bench_tail","cell":"{}","plan":"{}","hedge":{},"adaptive":{},"get":{},"update":{},"hedges_fired":{},"hedges_won":{},"duplicates_discarded":{}}}"#,
+            r#"{{"bench":"bench_tail","cell":"{}","plan":"{}","hedge":{},"get":{},"update":{},"hedges_fired":{},"hedges_won":{},"duplicates_discarded":{}}}"#,
             r.cell.name(),
             if r.cell.plan == Plan::Spike {
                 "spike"
@@ -235,7 +218,6 @@ fn main() {
                 "calm"
             },
             r.cell.hedged,
-            r.cell.adaptive,
             get.summary_json(),
             upd.summary_json(),
             r.traffic.hedges_fired,
@@ -252,27 +234,25 @@ fn main() {
             (r.cell, get.median(), get.percentile(99.0))
         })
         .collect();
-    let find = |plan: Plan, hedged: bool, adaptive: bool| {
+    let find = |plan: Plan, hedged: bool| {
         summaries
             .iter()
-            .find(|(c, _, _)| c.plan == plan && c.hedged == hedged && c.adaptive == adaptive)
-            .expect("all eight cells ran")
+            .find(|(c, _, _)| c.plan == plan && c.hedged == hedged)
+            .expect("all four cells ran")
     };
-    for &adaptive in &[false, true] {
-        let (_, _, un99) = find(Plan::Spike, false, adaptive);
-        let (_, _, he99) = find(Plan::Spike, true, adaptive);
+    let (_, _, un99) = find(Plan::Spike, false);
+    let (_, _, he99) = find(Plan::Spike, true);
+    assert!(
+        2 * he99 <= *un99,
+        "hedging must at least halve the spiked get p99 ({he99} vs {un99} ns)"
+    );
+    for &plan in &[Plan::Calm, Plan::Spike] {
+        let (_, un50, _) = find(plan, false);
+        let (_, he50, _) = find(plan, true);
         assert!(
-            2 * he99 <= *un99,
-            "hedging must at least halve the spiked get p99 (adaptive={adaptive}: {he99} vs {un99} ns)"
+            *he50 as f64 <= *un50 as f64 * 1.05,
+            "hedging must not regress the median by more than 5% ({he50} vs {un50} ns)"
         );
-        for &plan in &[Plan::Calm, Plan::Spike] {
-            let (_, un50, _) = find(plan, false, adaptive);
-            let (_, he50, _) = find(plan, true, adaptive);
-            assert!(
-                *he50 as f64 <= *un50 as f64 * 1.05,
-                "hedging must not regress the median by more than 5% ({he50} vs {un50} ns)"
-            );
-        }
     }
     for r in &results {
         let t = &r.traffic;
@@ -294,8 +274,8 @@ fn main() {
     }
     let spiked_hedged = results
         .iter()
-        .find(|r| r.cell.plan == Plan::Spike && r.cell.hedged && !r.cell.adaptive)
-        .expect("all eight cells ran");
+        .find(|r| r.cell.plan == Plan::Spike && r.cell.hedged)
+        .expect("all four cells ran");
     assert!(
         spiked_hedged.traffic.hedges_fired > 0,
         "the spiked hedged cell must actually hedge"
@@ -308,8 +288,6 @@ fn main() {
     );
     println!("cells re-issue to a spare replica after the tracked per-node p99 and pull the");
     println!("tail back near the calm p99 at the cost of a small duplicate-message budget.");
-    println!("adaptive routing stays quiet on this contention-light mix (same numbers), ");
-    println!("demonstrating it costs nothing on cold keys.");
 
     for r in &results {
         eprintln!("  wall {}: {:.3}s", r.cell.name(), r.wall_secs);

@@ -16,6 +16,10 @@
 //!    reads/writes in one roundtrip in the common case (§3). [`Abd`] is the
 //!    classic two-phase-write baseline (§2.3).
 //!
+//! Layers 2 and 3 (and FUSEE's block reads and writes in `swarm-kv`) wait
+//! for their replicas through one staged [`QuorumRound`]: optimistic send,
+//! hedge, widen deadline, finish.
+//!
 //! `SafeGuess` is generic over any [`MaxRegister`]; production composes it
 //! with `ReliableMaxReg<InnOutReplica>` (that composition *is* SWARM), while
 //! tests also run it over idealized [`SimReplica`]s to isolate protocol
@@ -71,6 +75,7 @@ mod hash;
 mod innout;
 mod linearize;
 mod maxreg;
+mod round;
 mod safeguess;
 mod sim_replica;
 mod stamp;
@@ -85,6 +90,7 @@ pub use linearize::{
     MAX_OPS_PER_KEY,
 };
 pub use maxreg::ReliableMaxReg;
+pub use round::QuorumRound;
 pub use safeguess::{Abd, ReadOutcome, ReadPath, SafeGuess, WritePath};
 pub use sim_replica::{SimReplica, SimReplicaState};
 pub use stamp::{Stamp, TsGuesser, I_MAX, TICK_NS};

@@ -149,28 +149,6 @@ impl<M: MaxRegister> SafeGuess<M> {
         }
     }
 
-    /// Writes `v` with a *verified* timestamp discovered by an extra
-    /// roundtrip (ABD's write discipline, Algorithm 1, over the same
-    /// register). Always two phases, never a guess — so it cannot miss and
-    /// cannot trigger lock arbitration or re-execution.
-    ///
-    /// This is the degrade-best path adaptive routing switches persistently
-    /// contended keys to: a verified write is indistinguishable from a
-    /// re-executed one, so it composes linearizably with concurrent guessed
-    /// writes and Safe-Guess reads from other clients (unlike a raw
-    /// [`Abd::read`], which would return a guessed tuple without
-    /// arbitration). Returns [`WritePath::Deleted`] against a tombstone,
-    /// [`WritePath::Reexecuted`] otherwise (same roundtrip shape).
-    pub async fn write_verified(&self, v: impl Into<Rc<Vec<u8>>>) -> WritePath {
-        let cur = self.m.read_stamp().await;
-        if cur.is_tombstone() {
-            return WritePath::Deleted;
-        }
-        let fresh = Stamp::verified(cur.i + 1, self.guesser.tid());
-        self.m.write(MVal::new(fresh, v)).await;
-        WritePath::Reexecuted
-    }
-
     /// Writes a value that can never be overwritten (SWARM-KV `delete`,
     /// §5.3.2): the tombstone carries the maximum timestamp.
     pub async fn write_tombstone(&self) {

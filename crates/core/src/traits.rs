@@ -166,14 +166,13 @@ pub struct HedgeConfig {
     /// Master switch; `false` is bit-identical to the pre-hedging code.
     pub enabled: bool,
     /// Percentile of the per-destination RTT window that arms the hedge
-    /// (`SWARM_HEDGE_DELAY_PCT`; default 99.0).
+    /// (default 99.0).
     pub delay_pct: f64,
     /// Per-node samples required before hedging arms: until every contacted
     /// node has an estimate, operations run unhedged.
     pub min_samples: usize,
-    /// Maximum hedges in flight per client across all its registers
-    /// (`SWARM_HEDGE_MAX_INFLIGHT`); excess stragglers fall through to the
-    /// ordinary widen path.
+    /// Maximum hedges in flight per client across all its registers;
+    /// excess stragglers fall through to the ordinary widen path.
     pub max_inflight: usize,
     /// Per-node RTT window size: the percentile estimate refreshes from the
     /// last `window` samples.

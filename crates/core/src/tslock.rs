@@ -13,8 +13,9 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use swarm_fabric::{Endpoint, NodeId};
-use swarm_sim::{timeout_at, Quorum, Sim};
+use swarm_sim::Sim;
 
+use crate::round::QuorumRound;
 use crate::traits::{NodeHealth, QuorumConfig, Rounds};
 
 /// Lock mode: who is trying to claim the timestamp.
@@ -139,39 +140,20 @@ impl TsLock {
             }
         };
 
-        let mut q = Quorum::new(maj);
-        let mut map: Vec<usize> = Vec::new();
         // Preferred subset: unsuspected word replicas first.
-        let order: Vec<usize> = {
-            let mut o: Vec<usize> = (0..n)
-                .filter(|&i| !inner.health.is_suspected(inner.words[i].0 .0))
-                .collect();
-            o.extend((0..n).filter(|&i| inner.health.is_suspected(inner.words[i].0 .0)));
-            o
-        };
-        for &i in order.iter().take(maj) {
-            map.push(i);
-            q.push(make(i));
-        }
-        let t0 = inner.sim.now();
-        let deadline = t0 + inner.health.widen_timeout_ns(&inner.cfg);
-        if timeout_at(&inner.sim, deadline, &mut q).await.is_err() {
-            for (slot, &i) in map.iter().enumerate() {
-                if q.results()[slot].is_none() {
-                    inner.health.suspect(inner.words[i].0 .0);
-                }
-            }
-            for &i in order.iter().skip(maj) {
-                map.push(i);
-                q.push(make(i));
-            }
-            (&mut q).await;
-        }
-        inner.health.observe_rtt(inner.sim.now() - t0);
+        let suspected = |i: &usize| inner.health.is_suspected(inner.words[*i].0 .0);
+        let order: Vec<(usize, usize)> = (0..n)
+            .filter(|i| !suspected(i))
+            .chain((0..n).filter(suspected))
+            .map(|i| (i, inner.words[i].0 .0))
+            .collect();
+        let widen = Some((&*inner.health, &inner.cfg));
+        let mut round = QuorumRound::new(&inner.sim, None, widen, maj, &order, make);
+        round.complete(|| ()).await;
+        // Decision (Algorithm 4 lines 11–13) over the completed majority.
+        let observed: Vec<u64> = round.finish().map(|(_, word)| word).collect();
         inner.rounds.add(max_iters.get().max(1));
 
-        // Decision (Algorithm 4 lines 11–13) over the completed majority.
-        let observed: Vec<u64> = q.results().iter().filter_map(|r| *r).collect();
         if observed.iter().any(|&w| ts_part(w) > target) {
             return false;
         }

@@ -211,8 +211,15 @@ impl Fabric {
                 action.node(),
                 self.num_nodes()
             );
-            let fabric = self.clone();
+            // A weak handle: the `Sim` owns this closure and the fabric owns
+            // the `Sim`, so a strong one would keep the whole cluster alive
+            // through any event scheduled past the end of the run.
+            let fabric = Rc::downgrade(&self.inner);
             self.inner.sim.schedule_at(at, move |sim| {
+                let Some(inner) = fabric.upgrade() else {
+                    return;
+                };
+                let fabric = Fabric { inner };
                 let now = sim.now();
                 match action {
                     FaultAction::Crash(n) => fabric.crash_node(n),

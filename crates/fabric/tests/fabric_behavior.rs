@@ -456,6 +456,22 @@ fn fault_plan_applies_on_schedule() {
     println!("{plan}");
 }
 
+/// A plan event past the end of the run must not keep the cluster alive:
+/// the `Sim` owns the scheduled closure and the fabric owns the `Sim`, so a
+/// closure holding a strong fabric handle is a cycle that leaks every
+/// node's memory.
+#[test]
+fn a_far_future_fault_event_does_not_leak_the_fabric() {
+    let (sim, fabric) = setup(26, FabricConfig::default(), 2);
+    fabric.node(NodeId(0)).alloc(1 << 20, 8);
+    fabric.apply_fault_plan(&FaultPlan::new().crash_at(u64::MAX / 2, NodeId(1)));
+    sim.run_until(1_000);
+    let node = Rc::downgrade(&fabric.node(NodeId(0)));
+    drop(fabric);
+    drop(sim);
+    assert!(node.upgrade().is_none(), "node memory outlived its fabric");
+}
+
 #[test]
 fn fabric_delivery_schedules_no_boxed_closures() {
     // The whole message pipeline (CPU issue, switch, wire, node service,

@@ -214,16 +214,6 @@ impl StoreBuilder {
         self
     }
 
-    /// Per-key adaptive protocol routing for every minted client (see
-    /// [`crate::AdaptiveConfig`]). Off by default — when disabled no
-    /// contention statistics are tracked and all existing executions replay
-    /// bit-identically. Only Safe-Guess clients route; the other protocols
-    /// ignore it.
-    pub fn adaptive(mut self, cfg: crate::AdaptiveConfig) -> Self {
-        self.client.adaptive = cfg;
-        self
-    }
-
     /// Replaces the whole cluster configuration (the escape hatch for knobs
     /// without a fluent setter, e.g. fabric latency or clock skew).
     pub fn cluster_config(mut self, cfg: ClusterConfig) -> Self {

@@ -15,8 +15,8 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use swarm_core::{
-    Abd, HedgeConfig, Hedger, InnOutReplica, NodeHealth, ReadPath, ReliableMaxReg, Rounds,
-    SafeGuess, TsGuesser, TsLock, TsLockSet, WritePath,
+    Abd, HedgeConfig, Hedger, InnOutReplica, NodeHealth, ReliableMaxReg, Rounds, SafeGuess,
+    TsGuesser, TsLock, TsLockSet, WritePath,
 };
 use swarm_fabric::Endpoint;
 use swarm_sim::{join2, FifoResource, GuessClock, Nanos, SimRng};
@@ -61,72 +61,6 @@ impl CacheCapacity {
     }
 }
 
-/// Per-key adaptive protocol routing knobs.
-///
-/// Off by default: with `enabled = false` no contention statistics are
-/// tracked and every operation takes the pre-adaptive code path, so existing
-/// executions replay bit-identically. When enabled (Safe-Guess clients
-/// only), each cached key tracks a decaying guess-miss rate; a persistently
-/// contended key's *writes* are routed to the verified two-phase path
-/// ([`SafeGuess::write_verified`], ABD's write discipline over the same
-/// register), which degrades gracefully under contention instead of paying
-/// re-execution storms. Reads always stay full Safe-Guess reads, so the
-/// mixed history remains linearizable no matter what other clients do.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Master switch; `false` is bit-identical to the pre-adaptive code.
-    pub enabled: bool,
-    /// Miss-rate EWMA at or above which a key routes to verified writes;
-    /// it routes back once the EWMA decays to half this.
-    pub threshold: f64,
-    /// Operations observed on a key before routing decisions are made.
-    pub min_ops: u32,
-    /// EWMA gain per observation.
-    pub gain: f64,
-}
-
-impl AdaptiveConfig {
-    /// Adaptive routing off — the default, bit-identical to pre-adaptive
-    /// executions.
-    pub fn disabled() -> Self {
-        AdaptiveConfig {
-            enabled: false,
-            ..Self::on()
-        }
-    }
-
-    /// Adaptive routing on with the default tuning.
-    pub fn on() -> Self {
-        AdaptiveConfig {
-            enabled: true,
-            threshold: 0.5,
-            min_ops: 8,
-            gain: 0.125,
-        }
-    }
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
-
-/// Per-key contention statistics, piggybacked on the LFU cache entry (the
-/// detector costs nothing for keys that fall out of the cache; rebuilt
-/// handles restart cold, which a persistently hot key re-warms within
-/// [`AdaptiveConfig::min_ops`] operations).
-#[derive(Debug, Default)]
-pub(crate) struct ContentionState {
-    /// Decaying guess-miss rate (writes that re-executed or were linearized
-    /// by a reader's lock; reads that left the fast path).
-    miss_ewma: Cell<f64>,
-    /// Operations observed through this handle.
-    ops: Cell<u32>,
-    /// Currently routed to verified (two-phase) writes.
-    verified_mode: Cell<bool>,
-}
-
 /// Per-client knobs.
 #[derive(Debug, Clone)]
 pub struct KvClientConfig {
@@ -143,8 +77,6 @@ pub struct KvClientConfig {
     pub op_deadline_ns: Option<Nanos>,
     /// Tail-latency hedging (off by default; see [`HedgeConfig`]).
     pub hedge: HedgeConfig,
-    /// Per-key adaptive protocol routing (off by default).
-    pub adaptive: AdaptiveConfig,
 }
 
 impl Default for KvClientConfig {
@@ -153,7 +85,6 @@ impl Default for KvClientConfig {
             cache: CacheCapacity::Unbounded,
             op_deadline_ns: None,
             hedge: HedgeConfig::disabled(),
-            adaptive: AdaptiveConfig::disabled(),
         }
     }
 }
@@ -184,8 +115,6 @@ pub struct KeyHandle {
     /// (e.g. In-n-Out's cached word) older than the repaired state; the
     /// cache hit path drops such handles instead of serving them.
     repair_mark: u64,
-    /// Adaptive-routing contention detector (see [`ContentionState`]).
-    contention: ContentionState,
 }
 
 /// One client thread of a key-value store.
@@ -206,7 +135,6 @@ pub struct KvClient {
     /// Tail-latency hedger shared by all of this client's registers;
     /// `None` (the default) is bit-identical to the pre-hedging code.
     hedger: Option<Hedger>,
-    adaptive: AdaptiveConfig,
 }
 
 impl KvClient {
@@ -264,7 +192,6 @@ impl KvClient {
             version: Cell::new(0),
             op_deadline_ns: cfg.op_deadline_ns,
             hedger: Hedger::new(cfg.hedge, cc.nodes, Some(cluster.fabric().clone())),
-            adaptive: cfg.adaptive,
         })
     }
 
@@ -359,56 +286,7 @@ impl KvClient {
             kind,
             generation: info.generation,
             repair_mark: self.cluster.repair_mark(info.key),
-            contention: ContentionState::default(),
         })
-    }
-
-    /// True when this client runs the contention detector (adaptive routing
-    /// is meaningful only for Safe-Guess: ABD already pays the verified
-    /// two-phase write, RAW has no concurrency control to adapt).
-    fn adaptive_on(&self) -> bool {
-        self.adaptive.enabled && self.proto == Proto::SafeGuess
-    }
-
-    /// Routing decision for one write: re-evaluates the key's mode from the
-    /// decayed miss rate (hysteresis: enter at `threshold`, leave at half),
-    /// then reports the mode.
-    fn route_verified(&self, c: &ContentionState) -> bool {
-        if !self.adaptive_on() {
-            return false;
-        }
-        if c.ops.get() >= self.adaptive.min_ops {
-            if c.miss_ewma.get() >= self.adaptive.threshold {
-                c.verified_mode.set(true);
-            } else if c.miss_ewma.get() <= self.adaptive.threshold / 2.0 {
-                c.verified_mode.set(false);
-            }
-        }
-        c.verified_mode.get()
-    }
-
-    /// Feeds one guess outcome (`miss = true`: the op left the fast path)
-    /// into the key's contention EWMA.
-    fn feed_signal(&self, c: &ContentionState, miss: bool) {
-        if !self.adaptive_on() {
-            return;
-        }
-        c.ops.set(c.ops.get().saturating_add(1));
-        let e = c.miss_ewma.get();
-        c.miss_ewma
-            .set(e + self.adaptive.gain * ((miss as u8) as f64 - e));
-    }
-
-    /// A verified-mode write carries no guess outcome; decay the EWMA toward
-    /// zero instead so the router periodically re-probes the fast path after
-    /// contention subsides.
-    fn decay_signal(&self, c: &ContentionState) {
-        if !self.adaptive_on() {
-            return;
-        }
-        c.ops.set(c.ops.get().saturating_add(1));
-        c.miss_ewma
-            .set(c.miss_ewma.get() * (1.0 - self.adaptive.gain));
     }
 
     /// Resolves the handle for `key`: cache hit is free; a miss costs one
@@ -455,23 +333,10 @@ impl KvClient {
                     .await
                     .ok_or(KvError::Timeout)
             }
-            HandleKind::Sg(reg) => {
-                let path = if self.route_verified(&h.contention) {
-                    let path = reg.write_verified(value).await;
-                    self.decay_signal(&h.contention);
-                    path
-                } else {
-                    let path = reg.write(value).await;
-                    if path != WritePath::Deleted {
-                        self.feed_signal(&h.contention, path != WritePath::Fast);
-                    }
-                    path
-                };
-                match path {
-                    WritePath::Deleted => Err(KvError::Deleted),
-                    _ => Ok(()),
-                }
-            }
+            HandleKind::Sg(reg) => match reg.write(value).await {
+                WritePath::Deleted => Err(KvError::Deleted),
+                _ => Ok(()),
+            },
             HandleKind::Abd(reg) => {
                 if reg.write(value).await {
                     Ok(())
@@ -493,10 +358,6 @@ impl KvClient {
             }
             HandleKind::Sg(reg) => {
                 let out = reg.read().await;
-                self.feed_signal(
-                    &h.contention,
-                    out.path != ReadPath::FastVerified || out.iterations > 1,
-                );
                 Ok(if out.value.is_tombstone() {
                     ReadResult::Deleted
                 } else if out.value.is_initial() {
@@ -750,11 +611,9 @@ mod tests {
     use swarm_sim::Sim;
 
     /// A SWARM-KV client over `keys` loaded keys, minted through the
-    /// builder; the tests below reach into its private routing state.
-    fn swarm_client(sim: &Sim, keys: u64, adaptive: AdaptiveConfig) -> Rc<KvClient> {
-        let cluster = StoreBuilder::new(Protocol::SafeGuess)
-            .adaptive(adaptive)
-            .build_cluster(sim);
+    /// builder; the test below reaches into its private handle cache.
+    fn swarm_client(sim: &Sim, keys: u64) -> Rc<KvClient> {
+        let cluster = StoreBuilder::new(Protocol::SafeGuess).build_cluster(sim);
         cluster.load_keys(keys, |k| vec![k as u8; 64]);
         match &*cluster.client(0) {
             StoreClient::Swarm(client) => Rc::clone(client),
@@ -769,7 +628,7 @@ mod tests {
     #[test]
     fn repair_invalidates_cached_handles() {
         let sim = Sim::new(11);
-        let client = swarm_client(&sim, 4, AdaptiveConfig::default());
+        let client = swarm_client(&sim, 4);
         sim.block_on(async move {
             let h1 = client.handle_for(3, false).await.expect("key 3 loaded");
             let h2 = client.handle_for(3, false).await.expect("key 3 cached");
@@ -795,65 +654,6 @@ mod tests {
             assert!(!Rc::ptr_eq(&h4, &h5), "every repair bumps the mark");
             let o2 = client.handle_for(1, false).await.expect("key 1 cached");
             assert!(Rc::ptr_eq(&o1, &o2), "unrepaired keys keep their handle");
-        });
-    }
-
-    #[test]
-    fn adaptive_router_needs_sustained_misses_and_decays_back() {
-        let sim = Sim::new(21);
-        let client = swarm_client(&sim, 2, AdaptiveConfig::on());
-        sim.block_on(async move {
-            let h = client.handle_for(1, false).await.expect("key 1 loaded");
-            assert!(!client.route_verified(&h.contention), "cold key stays fast");
-            // Sustained misses push the EWMA over the threshold…
-            for _ in 0..32 {
-                client.feed_signal(&h.contention, true);
-            }
-            assert!(
-                client.route_verified(&h.contention),
-                "contended key routes to verified writes"
-            );
-            // …and verified-mode decay re-probes the fast path once
-            // contention subsides.
-            for _ in 0..64 {
-                client.decay_signal(&h.contention);
-            }
-            assert!(
-                !client.route_verified(&h.contention),
-                "cooled key routes back"
-            );
-        });
-    }
-
-    #[test]
-    fn verified_routed_writes_still_read_back() {
-        let sim = Sim::new(22);
-        let client = swarm_client(&sim, 2, AdaptiveConfig::on());
-        sim.block_on(async move {
-            let h = client.handle_for(1, false).await.expect("key 1 loaded");
-            for _ in 0..32 {
-                client.feed_signal(&h.contention, true);
-            }
-            client.update(1, vec![9u8; 64]).await.expect("update ok");
-            assert!(
-                h.contention.verified_mode.get(),
-                "the update should have flipped the key to verified mode"
-            );
-            let v = client.get(1).await.expect("get ok").expect("key present");
-            assert_eq!(*v, vec![9u8; 64]);
-        });
-    }
-
-    #[test]
-    fn adaptive_disabled_tracks_nothing() {
-        let sim = Sim::new(23);
-        let client = swarm_client(&sim, 2, AdaptiveConfig::default());
-        sim.block_on(async move {
-            let h = client.handle_for(1, false).await.expect("key 1 loaded");
-            client.update(1, vec![5u8; 64]).await.expect("update ok");
-            client.get(1).await.expect("get ok");
-            assert_eq!(h.contention.ops.get(), 0, "detector must stay untouched");
-            assert!(!client.route_verified(&h.contention));
         });
     }
 }

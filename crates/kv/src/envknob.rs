@@ -1,8 +1,10 @@
 //! Warn-once parsing of the harness's environment knobs.
 //!
-//! `SWARM_BENCH_OPS_SCALE`, `SWARM_BENCH_THREADS`, and `SWARM_CHAOS_SEEDS`
-//! all follow one convention: unset means "use the default", a valid value
-//! applies, and garbage is *ignored with a one-time warning on stderr* —
+//! `SWARM_BENCH_OPS_SCALE`, `SWARM_BENCH_THREADS`, `SWARM_SHARD_THREADS` and
+//! `SWARM_CHAOS_SEEDS` pick volumes, host threads and sweep widths (none of
+//! them retunes a protocol), and all follow one convention: unset means "use
+//! the default", a valid value applies, and garbage is *ignored with a
+//! one-time warning on stderr* —
 //! never a panic (a bench must not die over a typo) and never silence (a
 //! silently shrunken chaos sweep would report clean runs that never
 //! executed). This module is the single implementation of that convention;
@@ -56,133 +58,6 @@ where
     }
 }
 
-/// Default pacing of a migration copy stream when `SWARM_RESHARD_RATE` is
-/// unset: one key every 2 µs (500 K keys/s) — fast enough to finish a quick
-/// split inside a bench run, slow enough that foreground traffic keeps the
-/// upper hand on the shared fabric.
-pub(crate) const DEFAULT_RESHARD_PACE_NS: u64 = 2_000;
-
-/// The elastic-resharding pacing knob: `SWARM_RESHARD_RATE` caps the
-/// migration copy stream at this many keys per (virtual) second. Follows
-/// the shared warn-once convention: unset means the default rate, garbage
-/// is ignored with a one-time stderr warning.
-pub fn reshard_rate() -> Option<f64> {
-    parse_reshard_rate(std::env::var("SWARM_RESHARD_RATE").ok().as_deref())
-}
-
-fn parse_reshard_rate(raw: Option<&str>) -> Option<f64> {
-    parse_knob(
-        "SWARM_RESHARD_RATE",
-        raw,
-        "a positive keys-per-second rate like 250000",
-        |v: &f64| v.is_finite() && *v > 0.0,
-    )
-}
-
-/// Nanoseconds between migrated keys for a copy rate of `rate` keys/s
-/// (`None` = the default pace; floor 1 ns so absurd rates stay causal).
-pub(crate) fn pace_ns_for_rate(rate: Option<f64>) -> u64 {
-    match rate {
-        Some(r) => ((1e9 / r) as u64).max(1),
-        None => DEFAULT_RESHARD_PACE_NS,
-    }
-}
-
-/// The effective per-key migration pace from the environment.
-pub(crate) fn reshard_pace_ns() -> u64 {
-    pace_ns_for_rate(reshard_rate())
-}
-
-/// Default anti-entropy round period when `SWARM_REPAIR_PERIOD_US` is
-/// unset: one reconciliation round every 50 µs of virtual time — frequent
-/// enough to converge inside a bench window, rare enough that repair
-/// traffic stays a background hum.
-pub(crate) const DEFAULT_REPAIR_PERIOD_NS: u64 = 50_000;
-
-/// Default digest bucket count when `SWARM_REPAIR_BUCKETS` is unset.
-pub(crate) const DEFAULT_REPAIR_BUCKETS: u32 = 64;
-
-/// The anti-entropy period knob: `SWARM_REPAIR_PERIOD_US` sets the virtual
-/// microseconds between repair rounds. Warn-once convention: unset means
-/// the default period, garbage is ignored with a one-time stderr warning.
-pub fn repair_period_ns() -> u64 {
-    parse_repair_period_us(std::env::var("SWARM_REPAIR_PERIOD_US").ok().as_deref())
-        .map_or(DEFAULT_REPAIR_PERIOD_NS, |us| us.saturating_mul(1_000))
-}
-
-fn parse_repair_period_us(raw: Option<&str>) -> Option<u64> {
-    parse_knob(
-        "SWARM_REPAIR_PERIOD_US",
-        raw,
-        "a positive microsecond period like 50",
-        |v: &u64| *v > 0,
-    )
-}
-
-/// The anti-entropy digest granularity knob: `SWARM_REPAIR_BUCKETS` sets
-/// how many hash buckets the `Buckets`/`BloomBuckets` strategies split the
-/// keyspace into. Warn-once convention, same as its siblings.
-pub fn repair_buckets() -> u32 {
-    parse_repair_buckets(std::env::var("SWARM_REPAIR_BUCKETS").ok().as_deref())
-        .unwrap_or(DEFAULT_REPAIR_BUCKETS)
-}
-
-fn parse_repair_buckets(raw: Option<&str>) -> Option<u32> {
-    parse_knob(
-        "SWARM_REPAIR_BUCKETS",
-        raw,
-        "a positive bucket count like 64",
-        |v: &u32| *v >= 1,
-    )
-}
-
-/// The hedge trigger knob: `SWARM_HEDGE_DELAY_PCT` sets which percentile of
-/// the per-destination RTT window arms a hedge (default 99). Warn-once
-/// convention, same as its siblings. Only consulted when a run opts into
-/// hedging ([`hedge_config`]); it cannot switch hedging on by itself.
-pub fn hedge_delay_pct() -> f64 {
-    parse_hedge_delay_pct(std::env::var("SWARM_HEDGE_DELAY_PCT").ok().as_deref())
-        .unwrap_or(swarm_core::HedgeConfig::on().delay_pct)
-}
-
-fn parse_hedge_delay_pct(raw: Option<&str>) -> Option<f64> {
-    parse_knob(
-        "SWARM_HEDGE_DELAY_PCT",
-        raw,
-        "a percentile in (0, 100] like 99",
-        |v: &f64| v.is_finite() && *v > 0.0 && *v <= 100.0,
-    )
-}
-
-/// The hedge budget knob: `SWARM_HEDGE_MAX_INFLIGHT` caps concurrent hedges
-/// per client (default 4). Warn-once convention, same as its siblings.
-pub fn hedge_max_inflight() -> usize {
-    parse_hedge_max_inflight(std::env::var("SWARM_HEDGE_MAX_INFLIGHT").ok().as_deref())
-        .unwrap_or(swarm_core::HedgeConfig::on().max_inflight)
-}
-
-fn parse_hedge_max_inflight(raw: Option<&str>) -> Option<usize> {
-    parse_knob(
-        "SWARM_HEDGE_MAX_INFLIGHT",
-        raw,
-        "a positive hedge budget like 4",
-        |v: &usize| *v >= 1,
-    )
-}
-
-/// [`swarm_core::HedgeConfig::on`] with the environment knobs applied — the
-/// config benches and the chaos suite use when a run opts into hedging.
-/// The knobs only tune an explicitly enabled config; they never enable
-/// hedging on a run that didn't ask for it, so default executions stay
-/// bit-identical regardless of the environment.
-pub fn hedge_config() -> swarm_core::HedgeConfig {
-    swarm_core::HedgeConfig {
-        delay_pct: hedge_delay_pct(),
-        max_inflight: hedge_max_inflight(),
-        ..swarm_core::HedgeConfig::on()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,71 +105,6 @@ mod tests {
                 });
             assert_eq!(v, None, "{bad:?} must be rejected");
         }
-    }
-
-    #[test]
-    fn reshard_rate_knob_parses_and_rejects_like_its_siblings() {
-        // Unset: the default pace applies, no warning.
-        assert_eq!(parse_reshard_rate(None), None);
-        assert_eq!(pace_ns_for_rate(None), DEFAULT_RESHARD_PACE_NS);
-        assert!(!WARNED.lock().unwrap().contains("SWARM_RESHARD_RATE"));
-        // Valid rates translate to a per-key pace.
-        assert_eq!(parse_reshard_rate(Some("250000")), Some(250_000.0));
-        assert_eq!(pace_ns_for_rate(Some(250_000.0)), 4_000);
-        assert_eq!(pace_ns_for_rate(Some(1e9)), 1);
-        // Absurdly fast rates floor at 1 ns (stay causal, never 0).
-        assert_eq!(pace_ns_for_rate(Some(1e18)), 1);
-        // Garbage and out-of-domain rates are rejected, warn-once, no panic.
-        for bad in ["banana", "", "0", "-5", "inf", "NaN"] {
-            assert_eq!(parse_reshard_rate(Some(bad)), None, "{bad:?}");
-        }
-        assert!(WARNED.lock().unwrap().contains("SWARM_RESHARD_RATE"));
-    }
-
-    #[test]
-    fn repair_knobs_parse_and_reject_like_their_siblings() {
-        // Unset: defaults apply, no warning.
-        assert_eq!(parse_repair_period_us(None), None);
-        assert_eq!(parse_repair_buckets(None), None);
-        assert!(!WARNED.lock().unwrap().contains("SWARM_REPAIR_PERIOD_US"));
-        assert!(!WARNED.lock().unwrap().contains("SWARM_REPAIR_BUCKETS"));
-        // Valid values parse (the period knob is in µs; callers scale to ns).
-        assert_eq!(parse_repair_period_us(Some("50")), Some(50));
-        assert_eq!(parse_repair_buckets(Some("128")), Some(128));
-        // Garbage and out-of-domain values are rejected, warn-once.
-        for bad in ["banana", "", "0", "-5", "1.5"] {
-            assert_eq!(parse_repair_period_us(Some(bad)), None, "{bad:?}");
-            assert_eq!(parse_repair_buckets(Some(bad)), None, "{bad:?}");
-        }
-        assert!(WARNED.lock().unwrap().contains("SWARM_REPAIR_PERIOD_US"));
-        assert!(WARNED.lock().unwrap().contains("SWARM_REPAIR_BUCKETS"));
-    }
-
-    #[test]
-    fn hedge_knobs_parse_and_reject_like_their_siblings() {
-        // Unset: HedgeConfig::on()'s defaults apply, no warning.
-        assert_eq!(parse_hedge_delay_pct(None), None);
-        assert_eq!(parse_hedge_max_inflight(None), None);
-        assert!(!WARNED.lock().unwrap().contains("SWARM_HEDGE_DELAY_PCT"));
-        assert!(!WARNED.lock().unwrap().contains("SWARM_HEDGE_MAX_INFLIGHT"));
-        // Valid values parse.
-        assert_eq!(parse_hedge_delay_pct(Some("95")), Some(95.0));
-        assert_eq!(parse_hedge_delay_pct(Some("99.9")), Some(99.9));
-        assert_eq!(parse_hedge_max_inflight(Some("8")), Some(8));
-        // Garbage and out-of-domain values are rejected, warn-once.
-        for bad in ["banana", "", "0", "-5", "101", "inf", "NaN"] {
-            assert_eq!(parse_hedge_delay_pct(Some(bad)), None, "{bad:?}");
-        }
-        for bad in ["banana", "", "0", "-5", "1.5"] {
-            assert_eq!(parse_hedge_max_inflight(Some(bad)), None, "{bad:?}");
-        }
-        assert!(WARNED.lock().unwrap().contains("SWARM_HEDGE_DELAY_PCT"));
-        assert!(WARNED.lock().unwrap().contains("SWARM_HEDGE_MAX_INFLIGHT"));
-        // The assembled config is HedgeConfig::on() plus the knobs: enabled,
-        // and never *dis*abled by the environment.
-        let cfg = hedge_config();
-        assert!(cfg.enabled);
-        assert_eq!(cfg.window, swarm_core::HedgeConfig::on().window);
     }
 
     #[test]

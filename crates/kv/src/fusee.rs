@@ -25,9 +25,9 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use swarm_core::{Hedger, Rounds};
-use swarm_fabric::{Endpoint, Fabric, FabricConfig, NodeId, Op, OpResult};
-use swarm_sim::{join_all, timeout_at, FifoResource, Nanos, Quorum, Sim, SimRng, NANOS_PER_MILLI};
+use swarm_core::{Hedger, QuorumRound, Rounds};
+use swarm_fabric::{Endpoint, Fabric, FabricConfig, NodeId, Op};
+use swarm_sim::{join_boxed, BoxFuture, FifoResource, Nanos, Sim, SimRng, NANOS_PER_MILLI};
 
 use crate::cache::LfuCache;
 use crate::client::KvClientConfig;
@@ -256,12 +256,10 @@ pub struct FuseeKv {
     stale_gets: Cell<u64>,
     /// Gets served fully from the cached pointer.
     fresh_gets: Cell<u64>,
-    /// Tail-latency hedger (`None` by default — bit-identical to the
-    /// pre-hedging code). FUSEE hedges its latency-bearing data reads to the
-    /// backup replica (synchronous replication guarantees an identical copy)
-    /// and its block fan-out with same-replica duplicates; the pointer CAS
-    /// is never hedged (a duplicate CAS is not idempotent: its second copy
-    /// could observe and clobber a concurrent writer's pointer).
+    /// Tail-latency hedger for the block read and block write rounds
+    /// (`None` by default). The pointer CAS is never hedged: a duplicate CAS
+    /// is not idempotent, its second copy could observe and clobber a
+    /// concurrent writer's pointer.
     hedger: Option<Hedger>,
 }
 
@@ -321,101 +319,38 @@ impl FuseeKv {
     /// newer update; `Err(Timeout)` if the node stopped answering.
     async fn read_block(&self, info: &FuseeKeyInfo, version: u64) -> KvResult<Option<Vec<u8>>> {
         self.rounds.bump();
-        match &self.hedger {
-            None => self.read_block_quiet(info, version).await,
-            Some(h) => self.read_block_hedged(&h.clone(), info, version).await,
-        }
-    }
-
-    /// Pushes the block read at replica `i` onto `q`, wrapping it to feed
-    /// the hedger's per-node RTT tracker.
-    fn push_block_read(
-        &self,
-        q: &mut Quorum<Option<Vec<u8>>>,
-        h: &Hedger,
-        info: &FuseeKeyInfo,
-        i: usize,
-        slot: u64,
-    ) {
-        let node = info.replica_nodes[i];
-        let addr = info.ring_base[i] + slot * self.block_len();
-        let fut = self.ep.submit(
-            node,
-            vec![Op::Read {
-                addr,
-                len: self.block_len() as usize,
-            }],
-        );
-        let h = h.clone();
-        let sim = self.cluster.sim().clone();
-        let t0 = sim.now();
-        q.push(async move {
-            let r = fut.await;
-            h.observe(node.0, sim.now() - t0);
-            r.and_then(|ops| ops.into_iter().next().and_then(OpResult::read))
-        });
-    }
-
-    /// [`FuseeKv::read_block_quiet`] with a hedge stage: if the primary's
-    /// tracked p99 elapses with no response, the same slot is read from the
-    /// backup replica — synchronous replication wrote the committed block to
-    /// *every* replica before the pointer CAS, and the embedded version
-    /// check rejects recycled slots, so either copy is authoritative.
-    async fn read_block_hedged(
-        &self,
-        h: &Hedger,
-        info: &FuseeKeyInfo,
-        version: u64,
-    ) -> KvResult<Option<Vec<u8>>> {
-        let slot = version % self.cluster.config().ring as u64;
-        let sim = self.cluster.sim().clone();
-        let t0 = sim.now();
-        let mut q: Quorum<Option<Vec<u8>>> = Quorum::new(1);
-        self.push_block_read(&mut q, h, info, 0, slot);
-        let mut hedge = None;
-        if info.replica_nodes.len() > 1 {
-            if let Some(d) = h.delay_for(std::iter::once(info.replica_nodes[0].0)) {
-                if timeout_at(&sim, t0 + d, &mut q).await.is_err() {
-                    if let Some(ticket) = h.try_fire() {
-                        hedge = Some(ticket);
-                        self.push_block_read(&mut q, h, info, 1, slot);
-                    }
-                }
-            }
-        }
-        (&mut q).await;
-        if let Some(t) = hedge {
-            t.settle(q.results()[1].is_some());
-        }
-        let bytes = q
-            .take_results()
-            .into_iter()
-            .flatten()
-            .next()
-            .expect("completed quorum has a result")
-            .ok_or(KvError::Timeout)?;
-        let v = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
-        if v == version {
-            Ok(Some(bytes[8..].to_vec()))
-        } else {
-            Ok(None) // Block was recycled by a newer update.
-        }
-    }
-
-    /// A read whose latency overlaps another phase (the wasted optimistic
-    /// read of a stale get): costs bandwidth, not a latency roundtrip.
-    async fn read_block_quiet(
-        &self,
-        info: &FuseeKeyInfo,
-        version: u64,
-    ) -> KvResult<Option<Vec<u8>>> {
-        let slot = version % self.cluster.config().ring as u64;
-        let addr = info.ring_base[0] + slot * self.block_len();
-        let bytes = self
-            .ep
-            .read(info.replica_nodes[0], addr, self.block_len() as usize)
+        self.read_block_via(self.hedger.as_ref(), info, version)
             .await
-            .ok_or(KvError::Timeout)?;
+    }
+
+    /// The block read as a one-response round over the primary with the
+    /// backup as the hedge's spare: synchronous replication wrote the
+    /// committed block to *every* replica before the pointer CAS, and the
+    /// embedded version check rejects recycled slots, so either copy is
+    /// authoritative. With `hedger = None` it costs bandwidth but no counted
+    /// roundtrip — the wasted optimistic read of a stale get, whose latency
+    /// overlaps the index lookup.
+    async fn read_block_via(
+        &self,
+        hedger: Option<&Hedger>,
+        info: &FuseeKeyInfo,
+        version: u64,
+    ) -> KvResult<Option<Vec<u8>>> {
+        let len = self.block_len() as usize;
+        let slot = version % self.cluster.config().ring as u64;
+        let nodes = &info.replica_nodes;
+        let copies = [(0, nodes[0].0), (1, nodes[1 % nodes.len()].0)];
+        let copies = &copies[..nodes.len().min(2)];
+        let mut round = QuorumRound::new(self.cluster.sim(), hedger, None, 1, copies, |i| {
+            let addr = info.ring_base[i] + slot * self.block_len();
+            let reply = self
+                .ep
+                .submit(info.replica_nodes[i], vec![Op::Read { addr, len }]);
+            async move { reply.await?.into_iter().next()?.read() }
+        });
+        round.complete(|| ()).await;
+        let (_, bytes) = round.finish().next().expect("completed round has a result");
+        let bytes = bytes.ok_or(KvError::Timeout)?;
         let v = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
         if v == version {
             Ok(Some(bytes[8..].to_vec()))
@@ -424,49 +359,27 @@ impl FuseeKv {
         }
     }
 
-    /// One replica's block write (update RTT 1) with a hedge stage: after
-    /// the node's tracked p99 with no ack, a duplicate of the same write
-    /// (same bytes, same address — idempotent) races the straggler; the
-    /// first ack wins.
-    async fn hedged_replica_write(
-        ep: Rc<Endpoint>,
-        sim: Sim,
-        h: Hedger,
-        node: NodeId,
-        addr: u64,
-        data: swarm_fabric::Payload,
-    ) {
-        let t0 = sim.now();
-        let mut q: Quorum<()> = Quorum::new(1);
-        let push = |q: &mut Quorum<()>, since: Nanos| {
-            let fut = ep.submit(
+    /// One replica's block write (update RTT 1) as a one-response round
+    /// whose spare is the same replica: the hedge is a duplicate of the same
+    /// write (same bytes, same address — idempotent) racing the straggling
+    /// ack.
+    async fn write_block(&self, node: NodeId, addr: u64, data: &swarm_fabric::Payload) {
+        let copies = [(0, node.0); 2];
+        let hedger = self.hedger.as_ref();
+        let mut round = QuorumRound::new(self.cluster.sim(), hedger, None, 1, &copies, |_| {
+            let ack = self.ep.submit(
                 node,
                 vec![Op::Write {
                     addr,
-                    data: Rc::clone(&data),
+                    data: Rc::clone(data),
                 }],
             );
-            let h = h.clone();
-            let sim = sim.clone();
-            q.push(async move {
-                fut.await;
-                h.observe(node.0, sim.now() - since);
-            });
-        };
-        push(&mut q, t0);
-        let mut hedge = None;
-        if let Some(d) = h.delay_for(std::iter::once(node.0)) {
-            if timeout_at(&sim, t0 + d, &mut q).await.is_err() {
-                if let Some(ticket) = h.try_fire() {
-                    hedge = Some(ticket);
-                    push(&mut q, sim.now());
-                }
+            async move {
+                ack.await;
             }
-        }
-        (&mut q).await;
-        if let Some(t) = hedge {
-            t.settle(q.results()[1].is_some());
-        }
+        });
+        round.complete(|| ()).await;
+        drop(round.finish());
     }
 
     async fn lookup(&self, key: u64) -> Option<Rc<CacheEntry>> {
@@ -501,7 +414,7 @@ impl FuseeKv {
                 // index is consulted and the new block read — 2 roundtrips
                 // of latency, 3 messages of bandwidth.
                 self.stale_gets.set(self.stale_gets.get() + 1);
-                let wasted = self.read_block_quiet(&e.info, e.version);
+                let wasted = self.read_block_via(None, &e.info, e.version);
                 let index_lookup = async {
                     self.rounds.bump();
                     self.cluster.inner.index.get(key).await
@@ -548,43 +461,17 @@ impl FuseeKv {
         // One block buffer, Rc-shared across the replica fan-out (the old
         // code deep-copied it once per replica).
         let block: swarm_fabric::Payload = block.into();
-        match &self.hedger {
-            None => {
-                let writes: Vec<_> = info
-                    .replica_nodes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &n)| {
-                        self.ep.submit(
-                            n,
-                            vec![Op::Write {
-                                addr: info.ring_base[i] + slot * self.block_len(),
-                                data: Rc::clone(&block),
-                            }],
-                        )
-                    })
-                    .collect();
-                join_all(writes).await;
-            }
-            Some(h) => {
-                // Synchronous replication must ack *every* replica, so the
-                // hedge is per replica: a duplicate of the same write to the
-                // same address (idempotent), racing the straggling ack.
-                let h = h.clone();
-                let mut writes = Vec::with_capacity(info.replica_nodes.len());
-                for (i, &n) in info.replica_nodes.iter().enumerate() {
-                    writes.push(Self::hedged_replica_write(
-                        Rc::clone(&self.ep),
-                        self.cluster.sim().clone(),
-                        h.clone(),
-                        n,
-                        info.ring_base[i] + slot * self.block_len(),
-                        Rc::clone(&block),
-                    ));
-                }
-                join_all(writes).await;
-            }
-        }
+        // Synchronous replication must ack *every* replica, so each
+        // replica's write is its own round.
+        let writes: Vec<BoxFuture<'_, ()>> = info
+            .replica_nodes
+            .iter()
+            .zip(&info.ring_base)
+            .map(|(&n, &base)| {
+                Box::pin(self.write_block(n, base + slot * self.block_len(), &block)) as _
+            })
+            .collect();
+        join_boxed(writes).await;
 
         // RTT 2: CAS the primary pointer; a concurrent update forces a
         // retry (hot keys take 5 roundtrips, Table 2).

@@ -117,12 +117,9 @@ mod ttl;
 
 pub use builder::{Protocol, StoreBuilder, StoreClient, StoreCluster};
 pub use cache::LfuCache;
-pub use client::{AdaptiveConfig, CacheCapacity, KvClient, KvClientConfig};
+pub use client::{CacheCapacity, KvClient, KvClientConfig};
 pub use cluster::{Cluster, ClusterConfig, KeyInfo, LOADER_TID};
-pub use envknob::{
-    env_knob, hedge_config, hedge_delay_pct, hedge_max_inflight, parse_knob, repair_buckets,
-    repair_period_ns,
-};
+pub use envknob::{env_knob, parse_knob};
 pub use exec::{OpOutcome, RunStats};
 pub use fusee::{FuseeCluster, FuseeConfig, FuseeKv};
 pub use index::{Index, InsertOutcome, INDEX_MSG_BYTES};

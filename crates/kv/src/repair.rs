@@ -44,7 +44,6 @@ use swarm_fabric::{repair_bucket, Endpoint, NodeId, Op, RepairEntry, RepairSel, 
 use swarm_sim::{timeout_at, Nanos, SimRng, TimedOut, NANOS_PER_MILLI};
 
 use crate::cluster::{derive_label, Cluster, KeyInfo, ROLE_REPAIR};
-use crate::envknob;
 
 /// Base RNG label for repair agents on clusters built without an explicit
 /// `rng_label` (hand-built test clusters); labeled clusters derive from
@@ -88,10 +87,9 @@ impl RepairStrategy {
 pub struct RepairConfig {
     /// Digest strategy.
     pub strategy: RepairStrategy,
-    /// Virtual time between background rounds (`SWARM_REPAIR_PERIOD_US`).
+    /// Virtual time between background rounds.
     pub period_ns: Nanos,
-    /// Digest bucket count for the bucketed strategies
-    /// (`SWARM_REPAIR_BUCKETS`).
+    /// Digest bucket count for the bucketed strategies.
     pub buckets: u32,
     /// Bloom filter sizing: bits per table entry (floor 64 bits total).
     pub bloom_bits_per_key: u32,
@@ -109,8 +107,10 @@ impl Default for RepairConfig {
     fn default() -> Self {
         RepairConfig {
             strategy: RepairStrategy::BloomBuckets,
-            period_ns: envknob::repair_period_ns(),
-            buckets: envknob::repair_buckets(),
+            // Frequent enough to converge inside a bench window, rare
+            // enough that repair traffic stays a background hum.
+            period_ns: 50_000,
+            buckets: 64,
             bloom_bits_per_key: 10,
             bloom_hashes: 4,
             round_deadline_ns: 2 * NANOS_PER_MILLI,

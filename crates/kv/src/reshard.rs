@@ -34,8 +34,8 @@
 //!    if the source applied (or timed out ambiguously), mirrors to the
 //!    destination — both under that key's FIFO lock.
 //! 2. **Paced copy.** The copy driver walks the live keys of the range in
-//!    sorted order (one key per `pace_ns`, default from the
-//!    `SWARM_RESHARD_RATE` knob), and under each key's lock overwrites the
+//!    sorted order (one key per `pace_ns`, 2 µs unless the event says
+//!    otherwise), and under each key's lock overwrites the
 //!    destination with the source's current value (or deletes a key the
 //!    source no longer has — merges fold onto a group holding stale
 //!    pre-split state). Mutations serialize with the copy through the same
@@ -73,10 +73,15 @@ use swarm_sim::{oneshot, FifoResource, Nanos, OneshotSender, Sim};
 
 use crate::builder::{Protocol, StoreBuilder, StoreClient, StoreCluster};
 use crate::cluster::{derive_label, ROLE_RESHARD};
-use crate::envknob::reshard_pace_ns;
 use crate::repair::RepairStats;
 use crate::shard::ShardSpec;
 use crate::store::{KvError, KvResult, KvStore};
+
+/// Pacing of a migration copy stream unless the event overrides it: one key
+/// every 2 µs (500 K keys/s) — fast enough to finish a quick split inside a
+/// bench run, slow enough that foreground traffic keeps the upper hand on the
+/// shared fabric.
+const DEFAULT_PACE_NS: Nanos = 2_000;
 
 /// Seed of the intra-class split hash. Independent of the key→class hash
 /// (`ShardSpec::shard_of`) so a split cuts each class's keys afresh.
@@ -259,8 +264,7 @@ pub struct ReshardEvent {
     pub at_ns: Nanos,
     /// What to do.
     pub action: ReshardAction,
-    /// Per-key copy pacing override (`None` = the `SWARM_RESHARD_RATE`
-    /// knob / default).
+    /// Per-key copy pacing override (`None` = one key every 2 µs).
     pub pace_ns: Option<Nanos>,
     /// A fault plan applied to the freshly built destination group's
     /// fabric the instant it exists — the mid-migration chaos hook.
@@ -627,7 +631,7 @@ impl ElasticShard {
         let ev = ev.clone();
         self.sim.clone().spawn(async move {
             this.sim.sleep_until(ev.at_ns).await;
-            let pace = ev.pace_ns.unwrap_or_else(reshard_pace_ns);
+            let pace = ev.pace_ns.unwrap_or(DEFAULT_PACE_NS);
             match ev.action {
                 ReshardAction::Split { permille } => {
                     this.split(permille, pace, ev.dest_faults.as_ref()).await;
