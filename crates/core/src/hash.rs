@@ -90,6 +90,12 @@ pub fn xxh64(data: &[u8], seed: u64) -> u64 {
             .wrapping_mul(PRIME64_1);
     }
 
+    avalanche(h)
+}
+
+/// xxHash64's final mix (a bijection).
+#[inline]
+fn avalanche(mut h: u64) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(PRIME64_2);
     h ^= h >> 29;
@@ -98,10 +104,26 @@ pub fn xxh64(data: &[u8], seed: u64) -> u64 {
     h
 }
 
+/// Hash of a value's bytes alone: the expensive half of [`innout_hash`],
+/// the same for every metadata word the value is ever stored under, so a
+/// write computes it once (it travels with the [`crate::MVal`]).
+pub(crate) fn body_hash(value: &[u8]) -> u64 {
+    xxh64(value, 0)
+}
+
+/// Binds a [`body_hash`] to a metadata word. One xxHash64 round and the
+/// final mix: a bijection in either argument with the other fixed, so the
+/// same bytes under two different words never share a hash, and two bodies
+/// collide under a word only where their body hashes collide.
+#[inline]
+pub(crate) fn bind_word(meta_word: u64, body_hash: u64) -> u64 {
+    avalanche(round(body_hash, meta_word))
+}
+
 /// Hash binding an In-n-Out metadata word to its in-place value
 /// (Algorithm 5 line 7 / Algorithm 6 line 11).
 pub fn innout_hash(meta_word: u64, value: &[u8]) -> u64 {
-    xxh64(value, meta_word)
+    bind_word(meta_word, body_hash(value))
 }
 
 #[cfg(test)]
@@ -141,6 +163,41 @@ mod tests {
         let v = vec![9u8; 64];
         assert_ne!(innout_hash(1, &v), innout_hash(2, &v));
         assert_ne!(innout_hash(1, &v), innout_hash(1, &[8u8; 64]));
+    }
+
+    #[test]
+    fn same_body_under_another_word_never_validates() {
+        // Stale in-place data is the old value's bytes and hash under a
+        // newer word: the binding alone must tell the words apart.
+        let body = body_hash(&[9u8; 64]);
+        let mut seen = std::collections::HashSet::new();
+        for word in (0..1_000u64).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15) | 1 << 16) {
+            assert!(
+                seen.insert(bind_word(word, body)),
+                "word {word:#x} collided"
+            );
+            assert_eq!(bind_word(word, body), innout_hash(word, &[9u8; 64]));
+        }
+    }
+
+    #[test]
+    fn body_hash_is_computed_once_and_shared() {
+        use crate::{MVal, Stamp};
+        let guessed = MVal::new(Stamp::guessed(3, 1), vec![5u8; 300]);
+        assert_eq!(guessed.body_hash(), body_hash(&[5u8; 300]));
+        // Re-stamping keeps the bytes, so it keeps their hash: the VERIFIED
+        // confirmation and a re-executed write hash nothing.
+        let verified = guessed.with_verified();
+        let fresh = guessed.restamped(Stamp::verified(9, 1));
+        for v in [&verified, &fresh] {
+            assert!(std::rc::Rc::ptr_eq(v.value(), guessed.value()));
+            assert_eq!(v.body_hash(), guessed.body_hash());
+        }
+        // What a replica stores under its own word derives from it.
+        assert_eq!(
+            bind_word(77 << 16, guessed.body_hash()),
+            innout_hash(77 << 16, guessed.value())
+        );
     }
 
     #[test]

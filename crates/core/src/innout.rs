@@ -23,7 +23,7 @@ use std::rc::Rc;
 
 use swarm_fabric::{Endpoint, NodeId, Op};
 
-use crate::hash::innout_hash;
+use crate::hash::{bind_word, body_hash};
 use crate::stamp::Stamp;
 use crate::traits::{ReplicaClient, Rounds, Snapshot};
 use crate::value::MVal;
@@ -195,13 +195,13 @@ impl InnOutReplica {
     /// Builds the `[meta | hash | value]` out-of-place buffer. This is the
     /// one place a write's bytes are copied (the slot header is
     /// per-replica); the buffer is then `Rc`-shared through the fabric.
-    fn encode_oop(&self, word: u64, value: &[u8]) -> swarm_fabric::Payload {
+    fn encode_oop(&self, word: u64, v: &MVal) -> swarm_fabric::Payload {
         let l = &self.inner.layout;
-        assert_eq!(value.len(), l.value_cap, "fixed-size register");
+        assert_eq!(v.value().len(), l.value_cap, "fixed-size register");
         let mut buf = Vec::with_capacity(OOP_HEADER + l.value_cap);
         buf.extend_from_slice(&word.to_le_bytes());
-        buf.extend_from_slice(&innout_hash(word, value).to_le_bytes());
-        buf.extend_from_slice(value);
+        buf.extend_from_slice(&bind_word(word, v.body_hash()).to_le_bytes());
+        buf.extend_from_slice(v.value());
         buf.into()
     }
 
@@ -235,11 +235,11 @@ impl InnOutReplica {
     }
 
     /// Lazily writes the in-place copy (Algorithm 5 line 7): fire-and-forget.
-    fn write_inplace_bg(&self, word: u64, value: &Rc<Vec<u8>>) {
+    fn write_inplace_bg(&self, word: u64, v: &MVal) {
         let l = &self.inner.layout;
         let mut buf = Vec::with_capacity(l.value_cap + 8);
-        buf.extend_from_slice(value);
-        buf.extend_from_slice(&innout_hash(word, value).to_le_bytes());
+        buf.extend_from_slice(v.value());
+        buf.extend_from_slice(&bind_word(word, v.body_hash()).to_le_bytes());
         drop(self.inner.ep.submit(
             l.node,
             vec![Op::Write {
@@ -249,7 +249,10 @@ impl InnOutReplica {
         ));
     }
 
-    fn parse_region(&self, bytes: &[u8]) -> (u64, Vec<u8>, u64) {
+    /// Splits a region read into the maximum metadata word and the in-place
+    /// value, if there is one that validates under that word. The value
+    /// keeps the read's allocation.
+    fn parse_region(&self, mut bytes: Vec<u8>) -> (u64, Option<MVal>) {
         let l = &self.inner.layout;
         let mut max_word = 0u64;
         for b in 0..l.meta_bufs {
@@ -257,24 +260,29 @@ impl InnOutReplica {
             max_word = max_word.max(w);
         }
         let v_start = l.meta_bufs * 8;
-        if bytes.len() < v_start + l.value_cap + 8 {
-            // Metadata-only read (no in-place data at this replica): report
-            // an unvalidatable value so callers fall back to the pointer.
-            return (max_word, Vec::new(), 0);
+        let v_end = v_start + l.value_cap;
+        if bytes.len() < v_end + 8 {
+            // Metadata-only read (no in-place data at this replica): callers
+            // fall back to the pointer.
+            return (max_word, None);
         }
-        let value = bytes[v_start..v_start + l.value_cap].to_vec();
-        let hash = u64::from_le_bytes(
-            bytes[v_start + l.value_cap..v_start + l.value_cap + 8]
-                .try_into()
-                .unwrap(),
-        );
-        (max_word, value, hash)
+        let hash = u64::from_le_bytes(bytes[v_end..v_end + 8].try_into().unwrap());
+        let body = body_hash(&bytes[v_start..v_end]);
+        if bind_word(max_word, body) != hash {
+            return (max_word, None);
+        }
+        bytes.truncate(v_end);
+        bytes.drain(..v_start);
+        (
+            max_word,
+            Some(MVal::validated(word_stamp(max_word), bytes, body)),
+        )
     }
 
     /// Reads the metadata array — plus the in-place data if this replica is
     /// designated to hold it (§6: in-place data lives at one replica only,
     /// so reads of the others move just `k × 8` bytes).
-    async fn read_region(&self) -> (u64, Vec<u8>, u64) {
+    async fn read_region(&self) -> (u64, Option<MVal>) {
         let inner = &self.inner;
         let l = &inner.layout;
         let len = if inner.inplace_enabled {
@@ -302,7 +310,7 @@ impl InnOutReplica {
                 let own = self.metadata_buf();
                 let own_word = u64::from_le_bytes(bytes[own * 8..own * 8 + 8].try_into().unwrap());
                 inner.cached_meta.set(inner.cached_meta.get().max(own_word));
-                self.parse_region(&bytes)
+                self.parse_region(bytes)
             }
             None => std::future::pending().await,
         }
@@ -317,7 +325,7 @@ impl InnOutReplica {
         loop {
             inner.rounds.bump();
             inner.oop_fallbacks.set(inner.oop_fallbacks.get() + 1);
-            let bytes = match inner
+            let mut bytes = match inner
                 .ep
                 .read(
                     l.node,
@@ -331,23 +339,23 @@ impl InnOutReplica {
             };
             let emb_word = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
             let emb_hash = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-            let value = &bytes[OOP_HEADER..];
-            if emb_word >= word && innout_hash(emb_word, value) == emb_hash {
+            let body = body_hash(&bytes[OOP_HEADER..]);
+            if emb_word >= word && bind_word(emb_word, body) == emb_hash {
                 // Valid (possibly newer, if the slot was recycled by a later
                 // write of the same writer — still a legal max-register
                 // result).
-                return MVal::new(word_stamp(emb_word), value.to_vec());
+                bytes.drain(..OOP_HEADER);
+                return MVal::validated(word_stamp(emb_word), bytes, body);
             }
             // Torn or stale slot: the metadata must have moved on; re-read
             // it and chase the new maximum.
-            let (new_word, value, hash) = self.read_region().await;
+            let (new_word, value) = self.read_region().await;
             debug_assert!(new_word >= word);
             if word_stamp(new_word).is_tombstone() {
                 return MVal::new(word_stamp(new_word), Vec::new());
             }
-            if new_word != 0 && value.len() == l.value_cap && innout_hash(new_word, &value) == hash
-            {
-                return MVal::new(word_stamp(new_word), value);
+            if let Some(v) = value.filter(|_| new_word != 0) {
+                return v;
             }
             word = new_word;
         }
@@ -394,7 +402,7 @@ impl ReplicaClient for InnOutReplica {
         let series = vec![
             Op::Write {
                 addr: l.slot_addr(slot),
-                data: self.encode_oop(word, &v.value),
+                data: self.encode_oop(word, &v),
             },
             Op::Cas {
                 addr: l.meta_word_addr(self.metadata_buf()),
@@ -409,7 +417,7 @@ impl ReplicaClient for InnOutReplica {
         let prev = res[1].clone().into_cas();
         self.max_meta(prev, expected, word).await;
         if v.stamp.verified && inner.inplace_enabled {
-            self.write_inplace_bg(word, &v.value);
+            self.write_inplace_bg(word, &v);
         }
     }
 
@@ -417,36 +425,31 @@ impl ReplicaClient for InnOutReplica {
     /// in-place data; hash validation decides between returning in-place
     /// data and reporting stamp-only (the reliable layer may then `fetch`).
     async fn read(self) -> Snapshot {
-        let (word, value, hash) = self.read_region().await;
+        let (word, value) = self.read_region().await;
         if word == 0 {
             return Snapshot {
                 stamp: Stamp::ZERO,
                 token: 0,
-                value: Some(Rc::new(Vec::new())),
+                value: Some(MVal::initial()),
             };
         }
-        if word_stamp(word).is_tombstone() {
+        let stamp = word_stamp(word);
+        if stamp.is_tombstone() {
             return Snapshot {
-                stamp: word_stamp(word),
+                stamp,
                 token: word,
-                value: Some(Rc::new(Vec::new())),
+                value: Some(MVal::new(stamp, Vec::new())),
             };
         }
-        if value.len() == self.inner.layout.value_cap && innout_hash(word, &value) == hash {
+        if value.is_some() {
             self.inner
                 .inplace_hits
                 .set(self.inner.inplace_hits.get() + 1);
-            Snapshot {
-                stamp: word_stamp(word),
-                token: word,
-                value: Some(Rc::new(value)),
-            }
-        } else {
-            Snapshot {
-                stamp: word_stamp(word),
-                token: word,
-                value: None,
-            }
+        }
+        Snapshot {
+            stamp,
+            token: word,
+            value,
         }
     }
 
@@ -500,7 +503,7 @@ mod tests {
         let r = replica(&fabric, &layout, 0);
         let snap = sim.block_on(async move { r.read().await });
         assert_eq!(snap.stamp, Stamp::ZERO);
-        assert_eq!(*snap.value.unwrap(), Vec::<u8>::new());
+        assert_eq!(**snap.value.unwrap().value(), Vec::<u8>::new());
     }
 
     #[test]
@@ -518,7 +521,7 @@ mod tests {
             r.fetch(snap.token).await
         });
         assert_eq!(got.stamp, Stamp::guessed(5, 0));
-        assert_eq!(*got.value, vec![7u8; 64]);
+        assert_eq!(**got.value(), vec![7u8; 64]);
     }
 
     #[test]
@@ -535,7 +538,7 @@ mod tests {
             r.read().await
         });
         assert_eq!(snap.stamp, Stamp::verified(5, 0));
-        assert_eq!(*snap.value.unwrap(), vec![9u8; 64]);
+        assert_eq!(**snap.value.unwrap().value(), vec![9u8; 64]);
     }
 
     #[test]
@@ -553,7 +556,7 @@ mod tests {
             r.fetch(snap.token).await
         });
         assert_eq!(got.stamp, Stamp::verified(10, 0));
-        assert_eq!(*got.value, vec![1u8; 8]);
+        assert_eq!(**got.value(), vec![1u8; 8]);
     }
 
     #[test]
@@ -626,7 +629,7 @@ mod tests {
         });
         assert_eq!(snap.stamp, Stamp::guessed(9, 1));
         assert!(snap.value.is_none(), "returned stale in-place bytes");
-        assert_eq!(*fetched.value, vec![0xB; 16]);
+        assert_eq!(**fetched.value(), vec![0xB; 16]);
     }
 
     #[test]
@@ -645,6 +648,6 @@ mod tests {
             r.fetch(snap.token).await
         });
         assert_eq!(got.stamp, Stamp::verified(20, 3));
-        assert_eq!(*got.value, vec![20u8; 8]);
+        assert_eq!(**got.value(), vec![20u8; 8]);
     }
 }

@@ -256,10 +256,7 @@ impl<R: ReplicaClient> ReliableMaxReg<R> {
             .expect("majority read returned no snapshots");
         let (idx, snap) = best;
         let v = match snap.value {
-            Some(bytes) => MVal {
-                stamp: snap.stamp,
-                value: bytes,
-            },
+            Some(v) => v,
             None => {
                 // Payload not co-located: chase it (the replica client
                 // counts the chase roundtrips itself). Only one replica has
@@ -358,7 +355,7 @@ mod tests {
             reg.write(MVal::new(Stamp::verified(4, 1), vec![42])).await;
             reg.read().await
         });
-        assert_eq!(*v.value, vec![42]);
+        assert_eq!(**v.value(), vec![42]);
     }
 
     #[test]

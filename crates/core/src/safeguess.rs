@@ -135,12 +135,7 @@ impl<M: MaxRegister> SafeGuess<M> {
             // No reader can ever return the guessed tuple; re-execute with a
             // timestamp provably fresh (> the stamp the parallel read saw).
             let fresh = Stamp::verified(m_stamp.i + 1, tid);
-            self.m
-                .write(MVal {
-                    stamp: fresh,
-                    value: w.value,
-                })
-                .await;
+            self.m.write(w.restamped(fresh)).await;
             WritePath::Reexecuted
         } else {
             // A reader locked the guessed timestamp in read mode, which
@@ -213,7 +208,7 @@ impl<M: MaxRegister> SafeGuess<M> {
 
     /// Convenience: read just the bytes.
     pub async fn read_value(&self) -> Vec<u8> {
-        (*self.read().await.value.value).clone()
+        (**self.read().await.value.value()).clone()
     }
 
     /// The roundtrip counter shared with the underlying register and locks.

@@ -126,7 +126,7 @@ impl ReplicaClient for SimReplica {
         Snapshot {
             stamp: cur.stamp,
             token: cur.stamp.pack48(),
-            value: Some(Rc::clone(&cur.value)),
+            value: Some(cur),
         }
     }
 
@@ -156,7 +156,7 @@ mod tests {
             r2.write(MVal::new(Stamp::verified(3, 0), vec![3])).await;
         });
         assert_eq!(st.current().stamp, Stamp::verified(5, 0));
-        assert_eq!(*st.current().value, vec![5]);
+        assert_eq!(**st.current().value(), vec![5]);
     }
 
     #[test]
@@ -170,7 +170,7 @@ mod tests {
             rd.read().await
         });
         assert_eq!(snap.stamp, Stamp::guessed(9, 1));
-        assert_eq!(*snap.value.unwrap(), vec![7; 8]);
+        assert_eq!(**snap.value.unwrap().value(), vec![7; 8]);
     }
 
     #[test]

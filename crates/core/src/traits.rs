@@ -22,8 +22,9 @@ pub struct Snapshot {
     /// Opaque replica-specific token identifying the stamped data (the raw
     /// In-n-Out metadata word); passed back to [`ReplicaClient::fetch`].
     pub token: u64,
-    /// Payload, if the replica could return it in the same roundtrip.
-    pub value: Option<Rc<Vec<u8>>>,
+    /// The value stamped `stamp`, if the replica could return its payload
+    /// in the same roundtrip.
+    pub value: Option<MVal>,
 }
 
 /// Client handle to one fallible per-node max register (the paper's

@@ -2,6 +2,7 @@
 
 use std::rc::Rc;
 
+use crate::hash::body_hash;
 use crate::stamp::Stamp;
 
 /// A max-register value: the written bytes tagged with their [`Stamp`].
@@ -9,41 +10,75 @@ use crate::stamp::Stamp;
 /// Ordering (and therefore the max-register semantics) is by stamp alone;
 /// two distinct writes never share a stamp (Observation 4 of the paper's
 /// proof), and a write and its `VERIFIED` confirmation carry the same bytes.
-/// Values are reference-counted so quorum fan-out does not copy payloads.
+/// Values are reference-counted so quorum fan-out does not copy payloads,
+/// and carry the hash of their bytes so fan-out does not re-hash them.
 #[derive(Debug, Clone)]
 pub struct MVal {
     /// The ordering stamp.
     pub stamp: Stamp,
     /// The written bytes (fixed-size per register; the KV layer pads).
-    pub value: Rc<Vec<u8>>,
+    value: Rc<Vec<u8>>,
+    /// `body_hash(&value)`: what every In-n-Out replica binds to its own
+    /// metadata word. Private with `value` so the two cannot drift apart.
+    body_hash: u64,
 }
 
 impl MVal {
     /// The initial register value: `((0, ⊥), VERIFIED, ⊥)` (Algorithm 2).
     pub fn initial() -> MVal {
+        MVal::new(Stamp::ZERO, Vec::new())
+    }
+
+    /// Creates a value and hashes its bytes — once per logical write: every
+    /// clone, re-stamp and replica shares the result. Accepts a `Vec<u8>`
+    /// (moved into an `Rc`, no copy) or an already-shared `Rc<Vec<u8>>`
+    /// (refcount bump only), so one payload buffer flows from the KV layer
+    /// through quorum fan-out to the fabric without deep copies.
+    pub fn new(stamp: Stamp, value: impl Into<Rc<Vec<u8>>>) -> MVal {
+        let value = value.into();
+        let body_hash = body_hash(&value);
         MVal {
-            stamp: Stamp::ZERO,
-            value: Rc::new(Vec::new()),
+            stamp,
+            value,
+            body_hash,
         }
     }
 
-    /// Creates a value. Accepts a `Vec<u8>` (moved into an `Rc`, no copy) or
-    /// an already-shared `Rc<Vec<u8>>` (refcount bump only), so one payload
-    /// buffer flows from the KV layer through quorum fan-out to the fabric
-    /// without deep copies.
-    pub fn new(stamp: Stamp, value: impl Into<Rc<Vec<u8>>>) -> MVal {
+    /// A value whose bytes a reader just validated against `body_hash`.
+    pub(crate) fn validated(stamp: Stamp, value: Vec<u8>, body_hash: u64) -> MVal {
         MVal {
             stamp,
-            value: value.into(),
+            value: Rc::new(value),
+            body_hash,
+        }
+    }
+
+    /// The written bytes.
+    pub fn value(&self) -> &Rc<Vec<u8>> {
+        &self.value
+    }
+
+    /// The written bytes, by value.
+    pub fn into_value(self) -> Rc<Vec<u8>> {
+        self.value
+    }
+
+    /// Hash of the bytes alone (see [`crate::innout_hash`]).
+    pub(crate) fn body_hash(&self) -> u64 {
+        self.body_hash
+    }
+
+    /// The same bytes (shared, not re-hashed) under another stamp.
+    pub fn restamped(&self, stamp: Stamp) -> MVal {
+        MVal {
+            stamp,
+            ..self.clone()
         }
     }
 
     /// This value re-stamped as `VERIFIED` (same bytes, same `(i, tid)`).
     pub fn with_verified(&self) -> MVal {
-        MVal {
-            stamp: self.stamp.with_verified(),
-            value: Rc::clone(&self.value),
-        }
+        self.restamped(self.stamp.with_verified())
     }
 
     /// True if this is still the initial (never-written) value.
@@ -97,7 +132,7 @@ mod tests {
     fn verified_shares_bytes() {
         let a = MVal::new(Stamp::guessed(3, 1), vec![9; 16]);
         let v = a.with_verified();
-        assert!(Rc::ptr_eq(&a.value, &v.value));
+        assert!(Rc::ptr_eq(a.value(), v.value()));
         assert_eq!(a.stamp.key(), v.stamp.key());
     }
 }

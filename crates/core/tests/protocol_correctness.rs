@@ -180,7 +180,7 @@ fn run_linearizability_workload<M: MaxRegister>(
                         "wait-freedom bound exceeded: {} iters",
                         out.iterations
                     );
-                    let v = decode(&out.value.value);
+                    let v = decode(out.value.value());
                     history
                         .borrow_mut()
                         .push(invoke, sim2.now(), OpKind::Read(v));
@@ -269,7 +269,7 @@ fn abd_is_linearizable() {
                             .push(invoke, sim2.now(), OpKind::Write(v));
                     } else {
                         let out = reg.read().await;
-                        let v = decode(&out.value);
+                        let v = decode(out.value());
                         history
                             .borrow_mut()
                             .push(invoke, sim2.now(), OpKind::Read(v));
@@ -349,9 +349,9 @@ fn stale_guess_goes_slow_path_and_still_linearizes() {
         // maximum that A's read returns.
         let (_, v) = paths;
         assert!(
-            [2u64, 3u64].contains(&decode(&v.value)),
+            [2u64, 3u64].contains(&decode(v.value())),
             "seed {seed}: read returned {}",
-            decode(&v.value)
+            decode(v.value())
         );
     }
 }

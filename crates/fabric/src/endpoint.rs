@@ -170,14 +170,12 @@ impl Endpoint {
                         results.push(OpResult::Read(node_rc.mem().read(*addr, *len)));
                     }
                     Op::Write { addr, data } => {
-                        let chunk = cfg.chunk_bytes;
-                        let mut off = 0;
-                        while off < data.len() {
-                            let end = (off + chunk).min(data.len());
-                            node_rc.mem().write(addr + off as u64, &data[off..end]);
-                            off = end;
-                            sim2.sleep_ns(cfg.chunk_ns()).await;
-                        }
+                        // One chunk lands per `chunk_ns`; this task sleeps
+                        // through all of them (see `mem`'s module docs).
+                        let mem = node_rc.mem();
+                        mem.write_chunked(&sim2, *addr, data, cfg.chunk_bytes, cfg.chunk_ns())
+                            .await;
+                        mem.settle();
                         results.push(OpResult::Write);
                     }
                     Op::Cas {

@@ -1,18 +1,65 @@
 //! Raw node memory: a flat byte space with a bump allocator.
 //!
-//! This module is purely functional with respect to virtual time — the timing
-//! of chunked write application lives in the fabric pipeline; `NodeMemory`
-//! only provides the byte-level primitives (copy ranges, 8 B atomic CAS) and
-//! allocation accounting used for the paper's memory-consumption numbers
-//! (Table 3).
+//! `NodeMemory` provides the byte-level primitives (copy ranges, 8 B atomic
+//! CAS), the allocation accounting behind the paper's memory-consumption
+//! numbers (Table 3), and the one piece of the fabric's timing that lives
+//! with the bytes: how a chunked write lands.
+//!
+//! # Chunked writes: tick, then settle
+//!
+//! A write larger than one chunk does not land at once. Chunk 0 is copied
+//! when the write starts; chunk `k` lands `k` chunk times later; the write
+//! completes one chunk time after its last chunk. A read in between sees
+//! the torn prefix — the property In-n-Out's hash validation exists for.
+//!
+//! [`NodeMemory::write_chunked`] copies chunk 0, parks the rest of the
+//! (shared, never copied) payload in an in-flight list and returns a
+//! [`Ticker`] that ticks once per chunk time. The ticker's task is woken
+//! only by the last tick; every earlier tick just appends the write's tag
+//! to this node's [`TickLog`]. *Settling* replays that log: one chunk of
+//! the tagged write per entry, in log order. The invariants:
+//!
+//! * **Every access settles first.** `read`, `write`, `read_u64`,
+//!   `cas_u64` (and `write_chunked` itself) replay the log before touching
+//!   bytes, so an access observes exactly the chunks whose ticks fired
+//!   before it — the bytes a copy at every tick would have left.
+//! * **Log order is the copy order.** Overlapping in-flight writes
+//!   interleave chunk by chunk in the order their ticks fired, ties at one
+//!   instant included (the log is appended to by the executor as each tick
+//!   fires).
+//! * **A write that ended has landed.** The writer calls
+//!   [`NodeMemory::settle`] when its ticker resolves; all its ticks are in
+//!   the log by then, so its entry leaves the in-flight list and its
+//!   payload is released. Nothing else — a crash of the node included —
+//!   stops a started write from landing in full.
+//! * **One-chunk writes cost nothing extra.** They are copied whole at the
+//!   start, never enter the list and never log; the price on every access
+//!   is one empty-log check.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+
+use swarm_sim::{Nanos, Sim, TickLog, Ticker};
+
+/// A chunked write whose later chunks have not been copied yet.
+#[derive(Debug)]
+struct InFlight {
+    tag: u32,
+    addr: u64,
+    data: Rc<Vec<u8>>,
+    chunk: usize,
+    /// Bytes of `data` copied so far.
+    done: usize,
+}
 
 /// Byte-addressable memory of one simulated node.
 #[derive(Debug, Default)]
 pub struct NodeMemory {
     bytes: RefCell<Vec<u8>>,
     next: RefCell<u64>,
+    inflight: RefCell<Vec<InFlight>>,
+    ticks: Rc<TickLog>,
+    next_tag: Cell<u32>,
 }
 
 impl NodeMemory {
@@ -44,12 +91,74 @@ impl NodeMemory {
         *self.next.borrow()
     }
 
+    /// Copies the chunks whose ticks have fired (module docs).
+    pub fn settle(&self) {
+        if self.ticks.is_empty() {
+            return;
+        }
+        let mut bytes = self.bytes.borrow_mut();
+        let mut inflight = self.inflight.borrow_mut();
+        self.ticks.drain(|tag| {
+            let i = inflight
+                .iter()
+                .position(|w| w.tag == tag)
+                .expect("a tick belongs to a write in flight");
+            let w = &mut inflight[i];
+            let end = (w.done + w.chunk).min(w.data.len());
+            let at = w.addr as usize;
+            bytes[at + w.done..at + end].copy_from_slice(&w.data[w.done..end]);
+            w.done = end;
+            if end == w.data.len() {
+                inflight.remove(i);
+            }
+        });
+    }
+
+    /// Starts writing `data` at `addr` in chunks of `chunk` bytes, one per
+    /// `chunk_ns`: the first chunk lands now, and the returned ticker
+    /// resolves one `chunk_ns` after the last. Call [`NodeMemory::settle`]
+    /// once it has (module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-bounds access (always an allocator-client bug).
+    pub fn write_chunked(
+        &self,
+        sim: &Sim,
+        addr: u64,
+        data: &Rc<Vec<u8>>,
+        chunk: usize,
+        chunk_ns: Nanos,
+    ) -> Ticker {
+        let first = chunk.min(data.len());
+        self.write(addr, &data[..first]);
+        let chunks = u32::try_from(data.len().div_ceil(chunk)).expect("write of 2^32 chunks");
+        let tag = self.next_tag.get();
+        if chunks > 1 {
+            assert!(
+                addr as usize + data.len() <= self.bytes.borrow().len(),
+                "write out of bounds: {addr}+{}",
+                data.len()
+            );
+            self.next_tag.set(tag.wrapping_add(1));
+            self.inflight.borrow_mut().push(InFlight {
+                tag,
+                addr,
+                data: Rc::clone(data),
+                chunk,
+                done: first,
+            });
+        }
+        sim.ticker(chunk_ns, chunks, &self.ticks, tag)
+    }
+
     /// Copies `data` into memory at `addr`.
     ///
     /// # Panics
     ///
     /// Panics on out-of-bounds access (always an allocator-client bug).
     pub fn write(&self, addr: u64, data: &[u8]) {
+        self.settle();
         let mut bytes = self.bytes.borrow_mut();
         let start = addr as usize;
         let end = start + data.len();
@@ -67,6 +176,7 @@ impl NodeMemory {
     ///
     /// Panics on out-of-bounds access.
     pub fn read(&self, addr: u64, len: usize) -> Vec<u8> {
+        self.settle();
         let bytes = self.bytes.borrow();
         let start = addr as usize;
         let end = start + len;
@@ -77,8 +187,12 @@ impl NodeMemory {
     /// Reads the 8 B little-endian word at `addr` (must be 8-aligned).
     pub fn read_u64(&self, addr: u64) -> u64 {
         assert_eq!(addr % 8, 0, "unaligned 64-bit read");
-        let b = self.read(addr, 8);
-        u64::from_le_bytes(b.try_into().unwrap())
+        self.settle();
+        let bytes = self.bytes.borrow();
+        let word = bytes
+            .get(addr as usize..addr as usize + 8)
+            .unwrap_or_else(|| panic!("read out of bounds: {addr}+8"));
+        u64::from_le_bytes(word.try_into().expect("8-byte slice"))
     }
 
     /// Writes the 8 B little-endian word at `addr` (must be 8-aligned).

@@ -3,9 +3,11 @@
 //! and latency calibration.
 
 use std::cell::RefCell;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
 
-use swarm_fabric::{Fabric, FabricConfig, NodeId, Op};
+use swarm_fabric::{Fabric, FabricConfig, NodeId, NodeMemory, Op};
 use swarm_sim::{timeout_at, Nanos, Quorum, Sim, NANOS_PER_MICRO};
 
 fn setup(seed: u64, cfg: FabricConfig, nodes: usize) -> (Sim, Fabric) {
@@ -495,6 +497,155 @@ fn fabric_delivery_schedules_no_boxed_closures() {
         "fabric delivery must stay on the closure-free timer path"
     );
     assert!(c.timer_events > 64, "traffic must schedule timer events");
+}
+
+/// The chunked write the fabric used to spell out, kept as the reference the
+/// tick/settle path (`NodeMemory::write_chunked`) must be indistinguishable
+/// from: copy a chunk, sleep a chunk time, repeat.
+async fn write_chunk_by_chunk(sim: Sim, mem: Rc<NodeMemory>, addr: u64, data: Vec<u8>) {
+    let cfg = FabricConfig::default();
+    let (chunk_bytes, chunk_ns) = (cfg.chunk_bytes, cfg.chunk_ns());
+    for (k, chunk) in data.chunks(chunk_bytes).enumerate() {
+        mem.write(addr + (k * chunk_bytes) as u64, chunk);
+        sim.sleep_ns(chunk_ns).await;
+    }
+}
+
+async fn write_ticked(sim: Sim, mem: Rc<NodeMemory>, addr: u64, data: Vec<u8>) {
+    let cfg = FabricConfig::default();
+    mem.write_chunked(&sim, addr, &Rc::new(data), cfg.chunk_bytes, cfg.chunk_ns())
+        .await;
+    mem.settle();
+}
+
+#[test]
+fn a_read_at_each_tick_of_an_8k_write_sees_exactly_the_chunks_landed() {
+    let cfg = FabricConfig::default();
+    let (len, chunks, chunk_ns) = (8192usize, 8192 / cfg.chunk_bytes, cfg.chunk_ns());
+    let sim = Sim::new(30);
+    let mem = Rc::new(NodeMemory::new());
+    let addr = mem.alloc(len as u64, 8);
+    mem.write(addr, &vec![0x0D; len]);
+    let start = 1_000;
+    let (s, m) = (sim.clone(), Rc::clone(&mem));
+    sim.spawn(async move {
+        s.sleep_until(start).await;
+        write_ticked(s.clone(), m, addr, vec![0xEE; len]).await;
+        assert_eq!(s.now(), start + chunks as Nanos * chunk_ns);
+    });
+    let expect = |landed: usize| {
+        let mut v = vec![0xEE; landed * cfg.chunk_bytes];
+        v.resize(len, 0x0D);
+        v
+    };
+    sim.run_until(start - 1);
+    assert_eq!(mem.read(addr, len), expect(0), "before the write starts");
+    for k in 0..chunks {
+        // Chunk `k` lands at tick `k` and not an instant earlier.
+        let tick = start + k as Nanos * chunk_ns;
+        sim.run_until(tick - 1);
+        assert_eq!(mem.read(addr, len), expect(k), "just before tick {k}");
+        sim.run_until(tick);
+        assert_eq!(mem.read(addr, len), expect(k + 1), "at tick {k}");
+    }
+    assert_eq!(sim.live_tasks(), 1, "the write ends a chunk time after");
+    sim.run();
+    assert_eq!(sim.live_tasks(), 0);
+    assert_eq!(mem.read(addr, len), expect(chunks));
+}
+
+#[test]
+fn overlapping_chunked_writes_land_in_tick_order() {
+    // Three writes over one region, staggered so that their ticks
+    // interleave and some share an instant; the bytes at every instant, not
+    // just the last, must be the ones copying a chunk per tick leaves.
+    type Writer = fn(Sim, Rc<NodeMemory>, u64, Vec<u8>) -> Pin<Box<dyn Future<Output = ()>>>;
+    let snapshots = |write: Writer| {
+        let sim = Sim::new(31);
+        let mem = Rc::new(NodeMemory::new());
+        let base = mem.alloc(4096, 8);
+        // (start, offset, chunks, fill): B starts on A's second tick; C
+        // starts mid-period and finishes between the other two.
+        for (start, off, chunks, fill) in [(0, 0, 8, 0xA1), (11, 256, 8, 0xB2), (40, 512, 3, 0xC3)]
+        {
+            let (s, m) = (sim.clone(), Rc::clone(&mem));
+            sim.spawn(async move {
+                s.sleep_until(start).await;
+                write(s.clone(), m, base + off, vec![fill; chunks * 256]).await;
+            });
+        }
+        let mut snaps = Vec::new();
+        for t in 0..=120 {
+            sim.run_until(t);
+            snaps.push(mem.read(base, 4096));
+        }
+        assert_eq!(sim.live_tasks(), 0);
+        snaps
+    };
+    let reference = snapshots(|s, m, a, d| Box::pin(write_chunk_by_chunk(s, m, a, d)));
+    let ticked = snapshots(|s, m, a, d| Box::pin(write_ticked(s, m, a, d)));
+    for (t, (want, got)) in reference.iter().zip(&ticked).enumerate() {
+        assert_eq!(got, want, "memory differs at t = {t} ns");
+    }
+    // The scenario does interleave: the end state mixes all three writes.
+    let end = ticked.last().unwrap();
+    assert_eq!(
+        (end[0], end[256], end[512], end[2048]),
+        (0xA1, 0xB2, 0xC3, 0xB2)
+    );
+    assert_eq!(end[1280], 0xB2, "B's later tick overwrites C's last chunk");
+}
+
+#[test]
+fn a_write_in_flight_when_its_node_crashes_still_lands_in_full() {
+    let (sim, fabric) = setup(32, FabricConfig::deterministic(), 1);
+    let node = NodeId(0);
+    let addr = fabric.node(node).alloc(8192, 8);
+    let ep = fabric.endpoint();
+    let rx = ep.submit(
+        node,
+        vec![Op::Write {
+            addr,
+            data: vec![0x77; 8192].into(),
+        }],
+    );
+    let answered = Rc::new(RefCell::new(false));
+    let answered2 = Rc::clone(&answered);
+    sim.spawn(async move { *answered2.borrow_mut() = rx.await.is_some() });
+    // Step to the instant the first chunk lands, then a few chunks in.
+    let node_rc = fabric.node(node);
+    let mem = node_rc.mem();
+    let mut t = 0;
+    while mem.read(addr, 1) == [0] {
+        t += 1;
+        sim.run_until(t);
+    }
+    sim.run_until(t + 5 * fabric.config().chunk_ns());
+    let landed = mem.read(addr, 8192).iter().filter(|&&b| b == 0x77).count();
+    assert!(
+        (256..8192).contains(&landed),
+        "mid-write: {landed} B landed"
+    );
+    fabric.crash_node(node);
+    sim.run();
+    assert_eq!(mem.read(addr, 8192), vec![0x77; 8192]);
+    assert!(!*answered.borrow(), "a crashed node never answers");
+}
+
+#[test]
+fn a_chunked_write_polls_its_task_no_more_than_a_one_chunk_write() {
+    // 32 chunks are 32 timer events but one sleep of the message task: the
+    // per-chunk wake-and-poll must not come back.
+    let counters = |len: usize| {
+        let (sim, fabric) = setup(33, FabricConfig::deterministic(), 1);
+        let addr = fabric.node(NodeId(0)).alloc(len as u64, 8);
+        let ep = fabric.endpoint();
+        sim.block_on(async move { ep.write(NodeId(0), addr, vec![1u8; len]).await.unwrap() });
+        sim.counters()
+    };
+    let (one, many) = (counters(256), counters(8192));
+    assert_eq!(many.timer_events, one.timer_events + 31);
+    assert_eq!(many.tasks_polled, one.tasks_polled);
 }
 
 #[test]

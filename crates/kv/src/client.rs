@@ -363,7 +363,7 @@ impl KvClient {
                 } else if out.value.is_initial() {
                     ReadResult::Missing
                 } else {
-                    ReadResult::Value(out.value.value)
+                    ReadResult::Value(out.value.into_value())
                 })
             }
             HandleKind::Abd(reg) => {
@@ -373,7 +373,7 @@ impl KvClient {
                 } else if v.is_initial() {
                     ReadResult::Missing
                 } else {
-                    ReadResult::Value(v.value)
+                    ReadResult::Value(v.into_value())
                 })
             }
         }

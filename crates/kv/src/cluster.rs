@@ -255,15 +255,17 @@ impl Cluster {
         assert_eq!(value.len(), cfg.value_size, "fixed-size values");
         let info = self.alloc_key(key);
         let stamp = Stamp::verified(1, LOADER_TID);
+        // The loader's slot, hence the word and the hash bound to it, is the
+        // same on every replica.
+        let word = (stamp.pack48() << 16) | info.loader_slot as u64;
+        let hash = innout_hash(word, value);
         for (i, layout) in info.layouts.iter().enumerate() {
             let node = self.inner.fabric.node(layout.node);
-            let word = (stamp.pack48() << 16) | info.loader_slot as u64;
             // Out-of-place slot: [meta | hash | value].
             let slot_addr =
                 layout.oop_addr + info.loader_slot as u64 * (16 + cfg.value_size) as u64;
             node.mem().write_u64(slot_addr, word);
-            node.mem()
-                .write_u64(slot_addr + 8, innout_hash(word, value));
+            node.mem().write_u64(slot_addr + 8, hash);
             node.mem().write(slot_addr + 16, value);
             // Metadata word 0 points at it.
             node.mem().write_u64(layout.meta_addr, word);
@@ -271,8 +273,7 @@ impl Cluster {
             if cfg.inplace && i == 0 {
                 let inplace = layout.meta_addr + (layout.meta_bufs * 8) as u64;
                 node.mem().write(inplace, value);
-                node.mem()
-                    .write_u64(inplace + cfg.value_size as u64, innout_hash(word, value));
+                node.mem().write_u64(inplace + cfg.value_size as u64, hash);
             }
         }
         self.inner.index.load(key, Rc::clone(&info));

@@ -39,7 +39,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use swarm_core::{InnOutReplica, MVal, ReplicaClient, Rounds};
+use swarm_core::{InnOutReplica, ReplicaClient, Rounds};
 use swarm_fabric::{repair_bucket, Endpoint, NodeId, Op, RepairEntry, RepairSel, RepairTable};
 use swarm_sim::{timeout_at, Nanos, SimRng, TimedOut, NANOS_PER_MILLI};
 
@@ -541,7 +541,7 @@ impl RepairHandle {
         };
         let snap = replica(winner).read().await;
         let val = match snap.value {
-            Some(v) => MVal::new(snap.stamp, v),
+            Some(v) => v,
             None => replica(winner).fetch(snap.token).await,
         };
         if val.is_initial() {

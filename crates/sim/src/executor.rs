@@ -12,10 +12,13 @@
 //! Simulations push millions of fabric messages through this loop, so the
 //! per-event and per-poll costs are engineered to be allocation-free:
 //!
-//! * **Events** live in a slab ([`EventSlot`]); the common case — "wake this
-//!   task at time T" (sleeps, message deliveries, deadlines) — is an inline
-//!   [`EventKind::Wake`] carrying a cached [`Waker`] and no heap closure.
-//!   Only the explicit [`Sim::schedule_at`] API boxes a `dyn FnOnce`.
+//! * **Events** live in a slab ([`EventSlot`]) and come in three kinds.
+//!   [`EventKind::Wake`] — "wake this task at time T" (sleeps, message
+//!   deliveries, deadlines) — carries a cached [`Waker`] and no heap closure.
+//!   [`EventKind::Tick`] is a chain of such timers that re-arms itself in
+//!   its slot and wakes its task only at the end (see *Tickers* below).
+//!   Only the explicit [`Sim::schedule_at`] API ([`EventKind::Call`]) boxes
+//!   a `dyn FnOnce`.
 //! * **Ordering** uses an index-based 4-ary min-heap of `(at, seq, slab key)`
 //!   entries. Exact `(at, seq)` order is preserved, so swapping the old
 //!   `BinaryHeap<Reverse<Event>>` for this heap changes no execution.
@@ -24,6 +27,33 @@
 //!   waker is hand-rolled over `Rc` (the only `unsafe` in the crate, see
 //!   below), so waking pushes onto a plain `RefCell<VecDeque>` ready queue
 //!   with no mutex and no atomics.
+//!
+//! # Tickers
+//!
+//! [`Sim::ticker`]`(period, n, log, tag)` stands for `n` chained
+//! `sleep_ns(period).await`s whose task does nothing observable between
+//! them except append `tag` to `log` ([`TickLog`]). The invariants that make
+//! the two indistinguishable to every other task and event:
+//!
+//! * **Same `(at, seq)` draws.** The first tick's sequence number is drawn
+//!   when the ticker is first polled, where the first `Sleep` registers.
+//!   When tick `k < n` fires, the executor draws tick `k + 1`'s sequence
+//!   number and moves the heap entry there before anything else runs —
+//!   exactly where the woken task, polled alone right after its wake event,
+//!   would have registered sleep `k + 1`. Each re-arm counts in
+//!   `events_scheduled` and `timer_events` like the sleep it replaces.
+//! * **Same order of effects.** Every tick but the last appends its tag to
+//!   the log at the instant it fires; the log is the firing order across
+//!   all tickers sharing it. Whoever owns the effects replays the log
+//!   before looking at the state they change (`swarm-fabric`'s `NodeMemory`
+//!   does, for chunked writes).
+//! * **One wake.** Only tick `n` wakes the awaiting task, so the chain
+//!   costs one poll instead of `n`; `tasks_polled` is the only counter that
+//!   differs.
+//! * **Same leftovers.** A ticker polled at a tick's instant before that
+//!   tick's event fired, or dropped mid-chain, leaves that one event behind
+//!   as a plain wake — the stale event a completed or dropped `Sleep`
+//!   leaves — and the chain goes on from a freshly drawn event, or stops.
 //!
 //! # Safety of the `Rc`-backed waker
 //!
@@ -154,15 +184,58 @@ enum EventKind {
     /// Wake a stored waker — the closure-free fast path used by every timer
     /// (sleeps, message deliveries, deadlines).
     Wake(Waker),
+    /// A chain of timers one `period` apart that re-arms itself in this
+    /// slot and wakes the waker on its last tick only ([`Sim::ticker`]).
+    Tick(Waker, Tick),
     /// Run a boxed action ([`Sim::schedule_at`]'s general case).
     Call(Box<dyn FnOnce(&Sim)>),
     /// A fired slot awaiting reuse.
     Vacant,
 }
 
-/// Slab slot for one pending event. Slots are freed only when their unique
-/// heap entry pops, so a live key never has two heap entries; the generation
-/// guards [`TimerKey`] handles held by `Sleep` futures across slot reuse.
+/// Order in which the ticks of the [`Ticker`]s sharing it fired: each tick
+/// but a ticker's last appends that ticker's tag.
+#[derive(Debug, Default)]
+pub struct TickLog {
+    tags: RefCell<Vec<u32>>,
+}
+
+impl TickLog {
+    /// True if no tick fired since the last [`TickLog::drain`].
+    pub fn is_empty(&self) -> bool {
+        self.tags.borrow().is_empty()
+    }
+
+    /// Hands every recorded tag to `f` in firing order and empties the log.
+    pub fn drain(&self, f: impl FnMut(u32)) {
+        self.tags.borrow_mut().drain(..).for_each(f);
+    }
+}
+
+/// The unfired rest of a [`Ticker`]'s chain; lives in the pending event.
+struct Tick {
+    log: Rc<TickLog>,
+    period: Nanos,
+    left: u32,
+    tag: u32,
+}
+
+impl Tick {
+    /// Fires one tick: logs it unless it is the last. True if ticks remain.
+    fn fire(&mut self) -> bool {
+        self.left -= 1;
+        if self.left > 0 {
+            self.log.tags.borrow_mut().push(self.tag);
+        }
+        self.left > 0
+    }
+}
+
+/// Slab slot for one pending event. A slot is freed when its heap entry pops
+/// (a re-arming [`EventKind::Tick`] keeps its slot and moves its entry to
+/// the next tick), so a live key never has two heap entries; the generation
+/// guards [`TimerKey`] handles held by `Sleep` and `Ticker` futures across
+/// slot reuse.
 struct EventSlot {
     gen: u64,
     kind: EventKind,
@@ -180,7 +253,7 @@ fn entry_less(a: &HeapEntry, b: &HeapEntry) -> bool {
     (a.at, a.seq) < (b.at, b.seq)
 }
 
-/// Handle to a pending [`EventKind::Wake`] event, held by [`Sleep`].
+/// Handle to a pending timer event, held by [`Sleep`] and [`Ticker`].
 #[derive(Clone, Copy)]
 struct TimerKey {
     key: u32,
@@ -218,22 +291,25 @@ impl EventQueue {
         }
     }
 
-    fn peek_at(&self) -> Option<Nanos> {
-        self.heap.first().map(|e| e.at)
-    }
-
-    fn pop(&mut self) -> Option<(Nanos, EventKind)> {
-        let top = *self.heap.first()?;
+    /// Removes the earliest heap entry and frees its slot, returning what
+    /// it held.
+    fn pop(&mut self) -> EventKind {
+        let key = self.heap[0].key;
         let last = self.heap.pop().expect("heap is non-empty");
         if !self.heap.is_empty() {
             self.heap[0] = last;
             self.sift_down(0);
         }
-        let slot = &mut self.slots[top.key as usize];
-        let kind = std::mem::replace(&mut slot.kind, EventKind::Vacant);
+        let slot = &mut self.slots[key as usize];
         slot.gen += 1;
-        self.free.push(top.key);
-        Some((top.at, kind))
+        self.free.push(key);
+        std::mem::replace(&mut slot.kind, EventKind::Vacant)
+    }
+
+    /// The slot `t` points at, unless its event has fired.
+    fn pending(&mut self, t: TimerKey) -> Option<&mut EventKind> {
+        let slot = &mut self.slots[t.key as usize];
+        (slot.gen == t.gen).then_some(&mut slot.kind)
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -427,15 +503,49 @@ impl Sim {
     /// Points a pending wake event at `waker` (no-op once fired). Keeps
     /// re-polled [`Sleep`]s waking the *latest* context, not the first one.
     fn reregister_waker(&self, t: TimerKey, waker: &Waker) {
-        let mut events = self.inner.events.borrow_mut();
-        let slot = &mut events.slots[t.key as usize];
-        if slot.gen != t.gen {
-            return; // Already fired (and possibly recycled).
-        }
-        if let EventKind::Wake(w) = &mut slot.kind {
+        if let Some(EventKind::Wake(w) | EventKind::Tick(w, _)) =
+            self.inner.events.borrow_mut().pending(t)
+        {
             if !w.will_wake(waker) {
                 *w = waker.clone();
             }
+        }
+    }
+
+    /// Ticks left in a ticker's pending event; `None` once the last fired.
+    fn ticks_left(&self, t: TimerKey) -> Option<u32> {
+        match self.inner.events.borrow_mut().pending(t)? {
+            EventKind::Tick(_, tick) => Some(tick.left),
+            _ => unreachable!("a ticker's key points at its tick event"),
+        }
+    }
+
+    /// Registers the next event of a ticker's chain: `tick.left` ticks
+    /// remain, the first of them at `at`.
+    fn register_tick(&self, at: Nanos, waker: Waker, tick: Tick) -> TimerKey {
+        let seq = self.next_seq();
+        self.bump_counters(|c| {
+            c.events_scheduled += 1;
+            c.timer_events += 1;
+        });
+        self.inner
+            .events
+            .borrow_mut()
+            .push(at, seq, EventKind::Tick(waker, tick))
+    }
+
+    /// Turns a ticker's pending event into the plain wake a finished or
+    /// dropped `Sleep` leaves behind and returns the chain's unfired rest;
+    /// `None` once the last tick has fired.
+    fn stop_tick(&self, t: TimerKey) -> Option<Tick> {
+        let mut events = self.inner.events.borrow_mut();
+        let kind = events.pending(t)?;
+        match std::mem::replace(kind, EventKind::Vacant) {
+            EventKind::Tick(waker, tick) => {
+                *kind = EventKind::Wake(waker);
+                Some(tick)
+            }
+            _ => unreachable!("a ticker's key points at its tick event"),
         }
     }
 
@@ -488,6 +598,24 @@ impl Sim {
         self.sleep_until(self.now() + dur)
     }
 
+    /// Future that resolves after `ticks` ticks, `period` apart, each but
+    /// the last appending `tag` to `log` as it fires — what `ticks` chained
+    /// `sleep_ns(period).await`s logging between them do, at one poll of the
+    /// awaiting task instead of `ticks` (module docs, *Tickers*).
+    pub fn ticker(&self, period: Nanos, ticks: u32, log: &Rc<TickLog>, tag: u32) -> Ticker {
+        Ticker {
+            sim: self.clone(),
+            period,
+            end: self.now() + period * Nanos::from(ticks),
+            state: TickerState::Idle(Tick {
+                log: Rc::clone(log),
+                period,
+                left: ticks,
+                tag,
+            }),
+        }
+    }
+
     /// Future that yields once, letting other ready tasks run at the same
     /// virtual instant.
     pub fn yield_now(&self) -> YieldNow {
@@ -521,51 +649,59 @@ impl Sim {
         }
     }
 
-    fn fire(&self, kind: EventKind) {
+    /// Advances the clock to the earliest event due by `deadline` and fires
+    /// it; false if there is none.
+    fn fire_next(&self, deadline: Nanos) -> bool {
+        let mut events = self.inner.events.borrow_mut();
+        let Some(&top) = events.heap.first().filter(|e| e.at <= deadline) else {
+            return false;
+        };
+        debug_assert!(top.at >= self.now());
+        self.inner.now.set(top.at);
+        if let EventKind::Tick(_, tick) = &mut events.slots[top.key as usize].kind {
+            if tick.fire() {
+                // Re-arm in place — same slot, same heap position sifted
+                // down — drawing the sequence number where the chained
+                // sleep's task would have (module docs, *Tickers*).
+                let at = top.at + tick.period;
+                let seq = self.next_seq();
+                self.bump_counters(|c| {
+                    c.events_scheduled += 1;
+                    c.timer_events += 1;
+                });
+                events.heap[0] = HeapEntry { at, seq, ..top };
+                events.sift_down(0);
+                return true;
+            }
+        }
+        let kind = events.pop();
+        drop(events);
         match kind {
-            EventKind::Wake(w) => w.wake(),
+            EventKind::Wake(w) | EventKind::Tick(w, _) => w.wake(),
             EventKind::Call(f) => f(self),
             EventKind::Vacant => {}
         }
+        true
     }
 
     /// Runs the simulation until no ready task and no pending event remains.
     ///
     /// Returns the final virtual time.
     pub fn run(&self) -> Nanos {
-        loop {
-            // Drain all tasks runnable at the current instant.
-            while let Some(id) = self.inner.ready.pop() {
-                self.poll_task(id);
-            }
-            // Advance time to the next event.
-            let ev = self.inner.events.borrow_mut().pop();
-            match ev {
-                Some((at, kind)) => {
-                    debug_assert!(at >= self.now());
-                    self.inner.now.set(at);
-                    self.fire(kind);
-                }
-                None => return self.now(),
-            }
-        }
+        self.run_until(Nanos::MAX)
     }
 
     /// Runs the simulation, but stops once virtual time would exceed
     /// `deadline`. Events after the deadline remain queued.
     pub fn run_until(&self, deadline: Nanos) -> Nanos {
         loop {
+            // Drain all tasks runnable at the current instant, then advance
+            // time to the next event.
             while let Some(id) = self.inner.ready.pop() {
                 self.poll_task(id);
             }
-            let next_at = self.inner.events.borrow().peek_at();
-            match next_at {
-                Some(at) if at <= deadline => {
-                    let (at, kind) = self.inner.events.borrow_mut().pop().expect("event peeked");
-                    self.inner.now.set(at);
-                    self.fire(kind);
-                }
-                _ => return self.now(),
+            if !self.fire_next(deadline) {
+                return self.now();
             }
         }
     }
@@ -627,6 +763,74 @@ impl Future for Sleep {
             }
         }
         Poll::Pending
+    }
+}
+
+/// Future returned by [`Sim::ticker`].
+///
+/// Like a dropped [`Sleep`], a dropped `Ticker` does not cancel its pending
+/// event: that one tick still fires as a plain wake, and the chain ends
+/// there.
+pub struct Ticker {
+    sim: Sim,
+    period: Nanos,
+    /// Instant of the last tick.
+    end: Nanos,
+    state: TickerState,
+}
+
+enum TickerState {
+    /// No event pending: not polled yet.
+    Idle(Tick),
+    /// The chain runs from the event behind this key.
+    Armed(TimerKey),
+    Done,
+}
+
+impl Future for Ticker {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = &mut *self;
+        let (now, end, period) = (this.sim.now(), this.end, this.period);
+        // Instant of the next tick while `left` remain.
+        let next = |left: u32| end - period * Nanos::from(left - 1);
+        let mut tick = match std::mem::replace(&mut this.state, TickerState::Done) {
+            TickerState::Done => return Poll::Ready(()),
+            TickerState::Idle(tick) => tick,
+            TickerState::Armed(t) => match this.sim.ticks_left(t) {
+                None => return Poll::Ready(()),
+                Some(left) if now < next(left) => {
+                    this.sim.reregister_waker(t, cx.waker());
+                    this.state = TickerState::Armed(t);
+                    return Poll::Pending;
+                }
+                // Polled at a tick's instant ahead of its event: the event
+                // goes stale and the chain continues from this poll.
+                Some(_) => this.sim.stop_tick(t).expect("ticks are left"),
+            },
+        };
+        // A tick due now fires on this poll, the way a `Sleep` polled at its
+        // deadline completes without waiting for its event.
+        while tick.left > 0 && now >= next(tick.left) {
+            tick.fire();
+        }
+        if tick.left == 0 {
+            return Poll::Ready(());
+        }
+        let key = this
+            .sim
+            .register_tick(next(tick.left), cx.waker().clone(), tick);
+        this.state = TickerState::Armed(key);
+        Poll::Pending
+    }
+}
+
+impl Drop for Ticker {
+    fn drop(&mut self) {
+        if let TickerState::Armed(t) = self.state {
+            self.sim.stop_tick(t);
+        }
     }
 }
 
@@ -868,6 +1072,136 @@ mod tests {
         });
         sim.run();
         assert!(done.get(), "task B never woke: stale waker used");
+    }
+
+    /// What one run of `ticker_scenario` showed: every traced event, the
+    /// tick log, the final instant and the counters.
+    type ScenarioRun = (Vec<(Nanos, u32)>, Vec<u32>, Nanos, SimCounters);
+
+    /// A seeded mix of chains (`n` ticks, `period` apart — some cut short by
+    /// a racing sleep and dropped), sleeper loops and `schedule_at` calls,
+    /// over small ranges so instants collide often. `use_ticker` picks how a
+    /// chain waits: one `Sim::ticker`, or `n` chained `sleep_ns(period)`
+    /// logging between them.
+    fn ticker_scenario(seed: u64, use_ticker: bool) -> ScenarioRun {
+        async fn chain(
+            sim: Sim,
+            use_ticker: bool,
+            period: Nanos,
+            n: u32,
+            log: Rc<TickLog>,
+            tag: u32,
+        ) {
+            if use_ticker {
+                sim.ticker(period, n, &log, tag).await;
+            } else {
+                for k in 0..n {
+                    sim.sleep_ns(period).await;
+                    if k + 1 < n {
+                        log.tags.borrow_mut().push(tag);
+                    }
+                }
+            }
+        }
+
+        let sim = Sim::new(seed);
+        let rng = sim.fork_rng(0x71C);
+        let draw = |lo: u64, hi: u64| rng.rand_range(lo, hi);
+        let trace: Rc<RefCell<Vec<(Nanos, u32)>>> = Rc::new(RefCell::new(Vec::new()));
+        let log = Rc::new(TickLog::default());
+        for id in 0..12u32 {
+            let (s, trace, log) = (sim.clone(), Rc::clone(&trace), Rc::clone(&log));
+            let note = move |s: &Sim, what: u32| trace.borrow_mut().push((s.now(), what));
+            let (start, period, n) = (draw(0, 6), draw(0, 5), draw(0, 7) as u32);
+            match id % 4 {
+                0 | 1 => {
+                    // A chain in its own task; odd ones are raced against a
+                    // sleep that may land on a tick instant, and dropped.
+                    let cut = (id % 4 == 1).then(|| draw(0, 12));
+                    sim.spawn(async move {
+                        s.sleep_ns(start).await;
+                        let c = chain(s.clone(), use_ticker, period, n, log, id);
+                        match cut {
+                            None => c.await,
+                            Some(cut) => {
+                                let won = crate::combinators::race2(c, s.sleep_ns(cut)).await;
+                                let left = matches!(won, crate::combinators::Either::Left(()));
+                                note(&s, 1_000 + id * 2 + u32::from(left));
+                            }
+                        }
+                        note(&s, 100 + id);
+                        // Stay alive so a stale wake is a real poll.
+                        s.sleep_ns(40).await;
+                        note(&s, 200 + id);
+                    });
+                }
+                2 => {
+                    let naps = draw(1, 6);
+                    sim.spawn(async move {
+                        for _ in 0..naps {
+                            s.sleep_ns(period + 1).await;
+                            note(&s, 300 + id);
+                        }
+                    });
+                }
+                _ => sim.schedule_at(start + period, move |s| note(s, 400 + id)),
+            }
+        }
+        let end = sim.run();
+        let mut ticks = Vec::new();
+        log.drain(|tag| ticks.push(tag));
+        let trace = trace.borrow().clone();
+        (trace, ticks, end, sim.counters())
+    }
+
+    #[test]
+    fn ticker_is_indistinguishable_from_chained_sleeps() {
+        let (mut dropped_mid_chain, mut saved_polls) = (0, 0);
+        for seed in 0..400 {
+            let (trace, ticks, end, c) = ticker_scenario(seed, false);
+            let (trace_t, ticks_t, end_t, c_t) = ticker_scenario(seed, true);
+            assert_eq!(
+                trace_t, trace,
+                "seed {seed}: other events fired differently"
+            );
+            assert_eq!(ticks_t, ticks, "seed {seed}: tick order differs");
+            assert_eq!(end_t, end, "seed {seed}: final instant differs");
+            assert_eq!(
+                (c_t.events_scheduled, c_t.timer_events, c_t.boxed_events),
+                (c.events_scheduled, c.timer_events, c.boxed_events),
+                "seed {seed}: a tick must count like the sleep it replaces"
+            );
+            assert_eq!(c_t.tasks_spawned, c.tasks_spawned);
+            assert!(c_t.tasks_polled <= c.tasks_polled, "seed {seed}");
+            saved_polls += c.tasks_polled - c_t.tasks_polled;
+            dropped_mid_chain += trace
+                .iter()
+                .filter(|(_, w)| *w >= 1_000 && w % 2 == 0)
+                .count();
+        }
+        assert!(saved_polls > 400, "tickers saved only {saved_polls} polls");
+        assert!(
+            dropped_mid_chain > 50,
+            "only {dropped_mid_chain} chains were cut"
+        );
+    }
+
+    #[test]
+    fn ticker_wakes_its_task_once() {
+        let sim = Sim::new(1);
+        let log = Rc::new(TickLog::default());
+        let (s, l) = (sim.clone(), Rc::clone(&log));
+        sim.block_on(async move {
+            s.ticker(11, 32, &l, 7).await;
+            assert_eq!(s.now(), 32 * 11);
+        });
+        let c = sim.counters();
+        assert_eq!((c.timer_events, c.boxed_events), (32, 0));
+        assert_eq!(c.tasks_polled, 2, "first poll and the last tick's wake");
+        let mut ticks = Vec::new();
+        log.drain(|tag| ticks.push(tag));
+        assert_eq!(ticks, vec![7; 31], "every tick but the last is logged");
+        assert!(log.is_empty());
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub use combinators::{
     join2, join_all, join_boxed, race2, timeout_at, BoxFuture, Either, Quorum, TimedOut,
 };
 pub use dist::Jitter;
-pub use executor::{Sim, SimCounters, Sleep, TaskId, YieldNow};
+pub use executor::{Sim, SimCounters, Sleep, TaskId, TickLog, Ticker, YieldNow};
 pub use oneshot::{oneshot, OneshotReceiver, OneshotSender};
 pub use resource::FifoResource;
 pub use rng::SimRng;

@@ -113,15 +113,28 @@ impl Workload {
     }
 
     /// Deterministic per-(key, version) value payload of `value_size` bytes.
+    ///
+    /// Byte `i` is `tag[i % 8] ^ (i as u8)` for the little-endian bytes of
+    /// `tag = key * 0x9E3779B97F4A7C15 + version`: a pattern that repeats
+    /// every 256 bytes, so one block is built a word at a time and copied.
     pub fn value_for(&self, key: u64, version: u64) -> Vec<u8> {
-        let mut v = vec![0u8; self.value_size];
-        let tag = key
-            .wrapping_mul(0x9E3779B97F4A7C15)
-            .wrapping_add(version)
-            .to_le_bytes();
-        for (i, b) in v.iter_mut().enumerate() {
-            *b = tag[i % 8] ^ (i as u8);
+        let n = self.value_size;
+        let tag = key.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(version);
+        let mut block = [0u8; 256];
+        for (j, w) in block[..n.min(256).next_multiple_of(8)]
+            .chunks_exact_mut(8)
+            .enumerate()
+        {
+            // Byte indices `8j..8j + 8`, one per lane; `8j + 7 < 256`, so
+            // no lane carries into the next.
+            let index = 0x0101_0101_0101_0101 * (8 * j as u64) + 0x0706_0504_0302_0100;
+            w.copy_from_slice(&(tag ^ index).to_le_bytes());
         }
+        let mut v = Vec::with_capacity(n);
+        while n - v.len() >= 256 {
+            v.extend_from_slice(&block);
+        }
+        v.extend_from_slice(&block[..n - v.len()]);
         v
     }
 }
@@ -167,6 +180,21 @@ mod tests {
         assert_eq!(w.value_for(1, 0).len(), 64);
         assert_ne!(w.value_for(1, 0), w.value_for(2, 0));
         assert_ne!(w.value_for(1, 0), w.value_for(1, 1));
+    }
+
+    #[test]
+    fn value_for_matches_the_byte_at_a_time_definition() {
+        for size in [0usize, 1, 7, 8, 9, 64, 255, 257, 1000, 8192] {
+            let w = Workload::ycsb(WorkloadSpec::A, 10, size);
+            for (key, version) in [(0u64, 0u64), (3, 9), (u64::MAX, 1 << 40)] {
+                let tag = key
+                    .wrapping_mul(0x9E3779B97F4A7C15)
+                    .wrapping_add(version)
+                    .to_le_bytes();
+                let reference: Vec<u8> = (0..size).map(|i| tag[i % 8] ^ (i as u8)).collect();
+                assert_eq!(w.value_for(key, version), reference, "size {size}");
+            }
+        }
     }
 
     #[test]

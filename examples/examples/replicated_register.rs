@@ -122,7 +122,10 @@ fn main() {
         let out = w0.read().await;
         println!(
             "final read: value[0]={} stamp={} via {:?} in {} iteration(s)",
-            out.value.value[0], out.value.stamp, out.path, out.iterations
+            out.value.value()[0],
+            out.value.stamp,
+            out.path,
+            out.iterations
         );
         let _ = last;
         println!(
