@@ -101,9 +101,9 @@ stage repair-chaos env SWARM_CHAOS_SEEDS="${SWARM_CHAOS_SEEDS:-8}" \
 
 BIN_DIR="${CARGO_TARGET_DIR:-target}/release"
 
-# Bench stdout goldens: all 17 release binaries at the perf stages'
-# volumes, stdout diffed against crates/bench/goldens/<bin>.stdout (the
-# unified diff prints on mismatch). The threaded binaries run under two
+# Bench stdout goldens: all 17 `swarm-bench` experiments at the perf stages'
+# volumes, stdout diffed against crates/bench/goldens/<name>.stdout (the
+# unified diff prints on mismatch). The threaded experiments run under two
 # SWARM_BENCH_THREADS / SWARM_SHARD_THREADS settings against the same
 # golden, so the thread-knob contract rides on the same check. Regenerate
 # with `sh crates/bench/goldens/check.sh --write` (see TESTING.md).
@@ -116,29 +116,29 @@ stage stdout-parity sh crates/bench/goldens/check.sh "$BIN_DIR"
 # runs twice — single shard thread, then SWARM_SHARD_THREADS=2 — so the
 # threaded path (scoped threads, work stealing, shard-order merge) gets a
 # perf-budgeted exercise (stdout-parity above checks its output).
-perf_stage fig5 60 env SWARM_BENCH_THREADS=1 "$BIN_DIR/fig5"
-perf_stage fig8 120 env SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2 "$BIN_DIR/fig8"
+perf_stage fig5 60 env SWARM_BENCH_THREADS=1 "$BIN_DIR/swarm-bench" fig5
+perf_stage fig8 120 env SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2 "$BIN_DIR/swarm-bench" fig8
 perf_stage bench_shards 120 env SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2 \
-    SWARM_SHARD_THREADS=1 "$BIN_DIR/bench_shards"
+    SWARM_SHARD_THREADS=1 "$BIN_DIR/swarm-bench" bench_shards
 perf_stage bench_shards-mt 120 env SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=1 \
-    SWARM_SHARD_THREADS=2 "$BIN_DIR/bench_shards"
+    SWARM_SHARD_THREADS=2 "$BIN_DIR/swarm-bench" bench_shards
 # The elastic-split timeline: wall time is dominated by the fixed 140 ms
 # simulated horizon (two cells), so the volume knob mainly shrinks the
 # preloaded keyspace; the split still has to seal or the bench fails.
 perf_stage bench_reshard 60 env SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2 \
-    "$BIN_DIR/bench_reshard"
+    "$BIN_DIR/swarm-bench" bench_reshard
 # Anti-entropy convergence: three digest-strategy cells over the quick
 # 2^14 keyspace (unscaled — the bloom-vs-full byte assertion needs a
 # keyspace big enough for digests to pay off). Asserts every cell
 # converges to zero residual divergence and BloomBuckets moves fewer
 # bytes than the full exchange.
-perf_stage bench_repair 60 env SWARM_BENCH_THREADS=3 "$BIN_DIR/bench_repair"
+perf_stage bench_repair 60 env SWARM_BENCH_THREADS=3 "$BIN_DIR/swarm-bench" bench_repair
 # Tail smoke: the quick {no-hedge, hedge} x {calm, spike} sweep (four
 # cells). The binary asserts in-process that hedged p99 is >= 2x below
 # unhedged under the canonical delay-spike plan with <= 5% median
 # regression, and that the hedge budget balances — so this stage failing
 # means the tail optimization regressed, not just a slow host.
-perf_stage tail-smoke 60 env SWARM_BENCH_THREADS=2 "$BIN_DIR/bench_tail"
+perf_stage tail-smoke 60 env SWARM_BENCH_THREADS=2 "$BIN_DIR/swarm-bench" bench_tail
 # Scenario smoke: the YCSB A-F x {static, flash-crowd} x 2-protocol (+ TTL
 # churn + bimodal values) scenario sweep at smoke volume, run twice with
 # different thread knobs. The binary validates every report's JSON before
@@ -149,10 +149,10 @@ perf_stage tail-smoke 60 env SWARM_BENCH_THREADS=2 "$BIN_DIR/bench_tail"
 perf_stage scenario-smoke 120 sh -c '
     set -eu
     rm -rf target/reports target/reports.first
-    SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2 "$0/bench_scenarios"
+    SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2 "$0/swarm-bench" bench_scenarios
     mv target/reports target/reports.first
     SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=1 SWARM_SHARD_THREADS=2 \
-        "$0/bench_scenarios"
+        "$0/swarm-bench" bench_scenarios
     diff -r target/reports.first target/reports
     [ "$(ls target/reports/*.json | wc -l)" -ge 14 ]
     for f in target/reports/ycsb_a_static target/reports/ycsb_e_flash \

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Bench stdout goldens: runs every release bench binary at a fixed volume
-# and diffs its stdout against crates/bench/goldens/<bin>.stdout.
+# Bench stdout goldens: runs every `swarm-bench` experiment (release build)
+# at a fixed volume and diffs its stdout against
+# crates/bench/goldens/<experiment>.stdout.
 #
 #   sh crates/bench/goldens/check.sh [BIN_DIR]           check (ci.sh's stdout-parity stage)
 #   sh crates/bench/goldens/check.sh --write [BIN_DIR]   regenerate the goldens
@@ -8,7 +9,7 @@
 # Stdout carries only simulated numbers, so it is byte-identical across
 # reruns and across SWARM_BENCH_THREADS / SWARM_SHARD_THREADS; wall-clock
 # output goes to stderr and *_wall.csv and is outside the goldens. Run from
-# the repository root (the binaries write target/experiments and
+# the repository root (the experiments write target/experiments and
 # target/reports relative to the cwd).
 set -eu
 
@@ -23,24 +24,24 @@ OUT="${CARGO_TARGET_DIR:-target}/stdout-parity"
 mkdir -p "$OUT"
 FAILED=0
 
-golden() { # golden <bin> <VAR=value...>
-    _bin=$1; shift
-    env "$@" "$BIN_DIR/$_bin" > "$OUT/$_bin.stdout" 2> "$OUT/$_bin.stderr" || {
-        echo "FAIL $_bin: exit code $? under [$*]; stderr:" >&2
-        cat "$OUT/$_bin.stderr" >&2
+golden() { # golden <experiment> <VAR=value...>
+    _exp=$1; shift
+    env "$@" "$BIN_DIR/swarm-bench" "$_exp" > "$OUT/$_exp.stdout" 2> "$OUT/$_exp.stderr" || {
+        echo "FAIL $_exp: exit code $? under [$*]; stderr:" >&2
+        cat "$OUT/$_exp.stderr" >&2
         exit 1
     }
     if [ "$WRITE" -eq 1 ]; then
-        cp "$OUT/$_bin.stdout" "$GOLDENS/$_bin.stdout"
-    elif ! diff -u "$GOLDENS/$_bin.stdout" "$OUT/$_bin.stdout"; then
-        echo "FAIL $_bin: stdout differs from $GOLDENS/$_bin.stdout under [$*]" >&2
+        cp "$OUT/$_exp.stdout" "$GOLDENS/$_exp.stdout"
+    elif ! diff -u "$GOLDENS/$_exp.stdout" "$OUT/$_exp.stdout"; then
+        echo "FAIL $_exp: stdout differs from $GOLDENS/$_exp.stdout under [$*]" >&2
         FAILED=1
     fi
 }
 
-# Binaries that read a thread knob (the sweep driver's SWARM_BENCH_THREADS,
+# Experiments that read a thread knob (the sweep driver's SWARM_BENCH_THREADS,
 # bench_shards' SWARM_SHARD_THREADS) are checked under two settings.
-twice() { # twice <bin> [VAR=value...]
+twice() { # twice <experiment> [VAR=value...]
     golden "$@" SWARM_BENCH_THREADS=2 SWARM_SHARD_THREADS=1
     [ "$WRITE" -eq 1 ] || golden "$@" SWARM_BENCH_THREADS=1 SWARM_SHARD_THREADS=2
 }
@@ -51,12 +52,12 @@ twice() { # twice <bin> [VAR=value...]
 golden fig5 SWARM_BENCH_THREADS=1
 twice bench_repair
 twice bench_tail
-for bin in table2 table3 fig6 fig11 fig12; do
-    golden "$bin" SWARM_BENCH_OPS_SCALE=0.05
+for exp in table2 table3 fig6 fig11 fig12; do
+    golden "$exp" SWARM_BENCH_OPS_SCALE=0.05
 done
-for bin in fig7 fig8 fig9 fig10 fig13 bench_multiget bench_shards bench_reshard \
+for exp in fig7 fig8 fig9 fig10 fig13 bench_multiget bench_shards bench_reshard \
     bench_scenarios; do
-    twice "$bin" SWARM_BENCH_OPS_SCALE=0.05
+    twice "$exp" SWARM_BENCH_OPS_SCALE=0.05
 done
 
 if [ "$FAILED" -ne 0 ]; then
@@ -66,5 +67,5 @@ fi
 if [ "$WRITE" -eq 1 ]; then
     echo "stdout-parity: wrote 17 goldens to $GOLDENS"
 else
-    echo "stdout-parity: 17 binaries match their goldens"
+    echo "stdout-parity: 17 experiments match their goldens"
 fi

@@ -10,15 +10,15 @@
 
 use std::rc::Rc;
 
-use swarm_bench::{build, env_scaled_keys, run_workload, write_csv, ExpParams, Protocol};
+use crate::{build, env_scaled_keys, run_workload, write_csv, ExpParams, Protocol};
 use swarm_kv::{KvStore, KvStoreExt};
 use swarm_sim::Sim;
 use swarm_workload::WorkloadSpec;
 
 const BATCHES: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
-fn main() {
-    let quick = !std::env::args().any(|a| a == "--full");
+/// Runs the experiment: quick volume by default, the paper's when `!quick`.
+pub fn run(quick: bool) {
     let p = ExpParams {
         n_keys: 4_096,
         warmup_ops: 0,

@@ -24,7 +24,9 @@
 
 use std::time::Instant;
 
-use swarm_bench::{composed_threads, env_scaled_keys, sweep_on, write_csv, ExpParams, Protocol};
+use crate::{
+    composed_threads, env_scaled_keys, report_wall, sweep_on, write_csv, ExpParams, Protocol,
+};
 use swarm_fabric::{FaultPlan, NodeId};
 use swarm_kv::{divergent_stamp_pairs, run_workload, RepairConfig, RepairStats, RepairStrategy};
 use swarm_sim::{Nanos, Sim, NANOS_PER_MILLI};
@@ -44,8 +46,8 @@ struct CellResult {
     wall_secs: f64,
 }
 
-fn main() {
-    let quick = !std::env::args().any(|a| a == "--full");
+/// Runs the experiment: quick volume by default, the paper's when `!quick`.
+pub fn run(quick: bool) {
     let n_keys: u64 = if quick { 1 << 14 } else { 1 << 20 };
     let drop_from: Nanos = NANOS_PER_MILLI;
     let drop_until: Nanos = if quick { 21 } else { 41 } * NANOS_PER_MILLI;
@@ -193,16 +195,10 @@ fn main() {
     println!("round, while the digest strategies pay per-bucket summaries plus only the");
     println!("mismatched buckets — the gap widens with the keyspace (try --full).");
 
-    for r in &results {
-        eprintln!("  wall {}: {:.3}s", r.strategy.name(), r.wall_secs);
-    }
-    write_csv(
+    report_wall(
         "bench_repair",
         "wall",
-        "strategy,wall_secs",
-        &results
-            .iter()
-            .map(|r| format!("{},{:.4}", r.strategy.name(), r.wall_secs))
-            .collect::<Vec<_>>(),
+        "strategy",
+        results.iter().map(|r| (r.strategy.name(), r.wall_secs)),
     );
 }

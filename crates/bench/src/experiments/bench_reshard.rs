@@ -19,7 +19,9 @@
 
 use std::time::Instant;
 
-use swarm_bench::{composed_threads, env_scaled_keys, sweep_on, write_csv, ExpParams, Protocol};
+use crate::{
+    composed_threads, env_scaled_keys, report_wall, sweep_on, write_csv, ExpParams, Protocol,
+};
 use swarm_kv::{run_workload, ElasticShard, ReshardEvent};
 use swarm_sim::{Nanos, Sim, NANOS_PER_MILLI};
 use swarm_workload::WorkloadSpec;
@@ -48,8 +50,8 @@ struct CellResult {
     wall_secs: f64,
 }
 
-fn main() {
-    let quick = !std::env::args().any(|a| a == "--full");
+/// Runs the experiment: quick volume by default, the paper's when `!quick`.
+pub fn run(quick: bool) {
     let n_keys: u64 = if quick { 1 << 13 } else { 1 << 16 };
     let split_at = if quick { 40 } else { 100 } * NANOS_PER_MILLI;
     let end_at = if quick { 140 } else { 400 } * NANOS_PER_MILLI;
@@ -179,7 +181,6 @@ fn main() {
     println!("routers bounce once, refresh their map, and retry within the op.");
 
     for (name, r) in [("control", &base), ("split", &split)] {
-        eprintln!("  wall {name}: {:.3}s", r.wall_secs);
         // Machine-readable per-cell summary (ROADMAP item 3's report
         // harness convention). stderr only: stdout must stay bit-identical
         // to the pre-JSON report.
@@ -195,13 +196,10 @@ fn main() {
             r.wall_secs
         );
     }
-    write_csv(
+    report_wall(
         "bench_reshard",
         "wall",
-        "cell,wall_secs",
-        &[
-            format!("control,{:.4}", base.wall_secs),
-            format!("split,{:.4}", split.wall_secs),
-        ],
+        "cell",
+        [("control", base.wall_secs), ("split", split.wall_secs)],
     );
 }

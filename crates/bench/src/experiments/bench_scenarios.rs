@@ -4,7 +4,7 @@
 //! hot set rotated mid-run), a TTL-churn scenario (lease-stamped inserts
 //! expiring mid-run), and a bimodal large-value scenario — against SWARM-KV
 //! and FUSEE on a 4-shard cluster, and renders one JSON + HTML
-//! [`swarm_bench::Report`] per scenario under `target/reports/`.
+//! [`crate::Report`] per scenario under `target/reports/`.
 //!
 //! See `docs/SCENARIOS.md` for the scenario cookbook and the field-by-field
 //! report reference.
@@ -16,14 +16,14 @@
 //! stream (`ScenarioSpec::ops(seed)` is pure in `(seed, spec)`) through
 //! cross-shard routers, so scans exercise the shard-fanout range-read path
 //! and per-shard routed-op counts expose the skew each phase creates.
-//! Cells run on `SWARM_BENCH_THREADS` OS threads via [`swarm_bench::sweep`]
+//! Cells run on `SWARM_BENCH_THREADS` OS threads via [`crate::sweep`]
 //! and are merged in deterministic cell order; no per-shard `Sim`s are
 //! involved, so `SWARM_SHARD_THREADS` is trivially irrelevant. stdout and
 //! every report file are bit-identical at any thread count.
 //!
 //! **stdout is the deterministic report** (simulated metrics only).
-//! Wall-clock seconds per cell go to **stderr**; nothing wall-clock-derived
-//! reaches the report files, which is what makes them safe to byte-diff
+//! Wall-clock seconds per cell go to **stderr** and `wall.csv`; nothing
+//! wall-clock-derived reaches the report files, which is what makes them safe to byte-diff
 //! across reruns and hosts (the `scenario-smoke` CI stage does exactly
 //! that).
 //!
@@ -33,7 +33,7 @@
 use std::rc::Rc;
 use std::time::Instant;
 
-use swarm_bench::{env_scaled_keys, sweep, Protocol, Report};
+use crate::{env_scaled_keys, report_wall, sweep, Protocol, Report};
 use swarm_fabric::TrafficStats;
 use swarm_kv::{run_scenario, ttl_stamp_never, ScenarioRunConfig, StoreBuilder, TtlStore};
 use swarm_sim::Sim;
@@ -194,8 +194,8 @@ fn phases_json(spec: &ScenarioSpec) -> String {
     format!("[{}]", phases.join(","))
 }
 
-fn main() {
-    let quick = !std::env::args().any(|a| a == "--full");
+/// Runs the experiment: quick volume by default, the paper's when `!quick`.
+pub fn run(quick: bool) {
     let n_keys = env_scaled_keys(if quick { 2_048 } else { 1 << 16 });
     // The large-value scenario stores 8 KiB slots; keep its keyspace small
     // enough that bulk loading stays a footnote.
@@ -300,7 +300,6 @@ fn main() {
                 r.imbalance,
                 r.bounces
             );
-            eprintln!("  wall {} / {}: {:.3}s", spec.name, sys_name, r.wall_secs);
             let routed = format!(
                 "[{}]",
                 r.routed
@@ -342,6 +341,15 @@ fn main() {
             Err(e) => eprintln!("warn: cannot write report {}: {e}", spec.name),
         }
     }
+    let cell_names = specs
+        .iter()
+        .flat_map(|spec| SYSTEMS.map(|(_, sys_name)| format!("{} / {sys_name}", spec.name)));
+    report_wall(
+        "bench_scenarios",
+        "wall",
+        "cell",
+        cell_names.zip(results.iter().map(|r| r.wall_secs)),
+    );
     println!("\nwrote {reports} scenario reports (JSON + HTML) under target/reports/");
     println!("expectation: flash-crowd phases rotate the hot set, so the hot shard");
     println!("moves mid-run and per-shard routed counts even out relative to the");

@@ -32,7 +32,9 @@
 
 use std::time::Instant;
 
-use swarm_bench::{composed_threads, env_scaled_keys, sweep_on, write_csv, ExpParams, Protocol};
+use crate::{
+    composed_threads, env_scaled_keys, report_wall, sweep_on, write_csv, ExpParams, Protocol,
+};
 use swarm_kv::{plan_workload, run_sharded_plan, ShardMode, ShardRunOptions, ShardSpec};
 use swarm_workload::{OpType, WorkloadSpec, Zipfian};
 
@@ -68,8 +70,8 @@ struct CellResult {
     wall_secs: f64,
 }
 
-fn main() {
-    let quick = !std::env::args().any(|a| a == "--full");
+/// Runs the experiment: quick volume by default, the paper's when `!quick`.
+pub fn run(quick: bool) {
     let n_keys: u64 = if quick { 1 << 17 } else { 1 << 20 };
     let shard_counts: [usize; 5] = [1, 2, 4, 8, 16];
     let (cell_threads, shard_threads) = composed_threads();
@@ -149,6 +151,7 @@ fn main() {
     });
 
     let mut results = results.into_iter();
+    let mut walls = Vec::new();
     for dist in [Dist::Uniform, Dist::Zipfian99] {
         println!(
             "bench_shards: SWARM-KV, YCSB B mix, {} distribution, {} keys, \
@@ -161,7 +164,6 @@ fn main() {
             "shards", "clients", "tput_Mops", "per_client_k", "scale_eff", "op_imbal", "msg_imbal"
         );
         let mut rows = Vec::new();
-        let mut wall_rows = Vec::new();
         let mut base_per_client = 0.0;
         let mut base_wall = 0.0;
         for &shards in &shard_counts {
@@ -192,23 +194,12 @@ fn main() {
             } else {
                 1.0
             };
-            eprintln!(
-                "  wall {}: {:>2} shards: {:.3}s (weak-scaling eff {:.2} at \
-                 {shard_threads} shard thread(s))",
-                dist.name(),
-                shards,
-                r.wall_secs,
-                wall_eff
-            );
-            wall_rows.push(format!(
-                "{shards},{clients},{:.4},{wall_eff:.3},{shard_threads}",
-                r.wall_secs
-            ));
+            walls.push((format!("{}/{shards}", dist.name()), r.wall_secs));
             // Machine-readable per-cell summary (ROADMAP item 3's report
             // harness convention). stderr only: stdout must stay
             // bit-identical to the pre-JSON report.
             eprintln!(
-                r#"{{"bench":"bench_shards","dist":"{}","shards":{shards},"clients":{clients},"tput_mops":{:.4},"op_imbalance":{:.3},"msg_imbalance":{:.3},"measured_ops":{},"get":{},"update":{},"wall_secs":{:.4}}}"#,
+                r#"{{"bench":"bench_shards","dist":"{}","shards":{shards},"clients":{clients},"tput_mops":{:.4},"op_imbalance":{:.3},"msg_imbalance":{:.3},"measured_ops":{},"get":{},"update":{},"wall_secs":{:.4},"wall_weak_eff":{wall_eff:.3},"shard_threads":{shard_threads}}}"#,
                 dist.name(),
                 r.tput_mops,
                 r.op_imbalance,
@@ -225,12 +216,6 @@ fn main() {
             "shards,clients,tput_mops,per_client_kops,scale_eff,op_imbalance,msg_imbalance,measured_ops",
             &rows,
         );
-        write_csv(
-            "bench_shards",
-            &format!("{}_wall", dist.name()),
-            "shards,clients,wall_secs,wall_weak_eff,shard_threads",
-            &wall_rows,
-        );
         println!();
     }
     println!("expectation: uniform throughput grows at least linearly with shards");
@@ -241,4 +226,5 @@ fn main() {
     println!("Wall-clock per cell and its weak-scaling efficiency (stderr +");
     println!("*_wall.csv) track the real multi-core speedup of one-Sim-per-shard");
     println!("execution.");
+    report_wall("bench_shards", "cells_wall", "cell", walls);
 }

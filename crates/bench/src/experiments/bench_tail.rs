@@ -23,8 +23,9 @@
 
 use std::time::Instant;
 
-use swarm_bench::{
-    composed_threads, env_scaled_keys, run_workload, sweep_on, write_csv, ExpParams, Protocol,
+use crate::{
+    composed_threads, env_scaled_keys, report_wall, run_workload, sweep_on, write_csv, ExpParams,
+    Protocol,
 };
 use swarm_fabric::{FaultPlan, NodeId, TrafficStats};
 use swarm_kv::{CacheCapacity, ClusterConfig, HedgeConfig, RunStats, StoreBuilder};
@@ -128,8 +129,8 @@ fn run_cell(p: &ExpParams, cell: Cell, spike_count: u64) -> CellResult {
     }
 }
 
-fn main() {
-    let quick = !std::env::args().any(|a| a == "--full");
+/// Runs the experiment: quick volume by default, the paper's when `!quick`.
+pub fn run(quick: bool) {
     let p = ExpParams {
         n_keys: 1 << 14,
         warmup_ops: if quick { 10_000 } else { 50_000 },
@@ -289,16 +290,10 @@ fn main() {
     println!("cells re-issue to a spare replica after the tracked per-node p99 and pull the");
     println!("tail back near the calm p99 at the cost of a small duplicate-message budget.");
 
-    for r in &results {
-        eprintln!("  wall {}: {:.3}s", r.cell.name(), r.wall_secs);
-    }
-    write_csv(
+    report_wall(
         "bench_tail",
         "wall",
-        "cell,wall_secs",
-        &results
-            .iter()
-            .map(|r| format!("{},{:.4}", r.cell.name(), r.wall_secs))
-            .collect::<Vec<_>>(),
+        "cell",
+        results.iter().map(|r| (r.cell.name(), r.wall_secs)),
     );
 }

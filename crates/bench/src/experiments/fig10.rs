@@ -3,17 +3,18 @@
 //! vs DM-ABD, YCSB B. With only 4 memory nodes, 5 and 7 replicas co-locate
 //! some replicas (§7.5).
 
-use swarm_bench::{run_system, write_csv, ExpParams, Protocol};
+use crate::{run_system, write_csv, ExpParams, Protocol};
 use swarm_workload::{OpType, WorkloadSpec};
 
-fn main() {
+/// Runs the experiment: quick volume by default, the paper's when `!quick`.
+pub fn run(quick: bool) {
     let p0 = ExpParams {
         n_keys: 20_000,
         warmup_ops: 20_000,
         measure_ops: 60_000,
         ..Default::default()
     }
-    .apply_cli();
+    .sized(quick);
     println!("Figure 10: replication factor sweep, YCSB B");
     println!(
         "{:<10} {:>9} {:>18} {:>20} {:>12}",

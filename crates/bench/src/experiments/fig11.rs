@@ -4,13 +4,13 @@
 //! replicas; latency rises briefly (timeouts + lost in-place data +
 //! lost unanimity) and recovers as subsequent writes rebuild state (§7.7).
 
-use swarm_bench::{build, run_workload, write_csv, ExpParams, Protocol};
+use crate::{build, run_workload, write_csv, ExpParams, Protocol};
 use swarm_fabric::NodeId;
 use swarm_sim::{Sim, NANOS_PER_MILLI};
 use swarm_workload::WorkloadSpec;
 
-fn main() {
-    let quick = !std::env::args().any(|a| a == "--full");
+/// Runs the experiment: quick volume by default, the paper's when `!quick`.
+pub fn run(quick: bool) {
     let p = ExpParams {
         n_keys: if quick { 10_000 } else { 100_000 },
         warmup_ops: 0,

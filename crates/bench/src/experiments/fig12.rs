@@ -3,10 +3,11 @@
 //! helping the max register); updates stay within a few roundtrips thanks
 //! to the per-writer metadata buffers. DM-ABD degrades much more (§7.8).
 
-use swarm_bench::{report_cdf, run_system, write_csv, ExpParams, Protocol};
+use crate::{report_cdf, run_system, write_csv, ExpParams, Protocol};
 use swarm_workload::{OpType, WorkloadSpec};
 
-fn main() {
+/// Runs the experiment: quick volume by default, the paper's when `!quick`.
+pub fn run(quick: bool) {
     let p = ExpParams {
         n_keys: 1,
         clients: 16,
@@ -14,7 +15,7 @@ fn main() {
         measure_ops: 40_000,
         ..Default::default()
     }
-    .apply_cli();
+    .sized(quick);
     println!("Figure 12: single key, 16 clients, YCSB A");
     for sys in [Protocol::SafeGuess, Protocol::Abd] {
         let (stats, _, _) = run_system(p.seed, sys, &p, WorkloadSpec::A, |rc| {

@@ -6,11 +6,11 @@
 //! Cells run threaded through the sweep driver (`SWARM_BENCH_THREADS`) and
 //! merge in deterministic cell order.
 
-use swarm_bench::{report_cdf, run_system, sweep, write_csv, ExpParams, Protocol};
+use crate::{report_cdf, run_system, sweep, write_csv, ExpParams, Protocol};
 use swarm_workload::{OpType, WorkloadSpec};
 
-fn main() {
-    let quick = !std::env::args().any(|a| a == "--full");
+/// Runs the experiment: quick volume by default, the paper's when `!quick`.
+pub fn run(quick: bool) {
     println!("Figure 13: metadata buffers per key, 64 clients, YCSB B");
     let cells = [1usize, 4, 16, 64];
     let results = sweep(&cells, |&bufs| {

@@ -1,11 +1,12 @@
 //! Figure 5: latency CDFs of RAW, SWARM-KV, DM-ABD and FUSEE with YCSB
 //! workload B, Zipfian keys, 4 clients, 100 K keys, 64 B values.
 
-use swarm_bench::{report_cdf, run_system, ExpParams, Protocol};
+use crate::{report_cdf, run_system, ExpParams, Protocol};
 use swarm_workload::{OpType, WorkloadSpec};
 
-fn main() {
-    let p = ExpParams::default().apply_cli();
+/// Runs the experiment: quick volume by default, the paper's when `!quick`.
+pub fn run(quick: bool) {
+    let p = ExpParams::default().sized(quick);
     println!(
         "Figure 5: latency CDFs, YCSB B, {} keys, {} clients",
         p.n_keys, p.clients

@@ -3,13 +3,13 @@
 //! 24 B for DM-ABD/FUSEE but 32 B for SWARM-KV (they also carry In-n-Out's
 //! metadata word), so SWARM-KV caches ~25% fewer keys (§7.1).
 
-use swarm_bench::{report_cdf, run_system, ExpParams, Protocol};
+use crate::{report_cdf, run_system, ExpParams, Protocol};
 use swarm_workload::{OpType, WorkloadSpec};
 
 const CACHE_BYTES: usize = 5 * 1024 * 1024;
 
-fn main() {
-    let quick = !std::env::args().any(|a| a == "--full");
+/// Runs the experiment: quick volume by default, the paper's when `!quick`.
+pub fn run(quick: bool) {
     let base = ExpParams {
         n_keys: if quick { 200_000 } else { 1_000_000 },
         warmup_ops: if quick { 400_000 } else { 8_000_000 },

@@ -4,17 +4,18 @@
 //! Cells run threaded through the sweep driver (`SWARM_BENCH_THREADS`) and
 //! merge in deterministic cell order.
 
-use swarm_bench::{run_system, sweep, write_csv, ExpParams, Protocol};
+use crate::{run_system, sweep, write_csv, ExpParams, Protocol};
 use swarm_workload::WorkloadSpec;
 
-fn main() {
+/// Runs the experiment: quick volume by default, the paper's when `!quick`.
+pub fn run(quick: bool) {
     let base = ExpParams {
         n_keys: 100_000,
         warmup_ops: 30_000,
         measure_ops: 80_000,
         ..Default::default()
     }
-    .apply_cli();
+    .sized(quick);
 
     let mut cells = Vec::new();
     for (wl_name, spec) in [("A", WorkloadSpec::A), ("B", WorkloadSpec::B)] {

@@ -7,11 +7,11 @@
 //! simulation; the sweep runs them on `SWARM_BENCH_THREADS` OS threads and
 //! merges in cell order, so the printed numbers are thread-count-invariant.
 
-use swarm_bench::{run_system, sweep, write_csv, ExpParams, Protocol};
+use crate::{run_system, sweep, write_csv, ExpParams, Protocol};
 use swarm_workload::{OpType, WorkloadSpec};
 
-fn main() {
-    let quick = !std::env::args().any(|a| a == "--full");
+/// Runs the experiment: quick volume by default, the paper's when `!quick`.
+pub fn run(quick: bool) {
     let counts: Vec<usize> = if quick {
         vec![1, 4, 8, 16, 32, 48, 64]
     } else {

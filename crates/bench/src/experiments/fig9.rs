@@ -5,11 +5,11 @@
 //! Cells run threaded through the sweep driver (`SWARM_BENCH_THREADS`) and
 //! merge in deterministic cell order.
 
-use swarm_bench::{run_system, sweep, write_csv, ExpParams, Protocol};
+use crate::{run_system, sweep, write_csv, ExpParams, Protocol};
 use swarm_workload::{OpType, WorkloadSpec};
 
-fn main() {
-    let quick = !std::env::args().any(|a| a == "--full");
+/// Runs the experiment: quick volume by default, the paper's when `!quick`.
+pub fn run(quick: bool) {
     let sizes = [16usize, 64, 256, 1024, 4096, 8192];
     let mut cells = Vec::new();
     for (wl_name, spec) in [("A", WorkloadSpec::A), ("B", WorkloadSpec::B)] {

@@ -1,17 +1,18 @@
 //! Table 2: number of roundtrips for gets and updates — common case and
 //! 99th percentile — under YCSB B (§7.1's standard workload).
 
-use swarm_bench::{run_system, write_csv, ExpParams, Protocol};
+use crate::{run_system, write_csv, ExpParams, Protocol};
 use swarm_workload::{OpType, WorkloadSpec};
 
-fn main() {
+/// Runs the experiment: quick volume by default, the paper's when `!quick`.
+pub fn run(quick: bool) {
     let p = ExpParams {
         n_keys: 10_000,
         warmup_ops: 60_000, // covers the key space so locations are cached
         measure_ops: 60_000,
         ..Default::default()
     }
-    .apply_cli();
+    .sized(quick);
 
     println!("Table 2: roundtrips for gets and updates (common / P99)");
     println!(

@@ -7,12 +7,12 @@
 //! a client core is busy for the whole operation (issue + poll) plus
 //! per-op application work.
 
-use swarm_bench::{run_system, write_csv, ExpParams, Protocol};
+use crate::{run_system, write_csv, ExpParams, Protocol};
 use swarm_sim::NANOS_PER_SEC;
 use swarm_workload::WorkloadSpec;
 
-fn main() {
-    let quick = !std::env::args().any(|a| a == "--full");
+/// Runs the experiment: quick volume by default, the paper's when `!quick`.
+pub fn run(quick: bool) {
     let n_keys_model = 1_000_000u64; // Table 3's accounting keyspace
     let p0 = ExpParams {
         n_keys: if quick { 50_000 } else { 1_000_000 },

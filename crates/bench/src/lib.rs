@@ -1,51 +1,43 @@
 //! Experiment harness for the SWARM evaluation (§7).
 //!
-//! One binary per table/figure regenerates the corresponding result:
+//! One executable, `swarm-bench <experiment> [--full]`, regenerates every
+//! table and figure of the paper plus the beyond-paper benches. The
+//! [`EXPERIMENTS`] registry is the only list of what exists: `main`'s
+//! dispatch and usage text and the smoke test all read it, and each entry's
+//! module under [`experiments`] documents what it reproduces and how.
 //!
-//! | binary  | reproduces |
-//! |---------|------------|
-//! | `table2`| roundtrips per op, common case & P99 |
-//! | `fig5`  | latency CDFs, 4 systems, YCSB B |
-//! | `fig6`  | latency CDFs with 1 M keys and 5 MiB caches |
-//! | `fig7`  | per-core throughput–latency, 1–8 concurrent ops |
-//! | `fig8`  | scalability, 1–64 clients |
-//! | `fig9`  | value-size sweep, In-n-Out vs pure out-of-place |
-//! | `fig10` | replication factor 3/5/7 |
-//! | `table3`| resource consumption |
-//! | `fig11` | memory-node crash timeline |
-//! | `fig12` | extreme contention on a single key |
-//! | `fig13` | number of In-n-Out metadata buffers |
+//! `--full` selects paper-scale op counts (default is a quick mode sized to
+//! finish in seconds each); `main` is its only reader and hands every
+//! experiment a `quick` flag. Experiments print the same rows/series the
+//! paper reports, plus CSVs under `target/experiments/` (and, for
+//! `bench_scenarios`, a JSON + HTML [`Report`] per scenario under
+//! `target/reports/`, see `docs/SCENARIOS.md`).
 //!
-//! Beyond the paper, `bench_multiget` measures the batch-size-vs-latency
-//! scaling of the pipelined `KvStoreExt` multi-ops, and `bench_shards`
-//! sweeps the sharded keyspace (1→16 shards × {uniform, Zipfian .99}),
-//! reporting aggregate-throughput weak scaling and per-shard load
-//! imbalance. `bench_scenarios` drives the time-phased scenario engine
-//! (`swarm_workload::ScenarioSpec`) — YCSB A–F including scans, flash-crowd
-//! skew rotation, TTL churn, and bimodal value sizes — and renders a
-//! JSON + HTML [`Report`] per scenario under `target/reports/` (see
-//! `docs/SCENARIOS.md` for the cookbook).
-//!
-//! Binaries accept `--full` for paper-scale op counts (default is a quick
-//! mode sized to finish in seconds each) and print the same rows/series the
-//! paper reports, plus CSVs under `target/experiments/`.
-//!
-//! The long sweep binaries (`fig7`–`fig9`, `fig13`) run their independent
-//! `(seed, config)` cells on `SWARM_BENCH_THREADS` OS threads (default: all
-//! cores) via [`sweep`]; results are merged in deterministic cell order, so
-//! every number is identical at any thread count. `bench_shards` adds a
-//! second level: inside each cell, every shard runs on its own `Sim` driven
-//! by `SWARM_SHARD_THREADS` OS threads (`swarm_kv::run_sharded_plan`), and
-//! [`composed_threads`] caps cells × shards to the available cores.
+//! The long sweeps (`fig7`–`fig9`, `fig13`, the `bench_*` set) run their
+//! independent `(seed, config)` cells on `SWARM_BENCH_THREADS` OS threads
+//! (default: all cores) via [`sweep`]; results are merged in deterministic
+//! cell order, so every number is identical at any thread count.
+//! `bench_shards` adds a second level: inside each cell, every shard runs on
+//! its own `Sim` driven by `SWARM_SHARD_THREADS` OS threads
+//! (`swarm_kv::run_sharded_plan`), and [`composed_threads`] caps cells ×
+//! shards to the available cores. Wall-clock time is the one
+//! nondeterministic output; it goes to stderr and `*wall.csv` through
+//! [`report_wall`], never to stdout.
 //!
 //! Every system under test is built through [`swarm_kv::StoreBuilder`], so
 //! the four protocols share one construction and measurement path.
+//!
+//! One executable rather than one per experiment because the release
+//! profile's fat LTO re-optimises the whole workspace per link: 17 links
+//! cost ~180 s per rebuild on a 2-core host, one costs ~40 s.
 
 #![warn(missing_docs)]
 
+pub mod experiments;
 mod report;
 mod sweep;
 
+pub use experiments::{Experiment, EXPERIMENTS};
 pub use report::{json_escape, validate_json, Report};
 pub use sweep::{cap_thread_product, composed_threads, sweep, sweep_on, sweep_threads};
 
@@ -57,7 +49,7 @@ use swarm_kv::{
     StoreClient, StoreCluster,
 };
 use swarm_sim::{Histogram, Sim};
-use swarm_workload::{OpType, Workload, WorkloadSpec};
+use swarm_workload::{Workload, WorkloadSpec};
 
 pub use swarm_kv::{run_workload, Protocol};
 // The warn-once env-knob convention shared by every harness variable
@@ -117,9 +109,9 @@ impl Default for ExpParams {
 }
 
 impl ExpParams {
-    /// Scales warm-up/measurement to the paper's 1 M + 1 M when `--full`.
-    pub fn apply_cli(mut self) -> Self {
-        if std::env::args().any(|a| a == "--full") {
+    /// Scales warm-up/measurement to the paper's 1 M + 1 M unless `quick`.
+    pub fn sized(mut self, quick: bool) -> Self {
+        if !quick {
             self.warmup_ops = 1_000_000;
             self.measure_ops = 1_000_000;
         }
@@ -293,14 +285,22 @@ pub fn write_csv(exp: &str, series: &str, header: &str, rows: &[String]) {
     }
 }
 
-/// Median get/update latency in µs for quick tables.
-pub fn medians(stats: &RunStats) -> (f64, f64) {
-    let m = |mut h: Histogram| {
-        if h.is_empty() {
-            f64::NAN
-        } else {
-            h.median() as f64 / 1e3
-        }
-    };
-    (m(stats.lat(OpType::Get)), m(stats.lat(OpType::Update)))
+/// Per-cell wall-clock seconds, the one nondeterministic output of a bench:
+/// one `  wall <cell>: <secs>s` line each on stderr plus
+/// `target/experiments/<exp>/<series>.csv` with header `<key>,wall_secs` —
+/// never stdout, which stays byte-identical across reruns and thread knobs.
+pub fn report_wall<N: std::fmt::Display>(
+    exp: &str,
+    series: &str,
+    key: &str,
+    cells: impl IntoIterator<Item = (N, f64)>,
+) {
+    let rows: Vec<String> = cells
+        .into_iter()
+        .map(|(name, secs)| {
+            eprintln!("  wall {name}: {secs:.3}s");
+            format!("{name},{secs:.4}")
+        })
+        .collect();
+    write_csv(exp, series, &format!("{key},wall_secs"), &rows);
 }

@@ -12,8 +12,8 @@
 //!   [`Report::int`] and [`Report::str`] cover the common scalars, and
 //!   [`Report::raw`] splices pre-rendered JSON such as
 //!   `Histogram::summary_json` output or a `[1,2,3]` array.
-//! * Nothing wall-clock-derived belongs in a report; keep elapsed-time
-//!   numbers on stderr like every other bench binary.
+//! * Nothing wall-clock-derived belongs in a report; elapsed-time numbers
+//!   go through [`crate::report_wall`] like every other experiment's.
 //!
 //! [`validate_json`] is a minimal recursive-descent checker used by the
 //! writers (and the CI smoke stage) to guarantee the spliced fragments
