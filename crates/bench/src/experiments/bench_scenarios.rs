@@ -70,7 +70,6 @@ struct CellResult {
     get_p99_us: f64,
     routed: Vec<u64>,
     imbalance: f64,
-    bounces: u64,
     cache_hits: u64,
     cache_misses: u64,
     traffic: TrafficStats,
@@ -150,7 +149,6 @@ fn run_cell(cell: &Cell) -> CellResult {
         get_p99_us,
         routed,
         imbalance,
-        bounces: routers.iter().map(|r| r.wrong_shard_bounces()).sum(),
         cache_hits,
         cache_misses,
         traffic: cluster.stats(),
@@ -253,17 +251,8 @@ pub fn run(quick: bool) {
         SYSTEMS.len()
     );
     println!(
-        "{:<16} {:>9} {:>7} {:>6} {:>10} {:>9} {:>9} {:>8} {:>7} {:>7}",
-        "scenario",
-        "system",
-        "ops",
-        "fail",
-        "tput_kops",
-        "p50_us",
-        "p99_us",
-        "scanned",
-        "imbal",
-        "bounce"
+        "{:<16} {:>9} {:>7} {:>6} {:>10} {:>9} {:>9} {:>8} {:>7}",
+        "scenario", "system", "ops", "fail", "tput_kops", "p50_us", "p99_us", "scanned", "imbal"
     );
 
     let results = sweep(&cells, run_cell);
@@ -288,7 +277,7 @@ pub fn run(quick: bool) {
         for (j, (_, sys_name)) in SYSTEMS.iter().enumerate() {
             let r = &results[i * SYSTEMS.len() + j];
             println!(
-                "{:<16} {:>9} {:>7} {:>6} {:>10.1} {:>9.2} {:>9.2} {:>8} {:>6.2}x {:>7}",
+                "{:<16} {:>9} {:>7} {:>6} {:>10.1} {:>9.2} {:>9.2} {:>8} {:>6.2}x",
                 spec.name,
                 sys_name,
                 r.measured_ops,
@@ -297,8 +286,7 @@ pub fn run(quick: bool) {
                 r.get_p50_us,
                 r.get_p99_us,
                 r.scanned_items,
-                r.imbalance,
-                r.bounces
+                r.imbalance
             );
             let routed = format!(
                 "[{}]",
@@ -320,7 +308,6 @@ pub fn run(quick: bool) {
             }
             rep.raw("routed_per_shard", routed)
                 .num("shard_imbalance", r.imbalance)
-                .int("wrong_shard_bounces", r.bounces)
                 .int("cache_hits", r.cache_hits)
                 .int("cache_misses", r.cache_misses)
                 .int("fabric_messages", r.traffic.messages)

@@ -26,7 +26,8 @@
 //!   a generation-stamped routing table plus a copy/double-write/seal
 //!   migration protocol that splits, merges, or rebuilds replica groups
 //!   mid-run while every concurrent client stays linearizable. Stale
-//!   routes bounce with [`KvError::WrongShard`].
+//!   routes bounce with [`KvError::WrongShard`] inside the family's own
+//!   [`ElasticClient`]s; a static [`ShardRouter`] routes by the spec alone.
 //!
 //! ```
 //! use swarm_kv::{CacheCapacity, KvStore, KvStoreExt, Protocol, StoreBuilder};

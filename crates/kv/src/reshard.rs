@@ -10,19 +10,19 @@
 //!
 //! # The routing table
 //!
-//! A [`ShardMap`] refines the stateless `hash % N` mapping: each of the N
-//! *classes* (the `ShardSpec::shard_of` image, fixed forever so static
-//! deployments never reshuffle) owns a 16-bit *split space*, keys land in
-//! it via a second, independent hash ([`split_point`]), and contiguous
-//! segments of that space map to replica *groups*. An epoch-0 map assigns
-//! every class's full range to its own group — bit-for-bit the classic
-//! layout, pinned by golden tests. Every ownership transfer bumps the
-//! map's `epoch`; a client holding a stale map has its request bounced
-//! with [`KvError::WrongShard`]`{ epoch }` and re-resolves.
+//! An elastic family sits *inside* one static shard (one image of
+//! `ShardSpec::shard_of`, fixed forever so static deployments never
+//! reshuffle) and refines it: the family owns a 16-bit *split space*, keys
+//! land in it via a second, independent hash ([`split_point`]), and a
+//! [`ShardMap`] maps contiguous segments of that space to replica *groups*.
+//! The epoch-0 map assigns the full range to group 0 — the classic layout.
+//! Every ownership transfer bumps the map's `epoch`; a client holding a
+//! stale map has its request bounced with [`KvError::WrongShard`]`{ epoch }`
+//! and re-resolves.
 //!
 //! # The migration protocol (copy, double-write, seal)
 //!
-//! An [`ElasticShard`] family wraps one class's base group and runs
+//! An [`ElasticShard`] family wraps one static shard's base group and runs
 //! migrations as simulation tasks:
 //!
 //! 1. **Window open.** A fresh destination group is built mid-run from the
@@ -74,7 +74,6 @@ use swarm_sim::{oneshot, FifoResource, Nanos, OneshotSender, Sim};
 use crate::builder::{Protocol, StoreBuilder, StoreClient, StoreCluster};
 use crate::cluster::{derive_label, ROLE_RESHARD};
 use crate::repair::RepairStats;
-use crate::shard::ShardSpec;
 use crate::store::{KvError, KvResult, KvStore};
 
 /// Pacing of a migration copy stream unless the event overrides it: one key
@@ -83,11 +82,11 @@ use crate::store::{KvError, KvResult, KvStore};
 /// shared fabric.
 const DEFAULT_PACE_NS: Nanos = 2_000;
 
-/// Seed of the intra-class split hash. Independent of the key→class hash
-/// (`ShardSpec::shard_of`) so a split cuts each class's keys afresh.
+/// Seed of the split hash. Independent of the key→shard hash
+/// (`ShardSpec::shard_of`) so a split cuts each shard's keys afresh.
 const SPLIT_HASH_SEED: u64 = 0x0052_4553_4841;
 
-/// Size of the per-class split space (16-bit points).
+/// Size of a family's split space (16-bit points).
 const SPLIT_SPACE: u32 = 1 << 16;
 
 /// Bounces a client retries before surfacing [`KvError::WrongShard`].
@@ -112,14 +111,14 @@ const COPY_RETRY_NS: Nanos = 5_000;
 /// Copy-driver attempts per key before the window is poisoned.
 const COPY_RETRIES: usize = 8;
 
-/// The point a key occupies in its class's 16-bit split space: a pure
+/// The point a key occupies in its family's 16-bit split space: a pure
 /// function of the key, independent of the routing hash, stable across
 /// runs and processes (golden-pinned alongside `ShardSpec::shard_of`).
 pub fn split_point(key: u64) -> u16 {
     (swarm_core::xxh64(&key.to_le_bytes(), SPLIT_HASH_SEED) & 0xFFFF) as u16
 }
 
-/// One contiguous run of a class's split space mapped to a replica group
+/// One contiguous run of the split space mapped to a replica group
 /// (inclusive bounds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
@@ -131,45 +130,29 @@ pub struct Segment {
     pub group: usize,
 }
 
-/// The generation-stamped routing table: per-class segment ownership plus
-/// the epoch that every handoff bumps.
-///
-/// `ShardMap::base(spec)` (epoch 0) reproduces the stateless
-/// `ShardSpec::shard_of` assignment bit for bit: class `s` owns its whole
-/// split space and maps to group `s`. Static sharded clusters never leave
-/// epoch 0, so upgrading to map-based routing reshuffles nothing.
+/// The generation-stamped routing table of one elastic family: which
+/// replica group owns each segment of the split space, plus the epoch that
+/// every handoff bumps. `ShardMap::base()` (epoch 0) maps the whole space to
+/// group 0.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
-    spec: ShardSpec,
     epoch: u64,
-    /// `classes[c]` = class `c`'s segments, sorted by `start`, covering
-    /// the whole split space with no gaps or overlaps.
-    classes: Vec<Vec<Segment>>,
+    /// Sorted by `start`, covering the whole split space with no gaps or
+    /// overlaps.
+    segments: Vec<Segment>,
 }
 
 impl ShardMap {
-    /// The epoch-0 map of `spec`: every class's full range on its own
-    /// group, `owner_of == spec.shard_of`.
-    pub fn base(spec: ShardSpec) -> Self {
-        let classes = (0..spec.shards())
-            .map(|s| {
-                vec![Segment {
-                    start: 0,
-                    end: u16::MAX,
-                    group: s,
-                }]
-            })
-            .collect();
+    /// The epoch-0 map: the full range on group 0.
+    pub fn base() -> Self {
         ShardMap {
-            spec,
             epoch: 0,
-            classes,
+            segments: vec![Segment {
+                start: 0,
+                end: u16::MAX,
+                group: 0,
+            }],
         }
-    }
-
-    /// The underlying (immutable) key→class partitioning.
-    pub fn spec(&self) -> ShardSpec {
-        self.spec
     }
 
     /// Current generation; bumped by every [`ShardMap::assign`].
@@ -177,41 +160,31 @@ impl ShardMap {
         self.epoch
     }
 
-    /// One past the highest group id any segment maps to.
-    pub fn groups(&self) -> usize {
-        self.classes
-            .iter()
-            .flatten()
-            .map(|seg| seg.group + 1)
-            .max()
-            .expect("a map has at least one class")
-    }
-
     /// The replica group owning `key` under this map.
     pub fn owner_of(&self, key: u64) -> usize {
-        self.owner_in_class(self.spec.shard_of(key), split_point(key))
+        self.owner_of_point(split_point(key))
     }
 
-    /// The group owning split point `p` of class `class`.
-    pub fn owner_in_class(&self, class: usize, p: u16) -> usize {
-        self.classes[class]
+    /// The group owning split point `p`.
+    pub fn owner_of_point(&self, p: u16) -> usize {
+        self.segments
             .iter()
             .find(|seg| seg.start <= p && p <= seg.end)
             .expect("segments cover the split space")
             .group
     }
 
-    /// Class `class`'s segments, sorted by start (tests / diagnostics).
-    pub fn segments(&self, class: usize) -> &[Segment] {
-        &self.classes[class]
+    /// The segments, sorted by start.
+    pub fn segments(&self) -> &[Segment] {
+        &self.segments
     }
 
-    /// Reassigns `[lo, hi]` of class `class` to `group` and bumps the
-    /// epoch: the seal of an ownership handoff. Adjacent same-group
-    /// segments coalesce, so a merge restores the pre-split map shape.
-    pub fn assign(&mut self, class: usize, lo: u16, hi: u16, group: usize) {
+    /// Reassigns `[lo, hi]` to `group` and bumps the epoch: the seal of an
+    /// ownership handoff. Adjacent same-group segments coalesce, so a merge
+    /// restores the pre-split map shape.
+    pub fn assign(&mut self, lo: u16, hi: u16, group: usize) {
         assert!(lo <= hi, "segment bounds out of order");
-        let old = std::mem::take(&mut self.classes[class]);
+        let old = std::mem::take(&mut self.segments);
         let mut segs: Vec<Segment> = Vec::with_capacity(old.len() + 2);
         for seg in old {
             // `lo > 0` / `hi < MAX` are implied by the guards, so the ±1
@@ -248,7 +221,7 @@ impl ShardMap {
                 _ => merged.push(seg),
             }
         }
-        self.classes[class] = merged;
+        self.segments = merged;
         self.epoch += 1;
     }
 }
@@ -440,9 +413,9 @@ impl Drop for KeyGuard {
 /// migration machinery. Clients are [`ElasticClient`]s minted with
 /// [`ElasticShard::client`].
 ///
-/// A family always spans exactly one *class* (one static shard): its map
-/// is `ShardMap::base(ShardSpec::new(1))` refined by handoffs. The class's
-/// clusters must carry labeled RNG streams (`build_one_shard` /
+/// A family always spans exactly one static shard: its map is
+/// `ShardMap::base()` refined by handoffs. The family's clusters must carry
+/// labeled RNG streams (`build_one_shard` /
 /// `build_labeled` set them), which is what keeps a family's execution
 /// bit-identical however many other families run beside it.
 pub struct ElasticShard {
@@ -492,7 +465,7 @@ impl ElasticShard {
             sim: sim.clone(),
             builder: builder.clone(),
             base_label,
-            map: RefCell::new(ShardMap::base(ShardSpec::new(1))),
+            map: RefCell::new(ShardMap::base()),
             groups: RefCell::new(vec![base]),
             locks: Rc::new(KeyLocks::default()),
             window: Rc::new(RefCell::new(None)),
@@ -668,10 +641,10 @@ impl ElasticShard {
         // migration can slip in between.
         let source = {
             let map = self.map.borrow();
-            let owner = map.owner_in_class(0, lo);
+            let owner = map.owner_of_point(lo);
             assert_eq!(
                 owner,
-                map.owner_in_class(0, hi),
+                map.owner_of_point(hi),
                 "split range must be wholly owned by one group"
             );
             owner
@@ -689,7 +662,7 @@ impl ElasticShard {
         let (lo, hi) = {
             let map = self.map.borrow();
             let owned: Vec<Segment> = map
-                .segments(0)
+                .segments()
                 .iter()
                 .copied()
                 .filter(|seg| seg.group == group)
@@ -729,7 +702,7 @@ impl ElasticShard {
         let (lo, hi) = {
             let map = self.map.borrow();
             let owned: Vec<Segment> = map
-                .segments(0)
+                .segments()
                 .iter()
                 .copied()
                 .filter(|seg| seg.group == group)
@@ -836,7 +809,7 @@ impl ElasticShard {
         } else {
             self.map
                 .borrow_mut()
-                .assign(0, window.lo, window.hi, window.dest);
+                .assign(window.lo, window.hi, window.dest);
             self.sealed.set(self.sealed.get() + 1);
             self.last_seal_ns.set(Some(self.sim.now()));
             true
@@ -1168,24 +1141,23 @@ mod tests {
 
     #[test]
     fn base_map_matches_shard_spec_everywhere() {
-        for shards in [1usize, 4, 16] {
-            let spec = ShardSpec::new(shards);
-            let map = ShardMap::base(spec);
-            assert_eq!(map.epoch(), 0);
-            assert_eq!(map.groups(), shards);
-            for key in (0..4096).chain([u64::MAX, 1 << 40]) {
-                assert_eq!(map.owner_of(key), spec.shard_of(key), "key {key}");
-            }
+        // A family refines one static shard: before any handoff its map
+        // owns every key exactly as the one-shard spec does.
+        let spec = crate::ShardSpec::new(1);
+        let map = ShardMap::base();
+        assert_eq!(map.epoch(), 0);
+        for key in (0..4096).chain([u64::MAX, 1 << 40]) {
+            assert_eq!(map.owner_of(key), spec.shard_of(key), "key {key}");
         }
     }
 
     #[test]
     fn assign_trims_merges_and_bumps_the_epoch() {
-        let mut map = ShardMap::base(ShardSpec::new(1));
-        map.assign(0, 0x8000, 0xFFFF, 1);
+        let mut map = ShardMap::base();
+        map.assign(0x8000, 0xFFFF, 1);
         assert_eq!(map.epoch(), 1);
         assert_eq!(
-            map.segments(0),
+            map.segments(),
             &[
                 Segment {
                     start: 0,
@@ -1199,19 +1171,19 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(map.owner_in_class(0, 0x7FFF), 0);
-        assert_eq!(map.owner_in_class(0, 0x8000), 1);
+        assert_eq!(map.owner_of_point(0x7FFF), 0);
+        assert_eq!(map.owner_of_point(0x8000), 1);
         // Splitting the split: carve the middle out of group 1's span.
-        map.assign(0, 0xA000, 0xBFFF, 2);
+        map.assign(0xA000, 0xBFFF, 2);
         assert_eq!(map.epoch(), 2);
-        assert_eq!(map.segments(0).len(), 4);
-        assert_eq!(map.owner_in_class(0, 0xA500), 2);
-        assert_eq!(map.owner_in_class(0, 0xC000), 1);
+        assert_eq!(map.segments().len(), 4);
+        assert_eq!(map.owner_of_point(0xA500), 2);
+        assert_eq!(map.owner_of_point(0xC000), 1);
         // Merging back coalesces to the original single segment.
-        map.assign(0, 0xA000, 0xBFFF, 1);
-        map.assign(0, 0x8000, 0xFFFF, 0);
+        map.assign(0xA000, 0xBFFF, 1);
+        map.assign(0x8000, 0xFFFF, 0);
         assert_eq!(
-            map.segments(0),
+            map.segments(),
             &[Segment {
                 start: 0,
                 end: 0xFFFF,
@@ -1358,7 +1330,7 @@ mod tests {
             assert!(f2.merge(1, 100).await);
             // Back on the base group: fresh values, and the deleted key
             // stays deleted (no resurrection from stale state).
-            assert_eq!(f2.map().segments(0).len(), 1);
+            assert_eq!(f2.map().segments().len(), 1);
             assert_eq!(client.get(moved[0]).await.unwrap(), None);
             for &k in &moved[1..] {
                 assert_eq!(value_of(&client.get(k).await), 9_000 + k);
@@ -1417,7 +1389,7 @@ mod tests {
         assert_eq!(family.num_groups(), 2);
         // Everything now serves from the spare group.
         assert_eq!(
-            family.map().segments(0),
+            family.map().segments(),
             &[Segment {
                 start: 0,
                 end: 0xFFFF,

@@ -27,13 +27,15 @@
 //! **shared CPU core**, so a router models one application thread that
 //! happens to talk to many shards — not one thread per shard.
 //!
+//! The layout is fixed at build time, so a router never sees
+//! [`crate::KvError::WrongShard`]: that error belongs to the elastic
+//! families of `crate::reshard`, whose clients absorb it themselves.
+//!
 //! Batched multi-key operations are the blanket [`crate::KvStoreExt`]
-//! ones: every element routes like a single-key op (absorbing
-//! [`KvError::WrongShard`] bounces), all elements fly concurrently, and
-//! results come back in input order.
+//! ones: every element routes like a single-key op, all elements fly
+//! concurrently, and results come back in input order.
 
-use std::cell::{Cell, RefCell};
-use std::future::Future;
+use std::cell::Cell;
 use std::rc::Rc;
 
 use swarm_fabric::{Endpoint, TrafficStats};
@@ -41,8 +43,7 @@ use swarm_sim::{join_boxed, BoxFuture, FifoResource, Sim};
 
 use crate::builder::{Protocol, StoreClient, StoreCluster};
 use crate::cluster::derive_label;
-use crate::reshard::ShardMap;
-use crate::store::{KvError, KvResult, KvStore, ScanItems};
+use crate::store::{KvResult, KvStore, ScanItems};
 
 /// Base label the per-shard RNG streams are derived from (see
 /// `ClusterConfig::rng_label`).
@@ -51,13 +52,6 @@ const SHARD_RNG_BASE: u64 = 0x5A4D_5348_4152_4421;
 /// Seed of the key→shard routing hash. Changing it reshuffles every
 /// sharded keyspace; tests pin the resulting mapping.
 const SHARD_HASH_SEED: u64 = 0x0053_4841_5244;
-
-/// [`KvError::WrongShard`] bounces a router absorbs per operation before
-/// giving up. Each bounce refreshes the cached routing table from the
-/// router's map source, so exhausting the cap means the authority kept
-/// moving ownership between every refresh and retry — at that point the op
-/// surfaces [`KvError::Timeout`] instead of spinning forever.
-const MAX_WRONG_SHARD_RETRIES: usize = 8;
 
 /// The keyspace partitioning: shard count plus the stateless hash-based
 /// key→shard mapping.
@@ -180,9 +174,6 @@ impl ShardedCluster {
             .collect();
         Rc::new(ShardRouter {
             spec: self.spec,
-            map: RefCell::new(ShardMap::base(self.spec)),
-            map_source: RefCell::new(None),
-            wrong_shard_bounces: Cell::new(0),
             clients,
             client_id: id,
             routed: vec![Cell::new(0); self.spec.shards()],
@@ -213,17 +204,6 @@ impl ShardedCluster {
 /// routing each operation to the shard that owns its key.
 pub struct ShardRouter {
     spec: ShardSpec,
-    /// The generation-stamped routing table (see `crate::reshard`). A
-    /// static sharded cluster holds the epoch-0 base map, whose ownership
-    /// is bit-for-bit [`ShardSpec::shard_of`]; elastic handoffs refine it.
-    map: RefCell<ShardMap>,
-    /// Where a [`KvError::WrongShard`] bounce refreshes the cached map
-    /// from (`None` on a static cluster: nothing ever moves, so the map
-    /// can only be refreshed to itself).
-    map_source: RefCell<Option<Rc<dyn Fn() -> ShardMap>>>,
-    /// [`KvError::WrongShard`] bounces absorbed (each one refreshed the
-    /// map and retried).
-    wrong_shard_bounces: Cell<u64>,
     /// One client per shard, all sharing this router's CPU core.
     clients: Vec<Rc<StoreClient>>,
     client_id: usize,
@@ -236,24 +216,6 @@ impl ShardRouter {
     /// The keyspace partitioning this router routes by.
     pub fn spec(&self) -> ShardSpec {
         self.spec
-    }
-
-    /// The routing table this router resolves owners against (epoch 0 for
-    /// a static cluster).
-    pub fn map(&self) -> ShardMap {
-        self.map.borrow().clone()
-    }
-
-    /// Installs the authority a [`KvError::WrongShard`] bounce refreshes
-    /// the cached routing table from (e.g. a control-plane lookup). Without
-    /// one, bounces still count and retry, but against the same stale map.
-    pub fn set_map_source(&self, source: Option<Rc<dyn Fn() -> ShardMap>>) {
-        *self.map_source.borrow_mut() = source;
-    }
-
-    /// [`KvError::WrongShard`] bounces this router has absorbed.
-    pub fn wrong_shard_bounces(&self) -> u64 {
-        self.wrong_shard_bounces.get()
     }
 
     /// The per-shard client for shard `s` (escape hatch).
@@ -275,67 +237,29 @@ impl ShardRouter {
         })
     }
 
-    fn route(&self, key: u64) -> Rc<StoreClient> {
-        let s = self.map.borrow().owner_of(key);
+    /// `key`'s owning shard's client; counts the routed op.
+    fn route(&self, key: u64) -> &StoreClient {
+        let s = self.spec.shard_of(key);
         self.routed[s].set(self.routed[s].get() + 1);
-        Rc::clone(&self.clients[s])
-    }
-
-    /// One absorbed bounce: count it and refresh the cached map from the
-    /// authority (when one is installed).
-    fn bounce(&self) {
-        self.wrong_shard_bounces
-            .set(self.wrong_shard_bounces.get() + 1);
-        if let Some(source) = self.map_source.borrow().clone() {
-            *self.map.borrow_mut() = source();
-        }
-    }
-
-    /// Runs `attempt` against `key`'s current owner, absorbing
-    /// [`KvError::WrongShard`] bounces: each one refreshes the routing
-    /// table and re-resolves, at most [`MAX_WRONG_SHARD_RETRIES`] times.
-    /// Past the cap the op surfaces [`KvError::Timeout`] — a router must
-    /// never spin unboundedly against an authority that keeps resealing.
-    async fn bounded_wrong_shard<T, F, Fut>(&self, key: u64, mut attempt: F) -> KvResult<T>
-    where
-        F: FnMut(Rc<StoreClient>) -> Fut,
-        Fut: Future<Output = KvResult<T>>,
-    {
-        for _ in 0..MAX_WRONG_SHARD_RETRIES {
-            match attempt(self.route(key)).await {
-                Err(KvError::WrongShard { .. }) => self.bounce(),
-                r => return r,
-            }
-        }
-        Err(KvError::Timeout)
+        &self.clients[s]
     }
 }
 
 impl KvStore for ShardRouter {
     async fn get(&self, key: u64) -> KvResult<Option<Rc<Vec<u8>>>> {
-        self.bounded_wrong_shard(key, |c| async move { c.get(key).await })
-            .await
+        self.route(key).get(key).await
     }
 
     async fn update(&self, key: u64, value: Vec<u8>) -> KvResult<()> {
-        self.bounded_wrong_shard(key, |c| {
-            let value = value.clone();
-            async move { c.update(key, value).await }
-        })
-        .await
+        self.route(key).update(key, value).await
     }
 
     async fn insert(&self, key: u64, value: Vec<u8>) -> KvResult<()> {
-        self.bounded_wrong_shard(key, |c| {
-            let value = value.clone();
-            async move { c.insert(key, value).await }
-        })
-        .await
+        self.route(key).insert(key, value).await
     }
 
     async fn delete(&self, key: u64) -> KvResult<()> {
-        self.bounded_wrong_shard(key, |c| async move { c.delete(key).await })
-            .await
+        self.route(key).delete(key).await
     }
 
     /// Shard-fanout range read: every shard owns a hash-scattered slice of
@@ -423,21 +347,6 @@ mod tests {
         );
         assert_eq!(spec4.shard_of(u64::MAX), 2);
         assert_eq!(spec16.shard_of(1 << 20), 11);
-        // The epoch-0 routing table must reproduce the stateless mapping
-        // bit for bit — upgrading routers from raw `shard_of` lookups to
-        // `ShardMap::owner_of` reshuffles nothing on a static cluster.
-        let map4 = ShardMap::base(spec4);
-        let map16 = ShardMap::base(spec16);
-        assert_eq!(map4.epoch(), 0);
-        assert_eq!(map16.epoch(), 0);
-        let map_golden4: Vec<usize> = (0..16).map(|k| map4.owner_of(k)).collect();
-        let map_golden16: Vec<usize> = (0..16).map(|k| map16.owner_of(k)).collect();
-        assert_eq!(map_golden4, golden4);
-        assert_eq!(map_golden16, golden16);
-        for key in (0..4096).chain([u64::MAX, 1 << 20, 0xDEAD_BEEF]) {
-            assert_eq!(map4.owner_of(key), spec4.shard_of(key), "key {key}");
-            assert_eq!(map16.owner_of(key), spec16.shard_of(key), "key {key}");
-        }
     }
 
     #[test]
@@ -454,92 +363,23 @@ mod tests {
         ShardSpec::new(0);
     }
 
-    fn test_router(sim: &Sim) -> Rc<ShardRouter> {
-        crate::StoreBuilder::new(Protocol::SafeGuess)
+    #[test]
+    fn non_bounce_errors_pass_through_without_retry() {
+        // A static router makes exactly one attempt, on the owning shard,
+        // and hands that shard client's answer back — errors included.
+        let sim = Sim::new(33);
+        let cluster = crate::StoreBuilder::new(Protocol::SafeGuess)
             .value_size(64)
             .max_clients(1)
             .shards(2)
-            .build_sharded(sim)
-            .router(0)
-    }
-
-    #[test]
-    fn wrong_shard_bounces_refresh_the_map_then_succeed() {
-        let sim = Sim::new(31);
-        let router = test_router(&sim);
-        // An authority whose map moves once: after a refresh, attempts
-        // against the "new" epoch succeed.
-        let refreshed = Rc::new(Cell::new(0u64));
-        let src = Rc::clone(&refreshed);
-        router.set_map_source(Some(Rc::new(move || {
-            src.set(src.get() + 1);
-            let mut m = ShardMap::base(ShardSpec::new(2));
-            m.assign(0, 0x8000, 0xFFFF, 1);
-            m
-        })));
+            .build_sharded(&sim);
+        let router = cluster.router(0);
+        let key = 7;
         let r2 = Rc::clone(&router);
-        let got = sim.block_on(async move {
-            let mut failures = 3;
-            r2.bounded_wrong_shard(7, |_| {
-                let attempt_fails = failures > 0;
-                failures -= 1;
-                async move {
-                    if attempt_fails {
-                        Err(KvError::WrongShard { epoch: 1 })
-                    } else {
-                        Ok(42u64)
-                    }
-                }
-            })
-            .await
-        });
-        assert_eq!(got, Ok(42));
-        assert_eq!(router.wrong_shard_bounces(), 3);
-        assert_eq!(refreshed.get(), 3, "every bounce refreshes from the source");
-        assert_eq!(
-            router.map().epoch(),
-            1,
-            "the refreshed map is the cached one"
-        );
-    }
-
-    #[test]
-    fn wrong_shard_retries_are_bounded_and_surface_timeout() {
-        let sim = Sim::new(32);
-        let router = test_router(&sim);
-        let attempts = Rc::new(Cell::new(0u64));
-        let a2 = Rc::clone(&attempts);
-        let r2 = Rc::clone(&router);
-        // An authority that keeps moving ownership: every attempt bounces.
-        // The router must give up instead of spinning forever.
-        let got: KvResult<()> = sim.block_on(async move {
-            r2.bounded_wrong_shard(7, |_| {
-                a2.set(a2.get() + 1);
-                async { Err(KvError::WrongShard { epoch: 9 }) }
-            })
-            .await
-        });
-        assert_eq!(got, Err(KvError::Timeout));
-        assert_eq!(attempts.get(), MAX_WRONG_SHARD_RETRIES as u64);
-        assert_eq!(router.wrong_shard_bounces(), MAX_WRONG_SHARD_RETRIES as u64);
-    }
-
-    #[test]
-    fn non_bounce_errors_pass_through_without_retry() {
-        let sim = Sim::new(33);
-        let router = test_router(&sim);
-        let attempts = Rc::new(Cell::new(0u64));
-        let a2 = Rc::clone(&attempts);
-        let r2 = Rc::clone(&router);
-        let got: KvResult<()> = sim.block_on(async move {
-            r2.bounded_wrong_shard(7, |_| {
-                a2.set(a2.get() + 1);
-                async { Err(KvError::NotFound) }
-            })
-            .await
-        });
-        assert_eq!(got, Err(KvError::NotFound));
-        assert_eq!(attempts.get(), 1, "only WrongShard retries");
-        assert_eq!(router.wrong_shard_bounces(), 0);
+        let got = sim.block_on(async move { r2.update(key, vec![0u8; 64]).await });
+        assert_eq!(got, Err(crate::KvError::NotIndexed), "never inserted");
+        let mut routed = vec![0; 2];
+        routed[cluster.spec().shard_of(key)] = 1;
+        assert_eq!(router.routed_per_shard(), routed, "one attempt, no retry");
     }
 }

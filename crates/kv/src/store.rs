@@ -33,8 +33,8 @@ pub enum KvError {
     /// The addressed shard group no longer owns the key: an elastic
     /// resharding handoff (see `crate::reshard`) moved its range to another
     /// group and bumped the routing epoch. The carried epoch is the
-    /// authoritative [`crate::ShardMap`] epoch at bounce time; a router
-    /// refreshes its map and re-resolves.
+    /// authoritative [`crate::ShardMap`] epoch at bounce time; an
+    /// [`crate::ElasticClient`] refreshes its map and re-resolves.
     WrongShard {
         /// The authoritative routing-table epoch when the op was bounced.
         epoch: u64,
