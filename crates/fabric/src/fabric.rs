@@ -290,11 +290,6 @@ impl Fabric {
         self.inner.stats.get()
     }
 
-    /// Total disaggregated memory allocated across all nodes, in bytes.
-    pub fn total_allocated_bytes(&self) -> u64 {
-        self.inner.nodes.iter().map(|n| n.allocated_bytes()).sum()
-    }
-
     pub(crate) fn account(&self, bytes: usize) {
         let mut s = self.inner.stats.get();
         s.messages += 1;

@@ -11,7 +11,7 @@
 //! * [`Proto::Raw`] — RAW: unreplicated direct reads/writes, no concurrency
 //!   control (the latency lower bound; "not useful in practice", §7).
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use swarm_core::{
@@ -130,7 +130,6 @@ pub struct KvClient {
     /// Stream for this client's own draws (cache-eviction sampling); the
     /// clock draws from its own sibling stream.
     rng: SimRng,
-    version: Cell<u64>,
     op_deadline_ns: Option<Nanos>,
     /// Tail-latency hedger shared by all of this client's registers;
     /// `None` (the default) is bit-identical to the pre-hedging code.
@@ -189,7 +188,6 @@ impl KvClient {
             guesser,
             cache: RefCell::new(LfuCache::new(cfg.cache.entry_limit())),
             rng: fork(ROLE_CACHE),
-            version: Cell::new(0),
             op_deadline_ns: cfg.op_deadline_ns,
             hedger: Hedger::new(cfg.hedge, cc.nodes, Some(cluster.fabric().clone())),
         })
@@ -198,11 +196,6 @@ impl KvClient {
     /// Cache hit/miss statistics.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache.borrow().stats()
-    }
-
-    /// Entries currently cached.
-    pub fn cache_len(&self) -> usize {
-        self.cache.borrow().len()
     }
 
     fn build_handle(&self, info: &Rc<KeyInfo>) -> Rc<KeyHandle> {
@@ -377,13 +370,6 @@ impl KvClient {
                 })
             }
         }
-    }
-
-    /// Monotonic per-client version counter (value payload generator).
-    pub fn next_version(&self) -> u64 {
-        let v = self.version.get() + 1;
-        self.version.set(v);
-        v
     }
 }
 

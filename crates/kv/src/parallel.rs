@@ -115,14 +115,6 @@ pub enum ShardMode {
     Threads(usize),
 }
 
-impl ShardMode {
-    /// `Threads(n)` with `n` from `SWARM_SHARD_THREADS` (default: all
-    /// cores).
-    pub fn from_env() -> ShardMode {
-        ShardMode::Threads(shard_threads())
-    }
-}
-
 /// One pre-planned operation: what to do, against which key, carrying the
 /// globally unique version its payload is derived from
 /// (`Workload::value_for(key, version)` is pure, so payloads need not be
@@ -195,11 +187,6 @@ impl WorkloadPlan {
                     .sum()
             })
             .collect()
-    }
-
-    /// The effective run configuration (after `SWARM_BENCH_OPS_SCALE`).
-    pub fn effective_config(&self) -> &RunConfig {
-        &self.cfg
     }
 }
 

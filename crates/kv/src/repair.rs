@@ -268,11 +268,6 @@ impl RepairHandle {
         *self.inner.defer.borrow_mut() = defer;
     }
 
-    /// Replica pairs with unequal stamps right now (control-plane scan).
-    pub fn divergent_pairs(&self) -> u64 {
-        divergent_stamp_pairs(&self.inner.cluster)
-    }
-
     /// Submits one op and unwraps its (kind-checked) result; `None` means
     /// the reply was dropped or malformed — the round retries later.
     async fn op(&self, node: NodeId, op: Op) -> Option<swarm_fabric::OpResult> {

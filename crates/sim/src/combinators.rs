@@ -2,7 +2,7 @@
 //!
 //! The protocols need exactly four shapes of concurrency:
 //!
-//! * [`join2`] / [`join_all`] — run operations fully in parallel (e.g.,
+//! * [`join2`] / [`join_boxed`] — run operations fully in parallel (e.g.,
 //!   Safe-Guess `in parallel { M.READ(), M.WRITE(w) }`).
 //! * [`Quorum`] — wait for `k` of `n` responses, leaving stragglers running
 //!   (majority waits in the reliable max register and timestamp lock).
@@ -65,21 +65,6 @@ impl<A, B> Future for Join2<'_, A, B> {
     }
 }
 
-/// Awaits all futures concurrently, returning results in input order.
-pub async fn join_all<T, F>(futs: Vec<F>) -> Vec<T>
-where
-    F: Future<Output = T> + 'static,
-    T: 'static,
-{
-    let n = futs.len();
-    let mut q = Quorum::new(n);
-    for f in futs {
-        q.push(f);
-    }
-    (&mut q).await;
-    q.take_results().into_iter().map(|r| r.unwrap()).collect()
-}
-
 /// A boxed, pinned future with an arbitrary lifetime (the currency of
 /// [`join_boxed`]).
 pub type BoxFuture<'f, T> = Pin<Box<dyn Future<Output = T> + 'f>>;
@@ -87,9 +72,9 @@ pub type BoxFuture<'f, T> = Pin<Box<dyn Future<Output = T> + 'f>>;
 /// Awaits a batch of boxed futures concurrently, returning results in input
 /// order.
 ///
-/// Unlike [`join_all`] the futures may borrow (`'f` instead of `'static`),
-/// which is what store-level batch operations need: each per-key operation
-/// borrows its client handle.
+/// The futures may borrow (`'f` instead of `'static`), which is what
+/// store-level batch operations need: each per-key operation borrows its
+/// client handle.
 pub fn join_boxed<'f, T: 'f>(futs: Vec<BoxFuture<'f, T>>) -> impl Future<Output = Vec<T>> + 'f {
     JoinBoxed {
         results: futs.iter().map(|_| None).collect(),
@@ -305,23 +290,11 @@ mod tests {
     }
 
     #[test]
-    fn join_all_preserves_order() {
-        let sim = Sim::new(1);
-        let futs = vec![
-            delayed(&sim, 300, 10),
-            delayed(&sim, 100, 20),
-            delayed(&sim, 200, 30),
-        ];
-        let out = sim.block_on(async move { join_all(futs).await });
-        assert_eq!(out, vec![10, 20, 30]);
-    }
-
-    #[test]
     fn join_boxed_runs_borrowing_futures_concurrently() {
         let sim = Sim::new(1);
         let s = sim.clone();
         let (out, t) = sim.block_on(async move {
-            // Futures that borrow a local — impossible with `join_all`.
+            // Futures that borrow a local.
             let delays = [300u64, 100, 200];
             let futs: Vec<BoxFuture<'_, u64>> = delays
                 .iter()

@@ -616,12 +616,6 @@ impl Sim {
         }
     }
 
-    /// Future that yields once, letting other ready tasks run at the same
-    /// virtual instant.
-    pub fn yield_now(&self) -> YieldNow {
-        YieldNow { yielded: false }
-    }
-
     fn poll_task(&self, id: TaskId) {
         let (mut fut, waker) = {
             let mut tasks = self.inner.tasks.borrow_mut();
@@ -834,25 +828,6 @@ impl Drop for Ticker {
     }
 }
 
-/// Future returned by [`Sim::yield_now`].
-pub struct YieldNow {
-    yielded: bool,
-}
-
-impl Future for YieldNow {
-    type Output = ();
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.yielded {
-            Poll::Ready(())
-        } else {
-            self.yielded = true;
-            cx.waker().wake_by_ref();
-            Poll::Pending
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -932,24 +907,6 @@ mod tests {
         let t = sim.run_until(1_000);
         assert_eq!(t, 1_000);
         assert_eq!(sim.live_tasks(), 1);
-    }
-
-    #[test]
-    fn yield_now_lets_peers_run() {
-        let sim = Sim::new(1);
-        let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
-        let (l1, l2) = (Rc::clone(&log), Rc::clone(&log));
-        let s1 = sim.clone();
-        sim.spawn(async move {
-            l1.borrow_mut().push(1);
-            s1.yield_now().await;
-            l1.borrow_mut().push(3);
-        });
-        sim.spawn(async move {
-            l2.borrow_mut().push(2);
-        });
-        sim.run();
-        assert_eq!(*log.borrow(), vec![1, 2, 3]);
     }
 
     #[test]

@@ -64,13 +64,11 @@ mod stats;
 mod time;
 
 pub use clock::GuessClock;
-pub use combinators::{
-    join2, join_all, join_boxed, race2, timeout_at, BoxFuture, Either, Quorum, TimedOut,
-};
+pub use combinators::{join2, join_boxed, race2, timeout_at, BoxFuture, Either, Quorum, TimedOut};
 pub use dist::Jitter;
-pub use executor::{Sim, SimCounters, Sleep, TaskId, TickLog, Ticker, YieldNow};
+pub use executor::{Sim, SimCounters, Sleep, TaskId, TickLog, Ticker};
 pub use oneshot::{oneshot, OneshotReceiver, OneshotSender};
 pub use resource::FifoResource;
 pub use rng::SimRng;
-pub use stats::{Histogram, OnlineStats, TimeSeries};
-pub use time::{to_micros, to_secs, Nanos, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};
+pub use stats::{Histogram, TimeSeries};
+pub use time::{Nanos, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};

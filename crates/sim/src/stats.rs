@@ -1,5 +1,5 @@
-//! Measurement utilities: exact-percentile histograms, online moments, and
-//! time-bucketed series (for the failure-timeline experiment, Figure 11).
+//! Measurement utilities: exact-percentile histograms and time-bucketed
+//! series (for the failure-timeline experiment, Figure 11).
 
 use crate::time::Nanos;
 
@@ -105,16 +105,6 @@ impl Histogram {
         *self.samples.last().unwrap()
     }
 
-    /// Fraction of samples `<= threshold`.
-    pub fn fraction_at_most(&mut self, threshold: Nanos) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let idx = self.samples.partition_point(|&v| v <= threshold);
-        idx as f64 / self.samples.len() as f64
-    }
-
     /// Evenly spaced CDF points `(latency_ns, percentile)`; `points` >= 2.
     pub fn cdf(&mut self, points: usize) -> Vec<(Nanos, f64)> {
         assert!(points >= 2);
@@ -136,73 +126,6 @@ impl Histogram {
     pub fn merge(&mut self, other: &Histogram) {
         self.samples.extend_from_slice(&other.samples);
         self.sorted = false;
-    }
-}
-
-/// Online mean/variance/min/max accumulator (Welford).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean of the observations (0 if empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0 if fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> f64 {
-        self.max
     }
 }
 
@@ -305,17 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn fraction_at_most_counts_inclusive() {
-        let mut h = Histogram::new();
-        for v in [10u64, 20, 30, 40] {
-            h.record(v);
-        }
-        assert!((h.fraction_at_most(20) - 0.5).abs() < 1e-9);
-        assert!((h.fraction_at_most(9) - 0.0).abs() < 1e-9);
-        assert!((h.fraction_at_most(40) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn cdf_is_monotonic() {
         let mut h = Histogram::new();
         let mut x = 123456789u64;
@@ -328,20 +240,6 @@ mod tests {
             assert!(w[0].0 <= w[1].0);
             assert!(w[0].1 <= w[1].1);
         }
-    }
-
-    #[test]
-    fn online_stats_match_direct_computation() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut s = OnlineStats::new();
-        for &x in &xs {
-            s.add(x);
-        }
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-        assert_eq!(s.count(), 8);
     }
 
     #[test]

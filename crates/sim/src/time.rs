@@ -16,16 +16,6 @@ pub const NANOS_PER_MILLI: Nanos = 1_000_000;
 /// Nanoseconds per second.
 pub const NANOS_PER_SEC: Nanos = 1_000_000_000;
 
-/// Converts nanoseconds to fractional microseconds (for reporting).
-pub fn to_micros(ns: Nanos) -> f64 {
-    ns as f64 / NANOS_PER_MICRO as f64
-}
-
-/// Converts nanoseconds to fractional seconds (for reporting).
-pub fn to_secs(ns: Nanos) -> f64 {
-    ns as f64 / NANOS_PER_SEC as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -34,7 +24,5 @@ mod tests {
     fn unit_conversions() {
         assert_eq!(NANOS_PER_SEC, 1_000 * NANOS_PER_MILLI);
         assert_eq!(NANOS_PER_MILLI, 1_000 * NANOS_PER_MICRO);
-        assert!((to_micros(2_400) - 2.4).abs() < 1e-9);
-        assert!((to_secs(1_500_000_000) - 1.5).abs() < 1e-9);
     }
 }
