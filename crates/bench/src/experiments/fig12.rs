@@ -3,7 +3,7 @@
 //! helping the max register); updates stay within a few roundtrips thanks
 //! to the per-writer metadata buffers. DM-ABD degrades much more (§7.8).
 
-use crate::{report_cdf, run_system, write_csv, ExpParams, Protocol};
+use crate::{report_cdfs, run_system, write_csv, ExpParams, Protocol};
 use swarm_workload::{OpType, WorkloadSpec};
 
 /// Runs the experiment: quick volume by default, the paper's when `!quick`.
@@ -22,18 +22,7 @@ pub fn run(quick: bool) {
             rc.record_rtts = true;
         });
         println!("{}:", sys.name());
-        report_cdf(
-            "fig12",
-            &format!("{}_get", sys.name()),
-            &mut stats.lat(OpType::Get),
-            200,
-        );
-        report_cdf(
-            "fig12",
-            &format!("{}_update", sys.name()),
-            &mut stats.lat(OpType::Update),
-            200,
-        );
+        report_cdfs("fig12", sys.name(), &stats);
         // §7.8's roundtrip breakdown.
         let mut rows = Vec::new();
         for op in [OpType::Get, OpType::Update] {

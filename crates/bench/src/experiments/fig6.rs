@@ -3,8 +3,8 @@
 //! 24 B for DM-ABD/FUSEE but 32 B for SWARM-KV (they also carry In-n-Out's
 //! metadata word), so SWARM-KV caches ~25% fewer keys (§7.1).
 
-use crate::{report_cdf, run_system, ExpParams, Protocol};
-use swarm_workload::{OpType, WorkloadSpec};
+use crate::{report_cdfs, run_system, ExpParams, Protocol};
+use swarm_workload::WorkloadSpec;
 
 const CACHE_BYTES: usize = 5 * 1024 * 1024;
 
@@ -45,18 +45,7 @@ pub fn run(quick: bool) {
             coverage,
             miss
         );
-        report_cdf(
-            "fig6",
-            &format!("{}_get", sys.name()),
-            &mut stats.lat(OpType::Get),
-            200,
-        );
-        report_cdf(
-            "fig6",
-            &format!("{}_update", sys.name()),
-            &mut stats.lat(OpType::Update),
-            200,
-        );
+        report_cdfs("fig6", sys.name(), &stats);
     }
     println!("\npaper: bimodal CDFs; DM-ABD/FUSEE miss 42.5%, SWARM-KV 45.6%;");
     println!("       SWARM-KV average latency remains best for both op types");

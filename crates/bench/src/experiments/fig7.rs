@@ -4,7 +4,7 @@
 //! Cells run threaded through the sweep driver (`SWARM_BENCH_THREADS`) and
 //! merge in deterministic cell order.
 
-use crate::{run_system, sweep, write_csv, ExpParams, Protocol};
+use crate::{mean_latency_ns, run_system, sweep, write_csv, ExpParams, Protocol};
 use swarm_workload::WorkloadSpec;
 
 /// Runs the experiment: quick volume by default, the paper's when `!quick`.
@@ -32,15 +32,7 @@ pub fn run(quick: bool) {
         };
         let (stats, _, _) = run_system(p.seed, sys, &p, spec, |_| {});
         let kops_per_core = stats.throughput_ops() / 1e3 / p.clients as f64;
-        let avg: f64 = {
-            let mut sum = 0.0;
-            let mut n = 0u64;
-            for h in &stats.latency {
-                sum += h.mean() * h.len() as f64;
-                n += h.len() as u64;
-            }
-            sum / n.max(1) as f64 / 1e3
-        };
+        let avg = mean_latency_ns(&stats) / 1e3;
         (kops_per_core, avg)
     });
 

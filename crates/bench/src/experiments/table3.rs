@@ -7,7 +7,7 @@
 //! a client core is busy for the whole operation (issue + poll) plus
 //! per-op application work.
 
-use crate::{run_system, write_csv, ExpParams, Protocol};
+use crate::{mean_latency_ns, run_system, write_csv, ExpParams, Protocol};
 use swarm_sim::NANOS_PER_SEC;
 use swarm_workload::WorkloadSpec;
 
@@ -36,13 +36,7 @@ pub fn run(quick: bool) {
         let dur_ns = (stats.end_ns - stats.start_ns).max(1);
 
         // CPU%: polling clients are busy for issue + poll + app work.
-        let mut lat_sum = 0.0;
-        let mut lat_n = 0u64;
-        for h in &stats.latency {
-            lat_sum += h.mean() * h.len() as f64;
-            lat_n += h.len() as u64;
-        }
-        let avg_lat = lat_sum / lat_n.max(1) as f64;
+        let avg_lat = mean_latency_ns(&stats);
         let rate_per_client = NANOS_PER_SEC as f64 / pace_ns as f64;
         let cpu_pct =
             (rate_per_client * (avg_lat + 1_000.0) / NANOS_PER_SEC as f64 * 100.0).min(100.0);

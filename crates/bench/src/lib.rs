@@ -45,11 +45,10 @@ use std::io::Write as _;
 use std::rc::Rc;
 
 use swarm_kv::{
-    CacheCapacity, KvStore, RunConfig, RunStats, ShardRouter, ShardedCluster, StoreBuilder,
-    StoreClient, StoreCluster,
+    CacheCapacity, KvStore, RunConfig, RunStats, StoreBuilder, StoreClient, StoreCluster,
 };
 use swarm_sim::{Histogram, Sim};
-use swarm_workload::{Workload, WorkloadSpec};
+use swarm_workload::{OpType, Workload, WorkloadSpec};
 
 pub use swarm_kv::{run_workload, Protocol};
 // The warn-once env-knob convention shared by every harness variable
@@ -182,48 +181,15 @@ pub fn build(sim: &Sim, sys: Protocol, p: &ExpParams) -> Testbed {
     let cluster = p.builder(sys).build_cluster(sim);
     cluster.load_keys(n_keys, |k| wl.value_for(k, 0));
     let clients = cluster.clients(p.clients);
-    apply_hyperthreading(p.clients, clients.iter().map(|c| c.endpoint()));
-    Testbed { cluster, clients }
-}
-
-/// The testbed has 32 physical client cores (Table 1: 4 servers with
-/// 2 x 8c/16t); beyond 32 clients, threads share cores via hyperthreading
-/// and per-thread CPU work slows down (§7.3).
-fn apply_hyperthreading(n: usize, endpoints: impl Iterator<Item = Rc<swarm_fabric::Endpoint>>) {
-    if n > 32 {
-        for ep in endpoints {
-            ep.set_cpu_scale(1.5);
+    // The testbed has 32 physical client cores (Table 1: 4 servers with
+    // 2 x 8c/16t); beyond 32 clients, threads share cores via
+    // hyperthreading and per-thread CPU work slows down (§7.3).
+    if p.clients > 32 {
+        for c in &clients {
+            c.endpoint().set_cpu_scale(1.5);
         }
     }
-}
-
-/// A fully built *sharded* system under test: N independent shard clusters
-/// plus one cross-shard router per client thread.
-pub struct ShardedTestbed {
-    /// The sharded cluster (per-shard fabrics, indexes, memberships).
-    pub cluster: ShardedCluster,
-    /// One router per client thread, each with a client on every shard
-    /// sharing that thread's CPU core.
-    pub routers: Vec<Rc<ShardRouter>>,
-}
-
-/// Builds (and bulk-loads) one sharded system under test: `p.shards`
-/// independent shard clusters, `p.clients` routers.
-pub fn build_sharded(sim: &Sim, sys: Protocol, p: &ExpParams) -> ShardedTestbed {
-    let n_keys = env_scaled_keys(p.n_keys);
-    let wl = p.workload(WorkloadSpec::C);
-    let cluster = p.builder(sys).build_sharded(sim);
-    cluster.load_keys(n_keys, |k| wl.value_for(k, 0));
-    let routers = cluster.routers(p.clients);
-    // Hyperthread sharing taxes every endpoint a crowded thread submits
-    // through — a router has one per shard, all on its one core.
-    apply_hyperthreading(
-        p.clients,
-        routers
-            .iter()
-            .flat_map(|r| (0..cluster.num_shards()).map(move |s| r.shard_client(s).endpoint())),
-    );
-    ShardedTestbed { cluster, routers }
+    Testbed { cluster, clients }
 }
 
 /// Builds, runs the workload, and returns the stats (plus the sim and the
@@ -242,6 +208,24 @@ pub fn run_system(
     let wl = p.workload(spec);
     let stats = run_workload(&sim, &bed.clients, &wl, &rc);
     (stats, sim, bed)
+}
+
+/// Mean latency over every op class, in ns (0 when nothing was measured).
+pub fn mean_latency_ns(stats: &RunStats) -> f64 {
+    let (mut sum, mut n) = (0.0, 0u64);
+    for h in &stats.latency {
+        sum += h.mean() * h.len() as f64;
+        n += h.len() as u64;
+    }
+    sum / n.max(1) as f64
+}
+
+/// [`report_cdf`] for a run's gets and updates, as series `<name>_get` and
+/// `<name>_update`.
+pub fn report_cdfs(exp: &str, name: &str, stats: &RunStats) {
+    for (op, suffix) in [(OpType::Get, "get"), (OpType::Update, "update")] {
+        report_cdf(exp, &format!("{name}_{suffix}"), &mut stats.lat(op), 200);
+    }
 }
 
 /// Prints a latency summary and writes its CDF as a CSV series.
