@@ -2,8 +2,9 @@
 # Staged CI gate.
 #
 #   ./ci.sh           full gate: fmt, clippy, debug tests, rustdoc lints,
-#                     release build, benchmark package build + tests,
-#                     release chaos sweep, bench stdout goldens, perf smoke
+#                     release build, benchmark package build + tests and
+#                     its exact simulated-metrics pin, release chaos sweep,
+#                     bench stdout goldens, perf smoke
 #   ./ci.sh --quick   quick gate: fmt + clippy + debug tests only — no
 #                     release binaries are built (runs on every push; the
 #                     full gate runs as CI's second job, see
@@ -76,6 +77,30 @@ stage build-release cargo build --release
 # compile, and it calls swarm_core/swarm_kv constructors directly: build
 # and test it here so an API slip fails CI, not the benchmark driver.
 stage benchmark-build sh -c 'cd benchmark && cargo build --release --offline && cargo test --offline -q'
+
+# The deterministic perf gate: one smoke-volume run of the repo's benchmark
+# (ycsb_b_64, seed 42, untraced) whose result line must contain every line
+# of crates/bench/goldens/benchmark_smoke.expected — `correct`, zero failed
+# operations and the seven *simulated* metrics, exactly, no tolerance (they
+# are a pure function of the seed; host metrics are not compared). A
+# mismatch means simulated behaviour moved: if intended, replace the
+# expected lines with the ones this stage prints. The benchmark refuses to
+# run under SWARM_* knobs, so they are unset for this stage only.
+stage benchmark-smoke sh -c '
+    set -eu
+    unset SWARM_BENCH_THREADS SWARM_SHARD_THREADS SWARM_BENCH_OPS_SCALE SWARM_CHAOS_SEEDS
+    result=$(bash benchmark/run.sh --smoke --workload ycsb_b_64 --seed 42 --trace 0 \
+        --out "${CARGO_TARGET_DIR:-target}/benchmark-smoke" | tail -n 1)
+    rc=0
+    while IFS= read -r want; do
+        case "$result" in
+            *"$want"*) ;;
+            *) echo "FAIL benchmark-smoke: result lacks $want" >&2; rc=1 ;;
+        esac
+    done < crates/bench/goldens/benchmark_smoke.expected
+    [ "$rc" -eq 0 ] || echo "result line: $result" >&2
+    exit "$rc"
+'
 
 # The chaos suite already ran once above with the pinned quick set; this
 # release-mode pass widens the sweep. SWARM_CHAOS_SEEDS controls seeds per
