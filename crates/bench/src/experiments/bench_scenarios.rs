@@ -23,9 +23,9 @@
 //!
 //! **stdout is the deterministic report** (simulated metrics only).
 //! Wall-clock seconds per cell go to **stderr** and `wall.csv`; nothing
-//! wall-clock-derived reaches the report files, which is what makes them safe to byte-diff
-//! across reruns and hosts (the `scenario-smoke` CI stage does exactly
-//! that).
+//! wall-clock-derived reaches the report files, which is what makes them
+//! safe to byte-diff across reruns and hosts (the `scenario-smoke` CI stage
+//! does exactly that).
 //!
 //! Default is a quick mode (~2 K ops per scenario over a 2 K-key space);
 //! `--full` scales to 40 K ops over 64 K keys.

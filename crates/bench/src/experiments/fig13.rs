@@ -33,8 +33,8 @@ pub fn run(quick: bool) {
     let mut rows = Vec::new();
     for (&bufs, (mut get, mut upd, one_rtt)) in cells.iter().zip(results) {
         println!("{bufs} buffer(s):");
-        report_cdf("fig13", &format!("{bufs}bufs_get"), &mut get, 200);
-        report_cdf("fig13", &format!("{bufs}bufs_update"), &mut upd, 200);
+        report_cdf("fig13", &format!("{bufs}bufs_get"), &mut get);
+        report_cdf("fig13", &format!("{bufs}bufs_update"), &mut upd);
         println!("    updates completing in 1 rtt: {one_rtt:.0}%");
         rows.push(format!("{bufs},{one_rtt:.1}"));
     }

@@ -224,12 +224,13 @@ pub fn mean_latency_ns(stats: &RunStats) -> f64 {
 /// `<name>_update`.
 pub fn report_cdfs(exp: &str, name: &str, stats: &RunStats) {
     for (op, suffix) in [(OpType::Get, "get"), (OpType::Update, "update")] {
-        report_cdf(exp, &format!("{name}_{suffix}"), &mut stats.lat(op), 200);
+        report_cdf(exp, &format!("{name}_{suffix}"), &mut stats.lat(op));
     }
 }
 
-/// Prints a latency summary and writes its CDF as a CSV series.
-pub fn report_cdf(exp: &str, series_name: &str, hist: &mut Histogram, points: usize) {
+/// Prints a latency summary and writes its CDF (200 evenly spaced points) as
+/// a CSV series.
+pub fn report_cdf(exp: &str, series_name: &str, hist: &mut Histogram) {
     if hist.is_empty() {
         println!("  {series_name}: (no samples)");
         return;
@@ -243,7 +244,7 @@ pub fn report_cdf(exp: &str, series_name: &str, hist: &mut Histogram, points: us
         hist.len(),
     );
     let rows: Vec<String> = hist
-        .cdf(points)
+        .cdf(200)
         .into_iter()
         .map(|(ns, pct)| format!("{:.3},{:.2}", ns as f64 / 1e3, pct))
         .collect();

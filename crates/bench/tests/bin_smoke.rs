@@ -44,17 +44,17 @@ fn workdir(test: &str) -> std::path::PathBuf {
 
 #[test]
 fn every_bench_binary_runs_and_writes_csv() {
-    for (name, reason) in SKIPPED {
+    for (name, _) in SKIPPED {
         assert!(
             EXPERIMENTS.iter().any(|e| e.name == *name),
             "skip list names {name}, which is not in the registry"
         );
-        assert!(!reason.is_empty(), "{name}: a skip needs its reason");
     }
     let workdir = workdir("smoke");
     for exp in EXPERIMENTS {
         let name = exp.name;
-        if SKIPPED.iter().any(|(skipped, _)| *skipped == name) {
+        if let Some((_, reason)) = SKIPPED.iter().find(|(skipped, _)| *skipped == name) {
+            eprintln!("{name}: skipped — {reason}");
             continue;
         }
         let cwd = workdir.join(name);
