@@ -1,19 +1,18 @@
 #!/usr/bin/env sh
 # Staged CI gate.
 #
-#   ./ci.sh           full gate: fmt, clippy, debug tests, rustdoc lints,
-#                     release build, benchmark package build + tests and
-#                     its exact simulated-metrics pin, release chaos sweep,
-#                     bench stdout goldens, perf smoke
-#   ./ci.sh --quick   quick gate: fmt + clippy + debug tests only — no
-#                     release binaries are built (runs on every push; the
-#                     full gate runs as CI's second job, see
+#   ./ci.sh           full gate: env-purity grep, fmt, clippy, debug tests,
+#                     rustdoc lints, release build, benchmark package build +
+#                     tests and its exact simulated-metrics pin, release
+#                     chaos sweep, bench stdout goldens
+#   ./ci.sh --quick   quick gate: env-purity + fmt + clippy + debug tests
+#                     only — no release binaries are built (runs on every
+#                     push; the full gate runs as CI's second job, see
 #                     .github/workflows/ci.yml)
 #
-# Every stage reports its wall time; a summary table prints at the end.
-# Perf-smoke stages carry a wall-time budget (~10x the expected time, so
-# only order-of-magnitude regressions or hangs trip them) and print
-# measured vs. budget either way.
+# Every stage reports its wall time; a summary table prints at the end,
+# followed by the seconds of each `swarm-bench` run of the stdout-parity
+# stage (each under that script's one `timeout` budget).
 set -eu
 
 QUICK=0
@@ -40,25 +39,10 @@ stage() { # stage <name> <cmd...>
     record "$_name" "$_took"
 }
 
-perf_stage() { # perf_stage <name> <budget_seconds> <cmd...>
-    _name=$1; _budget=$2; shift 2
-    echo "== perf: $_name (budget ${_budget}s)"
-    _start=$(date +%s)
-    _rc=0
-    timeout "$_budget" "$@" > /dev/null || _rc=$?
-    _took=$(( $(date +%s) - _start ))
-    if [ "$_rc" -eq 0 ]; then
-        echo "-- perf $_name: measured ${_took}s of ${_budget}s budget"
-        record "perf:$_name" "$_took"
-    elif [ "$_rc" -eq 124 ]; then
-        echo "FAIL perf $_name: measured >= ${_took}s (killed at budget); budget ${_budget}s" >&2
-        exit 1
-    else
-        echo "FAIL perf $_name: exit code $_rc after ${_took}s (budget ${_budget}s)" >&2
-        exit 1
-    fi
-}
-
+# The five library crates are functions of their arguments: only
+# swarm-bench (and the test crates) may read the environment or count cores.
+stage env-purity sh -c '! grep -rnE "std::env|available_parallelism" \
+    crates/sim/src crates/fabric/src crates/core/src crates/workload/src crates/kv/src'
 stage fmt    cargo fmt --check
 stage clippy cargo clippy --all-targets -- -D warnings
 stage test   cargo test -q
@@ -88,7 +72,7 @@ stage benchmark-build sh -c 'cd benchmark && cargo build --release --offline && 
 # run under SWARM_* knobs, so they are unset for this stage only.
 stage benchmark-smoke sh -c '
     set -eu
-    unset SWARM_BENCH_THREADS SWARM_SHARD_THREADS SWARM_BENCH_OPS_SCALE SWARM_CHAOS_SEEDS
+    unset SWARM_BENCH_THREADS SWARM_BENCH_OPS_SCALE SWARM_CHAOS_SEEDS
     result=$(bash benchmark/run.sh --smoke --workload ycsb_b_64 --seed 42 --trace 0 \
         --out "${CARGO_TARGET_DIR:-target}/benchmark-smoke" | tail -n 1)
     rc=0
@@ -126,67 +110,18 @@ stage repair-chaos env SWARM_CHAOS_SEEDS="${SWARM_CHAOS_SEEDS:-8}" \
 
 BIN_DIR="${CARGO_TARGET_DIR:-target}/release"
 
-# Bench stdout goldens: all 17 `swarm-bench` experiments at the perf stages'
-# volumes, stdout diffed against crates/bench/goldens/<name>.stdout (the
-# unified diff prints on mismatch). The threaded experiments run under two
-# SWARM_BENCH_THREADS / SWARM_SHARD_THREADS settings against the same
-# golden, so the thread-knob contract rides on the same check. Regenerate
-# with `sh crates/bench/goldens/check.sh --write` (see TESTING.md).
+# Bench stdout goldens: every `swarm-bench` experiment once per thread
+# setting (the swept ones under SWARM_BENCH_THREADS=2 then =1, against the
+# same golden), stdout diffed against crates/bench/goldens/<name>.stdout
+# (the unified diff prints on mismatch), every run under one `timeout`
+# budget. This is also where the in-binary assertions of bench_repair and
+# bench_tail run (unscaled) and where bench_scenarios' JSON/HTML reports
+# are byte-compared across the two thread settings. Regenerate with
+# `sh crates/bench/goldens/check.sh --write` (see TESTING.md).
 stage stdout-parity sh crates/bench/goldens/check.sh "$BIN_DIR"
-
-# Perf smoke: quick fig5 single-threaded, a 2-thread fig8 sweep, and the
-# sharded scale bench, all volume-scaled, under generous budgets. Guards
-# the event loop (fig5 runs full quick volume), the threaded sweep driver,
-# and the one-Sim-per-shard driver from silent regressions. bench_shards
-# runs twice — single shard thread, then SWARM_SHARD_THREADS=2 — so the
-# threaded path (scoped threads, work stealing, shard-order merge) gets a
-# perf-budgeted exercise (stdout-parity above checks its output).
-perf_stage fig5 60 env SWARM_BENCH_THREADS=1 "$BIN_DIR/swarm-bench" fig5
-perf_stage fig8 120 env SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2 "$BIN_DIR/swarm-bench" fig8
-perf_stage bench_shards 120 env SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2 \
-    SWARM_SHARD_THREADS=1 "$BIN_DIR/swarm-bench" bench_shards
-perf_stage bench_shards-mt 120 env SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=1 \
-    SWARM_SHARD_THREADS=2 "$BIN_DIR/swarm-bench" bench_shards
-# The elastic-split timeline: wall time is dominated by the fixed 140 ms
-# simulated horizon (two cells), so the volume knob mainly shrinks the
-# preloaded keyspace; the split still has to seal or the bench fails.
-perf_stage bench_reshard 60 env SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2 \
-    "$BIN_DIR/swarm-bench" bench_reshard
-# Anti-entropy convergence: three digest-strategy cells over the quick
-# 2^14 keyspace (unscaled — the bloom-vs-full byte assertion needs a
-# keyspace big enough for digests to pay off). Asserts every cell
-# converges to zero residual divergence and BloomBuckets moves fewer
-# bytes than the full exchange.
-perf_stage bench_repair 60 env SWARM_BENCH_THREADS=3 "$BIN_DIR/swarm-bench" bench_repair
-# Tail smoke: the quick {no-hedge, hedge} x {calm, spike} sweep (four
-# cells). The binary asserts in-process that hedged p99 is >= 2x below
-# unhedged under the canonical delay-spike plan with <= 5% median
-# regression, and that the hedge budget balances — so this stage failing
-# means the tail optimization regressed, not just a slow host.
-perf_stage tail-smoke 60 env SWARM_BENCH_THREADS=2 "$BIN_DIR/swarm-bench" bench_tail
-# Scenario smoke: the YCSB A-F x {static, flash-crowd} x 2-protocol (+ TTL
-# churn + bimodal values) scenario sweep at smoke volume, run twice with
-# different thread knobs. The binary validates every report's JSON before
-# it touches disk (swarm_bench::validate_json); this stage asserts the
-# report files exist, are non-empty, and are byte-identical across the two
-# runs — the determinism contract of docs/SCENARIOS.md. (Its stdout is
-# covered by stdout-parity.)
-perf_stage scenario-smoke 120 sh -c '
-    set -eu
-    rm -rf target/reports target/reports.first
-    SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2 "$0/swarm-bench" bench_scenarios
-    mv target/reports target/reports.first
-    SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=1 SWARM_SHARD_THREADS=2 \
-        "$0/swarm-bench" bench_scenarios
-    diff -r target/reports.first target/reports
-    [ "$(ls target/reports/*.json | wc -l)" -ge 14 ]
-    for f in target/reports/ycsb_a_static target/reports/ycsb_e_flash \
-             target/reports/ttl_churn target/reports/bigval; do
-        [ -s "$f.json" ] && [ -s "$f.html" ]
-    done
-    rm -rf target/reports.first
-' "$BIN_DIR"
 
 echo
 echo "CI OK"
 printf '%s' "$REPORT"
+echo "  stdout-parity runs:"
+cat "${CARGO_TARGET_DIR:-target}/stdout-parity/times"

@@ -1,19 +1,16 @@
 //! Warn-once parsing of the harness's environment knobs.
 //!
-//! `SWARM_BENCH_OPS_SCALE`, `SWARM_BENCH_THREADS`, `SWARM_SHARD_THREADS` and
-//! `SWARM_CHAOS_SEEDS` pick volumes, host threads and sweep widths (none of
-//! them retunes a protocol), and all follow one convention: unset means "use
-//! the default", a valid value applies, and garbage is *ignored with a
-//! one-time warning on stderr* —
-//! never a panic (a bench must not die over a typo) and never silence (a
-//! silently shrunken chaos sweep would report clean runs that never
-//! executed). This module is the single implementation of that convention;
-//! each knob's call site supplies only its name, validity predicate, and an
-//! example of a well-formed value.
-//!
-//! The helper lives in `swarm-kv` because the runner's `ops_scale` sits
-//! below `swarm-bench` in the dependency chain; `swarm-bench` re-exports it
-//! for the sweep driver and the chaos suite.
+//! `SWARM_BENCH_OPS_SCALE`, `SWARM_BENCH_THREADS` and `SWARM_CHAOS_SEEDS`
+//! pick volumes, host threads and sweep widths (none of them retunes a
+//! protocol), and all follow one convention: unset means "use the default",
+//! a valid value applies, and garbage is *ignored with a one-time warning on
+//! stderr* — never a panic (a bench must not die over a typo) and never
+//! silence (a silently shrunken chaos sweep would report clean runs that
+//! never executed). This module is the single implementation of that
+//! convention and the workspace's one reader of environment variables: the
+//! five library crates below `swarm-bench` are functions of their arguments
+//! (ci.sh's `env-purity` stage greps for it). Each knob's call site supplies
+//! only its name, validity predicate, and an example of a well-formed value.
 
 use std::collections::BTreeSet;
 use std::str::FromStr;

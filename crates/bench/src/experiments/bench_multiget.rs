@@ -27,7 +27,7 @@ pub fn run(quick: bool) {
     };
     let trials: usize = {
         let base = if quick { 400 } else { 4_000 };
-        match swarm_kv::ops_scale() {
+        match crate::ops_scale() {
             Some(scale) => ((base as f64 * scale) as usize).max(20),
             None => base,
         }

@@ -25,10 +25,11 @@
 use std::time::Instant;
 
 use crate::{
-    composed_threads, env_scaled_keys, report_wall, sweep_on, write_csv, ExpParams, Protocol,
+    env_scaled_keys, report_wall, run_workload, sweep, sweep_threads, write_csv, ExpParams,
+    Protocol,
 };
 use swarm_fabric::{FaultPlan, NodeId};
-use swarm_kv::{divergent_stamp_pairs, run_workload, RepairConfig, RepairStats, RepairStrategy};
+use swarm_kv::{divergent_stamp_pairs, RepairConfig, RepairStats, RepairStrategy};
 use swarm_sim::{Nanos, Sim, NANOS_PER_MILLI};
 use swarm_workload::WorkloadSpec;
 
@@ -51,8 +52,7 @@ pub fn run(quick: bool) {
     let n_keys: u64 = if quick { 1 << 14 } else { 1 << 20 };
     let drop_from: Nanos = NANOS_PER_MILLI;
     let drop_until: Nanos = if quick { 21 } else { 41 } * NANOS_PER_MILLI;
-    let (cell_threads, _) = composed_threads();
-    eprintln!("bench_repair: {cell_threads} sweep thread(s), 3 cells");
+    eprintln!("bench_repair: {} sweep thread(s), 3 cells", sweep_threads());
 
     let p = ExpParams {
         n_keys,
@@ -64,7 +64,7 @@ pub fn run(quick: bool) {
     };
 
     let cells = RepairStrategy::all();
-    let results = sweep_on(cell_threads, &cells, |&strategy| {
+    let results = sweep(&cells, |&strategy| {
         let wall = Instant::now();
         let sim = Sim::new(p.seed);
         // A generous round deadline: at acceptance scale one round may

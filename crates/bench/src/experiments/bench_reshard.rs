@@ -20,9 +20,10 @@
 use std::time::Instant;
 
 use crate::{
-    composed_threads, env_scaled_keys, report_wall, sweep_on, write_csv, ExpParams, Protocol,
+    env_scaled_keys, report_wall, run_workload, sweep, sweep_threads, write_csv, ExpParams,
+    Protocol,
 };
-use swarm_kv::{run_workload, ElasticShard, ReshardEvent};
+use swarm_kv::{ElasticShard, ReshardEvent};
 use swarm_sim::{Nanos, Sim, NANOS_PER_MILLI};
 use swarm_workload::WorkloadSpec;
 
@@ -55,8 +56,10 @@ pub fn run(quick: bool) {
     let n_keys: u64 = if quick { 1 << 13 } else { 1 << 16 };
     let split_at = if quick { 40 } else { 100 } * NANOS_PER_MILLI;
     let end_at = if quick { 140 } else { 400 } * NANOS_PER_MILLI;
-    let (cell_threads, _) = composed_threads();
-    eprintln!("bench_reshard: {cell_threads} sweep thread(s), 2 cells");
+    eprintln!(
+        "bench_reshard: {} sweep thread(s), 2 cells",
+        sweep_threads()
+    );
 
     let p = ExpParams {
         n_keys,
@@ -68,7 +71,7 @@ pub fn run(quick: bool) {
     };
 
     let cells = [Cell { split: false }, Cell { split: true }];
-    let results = sweep_on(cell_threads, &cells, |cell| {
+    let results = sweep(&cells, |cell| {
         let wall = Instant::now();
         let sim = Sim::new(p.seed);
         // One extra client id: the family reserves the top one for its

@@ -17,9 +17,8 @@
 //! cross-shard routers, so scans exercise the shard-fanout range-read path
 //! and per-shard routed-op counts expose the skew each phase creates.
 //! Cells run on `SWARM_BENCH_THREADS` OS threads via [`crate::sweep`]
-//! and are merged in deterministic cell order; no per-shard `Sim`s are
-//! involved, so `SWARM_SHARD_THREADS` is trivially irrelevant. stdout and
-//! every report file are bit-identical at any thread count.
+//! and are merged in deterministic cell order. stdout and every report
+//! file are bit-identical at any thread count.
 //!
 //! **stdout is the deterministic report** (simulated metrics only).
 //! Wall-clock seconds per cell go to **stderr** and `wall.csv`; nothing
@@ -199,7 +198,7 @@ pub fn run(quick: bool) {
     // enough that bulk loading stays a footnote.
     let big_keys = n_keys.min(2_048);
     let base_ops = if quick { 2_100 } else { 42_000 };
-    let ops = match swarm_kv::ops_scale() {
+    let ops = match crate::ops_scale() {
         Some(scale) => ((base_ops as f64 * scale) as usize).max(150),
         None => base_ops,
     };

@@ -14,18 +14,20 @@
 //!
 //! # Execution model
 //!
-//! Every cell pre-plans its op streams (`swarm_kv::plan_workload`) and
-//! drives each shard on its **own seeded `Sim`**, one shard per OS thread
-//! (`swarm_kv::run_sharded_plan`): the two-level parallelism is
-//! `SWARM_BENCH_THREADS` sweep cells × `SWARM_SHARD_THREADS` shard threads
-//! per cell, capped to the available cores (`composed_threads`). All
-//! simulated numbers are bit-identical at any thread count, either level.
+//! Every cell pre-plans its op streams ([`crate::plan_workload`]) and every
+//! shard of every cell runs on its **own seeded `Sim`**
+//! (`swarm_kv::run_one_shard`). The bench is one flat [`crate::sweep`] over
+//! `(cell, shard)` jobs on the harness's one thread budget
+//! (`SWARM_BENCH_THREADS`), and each cell's shard outcomes merge in shard
+//! order — so all simulated numbers are bit-identical at any thread count.
 //!
 //! **stdout is the deterministic report** (simulated metrics only; safe to
-//! diff across thread counts and hosts). Wall-clock seconds per cell and
-//! the wall-side weak-scaling efficiency — the real multi-core speedup the
-//! one-`Sim`-per-shard refactor buys — go to **stderr** and a separate
-//! `*_wall.csv`, since elapsed time is inherently nondeterministic.
+//! diff across thread counts and hosts). Wall-clock seconds go to
+//! **stderr** and `cells_wall.csv`, since elapsed time is inherently
+//! nondeterministic; a cell's wall figure is the *sum of its shards'
+//! seconds* (shards of one cell run wherever the sweep puts them, so the
+//! sum — the cell's host cost — is the figure that means the same thing at
+//! every thread count).
 //!
 //! Default is a quick mode over a 2^17-key space; `--full` loads the
 //! million-key space.
@@ -33,10 +35,11 @@
 use std::time::Instant;
 
 use crate::{
-    composed_threads, env_scaled_keys, report_wall, sweep_on, write_csv, ExpParams, Protocol,
+    env_scaled_keys, plan_workload, report_wall, sweep, sweep_threads, write_csv, ExpParams,
+    Protocol,
 };
-use swarm_kv::{plan_workload, run_sharded_plan, ShardMode, ShardRunOptions, ShardSpec};
-use swarm_workload::{OpType, WorkloadSpec, Zipfian};
+use swarm_kv::{run_one_shard, RunStats, ShardRunOptions, ShardSpec};
+use swarm_workload::{WorkloadSpec, Zipfian};
 
 /// Client threads (routers) per shard: enough that a single group runs
 /// close to its fabric's saturation knee, so added shards buy throughput.
@@ -64,9 +67,6 @@ struct CellResult {
     measured_ops: u64,
     op_imbalance: f64,
     msg_imbalance: f64,
-    /// Pre-rendered latency summaries (deterministic, for the stderr JSON).
-    get_json: String,
-    update_json: String,
     wall_secs: f64,
 }
 
@@ -74,83 +74,98 @@ struct CellResult {
 pub fn run(quick: bool) {
     let n_keys: u64 = if quick { 1 << 17 } else { 1 << 20 };
     let shard_counts: [usize; 5] = [1, 2, 4, 8, 16];
-    let (cell_threads, shard_threads) = composed_threads();
-    eprintln!(
-        "bench_shards: {cell_threads} sweep thread(s) x {shard_threads} shard thread(s) per cell"
-    );
 
-    let mut cells = Vec::new();
+    // Plan every cell up front (cheap next to running it): the jobs below
+    // borrow the plans.
+    let mut planned = Vec::new();
     for dist in [Dist::Uniform, Dist::Zipfian99] {
         for &shards in &shard_counts {
-            cells.push((dist, shards));
+            let clients = CLIENTS_PER_SHARD * shards;
+            let p = ExpParams {
+                n_keys,
+                clients,
+                shards,
+                // One metadata buffer per client would dominate the per-key
+                // footprint at 96 clients; pin the paper's 4-client default.
+                meta_bufs: Some(4),
+                warmup_ops: 500 * clients as u64,
+                measure_ops: 1_500 * clients as u64,
+                ..Default::default()
+            };
+            let mut workload = p.workload(WorkloadSpec::B);
+            if dist == Dist::Uniform {
+                workload.keys = Zipfian::uniform(workload.keys.n());
+            }
+            let plan = plan_workload(
+                p.seed,
+                ShardSpec::new(shards),
+                &workload,
+                &p.run_config(),
+                clients,
+            );
+            planned.push((p, workload, plan));
         }
     }
-
-    let results = sweep_on(cell_threads, &cells, |&(dist, shards)| {
-        let clients = CLIENTS_PER_SHARD * shards;
-        let p = ExpParams {
-            n_keys,
-            clients,
-            shards,
-            // One metadata buffer per client would dominate the per-key
-            // footprint at 96 clients; pin the paper's 4-client default.
-            meta_bufs: Some(4),
-            warmup_ops: 500 * clients as u64,
-            measure_ops: 1_500 * clients as u64,
-            ..Default::default()
-        };
-        let builder = p.builder(Protocol::SafeGuess);
-        let mut workload = p.workload(WorkloadSpec::B);
-        if dist == Dist::Uniform {
-            workload.keys = Zipfian::uniform(workload.keys.n());
-        }
-        let plan = plan_workload(
-            p.seed,
-            ShardSpec::new(shards),
-            &workload,
-            &p.run_config(),
-            clients,
-        );
-        let opts = ShardRunOptions {
-            preload_keys: Some(env_scaled_keys(p.n_keys)),
-            ..Default::default()
-        };
+    let jobs: Vec<(usize, usize)> = planned
+        .iter()
+        .enumerate()
+        .flat_map(|(c, (p, ..))| (0..p.shards).map(move |s| (c, s)))
+        .collect();
+    eprintln!(
+        "bench_shards: {} sweep thread(s), {} (cell, shard) jobs",
+        sweep_threads(),
+        jobs.len()
+    );
+    let opts = ShardRunOptions {
+        preload_keys: Some(env_scaled_keys(n_keys)),
+        ..Default::default()
+    };
+    let mut outcomes = sweep(&jobs, |&(c, s)| {
+        let (p, workload, plan) = &planned[c];
         let wall = Instant::now();
-        let run = run_sharded_plan(
-            &builder,
+        let out = run_one_shard(
+            &p.builder(Protocol::SafeGuess),
             p.seed,
-            &plan,
-            &workload,
+            plan,
+            workload,
             &opts,
-            ShardMode::Threads(shard_threads),
+            s,
         );
-        let wall_secs = wall.elapsed().as_secs_f64();
-        let stats = run.merged_stats();
+        (out, wall.elapsed().as_secs_f64())
+    })
+    .into_iter();
 
-        let max_over_mean = |counts: &[u64]| {
-            let mean = counts.iter().sum::<u64>() as f64 / counts.len().max(1) as f64;
-            counts.iter().copied().max().unwrap_or(0) as f64 / mean.max(1.0)
-        };
-        // The plan knows every op's owning shard before anything runs: the
-        // routed-load imbalance is a pure function of (seed, workload).
-        let op_imbalance = max_over_mean(&plan.per_shard_op_counts());
-        // The fabric-level view of the same skew: message counts include
-        // retries and replica fan-out, so a hot shard's extra quorum
-        // traffic shows up here even when op routing alone would hide it.
-        let per_shard_msgs: Vec<u64> = run.per_shard_traffic().iter().map(|s| s.messages).collect();
-        let msg_imbalance = max_over_mean(&per_shard_msgs);
+    let max_over_mean = |counts: &[u64]| {
+        let mean = counts.iter().sum::<u64>() as f64 / counts.len().max(1) as f64;
+        counts.iter().copied().max().unwrap_or(0) as f64 / mean.max(1.0)
+    };
+    // Jobs are in (cell, shard) order, so each cell's outcomes are the next
+    // `shards` of them, in shard order.
+    let mut results = planned.iter().map(|(p, _, plan)| {
+        let mut stats = RunStats::default();
+        let mut per_shard_msgs = Vec::new();
+        let mut wall_secs = 0.0;
+        for (out, secs) in outcomes.by_ref().take(p.shards) {
+            stats.merge(&out.stats);
+            per_shard_msgs.push(out.traffic.messages);
+            wall_secs += secs;
+        }
         CellResult {
             tput_mops: stats.throughput_ops() / 1e6,
             measured_ops: stats.measured_ops,
-            op_imbalance,
-            msg_imbalance,
-            get_json: stats.lat(OpType::Get).summary_json(),
-            update_json: stats.lat(OpType::Update).summary_json(),
+            // The plan knows every op's owning shard before anything runs:
+            // the routed-load imbalance is a pure function of (seed,
+            // workload).
+            op_imbalance: max_over_mean(&plan.per_shard_op_counts()),
+            // The fabric-level view of the same skew: message counts
+            // include retries and replica fan-out, so a hot shard's extra
+            // quorum traffic shows up here even when op routing alone would
+            // hide it.
+            msg_imbalance: max_over_mean(&per_shard_msgs),
             wall_secs,
         }
     });
 
-    let mut results = results.into_iter();
     let mut walls = Vec::new();
     for dist in [Dist::Uniform, Dist::Zipfian99] {
         println!(
@@ -165,14 +180,12 @@ pub fn run(quick: bool) {
         );
         let mut rows = Vec::new();
         let mut base_per_client = 0.0;
-        let mut base_wall = 0.0;
         for &shards in &shard_counts {
             let r = results.next().expect("one result per cell");
             let clients = CLIENTS_PER_SHARD * shards;
             let per_client = r.tput_mops * 1e3 / clients as f64;
             if shards == 1 {
                 base_per_client = per_client;
-                base_wall = r.wall_secs;
             }
             // Weak-scaling efficiency: per-client throughput retained
             // relative to the 1-shard cell.
@@ -185,30 +198,7 @@ pub fn run(quick: bool) {
                 "{shards},{clients},{:.4},{per_client:.2},{eff:.3},{:.3},{:.3},{}",
                 r.tput_mops, r.op_imbalance, r.msg_imbalance, r.measured_ops
             ));
-            // Wall-side weak scaling: per-shard work is constant, so with
-            // enough shard threads the S-shard cell should cost about what
-            // the 1-shard cell does (efficiency ~1.0); on one thread it
-            // degrades toward 1/S.
-            let wall_eff = if r.wall_secs > 0.0 {
-                base_wall / r.wall_secs
-            } else {
-                1.0
-            };
             walls.push((format!("{}/{shards}", dist.name()), r.wall_secs));
-            // Machine-readable per-cell summary (ROADMAP item 3's report
-            // harness convention). stderr only: stdout must stay
-            // bit-identical to the pre-JSON report.
-            eprintln!(
-                r#"{{"bench":"bench_shards","dist":"{}","shards":{shards},"clients":{clients},"tput_mops":{:.4},"op_imbalance":{:.3},"msg_imbalance":{:.3},"measured_ops":{},"get":{},"update":{},"wall_secs":{:.4},"wall_weak_eff":{wall_eff:.3},"shard_threads":{shard_threads}}}"#,
-                dist.name(),
-                r.tput_mops,
-                r.op_imbalance,
-                r.msg_imbalance,
-                r.measured_ops,
-                r.get_json,
-                r.update_json,
-                r.wall_secs
-            );
         }
         write_csv(
             "bench_shards",
@@ -223,6 +213,8 @@ pub fn run(quick: bool) {
     println!("pipelining deepens as clients grow with the shard count); Zipfian");
     println!(".99 concentrates ~8% of ops on the hot key's shard, so imbalance");
     println!("rises well above 1.0x and hot-shard queuing taxes the aggregate.");
+    // The goldens pin this sentence; since the flat sweep the wall figure is
+    // each cell's summed shard seconds (module docs), no efficiency ratio.
     println!("Wall-clock per cell and its weak-scaling efficiency (stderr +");
     println!("*_wall.csv) track the real multi-core speedup of one-Sim-per-shard");
     println!("execution.");

@@ -17,14 +17,14 @@
 //!
 //! **stdout is the deterministic report** (simulated metrics only — table,
 //! per-cell JSON lines, CSVs; byte-identical across reruns and
-//! `SWARM_BENCH_THREADS`/`SWARM_SHARD_THREADS`). Wall-clock seconds go to
+//! `SWARM_BENCH_THREADS`). Wall-clock seconds go to
 //! **stderr** and `*_wall.csv`. Default is a quick 40 K-op run per cell;
 //! `--full` measures 400 K ops per cell (pinned in `BENCH_pr9.json`).
 
 use std::time::Instant;
 
 use crate::{
-    composed_threads, env_scaled_keys, report_wall, run_workload, sweep_on, write_csv, ExpParams,
+    env_scaled_keys, report_wall, run_workload, sweep, sweep_threads, write_csv, ExpParams,
     Protocol,
 };
 use swarm_fabric::{FaultPlan, NodeId, TrafficStats};
@@ -142,19 +142,17 @@ pub fn run(quick: bool) {
     // dilute the unhedged p99): ~1.2 ops/µs aggregate puts the quick run
     // near 45 ms; schedule generously past both modes' horizons.
     let spike_count: u64 = if quick { 500 } else { 3_000 };
-    let (cell_threads, _) = composed_threads();
 
     let cells: Vec<Cell> = [Plan::Calm, Plan::Spike]
         .iter()
         .flat_map(|&plan| [false, true].map(|hedged| Cell { plan, hedged }))
         .collect();
     eprintln!(
-        "bench_tail: {cell_threads} sweep thread(s), {} cells",
+        "bench_tail: {} sweep thread(s), {} cells",
+        sweep_threads(),
         cells.len()
     );
-    let mut results = sweep_on(cell_threads, &cells, |&cell| {
-        run_cell(&p, cell, spike_count)
-    });
+    let mut results = sweep(&cells, |&cell| run_cell(&p, cell, spike_count));
 
     println!(
         "bench_tail: SWARM-KV tail latency, YCSB B over {} keys, {} clients, widen floor {} us",

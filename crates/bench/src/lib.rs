@@ -16,13 +16,18 @@
 //! The long sweeps (`fig7`–`fig9`, `fig13`, the `bench_*` set) run their
 //! independent `(seed, config)` cells on `SWARM_BENCH_THREADS` OS threads
 //! (default: all cores) via [`sweep`]; results are merged in deterministic
-//! cell order, so every number is identical at any thread count.
-//! `bench_shards` adds a second level: inside each cell, every shard runs on
-//! its own `Sim` driven by `SWARM_SHARD_THREADS` OS threads
-//! (`swarm_kv::run_sharded_plan`), and [`composed_threads`] caps cells ×
-//! shards to the available cores. Wall-clock time is the one
+//! cell order, so every number is identical at any thread count. That is
+//! the one thread budget: `bench_shards`, whose cells each run one `Sim` per
+//! shard, sweeps `(cell, shard)` jobs on it. Wall-clock time is the one
 //! nondeterministic output; it goes to stderr and `*wall.csv` through
 //! [`report_wall`], never to stdout.
+//!
+//! This crate is also the one reader of environment variables
+//! (`envknob.rs`): `SWARM_BENCH_THREADS` in [`sweep_threads`],
+//! `SWARM_BENCH_OPS_SCALE` in `runner.rs` — whose [`run_workload`] and
+//! [`plan_workload`] scale the `RunConfig` and then call the `swarm_kv`
+//! functions of the same names, which run exactly what they are handed —
+//! and `SWARM_CHAOS_SEEDS` in the chaos suites through [`env_knob`].
 //!
 //! Every system under test is built through [`swarm_kv::StoreBuilder`], so
 //! the four protocols share one construction and measurement path.
@@ -33,13 +38,17 @@
 
 #![warn(missing_docs)]
 
+mod envknob;
 pub mod experiments;
 mod report;
+mod runner;
 mod sweep;
 
+pub use envknob::env_knob;
 pub use experiments::{Experiment, EXPERIMENTS};
 pub use report::{json_escape, validate_json, Report};
-pub use sweep::{cap_thread_product, composed_threads, sweep, sweep_on, sweep_threads};
+pub use runner::{env_scaled_keys, ops_scale, plan_workload, run_workload};
+pub use sweep::{sweep, sweep_on, sweep_threads};
 
 use std::io::Write as _;
 use std::rc::Rc;
@@ -50,11 +59,7 @@ use swarm_kv::{
 use swarm_sim::{Histogram, Sim};
 use swarm_workload::{OpType, Workload, WorkloadSpec};
 
-pub use swarm_kv::{run_workload, Protocol};
-// The warn-once env-knob convention shared by every harness variable
-// (`SWARM_BENCH_OPS_SCALE`, `SWARM_BENCH_THREADS`, `SWARM_CHAOS_SEEDS`);
-// defined beside the runner because `ops_scale` sits below this crate.
-pub use swarm_kv::{env_knob, parse_knob};
+pub use swarm_kv::Protocol;
 
 /// Common experiment parameters (defaults follow §7: 3 replicas, 100 K keys,
 /// 64 B values, 4 clients, warm-up then measurement).
@@ -160,18 +165,6 @@ pub struct Testbed {
     pub cluster: StoreCluster,
     /// One client handle per client thread.
     pub clients: Vec<Rc<StoreClient>>,
-}
-
-/// The keyspace size after applying `SWARM_BENCH_OPS_SCALE` (the smoke-test
-/// knob, see `swarm_kv::ops_scale`): bulk loading dominates wall time in
-/// unoptimized builds, and key-distribution properties do not matter for a
-/// smoke run. Used by both [`build`] and [`ExpParams::workload`] so loaded
-/// and sampled keyspaces always agree.
-pub fn env_scaled_keys(n_keys: u64) -> u64 {
-    match swarm_kv::ops_scale() {
-        Some(scale) => ((n_keys as f64 * scale) as u64).clamp(64.min(n_keys), n_keys),
-        None => n_keys,
-    }
 }
 
 /// Builds (and bulk-loads) one system under test.

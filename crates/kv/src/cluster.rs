@@ -1,11 +1,12 @@
 //! Cluster setup: memory-node layout allocation and bulk loading.
 //!
-//! A [`Cluster`] owns the fabric, the index, and the control-plane registry
-//! of per-key allocations ([`KeyInfo`]). Allocation itself is a
-//! control-plane action — the paper's clients pre-allocate cleared buffers
-//! so inserts complete in one roundtrip (§5.3.1) — and bulk loading (the
-//! YCSB load phase, which the paper does not measure) pokes node memory
-//! directly.
+//! A [`Cluster`] owns the fabric and the index, which is the one map from a
+//! key to its live allocation ([`KeyInfo`]): clients, repair and the
+//! divergence probe all resolve a key through it, so they cannot disagree
+//! about which buffers are live. Allocation itself is a control-plane
+//! action — the paper's clients pre-allocate cleared buffers so inserts
+//! complete in one roundtrip (§5.3.1) — and bulk loading (the YCSB load
+//! phase, which the paper does not measure) pokes node memory directly.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -126,7 +127,6 @@ struct Inner {
     cfg: ClusterConfig,
     index: Index<Rc<KeyInfo>>,
     membership: Membership,
-    keys: RefCell<HashMap<u64, Rc<KeyInfo>>>,
     generation: std::cell::Cell<u64>,
     /// Per-key repair marks: bumped every time anti-entropy overwrites a
     /// replica of the key, so cached client handles can detect that their
@@ -164,7 +164,6 @@ impl Cluster {
                 index: Index::with_capacity_rng(sim, cfg.index_capacity, index_rng),
                 cfg,
                 membership,
-                keys: RefCell::new(HashMap::new()),
                 generation: std::cell::Cell::new(0),
                 repair_marks: RefCell::new(HashMap::new()),
                 repair_counter: std::cell::Cell::new(0),
@@ -235,16 +234,14 @@ impl Cluster {
         }
         let generation = self.inner.generation.get();
         self.inner.generation.set(generation + 1);
-        let info = Rc::new(KeyInfo {
+        Rc::new(KeyInfo {
             key,
             replica_nodes: nodes,
             layouts,
             tsl_base,
             loader_slot,
             generation,
-        });
-        self.inner.keys.borrow_mut().insert(key, Rc::clone(&info));
-        info
+        })
     }
 
     /// Bulk-loads `key = value` (control plane, no network cost): allocates
@@ -285,11 +282,6 @@ impl Cluster {
         for key in 0..n {
             self.load_key(key, &make_value(key));
         }
-    }
-
-    /// Control-plane lookup of a key's allocation.
-    pub fn key_info(&self, key: u64) -> Option<Rc<KeyInfo>> {
-        self.inner.keys.borrow().get(&key).cloned()
     }
 
     /// Records that anti-entropy overwrote a replica of `key`. Each call

@@ -22,7 +22,6 @@
 //!   for the availability comparison.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use swarm_core::{Hedger, QuorumRound, Rounds};
@@ -105,7 +104,6 @@ struct ClusterInner {
     fabric: Fabric,
     cfg: FuseeConfig,
     index: Index<Rc<FuseeKeyInfo>>,
-    keys: RefCell<HashMap<u64, Rc<FuseeKeyInfo>>>,
 }
 
 /// A FUSEE cluster (own fabric + index).
@@ -132,7 +130,6 @@ impl FuseeCluster {
                 fabric,
                 index: Index::with_capacity_rng(sim, cfg.index_capacity, index_rng),
                 cfg,
-                keys: RefCell::new(HashMap::new()),
             }),
         }
     }
@@ -179,16 +176,14 @@ impl FuseeCluster {
         );
         let backup_node = replica_nodes[1 % replica_nodes.len()];
         let ptr_backup = (backup_node, self.inner.fabric.node(backup_node).alloc(8, 8));
-        let info = Rc::new(FuseeKeyInfo {
+        Rc::new(FuseeKeyInfo {
             key,
             replica_nodes,
             ring_base,
             ptr_primary,
             ptr_backup,
             version: Cell::new(0),
-        });
-        self.inner.keys.borrow_mut().insert(key, Rc::clone(&info));
-        info
+        })
     }
 
     /// Bulk-loads a key (control plane, version 1).

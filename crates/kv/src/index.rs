@@ -9,7 +9,7 @@
 //! serialized through the index server's CPU.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use swarm_sim::{oneshot, FifoResource, Jitter, Nanos, Sim, SimRng};
@@ -29,7 +29,9 @@ pub enum InsertOutcome {
 struct Inner<L> {
     sim: Sim,
     rng: SimRng,
-    map: RefCell<HashMap<u64, L>>,
+    /// The one key→location map, ordered: scans and control-plane walks
+    /// read it in key order without sorting.
+    map: RefCell<BTreeMap<u64, L>>,
     capacity: Option<usize>,
     cpu: FifoResource,
     wire: Jitter,
@@ -77,7 +79,7 @@ impl<L: Clone + 'static> Index<L> {
             inner: Rc::new(Inner {
                 sim: sim.clone(),
                 rng,
-                map: RefCell::new(HashMap::new()),
+                map: RefCell::new(BTreeMap::new()),
                 capacity,
                 cpu: FifoResource::new(sim),
                 wire: Jitter::fabric(640.0),
@@ -187,16 +189,14 @@ impl<L: Clone + 'static> Index<L> {
     /// to the traffic counters on top of the base request size.
     pub async fn range_keys(&self, start: u64, limit: usize) -> Vec<u64> {
         self.roundtrip().await;
-        let mut keys: Vec<u64> = self
+        let keys: Vec<u64> = self
             .inner
             .map
             .borrow()
-            .keys()
-            .copied()
-            .filter(|&k| k >= start)
+            .range(start..)
+            .take(limit)
+            .map(|(&k, _)| k)
             .collect();
-        keys.sort_unstable();
-        keys.truncate(limit);
         // 8 bytes per returned key on the reply wire.
         self.inner
             .bytes
@@ -217,12 +217,18 @@ impl<L: Clone + 'static> Index<L> {
 
     /// Control-plane enumeration of the live keys, ascending (no network
     /// cost). The migration copy driver walks a shard's keyspace with it;
-    /// sorting makes the walk order independent of hash-map internals, so
-    /// a migration replays bit-identically.
+    /// key order makes the walk independent of insertion history, so a
+    /// migration replays bit-identically.
     pub fn keys_sorted(&self) -> Vec<u64> {
-        let mut keys: Vec<u64> = self.inner.map.borrow().keys().copied().collect();
-        keys.sort_unstable();
-        keys
+        self.inner.map.borrow().keys().copied().collect()
+    }
+
+    /// Control-plane enumeration of the live mappings, ascending by key (no
+    /// network cost): what repair and the divergence probe walk, so they
+    /// see exactly the allocations a client would be routed to.
+    pub fn entries_sorted(&self) -> Vec<(u64, L)> {
+        let map = self.inner.map.borrow();
+        map.iter().map(|(&k, loc)| (k, loc.clone())).collect()
     }
 
     /// Number of live mappings.

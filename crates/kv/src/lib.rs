@@ -90,10 +90,22 @@
 //!   distributions), dealt round-robin to the clients.
 //! * [`plan_workload`] + [`run_sharded_plan`] pre-partition a YCSB stream
 //!   into per-shard op streams and drive each shard on its *own* seeded
-//!   `Sim` — sequentially, on `SWARM_SHARD_THREADS` OS threads
+//!   `Sim` — sequentially, on as many OS threads as the caller asks for
 //!   ([`ShardMode`]), or on one shared simulation as a cross-check — with
 //!   bit-identical per-shard outcomes in every mode (see `parallel.rs`'s
-//!   module docs for the argument).
+//!   module docs for the argument). [`run_one_shard`] is the per-shard
+//!   entry for callers that schedule shards themselves.
+//!
+//! # A function of its arguments
+//!
+//! Nothing in this crate (or in `swarm-sim`, `swarm-fabric`, `swarm-core`,
+//! `swarm-workload` below it) reads an environment variable or counts the
+//! host's cores: a driver runs exactly the [`RunConfig`] it is handed, and
+//! thread counts arrive as arguments ([`ShardMode::Threads`], [`par_map`]).
+//! The harness's knobs (`SWARM_BENCH_OPS_SCALE`, `SWARM_BENCH_THREADS`,
+//! `SWARM_CHAOS_SEEDS`) are read in `swarm-bench`, which scales the config
+//! and picks the thread count *before* calling in here — so a seeded call
+//! into this crate replays identically under any environment.
 
 #![warn(missing_docs)]
 
@@ -101,7 +113,6 @@ mod builder;
 mod cache;
 mod client;
 mod cluster;
-mod envknob;
 mod exec;
 mod fusee;
 mod index;
@@ -120,14 +131,13 @@ pub use builder::{Protocol, StoreBuilder, StoreClient, StoreCluster};
 pub use cache::LfuCache;
 pub use client::{CacheCapacity, KvClient, KvClientConfig};
 pub use cluster::{Cluster, ClusterConfig, KeyInfo, LOADER_TID};
-pub use envknob::{env_knob, parse_knob};
 pub use exec::{OpOutcome, RunStats};
 pub use fusee::{FuseeCluster, FuseeConfig, FuseeKv};
 pub use index::{Index, InsertOutcome, INDEX_MSG_BYTES};
 pub use membership::Membership;
 pub use parallel::{
-    plan_workload, run_sharded_plan, run_sharded_workload, shard_threads, PlannedOp, ShardMode,
-    ShardOutcome, ShardRunOptions, ShardedRun, WorkloadPlan,
+    par_map, plan_workload, run_one_shard, run_sharded_plan, run_sharded_workload, PlannedOp,
+    ShardMode, ShardOutcome, ShardRunOptions, ShardedRun, WorkloadPlan,
 };
 pub use recorder::{value_tag, HistoryRecorder, RecordingStore};
 pub use repair::{
@@ -137,7 +147,7 @@ pub use reshard::{
     split_point, ElasticClient, ElasticShard, ReshardAction, ReshardEvent, ReshardStats, Segment,
     ShardMap,
 };
-pub use runner::{ops_scale, run_workload, RunConfig};
+pub use runner::{run_workload, RunConfig};
 pub use scenario_run::{run_scenario, ScenarioRunConfig};
 pub use shard::{ShardRouter, ShardSpec, ShardedCluster};
 pub use store::{KvError, KvResult, KvStore, KvStoreExt, ScanItems};

@@ -44,8 +44,10 @@
 //!
 //! A `Sim` is `!Send` (Rc-based wakers); each worker thread *constructs*
 //! its shard's `Sim` + [`StoreCluster`] locally and only the `Send`
-//! [`ShardOutcome`] crosses threads — the same discipline as
-//! `swarm_bench::sweep`, one level down.
+//! [`ShardOutcome`] crosses threads. [`par_map`] is the loop that does it —
+//! the same one `swarm_bench::sweep` runs its cells on — and the caller
+//! passes the thread count: nothing in this crate reads the environment or
+//! counts cores.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -59,9 +61,6 @@ use swarm_workload::{OpType, ScenarioOp, Workload};
 
 use crate::builder::{StoreBuilder, StoreCluster};
 use crate::cluster::derive_label;
-use crate::envknob::env_knob;
-#[cfg(test)]
-use crate::envknob::parse_knob;
 use crate::exec::{OpOutcome, OpSource, Run, RunStats, Worker};
 use crate::recorder::HistoryRecorder;
 use crate::repair::RepairStats;
@@ -73,32 +72,6 @@ use crate::shard::ShardSpec;
 /// shard labels (`SHARD_RNG_BASE`) and the chaos-worker labels, so planned
 /// op streams never collide with substrate streams.
 const PLAN_RNG_BASE: u64 = 0x504C_414E_0050_4C4E;
-
-/// The shard-thread count: `SWARM_SHARD_THREADS` if set (a positive
-/// integer), otherwise the number of available cores. Follows the shared
-/// warn-once [`env_knob`] convention (`SWARM_BENCH_THREADS`,
-/// `SWARM_BENCH_OPS_SCALE`, ...): garbage is ignored with a one-time
-/// stderr warning, never a panic.
-pub fn shard_threads() -> usize {
-    env_knob("SWARM_SHARD_THREADS", "a positive integer like 4", |n| {
-        *n >= 1
-    })
-    .unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
-#[cfg(test)]
-fn parse_shard_threads(raw: Option<&str>) -> Option<usize> {
-    parse_knob(
-        "SWARM_SHARD_THREADS",
-        raw,
-        "a positive integer like 4",
-        |n| *n >= 1,
-    )
-}
 
 /// How to drive the per-shard simulations of a planned run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,7 +122,7 @@ struct Slice {
 pub struct WorkloadPlan {
     spec: ShardSpec,
     routers: usize,
-    /// The effective (env-scaled) run configuration the plan was cut to.
+    /// The run configuration the plan was cut to.
     cfg: RunConfig,
     /// Ops per router (warm-up + measured), for result reassembly.
     per_router_ops: Vec<usize>,
@@ -220,7 +193,6 @@ pub fn plan_workload(
     routers: usize,
 ) -> WorkloadPlan {
     assert!(routers >= 1, "a plan needs at least one router stream");
-    let cfg = cfg.env_scaled();
     assert!(
         cfg.concurrency == 1
             && cfg.pace_ns.is_none()
@@ -277,7 +249,7 @@ pub fn plan_workload(
     WorkloadPlan {
         spec,
         routers,
-        cfg,
+        cfg: cfg.clone(),
         per_router_ops,
         slices,
     }
@@ -445,63 +417,18 @@ pub fn run_sharded_plan(
         "builder and plan disagree on the shard count"
     );
     let shards = plan.spec.shards();
+    let solo = |threads: usize| {
+        let ids: Vec<usize> = (0..shards).collect();
+        par_map(threads, &ids, |&s| {
+            run_one_shard(builder, seed, plan, workload, opts, s)
+        })
+    };
     let per_shard = match mode {
         ShardMode::SingleSim => {
-            let sim = Sim::new(seed);
-            let clusters: Vec<StoreCluster> = (0..shards)
-                .map(|s| builder.build_one_shard(&sim, s))
-                .collect();
-            let tasks: Vec<ShardTasks> = clusters
-                .iter()
-                .enumerate()
-                .map(|(s, cluster)| setup_shard(&sim, cluster, builder, plan, workload, opts, s))
-                .collect();
-            sim.run();
-            clusters
-                .iter()
-                .zip(tasks)
-                .enumerate()
-                .map(|(s, (cluster, tasks))| finish_shard(s, cluster, plan, tasks))
-                .collect()
+            run_shards_on_one_sim(builder, seed, plan, workload, opts, 0..shards)
         }
-        ShardMode::Sequential => (0..shards)
-            .map(|s| run_one_shard(builder, seed, plan, workload, opts, s))
-            .collect(),
-        ShardMode::Threads(n) => {
-            let n = n.clamp(1, shards);
-            if n <= 1 {
-                (0..shards)
-                    .map(|s| run_one_shard(builder, seed, plan, workload, opts, s))
-                    .collect()
-            } else {
-                // Work stealing over shards, exactly the sweep driver's
-                // shape: a shared claim counter, per-shard result slots,
-                // results read back in shard order.
-                let next = AtomicUsize::new(0);
-                let slots: Vec<Mutex<Option<ShardOutcome>>> =
-                    (0..shards).map(|_| Mutex::new(None)).collect();
-                std::thread::scope(|scope| {
-                    for _ in 0..n {
-                        scope.spawn(|| loop {
-                            let s = next.fetch_add(1, Ordering::Relaxed);
-                            if s >= shards {
-                                break;
-                            }
-                            let out = run_one_shard(builder, seed, plan, workload, opts, s);
-                            *slots[s].lock().expect("shard slot poisoned") = Some(out);
-                        });
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|m| {
-                        m.into_inner()
-                            .expect("shard slot poisoned")
-                            .expect("every claimed shard stores an outcome")
-                    })
-                    .collect()
-            }
-        }
+        ShardMode::Sequential => solo(1),
+        ShardMode::Threads(n) => solo(n),
     };
     ShardedRun {
         per_shard,
@@ -530,9 +457,12 @@ pub fn run_sharded_workload(
     run_sharded_plan(builder, seed, &plan, workload, opts, mode)
 }
 
-/// Builds, preloads, faults, and runs shard `s` alone on its own seeded
-/// `Sim`, on the calling thread.
-fn run_one_shard(
+/// Builds, preloads, faults, and runs shard `s` of `plan` alone on its own
+/// `Sim::new(seed)`, on the calling thread: the per-shard entry behind
+/// [`run_sharded_plan`]'s solo modes, public so a caller with many plans
+/// (`bench_shards`) can put every `(plan, shard)` job on one [`par_map`] and
+/// merge each plan's outcomes in shard order itself.
+pub fn run_one_shard(
     builder: &StoreBuilder,
     seed: u64,
     plan: &WorkloadPlan,
@@ -540,11 +470,77 @@ fn run_one_shard(
     opts: &ShardRunOptions,
     s: usize,
 ) -> ShardOutcome {
+    run_shards_on_one_sim(builder, seed, plan, workload, opts, s..s + 1)
+        .pop()
+        .expect("one shard in, one outcome out")
+}
+
+/// The one way a shard is reached: builds the given shards on one
+/// `Sim::new(seed)` (all clusters, then all workers, in shard order), drains
+/// it, and extracts their outcomes. One shard is a solo run; every shard is
+/// [`ShardMode::SingleSim`].
+fn run_shards_on_one_sim(
+    builder: &StoreBuilder,
+    seed: u64,
+    plan: &WorkloadPlan,
+    workload: &Workload,
+    opts: &ShardRunOptions,
+    shards: std::ops::Range<usize>,
+) -> Vec<ShardOutcome> {
     let sim = Sim::new(seed);
-    let cluster = builder.build_one_shard(&sim, s);
-    let tasks = setup_shard(&sim, &cluster, builder, plan, workload, opts, s);
+    let clusters: Vec<StoreCluster> = shards
+        .clone()
+        .map(|s| builder.build_one_shard(&sim, s))
+        .collect();
+    let tasks: Vec<ShardTasks> = shards
+        .clone()
+        .zip(&clusters)
+        .map(|(s, cluster)| setup_shard(&sim, cluster, builder, plan, workload, opts, s))
+        .collect();
     sim.run();
-    finish_shard(s, &cluster, plan, tasks)
+    shards
+        .zip(clusters.iter().zip(tasks))
+        .map(|(s, (cluster, tasks))| finish_shard(s, cluster, plan, tasks))
+        .collect()
+}
+
+/// Maps `f` over `items` on up to `threads` OS threads and returns the
+/// results in item order: the workspace's one work-stealing loop, behind
+/// [`ShardMode::Threads`] and `swarm_bench::sweep`. Workers claim the next
+/// unstarted item from a shared counter, so long and short items balance
+/// automatically; `threads <= 1` runs strictly sequentially on the calling
+/// thread. `f` must return only `Send` data — a `Sim` and everything built
+/// on it stay confined to the worker that made them.
+pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let threads = threads.min(items.len());
+    if threads <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let out = f(item);
+                *slots[i].lock().expect("par_map slot poisoned") = Some(out);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .expect("par_map slot poisoned")
+                .expect("every claimed item stores a result")
+        })
+        .collect()
 }
 
 /// The shard-confined run state workers write into.
@@ -711,24 +707,6 @@ mod tests {
     use super::*;
     use crate::Protocol;
     use swarm_workload::WorkloadSpec;
-
-    #[test]
-    fn shard_threads_knob_parses_falls_back_and_warns_once() {
-        // Unset: fall back (to available cores) without a warning.
-        assert_eq!(parse_shard_threads(None), None);
-        // Valid values apply.
-        assert_eq!(parse_shard_threads(Some("1")), Some(1));
-        assert_eq!(parse_shard_threads(Some("16")), Some(16));
-        // Garbage and out-of-domain values are rejected (warn-once is the
-        // shared env_knob machinery, covered by its own tests; here we pin
-        // that rejection never panics and repeats consistently).
-        for bad in ["banana", "", "0", "-3", "2.5"] {
-            assert_eq!(parse_shard_threads(Some(bad)), None, "{bad:?}");
-            assert_eq!(parse_shard_threads(Some(bad)), None, "{bad:?} again");
-        }
-        // The env-reading path always lands on a usable count.
-        assert!(shard_threads() >= 1);
-    }
 
     #[test]
     fn plan_partitions_every_op_exactly_once() {

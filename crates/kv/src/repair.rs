@@ -289,10 +289,7 @@ impl RepairHandle {
         let defer = self.inner.defer.borrow().clone();
         let mut deferred = 0u64;
         let mut groups: BTreeMap<Vec<usize>, Vec<Rc<KeyInfo>>> = BTreeMap::new();
-        for key in cluster.index().keys_sorted() {
-            let Some(info) = cluster.key_info(key) else {
-                continue;
-            };
+        for (key, info) in cluster.index().entries_sorted() {
             if defer.as_ref().is_some_and(|d| d(key)) {
                 deferred += 1;
                 continue;
@@ -616,10 +613,7 @@ impl RepairHandle {
 pub fn divergent_stamp_pairs(cluster: &Cluster) -> u64 {
     let fabric = cluster.fabric();
     let mut divergent = 0;
-    for key in cluster.index().keys_sorted() {
-        let Some(info) = cluster.key_info(key) else {
-            continue;
-        };
+    for (_, info) in cluster.index().entries_sorted() {
         let stamp_of = |r: usize| {
             let l = &info.layouts[r];
             let node = fabric.node(l.node);
@@ -668,7 +662,7 @@ mod tests {
     /// Wipes replica `r` of `key` back to its allocated (all-zero) state,
     /// as if the loader's write never reached it.
     fn wipe_replica(c: &Cluster, key: u64, r: usize) {
-        let info = c.key_info(key).expect("loaded");
+        let info = c.index().peek(key).expect("loaded");
         let l = &info.layouts[r];
         for j in 0..l.meta_bufs as u64 {
             c.fabric()
@@ -682,7 +676,7 @@ mod tests {
     /// of `value` at stamp `seq` would leave (what a write that reached
     /// only this replica before a fault window looks like).
     fn poke_newer(c: &Cluster, key: u64, r: usize, seq: u64, value: &[u8]) {
-        let info = c.key_info(key).expect("loaded");
+        let info = c.index().peek(key).expect("loaded");
         let l = &info.layouts[r];
         let node = c.fabric().node(l.node);
         let stamp = Stamp::verified(seq, crate::LOADER_TID);
@@ -780,6 +774,41 @@ mod tests {
                 strategy.name()
             );
         }
+    }
+
+    /// An insert from a client that has not cached the key allocates fresh
+    /// buffers before the index answers `Exists`, then writes through the
+    /// live mapping: the fresh buffers are orphans. Repair and the
+    /// divergence probe must walk the allocation the index names, or they
+    /// digest the orphan and never see the live key diverge.
+    #[test]
+    fn repair_follows_the_index_after_an_insert_over_a_live_key() {
+        let (sim, store, c) = store(66);
+        let client = store.client(0);
+        sim.block_on(async move {
+            client
+                .insert(4, vec![0xCD; 64])
+                .await
+                .expect("an insert over a live key updates it");
+        });
+        let h = RepairHandle::new(&c, RepairConfig::with_strategy(RepairStrategy::Full));
+        // The write itself contacted a majority only; heal that first so the
+        // one divergence left is the one injected below.
+        let hc = h.clone();
+        sim.block_on(async move { hc.converge().await });
+        wipe_replica(&c, 4, 1);
+        assert!(
+            divergent_stamp_pairs(&c) >= 1,
+            "the probe must see the indexed allocation's stale replica"
+        );
+        let before = h.stats().deltas_applied;
+        let (hc, cc) = (h.clone(), c.clone());
+        sim.block_on(async move {
+            let (_, converged) = hc.converge().await;
+            assert!(converged, "repair must converge");
+            assert_eq!(divergent_stamp_pairs(&cc), 0);
+        });
+        assert!(h.stats().deltas_applied > before, "the live key was healed");
     }
 
     /// Keys inside a migration window are the driver's business: the defer

@@ -659,21 +659,7 @@ impl ElasticShard {
     pub async fn merge(&self, group: usize, pace_ns: Nanos) -> bool {
         assert!(group != 0, "the base group cannot merge into itself");
         self.wait_no_window().await;
-        let (lo, hi) = {
-            let map = self.map.borrow();
-            let owned: Vec<Segment> = map
-                .segments()
-                .iter()
-                .copied()
-                .filter(|seg| seg.group == group)
-                .collect();
-            assert_eq!(
-                owned.len(),
-                1,
-                "merge expects the retiring group to own exactly one segment"
-            );
-            (owned[0].start, owned[0].end)
-        };
+        let (lo, hi) = self.sole_span(group, "merge");
         self.activate(group, 0, lo, hi);
         self.move_range(group, 0, lo, hi, pace_ns).await
     }
@@ -699,24 +685,21 @@ impl ElasticShard {
             self.sim.sleep_ns(DEAD_POLL_NS).await;
         }
         self.wait_no_window().await;
-        let (lo, hi) = {
-            let map = self.map.borrow();
-            let owned: Vec<Segment> = map
-                .segments()
-                .iter()
-                .copied()
-                .filter(|seg| seg.group == group)
-                .collect();
-            assert_eq!(
-                owned.len(),
-                1,
-                "rebuild expects the crashed group to own exactly one segment"
-            );
-            (owned[0].start, owned[0].end)
-        };
+        let (lo, hi) = self.sole_span(group, "rebuild");
         let dest = self.new_group(dest_faults);
         self.activate(group, dest, lo, hi);
         self.move_range(group, dest, lo, hi, pace_ns).await
+    }
+
+    /// The span of the one segment `group` owns (what a split produced):
+    /// the range a merge or rebuild (`op`, for the panic) moves whole.
+    fn sole_span(&self, group: usize, op: &str) -> (u16, u16) {
+        let map = self.map.borrow();
+        let mut owned = map.segments().iter().filter(|seg| seg.group == group);
+        match (owned.next(), owned.next()) {
+            (Some(seg), None) => (seg.start, seg.end),
+            _ => panic!("{op} expects group {group} to own exactly one segment"),
+        }
     }
 
     /// Builds the next destination group with a label derived from the
@@ -1417,7 +1400,7 @@ mod tests {
             .swarm()
             .expect("SWARM-KV runs on the Cluster substrate")
             .clone();
-        let info = c.key_info(3).expect("loaded");
+        let info = c.index().peek(3).expect("loaded");
         let l = &info.layouts[1];
         for j in 0..l.meta_bufs as u64 {
             c.fabric()

@@ -10,31 +10,8 @@ use std::rc::Rc;
 use swarm_sim::{Nanos, Sim, TimeSeries};
 use swarm_workload::Workload;
 
-use crate::envknob::env_knob;
 use crate::exec::{drive, Budget, OpSource, Run, RunStats, Worker};
 use crate::store::KvStore;
-
-/// The volume scale requested via `SWARM_BENCH_OPS_SCALE` (a positive float,
-/// e.g. `0.01`), or `None` if the variable is unset or unparsable. An
-/// unparsable value is ignored with a one-time warning on stderr (the
-/// shared [`env_knob`] convention).
-pub fn ops_scale() -> Option<f64> {
-    env_knob(
-        "SWARM_BENCH_OPS_SCALE",
-        "a positive float like 0.01",
-        |s: &f64| s.is_finite() && *s > 0.0,
-    )
-}
-
-#[cfg(test)]
-fn parse_ops_scale(raw: Option<&str>) -> Option<f64> {
-    crate::envknob::parse_knob(
-        "SWARM_BENCH_OPS_SCALE",
-        raw,
-        "a positive float like 0.01",
-        |s: &f64| s.is_finite() && *s > 0.0,
-    )
-}
 
 /// Run parameters.
 #[derive(Debug, Clone)]
@@ -87,40 +64,6 @@ impl Default for RunConfig {
     }
 }
 
-impl RunConfig {
-    /// Applies `SWARM_BENCH_OPS_SCALE` (a float, e.g. `0.01`) to every
-    /// volume knob: op counts, prewarm keys, and the virtual-time deadline.
-    /// The bench smoke test sets it so every figure binary exercises its
-    /// full pipeline in a fraction of the quick-mode volume.
-    pub(crate) fn env_scaled(&self) -> RunConfig {
-        self.scaled_by(ops_scale())
-    }
-
-    /// [`RunConfig::env_scaled`] with the scale passed explicitly
-    /// (unit-testable without touching the process environment).
-    fn scaled_by(&self, scale: Option<f64>) -> RunConfig {
-        let Some(scale) = scale else {
-            return self.clone();
-        };
-        let scaled = |n: u64| ((n as f64 * scale) as u64).max(1);
-        RunConfig {
-            warmup_ops: if self.warmup_ops > 0 {
-                scaled(self.warmup_ops)
-            } else {
-                0
-            },
-            measure_ops: scaled(self.measure_ops),
-            // Same floor as the bench harness's scaled keyspace (64 keys),
-            // so prewarming still covers the keyspace it is meant to warm.
-            prewarm_keys: self
-                .prewarm_keys
-                .map(|n| ((n as f64 * scale) as u64).clamp(64.min(n), n)),
-            deadline_ns: self.deadline_ns.map(scaled),
-            ..self.clone()
-        }
-    }
-}
-
 /// Runs `workload` against the given store handles (one per client,
 /// `cfg.concurrency` workers each) and returns the collected statistics.
 /// Drives the simulation internally.
@@ -134,7 +77,6 @@ pub fn run_workload<S: KvStore + 'static>(
     workload: &Workload,
     cfg: &RunConfig,
 ) -> RunStats {
-    let cfg = cfg.env_scaled();
     let run = Rc::new(Run::default());
     run.stats.borrow_mut().series = cfg.bucket_ns.map(TimeSeries::new);
     let budget = Rc::new(RefCell::new(Budget {
@@ -167,37 +109,6 @@ mod tests {
     use super::*;
     use crate::{Protocol, StoreBuilder};
     use swarm_workload::WorkloadSpec;
-
-    #[test]
-    fn unparsable_ops_scale_is_ignored_with_warning() {
-        // The parse-failure path: the config must come back unchanged.
-        assert_eq!(parse_ops_scale(Some("banana")), None);
-        assert_eq!(parse_ops_scale(Some("")), None);
-        assert_eq!(parse_ops_scale(Some("-0.5")), None, "negative scales");
-        assert_eq!(parse_ops_scale(Some("inf")), None, "non-finite scales");
-        let cfg = RunConfig {
-            warmup_ops: 123,
-            measure_ops: 456,
-            ..Default::default()
-        };
-        let scaled = cfg.scaled_by(parse_ops_scale(Some("banana")));
-        assert_eq!(scaled.warmup_ops, 123);
-        assert_eq!(scaled.measure_ops, 456);
-    }
-
-    #[test]
-    fn valid_ops_scale_shrinks_volume_knobs() {
-        assert_eq!(parse_ops_scale(Some("0.5")), Some(0.5));
-        assert_eq!(parse_ops_scale(None), None);
-        let cfg = RunConfig {
-            warmup_ops: 100,
-            measure_ops: 1_000,
-            ..Default::default()
-        };
-        let scaled = cfg.scaled_by(Some(0.1));
-        assert_eq!(scaled.warmup_ops, 10);
-        assert_eq!(scaled.measure_ops, 100);
-    }
 
     #[test]
     fn batched_pacing_is_per_op_not_per_batch() {

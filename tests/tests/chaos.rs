@@ -36,11 +36,11 @@ fn tagged(tag: u64) -> Vec<u8> {
 
 /// Seeds per (protocol, plan) cell: 2 by default (the pinned CI quick set),
 /// `SWARM_CHAOS_SEEDS=N` for deeper local sweeps. An unparsable value is
-/// ignored with a one-time warning (the shared `swarm_kv::env_knob`
+/// ignored with a one-time warning (the shared `swarm_bench::env_knob`
 /// convention) — a silently shrunken sweep would report clean runs that
 /// never executed.
 fn chaos_seeds() -> Vec<u64> {
-    let n = swarm_kv::env_knob("SWARM_CHAOS_SEEDS", "a positive integer like 400", |n| {
+    let n = swarm_bench::env_knob("SWARM_CHAOS_SEEDS", "a positive integer like 400", |n| {
         *n > 0
     })
     .unwrap_or(2u64);

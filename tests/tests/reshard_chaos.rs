@@ -39,7 +39,7 @@ fn workload() -> Workload {
 /// Seeds per scenario: 4 by default (the pinned acceptance floor),
 /// `SWARM_CHAOS_SEEDS=N` for deeper local sweeps.
 fn chaos_seeds() -> Vec<u64> {
-    let n = swarm_kv::env_knob("SWARM_CHAOS_SEEDS", "a positive integer like 16", |n| {
+    let n = swarm_bench::env_knob("SWARM_CHAOS_SEEDS", "a positive integer like 16", |n| {
         *n > 0
     })
     .unwrap_or(4u64);

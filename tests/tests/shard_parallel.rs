@@ -100,7 +100,7 @@ fn assert_runs_identical(a: &ShardedRun, b: &ShardedRun, what: &str) {
 }
 
 /// The tentpole contract: threaded ≡ sequential ≡ single-Sim, for several
-/// seeds and for `SWARM_SHARD_THREADS` ∈ {1, 2, cores}.
+/// seeds and for `ShardMode::Threads(n)`, n ∈ {1, 2, cores}.
 #[test]
 fn threaded_sequential_and_single_sim_are_bit_identical() {
     let cores = std::thread::available_parallelism()
