@@ -47,28 +47,10 @@ golden() { # golden <experiment> <VAR=value...>
 }
 
 # Experiments that run through the sweep driver are checked under two thread
-# settings against the same golden. bench_scenarios also writes a JSON + HTML
-# report per scenario: the second run's target/reports must equal the first's
-# byte for byte (the determinism contract of docs/SCENARIOS.md).
+# settings against the same golden.
 twice() { # twice <experiment> [VAR=value...]
-    [ "$1" != bench_scenarios ] || rm -rf target/reports "$OUT/reports.first"
     golden "$@" SWARM_BENCH_THREADS=2
-    [ "$WRITE" -eq 0 ] || return 0
-    [ "$1" != bench_scenarios ] || mv target/reports "$OUT/reports.first"
-    golden "$@" SWARM_BENCH_THREADS=1
-    if [ "$1" = bench_scenarios ]; then
-        diff -r "$OUT/reports.first" target/reports || {
-            echo "FAIL bench_scenarios: target/reports differ between thread settings" >&2
-            FAILED=1
-        }
-        [ "$(ls target/reports/*.json | wc -l)" -ge 14 ] || FAILED=1
-        for f in ycsb_a_static ycsb_e_flash ttl_churn bigval; do
-            [ -s "target/reports/$f.json" ] && [ -s "target/reports/$f.html" ] || {
-                echo "FAIL bench_scenarios: target/reports/$f.{json,html} missing or empty" >&2
-                FAILED=1
-            }
-        done
-    fi
+    [ "$WRITE" -eq 1 ] || golden "$@" SWARM_BENCH_THREADS=1
 }
 
 # fig5 runs at full quick volume; bench_repair and bench_tail unscaled (their
@@ -81,10 +63,30 @@ twice bench_tail
 for exp in table2 table3 fig6 fig11 fig12; do
     golden "$exp" SWARM_BENCH_OPS_SCALE=0.05
 done
-for exp in fig7 fig8 fig9 fig10 fig13 bench_multiget bench_shards bench_reshard \
-    bench_scenarios; do
+for exp in fig7 fig8 fig9 fig10 fig13 bench_multiget bench_shards bench_reshard; do
     twice "$exp" SWARM_BENCH_OPS_SCALE=0.05
 done
+
+# bench_scenarios also writes a JSON + HTML report per scenario: the second
+# thread setting's target/reports must equal the first's byte for byte (the
+# determinism contract of docs/SCENARIOS.md).
+rm -rf target/reports "$OUT/reports.first"
+golden bench_scenarios SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2
+if [ "$WRITE" -eq 0 ]; then
+    mv target/reports "$OUT/reports.first"
+    golden bench_scenarios SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=1
+    diff -r "$OUT/reports.first" target/reports || {
+        echo "FAIL bench_scenarios: target/reports differ between thread settings" >&2
+        FAILED=1
+    }
+    [ "$(ls target/reports/*.json | wc -l)" -ge 14 ] || FAILED=1
+    for f in ycsb_a_static ycsb_e_flash ttl_churn bigval; do
+        [ -s "target/reports/$f.json" ] && [ -s "target/reports/$f.html" ] || {
+            echo "FAIL bench_scenarios: target/reports/$f.{json,html} missing or empty" >&2
+            FAILED=1
+        }
+    done
+fi
 
 if [ "$FAILED" -ne 0 ]; then
     echo "stdout-parity: FAILED (if the change is intended: sh $0 --write)" >&2

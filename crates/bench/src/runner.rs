@@ -46,10 +46,12 @@ fn parse_ops_scale(raw: Option<&str>) -> Option<f64> {
 /// and [`crate::ExpParams::workload`] so loaded and sampled keyspaces always
 /// agree.
 pub fn env_scaled_keys(n_keys: u64) -> u64 {
-    match ops_scale() {
-        Some(scale) => ((n_keys as f64 * scale) as u64).clamp(64.min(n_keys), n_keys),
-        None => n_keys,
-    }
+    ops_scale().map_or(n_keys, |scale| scaled_keys(n_keys, scale))
+}
+
+/// `n` keys at `scale`, never below 64 (or `n` itself when smaller).
+fn scaled_keys(n: u64, scale: f64) -> u64 {
+    ((n as f64 * scale) as u64).clamp(64.min(n), n)
 }
 
 /// Applies `scale` to every volume knob of `cfg`: op counts, prewarm keys,
@@ -66,11 +68,9 @@ fn scaled_by(cfg: &RunConfig, scale: Option<f64>) -> RunConfig {
             0
         },
         measure_ops: scaled(cfg.measure_ops),
-        // Same floor as the scaled keyspace (64 keys), so prewarming still
-        // covers the keyspace it is meant to warm.
-        prewarm_keys: cfg
-            .prewarm_keys
-            .map(|n| ((n as f64 * scale) as u64).clamp(64.min(n), n)),
+        // Scaled like the keyspace, so prewarming still covers the keyspace
+        // it is meant to warm.
+        prewarm_keys: cfg.prewarm_keys.map(|n| scaled_keys(n, scale)),
         deadline_ns: cfg.deadline_ns.map(scaled),
         ..cfg.clone()
     }
