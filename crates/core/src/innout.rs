@@ -70,11 +70,25 @@ impl InnOutLayout {
         oop_slots: usize,
         max_writers: usize,
     ) -> InnOutLayout {
+        let on = fabric.node(node);
+        Self::allocate_on(&on, node, meta_bufs, value_cap, oop_slots, max_writers)
+    }
+
+    /// [`InnOutLayout::allocate`] for a caller that already holds the node
+    /// (`on` must be the node `node` names): a bulk load resolves each
+    /// replica's node once per key.
+    pub fn allocate_on(
+        on: &swarm_fabric::Node,
+        node: NodeId,
+        meta_bufs: usize,
+        value_cap: usize,
+        oop_slots: usize,
+        max_writers: usize,
+    ) -> InnOutLayout {
         assert!(oop_slots >= max_writers, "need >= 1 slot per writer");
         assert!(oop_slots <= 1 << 16, "slot index must fit 16 bits");
-        let n = fabric.node(node);
-        let meta_addr = n.alloc(Self::inplace_region_len(meta_bufs, value_cap), 8);
-        let oop_addr = n.alloc(Self::oop_region_len(oop_slots, value_cap), 8);
+        let meta_addr = on.alloc(Self::inplace_region_len(meta_bufs, value_cap), 8);
+        let oop_addr = on.alloc(Self::oop_region_len(oop_slots, value_cap), 8);
         InnOutLayout {
             node,
             meta_addr,

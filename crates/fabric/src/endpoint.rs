@@ -144,12 +144,12 @@ impl Endpoint {
 
             // 3. Node receive. A crashed node — or an injected partition /
             // drop-window fault — swallows the request silently.
-            let node_rc = fabric.node(node);
-            if !node_rc.is_alive() || fabric.fault_silences(node) {
+            let target = fabric.node_ref(node);
+            if !target.is_alive() || fabric.fault_silences(node) {
                 fabric.inner.graveyard.borrow_mut().push(tx);
                 return;
             }
-            node_rc.account(req_bytes + resp_bytes);
+            target.account(req_bytes + resp_bytes);
             // The NIC reservation shapes response timing and captures
             // queuing under load; DMA application itself is cut-through and
             // proceeds in parallel across queue pairs (so reads from other
@@ -157,7 +157,7 @@ impl Endpoint {
             // Reads pay an extra DMA-fetch delay, but NICs pipeline it
             // across queue pairs: it adds latency, not NIC occupancy.
             let service = cfg.node_fixed_ns + cfg.link_ns(req_bytes);
-            let (_, nic_done) = node_rc.nic().reserve(service);
+            let (_, nic_done) = target.nic().reserve(service);
             let nic_done = nic_done + if has_read { cfg.read_extra_ns } else { 0 };
 
             // 4. Apply the series in FIFO order.
@@ -167,12 +167,12 @@ impl Endpoint {
                     Op::Read { addr, len } => {
                         // Snapshot at a single instant: a read overlapping a
                         // chunked write observes torn data.
-                        results.push(OpResult::Read(node_rc.mem().read(*addr, *len)));
+                        results.push(OpResult::Read(target.mem().read(*addr, *len)));
                     }
                     Op::Write { addr, data } => {
                         // One chunk lands per `chunk_ns`; this task sleeps
                         // through all of them (see `mem`'s module docs).
-                        let mem = node_rc.mem();
+                        let mem = target.mem();
                         mem.write_chunked(&sim2, *addr, data, cfg.chunk_bytes, cfg.chunk_ns())
                             .await;
                         mem.settle();
@@ -183,13 +183,13 @@ impl Endpoint {
                         expected,
                         new,
                     } => {
-                        results.push(OpResult::Cas(node_rc.mem().cas_u64(*addr, *expected, *new)));
+                        results.push(OpResult::Cas(target.mem().cas_u64(*addr, *expected, *new)));
                     }
                     repair => {
                         // Anti-entropy summaries scan the registered table
                         // at a single instant, like a (large) read.
                         let r = repair
-                            .apply_repair(node_rc.mem())
+                            .apply_repair(target.mem())
                             .expect("non-repair ops are handled above");
                         results.push(r);
                     }
@@ -205,7 +205,7 @@ impl Endpoint {
             // A node that crashed while serving never answers; neither does
             // one that got partitioned (or whose response a drop window
             // eats) — the request's effects above stand regardless.
-            if !node_rc.is_alive() || fabric.fault_silences(node) {
+            if !target.is_alive() || fabric.fault_silences(node) {
                 fabric.inner.graveyard.borrow_mut().push(tx);
                 return;
             }

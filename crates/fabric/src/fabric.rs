@@ -148,6 +148,12 @@ impl Fabric {
         Rc::clone(&self.inner.nodes[id.0])
     }
 
+    /// [`Fabric::node`] without the handle: for code that only looks at the
+    /// node while it holds the fabric anyway (every message does).
+    pub(crate) fn node_ref(&self, id: NodeId) -> &Node {
+        &self.inner.nodes[id.0]
+    }
+
     /// All node ids.
     pub fn node_ids(&self) -> Vec<NodeId> {
         (0..self.num_nodes()).map(NodeId).collect()

@@ -554,36 +554,42 @@ fn a_read_at_each_tick_of_an_8k_write_sees_exactly_the_chunks_landed() {
     assert_eq!(mem.read(addr, len), expect(chunks));
 }
 
+type Writer = fn(Sim, Rc<NodeMemory>, u64, Vec<u8>) -> Pin<Box<dyn Future<Output = ()>>>;
+const TICKED: Writer = |s, m, a, d| Box::pin(write_ticked(s, m, a, d));
+const CHUNK_BY_CHUNK: Writer = |s, m, a, d| Box::pin(write_chunk_by_chunk(s, m, a, d));
+
+/// Three writes over one 4 KiB region allocated after `pad` bytes, staggered
+/// so that their ticks interleave and some share an instant; the region's
+/// bytes at every nanosecond until all have landed.
+fn overlapping_writes_snapshots(write: Writer, pad: u64) -> Vec<Vec<u8>> {
+    let sim = Sim::new(31);
+    let mem = Rc::new(NodeMemory::new());
+    mem.alloc(pad, 1);
+    let base = mem.alloc(4096, 8);
+    // (start, offset, chunks, fill): B starts on A's second tick; C
+    // starts mid-period and finishes between the other two.
+    for (start, off, chunks, fill) in [(0, 0, 8, 0xA1), (11, 256, 8, 0xB2), (40, 512, 3, 0xC3)] {
+        let (s, m) = (sim.clone(), Rc::clone(&mem));
+        sim.spawn(async move {
+            s.sleep_until(start).await;
+            write(s.clone(), m, base + off, vec![fill; chunks * 256]).await;
+        });
+    }
+    let mut snaps = Vec::new();
+    for t in 0..=120 {
+        sim.run_until(t);
+        snaps.push(mem.read(base, 4096));
+    }
+    assert_eq!(sim.live_tasks(), 0);
+    snaps
+}
+
 #[test]
 fn overlapping_chunked_writes_land_in_tick_order() {
-    // Three writes over one region, staggered so that their ticks
-    // interleave and some share an instant; the bytes at every instant, not
-    // just the last, must be the ones copying a chunk per tick leaves.
-    type Writer = fn(Sim, Rc<NodeMemory>, u64, Vec<u8>) -> Pin<Box<dyn Future<Output = ()>>>;
-    let snapshots = |write: Writer| {
-        let sim = Sim::new(31);
-        let mem = Rc::new(NodeMemory::new());
-        let base = mem.alloc(4096, 8);
-        // (start, offset, chunks, fill): B starts on A's second tick; C
-        // starts mid-period and finishes between the other two.
-        for (start, off, chunks, fill) in [(0, 0, 8, 0xA1), (11, 256, 8, 0xB2), (40, 512, 3, 0xC3)]
-        {
-            let (s, m) = (sim.clone(), Rc::clone(&mem));
-            sim.spawn(async move {
-                s.sleep_until(start).await;
-                write(s.clone(), m, base + off, vec![fill; chunks * 256]).await;
-            });
-        }
-        let mut snaps = Vec::new();
-        for t in 0..=120 {
-            sim.run_until(t);
-            snaps.push(mem.read(base, 4096));
-        }
-        assert_eq!(sim.live_tasks(), 0);
-        snaps
-    };
-    let reference = snapshots(|s, m, a, d| Box::pin(write_chunk_by_chunk(s, m, a, d)));
-    let ticked = snapshots(|s, m, a, d| Box::pin(write_ticked(s, m, a, d)));
+    // The bytes at every instant, not just the last, must be the ones
+    // copying a chunk per tick leaves.
+    let reference = overlapping_writes_snapshots(CHUNK_BY_CHUNK, 0);
+    let ticked = overlapping_writes_snapshots(TICKED, 0);
     for (t, (want, got)) in reference.iter().zip(&ticked).enumerate() {
         assert_eq!(got, want, "memory differs at t = {t} ns");
     }
@@ -594,6 +600,75 @@ fn overlapping_chunked_writes_land_in_tick_order() {
         (0xA1, 0xB2, 0xC3, 0xB2)
     );
     assert_eq!(end[1280], 0xB2, "B's later tick overwrites C's last chunk");
+}
+
+#[test]
+fn overlapping_chunked_writes_straddling_a_segment_boundary_land_the_same() {
+    // The same scenario with a boundary of the backing store 1000 B into
+    // the region — inside a chunk of each of the three writes — leaves the
+    // bytes it leaves anywhere else, at every instant.
+    let pad = NodeMemory::SEGMENT_BYTES - 1000;
+    let inside = overlapping_writes_snapshots(TICKED, 0);
+    let across = overlapping_writes_snapshots(TICKED, pad);
+    let reference = overlapping_writes_snapshots(CHUNK_BY_CHUNK, pad);
+    for (t, want) in inside.iter().enumerate() {
+        assert_eq!(&across[t], want, "ticked across differs at t = {t} ns");
+        assert_eq!(
+            &reference[t], want,
+            "chunk by chunk across differs at t = {t} ns"
+        );
+    }
+}
+
+#[test]
+fn an_8k_write_and_read_through_the_wire_straddle_a_segment_boundary() {
+    let (sim, fabric) = setup(34, FabricConfig::default(), 1);
+    let node = fabric.node(NodeId(0));
+    node.alloc(NodeMemory::SEGMENT_BYTES - 4100, 1);
+    let addr = node.alloc(8192, 8);
+    assert!(addr < NodeMemory::SEGMENT_BYTES && NodeMemory::SEGMENT_BYTES < addr + 8192);
+    let data: Vec<u8> = (0..8192).map(|i| (i % 251) as u8).collect();
+    let ep = fabric.endpoint();
+    let sent = data.clone();
+    let got = sim.block_on(async move {
+        ep.write(NodeId(0), addr, sent).await.unwrap();
+        ep.read(NodeId(0), addr, 8192).await.unwrap()
+    });
+    assert_eq!(got, data);
+    // Plain accesses: each side of the boundary alone, and across it.
+    let mem = node.mem();
+    let cut = (NodeMemory::SEGMENT_BYTES - addr) as usize;
+    assert_eq!(mem.read(addr, cut), data[..cut]);
+    assert_eq!(mem.read(NodeMemory::SEGMENT_BYTES, 8192 - cut), data[cut..]);
+    mem.write(NodeMemory::SEGMENT_BYTES - 2, &[1, 2, 3, 4]);
+    assert_eq!(mem.read(NodeMemory::SEGMENT_BYTES - 3, 6), {
+        [data[cut - 3], 1, 2, 3, 4, data[cut + 2]]
+    });
+}
+
+#[test]
+fn an_allocation_larger_than_a_segment_is_one_zeroed_address_range() {
+    let seg = NodeMemory::SEGMENT_BYTES;
+    let mem = NodeMemory::new();
+    let small = mem.alloc(24, 8);
+    let big = mem.alloc(3 * seg + 123, 8);
+    assert_eq!((small, big), (0, 24));
+    assert_eq!(mem.allocated_bytes(), 24 + 3 * seg + 123);
+    // Written where it crosses its second boundary and at its very end;
+    // everything else — most of 192 MiB — is never touched and reads zero.
+    mem.write(2 * seg - 5, &[0xAA; 10]);
+    let last = big + 3 * seg + 123 - 8;
+    mem.write(last, &[0xBB; 8]);
+    assert_eq!(mem.read(2 * seg - 6, 12), {
+        let mut v = vec![0xAA; 12];
+        (v[0], v[11]) = (0, 0);
+        v
+    });
+    assert_eq!(mem.read(last - 8, 16), [[0; 8], [0xBB; 8]].concat());
+    for probe in [big, seg - 4, seg + 4096, 3 * seg - 4, 3 * seg + 100] {
+        assert_eq!(mem.read(probe, 8), vec![0; 8], "never written: {probe}");
+    }
+    assert_eq!(mem.read_u64(3 * seg), 0);
 }
 
 #[test]

@@ -133,6 +133,8 @@ struct Inner {
     /// view predates a repair (see `KvClient::handle_for`).
     repair_marks: RefCell<HashMap<u64, u64>>,
     repair_counter: std::cell::Cell<u64>,
+    /// The bulk loader's per-key scratch (`place_key`), reused across keys.
+    load_image: RefCell<Vec<u8>>,
 }
 
 /// Handle to a cluster (cheaply cloneable).
@@ -167,6 +169,7 @@ impl Cluster {
                 generation: std::cell::Cell::new(0),
                 repair_marks: RefCell::new(HashMap::new()),
                 repair_counter: std::cell::Cell::new(0),
+                load_image: RefCell::new(Vec::new()),
             }),
         }
     }
@@ -210,27 +213,69 @@ impl Cluster {
     /// Allocates buffers for one key on its replica nodes (control plane:
     /// clients draw from pre-allocated pools, §5.3.1).
     pub fn alloc_key(&self, key: u64) -> Rc<KeyInfo> {
+        self.place_key(key, None)
+    }
+
+    /// Bulk-loads `key = value` (control plane, no network cost): allocates
+    /// buffers, pokes replica memory into the state a completed `VERIFIED`
+    /// write would leave, and registers the index mapping.
+    pub fn load_key(&self, key: u64, value: &[u8]) -> Rc<KeyInfo> {
+        assert_eq!(value.len(), self.inner.cfg.value_size, "fixed-size values");
+        let info = self.place_key(key, Some(value));
+        self.inner.index.load(key, Rc::clone(&info));
+        info
+    }
+
+    /// Allocates `key`'s buffers replica by replica, each node resolved once,
+    /// and — given a `value` — loads it in the same pass.
+    fn place_key(&self, key: u64, value: Option<&[u8]>) -> Rc<KeyInfo> {
         let cfg = &self.inner.cfg;
         let nodes = self.replica_nodes_for(key);
         let oop_slots = cfg.max_clients * cfg.oop_slots_per_writer + 1;
         let loader_slot = (oop_slots - 1) as u16;
+        let slot_len = 16 + cfg.value_size;
+        // The loader's slot, hence the word and the hash bound to it, is the
+        // same on every replica, so one image `[word | hash | value | hash]`
+        // holds all a load writes: the out-of-place slot `[word | hash |
+        // value]`, the metadata word, and the in-place `[value | hash]`.
+        let mut image = self.inner.load_image.borrow_mut();
+        if let Some(value) = value {
+            let word = (Stamp::verified(1, LOADER_TID).pack48() << 16) | loader_slot as u64;
+            let hash = innout_hash(word, value).to_le_bytes();
+            image.clear();
+            image.extend_from_slice(&word.to_le_bytes());
+            image.extend_from_slice(&hash);
+            image.extend_from_slice(value);
+            image.extend_from_slice(&hash);
+        }
         let mut layouts = Vec::with_capacity(nodes.len());
         let mut tsl_base = Vec::with_capacity(nodes.len());
-        for &n in &nodes {
-            layouts.push(InnOutLayout::allocate(
-                &self.inner.fabric,
+        for (i, &n) in nodes.iter().enumerate() {
+            let node = self.inner.fabric.node(n);
+            let layout = InnOutLayout::allocate_on(
+                &node,
                 n,
                 cfg.meta_bufs,
                 cfg.value_size,
                 oop_slots,
                 cfg.max_clients,
-            ));
-            tsl_base.push(
-                self.inner
-                    .fabric
-                    .node(n)
-                    .alloc(8 * cfg.max_clients as u64, 8),
             );
+            tsl_base.push(node.alloc(8 * cfg.max_clients as u64, 8));
+            if value.is_some() {
+                let mem = node.mem();
+                let slot_addr = layout.oop_addr + (loader_slot as usize * slot_len) as u64;
+                mem.write(slot_addr, &image[..slot_len]);
+                // Metadata word 0 points at it.
+                mem.write(layout.meta_addr, &image[..8]);
+                // In-place copy at the designated replica.
+                if cfg.inplace && i == 0 {
+                    mem.write(
+                        layout.meta_addr + (layout.meta_bufs * 8) as u64,
+                        &image[16..],
+                    );
+                }
+            }
+            layouts.push(layout);
         }
         let generation = self.inner.generation.get();
         self.inner.generation.set(generation + 1);
@@ -242,39 +287,6 @@ impl Cluster {
             loader_slot,
             generation,
         })
-    }
-
-    /// Bulk-loads `key = value` (control plane, no network cost): allocates
-    /// buffers, pokes replica memory into the state a completed `VERIFIED`
-    /// write would leave, and registers the index mapping.
-    pub fn load_key(&self, key: u64, value: &[u8]) -> Rc<KeyInfo> {
-        let cfg = &self.inner.cfg;
-        assert_eq!(value.len(), cfg.value_size, "fixed-size values");
-        let info = self.alloc_key(key);
-        let stamp = Stamp::verified(1, LOADER_TID);
-        // The loader's slot, hence the word and the hash bound to it, is the
-        // same on every replica.
-        let word = (stamp.pack48() << 16) | info.loader_slot as u64;
-        let hash = innout_hash(word, value);
-        for (i, layout) in info.layouts.iter().enumerate() {
-            let node = self.inner.fabric.node(layout.node);
-            // Out-of-place slot: [meta | hash | value].
-            let slot_addr =
-                layout.oop_addr + info.loader_slot as u64 * (16 + cfg.value_size) as u64;
-            node.mem().write_u64(slot_addr, word);
-            node.mem().write_u64(slot_addr + 8, hash);
-            node.mem().write(slot_addr + 16, value);
-            // Metadata word 0 points at it.
-            node.mem().write_u64(layout.meta_addr, word);
-            // In-place copy at the designated replica.
-            if cfg.inplace && i == 0 {
-                let inplace = layout.meta_addr + (layout.meta_bufs * 8) as u64;
-                node.mem().write(inplace, value);
-                node.mem().write_u64(inplace + cfg.value_size as u64, hash);
-            }
-        }
-        self.inner.index.load(key, Rc::clone(&info));
-        info
     }
 
     /// Bulk-loads keys `0..n` with `make_value(key)` payloads.
@@ -374,13 +386,31 @@ mod tests {
         let info = c.load_key(9, &v);
         assert!(c.index().peek(9).is_some());
         assert_eq!(info.layouts.len(), 3);
-        // The designated replica holds a valid in-place copy.
-        let l = &info.layouts[0];
-        let node = c.fabric().node(l.node);
-        let word = node.mem().read_u64(l.meta_addr);
-        assert_ne!(word, 0);
-        let inplace = l.meta_addr + (l.meta_bufs * 8) as u64;
-        assert_eq!(node.mem().read(inplace, 64), v);
+        // Every replica is in the state a completed VERIFIED write by the
+        // loader leaves: its slot holds `[word | hash | value]`, metadata
+        // word 0 points at it, the other words are clear; the designated
+        // replica alone also holds the in-place `[value | hash]`.
+        let word = (Stamp::verified(1, LOADER_TID).pack48() << 16) | info.loader_slot as u64;
+        let hash = innout_hash(word, &v).to_le_bytes();
+        let slot = [&word.to_le_bytes()[..], &hash, &v].concat();
+        for (i, l) in info.layouts.iter().enumerate() {
+            let node = c.fabric().node(l.node);
+            let slot_addr = l.oop_addr + info.loader_slot as u64 * (16 + 64);
+            assert_eq!(node.mem().read(slot_addr, 16 + 64), slot, "replica {i}");
+            let mut region = word.to_le_bytes().to_vec();
+            region.resize(l.meta_bufs * 8, 0);
+            if i == 0 {
+                region.extend_from_slice(&v);
+                region.extend_from_slice(&hash);
+            } else {
+                region.resize(l.meta_bufs * 8 + 64 + 8, 0);
+            }
+            assert_eq!(
+                node.mem().read(l.meta_addr, region.len()),
+                region,
+                "replica {i}"
+            );
+        }
     }
 
     #[test]

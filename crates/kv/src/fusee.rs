@@ -104,6 +104,8 @@ struct ClusterInner {
     fabric: Fabric,
     cfg: FuseeConfig,
     index: Index<Rc<FuseeKeyInfo>>,
+    /// The bulk loader's per-key scratch (`place_key`), reused across keys.
+    load_block: RefCell<Vec<u8>>,
 }
 
 /// A FUSEE cluster (own fabric + index).
@@ -130,6 +132,7 @@ impl FuseeCluster {
                 fabric,
                 index: Index::with_capacity_rng(sim, cfg.index_capacity, index_rng),
                 cfg,
+                load_block: RefCell::new(Vec::new()),
             }),
         }
     }
@@ -156,7 +159,32 @@ impl FuseeCluster {
 
     /// Allocates per-key state (control plane).
     pub fn alloc_key(&self, key: u64) -> Rc<FuseeKeyInfo> {
+        self.place_key(key, None)
+    }
+
+    /// Bulk-loads a key (control plane, version 1).
+    pub fn load_key(&self, key: u64, value: &[u8]) -> Rc<FuseeKeyInfo> {
+        assert_eq!(value.len(), self.inner.cfg.value_size);
+        let info = self.place_key(key, Some(value));
+        self.inner.index.load(key, Rc::clone(&info));
+        info
+    }
+
+    /// Allocates `key`'s ring on each replica and its two pointer words,
+    /// each node resolved once, and — given a `value` — loads it as version
+    /// 1 in the same pass.
+    fn place_key(&self, key: u64, value: Option<&[u8]>) -> Rc<FuseeKeyInfo> {
         let cfg = &self.inner.cfg;
+        // A loaded key starts at version 1, an allocated one at 0.
+        let version = u64::from(value.is_some());
+        let slot = version % cfg.ring as u64;
+        // One `[version | value]` block serves every replica.
+        let mut block = self.inner.load_block.borrow_mut();
+        if let Some(value) = value {
+            block.clear();
+            block.extend_from_slice(&version.to_le_bytes());
+            block.extend_from_slice(value);
+        }
         let start = (swarm_core::xxh64(&key.to_le_bytes(), 0xFACE) % cfg.nodes as u64) as usize;
         let replica_nodes: Vec<NodeId> = (0..cfg.replicas)
             .map(|i| NodeId((start + i) % cfg.nodes))
@@ -164,55 +192,32 @@ impl FuseeCluster {
         let ring_base: Vec<u64> = replica_nodes
             .iter()
             .map(|&n| {
-                self.inner
-                    .fabric
-                    .node(n)
-                    .alloc(cfg.ring as u64 * self.block_len(), 8)
+                let node = self.inner.fabric.node(n);
+                let base = node.alloc(cfg.ring as u64 * self.block_len(), 8);
+                if value.is_some() {
+                    node.mem().write(base + slot * self.block_len(), &block);
+                }
+                base
             })
             .collect();
-        let ptr_primary = (
-            replica_nodes[0],
-            self.inner.fabric.node(replica_nodes[0]).alloc(8, 8),
-        );
-        let backup_node = replica_nodes[1 % replica_nodes.len()];
-        let ptr_backup = (backup_node, self.inner.fabric.node(backup_node).alloc(8, 8));
+        let ptr_word = |n: NodeId| {
+            let node = self.inner.fabric.node(n);
+            let addr = node.alloc(8, 8);
+            if value.is_some() {
+                node.mem().write_u64(addr, (version << 16) | slot);
+            }
+            (n, addr)
+        };
+        let ptr_primary = ptr_word(replica_nodes[0]);
+        let ptr_backup = ptr_word(replica_nodes[1 % replica_nodes.len()]);
         Rc::new(FuseeKeyInfo {
             key,
             replica_nodes,
             ring_base,
             ptr_primary,
             ptr_backup,
-            version: Cell::new(0),
+            version: Cell::new(version),
         })
-    }
-
-    /// Bulk-loads a key (control plane, version 1).
-    pub fn load_key(&self, key: u64, value: &[u8]) -> Rc<FuseeKeyInfo> {
-        let cfg = &self.inner.cfg;
-        assert_eq!(value.len(), cfg.value_size);
-        let info = self.alloc_key(key);
-        let version = 1u64;
-        let slot = version % cfg.ring as u64;
-        for (i, &n) in info.replica_nodes.iter().enumerate() {
-            let node = self.inner.fabric.node(n);
-            let addr = info.ring_base[i] + slot * self.block_len();
-            node.mem().write_u64(addr, version);
-            node.mem().write(addr + 8, value);
-        }
-        let ptr = (version << 16) | slot;
-        self.inner
-            .fabric
-            .node(info.ptr_primary.0)
-            .mem()
-            .write_u64(info.ptr_primary.1, ptr);
-        self.inner
-            .fabric
-            .node(info.ptr_backup.0)
-            .mem()
-            .write_u64(info.ptr_backup.1, ptr);
-        info.version.set(version);
-        self.inner.index.load(key, Rc::clone(&info));
-        info
     }
 
     /// Bulk-loads keys `0..n`.
