@@ -38,13 +38,15 @@
 //!
 //! # Backing store
 //!
-//! In-n-Out reserves far more of a memory node than a run ever writes: every
-//! key has a ring of out-of-place slots per writer, allocated out of band
-//! (§5.3.1). The store therefore costs what is *touched*, not what is
-//! allocated. Addresses are a flat space cut into fixed-size segments; a
-//! segment is obtained zeroed from the allocator when the bump pointer first
-//! reaches it and is never moved, copied or regrown afterwards. The
-//! invariants:
+//! A memory node is allocated ahead of what a run writes. In-n-Out draws a
+//! writer's ring of out-of-place slots whole on that writer's first write of
+//! a register (`swarm_core::InnOutLayout`) and fills it a slot per write, so
+//! a ring written once — a reader's write-back, say — is mostly reserve: at
+//! 8 KiB values, a slot of pages touched and the rest of the ring not. The
+//! store therefore costs what is *touched*, not what is allocated. Addresses
+//! are a flat space cut into fixed-size segments; a segment is obtained
+//! zeroed from the allocator when the bump pointer first reaches it and is
+//! never moved, copied or regrown afterwards. The invariants:
 //!
 //! * **Nothing here zero-fills.** A segment arrives zeroed (`alloc_zeroed`)
 //!   and `alloc` only moves the bump pointer, so a page of the host becomes

@@ -253,7 +253,7 @@ impl KvClient {
                             let words: Vec<(swarm_fabric::NodeId, u64)> = info
                                 .replica_nodes
                                 .iter()
-                                .zip(&info.tsl_base)
+                                .zip(info.tsl_base(ep.fabric()))
                                 .map(|(&n, &base)| (n, base + 8 * w as u64))
                                 .collect();
                             TsLock::new(

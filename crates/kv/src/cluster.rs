@@ -7,8 +7,19 @@
 //! action — the paper's clients pre-allocate cleared buffers so inserts
 //! complete in one roundtrip (§5.3.1) — and bulk loading (the YCSB load
 //! phase, which the paper does not measure) pokes node memory directly.
+//!
+//! What a key is given when it is placed is what Table 3 counts
+//! ([`Cluster::modeled_bytes_per_key`]): per replica the metadata words and
+//! one out-of-place slot (the loader's), plus the in-place region at the
+//! designated replica. The rest comes out of the node's pool — the bump
+//! allocator standing in for §5.3.1's pre-allocated buffers — when somebody
+//! first needs it: a writer's ring of out-of-place slots on its first write
+//! of the key at that replica (`swarm_core::InnOutLayout`), the key's
+//! timestamp-lock words on the first slow path that locks it
+//! ([`KeyInfo::tsl_base`]). Node memory therefore grows with the
+//! `(key, writer)` pairs that wrote, not with `keys × max_clients`.
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -105,20 +116,36 @@ pub(crate) const ROLE_RESHARD: u64 = 5;
 pub(crate) const ROLE_REPAIR: u64 = 6;
 
 /// Control-plane record of one key's replica allocation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct KeyInfo {
     /// The key.
     pub key: u64,
     /// Replica memory nodes; index 0 is the in-place-designated replica.
     pub replica_nodes: Vec<NodeId>,
-    /// One In-n-Out layout per replica.
+    /// One In-n-Out layout per replica; only index 0 has the in-place region.
     pub layouts: Vec<InnOutLayout>,
-    /// Per replica: base address of `max_clients` timestamp-lock words.
-    pub tsl_base: Vec<u64>,
+    /// Per replica: base address of `max_clients` timestamp-lock words, once
+    /// drawn ([`KeyInfo::tsl_base`]).
+    tsl_base: OnceCell<Vec<u64>>,
     /// Out-of-place slot reserved for the bulk loader.
     pub loader_slot: u16,
     /// Allocation generation (re-inserts after delete get fresh buffers).
     pub generation: u64,
+}
+
+impl KeyInfo {
+    /// Per replica, the base address of `max_clients` timestamp-lock words.
+    /// Only Safe-Guess's slow path touches them, so they are drawn from the
+    /// replica nodes the first time any client asks; every client of the key
+    /// shares this record and so sees the same words.
+    pub fn tsl_base(&self, fabric: &Fabric) -> &[u64] {
+        self.tsl_base.get_or_init(|| {
+            self.layouts
+                .iter()
+                .map(|l| fabric.node(l.node).alloc(8 * l.max_writers as u64, 8))
+                .collect()
+        })
+    }
 }
 
 struct Inner {
@@ -231,6 +258,8 @@ impl Cluster {
     fn place_key(&self, key: u64, value: Option<&[u8]>) -> Rc<KeyInfo> {
         let cfg = &self.inner.cfg;
         let nodes = self.replica_nodes_for(key);
+        // One slot past the writers' shares for the loader: owned by no
+        // writer, except that a lone client's ring takes it in.
         let oop_slots = cfg.max_clients * cfg.oop_slots_per_writer + 1;
         let loader_slot = (oop_slots - 1) as u16;
         let slot_len = 16 + cfg.value_size;
@@ -249,22 +278,22 @@ impl Cluster {
             image.extend_from_slice(&hash);
         }
         let mut layouts = Vec::with_capacity(nodes.len());
-        let mut tsl_base = Vec::with_capacity(nodes.len());
         for (i, &n) in nodes.iter().enumerate() {
             let node = self.inner.fabric.node(n);
-            let layout = InnOutLayout::allocate_on(
+            // The in-place region exists at the designated replica only (RAW
+            // keeps its one copy there, so also with `inplace` off).
+            let layout = InnOutLayout::allocate_replica_on(
                 &node,
                 n,
                 cfg.meta_bufs,
                 cfg.value_size,
                 oop_slots,
                 cfg.max_clients,
+                i == 0,
             );
-            tsl_base.push(node.alloc(8 * cfg.max_clients as u64, 8));
             if value.is_some() {
                 let mem = node.mem();
-                let slot_addr = layout.oop_addr + (loader_slot as usize * slot_len) as u64;
-                mem.write(slot_addr, &image[..slot_len]);
+                mem.write(layout.slot_addr_on(loader_slot, &node), &image[..slot_len]);
                 // Metadata word 0 points at it.
                 mem.write(layout.meta_addr, &image[..8]);
                 // In-place copy at the designated replica.
@@ -283,7 +312,7 @@ impl Cluster {
             key,
             replica_nodes: nodes,
             layouts,
-            tsl_base,
+            tsl_base: OnceCell::new(),
             loader_slot,
             generation,
         })
@@ -395,15 +424,13 @@ mod tests {
         let slot = [&word.to_le_bytes()[..], &hash, &v].concat();
         for (i, l) in info.layouts.iter().enumerate() {
             let node = c.fabric().node(l.node);
-            let slot_addr = l.oop_addr + info.loader_slot as u64 * (16 + 64);
+            let slot_addr = l.slot_addr(info.loader_slot).expect("unowned slot");
             assert_eq!(node.mem().read(slot_addr, 16 + 64), slot, "replica {i}");
             let mut region = word.to_le_bytes().to_vec();
             region.resize(l.meta_bufs * 8, 0);
             if i == 0 {
                 region.extend_from_slice(&v);
                 region.extend_from_slice(&hash);
-            } else {
-                region.resize(l.meta_bufs * 8 + 64 + 8, 0);
             }
             assert_eq!(
                 node.mem().read(l.meta_addr, region.len()),
@@ -439,5 +466,148 @@ mod tests {
         assert!(s > a);
         let ratio = s as f64 / a as f64;
         assert!((1.2..1.5).contains(&ratio), "SWARM/DM-ABD ratio {ratio}");
+    }
+
+    use crate::{CacheCapacity, KvStore, Protocol, StoreBuilder};
+
+    /// Bytes drawn so far from each memory node.
+    fn drawn(c: &Cluster) -> Vec<u64> {
+        let fabric = c.fabric();
+        fabric
+            .node_ids()
+            .iter()
+            .map(|&n| fabric.node(n).allocated_bytes())
+            .collect()
+    }
+
+    /// Replicas of `key` on which the ring holding slot `slot` was drawn.
+    fn rings_of(c: &Cluster, key: u64, slot: u16) -> u64 {
+        let info = c.index().peek(key).expect("loaded");
+        let drawn = info.layouts.iter().filter(|l| l.slot_addr(slot).is_some());
+        drawn.count() as u64
+    }
+
+    /// Node memory drawn per key is Table 3's accounting
+    /// ([`Cluster::modeled_bytes_per_key`]) term for term; after that only
+    /// writes draw — a get's write-back included — one ring where they land.
+    #[test]
+    fn node_memory_per_key_is_what_table3_counts() {
+        const KEYS: u64 = 100;
+        let sim = Sim::new(5);
+        let store = StoreBuilder::new(Protocol::SafeGuess).build_cluster(&sim);
+        let c = store.swarm().expect("SafeGuess runs on a Cluster").clone();
+        assert_eq!(drawn(&c).iter().sum::<u64>(), 0);
+        store.load_keys(KEYS, |k| vec![k as u8; 64]);
+        // Two modeled terms are not node memory after a load: the 24 B key
+        // record lives in the index, and the timestamp-lock words are drawn
+        // by the first slow path that locks the key.
+        let cfg = c.config();
+        let lock_words = (cfg.replicas * 8 * cfg.max_clients) as u64;
+        let per_key = c.modeled_bytes_per_key(true) - 24 - lock_words;
+        assert_eq!(per_key, (16 + 64 + 8 * 4) * 3 + 64 + 8);
+        let loaded = drawn(&c);
+        assert_eq!(loaded.iter().sum::<u64>(), KEYS * per_key);
+
+        // A get ends with Algorithm 8's write-back, and that is a write: the
+        // replica its majority read skipped gets the value again, in a slot
+        // of the reader's ring. So a first get draws at most one ring per
+        // key (replicas - majority), and a repeated one — the handle now
+        // knows the value is stored everywhere — none.
+        let ring = c.index().peek(0).expect("loaded").layouts[0].ring_len();
+        assert_eq!(ring, (cfg.oop_slots_per_writer * (16 + 64)) as u64);
+        let reader = store.client(0);
+        for pass in 0..2 {
+            let before: u64 = drawn(&c).iter().sum();
+            let reader = Rc::clone(&reader);
+            sim.block_on(async move {
+                for key in 0..KEYS {
+                    let got = reader.get(key).await.expect("get").expect("loaded");
+                    assert_eq!(*got, vec![key as u8; 64]);
+                }
+            });
+            let rings: u64 = (0..KEYS).map(|key| rings_of(&c, key, 0)).sum();
+            assert!((0..KEYS).all(|key| rings_of(&c, key, 0) <= 1));
+            let expect = if pass == 0 { rings * ring } else { 0 };
+            assert_eq!(drawn(&c).iter().sum::<u64>() - before, expect);
+        }
+
+        // One update by client 1 (slots 2 and 3): one ring on every replica
+        // it wrote, nothing anywhere else.
+        let before = drawn(&c);
+        let writer = store.client(1);
+        sim.block_on(async move { writer.update(7, vec![0xEE; 64]).await.expect("update") });
+        let info = c.index().peek(7).expect("loaded");
+        for (n, (&before, &after)) in before.iter().zip(&drawn(&c)).enumerate() {
+            let wrote = info
+                .layouts
+                .iter()
+                .any(|l| l.node == NodeId(n) && l.slot_addr(2).is_some());
+            assert_eq!(after - before, if wrote { ring } else { 0 }, "node {n}");
+        }
+        assert!(rings_of(&c, 7, 2) > (cfg.replicas / 2) as u64, "majority");
+        assert!(info.tsl_base.get().is_none(), "the fast path takes no lock");
+        assert_eq!(rings_of(&c, 7, 4), 0, "client 2 never wrote");
+    }
+
+    /// A handle rebuilt after the bounded cache evicted it writes into the
+    /// ring its predecessor drew: rings belong to the key's layouts, not to
+    /// a handle.
+    #[test]
+    fn a_handle_rebuilt_after_eviction_reuses_its_ring() {
+        let sim = Sim::new(12);
+        let store = StoreBuilder::new(Protocol::SafeGuess)
+            .cache(CacheCapacity::Entries(1))
+            .build_cluster(&sim);
+        store.load_keys(4, |k| vec![k as u8; 64]);
+        let c = store.swarm().expect("SafeGuess runs on a Cluster").clone();
+        let loaded: u64 = drawn(&c).iter().sum();
+        let client = store.client(0);
+        sim.block_on(async move {
+            client.update(2, vec![0xA0; 64]).await.expect("update");
+            let (_, misses) = client.cache_stats();
+            // One entry: resolving key 3 evicts key 2's handle, and the
+            // updates below go through a rebuilt one — past a full turn of
+            // the ring (2 slots per writer).
+            client.get(3).await.expect("get");
+            for i in 1..=4 {
+                client.update(2, vec![0xA0 + i; 64]).await.expect("update");
+            }
+            assert_eq!(client.cache_stats().1, misses + 2, "key 2 was re-resolved");
+            let got = client.get(2).await.expect("get").expect("present");
+            assert_eq!(*got, vec![0xA4; 64]);
+        });
+        // Everything drawn since the load is client 0's ring, once on each
+        // replica it reached: of key 2 by its updates, of key 3 by the get's
+        // write-back.
+        assert!(rings_of(&c, 2, 0) >= 2, "a write reaches a majority");
+        let ring = c.index().peek(2).expect("loaded").layouts[0].ring_len();
+        assert_eq!(
+            drawn(&c).iter().sum::<u64>() - loaded,
+            (rings_of(&c, 2, 0) + rings_of(&c, 3, 0)) * ring
+        );
+        assert_eq!(rings_of(&c, 0, 0) + rings_of(&c, 1, 0), 0);
+    }
+
+    #[test]
+    fn lock_words_are_drawn_once_for_all_clients() {
+        let sim = Sim::new(6);
+        let c = Cluster::new(&sim, ClusterConfig::default());
+        let info = c.load_key(1, &[1u8; 64]);
+        let loaded = drawn(&c);
+        let words = info.tsl_base(c.fabric()).to_vec();
+        assert_eq!(words.len(), 3);
+        for (l, &base) in info.layouts.iter().zip(&words) {
+            assert_eq!(
+                base, loaded[l.node.0],
+                "bump-allocated on the replica's node"
+            );
+        }
+        let total = |d: Vec<u64>| d.iter().sum::<u64>();
+        assert_eq!(total(drawn(&c)) - total(loaded), 3 * 8 * 4);
+        // Every later asker — any client's handle holds the same record —
+        // gets the same words and draws nothing.
+        let again = c.index().peek(1).expect("loaded");
+        assert_eq!(again.tsl_base(c.fabric()), &words[..]);
+        assert_eq!(total(drawn(&c)), 3 * (112 + 32) + 72);
     }
 }

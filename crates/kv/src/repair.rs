@@ -681,7 +681,7 @@ mod tests {
         let node = c.fabric().node(l.node);
         let stamp = Stamp::verified(seq, crate::LOADER_TID);
         let word = (stamp.pack48() << 16) | info.loader_slot as u64;
-        let slot_addr = l.oop_addr + info.loader_slot as u64 * (16 + value.len()) as u64;
+        let slot_addr = l.slot_addr(info.loader_slot).expect("unowned slot");
         node.mem().write_u64(slot_addr, word);
         node.mem()
             .write_u64(slot_addr + 8, innout_hash(word, value));
