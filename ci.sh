@@ -9,17 +9,61 @@
 #                     only — no release binaries are built (runs on every
 #                     push; the full gate runs as CI's second job, see
 #                     .github/workflows/ci.yml)
+#   ./ci.sh --loc     no gate: prints the lines-by-kind table (below) and
+#                     exits; builds nothing
 #
 # Every stage reports its wall time; a summary table prints at the end,
 # followed by the seconds of each `swarm-bench` run of the stdout-parity
-# stage (each under that script's one `timeout` budget).
+# stage (each under that script's one `timeout` budget) and the
+# lines-by-kind table.
 set -eu
+
+# Lines by kind per crate, the figures CHANGES.md entries quote: non-test
+# code / comment / test lines of `crates/<crate>/src/**/*.rs`, blank lines
+# uncounted. A file's test module starts at its first top-level
+# `#[cfg(test)]` followed by `mod` and runs to the end of the file; any
+# other `#[cfg(test)]` covers the one item under it (to the closing brace
+# at the attribute's indent, or a line ending in `;`). Outside tests a line
+# starting with `//` is a comment and everything else is code.
+loc() {
+    printf '  %-10s %8s %8s %6s\n' crate non-test comment test
+    for dir in crates/*/src; do
+        crate=${dir#crates/}
+        find "$dir" -name '*.rs' | sort | xargs awk -v crate="${crate%/src}" '
+            FNR == 1 { in_mod = 0; item = 0 }
+            {
+                line = $0
+                sub(/^[ \t]+/, "", line)
+                if (line == "") next
+                if (in_mod) { test++; next }
+                if (item == 1) {          # the line under the attribute
+                    test++
+                    if (indent == "" && line ~ /^(pub )?mod /) { in_mod = 1; item = 0 }
+                    else item = (line ~ /;$/) ? 0 : 2
+                    next
+                }
+                if (item == 2) {          # inside the one item
+                    test++
+                    if ($0 == indent "}") item = 0
+                    next
+                }
+                if (line == "#[cfg(test)]") {
+                    indent = $0; sub(/#.*/, "", indent)
+                    item = 1; test++
+                    next
+                }
+                if (line ~ /^\/\//) comment++; else code++
+            }
+            END { printf "  %-10s %8d %8d %6d\n", crate, code, comment, test }'
+    done
+}
 
 QUICK=0
 for arg in "$@"; do
     case "$arg" in
         --quick) QUICK=1 ;;
-        *) echo "usage: ci.sh [--quick]" >&2; exit 2 ;;
+        --loc) loc; exit 0 ;;
+        *) echo "usage: ci.sh [--quick | --loc]" >&2; exit 2 ;;
     esac
 done
 
@@ -151,3 +195,5 @@ echo "CI OK"
 printf '%s' "$REPORT"
 echo "  stdout-parity runs:"
 cat "${CARGO_TARGET_DIR:-target}/stdout-parity/times"
+echo "  lines by kind:"
+loc

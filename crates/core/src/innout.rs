@@ -312,6 +312,7 @@ impl InnOutReplica {
     }
 
     /// `(in-place hits, out-of-place fallbacks)` observed by this handle.
+    /// Unread until ROADMAP item 3's spans report which mechanism fired.
     pub fn read_stats(&self) -> (u64, u64) {
         (
             self.inner.inplace_hits.get(),

@@ -149,7 +149,7 @@ impl Endpoint {
                 fabric.inner.graveyard.borrow_mut().push(tx);
                 return;
             }
-            target.account(req_bytes + resp_bytes);
+            target.account();
             // The NIC reservation shapes response timing and captures
             // queuing under load; DMA application itself is cut-through and
             // proceeds in parallel across queue pairs (so reads from other

@@ -32,8 +32,6 @@ pub struct Node {
     alive: Cell<bool>,
     /// Messages served (for accounting).
     messages: Cell<u64>,
-    /// Request + response bytes through this node's NIC.
-    bytes: Cell<u64>,
 }
 
 impl Node {
@@ -43,7 +41,6 @@ impl Node {
             nic: FifoResource::new(sim),
             alive: Cell::new(true),
             messages: Cell::new(0),
-            bytes: Cell::new(0),
         })
     }
 
@@ -80,19 +77,13 @@ impl Node {
         self.alive.set(true);
     }
 
-    pub(crate) fn account(&self, bytes: usize) {
+    pub(crate) fn account(&self) {
         self.messages.set(self.messages.get() + 1);
-        self.bytes.set(self.bytes.get() + bytes as u64);
     }
 
     /// Messages served by this node so far.
     pub fn messages(&self) -> u64 {
         self.messages.get()
-    }
-
-    /// Total request+response bytes through this node.
-    pub fn traffic_bytes(&self) -> u64 {
-        self.bytes.get()
     }
 
     /// Bytes of disaggregated memory allocated on this node.
@@ -120,9 +111,8 @@ mod tests {
     fn accounting_accumulates() {
         let sim = Sim::new(1);
         let n = Node::new(&sim);
-        n.account(100);
-        n.account(50);
+        n.account();
+        n.account();
         assert_eq!(n.messages(), 2);
-        assert_eq!(n.traffic_bytes(), 150);
     }
 }

@@ -340,18 +340,6 @@ impl OpResult {
         }
     }
 
-    /// Extracts the CAS-observed previous value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this result is not a `Cas`.
-    pub fn into_cas(self) -> u64 {
-        match self {
-            OpResult::Cas(v) => v,
-            other => panic!("expected Cas result, got {other:?}"),
-        }
-    }
-
     /// Read bytes, or `None` on a kind mismatch — for reply paths that must
     /// treat a malformed batch as a dropped message rather than panic.
     pub fn read(self) -> Option<Vec<u8>> {
@@ -418,9 +406,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "expected Cas")]
+    #[should_panic(expected = "expected Read")]
     fn wrong_extraction_panics() {
-        OpResult::Write.into_cas();
+        OpResult::Write.into_read();
     }
 
     #[test]

@@ -3,24 +3,23 @@
 //! [`StoreBuilder`] is the one entry point for standing up a store:
 //! pick a [`Protocol`], tweak cluster/client knobs fluently, then
 //! [`StoreBuilder::build_cluster`] and hand out per-thread clients with
-//! [`StoreCluster::client`]. SWARM-KV, DM-ABD and RAW share the [`Cluster`]
-//! substrate; FUSEE brings its own — the builder hides the difference behind
-//! [`StoreClient`], which implements the typed [`KvStore`] trait for all
-//! four.
+//! [`StoreCluster::client`]. All four run on one [`ClusterConfig`]: SWARM-KV,
+//! DM-ABD and RAW on a [`Cluster`], FUSEE on a [`FuseeCluster`] that reads
+//! its nodes, value size, fabric, index capacity and RNG label from the same
+//! configuration — and all four are driven through one client type,
+//! [`StoreClient`].
 
 use std::rc::Rc;
 
-use swarm_fabric::{Endpoint, Fabric, NodeId};
+use swarm_fabric::{Fabric, NodeId};
 use swarm_sim::Sim;
 
-use crate::client::{KvClient, KvClientConfig, Proto};
+use crate::client::{CacheCapacity, ClientConfig, Proto, StoreClient};
 use crate::cluster::{Cluster, ClusterConfig};
-use crate::fusee::{FuseeCluster, FuseeConfig, FuseeKv};
+use crate::fusee::FuseeCluster;
 use crate::membership::Membership;
 use crate::repair::{RepairConfig, RepairHandle};
 use crate::shard::{ShardSpec, ShardedCluster};
-use crate::store::{KvResult, KvStore, ScanItems};
-use crate::CacheCapacity;
 
 /// The four systems of the paper's evaluation (§7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,17 +54,6 @@ impl Protocol {
             Protocol::Fusee => "FUSEE",
         }
     }
-
-    /// The [`KvClient`] protocol selector, for the three [`Cluster`]-based
-    /// systems.
-    fn proto(&self) -> Option<Proto> {
-        match self {
-            Protocol::Raw => Some(Proto::Raw),
-            Protocol::SafeGuess => Some(Proto::SafeGuess),
-            Protocol::Abd => Some(Proto::Abd),
-            Protocol::Fusee => None,
-        }
-    }
 }
 
 /// Fluent construction of any of the four stores: protocol × cluster config
@@ -95,8 +83,7 @@ impl Protocol {
 pub struct StoreBuilder {
     protocol: Protocol,
     cluster: ClusterConfig,
-    fusee: FuseeConfig,
-    client: KvClientConfig,
+    client: ClientConfig,
     shards: usize,
     repair: Option<RepairConfig>,
 }
@@ -108,8 +95,7 @@ impl StoreBuilder {
         StoreBuilder {
             protocol,
             cluster: ClusterConfig::default(),
-            fusee: FuseeConfig::default(),
-            client: KvClientConfig::default(),
+            client: ClientConfig::default(),
             shards: 1,
             repair: None,
         }
@@ -123,13 +109,12 @@ impl StoreBuilder {
     /// Fixed value size in bytes (applies to every protocol).
     pub fn value_size(mut self, bytes: usize) -> Self {
         self.cluster.value_size = bytes;
-        self.fusee.value_size = bytes;
         self
     }
 
-    /// Replicas per key for the [`Cluster`]-based protocols (FUSEE keeps its
-    /// own 2-replica synchronous scheme; see [`StoreBuilder::fusee_config`]).
-    /// Ignored by RAW, which is unreplicated by definition.
+    /// Replicas per key for the [`Cluster`]-based protocols. Ignored by RAW,
+    /// which is unreplicated by definition, and by FUSEE, whose synchronous
+    /// scheme is modeled at its 2 replicas.
     pub fn replicas(mut self, n: usize) -> Self {
         self.cluster.replicas = n;
         self
@@ -159,7 +144,6 @@ impl StoreBuilder {
     /// with [`crate::KvError::IndexFull`] (applies to every protocol).
     pub fn index_capacity(mut self, cap: usize) -> Self {
         self.cluster.index_capacity = Some(cap);
-        self.fusee.index_capacity = Some(cap);
         self
     }
 
@@ -215,21 +199,10 @@ impl StoreBuilder {
     }
 
     /// Replaces the whole cluster configuration (the escape hatch for knobs
-    /// without a fluent setter, e.g. fabric latency or clock skew).
+    /// without a fluent setter, e.g. fabric latency or clock skew). It is
+    /// the one substrate configuration: all four protocols run on it.
     pub fn cluster_config(mut self, cfg: ClusterConfig) -> Self {
         self.cluster = cfg;
-        self
-    }
-
-    /// Replaces the whole FUSEE model configuration.
-    pub fn fusee_config(mut self, cfg: FuseeConfig) -> Self {
-        self.fusee = cfg;
-        self
-    }
-
-    /// Replaces the whole client configuration.
-    pub fn client_config(mut self, cfg: KvClientConfig) -> Self {
-        self.client = cfg;
         self
     }
 
@@ -263,12 +236,15 @@ impl StoreBuilder {
             self.shards, 1,
             "multi-shard builders build with build_sharded"
         );
+        let cfg = self.effective_cluster_config();
         let kind = match self.protocol {
-            Protocol::Fusee => ClusterKind::Fusee(FuseeCluster::new(sim, self.fusee.clone())),
-            _ => ClusterKind::Swarm(Cluster::new(sim, self.effective_cluster_config())),
+            Protocol::Raw => ClusterKind::Swarm(Cluster::new(sim, cfg), Proto::Raw),
+            Protocol::SafeGuess => ClusterKind::Swarm(Cluster::new(sim, cfg), Proto::SafeGuess),
+            Protocol::Abd => ClusterKind::Swarm(Cluster::new(sim, cfg), Proto::Abd),
+            Protocol::Fusee => ClusterKind::Fusee(FuseeCluster::new(sim, cfg)),
         };
         let repair = match (&kind, &self.repair) {
-            (ClusterKind::Swarm(c), Some(cfg)) => Some(RepairHandle::new(c, cfg.clone())),
+            (ClusterKind::Swarm(c, _), Some(cfg)) => Some(RepairHandle::new(c, cfg.clone())),
             _ => None,
         };
         StoreCluster {
@@ -322,7 +298,6 @@ impl StoreBuilder {
         let mut b = self.clone();
         b.shards = 1;
         b.cluster.rng_label = Some(spec_rng_label(&spec, s, self.cluster.rng_label));
-        b.fusee.rng_label = Some(spec_rng_label(&spec, s, self.fusee.rng_label));
         b.build_cluster(sim)
     }
 
@@ -344,7 +319,6 @@ impl StoreBuilder {
         let mut b = self.clone();
         b.shards = 1;
         b.cluster.rng_label = Some(label);
-        b.fusee.rng_label = Some(label);
         b.build_cluster(sim)
     }
 
@@ -365,27 +339,21 @@ fn spec_rng_label(spec: &ShardSpec, shard: usize, user: Option<u64>) -> u64 {
     }
 }
 
-enum ClusterKind {
-    Swarm(Cluster),
+/// The substrate a store stands on; the three [`Cluster`]-based systems
+/// carry which of them they are.
+#[derive(Clone)]
+pub(crate) enum ClusterKind {
+    Swarm(Cluster, Proto),
     Fusee(FuseeCluster),
-}
-
-impl Clone for ClusterKind {
-    fn clone(&self) -> Self {
-        match self {
-            ClusterKind::Swarm(c) => ClusterKind::Swarm(c.clone()),
-            ClusterKind::Fusee(c) => ClusterKind::Fusee(c.clone()),
-        }
-    }
 }
 
 /// A built store cluster: the protocol-appropriate substrate plus the client
 /// configuration to mint [`StoreClient`]s from. Cheaply cloneable.
 #[derive(Clone)]
 pub struct StoreCluster {
-    kind: ClusterKind,
+    pub(crate) kind: ClusterKind,
     protocol: Protocol,
-    client_cfg: KvClientConfig,
+    pub(crate) client_cfg: ClientConfig,
     repair: Option<RepairHandle>,
 }
 
@@ -397,29 +365,14 @@ impl StoreCluster {
 
     /// Creates client `id` (one per application thread).
     pub fn client(&self, id: usize) -> Rc<StoreClient> {
-        self.client_on(id, None)
+        StoreClient::new(self, id, None)
     }
 
     /// Creates client `id` sharing an existing CPU core. Cross-shard
     /// routers mint their per-shard clients this way so the whole set
     /// models one application thread.
     pub fn client_with_cpu(&self, id: usize, cpu: swarm_sim::FifoResource) -> Rc<StoreClient> {
-        self.client_on(id, Some(cpu))
-    }
-
-    fn client_on(&self, id: usize, cpu: Option<swarm_sim::FifoResource>) -> Rc<StoreClient> {
-        Rc::new(match &self.kind {
-            ClusterKind::Swarm(c) => StoreClient::Swarm(KvClient::with_cpu(
-                c,
-                self.protocol.proto().expect("swarm substrate"),
-                id,
-                self.client_cfg.clone(),
-                cpu,
-            )),
-            ClusterKind::Fusee(c) => {
-                StoreClient::Fusee(FuseeKv::with_cpu(c, id, self.client_cfg.clone(), cpu))
-            }
-        })
+        StoreClient::new(self, id, Some(cpu))
     }
 
     /// Creates clients `0..n`.
@@ -431,12 +384,8 @@ impl StoreCluster {
     /// phase).
     pub fn load_key(&self, key: u64, value: &[u8]) {
         match &self.kind {
-            ClusterKind::Swarm(c) => {
-                c.load_key(key, value);
-            }
-            ClusterKind::Fusee(c) => {
-                c.load_key(key, value);
-            }
+            ClusterKind::Swarm(c, _) => drop(c.load_key(key, value)),
+            ClusterKind::Fusee(c) => drop(c.load_key(key, value)),
         }
     }
 
@@ -450,7 +399,7 @@ impl StoreCluster {
     /// The simulation driving this cluster.
     pub fn sim(&self) -> &Sim {
         match &self.kind {
-            ClusterKind::Swarm(c) => c.sim(),
+            ClusterKind::Swarm(c, _) => c.sim(),
             ClusterKind::Fusee(c) => c.sim(),
         }
     }
@@ -458,7 +407,7 @@ impl StoreCluster {
     /// The fabric (traffic statistics, node access).
     pub fn fabric(&self) -> &Fabric {
         match &self.kind {
-            ClusterKind::Swarm(c) => c.fabric(),
+            ClusterKind::Swarm(c, _) => c.fabric(),
             ClusterKind::Fusee(c) => c.fabric(),
         }
     }
@@ -473,7 +422,7 @@ impl StoreCluster {
     /// ownership transfer instead.
     pub fn membership(&self) -> Option<&Membership> {
         match &self.kind {
-            ClusterKind::Swarm(c) => Some(c.membership()),
+            ClusterKind::Swarm(c, _) => Some(c.membership()),
             ClusterKind::Fusee(_) => None,
         }
     }
@@ -481,13 +430,13 @@ impl StoreCluster {
     /// *Modeled* per-key disaggregated-memory footprint in bytes (the
     /// Table 3 accounting, protocol-appropriate).
     pub fn modeled_bytes_per_key(&self) -> u64 {
-        match (&self.kind, self.protocol) {
+        match &self.kind {
             // Unreplicated: one value + key record.
-            (ClusterKind::Swarm(c), Protocol::Raw) => (c.config().value_size + 24) as u64,
+            ClusterKind::Swarm(c, Proto::Raw) => (c.config().value_size + 24) as u64,
             // Safe-Guess carries per-writer timestamp-lock words.
-            (ClusterKind::Swarm(c), Protocol::SafeGuess) => c.modeled_bytes_per_key(true),
-            (ClusterKind::Swarm(c), _) => c.modeled_bytes_per_key(false),
-            (ClusterKind::Fusee(c), _) => c.modeled_bytes_per_key(),
+            ClusterKind::Swarm(c, Proto::SafeGuess) => c.modeled_bytes_per_key(true),
+            ClusterKind::Swarm(c, Proto::Abd) => c.modeled_bytes_per_key(false),
+            ClusterKind::Fusee(c) => c.modeled_bytes_per_key(),
         }
     }
 
@@ -496,7 +445,7 @@ impl StoreCluster {
     /// counts instead).
     pub fn index_bytes(&self) -> u64 {
         match &self.kind {
-            ClusterKind::Swarm(c) => c.index().traffic().1,
+            ClusterKind::Swarm(c, _) => c.index().traffic().1,
             ClusterKind::Fusee(_) => 0,
         }
     }
@@ -505,7 +454,7 @@ impl StoreCluster {
     /// hatch).
     pub fn swarm(&self) -> Option<&Cluster> {
         match &self.kind {
-            ClusterKind::Swarm(c) => Some(c),
+            ClusterKind::Swarm(c, _) => Some(c),
             ClusterKind::Fusee(_) => None,
         }
     }
@@ -520,85 +469,8 @@ impl StoreCluster {
     /// The underlying [`FuseeCluster`] (escape hatch).
     pub fn fusee(&self) -> Option<&FuseeCluster> {
         match &self.kind {
-            ClusterKind::Swarm(_) => None,
+            ClusterKind::Swarm(..) => None,
             ClusterKind::Fusee(c) => Some(c),
-        }
-    }
-}
-
-/// A per-thread client of any of the four stores, implementing the typed
-/// [`KvStore`] trait by delegation.
-pub enum StoreClient {
-    /// RAW / SWARM-KV / DM-ABD client.
-    Swarm(Rc<KvClient>),
-    /// FUSEE client.
-    Fusee(Rc<FuseeKv>),
-}
-
-impl StoreClient {
-    /// Location-cache `(hits, misses)`.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        match self {
-            StoreClient::Swarm(c) => c.cache_stats(),
-            StoreClient::Fusee(c) => c.cache_stats(),
-        }
-    }
-}
-
-impl KvStore for StoreClient {
-    async fn get(&self, key: u64) -> KvResult<Option<Rc<Vec<u8>>>> {
-        match self {
-            StoreClient::Swarm(c) => c.get(key).await,
-            StoreClient::Fusee(c) => c.get(key).await,
-        }
-    }
-
-    async fn update(&self, key: u64, value: Vec<u8>) -> KvResult<()> {
-        match self {
-            StoreClient::Swarm(c) => c.update(key, value).await,
-            StoreClient::Fusee(c) => c.update(key, value).await,
-        }
-    }
-
-    async fn insert(&self, key: u64, value: Vec<u8>) -> KvResult<()> {
-        match self {
-            StoreClient::Swarm(c) => c.insert(key, value).await,
-            StoreClient::Fusee(c) => c.insert(key, value).await,
-        }
-    }
-
-    async fn delete(&self, key: u64) -> KvResult<()> {
-        match self {
-            StoreClient::Swarm(c) => c.delete(key).await,
-            StoreClient::Fusee(c) => c.delete(key).await,
-        }
-    }
-
-    async fn scan(&self, start: u64, limit: usize) -> KvResult<ScanItems> {
-        match self {
-            StoreClient::Swarm(c) => c.scan(start, limit).await,
-            StoreClient::Fusee(c) => c.scan(start, limit).await,
-        }
-    }
-
-    fn rounds(&self) -> u64 {
-        match self {
-            StoreClient::Swarm(c) => c.rounds(),
-            StoreClient::Fusee(c) => c.rounds(),
-        }
-    }
-
-    fn endpoint(&self) -> Rc<Endpoint> {
-        match self {
-            StoreClient::Swarm(c) => c.endpoint(),
-            StoreClient::Fusee(c) => c.endpoint(),
-        }
-    }
-
-    fn client_id(&self) -> usize {
-        match self {
-            StoreClient::Swarm(c) => c.client_id(),
-            StoreClient::Fusee(c) => c.client_id(),
         }
     }
 }
@@ -642,10 +514,13 @@ mod tests {
 
     #[test]
     fn fusee_keeps_its_own_replication_factor() {
-        let b = StoreBuilder::new(Protocol::Fusee)
+        let sim = Sim::new(1);
+        let cluster = StoreBuilder::new(Protocol::Fusee)
             .value_size(128)
-            .replicas(7);
-        assert_eq!(b.fusee.value_size, 128, "value size crosses substrates");
-        assert_eq!(b.fusee.replicas, 2, "FUSEE replicates synchronously x2");
+            .replicas(7)
+            .build_cluster(&sim);
+        // Two `[version | value]` blocks, two pointer words, the key record:
+        // the value size crosses substrates, the replica count does not.
+        assert_eq!(cluster.modeled_bytes_per_key(), 2 * (8 + 128) + 16 + 24);
     }
 }

@@ -48,11 +48,6 @@ impl<V> LfuCache<V> {
         self.map.is_empty()
     }
 
-    /// Capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// `(hits, misses)` since creation.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)

@@ -1,17 +1,27 @@
-//! The key-value client: SWARM-KV, DM-ABD and RAW behind one type.
+//! The client: all four evaluated systems behind one type.
 //!
-//! A [`KvClient`] is one application thread. It resolves key locations
-//! through its LFU cache or the index (§5.2), builds per-key register
-//! handles over the cluster's In-n-Out replicas, and executes the §5.3
-//! protocols. The [`Proto`] selects the replication machinery:
+//! A [`StoreClient`] is one application thread. The type itself is the
+//! protocol-independent shell — its fabric endpoint, roundtrip counter,
+//! client id, the per-operation deadline and the one [`KvStore`]
+//! implementation — around one of two *paths*:
 //!
-//! * [`Proto::SafeGuess`] — SWARM-KV: Safe-Guess + timestamp locks.
-//! * [`Proto::Abd`] — DM-ABD: classic ABD over the same substrate (run it on
-//!   a cluster configured with `inplace = false, meta_bufs = 1`).
-//! * [`Proto::Raw`] — RAW: unreplicated direct reads/writes, no concurrency
-//!   control (the latency lower bound; "not useful in practice", §7).
+//! * [`SwarmPath`] (this file) resolves key locations through its LFU cache
+//!   or the index (§5.2), builds per-key register handles over the
+//!   cluster's In-n-Out replicas, and executes the §5.3 protocols. Its
+//!   [`Proto`] selects the replication machinery: [`Proto::SafeGuess`] —
+//!   SWARM-KV, Safe-Guess + timestamp locks; [`Proto::Abd`] — DM-ABD,
+//!   classic ABD over the same substrate (on a cluster configured with
+//!   `inplace = false, meta_bufs = 1`); [`Proto::Raw`] — RAW, unreplicated
+//!   direct reads/writes with no concurrency control (the latency lower
+//!   bound; "not useful in practice", §7).
+//! * `FuseePath` (`fusee.rs`) is the FAST '23 comparator's roundtrip model.
+//!
+//! A deadline, a crash phase or a span at the operation boundary has one
+//! place to land for all four systems: the `impl KvStore` below.
 
 use std::cell::RefCell;
+use std::future::Future;
+use std::pin::{pin, Pin};
 use std::rc::Rc;
 
 use swarm_core::{
@@ -19,14 +29,16 @@ use swarm_core::{
     TsGuesser, TsLock, TsLockSet, WritePath,
 };
 use swarm_fabric::Endpoint;
-use swarm_sim::{join2, FifoResource, GuessClock, Nanos, SimRng};
+use swarm_sim::{join2, timeout_at, FifoResource, GuessClock, Nanos, Sim, SimRng, TimedOut};
 
+use crate::builder::{ClusterKind, StoreCluster};
 use crate::cache::LfuCache;
-use crate::cluster::{derive_label, Cluster, KeyInfo, ROLE_CACHE, ROLE_CLOCK};
+use crate::cluster::{Cluster, KeyInfo, ROLE_CACHE, ROLE_CLOCK};
+use crate::fusee::FuseePath;
 use crate::index::InsertOutcome;
-use crate::store::{with_deadline, KvError, KvResult, KvStore, KvStoreExt, ScanItems};
+use crate::store::{KvError, KvResult, KvStore, KvStoreExt, ScanItems};
 
-/// Replication protocol driven by a [`KvClient`]. Crate-private: it
+/// Replication protocol driven by a [`SwarmPath`]. Crate-private: it
 /// encodes "not FUSEE" in the type; callers pick a `Protocol` on the
 /// `StoreBuilder`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,9 +73,9 @@ impl CacheCapacity {
     }
 }
 
-/// Per-client knobs.
+/// Per-client knobs, set through the `StoreBuilder`.
 #[derive(Debug, Clone)]
-pub struct KvClientConfig {
+pub(crate) struct ClientConfig {
     /// Location-cache capacity.
     pub cache: CacheCapacity,
     /// Overall per-operation deadline. `None` (the default) lets an
@@ -79,13 +91,169 @@ pub struct KvClientConfig {
     pub hedge: HedgeConfig,
 }
 
-impl Default for KvClientConfig {
+impl Default for ClientConfig {
     fn default() -> Self {
-        KvClientConfig {
+        ClientConfig {
             cache: CacheCapacity::Unbounded,
             op_deadline_ns: None,
             hedge: HedgeConfig::disabled(),
         }
+    }
+}
+
+/// The per-protocol half of a client.
+enum Path {
+    /// RAW / SWARM-KV / DM-ABD.
+    Swarm(SwarmPath),
+    /// FUSEE.
+    Fusee(FuseePath),
+}
+
+/// One client thread of any of the four stores.
+pub struct StoreClient {
+    pub(crate) sim: Sim,
+    client_id: usize,
+    pub(crate) ep: Rc<Endpoint>,
+    pub(crate) rounds: Rounds,
+    op_deadline_ns: Option<Nanos>,
+    path: Path,
+}
+
+impl StoreClient {
+    /// Creates client `id` of `cluster` (must be `< max_clients` for the
+    /// replicated protocols), on a dedicated CPU core or sharing an
+    /// existing one. A cross-shard router passes the same core to its
+    /// per-shard clients so that the set models *one* application thread,
+    /// not one per shard. Minted by `StoreCluster::client`.
+    pub(crate) fn new(cluster: &StoreCluster, id: usize, cpu: Option<FifoResource>) -> Rc<Self> {
+        let cfg = &cluster.client_cfg;
+        let ep = Rc::new(match cpu {
+            Some(cpu) => cluster.fabric().endpoint_with_cpu(cpu),
+            None => cluster.fabric().endpoint(),
+        });
+        let path = match &cluster.kind {
+            ClusterKind::Swarm(c, proto) => Path::Swarm(SwarmPath::new(c, *proto, id, cfg)),
+            ClusterKind::Fusee(c) => Path::Fusee(FuseePath::new(c, id, cfg)),
+        };
+        Rc::new(StoreClient {
+            sim: cluster.sim().clone(),
+            client_id: id,
+            ep,
+            rounds: Rounds::new(),
+            op_deadline_ns: cfg.op_deadline_ns,
+            path,
+        })
+    }
+
+    /// Location-cache `(hits, misses)`.
+    pub fn cache_stats(&self) -> (u64, u64) {
+        match &self.path {
+            Path::Swarm(p) => p.cache.borrow().stats(),
+            Path::Fusee(p) => p.cache_stats(),
+        }
+    }
+
+    /// Runs one operation under the client's deadline: on expiry it is
+    /// abandoned — already-submitted messages still take effect, like a
+    /// client crash mid-operation (§7.7) — and [`KvError::Timeout`] is
+    /// returned. With no deadline the operation is awaited as it is. The
+    /// operation is pinned in its caller's frame (`pin!`), so neither case
+    /// moves or boxes it.
+    async fn with_deadline<T>(
+        &self,
+        op: Pin<&mut impl Future<Output = KvResult<T>>>,
+    ) -> KvResult<T> {
+        let Some(d) = self.op_deadline_ns else {
+            return op.await;
+        };
+        match timeout_at(&self.sim, self.sim.now() + d, op).await {
+            Ok(r) => r,
+            Err(TimedOut) => Err(KvError::Timeout),
+        }
+    }
+}
+
+impl KvStore for StoreClient {
+    /// `get` (§5.3.4), bounded by the configured per-op deadline — as are
+    /// the four below.
+    async fn get(&self, key: u64) -> KvResult<Option<Rc<Vec<u8>>>> {
+        self.with_deadline(pin!(async {
+            match &self.path {
+                Path::Swarm(p) => p.get(self, key).await,
+                Path::Fusee(p) => p.get(self, key).await,
+            }
+        }))
+        .await
+    }
+
+    /// `update` (§5.3.3).
+    async fn update(&self, key: u64, value: Vec<u8>) -> KvResult<()> {
+        self.with_deadline(pin!(async {
+            match &self.path {
+                Path::Swarm(p) => p.update(self, key, Rc::new(value)).await,
+                Path::Fusee(p) => p.update(self, key, value).await,
+            }
+        }))
+        .await
+    }
+
+    /// `insert` (§5.3.1).
+    async fn insert(&self, key: u64, value: Vec<u8>) -> KvResult<()> {
+        self.with_deadline(pin!(async {
+            match &self.path {
+                Path::Swarm(p) => p.insert(self, key, Rc::new(value)).await,
+                Path::Fusee(p) => p.insert(self, key, value).await,
+            }
+        }))
+        .await
+    }
+
+    /// `delete` (§5.3.2).
+    async fn delete(&self, key: u64) -> KvResult<()> {
+        self.with_deadline(pin!(async {
+            match &self.path {
+                Path::Swarm(p) => p.delete(self, key).await,
+                Path::Fusee(p) => p.delete(self, key).await,
+            }
+        }))
+        .await
+    }
+
+    /// Ordered range read: one index roundtrip enumerates up to `limit`
+    /// live keys `>= start`, then their values are fetched as one pipelined
+    /// [`KvStoreExt::multi_get`] batch (so N cached keys cost roughly one
+    /// quorum roundtrip, not N). Keys that vanish or fault mid-scan are
+    /// dropped — a scan is best-effort per key, not a snapshot.
+    async fn scan(&self, start: u64, limit: usize) -> KvResult<ScanItems> {
+        self.with_deadline(pin!(async {
+            self.rounds.bump();
+            let keys = match &self.path {
+                Path::Swarm(p) => p.cluster.index().range_keys(start, limit).await,
+                Path::Fusee(p) => p.index().range_keys(start, limit).await,
+            };
+            let values = self.multi_get(&keys).await;
+            Ok(keys
+                .into_iter()
+                .zip(values)
+                .filter_map(|(k, v)| match v {
+                    Ok(Some(v)) => Some((k, v)),
+                    _ => None,
+                })
+                .collect())
+        }))
+        .await
+    }
+
+    fn rounds(&self) -> u64 {
+        self.rounds.get()
+    }
+
+    fn endpoint(&self) -> Rc<Endpoint> {
+        Rc::clone(&self.ep)
+    }
+
+    fn client_id(&self) -> usize {
+        self.client_id
     }
 }
 
@@ -104,7 +272,7 @@ enum HandleKind {
 
 /// A cached per-key access handle (the 24–32 B location record of §5.2,
 /// including In-n-Out's cached metadata word for SWARM-KV).
-pub struct KeyHandle {
+struct KeyHandle {
     kind: HandleKind,
     /// Allocation generation of the replicas behind this handle; index
     /// cleanups are conditioned on it so a stale handle can never unmap a
@@ -117,38 +285,27 @@ pub struct KeyHandle {
     repair_mark: u64,
 }
 
-/// One client thread of a key-value store.
-pub struct KvClient {
+/// The RAW / SWARM-KV / DM-ABD side of a [`StoreClient`]: location cache,
+/// per-key register handles and the §5.3 operations. The client's endpoint,
+/// roundtrip counter and id live in the [`StoreClient`] every method is
+/// handed as `c`.
+struct SwarmPath {
     cluster: Cluster,
     proto: Proto,
-    client_id: usize,
-    ep: Rc<Endpoint>,
     health: Rc<NodeHealth>,
-    rounds: Rounds,
     guesser: Rc<TsGuesser>,
     cache: RefCell<LfuCache<Rc<KeyHandle>>>,
     /// Stream for this client's own draws (cache-eviction sampling); the
     /// clock draws from its own sibling stream.
     rng: SimRng,
-    op_deadline_ns: Option<Nanos>,
     /// Tail-latency hedger shared by all of this client's registers;
     /// `None` (the default) is bit-identical to the pre-hedging code.
     hedger: Option<Hedger>,
 }
 
-impl KvClient {
-    /// Creates client `client_id` (must be `< cluster.config().max_clients`
-    /// for replicated protocols), on a dedicated CPU core or sharing an
-    /// existing one. A cross-shard router passes the same core to its
-    /// per-shard clients so that the set models *one* application thread,
-    /// not one per shard. Minted by `StoreCluster::client`.
-    pub(crate) fn with_cpu(
-        cluster: &Cluster,
-        proto: Proto,
-        client_id: usize,
-        cfg: KvClientConfig,
-        cpu: Option<FifoResource>,
-    ) -> Rc<Self> {
+impl SwarmPath {
+    /// The path state of client `client_id`.
+    fn new(cluster: &Cluster, proto: Proto, client_id: usize, cfg: &ClientConfig) -> Self {
         let cc = cluster.config();
         if proto != Proto::Raw {
             assert!(
@@ -156,49 +313,30 @@ impl KvClient {
                 "client id beyond configured max_clients"
             );
         }
-        let sim = cluster.sim().clone();
-        let ep = Rc::new(match cpu {
-            Some(cpu) => cluster.fabric().endpoint_with_cpu(cpu),
-            None => cluster.fabric().endpoint(),
-        });
+        let sim = cluster.sim();
         let health = NodeHealth::new(cc.nodes);
         cluster.membership().subscribe(Rc::clone(&health));
-        // With a cluster rng label, the clock and the cache draw from
-        // private per-client streams; otherwise from the shared one (the
-        // historical, bit-compatible behavior).
-        let fork = |role: u64| match cc.rng_label {
-            Some(l) => sim.fork_rng(derive_label(l, role, client_id as u64)),
-            None => SimRng::shared(&sim),
-        };
+        // The clock and the cache each draw from their own per-client
+        // stream.
         let clock = Rc::new(GuessClock::with_rng(
-            &sim,
-            fork(ROLE_CLOCK),
+            sim,
+            cc.role_rng(sim, ROLE_CLOCK, client_id as u64),
             cc.clock_skew_ns,
             cc.clock_drift_ppm,
             (cc.clock_skew_ns / 2).max(1),
         ));
-        let guesser = Rc::new(TsGuesser::new(clock, client_id as u8));
-        Rc::new(KvClient {
+        SwarmPath {
             cluster: cluster.clone(),
             proto,
-            client_id,
-            ep,
             health,
-            rounds: Rounds::new(),
-            guesser,
+            guesser: Rc::new(TsGuesser::new(clock, client_id as u8)),
             cache: RefCell::new(LfuCache::new(cfg.cache.entry_limit())),
-            rng: fork(ROLE_CACHE),
-            op_deadline_ns: cfg.op_deadline_ns,
+            rng: cc.role_rng(sim, ROLE_CACHE, client_id as u64),
             hedger: Hedger::new(cfg.hedge, cc.nodes, Some(cluster.fabric().clone())),
-        })
+        }
     }
 
-    /// Cache hit/miss statistics.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.borrow().stats()
-    }
-
-    fn build_handle(&self, info: &Rc<KeyInfo>) -> Rc<KeyHandle> {
+    fn build_handle(&self, c: &StoreClient, info: &Rc<KeyInfo>) -> Rc<KeyHandle> {
         let cc = self.cluster.config();
         let sim = self.cluster.sim();
         let kind = match self.proto {
@@ -217,11 +355,11 @@ impl KvClient {
                     .enumerate()
                     .map(|(i, l)| {
                         InnOutReplica::new(
-                            Rc::clone(&self.ep),
+                            Rc::clone(&c.ep),
                             l.clone(),
-                            self.client_id,
+                            c.client_id,
                             cc.inplace && i == 0,
-                            self.rounds.clone(),
+                            c.rounds.clone(),
                         )
                     })
                     .collect();
@@ -232,11 +370,11 @@ impl KvClient {
                     0,
                     Rc::clone(&self.health),
                     cc.quorum,
-                    self.rounds.clone(),
+                    c.rounds.clone(),
                     self.hedger.clone(),
                 );
                 match self.proto {
-                    Proto::Abd => HandleKind::Abd(Abd::new(m, self.client_id as u8)),
+                    Proto::Abd => HandleKind::Abd(Abd::new(m, c.client_id as u8)),
                     _ => {
                         // Lazy per-writer locks: a cache miss stores only
                         // this recipe; `TsLock`s materialize on the slow
@@ -245,9 +383,9 @@ impl KvClient {
                         // at 64 clients).
                         let quorum = cc.quorum;
                         let sim = sim.clone();
-                        let ep = Rc::clone(&self.ep);
+                        let ep = Rc::clone(&c.ep);
                         let health = Rc::clone(&self.health);
-                        let rounds = self.rounds.clone();
+                        let rounds = c.rounds.clone();
                         let info = Rc::clone(info);
                         let tsl = TsLockSet::new(cc.max_clients, move |w| {
                             let words: Vec<(swarm_fabric::NodeId, u64)> = info
@@ -269,7 +407,7 @@ impl KvClient {
                             m,
                             Rc::new(tsl),
                             Rc::clone(&self.guesser),
-                            self.rounds.clone(),
+                            c.rounds.clone(),
                         ))
                     }
                 }
@@ -286,7 +424,12 @@ impl KvClient {
     /// index roundtrip (§7.1). `force_index` bypasses the cache (used after
     /// observing a tombstone through possibly-stale cached replicas,
     /// §5.3.3).
-    async fn handle_for(&self, key: u64, force_index: bool) -> Option<Rc<KeyHandle>> {
+    async fn handle_for(
+        &self,
+        c: &StoreClient,
+        key: u64,
+        force_index: bool,
+    ) -> Option<Rc<KeyHandle>> {
         if !force_index {
             let mark = self.cluster.repair_mark(key);
             let mut cache = self.cache.borrow_mut();
@@ -300,9 +443,9 @@ impl KvClient {
                 cache.remove(key);
             }
         }
-        self.rounds.bump();
+        c.rounds.bump();
         let info = self.cluster.index().get(key).await?;
-        let h = self.build_handle(&info);
+        let h = self.build_handle(c, &info);
         self.cache
             .borrow_mut()
             .insert(&self.rng, key, Rc::clone(&h));
@@ -312,17 +455,18 @@ impl KvClient {
     fn uncache(&self, key: u64) {
         self.cache.borrow_mut().remove(key);
     }
+}
 
-    /// Writes through a handle. `Err(Deleted)` if a tombstone rejected the
+impl KeyHandle {
+    /// Writes through the handle. `Err(Deleted)` if a tombstone rejected the
     /// write; `Err(Timeout)` if the unreplicated RAW node stopped answering.
     /// The payload arrives `Rc`-shared: retries and replica fan-out bump a
     /// refcount instead of deep-copying the value.
-    async fn write_via(&self, h: &KeyHandle, value: Rc<Vec<u8>>) -> KvResult<()> {
-        match &h.kind {
+    async fn write(&self, c: &StoreClient, value: Rc<Vec<u8>>) -> KvResult<()> {
+        match &self.kind {
             HandleKind::Raw { node, addr, .. } => {
-                self.rounds.bump();
-                self.ep
-                    .write(*node, *addr, value)
+                c.rounds.bump();
+                c.ep.write(*node, *addr, value)
                     .await
                     .ok_or(KvError::Timeout)
             }
@@ -340,11 +484,11 @@ impl KvClient {
         }
     }
 
-    async fn read_via(&self, h: &KeyHandle) -> KvResult<ReadResult> {
-        match &h.kind {
+    async fn read(&self, c: &StoreClient) -> KvResult<ReadResult> {
+        match &self.kind {
             HandleKind::Raw { node, addr, len } => {
-                self.rounds.bump();
-                match self.ep.read(*node, *addr, *len).await {
+                c.rounds.bump();
+                match c.ep.read(*node, *addr, *len).await {
                     Some(bytes) => Ok(ReadResult::Value(Rc::new(bytes))),
                     None => Err(KvError::Timeout),
                 }
@@ -379,24 +523,19 @@ enum ReadResult {
     Missing,
 }
 
-impl KvClient {
+impl SwarmPath {
     /// `get` (§5.3.4): locate replicas (cache or index), SWARM read. A
     /// tombstone through a cached handle flushes the cache and retries once
     /// through the index (the key may have been re-inserted elsewhere).
-    async fn get_inner(&self, key: u64) -> KvResult<Option<Rc<Vec<u8>>>> {
+    async fn get(&self, c: &StoreClient, key: u64) -> KvResult<Option<Rc<Vec<u8>>>> {
         for attempt in 0..2 {
-            let Some(h) = self.handle_for(key, attempt > 0).await else {
+            let Some(h) = self.handle_for(c, key, attempt > 0).await else {
                 return Ok(None);
             };
-            match self.read_via(&h).await? {
+            match h.read(c).await? {
                 ReadResult::Value(v) => return Ok(Some(v)),
                 ReadResult::Missing => return Ok(None),
-                ReadResult::Deleted => {
-                    self.uncache(key);
-                    if attempt > 0 {
-                        return Ok(None);
-                    }
-                }
+                ReadResult::Deleted => self.uncache(key),
             }
         }
         Ok(None)
@@ -405,65 +544,68 @@ impl KvClient {
     /// `update` (§5.3.3): SWARM write to the located replicas; a write
     /// rejected by a tombstone flushes the cache, cleans the index mapping
     /// and retries once.
-    async fn update_inner(&self, key: u64, value: Rc<Vec<u8>>) -> KvResult<()> {
-        for attempt in 0..2 {
-            let Some(h) = self.handle_for(key, attempt > 0).await else {
+    async fn update(&self, c: &StoreClient, key: u64, value: Rc<Vec<u8>>) -> KvResult<()> {
+        let mut through_index = false;
+        loop {
+            let Some(h) = self.handle_for(c, key, through_index).await else {
                 return Err(KvError::NotIndexed);
             };
-            match self.write_via(&h, value.clone()).await {
-                Ok(()) => return Ok(()),
-                Err(KvError::Deleted) => {
-                    self.uncache(key);
-                    if attempt > 0 {
-                        // Still tombstoned through fresh state: clean up the
-                        // stale mapping in the background (the deleter may
-                        // have failed) — but only the generation we saw
-                        // tombstoned, never a re-inserter's fresh mapping.
-                        let index = self.cluster.index().clone();
-                        let generation = h.generation;
-                        self.cluster.sim().spawn(async move {
-                            index
-                                .remove_if(key, |cur| cur.generation == generation)
-                                .await;
-                        });
-                        return Err(KvError::Deleted);
-                    }
-                }
-                Err(e) => return Err(e),
+            let settled = h.write(c, value.clone()).await;
+            if settled != Err(KvError::Deleted) {
+                return settled;
             }
+            self.uncache(key);
+            if through_index {
+                // Still tombstoned through fresh state: clean up the stale
+                // mapping in the background (the deleter may have failed) —
+                // but only the generation we saw tombstoned, never a
+                // re-inserter's fresh mapping.
+                self.unmap_generation(key, h.generation);
+                return settled;
+            }
+            through_index = true;
         }
-        unreachable!("second attempt returns")
+    }
+
+    /// Unmaps `key` in the background if the index still holds allocation
+    /// `generation` of it.
+    fn unmap_generation(&self, key: u64, generation: u64) {
+        let index = self.cluster.index().clone();
+        self.cluster.sim().spawn(async move {
+            index
+                .remove_if(key, |cur| cur.generation == generation)
+                .await;
+        });
     }
 
     /// `insert` (§5.3.1): allocate fresh replicas from the client's pool and
     /// replicate the value *in parallel* with the index insertion — one
     /// roundtrip in the common case. If a live mapping exists, the insert
     /// turns into an update on the existing replicas.
-    async fn insert_inner(&self, key: u64, value: Rc<Vec<u8>>) -> KvResult<()> {
+    async fn insert(&self, c: &StoreClient, key: u64, value: Rc<Vec<u8>>) -> KvResult<()> {
         // Fast path: known key -> plain update.
         if self.cache.borrow_mut().get(key).is_some()
-            && self.update_inner(key, value.clone()).await.is_ok()
+            && self.update(c, key, value.clone()).await.is_ok()
         {
             return Ok(());
         }
         let info = self.cluster.alloc_key(key);
-        let h = self.build_handle(&info);
-        let index = self.cluster.index().clone();
+        let h = self.build_handle(c, &info);
+        let index = self.cluster.index();
         let ins = index.try_insert(key, Rc::clone(&info));
-        let write = self.write_via(&h, value.clone());
-        let ((outcome, existing), _wrote) = join2(ins, write).await;
+        let write = h.write(c, value.clone());
+        let (outcome, _wrote) = join2(ins, write).await;
         match outcome {
             InsertOutcome::Inserted => {
                 self.cache.borrow_mut().insert(&self.rng, key, h);
                 Ok(())
             }
             InsertOutcome::Full => Err(KvError::IndexFull),
-            InsertOutcome::Exists => {
+            InsertOutcome::Exists(existing) => {
                 // Someone holds a mapping: write through it instead (our
                 // fresh buffers stay unindexed and are recycled).
-                let existing = existing.expect("Exists implies a mapping");
-                let h2 = self.build_handle(&existing);
-                match self.write_via(&h2, value.clone()).await {
+                let h2 = self.build_handle(c, &existing);
+                match h2.write(c, value.clone()).await {
                     Ok(()) => {
                         self.cache.borrow_mut().insert(&self.rng, key, h2);
                         Ok(())
@@ -472,7 +614,7 @@ impl KvClient {
                         // The existing mapping is tombstoned: overwrite it
                         // with our fresh replicas (§5.3.1 "a mapping to
                         // replicas marked for deletion is overwritten").
-                        self.rounds.bump();
+                        c.rounds.bump();
                         index.set(key, Rc::clone(&info)).await;
                         self.cache.borrow_mut().insert(&self.rng, key, h);
                         Ok(())
@@ -485,22 +627,22 @@ impl KvClient {
 
     /// `delete` (§5.3.2): a SWARM write of the maximum timestamp, then an
     /// asynchronous index unmap.
-    async fn delete_inner(&self, key: u64) -> KvResult<()> {
+    async fn delete(&self, c: &StoreClient, key: u64) -> KvResult<()> {
         // Deletes resolve through the *index*, never the location cache: a
         // stale cached handle would tombstone a superseded replica
         // generation while the unmap below removed the current one —
         // leaving live, never-tombstoned replicas unreachable through the
         // index but writable through other clients' caches (an anomaly the
         // chaos suite caught at seed 3299909641).
-        self.rounds.bump();
+        c.rounds.bump();
         let Some(info) = self.cluster.index().get(key).await else {
             self.uncache(key);
             return Err(KvError::NotFound);
         };
-        let h = self.build_handle(&info);
+        let h = self.build_handle(c, &info);
         match &h.kind {
             HandleKind::Raw { .. } => {
-                self.rounds.bump();
+                c.rounds.bump();
             }
             HandleKind::Sg(reg) => reg.write_tombstone().await,
             HandleKind::Abd(reg) => reg.write_tombstone().await,
@@ -508,103 +650,41 @@ impl KvClient {
         self.uncache(key);
         // Unmap exactly the generation that was tombstoned; a concurrent
         // re-insert's fresh mapping must survive this delete.
-        let index = self.cluster.index().clone();
-        let generation = info.generation;
-        self.cluster.sim().spawn(async move {
-            index
-                .remove_if(key, |cur| cur.generation == generation)
-                .await;
-        });
+        self.unmap_generation(key, info.generation);
         Ok(())
     }
 }
 
-impl KvStore for KvClient {
-    /// `get` (§5.3.4), bounded by the configured per-op deadline.
-    async fn get(&self, key: u64) -> KvResult<Option<Rc<Vec<u8>>>> {
-        with_deadline(self.cluster.sim(), self.op_deadline_ns, self.get_inner(key)).await
+#[cfg(test)]
+impl StoreClient {
+    /// The FUSEE path of a client known to be FUSEE's (unit tests reach
+    /// the paths' private state through these two).
+    pub(crate) fn fusee_path(&self) -> &FuseePath {
+        match &self.path {
+            Path::Fusee(p) => p,
+            Path::Swarm(_) => panic!("not a FUSEE client"),
+        }
     }
 
-    /// `update` (§5.3.3), bounded by the configured per-op deadline.
-    async fn update(&self, key: u64, value: Vec<u8>) -> KvResult<()> {
-        with_deadline(
-            self.cluster.sim(),
-            self.op_deadline_ns,
-            self.update_inner(key, Rc::new(value)),
-        )
-        .await
-    }
-
-    /// `insert` (§5.3.1), bounded by the configured per-op deadline.
-    async fn insert(&self, key: u64, value: Vec<u8>) -> KvResult<()> {
-        with_deadline(
-            self.cluster.sim(),
-            self.op_deadline_ns,
-            self.insert_inner(key, Rc::new(value)),
-        )
-        .await
-    }
-
-    /// `delete` (§5.3.2), bounded by the configured per-op deadline.
-    async fn delete(&self, key: u64) -> KvResult<()> {
-        with_deadline(
-            self.cluster.sim(),
-            self.op_deadline_ns,
-            self.delete_inner(key),
-        )
-        .await
-    }
-
-    /// Ordered range read: one index roundtrip enumerates up to `limit`
-    /// live keys `>= start`, then their values are fetched as one pipelined
-    /// [`KvStoreExt::multi_get`] batch (so N cached keys cost roughly one
-    /// quorum roundtrip, not N). Keys that vanish or fault mid-scan are
-    /// dropped — a scan is best-effort per key, not a snapshot.
-    async fn scan(&self, start: u64, limit: usize) -> KvResult<ScanItems> {
-        with_deadline(self.cluster.sim(), self.op_deadline_ns, async move {
-            self.rounds.bump();
-            let keys = self.cluster.index().range_keys(start, limit).await;
-            let values = self.multi_get(&keys).await;
-            Ok(keys
-                .into_iter()
-                .zip(values)
-                .filter_map(|(k, v)| match v {
-                    Ok(Some(v)) => Some((k, v)),
-                    _ => None,
-                })
-                .collect())
-        })
-        .await
-    }
-
-    fn rounds(&self) -> u64 {
-        self.rounds.get()
-    }
-
-    fn endpoint(&self) -> Rc<Endpoint> {
-        Rc::clone(&self.ep)
-    }
-
-    fn client_id(&self) -> usize {
-        self.client_id
+    fn swarm_path(&self) -> &SwarmPath {
+        match &self.path {
+            Path::Swarm(p) => p,
+            Path::Fusee(_) => panic!("a FUSEE client"),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Protocol, StoreBuilder, StoreClient};
-    use swarm_sim::Sim;
+    use crate::{Protocol, StoreBuilder};
 
     /// A SWARM-KV client over `keys` loaded keys, minted through the
     /// builder; the test below reaches into its private handle cache.
-    fn swarm_client(sim: &Sim, keys: u64) -> Rc<KvClient> {
+    fn swarm_client(sim: &Sim, keys: u64) -> Rc<StoreClient> {
         let cluster = StoreBuilder::new(Protocol::SafeGuess).build_cluster(sim);
         cluster.load_keys(keys, |k| vec![k as u8; 64]);
-        match &*cluster.client(0) {
-            StoreClient::Swarm(client) => Rc::clone(client),
-            StoreClient::Fusee(_) => unreachable!("SafeGuess builds a swarm client"),
-        }
+        cluster.client(0)
     }
 
     /// Satellite bugfix pin: a cached [`KeyHandle`] built before a repair
@@ -616,29 +696,30 @@ mod tests {
         let sim = Sim::new(11);
         let client = swarm_client(&sim, 4);
         sim.block_on(async move {
-            let h1 = client.handle_for(3, false).await.expect("key 3 loaded");
-            let h2 = client.handle_for(3, false).await.expect("key 3 cached");
+            let (c, path) = (&*client, client.swarm_path());
+            let h1 = path.handle_for(c, 3, false).await.expect("key 3 loaded");
+            let h2 = path.handle_for(c, 3, false).await.expect("key 3 cached");
             assert!(Rc::ptr_eq(&h1, &h2), "cache hit returns the same handle");
 
             // Anti-entropy rewrites key 3's replicas: the next resolve must
             // rebuild the handle instead of serving the stale one.
-            client.cluster.note_repaired(3);
-            let h3 = client.handle_for(3, false).await.expect("key 3 indexed");
+            path.cluster.note_repaired(3);
+            let h3 = path.handle_for(c, 3, false).await.expect("key 3 indexed");
             assert!(
                 !Rc::ptr_eq(&h2, &h3),
                 "a handle built before repair must not survive one"
             );
 
             // The rebuilt handle carries the new mark and is cached again.
-            let h4 = client.handle_for(3, false).await.expect("key 3 cached");
+            let h4 = path.handle_for(c, 3, false).await.expect("key 3 cached");
             assert!(Rc::ptr_eq(&h3, &h4), "post-repair handle caches normally");
 
             // Other keys' handles are untouched by key 3's repair.
-            let o1 = client.handle_for(1, false).await.expect("key 1 loaded");
-            client.cluster.note_repaired(3);
-            let h5 = client.handle_for(3, false).await.expect("key 3 indexed");
+            let o1 = path.handle_for(c, 1, false).await.expect("key 1 loaded");
+            path.cluster.note_repaired(3);
+            let h5 = path.handle_for(c, 3, false).await.expect("key 3 indexed");
             assert!(!Rc::ptr_eq(&h4, &h5), "every repair bumps the mark");
-            let o2 = client.handle_for(1, false).await.expect("key 1 cached");
+            let o2 = path.handle_for(c, 1, false).await.expect("key 1 cached");
             assert!(Rc::ptr_eq(&o1, &o2), "unrepaired keys keep their handle");
         });
     }

@@ -25,7 +25,7 @@ use std::rc::Rc;
 
 use swarm_core::{innout_hash, InnOutLayout, QuorumConfig, Stamp};
 use swarm_fabric::{Fabric, FabricConfig, NodeId};
-use swarm_sim::Sim;
+use swarm_sim::{Sim, SimRng};
 
 use crate::index::Index;
 use crate::membership::Membership;
@@ -94,6 +94,18 @@ impl Default for ClusterConfig {
     }
 }
 
+impl ClusterConfig {
+    /// The stream instance `id` of `role` draws from: with a cluster rng
+    /// label a private fork, otherwise the shared stream (the historical,
+    /// bit-compatible behavior).
+    pub(crate) fn role_rng(&self, sim: &Sim, role: u64, id: u64) -> SimRng {
+        match self.rng_label {
+            Some(l) => sim.fork_rng(derive_label(l, role, id)),
+            None => SimRng::shared(sim),
+        }
+    }
+}
+
 /// Derives a sub-stream label from a cluster label, a role tag, and an
 /// instance id (splitmix-style mixing; collisions across distinct inputs
 /// are no worse than random).
@@ -108,12 +120,25 @@ pub(crate) fn derive_label(base: u64, role: u64, id: u64) -> u64 {
 }
 
 /// Role tags for [`derive_label`].
-pub(crate) const ROLE_FABRIC: u64 = 1;
-pub(crate) const ROLE_INDEX: u64 = 2;
+const ROLE_FABRIC: u64 = 1;
+const ROLE_INDEX: u64 = 2;
 pub(crate) const ROLE_CLOCK: u64 = 3;
 pub(crate) const ROLE_CACHE: u64 = 4;
 pub(crate) const ROLE_RESHARD: u64 = 5;
 pub(crate) const ROLE_REPAIR: u64 = 6;
+
+/// The fabric and the index every cluster stands on — FUSEE's too — built
+/// from the one place their shape is configured: `cfg`'s nodes, fabric
+/// model, index capacity and RNG label.
+pub(crate) fn substrate<L: Clone + 'static>(sim: &Sim, cfg: &ClusterConfig) -> (Fabric, Index<L>) {
+    let mut fabric_cfg = cfg.fabric.clone();
+    if fabric_cfg.rng_label.is_none() {
+        fabric_cfg.rng_label = cfg.rng_label.map(|l| derive_label(l, ROLE_FABRIC, 0));
+    }
+    let index_rng = cfg.role_rng(sim, ROLE_INDEX, 0);
+    let fabric = Fabric::new(sim, fabric_cfg, cfg.nodes);
+    (fabric, Index::new(sim, cfg.index_capacity, index_rng))
+}
 
 /// Control-plane record of one key's replica allocation.
 #[derive(Debug)]
@@ -157,7 +182,7 @@ struct Inner {
     generation: std::cell::Cell<u64>,
     /// Per-key repair marks: bumped every time anti-entropy overwrites a
     /// replica of the key, so cached client handles can detect that their
-    /// view predates a repair (see `KvClient::handle_for`).
+    /// view predates a repair (see `SwarmPath::handle_for`).
     repair_marks: RefCell<HashMap<u64, u64>>,
     repair_counter: std::cell::Cell<u64>,
     /// The bulk loader's per-key scratch (`place_key`), reused across keys.
@@ -176,21 +201,13 @@ impl Cluster {
         assert!(cfg.replicas >= 1);
         assert!(cfg.max_clients >= 1 && cfg.max_clients <= 200);
         assert!(cfg.meta_bufs >= 1);
-        let mut fabric_cfg = cfg.fabric.clone();
-        if fabric_cfg.rng_label.is_none() {
-            fabric_cfg.rng_label = cfg.rng_label.map(|l| derive_label(l, ROLE_FABRIC, 0));
-        }
-        let index_rng = match cfg.rng_label {
-            Some(l) => sim.fork_rng(derive_label(l, ROLE_INDEX, 0)),
-            None => swarm_sim::SimRng::shared(sim),
-        };
-        let fabric = Fabric::new(sim, fabric_cfg, cfg.nodes);
+        let (fabric, index) = substrate(sim, &cfg);
         let membership = Membership::with_default_detection(sim, &fabric);
         Cluster {
             inner: Rc::new(Inner {
                 sim: sim.clone(),
                 fabric,
-                index: Index::with_capacity_rng(sim, cfg.index_capacity, index_rng),
+                index,
                 cfg,
                 membership,
                 generation: std::cell::Cell::new(0),

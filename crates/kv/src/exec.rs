@@ -431,7 +431,10 @@ impl<V: Fn(u64, u64, usize) -> Vec<u8> + 'static> Worker<V> {
                             stats.scanned_items += items;
                         }
                     }
-                    if cfg.record_rtts && cfg.batch <= 1 {
+                    // The delta is this op's own only if nothing else of
+                    // the client's was in flight: a batch shares it, and so
+                    // do the workers of one client at concurrency > 1.
+                    if cfg.record_rtts && cfg.batch <= 1 && cfg.concurrency <= 1 {
                         let used = store.rounds() - r0;
                         *stats.rtts[ops[0].class() as usize].entry(used).or_insert(0) += 1;
                     }
@@ -566,6 +569,38 @@ mod tests {
                 "six ops in one round ({batched} ns) vs five in sequence ({sequential} ns)"
             );
         });
+    }
+
+    /// The workers of one client share its roundtrip counter, so a per-op
+    /// delta exists only at concurrency 1; above it nothing is recorded
+    /// rather than each op being charged its neighbours' roundtrips.
+    #[test]
+    fn rtts_are_recorded_only_at_concurrency_one() {
+        let run = |concurrency: usize| {
+            let sim = Sim::new(7);
+            let cluster = StoreBuilder::new(Protocol::SafeGuess).build_cluster(&sim);
+            cluster.load_keys(64, |k| vec![k as u8; 64]);
+            crate::run_workload(
+                &sim,
+                &cluster.clients(1),
+                &Workload::ycsb(swarm_workload::WorkloadSpec::B, 64, 64),
+                &RunConfig {
+                    warmup_ops: 100,
+                    measure_ops: 400,
+                    record_rtts: true,
+                    concurrency,
+                    ..Default::default()
+                },
+            )
+        };
+        let sequential = run(1);
+        let recorded: u64 = sequential.rtt_counts(OpType::Get).values().sum();
+        assert_eq!(recorded, sequential.lat(OpType::Get).len() as u64);
+        let overlapped = run(4);
+        assert_eq!(overlapped.measured_ops, 400);
+        for class in ScenarioOpClass::all() {
+            assert!(overlapped.rtt_counts(class).is_empty(), "{class:?}");
+        }
     }
 
     /// Every field set to something distinctive, derived from `n`.

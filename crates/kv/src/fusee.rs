@@ -18,69 +18,36 @@
 //!   with only 2 replicas (Table 3).
 //! * **failures**: recovery requires detecting the crash and running a
 //!   multi-phase ownership transfer; the paper cites tens of milliseconds of
-//!   unavailability (§7.7), which [`FuseeKv::recovery_downtime_ns`] exposes
-//!   for the availability comparison.
+//!   unavailability (§7.7). The model has no recovery: a crashed replica
+//!   surfaces as `KvError::Timeout`.
+//!
+//! The cluster runs on the same [`ClusterConfig`] as the other three
+//! systems (nodes, value size, fabric, index capacity, RNG label); what is
+//! FUSEE's own is the four constants below. The client side is
+//! [`FuseePath`], one of the two paths behind `StoreClient`.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use swarm_core::{Hedger, QuorumRound, Rounds};
-use swarm_fabric::{Endpoint, Fabric, FabricConfig, NodeId, Op};
-use swarm_sim::{join_boxed, BoxFuture, FifoResource, Nanos, Sim, SimRng, NANOS_PER_MILLI};
+use swarm_core::{Hedger, QuorumRound};
+use swarm_fabric::{Fabric, NodeId, Op};
+use swarm_sim::{join_boxed, BoxFuture, Nanos, Sim, SimRng};
 
 use crate::cache::LfuCache;
-use crate::client::KvClientConfig;
-use crate::cluster::{derive_label, ROLE_CACHE, ROLE_FABRIC, ROLE_INDEX};
+use crate::client::{ClientConfig, StoreClient};
+use crate::cluster::{substrate, ClusterConfig, ROLE_CACHE};
 use crate::index::Index;
-use crate::store::{with_deadline, KvError, KvResult, KvStore, KvStoreExt, ScanItems};
+use crate::store::{KvError, KvResult};
 
-/// FUSEE model parameters.
-#[derive(Debug, Clone)]
-pub struct FuseeConfig {
-    /// Memory nodes.
-    pub nodes: usize,
-    /// Replicas per key (2 suffices for 1 failure under synchronous
-    /// replication).
-    pub replicas: usize,
-    /// Value size in bytes.
-    pub value_size: usize,
-    /// Out-of-place block ring per key per replica.
-    pub ring: usize,
-    /// Fabric latency model.
-    pub fabric: FabricConfig,
-    /// Crash-recovery unavailability (tens of ms per §7.7; FUSEE's paper
-    /// reports ~40 ms).
-    pub recovery_ns: Nanos,
-    /// Client-side work per get (self-verifying reconstruction + checksum):
-    /// FUSEE's 1-RTT gets measure 2.9 µs vs RAW's 1.9 µs (§7.1).
-    pub get_overhead_ns: Nanos,
-    /// Client-side work per update (CRC + multi-WQE preparation per phase).
-    pub update_overhead_ns: Nanos,
-    /// Maximum live index mappings (`None` = unbounded); inserts beyond it
-    /// fail with `KvError::IndexFull`.
-    pub index_capacity: Option<usize>,
-    /// RNG-stream label, same semantics as `ClusterConfig::rng_label`:
-    /// `None` = shared stream, `Some(label)` = private per-role forks (set
-    /// per shard by sharded clusters).
-    pub rng_label: Option<u64>,
-}
-
-impl Default for FuseeConfig {
-    fn default() -> Self {
-        FuseeConfig {
-            nodes: 4,
-            replicas: 2,
-            value_size: 64,
-            ring: 4,
-            fabric: FabricConfig::default(),
-            recovery_ns: 40 * NANOS_PER_MILLI,
-            get_overhead_ns: 800,
-            update_overhead_ns: 1_300,
-            index_capacity: None,
-            rng_label: None,
-        }
-    }
-}
+/// Replicas per key: 2 suffice for 1 failure under synchronous replication.
+const REPLICAS: usize = 2;
+/// Out-of-place blocks in a key's ring on each replica.
+const RING: u64 = 4;
+/// Client-side work per get (self-verifying reconstruction + checksum):
+/// FUSEE's 1-RTT gets measure 2.9 µs vs RAW's 1.9 µs (§7.1).
+const GET_OVERHEAD_NS: Nanos = 800;
+/// Client-side work per update (CRC + multi-WQE preparation per phase).
+const UPDATE_OVERHEAD_NS: Nanos = 1_300;
 
 /// Per-key state: replica block rings + the two pointer words.
 pub struct FuseeKeyInfo {
@@ -102,7 +69,7 @@ pub struct FuseeKeyInfo {
 struct ClusterInner {
     sim: Sim,
     fabric: Fabric,
-    cfg: FuseeConfig,
+    cfg: ClusterConfig,
     index: Index<Rc<FuseeKeyInfo>>,
     /// The bulk loader's per-key scratch (`place_key`), reused across keys.
     load_block: RefCell<Vec<u8>>,
@@ -115,22 +82,16 @@ pub struct FuseeCluster {
 }
 
 impl FuseeCluster {
-    /// Creates the cluster.
-    pub fn new(sim: &Sim, cfg: FuseeConfig) -> Self {
-        let mut fabric_cfg = cfg.fabric.clone();
-        if fabric_cfg.rng_label.is_none() {
-            fabric_cfg.rng_label = cfg.rng_label.map(|l| derive_label(l, ROLE_FABRIC, 0));
-        }
-        let index_rng = match cfg.rng_label {
-            Some(l) => sim.fork_rng(derive_label(l, ROLE_INDEX, 0)),
-            None => SimRng::shared(sim),
-        };
-        let fabric = Fabric::new(sim, fabric_cfg, cfg.nodes);
+    /// Creates the cluster: `cfg`'s nodes, value size, fabric, index
+    /// capacity and RNG label; its replication knobs are the other three
+    /// systems' and are not read.
+    pub fn new(sim: &Sim, cfg: ClusterConfig) -> Self {
+        let (fabric, index) = substrate(sim, &cfg);
         FuseeCluster {
             inner: Rc::new(ClusterInner {
                 sim: sim.clone(),
                 fabric,
-                index: Index::with_capacity_rng(sim, cfg.index_capacity, index_rng),
+                index,
                 cfg,
                 load_block: RefCell::new(Vec::new()),
             }),
@@ -147,8 +108,8 @@ impl FuseeCluster {
         &self.inner.sim
     }
 
-    /// The model configuration.
-    pub fn config(&self) -> &FuseeConfig {
+    /// The cluster configuration.
+    pub fn config(&self) -> &ClusterConfig {
         &self.inner.cfg
     }
 
@@ -177,7 +138,7 @@ impl FuseeCluster {
         let cfg = &self.inner.cfg;
         // A loaded key starts at version 1, an allocated one at 0.
         let version = u64::from(value.is_some());
-        let slot = version % cfg.ring as u64;
+        let slot = version % RING;
         // One `[version | value]` block serves every replica.
         let mut block = self.inner.load_block.borrow_mut();
         if let Some(value) = value {
@@ -186,14 +147,14 @@ impl FuseeCluster {
             block.extend_from_slice(value);
         }
         let start = (swarm_core::xxh64(&key.to_le_bytes(), 0xFACE) % cfg.nodes as u64) as usize;
-        let replica_nodes: Vec<NodeId> = (0..cfg.replicas)
+        let replica_nodes: Vec<NodeId> = (0..REPLICAS)
             .map(|i| NodeId((start + i) % cfg.nodes))
             .collect();
         let ring_base: Vec<u64> = replica_nodes
             .iter()
             .map(|&n| {
                 let node = self.inner.fabric.node(n);
-                let base = node.alloc(cfg.ring as u64 * self.block_len(), 8);
+                let base = node.alloc(RING * self.block_len(), 8);
                 if value.is_some() {
                     node.mem().write(base + slot * self.block_len(), &block);
                 }
@@ -209,7 +170,7 @@ impl FuseeCluster {
             (n, addr)
         };
         let ptr_primary = ptr_word(replica_nodes[0]);
-        let ptr_backup = ptr_word(replica_nodes[1 % replica_nodes.len()]);
+        let ptr_backup = ptr_word(replica_nodes[1]);
         Rc::new(FuseeKeyInfo {
             key,
             replica_nodes,
@@ -230,8 +191,7 @@ impl FuseeCluster {
     /// Modeled per-key memory (Table 3): one live block per replica + the
     /// pointer words + key record.
     pub fn modeled_bytes_per_key(&self) -> u64 {
-        let cfg = &self.inner.cfg;
-        cfg.replicas as u64 * self.block_len() + 16 + 24
+        REPLICAS as u64 * self.block_len() + 16 + 24
     }
 }
 
@@ -241,20 +201,19 @@ struct CacheEntry {
     version: u64,
 }
 
-/// One FUSEE client thread.
-pub struct FuseeKv {
+/// FUSEE's side of a `StoreClient`: its pointer cache and the roundtrips
+/// of the four operations. The client's endpoint, roundtrip counter and
+/// deadline live in the `StoreClient` every method is handed as `c`.
+pub(crate) struct FuseePath {
     cluster: FuseeCluster,
-    client_id: usize,
-    ep: Rc<Endpoint>,
-    rounds: Rounds,
     cache: RefCell<LfuCache<Rc<CacheEntry>>>,
     /// Stream for cache-eviction sampling (shared unless the cluster has an
     /// rng label).
     rng: SimRng,
-    op_deadline_ns: Option<Nanos>,
-    /// Gets that had to re-fetch due to a stale cached pointer.
+    /// Gets that had to re-fetch due to a stale cached pointer, and gets
+    /// served fully from the cached pointer (§7.1's bimodality). Unread
+    /// outside tests until ROADMAP item 3's spans report them.
     stale_gets: Cell<u64>,
-    /// Gets served fully from the cached pointer.
     fresh_gets: Cell<u64>,
     /// Tail-latency hedger for the block read and block write rounds
     /// (`None` by default). The pointer CAS is never hedged: a duplicate CAS
@@ -263,63 +222,46 @@ pub struct FuseeKv {
     hedger: Option<Hedger>,
 }
 
-impl FuseeKv {
-    /// Creates client `client_id` with the full per-client configuration
-    /// (cache capacity + optional per-operation deadline), on a dedicated
-    /// CPU core or sharing an existing one (see `KvClient::with_cpu` — one
-    /// application thread per cross-shard router). Minted by
-    /// `StoreCluster::client`.
-    pub(crate) fn with_cpu(
-        cluster: &FuseeCluster,
-        client_id: usize,
-        cfg: KvClientConfig,
-        cpu: Option<FifoResource>,
-    ) -> Rc<Self> {
-        let sim = cluster.sim();
-        let rng = match cluster.config().rng_label {
-            Some(l) => sim.fork_rng(derive_label(l, ROLE_CACHE, client_id as u64)),
-            None => SimRng::shared(sim),
-        };
-        Rc::new(FuseeKv {
+impl FuseePath {
+    /// The path state of client `client_id`.
+    pub(crate) fn new(cluster: &FuseeCluster, client_id: usize, cfg: &ClientConfig) -> Self {
+        let cc = cluster.config();
+        FuseePath {
             cluster: cluster.clone(),
-            client_id,
-            ep: Rc::new(match cpu {
-                Some(cpu) => cluster.fabric().endpoint_with_cpu(cpu),
-                None => cluster.fabric().endpoint(),
-            }),
-            rounds: Rounds::new(),
             cache: RefCell::new(LfuCache::new(cfg.cache.entry_limit())),
-            rng,
-            op_deadline_ns: cfg.op_deadline_ns,
+            rng: cc.role_rng(cluster.sim(), ROLE_CACHE, client_id as u64),
             stale_gets: Cell::new(0),
             fresh_gets: Cell::new(0),
-            hedger: Hedger::new(
-                cfg.hedge,
-                cluster.config().nodes,
-                Some(cluster.fabric().clone()),
-            ),
-        })
+            hedger: Hedger::new(cfg.hedge, cc.nodes, Some(cluster.fabric().clone())),
+        }
     }
 
-    /// `(fresh, stale)` cached-pointer get counts (§7.1's bimodality).
-    pub fn get_stats(&self) -> (u64, u64) {
+    /// `(fresh, stale)` cached-pointer get counts.
+    #[cfg(test)]
+    fn get_stats(&self) -> (u64, u64) {
         (self.fresh_gets.get(), self.stale_gets.get())
     }
 
     /// Cache hit/miss statistics.
-    pub fn cache_stats(&self) -> (u64, u64) {
+    pub(crate) fn cache_stats(&self) -> (u64, u64) {
         self.cache.borrow().stats()
     }
 
-    fn block_len(&self) -> u64 {
-        8 + self.cluster.config().value_size as u64
+    /// The index a scan walks.
+    pub(crate) fn index(&self) -> &Index<Rc<FuseeKeyInfo>> {
+        &self.cluster.inner.index
     }
 
     /// Reads one replica block. `Ok(None)` if the block was recycled by a
     /// newer update; `Err(Timeout)` if the node stopped answering.
-    async fn read_block(&self, info: &FuseeKeyInfo, version: u64) -> KvResult<Option<Vec<u8>>> {
-        self.rounds.bump();
-        self.read_block_via(self.hedger.as_ref(), info, version)
+    async fn read_block(
+        &self,
+        c: &StoreClient,
+        info: &FuseeKeyInfo,
+        version: u64,
+    ) -> KvResult<Option<Vec<u8>>> {
+        c.rounds.bump();
+        self.read_block_via(c, self.hedger.as_ref(), info, version)
             .await
     }
 
@@ -332,20 +274,19 @@ impl FuseeKv {
     /// overlaps the index lookup.
     async fn read_block_via(
         &self,
+        c: &StoreClient,
         hedger: Option<&Hedger>,
         info: &FuseeKeyInfo,
         version: u64,
     ) -> KvResult<Option<Vec<u8>>> {
-        let len = self.block_len() as usize;
-        let slot = version % self.cluster.config().ring as u64;
+        let block_len = self.cluster.block_len();
+        let slot = version % RING;
         let nodes = &info.replica_nodes;
-        let copies = [(0, nodes[0].0), (1, nodes[1 % nodes.len()].0)];
-        let copies = &copies[..nodes.len().min(2)];
-        let mut round = QuorumRound::new(self.cluster.sim(), hedger, None, 1, copies, |i| {
-            let addr = info.ring_base[i] + slot * self.block_len();
-            let reply = self
-                .ep
-                .submit(info.replica_nodes[i], vec![Op::Read { addr, len }]);
+        let copies = [(0, nodes[0].0), (1, nodes[1].0)];
+        let mut round = QuorumRound::new(&c.sim, hedger, None, 1, &copies, |i| {
+            let addr = info.ring_base[i] + slot * block_len;
+            let len = block_len as usize;
+            let reply = c.ep.submit(nodes[i], vec![Op::Read { addr, len }]);
             async move { reply.await?.into_iter().next()?.read() }
         });
         round.complete(|| ()).await;
@@ -363,11 +304,17 @@ impl FuseeKv {
     /// whose spare is the same replica: the hedge is a duplicate of the same
     /// write (same bytes, same address — idempotent) racing the straggling
     /// ack.
-    async fn write_block(&self, node: NodeId, addr: u64, data: &swarm_fabric::Payload) {
+    async fn write_block(
+        &self,
+        c: &StoreClient,
+        node: NodeId,
+        addr: u64,
+        data: &swarm_fabric::Payload,
+    ) {
         let copies = [(0, node.0); 2];
         let hedger = self.hedger.as_ref();
-        let mut round = QuorumRound::new(self.cluster.sim(), hedger, None, 1, &copies, |_| {
-            let ack = self.ep.submit(
+        let mut round = QuorumRound::new(&c.sim, hedger, None, 1, &copies, |_| {
+            let ack = c.ep.submit(
                 node,
                 vec![Op::Write {
                     addr,
@@ -382,12 +329,12 @@ impl FuseeKv {
         drop(round.finish());
     }
 
-    async fn lookup(&self, key: u64) -> Option<Rc<CacheEntry>> {
+    async fn lookup(&self, c: &StoreClient, key: u64) -> Option<Rc<CacheEntry>> {
         if let Some(e) = self.cache.borrow_mut().get(key) {
             return Some(Rc::clone(e));
         }
-        self.rounds.bump();
-        let info = self.cluster.inner.index.get(key).await?;
+        c.rounds.bump();
+        let info = self.index().get(key).await?;
         let e = Rc::new(CacheEntry {
             version: info.version.get(),
             info,
@@ -397,34 +344,32 @@ impl FuseeKv {
             .insert(&self.rng, key, Rc::clone(&e));
         Some(e)
     }
-}
 
-impl FuseeKv {
-    async fn get_inner(&self, key: u64) -> KvResult<Option<Rc<Vec<u8>>>> {
-        self.ep.work(self.cluster.config().get_overhead_ns).await;
+    pub(crate) async fn get(&self, c: &StoreClient, key: u64) -> KvResult<Option<Rc<Vec<u8>>>> {
+        c.ep.work(GET_OVERHEAD_NS).await;
         let cached = self.cache.borrow_mut().get(key).map(Rc::clone);
         match cached {
             Some(e) if e.version == e.info.version.get() => {
                 // Fresh cached pointer: 1 roundtrip.
                 self.fresh_gets.set(self.fresh_gets.get() + 1);
-                Ok(self.read_block(&e.info, e.version).await?.map(Rc::new))
+                Ok(self.read_block(c, &e.info, e.version).await?.map(Rc::new))
             }
             Some(e) => {
                 // Stale pointer (§7.1): the optimistic read is wasted; the
                 // index is consulted and the new block read — 2 roundtrips
                 // of latency, 3 messages of bandwidth.
                 self.stale_gets.set(self.stale_gets.get() + 1);
-                let wasted = self.read_block_via(None, &e.info, e.version);
+                let wasted = self.read_block_via(c, None, &e.info, e.version);
                 let index_lookup = async {
-                    self.rounds.bump();
-                    self.cluster.inner.index.get(key).await
+                    c.rounds.bump();
+                    self.index().get(key).await
                 };
                 let (_, info) = swarm_sim::join2(wasted, index_lookup).await;
                 let Some(info) = info else {
                     return Ok(None);
                 };
                 let version = info.version.get();
-                let v = self.read_block(&info, version).await?;
+                let v = self.read_block(c, &info, version).await?;
                 self.cache.borrow_mut().insert(
                     &self.rng,
                     key,
@@ -434,28 +379,28 @@ impl FuseeKv {
             }
             None => {
                 // Cache miss: index then data — 2 roundtrips.
-                let Some(e) = self.lookup(key).await else {
+                let Some(e) = self.lookup(c, key).await else {
                     return Ok(None);
                 };
-                Ok(self.read_block(&e.info, e.version).await?.map(Rc::new))
+                Ok(self.read_block(c, &e.info, e.version).await?.map(Rc::new))
             }
         }
     }
 
-    async fn update_inner(&self, key: u64, value: Vec<u8>) -> KvResult<()> {
-        self.ep.work(self.cluster.config().update_overhead_ns).await;
-        let Some(e) = self.lookup(key).await else {
+    pub(crate) async fn update(&self, c: &StoreClient, key: u64, value: Vec<u8>) -> KvResult<()> {
+        c.ep.work(UPDATE_OVERHEAD_NS).await;
+        let Some(e) = self.lookup(c, key).await else {
             return Err(KvError::NotIndexed);
         };
         let info = &e.info;
-        let cfg = self.cluster.config();
+        let block_len = self.cluster.block_len();
 
         // RTT 1: write the new block to ALL replicas (synchronous
         // replication needs every replica).
         let new_version = info.version.get() + 1;
-        let slot = new_version % cfg.ring as u64;
-        self.rounds.bump();
-        let mut block = Vec::with_capacity(self.block_len() as usize);
+        let slot = new_version % RING;
+        c.rounds.bump();
+        let mut block = Vec::with_capacity(block_len as usize);
         block.extend_from_slice(&new_version.to_le_bytes());
         block.extend_from_slice(&value);
         // One block buffer, Rc-shared across the replica fan-out (the old
@@ -468,22 +413,21 @@ impl FuseeKv {
             .iter()
             .zip(&info.ring_base)
             .map(|(&n, &base)| {
-                Box::pin(self.write_block(n, base + slot * self.block_len(), &block)) as _
+                Box::pin(self.write_block(c, n, base + slot * block_len, &block)) as _
             })
             .collect();
         join_boxed(writes).await;
 
         // RTT 2: CAS the primary pointer; a concurrent update forces a
         // retry (hot keys take 5 roundtrips, Table 2).
-        let mut expected = (e.version << 16) | (e.version % cfg.ring as u64);
+        let mut expected = (e.version << 16) | (e.version % RING);
         let new_ptr = (new_version << 16) | slot;
         loop {
-            self.rounds.bump();
-            let prev = self
-                .ep
-                .cas(info.ptr_primary.0, info.ptr_primary.1, expected, new_ptr)
-                .await
-                .ok_or(KvError::Timeout)?;
+            c.rounds.bump();
+            let prev =
+                c.ep.cas(info.ptr_primary.0, info.ptr_primary.1, expected, new_ptr)
+                    .await
+                    .ok_or(KvError::Timeout)?;
             if prev == expected {
                 break;
             }
@@ -508,21 +452,17 @@ impl FuseeKv {
         }
 
         // RTT 3: propagate to the backup pointer.
-        self.rounds.bump();
-        self.ep
-            .write(
-                info.ptr_backup.0,
-                info.ptr_backup.1,
-                new_ptr.to_le_bytes().to_vec(),
-            )
-            .await;
+        c.rounds.bump();
+        c.ep.write(
+            info.ptr_backup.0,
+            info.ptr_backup.1,
+            new_ptr.to_le_bytes().to_vec(),
+        )
+        .await;
 
         // RTT 4: read-back validation.
-        self.rounds.bump();
-        let _ = self
-            .ep
-            .read(info.ptr_primary.0, info.ptr_primary.1, 8)
-            .await;
+        c.rounds.bump();
+        let _ = c.ep.read(info.ptr_primary.0, info.ptr_primary.1, 8).await;
 
         self.cache.borrow_mut().insert(
             &self.rng,
@@ -535,188 +475,94 @@ impl FuseeKv {
         Ok(())
     }
 
-    async fn insert_inner(&self, key: u64, value: Vec<u8>) -> KvResult<()> {
+    pub(crate) async fn insert(&self, c: &StoreClient, key: u64, value: Vec<u8>) -> KvResult<()> {
         let info = self.cluster.alloc_key(key);
-        self.rounds.bump();
+        c.rounds.bump();
         // The capacity check rides the set roundtrip atomically, so
         // concurrent inserts (e.g. a multi_insert batch) cannot race past
         // the cap.
         if !self
-            .cluster
-            .inner
-            .index
+            .index()
             .set_within_capacity(key, Rc::clone(&info))
             .await
         {
             return Err(KvError::IndexFull);
         }
-        self.update_inner(key, value).await
+        self.update(c, key, value).await
     }
 
-    async fn delete_inner(&self, key: u64) -> KvResult<()> {
-        if self.lookup(key).await.is_none() {
+    pub(crate) async fn delete(&self, c: &StoreClient, key: u64) -> KvResult<()> {
+        if self.lookup(c, key).await.is_none() {
             return Err(KvError::NotFound);
         }
-        self.rounds.bump();
-        self.cluster.inner.index.remove(key).await;
+        c.rounds.bump();
+        self.index().remove(key).await;
         self.cache.borrow_mut().remove(key);
         Ok(())
-    }
-}
-
-impl KvStore for FuseeKv {
-    async fn get(&self, key: u64) -> KvResult<Option<Rc<Vec<u8>>>> {
-        with_deadline(self.cluster.sim(), self.op_deadline_ns, self.get_inner(key)).await
-    }
-
-    async fn update(&self, key: u64, value: Vec<u8>) -> KvResult<()> {
-        with_deadline(
-            self.cluster.sim(),
-            self.op_deadline_ns,
-            self.update_inner(key, value),
-        )
-        .await
-    }
-
-    async fn insert(&self, key: u64, value: Vec<u8>) -> KvResult<()> {
-        with_deadline(
-            self.cluster.sim(),
-            self.op_deadline_ns,
-            self.insert_inner(key, value),
-        )
-        .await
-    }
-
-    async fn delete(&self, key: u64) -> KvResult<()> {
-        with_deadline(
-            self.cluster.sim(),
-            self.op_deadline_ns,
-            self.delete_inner(key),
-        )
-        .await
-    }
-
-    /// Ordered range read over FUSEE's index: one roundtrip enumerates the
-    /// keys, then values come back as a pipelined multi-get batch. Same
-    /// best-effort-per-key semantics as the SWARM client's scan.
-    async fn scan(&self, start: u64, limit: usize) -> KvResult<ScanItems> {
-        with_deadline(self.cluster.sim(), self.op_deadline_ns, async move {
-            self.rounds.bump();
-            let keys = self.cluster.inner.index.range_keys(start, limit).await;
-            let values = self.multi_get(&keys).await;
-            Ok(keys
-                .into_iter()
-                .zip(values)
-                .filter_map(|(k, v)| match v {
-                    Ok(Some(v)) => Some((k, v)),
-                    _ => None,
-                })
-                .collect())
-        })
-        .await
-    }
-
-    fn rounds(&self) -> u64 {
-        self.rounds.get()
-    }
-
-    fn endpoint(&self) -> Rc<Endpoint> {
-        Rc::clone(&self.ep)
-    }
-
-    fn client_id(&self) -> usize {
-        self.client_id
-    }
-}
-
-impl FuseeKv {
-    /// Unavailability after a memory-node crash (§7.7): detection plus
-    /// multi-phase recovery (log scan, state transfer, role change).
-    pub fn recovery_downtime_ns(&self) -> Nanos {
-        self.cluster.config().recovery_ns
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CacheCapacity, KvStore, KvStoreExt, Protocol, StoreBuilder, StoreCluster};
 
-    fn setup(seed: u64) -> (Sim, FuseeCluster) {
+    /// FUSEE with a 1024-entry location cache per client.
+    fn builder() -> StoreBuilder {
+        StoreBuilder::new(Protocol::Fusee).cache(CacheCapacity::Entries(1024))
+    }
+
+    fn setup(seed: u64, builder: StoreBuilder) -> (Sim, StoreCluster) {
         let sim = Sim::new(seed);
-        let cluster = FuseeCluster::new(&sim, FuseeConfig::default());
+        let cluster = builder.build_cluster(&sim);
         cluster.load_keys(16, |k| vec![k as u8; 64]);
         (sim, cluster)
     }
 
-    /// Client `id` with a 1024-entry location cache, on its own core.
-    fn client(cluster: &FuseeCluster, id: usize) -> Rc<FuseeKv> {
-        client_with(cluster, id, swarm_core::HedgeConfig::default())
-    }
-
-    fn client_with(
-        cluster: &FuseeCluster,
-        id: usize,
-        hedge: swarm_core::HedgeConfig,
-    ) -> Rc<FuseeKv> {
-        let cfg = KvClientConfig {
-            cache: crate::CacheCapacity::Entries(1024),
-            hedge,
-            ..Default::default()
-        };
-        FuseeKv::with_cpu(cluster, id, cfg, None)
-    }
-
     #[test]
     fn get_after_load_returns_value() {
-        let (sim, cluster) = setup(1);
-        let c = client(&cluster, 0);
+        let (sim, cluster) = setup(1, builder());
+        let c = cluster.client(0);
         let v = sim.block_on(async move { c.get(3).await });
         assert_eq!(*v.unwrap().unwrap(), vec![3u8; 64]);
     }
 
     #[test]
     fn update_takes_four_rounds_and_get_one_when_fresh() {
-        let (sim, cluster) = setup(2);
-        let c = client(&cluster, 0);
-        let c2 = Rc::clone(&c);
+        let (sim, cluster) = setup(2, builder());
+        let c = cluster.client(0);
         sim.block_on(async move {
-            c2.get(1).await.unwrap(); // warm the cache (2 rtts)
-            let r0 = c2.rounds();
-            c2.update(1, vec![9u8; 64]).await.unwrap();
-            assert_eq!(c2.rounds() - r0, 4, "update rtts");
-            let r0 = c2.rounds();
-            assert_eq!(*c2.get(1).await.unwrap().unwrap(), vec![9u8; 64]);
-            assert_eq!(c2.rounds() - r0, 1, "fresh get rtts");
+            c.get(1).await.unwrap(); // warm the cache (2 rtts)
+            let r0 = c.rounds();
+            c.update(1, vec![9u8; 64]).await.unwrap();
+            assert_eq!(c.rounds() - r0, 4, "update rtts");
+            let r0 = c.rounds();
+            assert_eq!(*c.get(1).await.unwrap().unwrap(), vec![9u8; 64]);
+            assert_eq!(c.rounds() - r0, 1, "fresh get rtts");
         });
     }
 
     #[test]
     fn stale_cached_pointer_costs_two_rounds() {
-        let (sim, cluster) = setup(3);
-        let a = client(&cluster, 0);
-        let b = client(&cluster, 1);
+        let (sim, cluster) = setup(3, builder());
+        let a = cluster.client(0);
+        let b = cluster.client(1);
         sim.block_on(async move {
             a.get(1).await.unwrap(); // A caches v1
             b.update(1, vec![7u8; 64]).await.unwrap(); // B moves to v2
             let r0 = a.rounds();
             assert_eq!(*a.get(1).await.unwrap().unwrap(), vec![7u8; 64]);
             assert_eq!(a.rounds() - r0, 2, "stale get rtts");
-            assert_eq!(a.get_stats().1, 1);
+            assert_eq!(a.fusee_path().get_stats().1, 1);
         });
     }
 
     #[test]
     fn index_capacity_rejects_fresh_inserts() {
         let sim = Sim::new(9);
-        let cluster = FuseeCluster::new(
-            &sim,
-            FuseeConfig {
-                index_capacity: Some(4),
-                ..Default::default()
-            },
-        );
+        let cluster = builder().index_capacity(4).build_cluster(&sim);
         cluster.load_keys(4, |k| vec![k as u8; 64]);
-        let c = client(&cluster, 0);
+        let c = cluster.client(0);
         sim.block_on(async move {
             assert_eq!(
                 c.insert(100, vec![1u8; 64]).await,
@@ -730,22 +576,10 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_cannot_race_past_the_capacity() {
-        use crate::store::KvStoreExt;
-
         let sim = Sim::new(10);
-        let cluster = FuseeCluster::new(
-            &sim,
-            FuseeConfig {
-                index_capacity: Some(6),
-                ..Default::default()
-            },
-        );
+        let cluster = builder().index_capacity(6).build_cluster(&sim);
         cluster.load_keys(4, |k| vec![k as u8; 64]);
-        let c = client(&cluster, 0);
-        let index_len = {
-            let cl = cluster.clone();
-            move || cl.inner.index.len()
-        };
+        let c = cluster.client(0);
         sim.block_on(async move {
             // 4 concurrent fresh inserts with only 2 free slots: exactly 2
             // must land; the capacity check rides the set roundtrip, so the
@@ -760,7 +594,8 @@ mod tests {
                 .count();
             assert_eq!((ok, full), (2, 2), "{results:?}");
         });
-        assert_eq!(index_len(), 6, "index must not exceed its capacity");
+        let index = &cluster.fusee().expect("FUSEE").inner.index;
+        assert_eq!(index.len(), 6, "index must not exceed its capacity");
     }
 
     #[test]
@@ -768,8 +603,8 @@ mod tests {
         // Hedge duplicates ride inside existing phases: the pinned RTT
         // counts (update = 4, fresh get = 1) must not move when hedging is
         // enabled.
-        let (sim, cluster) = setup(5);
-        let c = client_with(&cluster, 0, swarm_core::HedgeConfig::on());
+        let (sim, cluster) = setup(5, builder().hedge(swarm_core::HedgeConfig::on()));
+        let c = cluster.client(0);
         sim.block_on(async move {
             c.get(1).await.unwrap(); // warm the cache
             let r0 = c.rounds();
@@ -784,13 +619,7 @@ mod tests {
     #[test]
     fn memory_model_is_two_replicas() {
         let sim = Sim::new(4);
-        let cluster = FuseeCluster::new(
-            &sim,
-            FuseeConfig {
-                value_size: 1024,
-                ..Default::default()
-            },
-        );
+        let cluster = builder().value_size(1024).build_cluster(&sim);
         let per_key = cluster.modeled_bytes_per_key();
         assert!((2 * 1024..2 * 1024 + 128).contains(&(per_key as usize)));
     }

@@ -16,12 +16,12 @@ use swarm_sim::{oneshot, FifoResource, Jitter, Nanos, Sim, SimRng};
 
 /// Outcome of [`Index::try_insert`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InsertOutcome {
+pub enum InsertOutcome<L> {
     /// The mapping was created.
     Inserted,
-    /// A live mapping already exists (caller should fall back to update,
-    /// §5.3.1).
-    Exists,
+    /// A live mapping already exists, and this is it (the caller falls back
+    /// to an update through it, §5.3.1).
+    Exists(L),
     /// The index is at capacity and refused the new mapping.
     Full,
 }
@@ -59,22 +59,13 @@ pub const INDEX_MSG_BYTES: u64 = 24 + 24 + 60;
 
 impl<L: Clone + 'static> Index<L> {
     /// Creates an index with the default latency model (one fabric-like
-    /// roundtrip per operation) and no capacity bound.
-    pub fn new(sim: &Sim) -> Self {
-        Self::with_capacity(sim, None)
-    }
-
-    /// Creates an index that [`Index::try_insert`] caps at `capacity` live
-    /// mappings (`None` = unbounded). Control-plane [`Index::load`] ignores
-    /// the cap: bulk loading models a pre-provisioned keyspace.
-    pub fn with_capacity(sim: &Sim, capacity: Option<usize>) -> Self {
-        Self::with_capacity_rng(sim, capacity, SimRng::shared(sim))
-    }
-
-    /// [`Index::with_capacity`] with an explicit latency-jitter stream: a
-    /// sharded cluster gives each shard's index a private fork so its
-    /// draws cannot perturb other shards (see `Sim::fork_rng`).
-    pub fn with_capacity_rng(sim: &Sim, capacity: Option<usize>, rng: SimRng) -> Self {
+    /// roundtrip per operation) that [`Index::try_insert`] caps at
+    /// `capacity` live mappings (`None` = unbounded). Control-plane
+    /// [`Index::load`] ignores the cap: bulk loading models a
+    /// pre-provisioned keyspace. Latency jitter draws from `rng`: a sharded
+    /// cluster gives each shard's index a private fork so its draws cannot
+    /// perturb other shards (see `Sim::fork_rng`).
+    pub fn new(sim: &Sim, capacity: Option<usize>, rng: SimRng) -> Self {
         Index {
             inner: Rc::new(Inner {
                 sim: sim.clone(),
@@ -88,13 +79,6 @@ impl<L: Clone + 'static> Index<L> {
                 bytes: Cell::new(0),
             }),
         }
-    }
-
-    /// True if a *new* mapping would exceed the configured capacity.
-    pub fn at_capacity(&self) -> bool {
-        self.inner
-            .capacity
-            .is_some_and(|cap| self.inner.map.borrow().len() >= cap)
     }
 
     async fn roundtrip(&self) {
@@ -120,21 +104,18 @@ impl<L: Clone + 'static> Index<L> {
         self.inner.map.borrow().get(&key).cloned()
     }
 
-    /// Inserts a mapping unless one exists (1 RTT). On `Exists`, the caller
-    /// receives the existing mapping via [`Index::get`]'s cache-equivalent
-    /// return. On `Full` the mapping count is at the configured capacity and
-    /// nothing was inserted.
-    pub async fn try_insert(&self, key: u64, loc: L) -> (InsertOutcome, Option<L>) {
+    /// Inserts a mapping unless one exists (1 RTT). On `Exists` the caller
+    /// receives the existing mapping. On `Full` the mapping count is at the
+    /// configured capacity and nothing was inserted.
+    pub async fn try_insert(&self, key: u64, loc: L) -> InsertOutcome<L> {
         self.roundtrip().await;
         let mut map = self.inner.map.borrow_mut();
         match map.get(&key) {
-            Some(existing) => (InsertOutcome::Exists, Some(existing.clone())),
-            None if self.inner.capacity.is_some_and(|cap| map.len() >= cap) => {
-                (InsertOutcome::Full, None)
-            }
+            Some(existing) => InsertOutcome::Exists(existing.clone()),
+            None if self.inner.capacity.is_some_and(|cap| map.len() >= cap) => InsertOutcome::Full,
             None => {
                 map.insert(key, loc);
-                (InsertOutcome::Inserted, None)
+                InsertOutcome::Inserted
             }
         }
     }
@@ -251,10 +232,14 @@ impl<L: Clone + 'static> Index<L> {
 mod tests {
     use super::*;
 
+    fn index(sim: &Sim, capacity: Option<usize>) -> Index<u32> {
+        Index::new(sim, capacity, SimRng::shared(sim))
+    }
+
     #[test]
     fn get_set_remove_roundtrip() {
         let sim = Sim::new(1);
-        let idx: Index<u32> = Index::new(&sim);
+        let idx = index(&sim, None);
         let i2 = idx.clone();
         sim.block_on(async move {
             assert_eq!(i2.get(5).await, None);
@@ -269,7 +254,7 @@ mod tests {
     #[test]
     fn lookup_costs_one_roundtrip() {
         let sim = Sim::new(2);
-        let idx: Index<u32> = Index::new(&sim);
+        let idx = index(&sim, None);
         let s = sim.clone();
         let rtt = sim.block_on(async move {
             let t0 = s.now();
@@ -282,13 +267,10 @@ mod tests {
     #[test]
     fn try_insert_detects_existing() {
         let sim = Sim::new(3);
-        let idx: Index<u32> = Index::new(&sim);
+        let idx = index(&sim, None);
         sim.block_on(async move {
-            let (o1, _) = idx.try_insert(7, 1).await;
-            assert_eq!(o1, InsertOutcome::Inserted);
-            let (o2, existing) = idx.try_insert(7, 2).await;
-            assert_eq!(o2, InsertOutcome::Exists);
-            assert_eq!(existing, Some(1));
+            assert_eq!(idx.try_insert(7, 1).await, InsertOutcome::Inserted);
+            assert_eq!(idx.try_insert(7, 2).await, InsertOutcome::Exists(1));
             assert_eq!(idx.get(7).await, Some(1));
         });
     }
@@ -296,21 +278,21 @@ mod tests {
     #[test]
     fn capacity_bounds_try_insert_but_not_load() {
         let sim = Sim::new(5);
-        let idx: Index<u32> = Index::with_capacity(&sim, Some(2));
+        let idx = index(&sim, Some(2));
         sim.block_on({
             let idx = idx.clone();
             async move {
-                assert_eq!(idx.try_insert(1, 1).await.0, InsertOutcome::Inserted);
-                assert_eq!(idx.try_insert(2, 2).await.0, InsertOutcome::Inserted);
-                assert_eq!(idx.try_insert(3, 3).await.0, InsertOutcome::Full);
+                assert_eq!(idx.try_insert(1, 1).await, InsertOutcome::Inserted);
+                assert_eq!(idx.try_insert(2, 2).await, InsertOutcome::Inserted);
+                assert_eq!(idx.try_insert(3, 3).await, InsertOutcome::Full);
                 // Existing keys are still found, not rejected.
-                assert_eq!(idx.try_insert(1, 9).await.0, InsertOutcome::Exists);
+                assert_eq!(idx.try_insert(1, 9).await, InsertOutcome::Exists(1));
                 // Removal frees a slot.
                 idx.remove(1).await;
-                assert_eq!(idx.try_insert(3, 3).await.0, InsertOutcome::Inserted);
+                assert_eq!(idx.try_insert(3, 3).await, InsertOutcome::Inserted);
             }
         });
-        assert!(idx.at_capacity());
+        assert_eq!(idx.len(), 2, "at capacity");
         // Control-plane loading is exempt (pre-provisioned keyspace).
         idx.load(99, 0);
         assert_eq!(idx.len(), 3);
@@ -319,7 +301,7 @@ mod tests {
     #[test]
     fn load_and_peek_are_free() {
         let sim = Sim::new(4);
-        let idx: Index<u32> = Index::new(&sim);
+        let idx = index(&sim, None);
         idx.load(1, 10);
         assert_eq!(idx.peek(1), Some(10));
         assert_eq!(idx.traffic(), (0, 0));

@@ -6,8 +6,13 @@
 //!
 //! * [`StoreBuilder`] constructs any of the four evaluated systems
 //!   ([`Protocol::SafeGuess`] = SWARM-KV, [`Protocol::Abd`] = DM-ABD,
-//!   [`Protocol::Raw`], [`Protocol::Fusee`]) through one fluent interface:
+//!   [`Protocol::Raw`], [`Protocol::Fusee`]) through one fluent interface
+//!   over one substrate configuration ([`ClusterConfig`] — FUSEE reads its
+//!   nodes, value size, fabric, index capacity and RNG label from it too):
 //!   `build_cluster()` then `client(id)` per application thread.
+//! * [`StoreClient`] is the client of all four: one endpoint, roundtrip
+//!   counter, per-operation deadline and `impl KvStore` around the
+//!   protocol's own path.
 //! * [`KvStore`] is the typed operation trait: `get` returns
 //!   `Ok(Some(value))` / `Ok(None)`, mutations return `Result<(), KvError>`
 //!   where [`KvError`] distinguishes `NotFound`, `Deleted`, `IndexFull`,
@@ -63,6 +68,13 @@
 //!   the latency lower bound.
 //! * [`Protocol::Fusee`] models **FUSEE** (FAST '23), the state-of-the-art
 //!   synchronously replicated disaggregated KV the paper compares against.
+//!
+//! The first three are one path inside [`StoreClient`] (`client.rs`,
+//! selected by a crate-private `Proto`) over a [`Cluster`]; FUSEE is the
+//! other (`fusee.rs`) over a [`FuseeCluster`], whose own parameters — 2
+//! replicas, a ring of 4 blocks, 800 / 1 300 ns of client work per get /
+//! update — are constants beside the model. Everything at the operation
+//! boundary (deadline, scan, accounting) is written once, in the shell.
 //!
 //! Supporting services: a reliable [`Index`] (§5.2), an approximated-LFU
 //! location [`cache`](LfuCache) (§7.1), and a lease-based [`Membership`]
@@ -127,12 +139,12 @@ mod shard;
 mod store;
 mod ttl;
 
-pub use builder::{Protocol, StoreBuilder, StoreClient, StoreCluster};
+pub use builder::{Protocol, StoreBuilder, StoreCluster};
 pub use cache::LfuCache;
-pub use client::{CacheCapacity, KvClient, KvClientConfig};
+pub use client::{CacheCapacity, StoreClient};
 pub use cluster::{Cluster, ClusterConfig, KeyInfo, LOADER_TID};
 pub use exec::{OpOutcome, RunStats};
-pub use fusee::{FuseeCluster, FuseeConfig, FuseeKv};
+pub use fusee::FuseeCluster;
 pub use index::{Index, InsertOutcome, INDEX_MSG_BYTES};
 pub use membership::Membership;
 pub use parallel::{

@@ -71,7 +71,8 @@ use std::rc::Rc;
 use swarm_fabric::{Endpoint, FaultPlan, TrafficStats};
 use swarm_sim::{oneshot, FifoResource, Nanos, OneshotSender, Sim};
 
-use crate::builder::{Protocol, StoreBuilder, StoreClient, StoreCluster};
+use crate::builder::{Protocol, StoreBuilder, StoreCluster};
+use crate::client::StoreClient;
 use crate::cluster::{derive_label, ROLE_RESHARD};
 use crate::repair::RepairStats;
 use crate::store::{KvError, KvResult, KvStore};

@@ -30,9 +30,9 @@ pub struct RunConfig {
     /// Stop issuing operations after this virtual time (Figure 11 runs for
     /// a fixed duration instead of an op count).
     pub deadline_ns: Option<Nanos>,
-    /// Record per-op roundtrip counts (only meaningful at concurrency 1 and
-    /// batch 1: with several ops in flight per worker there is no per-op
-    /// roundtrip delta to attribute, and a batching worker skips it).
+    /// Record per-op roundtrip counts. Recorded at concurrency 1 and batch
+    /// 1 only: with several of a client's ops in flight its roundtrip
+    /// counter has no per-op delta to attribute, and the run records none.
     pub record_rtts: bool,
     /// Open-loop pacing: issue one op per worker every this many
     /// nanoseconds (Table 3 fixes clients at 200 kops each).

@@ -41,7 +41,8 @@ use std::rc::Rc;
 use swarm_fabric::{Endpoint, TrafficStats};
 use swarm_sim::{join_boxed, BoxFuture, FifoResource, Sim};
 
-use crate::builder::{Protocol, StoreClient, StoreCluster};
+use crate::builder::{Protocol, StoreCluster};
+use crate::client::StoreClient;
 use crate::cluster::derive_label;
 use crate::store::{KvResult, KvStore, ScanItems};
 
@@ -216,11 +217,6 @@ impl ShardRouter {
     /// The keyspace partitioning this router routes by.
     pub fn spec(&self) -> ShardSpec {
         self.spec
-    }
-
-    /// The per-shard client for shard `s` (escape hatch).
-    pub fn shard_client(&self, s: usize) -> &Rc<StoreClient> {
-        &self.clients[s]
     }
 
     /// Operations this router has routed to each shard, in shard order.

@@ -5,7 +5,7 @@ use std::future::Future;
 use std::rc::Rc;
 
 use swarm_fabric::Endpoint;
-use swarm_sim::{join_boxed, timeout_at, BoxFuture, Nanos, Sim, TimedOut};
+use swarm_sim::{join_boxed, BoxFuture, Nanos};
 
 /// Why a store operation could not be applied.
 ///
@@ -63,28 +63,6 @@ pub type KvResult<T> = Result<T, KvError>;
 
 /// What a [`KvStore::scan`] returns: `(key, value)` pairs ascending by key.
 pub type ScanItems = Vec<(u64, Rc<Vec<u8>>)>;
-
-/// Runs `fut` under an optional per-operation deadline: on expiry the
-/// operation is abandoned — already-submitted messages still take effect,
-/// like a client crash mid-operation (§7.7) — and [`KvError::Timeout`] is
-/// returned. `None` waits indefinitely. Shared by every store client.
-pub(crate) async fn with_deadline<T, F>(
-    sim: &Sim,
-    deadline_ns: Option<Nanos>,
-    fut: F,
-) -> KvResult<T>
-where
-    F: Future<Output = KvResult<T>>,
-{
-    let Some(d) = deadline_ns else {
-        return fut.await;
-    };
-    let mut fut = Box::pin(fut);
-    match timeout_at(sim, sim.now() + d, &mut fut).await {
-        Ok(r) => r,
-        Err(TimedOut) => Err(KvError::Timeout),
-    }
-}
 
 /// A key-value store client, one per application thread.
 ///

@@ -5,10 +5,10 @@
 use std::rc::Rc;
 
 use swarm_kv::{
-    run_workload, CacheCapacity, KvClientConfig, KvError, KvStore, KvStoreExt, Protocol, RunConfig,
+    run_workload, CacheCapacity, ClusterConfig, KvError, KvStore, KvStoreExt, Protocol, RunConfig,
     StoreBuilder, StoreCluster,
 };
-use swarm_sim::Sim;
+use swarm_sim::{Jitter, Sim};
 use swarm_workload::{OpType, Workload, WorkloadSpec};
 
 fn built(sim: &Sim, proto: Protocol, n_keys: u64) -> StoreCluster {
@@ -80,6 +80,13 @@ fn store_builder_shared_suite_covers_all_four_protocols() {
         assert_eq!(cluster.protocol(), proto);
         let c = cluster.client(0);
         sim.block_on(async move {
+            // An ordered range read: the same index walk and batch of gets
+            // whichever path serves them.
+            let scanned = c.scan(2, 4).await.unwrap();
+            let expect: Vec<_> = (2..6u64).map(|k| (k, Rc::new(vec![k as u8; 64]))).collect();
+            assert_eq!(scanned, expect, "{}: scan", proto.name());
+            assert_eq!(c.scan(14, 4).await.unwrap().len(), 2, "{}", proto.name());
+
             // Typed single-key ops.
             assert_eq!(
                 *c.get(3).await.unwrap().unwrap(),
@@ -120,6 +127,64 @@ fn store_builder_shared_suite_covers_all_four_protocols() {
                 assert_eq!(c.get(200).await, Ok(None), "{}: deleted", proto.name());
                 assert_eq!(c.delete(999).await, Err(KvError::NotFound));
             }
+        });
+
+        // One op deadline for all four: under a bound no roundtrip fits in,
+        // each of the five operations gives up with `Timeout` at the bound;
+        // under a roomy one they all complete.
+        for (deadline_ns, timed_out) in [(100, true), (1_000_000, false)] {
+            let sim = Sim::new(50 + i as u64);
+            let cluster = StoreBuilder::new(proto)
+                .op_deadline_ns(deadline_ns)
+                .build_cluster(&sim);
+            cluster.load_keys(16, |k| vec![k as u8; 64]);
+            let (c, s) = (cluster.client(0), sim.clone());
+            sim.block_on(async move {
+                let t0 = s.now();
+                let results = [
+                    c.get(3).await.map(drop),
+                    c.update(3, vec![9u8; 64]).await,
+                    c.insert(200, vec![7u8; 64]).await,
+                    c.scan(2, 4).await.map(drop),
+                    c.delete(4).await,
+                ];
+                let name = proto.name();
+                if timed_out {
+                    assert_eq!(results, [Err(KvError::Timeout); 5], "{name}");
+                    assert_eq!(s.now() - t0, 5 * deadline_ns, "{name}");
+                } else {
+                    assert_eq!(results, [Ok(()); 5], "{name}");
+                }
+            });
+        }
+    }
+}
+
+/// All four protocols run on the one substrate configuration: replacing it
+/// wholesale must reach FUSEE's fabric too, or the comparison is between
+/// different testbeds.
+#[test]
+fn a_replaced_cluster_config_reaches_all_four_protocols() {
+    for (i, proto) in Protocol::all().into_iter().enumerate() {
+        let sim = Sim::new(60 + i as u64);
+        let mut cfg = ClusterConfig {
+            nodes: 6,
+            ..Default::default()
+        };
+        // Ten times the default one-way wire latency.
+        cfg.fabric.wire = Jitter::fabric(6_400.0);
+        let cluster = StoreBuilder::new(proto)
+            .cluster_config(cfg)
+            .build_cluster(&sim);
+        assert_eq!(cluster.fabric().num_nodes(), 6, "{}", proto.name());
+        cluster.load_keys(8, |k| vec![k as u8; 64]);
+        let (c, s) = (cluster.client(0), sim.clone());
+        sim.block_on(async move {
+            c.get(3).await.unwrap().unwrap(); // resolve the location first
+            let t0 = s.now();
+            assert_eq!(*c.get(3).await.unwrap().unwrap(), vec![3u8; 64]);
+            let took = s.now() - t0;
+            assert!(took > 10_000, "{}: get took {took} ns", proto.name());
         });
     }
 }
@@ -309,10 +374,7 @@ fn latency_medians_match_paper_shape() {
 fn cache_miss_costs_an_index_roundtrip() {
     let sim = Sim::new(14);
     let cluster = StoreBuilder::new(Protocol::SafeGuess)
-        .client_config(KvClientConfig {
-            cache: CacheCapacity::Entries(4),
-            ..Default::default()
-        })
+        .cache(CacheCapacity::Entries(4))
         .build_cluster(&sim);
     cluster.load_keys(64, |k| vec![k as u8; 64]);
     let c = cluster.client(0);

@@ -178,11 +178,10 @@ where
 ///
 /// `Quorum` is `Unpin` and is usually awaited by `&mut` so that, after a
 /// majority completes (or a timeout fires), the caller can inspect partial
-/// [`results`](Quorum::results), [`push`](Quorum::push) additional futures, or
-/// raise [`set_needed`](Quorum::set_needed) and await again. Futures that
-/// never complete (crashed nodes) simply stay pending; device-level side
-/// effects of already-submitted operations are unaffected by dropping the
-/// `Quorum`.
+/// [`results`](Quorum::results) or [`push`](Quorum::push) additional futures
+/// and await again. Futures that never complete (crashed nodes) simply stay
+/// pending; device-level side effects of already-submitted operations are
+/// unaffected by dropping the `Quorum`.
 pub struct Quorum<T> {
     futs: Vec<Option<Pin<Box<dyn Future<Output = T>>>>>,
     results: Vec<Option<T>>,
@@ -221,12 +220,6 @@ impl<T> Quorum<T> {
     /// True if no futures were pushed.
     pub fn is_empty(&self) -> bool {
         self.futs.is_empty()
-    }
-
-    /// Changes the completion threshold (may immediately satisfy a pending
-    /// await).
-    pub fn set_needed(&mut self, needed: usize) {
-        self.needed = needed;
     }
 
     /// Results gathered so far, indexed by push order (`None` = still

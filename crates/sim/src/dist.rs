@@ -71,7 +71,7 @@ impl Jitter {
 }
 
 /// Draws a standard normal from the given stream via Box–Muller.
-pub fn standard_normal_rng(rng: &SimRng) -> f64 {
+fn standard_normal_rng(rng: &SimRng) -> f64 {
     // Avoid ln(0).
     let u1 = rng.rand_f64().max(1e-12);
     let u2 = rng.rand_f64();
@@ -79,7 +79,7 @@ pub fn standard_normal_rng(rng: &SimRng) -> f64 {
 }
 
 /// Draws an exponential with the given mean from the given stream.
-pub fn exponential_rng(rng: &SimRng, mean: f64) -> f64 {
+fn exponential_rng(rng: &SimRng, mean: f64) -> f64 {
     let u = rng.rand_f64().max(1e-12);
     -mean * u.ln()
 }

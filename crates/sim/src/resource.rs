@@ -70,11 +70,6 @@ impl FifoResource {
         (start, end)
     }
 
-    /// Total time this resource has been busy, in nanoseconds.
-    pub fn busy_ns(&self) -> u128 {
-        self.inner.borrow().busy_ns
-    }
-
     /// Utilization over `[0, now]` as a fraction in `[0, 1]`.
     pub fn utilization(&self) -> f64 {
         let now = self.sim.now();
@@ -113,7 +108,7 @@ mod tests {
             assert_eq!((start, end), (1_100, 1_200));
             wait.await;
         });
-        assert_eq!(r.busy_ns(), 200);
+        assert_eq!(r.inner.borrow().busy_ns, 200);
     }
 
     #[test]

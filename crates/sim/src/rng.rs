@@ -83,12 +83,6 @@ impl SimRng {
         Self::forked(seed, label)
     }
 
-    /// True if this handle draws from a private fork rather than the shared
-    /// stream.
-    pub fn is_private(&self) -> bool {
-        matches!(self.kind, Kind::Private(_))
-    }
-
     /// Draws a uniformly random `u64`.
     pub fn rand_u64(&self) -> u64 {
         match &self.kind {
@@ -145,7 +139,6 @@ mod tests {
         let replay = Sim::new(9);
         let expect = [replay.rand_u64(), replay.rand_u64(), replay.rand_u64()];
         assert_eq!(merged, expect);
-        assert!(!rng.is_private());
     }
 
     #[test]
@@ -197,7 +190,6 @@ mod tests {
         let other_seed = Sim::new(12).fork_rng(0);
         let again = Sim::new(11).fork_rng(0);
         assert_ne!(again.rand_u64(), other_seed.rand_u64());
-        assert!(again.is_private());
     }
 
     #[test]

@@ -191,14 +191,6 @@ impl TimeSeries {
             (i as Nanos * self.bucket_ns, c, mean)
         })
     }
-
-    /// Throughput (ops/second) of bucket `i`.
-    pub fn throughput_ops_per_sec(&self, i: usize) -> f64 {
-        if i >= self.counts.len() {
-            return 0.0;
-        }
-        self.counts[i] as f64 * (crate::time::NANOS_PER_SEC as f64 / self.bucket_ns as f64)
-    }
 }
 
 #[cfg(test)]
@@ -251,7 +243,6 @@ mod tests {
         let buckets: Vec<_> = ts.buckets().collect();
         assert_eq!(buckets[0], (0, 2, 20.0));
         assert_eq!(buckets[1], (1_000, 1, 50.0));
-        assert!((ts.throughput_ops_per_sec(0) - 2e6).abs() < 1.0);
     }
 
     #[test]

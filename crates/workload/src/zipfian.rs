@@ -12,7 +12,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
     scramble: bool,
 }
 
@@ -40,7 +39,6 @@ impl Zipfian {
             alpha,
             zetan,
             eta,
-            zeta2,
             scramble,
         }
     }
@@ -93,11 +91,6 @@ impl Zipfian {
     /// Probability of the most popular (rank-0) item.
     pub fn top_probability(&self) -> f64 {
         1.0 / self.zetan
-    }
-
-    /// Internal consistency check value (used by tests).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2
     }
 }
 
