@@ -83,10 +83,12 @@ stage() { # stage <name> <cmd...>
     record "$_name" "$_took"
 }
 
-# The five library crates are functions of their arguments: only
-# swarm-bench (and the test crates) may read the environment or count cores.
+# The five library crates and the vendored shims are functions of their
+# arguments: only swarm-bench (and the test crates) may read the environment
+# or count cores, so the three SWARM_* knobs are every knob there is.
 stage env-purity sh -c '! grep -rnE "std::env|available_parallelism" \
-    crates/sim/src crates/fabric/src crates/core/src crates/workload/src crates/kv/src'
+    crates/sim/src crates/fabric/src crates/core/src crates/workload/src crates/kv/src \
+    vendor/*/src'
 stage fmt    cargo fmt --check
 stage clippy cargo clippy --all-targets -- -D warnings
 stage test   cargo test -q

@@ -2,7 +2,7 @@
 //! bytes moved per digest strategy after a fault window leaves replicas
 //! silently divergent.
 //!
-//! Three cells — one per [`RepairStrategy`] — run the *identical*
+//! Two cells — one per [`RepairStrategy`] — run the *identical*
 //! foreground phase on their own seeded `Sim`s: load the keyspace, then
 //! hammer it with YCSB A while one replica node drops 30% of its messages.
 //! Writes that reach a quorum but miss the lossy replica leave stale
@@ -13,9 +13,9 @@
 //! reports rounds, round trips, deltas, and bytes.
 //!
 //! The interesting comparison is bytes: `full` hauls every stamp every
-//! round, `buckets` pays digests and hauls only mismatched buckets, and
-//! `bloom-buckets` pays a bloom pre-pass plus a verification digest pass —
-//! the same exactness, fewer bytes as the keyspace grows.
+//! round, `buckets` pays digests and hauls only mismatched buckets — the
+//! same exactness, fewer bytes as the keyspace grows. A strategy that moves
+//! no fewer bytes than `full`, or needs more rounds, fails the run.
 //!
 //! **stdout is the deterministic report** (simulated metrics only; safe to
 //! diff across hosts and thread counts). Wall-clock seconds per cell go to
@@ -52,7 +52,7 @@ pub fn run(quick: bool) {
     let n_keys: u64 = if quick { 1 << 14 } else { 1 << 20 };
     let drop_from: Nanos = NANOS_PER_MILLI;
     let drop_until: Nanos = if quick { 21 } else { 41 } * NANOS_PER_MILLI;
-    eprintln!("bench_repair: {} sweep thread(s), 3 cells", sweep_threads());
+    eprintln!("bench_repair: {} sweep thread(s), 2 cells", sweep_threads());
 
     let p = ExpParams {
         n_keys,
@@ -177,20 +177,22 @@ pub fn run(quick: bool) {
         &rows,
     );
 
-    let full_bytes = results[0].stats.bytes_exchanged;
-    let pct = |b: u64| 100.0 * b as f64 / full_bytes as f64;
-    println!(
-        "\nbytes vs full: buckets {:.1}%, bloom-buckets {:.1}%",
-        pct(results[1].stats.bytes_exchanged),
-        pct(results[2].stats.bytes_exchanged)
-    );
-    assert!(
-        results[2].stats.bytes_exchanged < full_bytes,
-        "bloom-buckets must move measurably fewer bytes than the full exchange \
-         ({} vs {full_bytes})",
-        results[2].stats.bytes_exchanged
-    );
-    println!("expectation: all three strategies repair the same deltas and end at zero");
+    // `all()` is baseline first: every other strategy must earn its place
+    // against it, so a dominated one cannot ship.
+    let (full_bytes, full_rounds) = (results[0].stats.bytes_exchanged, results[0].rounds);
+    let mut vs_full = Vec::new();
+    for r in &results[1..] {
+        let (name, bytes, rounds) = (r.strategy.name(), r.stats.bytes_exchanged, r.rounds);
+        assert!(
+            bytes < full_bytes && rounds <= full_rounds,
+            "{name} must move fewer bytes than the full exchange in no more rounds \
+             ({bytes} B in {rounds} vs {full_bytes} B in {full_rounds})"
+        );
+        let pct = 100.0 * bytes as f64 / full_bytes as f64;
+        vs_full.push(format!("{name} {pct:.1}%"));
+    }
+    println!("\nbytes vs full: {}", vs_full.join(", "));
+    println!("expectation: both strategies repair the same deltas and end at zero");
     println!("residual divergence; full pays stamp bytes linear in the keyspace every");
     println!("round, while the digest strategies pay per-bucket summaries plus only the");
     println!("mismatched buckets — the gap widens with the keyspace (try --full).");

@@ -17,8 +17,8 @@ const EXE: &str = env!("CARGO_BIN_EXE_swarm-bench");
 const SKIPPED: &[(&str, &str)] = &[
     (
         "bench_repair",
-        "asserts bloom-buckets moves fewer bytes than the full exchange, \
-         which needs a keyspace large enough for digests to pay off",
+        "asserts buckets moves fewer bytes than the full exchange in no more \
+         rounds, which needs a keyspace large enough for digests to pay off",
     ),
     (
         "bench_tail",

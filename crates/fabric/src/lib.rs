@@ -22,6 +22,11 @@
 //! virtual-time chaos schedules — restarts, switch partitions, delay spikes,
 //! probabilistic drop windows — all sharing the same silence semantics.
 //!
+//! Beyond the paper, whose memory nodes compute nothing, [`Op`] carries two
+//! read-only table scans for the anti-entropy agent of `swarm_kv::repair`:
+//! bucketed digests of a key table's stamps and the selected stamps
+//! themselves ([`Op::RepairDigest`], [`Op::RepairStamps`]).
+//!
 //! # Examples
 //!
 //! ```
@@ -55,7 +60,4 @@ pub use fabric::{Fabric, TrafficStats};
 pub use fault::{FaultAction, FaultPlan};
 pub use mem::NodeMemory;
 pub use node::{Node, NodeId};
-pub use op::{
-    bloom_has, bloom_set, repair_bucket, repair_entry_stamp, repair_mix, Op, OpResult, Payload,
-    RepairEntry, RepairSel, RepairTable,
-};
+pub use op::{repair_entry_stamp, Op, OpResult, Payload, RepairEntry, RepairSel, RepairTable};

@@ -24,7 +24,7 @@ pub type Payload = Rc<Vec<u8>>;
 /// would report divergence between converged replicas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepairEntry {
-    /// Key identity mixed into digests (bucket + bloom placement).
+    /// Key identity mixed into digests (and its bucket placement).
     pub id: u64,
     /// Base address of the metadata array on the addressed node.
     pub addr: u64,
@@ -79,7 +79,7 @@ impl RepairSel {
 /// contribution. Summed with `wrapping_add` per bucket the result is
 /// order-independent, so two replicas enumerating the same table in any
 /// order produce equal bucket digests iff every selected stamp matches.
-pub fn repair_mix(id: u64, stamp: u64, salt: u64) -> u64 {
+fn repair_mix(id: u64, stamp: u64, salt: u64) -> u64 {
     let mut z = id
         .wrapping_mul(0x9E3779B97F4A7C15)
         .wrapping_add(stamp)
@@ -92,31 +92,9 @@ pub fn repair_mix(id: u64, stamp: u64, salt: u64) -> u64 {
 
 /// Bucket index of key `id` under `buckets`/`salt` (stamp-independent: a
 /// key stays in one bucket for the whole round).
-pub fn repair_bucket(id: u64, buckets: u32, salt: u64) -> u32 {
+fn repair_bucket(id: u64, buckets: u32, salt: u64) -> u32 {
     debug_assert!(buckets > 0);
     (repair_mix(id, 0, salt) % buckets as u64) as u32
-}
-
-/// Sets `key`'s `hashes` double-hashed bit positions in a `bits`-bit bloom
-/// filter.
-pub fn bloom_set(filter: &mut [u8], bits: u32, hashes: u32, key: u64) {
-    for pos in bloom_positions(bits, hashes, key) {
-        filter[pos / 8] |= 1 << (pos % 8);
-    }
-}
-
-/// True if every one of `key`'s bit positions is set in `filter` (no false
-/// negatives; false positives at the usual bloom rate).
-pub fn bloom_has(filter: &[u8], bits: u32, hashes: u32, key: u64) -> bool {
-    bloom_positions(bits, hashes, key).all(|pos| filter[pos / 8] & (1 << (pos % 8)) != 0)
-}
-
-/// The standard double-hashing position schedule `h1 + i·h2 mod bits`.
-fn bloom_positions(bits: u32, hashes: u32, key: u64) -> impl Iterator<Item = usize> {
-    debug_assert!(bits > 0);
-    let h1 = repair_mix(key, 0x626C_6F6F, 0);
-    let h2 = repair_mix(key, 0x6D31_7832, 1) | 1;
-    (0..hashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % bits as u64) as usize)
 }
 
 /// Stamp of one repair entry as stored on `mem`: the maximum of its
@@ -137,8 +115,8 @@ pub fn repair_entry_stamp(mem: &NodeMemory, e: &RepairEntry) -> u64 {
 /// update the metadata word in one roundtrip (Algorithm 5).
 ///
 /// The `Repair*` variants are the anti-entropy summaries: they scan a
-/// pre-registered [`RepairTable`] of metadata words and return digests,
-/// stamps, or filter bits. Like READs they move node state to the client
+/// pre-registered [`RepairTable`] of metadata words and return digests or
+/// stamps. Like READs they move node state to the client
 /// without mutating it, so the latency model treats them as reads.
 #[derive(Debug, Clone)]
 pub enum Op {
@@ -166,7 +144,7 @@ pub enum Op {
         new: u64,
     },
     /// Hash-bucketed digest of a repair table's stamps: returns `buckets`
-    /// order-independent sums of [`repair_mix`] contributions.
+    /// order-independent sums of `repair_mix` contributions.
     RepairDigest {
         /// The registered table to digest.
         table: RepairTable,
@@ -181,32 +159,6 @@ pub enum Op {
         table: RepairTable,
         /// Which entries to report.
         sel: RepairSel,
-    },
-    /// Bloom filter over `(id, stamp)` pairs of the whole table: the
-    /// pre-pass of the `BloomBuckets` strategy.
-    RepairBloom {
-        /// The registered table to summarize.
-        table: RepairTable,
-        /// Filter size in bits.
-        bits: u32,
-        /// Double-hashing probe count.
-        hashes: u32,
-        /// Per-round salt mixed into every `(id, stamp)` key.
-        salt: u64,
-    },
-    /// Membership check of the table's `(id, stamp)` pairs against a peer's
-    /// bloom filter: returns a bitmap with bit *i* set iff entry *i* is
-    /// definitely absent from the filter (a guaranteed difference — bloom
-    /// filters have no false negatives).
-    RepairCheck {
-        /// The registered table to check.
-        table: RepairTable,
-        /// The peer's filter bytes.
-        filter: Payload,
-        /// Probe count the filter was built with.
-        hashes: u32,
-        /// Salt the filter was built with.
-        salt: u64,
     },
 }
 
@@ -224,9 +176,6 @@ pub enum OpResult {
     Digests(Vec<u64>),
     /// Selected stamps (in table order) from a [`Op::RepairStamps`].
     Stamps(Vec<u64>),
-    /// Filter or bitmap bytes from a [`Op::RepairBloom`] /
-    /// [`Op::RepairCheck`].
-    Bits(Vec<u8>),
 }
 
 impl Op {
@@ -240,14 +189,12 @@ impl Op {
             Op::Cas { .. } => 16,
             // Repair requests name a registered table plus round
             // parameters: a fixed 16 B descriptor...
-            Op::RepairDigest { .. } | Op::RepairBloom { .. } => 16,
-            // ...plus the mismatched-bucket list for a delta selection...
+            Op::RepairDigest { .. } => 16,
+            // ...plus the mismatched-bucket list for a delta selection.
             Op::RepairStamps { sel, .. } => match sel {
                 RepairSel::All => 16,
                 RepairSel::Buckets { ids, .. } => 16 + 4 * ids.len(),
             },
-            // ...or the peer's filter bytes for a membership check.
-            Op::RepairCheck { filter, .. } => 16 + filter.len(),
         }
     }
 
@@ -259,8 +206,6 @@ impl Op {
             Op::Cas { .. } => 8,
             Op::RepairDigest { buckets, .. } => 8 * *buckets as usize,
             Op::RepairStamps { table, sel } => 8 * sel.count(table),
-            Op::RepairBloom { bits, .. } => (*bits as usize).div_ceil(8),
-            Op::RepairCheck { table, .. } => table.len().div_ceil(8),
         }
     }
 
@@ -294,52 +239,11 @@ impl Op {
                     .map(|e| repair_entry_stamp(mem, e))
                     .collect(),
             )),
-            Op::RepairBloom {
-                table,
-                bits,
-                hashes,
-                salt,
-            } => {
-                let mut filter = vec![0u8; (*bits as usize).div_ceil(8)];
-                for e in table.iter() {
-                    let key = repair_mix(e.id, repair_entry_stamp(mem, e), *salt);
-                    bloom_set(&mut filter, *bits, *hashes, key);
-                }
-                Some(OpResult::Bits(filter))
-            }
-            Op::RepairCheck {
-                table,
-                filter,
-                hashes,
-                salt,
-            } => {
-                let bits = (filter.len() * 8) as u32;
-                let mut missing = vec![0u8; table.len().div_ceil(8)];
-                for (i, e) in table.iter().enumerate() {
-                    let key = repair_mix(e.id, repair_entry_stamp(mem, e), *salt);
-                    if !bloom_has(filter, bits, *hashes, key) {
-                        missing[i / 8] |= 1 << (i % 8);
-                    }
-                }
-                Some(OpResult::Bits(missing))
-            }
         }
     }
 }
 
 impl OpResult {
-    /// Extracts read bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this result is not a `Read`.
-    pub fn into_read(self) -> Vec<u8> {
-        match self {
-            OpResult::Read(b) => b,
-            other => panic!("expected Read result, got {other:?}"),
-        }
-    }
-
     /// Read bytes, or `None` on a kind mismatch — for reply paths that must
     /// treat a malformed batch as a dropped message rather than panic.
     pub fn read(self) -> Option<Vec<u8>> {
@@ -372,14 +276,6 @@ impl OpResult {
             _ => None,
         }
     }
-
-    /// Filter/bitmap bytes, or `None` on a kind mismatch.
-    pub fn bits(self) -> Option<Vec<u8>> {
-        match self {
-            OpResult::Bits(b) => Some(b),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -406,9 +302,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "expected Read")]
+    #[should_panic]
     fn wrong_extraction_panics() {
-        OpResult::Write.into_read();
+        OpResult::Write.read().unwrap();
     }
 
     #[test]
@@ -420,8 +316,7 @@ mod tests {
         assert_eq!(OpResult::Write.digests(), None);
         assert_eq!(OpResult::Digests(vec![3]).digests(), Some(vec![3]));
         assert_eq!(OpResult::Stamps(vec![9]).stamps(), Some(vec![9]));
-        assert_eq!(OpResult::Bits(vec![0xFF]).bits(), Some(vec![0xFF]));
-        assert_eq!(OpResult::Read(vec![]).bits(), None);
+        assert_eq!(OpResult::Read(vec![]).stamps(), None);
     }
 
     fn table(n: u64) -> RepairTable {
@@ -472,24 +367,6 @@ mod tests {
         };
         assert_eq!(some.request_payload(), 16 + 8);
         assert_eq!(some.response_payload(), 8 * expect);
-
-        let bloom = Op::RepairBloom {
-            table: Rc::clone(&t),
-            bits: 1000,
-            hashes: 4,
-            salt: 2,
-        };
-        assert_eq!(bloom.request_payload(), 16);
-        assert_eq!(bloom.response_payload(), 125);
-
-        let check = Op::RepairCheck {
-            table: t,
-            filter: vec![0u8; 125].into(),
-            hashes: 4,
-            salt: 2,
-        };
-        assert_eq!(check.request_payload(), 16 + 125);
-        assert_eq!(check.response_payload(), 13);
     }
 
     #[test]
@@ -507,20 +384,6 @@ mod tests {
             sum(&[0, 1, 2]),
             sum(&[0, 1]).wrapping_add(repair_mix(3, 31, 42))
         );
-    }
-
-    #[test]
-    fn bloom_has_no_false_negatives() {
-        let mut filter = vec![0u8; 64];
-        for k in 0..100u64 {
-            bloom_set(&mut filter, 512, 4, k);
-        }
-        for k in 0..100u64 {
-            assert!(bloom_has(&filter, 512, 4, k), "false negative on {k}");
-        }
-        // An empty filter contains nothing.
-        let empty = vec![0u8; 64];
-        assert!(!bloom_has(&empty, 512, 4, 1));
     }
 
     #[test]
@@ -573,33 +436,5 @@ mod tests {
         let before = digest(9);
         mem.write_u64(base + 16, (8 << 16) | 3);
         assert_ne!(digest(9), before);
-
-        // The changed key — and only it — fails the membership check
-        // against the old filter.
-        let old_filter = {
-            mem.write_u64(base + 16, (7 << 16) | 2);
-            Op::RepairBloom {
-                table: Rc::clone(&t),
-                bits: 256,
-                hashes: 4,
-                salt: 11,
-            }
-            .apply_repair(&mem)
-            .unwrap()
-            .bits()
-            .unwrap()
-        };
-        mem.write_u64(base + 16, (8 << 16) | 3);
-        let missing = Op::RepairCheck {
-            table: t,
-            filter: old_filter.into(),
-            hashes: 4,
-            salt: 11,
-        }
-        .apply_repair(&mem)
-        .unwrap()
-        .bits()
-        .unwrap();
-        assert_eq!(missing, vec![0b10]);
     }
 }

@@ -84,9 +84,9 @@ fn pipelined_series_applies_in_fifo_order_in_one_roundtrip() {
                 )
                 .await
                 .unwrap();
-            let m = u64::from_le_bytes(r[0].clone().into_read().try_into().unwrap());
+            let m = u64::from_le_bytes(r[0].clone().read().unwrap().try_into().unwrap());
             if m == 1 {
-                obs.borrow_mut().push(r[1].clone().into_read());
+                obs.borrow_mut().push(r[1].clone().read().unwrap());
                 return;
             }
         }

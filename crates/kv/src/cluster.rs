@@ -136,8 +136,9 @@ pub(crate) fn substrate<L: Clone + 'static>(sim: &Sim, cfg: &ClusterConfig) -> (
         fabric_cfg.rng_label = cfg.rng_label.map(|l| derive_label(l, ROLE_FABRIC, 0));
     }
     let index_rng = cfg.role_rng(sim, ROLE_INDEX, 0);
+    let wire = fabric_cfg.wire;
     let fabric = Fabric::new(sim, fabric_cfg, cfg.nodes);
-    (fabric, Index::new(sim, cfg.index_capacity, index_rng))
+    (fabric, Index::new(sim, cfg.index_capacity, wire, index_rng))
 }
 
 /// Control-plane record of one key's replica allocation.

@@ -58,14 +58,15 @@ impl<L> Clone for Index<L> {
 pub const INDEX_MSG_BYTES: u64 = 24 + 24 + 60;
 
 impl<L: Clone + 'static> Index<L> {
-    /// Creates an index with the default latency model (one fabric-like
-    /// roundtrip per operation) that [`Index::try_insert`] caps at
+    /// Creates an index whose operations each cost one roundtrip over
+    /// `wire` — the fabric's own one-way model, so a replaced fabric
+    /// reaches the index leg too — and that [`Index::try_insert`] caps at
     /// `capacity` live mappings (`None` = unbounded). Control-plane
     /// [`Index::load`] ignores the cap: bulk loading models a
     /// pre-provisioned keyspace. Latency jitter draws from `rng`: a sharded
     /// cluster gives each shard's index a private fork so its draws cannot
     /// perturb other shards (see `Sim::fork_rng`).
-    pub fn new(sim: &Sim, capacity: Option<usize>, rng: SimRng) -> Self {
+    pub fn new(sim: &Sim, capacity: Option<usize>, wire: Jitter, rng: SimRng) -> Self {
         Index {
             inner: Rc::new(Inner {
                 sim: sim.clone(),
@@ -73,7 +74,7 @@ impl<L: Clone + 'static> Index<L> {
                 map: RefCell::new(BTreeMap::new()),
                 capacity,
                 cpu: FifoResource::new(sim),
-                wire: Jitter::fabric(640.0),
+                wire,
                 service_ns: 150,
                 ops: Cell::new(0),
                 bytes: Cell::new(0),
@@ -233,7 +234,7 @@ mod tests {
     use super::*;
 
     fn index(sim: &Sim, capacity: Option<usize>) -> Index<u32> {
-        Index::new(sim, capacity, SimRng::shared(sim))
+        Index::new(sim, capacity, Jitter::fabric(640.0), SimRng::shared(sim))
     }
 
     #[test]

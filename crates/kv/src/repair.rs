@@ -10,16 +10,16 @@
 //!
 //! This module closes the gap with a deterministic background repair agent
 //! per replica group. Each round it reconciles every replica pair against
-//! the group's designated replica using one of three digest strategies
-//! (modeled on the delta-state sync harness in `mbrdg/xp`):
+//! the group's designated replica using one of two strategies (the
+//! `Baseline` and `BucketDispatcher` of the delta-state sync harness in
+//! `mbrdg/xp`):
 //!
 //! * [`RepairStrategy::Full`] — baseline: exchange every key's stamp.
-//! * [`RepairStrategy::Buckets`] — hash-bucketed digests over the keyspace;
-//!   only mismatched buckets haul stamps.
-//! * [`RepairStrategy::BloomBuckets`] — a bloom-filter pre-pass flags
-//!   definitely-differing keys cheaply; a same-salt digest pass afterwards
-//!   catches the filter's false positives (counted as `false_matches`), so
-//!   convergence never depends on bloom luck.
+//! * [`RepairStrategy::Buckets`] — the default: hash-bucketed digests over
+//!   the keyspace; only mismatched buckets haul stamps.
+//!
+//! A round is "pick a selection, haul it": `Full` selects every entry,
+//! `Buckets` the entries of the buckets whose digests disagree.
 //!
 //! Mismatched entries are repaired through the existing max-register merge:
 //! read the winner replica's current maximum, CAS-MAX it into the loser.
@@ -40,7 +40,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use swarm_core::{InnOutReplica, ReplicaClient, Rounds};
-use swarm_fabric::{repair_bucket, Endpoint, NodeId, Op, RepairEntry, RepairSel, RepairTable};
+use swarm_fabric::{repair_entry_stamp, Endpoint, NodeId, Op, RepairEntry, RepairSel, RepairTable};
 use swarm_sim::{timeout_at, Nanos, SimRng, TimedOut, NANOS_PER_MILLI};
 
 use crate::cluster::{derive_label, Cluster, KeyInfo, ROLE_REPAIR};
@@ -57,9 +57,6 @@ pub enum RepairStrategy {
     Full,
     /// Exchange per-bucket digests; haul stamps only for mismatched buckets.
     Buckets,
-    /// Bloom-filter pre-pass over `(key, stamp)` pairs, then bucket digests
-    /// verify (and mop up the filter's false positives).
-    BloomBuckets,
 }
 
 impl RepairStrategy {
@@ -68,17 +65,12 @@ impl RepairStrategy {
         match self {
             RepairStrategy::Full => "full",
             RepairStrategy::Buckets => "buckets",
-            RepairStrategy::BloomBuckets => "bloom-buckets",
         }
     }
 
     /// All strategies, in baseline-to-cheapest order.
-    pub fn all() -> [RepairStrategy; 3] {
-        [
-            RepairStrategy::Full,
-            RepairStrategy::Buckets,
-            RepairStrategy::BloomBuckets,
-        ]
+    pub fn all() -> [RepairStrategy; 2] {
+        [RepairStrategy::Full, RepairStrategy::Buckets]
     }
 }
 
@@ -89,12 +81,8 @@ pub struct RepairConfig {
     pub strategy: RepairStrategy,
     /// Virtual time between background rounds.
     pub period_ns: Nanos,
-    /// Digest bucket count for the bucketed strategies.
+    /// Digest bucket count of [`RepairStrategy::Buckets`].
     pub buckets: u32,
-    /// Bloom filter sizing: bits per table entry (floor 64 bits total).
-    pub bloom_bits_per_key: u32,
-    /// Bloom double-hashing probe count.
-    pub bloom_hashes: u32,
     /// Deadline for one reconciliation round; a round that cannot finish
     /// (crashed replicas answer with silence) is abandoned and retried next
     /// period.
@@ -106,13 +94,11 @@ pub struct RepairConfig {
 impl Default for RepairConfig {
     fn default() -> Self {
         RepairConfig {
-            strategy: RepairStrategy::BloomBuckets,
+            strategy: RepairStrategy::Buckets,
             // Frequent enough to converge inside a bench window, rare
             // enough that repair traffic stays a background hum.
             period_ns: 50_000,
             buckets: 64,
-            bloom_bits_per_key: 10,
-            bloom_hashes: 4,
             round_deadline_ns: 2 * NANOS_PER_MILLI,
             max_rounds: 16,
         }
@@ -137,14 +123,13 @@ pub struct RepairStats {
     pub rounds: u64,
     /// Message series the agent submitted (its endpoint's series count).
     pub round_trips: u64,
-    /// Request + response bytes the agent moved (digests, stamps, filters,
-    /// and the delta reads/writes themselves).
+    /// Request + response bytes the agent moved (digests, stamps, and the
+    /// delta reads/writes themselves).
     pub bytes_exchanged: u64,
     /// Digest buckets that compared unequal across all rounds.
     pub buckets_mismatched: u64,
-    /// Entries hauled by a digest/bloom selection that turned out equal
-    /// (bucket-granularity collateral) plus bloom false positives caught by
-    /// the verification digest pass.
+    /// Entries hauled by a bucket selection that turned out equal
+    /// (bucket-granularity collateral).
     pub false_matches: u64,
     /// Max-register deltas written into a stale replica.
     pub deltas_applied: u64,
@@ -177,6 +162,15 @@ impl std::ops::AddAssign for RepairStats {
         self.deltas_applied += deltas_applied;
         self.deferred += deferred;
         self.timeouts += timeouts;
+    }
+}
+
+/// The repair-table entry of `info`'s replica `r`: its metadata array.
+fn repair_entry(info: &KeyInfo, r: usize) -> RepairEntry {
+    RepairEntry {
+        id: info.key,
+        addr: info.layouts[r].meta_addr,
+        words: info.layouts[r].meta_bufs as u32,
     }
 }
 
@@ -300,11 +294,6 @@ impl RepairHandle {
                 .push(info);
         }
         self.inner.stats.borrow_mut().deferred += deferred;
-        let entry = |info: &Rc<KeyInfo>, r: usize| RepairEntry {
-            id: info.key,
-            addr: info.layouts[r].meta_addr,
-            words: info.layouts[r].meta_bufs as u32,
-        };
         let mut pairs = Vec::new();
         for (nodes, infos) in groups {
             for b_replica in 1..nodes.len() {
@@ -312,8 +301,8 @@ impl RepairHandle {
                     node_a: NodeId(nodes[0]),
                     node_b: NodeId(nodes[b_replica]),
                     b_replica,
-                    a_table: Rc::new(infos.iter().map(|i| entry(i, 0)).collect()),
-                    b_table: Rc::new(infos.iter().map(|i| entry(i, b_replica)).collect()),
+                    a_table: Rc::new(infos.iter().map(|i| repair_entry(i, 0)).collect()),
+                    b_table: Rc::new(infos.iter().map(|i| repair_entry(i, b_replica)).collect()),
                     infos: infos.clone(),
                 });
             }
@@ -321,134 +310,30 @@ impl RepairHandle {
         pairs
     }
 
-    /// Reconciles one pair; returns the number of deltas it applied, or
-    /// `None` if a reply was lost (retry next round).
+    /// Reconciles one pair — pick a selection, haul it; returns the number
+    /// of deltas it applied, or `None` if a reply was lost (retry next
+    /// round).
     async fn sync_pair(&self, p: &RepairPair) -> Option<usize> {
         if p.infos.is_empty() {
             return Some(0);
         }
-        match self.inner.cfg.strategy {
-            RepairStrategy::Full => self.sync_full(p).await,
-            RepairStrategy::Buckets => self.sync_buckets(p).await,
-            RepairStrategy::BloomBuckets => self.sync_bloom(p).await,
-        }
-    }
-
-    /// Baseline: both sides report every stamp; repair index-wise.
-    async fn sync_full(&self, p: &RepairPair) -> Option<usize> {
-        let sa = self
-            .op(
-                p.node_a,
-                Op::RepairStamps {
-                    table: Rc::clone(&p.a_table),
-                    sel: RepairSel::All,
-                },
-            )
-            .await?
-            .stamps()?;
-        let sb = self
-            .op(
-                p.node_b,
-                Op::RepairStamps {
-                    table: Rc::clone(&p.b_table),
-                    sel: RepairSel::All,
-                },
-            )
-            .await?
-            .stamps()?;
-        let mut diffs = 0;
-        for i in 0..p.infos.len() {
-            if sa[i] != sb[i] {
-                self.repair_one(p, i, sa[i], sb[i]).await?;
-                diffs += 1;
+        let sel = match self.inner.cfg.strategy {
+            RepairStrategy::Full => RepairSel::All,
+            RepairStrategy::Buckets => {
+                let salt = self.inner.rng.rand_u64();
+                let ids = self.mismatched_buckets(p, salt).await?;
+                self.inner.stats.borrow_mut().buckets_mismatched += ids.len() as u64;
+                if ids.is_empty() {
+                    return Some(0);
+                }
+                RepairSel::Buckets {
+                    ids: Rc::new(ids),
+                    buckets: self.inner.cfg.buckets,
+                    salt,
+                }
             }
-        }
-        Some(diffs)
-    }
-
-    /// Bucketed digests: haul stamps only for buckets whose order-
-    /// independent digest sums disagree.
-    async fn sync_buckets(&self, p: &RepairPair) -> Option<usize> {
-        let salt = self.inner.rng.rand_u64();
-        let ids = self.mismatched_buckets(p, salt).await?;
-        self.inner.stats.borrow_mut().buckets_mismatched += ids.len() as u64;
-        if ids.is_empty() {
-            return Some(0);
-        }
-        let sel = RepairSel::Buckets {
-            ids: Rc::new(ids),
-            buckets: self.inner.cfg.buckets,
-            salt,
         };
         self.sync_selected(p, &sel).await
-    }
-
-    /// Bloom pre-pass, then a same-salt digest verification. The filter has
-    /// no false negatives, so every flagged entry is a real difference; a
-    /// stale entry it *missed* (a false positive of the membership check)
-    /// shows up in the verification digests and is repaired through the
-    /// bucket path — convergence never depends on bloom luck.
-    async fn sync_bloom(&self, p: &RepairPair) -> Option<usize> {
-        let cfg = &self.inner.cfg;
-        let salt = self.inner.rng.rand_u64();
-        let n = p.infos.len();
-        // Byte-aligned: the check side recovers `bits` as `filter.len() * 8`,
-        // so a ragged bit count would shift every probe position.
-        let bits = (n as u32)
-            .saturating_mul(cfg.bloom_bits_per_key)
-            .max(64)
-            .next_multiple_of(8);
-        let bloom = |table: &RepairTable| Op::RepairBloom {
-            table: Rc::clone(table),
-            bits,
-            hashes: cfg.bloom_hashes,
-            salt,
-        };
-        let fa = self.op(p.node_a, bloom(&p.a_table)).await?.bits()?;
-        let fb = self.op(p.node_b, bloom(&p.b_table)).await?.bits()?;
-        let check = |table: &RepairTable, filter: Vec<u8>| Op::RepairCheck {
-            table: Rc::clone(table),
-            filter: Rc::new(filter),
-            hashes: cfg.bloom_hashes,
-            salt,
-        };
-        // Each side checks its own (id, stamp) pairs against the peer's
-        // filter; bit i set = entry i definitely differs.
-        let ca = self.op(p.node_a, check(&p.a_table, fb)).await?.bits()?;
-        let cb = self.op(p.node_b, check(&p.b_table, fa)).await?.bits()?;
-        let flagged = |bm: &[u8], i: usize| bm[i / 8] & (1 << (i % 8)) != 0;
-        let mut candidates: Vec<u32> = (0..n)
-            .filter(|&i| flagged(&ca, i) || flagged(&cb, i))
-            .map(|i| repair_bucket(p.a_table[i].id, cfg.buckets, salt))
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        let mut diffs = 0;
-        if !candidates.is_empty() {
-            let sel = RepairSel::Buckets {
-                ids: Rc::new(candidates),
-                buckets: cfg.buckets,
-                salt,
-            };
-            diffs += self.sync_selected(p, &sel).await?;
-        }
-        // Verification pass under the same salt: residual mismatches are
-        // exactly the bloom check's false positives.
-        let residual = self.mismatched_buckets(p, salt).await?;
-        if !residual.is_empty() {
-            {
-                let mut st = self.inner.stats.borrow_mut();
-                st.false_matches += residual.len() as u64;
-                st.buckets_mismatched += residual.len() as u64;
-            }
-            let sel = RepairSel::Buckets {
-                ids: Rc::new(residual),
-                buckets: cfg.buckets,
-                salt,
-            };
-            diffs += self.sync_selected(p, &sel).await?;
-        }
-        Some(diffs)
     }
 
     /// Sorted bucket ids whose digests disagree between the pair's sides.
@@ -469,46 +354,29 @@ impl RepairHandle {
     }
 
     /// Hauls the selected entries' stamps from both sides and repairs the
-    /// unequal ones. Hauled-but-equal entries are the selection's
-    /// collateral, counted as `false_matches`.
+    /// unequal ones. Under a bucket selection the hauled-but-equal entries
+    /// are the selection's collateral, counted as `false_matches`.
     async fn sync_selected(&self, p: &RepairPair, sel: &RepairSel) -> Option<usize> {
-        let sa = self
-            .op(
-                p.node_a,
-                Op::RepairStamps {
-                    table: Rc::clone(&p.a_table),
-                    sel: sel.clone(),
-                },
-            )
-            .await?
-            .stamps()?;
-        let sb = self
-            .op(
-                p.node_b,
-                Op::RepairStamps {
-                    table: Rc::clone(&p.b_table),
-                    sel: sel.clone(),
-                },
-            )
-            .await?
-            .stamps()?;
+        let stamps = |table: &RepairTable| Op::RepairStamps {
+            table: Rc::clone(table),
+            sel: sel.clone(),
+        };
+        let sa = self.op(p.node_a, stamps(&p.a_table)).await?.stamps()?;
+        let sb = self.op(p.node_b, stamps(&p.b_table)).await?.stamps()?;
         // The selection predicate is pure, so both sides report the same
         // entries in table order; recompute the index mapping locally.
-        let selected: Vec<usize> = (0..p.infos.len())
-            .filter(|&i| sel.selects(&p.a_table[i]))
-            .collect();
-        debug_assert_eq!(selected.len(), sa.len());
+        debug_assert_eq!(sa.len(), sel.count(&p.a_table));
+        let selected = (0..p.infos.len()).filter(|&i| sel.selects(&p.a_table[i]));
         let mut diffs = 0;
-        let mut hauled_equal = 0u64;
-        for (j, &i) in selected.iter().enumerate() {
+        for (j, i) in selected.enumerate() {
             if sa[j] != sb[j] {
                 self.repair_one(p, i, sa[j], sb[j]).await?;
                 diffs += 1;
-            } else {
-                hauled_equal += 1;
             }
         }
-        self.inner.stats.borrow_mut().false_matches += hauled_equal;
+        if matches!(sel, RepairSel::Buckets { .. }) {
+            self.inner.stats.borrow_mut().false_matches += (sa.len() - diffs) as u64;
+        }
         Some(diffs)
     }
 
@@ -616,12 +484,7 @@ pub fn divergent_stamp_pairs(cluster: &Cluster) -> u64 {
     for (_, info) in cluster.index().entries_sorted() {
         let stamp_of = |r: usize| {
             let l = &info.layouts[r];
-            let node = fabric.node(l.node);
-            (0..l.meta_bufs as u64)
-                .map(|j| node.mem().read_u64(l.meta_addr + 8 * j))
-                .max()
-                .unwrap_or(0)
-                >> 16
+            repair_entry_stamp(fabric.node(l.node).mem(), &repair_entry(&info, r))
         };
         let designated = stamp_of(0);
         for r in 1..info.layouts.len() {
@@ -842,18 +705,16 @@ mod tests {
     #[test]
     fn repair_is_idempotent() {
         let (sim, c) = cluster(55);
-        wipe_replica(&c, 9, 1);
-        let h = RepairHandle::new(
-            &c,
-            RepairConfig::with_strategy(RepairStrategy::BloomBuckets),
-        );
-        let hc = h.clone();
-        sim.block_on(async move {
-            hc.converge().await;
-            let before = hc.stats().deltas_applied;
-            let (rounds, converged) = hc.converge().await;
-            assert!(converged && rounds == 1, "clean cluster: one clean round");
-            assert_eq!(hc.stats().deltas_applied, before, "no new deltas");
-        });
+        for strategy in RepairStrategy::all() {
+            wipe_replica(&c, 9, 1);
+            let h = RepairHandle::new(&c, RepairConfig::with_strategy(strategy));
+            sim.block_on(async move {
+                h.converge().await;
+                let before = h.stats().deltas_applied;
+                let (rounds, converged) = h.converge().await;
+                assert!(converged && rounds == 1, "clean cluster: one clean round");
+                assert_eq!(h.stats().deltas_applied, before, "no new deltas");
+            });
+        }
     }
 }

@@ -69,13 +69,13 @@ use std::collections::{hash_map::Entry, BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
 
 use swarm_fabric::{Endpoint, FaultPlan, TrafficStats};
-use swarm_sim::{oneshot, FifoResource, Nanos, OneshotSender, Sim};
+use swarm_sim::{join_boxed, oneshot, BoxFuture, FifoResource, Nanos, OneshotSender, Sim};
 
 use crate::builder::{Protocol, StoreBuilder, StoreCluster};
 use crate::client::StoreClient;
 use crate::cluster::{derive_label, ROLE_RESHARD};
 use crate::repair::RepairStats;
-use crate::store::{KvError, KvResult, KvStore};
+use crate::store::{KvError, KvResult, KvStore, ScanItems};
 
 /// Pacing of a migration copy stream unless the event overrides it: one key
 /// every 2 µs (500 K keys/s) — fast enough to finish a quick split inside a
@@ -1084,6 +1084,58 @@ impl KvStore for ElasticClient {
         self.mutate(key, MutOp::Delete).await
     }
 
+    /// Group-fanout range read, the [`crate::ShardRouter`]'s shape: scan
+    /// every group the cached map names as an owner, keep a pair only from
+    /// its key's owner (a former owner still holds the frozen copies of the
+    /// keys it handed off), merge ascending, truncate to `limit`. Those
+    /// copies also fill a page without yielding pairs, so a group that
+    /// returned a full page is known only up to the page's last key: the
+    /// merge stops at the smallest such key and the next pass resumes
+    /// behind it. A stale map pays one bounce and is refreshed first — it
+    /// would read handed-off keys from their frozen copies.
+    async fn scan(&self, start: u64, limit: usize) -> KvResult<ScanItems> {
+        if self.cached.borrow().epoch() != self.shard.epoch() {
+            self.shard.bounces.set(self.shard.bounces.get() + 1);
+            self.shard.sim.sleep_ns(BOUNCE_NS).await;
+            self.refresh();
+        }
+        let map = self.cached.borrow().clone();
+        let owners: BTreeSet<usize> = map.segments().iter().map(|seg| seg.group).collect();
+        let clients: Vec<_> = owners.iter().map(|&g| (g, self.client_for(g))).collect();
+        let mut merged = ScanItems::new();
+        let mut from = start;
+        while merged.len() < limit {
+            let want = limit - merged.len();
+            let pages = join_boxed(
+                clients
+                    .iter()
+                    .map(|(_, c)| {
+                        Box::pin(c.scan(from, want)) as BoxFuture<'_, KvResult<ScanItems>>
+                    })
+                    .collect(),
+            )
+            .await;
+            let mut horizon = u64::MAX;
+            let mut pass = ScanItems::new();
+            for (&(g, _), page) in clients.iter().zip(pages) {
+                let page = page?;
+                if page.len() == want {
+                    horizon = horizon.min(page[want - 1].0);
+                }
+                pass.extend(page.into_iter().filter(|&(k, _)| map.owner_of(k) == g));
+            }
+            pass.retain(|&(k, _)| k <= horizon);
+            pass.sort_unstable_by_key(|&(k, _)| k);
+            merged.extend(pass);
+            if horizon == u64::MAX {
+                break;
+            }
+            from = horizon + 1;
+        }
+        merged.truncate(limit);
+        Ok(merged)
+    }
+
     fn rounds(&self) -> u64 {
         self.clients
             .borrow()
@@ -1321,6 +1373,39 @@ mod tests {
             }
         });
         assert_eq!(family.epoch(), 2);
+    }
+
+    #[test]
+    fn scan_after_a_split_returns_every_key_once_in_order() {
+        let sim = Sim::new(30);
+        let family = ElasticShard::build(&sim, &builder(), 0xE1A5_0009);
+        let n = 64u64;
+        for k in 0..n {
+            family.load_key(k, &tagged(400 + k));
+        }
+        // Minted before the split: their epoch-0 maps go stale at the seal,
+        // and only `client`'s is refreshed (by its deletes) before it scans.
+        let (client, stale) = (family.client(0), family.client(1));
+        let f2 = Rc::clone(&family);
+        sim.block_on(async move {
+            assert!(f2.split(500, 100, None).await);
+            // Delete handed-off keys on their new owner: the base group's
+            // frozen copies of them must neither resurface nor crowd its
+            // own keys out of a short page.
+            let moved: Vec<u64> = (0..n).filter(|&k| split_point(k) >= 0x8000).collect();
+            for &k in &moved[..4] {
+                client.delete(k).await.unwrap();
+            }
+            let live: Vec<u64> = (0..n).filter(|k| !moved[..4].contains(k)).collect();
+            for (c, limit) in [(&client, n as usize), (&client, 8), (&stale, 8)] {
+                let got = c.scan(0, limit).await.unwrap();
+                let keys: Vec<u64> = got.iter().map(|&(k, _)| k).collect();
+                assert_eq!(keys, live[..limit.min(live.len())], "limit {limit}");
+                for (k, v) in got {
+                    assert_eq!(crate::recorder::value_tag(&v), 400 + k);
+                }
+            }
+        });
     }
 
     #[test]

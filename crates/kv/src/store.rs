@@ -88,13 +88,8 @@ pub trait KvStore {
     /// Ordered range read (YCSB E): up to `limit` live `(key, value)` pairs
     /// with `key >= start`, ascending by key. Best-effort per key: a key
     /// that disappears between the index walk and the value fetch is simply
-    /// absent from the result (a scan is not a snapshot). The default
-    /// implementation panics — index-backed clients override it; raw
-    /// replica handles have no key enumeration to scan.
-    fn scan(&self, start: u64, limit: usize) -> impl Future<Output = KvResult<ScanItems>> + '_ {
-        let _ = (start, limit);
-        async move { panic!("scan is not supported by this store") }
-    }
+    /// absent from the result (a scan is not a snapshot).
+    fn scan(&self, start: u64, limit: usize) -> impl Future<Output = KvResult<ScanItems>> + '_;
 
     /// Inserts a key with an optional TTL lease: after `ttl_ns` virtual
     /// nanoseconds the key reads as absent (`Ok(None)`). The default

@@ -189,6 +189,37 @@ fn a_replaced_cluster_config_reaches_all_four_protocols() {
     }
 }
 
+/// ...and the index: its roundtrip rides the same wire model, so under a
+/// fixed 10× wire a fresh client's first get (location-cache miss, one
+/// index lookup) outlasts its second (hit) by the index leg alone — two
+/// 6.4 µs flights plus the service time.
+#[test]
+fn a_replaced_fabric_model_reaches_the_index() {
+    for (i, proto) in Protocol::all().into_iter().enumerate() {
+        let sim = Sim::new(70 + i as u64);
+        let mut cfg = ClusterConfig::default();
+        cfg.fabric.wire = Jitter::fixed(6_400.0);
+        let cluster = StoreBuilder::new(proto)
+            .cluster_config(cfg)
+            .build_cluster(&sim);
+        cluster.load_keys(8, |k| vec![k as u8; 64]);
+        let (c, s) = (cluster.client(0), sim.clone());
+        sim.block_on(async move {
+            let t0 = s.now();
+            c.get(3).await.unwrap().unwrap();
+            let t1 = s.now();
+            c.get(3).await.unwrap().unwrap();
+            let (miss, hit) = (t1 - t0, s.now() - t1);
+            let index_leg = miss - hit;
+            assert!(
+                index_leg > 10_000,
+                "{}: index leg took {index_leg} ns",
+                proto.name()
+            );
+        });
+    }
+}
+
 /// §7.2 / acceptance: a multi_get of 8 independent *cached* keys costs
 /// about one quorum roundtrip of latency, not eight.
 #[test]
