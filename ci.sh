@@ -20,42 +20,52 @@ set -eu
 
 # Lines by kind per crate, the figures CHANGES.md entries quote: non-test
 # code / comment / test lines of `crates/<crate>/src/**/*.rs`, blank lines
-# uncounted. A file's test module starts at its first top-level
-# `#[cfg(test)]` followed by `mod` and runs to the end of the file; any
-# other `#[cfg(test)]` covers the one item under it (to the closing brace
-# at the attribute's indent, or a line ending in `;`). Outside tests a line
-# starting with `//` is a comment and everything else is code.
+# uncounted, then a `tests` row (`tests/src` + `tests/tests`: the harness
+# and the suites over it, all of it test code by purpose whatever the
+# column says) and a `vendor` row (`vendor/*/src`). A file's test module
+# starts at its first top-level `#[cfg(test)]` followed by `mod` and runs to
+# the end of the file; any other `#[cfg(test)]` covers the one item under it
+# (to the closing brace at the attribute's indent, or a line ending in `;`).
+# Outside tests a line starting with `//` is a comment and everything else is
+# code.
+loc_row() { # loc_row <name> <dir...>
+    _name=$1; shift
+    find "$@" -name '*.rs' | sort | xargs awk -v crate="$_name" '
+        FNR == 1 { in_mod = 0; item = 0 }
+        {
+            line = $0
+            sub(/^[ \t]+/, "", line)
+            if (line == "") next
+            if (in_mod) { test++; next }
+            if (item == 1) {          # the line under the attribute
+                test++
+                if (indent == "" && line ~ /^(pub )?mod /) { in_mod = 1; item = 0 }
+                else item = (line ~ /;$/) ? 0 : 2
+                next
+            }
+            if (item == 2) {          # inside the one item
+                test++
+                if ($0 == indent "}") item = 0
+                next
+            }
+            if (line == "#[cfg(test)]") {
+                indent = $0; sub(/#.*/, "", indent)
+                item = 1; test++
+                next
+            }
+            if (line ~ /^\/\//) comment++; else code++
+        }
+        END { printf "  %-10s %8d %8d %6d\n", crate, code, comment, test }'
+}
+
 loc() {
     printf '  %-10s %8s %8s %6s\n' crate non-test comment test
     for dir in crates/*/src; do
         crate=${dir#crates/}
-        find "$dir" -name '*.rs' | sort | xargs awk -v crate="${crate%/src}" '
-            FNR == 1 { in_mod = 0; item = 0 }
-            {
-                line = $0
-                sub(/^[ \t]+/, "", line)
-                if (line == "") next
-                if (in_mod) { test++; next }
-                if (item == 1) {          # the line under the attribute
-                    test++
-                    if (indent == "" && line ~ /^(pub )?mod /) { in_mod = 1; item = 0 }
-                    else item = (line ~ /;$/) ? 0 : 2
-                    next
-                }
-                if (item == 2) {          # inside the one item
-                    test++
-                    if ($0 == indent "}") item = 0
-                    next
-                }
-                if (line == "#[cfg(test)]") {
-                    indent = $0; sub(/#.*/, "", indent)
-                    item = 1; test++
-                    next
-                }
-                if (line ~ /^\/\//) comment++; else code++
-            }
-            END { printf "  %-10s %8d %8d %6d\n", crate, code, comment, test }'
+        loc_row "${crate%/src}" "$dir"
     done
+    loc_row tests tests/src tests/tests
+    loc_row vendor vendor/*/src
 }
 
 QUICK=0
@@ -83,7 +93,7 @@ stage() { # stage <name> <cmd...>
     record "$_name" "$_took"
 }
 
-# The five library crates and the vendored shims are functions of their
+# The five library crates and the vendored rand shim are functions of their
 # arguments: only swarm-bench (and the test crates) may read the environment
 # or count cores, so the three SWARM_* knobs are every knob there is.
 stage env-purity sh -c '! grep -rnE "std::env|available_parallelism" \
@@ -158,27 +168,15 @@ ROWS
     exit "$rc"
 '
 
-# The chaos suite already ran once above with the pinned quick set; this
-# release-mode pass widens the sweep. SWARM_CHAOS_SEEDS controls seeds per
-# (protocol, fault-plan) cell — export a bigger N for deeper local hunts
-# (see TESTING.md).
+# The five chaos suites already ran once above in debug at their pinned seed
+# floors; this release-mode pass widens every sweep that takes its seeds from
+# `swarm_tests::seeds` — fault plans x protocols, shard independence,
+# mid-migration crashes and rebuilds, repair under drop windows, scan + TTL
+# scenarios — to SWARM_CHAOS_SEEDS seeds per cell (8 here; export a bigger N
+# for a deeper local hunt, see TESTING.md).
 stage chaos-release env SWARM_CHAOS_SEEDS="${SWARM_CHAOS_SEEDS:-8}" \
-    cargo test --release -q -p swarm-tests --test chaos
-
-# Mid-migration chaos: online splits with source crashes, destination
-# crashes (abort path), and membership-driven rebuilds, each replayed
-# bit-identically across all three ShardModes. The same SWARM_CHAOS_SEEDS
-# knob widens the per-scenario seed sweep (default 8 here vs the suite's
-# debug-mode floor of 4).
-stage reshard-chaos env SWARM_CHAOS_SEEDS="${SWARM_CHAOS_SEEDS:-8}" \
-    cargo test --release -q -p swarm-tests --test reshard_chaos
-
-# Anti-entropy chaos: repair armed under drop windows, every digest
-# strategy, repair composed with an online split — bit-identical across
-# all three ShardModes, plus the divergence-persists-without /
-# heals-with ground truth. Same SWARM_CHAOS_SEEDS knob.
-stage repair-chaos env SWARM_CHAOS_SEEDS="${SWARM_CHAOS_SEEDS:-8}" \
-    cargo test --release -q -p swarm-tests --test repair_chaos
+    cargo test --release -q -p swarm-tests --test chaos --test shard_chaos \
+    --test reshard_chaos --test repair_chaos --test scenario_chaos
 
 BIN_DIR="${CARGO_TARGET_DIR:-target}/release"
 

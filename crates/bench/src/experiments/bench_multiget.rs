@@ -51,7 +51,7 @@ pub fn run(quick: bool) {
             for k in 0..n_keys {
                 let _ = client.get(k).await;
             }
-            // Sequential baseline: median single-get latency.
+            // One-at-a-time baseline: median single-get latency.
             let mut seq = Vec::with_capacity(trials);
             for t in 0..trials as u64 {
                 let t0 = s.now();

@@ -306,7 +306,7 @@ fn check_key(ops: &[&KvHistoryOp], initial: Option<u64>) -> bool {
     search(ops, 0, initial, &precede, &mut visited)
 }
 
-/// Sequential-spec transition: the state after applying `kind` to `state`,
+/// The sequential spec's transition: the state after applying `kind` to `state`,
 /// or `None` if `kind` is illegal there.
 fn apply(kind: KvOpKind, state: Option<u64>) -> Option<Option<u64>> {
     match kind {

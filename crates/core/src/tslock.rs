@@ -282,7 +282,7 @@ mod tests {
 
     #[test]
     fn opposite_modes_exclude() {
-        // Sequential: whoever comes second must fail.
+        // One after the other: whoever comes second must fail.
         let (sim, fabric, words) = setup(3, 3);
         let l1 = lock_for(&sim, &fabric, &words);
         let l2 = lock_for(&sim, &fabric, &words);

@@ -28,8 +28,9 @@ use crate::store::{KvError, KvResult, KvStore};
 /// Number of operation classes ([`ScenarioOpClass::all`]).
 const CLASSES: usize = 6;
 
-/// Collected results of a run, whichever driver produced it.
-#[derive(Debug, Default)]
+/// Collected results of a run, whichever driver produced it. Equality is
+/// over every field, a latency histogram counting as its multiset of samples.
+#[derive(Debug, Default, PartialEq)]
 pub struct RunStats {
     /// Latency histogram per operation class, indexed by
     /// `ScenarioOpClass as usize` (reporting order; see [`RunStats::lat`]).

@@ -148,8 +148,8 @@ pub use fusee::FuseeCluster;
 pub use index::{Index, InsertOutcome, INDEX_MSG_BYTES};
 pub use membership::Membership;
 pub use parallel::{
-    par_map, plan_workload, run_one_shard, run_sharded_plan, run_sharded_workload, PlannedOp,
-    ShardMode, ShardOutcome, ShardRunOptions, ShardedRun, WorkloadPlan,
+    par_map, plan_workload, run_one_shard, run_sharded_plan, PlannedOp, ShardMode, ShardOutcome,
+    ShardRunOptions, ShardedRun, WorkloadPlan,
 };
 pub use recorder::{value_tag, HistoryRecorder, RecordingStore};
 pub use repair::{

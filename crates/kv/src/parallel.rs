@@ -5,7 +5,7 @@
 //! [`crate::ShardSpec`]), and serialized onto one core. This module is the
 //! multi-core driver: the workload is **planned up front** into per-shard op
 //! streams, then every shard runs on its *own* `Sim::new(seed)` — solo on
-//! the calling thread, or one shard per OS thread — and the per-shard
+//! the calling thread, or work-stealing on OS threads — and the per-shard
 //! outcomes merge in deterministic shard order.
 //!
 //! # Why the executions line up bit for bit
@@ -23,10 +23,10 @@
 //!    numbers respect creation order, so a shard's events keep their
 //!    relative order whether or not another shard's events interleave.
 //!
-//! Therefore `Threads(n)` ≡ `Sequential` ≡ `SingleSim`, per shard, bit for
-//! bit — histories, traffic counters, latencies. The test suite's
-//! `shard_parallel` asserts exactly this across seeds, thread counts, and
-//! per-shard fault plans.
+//! Therefore `Threads(n)` ≡ `SingleSim` for every `n`, per shard, bit for
+//! bit — histories, traffic counters, latencies: two [`ShardedRun`]s of one
+//! plan compare equal with `==`. The test suite's `shard_parallel` asserts
+//! exactly this across seeds, thread counts, and per-shard fault plans.
 //!
 //! Every op of a planned run goes down the same op path as
 //! [`run_workload`](crate::run_workload) and
@@ -80,11 +80,9 @@ pub enum ShardMode {
     /// shape): the cross-check that per-shard solo executions replay the
     /// shared-simulation ones.
     SingleSim,
-    /// One solo `Sim` per shard, driven to completion one after another on
-    /// the calling thread.
-    Sequential,
     /// One solo `Sim` per shard, shards claimed work-stealing by this many
-    /// OS threads. `Threads(1)` behaves exactly like `Sequential`.
+    /// OS threads; `Threads(1)` drives them one after another on the calling
+    /// thread.
     Threads(usize),
 }
 
@@ -271,7 +269,8 @@ pub struct ShardRunOptions {
     /// Keep every op's [`OpOutcome`] for input-order reassembly via
     /// [`ShardedRun::results`]. Off for benches (memory).
     pub collect_results: bool,
-    /// Run each shard's membership watcher until this virtual time.
+    /// Run each shard's membership watcher until this virtual time (an
+    /// elastic shard arms the groups it builds mid-run to the same time).
     pub watch_until_ns: Option<Nanos>,
     /// Scheduled elastic-resharding events (see `crate::reshard`). A shard
     /// with at least one event is wrapped in an [`ElasticShard`] family:
@@ -281,9 +280,10 @@ pub struct ShardRunOptions {
     /// [`ShardMode`], like everything else in a planned run. Requires
     /// `StoreBuilder::max_clients(routers + 1)`: the family reserves the
     /// top client id for its migration driver. A `Rebuild` event needs its
-    /// dead node actually crashed (via [`ShardRunOptions::faults`]) and
-    /// [`ShardRunOptions::watch_until_ns`] armed past the crash, or the
-    /// membership verdict it waits for never arrives.
+    /// dead node actually crashed (via [`ShardRunOptions::faults`], or the
+    /// event's own `dest_faults` for a group built mid-run) and
+    /// [`ShardRunOptions::watch_until_ns`] armed past the crash; when the
+    /// watch runs out without the membership verdict the rebuild aborts.
     pub reshards: Vec<ReshardEvent>,
     /// Arm each shard's background anti-entropy repair agent until this
     /// virtual time (requires [`StoreBuilder::repair`] on the builder;
@@ -298,7 +298,8 @@ pub struct ShardRunOptions {
 
 /// Everything that leaves one shard's simulation: plain `Send` data — the
 /// `Sim`, its wakers, and every `Rc` stay confined to the thread that
-/// built them.
+/// built them. Equality is over every field (see [`ShardedRun`]).
+#[derive(Debug, PartialEq)]
 pub struct ShardOutcome {
     /// Shard index.
     pub shard: usize,
@@ -323,7 +324,11 @@ pub struct ShardOutcome {
 }
 
 /// A completed planned run: per-shard outcomes in shard order, plus the
-/// deterministic merges. Identical whatever [`ShardMode`] produced it.
+/// deterministic merges. Identical whatever [`ShardMode`] produced it, and
+/// `==` is that claim in full: every shard's statistics (each latency
+/// histogram as its multiset of samples), traffic, history, op outcomes,
+/// migration counters and repair counters.
+#[derive(Debug, PartialEq)]
 pub struct ShardedRun {
     per_shard: Vec<ShardOutcome>,
     per_router_ops: Vec<usize>,
@@ -417,44 +422,21 @@ pub fn run_sharded_plan(
         "builder and plan disagree on the shard count"
     );
     let shards = plan.spec.shards();
-    let solo = |threads: usize| {
-        let ids: Vec<usize> = (0..shards).collect();
-        par_map(threads, &ids, |&s| {
-            run_one_shard(builder, seed, plan, workload, opts, s)
-        })
-    };
     let per_shard = match mode {
         ShardMode::SingleSim => {
             run_shards_on_one_sim(builder, seed, plan, workload, opts, 0..shards)
         }
-        ShardMode::Sequential => solo(1),
-        ShardMode::Threads(n) => solo(n),
+        ShardMode::Threads(n) => {
+            let ids: Vec<usize> = (0..shards).collect();
+            par_map(n, &ids, |&s| {
+                run_one_shard(builder, seed, plan, workload, opts, s)
+            })
+        }
     };
     ShardedRun {
         per_shard,
         per_router_ops: plan.per_router_ops.clone(),
     }
-}
-
-/// Plans and runs in one call: the front door for benches and tests that
-/// do not need to inspect or reuse the [`WorkloadPlan`].
-pub fn run_sharded_workload(
-    builder: &StoreBuilder,
-    seed: u64,
-    workload: &Workload,
-    cfg: &RunConfig,
-    routers: usize,
-    opts: &ShardRunOptions,
-    mode: ShardMode,
-) -> ShardedRun {
-    let plan = plan_workload(
-        seed,
-        ShardSpec::new(builder.num_shards()),
-        workload,
-        cfg,
-        routers,
-    );
-    run_sharded_plan(builder, seed, &plan, workload, opts, mode)
 }
 
 /// Builds, preloads, faults, and runs shard `s` of `plan` alone on its own
@@ -801,6 +783,8 @@ mod tests {
         assert_ne!(keys(5), keys(6), "the seed feeds the plan");
     }
 
+    /// `Threads(1)` — every shard's solo `Sim` driven sequentially on the
+    /// calling thread — and `Threads(2)` are one run.
     #[test]
     fn threads_one_matches_sequential() {
         let builder = StoreBuilder::new(Protocol::SafeGuess)
@@ -818,14 +802,74 @@ mod tests {
             record_history: true,
             ..Default::default()
         };
-        let run = |mode| run_sharded_workload(&builder, 9, &wl, &cfg, 2, &opts, mode);
-        let seq = run(ShardMode::Sequential);
-        let one = run(ShardMode::Threads(1));
-        assert_eq!(seq.histories(), one.histories());
-        assert_eq!(seq.per_shard_traffic(), one.per_shard_traffic());
+        let plan = plan_workload(9, ShardSpec::new(2), &wl, &cfg, 2);
+        let run = |mode| run_sharded_plan(&builder, 9, &plan, &wl, &opts, mode);
+        assert_eq!(run(ShardMode::Threads(1)), run(ShardMode::Threads(2)));
+    }
+
+    /// `==` on a run is field-exhaustive: a difference in any one witness —
+    /// a latency sample, a traffic, repair or migration counter, a recorded
+    /// op, an op outcome — is a difference of the runs.
+    #[test]
+    fn run_equality_covers_every_field() {
+        type Tweak<'a> = &'a dyn Fn(&mut ShardOutcome);
+        let run = |tweak: Tweak| {
+            let mut stats = RunStats {
+                measured_ops: 2,
+                start_ns: 100,
+                end_ns: 900,
+                ..Default::default()
+            };
+            stats.latency[0].record(700);
+            stats.latency[0].record(300);
+            let mut history = KvHistory::new();
+            history.push(7, 100, 400, swarm_core::KvOpKind::Get(Some(1)));
+            let mut shard = ShardOutcome {
+                shard: 0,
+                stats,
+                traffic: TrafficStats::default(),
+                history: Some(history),
+                results: vec![(0, 0, OpOutcome::Value(vec![1])), (0, 1, OpOutcome::Done)],
+                reshard: Some(ReshardStats::default()),
+                repair: Some(RepairStats::default()),
+            };
+            tweak(&mut shard);
+            ShardedRun {
+                per_shard: vec![shard],
+                per_router_ops: vec![2],
+            }
+        };
+        let base = run(&|_| {});
+        assert_eq!(base, run(&|_| {}));
+        // Recording order is not part of a histogram's value; a sample is.
         assert_eq!(
-            seq.merged_stats().throughput_ops().to_bits(),
-            one.merged_stats().throughput_ops().to_bits()
+            base,
+            run(&|o| {
+                o.stats.latency[0] = Default::default();
+                o.stats.latency[0].record(300);
+                o.stats.latency[0].record(700);
+            })
         );
+        let tweaks: [(&str, Tweak); 9] = [
+            ("latency sample", &|o| o.stats.latency[0].record(301)),
+            ("latency class", &|o| o.stats.latency.swap(0, 1)),
+            ("failed ops", &|o| o.stats.failed_ops += 1),
+            ("window", &|o| o.stats.end_ns += 1),
+            ("traffic", &|o| o.traffic.messages += 1),
+            ("history", &|o| o.history = Some(KvHistory::new())),
+            ("op outcome", &|o| o.results[1].2 = OpOutcome::Absent),
+            ("migration counter", &|o| {
+                o.reshard.as_mut().unwrap().keys_copied += 1
+            }),
+            ("repair counter", &|o| {
+                o.repair.as_mut().unwrap().deltas_applied += 1
+            }),
+        ];
+        for (what, tweak) in tweaks {
+            assert_ne!(base, run(tweak), "{what} is not compared");
+        }
+        let mut other_plan = run(&|_| {});
+        other_plan.per_router_ops = vec![3];
+        assert_ne!(base, other_plan, "per-router op counts are not compared");
     }
 }

@@ -61,8 +61,8 @@
 //!
 //! Everything here is deterministic: labeled RNG streams only, sorted key
 //! walks, FIFO locks, constant pacing — a migration replays bit-identically
-//! across `ShardMode::{SingleSim, Sequential, Threads}` (the
-//! `reshard_chaos` suite pins it).
+//! across `ShardMode::{SingleSim, Threads}` (the `reshard_chaos` suite
+//! pins it).
 
 use std::cell::{Cell, RefCell};
 use std::collections::{hash_map::Entry, BTreeSet, HashMap, VecDeque};
@@ -667,7 +667,9 @@ impl ElasticShard {
 
     /// Replica replacement: waits for `group`'s membership service to
     /// declare `dead_node` dead, then moves the group's whole span onto a
-    /// spare group built fresh.
+    /// spare group built fresh. Returns `false`, counted as an abort, when
+    /// the group's watcher runs out (or was never armed) without that
+    /// verdict: nothing can declare the node dead any more.
     pub async fn rebuild(
         &self,
         group: usize,
@@ -675,13 +677,14 @@ impl ElasticShard {
         pace_ns: Nanos,
         dest_faults: Option<&FaultPlan>,
     ) -> bool {
-        loop {
-            let dead = self.groups.borrow()[group]
-                .membership()
-                .expect("rebuild is membership-driven (Cluster substrate only)")
-                .is_declared_dead(dead_node);
-            if dead {
-                break;
+        let membership = self.groups.borrow()[group]
+            .membership()
+            .expect("rebuild is membership-driven (Cluster substrate only)")
+            .clone();
+        while !membership.is_declared_dead(dead_node) {
+            if self.sim.now() >= membership.watched_until() {
+                self.aborted.set(self.aborted.get() + 1);
+                return false;
             }
             self.sim.sleep_ns(DEAD_POLL_NS).await;
         }
@@ -704,13 +707,22 @@ impl ElasticShard {
     }
 
     /// Builds the next destination group with a label derived from the
-    /// family base — private streams by construction (synchronous).
+    /// family base — private streams by construction (synchronous). Its
+    /// membership watcher is armed to the base group's deadline, so a group
+    /// built mid-run can be rebuilt in turn.
     fn new_group(&self, faults: Option<&FaultPlan>) -> usize {
         let ordinal = self.groups.borrow().len();
         let label = derive_label(self.base_label, ROLE_RESHARD, ordinal as u64);
         let cluster = self.builder.build_labeled(&self.sim, label);
         if let Some(plan) = faults {
             cluster.fabric().apply_fault_plan(plan);
+        }
+        if let (Some(base), Some(fresh)) =
+            (self.groups.borrow()[0].membership(), cluster.membership())
+        {
+            if base.watched_until() > self.sim.now() {
+                fresh.watch_until(base.watched_until());
+            }
         }
         if let Some(deadline) = self.repair_until.get() {
             self.arm_group_repair(&cluster, deadline);
@@ -1468,6 +1480,47 @@ mod tests {
         let client = family.client(0);
         let tag = sim.block_on(async move { value_of(&client.get(9).await) });
         assert_eq!(tag, 709);
+    }
+
+    /// A group built mid-run is watched like the base group, so it can be
+    /// rebuilt in turn, and a rebuild whose verdict can no longer arrive
+    /// aborts. Bounded by `run_until`: a rebuild that polls forever fails
+    /// the counters below instead of hanging the suite.
+    #[test]
+    fn a_built_group_can_be_rebuilt_and_a_late_rebuild_aborts() {
+        let ms = NANOS_PER_MILLI;
+        let sim = Sim::new(27);
+        let family = ElasticShard::build(&sim, &builder(), 0xE1A5_0007);
+        for k in 0..64u64 {
+            family.load_key(k, &tagged(800 + k));
+        }
+        let watch = family.group(0).membership().expect("SWARM-KV").clone();
+        watch.watch_until(10 * ms);
+        // The split builds group 1, whose node 2 dies at 2 ms; the rebuild
+        // of group 1 waits for *its* watcher's verdict.
+        let dies = FaultPlan::new().crash_at(2 * ms, swarm_fabric::NodeId(2));
+        family.run_event(
+            &ReshardEvent::split(0, 0, 500)
+                .pace_ns(1_000)
+                .dest_faults(dies),
+        );
+        family.run_event(&ReshardEvent::rebuild(0, 2 * ms, 1, 2).pace_ns(1_000));
+        // Past the watch deadline nothing can declare base node 1 dead.
+        family.run_event(&ReshardEvent::rebuild(0, 11 * ms, 0, 1));
+        sim.run_until(50 * ms);
+        let stats = family.stats();
+        assert_eq!(stats.sealed, 2, "the split and the rebuild of group 1 seal");
+        assert_eq!(stats.aborted, 1, "the late rebuild aborts");
+        assert_eq!(family.num_groups(), 3);
+        assert_eq!(
+            family.map().owner_of_point(u16::MAX),
+            2,
+            "group 2 replaced group 1"
+        );
+        assert_eq!(
+            family.group(2).membership().unwrap().watched_until(),
+            10 * ms
+        );
     }
 
     #[test]

@@ -234,7 +234,7 @@ fn multi_get_of_cached_keys_is_one_roundtrip_not_n() {
         for &k in &keys {
             c.get(k).await.unwrap();
         }
-        // Sequential baseline.
+        // One-at-a-time baseline.
         let t0 = s.now();
         for &k in &keys {
             c.get(k).await.unwrap();

@@ -129,11 +129,25 @@ impl Histogram {
     }
 }
 
+/// Two histograms are equal when they hold the same multiset of samples:
+/// recording order and whether a percentile was ever asked for are not
+/// part of the value.
+impl PartialEq for Histogram {
+    fn eq(&self, other: &Self) -> bool {
+        let sorted = |h: &Histogram| {
+            let mut samples = h.samples.clone();
+            samples.sort_unstable();
+            samples
+        };
+        self.samples.len() == other.samples.len() && sorted(self) == sorted(other)
+    }
+}
+
 /// Fixed-width time-bucketed series: counts and latency sums per bucket.
 ///
 /// Used to plot throughput/latency against virtual time around injected
 /// failures (Figure 11).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     bucket_ns: Nanos,
     counts: Vec<u64>,
@@ -285,6 +299,24 @@ mod tests {
             r#"{"count":1000,"p50":501,"p90":900,"p99":990,"p999":999,"max":1000}"#
         );
         assert_eq!(Histogram::new().summary_json(), r#"{"count":0}"#);
+    }
+
+    #[test]
+    fn equality_is_over_the_multiset_of_samples() {
+        let of = |samples: &[u64]| {
+            let mut h = Histogram::new();
+            samples.iter().for_each(|&v| h.record(v));
+            h
+        };
+        let mut asked = of(&[3, 1, 2, 2]);
+        asked.median();
+        assert_eq!(
+            asked,
+            of(&[2, 3, 2, 1]),
+            "order and sortedness are not value"
+        );
+        assert_ne!(of(&[1, 2, 2]), of(&[1, 1, 2]), "same length, same set");
+        assert_ne!(of(&[1, 2]), of(&[1, 2, 2]));
     }
 
     #[test]

@@ -2,119 +2,38 @@
 //! every surviving history checked against the multi-key linearizability
 //! spec (conf_sosp_MuratBXZAG24 Appendix C; §7.7 failure handling).
 //!
-//! Every run is pinned by a `(workload seed, fault plan)` pair; a failure
-//! message prints both, and re-running with the same pair reproduces the
-//! execution bit for bit (see `TESTING.md`). `SWARM_CHAOS_SEEDS=N` widens
-//! the sweep to `N` seeds per (protocol, plan) cell — CI uses the quick
-//! default.
+//! Every run is pinned by a `(protocol, fault plan, seed)` triple; a failure
+//! prints it, and `run_chaos` with the same triple reproduces the execution
+//! bit for bit (see `TESTING.md`). The sweeps take their seed lists from
+//! `swarm_tests::seeds`, which is also how they are widened.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use swarm_core::KvHistory;
-use swarm_fabric::{FaultPlan, NodeId, TrafficStats};
+use swarm_fabric::{FaultPlan, TrafficStats};
 use swarm_kv::{
-    run_workload, HedgeConfig, HistoryRecorder, KvStore, Protocol, RunConfig, StoreBuilder,
-    StoreCluster,
+    run_workload, HedgeConfig, HistoryRecorder, Protocol, RunConfig, StoreBuilder, StoreCluster,
 };
-use swarm_sim::{Sim, NANOS_PER_MICRO, NANOS_PER_MILLI};
+use swarm_sim::{Sim, SimRng, NANOS_PER_MILLI};
+use swarm_tests::{
+    assert_linearizable, cell, chaos_hedge, seeds, tagged, MixedWorker, PlanKind, INITIAL_TAG_BASE,
+    OP_DEADLINE_NS, VALUE_SIZE,
+};
 use swarm_workload::{Workload, WorkloadSpec, Zipfian};
 
 const KEYS: u64 = 12;
-const VALUE_SIZE: usize = 64;
 const CLIENTS: usize = 3;
 const OPS_PER_CLIENT: u64 = 24;
-/// Tag space for bulk-loaded values, disjoint from the tags workers write.
-const INITIAL_TAG_BASE: u64 = 1 << 32;
-
-/// A 64 B value whose first 8 bytes carry the checker tag.
-fn tagged(tag: u64) -> Vec<u8> {
-    let mut v = vec![0u8; VALUE_SIZE];
-    v[..8].copy_from_slice(&tag.to_le_bytes());
-    v
-}
-
-/// Seeds per (protocol, plan) cell: 2 by default (the pinned CI quick set),
-/// `SWARM_CHAOS_SEEDS=N` for deeper local sweeps. An unparsable value is
-/// ignored with a one-time warning (the shared `swarm_bench::env_knob`
-/// convention) — a silently shrunken sweep would report clean runs that
-/// never executed.
-fn chaos_seeds() -> Vec<u64> {
-    let n = swarm_bench::env_knob("SWARM_CHAOS_SEEDS", "a positive integer like 400", |n| {
-        *n > 0
-    })
-    .unwrap_or(2u64);
-    (0..n).map(|i| 0xC4A0_5000 + i * 7919).collect()
-}
-
-/// The swept fault plans (the acceptance floor is 4; `Random` adds seeded
-/// grab-bag schedules on top).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PlanKind {
-    /// One node dies mid-run and never comes back.
-    CrashOne,
-    /// A node dies and restarts (memory intact) while traffic continues.
-    CrashRestart,
-    /// A switch partition cuts a node off — silence without lease expiry —
-    /// then heals.
-    Partition,
-    /// A latency spike on one node plus a 40% message-drop window on
-    /// another: the protocols' widen/retry machinery under stress.
-    JitterAndDrop,
-    /// A seeded pseudo-random mixture of all of the above.
-    Random,
-}
-
-impl PlanKind {
-    fn all() -> [PlanKind; 5] {
-        [
-            PlanKind::CrashOne,
-            PlanKind::CrashRestart,
-            PlanKind::Partition,
-            PlanKind::JitterAndDrop,
-            PlanKind::Random,
-        ]
-    }
-
-    /// The concrete schedule for this kind under `seed`, over `nodes`
-    /// memory nodes. Victim nodes are seed-rotated so sweeps hit different
-    /// replica sets.
-    fn plan(self, seed: u64, nodes: usize) -> FaultPlan {
-        let us = NANOS_PER_MICRO;
-        let a = NodeId(seed as usize % nodes);
-        let b = NodeId((seed as usize + 1) % nodes);
-        match self {
-            PlanKind::CrashOne => FaultPlan::new().crash_at(80 * us, a),
-            PlanKind::CrashRestart => FaultPlan::new()
-                .crash_at(60 * us, a)
-                .restart_at(260 * us, a),
-            PlanKind::Partition => FaultPlan::new().partition_between(70 * us, 280 * us, a),
-            PlanKind::JitterAndDrop => FaultPlan::new()
-                .delay_spike(40 * us, a, 15 * us, 250 * us)
-                .drop_window(60 * us, b, 400, 220 * us),
-            PlanKind::Random => FaultPlan::random(seed, nodes, 500 * us),
-        }
-    }
-}
-
-/// The hedge config for chaos runs: `min_samples` drops to 2 so the
-/// per-node RTT trackers form estimates — and hedges actually arm — within
-/// a 72-op run; everything else stays at the production defaults.
-fn chaos_hedge() -> HedgeConfig {
-    HedgeConfig {
-        min_samples: 2,
-        ..HedgeConfig::on()
-    }
-}
+/// Seeds of the unhedged sweeps: 2 per (protocol, plan) cell unless widened.
+const SEED_BASE: u64 = 0xC4A0_5000;
+const SEED_STRIDE: u64 = 7919;
 
 fn build(proto: Protocol, sim: &Sim, hedge: Option<HedgeConfig>) -> StoreCluster {
     let mut b = StoreBuilder::new(proto)
         .value_size(VALUE_SIZE)
         .max_clients(CLIENTS + 1)
-        // Chaos plans can make quorums unreachable (e.g. RAW's single
-        // replica crashing); the deadline keeps every worker live and turns
-        // the lost op into an *ambiguous* history entry.
-        .op_deadline_ns(2 * NANOS_PER_MILLI);
+        .op_deadline_ns(OP_DEADLINE_NS);
     if let Some(cfg) = hedge {
         b = b.hedge(cfg);
     }
@@ -123,21 +42,13 @@ fn build(proto: Protocol, sim: &Sim, hedge: Option<HedgeConfig>) -> StoreCluster
     cluster
 }
 
+type ChaosRun = (KvHistory, TrafficStats, FaultPlan);
+
 /// One chaos run: `CLIENTS` workers fire a mixed Get/Update/Insert/Delete
 /// stream at a small keyspace while the fault plan plays out; returns the
-/// recorded history and the fabric traffic counters.
-fn run_chaos(proto: Protocol, kind: PlanKind, seed: u64) -> (KvHistory, TrafficStats, FaultPlan) {
-    run_chaos_with(proto, kind, seed, None)
-}
-
-/// [`run_chaos`] with an explicit hedge configuration (`None` = the knob
-/// is never touched, the pre-hedging build path).
-fn run_chaos_with(
-    proto: Protocol,
-    kind: PlanKind,
-    seed: u64,
-    hedge: Option<HedgeConfig>,
-) -> (KvHistory, TrafficStats, FaultPlan) {
+/// recorded history, the fabric traffic counters and the concrete plan.
+/// `hedge: None` never touches the hedge knob (the pre-hedging build path).
+fn run_chaos(proto: Protocol, kind: PlanKind, seed: u64, hedge: Option<HedgeConfig>) -> ChaosRun {
     let sim = Sim::new(seed);
     let cluster = build(proto, &sim, hedge);
     let rec = HistoryRecorder::new(&sim);
@@ -150,115 +61,78 @@ fn run_chaos_with(
     let plan = kind.plan(seed, cluster.fabric().num_nodes());
     cluster.fabric().apply_fault_plan(&plan);
 
-    // Deletes and re-inserts are only coherent on the tombstone-backed
-    // protocols: SWARM and DM-ABD propagate deletion through the replicas
-    // themselves (§5.3.2), so a stale location cache still observes it. RAW
-    // and (our model of) FUSEE have no tombstones — a deleted key's old
-    // bytes stay live under other clients' cached locations — matching the
-    // paper, which evaluates those baselines on preloaded keyspaces only.
-    let full_mix = matches!(proto, Protocol::SafeGuess | Protocol::Abd);
-
-    // Unique write tags across all clients (so the checker can tell every
-    // write apart).
+    // One tag counter across all clients, so the checker can tell every
+    // write apart.
     let tag = Rc::new(Cell::new(0u64));
     for cid in 0..CLIENTS {
-        let store = rec.wrap(cluster.client(cid));
-        let sim2 = sim.clone();
-        let tag = Rc::clone(&tag);
-        sim.spawn(async move {
-            for _ in 0..OPS_PER_CLIENT {
-                sim2.sleep_ns(sim2.rand_range(1, 40 * NANOS_PER_MICRO))
-                    .await;
-                let key = sim2.rand_range(0, KEYS);
-                let t = tag.get() + 1;
-                tag.set(t);
-                // Results are intentionally not unwrapped: under faults,
-                // errors (and their absence observations) are part of the
-                // history being checked.
-                match sim2.rand_range(0, 100) {
-                    0..=49 => {
-                        let _ = store.get(key).await;
-                    }
-                    50..=79 => {
-                        let _ = store.update(key, tagged(t)).await;
-                    }
-                    80..=91 if full_mix => {
-                        let _ = store.insert(key, tagged(t)).await;
-                    }
-                    _ if full_mix => {
-                        let _ = store.delete(key).await;
-                    }
-                    _ => {
-                        let _ = store.get(key).await;
-                    }
-                }
-            }
-        });
+        let worker = MixedWorker {
+            rng: SimRng::shared(&sim),
+            keys: (0..KEYS).collect(),
+            ops: OPS_PER_CLIENT,
+            tag: Rc::clone(&tag),
+            full_mix: matches!(proto, Protocol::SafeGuess | Protocol::Abd),
+        };
+        worker.spawn(&sim, rec.wrap(cluster.client(cid)));
     }
     sim.run();
     (rec.take_history(), cluster.fabric().stats(), plan)
 }
 
-/// The headline sweep: seeds × fault plans × all four protocols; every
-/// surviving history must linearize. Cells are independent seeded
-/// simulations, so they run on `SWARM_BENCH_THREADS` worker threads through
-/// the bench sweep driver and are asserted in deterministic cell order.
-#[test]
-fn all_protocols_stay_linearizable_under_every_fault_plan() {
+/// Every protocol × every fault plan × `seeds`, run on the bench sweep
+/// driver's worker threads (cells are independent seeded simulations) and
+/// checked in deterministic cell order: no op lost from the history, and
+/// the history linearizes.
+fn sweep(seeds: &[u64], hedge: Option<HedgeConfig>) -> Vec<((Protocol, PlanKind, u64), ChaosRun)> {
     let mut cells = Vec::new();
     for proto in Protocol::all() {
         for kind in PlanKind::all() {
-            for seed in chaos_seeds() {
-                cells.push((proto, kind, seed));
-            }
+            cells.extend(seeds.iter().map(|&seed| (proto, kind, seed)));
         }
     }
-    let results = swarm_bench::sweep(&cells, |&(proto, kind, seed)| run_chaos(proto, kind, seed));
-    for ((proto, kind, seed), (h, stats, plan)) in cells.iter().zip(results) {
+    let runs = swarm_bench::sweep(&cells, |&(p, k, s)| run_chaos(p, k, s, hedge));
+    for (&(proto, kind, seed), (h, _, plan)) in cells.iter().zip(&runs) {
+        let what = format!("{}\nfault plan:\n{plan}", cell(proto.name(), kind, seed));
         assert_eq!(
             h.len() as u64,
             CLIENTS as u64 * OPS_PER_CLIENT,
-            "{} / {kind:?} / seed {seed}: ops lost from the history",
-            proto.name()
+            "ops lost from the history: {what}"
         );
-        assert!(
-            stats.messages > 0,
-            "{} / {kind:?} / seed {seed}: no traffic",
-            proto.name()
-        );
-        if let Err(e) = h.check() {
-            panic!(
-                "{} is NOT linearizable under {kind:?}, seed {seed}: {e}\n\
-                 ({} of {} ops completed unambiguously)\nfault plan:\n{}",
-                proto.name(),
-                h.definite_ops(),
-                h.len(),
-                plan,
-            );
-        }
+        assert_linearizable([h], &what);
+    }
+    cells.into_iter().zip(runs).collect()
+}
+
+/// The headline sweep: seeds × fault plans × all four protocols; every
+/// surviving history must linearize.
+#[test]
+fn all_protocols_stay_linearizable_under_every_fault_plan() {
+    let runs = sweep(&seeds(SEED_BASE, SEED_STRIDE, 2), None);
+    for ((proto, kind, seed), (_, stats, _)) in &runs {
+        let what = cell(proto.name(), kind, *seed);
+        assert!(stats.messages > 0, "no traffic: {what}");
     }
     // 4 protocols x 5 plans x >=2 seeds.
-    assert!(cells.len() >= 40, "sweep shrank: {} cells", cells.len());
+    assert!(runs.len() >= 40, "sweep shrank: {} cells", runs.len());
 }
 
 /// The threaded sweep must be invisible in the results: running the same
 /// chaos cells on several worker threads yields bit-identical histories,
-/// traffic counters, and fault plans, cell for cell, as the sequential run.
+/// traffic counters, and fault plans, cell for cell, as the one-thread run.
 #[test]
 fn threaded_chaos_sweep_matches_sequential_cell_for_cell() {
     let cells: Vec<_> = Protocol::all()
         .into_iter()
         .flat_map(|p| [(p, PlanKind::Random, 5u64), (p, PlanKind::JitterAndDrop, 6)])
         .collect();
-    let run = |&(proto, kind, seed): &(Protocol, PlanKind, u64)| run_chaos(proto, kind, seed);
+    let run = |&(proto, kind, seed): &(Protocol, PlanKind, u64)| run_chaos(proto, kind, seed, None);
     let sequential = swarm_bench::sweep_on(1, &cells, run);
     let threaded = swarm_bench::sweep_on(4, &cells, run);
     for (((proto, kind, seed), s), t) in cells.iter().zip(&sequential).zip(&threaded) {
         assert_eq!(
             s,
             t,
-            "{} / {kind:?} / seed {seed}: threaded sweep diverged from sequential",
-            proto.name()
+            "threaded sweep diverged: {}",
+            cell(proto.name(), kind, *seed)
         );
     }
 }
@@ -269,13 +143,15 @@ fn threaded_chaos_sweep_matches_sequential_cell_for_cell() {
 #[test]
 fn same_seed_reproduces_bit_identical_histories_and_traffic() {
     for proto in Protocol::all() {
-        let (h1, s1, p1) = run_chaos(proto, PlanKind::Random, 7);
-        let (h2, s2, p2) = run_chaos(proto, PlanKind::Random, 7);
-        assert_eq!(p1, p2, "{}: plan diverged across reruns", proto.name());
-        assert_eq!(h1, h2, "{}: history diverged across reruns", proto.name());
-        assert_eq!(s1, s2, "{}: traffic diverged across reruns", proto.name());
-        let (h3, _, _) = run_chaos(proto, PlanKind::Random, 8);
-        assert_ne!(h1, h3, "{}: seed is not feeding the run", proto.name());
+        let run = |seed| run_chaos(proto, PlanKind::Random, seed, None);
+        let first = run(7);
+        assert_eq!(first, run(7), "{}: rerun diverged", proto.name());
+        assert_ne!(
+            first.0,
+            run(8).0,
+            "{}: seed is not feeding the run",
+            proto.name()
+        );
     }
 }
 
@@ -289,47 +165,25 @@ fn same_seed_reproduces_bit_identical_histories_and_traffic() {
 /// drop-settles).
 #[test]
 fn hedged_runs_stay_linearizable_under_every_fault_plan() {
-    let seeds: Vec<u64> = (0..4u64).map(|i| 0xC4A0_6000 + i * 7919).collect();
-    let mut cells = Vec::new();
-    for proto in Protocol::all() {
-        for kind in PlanKind::all() {
-            for &seed in &seeds {
-                cells.push((proto, kind, seed));
-            }
-        }
-    }
-    let results = swarm_bench::sweep(&cells, |&(proto, kind, seed)| {
-        run_chaos_with(proto, kind, seed, Some(chaos_hedge()))
-    });
+    // Four seeds whatever the knob says. Widened, this sweep finds what
+    // ROADMAP item 2 lists: the budget equation trips at the 14th seed
+    // (SWARM-KV / Random / 3298947619: fired 20, won 9 + discarded 10, one
+    // ticket still held when the simulation drains), and the 188th
+    // (SWARM-KV / Random / 3300325525, key 3) does not linearize.
+    let seeds: Vec<u64> = (0..4).map(|i| 0xC4A0_6000 + i * SEED_STRIDE).collect();
+    let runs = sweep(&seeds, Some(chaos_hedge()));
     let mut fired_total = 0u64;
-    for ((proto, kind, seed), (h, stats, plan)) in cells.iter().zip(results) {
-        assert_eq!(
-            h.len() as u64,
-            CLIENTS as u64 * OPS_PER_CLIENT,
-            "{} / {kind:?} / seed {seed}: ops lost from the hedged history",
-            proto.name()
-        );
+    for ((proto, kind, seed), (_, stats, _)) in &runs {
         assert_eq!(
             stats.hedges_fired,
             stats.hedges_won + stats.duplicates_discarded,
-            "{} / {kind:?} / seed {seed}: hedge budget leaked \
-             (fired != won + discarded)",
-            proto.name()
+            "hedge budget leaked (fired != won + discarded): {}",
+            cell(proto.name(), kind, *seed)
         );
         fired_total += stats.hedges_fired;
-        if let Err(e) = h.check() {
-            panic!(
-                "{} hedged is NOT linearizable under {kind:?}, seed {seed}: {e}\n\
-                 ({} of {} ops completed unambiguously)\nfault plan:\n{}",
-                proto.name(),
-                h.definite_ops(),
-                h.len(),
-                plan,
-            );
-        }
     }
     // 4 protocols x 5 plans x 4 seeds, and the sweep must actually hedge.
-    assert!(cells.len() >= 80, "sweep shrank: {} cells", cells.len());
+    assert!(runs.len() >= 80, "sweep shrank: {} cells", runs.len());
     assert!(
         fired_total > 0,
         "no hedge ever fired across the hedged sweep"
@@ -344,21 +198,17 @@ fn hedged_runs_stay_linearizable_under_every_fault_plan() {
 fn disabled_hedging_is_bit_identical_and_hedged_runs_reproduce() {
     for proto in Protocol::all() {
         for kind in [PlanKind::JitterAndDrop, PlanKind::Random] {
-            let base = run_chaos_with(proto, kind, 11, None);
-            let off = run_chaos_with(proto, kind, 11, Some(HedgeConfig::disabled()));
+            let run = |hedge| run_chaos(proto, kind, 11, hedge);
+            let what = cell(proto.name(), kind, 11);
             assert_eq!(
-                base,
-                off,
-                "{} / {kind:?}: HedgeConfig::disabled() perturbed the run",
-                proto.name()
+                run(None),
+                run(Some(HedgeConfig::disabled())),
+                "HedgeConfig::disabled() perturbed the run: {what}"
             );
-            let on1 = run_chaos_with(proto, kind, 11, Some(chaos_hedge()));
-            let on2 = run_chaos_with(proto, kind, 11, Some(chaos_hedge()));
             assert_eq!(
-                on1,
-                on2,
-                "{} / {kind:?}: hedged run diverged across reruns",
-                proto.name()
+                run(Some(chaos_hedge())),
+                run(Some(chaos_hedge())),
+                "hedged run diverged across reruns: {what}"
             );
         }
     }
@@ -369,13 +219,13 @@ fn disabled_hedging_is_bit_identical_and_hedged_runs_reproduce() {
 #[test]
 fn replicated_protocols_lose_nothing_to_a_minority_crash() {
     for proto in [Protocol::SafeGuess, Protocol::Abd] {
-        for seed in chaos_seeds() {
-            let (h, _, _) = run_chaos(proto, PlanKind::CrashOne, seed);
+        for seed in seeds(SEED_BASE, SEED_STRIDE, 2) {
+            let (h, _, _) = run_chaos(proto, PlanKind::CrashOne, seed, None);
             assert_eq!(
                 h.definite_ops(),
                 h.len(),
-                "{} / seed {seed}: ops timed out despite a live quorum",
-                proto.name()
+                "ops timed out despite a live quorum: {}",
+                cell(proto.name(), PlanKind::CrashOne, seed)
             );
         }
     }
@@ -390,7 +240,7 @@ fn runner_workloads_emit_checkable_histories_under_chaos() {
     let sim = Sim::new(0xBEEF);
     let cluster = StoreBuilder::new(Protocol::SafeGuess)
         .value_size(VALUE_SIZE)
-        .op_deadline_ns(2 * NANOS_PER_MILLI)
+        .op_deadline_ns(OP_DEADLINE_NS)
         .build_cluster(&sim);
     let rec = HistoryRecorder::new(&sim);
     cluster.load_keys(n_keys, |k| {
@@ -428,15 +278,14 @@ fn runner_workloads_emit_checkable_histories_under_chaos() {
     assert_eq!(stats.measured_ops, 1_200);
     let h = rec.take_history();
     assert!(h.len() >= 1_200, "runner ops missing from the history");
-    h.check()
-        .expect("YCSB-A over SWARM-KV with crash+restart must linearize");
+    assert_linearizable([&h], "YCSB-A over SWARM-KV / CrashRestart / seed 0xBEEF");
 }
 
 /// The checker is not a rubber stamp: corrupting a recorded history (a read
 /// that observed a value nobody wrote) must fail the check.
 #[test]
 fn checker_rejects_a_corrupted_chaos_history() {
-    let (h, _, _) = run_chaos(Protocol::SafeGuess, PlanKind::CrashRestart, 3);
+    let (h, _, _) = run_chaos(Protocol::SafeGuess, PlanKind::CrashRestart, 3, None);
     h.check().expect("the genuine history linearizes");
     let mut bad = h.clone();
     let end = bad.ops().iter().filter_map(|o| o.ret).max().unwrap();

@@ -567,7 +567,7 @@ fn cells() -> Vec<(&'static str, u64)> {
         ),
         (
             "planned/batch1-sequential",
-            planned_cell(301, 1, ShardMode::Sequential),
+            planned_cell(301, 1, ShardMode::Threads(1)),
         ),
         (
             "planned/batch4-single-sim",
@@ -575,7 +575,7 @@ fn cells() -> Vec<(&'static str, u64)> {
         ),
         (
             "planned/batch4-sequential",
-            planned_cell(302, 4, ShardMode::Sequential),
+            planned_cell(302, 4, ShardMode::Threads(1)),
         ),
     ];
     cells.extend(staged_cells());

@@ -1,7 +1,6 @@
-//! Property-based tests (proptest) on the core data structures and
-//! protocol invariants.
-
-use proptest::prelude::*;
+//! Property tests on the core data structures and protocol invariants:
+//! each property runs on 64 seeded cases (`swarm_tests::for_each_case`),
+//! its inputs drawn from the case's `SimRng`.
 
 use swarm_core::{
     innout_hash, xxh64, History, LockMode, NodeHealth, OpKind, QuorumConfig, Rounds, Stamp, TsLock,
@@ -11,122 +10,141 @@ use swarm_kv::{
     divergent_stamp_pairs, HistoryRecorder, KvStore, KvStoreExt, LfuCache, Protocol, RepairConfig,
     RepairStrategy, StoreBuilder,
 };
-use swarm_sim::{Histogram, Sim, NANOS_PER_MICRO, NANOS_PER_MILLI};
+use swarm_sim::{Histogram, Sim, SimRng, NANOS_PER_MICRO, NANOS_PER_MILLI};
+use swarm_tests::{coin, for_each_case, tagged, INITIAL_TAG_BASE, OP_DEADLINE_NS, VALUE_SIZE};
 use swarm_workload::Zipfian;
 
-proptest! {
-    /// Stamp packing is a bijection and preserves order.
-    #[test]
-    fn stamp_pack_roundtrips_and_orders(
-        i1 in 0u64..(1 << 39), t1 in 0u8..=255, v1 in any::<bool>(),
-        i2 in 0u64..(1 << 39), t2 in 0u8..=255, v2 in any::<bool>(),
-    ) {
-        let a = Stamp { i: i1, tid: t1, verified: v1 };
-        let b = Stamp { i: i2, tid: t2, verified: v2 };
-        prop_assert_eq!(Stamp::unpack48(a.pack48()), a);
-        prop_assert_eq!(a < b, a.pack48() < b.pack48());
-    }
+/// Random bytes, `len` of them drawn from `[lo, hi)`.
+fn bytes(rng: &SimRng, lo: u64, hi: u64) -> Vec<u8> {
+    (0..rng.rand_range(lo, hi))
+        .map(|_| rng.rand_u64() as u8)
+        .collect()
+}
 
-    /// Any single-byte corruption of a buffer changes its hash, so torn
-    /// In-n-Out reads cannot validate.
-    #[test]
-    fn corruption_never_validates(
-        data in proptest::collection::vec(any::<u8>(), 1..512),
-        pos in any::<prop::sample::Index>(),
-        flip in 1u8..=255,
-        meta in any::<u64>(),
-    ) {
-        let h = innout_hash(meta, &data);
+/// Stamp packing is a bijection and preserves order.
+#[test]
+fn stamp_pack_roundtrips_and_orders() {
+    for_each_case(0x57A3, |rng| {
+        let stamp = || Stamp {
+            i: rng.rand_range(0, 1 << 39),
+            tid: rng.rand_u64() as u8,
+            verified: coin(rng),
+        };
+        let (a, b) = (stamp(), stamp());
+        assert_eq!(Stamp::unpack48(a.pack48()), a);
+        assert_eq!(a < b, a.pack48() < b.pack48());
+    });
+}
+
+/// Any single-byte corruption of a buffer changes its hash, so torn
+/// In-n-Out reads cannot validate.
+#[test]
+fn corruption_never_validates() {
+    for_each_case(0xC022, |rng| {
+        let data = bytes(rng, 1, 512);
+        let meta = rng.rand_u64();
         let mut bad = data.clone();
-        let p = pos.index(bad.len());
-        bad[p] ^= flip;
-        prop_assert_ne!(innout_hash(meta, &bad), h);
-    }
+        bad[rng.rand_range(0, data.len() as u64) as usize] ^= rng.rand_range(1, 256) as u8;
+        assert_ne!(innout_hash(meta, &bad), innout_hash(meta, &data));
+    });
+}
 
-    /// xxh64 matches itself across chunked recomputation (determinism) and
-    /// differs across seeds.
-    #[test]
-    fn hash_determinism(data in proptest::collection::vec(any::<u8>(), 0..256), seed in any::<u64>()) {
-        prop_assert_eq!(xxh64(&data, seed), xxh64(&data, seed));
+/// xxh64 is a function of `(data, seed)` and differs across seeds.
+#[test]
+fn hash_determinism() {
+    for_each_case(0x4A54, |rng| {
+        let (data, seed) = (bytes(rng, 0, 256), rng.rand_u64());
+        assert_eq!(xxh64(&data, seed), xxh64(&data, seed));
         if !data.is_empty() {
-            prop_assert_ne!(xxh64(&data, seed), xxh64(&data, seed.wrapping_add(1)));
+            assert_ne!(xxh64(&data, seed), xxh64(&data, seed.wrapping_add(1)));
         }
-    }
+    });
+}
 
-    /// Zipfian samples stay in range for arbitrary uniform inputs.
-    #[test]
-    fn zipfian_in_range(n in 1u64..50_000, u in 0.0f64..1.0) {
-        let z = Zipfian::new(n, 0.99, true);
-        prop_assert!(z.sample(u) < n);
-    }
+/// Zipfian samples stay in range for arbitrary uniform inputs.
+#[test]
+fn zipfian_in_range() {
+    for_each_case(0x21BF, |rng| {
+        let n = rng.rand_range(1, 50_000);
+        assert!(Zipfian::new(n, 0.99, true).sample(rng.rand_f64()) < n);
+    });
+}
 
-    /// The LFU cache never exceeds capacity and `get` after `insert` hits.
-    #[test]
-    fn lfu_capacity_invariant(
-        cap in 1usize..32,
-        ops in proptest::collection::vec((any::<u8>(), any::<bool>()), 1..200),
-    ) {
-        let rng = swarm_sim::SimRng::shared(&Sim::new(1));
+/// The LFU cache never exceeds capacity and `get` after `insert` hits.
+#[test]
+fn lfu_capacity_invariant() {
+    for_each_case(0x1F00, |rng| {
+        let cap = rng.rand_range(1, 32) as usize;
+        let evict = SimRng::shared(&Sim::new(1));
         let mut cache: LfuCache<u32> = LfuCache::new(cap);
-        for (key, is_insert) in ops {
-            let key = key as u64 % 64;
-            if is_insert {
-                cache.insert(&rng, key, key as u32);
-                prop_assert_eq!(cache.get(key), Some(&(key as u32)));
+        for _ in 0..rng.rand_range(1, 200) {
+            let key = rng.rand_range(0, 64);
+            if coin(rng) {
+                cache.insert(&evict, key, key as u32);
+                assert_eq!(cache.get(key), Some(&(key as u32)));
             } else {
                 cache.remove(key);
-                prop_assert_eq!(cache.get(key), None);
+                assert_eq!(cache.get(key), None);
             }
-            prop_assert!(cache.len() <= cap);
+            assert!(cache.len() <= cap);
         }
-    }
+    });
+}
 
-    /// Histogram percentiles are monotone in p.
-    #[test]
-    fn percentiles_are_monotone(samples in proptest::collection::vec(0u64..1_000_000, 1..256)) {
+/// Histogram percentiles are monotone in p.
+#[test]
+fn percentiles_are_monotone() {
+    for_each_case(0x9C71, |rng| {
         let mut h = Histogram::new();
-        for s in &samples {
-            h.record(*s);
+        for _ in 0..rng.rand_range(1, 256) {
+            h.record(rng.rand_range(0, 1_000_000));
         }
         let mut prev = 0;
         for p in [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0] {
             let v = h.percentile(p);
-            prop_assert!(v >= prev);
+            assert!(v >= prev);
             prev = v;
         }
-    }
+    });
+}
 
-    /// Sequential histories built from a register model are always accepted
-    /// by the linearizability checker.
-    #[test]
-    fn checker_accepts_sequential_histories(ops in proptest::collection::vec((any::<bool>(), 1u64..16), 1..12)) {
+/// Histories with no two ops overlapping, built from a register model, are
+/// always accepted by the linearizability checker.
+#[test]
+fn checker_accepts_sequential_histories() {
+    for_each_case(0x5E90, |rng| {
         let mut h = History::new();
         let mut value = 0u64;
         let mut t = 0u64;
-        for (is_write, v) in ops {
+        for _ in 0..rng.rand_range(1, 12) {
             let invoke = t;
             t += 2;
-            if is_write {
-                value = v;
-                h.push(invoke, t, OpKind::Write(v));
+            if coin(rng) {
+                value = rng.rand_range(1, 16);
+                h.push(invoke, t, OpKind::Write(value));
             } else {
                 h.push(invoke, t, OpKind::Read(value));
             }
             t += 1;
         }
-        prop_assert!(h.is_linearizable());
-    }
+        assert!(h.is_linearizable());
+    });
+}
 
-    /// Batched multi-ops are equivalent to the sequential single-key calls:
-    /// for any seed, key subset, and value tag — and with a second client
-    /// concurrently hammering a disjoint key range — `multi_update` +
-    /// `multi_get` observe exactly the values the equivalent sequential
-    /// `update`/`get` calls produce (linearizability preserved under
-    /// batching).
-    #[test]
-    fn batched_ops_match_sequential(seed in 0u64..200, mask in 1u16..=u16::MAX, tag in 0u8..200) {
+/// Batched multi-ops are equivalent to the one-at-a-time single-key calls:
+/// for any seed, key subset, and value tag — and with a second client
+/// concurrently hammering a disjoint key range — `multi_update` +
+/// `multi_get` observe exactly the values the equivalent `update`/`get`
+/// calls, issued in order, produce (linearizability preserved under
+/// batching).
+#[test]
+fn batched_ops_match_sequential() {
+    for_each_case(0xBA7C, |rng| {
+        let seed = rng.rand_range(0, 200);
         // Keys are the set bits of `mask`: 1..=16 distinct keys.
+        let mask = rng.rand_range(1, 1 << 16);
         let keys: Vec<u64> = (0..16).filter(|b| mask & (1 << b) != 0).collect();
+        let tag = rng.rand_range(0, 200) as u8;
         let value = move |k: u64| vec![tag ^ k as u8; 64];
 
         let run = |batched: bool| -> Vec<Option<Vec<u8>>> {
@@ -145,8 +163,7 @@ proptest! {
             let client = cluster.client(0);
             let keys = keys.clone();
             sim.block_on(async move {
-                let pairs: Vec<(u64, Vec<u8>)> =
-                    keys.iter().map(|&k| (k, value(k))).collect();
+                let pairs: Vec<(u64, Vec<u8>)> = keys.iter().map(|&k| (k, value(k))).collect();
                 if batched {
                     for r in client.multi_update(&pairs).await {
                         r.unwrap();
@@ -171,18 +188,20 @@ proptest! {
         };
 
         let batched = run(true);
-        let sequential = run(false);
-        prop_assert_eq!(&batched, &sequential);
+        assert_eq!(batched, run(false));
         for (i, got) in batched.iter().enumerate() {
-            prop_assert_eq!(got.as_deref(), Some(&value(keys[i])[..]));
+            assert_eq!(got.as_deref(), Some(&value(keys[i])[..]));
         }
-    }
+    });
+}
 
-    /// Timestamp-lock true exclusion under randomized schedules: for any
-    /// seed and timestamp, READ and WRITE mode never both acquire.
-    #[test]
-    fn tslock_exclusion(seed in 0u64..5_000, ts_i in 1u64..1_000) {
-        let sim = Sim::new(seed);
+/// Timestamp-lock true exclusion under randomized schedules: for any
+/// seed and timestamp, READ and WRITE mode never both acquire.
+#[test]
+fn tslock_exclusion() {
+    for_each_case(0x7510, |rng| {
+        let sim = Sim::new(rng.rand_range(0, 5_000));
+        let ts_i = rng.rand_range(1, 1_000);
         let fabric = Fabric::new(&sim, FabricConfig::default(), 3);
         let words: Vec<(NodeId, u64)> = fabric
             .node_ids()
@@ -212,48 +231,41 @@ proptest! {
         }
         sim.run();
         let wins = results.borrow().iter().filter(|&&b| b).count();
-        prop_assert!(wins <= 1, "both lock modes succeeded");
-    }
+        assert!(wins <= 1, "both lock modes succeeded");
+    });
 }
 
-proptest! {
-    /// The repair delta stream is a CAS-MAX merge, so it *commutes* with
-    /// concurrent foreground writes (per-key linearizability holds with the
-    /// agent armed during a fault window, for any seed, drop rate, and
-    /// digest strategy) and is *idempotent* (replaying the whole protocol
-    /// over converged replicas applies zero further deltas).
-    #[test]
-    fn repair_deltas_commute_with_writes_and_are_idempotent(
-        seed in 0u64..500,
-        permille in 100u16..600,
-        strategy_idx in 0usize..2,
-    ) {
-        const KEYS: u64 = 32;
-        const VALUE_SIZE: usize = 64;
-        let tagged = |tag: u64| {
-            let mut v = vec![0u8; VALUE_SIZE];
-            v[..8].copy_from_slice(&tag.to_le_bytes());
-            v
-        };
-        let strategy = RepairStrategy::all()[strategy_idx];
-        let sim = Sim::new(30_000 + seed);
+/// The repair delta stream is a CAS-MAX merge, so it *commutes* with
+/// concurrent foreground writes (per-key linearizability holds with the
+/// agent armed during a fault window, for any seed, drop rate, and
+/// digest strategy) and is *idempotent* (replaying the whole protocol
+/// over converged replicas applies zero further deltas).
+#[test]
+fn repair_deltas_commute_with_writes_and_are_idempotent() {
+    const KEYS: u64 = 32;
+    for_each_case(0x2E9A, |rng| {
+        let sim = Sim::new(30_000 + rng.rand_range(0, 500));
+        let permille = rng.rand_range(100, 600) as u16;
+        let strategy = RepairStrategy::all()[rng.rand_range(0, 2) as usize];
         let cluster = StoreBuilder::new(Protocol::SafeGuess)
             .value_size(VALUE_SIZE)
             .max_clients(3)
-            .op_deadline_ns(2 * NANOS_PER_MILLI)
+            .op_deadline_ns(OP_DEADLINE_NS)
             .repair(RepairConfig::with_strategy(strategy))
             .build_cluster(&sim);
-        cluster.load_keys(KEYS, |k| tagged((1 << 32) + k));
+        cluster.load_keys(KEYS, |k| tagged(INITIAL_TAG_BASE + k));
         let rec = HistoryRecorder::new(&sim);
         for k in 0..KEYS {
-            rec.set_initial(k, &tagged((1 << 32) + k));
+            rec.set_initial(k, &tagged(INITIAL_TAG_BASE + k));
         }
-        cluster.fabric().apply_fault_plan(&FaultPlan::new().drop_window(
-            10 * NANOS_PER_MICRO,
-            NodeId(0),
-            permille,
-            300 * NANOS_PER_MICRO,
-        ));
+        cluster
+            .fabric()
+            .apply_fault_plan(&FaultPlan::new().drop_window(
+                10 * NANOS_PER_MICRO,
+                NodeId(0),
+                permille,
+                300 * NANOS_PER_MICRO,
+            ));
 
         // The agent replays delta rounds *while* the writers run — the
         // commutativity half of the property.
@@ -266,7 +278,8 @@ proptest! {
             let tag = std::rc::Rc::clone(&tag);
             sim.spawn(async move {
                 for _ in 0..20u32 {
-                    sim2.sleep_ns(sim2.rand_range(1, 30 * NANOS_PER_MICRO)).await;
+                    sim2.sleep_ns(sim2.rand_range(1, 30 * NANOS_PER_MICRO))
+                        .await;
                     let key = sim2.rand_range(0, KEYS);
                     if sim2.rand_range(0, 2) == 0 {
                         let _ = store.get(key).await;
@@ -280,7 +293,7 @@ proptest! {
         }
         sim.run();
         let checked = rec.take_history().check();
-        prop_assert!(
+        assert!(
             checked.is_ok(),
             "history with interleaved repair does not linearize: {:?}",
             checked.err()
@@ -289,15 +302,15 @@ proptest! {
         let c = cluster.swarm().expect("SWARM-KV").clone();
         let a2 = agent.clone();
         let (_, converged) = sim.block_on(async move { a2.converge().await });
-        prop_assert!(converged, "repair must converge within its round budget");
-        prop_assert_eq!(divergent_stamp_pairs(&c), 0);
+        assert!(converged, "repair must converge within its round budget");
+        assert_eq!(divergent_stamp_pairs(&c), 0);
 
         // Idempotence: a second full protocol replay moves nothing.
         let deltas_before = agent.stats().deltas_applied;
         let a3 = agent.clone();
         let (_, converged2) = sim.block_on(async move { a3.converge().await });
-        prop_assert!(converged2);
-        prop_assert_eq!(agent.stats().deltas_applied, deltas_before);
-        prop_assert_eq!(divergent_stamp_pairs(&c), 0);
-    }
+        assert!(converged2);
+        assert_eq!(agent.stats().deltas_applied, deltas_before);
+        assert_eq!(divergent_stamp_pairs(&c), 0);
+    });
 }

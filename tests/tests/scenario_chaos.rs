@@ -22,27 +22,22 @@
 use std::rc::Rc;
 
 use swarm_core::KvHistory;
-use swarm_fabric::{FaultPlan, NodeId};
+use swarm_fabric::FaultPlan;
 use swarm_kv::{
     run_scenario, ttl_stamp_never, HistoryRecorder, Protocol, ScenarioRunConfig, StoreBuilder,
 };
 use swarm_sim::{Sim, NANOS_PER_MICRO, NANOS_PER_MILLI};
+use swarm_tests::{
+    assert_linearizable, cell, seeds, tagged, PlanKind, INITIAL_TAG_BASE, OP_DEADLINE_NS,
+};
 use swarm_workload::{Phase, ScenarioMix, ScenarioOpClass, ScenarioSpec, TtlSpec};
 
 const KEYS: u64 = 16;
-/// Logical value bytes; register slots are provisioned at `CAP + 8` for
-/// the TTL expiry stamp.
-const CAP: usize = 64;
+/// Logical value bytes (what `tagged` builds); register slots are
+/// provisioned at `CAP + 8` for the TTL expiry stamp. Scenario write tags
+/// are `key * GOLDEN + stream_index`, disjoint from the bulk-load tags.
+const CAP: usize = swarm_tests::VALUE_SIZE;
 const CLIENTS: usize = 2;
-/// Tag space for bulk-loaded values, disjoint from scenario write tags
-/// (which are `key * GOLDEN + stream_index`).
-const INITIAL_TAG_BASE: u64 = 1 << 32;
-
-fn tagged(tag: u64) -> Vec<u8> {
-    let mut v = vec![0u8; CAP];
-    v[..8].copy_from_slice(&tag.to_le_bytes());
-    v
-}
 
 /// The scan+TTL scenario under test: a scan-heavy YCSB-E phase, then an
 /// insert-bearing YCSB-D phase with the hot set rotated, every insert
@@ -59,30 +54,6 @@ fn spec() -> ScenarioSpec {
         })
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PlanKind {
-    /// A node dies and restarts (memory intact) while traffic continues.
-    CrashRestart,
-    /// A latency spike on one node plus a drop window on another.
-    JitterAndDrop,
-}
-
-impl PlanKind {
-    fn plan(self, seed: u64, nodes: usize) -> FaultPlan {
-        let us = NANOS_PER_MICRO;
-        let a = NodeId(seed as usize % nodes);
-        let b = NodeId((seed as usize + 1) % nodes);
-        match self {
-            PlanKind::CrashRestart => FaultPlan::new()
-                .crash_at(60 * us, a)
-                .restart_at(260 * us, a),
-            PlanKind::JitterAndDrop => FaultPlan::new()
-                .delay_spike(40 * us, a, 15 * us, 250 * us)
-                .drop_window(60 * us, b, 400, 220 * us),
-        }
-    }
-}
-
 struct CellOutcome {
     history: KvHistory,
     plan: FaultPlan,
@@ -97,9 +68,7 @@ fn run_cell(proto: Protocol, kind: PlanKind, seed: u64) -> CellOutcome {
     let cluster = StoreBuilder::new(proto)
         .value_size(CAP + 8)
         .max_clients(CLIENTS + 1)
-        // Fault plans can stall quorums; the deadline turns a lost op into
-        // an ambiguous history entry instead of a hung worker.
-        .op_deadline_ns(2 * NANOS_PER_MILLI)
+        .op_deadline_ns(OP_DEADLINE_NS)
         .build_cluster(&sim);
     cluster.load_keys(KEYS, |k| ttl_stamp_never(&tagged(INITIAL_TAG_BASE + k)));
     if let Some(m) = cluster.membership() {
@@ -147,15 +116,14 @@ fn run_cell(proto: Protocol, kind: PlanKind, seed: u64) -> CellOutcome {
 }
 
 /// The headline sweep: {SWARM, DM-ABD} × {crash-restart, jitter+drop} × 4
-/// seeds; every history with scans and TTL expiries interleaved into the
-/// fault window must linearize.
+/// seeds (unless widened); every history with scans and TTL expiries
+/// interleaved into the fault window must linearize.
 #[test]
 fn scan_and_ttl_scenarios_stay_linearizable_under_faults() {
-    let seeds: Vec<u64> = (0..4u64).map(|i| 0x5CE4_A000 + i * 7919).collect();
     let mut cells = Vec::new();
     for proto in [Protocol::SafeGuess, Protocol::Abd] {
         for kind in [PlanKind::CrashRestart, PlanKind::JitterAndDrop] {
-            for &seed in &seeds {
+            for seed in seeds(0x5CE4_A000, 7919, 4) {
                 cells.push((proto, kind, seed));
             }
         }
@@ -165,29 +133,20 @@ fn scan_and_ttl_scenarios_stay_linearizable_under_faults() {
     let mut total_scanned = 0;
     let mut total_expired = 0;
     for ((proto, kind, seed), r) in cells.iter().zip(results) {
-        assert!(
-            r.scans > 0,
-            "{} / {kind:?} / seed {seed}: the YCSB-E phase ran no scans",
-            proto.name()
+        let what = format!(
+            "{} ({} leases expired)\nfault plan:\n{}",
+            cell(proto.name(), kind, *seed),
+            r.leases_expired,
+            r.plan
         );
+        assert!(r.scans > 0, "the YCSB-E phase ran no scans: {what}");
         total_scanned += r.scanned_items;
         total_expired += r.leases_expired;
         assert!(
             r.leases_expired <= r.leases_granted,
-            "{} / {kind:?} / seed {seed}: more expiries than leases",
-            proto.name()
+            "more expiries than leases: {what}"
         );
-        if let Err(e) = r.history.check() {
-            panic!(
-                "{} scan+TTL scenario is NOT linearizable under {kind:?}, seed {seed}: {e}\n\
-                 ({} of {} ops definite, {} leases expired)\nfault plan:\n{}",
-                proto.name(),
-                r.history.definite_ops(),
-                r.history.len(),
-                r.leases_expired,
-                r.plan,
-            );
-        }
+        assert_linearizable([&r.history], &what);
     }
     assert!(cells.len() >= 16, "sweep shrank: {} cells", cells.len());
     assert!(total_scanned > 0, "no scan returned a single item");

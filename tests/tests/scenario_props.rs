@@ -1,12 +1,12 @@
 //! Property tests for the scenario engine: op-stream purity (the
 //! determinism contract `bench_scenarios` reports rely on) and the
 //! YCSB-E scan semantics (a scan is observationally equivalent to a
-//! sequential per-key get sweep when nothing runs concurrently).
-
-use proptest::prelude::*;
+//! sequential per-key get sweep when nothing runs concurrently). The two
+//! stream properties run on 64 seeded cases (`swarm_tests::for_each_case`).
 
 use swarm_kv::{KvStore, Protocol, StoreBuilder};
-use swarm_sim::Sim;
+use swarm_sim::{Sim, SimRng};
+use swarm_tests::{coin, for_each_case};
 use swarm_workload::{
     scenario_value, Phase, ScenarioMix, ScenarioOp, ScenarioSpec, TtlSpec, ValueSizeDist,
 };
@@ -14,105 +14,96 @@ use swarm_workload::{
 /// An arbitrary mix: either one of the six YCSB letters or a random
 /// six-way percentage split (five sorted cuts of `[0, 100)` make six
 /// buckets summing to exactly 100).
-fn mix_strategy() -> impl Strategy<Value = ScenarioMix> {
-    prop_oneof![
-        (0usize..6).prop_map(|i| ScenarioMix::ycsb_all()[i].1),
-        (0u64..100, 0u64..100, 0u64..100, 0u64..100, 0u64..100).prop_map(|(a, b, c, d, e)| {
-            let mut cuts = [a, b, c, d, e];
-            cuts.sort_unstable();
-            ScenarioMix {
-                get_pct: cuts[0],
-                update_pct: cuts[1] - cuts[0],
-                insert_pct: cuts[2] - cuts[1],
-                delete_pct: cuts[3] - cuts[2],
-                scan_pct: cuts[4] - cuts[3],
-                rmw_pct: 100 - cuts[4],
-            }
-        }),
-    ]
+fn arbitrary_mix(rng: &SimRng) -> ScenarioMix {
+    if coin(rng) {
+        return ScenarioMix::ycsb_all()[rng.rand_range(0, 6) as usize].1;
+    }
+    let mut cuts = [0u64; 5].map(|_| rng.rand_range(0, 100));
+    cuts.sort_unstable();
+    ScenarioMix {
+        get_pct: cuts[0],
+        update_pct: cuts[1] - cuts[0],
+        insert_pct: cuts[2] - cuts[1],
+        delete_pct: cuts[3] - cuts[2],
+        scan_pct: cuts[4] - cuts[3],
+        rmw_pct: 100 - cuts[4],
+    }
 }
 
-fn values_strategy() -> impl Strategy<Value = ValueSizeDist> {
-    prop_oneof![
-        (8usize..256).prop_map(ValueSizeDist::Fixed),
-        (8usize..64, 64usize..4096, 0u64..=100).prop_map(|(small, large, large_pct)| {
-            ValueSizeDist::Bimodal {
-                small,
-                large,
-                large_pct,
-            }
-        }),
-    ]
+/// An arbitrary scenario: 1–3 phases of arbitrary mix, skew and rotation
+/// over 2–511 keys, fixed or bimodal value sizes, a TTL spec half the time.
+fn arbitrary_spec(rng: &SimRng) -> ScenarioSpec {
+    let values = if coin(rng) {
+        ValueSizeDist::Fixed(rng.rand_range(8, 256) as usize)
+    } else {
+        ValueSizeDist::Bimodal {
+            small: rng.rand_range(8, 64) as usize,
+            large: rng.rand_range(64, 4096) as usize,
+            large_pct: rng.rand_range(0, 101),
+        }
+    };
+    let mut spec = ScenarioSpec::new("prop", rng.rand_range(2, 512))
+        .values(values)
+        .scan_max_len(rng.rand_range(1, 32) as usize);
+    for _ in 0..rng.rand_range(1, 4) {
+        spec = spec.phase(
+            Phase::new(rng.rand_range(1, 120) as usize, arbitrary_mix(rng))
+                .theta(rng.rand_range(0, 99) as f64 / 100.0)
+                .rotate(rng.rand_range(0, 1024)),
+        );
+    }
+    if coin(rng) {
+        spec = spec.ttl(TtlSpec {
+            insert_pct: rng.rand_range(1, 101),
+            ttl_ns: rng.rand_range(1, 1_000_000),
+            ttl_keys: rng.rand_range(1, 64),
+        });
+    }
+    spec
 }
 
-fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
-    (
-        2u64..512,
-        proptest::collection::vec((1usize..120, mix_strategy(), 0u64..99, 0u64..1024), 1..4),
-        values_strategy(),
-        proptest::option::of((1u64..=100, 1u64..1_000_000, 1u64..64)),
-        1usize..32,
-    )
-        .prop_map(|(n_keys, phases, values, ttl, scan_max_len)| {
-            let mut spec = ScenarioSpec::new("prop", n_keys)
-                .values(values)
-                .scan_max_len(scan_max_len);
-            for (ops, mix, theta_pct, rotation) in phases {
-                spec = spec.phase(
-                    Phase::new(ops, mix)
-                        .theta(theta_pct as f64 / 100.0)
-                        .rotate(rotation),
-                );
-            }
-            if let Some((insert_pct, ttl_ns, ttl_keys)) = ttl {
-                spec = spec.ttl(TtlSpec {
-                    insert_pct,
-                    ttl_ns,
-                    ttl_keys,
-                });
-            }
-            spec
-        })
-}
-
-proptest! {
-    /// Stream purity: `(seed, spec)` regenerates the byte-identical op
-    /// vector, the lazy stream agrees with the materialized one, and every
-    /// emitted op respects the spec's bounds (keys inside the keyspace +
-    /// TTL tail, sizes drawable from the distribution, scan limits within
-    /// `scan_max_len`).
-    #[test]
-    fn scenario_streams_are_pure_and_in_bounds(spec in spec_strategy(), seed in any::<u64>()) {
+/// Stream purity: `(seed, spec)` regenerates the byte-identical op
+/// vector, the lazy stream agrees with the materialized one, and every
+/// emitted op respects the spec's bounds (keys inside the keyspace +
+/// TTL tail, sizes drawable from the distribution, scan limits within
+/// `scan_max_len`).
+#[test]
+fn scenario_streams_are_pure_and_in_bounds() {
+    for_each_case(0x5CE0, |rng| {
+        let (spec, seed) = (arbitrary_spec(rng), rng.rand_u64());
         let ops = spec.ops(seed);
-        prop_assert_eq!(&ops, &spec.ops(seed), "regeneration must be bit-identical");
+        assert_eq!(ops, spec.ops(seed), "regeneration must be bit-identical");
         let lazy: Vec<_> = spec.stream(seed).collect();
-        prop_assert_eq!(&ops, &lazy, "lazy stream must equal the materialized vector");
-        prop_assert_eq!(ops.len(), spec.total_ops());
+        assert_eq!(ops, lazy, "lazy stream must equal the materialized vector");
+        assert_eq!(ops.len(), spec.total_ops());
 
         let max = spec.values.max_size();
         for op in &ops {
-            prop_assert!(op.key() < spec.total_keys(), "key escapes the keyspace");
+            assert!(op.key() < spec.total_keys(), "key escapes the keyspace");
             match *op {
                 ScenarioOp::Update { size, .. }
                 | ScenarioOp::Insert { size, .. }
-                | ScenarioOp::Rmw { size, .. } => prop_assert!(size <= max),
+                | ScenarioOp::Rmw { size, .. } => assert!(size <= max),
                 ScenarioOp::Scan { limit, .. } => {
-                    prop_assert!(limit >= 1 && limit <= spec.scan_max_len)
+                    assert!(limit >= 1 && limit <= spec.scan_max_len)
                 }
                 _ => {}
             }
         }
         // A different seed must actually perturb a non-trivial stream.
         if ops.len() >= 16 {
-            prop_assert_ne!(&ops, &spec.ops(seed.wrapping_add(1)));
+            assert_ne!(ops, spec.ops(seed.wrapping_add(1)));
         }
-    }
+    });
+}
 
-    /// Write versions are unique across the whole stream (they are the
-    /// stream index), so every write tag `key * GOLDEN + version` is
-    /// distinguishable to the linearizability checker.
-    #[test]
-    fn scenario_write_versions_never_repeat(spec in spec_strategy(), seed in any::<u64>()) {
+/// Write versions are unique across the whole stream (they are the
+/// stream index), so every write tag `key * GOLDEN + version` is
+/// distinguishable to the linearizability checker.
+#[test]
+fn scenario_write_versions_never_repeat() {
+    for_each_case(0x5CE1, |rng| {
+        let (spec, seed) = (arbitrary_spec(rng), rng.rand_u64());
         let mut seen = std::collections::HashSet::new();
         for op in spec.ops(seed) {
             let v = match op {
@@ -121,9 +112,9 @@ proptest! {
                 | ScenarioOp::Rmw { version, .. } => version,
                 _ => continue,
             };
-            prop_assert!(seen.insert(v), "a write version repeated");
+            assert!(seen.insert(v), "a write version repeated");
         }
-    }
+    });
 }
 
 const KEYS: u64 = 24;
