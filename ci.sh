@@ -184,9 +184,9 @@ BIN_DIR="${CARGO_TARGET_DIR:-target}/release"
 # setting (the swept ones under SWARM_BENCH_THREADS=2 then =1, against the
 # same golden), stdout diffed against crates/bench/goldens/<name>.stdout
 # (the unified diff prints on mismatch), every run under one `timeout`
-# budget. This is also where the in-binary assertions of bench_repair and
-# bench_tail run (unscaled) and where bench_scenarios' JSON/HTML reports
-# are byte-compared across the two thread settings. Regenerate with
+# budget, and each swept experiment's CSVs but *wall.csv byte-compared
+# across the two settings. This is also where the in-binary assertions of
+# bench_repair, bench_tail and bench_reshard run (unscaled). Regenerate with
 # `sh crates/bench/goldens/check.sh --write` (see TESTING.md).
 stage stdout-parity sh crates/bench/goldens/check.sh "$BIN_DIR"
 

@@ -11,7 +11,7 @@
 # and *wall.csv and is outside the goldens. Every run is wrapped in
 # `timeout $BUDGET` (hangs and order-of-magnitude slowdowns fail here) and
 # prints its seconds. Run from the repository root (the experiments write
-# target/experiments and target/reports relative to the cwd).
+# target/experiments relative to the cwd).
 set -eu
 
 WRITE=0
@@ -47,46 +47,36 @@ golden() { # golden <experiment> <VAR=value...>
 }
 
 # Experiments that run through the sweep driver are checked under two thread
-# settings against the same golden.
+# settings against the same golden, and every CSV they write but the
+# wall-clock *wall.csv must come out byte-identical under both.
 twice() { # twice <experiment> [VAR=value...]
+    _csv="target/experiments/$1"
+    rm -rf "$_csv" "$OUT/$1.csv"
     golden "$@" SWARM_BENCH_THREADS=2
-    [ "$WRITE" -eq 1 ] || golden "$@" SWARM_BENCH_THREADS=1
+    [ "$WRITE" -eq 0 ] || return 0
+    cp -r "$_csv" "$OUT/$1.csv"
+    golden "$@" SWARM_BENCH_THREADS=1
+    diff -r -x '*wall.csv' "$OUT/$1.csv" "$_csv" || {
+        echo "FAIL $1: $_csv differs between thread settings" >&2
+        FAILED=1
+    }
 }
 
-# fig5 runs at full quick volume; bench_repair and bench_tail unscaled (their
-# in-binary assertions — every strategy converges and the digests move fewer
-# bytes; hedged p99 >= 2x below unhedged under the spike plan — need the
+# fig5 runs at full quick volume; bench_repair, bench_tail and bench_reshard
+# unscaled (their in-binary assertions — every strategy converges and the
+# digests move fewer bytes; hedged p99 >= 2x below unhedged under the spike
+# plan; the split is measured during and after its migration — need the
 # volume); everything else at SWARM_BENCH_OPS_SCALE=0.05.
 golden fig5 SWARM_BENCH_THREADS=1
 twice bench_repair
 twice bench_tail
+twice bench_reshard
 for exp in table2 table3 fig6 fig11 fig12; do
     golden "$exp" SWARM_BENCH_OPS_SCALE=0.05
 done
-for exp in fig7 fig8 fig9 fig10 fig13 bench_multiget bench_shards bench_reshard; do
+for exp in fig7 fig8 fig9 fig10 fig13 bench_multiget bench_shards bench_scenarios; do
     twice "$exp" SWARM_BENCH_OPS_SCALE=0.05
 done
-
-# bench_scenarios also writes a JSON + HTML report per scenario: the second
-# thread setting's target/reports must equal the first's byte for byte (the
-# determinism contract of docs/SCENARIOS.md).
-rm -rf target/reports "$OUT/reports.first"
-golden bench_scenarios SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2
-if [ "$WRITE" -eq 0 ]; then
-    mv target/reports "$OUT/reports.first"
-    golden bench_scenarios SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=1
-    diff -r "$OUT/reports.first" target/reports || {
-        echo "FAIL bench_scenarios: target/reports differ between thread settings" >&2
-        FAILED=1
-    }
-    [ "$(ls target/reports/*.json | wc -l)" -ge 14 ] || FAILED=1
-    for f in ycsb_a_static ycsb_e_flash ttl_churn bigval; do
-        [ -s "target/reports/$f.json" ] && [ -s "target/reports/$f.html" ] || {
-            echo "FAIL bench_scenarios: target/reports/$f.{json,html} missing or empty" >&2
-            FAILED=1
-        }
-    done
-fi
 
 if [ "$FAILED" -ne 0 ]; then
     echo "stdout-parity: FAILED (if the change is intended: sh $0 --write)" >&2

@@ -15,7 +15,10 @@
 //! **stdout is the deterministic report** (simulated metrics only; safe
 //! to diff across thread counts and hosts). Wall-clock seconds per cell
 //! go to **stderr** and `*_wall.csv`. Default is a quick 2^13-key run;
-//! `--full` loads 2^16 keys and stretches the timeline.
+//! `--full` loads 2^16 keys and stretches the timeline. The headline — the
+//! dip while the migration copies, the recovery after the seal — is
+//! asserted on every run, so the bench needs its unscaled volume: under
+//! `SWARM_BENCH_OPS_SCALE` the workload ends before the split starts.
 
 use std::time::Instant;
 
@@ -45,9 +48,6 @@ struct CellResult {
     tput_kops: f64,
     measured_ops: u64,
     stats: swarm_kv::ReshardStats,
-    /// Pre-rendered latency summaries (deterministic, for the stderr JSON).
-    get_json: String,
-    update_json: String,
     wall_secs: f64,
 }
 
@@ -97,8 +97,6 @@ pub fn run(quick: bool) {
             tput_kops: stats.throughput_ops() / 1e3,
             measured_ops: stats.measured_ops,
             stats: family.stats(),
-            get_json: stats.lat(swarm_workload::OpType::Get).summary_json(),
-            update_json: stats.lat(swarm_workload::OpType::Update).summary_json(),
             wall_secs: wall.elapsed().as_secs_f64(),
         }
     });
@@ -155,6 +153,7 @@ pub fn run(quick: bool) {
     );
 
     let avg = |(sum, n): (f64, u64)| sum / (n.max(1) as f64);
+    let (before, during, after) = (avg(phase[0]), avg(phase[1]), avg(phase[2]));
     let s = &split.stats;
     println!(
         "\nsplit: sealed {} (epoch {}, {} groups) after {:.1} ms; \
@@ -168,11 +167,9 @@ pub fn run(quick: bool) {
         s.bounces
     );
     println!(
-        "throughput kops: control {:.1} overall; split {:.1} before / {:.1} during / {:.1} after",
-        base.tput_kops,
-        avg(phase[0]),
-        avg(phase[1]),
-        avg(phase[2])
+        "throughput kops: control {:.1} overall; split {before:.1} before / {during:.1} during / \
+         {after:.1} after",
+        base.tput_kops
     );
     println!(
         "measured ops: control {}, split {}",
@@ -183,26 +180,31 @@ pub fn run(quick: bool) {
     println!("soon as the seal bumps the epoch. No downtime, no failed ops: stale");
     println!("routers bounce once, refresh their map, and retry within the op.");
 
-    for (name, r) in [("control", &base), ("split", &split)] {
-        // Machine-readable per-cell summary (ROADMAP item 3's report
-        // harness convention). stderr only: stdout must stay bit-identical
-        // to the pre-JSON report.
-        eprintln!(
-            r#"{{"bench":"bench_reshard","cell":"{name}","tput_kops":{:.4},"measured_ops":{},"keys_copied":{},"mirrored":{},"bounces":{},"get":{},"update":{},"wall_secs":{:.4}}}"#,
-            r.tput_kops,
-            r.measured_ops,
-            r.stats.keys_copied,
-            r.stats.mirrored,
-            r.stats.bounces,
-            r.get_json,
-            r.update_json,
-            r.wall_secs
-        );
-    }
     report_wall(
         "bench_reshard",
         "wall",
         "cell",
         [("control", base.wall_secs), ("split", split.wall_secs)],
+    );
+
+    // The headline, asserted on every run (quick and full): the migration
+    // runs under traffic, dips throughput while it copies, and recovers.
+    assert_eq!(s.sealed, 1, "the split seals once");
+    assert!(
+        phase[1].1 > 0 && phase[2].1 > 0,
+        "the split must be measured during and after the migration \
+         ({} / {} buckets): the workload ended before it",
+        phase[1].1,
+        phase[2].1
+    );
+    assert!(s.mirrored > 0, "no write hit the double-write window");
+    assert!(s.bounces > 0, "no router bounced off the sealed epoch");
+    assert!(
+        during < before,
+        "no dip during the migration: {during:.1} vs {before:.1} kops before"
+    );
+    assert!(
+        after >= 0.95 * before,
+        "no recovery after the seal: {after:.1} vs {before:.1} kops before"
     );
 }

@@ -1,13 +1,15 @@
-//! Scenario-engine bench (ROADMAP item 3's report harness): drives the
-//! time-phased `swarm_workload::ScenarioSpec` op streams — YCSB A–F
-//! including scans, a flash-crowd variant of each (dynamic skew with the
-//! hot set rotated mid-run), a TTL-churn scenario (lease-stamped inserts
-//! expiring mid-run), and a bimodal large-value scenario — against SWARM-KV
-//! and FUSEE on a 4-shard cluster, and renders one JSON + HTML
-//! [`crate::Report`] per scenario under `target/reports/`.
+//! Scenario-engine bench (beyond the paper): drives the time-phased
+//! `swarm_workload::ScenarioSpec` op streams — YCSB A–F including scans, a
+//! flash-crowd variant of each (dynamic skew with the hot set rotated
+//! mid-run), a TTL-churn scenario (lease-stamped inserts expiring mid-run),
+//! and a bimodal large-value scenario — against SWARM-KV and FUSEE on a
+//! 4-shard cluster.
 //!
-//! See `docs/SCENARIOS.md` for the scenario cookbook and the field-by-field
-//! report reference.
+//! It reports like every other experiment: one stdout row per (scenario,
+//! protocol) and `target/experiments/bench_scenarios/cells.csv` with each
+//! cell's routed ops per shard and per-class latency percentiles. The
+//! expectations it prints are asserted on every run. See
+//! `docs/SCENARIOS.md` for the scenario cookbook and the output's columns.
 //!
 //! # Execution model
 //!
@@ -17,14 +19,11 @@
 //! cross-shard routers, so scans exercise the shard-fanout range-read path
 //! and per-shard routed-op counts expose the skew each phase creates.
 //! Cells run on `SWARM_BENCH_THREADS` OS threads via [`crate::sweep`]
-//! and are merged in deterministic cell order. stdout and every report
-//! file are bit-identical at any thread count.
+//! and are merged in deterministic cell order, so stdout and `cells.csv`
+//! are bit-identical at any thread count.
 //!
 //! **stdout is the deterministic report** (simulated metrics only).
-//! Wall-clock seconds per cell go to **stderr** and `wall.csv`; nothing
-//! wall-clock-derived reaches the report files, which is what makes them
-//! safe to byte-diff across reruns and hosts (the `scenario-smoke` CI stage
-//! does exactly that).
+//! Wall-clock seconds per cell go to **stderr** and `wall.csv`.
 //!
 //! Default is a quick mode (~2 K ops per scenario over a 2 K-key space);
 //! `--full` scales to 40 K ops over 64 K keys.
@@ -32,10 +31,10 @@
 use std::rc::Rc;
 use std::time::Instant;
 
-use crate::{env_scaled_keys, report_wall, sweep, Protocol, Report};
+use crate::{env_scaled_keys, report_wall, sweep, write_csv, Protocol};
 use swarm_fabric::TrafficStats;
 use swarm_kv::{run_scenario, ttl_stamp_never, ScenarioRunConfig, StoreBuilder, TtlStore};
-use swarm_sim::Sim;
+use swarm_sim::{Nanos, Sim};
 use swarm_workload::{
     scenario_value, ScenarioMix, ScenarioOpClass, ScenarioSpec, TtlSpec, ValueSizeDist,
 };
@@ -52,6 +51,16 @@ const SYSTEMS: [(Protocol, &str); 2] = [
     (Protocol::Fusee, "fusee"),
 ];
 
+/// The latency summary `cells.csv` carries per op class, in ns
+/// (`Histogram::percentile(100.0)` is the maximum).
+const PERCENTILES: [(&str, f64); 5] = [
+    ("p50", 50.0),
+    ("p90", 90.0),
+    ("p99", 99.0),
+    ("p999", 99.9),
+    ("max", 100.0),
+];
+
 struct Cell {
     spec: ScenarioSpec,
     sys: Protocol,
@@ -63,10 +72,9 @@ struct CellResult {
     failed_ops: u64,
     scanned_items: u64,
     tput_kops: f64,
-    /// `(class name, summary JSON)` per op class, in fixed class order.
-    class_json: Vec<(&'static str, String)>,
-    get_p50_us: f64,
-    get_p99_us: f64,
+    /// Per op class, in `ScenarioOpClass::all()` order: the sample count
+    /// and, unless it is 0, the [`PERCENTILES`].
+    lat: [(usize, Option<[Nanos; 5]>); 6],
     routed: Vec<u64>,
     imbalance: f64,
     cache_hits: u64,
@@ -74,6 +82,12 @@ struct CellResult {
     traffic: TrafficStats,
     expired_leases: u64,
     wall_secs: f64,
+}
+
+impl CellResult {
+    fn p99(&self, class: ScenarioOpClass) -> Option<Nanos> {
+        self.lat[class as usize].1.map(|p| p[2])
+    }
 }
 
 fn run_cell(cell: &Cell) -> CellResult {
@@ -128,24 +142,20 @@ fn run_cell(cell: &Cell) -> CellResult {
         let (ch, cm) = r.cache_stats();
         (h + ch, m + cm)
     });
-    let class_json = ScenarioOpClass::all()
-        .iter()
-        .map(|&c| (c.name(), stats.lat(c).summary_json()))
-        .collect();
-    let mut get = stats.lat(ScenarioOpClass::Get);
-    let (get_p50_us, get_p99_us) = if get.is_empty() {
-        (0.0, 0.0)
-    } else {
-        (get.median() as f64 / 1e3, get.percentile(99.0) as f64 / 1e3)
-    };
+    let lat = ScenarioOpClass::all().map(|c| {
+        let mut h = stats.lat(c);
+        let n = h.len();
+        (
+            n,
+            (n > 0).then(|| PERCENTILES.map(|(_, p)| h.percentile(p))),
+        )
+    });
     CellResult {
         measured_ops: stats.measured_ops,
         failed_ops: stats.failed_ops,
         scanned_items: stats.scanned_items,
         tput_kops: stats.throughput_ops() / 1e3,
-        class_json,
-        get_p50_us,
-        get_p99_us,
+        lat,
         routed,
         imbalance,
         cache_hits,
@@ -154,41 +164,6 @@ fn run_cell(cell: &Cell) -> CellResult {
         expired_leases,
         wall_secs: wall.elapsed().as_secs_f64(),
     }
-}
-
-fn ttl_json(spec: &ScenarioSpec) -> String {
-    match spec.ttl {
-        None => "null".to_string(),
-        Some(t) => format!(
-            r#"{{"insert_pct":{},"ttl_ns":{},"ttl_keys":{}}}"#,
-            t.insert_pct, t.ttl_ns, t.ttl_keys
-        ),
-    }
-}
-
-fn values_json(spec: &ScenarioSpec) -> String {
-    match spec.values {
-        ValueSizeDist::Fixed(n) => format!(r#"{{"fixed":{n}}}"#),
-        ValueSizeDist::Bimodal {
-            small,
-            large,
-            large_pct,
-        } => format!(r#"{{"small":{small},"large":{large},"large_pct":{large_pct}}}"#),
-    }
-}
-
-fn phases_json(spec: &ScenarioSpec) -> String {
-    let phases: Vec<String> = spec
-        .phases
-        .iter()
-        .map(|p| {
-            format!(
-                r#"{{"ops":{},"theta":{:.2},"rotation":{}}}"#,
-                p.ops, p.theta, p.rotation
-            )
-        })
-        .collect();
-    format!("[{}]", phases.join(","))
 }
 
 /// Runs the experiment: quick volume by default, the paper's when `!quick`.
@@ -250,98 +225,127 @@ pub fn run(quick: bool) {
         SYSTEMS.len()
     );
     println!(
-        "{:<16} {:>9} {:>7} {:>6} {:>10} {:>9} {:>9} {:>8} {:>7}",
-        "scenario", "system", "ops", "fail", "tput_kops", "p50_us", "p99_us", "scanned", "imbal"
+        "{:<16} {:>9} {:>7} {:>6} {:>10} {:>9} {:>9} {:>8} {:>7} {:>9} {:>9} {:>9} {:>7} {:>8} \
+         {:>8} {:>9} {:>11}",
+        "scenario",
+        "system",
+        "ops",
+        "fail",
+        "tput_kops",
+        "p50_us",
+        "p99_us",
+        "scanned",
+        "imbal",
+        "upd_p99",
+        "scan_p99",
+        "rmw_p99",
+        "expired",
+        "c_hits",
+        "c_misses",
+        "msgs",
+        "bytes"
     );
 
     let results = sweep(&cells, run_cell);
 
-    let mut reports = 0usize;
-    for (i, spec) in specs.iter().enumerate() {
-        let mut rep = Report::new(
-            spec.name.clone(),
-            format!("SWARM scenario report: {}", spec.name),
-        );
-        rep.section("scenario")
-            .str("name", &spec.name)
-            .int("n_keys", spec.n_keys)
-            .int("total_keys", spec.total_keys())
-            .int("total_ops", spec.total_ops() as u64)
-            .raw("phases", phases_json(spec))
-            .raw("values", values_json(spec))
-            .raw("ttl", ttl_json(spec))
-            .int("scan_max_len", spec.scan_max_len as u64)
-            .int("shards", SHARDS as u64)
-            .int("clients", CLIENTS as u64);
-        for (j, (_, sys_name)) in SYSTEMS.iter().enumerate() {
-            let r = &results[i * SYSTEMS.len() + j];
+    let us = |ns: Nanos| ns as f64 / 1e3;
+    let mut header = vec!["scenario".to_string(), "system".to_string()];
+    header.extend((0..SHARDS).map(|s| format!("routed_shard{s}")));
+    for c in ScenarioOpClass::all() {
+        header.push(format!("{}_count", c.name()));
+        header.extend(PERCENTILES.map(|(p, _)| format!("{}_{p}_ns", c.name())));
+    }
+    let mut rows = Vec::new();
+    for (spec, pair) in specs.iter().zip(results.chunks(SYSTEMS.len())) {
+        for ((_, sys_name), r) in SYSTEMS.iter().zip(pair) {
+            let get = r.lat[ScenarioOpClass::Get as usize].1.unwrap_or_default();
+            let p99_us = |c| {
+                r.p99(c)
+                    .map_or("-".to_string(), |ns| format!("{:.2}", us(ns)))
+            };
             println!(
-                "{:<16} {:>9} {:>7} {:>6} {:>10.1} {:>9.2} {:>9.2} {:>8} {:>6.2}x",
+                "{:<16} {:>9} {:>7} {:>6} {:>10.1} {:>9.2} {:>9.2} {:>8} {:>6.2}x {:>9} {:>9} \
+                 {:>9} {:>7} {:>8} {:>8} {:>9} {:>11}",
                 spec.name,
                 sys_name,
                 r.measured_ops,
                 r.failed_ops,
                 r.tput_kops,
-                r.get_p50_us,
-                r.get_p99_us,
+                us(get[0]),
+                us(get[2]),
                 r.scanned_items,
-                r.imbalance
+                r.imbalance,
+                p99_us(ScenarioOpClass::Update),
+                p99_us(ScenarioOpClass::Scan),
+                p99_us(ScenarioOpClass::Rmw),
+                r.expired_leases,
+                r.cache_hits,
+                r.cache_misses,
+                r.traffic.messages,
+                r.traffic.bytes
             );
-            let routed = format!(
-                "[{}]",
-                r.routed
-                    .iter()
-                    .map(u64::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
-            rep.section(format!("protocol {sys_name}"))
-                .str("protocol", sys_name)
-                .int("measured_ops", r.measured_ops)
-                .int("failed_ops", r.failed_ops)
-                .int("scanned_items", r.scanned_items)
-                .int("expired_leases", r.expired_leases)
-                .num("tput_kops", r.tput_kops);
-            for (class, json) in &r.class_json {
-                rep.raw(&format!("lat_{class}"), json.clone());
+            let mut row = vec![spec.name.clone(), sys_name.to_string()];
+            row.extend(r.routed.iter().map(u64::to_string));
+            for (n, summary) in &r.lat {
+                row.push(n.to_string());
+                row.extend(summary.map_or_else(Default::default, |p| p.map(|ns| ns.to_string())));
             }
-            rep.raw("routed_per_shard", routed)
-                .num("shard_imbalance", r.imbalance)
-                .int("cache_hits", r.cache_hits)
-                .int("cache_misses", r.cache_misses)
-                .int("fabric_messages", r.traffic.messages)
-                .int("fabric_bytes", r.traffic.bytes)
-                .int("hedges_fired", r.traffic.hedges_fired)
-                .int("hedges_won", r.traffic.hedges_won)
-                .int("duplicates_discarded", r.traffic.duplicates_discarded);
-        }
-        match rep.write() {
-            Ok((json_path, html_path)) => {
-                reports += 1;
-                println!(
-                    "  report: {} + {}",
-                    json_path.display(),
-                    html_path.display()
-                );
-            }
-            Err(e) => eprintln!("warn: cannot write report {}: {e}", spec.name),
+            rows.push(row.join(","));
         }
     }
-    let cell_names = specs
+    write_csv("bench_scenarios", "cells", &header.join(","), &rows);
+    let cell_names: Vec<String> = specs
         .iter()
-        .flat_map(|spec| SYSTEMS.map(|(_, sys_name)| format!("{} / {sys_name}", spec.name)));
+        .flat_map(|spec| SYSTEMS.map(|(_, sys_name)| format!("{} / {sys_name}", spec.name)))
+        .collect();
     report_wall(
         "bench_scenarios",
         "wall",
         "cell",
-        cell_names.zip(results.iter().map(|r| r.wall_secs)),
+        cell_names.iter().zip(results.iter().map(|r| r.wall_secs)),
     );
-    println!("\nwrote {reports} scenario reports (JSON + HTML) under target/reports/");
-    println!("expectation: flash-crowd phases rotate the hot set, so the hot shard");
-    println!("moves mid-run and per-shard routed counts even out relative to the");
-    println!("static Zipfian cells, while the crowd phase's p99 reflects the");
-    println!("tighter skew; YCSB-E scans fan out to all shards (scanned > 0);");
-    println!("ttl_churn retires every leased key (expired_leases > 0); bigval's");
-    println!("8 KiB tail stretches update tails without moving the small-value");
-    println!("median.");
+
+    // The expectations printed below, asserted on every run (quick and full).
+    for (name, r) in cell_names.iter().zip(&results) {
+        assert_eq!(r.failed_ops, 0, "{name}: failed ops");
+    }
+    for (j, (_, sys)) in SYSTEMS.iter().enumerate() {
+        let cell = |name: &str| {
+            let i = specs
+                .iter()
+                .position(|s| s.name == name)
+                .expect("stock scenario");
+            &results[i * SYSTEMS.len() + j]
+        };
+        assert!(
+            cell("ttl_churn").expired_leases > 0,
+            "ttl_churn / {sys}: no lease expired"
+        );
+        for name in ["ycsb_e_static", "ycsb_e_flash"] {
+            assert!(
+                cell(name).scanned_items > 0,
+                "{name} / {sys}: nothing scanned"
+            );
+        }
+        for l in ["a", "b", "c", "d", "f"] {
+            let flash = cell(&format!("ycsb_{l}_flash")).imbalance;
+            let stat = cell(&format!("ycsb_{l}_static")).imbalance;
+            assert!(
+                flash < stat,
+                "ycsb_{l} / {sys}: flash-crowd imbalance {flash:.2} is not below static {stat:.2}"
+            );
+        }
+        let big = cell("bigval").p99(ScenarioOpClass::Update);
+        let small = cell("ycsb_b_static").p99(ScenarioOpClass::Update);
+        assert!(
+            big > small,
+            "bigval / {sys}: update p99 {big:?} ns is not above ycsb_b_static's {small:?}"
+        );
+    }
+    println!("\nexpectation (asserted): flash-crowd phases rotate the hot set, so the");
+    println!("hot shard moves mid-run and per-shard routed counts even out relative");
+    println!("to the static Zipfian cells (imbal lower for A-D and F; YCSB-E scans");
+    println!("fan out to all shards, scanned > 0); ttl_churn's leases expire mid-run");
+    println!("(expired > 0); bigval's 8 KiB tail stretches update tails above");
+    println!("ycsb_b_static's; no cell fails an op.");
 }

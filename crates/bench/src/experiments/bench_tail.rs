@@ -204,8 +204,8 @@ pub fn run(quick: bool) {
         &rows,
     );
 
-    // Machine-readable per-cell summaries (ROADMAP item 3's report harness
-    // convention): simulated metrics only, so they diff clean like the table.
+    // Per-cell latency summaries, one JSON line each: simulated metrics
+    // only, so the golden pins them like the table.
     for r in &mut results {
         let (mut get, mut upd) = (r.stats.lat(OpType::Get), r.stats.lat(OpType::Update));
         println!(

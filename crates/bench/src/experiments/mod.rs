@@ -69,5 +69,5 @@ pub const EXPERIMENTS: &[Experiment] = registry! {
     bench_reshard: "beyond the paper: throughput timeline across an online shard split",
     bench_repair: "beyond the paper: anti-entropy convergence and bytes per digest strategy",
     bench_tail: "beyond the paper: p99/p999 under delay spikes, hedged vs unhedged",
-    bench_scenarios: "beyond the paper: YCSB A-F, flash crowds, TTL churn, bimodal values; JSON + HTML reports",
+    bench_scenarios: "beyond the paper: YCSB A-F, flash crowds, TTL churn, bimodal values on 4 shards",
 };

@@ -8,10 +8,9 @@
 //!
 //! `--full` selects paper-scale op counts (default is a quick mode sized to
 //! finish in seconds each); `main` is its only reader and hands every
-//! experiment a `quick` flag. Experiments print the same rows/series the
-//! paper reports, plus CSVs under `target/experiments/` (and, for
-//! `bench_scenarios`, a JSON + HTML [`Report`] per scenario under
-//! `target/reports/`, see `docs/SCENARIOS.md`).
+//! experiment a `quick` flag. Every experiment reports the same way: the
+//! rows the paper reports as a stdout table, and series as CSVs under
+//! `target/experiments/<experiment>/` through [`write_csv`].
 //!
 //! The long sweeps (`fig7`–`fig9`, `fig13`, the `bench_*` set) run their
 //! independent `(seed, config)` cells on `SWARM_BENCH_THREADS` OS threads
@@ -40,13 +39,11 @@
 
 mod envknob;
 pub mod experiments;
-mod report;
 mod runner;
 mod sweep;
 
 pub use envknob::env_knob;
 pub use experiments::{Experiment, EXPERIMENTS};
-pub use report::{json_escape, validate_json, Report};
 pub use runner::{env_scaled_keys, ops_scale, plan_workload, run_workload};
 pub use sweep::{sweep, sweep_on, sweep_threads};
 

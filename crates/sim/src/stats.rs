@@ -73,8 +73,8 @@ impl Histogram {
 
     /// One-line machine-readable summary:
     /// `{"count":N,"p50":..,"p90":..,"p99":..,"p999":..,"max":..}` (times in
-    /// nanoseconds). An empty histogram summarizes as `{"count":0}` so report
-    /// harnesses never have to special-case empty cells.
+    /// nanoseconds). An empty histogram summarizes as `{"count":0}` so a
+    /// caller printing one line per cell never special-cases an empty one.
     pub fn summary_json(&mut self) -> String {
         if self.samples.is_empty() {
             return r#"{"count":0}"#.to_string();

@@ -10,7 +10,7 @@
 //! replay trick from `TESTING.md` — rotation is absolute, not
 //! cumulative) shows the crowd moving load between shards: watch the
 //! per-shard routed-op imbalance jump in phase 2 and relax again in
-//! phase 3. The full sweep with JSON/HTML reports is `bench_scenarios`;
+//! phase 3. The full sweep over both protocols is `bench_scenarios`;
 //! every knob is documented in `docs/SCENARIOS.md`.
 //!
 //! ```sh
