@@ -27,34 +27,42 @@ set -eu
 # the end of the file; any other `#[cfg(test)]` covers the one item under it
 # (to the closing brace at the attribute's indent, or a line ending in `;`).
 # Outside tests a line starting with `//` is a comment and everything else is
-# code.
-loc_row() { # loc_row <name> <dir...>
-    _name=$1; shift
-    find "$@" -name '*.rs' | sort | xargs awk -v crate="$_name" '
-        FNR == 1 { in_mod = 0; item = 0 }
+# code. Below the table, the ten crate files with the most non-test code, by
+# the same rule.
+loc_files() { # loc_files <dir...>: "<non-test> <comment> <test> <path>" per file
+    find "$@" -name '*.rs' | sort | xargs awk '
+        FNR == 1 { in_mod = 0; item = 0; files[FILENAME] = 1 }
         {
+            f = FILENAME
             line = $0
             sub(/^[ \t]+/, "", line)
             if (line == "") next
-            if (in_mod) { test++; next }
+            if (in_mod) { test[f]++; next }
             if (item == 1) {          # the line under the attribute
-                test++
+                test[f]++
                 if (indent == "" && line ~ /^(pub )?mod /) { in_mod = 1; item = 0 }
                 else item = (line ~ /;$/) ? 0 : 2
                 next
             }
             if (item == 2) {          # inside the one item
-                test++
+                test[f]++
                 if ($0 == indent "}") item = 0
                 next
             }
             if (line == "#[cfg(test)]") {
                 indent = $0; sub(/#.*/, "", indent)
-                item = 1; test++
+                item = 1; test[f]++
                 next
             }
-            if (line ~ /^\/\//) comment++; else code++
+            if (line ~ /^\/\//) comment[f]++; else code[f]++
         }
+        END { for (f in files) printf "%d %d %d %s\n", code[f], comment[f], test[f], f }'
+}
+
+loc_row() { # loc_row <name> <dir...>
+    _name=$1; shift
+    loc_files "$@" | awk -v crate="$_name" '
+        { code += $1; comment += $2; test += $3 }
         END { printf "  %-10s %8d %8d %6d\n", crate, code, comment, test }'
 }
 
@@ -66,6 +74,9 @@ loc() {
     done
     loc_row tests tests/src tests/tests
     loc_row vendor vendor/*/src
+    printf '  %8s %8s %6s  %s\n' non-test comment test 'file (ten largest)'
+    loc_files crates/*/src | sort -k1,1nr -k4,4 | head -n 10 |
+        awk '{ printf "  %8d %8d %6d  %s\n", $1, $2, $3, $4 }'
 }
 
 QUICK=0

@@ -15,10 +15,10 @@
 //! The widen floor is raised to 20 µs in *all* cells so the hedged-vs-
 //! unhedged gap is attributable to hedging alone, not to a config skew.
 //!
-//! **stdout is the deterministic report** (simulated metrics only — table,
-//! per-cell JSON lines, CSVs; byte-identical across reruns and
-//! `SWARM_BENCH_THREADS`). Wall-clock seconds go to
-//! **stderr** and `*_wall.csv`. Default is a quick 40 K-op run per cell;
+//! **stdout is the deterministic report** (simulated metrics only — the
+//! table, and `cells.csv` with each latency class's count, p50, p90, p99,
+//! p999 and max; byte-identical across reruns and `SWARM_BENCH_THREADS`).
+//! Wall-clock seconds go to **stderr** and `*_wall.csv`. Default is a quick 40 K-op run per cell;
 //! `--full` measures 400 K ops per cell (pinned in `BENCH_pr9.json`).
 
 use std::time::Instant;
@@ -185,45 +185,32 @@ pub fn run(quick: bool) {
             t.hedges_won,
             t.duplicates_discarded
         );
+        // Each latency class's count, p50, p90, p99, p999 and max (ns).
+        let mut row = r.cell.name();
+        for h in [&mut get, &mut upd] {
+            row += &format!(
+                ",{},{},{},{},{},{}",
+                h.len(),
+                h.median(),
+                h.percentile(90.0),
+                h.percentile(99.0),
+                h.p999(),
+                h.max()
+            );
+        }
         rows.push(format!(
-            "{},{},{},{},{},{},{},{}",
-            r.cell.name(),
-            get.median(),
-            get.percentile(99.0),
-            get.p999(),
-            upd.percentile(99.0),
-            t.hedges_fired,
-            t.hedges_won,
-            t.duplicates_discarded
+            "{row},{},{},{}",
+            t.hedges_fired, t.hedges_won, t.duplicates_discarded
         ));
     }
     write_csv(
         "bench_tail",
         "cells",
-        "cell,get_p50_ns,get_p99_ns,get_p999_ns,update_p99_ns,hedges_fired,hedges_won,duplicates_discarded",
+        "cell,get_count,get_p50_ns,get_p90_ns,get_p99_ns,get_p999_ns,get_max_ns,\
+         update_count,update_p50_ns,update_p90_ns,update_p99_ns,update_p999_ns,update_max_ns,\
+         hedges_fired,hedges_won,duplicates_discarded",
         &rows,
     );
-
-    // Per-cell latency summaries, one JSON line each: simulated metrics
-    // only, so the golden pins them like the table.
-    for r in &mut results {
-        let (mut get, mut upd) = (r.stats.lat(OpType::Get), r.stats.lat(OpType::Update));
-        println!(
-            r#"{{"bench":"bench_tail","cell":"{}","plan":"{}","hedge":{},"get":{},"update":{},"hedges_fired":{},"hedges_won":{},"duplicates_discarded":{}}}"#,
-            r.cell.name(),
-            if r.cell.plan == Plan::Spike {
-                "spike"
-            } else {
-                "calm"
-            },
-            r.cell.hedged,
-            get.summary_json(),
-            upd.summary_json(),
-            r.traffic.hedges_fired,
-            r.traffic.hedges_won,
-            r.traffic.duplicates_discarded
-        );
-    }
 
     // The headline claims, asserted on every run (quick and full).
     let summaries: Vec<(Cell, Nanos, Nanos)> = results

@@ -86,8 +86,7 @@ mod value;
 pub use hash::{innout_hash, xxh64};
 pub use innout::{InnOutLayout, InnOutReplica};
 pub use linearize::{
-    CheckError, History, HistoryOp, KvHistory, KvHistoryOp, KvOpKind, NonLinearizable, OpKind,
-    MAX_OPS_PER_KEY,
+    CheckError, KvHistory, KvHistoryOp, KvOpKind, NonLinearizable, MAX_OPS_PER_KEY,
 };
 pub use maxreg::ReliableMaxReg;
 pub use round::QuorumRound;

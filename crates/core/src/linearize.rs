@@ -6,19 +6,16 @@
 //! (the paper proves linearizability in Appendix C; we check it empirically
 //! on thousands of randomized and fault-injected schedules).
 //!
-//! Two front doors:
-//!
-//! * [`KvHistory`] — multi-key histories of `Get`/`Insert`/`Update`/`Delete`
-//!   operations, including error returns (`NotFound`-style observations of
-//!   absence) and *ambiguous* operations whose effect is unknown because the
-//!   client timed out or crashed mid-call. Linearizability is compositional
-//!   over objects (Herlihy & Wing's locality theorem), so the checker
-//!   verifies each key's subhistory independently — the exhaustive search
-//!   stays tractable on histories of thousands of operations as long as no
-//!   single key sees more than 128.
-//! * [`History`] — the original single-register `Write`/`Read` history,
-//!   now a thin shim over [`KvHistory`] (a register is a single always-
-//!   present key).
+//! One front door, [`KvHistory`]: multi-key histories of
+//! `Get`/`Insert`/`Update`/`Delete` operations, including error returns
+//! (`NotFound`-style observations of absence) and *ambiguous* operations
+//! whose effect is unknown because the client timed out or crashed
+//! mid-call. Linearizability is compositional over objects (Herlihy &
+//! Wing's locality theorem), so the checker verifies each key's subhistory
+//! independently — the exhaustive search stays tractable on histories of
+//! thousands of operations as long as no single key sees more than 128. A
+//! single register is one always-present key: a write is an `Insert`, a
+//! read a `Get(Some(..))`.
 //!
 //! Each per-key search is exhaustive over linearization points with
 //! memoization on `(set of completed ops, key state)`.
@@ -350,117 +347,59 @@ fn search(
     false
 }
 
-/// Register operation kinds for the single-register [`History`]. Values are
-/// `u64` tags (tests write unique values; `0` is the initial register
-/// value).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
-    /// `write(v)`.
-    Write(u64),
-    /// `read() -> v`.
-    Read(u64),
-}
-
-/// One completed operation in a single-register concurrent history.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistoryOp {
-    /// Invocation (virtual) time.
-    pub invoke: u64,
-    /// Response (virtual) time; must be `>= invoke`.
-    pub ret: u64,
-    /// What the operation did.
-    pub kind: OpKind,
-}
-
-/// A recorded single-register concurrent history: a register is a KV store
-/// with one always-present key, so this delegates to [`KvHistory`].
-#[derive(Debug, Default, Clone)]
-pub struct History {
-    ops: Vec<HistoryOp>,
-}
-
-impl History {
-    /// Creates an empty history.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one completed operation.
-    pub fn push(&mut self, invoke: u64, ret: u64, kind: OpKind) {
-        assert!(ret >= invoke, "response before invocation");
-        self.ops.push(HistoryOp { invoke, ret, kind });
-    }
-
-    /// Number of operations recorded.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True if no operations were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Checks the history against the atomic single-register spec with
-    /// initial value `0`.
-    ///
-    /// Returns `true` iff some linearization exists: a total order of all
-    /// operations that (a) respects real-time precedence (`a.ret <
-    /// b.invoke` implies `a` before `b`) and (b) is a legal sequential
-    /// register execution (every read returns the latest preceding write,
-    /// or `0`).
-    pub fn is_linearizable(&self) -> bool {
-        let mut kv = KvHistory::new();
-        kv.set_initial(0, 0);
-        for op in &self.ops {
-            let kind = match op.kind {
-                // A register write is unconditional: the upsert.
-                OpKind::Write(v) => KvOpKind::Insert(v),
-                OpKind::Read(v) => KvOpKind::Get(Some(v)),
-            };
-            kv.push(0, op.invoke, op.ret, kind);
-        }
-        kv.is_linearizable()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A single register: key 0, holding tag 0 before the history starts.
+    fn register() -> KvHistory {
+        let mut h = KvHistory::new();
+        h.set_initial(0, 0);
+        h
+    }
+
+    /// A register write is unconditional: the upsert.
+    fn write(h: &mut KvHistory, invoke: u64, ret: u64, v: u64) {
+        h.push(0, invoke, ret, KvOpKind::Insert(v));
+    }
+
+    fn read(h: &mut KvHistory, invoke: u64, ret: u64, v: u64) {
+        h.push(0, invoke, ret, KvOpKind::Get(Some(v)));
+    }
+
     #[test]
     fn empty_history_is_linearizable() {
-        assert!(History::new().is_linearizable());
+        assert!(register().is_linearizable());
         assert!(KvHistory::new().is_linearizable());
     }
 
     #[test]
     fn sequential_history_is_linearizable() {
-        let mut h = History::new();
-        h.push(0, 1, OpKind::Write(1));
-        h.push(2, 3, OpKind::Read(1));
-        h.push(4, 5, OpKind::Write(2));
-        h.push(6, 7, OpKind::Read(2));
+        let mut h = register();
+        write(&mut h, 0, 1, 1);
+        read(&mut h, 2, 3, 1);
+        write(&mut h, 4, 5, 2);
+        read(&mut h, 6, 7, 2);
         assert!(h.is_linearizable());
     }
 
     #[test]
     fn stale_read_is_rejected() {
-        let mut h = History::new();
-        h.push(0, 1, OpKind::Write(1));
-        h.push(2, 3, OpKind::Read(0)); // Must see 1.
+        let mut h = register();
+        write(&mut h, 0, 1, 1);
+        read(&mut h, 2, 3, 0); // Must see 1.
         assert!(!h.is_linearizable());
     }
 
     #[test]
     fn concurrent_read_may_see_either_side() {
-        let mut h = History::new();
-        h.push(0, 10, OpKind::Write(1));
-        h.push(2, 4, OpKind::Read(0)); // Concurrent: old value OK.
+        let mut h = register();
+        write(&mut h, 0, 10, 1);
+        read(&mut h, 2, 4, 0); // Concurrent: old value OK.
         assert!(h.is_linearizable());
-        let mut h2 = History::new();
-        h2.push(0, 10, OpKind::Write(1));
-        h2.push(2, 4, OpKind::Read(1)); // Concurrent: new value OK.
+        let mut h2 = register();
+        write(&mut h2, 0, 10, 1);
+        read(&mut h2, 2, 4, 1); // Concurrent: new value OK.
         assert!(h2.is_linearizable());
     }
 
@@ -468,48 +407,43 @@ mod tests {
     fn oscillating_reads_are_rejected() {
         // The exact anomaly Safe-Guess's slow path prevents (§2.4): a value
         // written "twice" lets reads oscillate new -> old -> new.
-        let mut h = History::new();
-        h.push(0, 1, OpKind::Write(1));
-        h.push(2, 20, OpKind::Write(2));
-        h.push(3, 4, OpKind::Read(2));
-        h.push(5, 6, OpKind::Read(1)); // Back to the old value: illegal.
-        h.push(7, 8, OpKind::Read(2));
+        let mut h = register();
+        write(&mut h, 0, 1, 1);
+        write(&mut h, 2, 20, 2);
+        read(&mut h, 3, 4, 2);
+        read(&mut h, 5, 6, 1); // Back to the old value: illegal.
+        read(&mut h, 7, 8, 2);
         assert!(!h.is_linearizable());
     }
 
     #[test]
     fn read_inversion_is_rejected() {
         // Two sequential reads observing writes in opposite order.
-        let mut h = History::new();
-        h.push(0, 100, OpKind::Write(1));
-        h.push(0, 100, OpKind::Write(2));
-        h.push(10, 20, OpKind::Read(1));
-        h.push(30, 40, OpKind::Read(2));
+        let mut h = register();
+        write(&mut h, 0, 100, 1);
+        write(&mut h, 0, 100, 2);
+        read(&mut h, 10, 20, 1);
+        read(&mut h, 30, 40, 2);
         assert!(h.is_linearizable());
-        let mut h2 = History::new();
-        h2.push(0, 100, OpKind::Write(1));
-        h2.push(0, 100, OpKind::Write(2));
-        h2.push(10, 20, OpKind::Read(1));
-        h2.push(30, 40, OpKind::Read(2));
-        h2.push(50, 60, OpKind::Read(1)); // 2 then 1 again: illegal.
-        assert!(!h2.is_linearizable());
+        read(&mut h, 50, 60, 1); // 2 then 1 again: illegal.
+        assert!(!h.is_linearizable());
     }
 
     #[test]
     fn real_time_order_is_enforced_between_writes() {
-        let mut h = History::new();
-        h.push(0, 1, OpKind::Write(1));
-        h.push(2, 3, OpKind::Write(2)); // strictly after write(1)
-        h.push(4, 5, OpKind::Read(1)); // must see 2
+        let mut h = register();
+        write(&mut h, 0, 1, 1);
+        write(&mut h, 2, 3, 2); // strictly after write(1)
+        read(&mut h, 4, 5, 1); // must see 2
         assert!(!h.is_linearizable());
     }
 
     #[test]
     fn concurrent_writes_allow_both_orders() {
-        let mut h = History::new();
-        h.push(0, 10, OpKind::Write(1));
-        h.push(0, 10, OpKind::Write(2));
-        h.push(12, 13, OpKind::Read(1));
+        let mut h = register();
+        write(&mut h, 0, 10, 1);
+        write(&mut h, 0, 10, 2);
+        read(&mut h, 12, 13, 1);
         assert!(h.is_linearizable());
     }
 

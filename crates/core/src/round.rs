@@ -37,10 +37,13 @@
 //! * Arming reads only virtual time and the RTT tracker, never an RNG, so a
 //!   hedged run replays bit for bit; with no hedger the round schedules one
 //!   timer (the widen deadline) and pushes the caller's futures unwrapped.
-//! * `fired == won + discarded` always: a round dropped between fire and
-//!   finish (an op-deadline cancellation, a chase abandoned at its
-//!   deadline) releases its tickets as discarded through
-//!   [`HedgeTicket`]'s `Drop`.
+//! * A round that finishes or is dropped settles every ticket it fired, so
+//!   `fired == won + discarded` once no round is left: a round dropped
+//!   between fire and finish (an op-deadline cancellation, a chase
+//!   abandoned at its deadline) releases its tickets as discarded through
+//!   [`HedgeTicket`]'s `Drop`. A round whose task is parked forever is
+//!   never dropped and keeps its tickets, so the equation can fail by
+//!   them (seed 3298947619 of the hedged chaos sweep).
 //! * Only a completed quorum wait ([`QuorumRound::complete`]) is a sample
 //!   of the client's quorum RTT; a bounded [`QuorumRound::wait`] the caller
 //!   may abandon is not.

@@ -325,8 +325,11 @@ impl Hedger {
     /// as fired; `None` when the budget is exhausted (the op falls through
     /// to the ordinary widen path). The returned [`HedgeTicket`] must be
     /// settled with the hedge's outcome; if the operation future is
-    /// cancelled first (e.g. at its op deadline), dropping the unsettled
-    /// ticket settles it as discarded — the budget can never leak.
+    /// dropped first (e.g. cancelled at its op deadline), the unsettled
+    /// ticket settles as discarded and releases its slot. A task parked
+    /// forever never drops its ticket, so that slot stays claimed and the
+    /// hedge is never settled: the hedged chaos sweep's SWARM-KV / Random /
+    /// seed 3298947619 drains with one ticket held.
     pub fn try_fire(&self) -> Option<HedgeTicket> {
         if self.inner.inflight.get() >= self.inner.cfg.max_inflight {
             return None;

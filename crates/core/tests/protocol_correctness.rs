@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use swarm_core::{
-    Abd, History, InnOutLayout, InnOutReplica, MaxRegister, NodeHealth, OpKind, QuorumConfig,
+    Abd, InnOutLayout, InnOutReplica, KvHistory, KvOpKind, MaxRegister, NodeHealth, QuorumConfig,
     ReliableMaxReg, Rounds, SafeGuess, SimReplica, SimReplicaState, TsGuesser, TsLock, TsLockSet,
     WritePath,
 };
@@ -149,6 +149,14 @@ fn swarm_registers(
         .collect()
 }
 
+/// A single register as a KV history: key 0, holding tag 0 before the run;
+/// a write is an `Insert`, a read a `Get`.
+fn register_history() -> KvHistory {
+    let mut h = KvHistory::new();
+    h.set_initial(0, 0);
+    h
+}
+
 /// Runs a randomized workload over per-client register handles and checks
 /// the recorded history against the atomic-register specification.
 fn run_linearizability_workload<M: MaxRegister>(
@@ -156,8 +164,8 @@ fn run_linearizability_workload<M: MaxRegister>(
     regs: Vec<SafeGuess<M>>,
     ops_per_client: usize,
     write_prob_pct: u64,
-) -> History {
-    let history = Rc::new(RefCell::new(History::new()));
+) -> KvHistory {
+    let history = Rc::new(RefCell::new(register_history()));
     let n_clients = regs.len();
     for (tid, reg) in regs.into_iter().enumerate() {
         let sim2 = sim.clone();
@@ -172,7 +180,7 @@ fn run_linearizability_workload<M: MaxRegister>(
                     reg.write(encode(v)).await;
                     history
                         .borrow_mut()
-                        .push(invoke, sim2.now(), OpKind::Write(v));
+                        .push(0, invoke, sim2.now(), KvOpKind::Insert(v));
                 } else {
                     let out = reg.read().await;
                     assert!(
@@ -183,7 +191,7 @@ fn run_linearizability_workload<M: MaxRegister>(
                     let v = decode(out.value.value());
                     history
                         .borrow_mut()
-                        .push(invoke, sim2.now(), OpKind::Read(v));
+                        .push(0, invoke, sim2.now(), KvOpKind::Get(Some(v)));
                 }
             }
         });
@@ -253,7 +261,7 @@ fn abd_is_linearizable() {
             .enumerate()
             .map(|(tid, sg)| Abd::new(sg.max_register().clone(), tid as u8))
             .collect();
-        let history = Rc::new(RefCell::new(History::new()));
+        let history = Rc::new(RefCell::new(register_history()));
         for (tid, reg) in regs.into_iter().enumerate() {
             let sim2 = sim.clone();
             let history = Rc::clone(&history);
@@ -266,13 +274,13 @@ fn abd_is_linearizable() {
                         reg.write(encode(v)).await;
                         history
                             .borrow_mut()
-                            .push(invoke, sim2.now(), OpKind::Write(v));
+                            .push(0, invoke, sim2.now(), KvOpKind::Insert(v));
                     } else {
                         let out = reg.read().await;
                         let v = decode(out.value());
                         history
                             .borrow_mut()
-                            .push(invoke, sim2.now(), OpKind::Read(v));
+                            .push(0, invoke, sim2.now(), KvOpKind::Get(Some(v)));
                     }
                 }
             });

@@ -28,11 +28,12 @@
 //!   shard cannot perturb another — see [`ShardedCluster`]).
 //! * The static layout can be reconfigured online: [`ElasticShard`] runs
 //!   the elastic-resharding subsystem ([`reshard`](crate::ShardMap)) —
-//!   a generation-stamped routing table plus a copy/double-write/seal
-//!   migration protocol that splits, merges, or rebuilds replica groups
-//!   mid-run while every concurrent client stays linearizable. Stale
-//!   routes bounce with [`KvError::WrongShard`] inside the family's own
-//!   [`ElasticClient`]s; a static [`ShardRouter`] routes by the spec alone.
+//!   a generation-stamped routing table plus one migration driver (Copy →
+//!   Drain → Publish behind a double-write window) that splits or rebuilds
+//!   replica groups mid-run while every concurrent client stays
+//!   linearizable. Stale routes bounce with [`KvError::WrongShard`] inside
+//!   the family's own [`ElasticClient`]s; a static [`ShardRouter`] routes
+//!   by the spec alone.
 //!
 //! ```
 //! use swarm_kv::{CacheCapacity, KvStore, KvStoreExt, Protocol, StoreBuilder};
@@ -156,8 +157,8 @@ pub use repair::{
     divergent_stamp_pairs, DeferFn, RepairConfig, RepairHandle, RepairStats, RepairStrategy,
 };
 pub use reshard::{
-    split_point, ElasticClient, ElasticShard, ReshardAction, ReshardEvent, ReshardStats, Segment,
-    ShardMap,
+    split_point, AbortReason, ElasticClient, ElasticShard, ReshardAction, ReshardEvent,
+    ReshardStats, Segment, ShardMap,
 };
 pub use runner::{run_workload, RunConfig};
 pub use scenario_run::{run_scenario, ScenarioRunConfig};

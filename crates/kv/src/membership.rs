@@ -101,9 +101,10 @@ impl Membership {
         self.inner.subscribers.borrow_mut().push(health);
     }
 
-    /// True once the service has declared node `i` failed.
+    /// True once the service has declared node `i` failed (never for a
+    /// node the group does not have).
     pub fn is_declared_dead(&self, i: usize) -> bool {
-        self.inner.dead.borrow()[i]
+        self.inner.dead.borrow().get(i) == Some(&true)
     }
 }
 

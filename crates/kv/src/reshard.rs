@@ -1,12 +1,12 @@
-//! Elastic resharding: online shard split/merge with linearizable
-//! ownership handoff.
+//! Elastic resharding: online shard splits and replica-group rebuilds with
+//! a linearizable ownership handoff.
 //!
 //! The paper's deployment model (and [`crate::ShardSpec`]) freezes the
 //! keyspace layout at build time. This module is the live-reconfiguration
 //! subsystem on top of it: a generation-stamped routing table
-//! ([`ShardMap`]) plus an online migration protocol that moves a key range
-//! from the replica group that owns it onto a freshly built one — while
-//! concurrent clients keep getting linearizable answers.
+//! ([`ShardMap`]) plus an online migration that moves a key range from the
+//! replica group that owns it onto a freshly built one — while concurrent
+//! clients keep getting linearizable answers.
 //!
 //! # The routing table
 //!
@@ -20,33 +20,44 @@
 //! stale map has its request bounced with [`KvError::WrongShard`]`{ epoch }`
 //! and re-resolves.
 //!
-//! # The migration protocol (copy, double-write, seal)
+//! # One migration: Copy → Drain → Publish
 //!
-//! An [`ElasticShard`] family wraps one static shard's base group and runs
-//! migrations as simulation tasks:
+//! An [`ElasticShard`] family runs each [`ReshardEvent`] as a simulation
+//! task ([`ElasticShard::migrate`]). The two [`ReshardAction`]s differ only
+//! in how they resolve the moving range `[lo, hi]` and its source group: a
+//! split takes the top `permille`/1000 of the split space, a rebuild waits
+//! for the membership verdict on a dead node and takes the group's whole
+//! segment. Both then build the destination group from the family's
+//! `StoreBuilder` with an RNG label derived from `(base label, RESHARD
+//! role, group ordinal)` — the same private-stream convention as
+//! `build_one_shard`, so the new group's randomness is isolated by
+//! construction — open the range's *double-write window*, and hand one
+//! migration to one driver, which steps it through three phases:
 //!
-//! 1. **Window open.** A fresh destination group is built mid-run from the
-//!    family's `StoreBuilder` with an RNG label derived from `(base label,
-//!    RESHARD role, group ordinal)` — the same private-stream convention as
-//!    `build_one_shard`, so the new group's randomness is isolated by
-//!    construction. The moving range `[lo, hi]` enters a *double-write
-//!    window*: every mutation of a covered key applies to the source and,
-//!    if the source applied (or timed out ambiguously), mirrors to the
-//!    destination — both under that key's FIFO lock.
-//! 2. **Paced copy.** The copy driver walks the live keys of the range in
+//! 1. **Copy.** The driver walks the source's live keys of the range in
 //!    sorted order (one key per `pace_ns`, 2 µs unless the event says
-//!    otherwise), and under each key's lock overwrites the
-//!    destination with the source's current value (or deletes a key the
-//!    source no longer has — merges fold onto a group holding stale
-//!    pre-split state). Mutations serialize with the copy through the same
-//!    locks, so source order ≡ destination order per key.
-//! 3. **Drain + seal.** After the walk, the driver waits until no mutation
-//!    is inside the window (an `inflight` count, incremented in the same
-//!    synchronous region as the under-lock ownership re-check), then
-//!    *synchronously* bumps the epoch and assigns the range to the
-//!    destination. Any mirror failure poisons the window instead: the
-//!    migration aborts, the source keeps ownership, and nothing the
-//!    destination holds was ever readable.
+//!    otherwise), and under each key's FIFO lock overwrites the
+//!    destination with the source's current value. Meanwhile every
+//!    mutation of a covered key applies to the source and, if the source
+//!    applied (or timed out ambiguously), mirrors to the destination under
+//!    the same lock, so source order ≡ destination order per key. A copy
+//!    or mirror step that fails for good poisons the migration and ends
+//!    the walk.
+//! 2. **Drain.** The driver waits until no mutation is inside the window:
+//!    each one is counted from its under-lock ownership re-check to the end
+//!    of its mirror.
+//! 3. **Publish.** In the same synchronous region as Drain's final check,
+//!    the window closes and, unless the migration is poisoned, the epoch
+//!    bumps with the range assigned to the destination: the migration is
+//!    done.
+//!
+//! Every other way out is an abort with an [`AbortReason`] — an event the
+//! family cannot carry out, a verdict that never came, a poisoned copy, a
+//! wait past its deadline — and leaves the source owning the range:
+//! nothing the destination holds was ever readable. Each of the driver's
+//! waits checks a deadline on its poll tick, so every migration ends: the
+//! window-wait and Drain poll every 200 ns for at most 1 s, the membership
+//! verdict every 100 µs until the group's watcher runs out.
 //!
 //! Reads never lock: a read resolves its group against the authoritative
 //! map at invocation, and a straggler source read racing the seal overlaps
@@ -55,10 +66,6 @@
 //! the checker's apply-or-discard semantics cover both the copy driver
 //! preserving and overwriting their effect.
 //!
-//! The same machinery rebuilds a replica group after a permanent crash
-//! ([`ElasticShard::rebuild`]): once the membership service declares a
-//! node dead, the group's whole span migrates onto a spare built fresh.
-//!
 //! Everything here is deterministic: labeled RNG streams only, sorted key
 //! walks, FIFO locks, constant pacing — a migration replays bit-identically
 //! across `ShardMode::{SingleSim, Threads}` (the `reshard_chaos` suite
@@ -66,10 +73,13 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{hash_map::Entry, BTreeSet, HashMap, VecDeque};
+use std::future::Future;
 use std::rc::Rc;
 
 use swarm_fabric::{Endpoint, FaultPlan, TrafficStats};
-use swarm_sim::{join_boxed, oneshot, BoxFuture, FifoResource, Nanos, OneshotSender, Sim};
+use swarm_sim::{
+    join_boxed, oneshot, BoxFuture, FifoResource, Nanos, OneshotSender, Sim, NANOS_PER_SEC,
+};
 
 use crate::builder::{Protocol, StoreBuilder, StoreCluster};
 use crate::client::StoreClient;
@@ -99,8 +109,16 @@ const MAX_BOUNCES: usize = 16;
 /// the client re-resolves with a fresh map).
 const BOUNCE_NS: Nanos = 500;
 
-/// Poll period of the window-drain and window-wait loops.
+/// Poll period of the window-wait and of Drain.
 const DRAIN_POLL_NS: Nanos = 200;
+
+/// How long the window-wait and Drain each poll before the migration
+/// aborts. Far past the longest migration a bench runs (about a quarter
+/// second at `bench_reshard --full`) and the longest Drain a chaos run
+/// sees: with a dead destination, every mutation entering the window
+/// spends a whole 2 ms op deadline on its mirror, and the windows of two
+/// clients can overlap for many of those in a row.
+const WAIT_DEADLINE_NS: Nanos = NANOS_PER_SEC;
 
 /// Poll period while a rebuild waits for the membership verdict.
 const DEAD_POLL_NS: Nanos = 100_000;
@@ -109,7 +127,7 @@ const DEAD_POLL_NS: Nanos = 100_000;
 /// destination write.
 const COPY_RETRY_NS: Nanos = 5_000;
 
-/// Copy-driver attempts per key before the window is poisoned.
+/// Copy-driver attempts per step before the migration is poisoned.
 const COPY_RETRIES: usize = 8;
 
 /// The point a key occupies in its family's 16-bit split space: a pure
@@ -156,7 +174,7 @@ impl ShardMap {
         }
     }
 
-    /// Current generation; bumped by every [`ShardMap::assign`].
+    /// Current generation; every handoff bumps it.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -180,28 +198,25 @@ impl ShardMap {
         &self.segments
     }
 
-    /// Reassigns `[lo, hi]` to `group` and bumps the epoch: the seal of an
-    /// ownership handoff. Adjacent same-group segments coalesce, so a merge
-    /// restores the pre-split map shape.
-    pub fn assign(&mut self, lo: u16, hi: u16, group: usize) {
-        assert!(lo <= hi, "segment bounds out of order");
-        let old = std::mem::take(&mut self.segments);
-        let mut segs: Vec<Segment> = Vec::with_capacity(old.len() + 2);
-        for seg in old {
+    /// Reassigns `[lo, hi]` (`lo <= hi`) to `group` and bumps the epoch:
+    /// the seal of an ownership handoff. `group` is always freshly built,
+    /// so every group owns at most one segment and no two neighbours share
+    /// an owner — there is nothing to coalesce.
+    fn assign(&mut self, lo: u16, hi: u16, group: usize) {
+        let mut segs = Vec::with_capacity(self.segments.len() + 2);
+        for seg in std::mem::take(&mut self.segments) {
             // `lo > 0` / `hi < MAX` are implied by the guards, so the ±1
             // arithmetic cannot wrap.
             if seg.start < lo {
                 segs.push(Segment {
-                    start: seg.start,
                     end: seg.end.min(lo - 1),
-                    group: seg.group,
+                    ..seg
                 });
             }
             if seg.end > hi {
                 segs.push(Segment {
                     start: seg.start.max(hi + 1),
-                    end: seg.end,
-                    group: seg.group,
+                    ..seg
                 });
             }
         }
@@ -211,18 +226,7 @@ impl ShardMap {
             group,
         });
         segs.sort_unstable_by_key(|s| s.start);
-        let mut merged: Vec<Segment> = Vec::with_capacity(segs.len());
-        for seg in segs {
-            match merged.last_mut() {
-                Some(last)
-                    if last.group == seg.group && last.end as u32 + 1 == seg.start as u32 =>
-                {
-                    last.end = seg.end;
-                }
-                _ => merged.push(seg),
-            }
-        }
-        self.segments = merged;
+        self.segments = segs;
         self.epoch += 1;
     }
 }
@@ -248,33 +252,20 @@ pub struct ReshardEvent {
 impl ReshardEvent {
     /// A split of `permille`/1000 of shard `shard`'s range at `at_ns`.
     pub fn split(shard: usize, at_ns: Nanos, permille: u32) -> Self {
-        ReshardEvent {
-            shard,
-            at_ns,
-            action: ReshardAction::Split { permille },
-            pace_ns: None,
-            dest_faults: None,
-        }
-    }
-
-    /// A merge of `group` back into the base group at `at_ns`.
-    pub fn merge(shard: usize, at_ns: Nanos, group: usize) -> Self {
-        ReshardEvent {
-            shard,
-            at_ns,
-            action: ReshardAction::Merge { group },
-            pace_ns: None,
-            dest_faults: None,
-        }
+        Self::new(shard, at_ns, ReshardAction::Split { permille })
     }
 
     /// A membership-driven rebuild of `group` (waiting on `dead_node`'s
     /// death verdict) at `at_ns`.
     pub fn rebuild(shard: usize, at_ns: Nanos, group: usize, dead_node: usize) -> Self {
+        Self::new(shard, at_ns, ReshardAction::Rebuild { group, dead_node })
+    }
+
+    fn new(shard: usize, at_ns: Nanos, action: ReshardAction) -> Self {
         ReshardEvent {
             shard,
             at_ns,
-            action: ReshardAction::Rebuild { group, dead_node },
+            action,
             pace_ns: None,
             dest_faults: None,
         }
@@ -293,7 +284,7 @@ impl ReshardEvent {
     }
 }
 
-/// The three reconfigurations the migration machinery implements.
+/// The two ways a migration resolves its moving range.
 #[derive(Debug, Clone)]
 pub enum ReshardAction {
     /// Split the top `permille`/1000 of the family's split space onto a
@@ -301,11 +292,6 @@ pub enum ReshardAction {
     Split {
         /// Fraction of the space to move, in thousandths (1..=999).
         permille: u32,
-    },
-    /// Fold `group`'s span back onto the family's base group.
-    Merge {
-        /// The group to retire (must currently own exactly one segment).
-        group: usize,
     },
     /// Once the membership service declares `dead_node` dead, move
     /// `group`'s whole span onto a spare group built fresh — replica
@@ -318,6 +304,28 @@ pub enum ReshardAction {
     },
 }
 
+/// Why a migration ended without moving ownership.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AbortReason {
+    /// A split's `permille` is outside `1..=999`.
+    Permille,
+    /// The split range is not owned by one group.
+    Span,
+    /// The group to rebuild does not own exactly one segment.
+    Segments,
+    /// Nothing declared the node dead: the group does not exist, or its
+    /// membership watcher ran out (or was never armed) first.
+    NoVerdict,
+    /// `dest_faults` targets a node the destination group does not have.
+    FaultPlan,
+    /// The family's previous migration still held the window after 1 s.
+    Busy,
+    /// A copy or mirror step failed for good.
+    Poisoned,
+    /// Mutations were still inside the window after 1 s of Drain.
+    Drain,
+}
+
 /// `Send` snapshot of a family's migration counters (a bit-parity witness
 /// alongside histories and traffic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -328,11 +336,11 @@ pub struct ReshardStats {
     pub groups: usize,
     /// Migrations sealed (ownership actually moved).
     pub sealed: u64,
-    /// Migrations aborted by a poisoned window.
+    /// Migrations aborted, whatever the [`AbortReason`].
     pub aborted: u64,
     /// Requests bounced with a stale epoch.
     pub bounces: u64,
-    /// Keys walked by copy drivers.
+    /// Keys walked by Copy.
     pub keys_copied: u64,
     /// Mutations double-written during windows.
     pub mirrored: u64,
@@ -340,18 +348,37 @@ pub struct ReshardStats {
     pub last_seal_ns: Option<Nanos>,
 }
 
-/// An active double-write window: `[lo, hi]` of the family's split space
-/// is moving from `source` to `dest`.
-struct Window {
+/// One migration: `[lo, hi]` of the family's split space moving from group
+/// `source` to group `dest`. It holds the family's double-write window
+/// from the moment the destination exists until Publish.
+struct Migration {
     source: usize,
     dest: usize,
     lo: u16,
     hi: u16,
-    /// A mirror failed: abort instead of sealing.
+    /// A copy or mirror step failed: Publish aborts instead of sealing.
     poisoned: Cell<bool>,
-    /// Mutations currently between the under-lock window check and the
-    /// end of their mirror: the seal waits for zero.
+    /// Mutations between their under-lock window check and the end of
+    /// their mirror, one per live [`Mirror`]: Drain waits for zero.
     inflight: Cell<usize>,
+}
+
+impl Migration {
+    fn covers(&self, key: u64) -> bool {
+        let p = split_point(key);
+        self.lo <= p && p <= self.hi
+    }
+}
+
+/// A mutation inside a migration's window: one count of its `inflight`,
+/// released on drop. It owns the migration, so a mirror that outlives a
+/// Drain which gave up releases a count nobody waits on any more.
+struct Mirror(Rc<Migration>);
+
+impl Drop for Mirror {
+    fn drop(&mut self) {
+        self.0.inflight.set(self.0.inflight.get() - 1);
+    }
 }
 
 /// Per-key FIFO locks serializing window mutations with the copy driver.
@@ -426,20 +453,18 @@ pub struct ElasticShard {
     map: RefCell<ShardMap>,
     groups: RefCell<Vec<StoreCluster>>,
     locks: Rc<KeyLocks>,
-    /// `Rc` so repair defer predicates can watch the active window
-    /// without holding the family alive (`new_group` takes `&self`).
-    window: Rc<RefCell<Option<Window>>>,
+    /// The migration holding the double-write window. `Rc` so repair defer
+    /// predicates can watch it without holding the family alive
+    /// (`new_group` takes `&self`).
+    window: Rc<RefCell<Option<Rc<Migration>>>>,
     /// Reserved client id for migration drivers (top of `max_clients`).
     mig_id: usize,
     /// Deadline [`ElasticShard::arm_repair`] armed the family's repair
     /// agents until; fresh destination groups arm themselves against it.
     repair_until: Cell<Option<Nanos>>,
-    bounces: Cell<u64>,
-    keys_copied: Cell<u64>,
-    mirrored: Cell<u64>,
-    sealed: Cell<u64>,
-    aborted: Cell<u64>,
-    last_seal_ns: Cell<Option<Nanos>>,
+    /// The counters; `epoch` and `groups` are read off the map and the
+    /// group list instead.
+    stats: Cell<ReshardStats>,
 }
 
 impl ElasticShard {
@@ -456,7 +481,7 @@ impl ElasticShard {
             builder.protocol() != Protocol::Fusee,
             "elastic resharding runs on the Cluster substrate (RAW / SWARM-KV / DM-ABD)"
         );
-        let mig_id = builder.max_client_count().checked_sub(1).unwrap();
+        let mig_id = builder.max_client_count().saturating_sub(1);
         assert!(
             mig_id >= 1,
             "elastic resharding reserves the top client id for the migration \
@@ -472,12 +497,7 @@ impl ElasticShard {
             window: Rc::new(RefCell::new(None)),
             mig_id,
             repair_until: Cell::new(None),
-            bounces: Cell::new(0),
-            keys_copied: Cell::new(0),
-            mirrored: Cell::new(0),
-            sealed: Cell::new(0),
-            aborted: Cell::new(0),
-            last_seal_ns: Cell::new(None),
+            stats: Cell::new(ReshardStats::default()),
         })
     }
 
@@ -546,13 +566,14 @@ impl ElasticShard {
         ReshardStats {
             epoch: self.epoch(),
             groups: self.num_groups(),
-            sealed: self.sealed.get(),
-            aborted: self.aborted.get(),
-            bounces: self.bounces.get(),
-            keys_copied: self.keys_copied.get(),
-            mirrored: self.mirrored.get(),
-            last_seal_ns: self.last_seal_ns.get(),
+            ..self.stats.get()
         }
+    }
+
+    fn count(&self, bump: impl FnOnce(&mut ReshardStats)) {
+        let mut stats = self.stats.get();
+        bump(&mut stats);
+        self.stats.set(stats);
     }
 
     /// Arms anti-entropy repair on every group of the family until
@@ -577,10 +598,7 @@ impl ElasticShard {
         };
         let window = Rc::clone(&self.window);
         agent.set_defer(Some(Rc::new(move |key| {
-            window.borrow().as_ref().is_some_and(|w| {
-                let p = split_point(key);
-                w.lo <= p && p <= w.hi
-            })
+            window.borrow().as_ref().is_some_and(|m| m.covers(key))
         })));
         agent.arm_until(deadline);
     }
@@ -598,112 +616,132 @@ impl ElasticShard {
         Some(total)
     }
 
-    /// Spawns `ev` as a simulation task: sleep to `ev.at_ns`, then run the
-    /// action (waiting out any migration already in flight).
+    /// Spawns [`ElasticShard::migrate`] of `ev` as a simulation task.
     pub fn run_event(self: &Rc<Self>, ev: &ReshardEvent) {
-        let this = Rc::clone(self);
-        let ev = ev.clone();
-        self.sim.clone().spawn(async move {
-            this.sim.sleep_until(ev.at_ns).await;
-            let pace = ev.pace_ns.unwrap_or(DEFAULT_PACE_NS);
-            match ev.action {
-                ReshardAction::Split { permille } => {
-                    this.split(permille, pace, ev.dest_faults.as_ref()).await;
-                }
-                ReshardAction::Merge { group } => {
-                    this.merge(group, pace).await;
-                }
-                ReshardAction::Rebuild { group, dead_node } => {
-                    this.rebuild(group, dead_node, pace, ev.dest_faults.as_ref())
-                        .await;
-                }
-            }
+        let (this, ev) = (Rc::clone(self), ev.clone());
+        self.sim.spawn(async move {
+            // The outcome is counted in the family's stats.
+            let _ = this.migrate(&ev).await;
         });
     }
 
-    /// Splits the top `permille`/1000 of the split space onto a fresh
-    /// group. Returns whether the handoff sealed (an aborted window leaves
-    /// ownership unchanged).
-    pub async fn split(
+    /// Runs `ev` to its end: sleeps to `ev.at_ns`, resolves the moving
+    /// range and builds the destination, then drives the migration through
+    /// Copy, Drain and Publish. `Ok` when it sealed, the reason when it
+    /// aborted; [`ElasticShard::stats`] counts both.
+    pub async fn migrate(&self, ev: &ReshardEvent) -> Result<(), AbortReason> {
+        self.sim.sleep_until(ev.at_ns).await;
+        let faults = ev.dest_faults.as_ref();
+        let opened = match ev.action {
+            ReshardAction::Split { permille } => self.split(permille, faults).await,
+            ReshardAction::Rebuild { group, dead_node } => {
+                self.rebuild(group, dead_node, faults).await
+            }
+        };
+        let end = match opened {
+            Ok(m) => self.drive(&m, ev.pace_ns.unwrap_or(DEFAULT_PACE_NS)).await,
+            Err(why) => Err(why),
+        };
+        let now = self.sim.now();
+        self.count(|s| match end {
+            Ok(()) => {
+                s.sealed += 1;
+                s.last_seal_ns = Some(now);
+            }
+            Err(_) => s.aborted += 1,
+        });
+        end
+    }
+
+    /// A split: the top `permille`/1000 of the split space, which one
+    /// group must own, moves to a fresh group.
+    async fn split(
         &self,
         permille: u32,
-        pace_ns: Nanos,
-        dest_faults: Option<&FaultPlan>,
-    ) -> bool {
-        assert!(
-            (1..=999).contains(&permille),
-            "split permille must be within 1..=999"
-        );
-        self.wait_no_window().await;
+        faults: Option<&FaultPlan>,
+    ) -> Result<Rc<Migration>, AbortReason> {
+        if !(1..=999).contains(&permille) {
+            return Err(AbortReason::Permille);
+        }
+        self.window_wait().await?;
         let span = (SPLIT_SPACE * permille / 1000).max(1);
-        let lo = (SPLIT_SPACE - span) as u16;
-        let hi = u16::MAX;
-        // Synchronous from ownership check to window activation: no other
-        // migration can slip in between.
-        let source = {
-            let map = self.map.borrow();
-            let owner = map.owner_of_point(lo);
-            assert_eq!(
-                owner,
-                map.owner_of_point(hi),
-                "split range must be wholly owned by one group"
-            );
-            owner
-        };
-        let dest = self.new_group(dest_faults);
-        self.activate(source, dest, lo, hi);
-        self.move_range(source, dest, lo, hi, pace_ns).await
+        let (lo, hi) = ((SPLIT_SPACE - span) as u16, u16::MAX);
+        // Synchronous from the ownership check to the window opening: no
+        // other migration can slip in between.
+        let source = self.map.borrow().owner_of_point(lo);
+        if self.map.borrow().owner_of_point(hi) != source {
+            return Err(AbortReason::Span);
+        }
+        self.open(source, lo, hi, faults)
     }
 
-    /// Folds `group`'s span back onto the base group (group 0). The group
-    /// must own exactly one segment (what a split produced).
-    pub async fn merge(&self, group: usize, pace_ns: Nanos) -> bool {
-        assert!(group != 0, "the base group cannot merge into itself");
-        self.wait_no_window().await;
-        let (lo, hi) = self.sole_span(group, "merge");
-        self.activate(group, 0, lo, hi);
-        self.move_range(group, 0, lo, hi, pace_ns).await
-    }
-
-    /// Replica replacement: waits for `group`'s membership service to
-    /// declare `dead_node` dead, then moves the group's whole span onto a
-    /// spare group built fresh. Returns `false`, counted as an abort, when
-    /// the group's watcher runs out (or was never armed) without that
-    /// verdict: nothing can declare the node dead any more.
-    pub async fn rebuild(
+    /// Replica replacement: once `group`'s membership service declares
+    /// `dead_node` dead, the group's one segment moves to a fresh group.
+    /// The verdict's deadline is the group's watcher: past it nothing can
+    /// declare the node dead any more.
+    async fn rebuild(
         &self,
         group: usize,
         dead_node: usize,
-        pace_ns: Nanos,
-        dest_faults: Option<&FaultPlan>,
-    ) -> bool {
-        let membership = self.groups.borrow()[group]
-            .membership()
-            .expect("rebuild is membership-driven (Cluster substrate only)")
-            .clone();
+        faults: Option<&FaultPlan>,
+    ) -> Result<Rc<Migration>, AbortReason> {
+        let membership = self
+            .groups
+            .borrow()
+            .get(group)
+            .and_then(|c| c.membership().cloned());
+        let membership = membership.ok_or(AbortReason::NoVerdict)?;
         while !membership.is_declared_dead(dead_node) {
             if self.sim.now() >= membership.watched_until() {
-                self.aborted.set(self.aborted.get() + 1);
-                return false;
+                return Err(AbortReason::NoVerdict);
             }
             self.sim.sleep_ns(DEAD_POLL_NS).await;
         }
-        self.wait_no_window().await;
-        let (lo, hi) = self.sole_span(group, "rebuild");
-        let dest = self.new_group(dest_faults);
-        self.activate(group, dest, lo, hi);
-        self.move_range(group, dest, lo, hi, pace_ns).await
+        self.window_wait().await?;
+        let map = self.map.borrow().clone();
+        let mut owned = map.segments().iter().filter(|s| s.group == group);
+        let (Some(seg), None) = (owned.next(), owned.next()) else {
+            return Err(AbortReason::Segments);
+        };
+        self.open(group, seg.start, seg.end, faults)
     }
 
-    /// The span of the one segment `group` owns (what a split produced):
-    /// the range a merge or rebuild (`op`, for the panic) moves whole.
-    fn sole_span(&self, group: usize, op: &str) -> (u16, u16) {
-        let map = self.map.borrow();
-        let mut owned = map.segments().iter().filter(|seg| seg.group == group);
-        match (owned.next(), owned.next()) {
-            (Some(seg), None) => (seg.start, seg.end),
-            _ => panic!("{op} expects group {group} to own exactly one segment"),
+    /// The window-wait: polls until no migration holds the family's window,
+    /// for at most [`WAIT_DEADLINE_NS`].
+    async fn window_wait(&self) -> Result<(), AbortReason> {
+        let deadline = self.sim.now() + WAIT_DEADLINE_NS;
+        while self.window.borrow().is_some() {
+            if self.sim.now() >= deadline {
+                return Err(AbortReason::Busy);
+            }
+            self.sim.sleep_ns(DRAIN_POLL_NS).await;
         }
+        Ok(())
+    }
+
+    /// Builds the destination and opens the window over `[lo, hi]`, which
+    /// the caller found free in this same synchronous region.
+    fn open(
+        &self,
+        source: usize,
+        lo: u16,
+        hi: u16,
+        faults: Option<&FaultPlan>,
+    ) -> Result<Rc<Migration>, AbortReason> {
+        let nodes = self.groups.borrow()[source].fabric().num_nodes();
+        if faults.is_some_and(|p| p.events().iter().any(|(_, a)| a.node().0 >= nodes)) {
+            return Err(AbortReason::FaultPlan);
+        }
+        let m = Rc::new(Migration {
+            source,
+            dest: self.new_group(faults),
+            lo,
+            hi,
+            poisoned: Cell::new(false),
+            inflight: Cell::new(0),
+        });
+        *self.window.borrow_mut() = Some(Rc::clone(&m));
+        Ok(m)
     }
 
     /// Builds the next destination group with a label derived from the
@@ -731,160 +769,82 @@ impl ElasticShard {
         ordinal
     }
 
-    fn activate(&self, source: usize, dest: usize, lo: u16, hi: u16) {
-        let prev = self.window.replace(Some(Window {
-            source,
-            dest,
-            lo,
-            hi,
-            poisoned: Cell::new(false),
-            inflight: Cell::new(0),
-        }));
-        assert!(prev.is_none(), "one migration at a time per family");
-    }
-
-    async fn wait_no_window(&self) {
-        while self.window.borrow().is_some() {
-            self.sim.sleep_ns(DRAIN_POLL_NS).await;
-        }
-    }
-
-    /// The copy driver: paced sorted walk, per-key lock, overwrite-or-
-    /// delete on the destination, then drain and seal (or abort).
-    async fn move_range(
-        &self,
-        source: usize,
-        dest: usize,
-        lo: u16,
-        hi: u16,
-        pace_ns: Nanos,
-    ) -> bool {
-        let keys = self.range_keys(source, dest, lo, hi);
+    /// The migration driver: steps `m` through Copy, Drain and Publish (see
+    /// the module docs).
+    async fn drive(&self, m: &Migration, pace_ns: Nanos) -> Result<(), AbortReason> {
+        // Copy. A destination is built empty, so the source's keys are the
+        // walk.
+        let keys: Vec<u64> = self.groups.borrow()[m.source]
+            .swarm()
+            .map(|c| c.index().keys_sorted())
+            .unwrap_or_default();
         let (src, dst) = {
             let groups = self.groups.borrow();
             (
-                groups[source].client(self.mig_id),
-                groups[dest].client(self.mig_id),
+                groups[m.source].client(self.mig_id),
+                groups[m.dest].client(self.mig_id),
             )
         };
-        for key in keys {
+        for key in keys.into_iter().filter(|&k| m.covers(k)) {
             self.sim.sleep_ns(pace_ns).await;
             let guard = self.locks.lock(key).await;
-            self.copy_one(&src, &dst, key).await;
+            if !self.copy_one(&src, &dst, key).await {
+                m.poisoned.set(true);
+            }
             drop(guard);
-            self.keys_copied.set(self.keys_copied.get() + 1);
-            if self.window_poisoned() {
+            self.count(|s| s.keys_copied += 1);
+            if m.poisoned.get() {
                 break;
             }
         }
-        // Drain the double-write window. The final zero check and the
-        // seal below share one synchronous region, so a mutation either
-        // held `inflight` here or re-checks ownership after the seal and
-        // bounces to the destination.
-        loop {
-            let inflight = self
-                .window
-                .borrow()
-                .as_ref()
-                .expect("window active through its own migration")
-                .inflight
-                .get();
-            if inflight == 0 {
-                break;
-            }
+        // Drain. Its final zero check and Publish share one synchronous
+        // region, so a mutation either holds a `Mirror` here or re-checks
+        // ownership after the seal and bounces to the destination.
+        let deadline = self.sim.now() + WAIT_DEADLINE_NS;
+        while m.inflight.get() > 0 && self.sim.now() < deadline {
             self.sim.sleep_ns(DRAIN_POLL_NS).await;
         }
-        let window = self
-            .window
-            .borrow_mut()
-            .take()
-            .expect("window active through its own migration");
-        if window.poisoned.get() {
-            self.aborted.set(self.aborted.get() + 1);
-            false
+        // Publish.
+        self.window.replace(None);
+        if m.inflight.get() > 0 {
+            Err(AbortReason::Drain)
+        } else if m.poisoned.get() {
+            Err(AbortReason::Poisoned)
         } else {
-            self.map
-                .borrow_mut()
-                .assign(window.lo, window.hi, window.dest);
-            self.sealed.set(self.sealed.get() + 1);
-            self.last_seal_ns.set(Some(self.sim.now()));
-            true
+            self.map.borrow_mut().assign(m.lo, m.hi, m.dest);
+            Ok(())
         }
     }
 
-    /// Synchronizes one key from source to destination under its lock:
-    /// destination ends holding exactly the source's current state.
-    async fn copy_one(&self, src: &Rc<StoreClient>, dst: &Rc<StoreClient>, key: u64) {
-        let mut value = None;
-        let mut ok = false;
-        for _ in 0..COPY_RETRIES {
-            match src.get(key).await {
-                Ok(v) => {
-                    value = v;
-                    ok = true;
-                    break;
-                }
-                Err(KvError::Timeout) => self.sim.sleep_ns(COPY_RETRY_NS).await,
-                Err(_) => break,
-            }
-        }
-        if !ok {
-            self.poison();
-            return;
-        }
-        for _ in 0..COPY_RETRIES {
-            let r = match &value {
-                Some(v) => src_to_dest(dst.insert(key, (**v).clone()).await),
-                None => match dst.delete(key).await {
-                    // Absent on the destination too: nothing to undo.
-                    Err(KvError::NotFound) | Err(KvError::Deleted) => CopyStep::Done,
-                    r => src_to_dest(r),
-                },
-            };
-            match r {
-                CopyStep::Done => return,
-                CopyStep::Retry => self.sim.sleep_ns(COPY_RETRY_NS).await,
-                CopyStep::Fail => break,
-            }
-        }
-        self.poison();
-    }
-
-    /// The sorted union of live keys on source and destination within
-    /// `[lo, hi]` (control-plane snapshot): the copy walk. The destination
-    /// side matters for merges, where the base group still holds stale
-    /// pre-split state that must be overwritten or deleted.
-    fn range_keys(&self, source: usize, dest: usize, lo: u16, hi: u16) -> Vec<u64> {
-        let groups = self.groups.borrow();
-        let index_keys = |g: usize| {
-            groups[g]
-                .swarm()
-                .expect("elastic resharding runs on the Cluster substrate")
-                .index()
-                .keys_sorted()
+    /// Synchronizes one key from source to destination under its lock: the
+    /// destination ends holding exactly the source's current state. False
+    /// when a step failed for good.
+    async fn copy_one(&self, src: &StoreClient, dst: &StoreClient, key: u64) -> bool {
+        let Ok(value) = self.retry(|| src.get(key)).await else {
+            return false;
         };
-        let mut union: BTreeSet<u64> = index_keys(source).into_iter().collect();
-        union.extend(index_keys(dest));
-        union
-            .into_iter()
-            .filter(|&k| {
-                let p = split_point(k);
-                lo <= p && p <= hi
-            })
-            .collect()
+        let r = match &value {
+            Some(v) => self.retry(|| dst.insert(key, (**v).clone())).await,
+            None => absent_is_done(self.retry(|| dst.delete(key)).await),
+        };
+        r.is_ok()
     }
 
-    fn window_poisoned(&self) -> bool {
-        self.window
-            .borrow()
-            .as_ref()
-            .is_some_and(|w| w.poisoned.get())
-    }
-
-    fn poison(&self) {
-        if let Some(w) = self.window.borrow().as_ref() {
-            w.poisoned.set(true);
+    /// One copy step: up to [`COPY_RETRIES`] attempts, each timeout
+    /// followed by a [`COPY_RETRY_NS`] pause; any other result is final.
+    async fn retry<T, F>(&self, mut step: impl FnMut() -> F) -> KvResult<T>
+    where
+        F: Future<Output = KvResult<T>>,
+    {
+        let mut r = Err(KvError::Timeout);
+        for _ in 0..COPY_RETRIES {
+            r = step().await;
+            if !matches!(r, Err(KvError::Timeout)) {
+                break;
+            }
+            self.sim.sleep_ns(COPY_RETRY_NS).await;
         }
+        r
     }
 
     /// The group a request for `key` addressed to `group` should really go
@@ -894,44 +854,27 @@ impl ElasticShard {
         if map.owner_of(key) == group {
             Ok(())
         } else {
-            self.bounces.set(self.bounces.get() + 1);
+            self.count(|s| s.bounces += 1);
             Err(KvError::WrongShard { epoch: map.epoch() })
         }
     }
 
-    /// `Some(dest)` when `key` on `group` is inside the active double-
-    /// write window.
-    fn mirror_dest(&self, key: u64, group: usize) -> Option<usize> {
-        let window = self.window.borrow();
-        let w = window.as_ref()?;
-        let p = split_point(key);
-        (w.source == group && w.lo <= p && p <= w.hi).then_some(w.dest)
-    }
-
-    fn window_enter(&self) {
-        let window = self.window.borrow();
-        let w = window.as_ref().expect("window checked in the same region");
-        w.inflight.set(w.inflight.get() + 1);
-    }
-
-    fn window_exit(&self) {
-        let window = self.window.borrow();
-        let w = window.as_ref().expect("the drain waits for inflight zero");
-        w.inflight.set(w.inflight.get() - 1);
+    /// Counts a mutation of `key` on `group` into the migration whose
+    /// window covers it: the mutation must mirror to that migration's
+    /// destination, and Drain waits until the [`Mirror`] drops.
+    fn enter_window(&self, key: u64, group: usize) -> Option<Mirror> {
+        let m = self.window.borrow().clone();
+        let m = m.filter(|m| m.source == group && m.covers(key))?;
+        m.inflight.set(m.inflight.get() + 1);
+        Some(Mirror(m))
     }
 }
 
-enum CopyStep {
-    Done,
-    Retry,
-    Fail,
-}
-
-fn src_to_dest(r: KvResult<()>) -> CopyStep {
+/// A delete that finds the key already absent has nothing to undo.
+fn absent_is_done(r: KvResult<()>) -> KvResult<()> {
     match r {
-        Ok(()) => CopyStep::Done,
-        Err(KvError::Timeout) => CopyStep::Retry,
-        Err(_) => CopyStep::Fail,
+        Err(KvError::NotFound | KvError::Deleted) => Ok(()),
+        r => r,
     }
 }
 
@@ -1003,9 +946,8 @@ impl ElasticClient {
             let g = self.resolve(key).await?;
             let guard = self.shard.locks.lock(key).await;
             // Re-check under the lock — a seal may have landed while we
-            // waited. From here to `window_enter` is synchronous, so the
-            // seal's drain either saw our inflight increment or we see
-            // its epoch bump.
+            // waited. From here to `enter_window` is synchronous, so Drain
+            // either counts this mutation or we see its epoch bump.
             if let Err(e) = self.shard.dispatch_check(key, g) {
                 drop(guard);
                 bounces += 1;
@@ -1015,30 +957,22 @@ impl ElasticClient {
                 self.refresh();
                 continue;
             }
-            let mut mirror = self.shard.mirror_dest(key, g);
-            if mirror.is_some() {
-                self.shard.window_enter();
-            }
+            let mirror = self.shard.enter_window(key, g);
             let r = self.apply(g, key, &op).await;
-            if mirror.is_none() {
-                // A window may have opened while the op was in flight. Its
-                // copy snapshot was taken before our effect landed, so an
-                // insert racing the activation would reach neither the
-                // walk nor the double-write: re-check and mirror late.
-                mirror = self.shard.mirror_dest(key, g);
-                if mirror.is_some() {
-                    self.shard.window_enter();
-                }
-            }
-            if let Some(dest) = mirror {
-                // Mirror what applied — and what *may* have applied: a
-                // timed-out mutation's messages can still land on the
-                // source, so the destination must assume they did.
+            // A window may have opened while the op was in flight. Its
+            // copy snapshot was taken before our effect landed, so an
+            // insert racing the opening would reach neither the walk nor
+            // the double-write: re-check and mirror late.
+            let mirror = mirror.or_else(|| self.shard.enter_window(key, g));
+            // Mirror what applied — and what *may* have applied: a
+            // timed-out mutation's messages can still land on the source,
+            // so the destination must assume they did.
+            if let Some(m) = &mirror {
                 if matches!(r, Ok(()) | Err(KvError::Timeout)) {
-                    self.mirror(dest, key, &op).await;
+                    self.mirror(m, key, &op).await;
                 }
-                self.shard.window_exit();
             }
+            drop(mirror);
             drop(guard);
             return r;
         }
@@ -1053,23 +987,20 @@ impl ElasticClient {
         }
     }
 
-    /// Applies `op`'s effect to the destination group. Upserts stand in
-    /// for updates (the destination may not hold the key yet); an absent
-    /// delete is success. Any other failure poisons the window, which
-    /// aborts the seal — the destination never becomes authoritative
-    /// while missing a completed write.
-    async fn mirror(&self, dest: usize, key: u64, op: &MutOp) {
-        let client = self.client_for(dest);
+    /// Applies `op`'s effect to the migration's destination. Upserts stand
+    /// in for updates (the destination may not hold the key yet); an absent
+    /// delete is success. Any other failure poisons the migration, which
+    /// aborts the seal — the destination never becomes authoritative while
+    /// missing a completed write.
+    async fn mirror(&self, m: &Mirror, key: u64, op: &MutOp) {
+        let client = self.client_for(m.0.dest);
         let r = match op {
             MutOp::Update(v) | MutOp::Insert(v) => client.insert(key, v.clone()).await,
-            MutOp::Delete => match client.delete(key).await {
-                Err(KvError::NotFound) | Err(KvError::Deleted) => Ok(()),
-                r => r,
-            },
+            MutOp::Delete => absent_is_done(client.delete(key).await),
         };
         match r {
-            Ok(()) => self.shard.mirrored.set(self.shard.mirrored.get() + 1),
-            Err(_) => self.shard.poison(),
+            Ok(()) => self.shard.count(|s| s.mirrored += 1),
+            Err(_) => m.0.poisoned.set(true),
         }
     }
 }
@@ -1107,7 +1038,7 @@ impl KvStore for ElasticClient {
     /// would read handed-off keys from their frozen copies.
     async fn scan(&self, start: u64, limit: usize) -> KvResult<ScanItems> {
         if self.cached.borrow().epoch() != self.shard.epoch() {
-            self.shard.bounces.set(self.shard.bounces.get() + 1);
+            self.shard.count(|s| s.bounces += 1);
             self.shard.sim.sleep_ns(BOUNCE_NS).await;
             self.refresh();
         }
@@ -1172,6 +1103,7 @@ impl KvStore for ElasticClient {
 mod tests {
     use super::*;
     use crate::recorder::HistoryRecorder;
+    use swarm_fabric::NodeId;
     use swarm_sim::NANOS_PER_MILLI;
 
     fn tagged(tag: u64) -> Vec<u8> {
@@ -1187,6 +1119,11 @@ mod tests {
             .op_deadline_ns(2 * NANOS_PER_MILLI)
     }
 
+    /// A split of `permille`/1000 of the family's space starting now.
+    fn split_now(permille: u32, pace_ns: Nanos) -> ReshardEvent {
+        ReshardEvent::split(0, 0, permille).pace_ns(pace_ns)
+    }
+
     #[test]
     fn base_map_matches_shard_spec_everywhere() {
         // A family refines one static shard: before any handoff its map
@@ -1200,7 +1137,7 @@ mod tests {
     }
 
     #[test]
-    fn assign_trims_merges_and_bumps_the_epoch() {
+    fn assign_trims_and_bumps_the_epoch() {
         let mut map = ShardMap::base();
         map.assign(0x8000, 0xFFFF, 1);
         assert_eq!(map.epoch(), 1);
@@ -1227,18 +1164,11 @@ mod tests {
         assert_eq!(map.segments().len(), 4);
         assert_eq!(map.owner_of_point(0xA500), 2);
         assert_eq!(map.owner_of_point(0xC000), 1);
-        // Merging back coalesces to the original single segment.
-        map.assign(0xA000, 0xBFFF, 1);
-        map.assign(0x8000, 0xFFFF, 0);
-        assert_eq!(
-            map.segments(),
-            &[Segment {
-                start: 0,
-                end: 0xFFFF,
-                group: 0
-            }]
-        );
-        assert_eq!(map.epoch(), 4);
+        // A rebuild replaces one group's whole segment.
+        map.assign(0, 0x7FFF, 3);
+        assert_eq!(map.owner_of_point(0), 3);
+        assert_eq!(map.segments().len(), 4);
+        assert_eq!(map.epoch(), 3);
     }
 
     #[test]
@@ -1267,8 +1197,8 @@ mod tests {
             .find(|&k| split_point(k) >= 0x8000)
             .expect("some preloaded key lands in the top half");
         let f2 = Rc::clone(&family);
-        let sealed = sim.block_on(async move { f2.split(500, 100, None).await });
-        assert!(sealed, "unfaulted split must seal");
+        let end = sim.block_on(async move { f2.migrate(&split_now(500, 100)).await });
+        assert_eq!(end, Ok(()), "unfaulted split must seal");
         assert_eq!(family.epoch(), 1);
         let f3 = Rc::clone(&family);
         let got = sim.block_on(async move { client.get(moved).await });
@@ -1290,7 +1220,7 @@ mod tests {
         family.load_key(7, &tagged(7));
         let f2 = Rc::clone(&family);
         sim.block_on(async move {
-            f2.split(250, 50, None).await;
+            assert_eq!(f2.migrate(&split_now(250, 50)).await, Ok(()));
         });
         let moved = (0..u64::MAX).find(|&k| split_point(k) >= 0xC000).unwrap();
         // Address the wrong group directly: the dispatch check bounces
@@ -1327,13 +1257,13 @@ mod tests {
             }
         });
         let f2 = Rc::clone(&family);
-        let sealed = Rc::new(Cell::new(false));
-        let sealed2 = Rc::clone(&sealed);
+        let end = Rc::new(Cell::new(None));
+        let end2 = Rc::clone(&end);
         sim.spawn(async move {
-            sealed2.set(f2.split(500, 1_000, None).await);
+            end2.set(Some(f2.migrate(&split_now(500, 1_000)).await));
         });
         sim.run();
-        assert!(sealed.get(), "unfaulted split must seal");
+        assert_eq!(end.get(), Some(Ok(())), "unfaulted split must seal");
         let stats = family.stats();
         assert!(stats.mirrored > 0, "the window must double-write");
         assert!(stats.keys_copied > 0);
@@ -1357,37 +1287,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_restores_base_ownership_and_deletes_stale_state() {
-        let sim = Sim::new(24);
-        let family = ElasticShard::build(&sim, &builder(), 0xE1A5_0004);
-        for k in 0..64u64 {
-            family.load_key(k, &tagged(500 + k));
-        }
-        let f2 = Rc::clone(&family);
-        let client = family.client(0);
-        sim.block_on(async move {
-            assert!(f2.split(500, 100, None).await);
-            // Mutate moved keys on the new owner, delete one: the base
-            // group still holds its stale pre-split copies.
-            let moved: Vec<u64> = (0..64).filter(|&k| split_point(k) >= 0x8000).collect();
-            assert!(!moved.is_empty());
-            for &k in &moved {
-                client.update(k, tagged(9_000 + k)).await.unwrap();
-            }
-            client.delete(moved[0]).await.unwrap();
-            assert!(f2.merge(1, 100).await);
-            // Back on the base group: fresh values, and the deleted key
-            // stays deleted (no resurrection from stale state).
-            assert_eq!(f2.map().segments().len(), 1);
-            assert_eq!(client.get(moved[0]).await.unwrap(), None);
-            for &k in &moved[1..] {
-                assert_eq!(value_of(&client.get(k).await), 9_000 + k);
-            }
-        });
-        assert_eq!(family.epoch(), 2);
-    }
-
-    #[test]
     fn scan_after_a_split_returns_every_key_once_in_order() {
         let sim = Sim::new(30);
         let family = ElasticShard::build(&sim, &builder(), 0xE1A5_0009);
@@ -1400,7 +1299,7 @@ mod tests {
         let (client, stale) = (family.client(0), family.client(1));
         let f2 = Rc::clone(&family);
         sim.block_on(async move {
-            assert!(f2.split(500, 100, None).await);
+            assert_eq!(f2.migrate(&split_now(500, 100)).await, Ok(()));
             // Delete handed-off keys on their new owner: the base group's
             // frozen copies of them must neither resurface nor crowd its
             // own keys out of a short page.
@@ -1428,14 +1327,13 @@ mod tests {
             family.load_key(k, &tagged(300 + k));
         }
         // Kill every destination node from birth: the copy driver cannot
-        // land a single key, poisons the window, and the abort leaves the
-        // base group owning everything.
-        let faults = (0..4).fold(FaultPlan::new(), |p, n| {
-            p.crash_at(1, swarm_fabric::NodeId(n))
-        });
+        // land a single key, poisons the migration, and the abort leaves
+        // the base group owning everything.
+        let faults = (0..4).fold(FaultPlan::new(), |p, n| p.crash_at(1, NodeId(n)));
         let f2 = Rc::clone(&family);
-        let sealed = sim.block_on(async move { f2.split(500, 100, Some(&faults)).await });
-        assert!(!sealed, "a dead destination must abort the handoff");
+        let ev = split_now(500, 100).dest_faults(faults);
+        let end = sim.block_on(async move { f2.migrate(&ev).await });
+        assert_eq!(end, Err(AbortReason::Poisoned));
         let stats = family.stats();
         assert_eq!(stats.aborted, 1);
         assert_eq!(stats.sealed, 0);
@@ -1444,6 +1342,105 @@ mod tests {
         let client = family.client(0);
         let tag = sim.block_on(async move { value_of(&client.get(5).await) });
         assert_eq!(tag, 305);
+    }
+
+    /// The destination dies as Copy starts, halfway through Copy, or once
+    /// the walk is over and Drain waits on a mutation: every case aborts
+    /// inside the `run_until` bound, the source still owning the range.
+    #[test]
+    fn a_destination_crash_in_any_phase_ends_the_migration() {
+        let ms = NANOS_PER_MILLI;
+        let moving: Vec<u64> = (0..64).filter(|&k| split_point(k) >= 0x8000).collect();
+        let walk = moving.len() as u64;
+        for walked in [0, walk / 2, walk] {
+            let sim = Sim::new(31);
+            let family = ElasticShard::build(&sim, &builder(), 0xE1A5_000A);
+            for k in 0..64u64 {
+                family.load_key(k, &tagged(900 + k));
+            }
+            // A writer on the moving keys keeps mutations inside the
+            // window, so Drain has something to wait for.
+            let (writer, s2, keys) = (family.client(0), sim.clone(), moving.clone());
+            sim.spawn(async move {
+                for round in 0..40u64 {
+                    for &k in &keys {
+                        let _ = writer.update(k, tagged(round)).await;
+                        s2.sleep_ns(300).await;
+                    }
+                }
+            });
+            // The probe crashes every destination node the first time the
+            // window is open with `walked` keys behind the walk.
+            let hit = Rc::new(Cell::new(false));
+            let (f, s3, hit2) = (Rc::clone(&family), sim.clone(), Rc::clone(&hit));
+            sim.spawn(async move {
+                while !hit2.get() && s3.now() < 5 * ms {
+                    if f.window.borrow().is_some() && f.stats().keys_copied == walked {
+                        (0..4).for_each(|n| f.group(1).crash_node(NodeId(n)));
+                        hit2.set(true);
+                    }
+                    s3.sleep_ns(100).await;
+                }
+            });
+            let end = Rc::new(Cell::new(None));
+            let (f, end2) = (Rc::clone(&family), Rc::clone(&end));
+            sim.spawn(async move {
+                let ev = ReshardEvent::split(0, 10_000, 500).pace_ns(1_000);
+                end2.set(Some(f.migrate(&ev).await));
+            });
+            sim.run_until(50 * ms);
+            assert!(hit.get(), "{walked} keys walked: the probe never fired");
+            let stats = family.stats();
+            assert_eq!(stats.sealed + stats.aborted, 1, "{walked} keys walked");
+            assert_eq!(end.get(), Some(Err(AbortReason::Poisoned)), "{walked}");
+            assert_eq!(family.epoch(), 0);
+        }
+    }
+
+    /// An event the family cannot carry out aborts with its reason instead
+    /// of panicking the driver.
+    #[test]
+    fn unworkable_events_abort_with_a_reason() {
+        use AbortReason::{NoVerdict, Permille, Span};
+        let sim = Sim::new(32);
+        let family = ElasticShard::build(&sim, &builder(), 0xE1A5_000B);
+        family
+            .group(0)
+            .membership()
+            .expect("SWARM-KV")
+            .watch_until(NANOS_PER_MILLI);
+        let f = Rc::clone(&family);
+        let ends = sim.block_on(async move {
+            let bad_plan = FaultPlan::new().crash_at(1, NodeId(9));
+            let mut ends = Vec::new();
+            for ev in [
+                split_now(0, 100),
+                split_now(1_000, 100),
+                ReshardEvent::rebuild(0, 0, 7, 1),
+                ReshardEvent::rebuild(0, 0, 0, 99),
+                split_now(500, 100).dest_faults(bad_plan),
+                split_now(500, 100),
+                // Group 0 owns [0, 0x7FFF] now, group 1 the rest.
+                split_now(750, 100),
+            ] {
+                ends.push(f.migrate(&ev).await);
+            }
+            ends
+        });
+        assert_eq!(
+            ends,
+            [
+                Err(Permille),
+                Err(Permille),
+                Err(NoVerdict),
+                Err(NoVerdict),
+                Err(AbortReason::FaultPlan),
+                Ok(()),
+                Err(Span),
+            ]
+        );
+        let stats = family.stats();
+        assert_eq!((stats.sealed, stats.aborted, stats.groups), (1, 6, 2));
     }
 
     #[test]
@@ -1461,7 +1458,7 @@ mod tests {
         // Crash a base-group node permanently at 1 ms; the rebuild event
         // waits for the verdict, then migrates the whole span to a spare.
         base.fabric()
-            .apply_fault_plan(&FaultPlan::new().crash_at(NANOS_PER_MILLI, swarm_fabric::NodeId(1)));
+            .apply_fault_plan(&FaultPlan::new().crash_at(NANOS_PER_MILLI, NodeId(1)));
         family.run_event(&ReshardEvent::rebuild(0, NANOS_PER_MILLI, 0, 1).pace_ns(1_000));
         sim.run();
         let stats = family.stats();
@@ -1483,9 +1480,10 @@ mod tests {
     }
 
     /// A group built mid-run is watched like the base group, so it can be
-    /// rebuilt in turn, and a rebuild whose verdict can no longer arrive
-    /// aborts. Bounded by `run_until`: a rebuild that polls forever fails
-    /// the counters below instead of hanging the suite.
+    /// rebuilt in turn; a rebuild whose verdict can no longer arrive, or
+    /// of a group that owns nothing any more, aborts. Bounded by
+    /// `run_until`: a rebuild that polls forever fails the counters below
+    /// instead of hanging the suite.
     #[test]
     fn a_built_group_can_be_rebuilt_and_a_late_rebuild_aborts() {
         let ms = NANOS_PER_MILLI;
@@ -1498,7 +1496,7 @@ mod tests {
         watch.watch_until(10 * ms);
         // The split builds group 1, whose node 2 dies at 2 ms; the rebuild
         // of group 1 waits for *its* watcher's verdict.
-        let dies = FaultPlan::new().crash_at(2 * ms, swarm_fabric::NodeId(2));
+        let dies = FaultPlan::new().crash_at(2 * ms, NodeId(2));
         family.run_event(
             &ReshardEvent::split(0, 0, 500)
                 .pace_ns(1_000)
@@ -1507,10 +1505,15 @@ mod tests {
         family.run_event(&ReshardEvent::rebuild(0, 2 * ms, 1, 2).pace_ns(1_000));
         // Past the watch deadline nothing can declare base node 1 dead.
         family.run_event(&ReshardEvent::rebuild(0, 11 * ms, 0, 1));
+        // Group 1 was replaced: it owns no segment to rebuild again.
+        family.run_event(&ReshardEvent::rebuild(0, 12 * ms, 1, 2));
         sim.run_until(50 * ms);
         let stats = family.stats();
         assert_eq!(stats.sealed, 2, "the split and the rebuild of group 1 seal");
-        assert_eq!(stats.aborted, 1, "the late rebuild aborts");
+        assert_eq!(
+            stats.aborted, 2,
+            "the late rebuild and the second of group 1 abort"
+        );
         assert_eq!(family.num_groups(), 3);
         assert_eq!(
             family.map().owner_of_point(u16::MAX),

@@ -71,25 +71,6 @@ impl Histogram {
         self.percentile(99.9)
     }
 
-    /// One-line machine-readable summary:
-    /// `{"count":N,"p50":..,"p90":..,"p99":..,"p999":..,"max":..}` (times in
-    /// nanoseconds). An empty histogram summarizes as `{"count":0}` so a
-    /// caller printing one line per cell never special-cases an empty one.
-    pub fn summary_json(&mut self) -> String {
-        if self.samples.is_empty() {
-            return r#"{"count":0}"#.to_string();
-        }
-        format!(
-            r#"{{"count":{},"p50":{},"p90":{},"p99":{},"p999":{},"max":{}}}"#,
-            self.len(),
-            self.percentile(50.0),
-            self.percentile(90.0),
-            self.percentile(99.0),
-            self.p999(),
-            self.max()
-        )
-    }
-
     /// Arithmetic mean, in nanoseconds.
     pub fn mean(&self) -> f64 {
         if self.samples.is_empty() {
@@ -286,19 +267,6 @@ mod tests {
         h.record(1_000_000);
         assert_eq!(h.percentile(99.0), 10);
         assert_eq!(h.p999(), 1_000_000);
-    }
-
-    #[test]
-    fn summary_json_is_stable_and_exact() {
-        let mut h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        assert_eq!(
-            h.summary_json(),
-            r#"{"count":1000,"p50":501,"p90":900,"p99":990,"p999":999,"max":1000}"#
-        );
-        assert_eq!(Histogram::new().summary_json(), r#"{"count":0}"#);
     }
 
     #[test]

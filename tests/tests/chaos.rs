@@ -166,7 +166,7 @@ fn same_seed_reproduces_bit_identical_histories_and_traffic() {
 #[test]
 fn hedged_runs_stay_linearizable_under_every_fault_plan() {
     // Four seeds whatever the knob says. Widened, this sweep finds what
-    // ROADMAP item 2 lists: the budget equation trips at the 14th seed
+    // ROADMAP item 1 lists: the budget equation trips at the 14th seed
     // (SWARM-KV / Random / 3298947619: fired 20, won 9 + discarded 10, one
     // ticket still held when the simulation drains), and the 188th
     // (SWARM-KV / Random / 3300325525, key 3) does not linearize.

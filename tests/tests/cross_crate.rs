@@ -6,7 +6,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use swarm_core::{History, OpKind};
+use swarm_core::{KvHistory, KvOpKind};
 use swarm_fabric::NodeId;
 use swarm_kv::{run_workload, KvStore, Protocol, RunConfig, StoreBuilder, StoreCluster};
 use swarm_sim::{Sim, NANOS_PER_MILLI};
@@ -87,7 +87,8 @@ fn kv_store_is_linearizable_under_concurrency_and_crash() {
     for seed in 0..8 {
         let sim = Sim::new(9_000 + seed);
         let c = cluster(&sim, Protocol::SafeGuess, 4);
-        let history = Rc::new(RefCell::new(History::new()));
+        let history = Rc::new(RefCell::new(KvHistory::new()));
+        history.borrow_mut().set_initial(0, 0);
         let counter = Rc::new(std::cell::Cell::new(0u64));
         for cid in 0..3usize {
             let client = c.client(cid);
@@ -108,7 +109,7 @@ fn kv_store_is_linearizable_under_concurrency_and_crash() {
                         client.update(2, bytes).await.unwrap();
                         history
                             .borrow_mut()
-                            .push(invoke, sim2.now(), OpKind::Write(v));
+                            .push(0, invoke, sim2.now(), KvOpKind::Insert(v));
                     } else {
                         let got = client.get(2).await.unwrap().expect("key 2 never deleted");
                         let v = u64::from_le_bytes(got[..8].try_into().unwrap());
@@ -117,7 +118,7 @@ fn kv_store_is_linearizable_under_concurrency_and_crash() {
                         let v = if v == 2 { 0 } else { v };
                         history
                             .borrow_mut()
-                            .push(invoke, sim2.now(), OpKind::Read(v));
+                            .push(0, invoke, sim2.now(), KvOpKind::Get(Some(v)));
                     }
                 }
             });

@@ -3,7 +3,8 @@
 //! its inputs drawn from the case's `SimRng`.
 
 use swarm_core::{
-    innout_hash, xxh64, History, LockMode, NodeHealth, OpKind, QuorumConfig, Rounds, Stamp, TsLock,
+    innout_hash, xxh64, KvHistory, KvOpKind, LockMode, NodeHealth, QuorumConfig, Rounds, Stamp,
+    TsLock,
 };
 use swarm_fabric::{Fabric, FabricConfig, FaultPlan, NodeId};
 use swarm_kv::{
@@ -113,7 +114,8 @@ fn percentiles_are_monotone() {
 #[test]
 fn checker_accepts_sequential_histories() {
     for_each_case(0x5E90, |rng| {
-        let mut h = History::new();
+        let mut h = KvHistory::new();
+        h.set_initial(0, 0);
         let mut value = 0u64;
         let mut t = 0u64;
         for _ in 0..rng.rand_range(1, 12) {
@@ -121,9 +123,9 @@ fn checker_accepts_sequential_histories() {
             t += 2;
             if coin(rng) {
                 value = rng.rand_range(1, 16);
-                h.push(invoke, t, OpKind::Write(value));
+                h.push(0, invoke, t, KvOpKind::Insert(value));
             } else {
-                h.push(invoke, t, OpKind::Read(value));
+                h.push(0, invoke, t, KvOpKind::Get(Some(value)));
             }
             t += 1;
         }
