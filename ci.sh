@@ -160,9 +160,10 @@ stage benchmark-smoke sh -c '
     # measured, three runs within 0.2 (487 when every reserved byte was
     # zero-filled). hotkey_16c (smoke keeps loaded_keys) says whether a key
     # still costs node memory only for the rings somebody wrote
-    # (crates/core/src/innout.rs): 77 MiB measured, three runs within 0.1
-    # (461 when every key had the rings of 16 writers interleaved with its
-    # metadata).
+    # (crates/core/src/innout.rs) and a client handle only its own words:
+    # 60 MiB measured, three runs within 0.2 (461 when every key had the
+    # rings of 16 writers interleaved with its metadata, 77 when every
+    # cached handle cloned its client's state and the key's layouts).
     while read -r workload ceiling; do
         rss=$(bash benchmark/run.sh --smoke --workload "$workload" --seed 42 --trace 0 \
             --out "${CARGO_TARGET_DIR:-target}/benchmark-smoke-$workload" | tail -n 1 \
@@ -174,7 +175,7 @@ stage benchmark-smoke sh -c '
         fi
     done <<ROWS
 ycsb_a_8k 120
-hotkey_16c 96
+hotkey_16c 75
 ROWS
     exit "$rc"
 '

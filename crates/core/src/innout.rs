@@ -8,7 +8,7 @@
 //! meta_addr:    [ k × 8 B metadata words ]   // (stamp:48 | oop_slot:16)
 //!               [ value_cap bytes in-place ] // contiguous with metadata so
 //!               [ 8 B hash               ]   // one READ fetches everything;
-//!                                            // only where the layout has one
+//!                                            // at replica 0 only (§6)
 //!               [ unowned slots × slot ]     // oop_slots % max_writers of them
 //! ring of w:    [ per_writer × slot ]        // drawn on w's first write here
 //! slot:         [ 8 B meta | 8 B hash | value_cap bytes ]
@@ -21,10 +21,18 @@
 //! in the hot region. A writer's ring is a fresh buffer taken from the node
 //! the first time that writer writes this register there (§4, §5.3.1: writers
 //! draw out-of-place buffers from pools allocated out of band), so a ring
-//! nobody wrote does not exist. Its base is recorded in a table every clone
-//! of the [`InnOutLayout`] shares: whoever reads a metadata word finds the
-//! slot it names, and only writes allocate — a word is CASed after its slot
-//! write was posted in the same FIFO series, by when the ring is in the table.
+//! nobody wrote does not exist. Its base is recorded in the register's
+//! [`InnOutLayout`], which every client shares: whoever reads a metadata
+//! word finds the slot it names, and only writes allocate — a word is CASed
+//! after its slot write was posted in the same FIFO series, by when the ring
+//! is in the table.
+//!
+//! Each piece of state lives once, with one owner per lifetime: the shape
+//! ([`InnOutShape`]) per store, the addresses and rings ([`InnOutLayout`])
+//! per register, the endpoint and quorum state ([`InnOutClient`]) per
+//! client, and only what a client learns about one register — per replica
+//! its cached metadata word, next ring position and highest stored stamp —
+//! in that client's [`InnOutHandle`].
 //!
 //! A write fills a fresh out-of-place slot and MAXes its metadata word in a
 //! single pipelined roundtrip (Algorithm 5); the MAX is emulated with CAS
@@ -36,37 +44,26 @@
 use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
 
-use swarm_fabric::{Endpoint, NodeId, Op, OpResult};
+use swarm_fabric::{Endpoint, Fabric, NodeId, Op, OpResult};
 
 use crate::hash::{bind_word, body_hash};
 use crate::stamp::Stamp;
-use crate::traits::{ReplicaClient, Rounds, Snapshot};
+use crate::traits::{QuorumClient, ReplicaClient, ReplicaSet, Snapshot};
 use crate::value::MVal;
 
-/// Addresses and shape of one In-n-Out register on one node. Clones share
-/// the table of writer rings (module docs).
-#[derive(Debug, Clone)]
-pub struct InnOutLayout {
-    /// Node hosting this replica.
-    pub node: NodeId,
-    /// Base of the metadata array (the in-place region, where there is one,
-    /// follows contiguously).
-    pub meta_addr: u64,
+/// The shape every In-n-Out register of one store shares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InnOutShape {
     /// Number of 8 B metadata words (`k` of §4.4; 1 = the basic scheme).
     pub meta_bufs: usize,
-    /// Fixed value size of this register in bytes.
+    /// Fixed value size in bytes.
     pub value_cap: usize,
     /// Total out-of-place slots (partitioned evenly among writers).
     pub oop_slots: usize,
     /// Maximum number of writer clients (determines slot partitioning).
     pub max_writers: usize,
-    /// Whether the in-place region exists (§6: at one replica per key).
-    inplace: bool,
     /// Slots in one writer's ring.
     per_writer: u16,
-    /// Base of each writer's ring, [`NO_RING`] until drawn; the array itself
-    /// appears with the register's first ring.
-    rings: Rc<OnceCell<Box<[Cell<u64>]>>>,
 }
 
 /// Per-slot header: embedded metadata word + hash.
@@ -75,85 +72,37 @@ const OOP_HEADER: usize = 16;
 /// A ring base that is no address: the ring has not been drawn.
 const NO_RING: u64 = u64::MAX;
 
-impl InnOutLayout {
+impl InnOutShape {
+    /// The shape of registers with `meta_bufs` metadata words, values of
+    /// `value_cap` bytes and `oop_slots` out-of-place slots shared by
+    /// `max_writers` writers.
+    pub fn new(meta_bufs: usize, value_cap: usize, oop_slots: usize, max_writers: usize) -> Self {
+        assert!(oop_slots >= max_writers, "need >= 1 slot per writer");
+        assert!(oop_slots <= 1 << 16, "slot index must fit 16 bits");
+        InnOutShape {
+            meta_bufs,
+            value_cap,
+            oop_slots,
+            max_writers,
+            per_writer: (oop_slots / max_writers) as u16,
+        }
+    }
+
     /// Bytes of node memory one writer's ring takes when it is drawn.
     pub fn ring_len(&self) -> u64 {
         (self.per_writer as usize * self.slot_len()) as u64
     }
 
-    /// Bytes of node memory allocated with the register (the hot region).
-    pub fn hot_len(&self) -> u64 {
-        self.unowned_offset() + ((self.oop_slots - self.owned_slots()) * self.slot_len()) as u64
-    }
-
-    /// Allocates a register of this shape on `node` of `fabric`.
-    pub fn allocate(
-        fabric: &swarm_fabric::Fabric,
-        node: NodeId,
-        meta_bufs: usize,
-        value_cap: usize,
-        oop_slots: usize,
-        max_writers: usize,
-    ) -> InnOutLayout {
-        let on = fabric.node(node);
-        Self::allocate_on(&on, node, meta_bufs, value_cap, oop_slots, max_writers)
-    }
-
-    /// [`InnOutLayout::allocate`] for a caller that already holds the node
-    /// (`on` must be the node `node` names): a bulk load resolves each
-    /// replica's node once per key.
-    pub fn allocate_on(
-        on: &swarm_fabric::Node,
-        node: NodeId,
-        meta_bufs: usize,
-        value_cap: usize,
-        oop_slots: usize,
-        max_writers: usize,
-    ) -> InnOutLayout {
-        Self::allocate_replica_on(on, node, meta_bufs, value_cap, oop_slots, max_writers, true)
-    }
-
-    /// [`InnOutLayout::allocate_on`] with the in-place region or, `inplace`
-    /// false, without: the metadata words alone are read there and values
-    /// only out of place — every replica of a key but the designated one
-    /// (§6). A replica handle on such a layout cannot be `inplace_enabled`.
-    pub fn allocate_replica_on(
-        on: &swarm_fabric::Node,
-        node: NodeId,
-        meta_bufs: usize,
-        value_cap: usize,
-        oop_slots: usize,
-        max_writers: usize,
-        inplace: bool,
-    ) -> InnOutLayout {
-        assert!(oop_slots >= max_writers, "need >= 1 slot per writer");
-        assert!(oop_slots <= 1 << 16, "slot index must fit 16 bits");
-        let mut layout = InnOutLayout {
-            node,
-            meta_addr: 0,
-            meta_bufs,
-            value_cap,
-            oop_slots,
-            max_writers,
-            inplace,
-            per_writer: (oop_slots / max_writers) as u16,
-            rings: Rc::new(OnceCell::new()),
-        };
-        layout.meta_addr = on.alloc(layout.hot_len(), 8);
-        layout
-    }
-
-    fn meta_word_addr(&self, buf: usize) -> u64 {
-        self.meta_addr + (buf * 8) as u64
-    }
-
-    fn inplace_addr(&self) -> u64 {
-        self.meta_addr + (self.meta_bufs * 8) as u64
+    /// Bytes of node memory allocated with a replica (its hot region);
+    /// `inplace` for replica 0, which has the in-place region.
+    pub fn hot_len(&self, inplace: bool) -> u64 {
+        self.unowned_offset(inplace)
+            + ((self.oop_slots - self.owned_slots()) * self.slot_len()) as u64
     }
 
     /// Length of the one READ that fetches everything readable in place.
-    fn read_len(&self) -> usize {
-        self.meta_bufs * 8 + if self.inplace { self.value_cap + 8 } else { 0 }
+    fn read_len(&self, inplace: bool) -> usize {
+        self.meta_bufs * 8 + if inplace { self.value_cap + 8 } else { 0 }
     }
 
     fn slot_len(&self) -> usize {
@@ -167,54 +116,124 @@ impl InnOutLayout {
 
     /// Offset of the unowned slots in the hot region (8-aligned, like the
     /// rings).
-    fn unowned_offset(&self) -> u64 {
-        (self.read_len() as u64).next_multiple_of(8)
+    fn unowned_offset(&self, inplace: bool) -> u64 {
+        (self.read_len(inplace) as u64).next_multiple_of(8)
+    }
+}
+
+/// Where one In-n-Out register lives: per replica its node and the base of
+/// its hot region, and the writer rings drawn so far. Every client of the
+/// register shares one; replica 0 alone has the in-place region (§6).
+#[derive(Debug)]
+pub struct InnOutLayout {
+    /// `(node, meta_addr)` of each replica.
+    replicas: Box<[(NodeId, u64)]>,
+    /// Base of writer `w`'s ring at replica `r` at `r × max_writers + w`,
+    /// [`NO_RING`] until drawn; the table itself appears with the
+    /// register's first ring.
+    rings: OnceCell<Box<[Cell<u64>]>>,
+}
+
+impl AsRef<InnOutLayout> for InnOutLayout {
+    fn as_ref(&self) -> &InnOutLayout {
+        self
+    }
+}
+
+impl InnOutLayout {
+    /// Allocates a register of `shape` with one replica on each of `nodes`,
+    /// in that order.
+    pub fn allocate(fabric: &Fabric, shape: &InnOutShape, nodes: &[NodeId]) -> InnOutLayout {
+        let replicas = nodes
+            .iter()
+            .enumerate()
+            .map(|(r, &n)| (n, fabric.node(n).alloc(shape.hot_len(r == 0), 8)))
+            .collect();
+        InnOutLayout {
+            replicas,
+            rings: OnceCell::new(),
+        }
     }
 
-    /// Address of out-of-place slot `slot`: in the hot region if no writer
-    /// owns it, else in its writer's ring. `None` if that ring has not been
-    /// drawn (or the index is past the last slot): nothing was ever written
-    /// there, so no metadata word names it.
-    pub fn slot_addr(&self, slot: u16) -> Option<u64> {
-        let owned = self.owned_slots();
+    /// Number of replicas.
+    pub fn replicas(&self) -> usize {
+        self.replicas.len()
+    }
+
+    /// Node hosting replica `r`.
+    pub fn node(&self, r: usize) -> NodeId {
+        self.replicas[r].0
+    }
+
+    /// Base of replica `r`'s metadata array (the in-place region, at
+    /// replica 0, follows contiguously).
+    pub fn meta_addr(&self, r: usize) -> u64 {
+        self.replicas[r].1
+    }
+
+    /// Address of the in-place region `[value | hash]` at replica 0.
+    pub fn inplace_addr(&self, shape: &InnOutShape) -> u64 {
+        self.meta_addr(0) + (shape.meta_bufs * 8) as u64
+    }
+
+    /// Address of out-of-place slot `slot` at replica `r`: in the hot
+    /// region if no writer owns it, else in its writer's ring. `None` if
+    /// that ring has not been drawn (or the index is past the last slot):
+    /// nothing was ever written there, so no metadata word names it.
+    pub fn slot_addr(&self, shape: &InnOutShape, r: usize, slot: u16) -> Option<u64> {
+        let owned = shape.owned_slots();
         let (base, local) = if (slot as usize) < owned {
-            let base = self.rings.get()?[(slot / self.per_writer) as usize].get();
+            let writer = (slot / shape.per_writer) as usize;
+            let base = self.rings.get()?[r * shape.max_writers + writer].get();
             if base == NO_RING {
                 return None;
             }
-            (base, (slot % self.per_writer) as usize)
-        } else if (slot as usize) < self.oop_slots {
-            let unowned = self.meta_addr + self.unowned_offset();
+            (base, (slot % shape.per_writer) as usize)
+        } else if (slot as usize) < shape.oop_slots {
+            let unowned = self.meta_addr(r) + shape.unowned_offset(r == 0);
             (unowned, slot as usize - owned)
         } else {
             return None;
         };
-        Some(base + (local * self.slot_len()) as u64)
+        Some(base + (local * shape.slot_len()) as u64)
     }
 
     /// [`InnOutLayout::slot_addr`] for a control-plane writer that pokes node
-    /// memory itself (`on` must be this layout's node): if a writer owns
+    /// memory itself (`on` must be replica `r`'s node): if a writer owns
     /// `slot`, its ring is drawn when it does not exist yet.
     ///
     /// # Panics
     ///
     /// Panics if `slot` is past the last slot.
-    pub fn slot_addr_on(&self, slot: u16, on: &swarm_fabric::Node) -> u64 {
-        if (slot as usize) < self.owned_slots() {
-            self.ring_base((slot / self.per_writer) as usize, || {
-                on.alloc(self.ring_len(), 8)
-            });
+    pub fn slot_addr_on(
+        &self,
+        shape: &InnOutShape,
+        r: usize,
+        slot: u16,
+        on: &swarm_fabric::Node,
+    ) -> u64 {
+        if (slot as usize) < shape.owned_slots() {
+            let writer = (slot / shape.per_writer) as usize;
+            self.ring_base(shape, r, writer, || on.alloc(shape.ring_len(), 8));
         }
-        self.slot_addr(slot).expect("slot index past the last slot")
+        self.slot_addr(shape, r, slot)
+            .expect("slot index past the last slot")
     }
 
-    /// Base of `writer`'s ring, taken from `draw` if this is the first time
-    /// anyone asks.
-    fn ring_base(&self, writer: usize, draw: impl FnOnce() -> u64) -> u64 {
-        let rings = self
-            .rings
-            .get_or_init(|| (0..self.max_writers).map(|_| Cell::new(NO_RING)).collect());
-        let ring = &rings[writer];
+    /// Base of `writer`'s ring at replica `r`, taken from `draw` if this is
+    /// the first time anyone asks.
+    fn ring_base(
+        &self,
+        shape: &InnOutShape,
+        r: usize,
+        writer: usize,
+        draw: impl FnOnce() -> u64,
+    ) -> u64 {
+        let rings = self.rings.get_or_init(|| {
+            let n = self.replicas.len() * shape.max_writers;
+            (0..n).map(|_| Cell::new(NO_RING)).collect()
+        });
+        let ring = &rings[r * shape.max_writers + writer];
         if ring.get() == NO_RING {
             ring.set(draw());
         }
@@ -247,114 +266,222 @@ fn write_reply(reply: Vec<OpResult>) -> Option<u64> {
     reply.into_iter().nth(1)?.cas()
 }
 
-/// Client handle to one In-n-Out register replica.
-pub struct InnOutReplica {
-    inner: Rc<InnOutInner>,
-}
-
-impl Clone for InnOutReplica {
-    fn clone(&self) -> Self {
-        InnOutReplica {
-            inner: Rc::clone(&self.inner),
-        }
-    }
-}
-
-struct InnOutInner {
-    ep: Rc<Endpoint>,
-    layout: InnOutLayout,
-    /// Writer identity: selects the metadata buffer and slot partition.
-    writer: usize,
-    /// Whether `VERIFIED` writes also lazily store in-place data here (§6:
-    /// only at one hash-designated replica per key).
-    inplace_enabled: bool,
-    /// Cached value of *our* metadata word (Algorithm 7's one-RTT trick).
-    cached_meta: Cell<u64>,
-    /// Next slot in this writer's partition, used round-robin.
-    next_slot: Cell<u16>,
-    /// Base of this writer's ring once this handle has written
-    /// ([`NO_RING`] before): writes skip the layout's table.
-    ring_base: Cell<u64>,
-    rounds: Rounds,
-    /// Statistics: in-place hits / out-of-place fallbacks (Fig. 9/12).
+/// What every In-n-Out register handle of one client shares: its quorum
+/// state, endpoint and writer identity, the store's register shape, and
+/// what its reads observed.
+pub struct InnOutClient {
+    /// Quorum state of the client's reliable registers.
+    pub quorum: QuorumClient,
+    /// The client's endpoint.
+    pub ep: Rc<Endpoint>,
+    /// Writer identity: selects the metadata buffer and slot partition
+    /// (must be `< shape.max_writers` to write).
+    pub writer: usize,
+    /// Replica every register of this client contacts first (SWARM-KV
+    /// uses 0, so a majority read includes the in-place replica).
+    pub rotation: usize,
+    /// The store's register shape.
+    pub shape: InnOutShape,
+    /// Whether `VERIFIED` writes also lazily store in-place data at
+    /// replica 0, and reads there fetch it (§6).
+    pub inplace: bool,
+    /// Reads answered in place / payload chases (Fig. 9/12).
     inplace_hits: Cell<u64>,
     oop_fallbacks: Cell<u64>,
 }
 
-impl InnOutReplica {
-    /// Creates a client handle for `writer` (0-based, `< max_writers`).
+impl InnOutClient {
+    /// The client state of writer `writer`, contacting replicas in an
+    /// order rotated by `rotation` (construction draws nothing and
+    /// schedules nothing).
     pub fn new(
+        quorum: QuorumClient,
         ep: Rc<Endpoint>,
-        layout: InnOutLayout,
         writer: usize,
-        inplace_enabled: bool,
-        rounds: Rounds,
-    ) -> Self {
-        assert!(writer < layout.max_writers);
-        assert!(
-            !inplace_enabled || layout.inplace,
-            "in-place reads need a layout with the in-place region"
-        );
-        InnOutReplica {
-            inner: Rc::new(InnOutInner {
-                ep,
-                layout,
-                writer,
-                inplace_enabled,
+        rotation: usize,
+        shape: InnOutShape,
+        inplace: bool,
+    ) -> Rc<Self> {
+        Rc::new(InnOutClient {
+            quorum,
+            ep,
+            writer,
+            rotation,
+            shape,
+            inplace,
+            inplace_hits: Cell::new(0),
+            oop_fallbacks: Cell::new(0),
+        })
+    }
+
+    /// `(in-place hits, out-of-place fallbacks)` over all of this client's
+    /// reads. Unread until ROADMAP item 5's registry reports which
+    /// mechanism fired.
+    pub fn read_stats(&self) -> (u64, u64) {
+        (self.inplace_hits.get(), self.oop_fallbacks.get())
+    }
+}
+
+/// What one client learned about one replica of one register.
+struct ReplicaWords {
+    /// Cached value of *our* metadata word (Algorithm 7's one-RTT trick).
+    cached_meta: Cell<u64>,
+    /// Highest stamp known stored here (Algorithm 8's cache), packed.
+    stored: Cell<u64>,
+    /// Next slot in this writer's partition, used round-robin.
+    next_slot: Cell<u16>,
+}
+
+/// One client's handle on one register: the register's layout `K` (an
+/// [`InnOutLayout`] or a record holding one), the client, and per replica
+/// what this client learned there. A handle rebuilt after an eviction
+/// starts from zeroed words, and construction draws nothing and schedules
+/// nothing. The [`crate::ReliableMaxReg`] over it and every replica future
+/// share it.
+pub struct InnOutHandle<K = InnOutLayout> {
+    client: Rc<InnOutClient>,
+    key: Rc<K>,
+    words: Box<[ReplicaWords]>,
+}
+
+impl<K: AsRef<InnOutLayout>> InnOutHandle<K> {
+    /// `client`'s handle on the register `key` lays out.
+    pub fn new(client: &Rc<InnOutClient>, key: Rc<K>) -> Rc<Self> {
+        let words = (0..(*key).as_ref().replicas())
+            .map(|_| ReplicaWords {
                 cached_meta: Cell::new(0),
+                stored: Cell::new(Stamp::ZERO.pack48()),
                 next_slot: Cell::new(0),
-                ring_base: Cell::new(NO_RING),
-                rounds,
-                inplace_hits: Cell::new(0),
-                oop_fallbacks: Cell::new(0),
-            }),
+            })
+            .collect();
+        Rc::new(InnOutHandle {
+            client: Rc::clone(client),
+            key,
+            words,
+        })
+    }
+
+    /// The register's record.
+    pub fn key(&self) -> &K {
+        &self.key
+    }
+
+    fn layout(&self) -> &InnOutLayout {
+        (*self.key).as_ref()
+    }
+}
+
+impl<K: AsRef<InnOutLayout> + 'static> ReplicaSet<InnOutReplica<K>> for InnOutHandle<K> {
+    fn quorum(&self) -> &QuorumClient {
+        &self.client.quorum
+    }
+
+    fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    fn node(&self, i: usize) -> usize {
+        self.layout().node(i).0
+    }
+
+    fn rotation(&self) -> usize {
+        self.client.rotation
+    }
+
+    fn replica(this: &Rc<Self>, i: usize) -> InnOutReplica<K> {
+        InnOutReplica {
+            h: Rc::clone(this),
+            r: i,
         }
     }
 
-    /// `(in-place hits, out-of-place fallbacks)` observed by this handle.
-    /// Unread until ROADMAP item 3's spans report which mechanism fired.
-    pub fn read_stats(&self) -> (u64, u64) {
-        (
-            self.inner.inplace_hits.get(),
-            self.inner.oop_fallbacks.get(),
-        )
+    fn stored(&self, i: usize) -> Stamp {
+        Stamp::unpack48(self.words[i].stored.get())
+    }
+
+    fn note_stored(&self, i: usize, stamp: Stamp) {
+        let stored = &self.words[i].stored;
+        stored.set(stored.get().max(stamp.pack48()));
+    }
+}
+
+/// Client handle to one replica of an In-n-Out register.
+pub struct InnOutReplica<K = InnOutLayout> {
+    h: Rc<InnOutHandle<K>>,
+    r: usize,
+}
+
+impl<K> Clone for InnOutReplica<K> {
+    fn clone(&self) -> Self {
+        InnOutReplica {
+            h: Rc::clone(&self.h),
+            r: self.r,
+        }
+    }
+}
+
+impl<K: AsRef<InnOutLayout>> InnOutReplica<K> {
+    fn client(&self) -> &InnOutClient {
+        &self.h.client
+    }
+
+    fn shape(&self) -> &InnOutShape {
+        &self.h.client.shape
+    }
+
+    fn layout(&self) -> &InnOutLayout {
+        self.h.layout()
+    }
+
+    fn words(&self) -> &ReplicaWords {
+        &self.h.words[self.r]
+    }
+
+    fn node(&self) -> NodeId {
+        self.layout().node(self.r)
+    }
+
+    /// Whether reads here fetch — and `VERIFIED` writes lazily store — the
+    /// in-place data (§6: only at the designated replica 0).
+    fn inplace_enabled(&self) -> bool {
+        self.r == 0 && self.client().inplace
     }
 
     fn metadata_buf(&self) -> usize {
-        self.inner.writer % self.inner.layout.meta_bufs
+        self.client().writer % self.shape().meta_bufs
+    }
+
+    fn meta_word_addr(&self) -> u64 {
+        self.layout().meta_addr(self.r) + (self.metadata_buf() * 8) as u64
     }
 
     /// Takes the next slot of this writer's ring: its index (what the
     /// metadata word will carry) and its position in the ring.
     fn alloc_slot(&self) -> (u16, u16) {
-        let per_writer = self.inner.layout.per_writer;
-        let local = self.inner.next_slot.get();
-        self.inner.next_slot.set((local + 1) % per_writer);
-        (self.inner.writer as u16 * per_writer + local, local)
+        let per_writer = self.shape().per_writer;
+        let next = &self.words().next_slot;
+        let local = next.get();
+        next.set((local + 1) % per_writer);
+        (self.client().writer as u16 * per_writer + local, local)
     }
 
     /// Address of position `local` of this writer's ring, drawing the ring
     /// if this writer never wrote this register here.
     fn ring_slot_addr(&self, local: u16) -> u64 {
-        let inner = &self.inner;
-        let mut base = inner.ring_base.get();
-        if base == NO_RING {
-            let l = &inner.layout;
-            base = l.ring_base(inner.writer, || {
-                inner.ep.fabric().node(l.node).alloc(l.ring_len(), 8)
-            });
-            inner.ring_base.set(base);
-        }
-        base + (local as usize * inner.layout.slot_len()) as u64
+        let (c, shape) = (self.client(), self.shape());
+        let base = self.layout().ring_base(shape, self.r, c.writer, || {
+            c.ep.fabric().node(self.node()).alloc(shape.ring_len(), 8)
+        });
+        base + (local as usize * shape.slot_len()) as u64
     }
 
     /// Builds the `[meta | hash | value]` out-of-place buffer. This is the
     /// one place a write's bytes are copied (the slot header is
     /// per-replica); the buffer is then `Rc`-shared through the fabric.
     fn encode_oop(&self, word: u64, v: &MVal) -> swarm_fabric::Payload {
-        let l = &self.inner.layout;
-        assert_eq!(v.value().len(), l.value_cap, "fixed-size register");
-        let mut buf = Vec::with_capacity(OOP_HEADER + l.value_cap);
+        let cap = self.shape().value_cap;
+        assert_eq!(v.value().len(), cap, "fixed-size register");
+        let mut buf = Vec::with_capacity(OOP_HEADER + cap);
         buf.extend_from_slice(&word.to_le_bytes());
         buf.extend_from_slice(&bind_word(word, v.body_hash()).to_le_bytes());
         buf.extend_from_slice(v.value());
@@ -369,37 +496,37 @@ impl InnOutReplica {
     /// reads of the same client may have advanced in the meantime (that
     /// would fake a "CAS applied" and lose the write).
     async fn max_meta(&self, first_cas_prev: u64, mut expected: u64, word: u64) {
-        let inner = &self.inner;
-        let addr = inner.layout.meta_word_addr(self.metadata_buf());
+        let c = self.client();
+        let cached = &self.words().cached_meta;
+        let addr = self.meta_word_addr();
         let mut prev = first_cas_prev;
         // Algorithm 7: retry while the stored word is still below ours.
         while prev < word {
             if prev == expected {
                 // Our CAS applied.
-                inner.cached_meta.set(inner.cached_meta.get().max(word));
+                cached.set(cached.get().max(word));
                 return;
             }
             expected = prev;
-            inner.rounds.bump();
-            match inner.ep.cas(inner.layout.node, addr, expected, word).await {
+            c.quorum.rounds.bump();
+            match c.ep.cas(self.node(), addr, expected, word).await {
                 Some(p) => prev = p,
                 None => std::future::pending().await,
             }
         }
         // Someone else already stored a higher word.
-        inner.cached_meta.set(inner.cached_meta.get().max(prev));
+        cached.set(cached.get().max(prev));
     }
 
     /// Lazily writes the in-place copy (Algorithm 5 line 7): fire-and-forget.
     fn write_inplace_bg(&self, word: u64, v: &MVal) {
-        let l = &self.inner.layout;
-        let mut buf = Vec::with_capacity(l.value_cap + 8);
+        let mut buf = Vec::with_capacity(self.shape().value_cap + 8);
         buf.extend_from_slice(v.value());
         buf.extend_from_slice(&bind_word(word, v.body_hash()).to_le_bytes());
-        drop(self.inner.ep.submit(
-            l.node,
+        drop(self.client().ep.submit(
+            self.node(),
             vec![Op::Write {
-                addr: l.inplace_addr(),
+                addr: self.layout().inplace_addr(self.shape()),
                 data: buf.into(),
             }],
         ));
@@ -409,14 +536,14 @@ impl InnOutReplica {
     /// value, if there is one that validates under that word. The value
     /// keeps the read's allocation.
     fn parse_region(&self, mut bytes: Vec<u8>) -> (u64, Option<MVal>) {
-        let l = &self.inner.layout;
+        let shape = self.shape();
         let mut max_word = 0u64;
-        for b in 0..l.meta_bufs {
+        for b in 0..shape.meta_bufs {
             let w = u64::from_le_bytes(bytes[b * 8..b * 8 + 8].try_into().unwrap());
             max_word = max_word.max(w);
         }
-        let v_start = l.meta_bufs * 8;
-        let v_end = v_start + l.value_cap;
+        let v_start = shape.meta_bufs * 8;
+        let v_end = v_start + shape.value_cap;
         if bytes.len() < v_end + 8 {
             // Metadata-only read (no in-place data at this replica): callers
             // fall back to the pointer.
@@ -439,14 +566,10 @@ impl InnOutReplica {
     /// designated to hold it (§6: in-place data lives at one replica only,
     /// so reads of the others move just `k × 8` bytes).
     async fn read_region(&self) -> (u64, Option<MVal>) {
-        let inner = &self.inner;
-        let l = &inner.layout;
-        let len = if inner.inplace_enabled {
-            l.read_len()
-        } else {
-            l.meta_bufs * 8
-        };
-        match whole(inner.ep.read(l.node, l.meta_addr, len).await, len) {
+        let c = self.client();
+        let len = self.shape().read_len(self.inplace_enabled());
+        let addr = self.layout().meta_addr(self.r);
+        match whole(c.ep.read(self.node(), addr, len).await, len) {
             Some(bytes) => {
                 // Reads refresh the writer's metadata cache for free — with
                 // *our own* buffer's word (the CAS comparand), never the
@@ -454,7 +577,8 @@ impl InnOutReplica {
                 // buffer and would never match ours.
                 let own = self.metadata_buf();
                 let own_word = u64::from_le_bytes(bytes[own * 8..own * 8 + 8].try_into().unwrap());
-                inner.cached_meta.set(inner.cached_meta.get().max(own_word));
+                let cached = &self.words().cached_meta;
+                cached.set(cached.get().max(own_word));
                 self.parse_region(bytes)
             }
             None => std::future::pending().await,
@@ -465,16 +589,15 @@ impl InnOutReplica {
     /// metadata if the slot was recycled or torn mid-write. Returns a value
     /// whose stamp is `>=` `word`'s stamp (max-register semantics).
     async fn chase(&self, mut word: u64) -> MVal {
-        let inner = &self.inner;
-        let l = &inner.layout;
+        let (c, shape) = (self.client(), self.shape());
         loop {
-            inner.rounds.bump();
-            inner.oop_fallbacks.set(inner.oop_fallbacks.get() + 1);
+            c.quorum.rounds.bump();
+            c.oop_fallbacks.set(c.oop_fallbacks.get() + 1);
             // A stored word names a slot that exists (module docs); one that
             // does not is handled like a torn slot.
-            if let Some(addr) = l.slot_addr(word_slot(word)) {
-                let len = l.slot_len();
-                let mut bytes = match whole(inner.ep.read(l.node, addr, len).await, len) {
+            if let Some(addr) = self.layout().slot_addr(shape, self.r, word_slot(word)) {
+                let len = shape.slot_len();
+                let mut bytes = match whole(c.ep.read(self.node(), addr, len).await, len) {
                     Some(b) => b,
                     None => std::future::pending().await,
                 };
@@ -504,28 +627,25 @@ impl InnOutReplica {
     }
 }
 
-impl ReplicaClient for InnOutReplica {
+impl<K: AsRef<InnOutLayout> + 'static> ReplicaClient for InnOutReplica<K> {
+    type Set = InnOutHandle<K>;
+
     /// Algorithm 5: one pipelined roundtrip writes the out-of-place buffer
     /// and MAXes the metadata word; the in-place copy is written lazily.
     async fn write(self, v: MVal) {
-        let inner = &self.inner;
-        let l = &inner.layout;
+        let c = self.client();
+        let cached = &self.words().cached_meta;
         if v.stamp.is_tombstone() {
             // Deletes carry no payload: MAX the metadata word to the
             // all-ones tombstone in one CAS (§5.3.2).
             let word = meta_word(v.stamp, u16::MAX);
-            let expected = inner.cached_meta.get();
+            let expected = cached.get();
             if expected >= word {
                 return;
             }
-            let prev = match inner
+            let prev = match c
                 .ep
-                .cas(
-                    l.node,
-                    l.meta_word_addr(self.metadata_buf()),
-                    expected,
-                    word,
-                )
+                .cas(self.node(), self.meta_word_addr(), expected, word)
                 .await
             {
                 Some(p) => p,
@@ -536,7 +656,7 @@ impl ReplicaClient for InnOutReplica {
         }
         let (slot, local) = self.alloc_slot();
         let word = meta_word(v.stamp, slot);
-        let expected = inner.cached_meta.get();
+        let expected = cached.get();
         if expected >= word {
             // Already superseded at this replica: MAX is a no-op.
             return;
@@ -547,18 +667,18 @@ impl ReplicaClient for InnOutReplica {
                 data: self.encode_oop(word, &v),
             },
             Op::Cas {
-                addr: l.meta_word_addr(self.metadata_buf()),
+                addr: self.meta_word_addr(),
                 expected,
                 new: word,
             },
         ];
-        let reply = inner.ep.submit(l.node, series).await;
+        let reply = c.ep.submit(self.node(), series).await;
         let prev = match reply.and_then(write_reply) {
             Some(p) => p,
             None => std::future::pending().await,
         };
         self.max_meta(prev, expected, word).await;
-        if v.stamp.verified && inner.inplace_enabled {
+        if v.stamp.verified && self.inplace_enabled() {
             self.write_inplace_bg(word, &v);
         }
     }
@@ -584,9 +704,8 @@ impl ReplicaClient for InnOutReplica {
             };
         }
         if value.is_some() {
-            self.inner
-                .inplace_hits
-                .set(self.inner.inplace_hits.get() + 1);
+            let hits = &self.client().inplace_hits;
+            hits.set(hits.get() + 1);
         }
         Snapshot {
             stamp,
@@ -609,24 +728,55 @@ impl ReplicaClient for InnOutReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swarm_fabric::{Fabric, FabricConfig};
+    use crate::traits::{NodeHealth, QuorumConfig, Rounds};
+    use swarm_fabric::FabricConfig;
     use swarm_sim::Sim;
 
-    fn setup(seed: u64, meta_bufs: usize, cap: usize) -> (Sim, Fabric, InnOutLayout) {
+    /// One replica on node 0 of a 1-node fabric: 64 slots for 8 writers.
+    fn setup(seed: u64, meta_bufs: usize, cap: usize) -> (Sim, Fabric, Rc<InnOutLayout>) {
         let sim = Sim::new(seed);
         let fabric = Fabric::new(&sim, FabricConfig::default(), 1);
-        let layout = InnOutLayout::allocate(&fabric, NodeId(0), meta_bufs, cap, 64, 8);
-        (sim, fabric, layout)
+        let shape = InnOutShape::new(meta_bufs, cap, 64, 8);
+        let layout = InnOutLayout::allocate(&fabric, &shape, &[NodeId(0)]);
+        (sim, fabric, Rc::new(layout))
     }
 
-    fn replica(fabric: &Fabric, layout: &InnOutLayout, writer: usize) -> InnOutReplica {
-        InnOutReplica::new(
+    /// Writer `writer`'s client, counting into `rounds`.
+    fn client(
+        fabric: &Fabric,
+        shape: InnOutShape,
+        writer: usize,
+        inplace: bool,
+        rounds: Rounds,
+    ) -> Rc<InnOutClient> {
+        let health = NodeHealth::new(fabric.num_nodes());
+        let quorum = QuorumClient::new(fabric.sim(), health, QuorumConfig::default(), rounds, None);
+        InnOutClient::new(
+            quorum,
             Rc::new(fabric.endpoint()),
-            layout.clone(),
             writer,
-            true,
-            Rounds::new(),
+            0,
+            shape,
+            inplace,
         )
+    }
+
+    /// Replica 0 of a fresh handle of `client` on `layout`.
+    fn replica_of(client: &Rc<InnOutClient>, layout: &Rc<InnOutLayout>) -> InnOutReplica {
+        ReplicaSet::replica(&InnOutHandle::new(client, Rc::clone(layout)), 0)
+    }
+
+    fn shape_of(meta_bufs: usize, cap: usize) -> InnOutShape {
+        InnOutShape::new(meta_bufs, cap, 64, 8)
+    }
+
+    fn replica(
+        fabric: &Fabric,
+        layout: &Rc<InnOutLayout>,
+        shape: InnOutShape,
+        writer: usize,
+    ) -> InnOutReplica {
+        replica_of(&client(fabric, shape, writer, true, Rounds::new()), layout)
     }
 
     #[test]
@@ -642,7 +792,7 @@ mod tests {
     #[test]
     fn empty_register_reads_initial() {
         let (sim, fabric, layout) = setup(1, 1, 64);
-        let r = replica(&fabric, &layout, 0);
+        let r = replica(&fabric, &layout, shape_of(1, 64), 0);
         let snap = sim.block_on(async move { r.read().await });
         assert_eq!(snap.stamp, Stamp::ZERO);
         assert_eq!(**snap.value.unwrap().value(), Vec::<u8>::new());
@@ -653,8 +803,10 @@ mod tests {
         // GUESSED writes skip the lazy in-place copy, so the first read
         // reports stamp-only and fetch() chases out of place.
         let (sim, fabric, layout) = setup(2, 1, 64);
-        let w = replica(&fabric, &layout, 0);
-        let r = replica(&fabric, &layout, 1);
+        let shape = shape_of(1, 64);
+        let w = replica(&fabric, &layout, shape, 0);
+        let reader = client(&fabric, shape, 1, true, Rounds::new());
+        let r = replica_of(&reader, &layout);
         let v = MVal::new(Stamp::guessed(5, 0), vec![7u8; 64]);
         let got = sim.block_on(async move {
             w.write(v).await;
@@ -664,13 +816,16 @@ mod tests {
         });
         assert_eq!(got.stamp, Stamp::guessed(5, 0));
         assert_eq!(**got.value(), vec![7u8; 64]);
+        assert_eq!(reader.read_stats(), (0, 1), "one chase, no in-place hit");
     }
 
     #[test]
     fn verified_write_enables_inplace_hit() {
         let (sim, fabric, layout) = setup(3, 1, 64);
-        let w = replica(&fabric, &layout, 0);
-        let r = replica(&fabric, &layout, 1);
+        let shape = shape_of(1, 64);
+        let w = replica(&fabric, &layout, shape, 0);
+        let reader = client(&fabric, shape, 1, true, Rounds::new());
+        let r = replica_of(&reader, &layout);
         let sim2 = sim.clone();
         let snap = sim.block_on(async move {
             w.write(MVal::new(Stamp::verified(5, 0), vec![9u8; 64]))
@@ -681,14 +836,16 @@ mod tests {
         });
         assert_eq!(snap.stamp, Stamp::verified(5, 0));
         assert_eq!(**snap.value.unwrap().value(), vec![9u8; 64]);
+        assert_eq!(reader.read_stats(), (1, 0), "answered in place");
     }
 
     #[test]
     fn max_semantics_old_write_does_not_regress() {
         let (sim, fabric, layout) = setup(4, 1, 8);
-        let w0 = replica(&fabric, &layout, 0);
-        let w1 = replica(&fabric, &layout, 1);
-        let r = replica(&fabric, &layout, 2);
+        let shape = shape_of(1, 8);
+        let w0 = replica(&fabric, &layout, shape, 0);
+        let w1 = replica(&fabric, &layout, shape, 1);
+        let r = replica(&fabric, &layout, shape, 2);
         let got = sim.block_on(async move {
             w0.write(MVal::new(Stamp::verified(10, 0), vec![1u8; 8]))
                 .await;
@@ -706,15 +863,10 @@ mod tests {
         // Two writers share one metadata buffer: the second write's cached
         // expected value is stale, forcing a CAS retry (Fig. 13's story).
         let (sim, fabric, layout) = setup(5, 1, 8);
-        let w0 = replica(&fabric, &layout, 0);
+        let shape = shape_of(1, 8);
+        let w0 = replica(&fabric, &layout, shape, 0);
         let rounds1 = Rounds::new();
-        let w1 = InnOutReplica::new(
-            Rc::new(fabric.endpoint()),
-            layout.clone(),
-            1,
-            true,
-            rounds1.clone(),
-        );
+        let w1 = replica_of(&client(&fabric, shape, 1, true, rounds1.clone()), &layout);
         sim.block_on(async move {
             w0.write(MVal::new(Stamp::verified(3, 0), vec![0u8; 8]))
                 .await;
@@ -727,16 +879,11 @@ mod tests {
     #[test]
     fn separate_meta_buffers_avoid_cas_retries() {
         let (sim, fabric, layout) = setup(6, 4, 8);
-        let w0 = replica(&fabric, &layout, 0);
+        let shape = shape_of(4, 8);
+        let w0 = replica(&fabric, &layout, shape, 0);
         let rounds1 = Rounds::new();
-        let w1 = InnOutReplica::new(
-            Rc::new(fabric.endpoint()),
-            layout.clone(),
-            1,
-            true,
-            rounds1.clone(),
-        );
-        let r = replica(&fabric, &layout, 2);
+        let w1 = replica_of(&client(&fabric, shape, 1, true, rounds1.clone()), &layout);
+        let r = replica(&fabric, &layout, shape, 2);
         let got = sim.block_on(async move {
             w0.write(MVal::new(Stamp::verified(3, 0), vec![0u8; 8]))
                 .await;
@@ -755,9 +902,10 @@ mod tests {
         // stamp) supersedes it. Readers must not return A's bytes for B's
         // stamp: validation fails and the reliable layer fetches.
         let (sim, fabric, layout) = setup(7, 2, 16);
-        let a = replica(&fabric, &layout, 0);
-        let b = replica(&fabric, &layout, 1);
-        let r = replica(&fabric, &layout, 2);
+        let shape = shape_of(2, 16);
+        let a = replica(&fabric, &layout, shape, 0);
+        let b = replica(&fabric, &layout, shape, 1);
+        let r = replica(&fabric, &layout, shape, 2);
         let sim2 = sim.clone();
         let (snap, fetched) = sim.block_on(async move {
             a.write(MVal::new(Stamp::verified(5, 0), vec![0xA; 16]))
@@ -777,9 +925,10 @@ mod tests {
     #[test]
     fn slot_ring_wraps_per_writer() {
         let (sim, fabric, layout) = setup(8, 1, 8);
-        let w = replica(&fabric, &layout, 3);
+        let shape = shape_of(1, 8);
+        let w = replica(&fabric, &layout, shape, 3);
         // 64 slots / 8 writers = 8 per writer; 20 writes wrap the ring.
-        let r = replica(&fabric, &layout, 0);
+        let r = replica(&fabric, &layout, shape, 0);
         let got = sim.block_on(async move {
             for i in 1..=20u64 {
                 w.clone()
@@ -792,50 +941,62 @@ mod tests {
         assert_eq!(got.stamp, Stamp::verified(20, 3));
         assert_eq!(**got.value(), vec![20u8; 8]);
         // The 20th write took position 19 % 8 of writer 3's ring.
-        let slot = layout.slot_addr(3 * 8 + 3).expect("writer 3 drew its ring");
+        let slot = layout
+            .slot_addr(&shape, 0, 3 * 8 + 3)
+            .expect("writer 3 drew its ring");
         let bytes = fabric.node(NodeId(0)).mem().read(slot + 16, 8);
         assert_eq!(bytes, vec![20u8; 8]);
     }
 
+    /// The shape of [`loaded`]'s register: one unowned slot (index 8).
+    fn loaded_shape() -> InnOutShape {
+        InnOutShape::new(4, 8, 9, 4)
+    }
+
     /// A register with one unowned slot (index 8) that a loader filled:
     /// `[word | hash | value]` there, metadata word 0 pointing at it.
-    fn loaded(seed: u64) -> (Sim, Fabric, InnOutLayout) {
+    fn loaded(seed: u64) -> (Sim, Fabric, Rc<InnOutLayout>) {
         let sim = Sim::new(seed);
         let fabric = Fabric::new(&sim, FabricConfig::default(), 1);
         let node = fabric.node(NodeId(0));
-        let layout = InnOutLayout::allocate_replica_on(&node, NodeId(0), 4, 8, 9, 4, false);
+        let shape = loaded_shape();
+        let layout = InnOutLayout::allocate(&fabric, &shape, &[NodeId(0)]);
         let word = meta_word(Stamp::verified(1, 254), 8);
         let value = [5u8; 8];
-        let slot = layout.slot_addr(8).expect("slot 8 is unowned");
+        let slot = layout.slot_addr(&shape, 0, 8).expect("slot 8 is unowned");
         node.mem().write_u64(slot, word);
         node.mem()
             .write_u64(slot + 8, bind_word(word, body_hash(&value)));
         node.mem().write(slot + 16, &value);
-        node.mem().write_u64(layout.meta_addr, word);
-        (sim, fabric, layout)
+        node.mem().write_u64(layout.meta_addr(0), word);
+        (sim, fabric, Rc::new(layout))
     }
 
-    fn oop_replica(fabric: &Fabric, layout: &InnOutLayout, writer: usize) -> InnOutReplica {
-        InnOutReplica::new(
-            Rc::new(fabric.endpoint()),
-            layout.clone(),
-            writer,
-            false,
-            Rounds::new(),
+    /// Replica 0 of writer `writer` on [`loaded`]'s register, reading no
+    /// in-place data.
+    fn oop_replica(fabric: &Fabric, layout: &Rc<InnOutLayout>, writer: usize) -> InnOutReplica {
+        replica_of(
+            &client(fabric, loaded_shape(), writer, false, Rounds::new()),
+            layout,
         )
     }
 
     #[test]
     fn never_written_register_draws_no_ring() {
         let (sim, fabric, layout) = loaded(9);
+        let shape = loaded_shape();
         let node = fabric.node(NodeId(0));
-        assert_eq!(node.allocated_bytes(), layout.hot_len());
-        assert_eq!(layout.hot_len(), 4 * 8 + 24, "metadata + the unowned slot");
+        assert_eq!(node.allocated_bytes(), shape.hot_len(true));
+        assert_eq!(
+            shape.hot_len(true),
+            4 * 8 + 16 + 24,
+            "metadata + in-place + the unowned slot"
+        );
         let readers: Vec<_> = (0..4).map(|w| oop_replica(&fabric, &layout, w)).collect();
         sim.block_on(async move {
             for r in readers {
                 let snap = r.clone().read().await;
-                assert!(snap.value.is_none(), "no in-place region here");
+                assert!(snap.value.is_none(), "no in-place reads here");
                 let got = r.fetch(snap.token).await;
                 assert_eq!(got.stamp, Stamp::verified(1, 254));
                 assert_eq!(**got.value(), vec![5u8; 8]);
@@ -843,17 +1004,21 @@ mod tests {
         });
         assert_eq!(
             node.allocated_bytes(),
-            layout.hot_len(),
+            shape.hot_len(true),
             "reads drew memory"
         );
         assert!(layout.rings.get().is_none(), "no per-writer array either");
-        assert!((0..8).all(|s| layout.slot_addr(s).is_none()));
-        assert!(layout.slot_addr(9).is_none(), "past the last slot");
+        assert!((0..8).all(|s| layout.slot_addr(&shape, 0, s).is_none()));
+        assert!(
+            layout.slot_addr(&shape, 0, 9).is_none(),
+            "past the last slot"
+        );
     }
 
     #[test]
     fn first_write_draws_one_ring_and_later_writes_recycle_it() {
         let (sim, fabric, layout) = loaded(10);
+        let shape = loaded_shape();
         let node = fabric.node(NodeId(0));
         let w = oop_replica(&fabric, &layout, 2);
         let before = node.allocated_bytes();
@@ -862,12 +1027,16 @@ mod tests {
             w2.write(MVal::new(Stamp::verified(2, 2), vec![2u8; 8]))
                 .await
         });
-        assert_eq!(layout.ring_len(), 2 * 24);
-        assert_eq!(node.allocated_bytes(), before + layout.ring_len());
-        let ring = layout.slot_addr(4).expect("writer 2's ring exists");
+        assert_eq!(shape.ring_len(), 2 * 24);
+        assert_eq!(node.allocated_bytes(), before + shape.ring_len());
+        let ring = layout
+            .slot_addr(&shape, 0, 4)
+            .expect("writer 2's ring exists");
         assert_eq!(ring, before, "bump-allocated behind what existed");
-        assert_eq!(layout.slot_addr(5), Some(ring + 24));
-        assert!(layout.slot_addr(3).is_none() && layout.slot_addr(6).is_none());
+        assert_eq!(layout.slot_addr(&shape, 0, 5), Some(ring + 24));
+        assert!(
+            layout.slot_addr(&shape, 0, 3).is_none() && layout.slot_addr(&shape, 0, 6).is_none()
+        );
         // per_writer + 1 more writes wrap the ring without drawing again.
         let w2 = w.clone();
         sim.block_on(async move {
@@ -877,7 +1046,7 @@ mod tests {
                     .await;
             }
         });
-        assert_eq!(node.allocated_bytes(), before + layout.ring_len());
+        assert_eq!(node.allocated_bytes(), before + shape.ring_len());
         // Writes 2..=5 took positions 0, 1, 0, 1.
         assert_eq!(node.mem().read(ring + 16, 8), vec![4u8; 8]);
         assert_eq!(node.mem().read(ring + 24 + 16, 8), vec![5u8; 8]);
@@ -886,6 +1055,7 @@ mod tests {
     #[test]
     fn a_second_handle_and_a_foreign_reader_find_the_ring() {
         let (sim, fabric, layout) = loaded(11);
+        let shape = loaded_shape();
         let node = fabric.node(NodeId(0));
         let first = oop_replica(&fabric, &layout, 1);
         sim.block_on(async move {
@@ -894,9 +1064,9 @@ mod tests {
                 .await
         });
         let drawn = node.allocated_bytes();
-        // A handle rebuilt for the same writer from another clone of the
-        // layout starts its ring position over, in the same ring.
-        let again = oop_replica(&fabric, &layout.clone(), 1);
+        // A handle rebuilt for the same writer starts its ring position
+        // over, in the same ring.
+        let again = oop_replica(&fabric, &layout, 1);
         let reader = oop_replica(&fabric, &layout, 3);
         let got = sim.block_on(async move {
             again
@@ -908,7 +1078,7 @@ mod tests {
         assert_eq!(node.allocated_bytes(), drawn, "the ring is reused");
         assert_eq!(got.stamp, Stamp::guessed(3, 1));
         assert_eq!(**got.value(), vec![3u8; 8]);
-        let ring = layout.slot_addr(2).expect("writer 1's ring");
+        let ring = layout.slot_addr(&shape, 0, 2).expect("writer 1's ring");
         assert_eq!(node.mem().read(ring + 16, 8), vec![3u8; 8]);
     }
 
@@ -918,20 +1088,22 @@ mod tests {
         let sim = Sim::new(12);
         let fabric = Fabric::new(&sim, FabricConfig::default(), 1);
         let node = fabric.node(NodeId(0));
-        let layout = InnOutLayout::allocate_on(&node, NodeId(0), 1, 8, 3, 1);
-        assert_eq!(layout.hot_len(), 8 + 8 + 8);
-        assert!(layout.slot_addr(2).is_none());
-        let addr = layout.slot_addr_on(2, &node);
-        assert_eq!(addr, layout.meta_addr + layout.hot_len() + 2 * 24);
-        assert_eq!(layout.slot_addr_on(2, &node), addr, "drawn once");
-        assert_eq!(node.allocated_bytes(), layout.hot_len() + layout.ring_len());
+        let shape = InnOutShape::new(1, 8, 3, 1);
+        let layout = Rc::new(InnOutLayout::allocate(&fabric, &shape, &[NodeId(0)]));
+        assert_eq!(shape.hot_len(true), 8 + 8 + 8);
+        assert!(layout.slot_addr(&shape, 0, 2).is_none());
+        let addr = layout.slot_addr_on(&shape, 0, 2, &node);
+        assert_eq!(addr, layout.meta_addr(0) + shape.hot_len(true) + 2 * 24);
+        assert_eq!(layout.slot_addr_on(&shape, 0, 2, &node), addr, "drawn once");
+        let both = shape.hot_len(true) + shape.ring_len();
+        assert_eq!(node.allocated_bytes(), both);
         // The writer's own handle finds that ring.
-        let w = replica(&fabric, &layout, 0);
+        let w = replica(&fabric, &layout, shape, 0);
         sim.block_on(async move {
             w.write(MVal::new(Stamp::verified(1, 0), vec![1u8; 8]))
                 .await
         });
-        assert_eq!(node.allocated_bytes(), layout.hot_len() + layout.ring_len());
+        assert_eq!(node.allocated_bytes(), both);
         assert_eq!(node.mem().read(addr - 2 * 24 + 16, 8), vec![1u8; 8]);
     }
 
@@ -943,31 +1115,29 @@ mod tests {
                 for (oop_slots, max_writers) in [(4, 4), (9, 4), (11, 4), (7, 2), (3, 1), (16, 5)] {
                     let fabric = Fabric::new(&sim, FabricConfig::default(), 1);
                     let node = fabric.node(NodeId(0));
-                    let alloc = |inplace| {
-                        InnOutLayout::allocate_replica_on(
-                            &node,
-                            NodeId(0),
-                            meta_bufs,
-                            value_cap,
-                            oop_slots,
-                            max_writers,
-                            inplace,
-                        )
-                    };
-                    let layouts = [alloc(true), alloc(false)];
+                    let shape = InnOutShape::new(meta_bufs, value_cap, oop_slots, max_writers);
+                    // Two registers of two replicas each, all on one node:
+                    // replica 0 with the in-place region, replica 1 without.
+                    let layouts = [0, 1]
+                        .map(|_| InnOutLayout::allocate(&fabric, &shape, &[NodeId(0), NodeId(0)]));
+                    let replicas = [(0, 0), (0, 1), (1, 0), (1, 1)];
                     // Regions as (start, end): each hot region, then every
                     // ring, drawn in an order that interleaves the registers.
-                    let mut regions: Vec<(u64, u64)> = layouts
+                    let mut regions: Vec<(u64, u64)> = replicas
                         .iter()
-                        .map(|l| (l.meta_addr, l.meta_addr + l.hot_len()))
+                        .map(|&(l, r)| {
+                            let at = layouts[l].meta_addr(r);
+                            (at, at + shape.hot_len(r == 0))
+                        })
                         .collect();
                     let slot_len = (OOP_HEADER + value_cap) as u64;
                     let per_writer = oop_slots / max_writers;
                     for w in (0..max_writers).rev() {
-                        for l in &layouts {
-                            let base = l.slot_addr_on((w * per_writer) as u16, &node);
-                            regions.push((base, base + l.ring_len()));
-                            assert_eq!(l.ring_len(), per_writer as u64 * slot_len);
+                        for &(l, r) in &replicas {
+                            let slot = (w * per_writer) as u16;
+                            let base = layouts[l].slot_addr_on(&shape, r, slot, &node);
+                            regions.push((base, base + shape.ring_len()));
+                            assert_eq!(shape.ring_len(), per_writer as u64 * slot_len);
                         }
                     }
                     let case = format!("k={meta_bufs} cap={value_cap} {oop_slots}/{max_writers}");
@@ -976,19 +1146,23 @@ mod tests {
                     for pair in regions.windows(2) {
                         assert!(pair[0].1 <= pair[1].0, "{case}: {pair:?} overlap");
                     }
-                    for (i, l) in layouts.iter().enumerate() {
+                    for &(l, r) in &replicas {
                         // Every slot lies whole inside its owner: writer w's
                         // ring, or the hot region past what a reader reads.
-                        let read_end = l.meta_addr
-                            + (meta_bufs * 8 + if i == 0 { value_cap + 8 } else { 0 }) as u64;
+                        let l = &layouts[l];
+                        let read_end = l.meta_addr(r)
+                            + (meta_bufs * 8 + if r == 0 { value_cap + 8 } else { 0 }) as u64;
                         let mut seen = Vec::new();
                         for slot in 0..oop_slots {
-                            let at = l.slot_addr(slot as u16).expect("all rings drawn");
+                            let at = l
+                                .slot_addr(&shape, r, slot as u16)
+                                .expect("all rings drawn");
                             let (lo, hi) = if slot < per_writer * max_writers {
-                                let ring = l.slot_addr(((slot / per_writer) * per_writer) as u16);
-                                (ring.unwrap(), ring.unwrap() + l.ring_len())
+                                let first = ((slot / per_writer) * per_writer) as u16;
+                                let ring = l.slot_addr(&shape, r, first).unwrap();
+                                (ring, ring + shape.ring_len())
                             } else {
-                                (read_end, l.meta_addr + l.hot_len())
+                                (read_end, l.meta_addr(r) + shape.hot_len(r == 0))
                             };
                             assert!(lo <= at && at + slot_len <= hi, "{case}: slot {slot}");
                             seen.push(at);
@@ -1002,16 +1176,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "in-place reads need a layout with the in-place region")]
-    fn inplace_handle_needs_the_inplace_region() {
-        let sim = Sim::new(14);
-        let fabric = Fabric::new(&sim, FabricConfig::default(), 1);
-        let node = fabric.node(NodeId(0));
-        let layout = InnOutLayout::allocate_replica_on(&node, NodeId(0), 1, 8, 4, 4, false);
-        replica(&fabric, &layout, 0);
     }
 
     /// The malformed-reply contract of `Endpoint::read`/`cas` extended to

@@ -34,8 +34,9 @@
 //! use swarm_sim::{Sim, GuessClock};
 //! use swarm_fabric::{Fabric, FabricConfig};
 //! use swarm_core::{
-//!     InnOutLayout, InnOutReplica, MaxRegister, NodeHealth, QuorumConfig,
-//!     ReliableMaxReg, Rounds, SafeGuess, TsGuesser, TsLock, TsLockSet,
+//!     InnOutClient, InnOutHandle, InnOutLayout, InnOutReplica, InnOutShape, NodeHealth,
+//!     QuorumClient, QuorumConfig, ReliableMaxReg, Rounds, SafeGuess, TsGuesser, TsLock,
+//!     TsLockSet,
 //! };
 //!
 //! let sim = Sim::new(7);
@@ -44,17 +45,15 @@
 //! let health = NodeHealth::new(3);
 //! let rounds = Rounds::new();
 //!
-//! // One In-n-Out replica per node (in-place data at node 0 only).
-//! let replicas: Vec<InnOutReplica> = fabric
-//!     .node_ids()
-//!     .into_iter()
-//!     .map(|n| {
-//!         let layout = InnOutLayout::allocate(&fabric, n, 1, 16, 8, 8);
-//!         InnOutReplica::new(Rc::clone(&ep), layout, 0, n.0 == 0, rounds.clone())
-//!     })
-//!     .collect();
-//! let m = ReliableMaxReg::new(&sim, replicas, vec![0, 1, 2], 0, Rc::clone(&health),
-//!                             QuorumConfig::default(), rounds.clone());
+//! // One In-n-Out replica per node (in-place data at replica 0 only), and
+//! // writer 0's handle on it.
+//! let shape = InnOutShape::new(1, 16, 8, 8);
+//! let layout = Rc::new(InnOutLayout::allocate(&fabric, &shape, &fabric.node_ids()));
+//! let quorum = QuorumClient::new(&sim, Rc::clone(&health), QuorumConfig::default(),
+//!                                rounds.clone(), None);
+//! let client = InnOutClient::new(quorum, Rc::clone(&ep), 0, 0, shape, true);
+//! let m: ReliableMaxReg<InnOutReplica> =
+//!     ReliableMaxReg::over(InnOutHandle::new(&client, layout));
 //!
 //! // Timestamp locks: one 8 B CAS word per node, per writer (1 writer here).
 //! let words = fabric.node_ids().iter()
@@ -84,18 +83,18 @@ mod tslock;
 mod value;
 
 pub use hash::{innout_hash, xxh64};
-pub use innout::{InnOutLayout, InnOutReplica};
+pub use innout::{InnOutClient, InnOutHandle, InnOutLayout, InnOutReplica, InnOutShape};
 pub use linearize::{
     CheckError, KvHistory, KvHistoryOp, KvOpKind, NonLinearizable, MAX_OPS_PER_KEY,
 };
-pub use maxreg::ReliableMaxReg;
+pub use maxreg::{ReliableMaxReg, Replicas};
 pub use round::QuorumRound;
 pub use safeguess::{Abd, ReadOutcome, ReadPath, SafeGuess, WritePath};
 pub use sim_replica::{SimReplica, SimReplicaState};
 pub use stamp::{Stamp, TsGuesser, I_MAX, TICK_NS};
 pub use traits::{
-    HedgeConfig, HedgeTicket, Hedger, MaxRegister, NodeHealth, QuorumConfig, ReplicaClient, Rounds,
-    RttTracker, Snapshot,
+    HedgeConfig, HedgeTicket, Hedger, MaxRegister, NodeHealth, QuorumClient, QuorumConfig,
+    ReplicaClient, ReplicaSet, Rounds, RttTracker, Snapshot,
 };
-pub use tslock::{LockMode, TsLock, TsLockSet};
+pub use tslock::{LockMode, TsLock, TsLockSet, TsLocks};
 pub use value::MVal;

@@ -12,59 +12,106 @@
 //! order (unsuspected replicas in rotation order, then suspected ones; a
 //! write skips replicas the cache proves current; the payload chase lists
 //! its one replica twice so its hedge is a same-replica duplicate), and the
-//! request to send. [`ReliableMaxReg::with_hedger`] attaches the client's
-//! [`Hedger`]; without one no round has a hedge stage.
+//! request to send. A register is one pointer to its [`ReplicaSet`], which
+//! reaches the client's [`QuorumClient`] (with the client's [`Hedger`],
+//! if any; without one no round has a hedge stage).
+//!
+//! [`Hedger`]: crate::Hedger
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
+use std::cell::Cell;
 use std::future::Future;
+use std::rc::Rc;
 
 use swarm_sim::Sim;
 
 use crate::round::QuorumRound;
 use crate::stamp::Stamp;
 use crate::traits::{
-    Hedger, MaxRegister, NodeHealth, QuorumConfig, ReplicaClient, Rounds, Snapshot,
+    MaxRegister, NodeHealth, QuorumClient, QuorumConfig, ReplicaClient, ReplicaSet, Rounds,
+    Snapshot,
 };
 use crate::value::MVal;
 
-struct Inner<R> {
-    sim: Sim,
+/// The [`ReplicaSet`] of replica clients that are self-contained values
+/// (such as [`crate::SimReplica`]): the register's own list of them and of
+/// their nodes, with its client's quorum state.
+pub struct Replicas<R> {
+    quorum: QuorumClient,
     replicas: Vec<R>,
-    /// Node id hosting each replica (indexes [`NodeHealth`]; a node may
-    /// host several replicas when replicas > nodes, §7.5).
     node_of: Vec<usize>,
-    /// Preferred contact order (rotated per register by key hash, §6), as
-    /// `(replica, node)` round candidates.
-    prefer: Vec<(usize, usize)>,
-    /// Highest stamp known to be stored at each replica.
-    cache: RefCell<Vec<Stamp>>,
-    health: Rc<NodeHealth>,
-    cfg: QuorumConfig,
-    rounds: Rounds,
-    /// Roundtrips of background work (verified upgrades, replica refresh):
-    /// counted separately so per-operation accounting (Table 2) is clean.
-    bg_rounds: Rounds,
-    /// Tail-latency hedging (shared per client, like `health`); `None` —
-    /// the default — is bit-identical to the pre-hedging code.
-    hedger: Option<Hedger>,
+    rotation: usize,
+    stored: Box<[Cell<Stamp>]>,
+}
+
+impl<R: ReplicaClient> Replicas<R> {
+    /// `replicas`, hosted on `node_of`, contacted in an order rotated by
+    /// `rotation`, for the client `quorum` describes.
+    pub fn new(
+        quorum: QuorumClient,
+        replicas: Vec<R>,
+        node_of: Vec<usize>,
+        rotation: usize,
+    ) -> Rc<Self> {
+        assert_eq!(
+            node_of.len(),
+            replicas.len(),
+            "one hosting node per replica"
+        );
+        let stored = replicas.iter().map(|_| Cell::new(Stamp::ZERO)).collect();
+        Rc::new(Replicas {
+            quorum,
+            replicas,
+            node_of,
+            rotation,
+            stored,
+        })
+    }
+}
+
+impl<R: ReplicaClient> ReplicaSet<R> for Replicas<R> {
+    fn quorum(&self) -> &QuorumClient {
+        &self.quorum
+    }
+
+    fn len(&self) -> usize {
+        self.replicas.len()
+    }
+
+    fn node(&self, i: usize) -> usize {
+        self.node_of[i]
+    }
+
+    fn rotation(&self) -> usize {
+        self.rotation
+    }
+
+    fn replica(this: &Rc<Self>, i: usize) -> R {
+        this.replicas[i].clone()
+    }
+
+    fn stored(&self, i: usize) -> Stamp {
+        self.stored[i].get()
+    }
+
+    fn note_stored(&self, i: usize, stamp: Stamp) {
+        self.stored[i].set(self.stored[i].get().max(stamp));
+    }
 }
 
 /// Majority-replicated max register (the `M` of ABD and Safe-Guess).
-pub struct ReliableMaxReg<R> {
-    inner: Rc<Inner<R>>,
+pub struct ReliableMaxReg<R: ReplicaClient> {
+    set: Rc<R::Set>,
 }
 
-impl<R> Clone for ReliableMaxReg<R> {
+impl<R: ReplicaClient> Clone for ReliableMaxReg<R> {
     fn clone(&self) -> Self {
         ReliableMaxReg {
-            inner: Rc::clone(&self.inner),
+            set: Rc::clone(&self.set),
         }
     }
 }
 
-impl<R: ReplicaClient> ReliableMaxReg<R> {
+impl<R: ReplicaClient<Set = Replicas<R>>> ReliableMaxReg<R> {
     /// Creates a register over `replicas`, contacting them in an order
     /// rotated by `rotation` (derived from the key hash by the KV layer).
     pub fn new(
@@ -76,79 +123,54 @@ impl<R: ReplicaClient> ReliableMaxReg<R> {
         cfg: QuorumConfig,
         rounds: Rounds,
     ) -> Self {
-        Self::with_hedger(sim, replicas, node_of, rotation, health, cfg, rounds, None)
+        let quorum = QuorumClient::new(sim, health, cfg, rounds, None);
+        Self::over(Replicas::new(quorum, replicas, node_of, rotation))
+    }
+}
+
+impl<R: ReplicaClient> ReliableMaxReg<R> {
+    /// The register one client holds through `set`. Construction draws
+    /// nothing and schedules nothing.
+    pub fn over(set: Rc<R::Set>) -> Self {
+        assert!(!set.is_empty(), "register needs at least one replica");
+        ReliableMaxReg { set }
     }
 
-    /// [`ReliableMaxReg::new`] with an optional per-client [`Hedger`] for
-    /// the register's quorum rounds.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_hedger(
-        sim: &Sim,
-        replicas: Vec<R>,
-        node_of: Vec<usize>,
-        rotation: usize,
-        health: Rc<NodeHealth>,
-        cfg: QuorumConfig,
-        rounds: Rounds,
-        hedger: Option<Hedger>,
-    ) -> Self {
-        let n = replicas.len();
-        assert!(n >= 1, "register needs at least one replica");
-        assert_eq!(node_of.len(), n, "one hosting node per replica");
-        let prefer = (0..n)
-            .map(|i| (i + rotation) % n)
-            .map(|i| (i, node_of[i]))
-            .collect();
-        ReliableMaxReg {
-            inner: Rc::new(Inner {
-                sim: sim.clone(),
-                replicas,
-                node_of,
-                prefer,
-                cache: RefCell::new(vec![Stamp::ZERO; n]),
-                health,
-                cfg,
-                rounds,
-                bg_rounds: Rounds::new(),
-                hedger,
-            }),
-        }
-    }
-
-    /// Number of replicas.
-    pub fn num_replicas(&self) -> usize {
-        self.inner.replicas.len()
+    /// The replica set this register stands on.
+    pub fn replicas(&self) -> &Rc<R::Set> {
+        &self.set
     }
 
     fn majority(&self) -> usize {
-        self.num_replicas() / 2 + 1
+        self.set.len() / 2 + 1
+    }
+
+    fn quorum(&self) -> &QuorumClient {
+        self.set.quorum()
     }
 
     /// The roundtrip counter used by this register.
     pub fn rounds(&self) -> &Rounds {
-        &self.inner.rounds
+        &self.quorum().rounds
+    }
+
+    fn replica(&self, i: usize) -> R {
+        <R::Set as ReplicaSet<R>>::replica(&self.set, i)
     }
 
     /// Round candidates: unsuspected replicas first (in rotation order),
     /// then suspected ones.
     fn contact_order(&self) -> Vec<(usize, usize)> {
-        let inner = &self.inner;
-        let suspected = |&(_, node): &(usize, usize)| inner.health.is_suspected(node);
-        let mut order: Vec<_> = inner
-            .prefer
-            .iter()
-            .copied()
-            .filter(|c| !suspected(c))
-            .collect();
-        order.extend(inner.prefer.iter().copied().filter(suspected));
+        let set = &*self.set;
+        let n = set.len();
+        let health = &set.quorum().health;
+        let prefer = (0..n)
+            .map(|k| (k + set.rotation()) % n)
+            .map(|i| (i, set.node(i)));
+        let suspected = |&(_, node): &(usize, usize)| health.is_suspected(node);
+        let mut order: Vec<_> = prefer.clone().filter(|c| !suspected(c)).collect();
+        order.extend(prefer.filter(suspected));
         order
-    }
-
-    fn note_stored(&self, idx: usize, stamp: Stamp) {
-        let mut cache = self.inner.cache.borrow_mut();
-        if stamp > cache[idx] {
-            cache[idx] = stamp;
-        }
     }
 
     /// A quorum round of this register's client: its hedger, its node
@@ -163,11 +185,11 @@ impl<R: ReplicaClient> ReliableMaxReg<R> {
         F: Future<Output = T> + 'static,
         M: FnMut(usize) -> F,
     {
-        let inner = &*self.inner;
+        let q = self.quorum();
         QuorumRound::new(
-            &inner.sim,
-            inner.hedger.as_ref(),
-            Some((&*inner.health, &inner.cfg)),
+            &q.sim,
+            q.hedger.as_ref(),
+            Some((&*q.health, &q.cfg)),
             needed,
             cands,
             make,
@@ -178,12 +200,9 @@ impl<R: ReplicaClient> ReliableMaxReg<R> {
     /// `v` is stored at a majority, costing 0 RTTs when the cache already
     /// proves it, 1 RTT commonly, more when quorums must widen.
     async fn inner_write(&self, v: &MVal, rounds: &Rounds) {
-        let n = self.num_replicas();
+        let n = self.set.len();
         let maj = self.majority();
-        let already: Vec<bool> = {
-            let cache = self.inner.cache.borrow();
-            (0..n).map(|i| cache[i] >= v.stamp).collect()
-        };
+        let already: Vec<bool> = (0..n).map(|i| self.set.stored(i) >= v.stamp).collect();
         let good = already.iter().filter(|&&b| b).count();
         if good >= maj {
             // 0-RTT fast path; refresh stale replicas in the background.
@@ -198,39 +217,35 @@ impl<R: ReplicaClient> ReliableMaxReg<R> {
         rounds.bump();
         let mut order = self.contact_order();
         order.retain(|&(i, _)| !already[i]);
-        let mut round = self.round(maj - good, &order, |i| {
-            self.inner.replicas[i].clone().write(v.clone())
-        });
+        let mut round = self.round(maj - good, &order, |i| self.replica(i).write(v.clone()));
         round.complete(|| rounds.bump()).await;
         for (i, ()) in round.finish() {
-            self.note_stored(i, v.stamp);
-            self.inner.health.clear(self.inner.node_of[i]);
+            self.set.note_stored(i, v.stamp);
+            self.quorum().health.clear(self.set.node(i));
         }
     }
 
     fn write_replica_bg(&self, idx: usize, v: MVal) {
         let this = self.clone();
-        let fut = self.inner.replicas[idx].clone().write(v.clone());
-        self.inner.sim.spawn(async move {
+        let fut = self.replica(idx).write(v.clone());
+        self.quorum().sim.spawn(async move {
             fut.await;
-            this.note_stored(idx, v.stamp);
+            this.set.note_stored(idx, v.stamp);
         });
     }
 
     /// Reads snapshots from a majority; returns `(replica_idx, snapshot)`
     /// pairs for the responders.
     async fn read_majority(&self) -> Vec<(usize, Snapshot)> {
-        let inner = &self.inner;
-        inner.rounds.bump();
+        let rounds = self.rounds();
+        rounds.bump();
         let order = self.contact_order();
-        let mut round = self.round(self.majority(), &order, |i| {
-            inner.replicas[i].clone().read()
-        });
-        round.complete(|| inner.rounds.bump()).await;
+        let mut round = self.round(self.majority(), &order, |i| self.replica(i).read());
+        round.complete(|| rounds.bump()).await;
         let mut out = Vec::new();
         for (i, snap) in round.finish() {
-            self.note_stored(i, snap.stamp);
-            inner.health.clear(inner.node_of[i]);
+            self.set.note_stored(i, snap.stamp);
+            self.quorum().health.clear(self.set.node(i));
             out.push((i, snap));
         }
         out
@@ -263,10 +278,8 @@ impl<R: ReplicaClient> ReliableMaxReg<R> {
                 // the payload, so the hedge's spare is that replica again —
                 // safe here: one response is needed and fetches are
                 // idempotent.
-                let chase = [(idx, self.inner.node_of[idx]); 2];
-                let mut round = self.round(1, &chase, |i| {
-                    self.inner.replicas[i].clone().fetch(snap.token)
-                });
+                let chase = [(idx, self.set.node(idx)); 2];
+                let mut round = self.round(1, &chase, |i| self.replica(i).fetch(snap.token));
                 if round.wait().await.is_err() {
                     return None;
                 }
@@ -274,7 +287,7 @@ impl<R: ReplicaClient> ReliableMaxReg<R> {
                     .finish()
                     .next()
                     .expect("completed fetch quorum has a result");
-                self.note_stored(idx, v.stamp);
+                self.set.note_stored(idx, v.stamp);
                 v
             }
         };
@@ -285,7 +298,7 @@ impl<R: ReplicaClient> ReliableMaxReg<R> {
 impl<R: ReplicaClient> MaxRegister for ReliableMaxReg<R> {
     fn write(&self, v: MVal) -> impl std::future::Future<Output = ()> + 'static {
         let this = self.clone();
-        async move { this.inner_write(&v, &this.inner.rounds.clone()).await }
+        async move { this.inner_write(&v, &this.rounds().clone()).await }
     }
 
     fn read(&self) -> impl std::future::Future<Output = MVal> + 'static {
@@ -302,7 +315,7 @@ impl<R: ReplicaClient> MaxRegister for ReliableMaxReg<R> {
             // Write-back so later reads cannot observe an older maximum
             // (Algorithm 8 line 20); free when the cache already proves
             // majority storage.
-            this.inner_write(&v, &this.inner.rounds.clone()).await;
+            this.inner_write(&v, &this.rounds().clone()).await;
             v
         }
     }
@@ -317,9 +330,10 @@ impl<R: ReplicaClient> MaxRegister for ReliableMaxReg<R> {
 
     fn write_bg(&self, v: MVal) {
         let this = self.clone();
-        self.inner.sim.spawn(async move {
-            let bg = this.inner.bg_rounds.clone();
-            this.inner_write(&v, &bg).await;
+        // Background roundtrips (verified upgrades, replica refresh) stay
+        // out of the client's per-operation count (Table 2).
+        self.quorum().sim.spawn(async move {
+            this.inner_write(&v, &Rounds::new()).await;
         });
     }
 }

@@ -220,10 +220,10 @@ mod tests {
     use swarm_fabric::{Fabric, FabricConfig, TrafficStats};
 
     use super::*;
-    use crate::maxreg::ReliableMaxReg;
+    use crate::maxreg::{ReliableMaxReg, Replicas};
     use crate::sim_replica::{SimReplica, SimReplicaState};
     use crate::stamp::Stamp;
-    use crate::traits::{HedgeConfig, MaxRegister, Rounds};
+    use crate::traits::{HedgeConfig, MaxRegister, QuorumClient, Rounds};
     use crate::value::MVal;
 
     /// A request that answers `v` after `after` ns (`None`: never).
@@ -440,16 +440,14 @@ mod tests {
             ..HedgeConfig::on()
         };
         let hedger = Hedger::new(cfg, n, None).unwrap();
-        let reg = ReliableMaxReg::with_hedger(
+        let quorum = QuorumClient::new(
             &sim,
-            replicas,
-            (0..n).collect(),
-            0,
             NodeHealth::new(n),
             QuorumConfig::default(),
             Rounds::new(),
             Some(hedger.clone()),
         );
+        let reg = ReliableMaxReg::over(Replicas::new(quorum, replicas, (0..n).collect(), 0));
         (sim, states, reg, hedger)
     }
 

@@ -14,7 +14,7 @@ use std::rc::Rc;
 
 use crate::stamp::{Stamp, TsGuesser};
 use crate::traits::{MaxRegister, Rounds};
-use crate::tslock::{LockMode, TsLockSet};
+use crate::tslock::{LockMode, TsLockSet, TsLocks};
 use crate::value::MVal;
 
 /// Outcome labels for a completed write (used by the evaluation to explain
@@ -59,31 +59,31 @@ pub enum ReadPath {
 }
 
 /// A Safe-Guess-replicated register over any reliable max register `M` and a
-/// set of per-writer timestamp locks.
-pub struct SafeGuess<M> {
+/// source `L` of per-writer timestamp locks.
+pub struct SafeGuess<M, L = Rc<TsLockSet>> {
     m: M,
     /// `TSL[tid]` — one lock per potential writer (§3.1, footnote 2),
-    /// materialized lazily on the slow paths that touch them.
-    tsl: Rc<TsLockSet>,
+    /// fetched only on the slow paths that touch them.
+    tsl: L,
     guesser: Rc<TsGuesser>,
     rounds: Rounds,
 }
 
-impl<M: Clone> Clone for SafeGuess<M> {
+impl<M: Clone, L: Clone> Clone for SafeGuess<M, L> {
     fn clone(&self) -> Self {
         SafeGuess {
             m: self.m.clone(),
-            tsl: Rc::clone(&self.tsl),
+            tsl: self.tsl.clone(),
             guesser: Rc::clone(&self.guesser),
             rounds: self.rounds.clone(),
         }
     }
 }
 
-impl<M: MaxRegister> SafeGuess<M> {
+impl<M: MaxRegister, L: TsLocks> SafeGuess<M, L> {
     /// Creates a register handle for the writer identified by `guesser`'s
-    /// tid. `tsl` must hold one lock per potential writer, indexed by tid.
-    pub fn new(m: M, tsl: Rc<TsLockSet>, guesser: Rc<TsGuesser>, rounds: Rounds) -> Self {
+    /// tid. `tsl` must yield one lock per potential writer, indexed by tid.
+    pub fn new(m: M, tsl: L, guesser: Rc<TsGuesser>, rounds: Rounds) -> Self {
         SafeGuess {
             m,
             tsl,
@@ -124,7 +124,7 @@ impl<M: MaxRegister> SafeGuess<M> {
         let tid = self.guesser.tid();
         if self
             .tsl
-            .get(tid as usize)
+            .lock(tid as usize)
             .try_lock(w.stamp.key(), LockMode::Write)
             .await
         {
@@ -178,7 +178,7 @@ impl<M: MaxRegister> SafeGuess<M> {
                     // writer will never re-execute by read-locking it.
                     if self
                         .tsl
-                        .get(tid as usize)
+                        .lock(tid as usize)
                         .try_lock(m.stamp.key(), LockMode::Read)
                         .await
                     {
@@ -256,11 +256,6 @@ impl<M: MaxRegister> Abd<M> {
         let fresh = Stamp::verified(cur.i + 1, self.tid);
         self.m.write(MVal::new(fresh, v)).await;
         true
-    }
-
-    /// Writes the delete tombstone.
-    pub async fn write_tombstone(&self) {
-        self.m.write(MVal::new(Stamp::TOMBSTONE, Vec::new())).await;
     }
 
     /// Reads the register.

@@ -14,6 +14,7 @@ use std::rc::Rc;
 
 use swarm_sim::{Nanos, Sim};
 
+use crate::maxreg::Replicas;
 use crate::traits::{ReplicaClient, Snapshot};
 use crate::value::MVal;
 
@@ -103,6 +104,8 @@ impl SimReplica {
 }
 
 impl ReplicaClient for SimReplica {
+    type Set = Replicas<SimReplica>;
+
     async fn write(self, v: MVal) {
         self.sim.sleep_ns(self.leg()).await;
         self.if_dead_hang_forever().await;

@@ -4,7 +4,7 @@ use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::rc::Rc;
 
-use swarm_sim::{Histogram, Nanos};
+use swarm_sim::{Histogram, Nanos, Sim};
 
 use crate::stamp::Stamp;
 use crate::value::MVal;
@@ -34,6 +34,10 @@ pub struct Snapshot {
 /// raced in quorums; a crashed node's future simply never resolves (the
 /// fabric is silent), so callers bound waits with timeouts.
 pub trait ReplicaClient: Clone + 'static {
+    /// How one client's [`crate::ReliableMaxReg`] holds replicas of this
+    /// kind.
+    type Set: ReplicaSet<Self>;
+
     /// Applies `MAX(register, v)` at the replica; resolves once acknowledged.
     fn write(self, v: MVal) -> impl Future<Output = ()> + 'static;
 
@@ -44,6 +48,41 @@ pub trait ReplicaClient: Clone + 'static {
     /// value whose stamp is `>=` the token's stamp (newer is fine: max
     /// registers only promise a lower bound).
     fn fetch(self, token: u64) -> impl Future<Output = MVal> + 'static;
+}
+
+/// The replicas of one register as one client holds them: the one
+/// allocation a [`crate::ReliableMaxReg`] points at. It reaches the client's
+/// [`QuorumClient`], names each replica's node and client, and keeps the
+/// highest stamp the client knows each replica stores (Algorithm 8's cache).
+pub trait ReplicaSet<R>: 'static {
+    /// The quorum state of the client holding the set.
+    fn quorum(&self) -> &QuorumClient;
+
+    /// Number of replicas.
+    fn len(&self) -> usize;
+
+    /// True if the set has no replicas.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Node hosting replica `i` (indexes [`NodeHealth`]; a node may host
+    /// several replicas when replicas > nodes, §7.5).
+    fn node(&self, i: usize) -> usize;
+
+    /// Replica contacted first (preferred order is rotated by it, §6).
+    fn rotation(&self) -> usize;
+
+    /// The client of replica `i`; its futures share `this`.
+    fn replica(this: &Rc<Self>, i: usize) -> R
+    where
+        Self: Sized;
+
+    /// Highest stamp known to be stored at replica `i`.
+    fn stored(&self, i: usize) -> Stamp;
+
+    /// Records that replica `i` stores `stamp` (kept if higher).
+    fn note_stored(&self, i: usize, stamp: Stamp);
 }
 
 /// A reliable (majority-replicated, wait-free) max register — the interface
@@ -448,6 +487,42 @@ impl Default for QuorumConfig {
             widen_timeout_ns: 6_000,
             widen_rtt_multiple: 4.0,
             widen_timeout_max_scale: 32,
+        }
+    }
+}
+
+/// What every quorum round of one client shares: its simulation, node
+/// health, quorum timing, roundtrip counter and hedger.
+pub struct QuorumClient {
+    /// The simulation.
+    pub sim: Sim,
+    /// Suspicion and the smoothed quorum RTT.
+    pub health: Rc<NodeHealth>,
+    /// Quorum timing.
+    pub cfg: QuorumConfig,
+    /// Roundtrips of the client's operations.
+    pub rounds: Rounds,
+    /// Tail-latency hedging; `None` — the default — is bit-identical to
+    /// the pre-hedging code.
+    pub hedger: Option<Hedger>,
+}
+
+impl QuorumClient {
+    /// A client's quorum state (construction draws nothing and schedules
+    /// nothing).
+    pub fn new(
+        sim: &Sim,
+        health: Rc<NodeHealth>,
+        cfg: QuorumConfig,
+        rounds: Rounds,
+        hedger: Option<Hedger>,
+    ) -> Self {
+        QuorumClient {
+            sim: sim.clone(),
+            health,
+            cfg,
+            rounds,
+            hedger,
         }
     }
 }

@@ -9,7 +9,7 @@
 //! loses. Unlike a readers–writer lock it is never unlocked, only re-locked
 //! at higher timestamps, and both sides may lose simultaneously.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 use swarm_fabric::{Endpoint, NodeId};
@@ -171,63 +171,41 @@ fn opposite(m: LockMode) -> LockMode {
     }
 }
 
-/// The per-writer timestamp locks of one register (`TSL[tid]`, §3.1),
-/// materialized lazily.
-///
-/// Safe-Guess touches a timestamp lock only on its slow paths (a possibly
-/// stale guess, a twice-seen read), but a key handle needs one lock per
-/// *potential* writer. Building `max_clients` `TsLock`s eagerly dominated
-/// the cost of a location-cache miss at high client counts (two heap
-/// allocations per writer), so the set stores a recipe and constructs each
-/// writer's lock on first touch. Construction is pure (no RNG, no simulated
-/// time), so laziness cannot perturb deterministic replay.
+/// Where a Safe-Guess register finds `TSL[tid]`, writer `tid`'s timestamp
+/// lock (§3.1). Safe-Guess asks only on its slow paths (a possibly stale
+/// guess, a twice-seen read), so a source may build the lock when asked;
+/// building one is pure (no RNG, no simulated time), so when it happens
+/// cannot perturb deterministic replay.
+pub trait TsLocks {
+    /// Writer `tid`'s lock.
+    fn lock(&self, tid: usize) -> TsLock;
+}
+
+/// A register's per-writer timestamp locks, built up front (tests and
+/// small fixed-writer setups).
 pub struct TsLockSet {
-    slots: RefCell<Vec<Option<TsLock>>>,
-    make: Box<dyn Fn(usize) -> TsLock>,
+    locks: Vec<TsLock>,
 }
 
 impl TsLockSet {
-    /// A lazy set of `writers` locks; `make(tid)` builds writer `tid`'s lock
-    /// on first use.
-    pub fn new(writers: usize, make: impl Fn(usize) -> TsLock + 'static) -> Self {
-        TsLockSet {
-            slots: RefCell::new((0..writers).map(|_| None).collect()),
-            make: Box::new(make),
-        }
-    }
-
-    /// An eagerly built set (tests and small fixed-writer setups).
+    /// The set of `locks`, writer `tid`'s at index `tid`.
     pub fn eager(locks: Vec<TsLock>) -> Self {
-        TsLockSet {
-            slots: RefCell::new(locks.into_iter().map(Some).collect()),
-            make: Box::new(|_| unreachable!("eager TsLockSet never constructs")),
-        }
+        TsLockSet { locks }
     }
 
-    /// Number of writer slots.
-    pub fn len(&self) -> usize {
-        self.slots.borrow().len()
-    }
-
-    /// True if the set has no writer slots.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Writer `tid`'s lock, constructing it on first touch.
+    /// Writer `tid`'s lock.
     ///
     /// # Panics
     ///
     /// Panics if `tid` is out of range.
     pub fn get(&self, tid: usize) -> TsLock {
-        if let Some(lock) = &self.slots.borrow()[tid] {
-            return lock.clone();
-        }
-        // Run `make` with no borrow held: a re-entrant recipe (one that
-        // consults the set itself) must not hit a RefCell panic. If it
-        // raced us to this slot, keep the earlier lock.
-        let lock = (self.make)(tid);
-        self.slots.borrow_mut()[tid].get_or_insert(lock).clone()
+        self.locks[tid].clone()
+    }
+}
+
+impl TsLocks for Rc<TsLockSet> {
+    fn lock(&self, tid: usize) -> TsLock {
+        self.get(tid)
     }
 }
 

@@ -6,9 +6,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use swarm_core::{
-    Abd, InnOutLayout, InnOutReplica, KvHistory, KvOpKind, MaxRegister, NodeHealth, QuorumConfig,
-    ReliableMaxReg, Rounds, SafeGuess, SimReplica, SimReplicaState, TsGuesser, TsLock, TsLockSet,
-    WritePath,
+    Abd, InnOutClient, InnOutHandle, InnOutLayout, InnOutReplica, InnOutShape, KvHistory, KvOpKind,
+    MaxRegister, NodeHealth, QuorumClient, QuorumConfig, ReliableMaxReg, Rounds, SafeGuess,
+    SimReplica, SimReplicaState, TsGuesser, TsLock, TsLockSet, WritePath,
 };
 use swarm_fabric::{Fabric, FabricConfig, NodeId};
 use swarm_sim::{GuessClock, Sim};
@@ -95,11 +95,8 @@ fn swarm_registers(
     skew_ns: i64,
 ) -> Vec<SafeGuess<ReliableMaxReg<InnOutReplica>>> {
     let n_nodes = fabric.num_nodes();
-    let layouts: Vec<InnOutLayout> = fabric
-        .node_ids()
-        .into_iter()
-        .map(|n| InnOutLayout::allocate(fabric, n, meta_bufs, VALUE_LEN, n_clients * 8, n_clients))
-        .collect();
+    let shape = InnOutShape::new(meta_bufs, VALUE_LEN, n_clients * 8, n_clients);
+    let layout = Rc::new(InnOutLayout::allocate(fabric, &shape, &fabric.node_ids()));
     let lock_words: Vec<(NodeId, u64)> = fabric
         .node_ids()
         .into_iter()
@@ -110,22 +107,16 @@ fn swarm_registers(
             let health = NodeHealth::new(n_nodes);
             let rounds = Rounds::new();
             let ep = Rc::new(fabric.endpoint());
-            let replicas: Vec<InnOutReplica> = layouts
-                .iter()
-                .enumerate()
-                .map(|(i, l)| {
-                    InnOutReplica::new(Rc::clone(&ep), l.clone(), tid, i == 0, rounds.clone())
-                })
-                .collect();
-            let m = ReliableMaxReg::new(
+            let quorum = QuorumClient::new(
                 sim,
-                replicas,
-                (0..n_nodes).collect(),
-                tid,
                 Rc::clone(&health),
                 QuorumConfig::default(),
                 rounds.clone(),
+                None,
             );
+            // Rotated by tid: clients contact different first majorities.
+            let client = InnOutClient::new(quorum, Rc::clone(&ep), tid, tid, shape, true);
+            let m = ReliableMaxReg::over(InnOutHandle::new(&client, Rc::clone(&layout)));
             let tsl: Vec<TsLock> = (0..n_clients)
                 .map(|w| {
                     let w_words: Vec<(NodeId, u64)> = lock_words

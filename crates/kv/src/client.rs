@@ -25,10 +25,11 @@ use std::pin::{pin, Pin};
 use std::rc::Rc;
 
 use swarm_core::{
-    Abd, HedgeConfig, Hedger, InnOutReplica, NodeHealth, ReliableMaxReg, Rounds, SafeGuess,
-    TsGuesser, TsLock, TsLockSet, WritePath,
+    Abd, HedgeConfig, Hedger, InnOutClient, InnOutHandle, InnOutReplica, MVal, MaxRegister,
+    NodeHealth, QuorumClient, ReliableMaxReg, Rounds, SafeGuess, Stamp, TsGuesser, TsLock, TsLocks,
+    WritePath,
 };
-use swarm_fabric::Endpoint;
+use swarm_fabric::{Endpoint, NodeId};
 use swarm_sim::{join2, timeout_at, FifoResource, GuessClock, Nanos, Sim, SimRng, TimedOut};
 
 use crate::builder::{ClusterKind, StoreCluster};
@@ -131,15 +132,19 @@ impl StoreClient {
             Some(cpu) => cluster.fabric().endpoint_with_cpu(cpu),
             None => cluster.fabric().endpoint(),
         });
+        let rounds = Rounds::new();
         let path = match &cluster.kind {
-            ClusterKind::Swarm(c, proto) => Path::Swarm(SwarmPath::new(c, *proto, id, cfg)),
+            ClusterKind::Swarm(c, proto) => {
+                let (ep, rounds) = (Rc::clone(&ep), rounds.clone());
+                Path::Swarm(SwarmPath::new(c, *proto, id, cfg, ep, rounds))
+            }
             ClusterKind::Fusee(c) => Path::Fusee(FuseePath::new(c, id, cfg)),
         };
         Rc::new(StoreClient {
             sim: cluster.sim().clone(),
             client_id: id,
             ep,
-            rounds: Rounds::new(),
+            rounds,
             op_deadline_ns: cfg.op_deadline_ns,
             path,
         })
@@ -257,27 +262,22 @@ impl KvStore for StoreClient {
     }
 }
 
-type SgReg = SafeGuess<ReliableMaxReg<InnOutReplica>>;
-type AbdReg = Abd<ReliableMaxReg<InnOutReplica>>;
+/// A key's register as one client holds it.
+type Reg = ReliableMaxReg<InnOutReplica<KeyInfo>>;
 
-enum HandleKind {
-    Sg(SgReg),
-    Abd(AbdReg),
-    Raw {
-        node: swarm_fabric::NodeId,
-        addr: u64,
-        len: usize,
-    },
-}
-
-/// A cached per-key access handle (the 24–32 B location record of §5.2,
-/// including In-n-Out's cached metadata word for SWARM-KV).
+/// A cached per-key access handle: §5.2's location record. The paper
+/// caches 24–32 B per key (the replicas' addresses plus, for SWARM-KV,
+/// In-n-Out's cached metadata word). Here the addresses live once, in the
+/// key's index record that every client's handle points at, and the
+/// client's quorum state lives once per client; what a handle holds of its
+/// own is one allocation of the words it learns per replica (the cached
+/// metadata word, the next ring position, the highest stamp known stored).
+/// At 3 replicas, 4 clients and 64 B values a cached handle costs at most
+/// 320 B of host heap in at most 4 allocations, its cache slot and the
+/// key's writer-ring table included (`tests/footprint.rs`).
+#[derive(Clone)]
 struct KeyHandle {
-    kind: HandleKind,
-    /// Allocation generation of the replicas behind this handle; index
-    /// cleanups are conditioned on it so a stale handle can never unmap a
-    /// re-inserted key's fresh mapping.
-    generation: u64,
+    reg: Reg,
     /// Cluster repair mark at build time. A handle built before an
     /// anti-entropy pass rewrote this key's replicas may cache metadata
     /// (e.g. In-n-Out's cached word) older than the repaired state; the
@@ -285,27 +285,64 @@ struct KeyHandle {
     repair_mark: u64,
 }
 
+impl KeyHandle {
+    /// The key's index record. Its allocation generation conditions index
+    /// cleanups, so a stale handle can never unmap a re-inserted key's
+    /// fresh mapping.
+    fn info(&self) -> &KeyInfo {
+        self.reg.replicas().key()
+    }
+}
+
+/// `TSL[w]` of one key: writer `w`'s lock is built on the slow path that
+/// needs it, from the client's context and the key's lock words.
+struct KeyLocks<'a> {
+    client: &'a InnOutClient,
+    info: &'a KeyInfo,
+}
+
+impl TsLocks for KeyLocks<'_> {
+    fn lock(&self, w: usize) -> TsLock {
+        let (c, q, l) = (self.client, &self.client.quorum, &self.info.layout);
+        let bases = self.info.tsl_base(c.ep.fabric(), c.shape.max_writers);
+        let words = bases
+            .iter()
+            .enumerate()
+            .map(|(r, &base)| (l.node(r), base + 8 * w as u64))
+            .collect();
+        let (ep, health) = (Rc::clone(&c.ep), Rc::clone(&q.health));
+        TsLock::new(&q.sim, ep, words, health, q.cfg, q.rounds.clone())
+    }
+}
+
 /// The RAW / SWARM-KV / DM-ABD side of a [`StoreClient`]: location cache,
 /// per-key register handles and the §5.3 operations. The client's endpoint,
 /// roundtrip counter and id live in the [`StoreClient`] every method is
-/// handed as `c`.
+/// handed as `c`; its quorum state, endpoint and writer id once more in the
+/// context all of its handles share.
 struct SwarmPath {
     cluster: Cluster,
     proto: Proto,
-    health: Rc<NodeHealth>,
+    /// What every register handle of this client shares.
+    client: Rc<InnOutClient>,
     guesser: Rc<TsGuesser>,
-    cache: RefCell<LfuCache<Rc<KeyHandle>>>,
+    cache: RefCell<LfuCache<KeyHandle>>,
     /// Stream for this client's own draws (cache-eviction sampling); the
     /// clock draws from its own sibling stream.
     rng: SimRng,
-    /// Tail-latency hedger shared by all of this client's registers;
-    /// `None` (the default) is bit-identical to the pre-hedging code.
-    hedger: Option<Hedger>,
 }
 
 impl SwarmPath {
-    /// The path state of client `client_id`.
-    fn new(cluster: &Cluster, proto: Proto, client_id: usize, cfg: &ClientConfig) -> Self {
+    /// The path state of client `client_id`, over its endpoint `ep` and
+    /// roundtrip counter `rounds`.
+    fn new(
+        cluster: &Cluster,
+        proto: Proto,
+        client_id: usize,
+        cfg: &ClientConfig,
+        ep: Rc<Endpoint>,
+        rounds: Rounds,
+    ) -> Self {
         let cc = cluster.config();
         if proto != Proto::Raw {
             assert!(
@@ -325,117 +362,43 @@ impl SwarmPath {
             cc.clock_drift_ppm,
             (cc.clock_skew_ns / 2).max(1),
         ));
+        let guesser = Rc::new(TsGuesser::new(clock, client_id as u8));
+        let cache = RefCell::new(LfuCache::new(cfg.cache.entry_limit()));
+        let rng = cc.role_rng(sim, ROLE_CACHE, client_id as u64);
+        // One hedger for all of this client's registers; `None` (the
+        // default) is bit-identical to the pre-hedging code.
+        let hedger = Hedger::new(cfg.hedge, cc.nodes, Some(cluster.fabric().clone()));
+        let quorum = QuorumClient::new(sim, health, cc.quorum, rounds, hedger);
         SwarmPath {
             cluster: cluster.clone(),
             proto,
-            health,
-            guesser: Rc::new(TsGuesser::new(clock, client_id as u8)),
-            cache: RefCell::new(LfuCache::new(cfg.cache.entry_limit())),
-            rng: cc.role_rng(sim, ROLE_CACHE, client_id as u64),
-            hedger: Hedger::new(cfg.hedge, cc.nodes, Some(cluster.fabric().clone())),
+            client: InnOutClient::new(quorum, ep, client_id, 0, *cluster.shape(), cc.inplace),
+            guesser,
+            cache,
+            rng,
         }
     }
 
-    fn build_handle(&self, c: &StoreClient, info: &Rc<KeyInfo>) -> Rc<KeyHandle> {
-        let cc = self.cluster.config();
-        let sim = self.cluster.sim();
-        let kind = match self.proto {
-            Proto::Raw => {
-                let l = &info.layouts[0];
-                HandleKind::Raw {
-                    node: l.node,
-                    addr: l.meta_addr + (l.meta_bufs * 8) as u64,
-                    len: cc.value_size,
-                }
-            }
-            Proto::SafeGuess | Proto::Abd => {
-                let replicas: Vec<InnOutReplica> = info
-                    .layouts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, l)| {
-                        InnOutReplica::new(
-                            Rc::clone(&c.ep),
-                            l.clone(),
-                            c.client_id,
-                            cc.inplace && i == 0,
-                            c.rounds.clone(),
-                        )
-                    })
-                    .collect();
-                let m = ReliableMaxReg::with_hedger(
-                    sim,
-                    replicas,
-                    info.replica_nodes.iter().map(|n| n.0).collect(),
-                    0,
-                    Rc::clone(&self.health),
-                    cc.quorum,
-                    c.rounds.clone(),
-                    self.hedger.clone(),
-                );
-                match self.proto {
-                    Proto::Abd => HandleKind::Abd(Abd::new(m, c.client_id as u8)),
-                    _ => {
-                        // Lazy per-writer locks: a cache miss stores only
-                        // this recipe; `TsLock`s materialize on the slow
-                        // paths that actually touch them (building
-                        // `max_clients` locks eagerly dominated miss cost
-                        // at 64 clients).
-                        let quorum = cc.quorum;
-                        let sim = sim.clone();
-                        let ep = Rc::clone(&c.ep);
-                        let health = Rc::clone(&self.health);
-                        let rounds = c.rounds.clone();
-                        let info = Rc::clone(info);
-                        let tsl = TsLockSet::new(cc.max_clients, move |w| {
-                            let words: Vec<(swarm_fabric::NodeId, u64)> = info
-                                .replica_nodes
-                                .iter()
-                                .zip(info.tsl_base(ep.fabric()))
-                                .map(|(&n, &base)| (n, base + 8 * w as u64))
-                                .collect();
-                            TsLock::new(
-                                &sim,
-                                Rc::clone(&ep),
-                                words,
-                                Rc::clone(&health),
-                                quorum,
-                                rounds.clone(),
-                            )
-                        });
-                        HandleKind::Sg(SafeGuess::new(
-                            m,
-                            Rc::new(tsl),
-                            Rc::clone(&self.guesser),
-                            c.rounds.clone(),
-                        ))
-                    }
-                }
-            }
-        };
-        Rc::new(KeyHandle {
-            kind,
-            generation: info.generation,
+    /// This client's handle on the key `info` records. Pure: draws nothing
+    /// and schedules nothing.
+    fn build_handle(&self, info: &Rc<KeyInfo>) -> KeyHandle {
+        KeyHandle {
+            reg: ReliableMaxReg::over(InnOutHandle::new(&self.client, Rc::clone(info))),
             repair_mark: self.cluster.repair_mark(info.key),
-        })
+        }
     }
 
     /// Resolves the handle for `key`: cache hit is free; a miss costs one
     /// index roundtrip (§7.1). `force_index` bypasses the cache (used after
     /// observing a tombstone through possibly-stale cached replicas,
     /// §5.3.3).
-    async fn handle_for(
-        &self,
-        c: &StoreClient,
-        key: u64,
-        force_index: bool,
-    ) -> Option<Rc<KeyHandle>> {
+    async fn handle_for(&self, c: &StoreClient, key: u64, force_index: bool) -> Option<KeyHandle> {
         if !force_index {
             let mark = self.cluster.repair_mark(key);
             let mut cache = self.cache.borrow_mut();
             if let Some(h) = cache.get(key) {
                 if h.repair_mark == mark {
-                    return Some(Rc::clone(h));
+                    return Some(h.clone());
                 }
                 // Repair rewrote this key's replicas after the handle was
                 // built: its cached metadata may predate the repaired
@@ -445,37 +408,53 @@ impl SwarmPath {
         }
         c.rounds.bump();
         let info = self.cluster.index().get(key).await?;
-        let h = self.build_handle(c, &info);
-        self.cache
-            .borrow_mut()
-            .insert(&self.rng, key, Rc::clone(&h));
+        let h = self.build_handle(&info);
+        self.cache.borrow_mut().insert(&self.rng, key, h.clone());
         Some(h)
     }
 
     fn uncache(&self, key: u64) {
         self.cache.borrow_mut().remove(key);
     }
-}
 
-impl KeyHandle {
-    /// Writes through the handle. `Err(Deleted)` if a tombstone rejected the
+    /// SWARM-KV's register over `h`, for one operation.
+    fn safe_guess<'a>(&'a self, h: &'a KeyHandle) -> SafeGuess<Reg, KeyLocks<'a>> {
+        let locks = KeyLocks {
+            client: &self.client,
+            info: h.info(),
+        };
+        let rounds = self.client.quorum.rounds.clone();
+        SafeGuess::new(h.reg.clone(), locks, Rc::clone(&self.guesser), rounds)
+    }
+
+    /// DM-ABD's register over `h`, for one operation.
+    fn abd(&self, h: &KeyHandle) -> Abd<Reg> {
+        Abd::new(h.reg.clone(), self.client.writer as u8)
+    }
+
+    /// RAW's one copy of `h`'s key: the in-place region of replica 0.
+    fn raw_addr(&self, h: &KeyHandle) -> (NodeId, u64) {
+        let l = &h.info().layout;
+        (l.node(0), l.inplace_addr(self.cluster.shape()))
+    }
+
+    /// Writes through `h`. `Err(Deleted)` if a tombstone rejected the
     /// write; `Err(Timeout)` if the unreplicated RAW node stopped answering.
     /// The payload arrives `Rc`-shared: retries and replica fan-out bump a
     /// refcount instead of deep-copying the value.
-    async fn write(&self, c: &StoreClient, value: Rc<Vec<u8>>) -> KvResult<()> {
-        match &self.kind {
-            HandleKind::Raw { node, addr, .. } => {
+    async fn write(&self, c: &StoreClient, h: &KeyHandle, value: Rc<Vec<u8>>) -> KvResult<()> {
+        match self.proto {
+            Proto::Raw => {
                 c.rounds.bump();
-                c.ep.write(*node, *addr, value)
-                    .await
-                    .ok_or(KvError::Timeout)
+                let (node, addr) = self.raw_addr(h);
+                c.ep.write(node, addr, value).await.ok_or(KvError::Timeout)
             }
-            HandleKind::Sg(reg) => match reg.write(value).await {
+            Proto::SafeGuess => match self.safe_guess(h).write(value).await {
                 WritePath::Deleted => Err(KvError::Deleted),
                 _ => Ok(()),
             },
-            HandleKind::Abd(reg) => {
-                if reg.write(value).await {
+            Proto::Abd => {
+                if self.abd(h).write(value).await {
                     Ok(())
                 } else {
                     Err(KvError::Deleted)
@@ -484,36 +463,30 @@ impl KeyHandle {
         }
     }
 
-    async fn read(&self, c: &StoreClient) -> KvResult<ReadResult> {
-        match &self.kind {
-            HandleKind::Raw { node, addr, len } => {
+    async fn read(&self, c: &StoreClient, h: &KeyHandle) -> KvResult<ReadResult> {
+        let v = match self.proto {
+            Proto::Raw => {
                 c.rounds.bump();
-                match c.ep.read(*node, *addr, *len).await {
+                let (node, addr) = self.raw_addr(h);
+                return match c
+                    .ep
+                    .read(node, addr, self.cluster.config().value_size)
+                    .await
+                {
                     Some(bytes) => Ok(ReadResult::Value(Rc::new(bytes))),
                     None => Err(KvError::Timeout),
-                }
+                };
             }
-            HandleKind::Sg(reg) => {
-                let out = reg.read().await;
-                Ok(if out.value.is_tombstone() {
-                    ReadResult::Deleted
-                } else if out.value.is_initial() {
-                    ReadResult::Missing
-                } else {
-                    ReadResult::Value(out.value.into_value())
-                })
-            }
-            HandleKind::Abd(reg) => {
-                let v = reg.read().await;
-                Ok(if v.is_tombstone() {
-                    ReadResult::Deleted
-                } else if v.is_initial() {
-                    ReadResult::Missing
-                } else {
-                    ReadResult::Value(v.into_value())
-                })
-            }
-        }
+            Proto::SafeGuess => self.safe_guess(h).read().await.value,
+            Proto::Abd => self.abd(h).read().await,
+        };
+        Ok(if v.is_tombstone() {
+            ReadResult::Deleted
+        } else if v.is_initial() {
+            ReadResult::Missing
+        } else {
+            ReadResult::Value(v.into_value())
+        })
     }
 }
 
@@ -532,7 +505,7 @@ impl SwarmPath {
             let Some(h) = self.handle_for(c, key, attempt > 0).await else {
                 return Ok(None);
             };
-            match h.read(c).await? {
+            match self.read(c, &h).await? {
                 ReadResult::Value(v) => return Ok(Some(v)),
                 ReadResult::Missing => return Ok(None),
                 ReadResult::Deleted => self.uncache(key),
@@ -550,7 +523,7 @@ impl SwarmPath {
             let Some(h) = self.handle_for(c, key, through_index).await else {
                 return Err(KvError::NotIndexed);
             };
-            let settled = h.write(c, value.clone()).await;
+            let settled = self.write(c, &h, value.clone()).await;
             if settled != Err(KvError::Deleted) {
                 return settled;
             }
@@ -560,7 +533,7 @@ impl SwarmPath {
                 // mapping in the background (the deleter may have failed) —
                 // but only the generation we saw tombstoned, never a
                 // re-inserter's fresh mapping.
-                self.unmap_generation(key, h.generation);
+                self.unmap_generation(key, h.info().generation);
                 return settled;
             }
             through_index = true;
@@ -590,10 +563,10 @@ impl SwarmPath {
             return Ok(());
         }
         let info = self.cluster.alloc_key(key);
-        let h = self.build_handle(c, &info);
+        let h = self.build_handle(&info);
         let index = self.cluster.index();
         let ins = index.try_insert(key, Rc::clone(&info));
-        let write = h.write(c, value.clone());
+        let write = self.write(c, &h, value.clone());
         let (outcome, _wrote) = join2(ins, write).await;
         match outcome {
             InsertOutcome::Inserted => {
@@ -604,8 +577,8 @@ impl SwarmPath {
             InsertOutcome::Exists(existing) => {
                 // Someone holds a mapping: write through it instead (our
                 // fresh buffers stay unindexed and are recycled).
-                let h2 = self.build_handle(c, &existing);
-                match h2.write(c, value.clone()).await {
+                let h2 = self.build_handle(&existing);
+                match self.write(c, &h2, value.clone()).await {
                     Ok(()) => {
                         self.cache.borrow_mut().insert(&self.rng, key, h2);
                         Ok(())
@@ -639,13 +612,14 @@ impl SwarmPath {
             self.uncache(key);
             return Err(KvError::NotFound);
         };
-        let h = self.build_handle(c, &info);
-        match &h.kind {
-            HandleKind::Raw { .. } => {
-                c.rounds.bump();
+        match self.proto {
+            Proto::Raw => c.rounds.bump(),
+            // Both replicated protocols write the tombstone straight into
+            // the max register (§5.3.2).
+            Proto::SafeGuess | Proto::Abd => {
+                let tombstone = MVal::new(Stamp::TOMBSTONE, Vec::new());
+                self.build_handle(&info).reg.write(tombstone).await
             }
-            HandleKind::Sg(reg) => reg.write_tombstone().await,
-            HandleKind::Abd(reg) => reg.write_tombstone().await,
         }
         self.uncache(key);
         // Unmap exactly the generation that was tombstoned; a concurrent
@@ -697,30 +671,32 @@ mod tests {
         let client = swarm_client(&sim, 4);
         sim.block_on(async move {
             let (c, path) = (&*client, client.swarm_path());
+            let same =
+                |a: &KeyHandle, b: &KeyHandle| Rc::ptr_eq(a.reg.replicas(), b.reg.replicas());
             let h1 = path.handle_for(c, 3, false).await.expect("key 3 loaded");
             let h2 = path.handle_for(c, 3, false).await.expect("key 3 cached");
-            assert!(Rc::ptr_eq(&h1, &h2), "cache hit returns the same handle");
+            assert!(same(&h1, &h2), "cache hit returns the same handle");
 
             // Anti-entropy rewrites key 3's replicas: the next resolve must
             // rebuild the handle instead of serving the stale one.
             path.cluster.note_repaired(3);
             let h3 = path.handle_for(c, 3, false).await.expect("key 3 indexed");
             assert!(
-                !Rc::ptr_eq(&h2, &h3),
+                !same(&h2, &h3),
                 "a handle built before repair must not survive one"
             );
 
             // The rebuilt handle carries the new mark and is cached again.
             let h4 = path.handle_for(c, 3, false).await.expect("key 3 cached");
-            assert!(Rc::ptr_eq(&h3, &h4), "post-repair handle caches normally");
+            assert!(same(&h3, &h4), "post-repair handle caches normally");
 
             // Other keys' handles are untouched by key 3's repair.
             let o1 = path.handle_for(c, 1, false).await.expect("key 1 loaded");
             path.cluster.note_repaired(3);
             let h5 = path.handle_for(c, 3, false).await.expect("key 3 indexed");
-            assert!(!Rc::ptr_eq(&h4, &h5), "every repair bumps the mark");
+            assert!(!same(&h4, &h5), "every repair bumps the mark");
             let o2 = path.handle_for(c, 1, false).await.expect("key 1 cached");
-            assert!(Rc::ptr_eq(&o1, &o2), "unrepaired keys keep their handle");
+            assert!(same(&o1, &o2), "unrepaired keys keep their handle");
         });
     }
 }

@@ -23,7 +23,7 @@ use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use swarm_core::{innout_hash, InnOutLayout, QuorumConfig, Stamp};
+use swarm_core::{innout_hash, InnOutLayout, InnOutShape, QuorumConfig, Stamp};
 use swarm_fabric::{Fabric, FabricConfig, NodeId};
 use swarm_sim::{Sim, SimRng};
 
@@ -141,34 +141,38 @@ pub(crate) fn substrate<L: Clone + 'static>(sim: &Sim, cfg: &ClusterConfig) -> (
     (fabric, Index::new(sim, cfg.index_capacity, wire, index_rng))
 }
 
-/// Control-plane record of one key's replica allocation.
+/// Control-plane record of one key's replica allocation: the one index
+/// record every client's handle on the key points at.
 #[derive(Debug)]
 pub struct KeyInfo {
     /// The key.
     pub key: u64,
-    /// Replica memory nodes; index 0 is the in-place-designated replica.
-    pub replica_nodes: Vec<NodeId>,
-    /// One In-n-Out layout per replica; only index 0 has the in-place region.
-    pub layouts: Vec<InnOutLayout>,
-    /// Per replica: base address of `max_clients` timestamp-lock words, once
-    /// drawn ([`KeyInfo::tsl_base`]).
-    tsl_base: OnceCell<Vec<u64>>,
-    /// Out-of-place slot reserved for the bulk loader.
-    pub loader_slot: u16,
     /// Allocation generation (re-inserts after delete get fresh buffers).
     pub generation: u64,
+    /// Where the key's register lives; replica 0 is the in-place-designated
+    /// one.
+    pub layout: InnOutLayout,
+    /// Per replica: base address of `max_clients` timestamp-lock words, once
+    /// drawn ([`KeyInfo::tsl_base`]).
+    tsl_base: OnceCell<Box<[u64]>>,
+}
+
+impl AsRef<InnOutLayout> for KeyInfo {
+    fn as_ref(&self) -> &InnOutLayout {
+        &self.layout
+    }
 }
 
 impl KeyInfo {
-    /// Per replica, the base address of `max_clients` timestamp-lock words.
+    /// Per replica, the base address of `writers` timestamp-lock words.
     /// Only Safe-Guess's slow path touches them, so they are drawn from the
     /// replica nodes the first time any client asks; every client of the key
     /// shares this record and so sees the same words.
-    pub fn tsl_base(&self, fabric: &Fabric) -> &[u64] {
+    pub fn tsl_base(&self, fabric: &Fabric, writers: usize) -> &[u64] {
         self.tsl_base.get_or_init(|| {
-            self.layouts
-                .iter()
-                .map(|l| fabric.node(l.node).alloc(8 * l.max_writers as u64, 8))
+            let l = &self.layout;
+            (0..l.replicas())
+                .map(|r| fabric.node(l.node(r)).alloc(8 * writers as u64, 8))
                 .collect()
         })
     }
@@ -178,6 +182,8 @@ struct Inner {
     sim: Sim,
     fabric: Fabric,
     cfg: ClusterConfig,
+    /// The register shape of every key.
+    shape: InnOutShape,
     index: Index<Rc<KeyInfo>>,
     membership: Membership,
     generation: std::cell::Cell<u64>,
@@ -204,10 +210,15 @@ impl Cluster {
         assert!(cfg.meta_bufs >= 1);
         let (fabric, index) = substrate(sim, &cfg);
         let membership = Membership::with_default_detection(sim, &fabric);
+        // One slot past the writers' shares for the loader: owned by no
+        // writer, except that a lone client's ring takes it in.
+        let oop_slots = cfg.max_clients * cfg.oop_slots_per_writer + 1;
+        let shape = InnOutShape::new(cfg.meta_bufs, cfg.value_size, oop_slots, cfg.max_clients);
         Cluster {
             inner: Rc::new(Inner {
                 sim: sim.clone(),
                 fabric,
+                shape,
                 index,
                 cfg,
                 membership,
@@ -232,6 +243,16 @@ impl Cluster {
     /// The cluster configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.inner.cfg
+    }
+
+    /// The register shape of every key.
+    pub fn shape(&self) -> &InnOutShape {
+        &self.inner.shape
+    }
+
+    /// The out-of-place slot the bulk loader writes: the last one.
+    pub fn loader_slot(&self) -> u16 {
+        (self.inner.shape.oop_slots - 1) as u16
     }
 
     /// The index service.
@@ -271,68 +292,47 @@ impl Cluster {
         info
     }
 
-    /// Allocates `key`'s buffers replica by replica, each node resolved once,
-    /// and — given a `value` — loads it in the same pass.
+    /// Allocates `key`'s buffers and — given a `value` — loads it.
     fn place_key(&self, key: u64, value: Option<&[u8]>) -> Rc<KeyInfo> {
-        let cfg = &self.inner.cfg;
-        let nodes = self.replica_nodes_for(key);
-        // One slot past the writers' shares for the loader: owned by no
-        // writer, except that a lone client's ring takes it in.
-        let oop_slots = cfg.max_clients * cfg.oop_slots_per_writer + 1;
-        let loader_slot = (oop_slots - 1) as u16;
-        let slot_len = 16 + cfg.value_size;
-        // The loader's slot, hence the word and the hash bound to it, is the
-        // same on every replica, so one image `[word | hash | value | hash]`
-        // holds all a load writes: the out-of-place slot `[word | hash |
-        // value]`, the metadata word, and the in-place `[value | hash]`.
-        let mut image = self.inner.load_image.borrow_mut();
+        let (cfg, shape, fabric) = (&self.inner.cfg, &self.inner.shape, &self.inner.fabric);
+        let layout = InnOutLayout::allocate(fabric, shape, &self.replica_nodes_for(key));
         if let Some(value) = value {
+            // The loader's slot, hence the word and the hash bound to it, is
+            // the same on every replica, so one image `[word | hash | value |
+            // hash]` holds all a load writes: the out-of-place slot `[word |
+            // hash | value]`, the metadata word, and the in-place `[value |
+            // hash]`.
+            let loader_slot = self.loader_slot();
             let word = (Stamp::verified(1, LOADER_TID).pack48() << 16) | loader_slot as u64;
             let hash = innout_hash(word, value).to_le_bytes();
+            let mut image = self.inner.load_image.borrow_mut();
             image.clear();
             image.extend_from_slice(&word.to_le_bytes());
             image.extend_from_slice(&hash);
             image.extend_from_slice(value);
             image.extend_from_slice(&hash);
-        }
-        let mut layouts = Vec::with_capacity(nodes.len());
-        for (i, &n) in nodes.iter().enumerate() {
-            let node = self.inner.fabric.node(n);
-            // The in-place region exists at the designated replica only (RAW
-            // keeps its one copy there, so also with `inplace` off).
-            let layout = InnOutLayout::allocate_replica_on(
-                &node,
-                n,
-                cfg.meta_bufs,
-                cfg.value_size,
-                oop_slots,
-                cfg.max_clients,
-                i == 0,
-            );
-            if value.is_some() {
+            let slot_len = 16 + cfg.value_size;
+            for r in 0..layout.replicas() {
+                let node = fabric.node(layout.node(r));
                 let mem = node.mem();
-                mem.write(layout.slot_addr_on(loader_slot, &node), &image[..slot_len]);
+                let slot = layout.slot_addr_on(shape, r, loader_slot, &node);
+                mem.write(slot, &image[..slot_len]);
                 // Metadata word 0 points at it.
-                mem.write(layout.meta_addr, &image[..8]);
-                // In-place copy at the designated replica.
-                if cfg.inplace && i == 0 {
-                    mem.write(
-                        layout.meta_addr + (layout.meta_bufs * 8) as u64,
-                        &image[16..],
-                    );
+                mem.write(layout.meta_addr(r), &image[..8]);
+                // In-place copy at the designated replica (RAW keeps its one
+                // copy there, so that region exists also with `inplace` off).
+                if cfg.inplace && r == 0 {
+                    mem.write(layout.inplace_addr(shape), &image[16..]);
                 }
             }
-            layouts.push(layout);
         }
         let generation = self.inner.generation.get();
         self.inner.generation.set(generation + 1);
         Rc::new(KeyInfo {
             key,
-            replica_nodes: nodes,
-            layouts,
-            tsl_base: OnceCell::new(),
-            loader_slot,
             generation,
+            layout,
+            tsl_base: OnceCell::new(),
         })
     }
 
@@ -371,8 +371,13 @@ impl Cluster {
     /// *Modeled* per-key disaggregated-memory footprint in bytes, counting
     /// live data once (slot rings are recycled storage): per replica one
     /// out-of-place value + slot header + metadata array (+ lock words for
-    /// Safe-Guess), plus the in-place copy at the designated replica.
-    /// This is the accounting behind Table 3.
+    /// Safe-Guess), plus the in-place copy at the designated replica, plus
+    /// §5.2's 24 B key record at the index. This is the accounting behind
+    /// Table 3. The host's records are larger and are not modelled: at 3
+    /// replicas, 4 clients and 64 B values a loaded key's [`KeyInfo`] and
+    /// index entry take 162 B of heap, and a client's cached handle on it
+    /// 282 B in 3 allocations (`tests/footprint.rs` bounds them at 200 B
+    /// and 320 B).
     pub fn modeled_bytes_per_key(&self, with_tslocks: bool) -> u64 {
         let cfg = &self.inner.cfg;
         let per_replica = (16 + cfg.value_size) as u64
@@ -432,26 +437,29 @@ mod tests {
         let v = vec![7u8; 64];
         let info = c.load_key(9, &v);
         assert!(c.index().peek(9).is_some());
-        assert_eq!(info.layouts.len(), 3);
+        assert_eq!(info.layout.replicas(), 3);
         // Every replica is in the state a completed VERIFIED write by the
         // loader leaves: its slot holds `[word | hash | value]`, metadata
         // word 0 points at it, the other words are clear; the designated
         // replica alone also holds the in-place `[value | hash]`.
-        let word = (Stamp::verified(1, LOADER_TID).pack48() << 16) | info.loader_slot as u64;
+        let word = (Stamp::verified(1, LOADER_TID).pack48() << 16) | c.loader_slot() as u64;
         let hash = innout_hash(word, &v).to_le_bytes();
         let slot = [&word.to_le_bytes()[..], &hash, &v].concat();
-        for (i, l) in info.layouts.iter().enumerate() {
-            let node = c.fabric().node(l.node);
-            let slot_addr = l.slot_addr(info.loader_slot).expect("unowned slot");
+        let l = &info.layout;
+        for i in 0..l.replicas() {
+            let node = c.fabric().node(l.node(i));
+            let slot_addr = l
+                .slot_addr(c.shape(), i, c.loader_slot())
+                .expect("unowned slot");
             assert_eq!(node.mem().read(slot_addr, 16 + 64), slot, "replica {i}");
             let mut region = word.to_le_bytes().to_vec();
-            region.resize(l.meta_bufs * 8, 0);
+            region.resize(c.shape().meta_bufs * 8, 0);
             if i == 0 {
                 region.extend_from_slice(&v);
                 region.extend_from_slice(&hash);
             }
             assert_eq!(
-                node.mem().read(l.meta_addr, region.len()),
+                node.mem().read(l.meta_addr(i), region.len()),
                 region,
                 "replica {i}"
             );
@@ -500,8 +508,8 @@ mod tests {
 
     /// Replicas of `key` on which the ring holding slot `slot` was drawn.
     fn rings_of(c: &Cluster, key: u64, slot: u16) -> u64 {
-        let info = c.index().peek(key).expect("loaded");
-        let drawn = info.layouts.iter().filter(|l| l.slot_addr(slot).is_some());
+        let l = &c.index().peek(key).expect("loaded").layout;
+        let drawn = (0..l.replicas()).filter(|&r| l.slot_addr(c.shape(), r, slot).is_some());
         drawn.count() as u64
     }
 
@@ -531,7 +539,7 @@ mod tests {
         // of the reader's ring. So a first get draws at most one ring per
         // key (replicas - majority), and a repeated one — the handle now
         // knows the value is stored everywhere — none.
-        let ring = c.index().peek(0).expect("loaded").layouts[0].ring_len();
+        let ring = c.shape().ring_len();
         assert_eq!(ring, (cfg.oop_slots_per_writer * (16 + 64)) as u64);
         let reader = store.client(0);
         for pass in 0..2 {
@@ -555,11 +563,10 @@ mod tests {
         let writer = store.client(1);
         sim.block_on(async move { writer.update(7, vec![0xEE; 64]).await.expect("update") });
         let info = c.index().peek(7).expect("loaded");
+        let l = &info.layout;
         for (n, (&before, &after)) in before.iter().zip(&drawn(&c)).enumerate() {
-            let wrote = info
-                .layouts
-                .iter()
-                .any(|l| l.node == NodeId(n) && l.slot_addr(2).is_some());
+            let wrote = (0..l.replicas())
+                .any(|r| l.node(r) == NodeId(n) && l.slot_addr(c.shape(), r, 2).is_some());
             assert_eq!(after - before, if wrote { ring } else { 0 }, "node {n}");
         }
         assert!(rings_of(&c, 7, 2) > (cfg.replicas / 2) as u64, "majority");
@@ -568,8 +575,8 @@ mod tests {
     }
 
     /// A handle rebuilt after the bounded cache evicted it writes into the
-    /// ring its predecessor drew: rings belong to the key's layouts, not to
-    /// a handle.
+    /// ring its predecessor drew: rings belong to the key's layout, not to a
+    /// handle.
     #[test]
     fn a_handle_rebuilt_after_eviction_reuses_its_ring() {
         let sim = Sim::new(12);
@@ -598,7 +605,7 @@ mod tests {
         // replica it reached: of key 2 by its updates, of key 3 by the get's
         // write-back.
         assert!(rings_of(&c, 2, 0) >= 2, "a write reaches a majority");
-        let ring = c.index().peek(2).expect("loaded").layouts[0].ring_len();
+        let ring = c.shape().ring_len();
         assert_eq!(
             drawn(&c).iter().sum::<u64>() - loaded,
             (rings_of(&c, 2, 0) + rings_of(&c, 3, 0)) * ring
@@ -612,11 +619,12 @@ mod tests {
         let c = Cluster::new(&sim, ClusterConfig::default());
         let info = c.load_key(1, &[1u8; 64]);
         let loaded = drawn(&c);
-        let words = info.tsl_base(c.fabric()).to_vec();
+        let words = info.tsl_base(c.fabric(), 4).to_vec();
         assert_eq!(words.len(), 3);
-        for (l, &base) in info.layouts.iter().zip(&words) {
+        for (r, &base) in words.iter().enumerate() {
             assert_eq!(
-                base, loaded[l.node.0],
+                base,
+                loaded[info.layout.node(r).0],
                 "bump-allocated on the replica's node"
             );
         }
@@ -625,7 +633,7 @@ mod tests {
         // Every later asker — any client's handle holds the same record —
         // gets the same words and draws nothing.
         let again = c.index().peek(1).expect("loaded");
-        assert_eq!(again.tsl_base(c.fabric()), &words[..]);
+        assert_eq!(again.tsl_base(c.fabric(), 4), &words[..]);
         assert_eq!(total(drawn(&c)), 3 * (112 + 32) + 72);
     }
 }

@@ -39,8 +39,11 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use swarm_core::{InnOutReplica, ReplicaClient, Rounds};
-use swarm_fabric::{repair_entry_stamp, Endpoint, NodeId, Op, RepairEntry, RepairSel, RepairTable};
+use swarm_core::{
+    InnOutClient, InnOutHandle, InnOutReplica, NodeHealth, QuorumClient, ReplicaClient, ReplicaSet,
+    Rounds,
+};
+use swarm_fabric::{repair_entry_stamp, NodeId, Op, RepairEntry, RepairSel, RepairTable};
 use swarm_sim::{timeout_at, Nanos, SimRng, TimedOut, NANOS_PER_MILLI};
 
 use crate::cluster::{derive_label, Cluster, KeyInfo, ROLE_REPAIR};
@@ -165,12 +168,13 @@ impl std::ops::AddAssign for RepairStats {
     }
 }
 
-/// The repair-table entry of `info`'s replica `r`: its metadata array.
-fn repair_entry(info: &KeyInfo, r: usize) -> RepairEntry {
+/// The repair-table entry of `info`'s replica `r`: its `meta_bufs`-word
+/// metadata array.
+fn repair_entry(info: &KeyInfo, r: usize, meta_bufs: usize) -> RepairEntry {
     RepairEntry {
         id: info.key,
-        addr: info.layouts[r].meta_addr,
-        words: info.layouts[r].meta_bufs as u32,
+        addr: info.layout.meta_addr(r),
+        words: meta_bufs as u32,
     }
 }
 
@@ -192,16 +196,12 @@ pub type DeferFn = Rc<dyn Fn(u64) -> bool>;
 struct RepairInner {
     cluster: Cluster,
     cfg: RepairConfig,
-    /// The agent's own endpoint: repair traffic lands in `TrafficStats`
-    /// like any client's, and its series/bytes are the agent's
-    /// `round_trips`/`bytes_exchanged`.
-    ep: Rc<Endpoint>,
-    /// Writer id for delta writes (the reserved top client id, shared with
-    /// the migration driver — never concurrently, thanks to window
-    /// deferral).
-    writer: usize,
-    inplace: bool,
-    rounds: Rounds,
+    /// The agent as an In-n-Out client. Its own endpoint: repair traffic
+    /// lands in `TrafficStats` like any client's, and its series/bytes are
+    /// the agent's `round_trips`/`bytes_exchanged`. Its writer id for delta
+    /// writes is the reserved top client id, shared with the migration
+    /// driver — never concurrently, thanks to window deferral.
+    client: Rc<InnOutClient>,
     rng: SimRng,
     stats: RefCell<RepairStats>,
     /// Keys for which `defer(key)` is true are skipped this round
@@ -224,14 +224,24 @@ impl RepairHandle {
         let cc = cluster.config();
         let base = cc.rng_label.unwrap_or(REPAIR_RNG_BASE);
         let rng = cluster.sim().fork_rng(derive_label(base, ROLE_REPAIR, 0));
+        // Its quorum state is never used: the agent reads and writes single
+        // replicas. Carrying it (once per agent) keeps one client type for
+        // every In-n-Out handle.
+        let quorum = QuorumClient::new(
+            cluster.sim(),
+            NodeHealth::new(cc.nodes),
+            cc.quorum,
+            Rounds::new(),
+            None,
+        );
+        let ep = Rc::new(cluster.fabric().endpoint());
+        let writer = cc.max_clients - 1;
+        let client = InnOutClient::new(quorum, ep, writer, 0, *cluster.shape(), cc.inplace);
         RepairHandle {
             inner: Rc::new(RepairInner {
-                ep: Rc::new(cluster.fabric().endpoint()),
-                writer: cc.max_clients - 1,
-                inplace: cc.inplace,
+                client,
                 cluster: cluster.clone(),
                 cfg,
-                rounds: Rounds::new(),
                 rng,
                 stats: RefCell::new(RepairStats::default()),
                 defer: RefCell::new(None),
@@ -250,7 +260,7 @@ impl RepairHandle {
     /// and deltas alike.
     pub fn stats(&self) -> RepairStats {
         let mut s = *self.inner.stats.borrow();
-        let ep = self.inner.ep.stats();
+        let ep = self.inner.client.ep.stats();
         s.round_trips = ep.series;
         s.bytes_exchanged = ep.bytes_out + ep.bytes_in;
         s
@@ -265,13 +275,9 @@ impl RepairHandle {
     /// Submits one op and unwraps its (kind-checked) result; `None` means
     /// the reply was dropped or malformed — the round retries later.
     async fn op(&self, node: NodeId, op: Op) -> Option<swarm_fabric::OpResult> {
-        self.inner.rounds.bump();
-        self.inner
-            .ep
-            .submit(node, vec![op])
-            .await?
-            .into_iter()
-            .next()
+        let c = &self.inner.client;
+        c.quorum.rounds.bump();
+        c.ep.submit(node, vec![op]).await?.into_iter().next()
     }
 
     /// The round's work list: live keys (minus deferred ones) grouped by
@@ -288,12 +294,14 @@ impl RepairHandle {
                 deferred += 1;
                 continue;
             }
+            let l = &info.layout;
             groups
-                .entry(info.replica_nodes.iter().map(|n| n.0).collect())
+                .entry((0..l.replicas()).map(|r| l.node(r).0).collect())
                 .or_default()
                 .push(info);
         }
         self.inner.stats.borrow_mut().deferred += deferred;
+        let k = cluster.shape().meta_bufs;
         let mut pairs = Vec::new();
         for (nodes, infos) in groups {
             for b_replica in 1..nodes.len() {
@@ -301,8 +309,13 @@ impl RepairHandle {
                     node_a: NodeId(nodes[0]),
                     node_b: NodeId(nodes[b_replica]),
                     b_replica,
-                    a_table: Rc::new(infos.iter().map(|i| repair_entry(i, 0)).collect()),
-                    b_table: Rc::new(infos.iter().map(|i| repair_entry(i, b_replica)).collect()),
+                    a_table: Rc::new(infos.iter().map(|i| repair_entry(i, 0, k)).collect()),
+                    b_table: Rc::new(
+                        infos
+                            .iter()
+                            .map(|i| repair_entry(i, b_replica, k))
+                            .collect(),
+                    ),
                     infos: infos.clone(),
                 });
             }
@@ -390,15 +403,8 @@ impl RepairHandle {
         } else {
             (p.b_replica, 0)
         };
-        let replica = |r: usize| {
-            InnOutReplica::new(
-                Rc::clone(&self.inner.ep),
-                info.layouts[r].clone(),
-                self.inner.writer,
-                self.inner.inplace && r == 0,
-                self.inner.rounds.clone(),
-            )
-        };
+        let handle = InnOutHandle::new(&self.inner.client, Rc::clone(info));
+        let replica = |r: usize| -> InnOutReplica<KeyInfo> { ReplicaSet::replica(&handle, r) };
         let snap = replica(winner).read().await;
         let val = match snap.value {
             Some(v) => v,
@@ -480,14 +486,15 @@ impl RepairHandle {
 /// "how bad did the fault window hurt" and "did repair finish" probe.
 pub fn divergent_stamp_pairs(cluster: &Cluster) -> u64 {
     let fabric = cluster.fabric();
+    let k = cluster.shape().meta_bufs;
     let mut divergent = 0;
     for (_, info) in cluster.index().entries_sorted() {
         let stamp_of = |r: usize| {
-            let l = &info.layouts[r];
-            repair_entry_stamp(fabric.node(l.node).mem(), &repair_entry(&info, r))
+            let node = fabric.node(info.layout.node(r));
+            repair_entry_stamp(node.mem(), &repair_entry(&info, r, k))
         };
         let designated = stamp_of(0);
-        for r in 1..info.layouts.len() {
+        for r in 1..info.layout.replicas() {
             if stamp_of(r) != designated {
                 divergent += 1;
             }
@@ -526,12 +533,12 @@ mod tests {
     /// as if the loader's write never reached it.
     fn wipe_replica(c: &Cluster, key: u64, r: usize) {
         let info = c.index().peek(key).expect("loaded");
-        let l = &info.layouts[r];
-        for j in 0..l.meta_bufs as u64 {
+        let l = &info.layout;
+        for j in 0..c.shape().meta_bufs as u64 {
             c.fabric()
-                .node(l.node)
+                .node(l.node(r))
                 .mem()
-                .write_u64(l.meta_addr + 8 * j, 0);
+                .write_u64(l.meta_addr(r) + 8 * j, 0);
         }
     }
 
@@ -540,16 +547,18 @@ mod tests {
     /// only this replica before a fault window looks like).
     fn poke_newer(c: &Cluster, key: u64, r: usize, seq: u64, value: &[u8]) {
         let info = c.index().peek(key).expect("loaded");
-        let l = &info.layouts[r];
-        let node = c.fabric().node(l.node);
+        let l = &info.layout;
+        let node = c.fabric().node(l.node(r));
         let stamp = Stamp::verified(seq, crate::LOADER_TID);
-        let word = (stamp.pack48() << 16) | info.loader_slot as u64;
-        let slot_addr = l.slot_addr(info.loader_slot).expect("unowned slot");
+        let word = (stamp.pack48() << 16) | c.loader_slot() as u64;
+        let slot_addr = l
+            .slot_addr(c.shape(), r, c.loader_slot())
+            .expect("unowned slot");
         node.mem().write_u64(slot_addr, word);
         node.mem()
             .write_u64(slot_addr + 8, innout_hash(word, value));
         node.mem().write(slot_addr + 16, value);
-        node.mem().write_u64(l.meta_addr, word);
+        node.mem().write_u64(l.meta_addr(r), word);
     }
 
     #[test]

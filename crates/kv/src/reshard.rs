@@ -1543,12 +1543,12 @@ mod tests {
             .expect("SWARM-KV runs on the Cluster substrate")
             .clone();
         let info = c.index().peek(3).expect("loaded");
-        let l = &info.layouts[1];
-        for j in 0..l.meta_bufs as u64 {
+        let l = &info.layout;
+        for j in 0..c.shape().meta_bufs as u64 {
             c.fabric()
-                .node(l.node)
+                .node(l.node(1))
                 .mem()
-                .write_u64(l.meta_addr + 8 * j, 0);
+                .write_u64(l.meta_addr(1) + 8 * j, 0);
         }
         assert_eq!(divergent_stamp_pairs(&c), 1);
         family.arm_repair(2 * NANOS_PER_MILLI);

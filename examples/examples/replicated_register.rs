@@ -9,8 +9,8 @@
 use std::rc::Rc;
 
 use swarm_core::{
-    InnOutLayout, InnOutReplica, NodeHealth, QuorumConfig, ReliableMaxReg, Rounds, SafeGuess,
-    TsGuesser, TsLock, TsLockSet, WritePath,
+    InnOutClient, InnOutHandle, InnOutLayout, InnOutReplica, InnOutShape, NodeHealth, QuorumClient,
+    QuorumConfig, ReliableMaxReg, Rounds, SafeGuess, TsGuesser, TsLock, TsLockSet, WritePath,
 };
 use swarm_fabric::{Fabric, FabricConfig, NodeId};
 use swarm_sim::{GuessClock, Sim};
@@ -18,10 +18,15 @@ use swarm_sim::{GuessClock, Sim};
 const WRITERS: usize = 2;
 const VALUE: usize = 32;
 
+/// The register's shape: a metadata word and two slots per writer.
+fn shape() -> InnOutShape {
+    InnOutShape::new(WRITERS, VALUE, 2 * WRITERS, WRITERS)
+}
+
 fn make_register(
     sim: &Sim,
     fabric: &Fabric,
-    layouts: &[InnOutLayout],
+    layout: &Rc<InnOutLayout>,
     lock_words: &[(NodeId, u64)],
     tid: usize,
     skew_ns: i64,
@@ -29,21 +34,10 @@ fn make_register(
     let ep = Rc::new(fabric.endpoint());
     let health = NodeHealth::new(fabric.num_nodes());
     let rounds = Rounds::new();
-    let replicas: Vec<_> = layouts
-        .iter()
-        .enumerate()
-        .map(|(i, l)| InnOutReplica::new(Rc::clone(&ep), l.clone(), tid, i == 0, rounds.clone()))
-        .collect();
-    let node_of = layouts.iter().map(|l| l.node.0).collect();
-    let m = ReliableMaxReg::new(
-        sim,
-        replicas,
-        node_of,
-        0,
-        Rc::clone(&health),
-        QuorumConfig::default(),
-        rounds.clone(),
-    );
+    let cfg = QuorumConfig::default();
+    let quorum = QuorumClient::new(sim, Rc::clone(&health), cfg, rounds.clone(), None);
+    let client = InnOutClient::new(quorum, Rc::clone(&ep), tid, 0, shape(), true);
+    let m = ReliableMaxReg::over(InnOutHandle::new(&client, Rc::clone(layout)));
     let tsl: Vec<TsLock> = (0..WRITERS)
         .map(|w| {
             let words = lock_words
@@ -74,11 +68,11 @@ fn main() {
     let fabric = Fabric::new(&sim, FabricConfig::default(), 3);
 
     // One In-n-Out register replica per node + per-writer lock words.
-    let layouts: Vec<_> = fabric
-        .node_ids()
-        .into_iter()
-        .map(|n| InnOutLayout::allocate(&fabric, n, WRITERS, VALUE, 2 * WRITERS, WRITERS))
-        .collect();
+    let layout = Rc::new(InnOutLayout::allocate(
+        &fabric,
+        &shape(),
+        &fabric.node_ids(),
+    ));
     let lock_words: Vec<_> = fabric
         .node_ids()
         .into_iter()
@@ -87,8 +81,8 @@ fn main() {
 
     // Writer 0 has a good clock; writer 1's clock lags by ~50 µs, so its
     // guessed timestamps are often stale.
-    let w0 = make_register(&sim, &fabric, &layouts, &lock_words, 0, 100);
-    let w1 = make_register(&sim, &fabric, &layouts, &lock_words, 1, 50_000);
+    let w0 = make_register(&sim, &fabric, &layout, &lock_words, 0, 100);
+    let w1 = make_register(&sim, &fabric, &layout, &lock_words, 1, 50_000);
 
     let sim2 = sim.clone();
     sim.block_on(async move {
