@@ -41,10 +41,10 @@
 //! bytes against the hash, falling back to the out-of-place buffer only when
 //! validation fails (Algorithm 6).
 
-use std::cell::{Cell, OnceCell};
-use std::rc::Rc;
+use std::cell::{Cell, OnceCell, RefCell};
+use std::rc::{Rc, Weak};
 
-use swarm_fabric::{Endpoint, Fabric, NodeId, Op, OpResult};
+use swarm_fabric::{Endpoint, Fabric, NodeId, Op, OpResult, Payload};
 
 use crate::hash::{bind_word, body_hash};
 use crate::stamp::Stamp;
@@ -288,6 +288,18 @@ pub struct InnOutClient {
     /// Reads answered in place / payload chases (Fig. 9/12).
     inplace_hits: Cell<u64>,
     oop_fallbacks: Cell<u64>,
+    /// The last out-of-place image this client built, for the next replica
+    /// whose metadata word agrees ([`InnOutReplica::encode_oop`]).
+    last_image: RefCell<Option<OopImage>>,
+}
+
+/// An out-of-place image `[word | hash | value]` and what it was built of.
+struct OopImage {
+    word: u64,
+    /// The value's buffer; a weak reference keeps its address from being
+    /// reused by another value while this is cached.
+    value: Weak<Vec<u8>>,
+    image: Payload,
 }
 
 impl InnOutClient {
@@ -311,6 +323,7 @@ impl InnOutClient {
             inplace,
             inplace_hits: Cell::new(0),
             oop_fallbacks: Cell::new(0),
+            last_image: RefCell::new(None),
         })
     }
 
@@ -475,17 +488,32 @@ impl<K: AsRef<InnOutLayout>> InnOutReplica<K> {
         base + (local as usize * shape.slot_len()) as u64
     }
 
-    /// Builds the `[meta | hash | value]` out-of-place buffer. This is the
-    /// one place a write's bytes are copied (the slot header is
-    /// per-replica); the buffer is then `Rc`-shared through the fabric.
-    fn encode_oop(&self, word: u64, v: &MVal) -> swarm_fabric::Payload {
+    /// The `[meta | hash | value]` out-of-place buffer. This is the one
+    /// place a write's bytes are copied, once per metadata word: the image
+    /// is a function of the word and the value, so replicas whose words
+    /// agree get the client's last image, which the fabric and node memory
+    /// then share (`swarm_fabric::NodeMemory`, *Shared runs*).
+    fn encode_oop(&self, word: u64, v: &MVal) -> Payload {
+        let mut last = self.client().last_image.borrow_mut();
+        if let Some(built) = last
+            .as_ref()
+            .filter(|b| b.word == word && b.value.as_ptr() == Rc::as_ptr(v.value()))
+        {
+            return Rc::clone(&built.image);
+        }
         let cap = self.shape().value_cap;
         assert_eq!(v.value().len(), cap, "fixed-size register");
         let mut buf = Vec::with_capacity(OOP_HEADER + cap);
         buf.extend_from_slice(&word.to_le_bytes());
         buf.extend_from_slice(&bind_word(word, v.body_hash()).to_le_bytes());
         buf.extend_from_slice(v.value());
-        buf.into()
+        let image = Payload::new(buf);
+        *last = Some(OopImage {
+            word,
+            value: Rc::downgrade(v.value()),
+            image: Rc::clone(&image),
+        });
+        image
     }
 
     /// Applies `MAX(meta_word_addr, word)` given that the out-of-place data
@@ -946,6 +974,32 @@ mod tests {
             .expect("writer 3 drew its ring");
         let bytes = fabric.node(NodeId(0)).mem().read(slot + 16, 8);
         assert_eq!(bytes, vec![20u8; 8]);
+    }
+
+    #[test]
+    fn replicas_whose_words_agree_share_one_image() {
+        let sim = Sim::new(14);
+        let fabric = Fabric::new(&sim, FabricConfig::default(), 3);
+        let shape = shape_of(1, 64);
+        let nodes = [NodeId(0), NodeId(1), NodeId(2)];
+        let layout = Rc::new(InnOutLayout::allocate(&fabric, &shape, &nodes));
+        let h = InnOutHandle::new(&client(&fabric, shape, 0, true, Rounds::new()), layout);
+        let [r0, r1, r2] = [0, 1, 2].map(|i| ReplicaSet::replica(&h, i));
+        let v = MVal::new(Stamp::guessed(5, 0), vec![3u8; 64]);
+        let word = meta_word(v.stamp, 0);
+        let image = r0.encode_oop(word, &v);
+        assert!(Rc::ptr_eq(&image, &r1.encode_oop(word, &v)), "one image");
+        assert_eq!(image[..8], word.to_le_bytes());
+        assert_eq!(image[16..], v.value()[..]);
+        let other = r2.encode_oop(meta_word(v.stamp, 1), &v);
+        assert!(!Rc::ptr_eq(&image, &other), "another word, another image");
+        // Equal bytes of another value are another write: built afresh.
+        let twin = MVal::new(v.stamp, vec![3u8; 64]);
+        let again = r0.encode_oop(word, &twin);
+        assert!(!Rc::ptr_eq(&image, &again) && image == again);
+        // The client keeps its last image only.
+        drop(other);
+        assert_eq!((Rc::strong_count(&image), Rc::strong_count(&again)), (1, 2));
     }
 
     /// The shape of [`loaded`]'s register: one unowned slot (index 8).

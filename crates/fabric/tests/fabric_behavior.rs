@@ -7,7 +7,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 
-use swarm_fabric::{Fabric, FabricConfig, NodeId, NodeMemory, Op};
+use swarm_fabric::{Fabric, FabricConfig, NodeId, NodeMemory, Op, Payload};
 use swarm_sim::{timeout_at, Nanos, Quorum, Sim, NANOS_PER_MICRO};
 
 fn setup(seed: u64, cfg: FabricConfig, nodes: usize) -> (Sim, Fabric) {
@@ -511,9 +511,9 @@ async fn write_chunk_by_chunk(sim: Sim, mem: Rc<NodeMemory>, addr: u64, data: Ve
     }
 }
 
-async fn write_ticked(sim: Sim, mem: Rc<NodeMemory>, addr: u64, data: Vec<u8>) {
+async fn write_ticked(sim: Sim, mem: Rc<NodeMemory>, addr: u64, data: Rc<Vec<u8>>) {
     let cfg = FabricConfig::default();
-    mem.write_chunked(&sim, addr, &Rc::new(data), cfg.chunk_bytes, cfg.chunk_ns())
+    mem.write_chunked(&sim, addr, &data, cfg.chunk_bytes, cfg.chunk_ns())
         .await;
     mem.settle();
 }
@@ -530,7 +530,7 @@ fn a_read_at_each_tick_of_an_8k_write_sees_exactly_the_chunks_landed() {
     let (s, m) = (sim.clone(), Rc::clone(&mem));
     sim.spawn(async move {
         s.sleep_until(start).await;
-        write_ticked(s.clone(), m, addr, vec![0xEE; len]).await;
+        write_ticked(s.clone(), m, addr, Rc::new(vec![0xEE; len])).await;
         assert_eq!(s.now(), start + chunks as Nanos * chunk_ns);
     });
     let expect = |landed: usize| {
@@ -555,7 +555,7 @@ fn a_read_at_each_tick_of_an_8k_write_sees_exactly_the_chunks_landed() {
 }
 
 type Writer = fn(Sim, Rc<NodeMemory>, u64, Vec<u8>) -> Pin<Box<dyn Future<Output = ()>>>;
-const TICKED: Writer = |s, m, a, d| Box::pin(write_ticked(s, m, a, d));
+const TICKED: Writer = |s, m, a, d| Box::pin(write_ticked(s, m, a, Rc::new(d)));
 const CHUNK_BY_CHUNK: Writer = |s, m, a, d| Box::pin(write_chunk_by_chunk(s, m, a, d));
 
 /// Three writes over one 4 KiB region allocated after `pad` bytes, staggered
@@ -618,6 +618,61 @@ fn overlapping_chunked_writes_straddling_a_segment_boundary_land_the_same() {
             "chunk by chunk across differs at t = {t} ns"
         );
     }
+}
+
+/// Slot `a` holds an older 8 KiB image; one new payload is then written to
+/// `a` and to the untouched slot `b` 13 ns apart, so that their ticks
+/// interleave, and a word is written into `b`'s landed part mid-write. The
+/// two slots' bytes at every nanosecond until all has landed, the memory
+/// and the two payloads.
+fn shared_payload_snapshots(ticked: bool) -> (Vec<Vec<u8>>, Rc<NodeMemory>, [Payload; 2]) {
+    let slot = 16 + 8192;
+    let sim = Sim::new(35);
+    let mem = Rc::new(NodeMemory::new());
+    let a = mem.alloc(2 * slot, 8);
+    let b = a + slot;
+    let old: Payload = Rc::new((0..slot).map(|i| (i % 253) as u8).collect());
+    let new: Payload = Rc::new((0..slot).map(|i| (i % 241) as u8 ^ 0x5A).collect());
+    for (start, at, data) in [(0, a, &old), (400, a, &new), (413, b, &new)] {
+        let (s, m, d) = (sim.clone(), Rc::clone(&mem), Rc::clone(data));
+        sim.spawn(async move {
+            s.sleep_until(start).await;
+            if ticked {
+                write_ticked(s, m, at, d).await;
+            } else {
+                write_chunk_by_chunk(s, m, at, d.to_vec()).await;
+            }
+        });
+    }
+    let mut snaps = Vec::new();
+    for t in 395..=800 {
+        if t == 450 {
+            mem.write_u64(b + 64, u64::MAX);
+        }
+        sim.run_until(t);
+        snaps.push(mem.read(a, 2 * slot as usize));
+    }
+    assert_eq!(sim.live_tasks(), 0);
+    (snaps, mem, [old, new])
+}
+
+#[test]
+fn two_slots_sharing_one_8k_payload_read_torn_like_two_copies() {
+    let (reference, ..) = shared_payload_snapshots(false);
+    let (ticked, _mem, [old, new]) = shared_payload_snapshots(true);
+    for (t, (want, got)) in reference.iter().zip(&ticked).enumerate() {
+        assert_eq!(got, want, "memory differs at t = {} ns", 395 + t);
+    }
+    let slot = new.len();
+    let end = ticked.last().unwrap();
+    assert_eq!(end[..slot], new[..], "slot a holds the new image");
+    assert_eq!(
+        end[slot + 64..slot + 72],
+        [0xFF; 8],
+        "the word landed after its chunk"
+    );
+    assert_eq!(Rc::strong_count(&old), 1, "the older image is released");
+    assert_eq!(Rc::strong_count(&new), 3, "one payload behind both slots");
 }
 
 #[test]

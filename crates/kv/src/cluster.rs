@@ -21,10 +21,11 @@
 
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::rc::Rc;
 
 use swarm_core::{innout_hash, InnOutLayout, InnOutShape, QuorumConfig, Stamp};
-use swarm_fabric::{Fabric, FabricConfig, NodeId};
+use swarm_fabric::{Fabric, FabricConfig, Node, NodeId, Payload};
 use swarm_sim::{Sim, SimRng};
 
 use crate::index::Index;
@@ -141,6 +142,18 @@ pub(crate) fn substrate<L: Clone + 'static>(sim: &Sim, cfg: &ClusterConfig) -> (
     (fabric, Index::new(sim, cfg.index_capacity, wire, index_rng))
 }
 
+/// Puts `image[range]` at `addr` on `node` the way a data-path write of
+/// those bytes would leave them: held by reference if longer than one chunk
+/// of `fabric`, copied if not (`swarm_fabric::NodeMemory`, *Shared runs*).
+/// The bulk loaders' one way to land a key.
+pub(crate) fn land(fabric: &Fabric, node: &Node, addr: u64, image: &Payload, range: Range<usize>) {
+    if range.len() > fabric.config().chunk_bytes {
+        node.mem().write_shared(addr, image, range);
+    } else {
+        node.mem().write(addr, &image[range]);
+    }
+}
+
 /// Control-plane record of one key's replica allocation: the one index
 /// record every client's handle on the key points at.
 #[derive(Debug)]
@@ -192,8 +205,6 @@ struct Inner {
     /// view predates a repair (see `SwarmPath::handle_for`).
     repair_marks: RefCell<HashMap<u64, u64>>,
     repair_counter: std::cell::Cell<u64>,
-    /// The bulk loader's per-key scratch (`place_key`), reused across keys.
-    load_image: RefCell<Vec<u8>>,
 }
 
 /// Handle to a cluster (cheaply cloneable).
@@ -225,7 +236,6 @@ impl Cluster {
                 generation: std::cell::Cell::new(0),
                 repair_marks: RefCell::new(HashMap::new()),
                 repair_counter: std::cell::Cell::new(0),
-                load_image: RefCell::new(Vec::new()),
             }),
         }
     }
@@ -301,28 +311,29 @@ impl Cluster {
             // the same on every replica, so one image `[word | hash | value |
             // hash]` holds all a load writes: the out-of-place slot `[word |
             // hash | value]`, the metadata word, and the in-place `[value |
-            // hash]`.
+            // hash]`. Every replica's slot and the in-place region land as
+            // that one image.
             let loader_slot = self.loader_slot();
             let word = (Stamp::verified(1, LOADER_TID).pack48() << 16) | loader_slot as u64;
             let hash = innout_hash(word, value).to_le_bytes();
-            let mut image = self.inner.load_image.borrow_mut();
-            image.clear();
-            image.extend_from_slice(&word.to_le_bytes());
-            image.extend_from_slice(&hash);
-            image.extend_from_slice(value);
-            image.extend_from_slice(&hash);
+            let image = Payload::new([&word.to_le_bytes()[..], &hash, value, &hash].concat());
             let slot_len = 16 + cfg.value_size;
             for r in 0..layout.replicas() {
                 let node = fabric.node(layout.node(r));
-                let mem = node.mem();
                 let slot = layout.slot_addr_on(shape, r, loader_slot, &node);
-                mem.write(slot, &image[..slot_len]);
+                land(fabric, &node, slot, &image, 0..slot_len);
                 // Metadata word 0 points at it.
-                mem.write(layout.meta_addr(r), &image[..8]);
+                node.mem().write(layout.meta_addr(r), &image[..8]);
                 // In-place copy at the designated replica (RAW keeps its one
                 // copy there, so that region exists also with `inplace` off).
                 if cfg.inplace && r == 0 {
-                    mem.write(layout.inplace_addr(shape), &image[16..]);
+                    land(
+                        fabric,
+                        &node,
+                        layout.inplace_addr(shape),
+                        &image,
+                        16..image.len(),
+                    );
                 }
             }
         }

@@ -30,12 +30,12 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use swarm_core::{Hedger, QuorumRound};
-use swarm_fabric::{Fabric, NodeId, Op};
+use swarm_fabric::{Fabric, NodeId, Op, Payload};
 use swarm_sim::{join_boxed, BoxFuture, Nanos, Sim, SimRng};
 
 use crate::cache::LfuCache;
 use crate::client::{ClientConfig, StoreClient};
-use crate::cluster::{substrate, ClusterConfig, ROLE_CACHE};
+use crate::cluster::{land, substrate, ClusterConfig, ROLE_CACHE};
 use crate::index::Index;
 use crate::store::{KvError, KvResult};
 
@@ -71,8 +71,6 @@ struct ClusterInner {
     fabric: Fabric,
     cfg: ClusterConfig,
     index: Index<Rc<FuseeKeyInfo>>,
-    /// The bulk loader's per-key scratch (`place_key`), reused across keys.
-    load_block: RefCell<Vec<u8>>,
 }
 
 /// A FUSEE cluster (own fabric + index).
@@ -93,7 +91,6 @@ impl FuseeCluster {
                 fabric,
                 index,
                 cfg,
-                load_block: RefCell::new(Vec::new()),
             }),
         }
     }
@@ -140,12 +137,7 @@ impl FuseeCluster {
         let version = u64::from(value.is_some());
         let slot = version % RING;
         // One `[version | value]` block serves every replica.
-        let mut block = self.inner.load_block.borrow_mut();
-        if let Some(value) = value {
-            block.clear();
-            block.extend_from_slice(&version.to_le_bytes());
-            block.extend_from_slice(value);
-        }
+        let block = value.map(|v| Payload::new([&version.to_le_bytes()[..], v].concat()));
         let start = (swarm_core::xxh64(&key.to_le_bytes(), 0xFACE) % cfg.nodes as u64) as usize;
         let replica_nodes: Vec<NodeId> = (0..REPLICAS)
             .map(|i| NodeId((start + i) % cfg.nodes))
@@ -155,8 +147,9 @@ impl FuseeCluster {
             .map(|&n| {
                 let node = self.inner.fabric.node(n);
                 let base = node.alloc(RING * self.block_len(), 8);
-                if value.is_some() {
-                    node.mem().write(base + slot * self.block_len(), &block);
+                if let Some(block) = &block {
+                    let addr = base + slot * self.block_len();
+                    land(&self.inner.fabric, &node, addr, block, 0..block.len());
                 }
                 base
             })
@@ -304,13 +297,7 @@ impl FuseePath {
     /// whose spare is the same replica: the hedge is a duplicate of the same
     /// write (same bytes, same address — idempotent) racing the straggling
     /// ack.
-    async fn write_block(
-        &self,
-        c: &StoreClient,
-        node: NodeId,
-        addr: u64,
-        data: &swarm_fabric::Payload,
-    ) {
+    async fn write_block(&self, c: &StoreClient, node: NodeId, addr: u64, data: &Payload) {
         let copies = [(0, node.0); 2];
         let hedger = self.hedger.as_ref();
         let mut round = QuorumRound::new(&c.sim, hedger, None, 1, &copies, |_| {
@@ -405,7 +392,7 @@ impl FuseePath {
         block.extend_from_slice(&value);
         // One block buffer, Rc-shared across the replica fan-out (the old
         // code deep-copied it once per replica).
-        let block: swarm_fabric::Payload = block.into();
+        let block: Payload = block.into();
         // Synchronous replication must ack *every* replica, so each
         // replica's write is its own round.
         let writes: Vec<BoxFuture<'_, ()>> = info
