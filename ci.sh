@@ -9,7 +9,8 @@
 #                     only — no release binaries are built (runs on every
 #                     push; the full gate runs as CI's second job, see
 #                     .github/workflows/ci.yml)
-#   ./ci.sh --loc     no gate: prints the lines-by-kind table (below) and
+#   ./ci.sh --loc     no gate: prints the lines-by-kind table and the
+#                     settable fields of each config struct (below) and
 #                     exits; builds nothing
 #
 # Every stage reports its wall time; a summary table prints at the end,
@@ -66,6 +67,24 @@ loc_row() { # loc_row <name> <dir...>
         END { printf "  %-10s %8d %8d %6d\n", crate, code, comment, test }'
 }
 
+# Settable values per config struct: its `pub` fields, less those holding
+# another listed struct (`ClusterConfig`'s `fabric` and `quorum` count where
+# they are declared). The total is over the seven run and cluster configs;
+# `ShardRunOptions` prints below it.
+CONFIGS='FabricConfig QuorumConfig ClusterConfig HedgeConfig RepairConfig RunConfig ScenarioRunConfig'
+config_fields() {
+    find crates/*/src -name '*.rs' | sort | xargs awk -v names="$CONFIGS ShardRunOptions" '
+        BEGIN { n = split(names, order, " "); for (i = 1; i <= n; i++) listed[order[i]] = 1 }
+        /^pub struct [A-Za-z]+ \{/ { name = $3; inside = name in listed; next }
+        inside && /^}/ { inside = 0 }
+        inside && /^    pub [a-z_0-9]+: / { type = $3; sub(/,$/, "", type); if (!(type in listed)) count[name]++ }
+        END {
+            printf "  %-18s %8s\n", "config struct", "settable"
+            for (i = 1; i < n; i++) { printf "  %-18s %8d\n", order[i], count[order[i]]; total += count[order[i]] }
+            printf "  %-18s %8d\n  %-18s %8d\n", "(the seven)", total, order[n], count[order[n]]
+        }'
+}
+
 loc() {
     printf '  %-10s %8s %8s %6s\n' crate non-test comment test
     for dir in crates/*/src; do
@@ -77,6 +96,7 @@ loc() {
     printf '  %8s %8s %6s  %s\n' non-test comment test 'file (ten largest)'
     loc_files crates/*/src | sort -k1,1nr -k4,4 | head -n 10 |
         awk '{ printf "  %8d %8d %6d  %s\n", $1, $2, $3, $4 }'
+    config_fields
 }
 
 QUICK=0

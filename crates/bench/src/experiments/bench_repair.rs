@@ -13,9 +13,10 @@
 //! reports rounds, round trips, deltas, and bytes.
 //!
 //! The interesting comparison is bytes: `full` hauls every stamp every
-//! round, `buckets` pays digests and hauls only mismatched buckets — the
-//! same exactness, fewer bytes as the keyspace grows. A strategy that moves
-//! no fewer bytes than `full`, or needs more rounds, fails the run.
+//! round, `buckets` pays `REPAIR_BUCKETS` digests per replica pair and
+//! hauls only mismatched buckets — the same exactness, fewer bytes as the
+//! keyspace grows. A strategy that moves no fewer bytes than `full`, or
+//! needs more rounds, fails the run.
 //!
 //! **stdout is the deterministic report** (simulated metrics only; safe to
 //! diff across hosts and thread counts). Wall-clock seconds per cell go to

@@ -116,7 +116,6 @@ fn run_cell(cell: &Cell) -> CellResult {
     let cfg = ScenarioRunConfig {
         seed: cell.seed,
         value_cap: cap,
-        ..Default::default()
     };
     let (stats, expired_leases) = if ttl {
         let stores: Vec<_> = routers

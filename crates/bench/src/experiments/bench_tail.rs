@@ -8,9 +8,10 @@
 //! includes the spiked node stalls until the widen deadline fires, so the
 //! unhedged tail sits at the widen floor while the median stays healthy.
 //! Hedged cells instead send one extra copy to a spare quorum member after
-//! the per-destination p99-tracked delay (`RttTracker`) and complete as
-//! soon as either copy answers, pulling the tail back near the healthy
-//! p99.
+//! the per-destination p99-tracked delay (`RttTracker`, `HEDGE_DELAY_PCT`
+//! over the last `RTT_WINDOW` samples; at most `MAX_HEDGES_INFLIGHT` per
+//! client) and complete as soon as either copy answers, pulling the tail
+//! back near the healthy p99.
 //!
 //! The widen floor is raised to 20 µs in *all* cells so the hedged-vs-
 //! unhedged gap is attributable to hedging alone, not to a config skew.

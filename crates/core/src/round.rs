@@ -66,7 +66,7 @@ pub struct QuorumRound<'a, T, M> {
     make: M,
     needed: usize,
     t0: Nanos,
-    q: Quorum<T>,
+    q: Quorum<'static, T>,
     /// Hedge `i` occupies slot `first() + i`.
     hedges: Vec<HedgeTicket>,
 }
@@ -223,7 +223,7 @@ mod tests {
     use crate::maxreg::{ReliableMaxReg, Replicas};
     use crate::sim_replica::{SimReplica, SimReplicaState};
     use crate::stamp::Stamp;
-    use crate::traits::{HedgeConfig, MaxRegister, QuorumClient, Rounds};
+    use crate::traits::{HedgeConfig, MaxRegister, QuorumClient, Rounds, MAX_HEDGES_INFLIGHT};
     use crate::value::MVal;
 
     /// A request that answers `v` after `after` ns (`None`: never).
@@ -245,11 +245,10 @@ mod tests {
 
     /// A hedger over `nodes` nodes whose every node has a tracked RTT of
     /// 500 ns, counting into a fabric's traffic stats.
-    fn armed_hedger(sim: &Sim, nodes: usize, max_inflight: usize) -> (Hedger, Fabric) {
+    fn armed_hedger(sim: &Sim, nodes: usize) -> (Hedger, Fabric) {
         let fabric = Fabric::new(sim, FabricConfig::default(), nodes);
         let cfg = HedgeConfig {
             min_samples: 1,
-            max_inflight,
             ..HedgeConfig::on()
         };
         let hedger = Hedger::new(cfg, nodes, Some(fabric.clone())).unwrap();
@@ -302,7 +301,7 @@ mod tests {
     #[test]
     fn a_hedge_slot_pending_at_the_widen_deadline_is_not_suspected() {
         let sim = Sim::new(2);
-        let (hedger, fabric) = armed_hedger(&sim, 4, 4);
+        let (hedger, fabric) = armed_hedger(&sim, 4);
         let health = NodeHealth::new(4);
         let cands = distinct(4);
         // Replica 0 answers before the hedge delay, replica 1 is dead and
@@ -340,7 +339,7 @@ mod tests {
             (Some(400), Some(300), (0, 0, 0)),
         ] {
             let sim = Sim::new(3);
-            let (hedger, fabric) = armed_hedger(&sim, 1, 4);
+            let (hedger, fabric) = armed_hedger(&sim, 1);
             let contacted = RefCell::new(Vec::new());
             sim.block_on({
                 let (sim, hedger) = (sim.clone(), hedger.clone());
@@ -367,7 +366,7 @@ mod tests {
     #[test]
     fn dropping_a_round_between_fire_and_finish_releases_the_budget() {
         let sim = Sim::new(4);
-        let (hedger, fabric) = armed_hedger(&sim, 3, 4);
+        let (hedger, fabric) = armed_hedger(&sim, 3);
         sim.block_on({
             let (sim, hedger) = (sim.clone(), hedger.clone());
             async move {
@@ -389,7 +388,11 @@ mod tests {
     #[test]
     fn budget_exhaustion_mid_fan_out_falls_through_to_widen() {
         let sim = Sim::new(5);
-        let (hedger, fabric) = armed_hedger(&sim, 5, 1);
+        let (hedger, fabric) = armed_hedger(&sim, 5);
+        // Tickets held by the client's other rounds: one slot is left.
+        let held: Vec<_> = (1..MAX_HEDGES_INFLIGHT)
+            .map(|_| hedger.try_fire().expect("within the budget"))
+            .collect();
         let health = NodeHealth::new(5);
         let cands = distinct(5);
         let contacted = RefCell::new(Vec::new());
@@ -404,7 +407,7 @@ mod tests {
                     reply(&sim, delays[i], i)
                 });
                 round.complete(|| ()).await;
-                // Two responses short at the hedge delay, a budget of one:
+                // Two responses short at the hedge delay, one slot left:
                 // one hedge, and the widen stage contacts the rest.
                 assert_eq!(
                     *contacted.borrow(),
@@ -415,7 +418,11 @@ mod tests {
         });
         assert_eq!(done, [(2, 2), (3, 3), (4, 4)]);
         assert!(health.is_suspected(0) && health.is_suspected(1));
-        assert_eq!(hedge_counts(&fabric), (1, 1, 0));
+        let others = held.len() as u64;
+        assert_eq!(hedge_counts(&fabric), (others + 1, 1, 0));
+        assert_eq!(hedger.inflight(), held.len(), "the round settled its own");
+        drop(held);
+        assert_eq!(hedge_counts(&fabric), (others + 1, 1, others));
         assert_eq!(hedger.inflight(), 0);
     }
 

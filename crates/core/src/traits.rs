@@ -104,6 +104,12 @@ pub trait MaxRegister: Clone + 'static {
     fn write_bg(&self, v: MVal);
 }
 
+/// Widen after this multiple of the smoothed quorum RTT.
+pub(crate) const WIDEN_RTT_MULTIPLE: f64 = 4.0;
+/// The adaptive widen deadline never exceeds the floor
+/// ([`QuorumConfig::widen_timeout_ns`]) times this.
+pub(crate) const WIDEN_TIMEOUT_MAX_SCALE: Nanos = 32;
+
 /// Per-client failure suspicion, shared across all registers of one client.
 ///
 /// When a quorum wait times out, unresponsive nodes are suspected and
@@ -153,16 +159,15 @@ impl NodeHealth {
         self.srtt_ns.get() as Nanos
     }
 
-    /// The widen deadline to allow from now: `widen_rtt_multiple` times the
-    /// smoothed RTT, clamped between the configured floor (crash-failover
-    /// latency when idle) and cap (bounds the estimator's feedback when
-    /// widened operations themselves feed back inflated samples).
+    /// The widen deadline to allow from now: `WIDEN_RTT_MULTIPLE` times
+    /// the smoothed RTT, clamped between the configured floor (crash-failover
+    /// latency when idle) and `WIDEN_TIMEOUT_MAX_SCALE` times it (bounds
+    /// the estimator's feedback when widened operations themselves feed back
+    /// inflated samples).
     pub fn widen_timeout_ns(&self, cfg: &QuorumConfig) -> Nanos {
-        let adaptive = (self.srtt_ns.get() * cfg.widen_rtt_multiple) as Nanos;
-        adaptive.clamp(
-            cfg.widen_timeout_ns,
-            cfg.widen_timeout_ns * cfg.widen_timeout_max_scale,
-        )
+        let adaptive = (self.srtt_ns.get() * WIDEN_RTT_MULTIPLE) as Nanos;
+        let floor = cfg.widen_timeout_ns;
+        adaptive.clamp(floor, floor * WIDEN_TIMEOUT_MAX_SCALE)
     }
 
     /// Marks node `i` suspected.
@@ -191,32 +196,33 @@ impl NodeHealth {
     }
 }
 
+/// Percentile of the per-destination RTT window that arms a hedge.
+pub(crate) const HEDGE_DELAY_PCT: f64 = 99.0;
+/// Per-node RTT window size: the percentile estimate refreshes from at most
+/// the last this many samples.
+pub(crate) const RTT_WINDOW: usize = 512;
+/// Maximum hedges in flight per client across all its registers; excess
+/// stragglers fall through to the ordinary widen path.
+pub(crate) const MAX_HEDGES_INFLIGHT: usize = 4;
+
 /// Tail-latency hedging knobs (§"tail at scale"-style request hedging).
 ///
 /// Off by default: with `enabled = false` no [`Hedger`] is minted, no extra
 /// timers are scheduled, no RNG is drawn, and every existing execution
 /// replays bit-identically (the same discipline as the repair subsystem).
 /// When enabled, a quorum operation that is still incomplete after the
-/// slowest contacted node's tracked `delay_pct` latency sends one extra copy
-/// of the request to spare quorum members; first response wins and the
-/// loser's delivery is idempotent (reads and CAS-MAX writes commute with
-/// themselves).
+/// slowest contacted node's tracked `HEDGE_DELAY_PCT` latency sends one
+/// extra copy of the request to spare quorum members; first response wins
+/// and the loser's delivery is idempotent (reads and CAS-MAX writes commute
+/// with themselves). The window (`RTT_WINDOW`) and the in-flight budget
+/// (`MAX_HEDGES_INFLIGHT`) are constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HedgeConfig {
     /// Master switch; `false` is bit-identical to the pre-hedging code.
     pub enabled: bool,
-    /// Percentile of the per-destination RTT window that arms the hedge
-    /// (default 99.0).
-    pub delay_pct: f64,
     /// Per-node samples required before hedging arms: until every contacted
     /// node has an estimate, operations run unhedged.
     pub min_samples: usize,
-    /// Maximum hedges in flight per client across all its registers;
-    /// excess stragglers fall through to the ordinary widen path.
-    pub max_inflight: usize,
-    /// Per-node RTT window size: the percentile estimate refreshes from the
-    /// last `window` samples.
-    pub window: usize,
 }
 
 impl HedgeConfig {
@@ -228,15 +234,13 @@ impl HedgeConfig {
         }
     }
 
-    /// Hedging on with the default tuning (p99 arm, 4 in flight, 512-sample
-    /// windows).
+    /// Hedging on, arming after 16 samples per node (the p99 arm, budget
+    /// and window are `HEDGE_DELAY_PCT`, `MAX_HEDGES_INFLIGHT` and
+    /// `RTT_WINDOW`).
     pub fn on() -> Self {
         HedgeConfig {
             enabled: true,
-            delay_pct: 99.0,
             min_samples: 16,
-            max_inflight: 4,
-            window: 512,
         }
     }
 }
@@ -251,15 +255,13 @@ impl Default for HedgeConfig {
 /// [`swarm_sim::Histogram`]): the estimator behind hedged requests.
 ///
 /// Each node keeps a rolling window of observed request RTTs; the
-/// `delay_pct` percentile is recomputed every [`HedgeConfig::min_samples`]
-/// observations (and the window restarts after
-/// [`HedgeConfig::window`] samples), so the estimate tracks latency shifts
-/// without sorting on every query.
+/// `HEDGE_DELAY_PCT` percentile is recomputed every
+/// [`HedgeConfig::min_samples`] observations (and the window restarts after
+/// `RTT_WINDOW` samples), so the estimate tracks latency shifts without
+/// sorting on every query.
 #[derive(Debug)]
 pub struct RttTracker {
-    pct: f64,
     min_samples: usize,
-    window: usize,
     nodes: RefCell<Vec<NodeWindow>>,
 }
 
@@ -273,9 +275,7 @@ impl RttTracker {
     /// Creates a tracker for `n` nodes with the given estimator tuning.
     pub fn new(n: usize, cfg: &HedgeConfig) -> Self {
         RttTracker {
-            pct: cfg.delay_pct,
             min_samples: cfg.min_samples.max(1),
-            window: cfg.window.max(2),
             nodes: RefCell::new((0..n).map(|_| NodeWindow::default()).collect()),
         }
     }
@@ -286,24 +286,24 @@ impl RttTracker {
         let w = &mut nodes[node];
         w.hist.record(ns);
         let n = w.hist.len();
-        if n >= self.window {
-            w.est = Some(w.hist.percentile(self.pct));
+        if n >= RTT_WINDOW {
+            w.est = Some(w.hist.percentile(HEDGE_DELAY_PCT));
             w.hist = Histogram::new();
         } else if n.is_multiple_of(self.min_samples) {
-            w.est = Some(w.hist.percentile(self.pct));
+            w.est = Some(w.hist.percentile(HEDGE_DELAY_PCT));
         }
     }
 
-    /// The current `delay_pct` estimate for `node` (`None` until the node
-    /// has at least [`HedgeConfig::min_samples`] observations).
+    /// The current `HEDGE_DELAY_PCT` estimate for `node` (`None` until
+    /// the node has at least [`HedgeConfig::min_samples`] observations).
     pub fn estimate(&self, node: usize) -> Option<Nanos> {
         self.nodes.borrow()[node].est
     }
 }
 
 /// Per-client hedging state shared by all of a client's registers (like
-/// [`NodeHealth`]): config + RTT tracker + the in-flight hedge budget +
-/// the fabric counter sink.
+/// [`NodeHealth`]): RTT tracker + the in-flight hedge budget + the fabric
+/// counter sink.
 ///
 /// Deterministic by construction: arming decisions read only virtual time
 /// and the tracker (no RNG), so hedged runs are bit-reproducible and a
@@ -314,7 +314,6 @@ pub struct Hedger {
 }
 
 struct HedgerInner {
-    cfg: HedgeConfig,
     tracker: RttTracker,
     inflight: Cell<usize>,
     /// Counter sink: hedge events land in the fabric's [`TrafficStats`]
@@ -336,7 +335,6 @@ impl Hedger {
         Some(Hedger {
             inner: Rc::new(HedgerInner {
                 tracker: RttTracker::new(nodes, &cfg),
-                cfg,
                 inflight: Cell::new(0),
                 fabric,
             }),
@@ -360,17 +358,18 @@ impl Hedger {
         max
     }
 
-    /// Claims one slot of the in-flight hedge budget and counts the hedge
-    /// as fired; `None` when the budget is exhausted (the op falls through
-    /// to the ordinary widen path). The returned [`HedgeTicket`] must be
-    /// settled with the hedge's outcome; if the operation future is
-    /// dropped first (e.g. cancelled at its op deadline), the unsettled
-    /// ticket settles as discarded and releases its slot. A task parked
-    /// forever never drops its ticket, so that slot stays claimed and the
-    /// hedge is never settled: the hedged chaos sweep's SWARM-KV / Random /
-    /// seed 3298947619 drains with one ticket held.
+    /// Claims one of the `MAX_HEDGES_INFLIGHT` slots of the in-flight
+    /// hedge budget and counts the hedge as fired; `None` when the budget is
+    /// exhausted (the op falls through to the ordinary widen path). The
+    /// returned [`HedgeTicket`] must be settled with the hedge's outcome; if
+    /// the operation future is dropped first (e.g. cancelled at its op
+    /// deadline), the unsettled ticket settles as discarded and releases its
+    /// slot. A task parked forever never drops its ticket, so that slot
+    /// stays claimed and the hedge is never settled: the hedged chaos
+    /// sweep's SWARM-KV / Random / seed 3298947619 drains with one ticket
+    /// held.
     pub fn try_fire(&self) -> Option<HedgeTicket> {
-        if self.inner.inflight.get() >= self.inner.cfg.max_inflight {
+        if self.inner.inflight.get() >= MAX_HEDGES_INFLIGHT {
             return None;
         }
         self.inner.inflight.set(self.inner.inflight.get() + 1);
@@ -475,18 +474,12 @@ pub struct QuorumConfig {
     /// effective timeout while the fabric is unloaded; under load the
     /// deadline stretches adaptively (see [`NodeHealth::widen_timeout_ns`]).
     pub widen_timeout_ns: Nanos,
-    /// Widen after this multiple of the smoothed quorum RTT.
-    pub widen_rtt_multiple: f64,
-    /// The adaptive deadline never exceeds `widen_timeout_ns` times this.
-    pub widen_timeout_max_scale: Nanos,
 }
 
 impl Default for QuorumConfig {
     fn default() -> Self {
         QuorumConfig {
             widen_timeout_ns: 6_000,
-            widen_rtt_multiple: 4.0,
-            widen_timeout_max_scale: 32,
         }
     }
 }
@@ -555,7 +548,6 @@ mod tests {
     fn rtt_tracker_estimates_after_min_samples() {
         let cfg = HedgeConfig {
             min_samples: 4,
-            window: 16,
             ..HedgeConfig::on()
         };
         let t = RttTracker::new(2, &cfg);
@@ -578,18 +570,19 @@ mod tests {
     fn rtt_tracker_window_restarts_and_forgets() {
         let cfg = HedgeConfig {
             min_samples: 2,
-            window: 4,
             ..HedgeConfig::on()
         };
         let t = RttTracker::new(1, &cfg);
-        for ns in [9_000, 9_000, 9_000, 9_000] {
-            t.observe(0, ns);
+        for _ in 0..RTT_WINDOW {
+            t.observe(0, 9_000);
         }
         assert_eq!(t.estimate(0), Some(9_000));
-        // A fresh window of fast samples replaces the slow estimate.
-        for ns in [10, 10, 10, 10] {
-            t.observe(0, ns);
-        }
+        // The window restarted at its last sample: one fast sample is not
+        // yet a refresh, and two replace the slow estimate outright (a
+        // window still holding the slow samples would keep its p99 there).
+        t.observe(0, 10);
+        assert_eq!(t.estimate(0), Some(9_000));
+        t.observe(0, 10);
         assert_eq!(t.estimate(0), Some(10));
     }
 
@@ -621,23 +614,17 @@ mod tests {
 
     #[test]
     fn hedge_budget_caps_inflight_and_settles() {
-        let h = Hedger::new(
-            HedgeConfig {
-                max_inflight: 2,
-                ..HedgeConfig::on()
-            },
-            3,
-            None,
-        )
-        .unwrap();
-        let t1 = h.try_fire().unwrap();
-        let t2 = h.try_fire().unwrap();
-        assert!(h.try_fire().is_none(), "budget of 2 exhausted");
-        t1.settle(true);
-        assert_eq!(h.inflight(), 1);
-        let t3 = h.try_fire().expect("settling frees a slot");
-        t2.settle(false);
-        t3.settle(false);
+        let h = Hedger::new(HedgeConfig::on(), 3, None).unwrap();
+        let mut held: Vec<_> = (0..MAX_HEDGES_INFLIGHT)
+            .map(|_| h.try_fire().expect("within the budget"))
+            .collect();
+        assert!(h.try_fire().is_none(), "budget exhausted");
+        held.pop().unwrap().settle(true);
+        assert_eq!(h.inflight(), MAX_HEDGES_INFLIGHT - 1);
+        held.push(h.try_fire().expect("settling frees a slot"));
+        for ticket in held {
+            ticket.settle(false);
+        }
         assert_eq!(h.inflight(), 0);
         // A cancelled op drops its ticket unsettled: the budget still
         // releases (as a discarded duplicate), never leaking a slot.

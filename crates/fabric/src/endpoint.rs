@@ -12,6 +12,9 @@ use std::rc::Rc;
 
 use swarm_sim::{oneshot, FifoResource, Nanos, OneshotReceiver};
 
+use crate::config::{
+    chunk_ns, link_ns, CHUNK_BYTES, HEADER_BYTES, ISSUE_NS, NODE_FIXED_NS, READ_EXTRA_NS,
+};
 use crate::fabric::Fabric;
 use crate::node::NodeId;
 use crate::op::{Op, OpResult, Payload};
@@ -100,15 +103,13 @@ impl Endpoint {
     /// waits with [`swarm_sim::timeout_at`].
     pub fn submit(&self, node: NodeId, ops: Vec<Op>) -> OneshotReceiver<Vec<OpResult>> {
         let (tx, rx) = oneshot();
-        let cfg = self.fabric.config();
-        let header = cfg.header_bytes;
-        let req_bytes = header + ops.iter().map(Op::request_payload).sum::<usize>();
-        let resp_bytes = header + ops.iter().map(Op::response_payload).sum::<usize>();
+        let req_bytes = HEADER_BYTES + ops.iter().map(Op::request_payload).sum::<usize>();
+        let resp_bytes = HEADER_BYTES + ops.iter().map(Op::response_payload).sum::<usize>();
         let has_read = ops.iter().any(Op::is_read_like);
 
         // Reserve the submission slot *now*: concurrent submitters on the
         // same core serialize in call order, deterministically.
-        let (_, submit_done, _) = self.cpu.acquire(self.scaled(cfg.issue_ns));
+        let (_, submit_done, _) = self.cpu.acquire(self.scaled(ISSUE_NS));
 
         let mut st = self.stats.get();
         st.series += 1;
@@ -126,17 +127,19 @@ impl Endpoint {
 
         let sim2 = sim.clone();
         sim.spawn(async move {
-            // Borrow the config from the moved-in fabric handle; the old
-            // code cloned the whole `FabricConfig` per message.
-            let cfg = fabric.config();
+            // Borrow the wire model from the moved-in fabric handle.
+            let wire = &fabric.config().wire;
             // 1. Wait for the CPU to finish posting the work requests.
             sim2.sleep_until(submit_done).await;
 
             // 2. Uplink: serialize through the shared switch, then propagate
             // (an active delay spike on the destination stretches the wire).
-            let (_, ser_end) = fabric.inner.switch.reserve(cfg.link_ns(req_bytes));
+            // All traffic serializes through the switch at link rate
+            // (`link_ns`); it is what saturates in the 64-client
+            // scalability experiment (§7.3).
+            let (_, ser_end) = fabric.inner.switch.reserve(link_ns(req_bytes));
             let mut arrival =
-                ser_end + cfg.wire.sample_rng(&fabric.inner.rng) + fabric.fault_extra_ns(node);
+                ser_end + wire.sample_rng(&fabric.inner.rng) + fabric.fault_extra_ns(node);
             // Enforce FIFO on this queue pair.
             arrival = arrival.max(qp.get() + 1);
             qp.set(arrival);
@@ -156,9 +159,9 @@ impl Endpoint {
             // clients can observe a write mid-application).
             // Reads pay an extra DMA-fetch delay, but NICs pipeline it
             // across queue pairs: it adds latency, not NIC occupancy.
-            let service = cfg.node_fixed_ns + cfg.link_ns(req_bytes);
+            let service = NODE_FIXED_NS + link_ns(req_bytes);
             let (_, nic_done) = target.nic().reserve(service);
-            let nic_done = nic_done + if has_read { cfg.read_extra_ns } else { 0 };
+            let nic_done = nic_done + if has_read { READ_EXTRA_NS } else { 0 };
 
             // 4. Apply the series in FIFO order.
             let mut results = Vec::with_capacity(ops.len());
@@ -173,7 +176,7 @@ impl Endpoint {
                         // One chunk lands per `chunk_ns`; this task sleeps
                         // through all of them (see `mem`'s module docs).
                         let mem = target.mem();
-                        mem.write_chunked(&sim2, *addr, data, cfg.chunk_bytes, cfg.chunk_ns())
+                        mem.write_chunked(&sim2, *addr, data, CHUNK_BYTES, chunk_ns())
                             .await;
                         mem.settle();
                         results.push(OpResult::Write);
@@ -211,9 +214,8 @@ impl Endpoint {
             }
 
             // 5. Downlink.
-            let (_, ser_end) = fabric.inner.switch.reserve(cfg.link_ns(resp_bytes));
-            let back =
-                ser_end + cfg.wire.sample_rng(&fabric.inner.rng) + fabric.fault_extra_ns(node);
+            let (_, ser_end) = fabric.inner.switch.reserve(link_ns(resp_bytes));
+            let back = ser_end + wire.sample_rng(&fabric.inner.rng) + fabric.fault_extra_ns(node);
             sim2.sleep_until(back).await;
             tx.send(results);
         });

@@ -16,11 +16,13 @@
 //! The latency model has four components, each calibrated against the paper's
 //! RAW baseline (§7.1): client CPU issue cost per message series (~200 ns,
 //! §7.2), wire/switch propagation with lognormal jitter, store-and-forward
-//! serialization at 100 Gbps, and node-side service. Crash injection drops
-//! requests silently (a crashed memory node never answers; clients fail over
-//! by timeout, §7.7). [`FaultPlan`] generalizes crash injection into seeded,
-//! virtual-time chaos schedules — restarts, switch partitions, delay spikes,
-//! probabilistic drop windows — all sharing the same silence semantics.
+//! serialization at 100 Gbps, and node-side service. All but the jitter are
+//! one table of constants (`config.rs`: `ISSUE_NS` … `HEADER_BYTES`). Crash
+//! injection drops requests silently (a crashed memory node never answers;
+//! clients fail over by timeout, §7.7). [`FaultPlan`] generalizes crash
+//! injection into seeded, virtual-time chaos schedules — restarts, switch
+//! partitions, delay spikes, probabilistic drop windows — all sharing the
+//! same silence semantics.
 //!
 //! Beyond the paper, whose memory nodes compute nothing, [`Op`] carries two
 //! read-only table scans for the anti-entropy agent of `swarm_kv::repair`:
@@ -54,7 +56,7 @@ mod mem;
 mod node;
 mod op;
 
-pub use config::FabricConfig;
+pub use config::{chunk_ns, FabricConfig, CHUNK_BYTES};
 pub use endpoint::{Endpoint, EndpointStats};
 pub use fabric::{Fabric, TrafficStats};
 pub use fault::{FaultAction, FaultPlan};

@@ -7,7 +7,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 
-use swarm_fabric::{Fabric, FabricConfig, NodeId, NodeMemory, Op, Payload};
+use swarm_fabric::{chunk_ns, Fabric, FabricConfig, NodeId, NodeMemory, Op, Payload, CHUNK_BYTES};
 use swarm_sim::{timeout_at, Nanos, Quorum, Sim, NANOS_PER_MICRO};
 
 fn setup(seed: u64, cfg: FabricConfig, nodes: usize) -> (Sim, Fabric) {
@@ -503,25 +503,21 @@ fn fabric_delivery_schedules_no_boxed_closures() {
 /// tick/settle path (`NodeMemory::write_chunked`) must be indistinguishable
 /// from: copy a chunk, sleep a chunk time, repeat.
 async fn write_chunk_by_chunk(sim: Sim, mem: Rc<NodeMemory>, addr: u64, data: Vec<u8>) {
-    let cfg = FabricConfig::default();
-    let (chunk_bytes, chunk_ns) = (cfg.chunk_bytes, cfg.chunk_ns());
-    for (k, chunk) in data.chunks(chunk_bytes).enumerate() {
-        mem.write(addr + (k * chunk_bytes) as u64, chunk);
-        sim.sleep_ns(chunk_ns).await;
+    for (k, chunk) in data.chunks(CHUNK_BYTES).enumerate() {
+        mem.write(addr + (k * CHUNK_BYTES) as u64, chunk);
+        sim.sleep_ns(chunk_ns()).await;
     }
 }
 
 async fn write_ticked(sim: Sim, mem: Rc<NodeMemory>, addr: u64, data: Rc<Vec<u8>>) {
-    let cfg = FabricConfig::default();
-    mem.write_chunked(&sim, addr, &data, cfg.chunk_bytes, cfg.chunk_ns())
+    mem.write_chunked(&sim, addr, &data, CHUNK_BYTES, chunk_ns())
         .await;
     mem.settle();
 }
 
 #[test]
 fn a_read_at_each_tick_of_an_8k_write_sees_exactly_the_chunks_landed() {
-    let cfg = FabricConfig::default();
-    let (len, chunks, chunk_ns) = (8192usize, 8192 / cfg.chunk_bytes, cfg.chunk_ns());
+    let (len, chunks, chunk_ns) = (8192usize, 8192 / CHUNK_BYTES, chunk_ns());
     let sim = Sim::new(30);
     let mem = Rc::new(NodeMemory::new());
     let addr = mem.alloc(len as u64, 8);
@@ -534,7 +530,7 @@ fn a_read_at_each_tick_of_an_8k_write_sees_exactly_the_chunks_landed() {
         assert_eq!(s.now(), start + chunks as Nanos * chunk_ns);
     });
     let expect = |landed: usize| {
-        let mut v = vec![0xEE; landed * cfg.chunk_bytes];
+        let mut v = vec![0xEE; landed * CHUNK_BYTES];
         v.resize(len, 0x0D);
         v
     };
@@ -750,7 +746,7 @@ fn a_write_in_flight_when_its_node_crashes_still_lands_in_full() {
         t += 1;
         sim.run_until(t);
     }
-    sim.run_until(t + 5 * fabric.config().chunk_ns());
+    sim.run_until(t + 5 * chunk_ns());
     let landed = mem.read(addr, 8192).iter().filter(|&&b| b == 0x77).count();
     assert!(
         (256..8192).contains(&landed),

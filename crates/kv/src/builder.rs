@@ -199,8 +199,10 @@ impl StoreBuilder {
     }
 
     /// Replaces the whole cluster configuration (the escape hatch for knobs
-    /// without a fluent setter, e.g. fabric latency or clock skew). It is
-    /// the one substrate configuration: all four protocols run on it.
+    /// without a fluent setter, e.g. wire jitter, the widen floor or clock
+    /// skew; the rest of the fabric's latency model is the constant table of
+    /// `swarm_fabric`, `ISSUE_NS` … `HEADER_BYTES`). It is the one
+    /// substrate configuration: all four protocols run on it.
     pub fn cluster_config(mut self, cfg: ClusterConfig) -> Self {
         self.cluster = cfg;
         self

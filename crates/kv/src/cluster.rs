@@ -25,7 +25,7 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use swarm_core::{innout_hash, InnOutLayout, InnOutShape, QuorumConfig, Stamp};
-use swarm_fabric::{Fabric, FabricConfig, Node, NodeId, Payload};
+use swarm_fabric::{Fabric, FabricConfig, Node, NodeId, Payload, CHUNK_BYTES};
 use swarm_sim::{Sim, SimRng};
 
 use crate::index::Index;
@@ -34,6 +34,9 @@ use crate::membership::Membership;
 /// Thread id reserved for the control-plane loader (must never collide with
 /// a client tid; clients are numbered from 0).
 pub const LOADER_TID: u8 = 254;
+
+/// Out-of-place slots per writer per key (ring-recycled).
+pub(crate) const OOP_SLOTS_PER_WRITER: usize = 2;
 
 /// Cluster shape and protocol parameters.
 #[derive(Debug, Clone)]
@@ -52,9 +55,8 @@ pub struct ClusterConfig {
     /// Whether VERIFIED writes lazily store in-place data at the designated
     /// replica (`false` = the "Out-P." variant of Figure 9).
     pub inplace: bool,
-    /// Out-of-place slots per writer per key (ring-recycled).
-    pub oop_slots_per_writer: usize,
-    /// Fabric latency model.
+    /// Fabric wire jitter and RNG stream (the rest of the latency model is
+    /// `swarm_fabric`'s constant table).
     pub fabric: FabricConfig,
     /// Quorum timing.
     pub quorum: QuorumConfig,
@@ -84,7 +86,6 @@ impl Default for ClusterConfig {
             max_clients: 4,
             meta_bufs: 4,
             inplace: true,
-            oop_slots_per_writer: 2,
             fabric: FabricConfig::default(),
             quorum: QuorumConfig::default(),
             clock_skew_ns: 400,
@@ -144,10 +145,10 @@ pub(crate) fn substrate<L: Clone + 'static>(sim: &Sim, cfg: &ClusterConfig) -> (
 
 /// Puts `image[range]` at `addr` on `node` the way a data-path write of
 /// those bytes would leave them: held by reference if longer than one chunk
-/// of `fabric`, copied if not (`swarm_fabric::NodeMemory`, *Shared runs*).
-/// The bulk loaders' one way to land a key.
-pub(crate) fn land(fabric: &Fabric, node: &Node, addr: u64, image: &Payload, range: Range<usize>) {
-    if range.len() > fabric.config().chunk_bytes {
+/// ([`CHUNK_BYTES`]), copied if not (`swarm_fabric::NodeMemory`, *Shared
+/// runs*). The bulk loaders' one way to land a key.
+pub(crate) fn land(node: &Node, addr: u64, image: &Payload, range: Range<usize>) {
+    if range.len() > CHUNK_BYTES {
         node.mem().write_shared(addr, image, range);
     } else {
         node.mem().write(addr, &image[range]);
@@ -223,7 +224,7 @@ impl Cluster {
         let membership = Membership::with_default_detection(sim, &fabric);
         // One slot past the writers' shares for the loader: owned by no
         // writer, except that a lone client's ring takes it in.
-        let oop_slots = cfg.max_clients * cfg.oop_slots_per_writer + 1;
+        let oop_slots = cfg.max_clients * OOP_SLOTS_PER_WRITER + 1;
         let shape = InnOutShape::new(cfg.meta_bufs, cfg.value_size, oop_slots, cfg.max_clients);
         Cluster {
             inner: Rc::new(Inner {
@@ -321,19 +322,13 @@ impl Cluster {
             for r in 0..layout.replicas() {
                 let node = fabric.node(layout.node(r));
                 let slot = layout.slot_addr_on(shape, r, loader_slot, &node);
-                land(fabric, &node, slot, &image, 0..slot_len);
+                land(&node, slot, &image, 0..slot_len);
                 // Metadata word 0 points at it.
                 node.mem().write(layout.meta_addr(r), &image[..8]);
                 // In-place copy at the designated replica (RAW keeps its one
                 // copy there, so that region exists also with `inplace` off).
                 if cfg.inplace && r == 0 {
-                    land(
-                        fabric,
-                        &node,
-                        layout.inplace_addr(shape),
-                        &image,
-                        16..image.len(),
-                    );
+                    land(&node, layout.inplace_addr(shape), &image, 16..image.len());
                 }
             }
         }
@@ -551,7 +546,7 @@ mod tests {
         // key (replicas - majority), and a repeated one — the handle now
         // knows the value is stored everywhere — none.
         let ring = c.shape().ring_len();
-        assert_eq!(ring, (cfg.oop_slots_per_writer * (16 + 64)) as u64);
+        assert_eq!(ring, (OOP_SLOTS_PER_WRITER * (16 + 64)) as u64);
         let reader = store.client(0);
         for pass in 0..2 {
             let before: u64 = drawn(&c).iter().sum();

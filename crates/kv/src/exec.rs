@@ -28,6 +28,10 @@ use crate::store::{KvError, KvResult, KvStore};
 /// Number of operation classes ([`ScenarioOpClass::all`]).
 const CLASSES: usize = 6;
 
+/// Client-side CPU work per operation (workload generation, cache lookup,
+/// completion processing) in nanoseconds, paid by every driver's workers.
+pub(crate) const OP_OVERHEAD_NS: Nanos = 1_000;
+
 /// Collected results of a run, whichever driver produced it. Equality is
 /// over every field, a latency histogram counting as its multiset of samples.
 #[derive(Debug, Default, PartialEq)]
@@ -417,7 +421,7 @@ impl<V: Fn(u64, u64, usize) -> Vec<u8> + 'static> Worker<V> {
                 }
                 // Client-side CPU work is paid per element, batched or not
                 // (keeps per-core throughput honest, §7.2).
-                store.endpoint().work(cfg.op_overhead_ns * count).await;
+                store.endpoint().work(OP_OVERHEAD_NS * count).await;
                 self.source.take(&sim, count, &mut ops);
 
                 let (r0, t0) = (store.rounds(), sim.now());

@@ -149,7 +149,7 @@ impl FuseeCluster {
                 let base = node.alloc(RING * self.block_len(), 8);
                 if let Some(block) = &block {
                     let addr = base + slot * self.block_len();
-                    land(&self.inner.fabric, &node, addr, block, 0..block.len());
+                    land(&node, addr, block, 0..block.len());
                 }
                 base
             })

@@ -198,7 +198,7 @@ pub fn plan_workload(
             && cfg.bucket_ns.is_none()
             && cfg.prewarm_keys.is_none()
             && !cfg.record_rtts,
-        "the planned shard driver supports warmup/measure/batch/op_overhead only; \
+        "the planned shard driver supports warmup/measure/batch only; \
          use run_workload for paced, deadlined, or rtt-recorded runs"
     );
     assert!(cfg.batch >= 1, "batch size must be at least 1");
@@ -362,11 +362,6 @@ impl ShardedRun {
             total += o.traffic;
         }
         total
-    }
-
-    /// Per-shard fabric traffic, in shard order.
-    pub fn per_shard_traffic(&self) -> Vec<TrafficStats> {
-        self.per_shard.iter().map(|o| o.traffic).collect()
     }
 
     /// Per-shard recorded histories, in shard order (requires

@@ -53,6 +53,15 @@ use crate::cluster::{derive_label, Cluster, KeyInfo, ROLE_REPAIR};
 /// their own label so shards stay mutually independent.
 const REPAIR_RNG_BASE: u64 = 0x5245_5041_4952_4121; // "REPAIR A!"
 
+/// Virtual time between background rounds: frequent enough to converge
+/// inside a bench window, rare enough that repair traffic stays a
+/// background hum.
+pub(crate) const REPAIR_PERIOD_NS: Nanos = 50_000;
+/// Digest bucket count of [`RepairStrategy::Buckets`] per replica pair.
+pub(crate) const REPAIR_BUCKETS: u32 = 64;
+/// Round budget of [`RepairHandle::converge`].
+pub(crate) const MAX_CONVERGE_ROUNDS: u32 = 16;
+
 /// Digest strategy of one anti-entropy agent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairStrategy {
@@ -77,33 +86,24 @@ impl RepairStrategy {
     }
 }
 
-/// Anti-entropy agent configuration.
+/// Anti-entropy agent configuration. The period, bucket count and
+/// convergence budget are constants: `REPAIR_PERIOD_NS`,
+/// `REPAIR_BUCKETS`, `MAX_CONVERGE_ROUNDS`.
 #[derive(Debug, Clone)]
 pub struct RepairConfig {
     /// Digest strategy.
     pub strategy: RepairStrategy,
-    /// Virtual time between background rounds.
-    pub period_ns: Nanos,
-    /// Digest bucket count of [`RepairStrategy::Buckets`].
-    pub buckets: u32,
     /// Deadline for one reconciliation round; a round that cannot finish
     /// (crashed replicas answer with silence) is abandoned and retried next
     /// period.
     pub round_deadline_ns: Nanos,
-    /// Round budget for [`RepairHandle::converge`].
-    pub max_rounds: u32,
 }
 
 impl Default for RepairConfig {
     fn default() -> Self {
         RepairConfig {
             strategy: RepairStrategy::Buckets,
-            // Frequent enough to converge inside a bench window, rare
-            // enough that repair traffic stays a background hum.
-            period_ns: 50_000,
-            buckets: 64,
             round_deadline_ns: 2 * NANOS_PER_MILLI,
-            max_rounds: 16,
         }
     }
 }
@@ -341,7 +341,7 @@ impl RepairHandle {
                 }
                 RepairSel::Buckets {
                     ids: Rc::new(ids),
-                    buckets: self.inner.cfg.buckets,
+                    buckets: REPAIR_BUCKETS,
                     salt,
                 }
             }
@@ -351,16 +351,15 @@ impl RepairHandle {
 
     /// Sorted bucket ids whose digests disagree between the pair's sides.
     async fn mismatched_buckets(&self, p: &RepairPair, salt: u64) -> Option<Vec<u32>> {
-        let buckets = self.inner.cfg.buckets;
         let digest = |table: &RepairTable| Op::RepairDigest {
             table: Rc::clone(table),
-            buckets,
+            buckets: REPAIR_BUCKETS,
             salt,
         };
         let da = self.op(p.node_a, digest(&p.a_table)).await?.digests()?;
         let db = self.op(p.node_b, digest(&p.b_table)).await?.digests()?;
         Some(
-            (0..buckets)
+            (0..REPAIR_BUCKETS)
                 .filter(|&b| da[b as usize] != db[b as usize])
                 .collect(),
         )
@@ -449,30 +448,29 @@ impl RepairHandle {
     /// Runs bounded rounds until one digests clean; returns `(rounds,
     /// converged)`.
     pub async fn converge(&self) -> (u32, bool) {
-        let cfg = &self.inner.cfg;
-        for r in 1..=cfg.max_rounds {
-            let deadline = self.inner.cluster.sim().now() + cfg.round_deadline_ns;
+        for r in 1..=MAX_CONVERGE_ROUNDS {
+            let deadline = self.inner.cluster.sim().now() + self.inner.cfg.round_deadline_ns;
             if self.run_round_until(deadline).await == 0 {
                 return (r, true);
             }
         }
-        (cfg.max_rounds, false)
+        (MAX_CONVERGE_ROUNDS, false)
     }
 
-    /// Arms the background loop: one bounded round every `period_ns` until
-    /// `deadline`. Idempotent (the first arm wins); the loop is *bounded*
-    /// so `Sim::run`'s drain-the-queue semantics still terminate.
+    /// Arms the background loop: one bounded round every
+    /// `REPAIR_PERIOD_NS` until `deadline`. Idempotent (the first arm
+    /// wins); the loop is *bounded* so `Sim::run`'s drain-the-queue
+    /// semantics still terminate.
     pub fn arm_until(&self, deadline: Nanos) {
         if self.inner.armed.replace(true) {
             return;
         }
         let h = self.clone();
         let sim = self.inner.cluster.sim().clone();
-        let period = self.inner.cfg.period_ns.max(1);
         let round_deadline_ns = self.inner.cfg.round_deadline_ns;
         self.inner.cluster.sim().spawn(async move {
-            while sim.now() + period <= deadline {
-                sim.sleep_ns(period).await;
+            while sim.now() + REPAIR_PERIOD_NS <= deadline {
+                sim.sleep_ns(REPAIR_PERIOD_NS).await;
                 let round_deadline = (sim.now() + round_deadline_ns).min(deadline);
                 h.run_round_until(round_deadline).await;
             }
@@ -613,7 +611,7 @@ mod tests {
     /// strictly fewer bytes than the full state exchange.
     #[test]
     fn bucketed_strategies_exchange_fewer_bytes_than_full() {
-        let keys = 256u64;
+        let keys = 1_024u64;
         let mut bytes = Vec::new();
         for strategy in RepairStrategy::all() {
             let sim = Sim::new(33);
@@ -623,13 +621,9 @@ mod tests {
                 wipe_replica(&c, k, 1);
             }
             assert_eq!(divergent_stamp_pairs(&c), 3);
-            // Replica placement splits 256 keys into ~64-key groups; the
-            // digest pass only wins while buckets < group size.
-            let cfg = RepairConfig {
-                buckets: 16,
-                ..RepairConfig::with_strategy(strategy)
-            };
-            let h = RepairHandle::new(&c, cfg);
+            // Replica placement splits 1 024 keys into ~256-key groups; the
+            // digest pass only wins while REPAIR_BUCKETS < group size.
+            let h = RepairHandle::new(&c, RepairConfig::with_strategy(strategy));
             let (hc, cc) = (h.clone(), c.clone());
             sim.block_on(async move {
                 let (_, converged) = hc.converge().await;

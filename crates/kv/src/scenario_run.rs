@@ -15,7 +15,7 @@
 
 use std::rc::Rc;
 
-use swarm_sim::{Nanos, Sim};
+use swarm_sim::Sim;
 use swarm_workload::{scenario_value, ScenarioOp, ScenarioSpec};
 
 use crate::exec::{drive, OpSource, Run, RunStats, Worker};
@@ -27,9 +27,6 @@ use crate::store::KvStore;
 pub struct ScenarioRunConfig {
     /// Seed of the scenario op stream (`ScenarioSpec::ops(seed)`).
     pub seed: u64,
-    /// Client-side CPU work per operation in nanoseconds (same role as
-    /// `RunConfig::op_overhead_ns`).
-    pub op_overhead_ns: Nanos,
     /// Register slot capacity every stored payload is padded to. In-n-Out
     /// registers (like FUSEE's blocks) are fixed-size slots, so a run's
     /// cluster is provisioned for the scenario's *largest* value
@@ -43,7 +40,6 @@ impl Default for ScenarioRunConfig {
     fn default() -> Self {
         ScenarioRunConfig {
             seed: 1,
-            op_overhead_ns: 1_000,
             value_cap: 64,
         }
     }
@@ -88,10 +84,7 @@ pub fn run_scenario<S: KvStore + 'static>(
     for (store, slice) in stores.iter().zip(slices) {
         Worker {
             source: OpSource::Planned(slice.into_iter()),
-            cfg: RunConfig {
-                op_overhead_ns: cfg.op_overhead_ns,
-                ..Default::default()
-            },
+            cfg: RunConfig::default(),
             value: move |key, version, size| payload(key, version, size, cap),
             run: Rc::clone(&run),
             outcomes: None,

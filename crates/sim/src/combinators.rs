@@ -3,7 +3,8 @@
 //! The protocols need exactly four shapes of concurrency:
 //!
 //! * [`join2`] / [`join_boxed`] — run operations fully in parallel (e.g.,
-//!   Safe-Guess `in parallel { M.READ(), M.WRITE(w) }`).
+//!   Safe-Guess `in parallel { M.READ(), M.WRITE(w) }`); a joined batch is a
+//!   [`Quorum`] that needs every one.
 //! * [`Quorum`] — wait for `k` of `n` responses, leaving stragglers running
 //!   (majority waits in the reliable max register and timestamp lock).
 //! * [`race2`] — first of two futures (failure-detection timeouts).
@@ -70,49 +71,18 @@ impl<A, B> Future for Join2<'_, A, B> {
 pub type BoxFuture<'f, T> = Pin<Box<dyn Future<Output = T> + 'f>>;
 
 /// Awaits a batch of boxed futures concurrently, returning results in input
-/// order.
+/// order: a [`Quorum`] over the batch that needs all of it.
 ///
 /// The futures may borrow (`'f` instead of `'static`), which is what
 /// store-level batch operations need: each per-key operation borrows its
 /// client handle.
-pub fn join_boxed<'f, T: 'f>(futs: Vec<BoxFuture<'f, T>>) -> impl Future<Output = Vec<T>> + 'f {
-    JoinBoxed {
-        results: futs.iter().map(|_| None).collect(),
-        remaining: futs.len(),
-        futs: futs.into_iter().map(Some).collect(),
-    }
-}
-
-struct JoinBoxed<'f, T> {
-    futs: Vec<Option<BoxFuture<'f, T>>>,
-    results: Vec<Option<T>>,
-    remaining: usize,
-}
-
-// Like `Join2`: every field is a boxed future or a plain value, so the
-// wrapper is structurally `Unpin`.
-impl<T> Unpin for JoinBoxed<'_, T> {}
-
-impl<T> Future for JoinBoxed<'_, T> {
-    type Output = Vec<T>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Vec<T>> {
-        let this = self.get_mut();
-        for i in 0..this.futs.len() {
-            if let Some(f) = this.futs[i].as_mut() {
-                if let Poll::Ready(v) = f.as_mut().poll(cx) {
-                    this.results[i] = Some(v);
-                    this.futs[i] = None;
-                    this.remaining -= 1;
-                }
-            }
-        }
-        if this.remaining == 0 {
-            Poll::Ready(this.results.iter_mut().map(|r| r.take().unwrap()).collect())
-        } else {
-            Poll::Pending
-        }
-    }
+pub async fn join_boxed<T>(futs: Vec<BoxFuture<'_, T>>) -> Vec<T> {
+    let mut q = Quorum::all(futs);
+    (&mut q).await;
+    q.take_results()
+        .into_iter()
+        .map(|r| r.expect("a full quorum completed every future"))
+        .collect()
 }
 
 /// Result of [`race2`].
@@ -182,14 +152,14 @@ where
 /// and await again. Futures that never complete (crashed nodes) simply stay
 /// pending; device-level side effects of already-submitted operations are
 /// unaffected by dropping the `Quorum`.
-pub struct Quorum<T> {
-    futs: Vec<Option<Pin<Box<dyn Future<Output = T>>>>>,
+pub struct Quorum<'f, T> {
+    futs: Vec<Option<BoxFuture<'f, T>>>,
     results: Vec<Option<T>>,
     completed: usize,
     needed: usize,
 }
 
-impl<T> Quorum<T> {
+impl<'f, T> Quorum<'f, T> {
     /// Creates an empty quorum waiting for `needed` completions.
     pub fn new(needed: usize) -> Self {
         Quorum {
@@ -200,8 +170,18 @@ impl<T> Quorum<T> {
         }
     }
 
+    /// A quorum over already-boxed futures that needs every one of them.
+    pub fn all(futs: Vec<BoxFuture<'f, T>>) -> Self {
+        Quorum {
+            results: futs.iter().map(|_| None).collect(),
+            completed: 0,
+            needed: futs.len(),
+            futs: futs.into_iter().map(Some).collect(),
+        }
+    }
+
     /// Adds a future; returns its slot index.
-    pub fn push(&mut self, fut: impl Future<Output = T> + 'static) -> usize {
+    pub fn push(&mut self, fut: impl Future<Output = T> + 'f) -> usize {
         self.futs.push(Some(Box::pin(fut)));
         self.results.push(None);
         self.futs.len() - 1
@@ -234,7 +214,7 @@ impl<T> Quorum<T> {
     }
 }
 
-impl<T> Future for &mut Quorum<T> {
+impl<T> Future for &mut Quorum<'_, T> {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {

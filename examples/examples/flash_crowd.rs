@@ -54,7 +54,6 @@ fn main() {
             // Distinct stream seed per phase, like slicing the whole run.
             seed: 42 + i as u64,
             value_cap: VALUE,
-            ..ScenarioRunConfig::default()
         };
         let stats = run_scenario(&sim, &routers, &spec, &cfg);
 

@@ -92,7 +92,6 @@ fn run_cell(proto: Protocol, kind: PlanKind, seed: u64) -> CellOutcome {
     let cfg = ScenarioRunConfig {
         seed,
         value_cap: CAP,
-        ..Default::default()
     };
     let stats = run_scenario(&sim, &stores, &spec, &cfg);
 
