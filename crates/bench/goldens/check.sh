@@ -71,10 +71,10 @@ golden fig5 SWARM_BENCH_THREADS=1
 twice bench_repair
 twice bench_tail
 twice bench_reshard
-for exp in table2 table3 fig6 fig11 fig12; do
+for exp in table2 table3 fig6 fig10 fig11 fig12 bench_multiget; do
     golden "$exp" SWARM_BENCH_OPS_SCALE=0.05
 done
-for exp in fig7 fig8 fig9 fig10 fig13 bench_multiget bench_shards bench_scenarios; do
+for exp in fig7 fig8 fig9 fig13 bench_shards bench_scenarios; do
     twice "$exp" SWARM_BENCH_OPS_SCALE=0.05
 done
 

@@ -5,15 +5,12 @@
 //!
 //! Prints, per system and batch size, the median latency of the whole batch
 //! and the per-element amortized latency, against a sequential-get baseline.
-//! A second section drives the runner's batched workload mode end to end
-//! (`RunConfig::batch`) and reports throughput scaling.
 
 use std::rc::Rc;
 
-use crate::{build, env_scaled_keys, run_workload, write_csv, ExpParams, Protocol};
+use crate::{build, env_scaled_keys, write_csv, ExpParams, Protocol};
 use swarm_kv::{KvStore, KvStoreExt};
 use swarm_sim::Sim;
-use swarm_workload::WorkloadSpec;
 
 const BATCHES: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
@@ -103,28 +100,6 @@ pub fn run(quick: bool) {
         });
     }
 
-    // The runner's batched workload mode (RunConfig::batch) end to end.
-    println!("\nbatched runner mode: YCSB B, 4 clients, throughput vs batch size");
-    println!("{:<10} {:>6} {:>12}", "system", "batch", "kops");
-    let p = ExpParams {
-        n_keys: 20_000,
-        warmup_ops: if quick { 4_000 } else { 50_000 },
-        measure_ops: if quick { 20_000 } else { 200_000 },
-        ..Default::default()
-    };
-    let mut rows = Vec::new();
-    for batch in [1usize, 4, 8] {
-        let sim = Sim::new(p.seed);
-        let bed = build(&sim, Protocol::SafeGuess, &p);
-        let mut rc = p.run_config();
-        rc.batch = batch;
-        let wl = p.workload(WorkloadSpec::B);
-        let stats = run_workload(&sim, &bed.clients, &wl, &rc);
-        let kops = stats.throughput_ops() / 1e3;
-        println!("{:<10} {:>6} {:>12.0}", "SWARM-KV", batch, kops);
-        rows.push(format!("{batch},{kops:.1}"));
-    }
-    write_csv("bench_multiget", "runner_batched", "batch,kops", &rows);
     println!("\nexpectation: per-key amortized latency falls toward the submission");
-    println!("cost as the batch grows; throughput rises until the client CPU wall");
+    println!("cost as the batch grows");
 }

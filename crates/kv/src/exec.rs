@@ -2,10 +2,9 @@
 //! and accounted. The paper's evaluation (§7.1–§7.2) is one loop — clients
 //! issue ops and record latency and roundtrips — and this module holds the
 //! only copy of it: [`execute`] (the one `match` over op kinds that calls
-//! store methods), [`execute_batch`] (the one pipelined grouping),
-//! [`RunStats::record`], [`Worker::spawn`] and [`drive`]. The three drivers
-//! — `run_workload`, `run_scenario`, `run_sharded_plan` — differ only in
-//! their [`OpSource`].
+//! store methods), [`RunStats::record`], [`Worker::spawn`] and [`drive`].
+//! The three drivers — `run_workload`, `run_scenario`, `run_sharded_plan`
+//! — differ only in their [`OpSource`].
 //!
 //! The unit of work is the six-class [`ScenarioOp`]; a YCSB op is its
 //! four-class case ([`ScenarioOp::ycsb`]). Payloads come from a caller
@@ -17,9 +16,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use swarm_sim::{
-    join_boxed, BoxFuture, Histogram, Nanos, Sim, TimeSeries, NANOS_PER_MILLI, NANOS_PER_SEC,
-};
+use swarm_sim::{Histogram, Nanos, Sim, TimeSeries, NANOS_PER_MILLI, NANOS_PER_SEC};
 use swarm_workload::{ScenarioOp, ScenarioOpClass, Workload};
 
 use crate::runner::RunConfig;
@@ -255,49 +252,6 @@ pub(crate) async fn execute<S: KvStore>(
     }
 }
 
-/// Executes `ops` as one pipelined round into `done` (input order): gets,
-/// updates, and inserts fan out concurrently through the client's
-/// ops-in-flight machinery (§7.2), so a batch of independent keys costs
-/// about one quorum roundtrip. Deletes are rare in the YCSB mixes and run
-/// after the round, one at a time — as would scans and RMWs, which no
-/// batching source emits. A batch of one is that op, executed directly.
-pub(crate) async fn execute_batch<S: KvStore>(
-    store: &S,
-    ops: &[ScenarioOp],
-    value: &impl Fn(u64, u64, usize) -> Vec<u8>,
-    done: &mut Vec<Executed>,
-) {
-    done.clear();
-    if let [op] = ops {
-        done.push(execute(store, *op, value).await);
-        return;
-    }
-    // First polls submit in this order: all gets, then updates, then
-    // inserts, each class in input order.
-    let pipelined = [
-        ScenarioOpClass::Get,
-        ScenarioOpClass::Update,
-        ScenarioOpClass::Insert,
-    ];
-    let order: Vec<usize> = pipelined
-        .iter()
-        .flat_map(|class| (0..ops.len()).filter(move |&i| ops[i].class() == *class))
-        .collect();
-    let round: Vec<BoxFuture<'_, Executed>> = order
-        .iter()
-        .map(|&i| Box::pin(execute(store, ops[i], value)) as BoxFuture<'_, _>)
-        .collect();
-    done.resize(ops.len(), Executed::Absent);
-    for (&i, r) in order.iter().zip(join_boxed(round).await) {
-        done[i] = r;
-    }
-    for (i, op) in ops.iter().enumerate() {
-        if !pipelined.contains(&op.class()) {
-            done[i] = execute(store, *op, value).await;
-        }
-    }
-}
-
 /// The run-wide op budget the workers of a [`OpSource::Drawn`] run share.
 pub(crate) struct Budget {
     pub warmup_left: u64,
@@ -309,60 +263,51 @@ pub(crate) struct Budget {
 /// Where a worker's operations come from — the one thing the three
 /// drivers differ in.
 pub(crate) enum OpSource {
-    /// `run_workload`: slots are claimed from the shared [`Budget`], up to
-    /// `batch` at a time, and each op is drawn from the simulation's RNG
-    /// stream only once its client CPU work is paid.
+    /// `run_workload`: slots are claimed from the shared [`Budget`], and
+    /// each op is drawn from the simulation's RNG stream only once its
+    /// client CPU work is paid.
     Drawn {
         workload: Workload,
-        batch: u64,
         budget: Rc<RefCell<Budget>>,
     },
-    /// Scenario and planned runs: pre-materialised `(measured, ops)`
-    /// batches.
-    Planned(std::vec::IntoIter<(bool, Vec<ScenarioOp>)>),
+    /// Scenario and planned runs: pre-materialised `(measured, op)` pairs.
+    Planned(std::vec::IntoIter<(bool, ScenarioOp)>),
 }
 
 impl OpSource {
-    /// Claims the next batch: `(op count, measured)`, or `None` when the
-    /// source is exhausted. Warm-up and measured ops never share a batch.
-    fn claim(&mut self) -> Option<(u64, bool)> {
+    /// Claims the next op slot: whether it is measured, or `None` when the
+    /// source is exhausted.
+    fn claim(&mut self) -> Option<bool> {
         match self {
-            OpSource::Drawn { batch, budget, .. } => {
+            OpSource::Drawn { budget, .. } => {
                 let mut b = budget.borrow_mut();
-                let (left, measured) = if b.warmup_left > 0 {
-                    (&mut b.warmup_left, false)
+                if b.warmup_left > 0 {
+                    b.warmup_left -= 1;
+                    Some(false)
+                } else if b.measure_left > 0 {
+                    b.measure_left -= 1;
+                    Some(true)
                 } else {
-                    (&mut b.measure_left, true)
-                };
-                let n = (*left).min(*batch);
-                *left -= n;
-                (n > 0).then_some((n, measured))
+                    None
+                }
             }
-            OpSource::Planned(batches) => {
-                let (measured, ops) = batches.as_slice().first()?;
-                Some((ops.len() as u64, *measured))
-            }
+            OpSource::Planned(ops) => ops.as_slice().first().map(|&(measured, _)| measured),
         }
     }
 
-    /// Materialises the claimed batch's `count` ops into `ops`.
-    fn take(&mut self, sim: &Sim, count: u64, ops: &mut Vec<ScenarioOp>) {
+    /// Materialises the claimed op.
+    fn take(&mut self, sim: &Sim) -> ScenarioOp {
         match self {
-            OpSource::Drawn {
-                workload, budget, ..
-            } => {
-                ops.clear();
-                for _ in 0..count {
-                    // Draw, then bump the version, and only after the
-                    // worker's CPU work: the `table2`/`fig5` ≡
-                    // `BENCH_seed.json` contract pins this order.
-                    let (op, key) = workload.next_op(sim.rand_u64(), sim.rand_f64());
-                    let mut b = budget.borrow_mut();
-                    b.version += 1;
-                    ops.push(ScenarioOp::ycsb(op, key, b.version, workload.value_size));
-                }
+            OpSource::Drawn { workload, budget } => {
+                // Draw, then bump the version, and only after the worker's
+                // CPU work: the `table2`/`fig5` ≡ `BENCH_seed.json` contract
+                // pins this order.
+                let (op, key) = workload.next_op(sim.rand_u64(), sim.rand_f64());
+                let mut b = budget.borrow_mut();
+                b.version += 1;
+                ScenarioOp::ycsb(op, key, b.version, workload.value_size)
             }
-            OpSource::Planned(batches) => *ops = batches.next().expect("a claimed batch").1,
+            OpSource::Planned(ops) => ops.next().expect("a claimed op").1,
         }
     }
 }
@@ -389,11 +334,9 @@ pub(crate) struct Worker<V> {
 }
 
 impl<V: Fn(u64, u64, usize) -> Vec<u8> + 'static> Worker<V> {
-    /// Spawns the worker loop on `sim` against `store`: claim a batch, pay
+    /// Spawns the worker loop on `sim` against `store`: claim an op, pay
     /// its client CPU work, execute it, record it — until the source runs
-    /// dry or the deadline passes. Every element of a multi-op batch is
-    /// accounted the whole batch's latency: the price an individual op
-    /// pays for riding in a batch.
+    /// dry or the deadline passes.
     pub(crate) fn spawn<S: KvStore + 'static>(mut self, sim: &Sim, store: Rc<S>) {
         self.run.active.set(self.run.active.get() + 1);
         let sim2 = sim.clone();
@@ -404,49 +347,42 @@ impl<V: Fn(u64, u64, usize) -> Vec<u8> + 'static> Worker<V> {
                     let _ = store.get(key).await;
                 }
             }
-            let (mut ops, mut done) = (Vec::new(), Vec::new());
             let mut next_at = sim.now();
             loop {
                 if cfg.pace_ns.is_some() {
                     sim.sleep_until(next_at).await;
                 }
-                let Some((count, measured)) = self.source.claim() else {
+                let Some(measured) = self.source.claim() else {
                     break;
                 };
-                // Open-loop pacing is per *op*: a batch of N ops advances
-                // the schedule by N paces, keeping the configured rate.
-                next_at += cfg.pace_ns.unwrap_or(0) * count;
+                next_at += cfg.pace_ns.unwrap_or(0);
                 if cfg.deadline_ns.is_some_and(|d| sim.now() >= d) {
                     break;
                 }
-                // Client-side CPU work is paid per element, batched or not
-                // (keeps per-core throughput honest, §7.2).
-                store.endpoint().work(OP_OVERHEAD_NS * count).await;
-                self.source.take(&sim, count, &mut ops);
+                // Client-side CPU work (keeps per-core throughput honest, §7.2).
+                store.endpoint().work(OP_OVERHEAD_NS).await;
+                let op = self.source.take(&sim);
 
                 let (r0, t0) = (store.rounds(), sim.now());
-                execute_batch(&*store, &ops, &self.value, &mut done).await;
+                let result = execute(&*store, op, &self.value).await;
                 let t1 = sim.now();
 
                 if measured {
                     let mut stats = self.run.stats.borrow_mut();
-                    for (op, result) in ops.iter().zip(&done) {
-                        stats.record(op.class(), t0, t1, result.ok());
-                        if let Executed::Scanned(items) = result {
-                            stats.scanned_items += items;
-                        }
+                    stats.record(op.class(), t0, t1, result.ok());
+                    if let Executed::Scanned(items) = result {
+                        stats.scanned_items += items;
                     }
                     // The delta is this op's own only if nothing else of
-                    // the client's was in flight: a batch shares it, and so
-                    // do the workers of one client at concurrency > 1.
-                    if cfg.record_rtts && cfg.batch <= 1 && cfg.concurrency <= 1 {
+                    // the client's was in flight: the workers of one client
+                    // share it at concurrency > 1.
+                    if cfg.record_rtts && cfg.concurrency <= 1 {
                         let used = store.rounds() - r0;
-                        *stats.rtts[ops[0].class() as usize].entry(used).or_insert(0) += 1;
+                        *stats.rtts[op.class() as usize].entry(used).or_insert(0) += 1;
                     }
                 }
                 if let Some(outcomes) = &self.outcomes {
-                    let mut outcomes = outcomes.borrow_mut();
-                    outcomes.extend(done.iter().map(Executed::outcome));
+                    outcomes.borrow_mut().push(result.outcome());
                 }
             }
             self.run.active.set(self.run.active.get() - 1);
@@ -474,107 +410,8 @@ pub(crate) fn drive(sim: &Sim, run: &Run) -> RunStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Protocol, StoreBuilder, StoreClient};
-    use swarm_workload::{scenario_value, OpType};
-
-    /// A client over keys `0..16` (so key `99` is absent).
-    fn client(sim: &Sim, protocol: Protocol) -> Rc<StoreClient> {
-        let cluster = StoreBuilder::new(protocol).build_cluster(sim);
-        cluster.load_keys(16, |k| vec![k as u8; 64]);
-        cluster.client(0)
-    }
-
-    fn rmw(key: u64) -> ScenarioOp {
-        let (size, version) = (64, 7);
-        ScenarioOp::Rmw { key, size, version }
-    }
-
-    #[test]
-    fn a_batch_of_one_is_the_op_itself() {
-        let ycsb = |op, key| ScenarioOp::ycsb(op, key, 7, 64);
-        let one_of_each = [
-            ycsb(OpType::Get, 3),
-            ycsb(OpType::Get, 99),
-            ycsb(OpType::Update, 4),
-            ycsb(OpType::Insert, 40),
-            ycsb(OpType::Delete, 5),
-            ScenarioOp::Scan { start: 2, limit: 4 },
-            rmw(6),
-            rmw(99),
-        ];
-        for protocol in [Protocol::SafeGuess, Protocol::Fusee] {
-            for op in one_of_each {
-                // Same seed, same store, two fresh simulations: outcome,
-                // `sim.now()` advance and `rounds()` delta must agree.
-                let run = |batched: bool| {
-                    let sim = Sim::new(5);
-                    let store = client(&sim, protocol);
-                    let s = sim.clone();
-                    sim.block_on(async move {
-                        let (t0, r0) = (s.now(), store.rounds());
-                        let mut done = Vec::new();
-                        if batched {
-                            execute_batch(&*store, &[op], &scenario_value, &mut done).await;
-                        } else {
-                            done.push(execute(&*store, op, &scenario_value).await);
-                        }
-                        (done, s.now() - t0, store.rounds() - r0)
-                    })
-                };
-                let single = run(false);
-                assert_eq!(single, run(true), "{}: {op:?}", protocol.name());
-                assert!(single.0.len() == 1 && single.1 > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn a_batch_pipelines_and_answers_in_input_order() {
-        let sim = Sim::new(6);
-        let store = client(&sim, Protocol::SafeGuess);
-        let s = sim.clone();
-        sim.block_on(async move {
-            let ycsb = |op, key| ScenarioOp::ycsb(op, key, key, 64);
-            let ops = [
-                ycsb(OpType::Delete, 1),
-                ycsb(OpType::Update, 2),
-                ycsb(OpType::Get, 3),
-                ycsb(OpType::Get, 99),
-                ycsb(OpType::Update, 98),
-                ycsb(OpType::Get, 4),
-            ];
-            let mut done = Vec::new();
-            // Warm the location cache so the timing below is roundtrips.
-            execute_batch(&*store, &ops[1..], &scenario_value, &mut done).await;
-            let t0 = s.now();
-            execute_batch(&*store, &ops, &scenario_value, &mut done).await;
-            let batched = s.now() - t0;
-            assert_eq!(
-                done.iter().map(Executed::outcome).collect::<Vec<_>>(),
-                [
-                    OpOutcome::Done,
-                    OpOutcome::Done,
-                    OpOutcome::Value(vec![3u8; 64]),
-                    OpOutcome::Absent,
-                    OpOutcome::Failed(KvError::NotIndexed),
-                    OpOutcome::Value(vec![4u8; 64]),
-                ]
-            );
-            assert_eq!(
-                done.iter().map(Executed::ok).collect::<Vec<_>>(),
-                [true, true, true, false, false, true]
-            );
-            let t0 = s.now();
-            for op in &ops[1..] {
-                execute(&*store, *op, &scenario_value).await;
-            }
-            let sequential = s.now() - t0;
-            assert!(
-                batched < sequential,
-                "six ops in one round ({batched} ns) vs five in sequence ({sequential} ns)"
-            );
-        });
-    }
+    use crate::{Protocol, StoreBuilder};
+    use swarm_workload::OpType;
 
     /// The workers of one client share its roundtrip counter, so a per-op
     /// delta exists only at concurrency 1; above it nothing is recorded

@@ -89,15 +89,15 @@
 //! The paper's evaluation is one loop — clients issue ops against a store
 //! and record latency and roundtrips — and the crate has one copy of it
 //! (`exec.rs`): one `execute` of a six-class op (a YCSB op is the
-//! four-class case) against any [`KvStore`], one pipelined batch grouping,
-//! one worker loop, one result type ([`RunStats`], whose `lat` takes an
-//! `OpType` or a `ScenarioOpClass`). The drivers differ only in where a
-//! worker's ops come from:
+//! four-class case) against any [`KvStore`], one worker loop, one result
+//! type ([`RunStats`], whose `lat` takes an `OpType` or a
+//! `ScenarioOpClass`). The drivers differ only in where a worker's ops
+//! come from:
 //!
 //! * [`run_workload`] draws YCSB ops from the simulation's RNG stream at
-//!   runtime against a shared op budget — sequentially or in pipelined
-//!   batches ([`RunConfig::batch`]), paced, deadlined, counting per-op
-//!   roundtrips. This is what the paper's figures run.
+//!   runtime against a shared op budget — with several ops in flight per
+//!   client ([`RunConfig::concurrency`], §7.2), paced, deadlined, counting
+//!   per-op roundtrips. This is what the paper's figures run.
 //! * [`run_scenario`] feeds a pre-materialised time-phased `ScenarioSpec`
 //!   stream (scans, read-modify-writes, TTL inserts, value-size
 //!   distributions), dealt round-robin to the clients.

@@ -30,15 +30,14 @@
 //!
 //! Every op of a planned run goes down the same op path as
 //! [`run_workload`](crate::run_workload) and
-//! [`run_scenario`](crate::run_scenario) — one `execute`, one batch
-//! grouping, one `RunStats` (see `exec.rs`); what differs is the op
-//! *source* and the client model around it. Under `run_workload` over
-//! routers, ops are drawn from the shared stream at runtime and a router's
-//! per-shard clients share one CPU core. Cross-shard CPU sharing cannot
-//! exist once shards live on different OS threads, so here the source is
-//! the pre-planned stream, each `(router, shard)` pair is its own client,
-//! and a router's cross-shard batch runs as per-shard slices. Numbers from
-//! the two are each deterministic but not comparable to one another.
+//! [`run_scenario`](crate::run_scenario) — one `execute`, one `RunStats`
+//! (see `exec.rs`); what differs is the op *source* and the client model
+//! around it. Under `run_workload` over routers, ops are drawn from the
+//! shared stream at runtime and a router's per-shard clients share one CPU
+//! core. Cross-shard CPU sharing cannot exist once shards live on
+//! different OS threads, so here the source is the pre-planned stream and
+//! each `(router, shard)` pair is its own client. Numbers from the two are
+//! each deterministic but not comparable to one another.
 //!
 //! # Thread confinement
 //!
@@ -104,15 +103,6 @@ pub struct PlannedOp {
     pub version: u64,
 }
 
-/// One shard's slice of one router batch: the ops of a single router batch
-/// owned by one shard, issued together (pipelined when the plan's batch
-/// size exceeds 1).
-#[derive(Debug, Clone)]
-struct Slice {
-    measured: bool,
-    ops: Vec<PlannedOp>,
-}
-
 /// A workload partitioned up front into per-shard, per-router op streams:
 /// [`crate::ShardRouter`]'s stateless grouping, applied before execution
 /// instead of per call. Built by [`plan_workload`]; executed by
@@ -124,17 +114,12 @@ pub struct WorkloadPlan {
     cfg: RunConfig,
     /// Ops per router (warm-up + measured), for result reassembly.
     per_router_ops: Vec<usize>,
-    /// `slices[shard][router]` = that router's slices on that shard, in
-    /// stream order.
-    slices: Vec<Vec<Vec<Slice>>>,
+    /// `streams[shard][router]` = that router's `(measured, op)` pairs on
+    /// that shard, in stream order.
+    streams: Vec<Vec<Vec<(bool, PlannedOp)>>>,
 }
 
 impl WorkloadPlan {
-    /// The keyspace partitioning the plan routed by.
-    pub fn spec(&self) -> ShardSpec {
-        self.spec
-    }
-
     /// Number of router streams.
     pub fn routers(&self) -> usize {
         self.routers
@@ -149,14 +134,9 @@ impl WorkloadPlan {
     /// routed-load view, deterministic before anything runs — what the
     /// scale bench reports imbalance from.
     pub fn per_shard_op_counts(&self) -> Vec<u64> {
-        self.slices
+        self.streams
             .iter()
-            .map(|routers| {
-                routers
-                    .iter()
-                    .flat_map(|slices| slices.iter().map(|sl| sl.ops.len() as u64))
-                    .sum()
-            })
+            .map(|routers| routers.iter().map(|ops| ops.len() as u64).sum())
             .collect()
     }
 }
@@ -171,11 +151,6 @@ impl WorkloadPlan {
 /// cfg, routers)`, never on execution interleaving. Versions are assigned
 /// globally in planning order, so every mutation payload is unique, as
 /// under [`run_workload`](crate::run_workload).
-///
-/// Ops are chunked into router batches of `cfg.batch` (warm-up and
-/// measured phases never share a batch), and every batch is split into
-/// per-shard slices: the cross-shard multi-op grouping
-/// [`crate::ShardRouter`] performs per call, applied up front.
 ///
 /// # Panics
 ///
@@ -198,16 +173,16 @@ pub fn plan_workload(
             && cfg.bucket_ns.is_none()
             && cfg.prewarm_keys.is_none()
             && !cfg.record_rtts,
-        "the planned shard driver supports warmup/measure/batch only; \
+        "the planned shard driver supports warmup/measure only; \
          use run_workload for paced, deadlined, or rtt-recorded runs"
     );
-    assert!(cfg.batch >= 1, "batch size must be at least 1");
 
-    let mut slices: Vec<Vec<Vec<Slice>>> = vec![vec![Vec::new(); routers]; spec.shards()];
+    let mut streams: Vec<Vec<Vec<(bool, PlannedOp)>>> =
+        vec![vec![Vec::new(); routers]; spec.shards()];
     let mut per_router_ops = Vec::with_capacity(routers);
     let mut version = 0u64;
     // `r` is a router *id* (rng label, `PlannedOp::router`), not just an
-    // index into `slices` — iterator rewrites obscure that.
+    // index into `streams` — iterator rewrites obscure that.
     #[allow(clippy::needless_range_loop)]
     for r in 0..routers {
         let share =
@@ -218,29 +193,18 @@ pub fn plan_workload(
         let rng = SimRng::from_seed(seed, derive_label(PLAN_RNG_BASE, r as u64, routers as u64));
         let mut pos = 0usize;
         for (phase_ops, measured) in [(warm, false), (meas, true)] {
-            let mut left = phase_ops;
-            while left > 0 {
-                let batch = left.min(cfg.batch as u64);
-                left -= batch;
-                // One router batch, split by owning shard in input order.
-                let mut per_shard: Vec<Vec<PlannedOp>> = vec![Vec::new(); spec.shards()];
-                for _ in 0..batch {
-                    let (op, key) = workload.next_op(rng.rand_u64(), rng.rand_f64());
-                    version += 1;
-                    per_shard[spec.shard_of(key)].push(PlannedOp {
-                        router: r,
-                        pos,
-                        op,
-                        key,
-                        version,
-                    });
-                    pos += 1;
-                }
-                for (s, ops) in per_shard.into_iter().enumerate() {
-                    if !ops.is_empty() {
-                        slices[s][r].push(Slice { measured, ops });
-                    }
-                }
+            for _ in 0..phase_ops {
+                let (op, key) = workload.next_op(rng.rand_u64(), rng.rand_f64());
+                version += 1;
+                let planned = PlannedOp {
+                    router: r,
+                    pos,
+                    op,
+                    key,
+                    version,
+                };
+                streams[spec.shard_of(key)][r].push((measured, planned));
+                pos += 1;
             }
         }
     }
@@ -249,7 +213,7 @@ pub fn plan_workload(
         routers,
         cfg: cfg.clone(),
         per_router_ops,
-        slices,
+        streams,
     }
 }
 
@@ -374,9 +338,8 @@ impl ShardedRun {
     }
 
     /// Every op's outcome reassembled into input order:
-    /// `results()[router][pos]`, exactly as a [`crate::ShardRouter`] batch
-    /// returns in-order results. Requires
-    /// [`ShardRunOptions::collect_results`].
+    /// `results()[router][pos]`, each router's ops in the order it issued
+    /// them. Requires [`ShardRunOptions::collect_results`].
     pub fn results(&self) -> Vec<Vec<OpOutcome>> {
         let mut out: Vec<Vec<Option<OpOutcome>>> =
             self.per_router_ops.iter().map(|&n| vec![None; n]).collect();
@@ -589,8 +552,8 @@ fn setup_shard(
     let run = Rc::new(Run::default());
     let mut outcomes = Vec::new();
     for r in 0..plan.routers {
-        let slices = &plan.slices[s][r];
-        if slices.is_empty() {
+        let stream = &plan.streams[s][r];
+        if stream.is_empty() {
             continue;
         }
         let sink = opts
@@ -598,13 +561,15 @@ fn setup_shard(
             .then(|| Rc::new(RefCell::new(Vec::new())));
         outcomes.extend(sink.iter().map(|sink| (r, Rc::clone(sink))));
         let payloads = workload.clone();
-        let to_op = |o: &PlannedOp| ScenarioOp::ycsb(o.op, o.key, o.version, workload.value_size);
-        let batches: Vec<_> = slices
+        let ops: Vec<_> = stream
             .iter()
-            .map(|sl| (sl.measured, sl.ops.iter().map(to_op).collect()))
+            .map(|&(measured, o)| {
+                let op = ScenarioOp::ycsb(o.op, o.key, o.version, workload.value_size);
+                (measured, op)
+            })
             .collect();
         let worker = Worker {
-            source: OpSource::Planned(batches.into_iter()),
+            source: OpSource::Planned(ops.into_iter()),
             cfg: plan.cfg.clone(),
             value: move |key, version, _size| payloads.value_for(key, version),
             run: Rc::clone(&run),
@@ -662,7 +627,7 @@ fn finish_shard(
         .outcomes
         .iter()
         .flat_map(|(r, outcomes)| {
-            let planned = plan.slices[s][*r].iter().flat_map(|sl| &sl.ops);
+            let planned = plan.streams[s][*r].iter().map(|(_, op)| op);
             planned
                 .zip(outcomes.take())
                 .map(|(op, outcome)| (op.router, op.pos, outcome))
@@ -692,7 +657,6 @@ mod tests {
         let cfg = RunConfig {
             warmup_ops: 37,
             measure_ops: 101,
-            batch: 8,
             ..Default::default()
         };
         let plan = plan_workload(7, spec, &wl, &cfg, 3);
@@ -701,51 +665,35 @@ mod tests {
         assert_eq!(plan.routers(), 3);
         // Uneven splits: 37 = 13+12+12, 101 = 34+34+33.
         assert_eq!(plan.per_router_ops, vec![13 + 34, 12 + 34, 12 + 33]);
-        // Every (router, pos) appears exactly once across all shards.
+        // Every (router, pos) appears exactly once, on its key's shard.
         let mut seen = std::collections::BTreeSet::new();
-        for shard in &plan.slices {
-            for router in shard {
-                for slice in router {
-                    assert!(!slice.ops.is_empty(), "no empty slices are stored");
-                    assert!(slice.ops.len() <= 8, "a slice never exceeds the batch");
-                    for op in &slice.ops {
-                        assert!(seen.insert((op.router, op.pos)), "duplicate op");
-                        assert_eq!(
-                            spec.shard_of(op.key),
-                            plan.slices
-                                .iter()
-                                .position(|sh| std::ptr::eq(sh, shard))
-                                .unwrap()
-                        );
-                    }
-                }
+        for (s, routers) in plan.streams.iter().enumerate() {
+            for (_, op) in routers.iter().flatten() {
+                assert!(seen.insert((op.router, op.pos)), "duplicate op");
+                assert_eq!(spec.shard_of(op.key), s);
             }
         }
         assert_eq!(seen.len(), 138);
     }
 
     #[test]
-    fn plan_batches_never_straddle_the_measurement_boundary() {
+    fn plan_versions_are_dense_and_measurement_starts_after_warmup() {
         let spec = ShardSpec::new(2);
         let wl = Workload::ycsb(WorkloadSpec::B, 128, 64);
         let cfg = RunConfig {
             warmup_ops: 10,
             measure_ops: 10,
-            batch: 8,
             ..Default::default()
         };
-        // One router: warm-up 10 chunks as 8+2, measured 10 as 8+2 — never
-        // a mixed batch.
         let plan = plan_workload(3, spec, &wl, &cfg, 1);
-        let mut versions = Vec::new();
-        for shard in &plan.slices {
-            for slice in &shard[0] {
-                for op in &slice.ops {
-                    versions.push((op.pos, op.version, slice.measured));
-                }
-            }
-        }
+        let mut versions: Vec<_> = plan
+            .streams
+            .iter()
+            .flat_map(|routers| &routers[0])
+            .map(|&(measured, op)| (op.pos, op.version, measured))
+            .collect();
         versions.sort_unstable();
+        assert_eq!(versions.len(), 20);
         for (i, &(pos, version, measured)) in versions.iter().enumerate() {
             assert_eq!(pos, i);
             assert_eq!(version, i as u64 + 1, "versions are global and dense");
@@ -765,11 +713,11 @@ mod tests {
         let keys = |seed: u64| -> Vec<u64> {
             let plan = plan_workload(seed, spec, &wl, &cfg, 2);
             let mut ops: Vec<(usize, usize, u64)> = plan
-                .slices
+                .streams
                 .iter()
                 .flatten()
                 .flatten()
-                .flat_map(|sl| sl.ops.iter().map(|o| (o.router, o.pos, o.key)))
+                .map(|(_, o)| (o.router, o.pos, o.key))
                 .collect();
             ops.sort_unstable();
             ops.into_iter().map(|(_, _, k)| k).collect()

@@ -146,13 +146,6 @@ pub struct RecordingStore<S> {
     rec: HistoryRecorder,
 }
 
-impl<S> RecordingStore<S> {
-    /// The wrapped store.
-    pub fn store(&self) -> &Rc<S> {
-        &self.store
-    }
-}
-
 impl<S: KvStore> KvStore for RecordingStore<S> {
     async fn get(&self, key: u64) -> KvResult<Option<Rc<Vec<u8>>>> {
         let invoke = self.rec.inner.sim.now();

@@ -73,10 +73,10 @@ pub fn run_scenario<S: KvStore + 'static>(
     );
     let ops = spec.ops(cfg.seed);
     let n_workers = stores.len().min(ops.len().max(1));
-    // One single-op, measured batch per op.
-    let mut slices: Vec<Vec<(bool, Vec<ScenarioOp>)>> = vec![Vec::new(); n_workers];
+    // Every op is measured.
+    let mut slices: Vec<Vec<(bool, ScenarioOp)>> = vec![Vec::new(); n_workers];
     for (i, op) in ops.into_iter().enumerate() {
-        slices[i % n_workers].push((true, vec![op]));
+        slices[i % n_workers].push((true, op));
     }
 
     let run = Rc::new(Run::default());

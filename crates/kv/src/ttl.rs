@@ -29,7 +29,7 @@ use std::rc::Rc;
 use swarm_fabric::Endpoint;
 use swarm_sim::{Nanos, Sim};
 
-use crate::store::{KvResult, KvStore, ScanItems};
+use crate::store::{KvError, KvResult, KvStore, ScanItems};
 
 /// Expiry sentinel: the value never expires.
 pub const TTL_NEVER: u64 = u64::MAX;
@@ -70,11 +70,6 @@ impl<S: KvStore> TtlStore<S> {
             sim: sim.clone(),
             leases: RefCell::new(Vec::new()),
         })
-    }
-
-    /// The wrapped store.
-    pub fn store(&self) -> &Rc<S> {
-        &self.inner
     }
 
     /// Leases granted via [`KvStore::insert_ttl`] whose expiry has passed,
@@ -140,16 +135,17 @@ impl<S: KvStore> KvStore for TtlStore<S> {
     }
 
     /// Inserts with a lease: after `ttl_ns` the key reads as absent. The
-    /// lease is recorded for [`TtlStore::take_expired`]. A successful
-    /// insert is required for the lease to be tracked — a refused insert
-    /// never becomes an expiry event.
+    /// lease is recorded for [`TtlStore::take_expired`] unless the insert
+    /// was refused: a timed-out insert may still land, and tracking one
+    /// that did not is harmless (its expiry is an ambiguous delete, which
+    /// the checker may discard).
     async fn insert_ttl(&self, key: u64, value: Vec<u8>, ttl_ns: Option<Nanos>) -> KvResult<()> {
         let Some(ttl) = ttl_ns else {
             return self.insert(key, value).await;
         };
         let expiry = self.sim.now() + ttl;
         let r = self.inner.insert(key, ttl_stamp(&value, expiry)).await;
-        if r.is_ok() {
+        if matches!(r, Ok(()) | Err(KvError::Timeout)) {
             self.leases.borrow_mut().push((key, expiry));
         }
         r
@@ -171,7 +167,7 @@ impl<S: KvStore> KvStore for TtlStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HistoryRecorder, Protocol, StoreBuilder};
+    use crate::{HistoryRecorder, Protocol, StoreBuilder, StoreClient};
 
     fn tagged(tag: u64) -> Vec<u8> {
         let mut v = vec![0u8; 64];
@@ -263,5 +259,73 @@ mod tests {
         rec.history()
             .check()
             .expect("expiry must be a legal linearization point");
+    }
+
+    /// A store whose inserts apply and then report `Timeout`: the write
+    /// landed, its reply was lost.
+    struct LostInsertReply(Rc<StoreClient>);
+
+    impl KvStore for LostInsertReply {
+        async fn get(&self, key: u64) -> KvResult<Option<Rc<Vec<u8>>>> {
+            self.0.get(key).await
+        }
+
+        async fn update(&self, key: u64, value: Vec<u8>) -> KvResult<()> {
+            self.0.update(key, value).await
+        }
+
+        async fn insert(&self, key: u64, value: Vec<u8>) -> KvResult<()> {
+            self.0.insert(key, value).await?;
+            Err(KvError::Timeout)
+        }
+
+        async fn delete(&self, key: u64) -> KvResult<()> {
+            self.0.delete(key).await
+        }
+
+        async fn scan(&self, start: u64, limit: usize) -> KvResult<ScanItems> {
+            self.0.scan(start, limit).await
+        }
+
+        fn rounds(&self) -> u64 {
+            self.0.rounds()
+        }
+
+        fn endpoint(&self) -> Rc<Endpoint> {
+            self.0.endpoint()
+        }
+
+        fn client_id(&self) -> usize {
+            self.0.client_id()
+        }
+    }
+
+    /// A leased insert that timed out may still have landed; its lease must
+    /// be tracked, or a get after expiry reads `None` with no expiry event
+    /// to explain it and the checker rejects a correct history.
+    #[test]
+    fn a_timed_out_leased_insert_still_reports_its_expiry() {
+        let sim = Sim::new(24);
+        let cluster = StoreBuilder::new(Protocol::SafeGuess)
+            .value_size(72)
+            .build_cluster(&sim);
+        let rec = HistoryRecorder::new(&sim);
+        let ttl = TtlStore::new(&sim, Rc::new(LostInsertReply(cluster.client(0))));
+        let store = rec.wrap(Rc::clone(&ttl));
+        let s = sim.clone();
+        sim.block_on(async move {
+            let r = store.insert_ttl(5, tagged(9), Some(500_000)).await;
+            assert_eq!(r, Err(KvError::Timeout));
+            let v = store.get(5).await.unwrap().expect("the insert landed");
+            assert_eq!(crate::value_tag(&v), 9);
+            s.sleep_ns(1_000_000).await;
+            assert_eq!(store.get(5).await.unwrap(), None, "post-expiry read");
+        });
+        for (key, at) in ttl.take_expired() {
+            rec.note_expiry(key, at);
+        }
+        rec.history()
+            .check()
+            .expect("the timed-out insert's expiry must be reported");
     }
 }

@@ -476,27 +476,6 @@ fn concurrent_ops_increase_throughput() {
     );
 }
 
-#[test]
-fn batched_runner_mode_works_through_the_builder() {
-    let sim = Sim::new(17);
-    let cluster = built(&sim, Protocol::SafeGuess, 256);
-    let clients = cluster.clients(2);
-    let stats = run_workload(
-        &sim,
-        &clients,
-        &Workload::ycsb(WorkloadSpec::B, 256, 64),
-        &RunConfig {
-            warmup_ops: 200,
-            measure_ops: 2_000,
-            batch: 8,
-            ..Default::default()
-        },
-    );
-    assert_eq!(stats.measured_ops, 2_000);
-    assert_eq!(stats.failed_ops, 0);
-    let _ = Rc::strong_count(&clients[0]);
-}
-
 // ---- KvError paths under injected faults ----
 
 #[test]

@@ -181,7 +181,7 @@ pub struct PlannedCase {
     pub keys: u64,
     /// The YCSB mix.
     pub spec: WorkloadSpec,
-    /// Warm-up, measured ops and batch size.
+    /// Warm-up and measured ops.
     pub cfg: RunConfig,
     /// Hedging, when the case arms it.
     pub hedge: Option<HedgeConfig>,

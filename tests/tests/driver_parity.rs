@@ -8,7 +8,8 @@
 //! so a digest moves only when a driver moves an RNG draw, an await point,
 //! or an accounting rule. The expected values were generated on the commit
 //! *before* the drivers were collapsed onto one op path (ISSUE 12); a
-//! refactor of the drivers must not change one of them.
+//! refactor of the drivers must not change one of them. Removing a driver
+//! mode removes its cells; the remaining values stay as pinned.
 //!
 //! The `hedged/*`, `widen/*` and `tslock/*` cells pin the staged quorum wait
 //! itself — hedge fire/win/discard under delay spikes on all four protocols,
@@ -48,21 +49,15 @@ use swarm_workload::{
 const PINNED: &[(&str, u64)] = &[
     ("workload/sequential", 0xdbe1ce5522b69754),
     ("workload/sequential-fusee", 0xbbed51cae4feaefe),
-    ("workload/batch4", 0x12bc77dda6b356bf),
-    ("workload/batch4-abd-odd-volume", 0x4f58c471da99f161),
     ("workload/concurrency4", 0xa5f9df633f960b3b),
     ("workload/paced-deadlined-series", 0x73f197255edc157a),
-    ("workload/paced-batch4-series", 0x53ca25dd4e5a81f0),
     ("workload/rtts-prewarm", 0xe753d822b99377b3),
     ("workload/rtts-prewarm-abd", 0x731efd48fce98460),
     ("workload/routed", 0x493847e73cb75811),
-    ("workload/routed-batch4", 0xe734f7988865cb56),
     ("scenario/ttl-swarm", 0xf15bbb4ca44b1552),
     ("scenario/ttl-fusee", 0xe6667ab30da13db4),
-    ("planned/batch1-single-sim", 0xd43472a2af461e5f),
-    ("planned/batch1-sequential", 0xd43472a2af461e5f),
-    ("planned/batch4-single-sim", 0x24c23b5d314c5bbe),
-    ("planned/batch4-sequential", 0x24c23b5d314c5bbe),
+    ("planned/single-sim", 0xd43472a2af461e5f),
+    ("planned/sequential", 0xd43472a2af461e5f),
     ("hedged/spike-swarm", 0x8f60755c2d239238),
     ("hedged/spike-abd", 0x8a5ef45f2af8b287),
     ("hedged/spike-raw", 0x96e38c8846bf13d7),
@@ -401,9 +396,8 @@ fn staged_cells() -> Vec<(&'static str, u64)> {
     out
 }
 
-/// `run_workload` through cross-shard routers (the blanket batch path over
-/// `ShardRouter`).
-fn routed_cell(seed: u64, batch: usize) -> u64 {
+/// `run_workload` through cross-shard routers.
+fn routed_cell(seed: u64) -> u64 {
     let sim = Sim::new(seed);
     let cluster = StoreBuilder::new(Protocol::SafeGuess)
         .value_size(64)
@@ -415,7 +409,6 @@ fn routed_cell(seed: u64, batch: usize) -> u64 {
     let cfg = RunConfig {
         warmup_ops: 50,
         measure_ops: 400,
-        batch,
         ..Default::default()
     };
     let routers = cluster.routers(2);
@@ -474,7 +467,7 @@ fn scenario_cell(seed: u64, protocol: Protocol) -> u64 {
 
 /// `run_sharded_plan`: merged and per-shard stats, traffic, and every op's
 /// reassembled outcome.
-fn planned_cell(seed: u64, batch: usize, mode: ShardMode) -> u64 {
+fn planned_cell(seed: u64, mode: ShardMode) -> u64 {
     const SHARDS: usize = 3;
     const ROUTERS: usize = 2;
     let builder = StoreBuilder::new(Protocol::SafeGuess)
@@ -485,7 +478,6 @@ fn planned_cell(seed: u64, batch: usize, mode: ShardMode) -> u64 {
     let cfg = RunConfig {
         warmup_ops: 40,
         measure_ops: 400,
-        batch,
         ..Default::default()
     };
     let plan = plan_workload(seed, ShardSpec::new(SHARDS), &wl, &cfg, ROUTERS);
@@ -585,32 +577,6 @@ fn cells() -> Vec<(&'static str, u64)> {
             workload_cell(102, Protocol::Fusee, 2, base.clone()),
         ),
         (
-            "workload/batch4",
-            workload_cell(
-                103,
-                Protocol::SafeGuess,
-                4,
-                RunConfig {
-                    batch: 4,
-                    ..base.clone()
-                },
-            ),
-        ),
-        (
-            "workload/batch4-abd-odd-volume",
-            workload_cell(
-                104,
-                Protocol::Abd,
-                3,
-                RunConfig {
-                    warmup_ops: 101,
-                    measure_ops: 599,
-                    batch: 4,
-                    ..base.clone()
-                },
-            ),
-        ),
-        (
             "workload/concurrency4",
             workload_cell(
                 105,
@@ -633,20 +599,6 @@ fn cells() -> Vec<(&'static str, u64)> {
                     pace_ns: Some(8 * NANOS_PER_MICRO),
                     deadline_ns: Some(3_000 * NANOS_PER_MICRO),
                     bucket_ns: Some(500 * NANOS_PER_MICRO),
-                    ..base.clone()
-                },
-            ),
-        ),
-        (
-            "workload/paced-batch4-series",
-            workload_cell(
-                107,
-                Protocol::SafeGuess,
-                2,
-                RunConfig {
-                    pace_ns: Some(8 * NANOS_PER_MICRO),
-                    bucket_ns: Some(500 * NANOS_PER_MICRO),
-                    batch: 4,
                     ..base.clone()
                 },
             ),
@@ -677,28 +629,19 @@ fn cells() -> Vec<(&'static str, u64)> {
                 },
             ),
         ),
-        ("workload/routed", routed_cell(110, 1)),
-        ("workload/routed-batch4", routed_cell(111, 4)),
+        ("workload/routed", routed_cell(110)),
         (
             "scenario/ttl-swarm",
             scenario_cell(201, Protocol::SafeGuess),
         ),
         ("scenario/ttl-fusee", scenario_cell(202, Protocol::Fusee)),
         (
-            "planned/batch1-single-sim",
-            planned_cell(301, 1, ShardMode::SingleSim),
+            "planned/single-sim",
+            planned_cell(301, ShardMode::SingleSim),
         ),
         (
-            "planned/batch1-sequential",
-            planned_cell(301, 1, ShardMode::Threads(1)),
-        ),
-        (
-            "planned/batch4-single-sim",
-            planned_cell(302, 4, ShardMode::SingleSim),
-        ),
-        (
-            "planned/batch4-sequential",
-            planned_cell(302, 4, ShardMode::Threads(1)),
+            "planned/sequential",
+            planned_cell(301, ShardMode::Threads(1)),
         ),
     ];
     cells.extend(staged_cells());

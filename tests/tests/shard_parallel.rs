@@ -3,7 +3,7 @@
 //! traffic counters, statistics down to every latency sample, op outcomes —
 //! whether the shards run one after another on one thread, work-stealing
 //! on N OS threads, or all together on one shared simulation — across
-//! seeds, batch sizes, and mid-run per-shard fault plans.
+//! seeds and mid-run per-shard fault plans.
 //!
 //! This is the contract that makes threaded sharded runs trustworthy: any
 //! cross-thread nondeterminism, any hidden shared-stream RNG draw, or any
@@ -22,11 +22,10 @@ const SHARDS: usize = 4;
 const ROUTERS: usize = 3;
 const N_KEYS: u64 = 96;
 
-fn case(batch: usize, faults: Vec<(usize, FaultPlan)>) -> PlannedCase {
+fn case(faults: Vec<(usize, FaultPlan)>) -> PlannedCase {
     let cfg = RunConfig {
         warmup_ops: 60,
         measure_ops: 300,
-        batch,
         ..Default::default()
     };
     PlannedCase {
@@ -43,7 +42,7 @@ fn threaded_sequential_and_single_sim_are_bit_identical() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let case = case(1, Vec::new());
+    let case = case(Vec::new());
     for seed in [41u64, 42, 43, 44] {
         let run = across_modes(seed, &case, "fault-free");
         let mode = ShardMode::Threads(cores);
@@ -62,13 +61,12 @@ fn threaded_sequential_and_single_sim_are_bit_identical() {
     }
 }
 
-/// Parity holds for pipelined cross-shard batches too (each router batch
-/// splits into per-shard slices), and batched results still reassemble
-/// into input order.
+/// Every mode's per-shard outcomes reassemble into each router's input
+/// order, one outcome per planned op.
 #[test]
-fn batched_parity_and_input_order_reassembly() {
+fn results_reassemble_into_input_order_across_all_modes() {
     for seed in [61u64, 62] {
-        let results = across_modes(seed, &case(8, Vec::new()), "batched").results();
+        let results = across_modes(seed, &case(Vec::new()), "reassembly").results();
         assert_eq!(results.len(), ROUTERS);
         assert_eq!(
             results.iter().map(Vec::len).sum::<usize>(),
@@ -86,7 +84,6 @@ fn read_only_results_match_preloaded_values() {
     let cfg = RunConfig {
         warmup_ops: 0,
         measure_ops: 240,
-        batch: 8,
         ..Default::default()
     };
     let case = PlannedCase {
@@ -120,10 +117,10 @@ fn parity_holds_under_per_shard_fault_plans() {
             (0, shard_fault_plan()),
             (2, FaultPlan::random(seed, 4, 500 * NANOS_PER_MICRO)),
         ];
-        let run = across_modes(seed, &case(1, faults), "faulted");
+        let run = across_modes(seed, &case(faults), "faulted");
         // The faults must actually bite.
         assert_ne!(
-            planned(seed, ShardMode::Threads(1), &case(1, Vec::new()))
+            planned(seed, ShardMode::Threads(1), &case(Vec::new()))
                 .shard(0)
                 .traffic,
             run.shard(0).traffic,
@@ -142,7 +139,7 @@ fn hedged_runs_are_bit_identical_across_all_shard_modes() {
     let spike = FaultPlan::new().delay_spike(40 * us, NodeId(1), 15 * us, 400 * us);
     let case = PlannedCase {
         hedge: Some(chaos_hedge()),
-        ..case(1, vec![(1, spike)])
+        ..case(vec![(1, spike)])
     };
     for seed in [71u64, 72] {
         let total = across_modes(seed, &case, "hedged").total_traffic();
