@@ -645,7 +645,7 @@ impl<K: AsRef<InnOutLayout>> InnOutReplica<K> {
             let (new_word, value) = self.read_region().await;
             debug_assert!(new_word >= word);
             if word_stamp(new_word).is_tombstone() {
-                return MVal::new(word_stamp(new_word), Vec::new());
+                return MVal::tombstone();
             }
             if let Some(v) = value.filter(|_| new_word != 0) {
                 return v;
@@ -728,7 +728,7 @@ impl<K: AsRef<InnOutLayout> + 'static> ReplicaClient for InnOutReplica<K> {
             return Snapshot {
                 stamp,
                 token: word,
-                value: Some(MVal::new(stamp, Vec::new())),
+                value: Some(MVal::tombstone()),
             };
         }
         if value.is_some() {
@@ -747,7 +747,7 @@ impl<K: AsRef<InnOutLayout> + 'static> ReplicaClient for InnOutReplica<K> {
             return MVal::initial();
         }
         if word_stamp(token).is_tombstone() {
-            return MVal::new(word_stamp(token), Vec::new());
+            return MVal::tombstone();
         }
         self.chase(token).await
     }

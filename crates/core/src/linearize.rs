@@ -67,6 +67,9 @@ pub enum KvOpKind {
 pub struct KvHistoryOp {
     /// The key operated on.
     pub key: u64,
+    /// The client that issued it, where the recorder knew (a failed check
+    /// prints it; the search ignores it).
+    pub client: Option<usize>,
     /// Invocation (virtual) time.
     pub invoke: u64,
     /// Response (virtual) time, or `None` for an *ambiguous* operation: the
@@ -172,26 +175,33 @@ impl KvHistory {
         self.initial.insert(key, tag);
     }
 
-    /// Records one completed operation.
-    pub fn push(&mut self, key: u64, invoke: u64, ret: u64, kind: KvOpKind) {
-        assert!(ret >= invoke, "response before invocation");
+    /// Records one operation of `client` (`None`: unnamed), completed at
+    /// `ret` or *ambiguous* (`None`: timed out / client crashed — its effect
+    /// may or may not have been applied, at any time after `invoke`).
+    pub fn record(
+        &mut self,
+        client: Option<usize>,
+        key: u64,
+        invoke: u64,
+        ret: Option<u64>,
+        kind: KvOpKind,
+    ) {
+        assert!(
+            ret.is_none_or(|r| r >= invoke),
+            "response before invocation"
+        );
         self.ops.push(KvHistoryOp {
             key,
+            client,
             invoke,
-            ret: Some(ret),
+            ret,
             kind,
         });
     }
 
-    /// Records an *ambiguous* operation (timed out / client crashed): its
-    /// effect may or may not have been applied, at any time after `invoke`.
-    pub fn push_ambiguous(&mut self, key: u64, invoke: u64, kind: KvOpKind) {
-        self.ops.push(KvHistoryOp {
-            key,
-            invoke,
-            ret: None,
-            kind,
-        });
+    /// Records one completed operation of an unnamed client.
+    pub fn push(&mut self, key: u64, invoke: u64, ret: u64, kind: KvOpKind) {
+        self.record(None, key, invoke, Some(ret), kind);
     }
 
     /// Records a TTL lease expiry at instant `at`: the key became absent
@@ -212,7 +222,7 @@ impl KvHistory {
     /// No checker search changes back this: `Delete` is already legal in
     /// any state and ambiguous ops are already apply-or-discard.
     pub fn expire(&mut self, key: u64, at: u64) {
-        self.push_ambiguous(key, at, KvOpKind::Delete);
+        self.record(None, key, at, None, KvOpKind::Delete);
     }
 
     /// Number of operations recorded.
@@ -543,18 +553,18 @@ mod tests {
         // A timed-out update with no later evidence: fine either way.
         let mut h = KvHistory::new();
         h.set_initial(1, 10);
-        h.push_ambiguous(1, 0, KvOpKind::Update(11));
+        h.record(None, 1, 0, None, KvOpKind::Update(11));
         h.push(1, 5, 6, KvOpKind::Get(Some(10))); // didn't land (yet)
         assert!(h.is_linearizable());
         let mut h2 = KvHistory::new();
         h2.set_initial(1, 10);
-        h2.push_ambiguous(1, 0, KvOpKind::Update(11));
+        h2.record(None, 1, 0, None, KvOpKind::Update(11));
         h2.push(1, 5, 6, KvOpKind::Get(Some(11))); // landed
         assert!(h2.is_linearizable());
         // But it cannot flicker: landed, then un-landed.
         let mut bad = KvHistory::new();
         bad.set_initial(1, 10);
-        bad.push_ambiguous(1, 0, KvOpKind::Update(11));
+        bad.record(None, 1, 0, None, KvOpKind::Update(11));
         bad.push(1, 5, 6, KvOpKind::Get(Some(11)));
         bad.push(1, 7, 8, KvOpKind::Get(Some(10)));
         assert!(!bad.is_linearizable());
@@ -614,7 +624,7 @@ mod tests {
         // edge.
         let mut h = KvHistory::new();
         h.set_initial(1, 10);
-        h.push_ambiguous(1, 0, KvOpKind::Update(11));
+        h.record(None, 1, 0, None, KvOpKind::Update(11));
         h.push(1, 100, 101, KvOpKind::Get(Some(10)));
         h.push(1, 200, 201, KvOpKind::Get(Some(11)));
         assert!(h.is_linearizable());
@@ -624,7 +634,7 @@ mod tests {
     fn definite_ops_are_counted_and_must_all_linearize() {
         let mut h = KvHistory::new();
         h.push(1, 0, 1, KvOpKind::Insert(1));
-        h.push_ambiguous(1, 2, KvOpKind::Delete);
+        h.record(None, 1, 2, None, KvOpKind::Delete);
         assert_eq!(h.len(), 2);
         assert_eq!(h.definite_ops(), 1);
     }

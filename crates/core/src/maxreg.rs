@@ -320,11 +320,23 @@ impl<R: ReplicaClient> MaxRegister for ReliableMaxReg<R> {
         }
     }
 
+    /// The maximum stamp at a majority. A tombstone not yet known to be
+    /// stored at a majority is written back before it is returned: a delete
+    /// that timed out may have reached a minority only, and a caller that
+    /// acts on "deleted" (unmapping the key's generation) must not leave
+    /// other clients, whose quorums miss that replica, writing and reading
+    /// the generation as live. Once a majority is known to hold it, nothing
+    /// is sent.
     fn read_stamp(&self) -> impl std::future::Future<Output = Stamp> + 'static {
         let this = self.clone();
         async move {
             let snaps = this.read_majority().await;
-            snaps.iter().map(|(_, s)| s.stamp).max().unwrap()
+            let max = snaps.iter().map(|(_, s)| s.stamp).max().unwrap();
+            let proven = (0..this.set.len()).filter(|&i| this.set.stored(i) >= max);
+            if max.is_tombstone() && proven.count() < this.majority() {
+                this.inner_write(&MVal::tombstone(), this.rounds()).await;
+            }
+            max
         }
     }
 

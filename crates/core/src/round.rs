@@ -28,22 +28,24 @@
 //!    [`QuorumRound::wait`] returns here and leaves the choice to the
 //!    caller; [`QuorumRound::complete`] contacts every remaining candidate
 //!    and waits the quorum out.
-//! 4. **Finish.** Tickets settle — *won* if the hedge's own slot answered,
-//!    *discarded* otherwise — and the completed `(replica, result)` pairs
-//!    come back in contact order.
+//! 4. **Settle.** When [`QuorumRound::wait`] returns — quorum met or widen
+//!    deadline passed — every ticket the round fired settles: *won* if the
+//!    hedge's own slot has answered, *discarded* otherwise. No hedge fires
+//!    after that.
+//! 5. **Finish.** The completed `(replica, result)` pairs come back in
+//!    contact order.
 //!
 //! Invariants the callers and the tests rely on:
 //!
 //! * Arming reads only virtual time and the RTT tracker, never an RNG, so a
 //!   hedged run replays bit for bit; with no hedger the round schedules one
 //!   timer (the widen deadline) and pushes the caller's futures unwrapped.
-//! * A round that finishes or is dropped settles every ticket it fired, so
-//!   `fired == won + discarded` once no round is left: a round dropped
-//!   between fire and finish (an op-deadline cancellation, a chase
-//!   abandoned at its deadline) releases its tickets as discarded through
-//!   [`HedgeTicket`]'s `Drop`. A round whose task is parked forever is
-//!   never dropped and keeps its tickets, so the equation can fail by
-//!   them (seed 3298947619 of the hedged chaos sweep).
+//! * A ticket lives no longer than its round's wait, so `fired == won +
+//!   discarded` once no wait is pending: a round dropped mid-wait (an
+//!   op-deadline cancellation) releases its tickets as discarded through
+//!   [`HedgeTicket`]'s `Drop`, and a round that waits on past its widen
+//!   deadline in [`QuorumRound::complete`] — possibly forever, when a
+//!   background write's replies were all dropped — holds none.
 //! * Only a completed quorum wait ([`QuorumRound::complete`]) is a sample
 //!   of the client's quorum RTT; a bounded [`QuorumRound::wait`] the caller
 //!   may abandon is not.
@@ -162,17 +164,22 @@ where
     /// [`complete`](Self::complete) is the one that widens.
     pub async fn wait(&mut self) -> Result<(), TimedOut> {
         self.hedge().await;
-        let Some((health, widen_at)) = self.widen else {
-            (&mut self.q).await;
-            return Ok(());
-        };
-        let waited = timeout_at(self.sim, widen_at, &mut self.q).await;
-        if waited.is_err() {
-            for (slot, &(_, node)) in self.cands[..self.first()].iter().enumerate() {
-                if self.q.results()[slot].is_none() {
+        let mut waited = Ok(());
+        match self.widen {
+            None => (&mut self.q).await,
+            Some((_, widen_at)) => waited = timeout_at(self.sim, widen_at, &mut self.q).await,
+        }
+        let (first, results) = (self.first(), self.q.results());
+        if let (Some((health, _)), Err(_)) = (self.widen, waited) {
+            for (slot, &(_, node)) in self.cands[..first].iter().enumerate() {
+                if results[slot].is_none() {
                     health.suspect(node);
                 }
             }
+        }
+        // The settle stage (module docs, stage 4).
+        for (ticket, result) in self.hedges.drain(..).zip(&results[first..]) {
+            ticket.settle(result.is_some());
         }
         waited
     }
@@ -193,18 +200,13 @@ where
         }
     }
 
-    /// Settles the hedge tickets (here, not when the iterator is consumed)
-    /// and returns the completed `(replica, result)` pairs in contact order.
+    /// The completed `(replica, result)` pairs in contact order.
     pub fn finish(self) -> impl Iterator<Item = (usize, T)> + 'a
     where
         T: 'a,
     {
-        let first = self.first();
-        let results = self.q.take_results();
-        for (ticket, result) in self.hedges.into_iter().zip(&results[first..]) {
-            ticket.settle(result.is_some());
-        }
-        results
+        self.q
+            .take_results()
             .into_iter()
             .zip(self.cands)
             .filter_map(|(result, &(replica, _))| result.map(|r| (replica, r)))

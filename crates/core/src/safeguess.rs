@@ -144,12 +144,6 @@ impl<M: MaxRegister, L: TsLocks> SafeGuess<M, L> {
         }
     }
 
-    /// Writes a value that can never be overwritten (SWARM-KV `delete`,
-    /// §5.3.2): the tombstone carries the maximum timestamp.
-    pub async fn write_tombstone(&self) {
-        self.m.write(MVal::new(Stamp::TOMBSTONE, Vec::new())).await;
-    }
-
     /// Reads the register (Algorithm 3). Wait-free: returns within
     /// `2 * writers + 1` iterations (Appendix C.2).
     pub async fn read(&self) -> ReadOutcome {

@@ -364,10 +364,8 @@ impl Hedger {
     /// returned [`HedgeTicket`] must be settled with the hedge's outcome; if
     /// the operation future is dropped first (e.g. cancelled at its op
     /// deadline), the unsettled ticket settles as discarded and releases its
-    /// slot. A task parked forever never drops its ticket, so that slot
-    /// stays claimed and the hedge is never settled: the hedged chaos
-    /// sweep's SWARM-KV / Random / seed 3298947619 drains with one ticket
-    /// held.
+    /// slot. A round settles its tickets when its wait ends, so none
+    /// outlives the widen deadline (`QuorumRound`'s module docs).
     pub fn try_fire(&self) -> Option<HedgeTicket> {
         if self.inner.inflight.get() >= MAX_HEDGES_INFLIGHT {
             return None;

@@ -29,6 +29,12 @@ impl MVal {
         MVal::new(Stamp::ZERO, Vec::new())
     }
 
+    /// The delete tombstone (SWARM-KV `delete`, §5.3.2): no bytes, and the
+    /// maximum stamp, so no later write can exceed it.
+    pub fn tombstone() -> MVal {
+        MVal::new(Stamp::TOMBSTONE, Vec::new())
+    }
+
     /// Creates a value and hashes its bytes — once per logical write: every
     /// clone, re-stamp and replica shares the result. Accepts a `Vec<u8>`
     /// (moved into an `Rc`, no copy) or an already-shared `Rc<Vec<u8>>`

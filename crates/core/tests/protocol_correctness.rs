@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use swarm_core::{
     Abd, InnOutClient, InnOutHandle, InnOutLayout, InnOutReplica, InnOutShape, KvHistory, KvOpKind,
-    MaxRegister, NodeHealth, QuorumClient, QuorumConfig, ReliableMaxReg, Rounds, SafeGuess,
+    MVal, MaxRegister, NodeHealth, QuorumClient, QuorumConfig, ReliableMaxReg, Rounds, SafeGuess,
     SimReplica, SimReplicaState, TsGuesser, TsLock, TsLockSet, WritePath,
 };
 use swarm_fabric::{Fabric, FabricConfig, NodeId};
@@ -310,7 +310,7 @@ fn tombstone_blocks_later_writes() {
     let sim2 = sim.clone();
     sim.block_on(async move {
         a.write(encode(7)).await;
-        a.write_tombstone().await;
+        a.max_register().write(MVal::tombstone()).await;
         sim2.sleep_ns(2_000).await;
         let path = b.write(encode(9)).await;
         assert_eq!(path, WritePath::Deleted);

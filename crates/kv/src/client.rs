@@ -26,7 +26,7 @@ use std::rc::Rc;
 
 use swarm_core::{
     Abd, HedgeConfig, Hedger, InnOutClient, InnOutHandle, InnOutReplica, MVal, MaxRegister,
-    NodeHealth, QuorumClient, ReliableMaxReg, Rounds, SafeGuess, Stamp, TsGuesser, TsLock, TsLocks,
+    NodeHealth, QuorumClient, ReliableMaxReg, Rounds, SafeGuess, TsGuesser, TsLock, TsLocks,
     WritePath,
 };
 use swarm_fabric::{Endpoint, NodeId};
@@ -36,7 +36,7 @@ use crate::builder::{ClusterKind, StoreCluster};
 use crate::cache::LfuCache;
 use crate::cluster::{Cluster, KeyInfo, ROLE_CACHE, ROLE_CLOCK};
 use crate::fusee::FuseePath;
-use crate::index::InsertOutcome;
+use crate::index::Swap;
 use crate::store::{KvError, KvResult, KvStore, KvStoreExt, ScanItems};
 
 /// Replication protocol driven by a [`SwarmPath`]. Crate-private: it
@@ -490,6 +490,11 @@ impl SwarmPath {
     }
 }
 
+/// The index expectation "the key still maps to allocation `generation`".
+fn holds(generation: u64) -> impl FnOnce(Option<&Rc<KeyInfo>>) -> bool {
+    move |cur| cur.is_some_and(|cur| cur.generation == generation)
+}
+
 enum ReadResult {
     Value(Rc<Vec<u8>>),
     Deleted,
@@ -541,13 +546,12 @@ impl SwarmPath {
     }
 
     /// Unmaps `key` in the background if the index still holds allocation
-    /// `generation` of it.
+    /// `generation` of it. The task holds no hedge ticket and ends after its
+    /// one index roundtrip.
     fn unmap_generation(&self, key: u64, generation: u64) {
         let index = self.cluster.index().clone();
         self.cluster.sim().spawn(async move {
-            index
-                .remove_if(key, |cur| cur.generation == generation)
-                .await;
+            index.swap(key, holds(generation), None).await;
         });
     }
 
@@ -565,37 +569,41 @@ impl SwarmPath {
         let info = self.cluster.alloc_key(key);
         let h = self.build_handle(&info);
         let index = self.cluster.index();
-        let ins = index.try_insert(key, Rc::clone(&info));
+        let ins = index.swap(key, |cur| cur.is_none(), Some(Rc::clone(&info)));
         let write = self.write(c, &h, value.clone());
         let (outcome, _wrote) = join2(ins, write).await;
-        match outcome {
-            InsertOutcome::Inserted => {
+        let existing = match outcome {
+            Swap::Done => {
                 self.cache.borrow_mut().insert(&self.rng, key, h);
-                Ok(())
+                return Ok(());
             }
-            InsertOutcome::Full => Err(KvError::IndexFull),
-            InsertOutcome::Exists(existing) => {
-                // Someone holds a mapping: write through it instead (our
-                // fresh buffers stay unindexed and are recycled).
-                let h2 = self.build_handle(&existing);
-                match self.write(c, &h2, value.clone()).await {
-                    Ok(()) => {
-                        self.cache.borrow_mut().insert(&self.rng, key, h2);
-                        Ok(())
-                    }
-                    Err(KvError::Deleted) => {
-                        // The existing mapping is tombstoned: overwrite it
-                        // with our fresh replicas (§5.3.1 "a mapping to
-                        // replicas marked for deletion is overwritten").
-                        c.rounds.bump();
-                        index.set(key, Rc::clone(&info)).await;
-                        self.cache.borrow_mut().insert(&self.rng, key, h);
-                        Ok(())
-                    }
-                    Err(e) => Err(e),
+            Swap::Full => return Err(KvError::IndexFull),
+            Swap::Refused(existing) => existing,
+        };
+        // Someone holds a mapping: write through it instead (our fresh
+        // buffers stay unindexed and are recycled).
+        if let Some(existing) = existing {
+            let h2 = self.build_handle(&existing);
+            let settled = self.write(c, &h2, value.clone()).await;
+            if settled != Err(KvError::Deleted) {
+                if settled.is_ok() {
+                    self.cache.borrow_mut().insert(&self.rng, key, h2);
                 }
+                return settled;
+            }
+            // The existing mapping is tombstoned: overwrite exactly that
+            // generation with our fresh replicas (§5.3.1 "a mapping to
+            // replicas marked for deletion is overwritten").
+            c.rounds.bump();
+            let seen = holds(existing.generation);
+            if let Swap::Done = index.swap(key, seen, Some(Rc::clone(&info))).await {
+                self.cache.borrow_mut().insert(&self.rng, key, h);
+                return Ok(());
             }
         }
+        // Another client changed the mapping first: its generation stands,
+        // and the insert becomes an update through whatever is mapped now.
+        self.update(c, key, value).await
     }
 
     /// `delete` (§5.3.2): a SWARM write of the maximum timestamp, then an
@@ -617,8 +625,7 @@ impl SwarmPath {
             // Both replicated protocols write the tombstone straight into
             // the max register (§5.3.2).
             Proto::SafeGuess | Proto::Abd => {
-                let tombstone = MVal::new(Stamp::TOMBSTONE, Vec::new());
-                self.build_handle(&info).reg.write(tombstone).await
+                self.build_handle(&info).reg.write(MVal::tombstone()).await
             }
         }
         self.uncache(key);

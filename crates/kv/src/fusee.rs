@@ -20,6 +20,12 @@
 //!   multi-phase ownership transfer; the paper cites tens of milliseconds of
 //!   unavailability (§7.7). The model has no recovery: a crashed replica
 //!   surfaces as `KvError::Timeout`.
+//! * **inserts and deletes** change the index mapping unconditionally
+//!   (`Index::swap` expecting anything): an insert installs a fresh
+//!   allocation over whatever is mapped, a delete unmaps it. The model has no
+//!   tombstones, so a client with a cached pointer keeps reading the old
+//!   blocks; this is outside the checked model — the chaos suites run FUSEE
+//!   on preloaded keys only (`full_mix` off), as the paper evaluates it.
 //!
 //! The cluster runs on the same [`ClusterConfig`] as the other three
 //! systems (nodes, value size, fabric, index capacity, RNG label); what is
@@ -36,7 +42,7 @@ use swarm_sim::{join_boxed, BoxFuture, Nanos, Sim, SimRng};
 use crate::cache::LfuCache;
 use crate::client::{ClientConfig, StoreClient};
 use crate::cluster::{land, substrate, ClusterConfig, ROLE_CACHE};
-use crate::index::Index;
+use crate::index::{Index, Swap};
 use crate::store::{KvError, KvResult};
 
 /// Replicas per key: 2 suffice for 1 failure under synchronous replication.
@@ -465,14 +471,10 @@ impl FuseePath {
     pub(crate) async fn insert(&self, c: &StoreClient, key: u64, value: Vec<u8>) -> KvResult<()> {
         let info = self.cluster.alloc_key(key);
         c.rounds.bump();
-        // The capacity check rides the set roundtrip atomically, so
-        // concurrent inserts (e.g. a multi_insert batch) cannot race past
-        // the cap.
-        if !self
-            .index()
-            .set_within_capacity(key, Rc::clone(&info))
-            .await
-        {
+        // An unconditional overwrite (module docs). The capacity check rides
+        // the swap roundtrip atomically, so concurrent inserts (e.g. a
+        // multi_insert batch) cannot race past the cap.
+        if let Swap::Full = self.index().swap(key, |_| true, Some(info)).await {
             return Err(KvError::IndexFull);
         }
         self.update(c, key, value).await
@@ -483,7 +485,7 @@ impl FuseePath {
             return Err(KvError::NotFound);
         }
         c.rounds.bump();
-        self.index().remove(key).await;
+        self.index().swap(key, |_| true, None).await;
         self.cache.borrow_mut().remove(key);
         Ok(())
     }

@@ -7,6 +7,13 @@
 //! service running on traditional servers: every operation costs one
 //! roundtrip of the same wire model as the fabric plus a small service time,
 //! serialized through the index server's CPU.
+//!
+//! Every mapping change is one conditional write, [`Index::swap`]: the
+//! caller names the mapping it expects (absent, or the allocation
+//! generation it saw) and the server checks and changes it atomically.
+//! §5.3.1's "a mapping to replicas marked for deletion is overwritten" is
+//! then a compare-and-swap on the tombstoned generation, so two clients that
+//! saw the same tombstone cannot each install a generation of their own.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -14,15 +21,16 @@ use std::rc::Rc;
 
 use swarm_sim::{oneshot, FifoResource, Jitter, Nanos, Sim, SimRng};
 
-/// Outcome of [`Index::try_insert`].
+/// Outcome of [`Index::swap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InsertOutcome<L> {
-    /// The mapping was created.
-    Inserted,
-    /// A live mapping already exists, and this is it (the caller falls back
-    /// to an update through it, §5.3.1).
-    Exists(L),
-    /// The index is at capacity and refused the new mapping.
+pub enum Swap<L> {
+    /// The expectation held and the change was applied.
+    Done,
+    /// The expectation failed; this is the current mapping (`None`: the key
+    /// is unmapped). Nothing changed.
+    Refused(Option<L>),
+    /// The change would add a mapping to an index at capacity. Nothing
+    /// changed.
     Full,
 }
 
@@ -60,7 +68,7 @@ pub const INDEX_MSG_BYTES: u64 = 24 + 24 + 60;
 impl<L: Clone + 'static> Index<L> {
     /// Creates an index whose operations each cost one roundtrip over
     /// `wire` — the fabric's own one-way model, so a replaced fabric
-    /// reaches the index leg too — and that [`Index::try_insert`] caps at
+    /// reaches the index leg too — and that [`Index::swap`] caps at
     /// `capacity` live mappings (`None` = unbounded). Control-plane
     /// [`Index::load`] ignores the cap: bulk loading models a
     /// pre-provisioned keyspace. Latency jitter draws from `rng`: a sharded
@@ -105,61 +113,40 @@ impl<L: Clone + 'static> Index<L> {
         self.inner.map.borrow().get(&key).cloned()
     }
 
-    /// Inserts a mapping unless one exists (1 RTT). On `Exists` the caller
-    /// receives the existing mapping. On `Full` the mapping count is at the
-    /// configured capacity and nothing was inserted.
-    pub async fn try_insert(&self, key: u64, loc: L) -> InsertOutcome<L> {
+    /// The one mapping change (1 RTT): if `expect` accepts the current
+    /// mapping of `key` (`None`: unmapped), `key` maps to `new` (`None`:
+    /// unmapped) and the outcome is [`Swap::Done`]; otherwise nothing changes
+    /// and the current mapping comes back in [`Swap::Refused`]. The check and
+    /// the change happen atomically, after the roundtrip. The capacity refuses
+    /// only a new mapping for an absent key ([`Swap::Full`]), so concurrent
+    /// inserts cannot race past the cap. A client names the mapping it saw —
+    /// absent for an insert, the generation it tombstoned for an overwrite
+    /// or an unmap — so a change racing another client's cannot undo it.
+    pub async fn swap(
+        &self,
+        key: u64,
+        expect: impl FnOnce(Option<&L>) -> bool,
+        new: Option<L>,
+    ) -> Swap<L> {
         self.roundtrip().await;
         let mut map = self.inner.map.borrow_mut();
-        match map.get(&key) {
-            Some(existing) => InsertOutcome::Exists(existing.clone()),
-            None if self.inner.capacity.is_some_and(|cap| map.len() >= cap) => InsertOutcome::Full,
-            None => {
-                map.insert(key, loc);
-                InsertOutcome::Inserted
+        let cur = map.get(&key);
+        if !expect(cur) {
+            return Swap::Refused(cur.cloned());
+        }
+        let absent = cur.is_none();
+        match new {
+            Some(_) if absent && self.inner.capacity.is_some_and(|cap| map.len() >= cap) => {
+                Swap::Full
             }
-        }
-    }
-
-    /// Overwrites a mapping unconditionally (1 RTT).
-    pub async fn set(&self, key: u64, loc: L) {
-        self.roundtrip().await;
-        self.inner.map.borrow_mut().insert(key, loc);
-    }
-
-    /// Like [`Index::set`], but refuses a *new* mapping when the index is at
-    /// capacity (1 RTT). The capacity check happens atomically with the
-    /// insertion — after the roundtrip — so concurrent inserts cannot race
-    /// past the cap. Returns whether the mapping was stored.
-    pub async fn set_within_capacity(&self, key: u64, loc: L) -> bool {
-        self.roundtrip().await;
-        let mut map = self.inner.map.borrow_mut();
-        if !map.contains_key(&key) && self.inner.capacity.is_some_and(|cap| map.len() >= cap) {
-            return false;
-        }
-        map.insert(key, loc);
-        true
-    }
-
-    /// Removes a mapping (1 RTT).
-    pub async fn remove(&self, key: u64) {
-        self.roundtrip().await;
-        self.inner.map.borrow_mut().remove(&key);
-    }
-
-    /// Removes a mapping only if `pred` accepts the current one (1 RTT,
-    /// check atomic with the removal). A deleter uses this to unmap exactly
-    /// the generation it tombstoned: unconditional removal would let a
-    /// delete racing a re-insert unmap the re-inserter's *fresh* — never
-    /// tombstoned — replicas. Returns whether a mapping was removed.
-    pub async fn remove_if(&self, key: u64, pred: impl FnOnce(&L) -> bool) -> bool {
-        self.roundtrip().await;
-        let mut map = self.inner.map.borrow_mut();
-        if map.get(&key).is_some_and(pred) {
-            map.remove(&key);
-            true
-        } else {
-            false
+            Some(loc) => {
+                map.insert(key, loc);
+                Swap::Done
+            }
+            None => {
+                map.remove(&key);
+                Swap::Done
+            }
         }
     }
 
@@ -197,17 +184,12 @@ impl<L: Clone + 'static> Index<L> {
         self.inner.map.borrow().get(&key).cloned()
     }
 
-    /// Control-plane enumeration of the live keys, ascending (no network
-    /// cost). The migration copy driver walks a shard's keyspace with it;
-    /// key order makes the walk independent of insertion history, so a
-    /// migration replays bit-identically.
-    pub fn keys_sorted(&self) -> Vec<u64> {
-        self.inner.map.borrow().keys().copied().collect()
-    }
-
     /// Control-plane enumeration of the live mappings, ascending by key (no
     /// network cost): what repair and the divergence probe walk, so they
-    /// see exactly the allocations a client would be routed to.
+    /// see exactly the allocations a client would be routed to, and what the
+    /// migration copy driver walks a shard's keyspace by — key order makes
+    /// the walk independent of insertion history, so a migration replays
+    /// bit-identically.
     pub fn entries_sorted(&self) -> Vec<(u64, L)> {
         let map = self.inner.map.borrow();
         map.iter().map(|(&k, loc)| (k, loc.clone())).collect()
@@ -237,6 +219,16 @@ mod tests {
         Index::new(sim, capacity, Jitter::fabric(640.0), SimRng::shared(sim))
     }
 
+    /// Expects whatever is mapped: an unconditional set or remove.
+    fn any(_: Option<&u32>) -> bool {
+        true
+    }
+
+    /// Expects the key unmapped: an insert.
+    fn absent(cur: Option<&u32>) -> bool {
+        cur.is_none()
+    }
+
     #[test]
     fn get_set_remove_roundtrip() {
         let sim = Sim::new(1);
@@ -244,9 +236,9 @@ mod tests {
         let i2 = idx.clone();
         sim.block_on(async move {
             assert_eq!(i2.get(5).await, None);
-            i2.set(5, 99).await;
+            assert_eq!(i2.swap(5, any, Some(99)).await, Swap::Done);
             assert_eq!(i2.get(5).await, Some(99));
-            i2.remove(5).await;
+            assert_eq!(i2.swap(5, any, None).await, Swap::Done);
             assert_eq!(i2.get(5).await, None);
         });
         assert_eq!(idx.traffic().0, 5);
@@ -266,34 +258,60 @@ mod tests {
     }
 
     #[test]
-    fn try_insert_detects_existing() {
+    fn swap_expecting_absent_returns_the_existing_mapping() {
         let sim = Sim::new(3);
         let idx = index(&sim, None);
         sim.block_on(async move {
-            assert_eq!(idx.try_insert(7, 1).await, InsertOutcome::Inserted);
-            assert_eq!(idx.try_insert(7, 2).await, InsertOutcome::Exists(1));
+            assert_eq!(idx.swap(7, absent, Some(1)).await, Swap::Done);
+            assert_eq!(idx.swap(7, absent, Some(2)).await, Swap::Refused(Some(1)));
             assert_eq!(idx.get(7).await, Some(1));
         });
     }
 
+    /// A generation stands for what a client saw: once another client has
+    /// replaced it, a change that names it is refused and learns the mapping
+    /// that replaced it, for the overwrite and the unmap alike.
     #[test]
-    fn capacity_bounds_try_insert_but_not_load() {
+    fn swap_expecting_a_superseded_generation_is_refused() {
+        let sim = Sim::new(6);
+        let idx = index(&sim, None);
+        idx.load(3, 10);
+        sim.block_on(async move {
+            let saw = |g| move |cur: Option<&u32>| cur == Some(&g);
+            assert_eq!(idx.swap(3, saw(10), Some(14)).await, Swap::Done);
+            assert_eq!(
+                idx.swap(3, saw(10), Some(15)).await,
+                Swap::Refused(Some(14))
+            );
+            assert_eq!(idx.swap(3, saw(10), None).await, Swap::Refused(Some(14)));
+            assert_eq!(idx.get(3).await, Some(14));
+            assert_eq!(idx.swap(3, saw(14), None).await, Swap::Done);
+            assert_eq!(idx.swap(3, saw(14), None).await, Swap::Refused(None));
+        });
+    }
+
+    #[test]
+    fn capacity_bounds_new_mappings_but_not_load() {
         let sim = Sim::new(5);
         let idx = index(&sim, Some(2));
         sim.block_on({
             let idx = idx.clone();
             async move {
-                assert_eq!(idx.try_insert(1, 1).await, InsertOutcome::Inserted);
-                assert_eq!(idx.try_insert(2, 2).await, InsertOutcome::Inserted);
-                assert_eq!(idx.try_insert(3, 3).await, InsertOutcome::Full);
-                // Existing keys are still found, not rejected.
-                assert_eq!(idx.try_insert(1, 9).await, InsertOutcome::Exists(1));
+                assert_eq!(idx.swap(1, absent, Some(1)).await, Swap::Done);
+                assert_eq!(idx.swap(2, absent, Some(2)).await, Swap::Done);
+                assert_eq!(idx.swap(3, absent, Some(3)).await, Swap::Full);
+                assert_eq!(idx.swap(3, any, Some(3)).await, Swap::Full);
+                // Existing keys are still found, not rejected, and may be
+                // overwritten at capacity.
+                assert_eq!(idx.swap(1, absent, Some(9)).await, Swap::Refused(Some(1)));
+                assert_eq!(idx.swap(2, any, Some(8)).await, Swap::Done);
                 // Removal frees a slot.
-                idx.remove(1).await;
-                assert_eq!(idx.try_insert(3, 3).await, InsertOutcome::Inserted);
+                assert_eq!(idx.swap(1, any, None).await, Swap::Done);
+                assert_eq!(idx.swap(3, absent, Some(3)).await, Swap::Done);
             }
         });
         assert_eq!(idx.len(), 2, "at capacity");
+        assert_eq!(idx.peek(2), Some(8));
         // Control-plane loading is exempt (pre-provisioned keyspace).
         idx.load(99, 0);
         assert_eq!(idx.len(), 3);

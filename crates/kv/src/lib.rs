@@ -146,7 +146,7 @@ pub use client::{CacheCapacity, StoreClient};
 pub use cluster::{Cluster, ClusterConfig, KeyInfo, LOADER_TID};
 pub use exec::{OpOutcome, RunStats};
 pub use fusee::FuseeCluster;
-pub use index::{Index, InsertOutcome, INDEX_MSG_BYTES};
+pub use index::{Index, Swap, INDEX_MSG_BYTES};
 pub use membership::Membership;
 pub use parallel::{
     par_map, plan_workload, run_one_shard, run_sharded_plan, PlannedOp, ShardMode, ShardOutcome,

@@ -102,15 +102,6 @@ impl HistoryRecorder {
     pub fn note_expiry(&self, key: u64, at: u64) {
         self.inner.history.borrow_mut().expire(key, at);
     }
-
-    fn record(&self, key: u64, invoke: u64, outcome: Outcome) {
-        let now = self.inner.sim.now();
-        let mut h = self.inner.history.borrow_mut();
-        match outcome {
-            Outcome::Definite(kind) => h.push(key, invoke, now, kind),
-            Outcome::Ambiguous(kind) => h.push_ambiguous(key, invoke, kind),
-        }
-    }
 }
 
 enum Outcome {
@@ -146,6 +137,18 @@ pub struct RecordingStore<S> {
     rec: HistoryRecorder,
 }
 
+impl<S: KvStore> RecordingStore<S> {
+    /// Records this client's operation on `key`, invoked at `invoke`.
+    fn record(&self, key: u64, invoke: u64, outcome: Outcome) {
+        let (now, client) = (self.rec.inner.sim.now(), Some(self.store.client_id()));
+        let mut h = self.rec.inner.history.borrow_mut();
+        match outcome {
+            Outcome::Definite(kind) => h.record(client, key, invoke, Some(now), kind),
+            Outcome::Ambiguous(kind) => h.record(client, key, invoke, None, kind),
+        }
+    }
+}
+
 impl<S: KvStore> KvStore for RecordingStore<S> {
     async fn get(&self, key: u64) -> KvResult<Option<Rc<Vec<u8>>>> {
         let invoke = self.rec.inner.sim.now();
@@ -156,7 +159,7 @@ impl<S: KvStore> KvStore for RecordingStore<S> {
             // A failed read observed nothing and changed nothing.
             Err(_) => Outcome::Definite(KvOpKind::FailNoop),
         };
-        self.rec.record(key, invoke, outcome);
+        self.record(key, invoke, outcome);
         r
     }
 
@@ -164,8 +167,7 @@ impl<S: KvStore> KvStore for RecordingStore<S> {
         let tag = value_tag(&value);
         let invoke = self.rec.inner.sim.now();
         let r = self.store.update(key, value).await;
-        self.rec
-            .record(key, invoke, mutation_outcome(&r, KvOpKind::Update(tag)));
+        self.record(key, invoke, mutation_outcome(&r, KvOpKind::Update(tag)));
         r
     }
 
@@ -173,16 +175,14 @@ impl<S: KvStore> KvStore for RecordingStore<S> {
         let tag = value_tag(&value);
         let invoke = self.rec.inner.sim.now();
         let r = self.store.insert(key, value).await;
-        self.rec
-            .record(key, invoke, mutation_outcome(&r, KvOpKind::Insert(tag)));
+        self.record(key, invoke, mutation_outcome(&r, KvOpKind::Insert(tag)));
         r
     }
 
     async fn delete(&self, key: u64) -> KvResult<()> {
         let invoke = self.rec.inner.sim.now();
         let r = self.store.delete(key).await;
-        self.rec
-            .record(key, invoke, mutation_outcome(&r, KvOpKind::Delete));
+        self.record(key, invoke, mutation_outcome(&r, KvOpKind::Delete));
         r
     }
 
@@ -196,7 +196,7 @@ impl<S: KvStore> KvStore for RecordingStore<S> {
         let r = self.store.scan(start, limit).await;
         if let Ok(items) = &r {
             for (key, value) in items {
-                self.rec.record(
+                self.record(
                     *key,
                     invoke,
                     Outcome::Definite(KvOpKind::Get(Some(value_tag(value)))),
@@ -213,8 +213,7 @@ impl<S: KvStore> KvStore for RecordingStore<S> {
         let tag = value_tag(&value);
         let invoke = self.rec.inner.sim.now();
         let r = self.store.insert_ttl(key, value, ttl_ns).await;
-        self.rec
-            .record(key, invoke, mutation_outcome(&r, KvOpKind::Insert(tag)));
+        self.record(key, invoke, mutation_outcome(&r, KvOpKind::Insert(tag)));
         r
     }
 

@@ -774,9 +774,9 @@ impl ElasticShard {
     async fn drive(&self, m: &Migration, pace_ns: Nanos) -> Result<(), AbortReason> {
         // Copy. A destination is built empty, so the source's keys are the
         // walk.
-        let keys: Vec<u64> = self.groups.borrow()[m.source]
+        let entries = self.groups.borrow()[m.source]
             .swarm()
-            .map(|c| c.index().keys_sorted())
+            .map(|c| c.index().entries_sorted())
             .unwrap_or_default();
         let (src, dst) = {
             let groups = self.groups.borrow();
@@ -785,7 +785,7 @@ impl ElasticShard {
                 groups[m.dest].client(self.mig_id),
             )
         };
-        for key in keys.into_iter().filter(|&k| m.covers(k)) {
+        for (key, _) in entries.into_iter().filter(|&(k, _)| m.covers(k)) {
             self.sim.sleep_ns(pace_ns).await;
             let guard = self.locks.lock(key).await;
             if !self.copy_one(&src, &dst, key).await {

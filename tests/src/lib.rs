@@ -13,7 +13,7 @@ use std::cell::Cell;
 use std::fmt::Debug;
 use std::rc::Rc;
 
-use swarm_core::KvHistory;
+use swarm_core::{CheckError, KvHistory};
 use swarm_fabric::{FaultPlan, NodeId};
 use swarm_kv::{
     plan_workload, run_sharded_plan, HedgeConfig, KvStore, Protocol, RepairConfig, ReshardEvent,
@@ -276,16 +276,34 @@ pub fn cell(what: &str, plan: impl Debug, seed: u64) -> String {
     format!("{what} / {plan:?} / seed {seed}")
 }
 
-/// Panics, naming `cell`, unless every history linearizes.
+/// Panics, naming `cell`, unless every history linearizes. The message
+/// lists the failing key's sub-history by invocation time: each op's invoke
+/// and return instants (or "ambiguous"), what it did, and its client.
 pub fn assert_linearizable<'a>(histories: impl IntoIterator<Item = &'a KvHistory>, cell: &str) {
     for (i, h) in histories.into_iter().enumerate() {
-        if let Err(e) = h.check() {
-            panic!(
-                "NOT linearizable: {e} in history {i} ({} of {} ops completed unambiguously)\n{cell}",
-                h.definite_ops(),
-                h.len()
+        let Err(e) = h.check() else { continue };
+        let key = match e {
+            CheckError::NonLinearizable(e) => e.key,
+            CheckError::TooManyOps { key, .. } => key,
+        };
+        let mut ops: Vec<_> = h.ops().iter().filter(|o| o.key == key).collect();
+        ops.sort_by_key(|o| o.invoke);
+        let mut lines = String::new();
+        for o in ops {
+            let ret = o.ret.map_or("ambiguous".into(), |r| r.to_string());
+            let client = o.client.map_or("?".into(), |c| c.to_string());
+            let line = format!(
+                "\n  {:>9} {ret:>9}  {:?}  client {client}",
+                o.invoke, o.kind
             );
+            lines.push_str(&line);
         }
+        panic!(
+            "NOT linearizable: {e} in history {i} ({} of {} ops completed unambiguously)\n{cell}\n\
+             key {key}, by invocation:\n     invoke    return{lines}",
+            h.definite_ops(),
+            h.len()
+        );
     }
 }
 

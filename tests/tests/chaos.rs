@@ -27,6 +27,8 @@ const CLIENTS: usize = 3;
 const OPS_PER_CLIENT: u64 = 24;
 /// Seeds of the unhedged sweeps: 2 per (protocol, plan) cell unless widened.
 const SEED_BASE: u64 = 0xC4A0_5000;
+/// Seeds of the hedged sweep: 4 per cell unless widened.
+const HEDGED_SEED_BASE: u64 = 0xC4A0_6000;
 const SEED_STRIDE: u64 = 7919;
 
 fn build(proto: Protocol, sim: &Sim, hedge: Option<HedgeConfig>) -> StoreCluster {
@@ -156,7 +158,8 @@ fn same_seed_reproduces_bit_identical_histories_and_traffic() {
 }
 
 /// The hedged sweep: all four protocols with hedging armed aggressively
-/// (`min_samples = 2`) under every fault plan × 4 seeds. Every surviving
+/// (`min_samples = 2`) under every fault plan × 4 seeds unless widened (CI
+/// runs 1 000: `./ci.sh`'s chaos-release stage). Every surviving
 /// history must still linearize — which also proves duplicate delivery
 /// never double-applies, since a double-applied update or a resurrected
 /// delete would surface as a read observing an impossible value — and the
@@ -165,14 +168,10 @@ fn same_seed_reproduces_bit_identical_histories_and_traffic() {
 /// drop-settles).
 #[test]
 fn hedged_runs_stay_linearizable_under_every_fault_plan() {
-    // Four seeds whatever the knob says. Widened, this sweep finds what
-    // ROADMAP item 1 lists: the budget equation trips at the 14th seed
-    // (SWARM-KV / Random / 3298947619: fired 20, won 9 + discarded 10, one
-    // ticket still held when the simulation drains), and the 188th
-    // (SWARM-KV / Random / 3300325525, key 3) does not linearize; each is an
-    // ignored test below.
-    let seeds: Vec<u64> = (0..4).map(|i| 0xC4A0_6000 + i * SEED_STRIDE).collect();
-    let runs = sweep(&seeds, Some(chaos_hedge()));
+    let runs = sweep(
+        &seeds(HEDGED_SEED_BASE, SEED_STRIDE, 4),
+        Some(chaos_hedge()),
+    );
     let mut fired_total = 0u64;
     for ((proto, kind, seed), (_, stats, _)) in &runs {
         assert_eq!(
@@ -191,43 +190,31 @@ fn hedged_runs_stay_linearizable_under_every_fault_plan() {
     );
 }
 
-/// The first failing cell of the widened hedged sweep (ROADMAP item 1 (a)):
-/// one `HedgeTicket` is still held when the simulation drains, so the
-/// budget does not balance (fired 20, won 9 + discarded 10).
+/// The cells of the 1 000-seed hedged sweep that once failed, one per
+/// defect they exposed; each must linearize and balance the hedge budget.
+/// (a) a background write parked past its widen deadline kept its hedge
+/// ticket; (b) two inserts over one tombstoned generation each installed
+/// their own, orphaning the first; (c) a tombstone seen at a minority drove
+/// an unmap while other clients' quorums still saw the generation live.
 #[test]
-#[ignore = "ROADMAP item 1"]
-fn swarm_kv_random_3298947619_balances_the_hedge_budget() {
-    let seed = 3298947619;
-    let (_, stats, _) = run_chaos(
-        Protocol::SafeGuess,
-        PlanKind::Random,
-        seed,
-        Some(chaos_hedge()),
-    );
-    assert_eq!(
-        stats.hedges_fired,
-        stats.hedges_won + stats.duplicates_discarded,
-        "hedge budget leaked (fired != won + discarded): {}",
-        cell(Protocol::SafeGuess.name(), PlanKind::Random, seed)
-    );
-}
-
-/// The second failing cell of the widened hedged sweep (ROADMAP item 1 (b)):
-/// key 3's ten ops admit no linearization.
-#[test]
-#[ignore = "ROADMAP item 1"]
-fn swarm_kv_random_3300325525_linearizes() {
-    let seed = 3300325525;
-    let (h, _, _) = run_chaos(
-        Protocol::SafeGuess,
-        PlanKind::Random,
-        seed,
-        Some(chaos_hedge()),
-    );
-    assert_linearizable(
-        [&h],
-        &cell(Protocol::SafeGuess.name(), PlanKind::Random, seed),
-    );
+fn hedged_cells_of_the_three_defects_stay_fixed() {
+    use PlanKind::{JitterAndDrop, Random};
+    for (proto, kind, seed) in [
+        (Protocol::SafeGuess, Random, 3298947619),  // (a)
+        (Protocol::SafeGuess, Random, 3300325525),  // (b)
+        (Protocol::Abd, Random, 3303944508),        // (c)
+        (Protocol::Abd, Random, 3303999941),        // (c)
+        (Protocol::Abd, JitterAndDrop, 3304166240), // (c)
+    ] {
+        let what = cell(proto.name(), kind, seed);
+        let (h, stats, _) = run_chaos(proto, kind, seed, Some(chaos_hedge()));
+        assert_linearizable([&h], &what);
+        assert_eq!(
+            stats.hedges_fired,
+            stats.hedges_won + stats.duplicates_discarded,
+            "hedge budget leaked (fired != won + discarded): {what}"
+        );
+    }
 }
 
 /// Bit-parity of the off switch and reproducibility of the on switch:
