@@ -20,7 +20,11 @@
 //! and per-shard routed-op counts expose the skew each phase creates.
 //! Cells run on `SWARM_BENCH_THREADS` OS threads via [`crate::sweep`]
 //! and are merged in deterministic cell order, so stdout and `cells.csv`
-//! are bit-identical at any thread count.
+//! are bit-identical at any thread count. Every SWARM-KV cell's whole
+//! history, TTL expiries included, must linearize; a check prints nothing
+//! unless it fails, and then the bench stops naming the cell and the
+//! failure window. FUSEE cells are not checked: its insert and delete are
+//! outside the checked model (`swarm_kv`'s `fusee.rs`).
 //!
 //! **stdout is the deterministic report** (simulated metrics only).
 //! Wall-clock seconds per cell go to **stderr** and `wall.csv`.
@@ -33,7 +37,9 @@ use std::time::Instant;
 
 use crate::{env_scaled_keys, report_wall, sweep, write_csv, Protocol};
 use swarm_fabric::TrafficStats;
-use swarm_kv::{run_scenario, ttl_stamp_never, ScenarioRunConfig, StoreBuilder, TtlStore};
+use swarm_kv::{
+    run_scenario, ttl_stamp_never, HistoryRecorder, ScenarioRunConfig, StoreBuilder, TtlStore,
+};
 use swarm_sim::{Nanos, Sim};
 use swarm_workload::{
     scenario_value, ScenarioMix, ScenarioOpClass, ScenarioSpec, TtlSpec, ValueSizeDist,
@@ -104,8 +110,12 @@ fn run_cell(cell: &Cell) -> CellResult {
         .value_size(slot)
         .max_clients(CLIENTS)
         .build_sharded(&sim);
+    // Every op is recorded; a TTL run's recorder wraps the TtlStore, so it
+    // sees unstamped payloads and expiries as absences.
+    let rec = HistoryRecorder::new(&sim);
     cluster.load_keys(cell.spec.n_keys, |k| {
         let v = scenario_value(k, 0, cap);
+        rec.set_initial(k, &v);
         if ttl {
             ttl_stamp_never(&v)
         } else {
@@ -118,16 +128,26 @@ fn run_cell(cell: &Cell) -> CellResult {
         value_cap: cap,
     };
     let (stats, expired_leases) = if ttl {
-        let stores: Vec<_> = routers
+        let ttls: Vec<_> = routers
             .iter()
             .map(|r| TtlStore::new(&sim, Rc::clone(r)))
             .collect();
+        let stores: Vec<_> = ttls.iter().map(|t| rec.wrap(Rc::clone(t))).collect();
         let stats = run_scenario(&sim, &stores, &cell.spec, &cfg);
-        let expired = stores.iter().map(|s| s.take_expired().len() as u64).sum();
-        (stats, expired)
+        let expired: Vec<_> = ttls.iter().flat_map(|t| t.take_expired()).collect();
+        for &(key, at) in &expired {
+            rec.note_expiry(key, at);
+        }
+        (stats, expired.len() as u64)
     } else {
-        (run_scenario(&sim, &routers, &cell.spec, &cfg), 0)
+        let stores: Vec<_> = routers.iter().map(|r| rec.wrap(Rc::clone(r))).collect();
+        (run_scenario(&sim, &stores, &cell.spec, &cfg), 0)
     };
+    // FUSEE's insert and delete are outside the checked model (`fusee.rs`).
+    if cell.sys == Protocol::SafeGuess {
+        let checked = rec.take_history().check();
+        checked.unwrap_or_else(|e| panic!("bench_scenarios: {} on SWARM-KV: {e}", cell.spec.name));
+    }
 
     let mut routed = vec![0u64; SHARDS];
     for r in &routers {

@@ -20,6 +20,10 @@
 //! `(cell, shard)` jobs on the harness's one thread budget
 //! (`SWARM_BENCH_THREADS`), and each cell's shard outcomes merge in shard
 //! order — so all simulated numbers are bit-identical at any thread count.
+//! Every shard records every op, and its whole history must linearize
+//! (`KvHistory::check`, on the job's thread): a check prints nothing unless
+//! it fails, and then the bench stops naming the cell, the shard and the
+//! failure window.
 //!
 //! **stdout is the deterministic report** (simulated metrics only; safe to
 //! diff across thread counts and hosts). Wall-clock seconds go to
@@ -103,7 +107,7 @@ pub fn run(quick: bool) {
                 &p.run_config(),
                 clients,
             );
-            planned.push((p, workload, plan));
+            planned.push((p, workload, plan, dist));
         }
     }
     let jobs: Vec<(usize, usize)> = planned
@@ -121,9 +125,9 @@ pub fn run(quick: bool) {
         ..Default::default()
     };
     let mut outcomes = sweep(&jobs, |&(c, s)| {
-        let (p, workload, plan) = &planned[c];
+        let (p, workload, plan, dist) = &planned[c];
         let wall = Instant::now();
-        let out = run_one_shard(
+        let mut out = run_one_shard(
             &p.builder(Protocol::SafeGuess),
             p.seed,
             plan,
@@ -131,6 +135,9 @@ pub fn run(quick: bool) {
             &opts,
             s,
         );
+        // Every shard's whole history linearizes; it is dropped once checked.
+        let checked = std::mem::take(&mut out.history).check();
+        checked.unwrap_or_else(|e| panic!("bench_shards {:?} shard {s}: {e}", (dist, p.shards)));
         (out, wall.elapsed().as_secs_f64())
     })
     .into_iter();
@@ -141,7 +148,7 @@ pub fn run(quick: bool) {
     };
     // Jobs are in (cell, shard) order, so each cell's outcomes are the next
     // `shards` of them, in shard order.
-    let mut results = planned.iter().map(|(p, _, plan)| {
+    let mut results = planned.iter().map(|(p, _, plan, _)| {
         let mut stats = RunStats::default();
         let mut per_shard_msgs = Vec::new();
         let mut wall_secs = 0.0;

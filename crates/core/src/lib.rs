@@ -84,9 +84,7 @@ mod value;
 
 pub use hash::{innout_hash, xxh64};
 pub use innout::{InnOutClient, InnOutHandle, InnOutLayout, InnOutReplica, InnOutShape};
-pub use linearize::{
-    CheckError, KvHistory, KvHistoryOp, KvOpKind, NonLinearizable, MAX_OPS_PER_KEY,
-};
+pub use linearize::{KvHistory, KvHistoryOp, KvOpKind, NonLinearizable};
 pub use maxreg::{ReliableMaxReg, Replicas};
 pub use round::QuorumRound;
 pub use safeguess::{Abd, ReadOutcome, ReadPath, SafeGuess, WritePath};

@@ -1,10 +1,11 @@
-//! Linearizability checking for KV and register histories (Wing–Gong
-//! search with per-key compositionality).
+//! Linearizability checking for KV and register histories: a time-ordered
+//! just-in-time search per key (Lowe, *Testing for linearizability*, 2017).
 //!
 //! Used by the test suite to validate Safe-Guess, ABD, RAW and FUSEE
 //! executions recorded from the simulator against an atomic specification
 //! (the paper proves linearizability in Appendix C; we check it empirically
-//! on thousands of randomized and fault-injected schedules).
+//! on thousands of randomized and fault-injected schedules, and on the
+//! benches' planned runs at full volume).
 //!
 //! One front door, [`KvHistory`]: multi-key histories of
 //! `Get`/`Insert`/`Update`/`Delete` operations, including error returns
@@ -12,19 +13,35 @@
 //! whose effect is unknown because the client timed out or crashed
 //! mid-call. Linearizability is compositional over objects (Herlihy &
 //! Wing's locality theorem), so the checker verifies each key's subhistory
-//! independently — the exhaustive search stays tractable on histories of
-//! thousands of operations as long as no single key sees more than 128. A
-//! single register is one always-present key: a write is an `Insert`, a
-//! read a `Get(Some(..))`.
+//! independently. A single register is one always-present key: a write is
+//! an `Insert`, a read a `Get(Some(..))`.
 //!
-//! Each per-key search is exhaustive over linearization points with
-//! memoization on `(set of completed ops, key state)`.
+//! Per key, the search sweeps invocations and returns in time order
+//! (invocations first at equal times, so `a` precedes `b` only if `a`
+//! returned strictly before `b` was invoked) and carries a set of
+//! configurations: the key's state, the pending operations already
+//! linearized, and the operations pending when the latest write landed.
+//! Nothing is linearized before it has to be (Lowe's just-in-time rule):
+//!
+//! * an observation (`Get`, `FailAbsent`) as soon as the state satisfies
+//!   it, which never costs a linearization;
+//! * a definite operation when it returns: a write lands then (the new
+//!   state) or slips in just before the latest write, if it was pending
+//!   when that landed (nothing observed it); an observation needs one
+//!   write of the value it saw to land or slip in with it;
+//! * an ambiguous write (a timeout, a TTL expiry) only where an observation
+//!   needs it, at most once, and of interchangeable ones (every expiry is
+//!   a `Delete`) always the earliest: discarding it is always legal.
+//!
+//! After each return, a configuration another one covers (same state, no
+//! less room to slip, and the same linearized operations but for more
+//! observations or fewer ambiguous writes) is dropped. The search state is
+//! therefore bounded by the operations pending at once on a key, not by its
+//! history length: there is no per-key size cap. A definite operation's
+//! return that no configuration survives is the failure point, named with
+//! its window by [`NonLinearizable`].
 
-use std::collections::{HashMap, HashSet};
-
-/// Maximum operations the per-key search supports (the completion set is a
-/// `u128` bitmask).
-pub const MAX_OPS_PER_KEY: usize = 128;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// What one KV operation did, from the client's point of view.
 ///
@@ -82,77 +99,36 @@ pub struct KvHistoryOp {
     pub kind: KvOpKind,
 }
 
-/// Why a history failed the check.
+/// Why a history failed the check: the first key, in key order, whose
+/// subhistory admits no linearization, and the window the search failed
+/// in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NonLinearizable {
     /// The key whose subhistory admits no linearization.
     pub key: u64,
     /// Number of operations on that key.
     pub ops: usize,
+    /// The earliest invocation among the definite operations pending at
+    /// `at`, the returning one included.
+    pub since: u64,
+    /// The return instant no linearization survives.
+    pub at: u64,
 }
 
 impl std::fmt::Display for NonLinearizable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "no linearization exists for key {} ({} ops)",
-            self.key, self.ops
-        )
+        let NonLinearizable {
+            key,
+            ops,
+            since,
+            at,
+        } = self;
+        write!(f, "no linearization exists for key {key} ({ops} ops): ")?;
+        write!(f, "none survives the return at {at}, window from {since}")
     }
 }
 
 impl std::error::Error for NonLinearizable {}
-
-/// Why [`KvHistory::check`] could not certify a history: either a genuine
-/// linearizability violation, or a key whose subhistory is too large for
-/// the `u128`-bitmask search to examine at all. The distinction matters to
-/// harnesses: the former is a correctness bug in the system under test,
-/// the latter a bug in the *test* (record fewer ops per key, or shard the
-/// workload), and conflating them — or panicking mid-suite, as the checker
-/// once did — would hide which side failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckError {
-    /// A key's subhistory admits no linearization.
-    NonLinearizable(NonLinearizable),
-    /// A key saw more operations than the search supports; the history was
-    /// **not** checked.
-    TooManyOps {
-        /// The overloaded key.
-        key: u64,
-        /// Operations recorded on it.
-        ops: usize,
-        /// The supported maximum ([`MAX_OPS_PER_KEY`]).
-        max: usize,
-    },
-}
-
-impl std::fmt::Display for CheckError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckError::NonLinearizable(e) => e.fmt(f),
-            CheckError::TooManyOps { key, ops, max } => write!(
-                f,
-                "key {key} has {ops} ops; the checker supports at most {max} per key \
-                 (history not checked)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CheckError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckError::NonLinearizable(e) => Some(e),
-            CheckError::TooManyOps { .. } => None,
-        }
-    }
-}
-
-impl From<NonLinearizable> for CheckError {
-    fn from(e: NonLinearizable) -> Self {
-        CheckError::NonLinearizable(e)
-    }
-}
 
 /// A recorded multi-key concurrent history.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -186,10 +162,7 @@ impl KvHistory {
         ret: Option<u64>,
         kind: KvOpKind,
     ) {
-        assert!(
-            ret.is_none_or(|r| r >= invoke),
-            "response before invocation"
-        );
+        assert!(ret.is_none_or(|r| r >= invoke), "return before invoke");
         self.ops.push(KvHistoryOp {
             key,
             client,
@@ -245,7 +218,8 @@ impl KvHistory {
         self.ops.iter().filter(|o| o.ret.is_some()).count()
     }
 
-    /// Checks the history against the atomic KV specification.
+    /// Checks the history against the atomic KV specification, whatever
+    /// its length.
     ///
     /// Some linearization must exist per key: a total order of the key's
     /// operations that (a) respects real-time precedence (`a` returned
@@ -253,34 +227,20 @@ impl KvHistory {
     /// KV execution from the key's initial state, and (c) includes every
     /// unambiguous operation, while ambiguous ones may be applied or
     /// discarded.
-    ///
-    /// A key with more than [`MAX_OPS_PER_KEY`] operations fails with
-    /// [`CheckError::TooManyOps`] instead of being searched (the completion
-    /// set is a `u128` bitmask): an over-recorded history is a harness bug,
-    /// reported as such rather than as a panic mid-suite.
-    pub fn check(&self) -> Result<(), CheckError> {
-        let mut by_key: HashMap<u64, Vec<&KvHistoryOp>> = HashMap::new();
+    pub fn check(&self) -> Result<(), NonLinearizable> {
+        let mut by_key: BTreeMap<u64, Vec<&KvHistoryOp>> = BTreeMap::new();
         for op in &self.ops {
             by_key.entry(op.key).or_default().push(op);
         }
-        // Deterministic key order, so failures always name the same key.
-        let mut keys: Vec<u64> = by_key.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let ops = &by_key[&key];
-            if ops.len() > MAX_OPS_PER_KEY {
-                return Err(CheckError::TooManyOps {
-                    key,
-                    ops: ops.len(),
-                    max: MAX_OPS_PER_KEY,
-                });
-            }
-            if !check_key(ops, self.initial.get(&key).copied()) {
-                return Err(CheckError::NonLinearizable(NonLinearizable {
-                    key,
-                    ops: ops.len(),
-                }));
-            }
+        // Key order, so failures always name the same key.
+        for (key, ops) in by_key {
+            let window = check_key(&ops, self.initial.get(&key).copied());
+            window.map_err(|(since, at)| NonLinearizable {
+                key,
+                ops: ops.len(),
+                since,
+                at,
+            })?;
         }
         Ok(())
     }
@@ -291,75 +251,126 @@ impl KvHistory {
     }
 }
 
-/// Wing–Gong search over one key's subhistory. `initial` is the key's state
-/// before the history (present with a tag, or absent).
-fn check_key(ops: &[&KvHistoryOp], initial: Option<u64>) -> bool {
-    let n = ops.len();
-    if n == 0 {
-        return true;
-    }
-    // precede[i] = bitmask of ops that must linearize before op i. An
-    // ambiguous op (ret == None) precedes nothing: its effect may land
-    // arbitrarily late.
-    let mut precede = vec![0u128; n];
-    for (i, mask) in precede.iter_mut().enumerate() {
-        for (j, other) in ops.iter().enumerate() {
-            if i != j && other.ret.is_some_and(|r| r < ops[i].invoke) {
-                *mask |= 1 << j;
-            }
-        }
-    }
-    let mut visited: HashSet<(u128, Option<u64>)> = HashSet::new();
-    search(ops, 0, initial, &precede, &mut visited)
-}
-
-/// The sequential spec's transition: the state after applying `kind` to `state`,
-/// or `None` if `kind` is illegal there.
-fn apply(kind: KvOpKind, state: Option<u64>) -> Option<Option<u64>> {
-    match kind {
-        KvOpKind::Get(observed) => (observed == state).then_some(state),
-        KvOpKind::Insert(v) | KvOpKind::Update(v) => Some(Some(v)),
-        KvOpKind::Delete => Some(None),
-        KvOpKind::FailAbsent => state.is_none().then_some(None),
-        KvOpKind::FailNoop => Some(state),
-    }
-}
-
-fn search(
-    ops: &[&KvHistoryOp],
-    done: u128,
+/// One configuration of the search.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+struct Config {
+    /// The key's state.
     state: Option<u64>,
-    precede: &[u128],
-    visited: &mut HashSet<(u128, Option<u64>)>,
-) -> bool {
-    let n = ops.len();
-    if done == u128::MAX >> (128 - n) {
-        return true;
-    }
-    if !visited.insert((done, state)) {
-        return false;
-    }
-    for i in 0..n {
-        let bit = 1u128 << i;
-        if done & bit != 0 || precede[i] & !done != 0 {
-            continue; // Already taken, or a predecessor is pending.
+    /// The pending ops already linearized, ambiguous writes included.
+    done: BTreeSet<usize>,
+    /// The ops pending when the latest write landed: any of them may still
+    /// slip in just before it.
+    hide: BTreeSet<usize>,
+}
+
+/// The just-in-time sweep over one key's subhistory from `initial` (module
+/// docs). On failure, returns the `(since, at)` window of
+/// [`NonLinearizable`].
+fn check_key(ops: &[&KvHistoryOp], initial: Option<u64>) -> Result<(), (u64, u64)> {
+    // The state each op needs and the state it leaves. An ambiguous
+    // observation constrains nothing, like a no-op.
+    let (needs, writes): (Vec<_>, Vec<_>) = (ops.iter())
+        .map(|o| match o.kind {
+            KvOpKind::Get(v) if o.ret.is_some() => (Some(v), None),
+            KvOpKind::FailAbsent if o.ret.is_some() => (Some(None), None),
+            KvOpKind::Insert(v) | KvOpKind::Update(v) => (None, Some(Some(v))),
+            KvOpKind::Delete => (None, Some(None)),
+            _ => (None, None),
+        })
+        .unzip();
+    let mut events = Vec::new();
+    for (i, o) in ops.iter().enumerate() {
+        if needs[i].or(writes[i]).is_some() {
+            events.push((o.invoke, false, i));
+            events.extend(o.ret.map(|r| (r, true, i)));
         }
-        if let Some(next) = apply(ops[i].kind, state) {
-            if search(ops, done | bit, next, precede, visited) {
-                return true;
+    }
+    events.sort_unstable();
+    let (mut pending, mut configs) = (Vec::new(), vec![Config::default()]);
+    configs[0].state = initial;
+    // Write `w` lands now, and so does every pending observation of it.
+    let land = |mut c: Config, w: usize, pending: &[usize]| {
+        let seen = pending.iter().filter(|&&o| needs[o] == writes[w]);
+        c.done.extend(seen.chain([&w]));
+        c.hide = pending.iter().copied().collect();
+        c.state = writes[w].expect("a write");
+        c
+    };
+    // Or it slips in just before the latest write, with the observations
+    // of it pending then: the state stays.
+    let slip = |mut c: Config, w: usize| {
+        let seen = c.hide.iter().filter(|&&o| needs[o] == writes[w]);
+        c.done = seen.chain([&w]).chain(&c.done).copied().collect();
+        c
+    };
+    for &(t, returned, i) in &events {
+        if !returned {
+            pending.push(i);
+            for c in configs.iter_mut().filter(|c| needs[i] == Some(c.state)) {
+                c.done.insert(i);
+            }
+            continue;
+        }
+        let mut next = Vec::new();
+        for c in configs {
+            if c.done.contains(&i) {
+                next.push(c);
+                continue;
+            }
+            // The writes that can linearize `i`: itself, or one whose value
+            // it observed (of interchangeable ambiguous ones, the earliest).
+            let open = |w: &&usize| writes[**w] == needs[i] && !c.done.contains(w);
+            let ambiguous = pending.iter().filter(open).find(|&&w| ops[w].ret.is_none());
+            let definite = pending
+                .iter()
+                .filter(open)
+                .filter(|&&w| ops[w].ret.is_some());
+            let writers: Vec<usize> = match writes[i] {
+                Some(_) => vec![i],
+                None => definite.chain(ambiguous).copied().collect(),
+            };
+            for w in writers {
+                if c.hide.contains(&w) && c.hide.contains(&i) {
+                    next.push(slip(c.clone(), w));
+                }
+                next.push(land(c.clone(), w, &pending));
             }
         }
-        // An ambiguous op may also be *discarded*: its effect never landed.
-        if ops[i].ret.is_none() && search(ops, done | bit, state, precede, visited) {
-            return true;
+        if next.is_empty() {
+            let definite = pending.iter().filter(|&&o| ops[o].ret.is_some());
+            return Err((definite.map(|&o| ops[o].invoke).min().unwrap_or(t), t));
+        }
+        pending.retain(|&o| o != i);
+        // Keep only the configurations no other one covers: `d` can do
+        // whatever `c` can if it has the same state, may slip in more, and
+        // linearized the same ops but for more observations and fewer
+        // ambiguous writes.
+        let covers = |d: &Config, c: &Config| {
+            let extra = |o: &usize| match d.done.contains(o) {
+                true => needs[*o].is_some(),
+                false => ops[*o].ret.is_none(),
+            };
+            let mut diff = d.done.symmetric_difference(&c.done);
+            d.state == c.state && c.hide.is_subset(&d.hide) && diff.all(extra)
+        };
+        configs = Vec::new();
+        for mut c in next {
+            c.done.remove(&i);
+            c.hide.remove(&i);
+            if !configs.iter().any(|d| covers(d, &c)) {
+                configs.retain(|d| !covers(&c, d));
+                configs.push(c);
+            }
         }
     }
-    false
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use swarm_sim::SimRng;
 
     /// A single register: key 0, holding tag 0 before the history starts.
     fn register() -> KvHistory {
@@ -471,13 +482,13 @@ mod tests {
         // Cross-key value confusion is caught per key.
         let mut bad = h.clone();
         bad.push(1, 8, 9, KvOpKind::Get(Some(20)));
-        assert_eq!(
-            bad.check(),
-            Err(CheckError::NonLinearizable(NonLinearizable {
-                key: 1,
-                ops: 3
-            }))
-        );
+        let e = NonLinearizable {
+            key: 1,
+            ops: 3,
+            since: 8,
+            at: 9,
+        };
+        assert_eq!(bad.check(), Err(e));
     }
 
     #[test]
@@ -640,32 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn oversized_key_subhistory_is_a_typed_error_not_a_panic() {
-        // One key over the u128-bitmask budget: the checker must refuse
-        // with TooManyOps (naming the key), not panic and not silently
-        // "pass" an unchecked history.
-        let mut h = KvHistory::new();
-        for i in 0..(MAX_OPS_PER_KEY as u64 + 1) {
-            h.push(7, 2 * i, 2 * i + 1, KvOpKind::Insert(i));
-        }
-        assert_eq!(
-            h.check(),
-            Err(CheckError::TooManyOps {
-                key: 7,
-                ops: MAX_OPS_PER_KEY + 1,
-                max: MAX_OPS_PER_KEY,
-            })
-        );
-        assert!(!h.is_linearizable());
-        // Exactly at the limit the search runs (and this history passes).
-        let mut ok = KvHistory::new();
-        for i in 0..(MAX_OPS_PER_KEY as u64) {
-            ok.push(9, 2 * i, 2 * i + 1, KvOpKind::Insert(i));
-        }
-        assert_eq!(ok.check(), Ok(()));
-    }
-
-    #[test]
     fn per_key_search_handles_thousands_of_total_ops() {
         // 4000 sequential ops spread over 100 keys: compositionality keeps
         // every per-key search tiny.
@@ -680,5 +665,291 @@ mod tests {
         }
         assert_eq!(h.len(), 4000);
         assert!(h.is_linearizable());
+    }
+
+    #[test]
+    fn ten_thousand_op_key_is_checked_whole() {
+        // One key, four overlapping clients, timeouts and lease expiries:
+        // the whole subhistory is searched, however long it is.
+        let rng = SimRng::from_seed(0x11EA_0001, 0);
+        let h = synth(&rng, 4, 10_000, usize::MAX);
+        assert!(h.len() >= 10_000);
+        assert_eq!(h.check(), Ok(()));
+    }
+
+    /// The old Wing–Gong search over `u128` completion masks, kept as the
+    /// differential oracle: exhaustive over linearization points with
+    /// memoization on `(set of completed ops, key state)`, for ≤ 128 ops.
+    fn oracle(h: &KvHistory) -> bool {
+        let mut keys: Vec<u64> = h.ops.iter().map(|o| o.key).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.into_iter().all(|key| {
+            let ops: Vec<&KvHistoryOp> = h.ops.iter().filter(|o| o.key == key).collect();
+            assert!(ops.len() <= 128, "the oracle's masks hold 128 ops");
+            let mut precede = vec![0u128; ops.len()];
+            for (i, mask) in precede.iter_mut().enumerate() {
+                for (j, other) in ops.iter().enumerate() {
+                    if i != j && other.ret.is_some_and(|r| r < ops[i].invoke) {
+                        *mask |= 1 << j;
+                    }
+                }
+            }
+            let initial = h.initial.get(&key).copied();
+            search(&ops, 0, initial, &precede, &mut HashSet::new())
+        })
+    }
+
+    /// The sequential spec's transition: the state after `kind`, or `None`
+    /// if `kind` is illegal in `state`.
+    fn apply(kind: KvOpKind, state: Option<u64>) -> Option<Option<u64>> {
+        match kind {
+            KvOpKind::Get(observed) => (observed == state).then_some(state),
+            KvOpKind::Insert(v) | KvOpKind::Update(v) => Some(Some(v)),
+            KvOpKind::Delete => Some(None),
+            KvOpKind::FailAbsent => state.is_none().then_some(None),
+            KvOpKind::FailNoop => Some(state),
+        }
+    }
+
+    fn search(
+        ops: &[&KvHistoryOp],
+        done: u128,
+        state: Option<u64>,
+        precede: &[u128],
+        visited: &mut HashSet<(u128, Option<u64>)>,
+    ) -> bool {
+        let n = ops.len();
+        if n == 0 || done == u128::MAX >> (128 - n) {
+            return true;
+        }
+        if !visited.insert((done, state)) {
+            return false;
+        }
+        for i in 0..n {
+            let bit = 1u128 << i;
+            if done & bit != 0 || precede[i] & !done != 0 {
+                continue; // Already taken, or a predecessor is pending.
+            }
+            if let Some(next) = apply(ops[i].kind, state) {
+                if search(ops, done | bit, next, precede, visited) {
+                    return true;
+                }
+            }
+            // An ambiguous op may also be *discarded*: its effect never landed.
+            if ops[i].ret.is_none() && search(ops, done | bit, state, precede, visited) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// A seeded linearizable history of key 0 (initially tag 0): `clients`
+    /// clients issue `n` ops between them, each invoked 0–10 ns after its
+    /// client's previous return and lasting 20–60 ns, and each takes effect
+    /// at a random instant of its interval, a read returning what the key
+    /// held there. One write in sixteen reuses a tag from 1–3. Until
+    /// `faults` ambiguous ops exist, one mutation in sixteen times out (it
+    /// lands at a random later instant or never; its client moves on) and
+    /// one op in thirty-two is followed by a lease expiry that lands later
+    /// or never.
+    fn synth(rng: &SimRng, clients: usize, n: usize, faults: usize) -> KvHistory {
+        // (lands at, sequence, client, invoke, ret, what): what 0–3 reads,
+        // 4–5 writes, 6 a delete, 7 an update that fails on absence.
+        let mut planned = Vec::new();
+        let mut free = vec![0u64; clients];
+        let mut faults = faults;
+        while planned.len() < n {
+            let c = rng.rand_range(0, clients as u64) as usize;
+            let invoke = free[c] + rng.rand_range(0, 11);
+            let ret = invoke + rng.rand_range(20, 61);
+            free[c] = ret;
+            let what = rng.rand_range(0, 8);
+            let ambiguous = faults > 0 && what >= 4 && rng.rand_range(0, 16) == 0;
+            faults -= ambiguous as usize;
+            let lands = match ambiguous {
+                false => Some(rng.rand_range(invoke, ret + 1)),
+                true => (rng.rand_range(0, 2) == 0).then(|| invoke + rng.rand_range(0, 400)),
+            };
+            let ret = (!ambiguous).then_some(ret);
+            planned.push((lands, planned.len(), Some(c), invoke, ret, what));
+            if faults > 0 && planned.len() < n && rng.rand_range(0, 32) == 0 {
+                faults -= 1;
+                let at = free[c] + rng.rand_range(0, 40);
+                let lands = (rng.rand_range(0, 2) == 0).then(|| at + rng.rand_range(0, 200));
+                planned.push((lands, planned.len(), None, at, None, 6));
+            }
+        }
+        let mut kinds = vec![KvOpKind::FailNoop; planned.len()];
+        let mut order: Vec<_> = planned.iter().collect();
+        order.sort_by_key(|p| (p.0.is_none(), p.0, p.1));
+        let (mut state, mut next_tag) = (Some(0), 100);
+        for &&(lands, seq, _, _, ret, what) in &order {
+            let mut tag = || match rng.rand_range(0, 16) {
+                0 => rng.rand_range(1, 4),
+                _ => {
+                    next_tag += 1;
+                    next_tag
+                }
+            };
+            kinds[seq] = match what {
+                0..=3 => KvOpKind::Get(state),
+                4 => KvOpKind::Insert(tag()),
+                5 => KvOpKind::Update(tag()),
+                6 => KvOpKind::Delete,
+                _ if state.is_none() && ret.is_some() => KvOpKind::FailAbsent,
+                _ => KvOpKind::Update(tag()),
+            };
+            if lands.is_some() {
+                state = apply(kinds[seq], state).expect("generated legal");
+            }
+        }
+        let mut h = register();
+        for (&(_, seq, client, invoke, ret, _), kind) in planned.iter().zip(kinds) {
+            debug_assert_eq!(seq, h.len());
+            h.record(client, 0, invoke, ret, kind);
+        }
+        h
+    }
+
+    /// Makes one definite read of `h` observe something else: absence, the
+    /// initial tag, or a tag some write may have written.
+    fn flip_a_read(rng: &SimRng, h: &mut KvHistory) {
+        let reads: Vec<usize> = (0..h.len())
+            .filter(|&i| h.ops[i].ret.is_some() && matches!(h.ops[i].kind, KvOpKind::Get(_)))
+            .collect();
+        if let Some(&i) = reads.get(rng.rand_range(0, reads.len() as u64 + 1) as usize) {
+            h.ops[i].kind = KvOpKind::Get(match rng.rand_range(0, 4) {
+                0 => None,
+                1 => Some(0),
+                2 => Some(rng.rand_range(1, 4)),
+                _ => Some(rng.rand_range(100, 100 + h.len() as u64)),
+            });
+        }
+    }
+
+    #[test]
+    fn differential_against_the_wing_gong_oracle() {
+        // 10 000 seeded histories of 1–128 ops on one key from 1–4
+        // clients, with no or up to 8 timeouts and expiries, half with one
+        // read flipped: the sweep and the oracle agree on every verdict.
+        let mut verdicts = [0usize; 2];
+        for case in 0..10_000 {
+            let rng = SimRng::from_seed(0xD1FF_0001, case);
+            let clients = rng.rand_range(1, 5) as usize;
+            let n = rng.rand_range(1, 129) as usize;
+            let faults = [0, 8][rng.rand_range(0, 2) as usize];
+            let mut h = synth(&rng, clients, n, faults);
+            if rng.rand_range(0, 2) == 0 {
+                flip_a_read(&rng, &mut h);
+            }
+            let expected = oracle(&h);
+            assert_eq!(h.is_linearizable(), expected, "case {case}: {h:?}");
+            verdicts[expected as usize] += 1;
+        }
+        assert!(verdicts.iter().all(|&v| v >= 1_000), "{verdicts:?}");
+    }
+
+    #[test]
+    fn the_known_violations_are_rejected_by_both_searches() {
+        // The failing key subhistories of the chaos cells behind three
+        // fixed defects, recorded at the commit before the fixes: `(key,
+        // initial tag, [(invoke, return, kind)])`. Hedged chaos sweep,
+        // SWARM-KV/Random/3300325525 (b); DM-ABD/Random/3303944508,
+        // DM-ABD/Random/3303999941 and DM-ABD/JitterAndDrop/3304166240 (c).
+        use KvOpKind::*;
+        type Fixture = (u64, u64, &'static [(u64, Option<u64>, KvOpKind)]);
+        const FIXTURES: [Fixture; 4] = [
+            (
+                3,
+                4294967299,
+                &[
+                    (31764, Some(37153), Get(Some(4294967299))),
+                    (76411, None, Delete),
+                    (2129530, Some(2136977), Get(None)),
+                    (2248154, Some(2256606), Insert(25)),
+                    (2251850, Some(2261330), Insert(26)),
+                    (2260528, Some(2265249), Insert(27)),
+                    (2345285, Some(2347472), Get(Some(25))),
+                    (2375845, Some(2378228), Insert(45)),
+                    (2562397, Some(2564537), Get(Some(45))),
+                    (2654068, Some(2656212), Get(Some(45))),
+                ],
+            ),
+            (
+                1,
+                4294967297,
+                &[
+                    (51831, Some(57358), Get(Some(4294967297))),
+                    (106182, None, Delete),
+                    (2119627, Some(2126747), FailAbsent),
+                    (2181705, Some(2185805), Update(24)),
+                    (2233081, Some(2237271), Insert(33)),
+                    (2410587, Some(2414688), Get(Some(24))),
+                    (2521781, Some(2525916), Get(Some(24))),
+                ],
+            ),
+            (
+                2,
+                4294967298,
+                &[
+                    (365736, Some(371119), Update(26)),
+                    (463463, Some(470952), Insert(33)),
+                    (574310, Some(578358), Insert(40)),
+                    (702958, Some(706977), Get(Some(40))),
+                    (722292, Some(726285), Get(Some(33))),
+                    (806756, Some(810691), Get(Some(33))),
+                    (112122, None, Delete),
+                ],
+            ),
+            (
+                5,
+                4294967301,
+                &[
+                    (242940, Some(293043), Delete),
+                    (217513, Some(294932), Insert(14)),
+                    (238066, Some(305538), Insert(15)),
+                    (320703, Some(324721), Insert(18)),
+                    (443611, Some(447644), Get(Some(14))),
+                    (545422, Some(549539), Insert(43)),
+                    (556314, Some(561763), Get(Some(43))),
+                    (648392, Some(652346), Get(Some(14))),
+                ],
+            ),
+        ];
+        for (key, initial, ops) in FIXTURES {
+            let mut h = KvHistory::new();
+            h.set_initial(key, initial);
+            for &(invoke, ret, kind) in ops {
+                h.record(None, key, invoke, ret, kind);
+            }
+            assert!(!oracle(&h), "oracle accepted key {key}");
+            assert_eq!(h.check().map_err(|e| (e.key, e.ops)), Err((key, ops.len())));
+        }
+    }
+
+    #[test]
+    fn half_a_million_ops_on_one_key_check_and_a_flipped_read_is_named() {
+        // 16 overlapping clients on one key: the history linearizes as
+        // generated; with the read nearest op 400 000 returning a tag
+        // nobody wrote, the failure window holds tens of ops, not the key.
+        let rng = SimRng::from_seed(0x500_000, 0);
+        let mut h = synth(&rng, 16, 500_000, 0);
+        let t = std::time::Instant::now();
+        assert_eq!(h.check(), Ok(()));
+        let accepted = t.elapsed();
+        let i = (400_000..h.len())
+            .find(|&i| matches!(h.ops[i].kind, KvOpKind::Get(_)))
+            .unwrap();
+        h.ops[i].kind = KvOpKind::Get(Some(u64::MAX));
+        let t = std::time::Instant::now();
+        let e = h.check().unwrap_err();
+        let rejected = t.elapsed();
+        assert_eq!(e.at, h.ops[i].ret.unwrap());
+        let named = (h.ops.iter())
+            .filter(|o| o.invoke <= e.at && o.ret.is_none_or(|r| r >= e.since))
+            .count();
+        println!("accepted in {accepted:?}, rejected in {rejected:?}, window names {named} ops");
+        assert!(named <= 40, "{named} ops in the window");
     }
 }

@@ -227,9 +227,6 @@ pub struct ShardRunOptions {
     /// workers start. Pair with `StoreBuilder::op_deadline_ns` so workers
     /// stay live when a fault makes a quorum unreachable.
     pub faults: Vec<(usize, FaultPlan)>,
-    /// Record every op into a per-shard [`KvHistory`]
-    /// (linearizability-checkable; also the strongest bit-parity witness).
-    pub record_history: bool,
     /// Keep every op's [`OpOutcome`] for input-order reassembly via
     /// [`ShardedRun::results`]. Off for benches (memory).
     pub collect_results: bool,
@@ -271,9 +268,9 @@ pub struct ShardOutcome {
     pub stats: RunStats,
     /// This shard's fabric traffic after the simulation fully drained.
     pub traffic: TrafficStats,
-    /// The shard's recorded history (when
-    /// [`ShardRunOptions::record_history`]).
-    pub history: Option<KvHistory>,
+    /// Every op the shard ran, recorded (linearizability-checkable, and
+    /// the strongest bit-parity witness).
+    pub history: KvHistory,
     /// `(router, pos, outcome)` per op (when
     /// [`ShardRunOptions::collect_results`]), by router, in stream order.
     pub results: Vec<(usize, usize, OpOutcome)>,
@@ -328,13 +325,9 @@ impl ShardedRun {
         total
     }
 
-    /// Per-shard recorded histories, in shard order (requires
-    /// [`ShardRunOptions::record_history`]).
+    /// Per-shard recorded histories, in shard order.
     pub fn histories(&self) -> Vec<&KvHistory> {
-        self.per_shard
-            .iter()
-            .map(|o| o.history.as_ref().expect("run with record_history"))
-            .collect()
+        self.per_shard.iter().map(|o| &o.history).collect()
     }
 
     /// Every op's outcome reassembled into input order:
@@ -485,7 +478,7 @@ where
 
 /// The shard-confined run state workers write into.
 struct ShardTasks {
-    rec: Option<HistoryRecorder>,
+    rec: HistoryRecorder,
     run: Rc<Run>,
     /// Under [`ShardRunOptions::collect_results`], per spawned worker: its
     /// router and its ops' outcomes in stream order.
@@ -506,7 +499,7 @@ fn setup_shard(
     opts: &ShardRunOptions,
     s: usize,
 ) -> ShardTasks {
-    let rec = opts.record_history.then(|| HistoryRecorder::new(sim));
+    let rec = HistoryRecorder::new(sim);
     let family = opts.reshards.iter().any(|e| e.shard == s).then(|| {
         assert!(
             builder.max_client_count() > plan.routers,
@@ -522,9 +515,7 @@ fn setup_shard(
             if plan.spec.shard_of(key) == s {
                 let v = workload.value_for(key, 0);
                 cluster.load_key(key, &v);
-                if let Some(rec) = &rec {
-                    rec.set_initial(key, &v);
-                }
+                rec.set_initial(key, &v);
             }
         }
     }
@@ -575,14 +566,12 @@ fn setup_shard(
             run: Rc::clone(&run),
             outcomes: sink,
         };
-        // Four client shapes, one worker: elastic shards route through the
-        // family (bounce-aware), static shards talk to the cluster
-        // directly; either may be wrapped in the history recorder.
-        match (&family, &rec) {
-            (Some(f), Some(rec)) => worker.spawn(sim, rec.wrap(f.client(r))),
-            (Some(f), None) => worker.spawn(sim, f.client(r)),
-            (None, Some(rec)) => worker.spawn(sim, rec.wrap(cluster.client(r))),
-            (None, None) => worker.spawn(sim, cluster.client(r)),
+        // Two client shapes, one worker, both recorded: elastic shards
+        // route through the family (bounce-aware), static shards talk to
+        // the cluster directly.
+        match &family {
+            Some(f) => worker.spawn(sim, rec.wrap(f.client(r))),
+            None => worker.spawn(sim, rec.wrap(cluster.client(r))),
         }
     }
     if let Some(f) = &family {
@@ -637,7 +626,7 @@ fn finish_shard(
         shard: s,
         stats: tasks.run.stats.take(),
         traffic,
-        history: tasks.rec.map(|r| r.take_history()),
+        history: tasks.rec.take_history(),
         results,
         reshard,
         repair,
@@ -726,6 +715,28 @@ mod tests {
         assert_ne!(keys(5), keys(6), "the seed feeds the plan");
     }
 
+    /// A run shaped like the benchmark's `hotkey_16c` (Fig. 12): 16
+    /// clients on one key, YCSB A, 70 000 ops recorded and checked whole.
+    #[test]
+    fn sixteen_clients_on_one_key_linearize_at_bench_volume() {
+        let builder = StoreBuilder::new(Protocol::SafeGuess).max_clients(16);
+        let wl = Workload::ycsb(WorkloadSpec::A, 1, 64);
+        let cfg = RunConfig {
+            warmup_ops: 10_000,
+            measure_ops: 60_000,
+            ..Default::default()
+        };
+        let plan = plan_workload(16, ShardSpec::new(1), &wl, &cfg, 16);
+        let opts = ShardRunOptions {
+            preload_keys: Some(1),
+            ..Default::default()
+        };
+        let run = run_sharded_plan(&builder, 16, &plan, &wl, &opts, ShardMode::Threads(1));
+        let h = run.histories()[0];
+        assert_eq!(h.len(), 70_000);
+        h.check().expect("the hot key linearizes");
+    }
+
     /// `Threads(1)` — every shard's solo `Sim` driven sequentially on the
     /// calling thread — and `Threads(2)` are one run.
     #[test]
@@ -742,7 +753,6 @@ mod tests {
         };
         let opts = ShardRunOptions {
             preload_keys: Some(64),
-            record_history: true,
             ..Default::default()
         };
         let plan = plan_workload(9, ShardSpec::new(2), &wl, &cfg, 2);
@@ -771,7 +781,7 @@ mod tests {
                 shard: 0,
                 stats,
                 traffic: TrafficStats::default(),
-                history: Some(history),
+                history,
                 results: vec![(0, 0, OpOutcome::Value(vec![1])), (0, 1, OpOutcome::Done)],
                 reshard: Some(ReshardStats::default()),
                 repair: Some(RepairStats::default()),
@@ -799,7 +809,7 @@ mod tests {
             ("failed ops", &|o| o.stats.failed_ops += 1),
             ("window", &|o| o.stats.end_ns += 1),
             ("traffic", &|o| o.traffic.messages += 1),
-            ("history", &|o| o.history = Some(KvHistory::new())),
+            ("history", &|o| o.history = KvHistory::new()),
             ("op outcome", &|o| o.results[1].2 = OpOutcome::Absent),
             ("migration counter", &|o| {
                 o.reshard.as_mut().unwrap().keys_copied += 1

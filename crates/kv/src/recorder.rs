@@ -12,6 +12,11 @@
 //! [`KvError::Timeout`] leaves the operation's effect **ambiguous** (it may
 //! still land via in-flight messages), which the checker treats as
 //! apply-or-discard.
+//!
+//! The checker takes a history of any length: every planned run
+//! ([`run_sharded_plan`](crate::run_sharded_plan)) records each shard
+//! whole, and the history stays resident until
+//! [`HistoryRecorder::take_history`] hands it over.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -82,11 +87,6 @@ impl HistoryRecorder {
     /// True if nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.inner.history.borrow().is_empty()
-    }
-
-    /// A snapshot of the history recorded so far.
-    pub fn history(&self) -> KvHistory {
-        self.inner.history.borrow().clone()
     }
 
     /// Takes the recorded history, leaving the recorder empty.
@@ -289,7 +289,7 @@ mod tests {
                 r.unwrap();
             }
         });
-        let h = rec.history();
+        let h = rec.take_history();
         assert_eq!(h.len(), 4, "one record per batch element");
         assert!(h.is_linearizable());
         // Batch elements overlap in time: all share the invoke instant.
@@ -317,7 +317,7 @@ mod tests {
                 Err(crate::KvError::Timeout)
             );
         });
-        let h = rec.history();
+        let h = rec.take_history();
         assert_eq!(h.len(), 1);
         assert_eq!(h.definite_ops(), 0, "timeout must be ambiguous");
         assert_eq!(h.ops()[0].kind, KvOpKind::Update(9));

@@ -1283,7 +1283,9 @@ mod tests {
         for (k, tag) in final_reads.iter().enumerate() {
             assert_eq!(*tag, 2_000 + 3 * n_keys + k as u64, "key {k}");
         }
-        rec.history().check().expect("split run must linearize");
+        rec.take_history()
+            .check()
+            .expect("split run must linearize");
     }
 
     #[test]

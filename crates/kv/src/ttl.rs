@@ -256,7 +256,7 @@ mod tests {
         for (key, at) in ttl.take_expired() {
             rec.note_expiry(key, at);
         }
-        rec.history()
+        rec.take_history()
             .check()
             .expect("expiry must be a legal linearization point");
     }
@@ -324,7 +324,7 @@ mod tests {
         for (key, at) in ttl.take_expired() {
             rec.note_expiry(key, at);
         }
-        rec.history()
+        rec.take_history()
             .check()
             .expect("the timed-out insert's expiry must be reported");
     }

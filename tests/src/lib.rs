@@ -13,7 +13,7 @@ use std::cell::Cell;
 use std::fmt::Debug;
 use std::rc::Rc;
 
-use swarm_core::{CheckError, KvHistory};
+use swarm_core::{KvHistory, KvHistoryOp};
 use swarm_fabric::{FaultPlan, NodeId};
 use swarm_kv::{
     plan_workload, run_sharded_plan, HedgeConfig, KvStore, Protocol, RepairConfig, ReshardEvent,
@@ -195,9 +195,6 @@ pub struct PlannedCase {
     pub faults: Vec<(usize, FaultPlan)>,
     /// Mid-run migration events.
     pub reshards: Vec<ReshardEvent>,
-    /// Record per-shard histories (off only where a case has nothing to
-    /// check but its results).
-    pub record_history: bool,
 }
 
 impl PlannedCase {
@@ -217,7 +214,6 @@ impl PlannedCase {
             watch_until_ns: None,
             faults: Vec::new(),
             reshards: Vec::new(),
-            record_history: true,
         }
     }
 }
@@ -247,7 +243,6 @@ pub fn planned(seed: u64, mode: ShardMode, case: &PlannedCase) -> ShardedRun {
     let opts = ShardRunOptions {
         preload_keys: Some(case.keys),
         faults: case.faults.clone(),
-        record_history: case.record_history,
         collect_results: true,
         watch_until_ns: case.watch_until_ns,
         reshards: case.reshards.clone(),
@@ -277,19 +272,20 @@ pub fn cell(what: &str, plan: impl Debug, seed: u64) -> String {
 }
 
 /// Panics, naming `cell`, unless every history linearizes. The message
-/// lists the failing key's sub-history by invocation time: each op's invoke
-/// and return instants (or "ambiguous"), what it did, and its client.
+/// lists, by invocation time, the failing key's ops that overlap the
+/// failure window (`NonLinearizable::since..=at`) and its ambiguous ops
+/// invoked by then: each op's invoke and return instants (or "ambiguous"),
+/// what it did, and its client.
 pub fn assert_linearizable<'a>(histories: impl IntoIterator<Item = &'a KvHistory>, cell: &str) {
     for (i, h) in histories.into_iter().enumerate() {
         let Err(e) = h.check() else { continue };
-        let key = match e {
-            CheckError::NonLinearizable(e) => e.key,
-            CheckError::TooManyOps { key, .. } => key,
+        let in_window = |o: &&KvHistoryOp| {
+            o.key == e.key && o.invoke <= e.at && o.ret.is_none_or(|r| r >= e.since)
         };
-        let mut ops: Vec<_> = h.ops().iter().filter(|o| o.key == key).collect();
+        let mut ops: Vec<_> = h.ops().iter().filter(in_window).collect();
         ops.sort_by_key(|o| o.invoke);
         let mut lines = String::new();
-        for o in ops {
+        for o in &ops {
             let ret = o.ret.map_or("ambiguous".into(), |r| r.to_string());
             let client = o.client.map_or("?".into(), |c| c.to_string());
             let line = format!(
@@ -300,9 +296,11 @@ pub fn assert_linearizable<'a>(histories: impl IntoIterator<Item = &'a KvHistory
         }
         panic!(
             "NOT linearizable: {e} in history {i} ({} of {} ops completed unambiguously)\n{cell}\n\
-             key {key}, by invocation:\n     invoke    return{lines}",
+             key {}, its {} ops in the window, by invocation:\n     invoke    return{lines}",
             h.definite_ops(),
-            h.len()
+            h.len(),
+            e.key,
+            ops.len(),
         );
     }
 }

@@ -88,7 +88,6 @@ fn read_only_results_match_preloaded_values() {
     };
     let case = PlannedCase {
         spec: WorkloadSpec::C,
-        record_history: false,
         ..PlannedCase::new(SHARDS, ROUTERS, N_KEYS, cfg)
     };
     let run = planned(77, ShardMode::Threads(1), &case);
