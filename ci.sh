@@ -124,7 +124,9 @@ stage() { # stage <name> <cmd...>
     record "$_name" "$_took"
 }
 
-# The five library crates and the vendored rand shim are functions of their
+# The five library crates and the vendored generator (vendor/rand: the
+# xoshiro256++ stream the seed contract rests on, not swappable for
+# registry rand; ROADMAP item 7 inlines it) are functions of their
 # arguments: only swarm-bench (and the test crates) may read the environment
 # or count cores, so the three SWARM_* knobs are every knob there is.
 stage env-purity sh -c '! grep -rnE "std::env|available_parallelism" \

@@ -38,10 +38,7 @@
 
 use std::time::Instant;
 
-use crate::{
-    env_scaled_keys, plan_workload, report_wall, sweep, sweep_threads, write_csv, ExpParams,
-    Protocol,
-};
+use crate::{plan_workload, report_wall, sweep, sweep_threads, write_csv, ExpParams, Protocol};
 use swarm_kv::{run_one_shard, RunStats, ShardRunOptions, ShardSpec};
 use swarm_workload::{WorkloadSpec, Zipfian};
 
@@ -120,10 +117,7 @@ pub fn run(quick: bool) {
         sweep_threads(),
         jobs.len()
     );
-    let opts = ShardRunOptions {
-        preload_keys: Some(env_scaled_keys(n_keys)),
-        ..Default::default()
-    };
+    let opts = ShardRunOptions::default();
     let mut outcomes = sweep(&jobs, |&(c, s)| {
         let (p, workload, plan, dist) = &planned[c];
         let wall = Instant::now();

@@ -72,7 +72,7 @@ mod tests {
             let s = sim.clone();
             let end = sim.block_on(async move {
                 for _ in 0..50 {
-                    let d = s.rand_range(1, 1_000);
+                    let d = s.rng().rand_range(1, 1_000);
                     s.sleep_ns(d).await;
                 }
                 s.now()

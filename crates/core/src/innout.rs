@@ -328,7 +328,7 @@ impl InnOutClient {
     }
 
     /// `(in-place hits, out-of-place fallbacks)` over all of this client's
-    /// reads. Unread until ROADMAP item 5's registry reports which
+    /// reads. Unread until ROADMAP item 4's registry reports which
     /// mechanism fired.
     pub fn read_stats(&self) -> (u64, u64) {
         (self.inplace_hits.get(), self.oop_fallbacks.get())

@@ -440,7 +440,7 @@ mod tests {
                 for i in 1..30u64 {
                     w.write(MVal::new(Stamp::verified(i, tid), vec![i as u8]))
                         .await;
-                    sim2.sleep_ns(sim2.rand_range(1, 2_000)).await;
+                    sim2.sleep_ns(sim2.rng().rand_range(1, 2_000)).await;
                 }
             });
         }
@@ -452,7 +452,7 @@ mod tests {
                 let v = r.read().await;
                 assert!(v.stamp >= prev, "read-read monotonicity violated");
                 prev = v.stamp;
-                sim3.sleep_ns(sim3.rand_range(1, 1_000)).await;
+                sim3.sleep_ns(sim3.rng().rand_range(1, 1_000)).await;
             }
         });
         sim.run();

@@ -84,7 +84,7 @@ impl SimReplica {
 
     fn leg(&self) -> Nanos {
         let h = self.half_rtt_ns.max(2);
-        self.sim.rand_range(h / 2, h + h / 2)
+        self.sim.rng().rand_range(h / 2, h + h / 2)
     }
 
     async fn if_dead_hang_forever(&self) {

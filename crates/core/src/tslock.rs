@@ -287,7 +287,7 @@ mod tests {
                 let res = Rc::clone(&res);
                 let sim2 = sim.clone();
                 sim.spawn(async move {
-                    sim2.sleep_ns(delay * sim2.rand_range(0, 800)).await;
+                    sim2.sleep_ns(delay * sim2.rng().rand_range(0, 800)).await;
                     let ok = l.try_lock((11, 3), mode).await;
                     res.borrow_mut().push((mode, ok));
                 });

@@ -78,7 +78,13 @@ fn sim_replica_registers(
                     )
                 })
                 .collect();
-            let clock = Rc::new(GuessClock::new(sim, skew_ns, 20.0, skew_ns / 4));
+            let clock = Rc::new(GuessClock::new(
+                sim,
+                sim.rng().clone(),
+                skew_ns,
+                20.0,
+                skew_ns / 4,
+            ));
             let guesser = Rc::new(TsGuesser::new(clock, tid as u8));
             SafeGuess::new(m, Rc::new(TsLockSet::eager(tsl)), guesser, rounds)
         })
@@ -133,7 +139,13 @@ fn swarm_registers(
                     )
                 })
                 .collect();
-            let clock = Rc::new(GuessClock::new(sim, skew_ns, 10.0, skew_ns / 4));
+            let clock = Rc::new(GuessClock::new(
+                sim,
+                sim.rng().clone(),
+                skew_ns,
+                10.0,
+                skew_ns / 4,
+            ));
             let guesser = Rc::new(TsGuesser::new(clock, tid as u8));
             SafeGuess::new(m, Rc::new(TsLockSet::eager(tsl)), guesser, rounds)
         })
@@ -163,9 +175,9 @@ fn run_linearizability_workload<M: MaxRegister>(
         let history = Rc::clone(&history);
         sim.spawn(async move {
             for k in 0..ops_per_client {
-                sim2.sleep_ns(sim2.rand_range(1, 4_000)).await;
+                sim2.sleep_ns(sim2.rng().rand_range(1, 4_000)).await;
                 let invoke = sim2.now();
-                if sim2.rand_range(0, 100) < write_prob_pct {
+                if sim2.rng().rand_range(0, 100) < write_prob_pct {
                     // Unique value per (client, op index).
                     let v = 1 + (tid * ops_per_client + k) as u64;
                     reg.write(encode(v)).await;
@@ -258,9 +270,9 @@ fn abd_is_linearizable() {
             let history = Rc::clone(&history);
             sim.spawn(async move {
                 for k in 0..5usize {
-                    sim2.sleep_ns(sim2.rand_range(1, 4_000)).await;
+                    sim2.sleep_ns(sim2.rng().rand_range(1, 4_000)).await;
                     let invoke = sim2.now();
-                    if sim2.rand_range(0, 100) < 50 {
+                    if sim2.rng().rand_range(0, 100) < 50 {
                         let v = 1 + (tid * 5 + k) as u64;
                         reg.write(encode(v)).await;
                         history

@@ -139,7 +139,7 @@ impl Endpoint {
             // scalability experiment (§7.3).
             let (_, ser_end) = fabric.inner.switch.reserve(link_ns(req_bytes));
             let mut arrival =
-                ser_end + wire.sample_rng(&fabric.inner.rng) + fabric.fault_extra_ns(node);
+                ser_end + wire.sample(&fabric.inner.rng) + fabric.fault_extra_ns(node);
             // Enforce FIFO on this queue pair.
             arrival = arrival.max(qp.get() + 1);
             qp.set(arrival);
@@ -215,7 +215,7 @@ impl Endpoint {
 
             // 5. Downlink.
             let (_, ser_end) = fabric.inner.switch.reserve(link_ns(resp_bytes));
-            let back = ser_end + wire.sample_rng(&fabric.inner.rng) + fabric.fault_extra_ns(node);
+            let back = ser_end + wire.sample(&fabric.inner.rng) + fabric.fault_extra_ns(node);
             sim2.sleep_until(back).await;
             tx.send(results);
         });

@@ -100,10 +100,7 @@ impl Fabric {
     /// Creates a fabric with `num_nodes` memory nodes.
     pub fn new(sim: &Sim, cfg: FabricConfig, num_nodes: usize) -> Self {
         assert!(num_nodes >= 1, "fabric needs at least one memory node");
-        let rng = match cfg.rng_label {
-            Some(label) => sim.fork_rng(label),
-            None => SimRng::shared(sim),
-        };
+        let rng = sim.fork_rng(cfg.rng_label);
         Fabric {
             inner: Rc::new(FabricInner {
                 sim: sim.clone(),
@@ -117,11 +114,6 @@ impl Fabric {
                 faults: RefCell::new(FaultState::new(num_nodes)),
             }),
         }
-    }
-
-    /// The stream this fabric's per-message draws come from.
-    pub fn rng(&self) -> &SimRng {
-        &self.inner.rng
     }
 
     /// The simulation this fabric runs in.

@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn basic_get_insert_remove() {
-        let rng = SimRng::shared(&Sim::new(1));
+        let rng = Sim::new(1).rng().clone();
         let mut c: LfuCache<u32> = LfuCache::new(4);
         c.insert(&rng, 1, 10);
         assert_eq!(c.get(1), Some(&10));
@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn capacity_is_enforced() {
-        let rng = SimRng::shared(&Sim::new(2));
+        let rng = Sim::new(2).rng().clone();
         let mut c: LfuCache<u32> = LfuCache::new(8);
         for k in 0..100 {
             c.insert(&rng, k, k as u32);
@@ -154,7 +154,7 @@ mod tests {
 
     #[test]
     fn hot_entries_survive_eviction() {
-        let rng = SimRng::shared(&Sim::new(3));
+        let rng = Sim::new(3).rng().clone();
         let mut c: LfuCache<u32> = LfuCache::new(16);
         // Make keys 0..4 hot.
         for k in 0..4 {
@@ -175,7 +175,7 @@ mod tests {
 
     #[test]
     fn reinsert_updates_value() {
-        let rng = SimRng::shared(&Sim::new(4));
+        let rng = Sim::new(4).rng().clone();
         let mut c: LfuCache<u32> = LfuCache::new(2);
         c.insert(&rng, 1, 10);
         c.insert(&rng, 1, 20);
@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn slot_reuse_after_remove() {
-        let rng = SimRng::shared(&Sim::new(5));
+        let rng = Sim::new(5).rng().clone();
         let mut c: LfuCache<u32> = LfuCache::new(2);
         c.insert(&rng, 1, 1);
         c.insert(&rng, 2, 2);

@@ -355,16 +355,16 @@ impl SwarmPath {
         cluster.membership().subscribe(Rc::clone(&health));
         // The clock and the cache each draw from their own per-client
         // stream.
-        let clock = Rc::new(GuessClock::with_rng(
+        let clock = Rc::new(GuessClock::new(
             sim,
-            cc.role_rng(sim, ROLE_CLOCK, client_id as u64),
+            sim.fork_rng(cc.role_label(ROLE_CLOCK, client_id)),
             cc.clock_skew_ns,
             cc.clock_drift_ppm,
             (cc.clock_skew_ns / 2).max(1),
         ));
         let guesser = Rc::new(TsGuesser::new(clock, client_id as u8));
         let cache = RefCell::new(LfuCache::new(cfg.cache.entry_limit()));
-        let rng = cc.role_rng(sim, ROLE_CACHE, client_id as u64);
+        let rng = sim.fork_rng(cc.role_label(ROLE_CACHE, client_id));
         // One hedger for all of this client's registers; `None` (the
         // default) is bit-identical to the pre-hedging code.
         let hedger = Hedger::new(cfg.hedge, cc.nodes, Some(cluster.fabric().clone()));

@@ -26,7 +26,7 @@ use std::rc::Rc;
 
 use swarm_core::{innout_hash, InnOutLayout, InnOutShape, QuorumConfig, Stamp};
 use swarm_fabric::{Fabric, FabricConfig, Node, NodeId, Payload, CHUNK_BYTES};
-use swarm_sim::{Sim, SimRng};
+use swarm_sim::Sim;
 
 use crate::index::Index;
 use crate::membership::Membership;
@@ -97,14 +97,11 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// The stream instance `id` of `role` draws from: with a cluster rng
-    /// label a private fork, otherwise the shared stream (the historical,
-    /// bit-compatible behavior).
-    pub(crate) fn role_rng(&self, sim: &Sim, role: u64, id: u64) -> SimRng {
-        match self.rng_label {
-            Some(l) => sim.fork_rng(derive_label(l, role, id)),
-            None => SimRng::shared(sim),
-        }
+    /// The label of the stream instance `id` of `role` draws from (see
+    /// `Sim::fork_rng`): derived from the cluster rng label, or none (the
+    /// shared stream) without one.
+    pub(crate) fn role_label(&self, role: u64, id: usize) -> Option<u64> {
+        self.rng_label.map(|l| derive_label(l, role, id as u64))
     }
 }
 
@@ -134,10 +131,8 @@ pub(crate) const ROLE_REPAIR: u64 = 6;
 /// model, index capacity and RNG label.
 pub(crate) fn substrate<L: Clone + 'static>(sim: &Sim, cfg: &ClusterConfig) -> (Fabric, Index<L>) {
     let mut fabric_cfg = cfg.fabric.clone();
-    if fabric_cfg.rng_label.is_none() {
-        fabric_cfg.rng_label = cfg.rng_label.map(|l| derive_label(l, ROLE_FABRIC, 0));
-    }
-    let index_rng = cfg.role_rng(sim, ROLE_INDEX, 0);
+    fabric_cfg.rng_label = fabric_cfg.rng_label.or(cfg.role_label(ROLE_FABRIC, 0));
+    let index_rng = sim.fork_rng(cfg.role_label(ROLE_INDEX, 0));
     let wire = fabric_cfg.wire;
     let fabric = Fabric::new(sim, fabric_cfg, cfg.nodes);
     (fabric, Index::new(sim, cfg.index_capacity, wire, index_rng))

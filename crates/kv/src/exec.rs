@@ -302,7 +302,8 @@ impl OpSource {
                 // Draw, then bump the version, and only after the worker's
                 // CPU work: the `table2`/`fig5` ≡ `BENCH_seed.json` contract
                 // pins this order.
-                let (op, key) = workload.next_op(sim.rand_u64(), sim.rand_f64());
+                let rng = sim.rng();
+                let (op, key) = workload.next_op(rng.rand_u64(), rng.rand_f64());
                 let mut b = budget.borrow_mut();
                 b.version += 1;
                 ScenarioOp::ycsb(op, key, b.version, workload.value_size)

@@ -211,7 +211,7 @@ pub(crate) struct FuseePath {
     rng: SimRng,
     /// Gets that had to re-fetch due to a stale cached pointer, and gets
     /// served fully from the cached pointer (§7.1's bimodality). Unread
-    /// outside tests until ROADMAP item 3's spans report them.
+    /// outside tests until ROADMAP item 4's spans report them.
     stale_gets: Cell<u64>,
     fresh_gets: Cell<u64>,
     /// Tail-latency hedger for the block read and block write rounds
@@ -228,7 +228,7 @@ impl FuseePath {
         FuseePath {
             cluster: cluster.clone(),
             cache: RefCell::new(LfuCache::new(cfg.cache.entry_limit())),
-            rng: cc.role_rng(cluster.sim(), ROLE_CACHE, client_id as u64),
+            rng: cluster.sim().fork_rng(cc.role_label(ROLE_CACHE, client_id)),
             stale_gets: Cell::new(0),
             fresh_gets: Cell::new(0),
             hedger: Hedger::new(cfg.hedge, cc.nodes, Some(cluster.fabric().clone())),

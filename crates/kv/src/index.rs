@@ -94,14 +94,14 @@ impl<L: Clone + 'static> Index<L> {
         let inner = &self.inner;
         inner.ops.set(inner.ops.get() + 1);
         inner.bytes.set(inner.bytes.get() + INDEX_MSG_BYTES);
-        let out = inner.wire.sample_rng(&inner.rng);
+        let out = inner.wire.sample(&inner.rng);
         let (tx, rx) = oneshot::<()>();
         let this = Rc::clone(inner);
         let sim = inner.sim.clone();
         sim.clone().schedule_after(out, move |s| {
             // Server-side service, then the reply flies back.
             let (_, done) = this.cpu.reserve(this.service_ns);
-            let back = this.wire.sample_rng(&this.rng);
+            let back = this.wire.sample(&this.rng);
             s.schedule_at(done + back, move |_| tx.send(()));
         });
         rx.await;
@@ -216,7 +216,7 @@ mod tests {
     use super::*;
 
     fn index(sim: &Sim, capacity: Option<usize>) -> Index<u32> {
-        Index::new(sim, capacity, Jitter::fabric(640.0), SimRng::shared(sim))
+        Index::new(sim, capacity, Jitter::fabric(640.0), sim.rng().clone())
     }
 
     /// Expects whatever is mapped: an unconditional set or remove.

@@ -217,12 +217,11 @@ pub fn plan_workload(
     }
 }
 
-/// What to set up around a planned run, per shard.
+/// What to set up around a planned run, per shard. Every planned run
+/// first bulk-loads keys `0..workload.keys.n()` with
+/// `workload.value_for(key, 0)` payloads, each into its owning shard.
 #[derive(Debug, Clone, Default)]
 pub struct ShardRunOptions {
-    /// Bulk-load keys `0..n` with `workload.value_for(key, 0)` payloads,
-    /// each into its owning shard, before the run.
-    pub preload_keys: Option<u64>,
     /// Fault plans by shard index, applied to that shard's fabric before
     /// workers start. Pair with `StoreBuilder::op_deadline_ns` so workers
     /// stay live when a fault makes a quorum unreachable.
@@ -508,15 +507,13 @@ fn setup_shard(
         );
         ElasticShard::new(sim, builder, cluster.clone(), builder.shard_label(s))
     });
-    if let Some(n) = opts.preload_keys {
-        // Ascending key order: each shard loads exactly the keys it owns,
-        // in the same order in every mode.
-        for key in 0..n {
-            if plan.spec.shard_of(key) == s {
-                let v = workload.value_for(key, 0);
-                cluster.load_key(key, &v);
-                rec.set_initial(key, &v);
-            }
+    // Ascending key order: each shard loads exactly the keys it owns, in
+    // the same order in every mode.
+    for key in 0..workload.keys.n() {
+        if plan.spec.shard_of(key) == s {
+            let v = workload.value_for(key, 0);
+            cluster.load_key(key, &v);
+            rec.set_initial(key, &v);
         }
     }
     if let Some(deadline) = opts.watch_until_ns {
@@ -727,10 +724,7 @@ mod tests {
             ..Default::default()
         };
         let plan = plan_workload(16, ShardSpec::new(1), &wl, &cfg, 16);
-        let opts = ShardRunOptions {
-            preload_keys: Some(1),
-            ..Default::default()
-        };
+        let opts = ShardRunOptions::default();
         let run = run_sharded_plan(&builder, 16, &plan, &wl, &opts, ShardMode::Threads(1));
         let h = run.histories()[0];
         assert_eq!(h.len(), 70_000);
@@ -751,10 +745,7 @@ mod tests {
             measure_ops: 50,
             ..Default::default()
         };
-        let opts = ShardRunOptions {
-            preload_keys: Some(64),
-            ..Default::default()
-        };
+        let opts = ShardRunOptions::default();
         let plan = plan_workload(9, ShardSpec::new(2), &wl, &cfg, 2);
         let run = |mode| run_sharded_plan(&builder, 9, &plan, &wl, &opts, mode);
         assert_eq!(run(ShardMode::Threads(1)), run(ShardMode::Threads(2)));

@@ -222,8 +222,8 @@ impl RepairHandle {
     /// effect on the simulation until a round runs.
     pub fn new(cluster: &Cluster, cfg: RepairConfig) -> RepairHandle {
         let cc = cluster.config();
-        let base = cc.rng_label.unwrap_or(REPAIR_RNG_BASE);
-        let rng = cluster.sim().fork_rng(derive_label(base, ROLE_REPAIR, 0));
+        let label = derive_label(cc.rng_label.unwrap_or(REPAIR_RNG_BASE), ROLE_REPAIR, 0);
+        let rng = cluster.sim().fork_rng(Some(label));
         // Its quorum state is never used: the agent reads and writes single
         // replicas. Carrying it (once per agent) keeps one client type for
         // every In-n-Out handle.
@@ -275,9 +275,8 @@ impl RepairHandle {
     /// Submits one op and unwraps its (kind-checked) result; `None` means
     /// the reply was dropped or malformed — the round retries later.
     async fn op(&self, node: NodeId, op: Op) -> Option<swarm_fabric::OpResult> {
-        let c = &self.inner.client;
-        c.quorum.rounds.bump();
-        c.ep.submit(node, vec![op]).await?.into_iter().next()
+        let ep = &self.inner.client.ep;
+        ep.submit(node, vec![op]).await?.into_iter().next()
     }
 
     /// The round's work list: live keys (minus deferred ones) grouped by

@@ -16,8 +16,8 @@ use crate::time::Nanos;
 /// A drifting, offset, loosely synchronized clock.
 pub struct GuessClock {
     sim: Sim,
-    /// Stream the offset/resync draws come from (shared by default; private
-    /// for clocks that must not perturb other subsystems' streams).
+    /// Stream the offset/resync draws come from (private for clocks that
+    /// must not perturb other subsystems' streams).
     rng: SimRng,
     /// Fixed-point offset from true time, in nanoseconds (may be negative).
     offset_ns: Cell<i64>,
@@ -31,20 +31,9 @@ pub struct GuessClock {
 
 impl GuessClock {
     /// Creates a clock with initial offset uniform in `±initial_bound_ns` and
-    /// the given drift, drawing from the simulation's shared stream.
-    pub fn new(sim: &Sim, initial_bound_ns: i64, drift_ppm: f64, resync_bound_ns: i64) -> Self {
-        Self::with_rng(
-            sim,
-            SimRng::shared(sim),
-            initial_bound_ns,
-            drift_ppm,
-            resync_bound_ns,
-        )
-    }
-
-    /// [`GuessClock::new`] drawing offsets from the given stream instead of
-    /// the shared one (see [`Sim::fork_rng`]).
-    pub fn with_rng(
+    /// the given drift, drawing its offsets from `rng` (the shared
+    /// [`Sim::rng`] or a private [`Sim::fork_rng`] stream).
+    pub fn new(
         sim: &Sim,
         rng: SimRng,
         initial_bound_ns: i64,
@@ -68,7 +57,7 @@ impl GuessClock {
 
     /// A perfectly synchronized clock (no offset, no drift).
     pub fn perfect(sim: &Sim) -> Self {
-        Self::new(sim, 0, 0.0, 0)
+        Self::new(sim, sim.rng().clone(), 0, 0.0, 0)
     }
 
     /// Reads the local clock, in nanoseconds.
@@ -122,7 +111,7 @@ mod tests {
     fn offset_is_bounded() {
         let sim = Sim::new(2);
         for _ in 0..32 {
-            let c = GuessClock::new(&sim, 500, 0.0, 100);
+            let c = GuessClock::new(&sim, sim.rng().clone(), 500, 0.0, 100);
             assert!(c.current_error_ns().abs() <= 500);
             c.resync();
             assert!(c.current_error_ns().abs() <= 100);
@@ -132,7 +121,7 @@ mod tests {
     #[test]
     fn drift_accumulates_until_resync() {
         let sim = Sim::new(3);
-        let c = GuessClock::new(&sim, 0, 100.0, 0); // 100 ppm fast
+        let c = GuessClock::new(&sim, sim.rng().clone(), 0, 100.0, 0); // 100 ppm fast
         let s = sim.clone();
         sim.block_on(async move {
             s.sleep_ns(NANOS_PER_SEC).await; // 1 s -> 100 µs of drift
@@ -146,7 +135,7 @@ mod tests {
     #[test]
     fn read_is_monotone_under_positive_drift() {
         let sim = Sim::new(4);
-        let c = GuessClock::new(&sim, 0, 50.0, 0);
+        let c = GuessClock::new(&sim, sim.rng().clone(), 0, 50.0, 0);
         let s = sim.clone();
         sim.block_on(async move {
             let mut prev = c.read_ns();

@@ -9,7 +9,6 @@
 //! Implemented from scratch on top of uniform `f64`s (Box–Muller) so we do
 //! not need `rand_distr`.
 
-use crate::executor::Sim;
 use crate::rng::SimRng;
 use crate::time::Nanos;
 
@@ -48,16 +47,10 @@ impl Jitter {
         }
     }
 
-    /// Draws one sample from the simulation's shared stream, in
-    /// nanoseconds.
-    pub fn sample(&self, sim: &Sim) -> Nanos {
-        self.sample_rng(&SimRng::shared(sim))
-    }
-
-    /// Draws one sample from the given stream, in nanoseconds. Subsystems
-    /// with a private [`SimRng`] (e.g. per-shard fabrics) use this so their
-    /// jitter draws cannot perturb any other stream.
-    pub fn sample_rng(&self, rng: &SimRng) -> Nanos {
+    /// Draws one sample from `rng`, in nanoseconds. Subsystems with a
+    /// private [`SimRng`] (e.g. per-shard fabrics) pass it so their jitter
+    /// draws cannot perturb any other stream.
+    pub fn sample(&self, rng: &SimRng) -> Nanos {
         let mut v = self.median_ns;
         if self.sigma > 0.0 {
             let z = standard_normal_rng(rng);
@@ -94,7 +87,7 @@ mod tests {
         let sim = Sim::new(3);
         let j = Jitter::fixed(650.0);
         for _ in 0..16 {
-            assert_eq!(j.sample(&sim), 650);
+            assert_eq!(j.sample(sim.rng()), 650);
         }
     }
 
@@ -107,7 +100,7 @@ mod tests {
             tail_prob: 0.0,
             tail_mean_ns: 0.0,
         };
-        let mut samples: Vec<Nanos> = (0..20_001).map(|_| j.sample(&sim)).collect();
+        let mut samples: Vec<Nanos> = (0..20_001).map(|_| j.sample(sim.rng())).collect();
         samples.sort_unstable();
         let median = samples[samples.len() / 2];
         assert!(
@@ -118,7 +111,7 @@ mod tests {
 
     #[test]
     fn exponential_mean_is_close() {
-        let rng = SimRng::shared(&Sim::new(5));
+        let rng = Sim::new(5).rng().clone();
         let n = 50_000;
         let sum: f64 = (0..n).map(|_| exponential_rng(&rng, 500.0)).sum();
         let mean = sum / n as f64;
@@ -127,7 +120,7 @@ mod tests {
 
     #[test]
     fn normal_mean_and_var_are_close() {
-        let rng = SimRng::shared(&Sim::new(6));
+        let rng = Sim::new(6).rng().clone();
         let n = 50_000;
         let xs: Vec<f64> = (0..n).map(|_| standard_normal_rng(&rng)).collect();
         let mean = xs.iter().sum::<f64>() / n as f64;
@@ -146,7 +139,7 @@ mod tests {
             tail_mean_ns: 10_000.0,
         };
         let n = 20_000;
-        let spikes = (0..n).filter(|_| j.sample(&sim) > 1_000).count();
+        let spikes = (0..n).filter(|_| j.sample(sim.rng()) > 1_000).count();
         let frac = spikes as f64 / n as f64;
         assert!((0.03..0.07).contains(&frac), "spike fraction {frac}");
     }

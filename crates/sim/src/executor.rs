@@ -70,9 +70,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
+use crate::rng::SimRng;
 use crate::time::Nanos;
 
 /// Identifier of a spawned task.
@@ -378,7 +376,7 @@ struct SimInner {
     live_tasks: Cell<usize>,
     ready: Rc<ReadyQueue>,
     seed: u64,
-    rng: RefCell<SmallRng>,
+    rng: SimRng,
     counters: Cell<SimCounters>,
 }
 
@@ -405,7 +403,7 @@ impl Sim {
                 live_tasks: Cell::new(0),
                 ready: Rc::new(ReadyQueue::default()),
                 seed,
-                rng: RefCell::new(SmallRng::seed_from_u64(seed)),
+                rng: SimRng::seeded(seed),
                 counters: Cell::new(SimCounters::default()),
             }),
         }
@@ -432,29 +430,23 @@ impl Sim {
         self.inner.seed
     }
 
-    /// A private random stream seeded purely from `(seed, label)`: its
-    /// draws consume nothing from — and are unaffected by — the shared
-    /// stream behind [`Sim::rand_u64`]. Independent subsystems (e.g. the
-    /// shards of a sharded cluster) each fork their own label so that extra
-    /// draws in one cannot perturb another; see [`crate::SimRng`].
-    pub fn fork_rng(&self, label: u64) -> crate::SimRng {
-        crate::SimRng::forked(self.inner.seed, label)
+    /// The simulation's shared random stream, seeded from [`Sim::seed`].
+    pub fn rng(&self) -> &SimRng {
+        &self.inner.rng
     }
 
-    /// Draws a uniformly random `u64` from the simulation RNG.
-    pub fn rand_u64(&self) -> u64 {
-        self.inner.rng.borrow_mut().random()
-    }
-
-    /// Draws a uniformly random value in `[0, 1)`.
-    pub fn rand_f64(&self) -> f64 {
-        self.inner.rng.borrow_mut().random::<f64>()
-    }
-
-    /// Draws a uniformly random value in `[lo, hi)`.
-    pub fn rand_range(&self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range");
-        self.inner.rng.borrow_mut().random_range(lo..hi)
+    /// The stream a subsystem labelled `label` draws from: with a label, a
+    /// private stream seeded purely from `(seed, label)`
+    /// ([`SimRng::from_seed`]), whose draws consume nothing from — and are
+    /// unaffected by — the shared stream; without one, the shared stream.
+    /// Independent subsystems (e.g. the shards of a sharded cluster) each
+    /// fork their own label so that extra draws in one cannot perturb
+    /// another.
+    pub fn fork_rng(&self, label: Option<u64>) -> SimRng {
+        match label {
+            Some(label) => SimRng::from_seed(self.inner.seed, label),
+            None => self.inner.rng.clone(),
+        }
     }
 
     fn next_seq(&self) -> u64 {
@@ -925,16 +917,16 @@ mod tests {
     fn rng_is_deterministic_per_seed() {
         let a: Vec<u64> = {
             let sim = Sim::new(99);
-            (0..8).map(|_| sim.rand_u64()).collect()
+            (0..8).map(|_| sim.rng().rand_u64()).collect()
         };
         let b: Vec<u64> = {
             let sim = Sim::new(99);
-            (0..8).map(|_| sim.rand_u64()).collect()
+            (0..8).map(|_| sim.rng().rand_u64()).collect()
         };
         assert_eq!(a, b);
         let c: Vec<u64> = {
             let sim = Sim::new(100);
-            (0..8).map(|_| sim.rand_u64()).collect()
+            (0..8).map(|_| sim.rng().rand_u64()).collect()
         };
         assert_ne!(a, c);
     }
@@ -1062,7 +1054,7 @@ mod tests {
         }
 
         let sim = Sim::new(seed);
-        let rng = sim.fork_rng(0x71C);
+        let rng = sim.fork_rng(Some(0x71C));
         let draw = |lo: u64, hi: u64| rng.rand_range(lo, hi);
         let trace: Rc<RefCell<Vec<(Nanos, u32)>>> = Rc::new(RefCell::new(Vec::new()));
         let log = Rc::new(TickLog::default());
@@ -1169,7 +1161,7 @@ mod tests {
         let fired: Rc<RefCell<Vec<(Nanos, u64)>>> = Rc::new(RefCell::new(Vec::new()));
         let mut expected = Vec::new();
         for i in 0..500u64 {
-            let at = sim.rand_range(0, 50); // many ties -> seq ordering
+            let at = sim.rng().rand_range(0, 50); // many ties -> seq ordering
             expected.push((at, i));
             let fired = Rc::clone(&fired);
             sim.schedule_at(at, move |s| fired.borrow_mut().push((s.now(), i)));

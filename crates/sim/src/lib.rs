@@ -30,11 +30,11 @@
 //!   `Send` results (plain data) move out at the end. Independent seeded
 //!   streams for such co-simulations come from [`SimRng::from_seed`] /
 //!   [`Sim::fork_rng`] with distinct labels: `SimRng::from_seed(seed, l)`
-//!   on a fresh `Sim::new(seed)` yields the exact stream `fork_rng(l)`
-//!   yields inside a bigger simulation, which is what lets `swarm-kv`
-//!   rebuild one keyspace shard alone — on its own `Sim`, on its own OS
-//!   thread — bit-identical to that shard's execution alongside its
-//!   siblings.
+//!   on a fresh `Sim::new(seed)` yields the exact stream
+//!   `fork_rng(Some(l))` yields inside a bigger simulation, which is what
+//!   lets `swarm-kv` rebuild one keyspace shard alone — on its own `Sim`,
+//!   on its own OS thread — bit-identical to that shard's execution
+//!   alongside its siblings.
 //! * **Microsecond fidelity.** Virtual time is in nanoseconds; latency models
 //!   live in `swarm-fabric`, but the primitives (timers, FIFO resources,
 //!   jitter distributions) live here.

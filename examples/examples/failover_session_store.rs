@@ -43,10 +43,10 @@ fn main() {
         sim.spawn(async move {
             let mut version = 0u64;
             while sim2.now() < 30 * NANOS_PER_MILLI {
-                let key = sim2.rand_range(0, SESSIONS);
+                let key = sim2.rng().rand_range(0, SESSIONS);
                 version += 1;
                 let t0 = sim2.now();
-                let ok = if sim2.rand_range(0, 100) < 70 {
+                let ok = if sim2.rng().rand_range(0, 100) < 70 {
                     matches!(client.get(key).await, Ok(Some(_)))
                 } else {
                     client

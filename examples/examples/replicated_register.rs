@@ -54,7 +54,13 @@ fn make_register(
             )
         })
         .collect();
-    let clock = Rc::new(GuessClock::new(sim, skew_ns, 10.0, skew_ns / 2 + 1));
+    let clock = Rc::new(GuessClock::new(
+        sim,
+        sim.rng().clone(),
+        skew_ns,
+        10.0,
+        skew_ns / 2 + 1,
+    ));
     SafeGuess::new(
         m,
         Rc::new(TsLockSet::eager(tsl)),

@@ -241,7 +241,6 @@ pub fn planned(seed: u64, mode: ShardMode, case: &PlannedCase) -> ShardedRun {
         case.routers,
     );
     let opts = ShardRunOptions {
-        preload_keys: Some(case.keys),
         faults: case.faults.clone(),
         collect_results: true,
         watch_until_ns: case.watch_until_ns,

@@ -15,7 +15,7 @@ use swarm_fabric::{FaultPlan, TrafficStats};
 use swarm_kv::{
     run_workload, HedgeConfig, HistoryRecorder, Protocol, RunConfig, StoreBuilder, StoreCluster,
 };
-use swarm_sim::{Sim, SimRng, NANOS_PER_MILLI};
+use swarm_sim::{Sim, NANOS_PER_MILLI};
 use swarm_tests::{
     assert_linearizable, cell, chaos_hedge, seeds, tagged, MixedWorker, PlanKind, INITIAL_TAG_BASE,
     OP_DEADLINE_NS, VALUE_SIZE,
@@ -68,7 +68,7 @@ fn run_chaos(proto: Protocol, kind: PlanKind, seed: u64, hedge: Option<HedgeConf
     let tag = Rc::new(Cell::new(0u64));
     for cid in 0..CLIENTS {
         let worker = MixedWorker {
-            rng: SimRng::shared(&sim),
+            rng: sim.rng().clone(),
             keys: (0..KEYS).collect(),
             ops: OPS_PER_CLIENT,
             tag: Rc::clone(&tag),

@@ -97,9 +97,9 @@ fn kv_store_is_linearizable_under_concurrency_and_crash() {
             let counter = Rc::clone(&counter);
             sim.spawn(async move {
                 for _ in 0..6 {
-                    sim2.sleep_ns(sim2.rand_range(1, 5_000)).await;
+                    sim2.sleep_ns(sim2.rng().rand_range(1, 5_000)).await;
                     let invoke = sim2.now();
-                    if sim2.rand_range(0, 100) < 50 {
+                    if sim2.rng().rand_range(0, 100) < 50 {
                         // Offset write values so they never collide with the
                         // key id the loader encoded in the initial value.
                         let v = counter.get() + 1_000;

@@ -486,7 +486,6 @@ fn planned_cell(seed: u64, mode: ShardMode) -> u64 {
     };
     let plan = plan_workload(seed, ShardSpec::new(SHARDS), &wl, &cfg, ROUTERS);
     let opts = ShardRunOptions {
-        preload_keys: Some(N_KEYS),
         collect_results: true,
         ..Default::default()
     };

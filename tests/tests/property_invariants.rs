@@ -76,7 +76,7 @@ fn zipfian_in_range() {
 fn lfu_capacity_invariant() {
     for_each_case(0x1F00, |rng| {
         let cap = rng.rand_range(1, 32) as usize;
-        let evict = SimRng::shared(&Sim::new(1));
+        let evict = Sim::new(1).rng().clone();
         let mut cache: LfuCache<u32> = LfuCache::new(cap);
         for _ in 0..rng.rand_range(1, 200) {
             let key = rng.rand_range(0, 64);
@@ -158,7 +158,7 @@ fn batched_ops_match_sequential() {
             let sim2 = sim.clone();
             sim.spawn(async move {
                 for i in 0..24u64 {
-                    let k = 32 + sim2.rand_range(0, 32);
+                    let k = 32 + sim2.rng().rand_range(0, 32);
                     noisy.update(k, vec![i as u8; 64]).await.unwrap();
                 }
             });
@@ -226,7 +226,7 @@ fn tslock_exclusion() {
             let sim2 = sim.clone();
             let results = std::rc::Rc::clone(&results);
             sim.spawn(async move {
-                sim2.sleep_ns(sim2.rand_range(0, 2_000)).await;
+                sim2.sleep_ns(sim2.rng().rand_range(0, 2_000)).await;
                 let ok = l.try_lock((ts_i, 0), mode).await;
                 results.borrow_mut().push(ok);
             });
@@ -280,10 +280,10 @@ fn repair_deltas_commute_with_writes_and_are_idempotent() {
             let tag = std::rc::Rc::clone(&tag);
             sim.spawn(async move {
                 for _ in 0..20u32 {
-                    sim2.sleep_ns(sim2.rand_range(1, 30 * NANOS_PER_MICRO))
+                    sim2.sleep_ns(sim2.rng().rand_range(1, 30 * NANOS_PER_MICRO))
                         .await;
-                    let key = sim2.rand_range(0, KEYS);
-                    if sim2.rand_range(0, 2) == 0 {
+                    let key = sim2.rng().rand_range(0, KEYS);
+                    if sim2.rng().rand_range(0, 2) == 0 {
                         let _ = store.get(key).await;
                     } else {
                         let t = tag.get() + 1;

@@ -53,7 +53,7 @@ fn watch(cluster: &ShardedCluster, shards: usize) {
 /// another shard's draws; tags start at `id << 24`.
 fn worker(sim: &Sim, label: u64, id: usize, keys: Vec<u64>) -> MixedWorker {
     MixedWorker {
-        rng: sim.fork_rng(label + id as u64),
+        rng: sim.fork_rng(Some(label + id as u64)),
         keys,
         ops: OPS_PER_WORKER,
         tag: Rc::new(Cell::new((id as u64) << 24)),
