@@ -160,11 +160,23 @@ mod tests {
 
     #[test]
     fn range_draws_stay_in_bounds() {
-        for r in [Sim::new(2).rng().clone(), SimRng::from_seed(2, 0xABCD)] {
-            for _ in 0..10_000 {
-                assert!((10..20).contains(&r.rand_range(10, 20)));
-            }
+        let f = Sim::new(2).fork_rng(Some(0xABCD));
+        for _ in 0..1000 {
+            let v = f.rand_range(10, 20);
+            assert!((10..20).contains(&v));
         }
+        let x = f.rand_f64();
+        assert!((0.0..1.0).contains(&x));
+    }
+
+    #[test]
+    fn range_bounds_respected() {
+        let r = Sim::new(2).rng().clone();
+        for _ in 0..10_000 {
+            assert!((10..20).contains(&r.rand_range(10, 20)));
+        }
+        // A width-1 range must always return its only member.
+        assert_eq!(r.rand_range(5, 6), 5);
     }
 
     #[test]
