@@ -69,9 +69,9 @@ loc_row() { # loc_row <name> <dir...>
 
 # Settable values per config struct: its `pub` fields, less those holding
 # another listed struct (`ClusterConfig`'s `fabric` and `quorum` count where
-# they are declared). The total is over the seven run and cluster configs;
-# `ShardRunOptions` prints below it.
-CONFIGS='FabricConfig QuorumConfig ClusterConfig HedgeConfig RepairConfig RunConfig ScenarioRunConfig'
+# they are declared). The total is over the run and cluster configs listed
+# in CONFIGS; `ShardRunOptions` prints below it.
+CONFIGS='FabricConfig QuorumConfig ClusterConfig HedgeConfig RunConfig ScenarioRunConfig'
 config_fields() {
     find crates/*/src -name '*.rs' | sort | xargs awk -v names="$CONFIGS ShardRunOptions" '
         BEGIN { n = split(names, order, " "); for (i = 1; i <= n; i++) listed[order[i]] = 1 }
@@ -81,7 +81,7 @@ config_fields() {
         END {
             printf "  %-18s %8s\n", "config struct", "settable"
             for (i = 1; i < n; i++) { printf "  %-18s %8d\n", order[i], count[order[i]]; total += count[order[i]] }
-            printf "  %-18s %8d\n  %-18s %8d\n", "(the seven)", total, order[n], count[order[n]]
+            printf "  %-18s %8d\n  %-18s %8d\n", "(the " n - 1 ")", total, order[n], count[order[n]]
         }'
 }
 
@@ -205,18 +205,17 @@ ROWS
     exit "$rc"
 '
 
-# The five chaos suites already ran once above in debug at their pinned seed
+# The four chaos suites already ran once above in debug at their pinned seed
 # floors; this release-mode pass widens every sweep that takes its seeds from
 # `swarm_tests::seeds` to 1 000 seeds, the depth at which chaos.rs's known
 # failures were found: chaos.rs (fault plans x protocols, unhedged and
-# hedged: 20 000 cells per sweep, ~15 s) and the other four (shard
-# independence, mid-migration crashes and rebuilds, repair under drop
-# windows, scan + TTL scenarios; ~90 s together on 2 cores), every history
-# checked whole.
+# hedged: 20 000 cells per sweep, ~15 s) and the other three (shard
+# independence, mid-migration crashes and rebuilds, scan + TTL scenarios;
+# ~65 s together on 2 cores), every history checked whole.
 stage chaos-release sh -c '
     set -eu
     SWARM_CHAOS_SEEDS=1000 cargo test --release -q -p swarm-tests --test chaos \
-        --test shard_chaos --test reshard_chaos --test repair_chaos --test scenario_chaos'
+        --test shard_chaos --test reshard_chaos --test scenario_chaos'
 
 BIN_DIR="${CARGO_TARGET_DIR:-target}/release"
 
@@ -226,7 +225,7 @@ BIN_DIR="${CARGO_TARGET_DIR:-target}/release"
 # (the unified diff prints on mismatch), every run under one `timeout`
 # budget, and each swept experiment's CSVs but *wall.csv byte-compared
 # across the two settings. This is also where the in-binary assertions of
-# bench_repair, bench_tail and bench_reshard run (unscaled). Regenerate with
+# bench_tail and bench_reshard run (unscaled). Regenerate with
 # `sh crates/bench/goldens/check.sh --write` (see TESTING.md).
 stage stdout-parity sh crates/bench/goldens/check.sh "$BIN_DIR"
 

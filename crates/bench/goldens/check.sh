@@ -24,6 +24,7 @@ GOLDENS="$(dirname "$0")"
 OUT="${CARGO_TARGET_DIR:-target}/stdout-parity"
 mkdir -p "$OUT"
 : > "$OUT/times"
+: > "$OUT/checked"
 FAILED=0
 # Seconds any one run may take: ~10x the slowest (fig5, ~8 s on 2 cores).
 BUDGET=120
@@ -38,6 +39,7 @@ golden() { # golden <experiment> <VAR=value...>
         exit 1
     }
     echo "   $_exp [$*]: $(( $(date +%s) - _start ))s" | tee -a "$OUT/times"
+    echo "$_exp" >> "$OUT/checked"
     if [ "$WRITE" -eq 1 ]; then
         cp "$OUT/$_exp.stdout" "$GOLDENS/$_exp.stdout"
     elif ! diff -u "$GOLDENS/$_exp.stdout" "$OUT/$_exp.stdout"; then
@@ -62,13 +64,11 @@ twice() { # twice <experiment> [VAR=value...]
     }
 }
 
-# fig5 runs at full quick volume; bench_repair, bench_tail and bench_reshard
-# unscaled (their in-binary assertions — every strategy converges and the
-# digests move fewer bytes; hedged p99 >= 2x below unhedged under the spike
-# plan; the split is measured during and after its migration — need the
-# volume); everything else at SWARM_BENCH_OPS_SCALE=0.05.
+# fig5 runs at full quick volume; bench_tail and bench_reshard unscaled
+# (their in-binary assertions — hedged p99 >= 2x below unhedged under the
+# spike plan; the split is measured during and after its migration — need
+# the volume); everything else at SWARM_BENCH_OPS_SCALE=0.05.
 golden fig5 SWARM_BENCH_THREADS=1
-twice bench_repair
 twice bench_tail
 twice bench_reshard
 for exp in table2 table3 fig6 fig10 fig11 fig12 bench_multiget; do
@@ -78,12 +78,20 @@ for exp in fig7 fig8 fig9 fig13 bench_shards bench_scenarios; do
     twice "$exp" SWARM_BENCH_OPS_SCALE=0.05
 done
 
+# Every golden present must belong to an experiment this script ran.
+CHECKED=$(sort -u "$OUT/checked" | wc -l)
+PRESENT=$(ls "$GOLDENS"/*.stdout | wc -l)
+if [ "$CHECKED" -ne "$PRESENT" ]; then
+    echo "FAIL: checked $CHECKED experiments but $GOLDENS holds $PRESENT *.stdout goldens" >&2
+    FAILED=1
+fi
+
 if [ "$FAILED" -ne 0 ]; then
     echo "stdout-parity: FAILED (if the change is intended: sh $0 --write)" >&2
     exit 1
 fi
 if [ "$WRITE" -eq 1 ]; then
-    echo "stdout-parity: wrote 17 goldens to $GOLDENS"
+    echo "stdout-parity: wrote $CHECKED goldens to $GOLDENS"
 else
-    echo "stdout-parity: 17 experiments match their goldens"
+    echo "stdout-parity: $CHECKED experiments match their goldens"
 fi

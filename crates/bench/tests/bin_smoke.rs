@@ -3,7 +3,8 @@
 //! counts shrunk via `SWARM_BENCH_OPS_SCALE`), exits 0, and writes at least
 //! one non-empty CSV of simulated data under `target/experiments/<name>/`
 //! (a `*wall.csv` of wall-clock seconds does not count) — or sits in
-//! [`SKIPPED`] with the reason. `main`'s argument handling is pinned beside
+//! [`SKIPPED`] with the reason. `main`'s argument handling and the
+//! registry's one-to-one match with the stdout goldens are pinned beside
 //! it.
 
 use std::path::Path;
@@ -17,11 +18,6 @@ const EXE: &str = env!("CARGO_BIN_EXE_swarm-bench");
 /// run fails by design; `crates/bench/goldens/check.sh` (ci.sh's
 /// `stdout-parity` stage) runs them unscaled for the same reason.
 const SKIPPED: &[(&str, &str)] = &[
-    (
-        "bench_repair",
-        "asserts buckets moves fewer bytes than the full exchange in no more \
-         rounds, which needs a keyspace large enough for digests to pay off",
-    ),
     (
         "bench_tail",
         "asserts hedging halves the spiked get p99, which needs enough \
@@ -110,6 +106,34 @@ fn missing_or_unknown_experiment_prints_usage_and_exits_2() {
         }
     }
     let _ = std::fs::remove_dir_all(&cwd);
+}
+
+/// Every registered experiment has a stdout golden, and every golden names
+/// a registered experiment: an unpinned experiment or an orphaned golden
+/// fails here rather than slipping past `crates/bench/goldens/check.sh`.
+#[test]
+fn every_experiment_has_a_golden_and_every_golden_an_experiment() {
+    let goldens = Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens");
+    for exp in EXPERIMENTS {
+        let golden = goldens.join(format!("{}.stdout", exp.name));
+        assert!(
+            golden.is_file(),
+            "{}: no golden at {}",
+            exp.name,
+            golden.display()
+        );
+    }
+    for entry in std::fs::read_dir(&goldens).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|x| x == "stdout") {
+            let stem = path.file_stem().unwrap().to_string_lossy();
+            assert!(
+                EXPERIMENTS.iter().any(|e| e.name == stem),
+                "{}: golden of no registered experiment",
+                path.display()
+            );
+        }
+    }
 }
 
 /// Whether `dir` holds a CSV with a header and at least one data row whose

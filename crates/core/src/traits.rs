@@ -209,7 +209,7 @@ pub(crate) const MAX_HEDGES_INFLIGHT: usize = 4;
 ///
 /// Off by default: with `enabled = false` no [`Hedger`] is minted, no extra
 /// timers are scheduled, no RNG is drawn, and every existing execution
-/// replays bit-identically (the same discipline as the repair subsystem).
+/// replays bit-identically.
 /// When enabled, a quorum operation that is still incomplete after the
 /// slowest contacted node's tracked `HEDGE_DELAY_PCT` latency sends one
 /// extra copy of the request to spare quorum members; first response wins

@@ -188,14 +188,6 @@ impl Endpoint {
                     } => {
                         results.push(OpResult::Cas(target.mem().cas_u64(*addr, *expected, *new)));
                     }
-                    repair => {
-                        // Anti-entropy summaries scan the registered table
-                        // at a single instant, like a (large) read.
-                        let r = repair
-                            .apply_repair(target.mem())
-                            .expect("non-repair ops are handled above");
-                        results.push(r);
-                    }
                 }
             }
 
@@ -292,12 +284,11 @@ impl QpClockRef {
 mod tests {
     use super::*;
     use crate::config::FabricConfig;
-    use crate::op::{RepairEntry, RepairSel, RepairTable};
     use swarm_sim::Sim;
 
-    /// Regression (anti-entropy PR): a reply batch that comes back empty or
-    /// with a mismatched result kind must read as a dropped reply, not a
-    /// panic — a faulted node's garbage answer must never kill the client.
+    /// Regression: a reply batch that comes back empty or with a mismatched
+    /// result kind must read as a dropped reply, not a panic — a faulted
+    /// node's garbage answer must never kill the client.
     #[test]
     fn malformed_reply_batches_are_dropped_not_panics() {
         assert_eq!(first_read(Vec::new()), None);
@@ -323,48 +314,5 @@ mod tests {
             let prev = ep.cas(NodeId(0), addr, u64::from_le_bytes([5; 8]), 0).await;
             assert_eq!(prev, Some(u64::from_le_bytes([5; 8])));
         });
-    }
-
-    /// Repair summaries travel the normal submission pipeline: FIFO with
-    /// other ops, read-penalty latency, and response bytes proportional to
-    /// the summary size.
-    #[test]
-    fn repair_ops_flow_through_the_pipeline() {
-        let sim = Sim::new(2);
-        let fabric = Fabric::new(&sim, FabricConfig::deterministic(), 1);
-        let node = fabric.node(NodeId(0));
-        let base = node.alloc(16, 8);
-        node.mem().write_u64(base, 44 << 16);
-        node.mem().write_u64(base + 8, 45 << 16);
-        let table: RepairTable = Rc::new(vec![
-            RepairEntry {
-                id: 1,
-                addr: base,
-                words: 1,
-            },
-            RepairEntry {
-                id: 2,
-                addr: base + 8,
-                words: 1,
-            },
-        ]);
-        let ep = fabric.endpoint();
-        let before = ep.stats();
-        let stamps = sim.block_on(async move {
-            ep.submit(
-                NodeId(0),
-                vec![Op::RepairStamps {
-                    table,
-                    sel: RepairSel::All,
-                }],
-            )
-            .await
-            .unwrap()
-            .remove(0)
-            .stamps()
-            .unwrap()
-        });
-        assert_eq!(stamps, vec![44, 45]);
-        let _ = before;
     }
 }

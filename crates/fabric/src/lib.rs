@@ -24,10 +24,8 @@
 //! partitions, delay spikes, probabilistic drop windows — all sharing the
 //! same silence semantics.
 //!
-//! Beyond the paper, whose memory nodes compute nothing, [`Op`] carries two
-//! read-only table scans for the anti-entropy agent of `swarm_kv::repair`:
-//! bucketed digests of a key table's stamps and the selected stamps
-//! themselves ([`Op::RepairDigest`], [`Op::RepairStamps`]).
+//! The verb set, [`Op`], is the paper's one-sided Read, Write and CAS: a
+//! memory node applies them and computes nothing else.
 //!
 //! # Examples
 //!
@@ -62,4 +60,4 @@ pub use fabric::{Fabric, TrafficStats};
 pub use fault::{FaultAction, FaultPlan};
 pub use mem::NodeMemory;
 pub use node::{Node, NodeId};
-pub use op::{repair_entry_stamp, Op, OpResult, Payload, RepairEntry, RepairSel, RepairTable};
+pub use op::{Op, OpResult, Payload};

@@ -18,7 +18,6 @@ use crate::client::{CacheCapacity, ClientConfig, Proto, StoreClient};
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::fusee::FuseeCluster;
 use crate::membership::Membership;
-use crate::repair::{RepairConfig, RepairHandle};
 use crate::shard::{ShardSpec, ShardedCluster};
 
 /// The four systems of the paper's evaluation (§7).
@@ -85,7 +84,6 @@ pub struct StoreBuilder {
     cluster: ClusterConfig,
     client: ClientConfig,
     shards: usize,
-    repair: Option<RepairConfig>,
 }
 
 impl StoreBuilder {
@@ -97,7 +95,6 @@ impl StoreBuilder {
             cluster: ClusterConfig::default(),
             client: ClientConfig::default(),
             shards: 1,
-            repair: None,
         }
     }
 
@@ -174,18 +171,6 @@ impl StoreBuilder {
         self
     }
 
-    /// Equips every built [`Cluster`]-based shard with a background
-    /// anti-entropy agent (see [`crate::RepairHandle`]). Off by default —
-    /// with no repair config nothing is minted, nothing draws RNG, and all
-    /// existing executions replay bit-identically. The agent is created
-    /// un-armed; arm it per run with [`crate::RepairHandle::arm_until`] or
-    /// `ShardRunOptions::repair_until_ns`. FUSEE brings its own recovery
-    /// and ignores this.
-    pub fn repair(mut self, cfg: RepairConfig) -> Self {
-        self.repair = Some(cfg);
-        self
-    }
-
     /// Tail-latency hedging for every minted client (see
     /// [`swarm_core::HedgeConfig`]). Off by default — with
     /// `HedgeConfig::disabled()` (or this setter never called) no hedger is
@@ -245,15 +230,10 @@ impl StoreBuilder {
             Protocol::Abd => ClusterKind::Swarm(Cluster::new(sim, cfg), Proto::Abd),
             Protocol::Fusee => ClusterKind::Fusee(FuseeCluster::new(sim, cfg)),
         };
-        let repair = match (&kind, &self.repair) {
-            (ClusterKind::Swarm(c, _), Some(cfg)) => Some(RepairHandle::new(c, cfg.clone())),
-            _ => None,
-        };
         StoreCluster {
             kind,
             protocol: self.protocol,
             client_cfg: self.client.clone(),
-            repair,
         }
     }
 
@@ -356,7 +336,6 @@ pub struct StoreCluster {
     pub(crate) kind: ClusterKind,
     protocol: Protocol,
     pub(crate) client_cfg: ClientConfig,
-    repair: Option<RepairHandle>,
 }
 
 impl StoreCluster {
@@ -459,13 +438,6 @@ impl StoreCluster {
             ClusterKind::Swarm(c, _) => Some(c),
             ClusterKind::Fusee(_) => None,
         }
-    }
-
-    /// The cluster's anti-entropy agent, if the builder configured one
-    /// ([`StoreBuilder::repair`]); `None` for FUSEE and unconfigured
-    /// clusters.
-    pub fn repair(&self) -> Option<&RepairHandle> {
-        self.repair.as_ref()
     }
 
     /// The underlying [`FuseeCluster`] (escape hatch).

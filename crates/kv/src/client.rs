@@ -262,9 +262,6 @@ impl KvStore for StoreClient {
     }
 }
 
-/// A key's register as one client holds it.
-type Reg = ReliableMaxReg<InnOutReplica<KeyInfo>>;
-
 /// A cached per-key access handle: §5.2's location record. The paper
 /// caches 24–32 B per key (the replicas' addresses plus, for SWARM-KV,
 /// In-n-Out's cached metadata word). Here the addresses live once, in the
@@ -273,26 +270,12 @@ type Reg = ReliableMaxReg<InnOutReplica<KeyInfo>>;
 /// own is one allocation of the words it learns per replica (the cached
 /// metadata word, the next ring position, the highest stamp known stored).
 /// At 3 replicas, 4 clients and 64 B values a cached handle costs at most
-/// 320 B of host heap in at most 4 allocations, its cache slot and the
-/// key's writer-ring table included (`tests/footprint.rs`).
-#[derive(Clone)]
-struct KeyHandle {
-    reg: Reg,
-    /// Cluster repair mark at build time. A handle built before an
-    /// anti-entropy pass rewrote this key's replicas may cache metadata
-    /// (e.g. In-n-Out's cached word) older than the repaired state; the
-    /// cache hit path drops such handles instead of serving them.
-    repair_mark: u64,
-}
-
-impl KeyHandle {
-    /// The key's index record. Its allocation generation conditions index
-    /// cleanups, so a stale handle can never unmap a re-inserted key's
-    /// fresh mapping.
-    fn info(&self) -> &KeyInfo {
-        self.reg.replicas().key()
-    }
-}
+/// 280 B of host heap in at most 4 allocations, its cache slot and the
+/// key's writer-ring table included (`tests/footprint.rs`). The key's index
+/// record is `replicas().key()`; its allocation generation conditions index
+/// cleanups, so a stale handle can never unmap a re-inserted key's fresh
+/// mapping.
+type KeyHandle = ReliableMaxReg<InnOutReplica<KeyInfo>>;
 
 /// `TSL[w]` of one key: writer `w`'s lock is built on the slow path that
 /// needs it, from the client's context and the key's lock words.
@@ -382,10 +365,7 @@ impl SwarmPath {
     /// This client's handle on the key `info` records. Pure: draws nothing
     /// and schedules nothing.
     fn build_handle(&self, info: &Rc<KeyInfo>) -> KeyHandle {
-        KeyHandle {
-            reg: ReliableMaxReg::over(InnOutHandle::new(&self.client, Rc::clone(info))),
-            repair_mark: self.cluster.repair_mark(info.key),
-        }
+        ReliableMaxReg::over(InnOutHandle::new(&self.client, Rc::clone(info)))
     }
 
     /// Resolves the handle for `key`: cache hit is free; a miss costs one
@@ -394,16 +374,8 @@ impl SwarmPath {
     /// §5.3.3).
     async fn handle_for(&self, c: &StoreClient, key: u64, force_index: bool) -> Option<KeyHandle> {
         if !force_index {
-            let mark = self.cluster.repair_mark(key);
-            let mut cache = self.cache.borrow_mut();
-            if let Some(h) = cache.get(key) {
-                if h.repair_mark == mark {
-                    return Some(h.clone());
-                }
-                // Repair rewrote this key's replicas after the handle was
-                // built: its cached metadata may predate the repaired
-                // state, so drop it and re-resolve through the index.
-                cache.remove(key);
+            if let Some(h) = self.cache.borrow_mut().get(key) {
+                return Some(h.clone());
             }
         }
         c.rounds.bump();
@@ -418,23 +390,23 @@ impl SwarmPath {
     }
 
     /// SWARM-KV's register over `h`, for one operation.
-    fn safe_guess<'a>(&'a self, h: &'a KeyHandle) -> SafeGuess<Reg, KeyLocks<'a>> {
+    fn safe_guess<'a>(&'a self, h: &'a KeyHandle) -> SafeGuess<KeyHandle, KeyLocks<'a>> {
         let locks = KeyLocks {
             client: &self.client,
-            info: h.info(),
+            info: h.replicas().key(),
         };
         let rounds = self.client.quorum.rounds.clone();
-        SafeGuess::new(h.reg.clone(), locks, Rc::clone(&self.guesser), rounds)
+        SafeGuess::new(h.clone(), locks, Rc::clone(&self.guesser), rounds)
     }
 
     /// DM-ABD's register over `h`, for one operation.
-    fn abd(&self, h: &KeyHandle) -> Abd<Reg> {
-        Abd::new(h.reg.clone(), self.client.writer as u8)
+    fn abd(&self, h: &KeyHandle) -> Abd<KeyHandle> {
+        Abd::new(h.clone(), self.client.writer as u8)
     }
 
     /// RAW's one copy of `h`'s key: the in-place region of replica 0.
     fn raw_addr(&self, h: &KeyHandle) -> (NodeId, u64) {
-        let l = &h.info().layout;
+        let l = &h.replicas().key().layout;
         (l.node(0), l.inplace_addr(self.cluster.shape()))
     }
 
@@ -538,7 +510,7 @@ impl SwarmPath {
                 // mapping in the background (the deleter may have failed) —
                 // but only the generation we saw tombstoned, never a
                 // re-inserter's fresh mapping.
-                self.unmap_generation(key, h.info().generation);
+                self.unmap_generation(key, h.replicas().key().generation);
                 return settled;
             }
             through_index = true;
@@ -625,7 +597,7 @@ impl SwarmPath {
             // Both replicated protocols write the tombstone straight into
             // the max register (§5.3.2).
             Proto::SafeGuess | Proto::Abd => {
-                self.build_handle(&info).reg.write(MVal::tombstone()).await
+                self.build_handle(&info).write(MVal::tombstone()).await
             }
         }
         self.uncache(key);
@@ -668,42 +640,19 @@ mod tests {
         cluster.client(0)
     }
 
-    /// Satellite bugfix pin: a cached [`KeyHandle`] built before a repair
-    /// pass must not be served after one — its cached metadata could be
-    /// older than what repair replicated. The cache hit path version-checks
-    /// the cluster repair mark and rebuilds the handle on mismatch.
+    /// A cache hit returns the handle the miss built, not a rebuilt one.
     #[test]
-    fn repair_invalidates_cached_handles() {
+    fn a_cache_hit_returns_the_same_handle() {
         let sim = Sim::new(11);
         let client = swarm_client(&sim, 4);
         sim.block_on(async move {
             let (c, path) = (&*client, client.swarm_path());
-            let same =
-                |a: &KeyHandle, b: &KeyHandle| Rc::ptr_eq(a.reg.replicas(), b.reg.replicas());
             let h1 = path.handle_for(c, 3, false).await.expect("key 3 loaded");
             let h2 = path.handle_for(c, 3, false).await.expect("key 3 cached");
-            assert!(same(&h1, &h2), "cache hit returns the same handle");
-
-            // Anti-entropy rewrites key 3's replicas: the next resolve must
-            // rebuild the handle instead of serving the stale one.
-            path.cluster.note_repaired(3);
-            let h3 = path.handle_for(c, 3, false).await.expect("key 3 indexed");
             assert!(
-                !same(&h2, &h3),
-                "a handle built before repair must not survive one"
+                Rc::ptr_eq(h1.replicas(), h2.replicas()),
+                "cache hit returns the same handle"
             );
-
-            // The rebuilt handle carries the new mark and is cached again.
-            let h4 = path.handle_for(c, 3, false).await.expect("key 3 cached");
-            assert!(same(&h3, &h4), "post-repair handle caches normally");
-
-            // Other keys' handles are untouched by key 3's repair.
-            let o1 = path.handle_for(c, 1, false).await.expect("key 1 loaded");
-            path.cluster.note_repaired(3);
-            let h5 = path.handle_for(c, 3, false).await.expect("key 3 indexed");
-            assert!(!same(&h4, &h5), "every repair bumps the mark");
-            let o2 = path.handle_for(c, 1, false).await.expect("key 1 cached");
-            assert!(same(&o1, &o2), "unrepaired keys keep their handle");
         });
     }
 }

@@ -1,9 +1,9 @@
 //! Cluster setup: memory-node layout allocation and bulk loading.
 //!
 //! A [`Cluster`] owns the fabric and the index, which is the one map from a
-//! key to its live allocation ([`KeyInfo`]): clients, repair and the
-//! divergence probe all resolve a key through it, so they cannot disagree
-//! about which buffers are live. Allocation itself is a control-plane
+//! key to its live allocation ([`KeyInfo`]): every client and the migration
+//! driver resolve a key through it, so they cannot disagree about which
+//! buffers are live. Allocation itself is a control-plane
 //! action — the paper's clients pre-allocate cleared buffers so inserts
 //! complete in one roundtrip (§5.3.1) — and bulk loading (the YCSB load
 //! phase, which the paper does not measure) pokes node memory directly.
@@ -19,8 +19,7 @@
 //! ([`KeyInfo::tsl_base`]). Node memory therefore grows with the
 //! `(key, writer)` pairs that wrote, not with `keys × max_clients`.
 
-use std::cell::{OnceCell, RefCell};
-use std::collections::HashMap;
+use std::cell::OnceCell;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -124,7 +123,6 @@ const ROLE_INDEX: u64 = 2;
 pub(crate) const ROLE_CLOCK: u64 = 3;
 pub(crate) const ROLE_CACHE: u64 = 4;
 pub(crate) const ROLE_RESHARD: u64 = 5;
-pub(crate) const ROLE_REPAIR: u64 = 6;
 
 /// The fabric and the index every cluster stands on — FUSEE's too — built
 /// from the one place their shape is configured: `cfg`'s nodes, fabric
@@ -196,11 +194,6 @@ struct Inner {
     index: Index<Rc<KeyInfo>>,
     membership: Membership,
     generation: std::cell::Cell<u64>,
-    /// Per-key repair marks: bumped every time anti-entropy overwrites a
-    /// replica of the key, so cached client handles can detect that their
-    /// view predates a repair (see `SwarmPath::handle_for`).
-    repair_marks: RefCell<HashMap<u64, u64>>,
-    repair_counter: std::cell::Cell<u64>,
 }
 
 /// Handle to a cluster (cheaply cloneable).
@@ -230,8 +223,6 @@ impl Cluster {
                 cfg,
                 membership,
                 generation: std::cell::Cell::new(0),
-                repair_marks: RefCell::new(HashMap::new()),
-                repair_counter: std::cell::Cell::new(0),
             }),
         }
     }
@@ -344,26 +335,6 @@ impl Cluster {
         }
     }
 
-    /// Records that anti-entropy overwrote a replica of `key`. Each call
-    /// bumps a cluster-wide counter so two repairs of the same key yield
-    /// distinct marks.
-    pub fn note_repaired(&self, key: u64) {
-        let n = self.inner.repair_counter.get() + 1;
-        self.inner.repair_counter.set(n);
-        self.inner.repair_marks.borrow_mut().insert(key, n);
-    }
-
-    /// The latest repair mark for `key` (0 = never repaired). Cached client
-    /// handles compare this against the mark they were built under.
-    pub fn repair_mark(&self, key: u64) -> u64 {
-        self.inner
-            .repair_marks
-            .borrow()
-            .get(&key)
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Crashes a memory node (Figure 11).
     pub fn crash_node(&self, node: NodeId) {
         self.inner.fabric.crash_node(node);
@@ -377,8 +348,8 @@ impl Cluster {
     /// Table 3. The host's records are larger and are not modelled: at 3
     /// replicas, 4 clients and 64 B values a loaded key's [`KeyInfo`] and
     /// index entry take 162 B of heap, and a client's cached handle on it
-    /// 282 B in 3 allocations (`tests/footprint.rs` bounds them at 200 B
-    /// and 320 B).
+    /// 274 B in 3 allocations (`tests/footprint.rs` bounds them at 200 B
+    /// and 280 B).
     pub fn modeled_bytes_per_key(&self, with_tslocks: bool) -> u64 {
         let cfg = &self.inner.cfg;
         let per_replica = (16 + cfg.value_size) as u64

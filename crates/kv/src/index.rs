@@ -185,11 +185,10 @@ impl<L: Clone + 'static> Index<L> {
     }
 
     /// Control-plane enumeration of the live mappings, ascending by key (no
-    /// network cost): what repair and the divergence probe walk, so they
-    /// see exactly the allocations a client would be routed to, and what the
-    /// migration copy driver walks a shard's keyspace by — key order makes
-    /// the walk independent of insertion history, so a migration replays
-    /// bit-identically.
+    /// network cost): what the migration copy driver walks a shard's
+    /// keyspace by, so it sees exactly the allocations a client would be
+    /// routed to — key order makes the walk independent of insertion
+    /// history, so a migration replays bit-identically.
     pub fn entries_sorted(&self) -> Vec<(u64, L)> {
         let map = self.inner.map.borrow();
         map.iter().map(|(&k, loc)| (k, loc.clone())).collect()

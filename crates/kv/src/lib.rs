@@ -132,7 +132,6 @@ mod index;
 mod membership;
 mod parallel;
 mod recorder;
-mod repair;
 mod reshard;
 mod runner;
 mod scenario_run;
@@ -153,9 +152,6 @@ pub use parallel::{
     ShardRunOptions, ShardedRun, WorkloadPlan,
 };
 pub use recorder::{value_tag, HistoryRecorder, RecordingStore};
-pub use repair::{
-    divergent_stamp_pairs, DeferFn, RepairConfig, RepairHandle, RepairStats, RepairStrategy,
-};
 pub use reshard::{
     split_point, AbortReason, ElasticClient, ElasticShard, ReshardAction, ReshardEvent,
     ReshardStats, Segment, ShardMap,

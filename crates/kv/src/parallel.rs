@@ -62,7 +62,6 @@ use crate::builder::{StoreBuilder, StoreCluster};
 use crate::cluster::derive_label;
 use crate::exec::{OpOutcome, OpSource, Run, RunStats, Worker};
 use crate::recorder::HistoryRecorder;
-use crate::repair::RepairStats;
 use crate::reshard::{ElasticShard, ReshardEvent, ReshardStats};
 use crate::runner::RunConfig;
 use crate::shard::ShardSpec;
@@ -245,15 +244,6 @@ pub struct ShardRunOptions {
     /// [`ShardRunOptions::watch_until_ns`] armed past the crash; when the
     /// watch runs out without the membership verdict the rebuild aborts.
     pub reshards: Vec<ReshardEvent>,
-    /// Arm each shard's background anti-entropy repair agent until this
-    /// virtual time (requires [`StoreBuilder::repair`] on the builder;
-    /// silently a no-op otherwise). On an elastic shard the whole family
-    /// arms — every replica group, including destinations built mid-run —
-    /// and repair of keys inside an active migration window defers to the
-    /// double-write machinery. Like reshard events, armed repair runs as
-    /// shard-private simulation tasks, so runs stay bit-identical across
-    /// every [`ShardMode`].
-    pub repair_until_ns: Option<Nanos>,
 }
 
 /// Everything that leaves one shard's simulation: plain `Send` data — the
@@ -277,17 +267,13 @@ pub struct ShardOutcome {
     /// [`ShardRunOptions::reshards`] events (another bit-parity witness:
     /// epochs, seals, bounces, and copied keys must agree across modes).
     pub reshard: Option<ReshardStats>,
-    /// The shard's anti-entropy counters, when the shard ran with
-    /// [`ShardRunOptions::repair_until_ns`] and a repair-configured
-    /// builder (rounds, deltas, and bytes are bit-parity witnesses too).
-    pub repair: Option<RepairStats>,
 }
 
 /// A completed planned run: per-shard outcomes in shard order, plus the
 /// deterministic merges. Identical whatever [`ShardMode`] produced it, and
 /// `==` is that claim in full: every shard's statistics (each latency
-/// histogram as its multiset of samples), traffic, history, op outcomes,
-/// migration counters and repair counters.
+/// histogram as its multiset of samples), traffic, history, op outcomes
+/// and migration counters.
 #[derive(Debug, PartialEq)]
 pub struct ShardedRun {
     per_shard: Vec<ShardOutcome>,
@@ -526,16 +512,6 @@ fn setup_shard(
             cluster.fabric().apply_fault_plan(fault_plan);
         }
     }
-    if let Some(deadline) = opts.repair_until_ns {
-        match &family {
-            Some(f) => f.arm_repair(deadline),
-            None => {
-                if let Some(agent) = cluster.repair() {
-                    agent.arm_until(deadline);
-                }
-            }
-        }
-    }
 
     let run = Rc::new(Run::default());
     let mut outcomes = Vec::new();
@@ -599,13 +575,9 @@ fn finish_shard(
     );
     // An elastic shard's traffic spans every replica group it built, in
     // group order; a static shard's is its one fabric.
-    let (traffic, reshard, repair) = match &tasks.family {
-        Some(f) => (f.traffic(), Some(f.stats()), f.repair_stats()),
-        None => (
-            cluster.fabric().stats(),
-            None,
-            cluster.repair().map(|agent| agent.stats()),
-        ),
+    let (traffic, reshard) = match &tasks.family {
+        Some(f) => (f.traffic(), Some(f.stats())),
+        None => (cluster.fabric().stats(), None),
     };
     // A worker's outcomes are in its stream's order, so they pair off with
     // the plan's ops for that `(shard, router)`.
@@ -626,7 +598,6 @@ fn finish_shard(
         history: tasks.rec.take_history(),
         results,
         reshard,
-        repair,
     }
 }
 
@@ -752,7 +723,7 @@ mod tests {
     }
 
     /// `==` on a run is field-exhaustive: a difference in any one witness —
-    /// a latency sample, a traffic, repair or migration counter, a recorded
+    /// a latency sample, a traffic or migration counter, a recorded
     /// op, an op outcome — is a difference of the runs.
     #[test]
     fn run_equality_covers_every_field() {
@@ -775,7 +746,6 @@ mod tests {
                 history,
                 results: vec![(0, 0, OpOutcome::Value(vec![1])), (0, 1, OpOutcome::Done)],
                 reshard: Some(ReshardStats::default()),
-                repair: Some(RepairStats::default()),
             };
             tweak(&mut shard);
             ShardedRun {
@@ -794,7 +764,7 @@ mod tests {
                 o.stats.latency[0].record(700);
             })
         );
-        let tweaks: [(&str, Tweak); 9] = [
+        let tweaks: [(&str, Tweak); 8] = [
             ("latency sample", &|o| o.stats.latency[0].record(301)),
             ("latency class", &|o| o.stats.latency.swap(0, 1)),
             ("failed ops", &|o| o.stats.failed_ops += 1),
@@ -804,9 +774,6 @@ mod tests {
             ("op outcome", &|o| o.results[1].2 = OpOutcome::Absent),
             ("migration counter", &|o| {
                 o.reshard.as_mut().unwrap().keys_copied += 1
-            }),
-            ("repair counter", &|o| {
-                o.repair.as_mut().unwrap().deltas_applied += 1
             }),
         ];
         for (what, tweak) in tweaks {

@@ -84,7 +84,6 @@ use swarm_sim::{
 use crate::builder::{Protocol, StoreBuilder, StoreCluster};
 use crate::client::StoreClient;
 use crate::cluster::{derive_label, ROLE_RESHARD};
-use crate::repair::RepairStats;
 use crate::store::{KvError, KvResult, KvStore, ScanItems};
 
 /// Pacing of a migration copy stream unless the event overrides it: one key
@@ -453,15 +452,10 @@ pub struct ElasticShard {
     map: RefCell<ShardMap>,
     groups: RefCell<Vec<StoreCluster>>,
     locks: Rc<KeyLocks>,
-    /// The migration holding the double-write window. `Rc` so repair defer
-    /// predicates can watch it without holding the family alive
-    /// (`new_group` takes `&self`).
-    window: Rc<RefCell<Option<Rc<Migration>>>>,
+    /// The migration holding the double-write window.
+    window: RefCell<Option<Rc<Migration>>>,
     /// Reserved client id for migration drivers (top of `max_clients`).
     mig_id: usize,
-    /// Deadline [`ElasticShard::arm_repair`] armed the family's repair
-    /// agents until; fresh destination groups arm themselves against it.
-    repair_until: Cell<Option<Nanos>>,
     /// The counters; `epoch` and `groups` are read off the map and the
     /// group list instead.
     stats: Cell<ReshardStats>,
@@ -494,9 +488,8 @@ impl ElasticShard {
             map: RefCell::new(ShardMap::base()),
             groups: RefCell::new(vec![base]),
             locks: Rc::new(KeyLocks::default()),
-            window: Rc::new(RefCell::new(None)),
+            window: RefCell::new(None),
             mig_id,
-            repair_until: Cell::new(None),
             stats: Cell::new(ReshardStats::default()),
         })
     }
@@ -574,46 +567,6 @@ impl ElasticShard {
         let mut stats = self.stats.get();
         bump(&mut stats);
         self.stats.set(stats);
-    }
-
-    /// Arms anti-entropy repair on every group of the family until
-    /// `deadline` (no-op unless the family's `StoreBuilder` configured
-    /// [`crate::RepairConfig`]). Each group's agent defers keys inside an
-    /// active double-write window to the migration machinery: the window
-    /// already mirrors every covered mutation, and the seal (or abort)
-    /// decides ownership — repair reconciling mid-handoff state would
-    /// only duplicate that work against a moving target. Groups built
-    /// after this call (split/rebuild destinations) arm themselves
-    /// against the same deadline the moment they exist.
-    pub fn arm_repair(&self, deadline: Nanos) {
-        self.repair_until.set(Some(deadline));
-        for cluster in self.groups.borrow().iter() {
-            self.arm_group_repair(cluster, deadline);
-        }
-    }
-
-    fn arm_group_repair(&self, cluster: &StoreCluster, deadline: Nanos) {
-        let Some(agent) = cluster.repair() else {
-            return;
-        };
-        let window = Rc::clone(&self.window);
-        agent.set_defer(Some(Rc::new(move |key| {
-            window.borrow().as_ref().is_some_and(|m| m.covers(key))
-        })));
-        agent.arm_until(deadline);
-    }
-
-    /// Anti-entropy counters summed over every group's repair agent;
-    /// `None` when the family was built without repair.
-    pub fn repair_stats(&self) -> Option<RepairStats> {
-        let groups = self.groups.borrow();
-        let mut agents = groups.iter().filter_map(|c| c.repair()).peekable();
-        agents.peek()?;
-        let mut total = RepairStats::default();
-        for agent in agents {
-            total += agent.stats();
-        }
-        Some(total)
     }
 
     /// Spawns [`ElasticShard::migrate`] of `ev` as a simulation task.
@@ -761,9 +714,6 @@ impl ElasticShard {
             if base.watched_until() > self.sim.now() {
                 fresh.watch_until(base.watched_until());
             }
-        }
-        if let Some(deadline) = self.repair_until.get() {
-            self.arm_group_repair(&cluster, deadline);
         }
         self.groups.borrow_mut().push(cluster);
         ordinal
@@ -1526,59 +1476,6 @@ mod tests {
             family.group(2).membership().unwrap().watched_until(),
             10 * ms
         );
-    }
-
-    #[test]
-    fn family_repair_heals_divergence_and_arms_fresh_groups() {
-        use crate::repair::{divergent_stamp_pairs, RepairConfig};
-        let sim = Sim::new(28);
-        let b = builder().repair(RepairConfig::default());
-        let family = ElasticShard::build(&sim, &b, 0xE1A5_0007);
-        for k in 0..64u64 {
-            family.load_key(k, &tagged(800 + k));
-        }
-        // Wipe one replica behind the store's back — only anti-entropy
-        // heals silent divergence (no client ever touches the key again).
-        let base = family.group(0);
-        let c = base
-            .swarm()
-            .expect("SWARM-KV runs on the Cluster substrate")
-            .clone();
-        let info = c.index().peek(3).expect("loaded");
-        let l = &info.layout;
-        for j in 0..c.shape().meta_bufs as u64 {
-            c.fabric()
-                .node(l.node(1))
-                .mem()
-                .write_u64(l.meta_addr(1) + 8 * j, 0);
-        }
-        assert_eq!(divergent_stamp_pairs(&c), 1);
-        family.arm_repair(2 * NANOS_PER_MILLI);
-        // A split mid-run: the fresh destination group must arm its own
-        // agent against the same deadline, and window keys defer to the
-        // migration until the seal.
-        family.run_event(&ReshardEvent::split(0, 500_000, 500).pace_ns(1_000));
-        sim.run();
-        assert_eq!(family.num_groups(), 2);
-        assert!(family.stats().sealed == 1, "unfaulted split must seal");
-        assert_eq!(
-            divergent_stamp_pairs(&c),
-            0,
-            "repair must heal the wiped replica after the window closes"
-        );
-        let stats = family.repair_stats().expect("repair configured");
-        assert!(stats.rounds > 0, "both groups' agents must run rounds");
-        assert!(
-            stats.deltas_applied >= 1,
-            "the wipe needs at least one delta"
-        );
-    }
-
-    #[test]
-    fn repair_stats_is_none_without_repair_config() {
-        let sim = Sim::new(29);
-        let family = ElasticShard::build(&sim, &builder(), 0xE1A5_0008);
-        assert_eq!(family.repair_stats(), None);
     }
 
     #[test]

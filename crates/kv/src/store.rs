@@ -23,9 +23,13 @@ pub enum KvError {
     /// The index refused a new mapping because it is at capacity
     /// (see `ClusterConfig::index_capacity`).
     IndexFull,
-    /// A required memory node stopped answering. Only unreplicated paths
-    /// (RAW, FUSEE's fixed replica sets) surface this; the replicated
-    /// protocols widen their quorums past dead nodes instead (§7.7).
+    /// The operation did not complete in time. Two sources: the client's
+    /// per-op deadline (`StoreBuilder::op_deadline_ns`), which every
+    /// protocol honours once it is set, and the silence of a memory node
+    /// on an unreplicated path (RAW, FUSEE's fixed replica sets); without
+    /// a deadline the replicated protocols widen their quorums past dead
+    /// nodes instead (§7.7). The effect is ambiguous: messages already
+    /// sent may still land, like a client crash mid-operation.
     Timeout,
     /// `update` addressed a key that was never inserted: updates require an
     /// existing mapping (§5.3.3) — use `insert` for fresh keys.

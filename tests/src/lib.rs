@@ -1,6 +1,6 @@
 //! The one chaos harness. The fault-injection suites under `tests/tests`
-//! (`chaos`, `shard_chaos`, `reshard_chaos`, `repair_chaos`,
-//! `scenario_chaos`, and the mode-parity suite `shard_parallel`) are tables
+//! (`chaos`, `shard_chaos`, `reshard_chaos`, `scenario_chaos`, and the
+//! mode-parity suite `shard_parallel`) are tables
 //! over what lives here: the seed list, the fault-plan table, the mixed-op
 //! worker, the planned sharded run, and the two assertions every cell ends
 //! in — "every history linearizes" and, through `ShardedRun`'s `==`, "these
@@ -16,8 +16,8 @@ use std::rc::Rc;
 use swarm_core::{KvHistory, KvHistoryOp};
 use swarm_fabric::{FaultPlan, NodeId};
 use swarm_kv::{
-    plan_workload, run_sharded_plan, HedgeConfig, KvStore, Protocol, RepairConfig, ReshardEvent,
-    RunConfig, ShardMode, ShardRunOptions, ShardSpec, ShardedRun, StoreBuilder,
+    plan_workload, run_sharded_plan, HedgeConfig, KvStore, Protocol, ReshardEvent, RunConfig,
+    ShardMode, ShardRunOptions, ShardSpec, ShardedRun, StoreBuilder,
 };
 use swarm_sim::{Nanos, Sim, SimRng, NANOS_PER_MICRO, NANOS_PER_MILLI};
 use swarm_workload::{Workload, WorkloadSpec};
@@ -175,7 +175,7 @@ pub struct PlannedCase {
     /// Router streams the workload is planned across.
     pub routers: usize,
     /// Client ids per shard: `routers`, plus one where a migration driver
-    /// or a repair agent writes with the reserved top id.
+    /// writes with the reserved top id.
     pub max_clients: usize,
     /// Preloaded keyspace `0..keys`.
     pub keys: u64,
@@ -185,10 +185,6 @@ pub struct PlannedCase {
     pub cfg: RunConfig,
     /// Hedging, when the case arms it.
     pub hedge: Option<HedgeConfig>,
-    /// Anti-entropy repair, when the case configures it …
-    pub repair: Option<RepairConfig>,
-    /// … and until when its agents are armed.
-    pub repair_until_ns: Option<Nanos>,
     /// Until when every shard's membership watcher runs.
     pub watch_until_ns: Option<Nanos>,
     /// Fault plans by shard.
@@ -209,8 +205,6 @@ impl PlannedCase {
             spec: WorkloadSpec::A,
             cfg,
             hedge: None,
-            repair: None,
-            repair_until_ns: None,
             watch_until_ns: None,
             faults: Vec::new(),
             reshards: Vec::new(),
@@ -229,9 +223,6 @@ pub fn planned(seed: u64, mode: ShardMode, case: &PlannedCase) -> ShardedRun {
     if let Some(hedge) = case.hedge {
         b = b.hedge(hedge);
     }
-    if let Some(repair) = &case.repair {
-        b = b.repair(repair.clone());
-    }
     let wl = Workload::ycsb(case.spec, case.keys, VALUE_SIZE);
     let plan = plan_workload(
         seed,
@@ -245,7 +236,6 @@ pub fn planned(seed: u64, mode: ShardMode, case: &PlannedCase) -> ShardedRun {
         collect_results: true,
         watch_until_ns: case.watch_until_ns,
         reshards: case.reshards.clone(),
-        repair_until_ns: case.repair_until_ns,
     };
     run_sharded_plan(&b, seed, &plan, &wl, &opts, mode)
 }

@@ -6,13 +6,10 @@ use swarm_core::{
     innout_hash, xxh64, KvHistory, KvOpKind, LockMode, NodeHealth, QuorumConfig, Rounds, Stamp,
     TsLock,
 };
-use swarm_fabric::{Fabric, FabricConfig, FaultPlan, NodeId};
-use swarm_kv::{
-    divergent_stamp_pairs, HistoryRecorder, KvStore, KvStoreExt, LfuCache, Protocol, RepairConfig,
-    RepairStrategy, StoreBuilder,
-};
-use swarm_sim::{Histogram, Sim, SimRng, NANOS_PER_MICRO, NANOS_PER_MILLI};
-use swarm_tests::{coin, for_each_case, tagged, INITIAL_TAG_BASE, OP_DEADLINE_NS, VALUE_SIZE};
+use swarm_fabric::{Fabric, FabricConfig, NodeId};
+use swarm_kv::{KvStore, KvStoreExt, LfuCache, Protocol, StoreBuilder};
+use swarm_sim::{Histogram, Sim, SimRng};
+use swarm_tests::{coin, for_each_case};
 use swarm_workload::Zipfian;
 
 /// Random bytes, `len` of them drawn from `[lo, hi)`.
@@ -234,85 +231,5 @@ fn tslock_exclusion() {
         sim.run();
         let wins = results.borrow().iter().filter(|&&b| b).count();
         assert!(wins <= 1, "both lock modes succeeded");
-    });
-}
-
-/// The repair delta stream is a CAS-MAX merge, so it *commutes* with
-/// concurrent foreground writes (per-key linearizability holds with the
-/// agent armed during a fault window, for any seed, drop rate, and
-/// digest strategy) and is *idempotent* (replaying the whole protocol
-/// over converged replicas applies zero further deltas).
-#[test]
-fn repair_deltas_commute_with_writes_and_are_idempotent() {
-    const KEYS: u64 = 32;
-    for_each_case(0x2E9A, |rng| {
-        let sim = Sim::new(30_000 + rng.rand_range(0, 500));
-        let permille = rng.rand_range(100, 600) as u16;
-        let strategy = RepairStrategy::all()[rng.rand_range(0, 2) as usize];
-        let cluster = StoreBuilder::new(Protocol::SafeGuess)
-            .value_size(VALUE_SIZE)
-            .max_clients(3)
-            .op_deadline_ns(OP_DEADLINE_NS)
-            .repair(RepairConfig::with_strategy(strategy))
-            .build_cluster(&sim);
-        cluster.load_keys(KEYS, |k| tagged(INITIAL_TAG_BASE + k));
-        let rec = HistoryRecorder::new(&sim);
-        for k in 0..KEYS {
-            rec.set_initial(k, &tagged(INITIAL_TAG_BASE + k));
-        }
-        cluster
-            .fabric()
-            .apply_fault_plan(&FaultPlan::new().drop_window(
-                10 * NANOS_PER_MICRO,
-                NodeId(0),
-                permille,
-                300 * NANOS_PER_MICRO,
-            ));
-
-        // The agent replays delta rounds *while* the writers run — the
-        // commutativity half of the property.
-        let agent = cluster.repair().expect("repair configured").clone();
-        agent.arm_until(NANOS_PER_MILLI);
-        let tag = std::rc::Rc::new(std::cell::Cell::new(0u64));
-        for cid in 0..2 {
-            let store = rec.wrap(cluster.client(cid));
-            let sim2 = sim.clone();
-            let tag = std::rc::Rc::clone(&tag);
-            sim.spawn(async move {
-                for _ in 0..20u32 {
-                    sim2.sleep_ns(sim2.rng().rand_range(1, 30 * NANOS_PER_MICRO))
-                        .await;
-                    let key = sim2.rng().rand_range(0, KEYS);
-                    if sim2.rng().rand_range(0, 2) == 0 {
-                        let _ = store.get(key).await;
-                    } else {
-                        let t = tag.get() + 1;
-                        tag.set(t);
-                        let _ = store.update(key, tagged(t)).await;
-                    }
-                }
-            });
-        }
-        sim.run();
-        let checked = rec.take_history().check();
-        assert!(
-            checked.is_ok(),
-            "history with interleaved repair does not linearize: {:?}",
-            checked.err()
-        );
-
-        let c = cluster.swarm().expect("SWARM-KV").clone();
-        let a2 = agent.clone();
-        let (_, converged) = sim.block_on(async move { a2.converge().await });
-        assert!(converged, "repair must converge within its round budget");
-        assert_eq!(divergent_stamp_pairs(&c), 0);
-
-        // Idempotence: a second full protocol replay moves nothing.
-        let deltas_before = agent.stats().deltas_applied;
-        let a3 = agent.clone();
-        let (_, converged2) = sim.block_on(async move { a3.converge().await });
-        assert!(converged2);
-        assert_eq!(agent.stats().deltas_applied, deltas_before);
-        assert_eq!(divergent_stamp_pairs(&c), 0);
     });
 }
