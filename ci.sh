@@ -205,17 +205,17 @@ ROWS
     exit "$rc"
 '
 
-# The four chaos suites already ran once above in debug at their pinned seed
+# The three chaos suites already ran once above in debug at their pinned seed
 # floors; this release-mode pass widens every sweep that takes its seeds from
 # `swarm_tests::seeds` to 1 000 seeds, the depth at which chaos.rs's known
 # failures were found: chaos.rs (fault plans x protocols, unhedged and
-# hedged: 20 000 cells per sweep, ~15 s) and the other three (shard
-# independence, mid-migration crashes and rebuilds, scan + TTL scenarios;
-# ~65 s together on 2 cores), every history checked whole.
+# hedged: 20 000 cells per sweep, ~17 s) and the other two (shard
+# independence, scan + TTL scenarios; ~25 s together on 2 cores), every
+# history checked whole.
 stage chaos-release sh -c '
     set -eu
     SWARM_CHAOS_SEEDS=1000 cargo test --release -q -p swarm-tests --test chaos \
-        --test shard_chaos --test reshard_chaos --test scenario_chaos'
+        --test shard_chaos --test scenario_chaos'
 
 BIN_DIR="${CARGO_TARGET_DIR:-target}/release"
 
@@ -224,8 +224,8 @@ BIN_DIR="${CARGO_TARGET_DIR:-target}/release"
 # same golden), stdout diffed against crates/bench/goldens/<name>.stdout
 # (the unified diff prints on mismatch), every run under one `timeout`
 # budget, and each swept experiment's CSVs but *wall.csv byte-compared
-# across the two settings. This is also where the in-binary assertions of
-# bench_tail and bench_reshard run (unscaled). Regenerate with
+# across the two settings. This is also where the in-binary assertion of
+# bench_tail runs (unscaled). Regenerate with
 # `sh crates/bench/goldens/check.sh --write` (see TESTING.md).
 stage stdout-parity sh crates/bench/goldens/check.sh "$BIN_DIR"
 

@@ -64,13 +64,11 @@ twice() { # twice <experiment> [VAR=value...]
     }
 }
 
-# fig5 runs at full quick volume; bench_tail and bench_reshard unscaled
-# (their in-binary assertions — hedged p99 >= 2x below unhedged under the
-# spike plan; the split is measured during and after its migration — need
+# fig5 runs at full quick volume; bench_tail unscaled (its in-binary
+# assertion — hedged p99 >= 2x below unhedged under the spike plan — needs
 # the volume); everything else at SWARM_BENCH_OPS_SCALE=0.05.
 golden fig5 SWARM_BENCH_THREADS=1
 twice bench_tail
-twice bench_reshard
 for exp in table2 table3 fig6 fig10 fig11 fig12 bench_multiget; do
     golden "$exp" SWARM_BENCH_OPS_SCALE=0.05
 done

@@ -32,7 +32,7 @@
 //! the four protocols share one construction and measurement path.
 //!
 //! One executable rather than one per experiment because the release
-//! profile's fat LTO re-optimises the whole workspace per link: 16 links
+//! profile's fat LTO re-optimises the whole workspace per link: 15 links
 //! cost ~180 s per rebuild on a 2-core host, one costs ~40 s.
 
 #![warn(missing_docs)]

@@ -17,18 +17,11 @@ const EXE: &str = env!("CARGO_BIN_EXE_swarm-bench");
 /// Experiments whose in-binary assertions need unscaled volume, so a 1 %
 /// run fails by design; `crates/bench/goldens/check.sh` (ci.sh's
 /// `stdout-parity` stage) runs them unscaled for the same reason.
-const SKIPPED: &[(&str, &str)] = &[
-    (
-        "bench_tail",
-        "asserts hedging halves the spiked get p99, which needs enough \
+const SKIPPED: &[(&str, &str)] = &[(
+    "bench_tail",
+    "asserts hedging halves the spiked get p99, which needs enough \
          samples past the 99th percentile",
-    ),
-    (
-        "bench_reshard",
-        "asserts the split is measured during and after its migration, which \
-         needs the workload to outlast the unscaled split time",
-    ),
-];
+)];
 
 fn swarm_bench(args: &[&str], cwd: &Path) -> Output {
     std::fs::create_dir_all(cwd).unwrap();

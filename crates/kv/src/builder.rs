@@ -282,33 +282,6 @@ impl StoreBuilder {
         b.cluster.rng_label = Some(spec_rng_label(&spec, s, self.cluster.rng_label));
         b.build_cluster(sim)
     }
-
-    /// The RNG label shard `s` draws its private streams from under
-    /// [`StoreBuilder::build_sharded`] / [`StoreBuilder::build_one_shard`] —
-    /// the anchor an elastic shard family derives its destination-group
-    /// labels from (see `crate::reshard`).
-    pub(crate) fn shard_label(&self, s: usize) -> u64 {
-        let spec = ShardSpec::new(self.shards);
-        spec_rng_label(&spec, s, self.cluster.rng_label)
-    }
-
-    /// Builds a single replica group whose streams fork from exactly
-    /// `label`, regardless of the configured shard count: how resharding
-    /// stands up a fresh destination group mid-run with streams that are
-    /// private by construction (the same discipline as
-    /// [`StoreBuilder::build_one_shard`], one level more general).
-    pub(crate) fn build_labeled(&self, sim: &Sim, label: u64) -> StoreCluster {
-        let mut b = self.clone();
-        b.shards = 1;
-        b.cluster.rng_label = Some(label);
-        b.build_cluster(sim)
-    }
-
-    /// The configured maximum client count (the migration driver reserves
-    /// the top client id, see `crate::reshard`).
-    pub(crate) fn max_client_count(&self) -> usize {
-        self.cluster.max_clients
-    }
 }
 
 /// The per-shard RNG label: derived from the spec (and any label the user

@@ -1,9 +1,9 @@
 //! Cluster setup: memory-node layout allocation and bulk loading.
 //!
 //! A [`Cluster`] owns the fabric and the index, which is the one map from a
-//! key to its live allocation ([`KeyInfo`]): every client and the migration
-//! driver resolve a key through it, so they cannot disagree about which
-//! buffers are live. Allocation itself is a control-plane
+//! key to its live allocation ([`KeyInfo`]): every client resolves a key
+//! through it, so no two clients can disagree about which buffers are
+//! live. Allocation itself is a control-plane
 //! action — the paper's clients pre-allocate cleared buffers so inserts
 //! complete in one roundtrip (§5.3.1) — and bulk loading (the YCSB load
 //! phase, which the paper does not measure) pokes node memory directly.
@@ -122,7 +122,6 @@ const ROLE_FABRIC: u64 = 1;
 const ROLE_INDEX: u64 = 2;
 pub(crate) const ROLE_CLOCK: u64 = 3;
 pub(crate) const ROLE_CACHE: u64 = 4;
-pub(crate) const ROLE_RESHARD: u64 = 5;
 
 /// The fabric and the index every cluster stands on — FUSEE's too — built
 /// from the one place their shape is configured: `cfg`'s nodes, fabric

@@ -184,16 +184,6 @@ impl<L: Clone + 'static> Index<L> {
         self.inner.map.borrow().get(&key).cloned()
     }
 
-    /// Control-plane enumeration of the live mappings, ascending by key (no
-    /// network cost): what the migration copy driver walks a shard's
-    /// keyspace by, so it sees exactly the allocations a client would be
-    /// routed to — key order makes the walk independent of insertion
-    /// history, so a migration replays bit-identically.
-    pub fn entries_sorted(&self) -> Vec<(u64, L)> {
-        let map = self.inner.map.borrow();
-        map.iter().map(|(&k, loc)| (k, loc.clone())).collect()
-    }
-
     /// Number of live mappings.
     pub fn len(&self) -> usize {
         self.inner.map.borrow().len()

@@ -26,14 +26,6 @@
 //!   [`ShardRouter`] clients ([`ShardSpec`] is the stateless key→shard
 //!   hash; each shard draws from private RNG streams so faults on one
 //!   shard cannot perturb another — see [`ShardedCluster`]).
-//! * The static layout can be reconfigured online: [`ElasticShard`] runs
-//!   the elastic-resharding subsystem ([`reshard`](crate::ShardMap)) —
-//!   a generation-stamped routing table plus one migration driver (Copy →
-//!   Drain → Publish behind a double-write window) that splits or rebuilds
-//!   replica groups mid-run while every concurrent client stays
-//!   linearizable. Stale routes bounce with [`KvError::WrongShard`] inside
-//!   the family's own [`ElasticClient`]s; a static [`ShardRouter`] routes
-//!   by the spec alone.
 //!
 //! ```
 //! use swarm_kv::{CacheCapacity, KvStore, KvStoreExt, Protocol, StoreBuilder};
@@ -132,7 +124,6 @@ mod index;
 mod membership;
 mod parallel;
 mod recorder;
-mod reshard;
 mod runner;
 mod scenario_run;
 mod shard;
@@ -152,10 +143,6 @@ pub use parallel::{
     ShardRunOptions, ShardedRun, WorkloadPlan,
 };
 pub use recorder::{value_tag, HistoryRecorder, RecordingStore};
-pub use reshard::{
-    split_point, AbortReason, ElasticClient, ElasticShard, ReshardAction, ReshardEvent,
-    ReshardStats, Segment, ShardMap,
-};
 pub use runner::{run_workload, RunConfig};
 pub use scenario_run::{run_scenario, ScenarioRunConfig};
 pub use shard::{ShardRouter, ShardSpec, ShardedCluster};

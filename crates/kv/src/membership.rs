@@ -10,7 +10,7 @@
 //! The watcher is armed explicitly for a bounded virtual-time horizon
 //! ([`Membership::watch_until`]) so simulations terminate deterministically.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use swarm_core::NodeHealth;
@@ -22,8 +22,6 @@ struct Inner {
     detection_ns: Nanos,
     subscribers: RefCell<Vec<Rc<NodeHealth>>>,
     dead: RefCell<Vec<bool>>,
-    /// Latest deadline [`Membership::watch_until`] was armed to (0: never).
-    watched_until: Cell<Nanos>,
 }
 
 /// The membership service handle.
@@ -46,7 +44,6 @@ impl Membership {
                 detection_ns,
                 subscribers: RefCell::new(Vec::new()),
                 dead: RefCell::new(vec![false; fabric.num_nodes()]),
-                watched_until: Cell::new(0),
             }),
         }
     }
@@ -59,9 +56,6 @@ impl Membership {
     /// Arms lease monitoring until virtual time `deadline`.
     pub fn watch_until(&self, deadline: Nanos) {
         let inner = Rc::clone(&self.inner);
-        inner
-            .watched_until
-            .set(inner.watched_until.get().max(deadline));
         let sim = self.sim.clone();
         let period = self.inner.detection_ns.max(1);
         self.sim.spawn(async move {
@@ -88,12 +82,6 @@ impl Membership {
                 }
             }
         }
-    }
-
-    /// The virtual time past which no verdict can arrive: the latest
-    /// deadline the watcher was armed to, 0 if it never was.
-    pub fn watched_until(&self) -> Nanos {
-        self.inner.watched_until.get()
     }
 
     /// Subscribes a client's health view to membership notifications.

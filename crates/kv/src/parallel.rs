@@ -62,7 +62,6 @@ use crate::builder::{StoreBuilder, StoreCluster};
 use crate::cluster::derive_label;
 use crate::exec::{OpOutcome, OpSource, Run, RunStats, Worker};
 use crate::recorder::HistoryRecorder;
-use crate::reshard::{ElasticShard, ReshardEvent, ReshardStats};
 use crate::runner::RunConfig;
 use crate::shard::ShardSpec;
 
@@ -228,22 +227,8 @@ pub struct ShardRunOptions {
     /// Keep every op's [`OpOutcome`] for input-order reassembly via
     /// [`ShardedRun::results`]. Off for benches (memory).
     pub collect_results: bool,
-    /// Run each shard's membership watcher until this virtual time (an
-    /// elastic shard arms the groups it builds mid-run to the same time).
+    /// Run each shard's membership watcher until this virtual time.
     pub watch_until_ns: Option<Nanos>,
-    /// Scheduled elastic-resharding events (see `crate::reshard`). A shard
-    /// with at least one event is wrapped in an [`ElasticShard`] family:
-    /// its workers route through [`crate::ElasticClient`]s (stale epochs
-    /// bounce and re-resolve), and each event runs as a simulation task at
-    /// its virtual time — so migrations replay bit-identically in every
-    /// [`ShardMode`], like everything else in a planned run. Requires
-    /// `StoreBuilder::max_clients(routers + 1)`: the family reserves the
-    /// top client id for its migration driver. A `Rebuild` event needs its
-    /// dead node actually crashed (via [`ShardRunOptions::faults`], or the
-    /// event's own `dest_faults` for a group built mid-run) and
-    /// [`ShardRunOptions::watch_until_ns`] armed past the crash; when the
-    /// watch runs out without the membership verdict the rebuild aborts.
-    pub reshards: Vec<ReshardEvent>,
 }
 
 /// Everything that leaves one shard's simulation: plain `Send` data — the
@@ -263,17 +248,13 @@ pub struct ShardOutcome {
     /// `(router, pos, outcome)` per op (when
     /// [`ShardRunOptions::collect_results`]), by router, in stream order.
     pub results: Vec<(usize, usize, OpOutcome)>,
-    /// The shard family's migration counters, when the shard ran with
-    /// [`ShardRunOptions::reshards`] events (another bit-parity witness:
-    /// epochs, seals, bounces, and copied keys must agree across modes).
-    pub reshard: Option<ReshardStats>,
 }
 
 /// A completed planned run: per-shard outcomes in shard order, plus the
 /// deterministic merges. Identical whatever [`ShardMode`] produced it, and
 /// `==` is that claim in full: every shard's statistics (each latency
-/// histogram as its multiset of samples), traffic, history, op outcomes
-/// and migration counters.
+/// histogram as its multiset of samples), traffic, history and op
+/// outcomes.
 #[derive(Debug, PartialEq)]
 pub struct ShardedRun {
     per_shard: Vec<ShardOutcome>,
@@ -413,7 +394,7 @@ fn run_shards_on_one_sim(
     let tasks: Vec<ShardTasks> = shards
         .clone()
         .zip(&clusters)
-        .map(|(s, cluster)| setup_shard(&sim, cluster, builder, plan, workload, opts, s))
+        .map(|(s, cluster)| setup_shard(&sim, cluster, plan, workload, opts, s))
         .collect();
     sim.run();
     shards
@@ -468,9 +449,6 @@ struct ShardTasks {
     /// Under [`ShardRunOptions::collect_results`], per spawned worker: its
     /// router and its ops' outcomes in stream order.
     outcomes: Vec<(usize, Rc<RefCell<Vec<OpOutcome>>>)>,
-    /// The elastic family wrapping this shard, when
-    /// [`ShardRunOptions::reshards`] scheduled events on it.
-    family: Option<Rc<ElasticShard>>,
 }
 
 /// Preloads, watches, faults, and spawns shard `s`'s workers — identically
@@ -478,21 +456,12 @@ struct ShardTasks {
 fn setup_shard(
     sim: &Sim,
     cluster: &StoreCluster,
-    builder: &StoreBuilder,
     plan: &WorkloadPlan,
     workload: &Workload,
     opts: &ShardRunOptions,
     s: usize,
 ) -> ShardTasks {
     let rec = HistoryRecorder::new(sim);
-    let family = opts.reshards.iter().any(|e| e.shard == s).then(|| {
-        assert!(
-            builder.max_client_count() > plan.routers,
-            "elastic resharding reserves the top client id for the migration \
-             driver: configure StoreBuilder::max_clients(routers + 1)"
-        );
-        ElasticShard::new(sim, builder, cluster.clone(), builder.shard_label(s))
-    });
     // Ascending key order: each shard loads exactly the keys it owns, in
     // the same order in every mode.
     for key in 0..workload.keys.n() {
@@ -539,25 +508,9 @@ fn setup_shard(
             run: Rc::clone(&run),
             outcomes: sink,
         };
-        // Two client shapes, one worker, both recorded: elastic shards
-        // route through the family (bounce-aware), static shards talk to
-        // the cluster directly.
-        match &family {
-            Some(f) => worker.spawn(sim, rec.wrap(f.client(r))),
-            None => worker.spawn(sim, rec.wrap(cluster.client(r))),
-        }
+        worker.spawn(sim, rec.wrap(cluster.client(r)));
     }
-    if let Some(f) = &family {
-        for ev in opts.reshards.iter().filter(|e| e.shard == s) {
-            f.run_event(ev);
-        }
-    }
-    ShardTasks {
-        rec,
-        run,
-        outcomes,
-        family,
-    }
+    ShardTasks { rec, run, outcomes }
 }
 
 /// Extracts the `Send` outcome once shard `s`'s simulation drained.
@@ -573,12 +526,6 @@ fn finish_shard(
         "shard {s}: simulation drained with workers still pending \
          (set StoreBuilder::op_deadline_ns when running fault plans)"
     );
-    // An elastic shard's traffic spans every replica group it built, in
-    // group order; a static shard's is its one fabric.
-    let (traffic, reshard) = match &tasks.family {
-        Some(f) => (f.traffic(), Some(f.stats())),
-        None => (cluster.fabric().stats(), None),
-    };
     // A worker's outcomes are in its stream's order, so they pair off with
     // the plan's ops for that `(shard, router)`.
     let results = tasks
@@ -594,10 +541,9 @@ fn finish_shard(
     ShardOutcome {
         shard: s,
         stats: tasks.run.stats.take(),
-        traffic,
+        traffic: cluster.fabric().stats(),
         history: tasks.rec.take_history(),
         results,
-        reshard,
     }
 }
 
@@ -723,8 +669,8 @@ mod tests {
     }
 
     /// `==` on a run is field-exhaustive: a difference in any one witness —
-    /// a latency sample, a traffic or migration counter, a recorded
-    /// op, an op outcome — is a difference of the runs.
+    /// the shard index, a latency sample, a traffic counter, a recorded op,
+    /// an op outcome — is a difference of the runs.
     #[test]
     fn run_equality_covers_every_field() {
         type Tweak<'a> = &'a dyn Fn(&mut ShardOutcome);
@@ -745,7 +691,6 @@ mod tests {
                 traffic: TrafficStats::default(),
                 history,
                 results: vec![(0, 0, OpOutcome::Value(vec![1])), (0, 1, OpOutcome::Done)],
-                reshard: Some(ReshardStats::default()),
             };
             tweak(&mut shard);
             ShardedRun {
@@ -764,7 +709,17 @@ mod tests {
                 o.stats.latency[0].record(700);
             })
         );
+        // Naming every field, with no `..`, makes a new field fail to
+        // compile here until it gets a tweak below.
+        let ShardOutcome {
+            shard: _,
+            stats: _,
+            traffic: _,
+            history: _,
+            results: _,
+        } = &base.per_shard[0];
         let tweaks: [(&str, Tweak); 8] = [
+            ("shard", &|o| o.shard += 1),
             ("latency sample", &|o| o.stats.latency[0].record(301)),
             ("latency class", &|o| o.stats.latency.swap(0, 1)),
             ("failed ops", &|o| o.stats.failed_ops += 1),
@@ -772,9 +727,6 @@ mod tests {
             ("traffic", &|o| o.traffic.messages += 1),
             ("history", &|o| o.history = KvHistory::new()),
             ("op outcome", &|o| o.results[1].2 = OpOutcome::Absent),
-            ("migration counter", &|o| {
-                o.reshard.as_mut().unwrap().keys_copied += 1
-            }),
         ];
         for (what, tweak) in tweaks {
             assert_ne!(base, run(tweak), "{what} is not compared");

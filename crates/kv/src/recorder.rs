@@ -104,6 +104,7 @@ impl HistoryRecorder {
     }
 }
 
+#[derive(Debug, PartialEq)]
 enum Outcome {
     Definite(KvOpKind),
     Ambiguous(KvOpKind),
@@ -123,10 +124,6 @@ fn mutation_outcome(r: &KvResult<()>, intended: KvOpKind) -> Outcome {
         // Capacity is a global resource, not per-key state: a refusal is
         // legal at any point and changes nothing.
         Err(KvError::IndexFull) => Outcome::Definite(KvOpKind::FailNoop),
-        // Bounced before touching per-key state: the addressed group no
-        // longer owned the key (routing-epoch mismatch, see
-        // `crate::reshard`), so nothing was observed and nothing changed.
-        Err(KvError::WrongShard { .. }) => Outcome::Definite(KvOpKind::FailNoop),
     }
 }
 
@@ -295,6 +292,33 @@ mod tests {
         // Batch elements overlap in time: all share the invoke instant.
         let invokes: Vec<u64> = h.ops().iter().map(|o| o.invoke).collect();
         assert!(invokes.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    /// One row per result: what each mutation result means to the checker.
+    #[test]
+    fn every_mutation_result_has_its_history_semantics() {
+        let intended = KvOpKind::Update(7);
+        // No wildcard: a new `KvError` variant fails to compile here until
+        // it gets a row.
+        let expected = |r: &KvResult<()>| match r {
+            Ok(()) => Outcome::Definite(intended),
+            Err(KvError::Timeout) => Outcome::Ambiguous(intended),
+            Err(KvError::NotFound | KvError::NotIndexed | KvError::Deleted) => {
+                Outcome::Definite(KvOpKind::FailAbsent)
+            }
+            Err(KvError::IndexFull) => Outcome::Definite(KvOpKind::FailNoop),
+        };
+        let results = [
+            Ok(()),
+            Err(KvError::Timeout),
+            Err(KvError::NotFound),
+            Err(KvError::NotIndexed),
+            Err(KvError::Deleted),
+            Err(KvError::IndexFull),
+        ];
+        for r in &results {
+            assert_eq!(mutation_outcome(r, intended), expected(r), "{r:?}");
+        }
     }
 
     #[test]

@@ -27,9 +27,8 @@
 //! **shared CPU core**, so a router models one application thread that
 //! happens to talk to many shards — not one thread per shard.
 //!
-//! The layout is fixed at build time, so a router never sees
-//! [`crate::KvError::WrongShard`]: that error belongs to the elastic
-//! families of `crate::reshard`, whose clients absorb it themselves.
+//! The layout is fixed at build time: a key's shard never changes, so a
+//! router never needs to re-resolve one.
 //!
 //! Batched multi-key operations are the blanket [`crate::KvStoreExt`]
 //! ones: every element routes like a single-key op, all elements fly

@@ -34,15 +34,6 @@ pub enum KvError {
     /// `update` addressed a key that was never inserted: updates require an
     /// existing mapping (§5.3.3) — use `insert` for fresh keys.
     NotIndexed,
-    /// The addressed shard group no longer owns the key: an elastic
-    /// resharding handoff (see `crate::reshard`) moved its range to another
-    /// group and bumped the routing epoch. The carried epoch is the
-    /// authoritative [`crate::ShardMap`] epoch at bounce time; an
-    /// [`crate::ElasticClient`] refreshes its map and re-resolves.
-    WrongShard {
-        /// The authoritative routing-table epoch when the op was bounced.
-        epoch: u64,
-    },
 }
 
 impl std::fmt::Display for KvError {
@@ -53,9 +44,6 @@ impl std::fmt::Display for KvError {
             KvError::IndexFull => f.write_str("index at capacity"),
             KvError::Timeout => f.write_str("memory node stopped answering"),
             KvError::NotIndexed => f.write_str("key has no index mapping"),
-            KvError::WrongShard { epoch } => {
-                write!(f, "key re-owned by another shard group (map epoch {epoch})")
-            }
         }
     }
 }

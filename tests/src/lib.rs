@@ -1,6 +1,6 @@
 //! The one chaos harness. The fault-injection suites under `tests/tests`
-//! (`chaos`, `shard_chaos`, `reshard_chaos`, `scenario_chaos`, and the
-//! mode-parity suite `shard_parallel`) are tables
+//! (`chaos`, `shard_chaos`, `scenario_chaos`, and the mode-parity suite
+//! `shard_parallel`) are tables
 //! over what lives here: the seed list, the fault-plan table, the mixed-op
 //! worker, the planned sharded run, and the two assertions every cell ends
 //! in — "every history linearizes" and, through `ShardedRun`'s `==`, "these
@@ -16,8 +16,8 @@ use std::rc::Rc;
 use swarm_core::{KvHistory, KvHistoryOp};
 use swarm_fabric::{FaultPlan, NodeId};
 use swarm_kv::{
-    plan_workload, run_sharded_plan, HedgeConfig, KvStore, Protocol, ReshardEvent, RunConfig,
-    ShardMode, ShardRunOptions, ShardSpec, ShardedRun, StoreBuilder,
+    plan_workload, run_sharded_plan, HedgeConfig, KvStore, Protocol, RunConfig, ShardMode,
+    ShardRunOptions, ShardSpec, ShardedRun, StoreBuilder,
 };
 use swarm_sim::{Nanos, Sim, SimRng, NANOS_PER_MICRO, NANOS_PER_MILLI};
 use swarm_workload::{Workload, WorkloadSpec};
@@ -172,11 +172,9 @@ impl MixedWorker {
 pub struct PlannedCase {
     /// Static shards.
     pub shards: usize,
-    /// Router streams the workload is planned across.
+    /// Router streams the workload is planned across, one client id each
+    /// per shard.
     pub routers: usize,
-    /// Client ids per shard: `routers`, plus one where a migration driver
-    /// writes with the reserved top id.
-    pub max_clients: usize,
     /// Preloaded keyspace `0..keys`.
     pub keys: u64,
     /// The YCSB mix.
@@ -189,8 +187,6 @@ pub struct PlannedCase {
     pub watch_until_ns: Option<Nanos>,
     /// Fault plans by shard.
     pub faults: Vec<(usize, FaultPlan)>,
-    /// Mid-run migration events.
-    pub reshards: Vec<ReshardEvent>,
 }
 
 impl PlannedCase {
@@ -200,14 +196,12 @@ impl PlannedCase {
         PlannedCase {
             shards,
             routers,
-            max_clients: routers,
             keys,
             spec: WorkloadSpec::A,
             cfg,
             hedge: None,
             watch_until_ns: None,
             faults: Vec::new(),
-            reshards: Vec::new(),
         }
     }
 }
@@ -217,7 +211,7 @@ impl PlannedCase {
 pub fn planned(seed: u64, mode: ShardMode, case: &PlannedCase) -> ShardedRun {
     let mut b = StoreBuilder::new(Protocol::SafeGuess)
         .value_size(VALUE_SIZE)
-        .max_clients(case.max_clients)
+        .max_clients(case.routers)
         .op_deadline_ns(OP_DEADLINE_NS)
         .shards(case.shards);
     if let Some(hedge) = case.hedge {
@@ -235,7 +229,6 @@ pub fn planned(seed: u64, mode: ShardMode, case: &PlannedCase) -> ShardedRun {
         faults: case.faults.clone(),
         collect_results: true,
         watch_until_ns: case.watch_until_ns,
-        reshards: case.reshards.clone(),
     };
     run_sharded_plan(&b, seed, &plan, &wl, &opts, mode)
 }

@@ -20,14 +20,6 @@
 //! latency sample moves. They were generated on the commit *before* the six
 //! quorum waits were collapsed onto one staged round (ISSUE 14).
 //!
-//! The `migration/*` cells are planned runs with `ShardRunOptions::reshards`
-//! in `reshard_chaos`'s case shapes — a healthy split, a split whose
-//! destination dies mid-copy, a rebuild after a permanent node death — and
-//! additionally digest every per-shard history and the families'
-//! `ReshardStats`. They were generated on the commit *before* split and
-//! rebuild were collapsed onto one `Copy → Drain → Publish` migration
-//! driver.
-//!
 //! `workload/concurrency4` was re-pinned once, when a max-register stamp read
 //! began writing back a tombstone it sees at a minority (a delete still in
 //! flight, in that cell) before returning it.
@@ -36,15 +28,13 @@
 //! `cargo test -p swarm-tests --test driver_parity -- --nocapture` and copy
 //! the printed `("name", 0x...)` table over `PINNED`.
 
-use swarm_core::{KvHistory, KvOpKind};
 use swarm_fabric::{FaultPlan, NodeId, TrafficStats};
 use swarm_kv::{
     plan_workload, run_scenario, run_sharded_plan, run_workload, ttl_stamp_never, HedgeConfig,
-    KvStore, OpOutcome, Protocol, ReshardEvent, ReshardStats, RunConfig, RunStats,
-    ScenarioRunConfig, ShardMode, ShardRunOptions, ShardSpec, ShardedRun, StoreBuilder, TtlStore,
+    KvStore, OpOutcome, Protocol, RunConfig, RunStats, ScenarioRunConfig, ShardMode,
+    ShardRunOptions, ShardSpec, ShardedRun, StoreBuilder, TtlStore,
 };
-use swarm_sim::{Histogram, Nanos, Sim, NANOS_PER_MICRO, NANOS_PER_MILLI};
-use swarm_tests::{planned, PlannedCase};
+use swarm_sim::{Histogram, Nanos, Sim, NANOS_PER_MICRO};
 use swarm_workload::{
     Phase, ScenarioMix, ScenarioOpClass, ScenarioSpec, TtlSpec, ValueSizeDist, Workload,
     WorkloadSpec,
@@ -70,9 +60,6 @@ const PINNED: &[(&str, u64)] = &[
     ("widen/crash-swarm", 0x46daa14c9f8479d6),
     ("widen/crash-abd", 0x4ef9c28142b5b863),
     ("tslock/one-key-16-clients", 0x63019e638d7cfc92),
-    ("migration/split", 0xf42b693b141f870a),
-    ("migration/dest-crash-abort", 0xb7125ed6c64d084a),
-    ("migration/rebuild", 0x5ed9d39090fab49a),
 ];
 
 /// A mix with all four YCSB classes, so inserts, deletes, and the failed
@@ -167,41 +154,6 @@ impl Digest {
                     self.0.extend_from_slice(format!("{e:?}").as_bytes());
                 }
             }
-        }
-    }
-
-    /// Every recorded op, in recording order.
-    fn history(&mut self, h: &KvHistory) {
-        self.u64(h.len() as u64);
-        for op in h.ops() {
-            self.u64(op.key);
-            self.u64(op.invoke);
-            self.u64(op.ret.unwrap_or(u64::MAX));
-            let (kind, tag) = match op.kind {
-                KvOpKind::Get(v) => (0, v.unwrap_or(u64::MAX)),
-                KvOpKind::Insert(v) => (1, v),
-                KvOpKind::Update(v) => (2, v),
-                KvOpKind::Delete => (3, 0),
-                KvOpKind::FailAbsent => (4, 0),
-                KvOpKind::FailNoop => (5, 0),
-            };
-            self.u64(kind);
-            self.u64(tag);
-        }
-    }
-
-    fn reshard(&mut self, s: &ReshardStats) {
-        for v in [
-            s.epoch,
-            s.groups as u64,
-            s.sealed,
-            s.aborted,
-            s.bounces,
-            s.keys_copied,
-            s.mirrored,
-            s.last_seal_ns.unwrap_or(u64::MAX),
-        ] {
-            self.u64(v);
         }
     }
 
@@ -495,75 +447,6 @@ fn planned_cell(seed: u64, mode: ShardMode) -> u64 {
     d.finish()
 }
 
-/// One planned run of `reshard_chaos`'s shape (2 shards, 2 routers, 96
-/// keys, one spare client id for the migration driver) with `reshards` and
-/// `faults`: everything [`planned_cell`] digests, plus every per-shard
-/// history and each family's `ReshardStats`. Returns the stats of the
-/// migrating shard too, so the caller can assert how the migration ended.
-fn migration_cell(
-    seed: u64,
-    reshards: Vec<ReshardEvent>,
-    faults: Vec<(usize, FaultPlan)>,
-) -> (u64, ReshardStats) {
-    let cfg = RunConfig {
-        warmup_ops: 40,
-        measure_ops: 260,
-        ..Default::default()
-    };
-    let migrating = reshards[0].shard;
-    let case = PlannedCase {
-        max_clients: 3,
-        watch_until_ns: Some(20 * NANOS_PER_MILLI),
-        faults,
-        reshards,
-        ..PlannedCase::new(2, 2, 96, cfg)
-    };
-    let run = planned(seed, ShardMode::Threads(1), &case);
-    let mut d = Digest::default();
-    d.sharded_run(&run);
-    for h in run.histories() {
-        d.history(h);
-    }
-    for o in run.per_shard() {
-        if let Some(s) = &o.reshard {
-            d.reshard(s);
-        }
-    }
-    let stats = run.shard(migrating).reshard.expect("the shard migrated");
-    (d.finish(), stats)
-}
-
-/// The cells that pin the migration driver, each asserting how its
-/// migration ends.
-fn migration_cells() -> Vec<(&'static str, u64)> {
-    let us = NANOS_PER_MICRO;
-    let split = |pace_ns| ReshardEvent::split(1, 40 * us, 500).pace_ns(pace_ns);
-    let mut out = Vec::new();
-
-    let (digest, s) = migration_cell(501, vec![split(500)], Vec::new());
-    assert_eq!((s.sealed, s.aborted, s.epoch), (1, 0, 1), "{s:?}");
-    assert!(s.keys_copied > 0 && s.mirrored > 0, "{s:?}");
-    out.push(("migration/split", digest));
-
-    let dest_dies = (0..4).fold(FaultPlan::new(), |plan, n| {
-        plan.crash_at(70 * us, NodeId(n))
-    });
-    let (digest, s) = migration_cell(502, vec![split(2_000).dest_faults(dest_dies)], Vec::new());
-    assert_eq!((s.sealed, s.aborted, s.epoch), (0, 1, 0), "{s:?}");
-    out.push(("migration/dest-crash-abort", digest));
-
-    let ms = NANOS_PER_MILLI;
-    let (digest, s) = migration_cell(
-        503,
-        vec![ReshardEvent::rebuild(0, 2 * ms, 0, 1).pace_ns(1_000)],
-        vec![(0, FaultPlan::new().crash_at(ms, NodeId(1)))],
-    );
-    assert_eq!((s.sealed, s.aborted, s.epoch), (1, 0, 1), "{s:?}");
-    assert!(s.keys_copied > 0, "{s:?}");
-    out.push(("migration/rebuild", digest));
-    out
-}
-
 fn cells() -> Vec<(&'static str, u64)> {
     let base = RunConfig {
         warmup_ops: 100,
@@ -648,7 +531,6 @@ fn cells() -> Vec<(&'static str, u64)> {
         ),
     ];
     cells.extend(staged_cells());
-    cells.extend(migration_cells());
     cells
 }
 
