@@ -210,7 +210,7 @@ ROWS
 # `swarm_tests::seeds` to 1 000 seeds, the depth at which chaos.rs's known
 # failures were found: chaos.rs (fault plans x protocols, unhedged and
 # hedged: 20 000 cells per sweep, ~17 s) and the other two (shard
-# independence, scan + TTL scenarios; ~25 s together on 2 cores), every
+# independence, scan scenarios; ~25 s together on 2 cores), every
 # history checked whole.
 stage chaos-release sh -c '
     set -eu

@@ -1,9 +1,8 @@
 //! Scenario-engine bench (beyond the paper): drives the time-phased
 //! `swarm_workload::ScenarioSpec` op streams — YCSB A–F including scans, a
 //! flash-crowd variant of each (dynamic skew with the hot set rotated
-//! mid-run), a TTL-churn scenario (lease-stamped inserts expiring mid-run),
-//! and a bimodal large-value scenario — against SWARM-KV and FUSEE on a
-//! 4-shard cluster.
+//! mid-run), and a bimodal large-value scenario — against SWARM-KV and
+//! FUSEE on a 4-shard cluster.
 //!
 //! It reports like every other experiment: one stdout row per (scenario,
 //! protocol) and `target/experiments/bench_scenarios/cells.csv` with each
@@ -21,10 +20,10 @@
 //! Cells run on `SWARM_BENCH_THREADS` OS threads via [`crate::sweep`]
 //! and are merged in deterministic cell order, so stdout and `cells.csv`
 //! are bit-identical at any thread count. Every SWARM-KV cell's whole
-//! history, TTL expiries included, must linearize; a check prints nothing
-//! unless it fails, and then the bench stops naming the cell and the
-//! failure window. FUSEE cells are not checked: its insert and delete are
-//! outside the checked model (`swarm_kv`'s `fusee.rs`).
+//! history must linearize; a check prints nothing unless it fails, and
+//! then the bench stops naming the cell and the failure window. FUSEE
+//! cells are not checked: its insert and delete are outside the checked
+//! model (`swarm_kv`'s `fusee.rs`).
 //!
 //! **stdout is the deterministic report** (simulated metrics only).
 //! Wall-clock seconds per cell go to **stderr** and `wall.csv`.
@@ -37,13 +36,9 @@ use std::time::Instant;
 
 use crate::{env_scaled_keys, report_wall, sweep, write_csv, Protocol};
 use swarm_fabric::TrafficStats;
-use swarm_kv::{
-    run_scenario, ttl_stamp_never, HistoryRecorder, ScenarioRunConfig, StoreBuilder, TtlStore,
-};
+use swarm_kv::{run_scenario, HistoryRecorder, ScenarioRunConfig, StoreBuilder};
 use swarm_sim::{Nanos, Sim};
-use swarm_workload::{
-    scenario_value, ScenarioMix, ScenarioOpClass, ScenarioSpec, TtlSpec, ValueSizeDist,
-};
+use swarm_workload::{scenario_value, ScenarioMix, ScenarioOpClass, ScenarioSpec, ValueSizeDist};
 
 /// Keyspace shards per cell; scans fan out to all of them.
 const SHARDS: usize = 4;
@@ -86,7 +81,6 @@ struct CellResult {
     cache_hits: u64,
     cache_misses: u64,
     traffic: TrafficStats,
-    expired_leases: u64,
     wall_secs: f64,
 }
 
@@ -97,52 +91,30 @@ impl CellResult {
 }
 
 fn run_cell(cell: &Cell) -> CellResult {
-    let cap = cell.spec.values.max_size();
-    let ttl = cell.spec.ttl.is_some();
     // In-n-Out registers (and FUSEE blocks) are fixed-size slots: provision
-    // for the largest scenario value, plus the 8-byte expiry stamp when the
-    // run goes through a TtlStore.
-    let slot = cap + if ttl { 8 } else { 0 };
+    // for the largest scenario value.
+    let cap = cell.spec.values.max_size();
     let wall = Instant::now();
     let sim = Sim::new(cell.seed);
     let cluster = StoreBuilder::new(cell.sys)
         .shards(SHARDS)
-        .value_size(slot)
+        .value_size(cap)
         .max_clients(CLIENTS)
         .build_sharded(&sim);
-    // Every op is recorded; a TTL run's recorder wraps the TtlStore, so it
-    // sees unstamped payloads and expiries as absences.
+    // Every op is recorded.
     let rec = HistoryRecorder::new(&sim);
     cluster.load_keys(cell.spec.n_keys, |k| {
         let v = scenario_value(k, 0, cap);
         rec.set_initial(k, &v);
-        if ttl {
-            ttl_stamp_never(&v)
-        } else {
-            v
-        }
+        v
     });
     let routers = cluster.routers(CLIENTS);
     let cfg = ScenarioRunConfig {
         seed: cell.seed,
         value_cap: cap,
     };
-    let (stats, expired_leases) = if ttl {
-        let ttls: Vec<_> = routers
-            .iter()
-            .map(|r| TtlStore::new(&sim, Rc::clone(r)))
-            .collect();
-        let stores: Vec<_> = ttls.iter().map(|t| rec.wrap(Rc::clone(t))).collect();
-        let stats = run_scenario(&sim, &stores, &cell.spec, &cfg);
-        let expired: Vec<_> = ttls.iter().flat_map(|t| t.take_expired()).collect();
-        for &(key, at) in &expired {
-            rec.note_expiry(key, at);
-        }
-        (stats, expired.len() as u64)
-    } else {
-        let stores: Vec<_> = routers.iter().map(|r| rec.wrap(Rc::clone(r))).collect();
-        (run_scenario(&sim, &stores, &cell.spec, &cfg), 0)
-    };
+    let stores: Vec<_> = routers.iter().map(|r| rec.wrap(Rc::clone(r))).collect();
+    let stats = run_scenario(&sim, &stores, &cell.spec, &cfg);
     // FUSEE's insert and delete are outside the checked model (`fusee.rs`).
     if cell.sys == Protocol::SafeGuess {
         let checked = rec.take_history().check();
@@ -180,7 +152,6 @@ fn run_cell(cell: &Cell) -> CellResult {
         cache_hits,
         cache_misses,
         traffic: cluster.stats(),
-        expired_leases,
         wall_secs: wall.elapsed().as_secs_f64(),
     }
 }
@@ -213,11 +184,6 @@ pub fn run(quick: bool) {
             ops,
         ));
     }
-    // 50 µs leases expire well inside even the smoke-scale run, so the
-    // expired_leases counter is live at any SWARM_BENCH_OPS_SCALE.
-    specs.push(
-        ScenarioSpec::ycsb("ttl_churn", ScenarioMix::D, n_keys, ops).ttl(TtlSpec::always(50_000)),
-    );
     specs.push(
         ScenarioSpec::ycsb("bigval", ScenarioMix::B, big_keys, ops)
             .values(ValueSizeDist::small_dominant()),
@@ -244,8 +210,8 @@ pub fn run(quick: bool) {
         SYSTEMS.len()
     );
     println!(
-        "{:<16} {:>9} {:>7} {:>6} {:>10} {:>9} {:>9} {:>8} {:>7} {:>9} {:>9} {:>9} {:>7} {:>8} \
-         {:>8} {:>9} {:>11}",
+        "{:<16} {:>9} {:>7} {:>6} {:>10} {:>9} {:>9} {:>8} {:>7} {:>9} {:>9} {:>9} {:>8} {:>8} \
+         {:>9} {:>11}",
         "scenario",
         "system",
         "ops",
@@ -258,7 +224,6 @@ pub fn run(quick: bool) {
         "upd_p99",
         "scan_p99",
         "rmw_p99",
-        "expired",
         "c_hits",
         "c_misses",
         "msgs",
@@ -284,7 +249,7 @@ pub fn run(quick: bool) {
             };
             println!(
                 "{:<16} {:>9} {:>7} {:>6} {:>10.1} {:>9.2} {:>9.2} {:>8} {:>6.2}x {:>9} {:>9} \
-                 {:>9} {:>7} {:>8} {:>8} {:>9} {:>11}",
+                 {:>9} {:>8} {:>8} {:>9} {:>11}",
                 spec.name,
                 sys_name,
                 r.measured_ops,
@@ -297,7 +262,6 @@ pub fn run(quick: bool) {
                 p99_us(ScenarioOpClass::Update),
                 p99_us(ScenarioOpClass::Scan),
                 p99_us(ScenarioOpClass::Rmw),
-                r.expired_leases,
                 r.cache_hits,
                 r.cache_misses,
                 r.traffic.messages,
@@ -336,10 +300,6 @@ pub fn run(quick: bool) {
                 .expect("stock scenario");
             &results[i * SYSTEMS.len() + j]
         };
-        assert!(
-            cell("ttl_churn").expired_leases > 0,
-            "ttl_churn / {sys}: no lease expired"
-        );
         for name in ["ycsb_e_static", "ycsb_e_flash"] {
             assert!(
                 cell(name).scanned_items > 0,
@@ -364,7 +324,6 @@ pub fn run(quick: bool) {
     println!("\nexpectation (asserted): flash-crowd phases rotate the hot set, so the");
     println!("hot shard moves mid-run and per-shard routed counts even out relative");
     println!("to the static Zipfian cells (imbal lower for A-D and F; YCSB-E scans");
-    println!("fan out to all shards, scanned > 0); ttl_churn's leases expire mid-run");
-    println!("(expired > 0); bigval's 8 KiB tail stretches update tails above");
-    println!("ycsb_b_static's; no cell fails an op.");
+    println!("fan out to all shards, scanned > 0); bigval's 8 KiB tail stretches");
+    println!("update tails above ycsb_b_static's; no cell fails an op.");
 }

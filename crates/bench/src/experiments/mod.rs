@@ -65,5 +65,5 @@ pub const EXPERIMENTS: &[Experiment] = registry! {
     bench_multiget: "beyond the paper: batch size vs latency of the pipelined multi-ops",
     bench_shards: "beyond the paper: 1-16 shard weak scaling and per-shard load imbalance",
     bench_tail: "beyond the paper: p99/p999 under delay spikes, hedged vs unhedged",
-    bench_scenarios: "beyond the paper: YCSB A-F, flash crowds, TTL churn, bimodal values on 4 shards",
+    bench_scenarios: "beyond the paper: YCSB A-F, flash crowds, bimodal values on 4 shards",
 };

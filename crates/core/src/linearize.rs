@@ -29,9 +29,9 @@
 //!   state) or slips in just before the latest write, if it was pending
 //!   when that landed (nothing observed it); an observation needs one
 //!   write of the value it saw to land or slip in with it;
-//! * an ambiguous write (a timeout, a TTL expiry) only where an observation
-//!   needs it, at most once, and of interchangeable ones (every expiry is
-//!   a `Delete`) always the earliest: discarding it is always legal.
+//! * an ambiguous write (a timeout) only where an observation needs it, at
+//!   most once, and of interchangeable ones (two `Delete`s, say) always the
+//!   earliest: discarding it is always legal.
 //!
 //! After each return, a configuration another one covers (same state, no
 //! less room to slip, and the same linearized operations but for more
@@ -175,27 +175,6 @@ impl KvHistory {
     /// Records one completed operation of an unnamed client.
     pub fn push(&mut self, key: u64, invoke: u64, ret: u64, kind: KvOpKind) {
         self.record(None, key, invoke, Some(ret), kind);
-    }
-
-    /// Records a TTL lease expiry at instant `at`: the key became absent
-    /// when virtual time passed its lease, with no explicit delete op in
-    /// the history to witness it.
-    ///
-    /// Expiry is a *legal linearization point*, modeled as an **ambiguous
-    /// delete** invoked at `at`:
-    ///
-    /// * Operations that completed before `at` precede it, so a pre-expiry
-    ///   read still observing the value linearizes before the expiry.
-    /// * Being ambiguous, the delete may take effect at any legal later
-    ///   point — wherever the first post-expiry `None` read needs it — or
-    ///   be **discarded** entirely, which is exactly right when a
-    ///   subsequent write "resurrected" the key before anyone observed the
-    ///   expiry.
-    ///
-    /// No checker search changes back this: `Delete` is already legal in
-    /// any state and ambiguous ops are already apply-or-discard.
-    pub fn expire(&mut self, key: u64, at: u64) {
-        self.record(None, key, at, None, KvOpKind::Delete);
     }
 
     /// Number of operations recorded.
@@ -582,49 +561,47 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expiry_is_a_legal_linearization_point() {
-        // A leased insert, a pre-expiry read of the value, the expiry event
-        // at t=100, then a post-expiry read of absence: all four linearize
-        // as insert → get(Some) → expiry-delete → get(None).
+    fn a_clientless_ambiguous_delete_is_a_legal_linearization_point() {
+        // An insert, a read of the value, an ambiguous delete of no named
+        // client invoked at t=100, then a read of absence: all four
+        // linearize as insert → get(Some) → delete → get(None).
         let mut h = KvHistory::new();
         h.push(5, 0, 1, KvOpKind::Insert(9));
         h.push(5, 10, 11, KvOpKind::Get(Some(9)));
-        h.expire(5, 100);
+        h.record(None, 5, 100, None, KvOpKind::Delete);
         h.push(5, 200, 201, KvOpKind::Get(None));
         assert!(h.is_linearizable());
 
-        // Resurrection: a write after expiry makes the key live again —
-        // the expiry delete linearizes between the reads (or before the
-        // update; both are legal).
+        // A later write makes the key live again: the delete linearizes
+        // between the insert and the read of absence.
         let mut h2 = KvHistory::new();
         h2.push(5, 0, 1, KvOpKind::Insert(9));
-        h2.expire(5, 100);
+        h2.record(None, 5, 100, None, KvOpKind::Delete);
         h2.push(5, 200, 201, KvOpKind::Get(None));
         h2.push(5, 300, 301, KvOpKind::Update(10));
         h2.push(5, 400, 401, KvOpKind::Get(Some(10)));
         assert!(h2.is_linearizable());
 
-        // The expiry cannot excuse a *wrong value*: a read observing a tag
+        // The delete cannot excuse a *wrong value*: a read observing a tag
         // nobody wrote stays non-linearizable.
         let mut bad = KvHistory::new();
         bad.push(5, 0, 1, KvOpKind::Insert(9));
-        bad.expire(5, 100);
+        bad.record(None, 5, 100, None, KvOpKind::Delete);
         bad.push(5, 200, 201, KvOpKind::Get(Some(42)));
         assert!(!bad.is_linearizable());
     }
 
     #[test]
-    fn expiry_must_follow_ops_completed_before_it() {
-        // An op that completed before the expiry instant precedes the
-        // expiry delete: absence cannot be observed before the lease ran
-        // out and then "un-expire".
+    fn a_clientless_ambiguous_delete_follows_ops_completed_before_it() {
+        // An op that completed before the delete was invoked precedes it:
+        // absence cannot be observed before the delete and then undone.
         let mut h = KvHistory::new();
         h.push(5, 0, 1, KvOpKind::Insert(9));
-        // Read of absence completed at t=11, long before the expiry at
-        // t=100 — with no other delete in the history this cannot
-        // linearize (the expiry delete is constrained to come after it).
+        // Read of absence completed at t=11, long before the delete was
+        // invoked at t=100 — with no other delete in the history this
+        // cannot linearize (the delete is constrained to come after it).
         h.push(5, 10, 11, KvOpKind::Get(None));
-        h.expire(5, 100);
+        h.record(None, 5, 100, None, KvOpKind::Delete);
         assert!(!h.is_linearizable());
     }
 
@@ -669,8 +646,9 @@ mod tests {
 
     #[test]
     fn ten_thousand_op_key_is_checked_whole() {
-        // One key, four overlapping clients, timeouts and lease expiries:
-        // the whole subhistory is searched, however long it is.
+        // One key, four overlapping clients, timeouts and client-less
+        // ambiguous deletes: the whole subhistory is searched, however long
+        // it is.
         let rng = SimRng::from_seed(0x11EA_0001, 0);
         let h = synth(&rng, 4, 10_000, usize::MAX);
         assert!(h.len() >= 10_000);
@@ -751,8 +729,8 @@ mod tests {
     /// held there. One write in sixteen reuses a tag from 1–3. Until
     /// `faults` ambiguous ops exist, one mutation in sixteen times out (it
     /// lands at a random later instant or never; its client moves on) and
-    /// one op in thirty-two is followed by a lease expiry that lands later
-    /// or never.
+    /// one op in thirty-two is followed by an ambiguous delete of no named
+    /// client that lands later or never.
     fn synth(rng: &SimRng, clients: usize, n: usize, faults: usize) -> KvHistory {
         // (lands at, sequence, client, invoke, ret, what): what 0–3 reads,
         // 4–5 writes, 6 a delete, 7 an update that fails on absence.
@@ -831,8 +809,9 @@ mod tests {
     #[test]
     fn differential_against_the_wing_gong_oracle() {
         // 10 000 seeded histories of 1–128 ops on one key from 1–4
-        // clients, with no or up to 8 timeouts and expiries, half with one
-        // read flipped: the sweep and the oracle agree on every verdict.
+        // clients, with no or up to 8 timeouts and client-less ambiguous
+        // deletes, half with one read flipped: the sweep and the oracle
+        // agree on every verdict.
         let mut verdicts = [0usize; 2];
         for case in 0..10_000 {
             let rng = SimRng::from_seed(0xD1FF_0001, case);

@@ -226,16 +226,9 @@ pub(crate) async fn execute<S: KvStore>(
         ScenarioOp::Update { key, size, version } => {
             wrote(store.update(key, value(key, version, size)).await)
         }
-        ScenarioOp::Insert {
-            key,
-            size,
-            version,
-            ttl_ns,
-        } => wrote(
-            store
-                .insert_ttl(key, value(key, version, size), ttl_ns)
-                .await,
-        ),
+        ScenarioOp::Insert { key, size, version } => {
+            wrote(store.insert(key, value(key, version, size)).await)
+        }
         ScenarioOp::Delete { key } => wrote(store.delete(key).await),
         ScenarioOp::Scan { start, limit } => match store.scan(start, limit).await {
             Ok(items) => Executed::Scanned(items.len() as u64),

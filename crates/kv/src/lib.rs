@@ -91,7 +91,7 @@
 //!   client ([`RunConfig::concurrency`], §7.2), paced, deadlined, counting
 //!   per-op roundtrips. This is what the paper's figures run.
 //! * [`run_scenario`] feeds a pre-materialised time-phased `ScenarioSpec`
-//!   stream (scans, read-modify-writes, TTL inserts, value-size
+//!   stream (scans, read-modify-writes, inserts, value-size
 //!   distributions), dealt round-robin to the clients.
 //! * [`plan_workload`] + [`run_sharded_plan`] pre-partition a YCSB stream
 //!   into per-shard op streams and drive each shard on its *own* seeded
@@ -128,7 +128,6 @@ mod runner;
 mod scenario_run;
 mod shard;
 mod store;
-mod ttl;
 
 pub use builder::{Protocol, StoreBuilder, StoreCluster};
 pub use cache::LfuCache;
@@ -148,4 +147,3 @@ pub use scenario_run::{run_scenario, ScenarioRunConfig};
 pub use shard::{ShardRouter, ShardSpec, ShardedCluster};
 pub use store::{KvError, KvResult, KvStore, KvStoreExt, ScanItems};
 pub use swarm_core::HedgeConfig;
-pub use ttl::{ttl_stamp, ttl_stamp_never, TtlStore, TTL_NEVER};

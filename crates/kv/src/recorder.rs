@@ -23,7 +23,7 @@ use std::rc::Rc;
 
 use swarm_core::{xxh64, KvHistory, KvOpKind};
 use swarm_fabric::Endpoint;
-use swarm_sim::{Nanos, Sim};
+use swarm_sim::Sim;
 
 use crate::store::{KvError, KvResult, KvStore, ScanItems};
 
@@ -92,15 +92,6 @@ impl HistoryRecorder {
     /// Takes the recorded history, leaving the recorder empty.
     pub fn take_history(&self) -> KvHistory {
         self.inner.history.replace(KvHistory::new())
-    }
-
-    /// Records a TTL lease expiry at virtual instant `at` (see
-    /// [`KvHistory::expire`](swarm_core::KvHistory::expire)): an ambiguous
-    /// delete the checker may linearize anywhere legal after the operations
-    /// that completed before `at`, or discard. Feed it the pairs drained
-    /// from `TtlStore::take_expired` before checking.
-    pub fn note_expiry(&self, key: u64, at: u64) {
-        self.inner.history.borrow_mut().expire(key, at);
     }
 }
 
@@ -200,17 +191,6 @@ impl<S: KvStore> KvStore for RecordingStore<S> {
                 );
             }
         }
-        r
-    }
-
-    /// Records a leased insert exactly like a plain insert (the tag is the
-    /// unstamped payload's) and forwards the lease. The matching expiry
-    /// event is pushed separately via [`HistoryRecorder::note_expiry`].
-    async fn insert_ttl(&self, key: u64, value: Vec<u8>, ttl_ns: Option<Nanos>) -> KvResult<()> {
-        let tag = value_tag(&value);
-        let invoke = self.rec.inner.sim.now();
-        let r = self.store.insert_ttl(key, value, ttl_ns).await;
-        self.record(key, invoke, mutation_outcome(&r, KvOpKind::Insert(tag)));
         r
     }
 

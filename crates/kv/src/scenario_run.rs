@@ -1,7 +1,7 @@
 //! Scenario runner: feeds a time-phased [`ScenarioSpec`] op stream —
-//! including scans, read-modify-writes, and TTL-leased inserts — to the
-//! one op path in `exec.rs` as a pre-materialised source, against any
-//! [`KvStore`], and returns the same [`RunStats`] every driver returns.
+//! including scans and read-modify-writes — to the one op path in
+//! `exec.rs` as a pre-materialised source, against any [`KvStore`], and
+//! returns the same [`RunStats`] every driver returns.
 //!
 //! # Determinism
 //!
@@ -31,8 +31,7 @@ pub struct ScenarioRunConfig {
     /// registers (like FUSEE's blocks) are fixed-size slots, so a run's
     /// cluster is provisioned for the scenario's *largest* value
     /// (`ValueSizeDist::max_size`) and smaller logical payloads ship
-    /// zero-padded — set the `StoreBuilder::value_size` to this (plus 8
-    /// when the run goes through a `TtlStore`, for the expiry stamp).
+    /// zero-padded — set the `StoreBuilder::value_size` to this.
     pub value_cap: usize,
 }
 
@@ -98,7 +97,7 @@ pub fn run_scenario<S: KvStore + 'static>(
 mod tests {
     use super::*;
     use crate::{Protocol, StoreBuilder};
-    use swarm_workload::{Phase, ScenarioMix, ScenarioOpClass, TtlSpec, ValueSizeDist};
+    use swarm_workload::{Phase, ScenarioMix, ScenarioOpClass, ValueSizeDist};
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec::new("mixed", 64)
@@ -132,20 +131,10 @@ mod tests {
     fn scenario_run_is_deterministic() {
         let run = || {
             let sim = Sim::new(32);
-            // TTL run: registers provisioned for payload + 8-byte stamp.
-            let cluster = StoreBuilder::new(Protocol::Fusee)
-                .value_size(72)
-                .build_cluster(&sim);
-            cluster.load_keys(64, |k| crate::ttl_stamp_never(&[k as u8; 64]));
-            let clients: Vec<_> = (0..2)
-                .map(|i| crate::TtlStore::new(&sim, cluster.client(i)))
-                .collect();
-            let spec = spec().ttl(TtlSpec {
-                insert_pct: 50,
-                ttl_ns: 500_000,
-                ttl_keys: 16,
-            });
-            let stats = run_scenario(&sim, &clients, &spec, &ScenarioRunConfig::default());
+            let cluster = StoreBuilder::new(Protocol::Fusee).build_cluster(&sim);
+            cluster.load_keys(64, |k| vec![k as u8; 64]);
+            let clients: Vec<_> = (0..2).map(|i| cluster.client(i)).collect();
+            let stats = run_scenario(&sim, &clients, &spec(), &ScenarioRunConfig::default());
             (
                 stats.measured_ops,
                 stats.failed_ops,

@@ -83,10 +83,11 @@ pub trait KvStore {
     /// absent from the result (a scan is not a snapshot).
     fn scan(&self, start: u64, limit: usize) -> impl Future<Output = KvResult<ScanItems>> + '_;
 
-    /// Inserts a key with an optional TTL lease: after `ttl_ns` virtual
-    /// nanoseconds the key reads as absent (`Ok(None)`). The default
-    /// implementation drops the lease and performs a plain insert — only
-    /// lease-aware wrappers (see `crate::TtlStore`) honor it.
+    /// A plain [`KvStore::insert`] that drops its lease argument: nothing
+    /// in this workspace expires keys, and no store here overrides this
+    /// body. It stays only because the benchmark's `TracedStore`
+    /// (`benchmark/src/trace.rs`) implements it; ROADMAP item 8 deletes
+    /// both.
     fn insert_ttl(
         &self,
         key: u64,

@@ -1,6 +1,6 @@
 //! Time-phased scenario specifications: dynamic skew, the full YCSB A–F
-//! mix family (including scans and read-modify-writes), value-size
-//! distributions, and TTL/expiry traffic.
+//! mix family (including scans and read-modify-writes), and value-size
+//! distributions.
 //!
 //! A [`ScenarioSpec`] is a *schedule* of [`Phase`]s. Each phase carries its
 //! own operation mix ([`ScenarioMix`]), Zipfian skew (`theta`), and hot-set
@@ -48,7 +48,7 @@ pub enum ScenarioOpClass {
     Get,
     /// Point overwrite.
     Update,
-    /// Insert (possibly lease-stamped, see [`TtlSpec`]).
+    /// Insert (an upsert, §5.3.1).
     Insert,
     /// Point delete.
     Delete,
@@ -86,7 +86,7 @@ impl ScenarioOpClass {
 }
 
 /// One fully resolved operation of a scenario stream. Every field a driver
-/// needs — key, payload size, write version, scan bounds, TTL lease — is
+/// needs — key, payload size, write version, scan bounds — is
 /// baked in at generation time, so executing the stream draws no further
 /// randomness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,7 +106,8 @@ pub enum ScenarioOp {
         /// Monotone stream-unique version (the payload tag seed).
         version: u64,
     },
-    /// Insert `key`, optionally carrying a TTL lease (see [`TtlSpec`]).
+    /// Insert `key` with a `size`-byte payload derived from
+    /// [`scenario_value`]`(key, version, size)`.
     Insert {
         /// The key to insert.
         key: u64,
@@ -114,8 +115,6 @@ pub enum ScenarioOp {
         size: usize,
         /// Monotone stream-unique version (the payload tag seed).
         version: u64,
-        /// Lease duration in virtual nanoseconds; `None` = no expiry.
-        ttl_ns: Option<u64>,
     },
     /// Delete `key`.
     Delete {
@@ -144,17 +143,12 @@ pub enum ScenarioOp {
 
 impl ScenarioOp {
     /// The four-class case: a YCSB `(op, key, version)` draw as a resolved
-    /// operation with a `size`-byte payload and no lease.
+    /// operation with a `size`-byte payload.
     pub fn ycsb(op: crate::OpType, key: u64, version: u64, size: usize) -> ScenarioOp {
         match op {
             crate::OpType::Get => ScenarioOp::Get { key },
             crate::OpType::Update => ScenarioOp::Update { key, size, version },
-            crate::OpType::Insert => ScenarioOp::Insert {
-                key,
-                size,
-                version,
-                ttl_ns: None,
-            },
+            crate::OpType::Insert => ScenarioOp::Insert { key, size, version },
             crate::OpType::Delete => ScenarioOp::Delete { key },
         }
     }
@@ -432,40 +426,8 @@ impl ValueSizeDist {
     }
 }
 
-/// TTL/expiry traffic knobs: a fraction of inserts carry a lease, after
-/// which the key reads as absent (`Ok(None)`).
-///
-/// Lease-carrying inserts draw their keys from a **dedicated tail range**
-/// of the keyspace (`n_keys..n_keys + ttl_keys`), so expiring keys never
-/// collide with the bulk-loaded working set. Expiry is a *legal
-/// linearization point*: the checker models it as an ambiguous delete at
-/// the expiry instant (see `swarm_core::KvHistory::expire`), so both a
-/// pre-expiry `Some` and a post-expiry `None` read of the same key
-/// linearize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TtlSpec {
-    /// Percent of inserts that carry a lease (`0..=100`).
-    pub insert_pct: u64,
-    /// Lease duration in virtual nanoseconds.
-    pub ttl_ns: u64,
-    /// Size of the dedicated expiring-key range appended after the main
-    /// keyspace.
-    pub ttl_keys: u64,
-}
-
-impl TtlSpec {
-    /// Every insert carries a `ttl_ns` lease, over a 64-key expiring range.
-    pub fn always(ttl_ns: u64) -> Self {
-        TtlSpec {
-            insert_pct: 100,
-            ttl_ns,
-            ttl_keys: 64,
-        }
-    }
-}
-
 /// A complete scenario: a named schedule of [`Phase`]s over one keyspace,
-/// plus value-size and TTL knobs shared by every phase.
+/// plus the value-size distribution shared by every phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Scenario name (report section titles, CSV file stems).
@@ -476,8 +438,6 @@ pub struct ScenarioSpec {
     pub phases: Vec<Phase>,
     /// Write-payload size distribution.
     pub values: ValueSizeDist,
-    /// TTL/expiry traffic, if any.
-    pub ttl: Option<TtlSpec>,
     /// Upper bound on scan lengths; each scan draws a limit uniformly from
     /// `1..=scan_max_len`.
     pub scan_max_len: usize,
@@ -485,7 +445,7 @@ pub struct ScenarioSpec {
 
 impl ScenarioSpec {
     /// A scenario over `0..n_keys` with no phases yet, 64-byte fixed
-    /// values, no TTL traffic, and scans of up to 16 keys.
+    /// values, and scans of up to 16 keys.
     pub fn new(name: impl Into<String>, n_keys: u64) -> Self {
         assert!(n_keys > 0, "a scenario needs a non-empty keyspace");
         ScenarioSpec {
@@ -493,7 +453,6 @@ impl ScenarioSpec {
             n_keys,
             phases: Vec::new(),
             values: ValueSizeDist::Fixed(64),
-            ttl: None,
             scan_max_len: 16,
         }
     }
@@ -507,12 +466,6 @@ impl ScenarioSpec {
     /// Sets the write-payload size distribution.
     pub fn values(mut self, dist: ValueSizeDist) -> Self {
         self.values = dist;
-        self
-    }
-
-    /// Arms TTL/expiry traffic (see [`TtlSpec`]).
-    pub fn ttl(mut self, ttl: TtlSpec) -> Self {
-        self.ttl = Some(ttl);
         self
     }
 
@@ -547,12 +500,6 @@ impl ScenarioSpec {
     /// Total operations across all phases.
     pub fn total_ops(&self) -> usize {
         self.phases.iter().map(|p| p.ops).sum()
-    }
-
-    /// Total keyspace size including the TTL tail range (the load loop's
-    /// bound is `n_keys`; the TTL tail starts absent by design).
-    pub fn total_keys(&self) -> u64 {
-        self.n_keys + self.ttl.map_or(0, |t| t.ttl_keys)
     }
 
     /// The stream of operations for `seed`, generated lazily. Pure in
@@ -634,25 +581,7 @@ impl Iterator for ScenarioStream<'_> {
         Some(match class {
             ScenarioOpClass::Get => ScenarioOp::Get { key },
             ScenarioOpClass::Update => ScenarioOp::Update { key, size, version },
-            ScenarioOpClass::Insert => {
-                // A lease-carrying insert retargets to the dedicated
-                // expiring-key tail range (see `TtlSpec`).
-                let ttl = self.spec.ttl.filter(|t| self.rng.roll(100) < t.insert_pct);
-                match ttl {
-                    Some(t) => ScenarioOp::Insert {
-                        key: self.spec.n_keys + self.rng.roll(t.ttl_keys),
-                        size,
-                        version,
-                        ttl_ns: Some(t.ttl_ns),
-                    },
-                    None => ScenarioOp::Insert {
-                        key,
-                        size,
-                        version,
-                        ttl_ns: None,
-                    },
-                }
-            }
+            ScenarioOpClass::Insert => ScenarioOp::Insert { key, size, version },
             ScenarioOpClass::Delete => ScenarioOp::Delete { key },
             ScenarioOpClass::Scan => ScenarioOp::Scan {
                 start: key,
@@ -725,11 +654,13 @@ mod tests {
         ScenarioSpec::new("six", 1_000)
             .phase(Phase::new(ops, mix))
             .values(ValueSizeDist::small_dominant())
-            .ttl(TtlSpec {
-                insert_pct: 50,
-                ttl_ns: 1_000_000,
-                ttl_keys: 32,
-            })
+    }
+
+    /// Every materialised stream (`run_scenario`, the planned driver) holds
+    /// one op per element: three words and a tag.
+    #[test]
+    fn an_op_is_four_words() {
+        assert_eq!(std::mem::size_of::<ScenarioOp>(), 32);
     }
 
     #[test]
@@ -777,22 +708,11 @@ mod tests {
     #[test]
     fn keys_stay_in_range_and_scans_respect_bounds() {
         let spec = six_mix_spec(2_000);
-        let total = spec.total_keys();
         for op in spec.ops(3) {
             match op {
                 ScenarioOp::Scan { start, limit } => {
                     assert!(start < spec.n_keys);
                     assert!((1..=spec.scan_max_len).contains(&limit));
-                }
-                ScenarioOp::Insert { key, ttl_ns, .. } => {
-                    if ttl_ns.is_some() {
-                        assert!(
-                            (spec.n_keys..total).contains(&key),
-                            "leased inserts live in the TTL tail range"
-                        );
-                    } else {
-                        assert!(key < spec.n_keys);
-                    }
                 }
                 op => assert!(op.key() < spec.n_keys),
             }

@@ -34,7 +34,7 @@ const SEED_STRIDE: u64 = 7919;
 fn build(proto: Protocol, sim: &Sim, hedge: Option<HedgeConfig>) -> StoreCluster {
     let mut b = StoreBuilder::new(proto)
         .value_size(VALUE_SIZE)
-        .max_clients(CLIENTS + 1)
+        .max_clients(CLIENTS)
         .op_deadline_ns(OP_DEADLINE_NS);
     if let Some(cfg) = hedge {
         b = b.hedge(cfg);

@@ -22,7 +22,9 @@
 //!
 //! `workload/concurrency4` was re-pinned once, when a max-register stamp read
 //! began writing back a tombstone it sees at a minority (a delete still in
-//! flight, in that cell) before returning it.
+//! flight, in that cell) before returning it. `scenario/*` were re-pinned
+//! once, when lease-carrying inserts went and the two cells began running
+//! over plain clients.
 //!
 //! To regenerate after an intended behaviour change, run
 //! `cargo test -p swarm-tests --test driver_parity -- --nocapture` and copy
@@ -30,14 +32,13 @@
 
 use swarm_fabric::{FaultPlan, NodeId, TrafficStats};
 use swarm_kv::{
-    plan_workload, run_scenario, run_sharded_plan, run_workload, ttl_stamp_never, HedgeConfig,
-    KvStore, OpOutcome, Protocol, RunConfig, RunStats, ScenarioRunConfig, ShardMode,
-    ShardRunOptions, ShardSpec, ShardedRun, StoreBuilder, TtlStore,
+    plan_workload, run_scenario, run_sharded_plan, run_workload, HedgeConfig, KvStore, OpOutcome,
+    Protocol, RunConfig, RunStats, ScenarioRunConfig, ShardMode, ShardRunOptions, ShardSpec,
+    ShardedRun, StoreBuilder,
 };
 use swarm_sim::{Histogram, Nanos, Sim, NANOS_PER_MICRO};
 use swarm_workload::{
-    Phase, ScenarioMix, ScenarioOpClass, ScenarioSpec, TtlSpec, ValueSizeDist, Workload,
-    WorkloadSpec,
+    Phase, ScenarioMix, ScenarioOpClass, ScenarioSpec, ValueSizeDist, Workload, WorkloadSpec,
 };
 
 const PINNED: &[(&str, u64)] = &[
@@ -48,8 +49,8 @@ const PINNED: &[(&str, u64)] = &[
     ("workload/rtts-prewarm", 0xe753d822b99377b3),
     ("workload/rtts-prewarm-abd", 0x731efd48fce98460),
     ("workload/routed", 0x493847e73cb75811),
-    ("scenario/ttl-swarm", 0xf15bbb4ca44b1552),
-    ("scenario/ttl-fusee", 0xe6667ab30da13db4),
+    ("scenario/swarm", 0x08c65bb7704591f4),
+    ("scenario/fusee", 0x31ff5e5560c1f3f4),
     ("planned/single-sim", 0xd43472a2af461e5f),
     ("planned/sequential", 0xd43472a2af461e5f),
     ("hedged/spike-swarm", 0x8f60755c2d239238),
@@ -382,19 +383,16 @@ fn routed_cell(seed: u64) -> u64 {
     d.finish()
 }
 
-/// `run_scenario` over lease-aware `TtlStore`s: scans, RMWs, TTL inserts,
-/// bimodal value sizes, a mid-run hot-set rotation.
+/// `run_scenario` over plain clients: scans, RMWs, inserts, bimodal value
+/// sizes, a mid-run hot-set rotation.
 fn scenario_cell(seed: u64, protocol: Protocol) -> u64 {
     let sim = Sim::new(seed);
-    // Registers provisioned for the 64-byte payload cap + 8-byte stamp.
     let cluster = StoreBuilder::new(protocol)
-        .value_size(72)
+        .value_size(64)
         .max_clients(3)
         .build_cluster(&sim);
-    cluster.load_keys(64, |k| ttl_stamp_never(&[k as u8; 64]));
-    let clients: Vec<_> = (0..3)
-        .map(|i| TtlStore::new(&sim, cluster.client(i)))
-        .collect();
+    cluster.load_keys(64, |k| vec![k as u8; 64]);
+    let clients: Vec<_> = (0..3).map(|i| cluster.client(i)).collect();
     let spec = ScenarioSpec::new("parity", 64)
         .phase(Phase::new(150, ScenarioMix::E).theta(0.9))
         .phase(Phase::new(150, ScenarioMix::F).theta(0.99).rotate(32))
@@ -403,11 +401,6 @@ fn scenario_cell(seed: u64, protocol: Protocol) -> u64 {
             small: 32,
             large: 64,
             large_pct: 10,
-        })
-        .ttl(TtlSpec {
-            insert_pct: 50,
-            ttl_ns: 300 * NANOS_PER_MICRO,
-            ttl_keys: 16,
         });
     let cfg = ScenarioRunConfig {
         seed: seed ^ 0x5CE9,
@@ -516,11 +509,8 @@ fn cells() -> Vec<(&'static str, u64)> {
             ),
         ),
         ("workload/routed", routed_cell(110)),
-        (
-            "scenario/ttl-swarm",
-            scenario_cell(201, Protocol::SafeGuess),
-        ),
-        ("scenario/ttl-fusee", scenario_cell(202, Protocol::Fusee)),
+        ("scenario/swarm", scenario_cell(201, Protocol::SafeGuess)),
+        ("scenario/fusee", scenario_cell(202, Protocol::Fusee)),
         (
             "planned/single-sim",
             planned_cell(301, ShardMode::SingleSim),

@@ -7,9 +7,7 @@
 use swarm_kv::{KvStore, Protocol, StoreBuilder};
 use swarm_sim::{Sim, SimRng};
 use swarm_tests::{coin, for_each_case};
-use swarm_workload::{
-    scenario_value, Phase, ScenarioMix, ScenarioOp, ScenarioSpec, TtlSpec, ValueSizeDist,
-};
+use swarm_workload::{scenario_value, Phase, ScenarioMix, ScenarioOp, ScenarioSpec, ValueSizeDist};
 
 /// An arbitrary mix: either one of the six YCSB letters or a random
 /// six-way percentage split (five sorted cuts of `[0, 100)` make six
@@ -31,7 +29,7 @@ fn arbitrary_mix(rng: &SimRng) -> ScenarioMix {
 }
 
 /// An arbitrary scenario: 1–3 phases of arbitrary mix, skew and rotation
-/// over 2–511 keys, fixed or bimodal value sizes, a TTL spec half the time.
+/// over 2–511 keys, fixed or bimodal value sizes.
 fn arbitrary_spec(rng: &SimRng) -> ScenarioSpec {
     let values = if coin(rng) {
         ValueSizeDist::Fixed(rng.rand_range(8, 256) as usize)
@@ -52,21 +50,13 @@ fn arbitrary_spec(rng: &SimRng) -> ScenarioSpec {
                 .rotate(rng.rand_range(0, 1024)),
         );
     }
-    if coin(rng) {
-        spec = spec.ttl(TtlSpec {
-            insert_pct: rng.rand_range(1, 101),
-            ttl_ns: rng.rand_range(1, 1_000_000),
-            ttl_keys: rng.rand_range(1, 64),
-        });
-    }
     spec
 }
 
 /// Stream purity: `(seed, spec)` regenerates the byte-identical op
 /// vector, the lazy stream agrees with the materialized one, and every
-/// emitted op respects the spec's bounds (keys inside the keyspace +
-/// TTL tail, sizes drawable from the distribution, scan limits within
-/// `scan_max_len`).
+/// emitted op respects the spec's bounds (keys inside the keyspace, sizes
+/// drawable from the distribution, scan limits within `scan_max_len`).
 #[test]
 fn scenario_streams_are_pure_and_in_bounds() {
     for_each_case(0x5CE0, |rng| {
@@ -79,7 +69,7 @@ fn scenario_streams_are_pure_and_in_bounds() {
 
         let max = spec.values.max_size();
         for op in &ops {
-            assert!(op.key() < spec.total_keys(), "key escapes the keyspace");
+            assert!(op.key() < spec.n_keys, "key escapes the keyspace");
             match *op {
                 ScenarioOp::Update { size, .. }
                 | ScenarioOp::Insert { size, .. }

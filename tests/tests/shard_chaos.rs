@@ -33,7 +33,7 @@ const KEYS_PER_SHARD: usize = 8;
 fn build(sim: &Sim, shards: usize) -> ShardedCluster {
     StoreBuilder::new(Protocol::SafeGuess)
         .value_size(VALUE_SIZE)
-        .max_clients(CLIENTS_PER_SHARD * shards + 1)
+        .max_clients(CLIENTS_PER_SHARD * shards)
         .op_deadline_ns(OP_DEADLINE_NS)
         .shards(shards)
         .build_sharded(sim)
