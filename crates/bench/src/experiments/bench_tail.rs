@@ -6,7 +6,10 @@
 //! plan injects rotating one-node delay bursts (+15 µs one-way, 120 µs
 //! long, every 400 µs, node `i % 4`): an op whose optimistic quorum
 //! includes the spiked node stalls until the widen deadline fires, so the
-//! unhedged tail sits at the widen floor while the median stays healthy.
+//! unhedged get *and* update tails sit at the widen floor while the median
+//! stays healthy. The widen suspects the spiked node only until its next
+//! reply, so once the burst has moved on every node is contacted
+//! optimistically again and the next burst stalls writes as much as reads.
 //! Hedged cells instead send one extra copy to a spare quorum member after
 //! the per-destination p99-tracked delay (`RttTracker`, `HEDGE_DELAY_PCT`
 //! over the last `RTT_WINDOW` samples; at most `MAX_HEDGES_INFLIGHT` per
@@ -270,9 +273,10 @@ pub fn run(quick: bool) {
 
     println!("\nexpectation: the spike parks unhedged stragglers at the widen floor, so the");
     println!(
-        "unhedged spiked p99 sits near {} us while the median stays healthy; hedged",
+        "unhedged spiked get and update p99s sit near {} us while the median stays",
         WIDEN_FLOOR_NS / 1_000
     );
+    println!("healthy (a spiked node is suspected only until it answers again); hedged");
     println!("cells re-issue to a spare replica after the tracked per-node p99 and pull the");
     println!("tail back near the calm p99 at the cost of a small duplicate-message budget.");
 

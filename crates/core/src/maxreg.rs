@@ -16,6 +16,13 @@
 //! reaches the client's [`QuorumClient`] (with the client's [`Hedger`],
 //! if any; without one no round has a hedge stage).
 //!
+//! Suspicion follows [`NodeHealth`]'s one rule: silent at a widen deadline
+//! suspects, any reply clears. The rounds apply both halves; this module
+//! adds only the clear when a background refresh (`write_replica_bg`)
+//! returns. Those refreshes go to the replicas the cache shows stale,
+//! which after a widen are exactly the suspected ones, so they are the
+//! replies that heal a false suspicion.
+//!
 //! [`Hedger`]: crate::Hedger
 
 use std::cell::Cell;
@@ -221,7 +228,6 @@ impl<R: ReplicaClient> ReliableMaxReg<R> {
         round.complete(|| rounds.bump()).await;
         for (i, ()) in round.finish() {
             self.set.note_stored(i, v.stamp);
-            self.quorum().health.clear(self.set.node(i));
         }
     }
 
@@ -231,6 +237,7 @@ impl<R: ReplicaClient> ReliableMaxReg<R> {
         self.quorum().sim.spawn(async move {
             fut.await;
             this.set.note_stored(idx, v.stamp);
+            this.quorum().health.clear(this.set.node(idx));
         });
     }
 
@@ -245,7 +252,6 @@ impl<R: ReplicaClient> ReliableMaxReg<R> {
         let mut out = Vec::new();
         for (i, snap) in round.finish() {
             self.set.note_stored(i, snap.stamp);
-            self.quorum().health.clear(self.set.node(i));
             out.push((i, snap));
         }
         out
@@ -426,6 +432,35 @@ mod tests {
             assert!(first > second * 2, "first={first} second={second}");
         });
         assert!(rounds.get() >= 3);
+    }
+
+    #[test]
+    fn a_falsely_suspected_node_is_trusted_again_once_a_refresh_reaches_it() {
+        let (sim, states, reg) = setup(8, 3);
+        let sim2 = sim.clone();
+        sim.block_on(async move {
+            let health = Rc::clone(&reg.quorum().health);
+            reg.write(MVal::new(Stamp::verified(1, 0), vec![1])).await;
+            // One write's reply from replica 1 misses the widen deadline:
+            // the write completes on replicas 0 and 2, node 1 is suspected.
+            states[1].set_extra_delay(50_000);
+            reg.write(MVal::new(Stamp::verified(2, 0), vec![2])).await;
+            assert!(health.is_suspected(1));
+            states[1].set_extra_delay(0);
+            // A read skips node 1; its free write-back refreshes replica 1,
+            // the one the cache shows stale, in the background.
+            assert_eq!(reg.read().await.stamp, Stamp::verified(2, 0));
+            sim2.sleep_ns(10_000).await;
+            assert_eq!(states[1].current().stamp, Stamp::verified(2, 0));
+            assert!(!health.is_suspected(1), "the refresh's reply clears it");
+            // The next read contacts replicas 0 and 1 optimistically again:
+            // with replica 2 stalled it still needs no widen.
+            states[2].set_extra_delay(50_000);
+            let (t0, rounds) = (sim2.now(), reg.rounds().get());
+            reg.read().await;
+            assert!(sim2.now() - t0 < 6_000, "the read waited for the widen");
+            assert_eq!(reg.rounds().get() - rounds, 1);
+        });
     }
 
     #[test]

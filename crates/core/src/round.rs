@@ -24,7 +24,12 @@
 //!    by [`NodeHealth::widen_timeout_ns`] from the round's start. At the
 //!    deadline every *optimistically contacted* slot that is still silent
 //!    has its node suspected; hedge slots are exempt — they were contacted
-//!    late, their silence says nothing about the node.
+//!    late, their silence says nothing about the node. That is the one
+//!    rule for suspicion, and its converse is the other half: any reply
+//!    from a node clears it (stage 5 here; a register's background
+//!    refresh, [`crate::ReliableMaxReg`]). A late reply from a healthy
+//!    node therefore costs one suspicion until its next answer, while a
+//!    crashed node never answers and stays suspected.
 //!    [`QuorumRound::wait`] returns here and leaves the choice to the
 //!    caller; [`QuorumRound::complete`] contacts every remaining candidate
 //!    and waits the quorum out.
@@ -33,7 +38,8 @@
 //!    hedge's own slot has answered, *discarded* otherwise. No hedge fires
 //!    after that.
 //! 5. **Finish.** The completed `(replica, result)` pairs come back in
-//!    contact order.
+//!    contact order, and (with a [`NodeHealth`]) the node of every slot
+//!    that answered is cleared of suspicion — hedge and widened slots too.
 //!
 //! Invariants the callers and the tests rely on:
 //!
@@ -200,13 +206,21 @@ where
         }
     }
 
-    /// The completed `(replica, result)` pairs in contact order.
+    /// The completed `(replica, result)` pairs in contact order; every node
+    /// that answered is cleared of suspicion (module docs, stage 5).
     pub fn finish(self) -> impl Iterator<Item = (usize, T)> + 'a
     where
         T: 'a,
     {
-        self.q
-            .take_results()
+        let results = self.q.take_results();
+        if let Some((health, _)) = self.widen {
+            for (result, &(_, node)) in results.iter().zip(self.cands) {
+                if result.is_some() {
+                    health.clear(node);
+                }
+            }
+        }
+        results
             .into_iter()
             .zip(self.cands)
             .filter_map(|(result, &(replica, _))| result.map(|r| (replica, r)))
@@ -330,6 +344,36 @@ mod tests {
         assert!(!health.is_suspected(2), "the silent hedge slot");
         assert_eq!(hedge_counts(&fabric), (1, 0, 1));
         assert_eq!(hedger.inflight(), 0);
+    }
+
+    #[test]
+    fn a_late_optimistic_reply_suspects_its_node_until_that_reply_lands() {
+        let sim = Sim::new(6);
+        let health = NodeHealth::new(3);
+        let cands = distinct(3);
+        // No faults: replica 1 merely answers 1 us past the 6 us widen
+        // deadline, before the widened contact to replica 2 does.
+        let delays = [Some(700), Some(7_000), Some(8_000)];
+        let done = sim.block_on({
+            let (sim, health) = (sim.clone(), Rc::clone(&health));
+            async move {
+                let cfg = QuorumConfig::default();
+                let mut round =
+                    QuorumRound::new(&sim, None, Some((&health, &cfg)), 2, &cands, |i| {
+                        reply(&sim, delays[i], i)
+                    });
+                let suspected_at_widen = Cell::new(false);
+                round
+                    .complete(|| suspected_at_widen.set(health.is_suspected(1)))
+                    .await;
+                assert!(suspected_at_widen.get(), "silent at the widen deadline");
+                assert_eq!(sim.now(), 7_000, "the late reply completes the quorum");
+                round.finish().collect::<Vec<_>>()
+            }
+        });
+        assert_eq!(done, [(0, 0), (1, 1)]);
+        assert!(!health.is_suspected(1), "its reply clears the suspicion");
+        assert!(!health.is_suspected(2), "never suspected: contacted late");
     }
 
     #[test]

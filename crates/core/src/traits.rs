@@ -112,11 +112,19 @@ pub(crate) const WIDEN_TIMEOUT_MAX_SCALE: Nanos = 32;
 
 /// Per-client failure suspicion, shared across all registers of one client.
 ///
-/// When a quorum wait times out, unresponsive nodes are suspected and
-/// subsequent operations stop contacting them optimistically (they are still
-/// contacted when quorums must widen). This reproduces §7.7: after a memory
-/// node crashes, only the first few operations pay the timeout, and no
-/// reconfiguration is needed.
+/// One rule, applied by [`crate::QuorumRound`]: a node is suspected when an
+/// optimistic request to it is still silent at the widen deadline, and any
+/// reply from it clears that (a round's answered slots, a register's
+/// background refresh). Suspected nodes are not contacted optimistically
+/// (they are still contacted when quorums must widen). This reproduces
+/// §7.7: after a memory node crashes, only the first few operations pay the
+/// timeout, the node never answers and stays suspected, and no
+/// reconfiguration is needed. A healthy node whose one reply ran late is
+/// trusted again at its next reply — in the common case the refresh that a
+/// read's free write-back sends to the replica the cache shows stale — so
+/// it does not stay out of the optimistic majority (and away from the
+/// in-place copy it may hold, §6) for the rest of the run. Membership also
+/// suspects and clears nodes on lease expiry and recovery.
 ///
 /// The health state also tracks a smoothed estimate of this client's quorum
 /// roundtrip time, from which the widen deadline is derived (TCP-RTO style):
