@@ -70,18 +70,18 @@ loc_row() { # loc_row <name> <dir...>
 # Settable values per config struct: its `pub` fields, less those holding
 # another listed struct (`ClusterConfig`'s `fabric` and `quorum` count where
 # they are declared). The total is over the run and cluster configs listed
-# in CONFIGS; `ShardRunOptions` prints below it.
+# in CONFIGS.
 CONFIGS='FabricConfig QuorumConfig ClusterConfig HedgeConfig RunConfig ScenarioRunConfig'
 config_fields() {
-    find crates/*/src -name '*.rs' | sort | xargs awk -v names="$CONFIGS ShardRunOptions" '
+    find crates/*/src -name '*.rs' | sort | xargs awk -v names="$CONFIGS" '
         BEGIN { n = split(names, order, " "); for (i = 1; i <= n; i++) listed[order[i]] = 1 }
         /^pub struct [A-Za-z]+ \{/ { name = $3; inside = name in listed; next }
         inside && /^}/ { inside = 0 }
         inside && /^    pub [a-z_0-9]+: / { type = $3; sub(/,$/, "", type); if (!(type in listed)) count[name]++ }
         END {
             printf "  %-18s %8s\n", "config struct", "settable"
-            for (i = 1; i < n; i++) { printf "  %-18s %8d\n", order[i], count[order[i]]; total += count[order[i]] }
-            printf "  %-18s %8d\n  %-18s %8d\n", "(the " n - 1 ")", total, order[n], count[order[n]]
+            for (i = 1; i <= n; i++) { printf "  %-18s %8d\n", order[i], count[order[i]]; total += count[order[i]] }
+            printf "  %-18s %8d\n", "(the " n ")", total
         }'
 }
 
@@ -126,7 +126,7 @@ stage() { # stage <name> <cmd...>
 
 # The five library crates and the vendored generator (vendor/rand: the
 # xoshiro256++ stream the seed contract rests on, not swappable for
-# registry rand; ROADMAP item 7 inlines it) are functions of their
+# registry rand; ROADMAP item 8 inlines it) are functions of their
 # arguments: only swarm-bench (and the test crates) may read the environment
 # or count cores, so the three SWARM_* knobs are every knob there is.
 stage env-purity sh -c '! grep -rnE "std::env|available_parallelism" \

@@ -16,16 +16,16 @@
 //! independent `(seed, config)` cells on `SWARM_BENCH_THREADS` OS threads
 //! (default: all cores) via [`sweep`]; results are merged in deterministic
 //! cell order, so every number is identical at any thread count. That is
-//! the one thread budget: `bench_shards`, whose cells each run one `Sim` per
-//! shard, sweeps `(cell, shard)` jobs on it. Wall-clock time is the one
-//! nondeterministic output; it goes to stderr and `*wall.csv` through
-//! [`report_wall`], never to stdout.
+//! the one thread budget, and [`sweep_on`] the workspace's one
+//! work-stealing loop. Wall-clock time is the one nondeterministic output;
+//! it goes to stderr and `*wall.csv` through [`report_wall`], never to
+//! stdout.
 //!
 //! This crate is also the one reader of environment variables
 //! (`envknob.rs`): `SWARM_BENCH_THREADS` in [`sweep_threads`],
-//! `SWARM_BENCH_OPS_SCALE` in `runner.rs` — whose [`run_workload`] and
-//! [`plan_workload`] scale the `RunConfig` and then call the `swarm_kv`
-//! functions of the same names, which run exactly what they are handed —
+//! `SWARM_BENCH_OPS_SCALE` in `runner.rs` — whose [`run_workload`] scales
+//! the `RunConfig` and then calls `swarm_kv::run_workload`, which runs
+//! exactly what it is handed —
 //! and `SWARM_CHAOS_SEEDS` in the chaos suites through [`env_knob`].
 //!
 //! Every system under test is built through [`swarm_kv::StoreBuilder`], so
@@ -44,7 +44,7 @@ mod sweep;
 
 pub use envknob::env_knob;
 pub use experiments::{Experiment, EXPERIMENTS};
-pub use runner::{env_scaled_keys, ops_scale, plan_workload, run_workload};
+pub use runner::{env_scaled_keys, ops_scale, run_workload};
 pub use sweep::{sweep, sweep_on, sweep_threads};
 
 use std::io::Write as _;

@@ -3,16 +3,16 @@
 //! `SWARM_BENCH_OPS_SCALE` (a positive float, e.g. `0.01`) shrinks every
 //! experiment's volume so the smoke test and the goldens exercise each full
 //! pipeline in a fraction of the quick-mode time. This module is the only
-//! place the scale is read and applied: [`run_workload`] and
-//! [`plan_workload`] scale the [`RunConfig`] they are handed and pass it to
-//! the `swarm_kv` functions of the same names — which run exactly what they
-//! are given — and [`env_scaled_keys`] scales a keyspace. An experiment that
+//! place the scale is read and applied: [`run_workload`] scales the
+//! [`RunConfig`] it is handed and passes it to `swarm_kv::run_workload` —
+//! which runs exactly what it is given — and [`env_scaled_keys`] scales a
+//! keyspace. An experiment that
 //! sizes something else by hand (`bench_scenarios`' op count,
 //! `bench_multiget`'s trials) reads [`ops_scale`] from here too.
 
 use std::rc::Rc;
 
-use swarm_kv::{KvStore, RunConfig, RunStats, ShardSpec, WorkloadPlan};
+use swarm_kv::{KvStore, RunConfig, RunStats};
 use swarm_sim::Sim;
 use swarm_workload::Workload;
 
@@ -84,17 +84,6 @@ pub fn run_workload<S: KvStore + 'static>(
     cfg: &RunConfig,
 ) -> RunStats {
     swarm_kv::run_workload(sim, stores, workload, &scaled_by(cfg, ops_scale()))
-}
-
-/// [`swarm_kv::plan_workload`] over `cfg` scaled by `SWARM_BENCH_OPS_SCALE`.
-pub fn plan_workload(
-    seed: u64,
-    spec: ShardSpec,
-    workload: &Workload,
-    cfg: &RunConfig,
-    routers: usize,
-) -> WorkloadPlan {
-    swarm_kv::plan_workload(seed, spec, workload, &scaled_by(cfg, ops_scale()), routers)
 }
 
 #[cfg(test)]

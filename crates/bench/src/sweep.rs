@@ -3,15 +3,18 @@
 //! Every long experiment is a sweep over independent `(seed, config)` cells:
 //! each cell builds its own single-threaded, seeded [`swarm_sim::Sim`] and is
 //! bit-for-bit deterministic in isolation. That makes the sweep embarrassingly
-//! parallel: cells run on OS threads through [`swarm_kv::par_map`] (the
-//! workspace's one work-stealing loop) and results are merged in *cell
-//! order* — so the output of a parallel sweep is byte-identical to the
-//! sequential one, whatever the thread count or scheduling.
+//! parallel: cells run on OS threads through [`sweep_on`] (the workspace's
+//! one work-stealing loop) and results are merged in *cell order* — so the
+//! output of a parallel sweep is byte-identical to the sequential one,
+//! whatever the thread count or scheduling.
 //!
 //! Thread count comes from `SWARM_BENCH_THREADS` (default: all cores), the
 //! harness's one thread budget. The cell closure must return only `Send`
 //! data (row strings, summary numbers); the `Sim` and everything built on it
 //! stay confined to the worker thread.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// The sweep thread count: `SWARM_BENCH_THREADS` if set (a positive
 /// integer), otherwise the number of available cores. An unparsable value
@@ -40,15 +43,40 @@ where
 }
 
 /// [`sweep`] with an explicit thread count (testable without the
-/// environment). `threads <= 1` runs strictly sequentially on the calling
-/// thread; either way results come back in cell order.
+/// environment). Workers claim the next unstarted cell from a shared
+/// counter, so long and short cells balance automatically; `threads <= 1`
+/// runs strictly sequentially on the calling thread. Either way results
+/// come back in cell order.
 pub fn sweep_on<T, R, F>(threads: usize, cells: &[T], run: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    swarm_kv::par_map(threads, cells, run)
+    let threads = threads.min(cells.len());
+    if threads <= 1 {
+        return cells.iter().map(run).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = cells.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(cell) = cells.get(i) else { break };
+                let out = run(cell);
+                *slots[i].lock().expect("sweep slot poisoned") = Some(out);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .expect("sweep slot poisoned")
+                .expect("every claimed cell stores a result")
+        })
+        .collect()
 }
 
 #[cfg(test)]

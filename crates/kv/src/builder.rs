@@ -237,11 +237,6 @@ impl StoreBuilder {
         }
     }
 
-    /// The number of keyspace shards this builder is configured for.
-    pub fn num_shards(&self) -> usize {
-        self.shards
-    }
-
     /// Builds one independent [`StoreCluster`] per configured shard on the
     /// shared simulation. Each shard carries this builder's full
     /// configuration but draws from its own private RNG streams, so no
@@ -249,38 +244,14 @@ impl StoreBuilder {
     pub fn build_sharded(&self, sim: &Sim) -> ShardedCluster {
         let spec = ShardSpec::new(self.shards);
         let shards = (0..self.shards)
-            .map(|s| self.build_one_shard(sim, s))
+            .map(|s| {
+                let mut b = self.clone();
+                b.shards = 1;
+                b.cluster.rng_label = Some(spec_rng_label(&spec, s, self.cluster.rng_label));
+                b.build_cluster(sim)
+            })
             .collect();
         ShardedCluster::from_shards(sim, spec, shards)
-    }
-
-    /// Builds shard `s` of the configured sharded keyspace *alone* on
-    /// `sim`, with exactly the per-shard RNG labels
-    /// [`StoreBuilder::build_sharded`] would give it.
-    ///
-    /// Because every random draw a shard makes comes from streams forked
-    /// from `(simulation seed, shard label)` — never from the shared
-    /// stream — shard `s` built solo on `Sim::new(seed)` replays the same
-    /// execution it would have had on a shared simulation with the same
-    /// seed, bit for bit. This is the footing for both the one-`Sim`-per-
-    /// shard parallel driver (see [`crate::run_sharded_plan`]) and the
-    /// replay workflow in TESTING.md (re-running one shard of a sweep cell
-    /// single-threaded under a debugger).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not below the configured shard count.
-    pub fn build_one_shard(&self, sim: &Sim, s: usize) -> StoreCluster {
-        assert!(
-            s < self.shards,
-            "shard {s} out of range: builder has {} shard(s)",
-            self.shards
-        );
-        let spec = ShardSpec::new(self.shards);
-        let mut b = self.clone();
-        b.shards = 1;
-        b.cluster.rng_label = Some(spec_rng_label(&spec, s, self.cluster.rng_label));
-        b.build_cluster(sim)
     }
 }
 

@@ -3,8 +3,8 @@
 //! issue ops and record latency and roundtrips — and this module holds the
 //! only copy of it: [`execute`] (the one `match` over op kinds that calls
 //! store methods), [`RunStats::record`], [`Worker::spawn`] and [`drive`].
-//! The three drivers — `run_workload`, `run_scenario`, `run_sharded_plan`
-//! — differ only in their [`OpSource`].
+//! The two drivers — `run_workload` and `run_scenario` — differ only in
+//! their [`OpSource`].
 //!
 //! The unit of work is the six-class [`ScenarioOp`]; a YCSB op is its
 //! four-class case ([`ScenarioOp::ycsb`]). Payloads come from a caller
@@ -20,7 +20,7 @@ use swarm_sim::{Histogram, Nanos, Sim, TimeSeries, NANOS_PER_MILLI, NANOS_PER_SE
 use swarm_workload::{ScenarioOp, ScenarioOpClass, Workload};
 
 use crate::runner::RunConfig;
-use crate::store::{KvError, KvResult, KvStore};
+use crate::store::{KvResult, KvStore};
 
 /// Number of operation classes ([`ScenarioOpClass::all`]).
 const CLASSES: usize = 6;
@@ -115,97 +115,23 @@ impl RunStats {
             series.record(t1, t1 - t0);
         }
     }
-
-    /// Folds another run's results into this one: histograms concatenate
-    /// (so percentiles are over the union), counts sum, and the
-    /// measurement window spans the earliest start to the latest end.
-    pub fn merge(&mut self, other: &RunStats) {
-        // Exhaustive on purpose: a new field must be merged to compile.
-        let RunStats {
-            latency,
-            rtts,
-            series,
-            measured_ops,
-            failed_ops,
-            scanned_items,
-            start_ns,
-            end_ns,
-        } = other;
-        for (mine, theirs) in self.latency.iter_mut().zip(latency) {
-            mine.merge(theirs);
-        }
-        for (mine, theirs) in self.rtts.iter_mut().zip(rtts) {
-            for (&r, &n) in theirs {
-                *mine.entry(r).or_insert(0) += n;
-            }
-        }
-        match (&mut self.series, series) {
-            (Some(mine), Some(theirs)) => mine.merge(theirs),
-            (mine @ None, Some(theirs)) => *mine = Some(theirs.clone()),
-            (_, None) => {}
-        }
-        if *measured_ops > 0 {
-            self.start_ns = if self.measured_ops == 0 {
-                *start_ns
-            } else {
-                self.start_ns.min(*start_ns)
-            };
-            self.end_ns = self.end_ns.max(*end_ns);
-        }
-        self.measured_ops += measured_ops;
-        self.failed_ops += failed_ops;
-        self.scanned_items += scanned_items;
-    }
 }
 
-/// The `Send` result of one operation (payloads are copied out of the
-/// simulation-confined `Rc`s), as reassembled by
-/// [`ShardedRun::results`](crate::ShardedRun::results).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum OpOutcome {
-    /// A get that found a value.
-    Value(Vec<u8>),
-    /// A get (or an RMW's read leg) that observed absence.
-    Absent,
-    /// A mutation that applied, or a scan that completed.
-    Done,
-    /// An operation that failed.
-    Failed(KvError),
-}
-
-/// What one executed op produced, still confined to its simulation's
-/// thread: a read's payload is the store's own `Rc`, copied out only when
-/// a caller asks for the `Send` [`OpOutcome`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What one executed op produced, as far as its accounting goes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Executed {
-    Value(Rc<Vec<u8>>),
-    Absent,
     Done,
     /// A scan that returned this many items.
     Scanned(u64),
-    Failed(KvError),
-}
-
-impl Executed {
-    /// Absence counts as failure, like YCSB's not-found.
-    pub(crate) fn ok(&self) -> bool {
-        !matches!(self, Executed::Absent | Executed::Failed(_))
-    }
-
-    pub(crate) fn outcome(&self) -> OpOutcome {
-        match self {
-            Executed::Value(v) => OpOutcome::Value((**v).clone()),
-            Executed::Absent => OpOutcome::Absent,
-            Executed::Done | Executed::Scanned(_) => OpOutcome::Done,
-            Executed::Failed(e) => OpOutcome::Failed(*e),
-        }
-    }
+    /// An error, or an observed absence: absence counts as failure, like
+    /// YCSB's not-found.
+    Failed,
 }
 
 fn wrote(r: KvResult<()>) -> Executed {
     match r {
         Ok(()) => Executed::Done,
-        Err(e) => Executed::Failed(e),
+        Err(_) => Executed::Failed,
     }
 }
 
@@ -219,9 +145,8 @@ pub(crate) async fn execute<S: KvStore>(
 ) -> Executed {
     match op {
         ScenarioOp::Get { key } => match store.get(key).await {
-            Ok(Some(v)) => Executed::Value(v),
-            Ok(None) => Executed::Absent,
-            Err(e) => Executed::Failed(e),
+            Ok(Some(_)) => Executed::Done,
+            Ok(None) | Err(_) => Executed::Failed,
         },
         ScenarioOp::Update { key, size, version } => {
             wrote(store.update(key, value(key, version, size)).await)
@@ -232,15 +157,14 @@ pub(crate) async fn execute<S: KvStore>(
         ScenarioOp::Delete { key } => wrote(store.delete(key).await),
         ScenarioOp::Scan { start, limit } => match store.scan(start, limit).await {
             Ok(items) => Executed::Scanned(items.len() as u64),
-            Err(e) => Executed::Failed(e),
+            Err(_) => Executed::Failed,
         },
         // Read-modify-write: the read's observation feeds the write in a
         // real application; here only the latency of the two dependent
         // legs matters.
         ScenarioOp::Rmw { key, size, version } => match store.get(key).await {
             Ok(Some(_)) => wrote(store.update(key, value(key, version, size)).await),
-            Ok(None) => Executed::Absent,
-            Err(e) => Executed::Failed(e),
+            Ok(None) | Err(_) => Executed::Failed,
         },
     }
 }
@@ -253,8 +177,8 @@ pub(crate) struct Budget {
     pub version: u64,
 }
 
-/// Where a worker's operations come from — the one thing the three
-/// drivers differ in.
+/// Where a worker's operations come from — the one thing the two drivers
+/// differ in.
 pub(crate) enum OpSource {
     /// `run_workload`: slots are claimed from the shared [`Budget`], and
     /// each op is drawn from the simulation's RNG stream only once its
@@ -263,7 +187,7 @@ pub(crate) enum OpSource {
         workload: Workload,
         budget: Rc<RefCell<Budget>>,
     },
-    /// Scenario and planned runs: pre-materialised `(measured, op)` pairs.
+    /// `run_scenario`: pre-materialised `(measured, op)` pairs.
     Planned(std::vec::IntoIter<(bool, ScenarioOp)>),
 }
 
@@ -315,7 +239,7 @@ pub(crate) struct Run {
 }
 
 /// One client worker: its op source, the knobs that pace it, the payload
-/// function, and where its results go.
+/// function, and the run it records into.
 pub(crate) struct Worker<V> {
     pub source: OpSource,
     /// The per-op knobs; the volume knobs belong to whoever built `source`.
@@ -323,8 +247,6 @@ pub(crate) struct Worker<V> {
     /// Builds a mutation's payload from `(key, version, size)`.
     pub value: V,
     pub run: Rc<Run>,
-    /// When set, every op's outcome in issue order, measured or not.
-    pub outcomes: Option<Rc<RefCell<Vec<OpOutcome>>>>,
 }
 
 impl<V: Fn(u64, u64, usize) -> Vec<u8> + 'static> Worker<V> {
@@ -363,7 +285,7 @@ impl<V: Fn(u64, u64, usize) -> Vec<u8> + 'static> Worker<V> {
 
                 if measured {
                     let mut stats = self.run.stats.borrow_mut();
-                    stats.record(op.class(), t0, t1, result.ok());
+                    stats.record(op.class(), t0, t1, result != Executed::Failed);
                     if let Executed::Scanned(items) = result {
                         stats.scanned_items += items;
                     }
@@ -374,9 +296,6 @@ impl<V: Fn(u64, u64, usize) -> Vec<u8> + 'static> Worker<V> {
                         let used = store.rounds() - r0;
                         *stats.rtts[op.class() as usize].entry(used).or_insert(0) += 1;
                     }
-                }
-                if let Some(outcomes) = &self.outcomes {
-                    outcomes.borrow_mut().push(result.outcome());
                 }
             }
             self.run.active.set(self.run.active.get() - 1);
@@ -454,31 +373,6 @@ mod tests {
                 .or_insert(0) += 1;
         }
         s
-    }
-
-    /// `RunStats::merge` destructures `RunStats` exhaustively, so a new
-    /// field that is not merged does not compile; this pins what each
-    /// existing field merges to.
-    #[test]
-    fn merge_covers_every_field() {
-        let mut m = RunStats::default();
-        m.merge(&RunStats::default());
-        assert_eq!((m.measured_ops, m.start_ns, m.end_ns), (0, 0, 0));
-        m.merge(&stats(2));
-        assert_eq!((m.start_ns, m.end_ns), (200, 250), "first window");
-        m.merge(&stats(1));
-        m.merge(&RunStats::default());
-        assert_eq!((m.measured_ops, m.failed_ops, m.scanned_items), (4, 2, 3));
-        assert_eq!((m.start_ns, m.end_ns), (100, 250), "earliest to latest");
-        assert_eq!(m.lat(ScenarioOpClass::Get).len(), 2);
-        assert_eq!(m.lat(ScenarioOpClass::Rmw).max(), 40);
-        assert!(m.lat(ScenarioOpClass::Scan).is_empty());
-        let rtts: Vec<_> = m.rtt_counts(OpType::Get).iter().collect();
-        assert_eq!(rtts, [(&1, &1), (&2, &1), (&9, &2)]);
-        assert_eq!(m.rtt_fraction(OpType::Get, 9), 0.5);
-        assert_eq!(m.rtt_percentile(OpType::Get, 99.0), 9);
-        let series = m.series.expect("a series merges into none");
-        assert_eq!(series.buckets().map(|(_, n, _)| n).sum::<u64>(), 4);
     }
 
     #[test]

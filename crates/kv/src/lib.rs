@@ -76,14 +76,14 @@
 //! multi-key history checkable with `swarm_core::KvHistory` — the
 //! machinery behind the chaos suite (see `TESTING.md`).
 //!
-//! # Driving a store: one op path, three sources
+//! # Driving a store: one op path, two sources
 //!
 //! The paper's evaluation is one loop — clients issue ops against a store
 //! and record latency and roundtrips — and the crate has one copy of it
 //! (`exec.rs`): one `execute` of a six-class op (a YCSB op is the
 //! four-class case) against any [`KvStore`], one worker loop, one result
 //! type ([`RunStats`], whose `lat` takes an `OpType` or a
-//! `ScenarioOpClass`). The drivers differ only in where a worker's ops
+//! `ScenarioOpClass`). The two drivers differ only in where a worker's ops
 //! come from:
 //!
 //! * [`run_workload`] draws YCSB ops from the simulation's RNG stream at
@@ -93,24 +93,23 @@
 //! * [`run_scenario`] feeds a pre-materialised time-phased `ScenarioSpec`
 //!   stream (scans, read-modify-writes, inserts, value-size
 //!   distributions), dealt round-robin to the clients.
-//! * [`plan_workload`] + [`run_sharded_plan`] pre-partition a YCSB stream
-//!   into per-shard op streams and drive each shard on its *own* seeded
-//!   `Sim` — sequentially, on as many OS threads as the caller asks for
-//!   ([`ShardMode`]), or on one shared simulation as a cross-check — with
-//!   bit-identical per-shard outcomes in every mode (see `parallel.rs`'s
-//!   module docs for the argument). [`run_one_shard`] is the per-shard
-//!   entry for callers that schedule shards themselves.
+//!
+//! Either runs over any store handles: plain clients, [`ShardRouter`]s of a
+//! [`ShardedCluster`] (one application thread per router, whatever the
+//! shard count), or either of them wrapped by [`HistoryRecorder::wrap`],
+//! the one place a run is recorded for the linearizability checker.
 //!
 //! # A function of its arguments
 //!
 //! Nothing in this crate (or in `swarm-sim`, `swarm-fabric`, `swarm-core`,
-//! `swarm-workload` below it) reads an environment variable or counts the
-//! host's cores: a driver runs exactly the [`RunConfig`] it is handed, and
-//! thread counts arrive as arguments ([`ShardMode::Threads`], [`par_map`]).
-//! The harness's knobs (`SWARM_BENCH_OPS_SCALE`, `SWARM_BENCH_THREADS`,
+//! `swarm-workload` below it) reads an environment variable, counts the
+//! host's cores or starts a thread: a driver runs exactly the
+//! [`RunConfig`] it is handed on the simulation it is handed. The
+//! harness's knobs (`SWARM_BENCH_OPS_SCALE`, `SWARM_BENCH_THREADS`,
 //! `SWARM_CHAOS_SEEDS`) are read in `swarm-bench`, which scales the config
-//! and picks the thread count *before* calling in here — so a seeded call
-//! into this crate replays identically under any environment.
+//! and spreads independent simulations over threads *before* calling in
+//! here — so a seeded call into this crate replays identically under any
+//! environment.
 
 #![warn(missing_docs)]
 
@@ -122,7 +121,6 @@ mod exec;
 mod fusee;
 mod index;
 mod membership;
-mod parallel;
 mod recorder;
 mod runner;
 mod scenario_run;
@@ -133,14 +131,10 @@ pub use builder::{Protocol, StoreBuilder, StoreCluster};
 pub use cache::LfuCache;
 pub use client::{CacheCapacity, StoreClient};
 pub use cluster::{Cluster, ClusterConfig, KeyInfo, LOADER_TID};
-pub use exec::{OpOutcome, RunStats};
+pub use exec::RunStats;
 pub use fusee::FuseeCluster;
 pub use index::{Index, Swap, INDEX_MSG_BYTES};
 pub use membership::Membership;
-pub use parallel::{
-    par_map, plan_workload, run_one_shard, run_sharded_plan, PlannedOp, ShardMode, ShardOutcome,
-    ShardRunOptions, ShardedRun, WorkloadPlan,
-};
 pub use recorder::{value_tag, HistoryRecorder, RecordingStore};
 pub use runner::{run_workload, RunConfig};
 pub use scenario_run::{run_scenario, ScenarioRunConfig};

@@ -13,9 +13,9 @@
 //! still land via in-flight messages), which the checker treats as
 //! apply-or-discard.
 //!
-//! The checker takes a history of any length: every planned run
-//! ([`run_sharded_plan`](crate::run_sharded_plan)) records each shard
-//! whole, and the history stays resident until
+//! The checker takes a history of any length: a run over wrapped stores
+//! (a chaos cell, a `bench_shards` or `bench_scenarios` cell) records
+//! every op, and the history stays resident until
 //! [`HistoryRecorder::take_history`] hands it over.
 
 use std::cell::RefCell;
@@ -249,6 +249,38 @@ mod tests {
         assert_eq!(h.definite_ops(), 5);
         h.check().expect("sequential run must linearize");
         assert!(rec2.is_empty(), "take_history drains");
+    }
+
+    /// A run shaped like the benchmark's `hotkey_16c` (Fig. 12): 16
+    /// clients on one key, YCSB A, 70 000 ops recorded and checked whole.
+    #[test]
+    fn sixteen_clients_on_one_key_linearize_at_bench_volume() {
+        use swarm_workload::{Workload, WorkloadSpec};
+        let sim = Sim::new(16);
+        let cluster = StoreBuilder::new(Protocol::SafeGuess)
+            .max_clients(16)
+            .build_cluster(&sim);
+        let wl = Workload::ycsb(WorkloadSpec::A, 1, 64);
+        let rec = HistoryRecorder::new(&sim);
+        cluster.load_keys(1, |k| {
+            let v = wl.value_for(k, 0);
+            rec.set_initial(k, &v);
+            v
+        });
+        let stores: Vec<_> = cluster
+            .clients(16)
+            .into_iter()
+            .map(|c| rec.wrap(c))
+            .collect();
+        let cfg = crate::RunConfig {
+            warmup_ops: 10_000,
+            measure_ops: 60_000,
+            ..Default::default()
+        };
+        crate::run_workload(&sim, &stores, &wl, &cfg);
+        let h = rec.take_history();
+        assert_eq!(h.len(), 70_000);
+        h.check().expect("the hot key linearizes");
     }
 
     #[test]

@@ -86,7 +86,6 @@ pub fn run_workload<S: KvStore + 'static>(
                 cfg: cfg.clone(),
                 value: move |key, version, _size| payloads.value_for(key, version),
                 run: Rc::clone(&run),
-                outcomes: None,
             }
             .spawn(sim, Rc::clone(store));
         }

@@ -86,7 +86,6 @@ pub fn run_scenario<S: KvStore + 'static>(
             cfg: RunConfig::default(),
             value: move |key, version, size| payload(key, version, size, cap),
             run: Rc::clone(&run),
-            outcomes: None,
         }
         .spawn(sim, Rc::clone(store));
     }

@@ -358,6 +358,42 @@ mod tests {
         ShardSpec::new(0);
     }
 
+    /// A router is one client: its per-shard clients share one core and
+    /// one op stream, so spreading a closed-loop client's ops over more
+    /// shards does not buy it throughput. At one op in flight that pins the
+    /// op stream; at four the shared core too (a core per shard client
+    /// reads 1.33x here).
+    #[test]
+    fn a_router_is_one_client_whatever_the_shard_count() {
+        use swarm_workload::{Workload, WorkloadSpec, Zipfian};
+        let throughput = |shards: usize, concurrency: usize| {
+            let sim = Sim::new(48);
+            let cluster = crate::StoreBuilder::new(Protocol::SafeGuess)
+                .value_size(64)
+                .max_clients(2)
+                .shards(shards)
+                .build_sharded(&sim);
+            let mut wl = Workload::ycsb(WorkloadSpec::C, 512, 64);
+            wl.keys = Zipfian::uniform(512);
+            cluster.load_keys(512, |k| wl.value_for(k, 0));
+            let cfg = crate::RunConfig {
+                warmup_ops: 200,
+                measure_ops: 2_000,
+                concurrency,
+                ..Default::default()
+            };
+            crate::run_workload(&sim, &cluster.routers(2), &wl, &cfg).throughput_ops()
+        };
+        for concurrency in [1, 4] {
+            let (one, four) = (throughput(1, concurrency), throughput(4, concurrency));
+            assert!(
+                four <= 1.05 * one,
+                "2 routers at concurrency {concurrency}: {four:.0} ops/s on 4 shards \
+                 against {one:.0} on 1"
+            );
+        }
+    }
+
     #[test]
     fn non_bounce_errors_pass_through_without_retry() {
         // A static router makes exactly one attempt, on the owning shard,

@@ -3,7 +3,7 @@
 //!
 //! One test, alone in this file, so it owns its process's environment.
 
-use swarm_kv::{plan_workload, run_workload, Protocol, RunConfig, ShardSpec, StoreBuilder};
+use swarm_kv::{run_workload, Protocol, RunConfig, StoreBuilder};
 use swarm_sim::Sim;
 use swarm_workload::{Workload, WorkloadSpec};
 
@@ -25,12 +25,5 @@ fn harness_environment_does_not_reach_the_library() {
     assert_eq!(
         stats.measured_ops, 2_000,
         "run_workload runs what it is given"
-    );
-
-    let plan = plan_workload(5, ShardSpec::new(2), &wl, &cfg, 2);
-    assert_eq!(
-        plan.ops_total(),
-        2_000,
-        "plan_workload plans what it is given"
     );
 }

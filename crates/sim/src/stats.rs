@@ -102,12 +102,6 @@ impl Histogram {
             })
             .collect()
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
-    }
 }
 
 /// Two histograms are equal when they hold the same multiset of samples:
@@ -155,19 +149,6 @@ impl TimeSeries {
         }
         self.counts[idx] += 1;
         self.sums[idx] += latency_ns as u128;
-    }
-
-    /// Adds another series' buckets into this one (same bucket width).
-    pub fn merge(&mut self, other: &TimeSeries) {
-        assert_eq!(self.bucket_ns, other.bucket_ns, "bucket widths differ");
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-            self.sums.resize(other.sums.len(), 0);
-        }
-        for (i, (&c, &s)) in other.counts.iter().zip(&other.sums).enumerate() {
-            self.counts[i] += c;
-            self.sums[i] += s;
-        }
     }
 
     /// Bucket width in nanoseconds.
@@ -241,21 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn timeseries_merge_adds_bucketwise() {
-        let mut a = TimeSeries::new(1_000);
-        a.record(100, 10);
-        let mut b = TimeSeries::new(1_000);
-        b.record(900, 30);
-        b.record(2_500, 50);
-        a.merge(&b);
-        let buckets: Vec<_> = a.buckets().collect();
-        assert_eq!(
-            buckets,
-            vec![(0, 2, 20.0), (1_000, 0, 0.0), (2_000, 1, 50.0)]
-        );
-    }
-
-    #[test]
     fn p999_tracks_the_extreme_tail() {
         let mut h = Histogram::new();
         // 499 fast samples and one straggler: under the nearest-rank
@@ -285,16 +251,5 @@ mod tests {
         );
         assert_ne!(of(&[1, 2, 2]), of(&[1, 1, 2]), "same length, same set");
         assert_ne!(of(&[1, 2]), of(&[1, 2, 2]));
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(1);
-        b.record(3);
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.max(), 3);
     }
 }

@@ -1,13 +1,10 @@
 //! The one chaos harness. The fault-injection suites under `tests/tests`
-//! (`chaos`, `shard_chaos`, `scenario_chaos`, and the mode-parity suite
-//! `shard_parallel`) are tables
-//! over what lives here: the seed list, the fault-plan table, the mixed-op
-//! worker, the planned sharded run, and the two assertions every cell ends
-//! in — "every history linearizes" and, through `ShardedRun`'s `==`, "these
-//! two runs are one run". A failure prints the cell's replay triple
-//! ([`cell`]); `TESTING.md` (*Reproducing a failure*) is the recipe from
-//! there. [`for_each_case`] is the seeded-case loop of the two property
-//! suites.
+//! (`chaos`, `shard_chaos`, `scenario_chaos`) are tables over what lives
+//! here: the seed list, the fault-plan table, the mixed-op worker, and the
+//! assertion every cell ends in — "every history linearizes". A failure
+//! prints the cell's replay triple ([`cell`]); `TESTING.md` (*Reproducing a
+//! failure*) is the recipe from there. [`for_each_case`] is the seeded-case
+//! loop of the two property suites.
 
 use std::cell::Cell;
 use std::fmt::Debug;
@@ -15,12 +12,8 @@ use std::rc::Rc;
 
 use swarm_core::{KvHistory, KvHistoryOp};
 use swarm_fabric::{FaultPlan, NodeId};
-use swarm_kv::{
-    plan_workload, run_sharded_plan, HedgeConfig, KvStore, Protocol, RunConfig, ShardMode,
-    ShardRunOptions, ShardSpec, ShardedRun, StoreBuilder,
-};
+use swarm_kv::{HedgeConfig, KvStore};
 use swarm_sim::{Nanos, Sim, SimRng, NANOS_PER_MICRO, NANOS_PER_MILLI};
-use swarm_workload::{Workload, WorkloadSpec};
 
 /// Value bytes of every chaos store.
 pub const VALUE_SIZE: usize = 64;
@@ -166,89 +159,8 @@ impl MixedWorker {
     }
 }
 
-/// One planned sharded run, as data: the store, the YCSB workload, and what
-/// happens around it. Suites keep a base case and override fields per test.
-#[derive(Debug, Clone)]
-pub struct PlannedCase {
-    /// Static shards.
-    pub shards: usize,
-    /// Router streams the workload is planned across, one client id each
-    /// per shard.
-    pub routers: usize,
-    /// Preloaded keyspace `0..keys`.
-    pub keys: u64,
-    /// The YCSB mix.
-    pub spec: WorkloadSpec,
-    /// Warm-up and measured ops.
-    pub cfg: RunConfig,
-    /// Hedging, when the case arms it.
-    pub hedge: Option<HedgeConfig>,
-    /// Until when every shard's membership watcher runs.
-    pub watch_until_ns: Option<Nanos>,
-    /// Fault plans by shard.
-    pub faults: Vec<(usize, FaultPlan)>,
-}
-
-impl PlannedCase {
-    /// YCSB A over `keys` keys on `shards` fault-free static shards,
-    /// histories recorded, nothing else armed.
-    pub fn new(shards: usize, routers: usize, keys: u64, cfg: RunConfig) -> Self {
-        PlannedCase {
-            shards,
-            routers,
-            keys,
-            spec: WorkloadSpec::A,
-            cfg,
-            hedge: None,
-            watch_until_ns: None,
-            faults: Vec::new(),
-        }
-    }
-}
-
-/// Plans `case` from `seed` and runs it under `mode`: SWARM-KV shards with
-/// the chaos deadline, keys preloaded, every op outcome kept.
-pub fn planned(seed: u64, mode: ShardMode, case: &PlannedCase) -> ShardedRun {
-    let mut b = StoreBuilder::new(Protocol::SafeGuess)
-        .value_size(VALUE_SIZE)
-        .max_clients(case.routers)
-        .op_deadline_ns(OP_DEADLINE_NS)
-        .shards(case.shards);
-    if let Some(hedge) = case.hedge {
-        b = b.hedge(hedge);
-    }
-    let wl = Workload::ycsb(case.spec, case.keys, VALUE_SIZE);
-    let plan = plan_workload(
-        seed,
-        ShardSpec::new(case.shards),
-        &wl,
-        &case.cfg,
-        case.routers,
-    );
-    let opts = ShardRunOptions {
-        faults: case.faults.clone(),
-        collect_results: true,
-        watch_until_ns: case.watch_until_ns,
-    };
-    run_sharded_plan(&b, seed, &plan, &wl, &opts, mode)
-}
-
-/// Runs `case` once per [`ShardMode`] — solo simulations driven one after
-/// another, on two OS threads, and all shards on one shared simulation —
-/// requires the three runs equal in everything a run reports and every
-/// per-shard history linearizable, and returns the first.
-pub fn across_modes(seed: u64, case: &PlannedCase, what: &str) -> ShardedRun {
-    let base = planned(seed, ShardMode::Threads(1), case);
-    for mode in [ShardMode::Threads(2), ShardMode::SingleSim] {
-        let other = planned(seed, mode, case);
-        assert_eq!(base, other, "{}", cell(what, mode, seed));
-    }
-    assert_linearizable(base.histories(), &cell(what, ShardMode::Threads(1), seed));
-    base
-}
-
 /// The one failure line: the triple that replays a cell bit for bit — what
-/// ran, the fault plan kind or shard mode it ran under, and the seed.
+/// ran, the fault plan kind it ran under, and the seed.
 pub fn cell(what: &str, plan: impl Debug, seed: u64) -> String {
     format!("{what} / {plan:?} / seed {seed}")
 }

@@ -1,15 +1,17 @@
-//! Pinned digests of the three op drivers — `run_workload`, `run_scenario`,
-//! `run_sharded_plan` — at fixed seeds.
+//! Pinned digests of the two op drivers — `run_workload` and
+//! `run_scenario` — at fixed seeds.
 //!
 //! Each cell digests everything a driver reports: `(measured_ops,
 //! failed_ops, start_ns, end_ns, scanned_items, rtts, time series, each
-//! class's sorted samples)` plus the fabric traffic the run generated (and,
-//! for planned runs, every op's outcome). The simulation is deterministic,
-//! so a digest moves only when a driver moves an RNG draw, an await point,
-//! or an accounting rule. The expected values were generated on the commit
+//! class's sorted samples)` plus the fabric traffic the run generated. The
+//! simulation is deterministic, so a digest moves only when a driver moves
+//! an RNG draw, an await point, or an accounting rule. The expected values
+//! were generated on the commit
 //! *before* the drivers were collapsed onto one op path (ISSUE 12); a
 //! refactor of the drivers must not change one of them. Removing a driver
-//! mode removes its cells; the remaining values stay as pinned.
+//! mode removes its cells; the remaining values stay as pinned. The two
+//! `planned/*` cells went with their driver, the pre-planned
+//! one-`Sim`-per-shard one; the other 17 digests stayed as pinned.
 //!
 //! The `hedged/*`, `widen/*` and `tslock/*` cells pin the staged quorum wait
 //! itself — hedge fire/win/discard under delay spikes on all four protocols,
@@ -37,9 +39,8 @@
 
 use swarm_fabric::{FaultPlan, NodeId, TrafficStats};
 use swarm_kv::{
-    plan_workload, run_scenario, run_sharded_plan, run_workload, HedgeConfig, KvStore, OpOutcome,
-    Protocol, RunConfig, RunStats, ScenarioRunConfig, ShardMode, ShardRunOptions, ShardSpec,
-    ShardedRun, StoreBuilder,
+    run_scenario, run_workload, HedgeConfig, KvStore, Protocol, RunConfig, RunStats,
+    ScenarioRunConfig, StoreBuilder,
 };
 use swarm_sim::{Histogram, Nanos, Sim, NANOS_PER_MICRO};
 use swarm_workload::{
@@ -56,8 +57,6 @@ const PINNED: &[(&str, u64)] = &[
     ("workload/routed", 0x493847e73cb75811),
     ("scenario/swarm", 0x08c65bb7704591f4),
     ("scenario/fusee", 0x31ff5e5560c1f3f4),
-    ("planned/single-sim", 0xd43472a2af461e5f),
-    ("planned/sequential", 0xd43472a2af461e5f),
     ("hedged/spike-swarm", 0x5b54d2dfee4b3579),
     ("hedged/spike-abd", 0x04aae4b305bc5114),
     ("hedged/spike-raw", 0x96e38c8846bf13d7),
@@ -136,30 +135,6 @@ impl Digest {
         }
         for class in ScenarioOpClass::all() {
             self.hist(s.lat(class));
-        }
-    }
-
-    /// Merged and per-shard stats, per-shard traffic, and every op's
-    /// reassembled outcome.
-    fn sharded_run(&mut self, run: &ShardedRun) {
-        self.run_stats(&run.merged_stats());
-        for o in run.per_shard() {
-            self.run_stats(&o.stats);
-            self.traffic(o.traffic);
-        }
-        for outcome in run.results().into_iter().flatten() {
-            match outcome {
-                OpOutcome::Value(v) => {
-                    self.u64(0);
-                    self.0.extend_from_slice(&v);
-                }
-                OpOutcome::Absent => self.u64(1),
-                OpOutcome::Done => self.u64(2),
-                OpOutcome::Failed(e) => {
-                    self.u64(3);
-                    self.0.extend_from_slice(format!("{e:?}").as_bytes());
-                }
-            }
         }
     }
 
@@ -419,32 +394,6 @@ fn scenario_cell(seed: u64, protocol: Protocol) -> u64 {
     d.finish()
 }
 
-/// `run_sharded_plan`: merged and per-shard stats, traffic, and every op's
-/// reassembled outcome.
-fn planned_cell(seed: u64, mode: ShardMode) -> u64 {
-    const SHARDS: usize = 3;
-    const ROUTERS: usize = 2;
-    let builder = StoreBuilder::new(Protocol::SafeGuess)
-        .value_size(64)
-        .max_clients(ROUTERS)
-        .shards(SHARDS);
-    let wl = Workload::ycsb(MIXED, N_KEYS, 64);
-    let cfg = RunConfig {
-        warmup_ops: 40,
-        measure_ops: 400,
-        ..Default::default()
-    };
-    let plan = plan_workload(seed, ShardSpec::new(SHARDS), &wl, &cfg, ROUTERS);
-    let opts = ShardRunOptions {
-        collect_results: true,
-        ..Default::default()
-    };
-    let run = run_sharded_plan(&builder, seed, &plan, &wl, &opts, mode);
-    let mut d = Digest::default();
-    d.sharded_run(&run);
-    d.finish()
-}
-
 fn cells() -> Vec<(&'static str, u64)> {
     let base = RunConfig {
         warmup_ops: 100,
@@ -516,14 +465,6 @@ fn cells() -> Vec<(&'static str, u64)> {
         ("workload/routed", routed_cell(110)),
         ("scenario/swarm", scenario_cell(201, Protocol::SafeGuess)),
         ("scenario/fusee", scenario_cell(202, Protocol::Fusee)),
-        (
-            "planned/single-sim",
-            planned_cell(301, ShardMode::SingleSim),
-        ),
-        (
-            "planned/sequential",
-            planned_cell(301, ShardMode::Threads(1)),
-        ),
     ];
     cells.extend(staged_cells());
     cells

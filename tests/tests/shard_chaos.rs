@@ -15,13 +15,11 @@ use std::rc::Rc;
 
 use swarm_core::KvHistory;
 use swarm_fabric::{FaultPlan, TrafficStats};
-use swarm_kv::{
-    run_workload, HistoryRecorder, Protocol, RunConfig, ShardMode, ShardedCluster, StoreBuilder,
-};
+use swarm_kv::{run_workload, HistoryRecorder, Protocol, RunConfig, ShardedCluster, StoreBuilder};
 use swarm_sim::{Sim, NANOS_PER_MICRO, NANOS_PER_MILLI};
 use swarm_tests::{
-    assert_linearizable, cell, planned, seeds, shard_fault_plan, tagged, MixedWorker, PlannedCase,
-    INITIAL_TAG_BASE, OP_DEADLINE_NS, VALUE_SIZE,
+    assert_linearizable, cell, seeds, shard_fault_plan, tagged, MixedWorker, INITIAL_TAG_BASE,
+    OP_DEADLINE_NS, VALUE_SIZE,
 };
 use swarm_workload::{Workload, WorkloadSpec};
 
@@ -189,54 +187,9 @@ fn sharded_runs_reproduce_bit_identically_per_seed() {
     );
 }
 
-/// The independence property under the one-`Sim`-per-shard threaded
-/// driver: faulting shard 0 of a planned multi-thread run must leave every
-/// other shard's outcome — history, traffic, statistics, results — *equal*
-/// to the fault-free run's: the same contract
-/// `fault_on_one_shard_leaves_other_shards_bit_identical` proves on a shared
-/// simulation, re-proven where each shard lives on its own OS thread.
-#[test]
-fn threaded_driver_fault_on_one_shard_leaves_others_bit_identical() {
-    let cfg = RunConfig {
-        warmup_ops: 0,
-        measure_ops: 180,
-        ..Default::default()
-    };
-    let case = PlannedCase {
-        watch_until_ns: Some(5 * NANOS_PER_MILLI),
-        ..PlannedCase::new(SHARDS, CLIENTS_PER_SHARD, 24, cfg)
-    };
-    let faulted_case = PlannedCase {
-        faults: vec![(0, shard_fault_plan())],
-        ..case.clone()
-    };
-    let mut perturbed = 0;
-    let seeds = seeds(71, 1, 2);
-    for &seed in &seeds {
-        let healthy = planned(seed, ShardMode::Threads(SHARDS), &case);
-        let faulted = planned(seed, ShardMode::Threads(SHARDS), &faulted_case);
-        perturbed += usize::from(healthy.shard(0).traffic != faulted.shard(0).traffic);
-        assert_eq!(
-            healthy.per_shard()[1..],
-            faulted.per_shard()[1..],
-            "seed {seed}: a shard-0 fault changed another shard's outcome"
-        );
-        let what = cell("planned, shard 0 faulted", ShardMode::Threads(SHARDS), seed);
-        assert_linearizable(faulted.histories(), &what);
-    }
-    // 60 ops a shard: a seed whose shard 0 has no message at the crashed node
-    // inside the fault windows exists (seed 94), so the plan must bite on
-    // most seeds, not on each.
-    assert!(
-        perturbed * 4 >= seeds.len() * 3,
-        "the fault plan perturbed shard 0 on {perturbed} of {} seeds",
-        seeds.len()
-    );
-}
-
-/// A multi-seed sharded sweep — the bench_shards shape in miniature — is
-/// bit-identical cell for cell between one-thread and threaded execution,
-/// and across reruns.
+/// A multi-seed sharded sweep — the bench_shards shape in miniature: one
+/// `Sim` per cell, `run_workload` over routers — is bit-identical cell for
+/// cell between one-thread and threaded execution, and across reruns.
 #[test]
 fn sharded_sweep_is_thread_count_invariant_and_rerunnable() {
     let cells: Vec<(u64, usize)> = seeds(31, 1, 3)
