@@ -69,7 +69,7 @@ twice() { # twice <experiment> [VAR=value...]
 # the volume); everything else at SWARM_BENCH_OPS_SCALE=0.05.
 golden fig5 SWARM_BENCH_THREADS=1
 twice bench_tail
-for exp in table2 table3 fig6 fig10 fig11 fig12 bench_multiget; do
+for exp in table2 table3 fig6 fig10 fig11 fig12; do
     golden "$exp" SWARM_BENCH_OPS_SCALE=0.05
 done
 for exp in fig7 fig8 fig9 fig13 bench_shards bench_scenarios; do

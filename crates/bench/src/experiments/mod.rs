@@ -9,7 +9,6 @@
 //! row here — dispatch, usage text and smoke test pick it up from the row;
 //! `crates/bench/goldens/check.sh` names the volume its golden is pinned at.
 
-pub mod bench_multiget;
 pub mod bench_scenarios;
 pub mod bench_shards;
 pub mod bench_tail;
@@ -62,7 +61,6 @@ pub const EXPERIMENTS: &[Experiment] = registry! {
     fig11: "memory-node crash timeline",
     fig12: "extreme contention on a single key",
     fig13: "number of In-n-Out metadata buffers",
-    bench_multiget: "beyond the paper: batch size vs latency of the pipelined multi-ops",
     bench_shards: "beyond the paper: 1-16 shard weak scaling and per-shard load imbalance",
     bench_tail: "beyond the paper: p99/p999 under delay spikes, hedged vs unhedged",
     bench_scenarios: "beyond the paper: YCSB A-F, flash crowds, bimodal values on 4 shards",

@@ -7,8 +7,8 @@
 //! [`RunConfig`] it is handed and passes it to `swarm_kv::run_workload` —
 //! which runs exactly what it is given — and [`env_scaled_keys`] scales a
 //! keyspace. An experiment that
-//! sizes something else by hand (`bench_scenarios`' op count,
-//! `bench_multiget`'s trials) reads [`ops_scale`] from here too.
+//! sizes something else by hand (`bench_scenarios`' op count) reads
+//! [`ops_scale`] from here too.
 
 use std::rc::Rc;
 

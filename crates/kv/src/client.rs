@@ -30,14 +30,17 @@ use swarm_core::{
     WritePath,
 };
 use swarm_fabric::{Endpoint, NodeId};
-use swarm_sim::{join2, timeout_at, FifoResource, GuessClock, Nanos, Sim, SimRng, TimedOut};
+use swarm_sim::{
+    join2, join_boxed, timeout_at, BoxFuture, FifoResource, GuessClock, Nanos, Sim, SimRng,
+    TimedOut,
+};
 
 use crate::builder::{ClusterKind, StoreCluster};
 use crate::cache::LfuCache;
 use crate::cluster::{Cluster, KeyInfo, ROLE_CACHE, ROLE_CLOCK};
 use crate::fusee::FuseePath;
 use crate::index::Swap;
-use crate::store::{KvError, KvResult, KvStore, KvStoreExt, ScanItems};
+use crate::store::{KvError, KvResult, KvStore, ScanItems};
 
 /// Replication protocol driven by a [`SwarmPath`]. Crate-private: it
 /// encodes "not FUSEE" in the type; callers pick a `Protocol` on the
@@ -225,10 +228,10 @@ impl KvStore for StoreClient {
     }
 
     /// Ordered range read: one index roundtrip enumerates up to `limit`
-    /// live keys `>= start`, then their values are fetched as one pipelined
-    /// [`KvStoreExt::multi_get`] batch (so N cached keys cost roughly one
-    /// quorum roundtrip, not N). Keys that vanish or fault mid-scan are
-    /// dropped — a scan is best-effort per key, not a snapshot.
+    /// live keys `>= start`, then their values are fetched by concurrent
+    /// per-key `get`s (so N cached keys cost roughly one quorum roundtrip,
+    /// not N). Keys that vanish or fault mid-scan are dropped — a scan is
+    /// best-effort per key, not a snapshot.
     async fn scan(&self, start: u64, limit: usize) -> KvResult<ScanItems> {
         self.with_deadline(pin!(async {
             self.rounds.bump();
@@ -236,7 +239,12 @@ impl KvStore for StoreClient {
                 Path::Swarm(p) => p.cluster.index().range_keys(start, limit).await,
                 Path::Fusee(p) => p.index().range_keys(start, limit).await,
             };
-            let values = self.multi_get(&keys).await;
+            let values = join_boxed(
+                keys.iter()
+                    .map(|&k| Box::pin(self.get(k)) as BoxFuture<'_, _>)
+                    .collect(),
+            )
+            .await;
             Ok(keys
                 .into_iter()
                 .zip(values)

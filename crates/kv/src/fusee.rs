@@ -472,8 +472,8 @@ impl FuseePath {
         let info = self.cluster.alloc_key(key);
         c.rounds.bump();
         // An unconditional overwrite (module docs). The capacity check rides
-        // the swap roundtrip atomically, so concurrent inserts (e.g. a
-        // multi_insert batch) cannot race past the cap.
+        // the swap roundtrip atomically, so concurrent inserts cannot race
+        // past the cap.
         if let Swap::Full = self.index().swap(key, |_| true, Some(info)).await {
             return Err(KvError::IndexFull);
         }
@@ -494,7 +494,7 @@ impl FuseePath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CacheCapacity, KvStore, KvStoreExt, Protocol, StoreBuilder, StoreCluster};
+    use crate::{CacheCapacity, KvStore, Protocol, StoreBuilder, StoreCluster};
 
     /// FUSEE with a 1024-entry location cache per client.
     fn builder() -> StoreBuilder {
@@ -572,10 +572,15 @@ mod tests {
         sim.block_on(async move {
             // 4 concurrent fresh inserts with only 2 free slots: exactly 2
             // must land; the capacity check rides the set roundtrip, so the
-            // in-flight batch cannot all pass a stale pre-check.
-            let fresh: Vec<(u64, Vec<u8>)> =
-                (100..104u64).map(|k| (k, vec![k as u8; 64])).collect();
-            let results = c.multi_insert(&fresh).await;
+            // in-flight inserts cannot all pass a stale pre-check.
+            let results = join_boxed(
+                (100..104u64)
+                    .map(|k| {
+                        Box::pin(c.insert(k, vec![k as u8; 64])) as BoxFuture<'_, KvResult<()>>
+                    })
+                    .collect(),
+            )
+            .await;
             let ok = results.iter().filter(|r| r.is_ok()).count();
             let full = results
                 .iter()

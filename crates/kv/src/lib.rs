@@ -1,6 +1,6 @@
 //! SWARM-KV (§5): a low-latency, strongly consistent, highly available
 //! disaggregated key-value store — plus the paper's three baselines, behind
-//! one typed, batch-capable store API.
+//! one typed store API.
 //!
 //! # The store API
 //!
@@ -17,10 +17,6 @@
 //!   `Ok(Some(value))` / `Ok(None)`, mutations return `Result<(), KvError>`
 //!   where [`KvError`] distinguishes `NotFound`, `Deleted`, `IndexFull`,
 //!   `Timeout` and `NotIndexed`.
-//! * [`KvStoreExt`] (blanket-implemented) adds pipelined batches:
-//!   `multi_get` / `multi_update` / `multi_insert` issue all per-key
-//!   operations concurrently, so a batch of N independent cached keys costs
-//!   about one quorum roundtrip instead of N (§7.2's ops-in-flight path).
 //! * Past one replica group, `StoreBuilder::shards(n)` + `build_sharded`
 //!   partition the keyspace over independent shard clusters behind
 //!   [`ShardRouter`] clients ([`ShardSpec`] is the stateless key→shard
@@ -28,7 +24,7 @@
 //!   shard cannot perturb another — see [`ShardedCluster`]).
 //!
 //! ```
-//! use swarm_kv::{CacheCapacity, KvStore, KvStoreExt, Protocol, StoreBuilder};
+//! use swarm_kv::{CacheCapacity, KvStore, Protocol, StoreBuilder};
 //! use swarm_sim::Sim;
 //!
 //! let sim = Sim::new(7);
@@ -41,10 +37,8 @@
 //! let client = cluster.client(0);
 //! sim.block_on(async move {
 //!     client.update(3, vec![9u8; 64]).await.expect("key 3 is indexed");
-//!     // One pipelined batch: ~1 quorum roundtrip for all four keys.
-//!     let values = client.multi_get(&[0, 1, 2, 3]).await;
-//!     let v3 = values[3].as_ref().unwrap().as_ref().unwrap();
-//!     assert_eq!(**v3, vec![9u8; 64]);
+//!     let v3 = client.get(3).await.unwrap().expect("key 3 is live");
+//!     assert_eq!(*v3, vec![9u8; 64]);
 //! });
 //! ```
 //!
@@ -139,5 +133,5 @@ pub use recorder::{value_tag, HistoryRecorder, RecordingStore};
 pub use runner::{run_workload, RunConfig};
 pub use scenario_run::{run_scenario, ScenarioRunConfig};
 pub use shard::{ShardRouter, ShardSpec, ShardedCluster};
-pub use store::{KvError, KvResult, KvStore, KvStoreExt, ScanItems};
+pub use store::{KvError, KvResult, KvStore, ScanItems};
 pub use swarm_core::HedgeConfig;

@@ -4,10 +4,9 @@
 //! [`KvHistory`](swarm_core::KvHistory).
 //!
 //! The wrapper implements [`KvStore`] itself, so it slots in anywhere a
-//! store does — under the YCSB [`runner`](crate::run_workload), under the
-//! batched [`KvStoreExt`](crate::KvStoreExt) multi-ops (each per-key
-//! element of a batch is recorded as its own overlapping operation), or
-//! under hand-written chaos workloads. Error returns are recorded with
+//! store does — under the YCSB [`runner`](crate::run_workload), under a
+//! client's concurrent ops (each is recorded as its own overlapping
+//! operation), or under hand-written chaos workloads. Error returns are recorded with
 //! their semantics: a `NotFound`-style rejection *observed absence*; a
 //! [`KvError::Timeout`] leaves the operation's effect **ambiguous** (it may
 //! still land via in-flight messages), which the checker treats as
@@ -210,8 +209,9 @@ impl<S: KvStore> KvStore for RecordingStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{KvStoreExt, Protocol, StoreBuilder};
+    use crate::{Protocol, StoreBuilder};
     use swarm_core::KvOpKind;
+    use swarm_sim::{join_boxed, BoxFuture};
 
     fn tagged(tag: u64) -> Vec<u8> {
         let mut v = vec![0u8; 64];
@@ -294,14 +294,17 @@ mod tests {
         }
         let client = rec.wrap(cluster.client(0));
         sim.block_on(async move {
-            for r in client.multi_get(&[0, 1, 2, 3]).await {
+            type Got = KvResult<Option<Rc<Vec<u8>>>>;
+            let gets: Vec<BoxFuture<'_, Got>> =
+                (0..4).map(|k| Box::pin(client.get(k)) as _).collect();
+            for r in join_boxed(gets).await {
                 r.unwrap();
             }
         });
         let h = rec.take_history();
-        assert_eq!(h.len(), 4, "one record per batch element");
+        assert_eq!(h.len(), 4, "one record per concurrent op");
         assert!(h.is_linearizable());
-        // Batch elements overlap in time: all share the invoke instant.
+        // The ops overlap in time: all share the invoke instant.
         let invokes: Vec<u64> = h.ops().iter().map(|o| o.invoke).collect();
         assert!(invokes.windows(2).all(|w| w[0] == w[1]));
     }

@@ -29,10 +29,6 @@
 //!
 //! The layout is fixed at build time: a key's shard never changes, so a
 //! router never needs to re-resolve one.
-//!
-//! Batched multi-key operations are the blanket [`crate::KvStoreExt`]
-//! ones: every element routes like a single-key op, all elements fly
-//! concurrently, and results come back in input order.
 
 use std::cell::Cell;
 use std::rc::Rc;

@@ -1,11 +1,11 @@
-//! The store interface shared by SWARM-KV, DM-ABD, RAW and FUSEE: typed
-//! results ([`KvError`]) and pipelined batch operations ([`KvStoreExt`]).
+//! The store interface shared by SWARM-KV, DM-ABD, RAW and FUSEE, with
+//! typed results ([`KvError`]).
 
 use std::future::Future;
 use std::rc::Rc;
 
 use swarm_fabric::Endpoint;
-use swarm_sim::{join_boxed, BoxFuture, Nanos};
+use swarm_sim::Nanos;
 
 /// Why a store operation could not be applied.
 ///
@@ -59,8 +59,7 @@ pub type ScanItems = Vec<(u64, Rc<Vec<u8>>)>;
 /// A key-value store client, one per application thread.
 ///
 /// All methods take `&self`; handles use interior mutability so a client can
-/// drive several concurrent operations (§7.2's 1–8 ops in flight) — which is
-/// exactly what [`KvStoreExt`]'s batch operations exploit.
+/// drive several concurrent operations (§7.2's 1–8 ops in flight).
 pub trait KvStore {
     /// Reads a key. `Ok(None)` if absent (unindexed or deleted).
     fn get(&self, key: u64) -> impl Future<Output = KvResult<Option<Rc<Vec<u8>>>>> + '_;
@@ -108,52 +107,3 @@ pub trait KvStore {
     /// Client id (0-based).
     fn client_id(&self) -> usize;
 }
-
-/// Pipelined multi-key operations, blanket-implemented for every
-/// [`KvStore`].
-///
-/// Each batch issues all of its per-key operations concurrently through the
-/// client's intra-operation concurrency machinery (the §7.2 "1–8 ops in
-/// flight" path), so a batch of N independent cached keys costs roughly one
-/// quorum roundtrip — not N. Results come back in input order; each element
-/// succeeds or fails independently.
-pub trait KvStoreExt: KvStore {
-    /// Reads many keys in one pipelined batch.
-    fn multi_get<'a>(
-        &'a self,
-        keys: &[u64],
-    ) -> impl Future<Output = Vec<KvResult<Option<Rc<Vec<u8>>>>>> + 'a {
-        join_boxed(
-            keys.iter()
-                .map(|&k| Box::pin(self.get(k)) as BoxFuture<'a, _>)
-                .collect(),
-        )
-    }
-
-    /// Overwrites many keys in one pipelined batch. Values are cloned out
-    /// of the borrowed slice, one heap copy per element.
-    fn multi_update<'a>(
-        &'a self,
-        ops: &[(u64, Vec<u8>)],
-    ) -> impl Future<Output = Vec<KvResult<()>>> + 'a {
-        join_boxed(
-            ops.iter()
-                .map(|(k, v)| Box::pin(self.update(*k, v.clone())) as BoxFuture<'a, _>)
-                .collect(),
-        )
-    }
-
-    /// Inserts many keys in one pipelined batch.
-    fn multi_insert<'a>(
-        &'a self,
-        ops: &[(u64, Vec<u8>)],
-    ) -> impl Future<Output = Vec<KvResult<()>>> + 'a {
-        join_boxed(
-            ops.iter()
-                .map(|(k, v)| Box::pin(self.insert(*k, v.clone())) as BoxFuture<'a, _>)
-                .collect(),
-        )
-    }
-}
-
-impl<S: KvStore + ?Sized> KvStoreExt for S {}

@@ -1,15 +1,23 @@
 //! End-to-end tests of the four key-value stores: protocol semantics
 //! (§5.3), Table 2 roundtrip counts, §7.1 latency calibration, and the
-//! unified `StoreBuilder` + typed `KvStore` + batched `KvStoreExt` surface.
+//! unified `StoreBuilder` + typed `KvStore` surface, including one client's
+//! concurrent ops.
 
+use std::future::Future;
 use std::rc::Rc;
 
 use swarm_kv::{
-    run_workload, CacheCapacity, ClusterConfig, KvError, KvStore, KvStoreExt, Protocol, RunConfig,
+    run_workload, CacheCapacity, ClusterConfig, KvError, KvStore, Protocol, RunConfig,
     StoreBuilder, StoreCluster,
 };
-use swarm_sim::{Jitter, Sim};
+use swarm_sim::{join_boxed, BoxFuture, Jitter, Sim};
 use swarm_workload::{OpType, Workload, WorkloadSpec};
+
+/// Boxes one op for `join_boxed`, which runs a list of them concurrently
+/// and returns their results in input order.
+fn boxed<'a, T>(op: impl Future<Output = T> + 'a) -> BoxFuture<'a, T> {
+    Box::pin(op)
+}
 
 fn built(sim: &Sim, proto: Protocol, n_keys: u64) -> StoreCluster {
     let cluster = StoreBuilder::new(proto).build_cluster(sim);
@@ -70,8 +78,8 @@ fn updates_by_one_client_are_read_by_another() {
 }
 
 /// The shared suite of the acceptance criteria: every protocol constructed
-/// through `StoreBuilder`, exercised through the typed `KvStore` trait and
-/// the batched `KvStoreExt` extension.
+/// through `StoreBuilder`, exercised through the typed `KvStore` trait, one
+/// op at a time and several in flight.
 #[test]
 fn store_builder_shared_suite_covers_all_four_protocols() {
     for (i, proto) in Protocol::all().into_iter().enumerate() {
@@ -100,24 +108,22 @@ fn store_builder_shared_suite_covers_all_four_protocols() {
             assert_eq!(*c.get(200).await.unwrap().unwrap(), vec![7u8; 64]);
             assert_eq!(c.get(999).await, Ok(None), "{}: absent key", proto.name());
 
-            // Batched ops return element-wise results in input order.
-            let pairs: Vec<(u64, Vec<u8>)> =
-                (4..8u64).map(|k| (k, vec![k as u8 + 100; 64])).collect();
-            let updated = c.multi_update(&pairs).await;
+            // Concurrent ops return element-wise results in input order.
+            let updates = (4..8u64).map(|k| boxed(c.update(k, vec![k as u8 + 100; 64])));
+            let updated = join_boxed(updates.collect()).await;
             assert!(updated.iter().all(|r| r.is_ok()), "{}", proto.name());
             let keys: Vec<u64> = (4..8).collect();
-            let got = c.multi_get(&keys).await;
+            let got = join_boxed(keys.iter().map(|&k| boxed(c.get(k))).collect()).await;
             for (j, r) in got.iter().enumerate() {
                 assert_eq!(
                     **r.as_ref().unwrap().as_ref().unwrap(),
                     vec![keys[j] as u8 + 100; 64],
-                    "{}: multi_get[{j}]",
+                    "{}: concurrent get [{j}]",
                     proto.name()
                 );
             }
-            let fresh: Vec<(u64, Vec<u8>)> =
-                (300..303u64).map(|k| (k, vec![k as u8; 64])).collect();
-            let inserted = c.multi_insert(&fresh).await;
+            let inserts = (300..303u64).map(|k| boxed(c.insert(k, vec![k as u8; 64])));
+            let inserted = join_boxed(inserts.collect()).await;
             assert!(inserted.iter().all(|r| r.is_ok()), "{}", proto.name());
 
             // Delete semantics (RAW has no tombstones, so absence through
@@ -220,10 +226,10 @@ fn a_replaced_fabric_model_reaches_the_index() {
     }
 }
 
-/// §7.2 / acceptance: a multi_get of 8 independent *cached* keys costs
-/// about one quorum roundtrip of latency, not eight.
+/// §7.2: 8 concurrent gets of independent *cached* keys on one client
+/// cost about one quorum roundtrip of latency, not eight.
 #[test]
-fn multi_get_of_cached_keys_is_one_roundtrip_not_n() {
+fn concurrent_gets_of_cached_keys_take_one_roundtrip_not_n() {
     let sim = Sim::new(44);
     let cluster = built(&sim, Protocol::SafeGuess, 16);
     let c = cluster.client(0);
@@ -240,22 +246,22 @@ fn multi_get_of_cached_keys_is_one_roundtrip_not_n() {
             c.get(k).await.unwrap();
         }
         let sequential = s.now() - t0;
-        // Pipelined batch.
+        // All eight in flight at once.
         let t0 = s.now();
-        let got = c.multi_get(&keys).await;
+        let got = join_boxed(keys.iter().map(|&k| boxed(c.get(k))).collect()).await;
         let batched = s.now() - t0;
         assert!(got.iter().all(|r| matches!(r, Ok(Some(_)))));
         // The 8 quorum reads overlap in flight; what still serializes is
         // work-request submission on the client CPU (§7.2's wall). The
-        // batch must land far below 8 sequential roundtrips.
+        // eight must land far below 8 sequential roundtrips.
         let single = sequential / 8;
         assert!(
             batched < 3 * single,
-            "8-key batch should cost ~1 RTT of latency: batch {batched} ns vs single {single} ns"
+            "8 concurrent gets should cost ~1 RTT of latency: {batched} ns vs single {single} ns"
         );
         assert!(
             2 * batched < sequential,
-            "8-key batch must beat half of 8 sequential gets: {batched} vs {sequential} ns"
+            "8 concurrent gets must beat half of 8 sequential ones: {batched} vs {sequential} ns"
         );
     });
 }
@@ -613,10 +619,11 @@ fn sharded_cluster_basics_across_all_protocols() {
     }
 }
 
-/// Cross-shard `multi_get` returns results in input order, whatever shards
-/// the keys hash to, including duplicates.
+/// Concurrent gets through one router land on their owning shards and
+/// return in input order, whatever shards the keys hash to, including
+/// duplicates.
 #[test]
-fn cross_shard_multi_get_preserves_input_order() {
+fn cross_shard_concurrent_gets_preserve_input_order() {
     let sim = Sim::new(52);
     let cluster = StoreBuilder::new(Protocol::SafeGuess)
         .shards(8)
@@ -627,7 +634,7 @@ fn cross_shard_multi_get_preserves_input_order() {
     // Keys deliberately out of order, spanning shards, with a duplicate.
     let keys: Vec<u64> = vec![200, 3, 77, 3, 255, 0, 131, 64, 19];
     sim.block_on(async move {
-        let got = r.multi_get(&keys).await;
+        let got = join_boxed(keys.iter().map(|&k| boxed(r.get(k))).collect()).await;
         assert_eq!(got.len(), keys.len());
         for (i, &k) in keys.iter().enumerate() {
             assert_eq!(
@@ -636,7 +643,7 @@ fn cross_shard_multi_get_preserves_input_order() {
                 "result {i} must be key {k}'s value"
             );
         }
-        // Every element routed like a single-key op: one tick on its
+        // Every get routed like a sequential one: one tick on its
         // owning shard's counter, nothing anywhere else.
         let mut expected = vec![0u64; 8];
         for &k in &keys {
@@ -646,10 +653,10 @@ fn cross_shard_multi_get_preserves_input_order() {
     });
 }
 
-/// Batched mutations route per shard and report per-element results in
-/// input order.
+/// Concurrent mutations through one router route per shard and report
+/// per-op results in input order.
 #[test]
-fn cross_shard_multi_update_and_insert_route_correctly() {
+fn cross_shard_concurrent_updates_and_inserts_route_correctly() {
     let sim = Sim::new(53);
     let cluster = StoreBuilder::new(Protocol::SafeGuess)
         .shards(4)
@@ -658,16 +665,25 @@ fn cross_shard_multi_update_and_insert_route_correctly() {
     cluster.load_keys(32, |k| vec![k as u8; 64]);
     let r = cluster.router(0);
     sim.block_on(async move {
-        let updates: Vec<(u64, Vec<u8>)> = (0..32).map(|k| (k, vec![0xA0; 64])).collect();
-        assert!(r.multi_update(&updates).await.iter().all(Result::is_ok));
-        // Updating a never-inserted key fails element-wise, in place.
-        let mixed: Vec<(u64, Vec<u8>)> = vec![(1, vec![1; 64]), (999, vec![2; 64])];
-        let res = r.multi_update(&mixed).await;
+        let updates = (0..32).map(|k| boxed(r.update(k, vec![0xA0; 64])));
+        assert!(join_boxed(updates.collect())
+            .await
+            .iter()
+            .all(Result::is_ok));
+        // Updating a never-inserted key fails on its own, in place.
+        let mixed = vec![
+            boxed(r.update(1, vec![1; 64])),
+            boxed(r.update(999, vec![2; 64])),
+        ];
+        let res = join_boxed(mixed).await;
         assert_eq!(res[0], Ok(()));
         assert_eq!(res[1], Err(KvError::NotIndexed));
         // Fresh inserts land on their owning shards and read back anywhere.
-        let inserts: Vec<(u64, Vec<u8>)> = (1000..1032).map(|k| (k, vec![0xB0; 64])).collect();
-        assert!(r.multi_insert(&inserts).await.iter().all(Result::is_ok));
+        let inserts = (1000..1032).map(|k| boxed(r.insert(k, vec![0xB0; 64])));
+        assert!(join_boxed(inserts.collect())
+            .await
+            .iter()
+            .all(Result::is_ok));
         for k in 1000..1032 {
             assert_eq!(*r.get(k).await.unwrap().unwrap(), vec![0xB0; 64]);
         }

@@ -6,8 +6,8 @@
 //! cargo run -p swarm-examples --example quickstart
 //! ```
 
-use swarm_kv::{KvError, KvStore, KvStoreExt, Protocol, StoreBuilder};
-use swarm_sim::Sim;
+use swarm_kv::{KvError, KvStore, Protocol, StoreBuilder};
+use swarm_sim::{join_boxed, BoxFuture, Sim};
 
 fn main() {
     // A deterministic simulation: 4 memory nodes, 3 replicas per key.
@@ -52,11 +52,12 @@ fn main() {
         timed("bob.get(3)", t0, sim2.now());
         assert_eq!(*v, vec![b'A'; 64]);
 
-        // A pipelined batch: all four quorum reads overlap, so the batch
-        // costs about one roundtrip of latency — not four.
+        // Four gets in flight at once: the quorum reads overlap, so the
+        // four cost about one roundtrip of latency — not four.
         let t0 = sim2.now();
-        let quotes = alice.multi_get(&[4, 5, 6, 7]).await;
-        timed("alice.multi_get([4,5,6,7])", t0, sim2.now());
+        let gets = [4, 5, 6, 7].map(|k| Box::pin(alice.get(k)) as BoxFuture<'_, _>);
+        let quotes = join_boxed(gets.into()).await;
+        timed("alice.get([4,5,6,7]) joined", t0, sim2.now());
         assert!(quotes.iter().all(|r| matches!(r, Ok(Some(_)))));
 
         // Insert a brand-new key: replica allocation + index insertion run

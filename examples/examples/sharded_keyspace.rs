@@ -11,8 +11,8 @@
 //! cargo run -p swarm-examples --example sharded_keyspace
 //! ```
 
-use swarm_kv::{KvStore, KvStoreExt, Protocol, StoreBuilder};
-use swarm_sim::Sim;
+use swarm_kv::{KvStore, Protocol, StoreBuilder};
+use swarm_sim::{join_boxed, BoxFuture, Sim};
 
 fn main() {
     let sim = Sim::new(77);
@@ -53,13 +53,16 @@ fn main() {
             String::from_utf8_lossy(&v[..11])
         );
 
-        // A cross-shard batch: every key routes to its owning shard, all
-        // reads fly concurrently, results return in input order.
+        // Cross-shard gets in flight at once: every key routes to its
+        // owning shard, and results return in input order.
         let keys: Vec<u64> = (0..16).collect();
         let t0 = s.now();
-        let got = alice.multi_get(&keys).await;
+        let gets = keys
+            .iter()
+            .map(|&k| Box::pin(alice.get(k)) as BoxFuture<'_, _>);
+        let got = join_boxed(gets.collect()).await;
         println!(
-            "multi_get of {} keys across 4 shards: {} found, {} ns",
+            "{} concurrent gets across 4 shards: {} found, {} ns",
             keys.len(),
             got.iter().filter(|r| matches!(r, Ok(Some(_)))).count(),
             s.now() - t0,

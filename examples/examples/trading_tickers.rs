@@ -2,7 +2,8 @@
 //! market-data feed while trading engines read them at microsecond scale —
 //! the "data stores in trading systems" use case the paper's introduction
 //! motivates. Compares SWARM-KV against DM-ABD under the same feed; the
-//! engines snapshot their watchlists with pipelined `multi_get` batches.
+//! engines snapshot their watchlists with all of a watchlist's gets in
+//! flight at once (`join_boxed`).
 //!
 //! ```sh
 //! cargo run -p swarm-examples --example trading_tickers --release
@@ -11,8 +12,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use swarm_kv::{KvStore, KvStoreExt, Protocol, StoreBuilder};
-use swarm_sim::{Histogram, Sim, NANOS_PER_MICRO};
+use swarm_kv::{KvResult, KvStore, Protocol, StoreBuilder};
+use swarm_sim::{join_boxed, BoxFuture, Histogram, Sim, NANOS_PER_MICRO};
 
 const TICKERS: u64 = 32;
 const FEED_UPDATES: usize = 2_000;
@@ -64,13 +65,17 @@ fn run(proto: Protocol, label: &str) {
         sim.spawn(async move {
             let mut last_seen = vec![0u64; TICKERS as usize];
             for i in 0..SNAPSHOTS_PER_ENGINE {
-                // An 8-ticker watchlist snapshot in one pipelined batch:
-                // ~1 quorum roundtrip for all 8 keys.
+                // An 8-ticker watchlist snapshot, all 8 gets in flight at
+                // once: ~1 quorum roundtrip for all 8 keys.
                 let keys: Vec<u64> = (0..WATCHLIST as u64)
                     .map(|j| (i as u64 * 7 + j * 3) % TICKERS)
                     .collect();
                 let t = sim2.now();
-                let quotes = engine.multi_get(&keys).await;
+                type Quote = KvResult<Option<Rc<Vec<u8>>>>;
+                let gets = keys
+                    .iter()
+                    .map(|&k| Box::pin(engine.get(k)) as BoxFuture<'_, Quote>);
+                let quotes = join_boxed(gets.collect()).await;
                 snap_lat.borrow_mut().record(sim2.now() - t);
                 for (j, q) in quotes.into_iter().enumerate() {
                     let q = q.unwrap().expect("tickers never deleted");

@@ -2,13 +2,15 @@
 //! each property runs on 64 seeded cases (`swarm_tests::for_each_case`),
 //! its inputs drawn from the case's `SimRng`.
 
+use std::rc::Rc;
+
 use swarm_core::{
     innout_hash, xxh64, KvHistory, KvOpKind, LockMode, NodeHealth, QuorumConfig, Rounds, Stamp,
     TsLock,
 };
 use swarm_fabric::{Fabric, FabricConfig, NodeId};
-use swarm_kv::{KvStore, KvStoreExt, LfuCache, Protocol, StoreBuilder};
-use swarm_sim::{Histogram, Sim, SimRng};
+use swarm_kv::{KvResult, KvStore, LfuCache, Protocol, StoreBuilder};
+use swarm_sim::{join_boxed, BoxFuture, Histogram, Sim, SimRng};
 use swarm_tests::{coin, for_each_case};
 use swarm_workload::Zipfian;
 
@@ -130,12 +132,12 @@ fn checker_accepts_sequential_histories() {
     });
 }
 
-/// Batched multi-ops are equivalent to the one-at-a-time single-key calls:
-/// for any seed, key subset, and value tag — and with a second client
-/// concurrently hammering a disjoint key range — `multi_update` +
-/// `multi_get` observe exactly the values the equivalent `update`/`get`
-/// calls, issued in order, produce (linearizability preserved under
-/// batching).
+/// One client's batch of concurrent ops is equivalent to the same calls one
+/// at a time: for any seed, key subset, and value tag — and with a second
+/// client concurrently hammering a disjoint key range — updates and then
+/// gets, each batch all in flight at once (`join_boxed`), observe exactly
+/// the values the equivalent `update`/`get` calls, issued in order,
+/// produce (linearizability preserved under concurrency).
 #[test]
 fn batched_ops_match_sequential() {
     for_each_case(0xBA7C, |rng| {
@@ -162,20 +164,25 @@ fn batched_ops_match_sequential() {
             let client = cluster.client(0);
             let keys = keys.clone();
             sim.block_on(async move {
-                let pairs: Vec<(u64, Vec<u8>)> = keys.iter().map(|&k| (k, value(k))).collect();
                 if batched {
-                    for r in client.multi_update(&pairs).await {
+                    let updates: Vec<BoxFuture<'_, KvResult<()>>> = keys
+                        .iter()
+                        .map(|&k| Box::pin(client.update(k, value(k))) as _)
+                        .collect();
+                    for r in join_boxed(updates).await {
                         r.unwrap();
                     }
-                    client
-                        .multi_get(&keys)
+                    type Got = KvResult<Option<Rc<Vec<u8>>>>;
+                    let gets: Vec<BoxFuture<'_, Got>> =
+                        keys.iter().map(|&k| Box::pin(client.get(k)) as _).collect();
+                    join_boxed(gets)
                         .await
                         .into_iter()
                         .map(|r| r.unwrap().map(|v| (*v).clone()))
                         .collect()
                 } else {
-                    for (k, v) in pairs {
-                        client.update(k, v).await.unwrap();
+                    for &k in &keys {
+                        client.update(k, value(k)).await.unwrap();
                     }
                     let mut out = Vec::with_capacity(keys.len());
                     for &k in &keys {
