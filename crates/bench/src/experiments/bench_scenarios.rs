@@ -1,8 +1,9 @@
 //! Scenario-engine bench (beyond the paper): drives the time-phased
 //! `swarm_workload::ScenarioSpec` op streams — YCSB A–F including scans, a
 //! flash-crowd variant of each (dynamic skew with the hot set rotated
-//! mid-run), and a bimodal large-value scenario — against SWARM-KV and
-//! FUSEE on a 4-shard cluster.
+//! mid-run), and YCSB B at 8 KiB values — against SWARM-KV and FUSEE on a
+//! 4-shard cluster. Each cell has one value size: 64 B, or 8 KiB for
+//! `bigval`.
 //!
 //! It reports like every other experiment: one stdout row per (scenario,
 //! protocol) and `target/experiments/bench_scenarios/cells.csv` with each
@@ -38,12 +39,16 @@ use crate::{env_scaled_keys, report_wall, sweep, write_csv, Protocol};
 use swarm_fabric::TrafficStats;
 use swarm_kv::{run_scenario, HistoryRecorder, ScenarioRunConfig, StoreBuilder};
 use swarm_sim::{Nanos, Sim};
-use swarm_workload::{scenario_value, ScenarioMix, ScenarioOpClass, ScenarioSpec, ValueSizeDist};
+use swarm_workload::{scenario_value, ScenarioMix, ScenarioOpClass, ScenarioSpec};
 
 /// Keyspace shards per cell; scans fan out to all of them.
 const SHARDS: usize = 4;
 /// Router (client) threads per cell.
 const CLIENTS: usize = 4;
+/// Value size of every scenario but `bigval`, bytes.
+const VALUE_SIZE: usize = 64;
+/// `bigval`'s value size, bytes.
+const BIG_VALUE_SIZE: usize = 8 * 1024;
 
 /// The two protocols every scenario runs on: the paper's system and the
 /// strongest baseline with a comparable feature surface.
@@ -64,6 +69,8 @@ const PERCENTILES: [(&str, f64); 5] = [
 
 struct Cell {
     spec: ScenarioSpec,
+    /// Size of every value the cell loads and writes, bytes.
+    value_size: usize,
     sys: Protocol,
     seed: u64,
 }
@@ -91,9 +98,7 @@ impl CellResult {
 }
 
 fn run_cell(cell: &Cell) -> CellResult {
-    // In-n-Out registers (and FUSEE blocks) are fixed-size slots: provision
-    // for the largest scenario value.
-    let cap = cell.spec.values.max_size();
+    let cap = cell.value_size;
     let wall = Instant::now();
     let sim = Sim::new(cell.seed);
     let cluster = StoreBuilder::new(cell.sys)
@@ -168,33 +173,31 @@ pub fn run(quick: bool) {
         None => base_ops,
     };
 
-    let mut specs: Vec<ScenarioSpec> = Vec::new();
+    // Each scenario with its value size.
+    let mut specs: Vec<(ScenarioSpec, usize)> = Vec::new();
     for (letter, mix) in ScenarioMix::ycsb_all() {
         let l = letter.to_ascii_lowercase();
-        specs.push(ScenarioSpec::ycsb(
-            format!("ycsb_{l}_static"),
-            mix,
-            n_keys,
-            ops,
+        specs.push((
+            ScenarioSpec::ycsb(format!("ycsb_{l}_static"), mix, n_keys, ops),
+            VALUE_SIZE,
         ));
-        specs.push(ScenarioSpec::flash_crowd(
-            format!("ycsb_{l}_flash"),
-            mix,
-            n_keys,
-            ops,
+        specs.push((
+            ScenarioSpec::flash_crowd(format!("ycsb_{l}_flash"), mix, n_keys, ops),
+            VALUE_SIZE,
         ));
     }
-    specs.push(
-        ScenarioSpec::ycsb("bigval", ScenarioMix::B, big_keys, ops)
-            .values(ValueSizeDist::small_dominant()),
-    );
+    specs.push((
+        ScenarioSpec::ycsb("bigval", ScenarioMix::B, big_keys, ops),
+        BIG_VALUE_SIZE,
+    ));
 
     let cells: Vec<Cell> = specs
         .iter()
         .enumerate()
-        .flat_map(|(i, spec)| {
+        .flat_map(|(i, (spec, value_size))| {
             SYSTEMS.map(|(sys, _)| Cell {
                 spec: spec.clone(),
+                value_size: *value_size,
                 sys,
                 // Both protocols of a scenario share one seed, so they face
                 // the byte-identical op stream.
@@ -240,7 +243,7 @@ pub fn run(quick: bool) {
         header.extend(PERCENTILES.map(|(p, _)| format!("{}_{p}_ns", c.name())));
     }
     let mut rows = Vec::new();
-    for (spec, pair) in specs.iter().zip(results.chunks(SYSTEMS.len())) {
+    for ((spec, _), pair) in specs.iter().zip(results.chunks(SYSTEMS.len())) {
         for ((_, sys_name), r) in SYSTEMS.iter().zip(pair) {
             let get = r.lat[ScenarioOpClass::Get as usize].1.unwrap_or_default();
             let p99_us = |c| {
@@ -279,7 +282,7 @@ pub fn run(quick: bool) {
     write_csv("bench_scenarios", "cells", &header.join(","), &rows);
     let cell_names: Vec<String> = specs
         .iter()
-        .flat_map(|spec| SYSTEMS.map(|(_, sys_name)| format!("{} / {sys_name}", spec.name)))
+        .flat_map(|(spec, _)| SYSTEMS.map(|(_, sys_name)| format!("{} / {sys_name}", spec.name)))
         .collect();
     report_wall(
         "bench_scenarios",
@@ -296,7 +299,7 @@ pub fn run(quick: bool) {
         let cell = |name: &str| {
             let i = specs
                 .iter()
-                .position(|s| s.name == name)
+                .position(|(s, _)| s.name == name)
                 .expect("stock scenario");
             &results[i * SYSTEMS.len() + j]
         };

@@ -63,5 +63,5 @@ pub const EXPERIMENTS: &[Experiment] = registry! {
     fig13: "number of In-n-Out metadata buffers",
     bench_shards: "beyond the paper: 1-16 shard weak scaling and per-shard load imbalance",
     bench_tail: "beyond the paper: p99/p999 under delay spikes, hedged vs unhedged",
-    bench_scenarios: "beyond the paper: YCSB A-F, flash crowds, bimodal values on 4 shards",
+    bench_scenarios: "beyond the paper: YCSB A-F, flash crowds, 8 KiB values on 4 shards",
 };

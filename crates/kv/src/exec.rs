@@ -8,7 +8,7 @@
 //!
 //! The unit of work is the six-class [`ScenarioOp`]; a YCSB op is its
 //! four-class case ([`ScenarioOp::ycsb`]). Payloads come from a caller
-//! supplied `value(key, version, size)`: `Workload::value_for` and
+//! supplied `value(key, version)`: `Workload::value_for` and
 //! `scenario_value` differ in their first eight bytes, and recorded
 //! histories depend on them.
 
@@ -141,19 +141,15 @@ fn wrote(r: KvResult<()>) -> Executed {
 pub(crate) async fn execute<S: KvStore>(
     store: &S,
     op: ScenarioOp,
-    value: &impl Fn(u64, u64, usize) -> Vec<u8>,
+    value: &impl Fn(u64, u64) -> Vec<u8>,
 ) -> Executed {
     match op {
         ScenarioOp::Get { key } => match store.get(key).await {
             Ok(Some(_)) => Executed::Done,
             Ok(None) | Err(_) => Executed::Failed,
         },
-        ScenarioOp::Update { key, size, version } => {
-            wrote(store.update(key, value(key, version, size)).await)
-        }
-        ScenarioOp::Insert { key, size, version } => {
-            wrote(store.insert(key, value(key, version, size)).await)
-        }
+        ScenarioOp::Update { key, version } => wrote(store.update(key, value(key, version)).await),
+        ScenarioOp::Insert { key, version } => wrote(store.insert(key, value(key, version)).await),
         ScenarioOp::Delete { key } => wrote(store.delete(key).await),
         ScenarioOp::Scan { start, limit } => match store.scan(start, limit).await {
             Ok(items) => Executed::Scanned(items.len() as u64),
@@ -162,8 +158,8 @@ pub(crate) async fn execute<S: KvStore>(
         // Read-modify-write: the read's observation feeds the write in a
         // real application; here only the latency of the two dependent
         // legs matters.
-        ScenarioOp::Rmw { key, size, version } => match store.get(key).await {
-            Ok(Some(_)) => wrote(store.update(key, value(key, version, size)).await),
+        ScenarioOp::Rmw { key, version } => match store.get(key).await {
+            Ok(Some(_)) => wrote(store.update(key, value(key, version)).await),
             Ok(None) | Err(_) => Executed::Failed,
         },
     }
@@ -223,7 +219,7 @@ impl OpSource {
                 let (op, key) = workload.next_op(rng.rand_u64(), rng.rand_f64());
                 let mut b = budget.borrow_mut();
                 b.version += 1;
-                ScenarioOp::ycsb(op, key, b.version, workload.value_size)
+                ScenarioOp::ycsb(op, key, b.version)
             }
             OpSource::Planned(ops) => ops.next().expect("a claimed op").1,
         }
@@ -244,12 +240,12 @@ pub(crate) struct Worker<V> {
     pub source: OpSource,
     /// The per-op knobs; the volume knobs belong to whoever built `source`.
     pub cfg: RunConfig,
-    /// Builds a mutation's payload from `(key, version, size)`.
+    /// Builds a mutation's payload from `(key, version)`.
     pub value: V,
     pub run: Rc<Run>,
 }
 
-impl<V: Fn(u64, u64, usize) -> Vec<u8> + 'static> Worker<V> {
+impl<V: Fn(u64, u64) -> Vec<u8> + 'static> Worker<V> {
     /// Spawns the worker loop on `sim` against `store`: claim an op, pay
     /// its client CPU work, execute it, record it — until the source runs
     /// dry or the deadline passes.

@@ -84,7 +84,7 @@ pub fn run_workload<S: KvStore + 'static>(
                     budget: Rc::clone(&budget),
                 },
                 cfg: cfg.clone(),
-                value: move |key, version, _size| payloads.value_for(key, version),
+                value: move |key, version| payloads.value_for(key, version),
                 run: Rc::clone(&run),
             }
             .spawn(sim, Rc::clone(store));

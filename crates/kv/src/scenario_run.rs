@@ -1,7 +1,8 @@
 //! Scenario runner: feeds a time-phased [`ScenarioSpec`] op stream —
 //! including scans and read-modify-writes — to the one op path in
 //! `exec.rs` as a pre-materialised source, against any [`KvStore`], and
-//! returns the same [`RunStats`] every driver returns.
+//! returns the same [`RunStats`] every driver returns. A run has one value
+//! size: every payload it writes is [`ScenarioRunConfig::value_cap`] bytes.
 //!
 //! # Determinism
 //!
@@ -27,11 +28,9 @@ use crate::store::KvStore;
 pub struct ScenarioRunConfig {
     /// Seed of the scenario op stream (`ScenarioSpec::ops(seed)`).
     pub seed: u64,
-    /// Register slot capacity every stored payload is padded to. In-n-Out
-    /// registers (like FUSEE's blocks) are fixed-size slots, so a run's
-    /// cluster is provisioned for the scenario's *largest* value
-    /// (`ValueSizeDist::max_size`) and smaller logical payloads ship
-    /// zero-padded — set the `StoreBuilder::value_size` to this.
+    /// Size of every payload the run writes, `scenario_value(key, version,
+    /// value_cap)`. In-n-Out registers (like FUSEE's blocks) are fixed-size
+    /// slots, so set the cluster's `StoreBuilder::value_size` to this.
     pub value_cap: usize,
 }
 
@@ -42,18 +41,6 @@ impl Default for ScenarioRunConfig {
             value_cap: 64,
         }
     }
-}
-
-/// A mutation payload: the logical `scenario_value` zero-padded to the
-/// provisioned slot capacity (the first-8-bytes tag is preserved).
-fn payload(key: u64, version: u64, size: usize, cap: usize) -> Vec<u8> {
-    assert!(
-        size <= cap,
-        "scenario value of {size} bytes exceeds the {cap}-byte slot capacity"
-    );
-    let mut v = scenario_value(key, version, size);
-    v.resize(cap, 0);
-    v
 }
 
 /// Runs the scenario stream against the given store handles (the stream is
@@ -84,7 +71,7 @@ pub fn run_scenario<S: KvStore + 'static>(
         Worker {
             source: OpSource::Planned(slice.into_iter()),
             cfg: RunConfig::default(),
-            value: move |key, version, size| payload(key, version, size, cap),
+            value: move |key, version| scenario_value(key, version, cap),
             run: Rc::clone(&run),
         }
         .spawn(sim, Rc::clone(store));
@@ -95,18 +82,14 @@ pub fn run_scenario<S: KvStore + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{KvResult, ScanItems};
     use crate::{Protocol, StoreBuilder};
-    use swarm_workload::{Phase, ScenarioMix, ScenarioOpClass, ValueSizeDist};
+    use swarm_workload::{Phase, ScenarioMix, ScenarioOpClass};
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec::new("mixed", 64)
             .phase(Phase::new(150, ScenarioMix::E).theta(0.9))
             .phase(Phase::new(150, ScenarioMix::F).theta(0.99).rotate(32))
-            .values(ValueSizeDist::Bimodal {
-                small: 32,
-                large: 64,
-                large_pct: 10,
-            })
     }
 
     #[test]
@@ -124,6 +107,76 @@ mod tests {
         // All 64 keys are loaded, so gets/scans/RMWs only fail when an
         // insert has not yet landed — bounded by the insert count.
         assert!(stats.failed_ops <= stats.lat(ScenarioOpClass::Insert).len() as u64);
+    }
+
+    /// Hands every op to a client, noting the size of each payload it
+    /// writes.
+    struct SizeProbe {
+        client: Rc<crate::StoreClient>,
+        sizes: std::cell::RefCell<Vec<usize>>,
+    }
+
+    impl KvStore for SizeProbe {
+        async fn get(&self, key: u64) -> KvResult<Option<Rc<Vec<u8>>>> {
+            self.client.get(key).await
+        }
+        async fn update(&self, key: u64, value: Vec<u8>) -> KvResult<()> {
+            self.sizes.borrow_mut().push(value.len());
+            self.client.update(key, value).await
+        }
+        async fn insert(&self, key: u64, value: Vec<u8>) -> KvResult<()> {
+            self.sizes.borrow_mut().push(value.len());
+            self.client.insert(key, value).await
+        }
+        async fn delete(&self, key: u64) -> KvResult<()> {
+            self.client.delete(key).await
+        }
+        async fn scan(&self, start: u64, limit: usize) -> KvResult<ScanItems> {
+            self.client.scan(start, limit).await
+        }
+        fn rounds(&self) -> u64 {
+            self.client.rounds()
+        }
+        fn endpoint(&self) -> Rc<swarm_fabric::Endpoint> {
+            self.client.endpoint()
+        }
+        fn client_id(&self) -> usize {
+            self.client.client_id()
+        }
+    }
+
+    #[test]
+    fn every_payload_is_value_cap_bytes() {
+        let sim = Sim::new(33);
+        let cap = 200;
+        let cluster = StoreBuilder::new(Protocol::SafeGuess)
+            .value_size(cap)
+            .build_cluster(&sim);
+        cluster.load_keys(64, |k| scenario_value(k, 0, cap));
+        let probes: Vec<_> = (0..2)
+            .map(|i| {
+                Rc::new(SizeProbe {
+                    client: cluster.client(i),
+                    sizes: Default::default(),
+                })
+            })
+            .collect();
+        let mixes = ScenarioSpec::new("writes", 64)
+            .phase(Phase::new(100, ScenarioMix::A))
+            .phase(Phase::new(100, ScenarioMix::D))
+            .phase(Phase::new(100, ScenarioMix::F));
+        let cfg = ScenarioRunConfig {
+            seed: 5,
+            value_cap: cap,
+        };
+        run_scenario(&sim, &probes, &mixes, &cfg);
+        let sizes: Vec<usize> = probes.iter().flat_map(|p| p.sizes.take()).collect();
+        assert!(
+            sizes.len() > 50,
+            "updates, inserts and RMWs ran: {}",
+            sizes.len()
+        );
+        assert!(sizes.iter().all(|&n| n == cap), "{sizes:?}");
     }
 
     #[test]

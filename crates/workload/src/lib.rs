@@ -10,8 +10,7 @@
 //! Beyond the static [`Workload`] mixes, the [`scenario`](ScenarioSpec)
 //! layer adds time-phased specs: per-phase op mixes covering the full YCSB
 //! A–F family (scans and read-modify-writes included), per-phase Zipfian
-//! theta, hot-set rotation for flash crowds, and value-size distributions.
-//! Scenario op streams are pure in `(seed, spec)` — see
+//! theta and hot-set rotation for flash crowds. Scenario op streams are pure in `(seed, spec)` — see
 //! `docs/SCENARIOS.md` for the cookbook.
 
 #![warn(missing_docs)]
@@ -22,7 +21,6 @@ mod zipfian;
 
 pub use scenario::{
     scenario_value, Phase, ScenarioMix, ScenarioOp, ScenarioOpClass, ScenarioSpec, ScenarioStream,
-    ValueSizeDist,
 };
 pub use spec::{OpType, Workload, WorkloadSpec};
 pub use zipfian::Zipfian;

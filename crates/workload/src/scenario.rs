@@ -1,6 +1,5 @@
-//! Time-phased scenario specifications: dynamic skew, the full YCSB A–F
-//! mix family (including scans and read-modify-writes), and value-size
-//! distributions.
+//! Time-phased scenario specifications: dynamic skew and the full YCSB
+//! A–F mix family (including scans and read-modify-writes).
 //!
 //! A [`ScenarioSpec`] is a *schedule* of [`Phase`]s. Each phase carries its
 //! own operation mix ([`ScenarioMix`]), Zipfian skew (`theta`), and hot-set
@@ -86,9 +85,9 @@ impl ScenarioOpClass {
 }
 
 /// One fully resolved operation of a scenario stream. Every field a driver
-/// needs — key, payload size, write version, scan bounds — is
-/// baked in at generation time, so executing the stream draws no further
-/// randomness.
+/// needs — key, write version, scan bounds — is baked in at generation
+/// time, so executing the stream draws no further randomness. A payload's
+/// size is the run's, not the op's (`swarm_kv::ScenarioRunConfig`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScenarioOp {
     /// Read `key`.
@@ -96,23 +95,19 @@ pub enum ScenarioOp {
         /// The key to read.
         key: u64,
     },
-    /// Overwrite `key` with a `size`-byte payload derived from
-    /// [`scenario_value`]`(key, version, size)`.
+    /// Overwrite `key` with the payload [`scenario_value`] derives from
+    /// `(key, version)`.
     Update {
         /// The key to overwrite.
         key: u64,
-        /// Payload size in bytes.
-        size: usize,
         /// Monotone stream-unique version (the payload tag seed).
         version: u64,
     },
-    /// Insert `key` with a `size`-byte payload derived from
-    /// [`scenario_value`]`(key, version, size)`.
+    /// Insert `key` with the payload [`scenario_value`] derives from
+    /// `(key, version)`.
     Insert {
         /// The key to insert.
         key: u64,
-        /// Payload size in bytes.
-        size: usize,
         /// Monotone stream-unique version (the payload tag seed).
         version: u64,
     },
@@ -129,13 +124,11 @@ pub enum ScenarioOp {
         /// Maximum number of keys to return.
         limit: usize,
     },
-    /// Read `key`, then overwrite it with a fresh `size`-byte payload
-    /// (YCSB F's read-modify-write).
+    /// Read `key`, then overwrite it with a fresh payload (YCSB F's
+    /// read-modify-write).
     Rmw {
         /// The key to read and overwrite.
         key: u64,
-        /// Payload size of the overwrite, in bytes.
-        size: usize,
         /// Monotone stream-unique version (the payload tag seed).
         version: u64,
     },
@@ -143,12 +136,12 @@ pub enum ScenarioOp {
 
 impl ScenarioOp {
     /// The four-class case: a YCSB `(op, key, version)` draw as a resolved
-    /// operation with a `size`-byte payload.
-    pub fn ycsb(op: crate::OpType, key: u64, version: u64, size: usize) -> ScenarioOp {
+    /// operation.
+    pub fn ycsb(op: crate::OpType, key: u64, version: u64) -> ScenarioOp {
         match op {
             crate::OpType::Get => ScenarioOp::Get { key },
-            crate::OpType::Update => ScenarioOp::Update { key, size, version },
-            crate::OpType::Insert => ScenarioOp::Insert { key, size, version },
+            crate::OpType::Update => ScenarioOp::Update { key, version },
+            crate::OpType::Insert => ScenarioOp::Insert { key, version },
             crate::OpType::Delete => ScenarioOp::Delete { key },
         }
     }
@@ -369,65 +362,7 @@ impl Phase {
     }
 }
 
-/// Distribution of write-payload sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ValueSizeDist {
-    /// Every payload is exactly this many bytes.
-    Fixed(usize),
-    /// Small-dominant with a heavy tail: `small` bytes with probability
-    /// `(100 - large_pct)%`, `large` bytes otherwise. The paper-motivated
-    /// default tail is 8 KiB+ values (where In-n-Out's no-compute
-    /// conditional updates should beat FUSEE's CAS-chase).
-    Bimodal {
-        /// The common (small) payload size in bytes.
-        small: usize,
-        /// The tail (large) payload size in bytes.
-        large: usize,
-        /// Percent of writes drawing the large size (`0..=100`).
-        large_pct: u64,
-    },
-}
-
-impl ValueSizeDist {
-    /// The small-dominant default: 64-byte values with a 5% tail of
-    /// 8 KiB payloads.
-    pub fn small_dominant() -> Self {
-        ValueSizeDist::Bimodal {
-            small: 64,
-            large: 8 * 1024,
-            large_pct: 5,
-        }
-    }
-
-    /// Draws a payload size from a uniform roll in `[0, 100)`.
-    pub fn sample(&self, roll: u64) -> usize {
-        match *self {
-            ValueSizeDist::Fixed(n) => n,
-            ValueSizeDist::Bimodal {
-                small,
-                large,
-                large_pct,
-            } => {
-                if roll < large_pct {
-                    large
-                } else {
-                    small
-                }
-            }
-        }
-    }
-
-    /// The largest size this distribution can draw (buffer sizing).
-    pub fn max_size(&self) -> usize {
-        match *self {
-            ValueSizeDist::Fixed(n) => n,
-            ValueSizeDist::Bimodal { small, large, .. } => small.max(large),
-        }
-    }
-}
-
-/// A complete scenario: a named schedule of [`Phase`]s over one keyspace,
-/// plus the value-size distribution shared by every phase.
+/// A complete scenario: a named schedule of [`Phase`]s over one keyspace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Scenario name (report section titles, CSV file stems).
@@ -436,23 +371,20 @@ pub struct ScenarioSpec {
     pub n_keys: u64,
     /// The phase schedule, executed in order.
     pub phases: Vec<Phase>,
-    /// Write-payload size distribution.
-    pub values: ValueSizeDist,
     /// Upper bound on scan lengths; each scan draws a limit uniformly from
     /// `1..=scan_max_len`.
     pub scan_max_len: usize,
 }
 
 impl ScenarioSpec {
-    /// A scenario over `0..n_keys` with no phases yet, 64-byte fixed
-    /// values, and scans of up to 16 keys.
+    /// A scenario over `0..n_keys` with no phases yet and scans of up to 16
+    /// keys.
     pub fn new(name: impl Into<String>, n_keys: u64) -> Self {
         assert!(n_keys > 0, "a scenario needs a non-empty keyspace");
         ScenarioSpec {
             name: name.into(),
             n_keys,
             phases: Vec::new(),
-            values: ValueSizeDist::Fixed(64),
             scan_max_len: 16,
         }
     }
@@ -460,12 +392,6 @@ impl ScenarioSpec {
     /// Appends a phase to the schedule.
     pub fn phase(mut self, phase: Phase) -> Self {
         self.phases.push(phase);
-        self
-    }
-
-    /// Sets the write-payload size distribution.
-    pub fn values(mut self, dist: ValueSizeDist) -> Self {
-        self.values = dist;
         self
     }
 
@@ -577,17 +503,19 @@ impl Iterator for ScenarioStream<'_> {
         let class = phase.mix.pick(self.rng.roll(100));
         let rank_u = self.rng.next_f64();
         let key = sample_rotated(keys, rank_u, phase.rotation);
-        let size = self.spec.values.sample(self.rng.roll(100));
+        // The roll that once drew a value size, still taken so every
+        // stream draws as before.
+        let _ = self.rng.roll(100);
         Some(match class {
             ScenarioOpClass::Get => ScenarioOp::Get { key },
-            ScenarioOpClass::Update => ScenarioOp::Update { key, size, version },
-            ScenarioOpClass::Insert => ScenarioOp::Insert { key, size, version },
+            ScenarioOpClass::Update => ScenarioOp::Update { key, version },
+            ScenarioOpClass::Insert => ScenarioOp::Insert { key, version },
             ScenarioOpClass::Delete => ScenarioOp::Delete { key },
             ScenarioOpClass::Scan => ScenarioOp::Scan {
                 start: key,
                 limit: 1 + self.rng.roll(self.spec.scan_max_len as u64) as usize,
             },
-            ScenarioOpClass::Rmw => ScenarioOp::Rmw { key, size, version },
+            ScenarioOpClass::Rmw => ScenarioOp::Rmw { key, version },
         })
     }
 }
@@ -651,16 +579,14 @@ mod tests {
             scan_pct: 10,
             rmw_pct: 10,
         };
-        ScenarioSpec::new("six", 1_000)
-            .phase(Phase::new(ops, mix))
-            .values(ValueSizeDist::small_dominant())
+        ScenarioSpec::new("six", 1_000).phase(Phase::new(ops, mix))
     }
 
-    /// Every materialised stream (`run_scenario`, the planned driver) holds
-    /// one op per element: three words and a tag.
+    /// Every materialised stream (`run_scenario`) holds one op per element:
+    /// two words and a tag.
     #[test]
-    fn an_op_is_four_words() {
-        assert_eq!(std::mem::size_of::<ScenarioOp>(), 32);
+    fn an_op_is_three_words() {
+        assert_eq!(std::mem::size_of::<ScenarioOp>(), 24);
     }
 
     #[test]
@@ -748,30 +674,6 @@ mod tests {
         assert_ne!(k0, k1, "rotation must move the hottest key");
         // Both phases are equally skewed.
         assert!(c0 > 200 && c1 > 200, "hot keys stay hot: {c0} {c1}");
-    }
-
-    #[test]
-    fn value_sizes_follow_the_distribution() {
-        let spec = ScenarioSpec::new("sizes", 1_000)
-            .phase(Phase::new(4_000, ScenarioMix::A))
-            .values(ValueSizeDist::Bimodal {
-                small: 64,
-                large: 8_192,
-                large_pct: 10,
-            });
-        let sizes: Vec<usize> = spec
-            .ops(5)
-            .into_iter()
-            .filter_map(|op| match op {
-                ScenarioOp::Update { size, .. } => Some(size),
-                _ => None,
-            })
-            .collect();
-        let large = sizes.iter().filter(|&&s| s == 8_192).count();
-        assert!(sizes.iter().all(|&s| s == 64 || s == 8_192));
-        let frac = large as f64 / sizes.len() as f64;
-        assert!((0.05..0.2).contains(&frac), "large fraction {frac}");
-        assert_eq!(spec.values.max_size(), 8_192);
     }
 
     #[test]

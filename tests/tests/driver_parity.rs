@@ -43,9 +43,7 @@ use swarm_kv::{
     ScenarioRunConfig, StoreBuilder,
 };
 use swarm_sim::{Histogram, Nanos, Sim, NANOS_PER_MICRO};
-use swarm_workload::{
-    Phase, ScenarioMix, ScenarioOpClass, ScenarioSpec, ValueSizeDist, Workload, WorkloadSpec,
-};
+use swarm_workload::{Phase, ScenarioMix, ScenarioOpClass, ScenarioSpec, Workload, WorkloadSpec};
 
 const PINNED: &[(&str, u64)] = &[
     ("workload/sequential", 0xdbe1ce5522b69754),
@@ -363,8 +361,8 @@ fn routed_cell(seed: u64) -> u64 {
     d.finish()
 }
 
-/// `run_scenario` over plain clients: scans, RMWs, inserts, bimodal value
-/// sizes, a mid-run hot-set rotation.
+/// `run_scenario` over plain clients: scans, RMWs, inserts, a mid-run
+/// hot-set rotation.
 fn scenario_cell(seed: u64, protocol: Protocol) -> u64 {
     let sim = Sim::new(seed);
     let cluster = StoreBuilder::new(protocol)
@@ -376,12 +374,7 @@ fn scenario_cell(seed: u64, protocol: Protocol) -> u64 {
     let spec = ScenarioSpec::new("parity", 64)
         .phase(Phase::new(150, ScenarioMix::E).theta(0.9))
         .phase(Phase::new(150, ScenarioMix::F).theta(0.99).rotate(32))
-        .phase(Phase::new(100, ScenarioMix::from(MIXED)))
-        .values(ValueSizeDist::Bimodal {
-            small: 32,
-            large: 64,
-            large_pct: 10,
-        });
+        .phase(Phase::new(100, ScenarioMix::from(MIXED)));
     let cfg = ScenarioRunConfig {
         seed: seed ^ 0x5CE9,
         ..Default::default()

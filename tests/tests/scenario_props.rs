@@ -7,7 +7,7 @@
 use swarm_kv::{KvStore, Protocol, StoreBuilder};
 use swarm_sim::{Sim, SimRng};
 use swarm_tests::{coin, for_each_case};
-use swarm_workload::{scenario_value, Phase, ScenarioMix, ScenarioOp, ScenarioSpec, ValueSizeDist};
+use swarm_workload::{scenario_value, Phase, ScenarioMix, ScenarioOp, ScenarioSpec};
 
 /// An arbitrary mix: either one of the six YCSB letters or a random
 /// six-way percentage split (five sorted cuts of `[0, 100)` make six
@@ -29,19 +29,9 @@ fn arbitrary_mix(rng: &SimRng) -> ScenarioMix {
 }
 
 /// An arbitrary scenario: 1–3 phases of arbitrary mix, skew and rotation
-/// over 2–511 keys, fixed or bimodal value sizes.
+/// over 2–511 keys.
 fn arbitrary_spec(rng: &SimRng) -> ScenarioSpec {
-    let values = if coin(rng) {
-        ValueSizeDist::Fixed(rng.rand_range(8, 256) as usize)
-    } else {
-        ValueSizeDist::Bimodal {
-            small: rng.rand_range(8, 64) as usize,
-            large: rng.rand_range(64, 4096) as usize,
-            large_pct: rng.rand_range(0, 101),
-        }
-    };
     let mut spec = ScenarioSpec::new("prop", rng.rand_range(2, 512))
-        .values(values)
         .scan_max_len(rng.rand_range(1, 32) as usize);
     for _ in 0..rng.rand_range(1, 4) {
         spec = spec.phase(
@@ -55,8 +45,8 @@ fn arbitrary_spec(rng: &SimRng) -> ScenarioSpec {
 
 /// Stream purity: `(seed, spec)` regenerates the byte-identical op
 /// vector, the lazy stream agrees with the materialized one, and every
-/// emitted op respects the spec's bounds (keys inside the keyspace, sizes
-/// drawable from the distribution, scan limits within `scan_max_len`).
+/// emitted op respects the spec's bounds (keys inside the keyspace, scan
+/// limits within `scan_max_len`).
 #[test]
 fn scenario_streams_are_pure_and_in_bounds() {
     for_each_case(0x5CE0, |rng| {
@@ -67,17 +57,10 @@ fn scenario_streams_are_pure_and_in_bounds() {
         assert_eq!(ops, lazy, "lazy stream must equal the materialized vector");
         assert_eq!(ops.len(), spec.total_ops());
 
-        let max = spec.values.max_size();
         for op in &ops {
             assert!(op.key() < spec.n_keys, "key escapes the keyspace");
-            match *op {
-                ScenarioOp::Update { size, .. }
-                | ScenarioOp::Insert { size, .. }
-                | ScenarioOp::Rmw { size, .. } => assert!(size <= max),
-                ScenarioOp::Scan { limit, .. } => {
-                    assert!(limit >= 1 && limit <= spec.scan_max_len)
-                }
-                _ => {}
+            if let ScenarioOp::Scan { limit, .. } = *op {
+                assert!(limit >= 1 && limit <= spec.scan_max_len)
             }
         }
         // A different seed must actually perturb a non-trivial stream.
