@@ -327,6 +327,6 @@ pub fn run(quick: bool) {
     println!("\nexpectation (asserted): flash-crowd phases rotate the hot set, so the");
     println!("hot shard moves mid-run and per-shard routed counts even out relative");
     println!("to the static Zipfian cells (imbal lower for A-D and F; YCSB-E scans");
-    println!("fan out to all shards, scanned > 0); bigval's 8 KiB tail stretches");
-    println!("update tails above ycsb_b_static's; no cell fails an op.");
+    println!("fan out to all shards, scanned > 0); bigval (YCSB B at 8 KiB values)");
+    println!("has a longer update p99 than ycsb_b_static at 64 B; no cell fails an op.");
 }

@@ -85,8 +85,8 @@
 //!   client ([`RunConfig::concurrency`], §7.2), paced, deadlined, counting
 //!   per-op roundtrips. This is what the paper's figures run.
 //! * [`run_scenario`] feeds a pre-materialised time-phased `ScenarioSpec`
-//!   stream (scans, read-modify-writes, inserts, value-size
-//!   distributions), dealt round-robin to the clients.
+//!   stream (scans, read-modify-writes, inserts), dealt round-robin to the
+//!   clients, every payload [`ScenarioRunConfig::value_cap`] bytes.
 //!
 //! Either runs over any store handles: plain clients, [`ShardRouter`]s of a
 //! [`ShardedCluster`] (one application thread per router, whatever the

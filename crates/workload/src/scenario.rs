@@ -503,9 +503,6 @@ impl Iterator for ScenarioStream<'_> {
         let class = phase.mix.pick(self.rng.roll(100));
         let rank_u = self.rng.next_f64();
         let key = sample_rotated(keys, rank_u, phase.rotation);
-        // The roll that once drew a value size, still taken so every
-        // stream draws as before.
-        let _ = self.rng.roll(100);
         Some(match class {
             ScenarioOpClass::Get => ScenarioOp::Get { key },
             ScenarioOpClass::Update => ScenarioOp::Update { key, version },

@@ -25,8 +25,9 @@
 //! `workload/concurrency4` was re-pinned once, when a max-register stamp read
 //! began writing back a tombstone it sees at a minority (a delete still in
 //! flight, in that cell) before returning it. `scenario/*` were re-pinned
-//! once, when lease-carrying inserts went and the two cells began running
-//! over plain clients. `hedged/spike-swarm`, `hedged/spike-abd`,
+//! twice: when lease-carrying inserts went and the two cells began running
+//! over plain clients, and when the scenario stream stopped drawing a value
+//! size per op (a run writes `value_cap`-byte payloads only). `hedged/spike-swarm`, `hedged/spike-abd`,
 //! `hedged/deadline-cancel-swarm`, `widen/crash-swarm` and `widen/crash-abd`
 //! were re-pinned once, when any reply from a suspected node began clearing
 //! its suspicion (a node a spike or a crash got suspected is contacted
@@ -53,8 +54,8 @@ const PINNED: &[(&str, u64)] = &[
     ("workload/rtts-prewarm", 0xe753d822b99377b3),
     ("workload/rtts-prewarm-abd", 0x731efd48fce98460),
     ("workload/routed", 0x493847e73cb75811),
-    ("scenario/swarm", 0x08c65bb7704591f4),
-    ("scenario/fusee", 0x31ff5e5560c1f3f4),
+    ("scenario/swarm", 0xb86acf460afa244d),
+    ("scenario/fusee", 0xf105b1c9f7acb1ea),
     ("hedged/spike-swarm", 0x5b54d2dfee4b3579),
     ("hedged/spike-abd", 0x04aae4b305bc5114),
     ("hedged/spike-raw", 0x96e38c8846bf13d7),
