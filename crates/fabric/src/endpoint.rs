@@ -19,17 +19,6 @@ use crate::fabric::Fabric;
 use crate::node::NodeId;
 use crate::op::{Op, OpResult, Payload};
 
-/// Per-client traffic counters (drives per-client IO accounting, Table 3).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EndpointStats {
-    /// Message series submitted.
-    pub series: u64,
-    /// Request bytes sent.
-    pub bytes_out: u64,
-    /// Response bytes received (includes responses still in flight).
-    pub bytes_in: u64,
-}
-
 /// A client-side fabric endpoint (one per client thread).
 pub struct Endpoint {
     fabric: Fabric,
@@ -41,7 +30,6 @@ pub struct Endpoint {
     /// Last scheduled arrival per destination node, enforcing QP FIFO.
     /// Shared (`Rc`) with in-flight message tasks.
     qp_clock: Rc<RefCell<Vec<Nanos>>>,
-    stats: Cell<EndpointStats>,
 }
 
 impl Endpoint {
@@ -53,7 +41,6 @@ impl Endpoint {
             cpu,
             cpu_scale: Cell::new(1.0),
             qp_clock: Rc::new(RefCell::new(vec![0; n])),
-            stats: Cell::new(EndpointStats::default()),
         }
     }
 
@@ -76,11 +63,6 @@ impl Endpoint {
     pub fn set_cpu_scale(&self, scale: f64) {
         assert!(scale >= 1.0);
         self.cpu_scale.set(scale);
-    }
-
-    /// Per-endpoint traffic counters.
-    pub fn stats(&self) -> EndpointStats {
-        self.stats.get()
     }
 
     fn scaled(&self, ns: Nanos) -> Nanos {
@@ -111,11 +93,6 @@ impl Endpoint {
         // same core serialize in call order, deterministically.
         let (_, submit_done, _) = self.cpu.acquire(self.scaled(ISSUE_NS));
 
-        let mut st = self.stats.get();
-        st.series += 1;
-        st.bytes_out += req_bytes as u64;
-        st.bytes_in += resp_bytes as u64;
-        self.stats.set(st);
         self.fabric.account(req_bytes + resp_bytes);
 
         let fabric = self.fabric.clone();

@@ -55,7 +55,7 @@ mod node;
 mod op;
 
 pub use config::{chunk_ns, FabricConfig, CHUNK_BYTES};
-pub use endpoint::{Endpoint, EndpointStats};
+pub use endpoint::Endpoint;
 pub use fabric::{Fabric, TrafficStats};
 pub use fault::{FaultAction, FaultPlan};
 pub use mem::NodeMemory;

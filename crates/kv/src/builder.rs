@@ -247,21 +247,11 @@ impl StoreBuilder {
             .map(|s| {
                 let mut b = self.clone();
                 b.shards = 1;
-                b.cluster.rng_label = Some(spec_rng_label(&spec, s, self.cluster.rng_label));
+                b.cluster.rng_label = Some(spec.rng_label(s));
                 b.build_cluster(sim)
             })
             .collect();
         ShardedCluster::from_shards(sim, spec, shards)
-    }
-}
-
-/// The per-shard RNG label: derived from the spec (and any label the user
-/// pinned on the builder, so two sharded clusters on one sim can be told
-/// apart by labeling one).
-fn spec_rng_label(spec: &ShardSpec, shard: usize, user: Option<u64>) -> u64 {
-    match user {
-        Some(base) => crate::cluster::derive_label(base, shard as u64, spec.shards() as u64),
-        None => spec.rng_label(shard),
     }
 }
 

@@ -68,12 +68,12 @@ pub struct ClusterConfig {
     pub index_capacity: Option<usize>,
     /// RNG-stream label for everything this cluster builds (fabric jitter,
     /// index jitter, client clocks and caches). `None` (the default) draws
-    /// from the simulation's shared stream — the historical behavior.
-    /// `Some(label)` forks private per-role streams from `(sim seed,
-    /// label)`, so nothing that happens in this cluster can perturb — or be
-    /// perturbed by — any other cluster on the same `Sim`. Sharded clusters
-    /// set one label per shard (see `swarm_kv::ShardedCluster`).
-    pub rng_label: Option<u64>,
+    /// from the simulation's shared stream. `Some(label)` forks private
+    /// per-role streams from `(sim seed, label)`, so nothing that happens in
+    /// this cluster can perturb — or be perturbed by — any other cluster on
+    /// the same `Sim`. Only `StoreBuilder::build_sharded` sets it, one label
+    /// per shard ([`crate::ShardSpec`]).
+    pub(crate) rng_label: Option<u64>,
 }
 
 impl Default for ClusterConfig {

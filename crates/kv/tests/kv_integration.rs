@@ -173,10 +173,8 @@ fn store_builder_shared_suite_covers_all_four_protocols() {
 fn a_replaced_cluster_config_reaches_all_four_protocols() {
     for (i, proto) in Protocol::all().into_iter().enumerate() {
         let sim = Sim::new(60 + i as u64);
-        let mut cfg = ClusterConfig {
-            nodes: 6,
-            ..Default::default()
-        };
+        let mut cfg = ClusterConfig::default();
+        cfg.nodes = 6;
         // Ten times the default one-way wire latency.
         cfg.fabric.wire = Jitter::fabric(6_400.0);
         let cluster = StoreBuilder::new(proto)

@@ -9,24 +9,18 @@
 //! *completes*, and reports the slot's start time so callers can model
 //! "submission finished, now the wire takes over" pipelines.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::rc::Rc;
 
 use crate::executor::Sim;
 use crate::time::Nanos;
 
-struct Inner {
-    /// Virtual time at which the resource next becomes free.
-    available_at: Nanos,
-    /// Total busy time accumulated (for CPU% accounting, Table 3).
-    busy_ns: u128,
-}
-
 /// A resource that serves acquisitions one at a time, in FIFO order.
 #[derive(Clone)]
 pub struct FifoResource {
     sim: Sim,
-    inner: Rc<RefCell<Inner>>,
+    /// Virtual time at which the resource next becomes free.
+    available_at: Rc<Cell<Nanos>>,
 }
 
 impl FifoResource {
@@ -34,10 +28,7 @@ impl FifoResource {
     pub fn new(sim: &Sim) -> Self {
         FifoResource {
             sim: sim.clone(),
-            inner: Rc::new(RefCell::new(Inner {
-                available_at: 0,
-                busy_ns: 0,
-            })),
+            available_at: Rc::new(Cell::new(0)),
         }
     }
 
@@ -48,12 +39,7 @@ impl FifoResource {
     /// same instant serialize deterministically in call order); the returned
     /// future merely waits for the slot to elapse.
     pub fn acquire(&self, service_ns: Nanos) -> (Nanos, Nanos, crate::executor::Sleep) {
-        let now = self.sim.now();
-        let mut inner = self.inner.borrow_mut();
-        let start = inner.available_at.max(now);
-        let end = start + service_ns;
-        inner.available_at = end;
-        inner.busy_ns += service_ns as u128;
+        let (start, end) = self.reserve(service_ns);
         (start, end, self.sim.sleep_until(end))
     }
 
@@ -61,22 +47,10 @@ impl FifoResource {
     /// a NIC serializing an outbound message while the CPU moves on).
     /// Returns `(start, end)` of the slot.
     pub fn reserve(&self, service_ns: Nanos) -> (Nanos, Nanos) {
-        let now = self.sim.now();
-        let mut inner = self.inner.borrow_mut();
-        let start = inner.available_at.max(now);
+        let start = self.available_at.get().max(self.sim.now());
         let end = start + service_ns;
-        inner.available_at = end;
-        inner.busy_ns += service_ns as u128;
+        self.available_at.set(end);
         (start, end)
-    }
-
-    /// Utilization over `[0, now]` as a fraction in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        let now = self.sim.now();
-        if now == 0 {
-            return 0.0;
-        }
-        (self.inner.borrow().busy_ns as f64 / now as f64).min(1.0)
     }
 }
 
@@ -108,20 +82,6 @@ mod tests {
             assert_eq!((start, end), (1_100, 1_200));
             wait.await;
         });
-        assert_eq!(r.inner.borrow().busy_ns, 200);
-    }
-
-    #[test]
-    fn utilization_reflects_busy_fraction() {
-        let sim = Sim::new(1);
-        let r = FifoResource::new(&sim);
-        let r2 = r.clone();
-        let s = sim.clone();
-        sim.block_on(async move {
-            let (_, _, wait) = r2.acquire(250);
-            wait.await;
-            s.sleep_ns(750).await;
-        });
-        assert!((r.utilization() - 0.25).abs() < 1e-9);
+        assert_eq!(r.available_at.get(), 1_200);
     }
 }
