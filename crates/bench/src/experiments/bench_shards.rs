@@ -150,16 +150,19 @@ fn run_cell(dist: Dist, shards: usize, n_keys: u64) -> CellResult {
 pub fn run(quick: bool) {
     let n_keys: u64 = if quick { 1 << 17 } else { 1 << 20 };
     let dists = [Dist::Uniform, Dist::Zipfian99];
-    let cells: Vec<(Dist, usize)> = dists
+    // The sweep claims cells in list order: largest first, so the 16-shard
+    // cells do not finish alone at the end. They print by (dist, shards).
+    let cells: Vec<(Dist, usize)> = SHARD_COUNTS
         .iter()
-        .flat_map(|&dist| SHARD_COUNTS.map(|shards| (dist, shards)))
+        .rev()
+        .flat_map(|&shards| dists.map(|dist| (dist, shards)))
         .collect();
     eprintln!(
         "bench_shards: {} sweep thread(s), {} cells",
         sweep_threads(),
         cells.len()
     );
-    let mut results = sweep(&cells, |&(dist, shards)| run_cell(dist, shards, n_keys)).into_iter();
+    let results = sweep(&cells, |&(dist, shards)| run_cell(dist, shards, n_keys));
 
     let mut walls = Vec::new();
     // (distribution, shards, scale_eff, op imbalance) per cell.
@@ -178,7 +181,10 @@ pub fn run(quick: bool) {
         let mut rows = Vec::new();
         let mut base_per_client = 0.0;
         for shards in SHARD_COUNTS {
-            let r = results.next().expect("one result per cell");
+            let r = &results[cells
+                .iter()
+                .position(|&c| c == (dist, shards))
+                .expect("a cell")];
             let clients = CLIENTS_PER_SHARD * shards;
             let per_client = r.tput_mops * 1e3 / clients as f64;
             if shards == 1 {

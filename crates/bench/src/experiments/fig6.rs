@@ -3,10 +3,12 @@
 //! 24 B for DM-ABD/FUSEE but 32 B for SWARM-KV (they also carry In-n-Out's
 //! metadata word), so SWARM-KV caches ~25% fewer keys (§7.1).
 
-use crate::{report_cdfs, run_system, ExpParams, Protocol};
+use crate::{env_scaled_keys, report_cdfs, run_system, ExpParams, Protocol};
 use swarm_workload::WorkloadSpec;
 
 const CACHE_BYTES: usize = 5 * 1024 * 1024;
+/// The paper's keyspace, which the 5 MiB caches are sized against.
+const PAPER_KEYS: usize = 1_000_000;
 
 /// Runs the experiment: quick volume by default, the paper's when `!quick`.
 pub fn run(quick: bool) {
@@ -16,22 +18,20 @@ pub fn run(quick: bool) {
         measure_ops: if quick { 200_000 } else { 1_000_000 },
         ..Default::default()
     };
-    println!(
-        "Figure 6: latency CDFs with {} keys and 5 MiB caches (quick={quick})",
-        base.n_keys
-    );
+    // The keys the run loads (fewer under `SWARM_BENCH_OPS_SCALE`).
+    let keys = env_scaled_keys(base.n_keys);
+    println!("Figure 6: latency CDFs with {keys} keys and 5 MiB caches (quick={quick})");
     for sys in [Protocol::SafeGuess, Protocol::Abd, Protocol::Fusee] {
         let entry_bytes = if sys == Protocol::SafeGuess { 32 } else { 24 };
-        let entries = CACHE_BYTES / entry_bytes;
-        // Scale the cache with the keyspace in quick mode so the miss rate
-        // matches the paper's 1M-key configuration.
-        let entries = if quick { entries / 5 } else { entries };
+        // Scale the cache with the loaded keyspace so it covers the share
+        // of keys it covers in the paper's 1M-key configuration.
+        let entries = CACHE_BYTES / entry_bytes * keys as usize / PAPER_KEYS;
         let p = ExpParams {
             cache_entries: Some(entries),
             ..base.clone()
         };
         let (stats, _, bed) = run_system(p.seed, sys, &p, WorkloadSpec::B, |_| {});
-        let coverage = entries as f64 / p.n_keys as f64 * 100.0;
+        let coverage = entries as f64 / keys as f64 * 100.0;
         let (h, m): (u64, u64) = bed
             .clients
             .iter()
