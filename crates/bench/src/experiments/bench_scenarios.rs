@@ -92,8 +92,9 @@ struct CellResult {
 }
 
 impl CellResult {
-    fn p99(&self, class: ScenarioOpClass) -> Option<Nanos> {
-        self.lat[class as usize].1.map(|p| p[2])
+    /// `class`'s percentile `i` of [`PERCENTILES`]; `None` if it had no op.
+    fn percentile(&self, class: ScenarioOpClass, i: usize) -> Option<Nanos> {
+        self.lat[class as usize].1.map(|p| p[i])
     }
 }
 
@@ -245,21 +246,22 @@ pub fn run(quick: bool) {
     let mut rows = Vec::new();
     for ((spec, _), pair) in specs.iter().zip(results.chunks(SYSTEMS.len())) {
         for ((_, sys_name), r) in SYSTEMS.iter().zip(pair) {
-            let get = r.lat[ScenarioOpClass::Get as usize].1.unwrap_or_default();
-            let p99_us = |c| {
-                r.p99(c)
+            // An empty class prints `-`, not a latency of 0.
+            let pct_us = |c, i| {
+                r.percentile(c, i)
                     .map_or("-".to_string(), |ns| format!("{:.2}", us(ns)))
             };
+            let p99_us = |c| pct_us(c, 2);
             println!(
-                "{:<16} {:>9} {:>7} {:>6} {:>10.1} {:>9.2} {:>9.2} {:>8} {:>6.2}x {:>9} {:>9} \
+                "{:<16} {:>9} {:>7} {:>6} {:>10.1} {:>9} {:>9} {:>8} {:>6.2}x {:>9} {:>9} \
                  {:>9} {:>8} {:>8} {:>9} {:>11}",
                 spec.name,
                 sys_name,
                 r.measured_ops,
                 r.failed_ops,
                 r.tput_kops,
-                us(get[0]),
-                us(get[2]),
+                pct_us(ScenarioOpClass::Get, 0),
+                p99_us(ScenarioOpClass::Get),
                 r.scanned_items,
                 r.imbalance,
                 p99_us(ScenarioOpClass::Update),
@@ -317,8 +319,8 @@ pub fn run(quick: bool) {
                 "ycsb_{l} / {sys}: flash-crowd imbalance {flash:.2} is not below static {stat:.2}"
             );
         }
-        let big = cell("bigval").p99(ScenarioOpClass::Update);
-        let small = cell("ycsb_b_static").p99(ScenarioOpClass::Update);
+        let big = cell("bigval").percentile(ScenarioOpClass::Update, 2);
+        let small = cell("ycsb_b_static").percentile(ScenarioOpClass::Update, 2);
         assert!(
             big > small,
             "bigval / {sys}: update p99 {big:?} ns is not above ycsb_b_static's {small:?}"
