@@ -167,56 +167,63 @@ stage examples sh -c '
 # and test it here so an API slip fails CI, not the benchmark driver.
 stage benchmark-build sh -c 'cd benchmark && cargo build --release --offline && cargo test --offline -q'
 
-# The deterministic perf gate: one smoke-volume run of the repo's benchmark
-# (ycsb_b_64, seed 42, untraced) whose result line must contain every line
-# of crates/bench/goldens/benchmark_smoke.expected — `correct`, zero failed
-# operations and the seven *simulated* metrics, exactly, no tolerance (they
-# are a pure function of the seed; host metrics are not compared). A
-# mismatch means simulated behaviour moved: if intended, replace the
-# expected lines with the ones this stage prints. Two more smoke runs
-# (ycsb_a_8k, hotkey_16c) gate the host-side footprint against stated
-# ceilings. The benchmark refuses to run under SWARM_* knobs, so they are
-# unset for this stage only.
+# The deterministic perf gate: three smoke-volume runs of the repo's
+# benchmark (seed 42, untraced), one per row below, each of whose result
+# line must contain every line of its expected file under
+# crates/bench/goldens/ (ycsb_b_64: benchmark_smoke.expected, the others:
+# benchmark_smoke_<workload>.expected) — `correct`, zero failed operations
+# and the seven *simulated* metrics, exactly, no tolerance (they are a pure
+# function of the seed; host metrics are not compared). A mismatch means
+# simulated behaviour moved: if intended, replace the expected lines with
+# the ones this stage prints. ycsb_a_8k and hotkey_16c also gate the
+# host-side footprint against a stated ceiling. The benchmark refuses to run
+# under SWARM_* knobs, so they are unset for this stage only.
 stage benchmark-smoke sh -c '
     set -eu
     unset SWARM_BENCH_THREADS SWARM_BENCH_OPS_SCALE SWARM_CHAOS_SEEDS
-    result=$(bash benchmark/run.sh --smoke --workload ycsb_b_64 --seed 42 --trace 0 \
-        --out "${CARGO_TARGET_DIR:-target}/benchmark-smoke" | tail -n 1)
+    goldens=crates/bench/goldens
     rc=0
-    while IFS= read -r want; do
-        case "$result" in
-            *"$want"*) ;;
-            *) echo "FAIL benchmark-smoke: result lacks $want" >&2; rc=1 ;;
-        esac
-    done < crates/bench/goldens/benchmark_smoke.expected
-    [ "$rc" -eq 0 ] || echo "result line: $result" >&2
 
-    # The footprint gate, one row per cell: workload, ceiling in MiB
-    # (= measured + 25 %; the measurement prints either way). ycsb_a_8k
-    # says whether simulated memory still costs what a run touches and not
-    # what it allocates (Backing store, crates/fabric/src/mem.rs), and
-    # whether node memory still holds an 8 KiB write by reference, one host
-    # copy per distinct image (Shared runs, same file): 63.5 MiB measured,
-    # three runs within 0.2 (95 when every write was copied into node
-    # memory, 487 when every reserved byte was zero-filled). hotkey_16c (smoke keeps loaded_keys) says whether a key
-    # still costs node memory only for the rings somebody wrote
-    # (crates/core/src/innout.rs) and a client handle only its own words:
-    # 60 MiB measured, three runs within 0.2 (461 when every key had the
-    # rings of 16 writers interleaved with its metadata, 77 when every
-    # cached handle cloned the state of its client and the layouts of its
-    # key). No apostrophe in this script: it is one single-quoted word.
-    while read -r workload ceiling; do
-        rss=$(bash benchmark/run.sh --smoke --workload "$workload" --seed 42 --trace 0 \
-            --out "${CARGO_TARGET_DIR:-target}/benchmark-smoke-$workload" | tail -n 1 \
-            | sed -n "s/.*\"peak_rss_mb\":{\"value\":\([0-9.]*\).*/\1/p")
+    # One row per cell: workload, peak_rss_mb ceiling in MiB (- for none;
+    # = measured + 25 %; the measurement prints either way), expected file.
+    # ycsb_a_8k says whether simulated memory still costs what a run touches
+    # and not what it allocates (Backing store, crates/fabric/src/mem.rs),
+    # and whether node memory still holds an 8 KiB write by reference, one
+    # host copy per distinct image (Shared runs, same file): 63.5 MiB
+    # measured, three runs within 0.2 (95 when every write was copied into
+    # node memory, 487 when every reserved byte was zero-filled). hotkey_16c
+    # (smoke keeps loaded_keys) says whether a key still costs node memory
+    # only for the rings somebody wrote (crates/core/src/innout.rs) and a
+    # client handle only its own words: 60 MiB measured, three runs within
+    # 0.2 (461 when every key had the rings of 16 writers interleaved with
+    # its metadata, 77 when every cached handle cloned the state of its
+    # client and the layouts of its key). No apostrophe in this script: it
+    # is one single-quoted word.
+    while read -r workload ceiling expected; do
+        result=$(bash benchmark/run.sh --smoke --workload "$workload" --seed 42 --trace 0 \
+            --out "${CARGO_TARGET_DIR:-target}/benchmark-smoke-$workload" | tail -n 1)
+        miss=0
+        while IFS= read -r want; do
+            case "$result" in
+                *"$want"*) ;;
+                *) echo "FAIL benchmark-smoke: $workload result lacks $want" >&2; miss=1 ;;
+            esac
+        done < "$goldens/$expected"
+        if [ "$miss" -eq 1 ]; then
+            echo "$workload result line: $result" >&2
+            rc=1
+        fi
+        [ "$ceiling" != - ] || continue
+        rss=$(echo "$result" | sed -n "s/.*\"peak_rss_mb\":{\"value\":\([0-9.]*\).*/\1/p")
         echo "$workload smoke peak_rss_mb: ${rss:-none reported} (ceiling $ceiling MiB)"
         if [ -z "$rss" ] || ! awk -v r="$rss" -v c="$ceiling" "BEGIN { exit !(r <= c) }"; then
             echo "FAIL benchmark-smoke: $workload peak_rss_mb is over its ceiling" >&2
             rc=1
         fi
     done <<ROWS
-ycsb_a_8k 80
-hotkey_16c 75
+ycsb_b_64 - benchmark_smoke.expected
+ycsb_a_8k 80 benchmark_smoke_ycsb_a_8k.expected
+hotkey_16c 75 benchmark_smoke_hotkey_16c.expected
 ROWS
     exit "$rc"
 '

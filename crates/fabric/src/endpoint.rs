@@ -6,16 +6,30 @@
 //! caller may await *or drop*: node-side effects of a submitted series happen
 //! regardless, which is exactly the fire-and-forget semantics the protocols
 //! rely on for background writes (e.g. Safe-Guess's `in bg: M.WRITE(..)`).
+//!
+//! # A message's stages
+//!
+//! A submitted series is one message: a slot in the fabric's message slab
+//! that the executor steps (`swarm_sim`'s *Steps*) through its stages, each
+//! at the instant the one before waits for — posted (the core finishes
+//! posting the work requests), uplink (through the switch and over the
+//! wire), arrive (the node's NIC takes it, or a fault swallows it), apply
+//! (the ops in FIFO order; a chunked write steps on at its ticker's last
+//! tick), depart (back through the switch once the NIC has served it) and
+//! deliver (the reply reaches the submitter). No task is spawned and none is
+//! polled: each stage runs where a task's poll ran, so the wire model's
+//! timer events, draws and reservations are those of a task that slept
+//! between the same stages.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use swarm_sim::{oneshot, FifoResource, Nanos, OneshotReceiver};
+use swarm_sim::{oneshot, FifoResource, Nanos, OneshotReceiver, OneshotSender, Stepper};
 
 use crate::config::{
     chunk_ns, link_ns, CHUNK_BYTES, HEADER_BYTES, ISSUE_NS, NODE_FIXED_NS, READ_EXTRA_NS,
 };
-use crate::fabric::Fabric;
+use crate::fabric::{Fabric, FabricInner};
 use crate::node::NodeId;
 use crate::op::{Op, OpResult, Payload};
 
@@ -28,7 +42,7 @@ pub struct Endpoint {
     /// §7.3).
     cpu_scale: Cell<f64>,
     /// Last scheduled arrival per destination node, enforcing QP FIFO.
-    /// Shared (`Rc`) with in-flight message tasks.
+    /// Shared (`Rc`) with this endpoint's messages in flight.
     qp_clock: Rc<RefCell<Vec<Nanos>>>,
 }
 
@@ -80,14 +94,13 @@ impl Endpoint {
     /// Submits a pipelined series of operations to `node`.
     ///
     /// Returns a receiver for the per-op results. The receiver yields `None`
-    /// only if the simulation ends the message's task early; a crashed node
-    /// produces *silence* (the receiver never resolves), so callers bound
-    /// waits with [`swarm_sim::timeout_at`].
+    /// only if the message is dropped undelivered; a crashed node produces
+    /// *silence* (the receiver never resolves), so callers bound waits with
+    /// [`swarm_sim::timeout_at`].
     pub fn submit(&self, node: NodeId, ops: Vec<Op>) -> OneshotReceiver<Vec<OpResult>> {
         let (tx, rx) = oneshot();
         let req_bytes = HEADER_BYTES + ops.iter().map(Op::request_payload).sum::<usize>();
         let resp_bytes = HEADER_BYTES + ops.iter().map(Op::response_payload).sum::<usize>();
-        let has_read = ops.iter().any(Op::is_read_like);
 
         // Reserve the submission slot *now*: concurrent submitters on the
         // same core serialize in call order, deterministically.
@@ -95,99 +108,20 @@ impl Endpoint {
 
         self.fabric.account(req_bytes + resp_bytes);
 
-        let fabric = self.fabric.clone();
-        let sim = fabric.sim().clone();
-        let qp = QpClockRef {
-            clock: Rc::clone(&self.qp_clock),
-            node: node.0,
-        };
-
-        let sim2 = sim.clone();
-        sim.spawn(async move {
-            // Borrow the wire model from the moved-in fabric handle.
-            let wire = &fabric.config().wire;
-            // 1. Wait for the CPU to finish posting the work requests.
-            sim2.sleep_until(submit_done).await;
-
-            // 2. Uplink: serialize through the shared switch, then propagate
-            // (an active delay spike on the destination stretches the wire).
-            // All traffic serializes through the switch at link rate
-            // (`link_ns`); it is what saturates in the 64-client
-            // scalability experiment (§7.3).
-            let (_, ser_end) = fabric.inner.switch.reserve(link_ns(req_bytes));
-            let mut arrival =
-                ser_end + wire.sample(&fabric.inner.rng) + fabric.fault_extra_ns(node);
-            // Enforce FIFO on this queue pair.
-            arrival = arrival.max(qp.get() + 1);
-            qp.set(arrival);
-            sim2.sleep_until(arrival).await;
-
-            // 3. Node receive. A crashed node — or an injected partition /
-            // drop-window fault — swallows the request silently.
-            let target = fabric.node_ref(node);
-            if !target.is_alive() || fabric.fault_silences(node) {
-                fabric.inner.graveyard.borrow_mut().push(tx);
-                return;
-            }
-            target.account();
-            // The NIC reservation shapes response timing and captures
-            // queuing under load; DMA application itself is cut-through and
-            // proceeds in parallel across queue pairs (so reads from other
-            // clients can observe a write mid-application).
-            // Reads pay an extra DMA-fetch delay, but NICs pipeline it
-            // across queue pairs: it adds latency, not NIC occupancy.
-            let service = NODE_FIXED_NS + link_ns(req_bytes);
-            let (_, nic_done) = target.nic().reserve(service);
-            let nic_done = nic_done + if has_read { READ_EXTRA_NS } else { 0 };
-
-            // 4. Apply the series in FIFO order.
-            let mut results = Vec::with_capacity(ops.len());
-            for op in &ops {
-                match op {
-                    Op::Read { addr, len } => {
-                        // Snapshot at a single instant: a read overlapping a
-                        // chunked write observes torn data.
-                        results.push(OpResult::Read(target.mem().read(*addr, *len)));
-                    }
-                    Op::Write { addr, data } => {
-                        // One chunk lands per `chunk_ns`; this task sleeps
-                        // through all of them (see `mem`'s module docs).
-                        let mem = target.mem();
-                        mem.write_chunked(&sim2, *addr, data, CHUNK_BYTES, chunk_ns())
-                            .await;
-                        mem.settle();
-                        results.push(OpResult::Write);
-                    }
-                    Op::Cas {
-                        addr,
-                        expected,
-                        new,
-                    } => {
-                        results.push(OpResult::Cas(target.mem().cas_u64(*addr, *expected, *new)));
-                    }
-                }
-            }
-
-            // Response departs once both the DMA application and the NIC
-            // service slot have completed.
-            if nic_done > sim2.now() {
-                sim2.sleep_until(nic_done).await;
-            }
-
-            // A node that crashed while serving never answers; neither does
-            // one that got partitioned (or whose response a drop window
-            // eats) — the request's effects above stand regardless.
-            if !target.is_alive() || fabric.fault_silences(node) {
-                fabric.inner.graveyard.borrow_mut().push(tx);
-                return;
-            }
-
-            // 5. Downlink.
-            let (_, ser_end) = fabric.inner.switch.reserve(link_ns(resp_bytes));
-            let back = ser_end + wire.sample(&fabric.inner.rng) + fabric.fault_extra_ns(node);
-            sim2.sleep_until(back).await;
-            tx.send(results);
+        let token = self.fabric.inner.messages.borrow_mut().insert(Message {
+            stage: Stage::Posted,
+            node,
+            results: Vec::with_capacity(ops.len()),
+            ops,
+            tx,
+            qp_clock: Rc::clone(&self.qp_clock),
+            submit_done,
+            req_bytes,
+            resp_bytes,
+            nic_done: 0,
         });
+        let inner = &self.fabric.inner;
+        inner.sim.defer(Rc::clone(inner) as Rc<dyn Stepper>, token);
         rx
     }
 
@@ -243,17 +177,217 @@ fn first_cas(r: Vec<OpResult>) -> Option<u64> {
     r.into_iter().next()?.cas()
 }
 
-struct QpClockRef {
-    clock: Rc<RefCell<Vec<Nanos>>>,
-    node: usize,
+/// Where a message is in its life; each stage runs at the instant the one
+/// before it waits for (module docs).
+#[derive(Clone, Copy)]
+enum Stage {
+    /// Submitted; waits for the CPU to finish posting the work requests.
+    Posted,
+    /// Crosses the switch to the node.
+    Uplink,
+    /// Received by the node.
+    Arrive,
+    /// Applies its ops from this index on.
+    Apply(usize),
+    /// The chunked write at this index has landed its last chunk.
+    Landed(usize),
+    /// Leaves the node once the NIC has served it.
+    Depart,
+    /// Hands its results to the submitter.
+    Deliver,
 }
 
-impl QpClockRef {
-    fn get(&self) -> Nanos {
-        self.clock.borrow()[self.node]
+/// One message in flight: a slot of [`Messages`], stepped by the fabric.
+pub(crate) struct Message {
+    stage: Stage,
+    node: NodeId,
+    ops: Vec<Op>,
+    results: Vec<OpResult>,
+    tx: OneshotSender<Vec<OpResult>>,
+    /// The submitting endpoint's last arrival per node (QP FIFO).
+    qp_clock: Rc<RefCell<Vec<Nanos>>>,
+    submit_done: Nanos,
+    req_bytes: usize,
+    resp_bytes: usize,
+    /// When the node's NIC has served the request (set on arrival).
+    nic_done: Nanos,
+}
+
+/// The fabric's messages in flight, in recycled slots; a slot's index is the
+/// token the executor steps it by.
+#[derive(Default)]
+pub(crate) struct Messages {
+    slots: Vec<Option<Message>>,
+    free: Vec<u32>,
+}
+
+impl Messages {
+    fn insert(&mut self, m: Message) -> u32 {
+        match self.free.pop() {
+            Some(token) => {
+                self.slots[token as usize] = Some(m);
+                token
+            }
+            None => {
+                self.slots.push(Some(m));
+                u32::try_from(self.slots.len() - 1).expect("2^32 messages in flight")
+            }
+        }
     }
-    fn set(&self, v: Nanos) {
-        self.clock.borrow_mut()[self.node] = v;
+}
+
+impl Stepper for FabricInner {
+    fn step(self: Rc<Self>, token: u32) {
+        let m = self.messages.borrow_mut().slots[token as usize]
+            .take()
+            .expect("a step belongs to a message in flight");
+        let fabric = Fabric { inner: self };
+        let waiting = fabric.advance(m, token);
+        let mut messages = fabric.inner.messages.borrow_mut();
+        match waiting {
+            Some(m) => messages.slots[token as usize] = Some(m),
+            None => messages.free.push(token),
+        }
+    }
+}
+
+impl Fabric {
+    /// Arms the step of message `token` at `at` and returns true; returns
+    /// false, arming nothing, if `at` has come, so that the message goes on
+    /// at once, as a task's `sleep_until(at)` would.
+    fn wait_until(&self, at: Nanos, token: u32) -> bool {
+        let sim = &self.inner.sim;
+        if sim.now() >= at {
+            return false;
+        }
+        sim.step_at(at, Rc::clone(&self.inner) as Rc<dyn Stepper>, token);
+        true
+    }
+
+    /// Runs `m`'s stages from where it stands until one waits, returning
+    /// the message, or until it is done: delivered, or silenced with its
+    /// sender in the graveyard.
+    fn advance(&self, mut m: Message, token: u32) -> Option<Message> {
+        let sim = &self.inner.sim;
+        let wire = &self.config().wire;
+        loop {
+            match m.stage {
+                Stage::Posted => {
+                    m.stage = Stage::Uplink;
+                    if self.wait_until(m.submit_done, token) {
+                        return Some(m);
+                    }
+                }
+                Stage::Uplink => {
+                    // Serialize through the shared switch, then propagate
+                    // (an active delay spike on the destination stretches
+                    // the wire). All traffic serializes through the switch
+                    // at link rate (`link_ns`); it is what saturates in the
+                    // 64-client scalability experiment (§7.3).
+                    let (_, ser_end) = self.inner.switch.reserve(link_ns(m.req_bytes));
+                    let arrival =
+                        ser_end + wire.sample(&self.inner.rng) + self.fault_extra_ns(m.node);
+                    // Enforce FIFO on this queue pair.
+                    let mut qp = m.qp_clock.borrow_mut();
+                    let arrival = arrival.max(qp[m.node.0] + 1);
+                    qp[m.node.0] = arrival;
+                    drop(qp);
+                    m.stage = Stage::Arrive;
+                    if self.wait_until(arrival, token) {
+                        return Some(m);
+                    }
+                }
+                Stage::Arrive => {
+                    // A crashed node — or an injected partition / drop-window
+                    // fault — swallows the request silently.
+                    let target = self.node_ref(m.node);
+                    if !target.is_alive() || self.fault_silences(m.node) {
+                        self.inner.graveyard.borrow_mut().push(m.tx);
+                        return None;
+                    }
+                    target.account();
+                    // The NIC reservation shapes response timing and
+                    // captures queuing under load; DMA application itself
+                    // is cut-through and proceeds in parallel across queue
+                    // pairs (so reads from other clients can observe a
+                    // write mid-application). Reads pay an extra DMA-fetch
+                    // delay, but NICs pipeline it across queue pairs: it
+                    // adds latency, not NIC occupancy.
+                    let service = NODE_FIXED_NS + link_ns(m.req_bytes);
+                    let (_, nic_done) = target.nic().reserve(service);
+                    let has_read = m.ops.iter().any(Op::is_read_like);
+                    m.nic_done = nic_done + if has_read { READ_EXTRA_NS } else { 0 };
+                    m.stage = Stage::Apply(0);
+                }
+                Stage::Apply(i) => {
+                    // Apply the series in FIFO order.
+                    let mem = self.node_ref(m.node).mem();
+                    let Some(op) = m.ops.get(i) else {
+                        // The response departs once both the DMA
+                        // application and the NIC service slot have
+                        // completed.
+                        m.stage = Stage::Depart;
+                        if self.wait_until(m.nic_done, token) {
+                            return Some(m);
+                        }
+                        continue;
+                    };
+                    m.stage = Stage::Apply(i + 1);
+                    match op {
+                        Op::Read { addr, len } => {
+                            // Snapshot at a single instant: a read
+                            // overlapping a chunked write observes torn data.
+                            m.results.push(OpResult::Read(mem.read(*addr, *len)));
+                        }
+                        Op::Write { addr, data } => {
+                            // One chunk lands per `chunk_ns`; the message
+                            // steps on at the last tick only (see `mem`'s
+                            // module docs).
+                            let ticker =
+                                mem.write_chunked(sim, *addr, data, CHUNK_BYTES, chunk_ns());
+                            m.stage = Stage::Landed(i);
+                            let stepper = Rc::clone(&self.inner) as Rc<dyn Stepper>;
+                            if ticker.arm_step(stepper, token) {
+                                return Some(m);
+                            }
+                        }
+                        Op::Cas {
+                            addr,
+                            expected,
+                            new,
+                        } => {
+                            m.results
+                                .push(OpResult::Cas(mem.cas_u64(*addr, *expected, *new)));
+                        }
+                    }
+                }
+                Stage::Landed(i) => {
+                    self.node_ref(m.node).mem().settle();
+                    m.results.push(OpResult::Write);
+                    m.stage = Stage::Apply(i + 1);
+                }
+                Stage::Depart => {
+                    // A node that crashed while serving never answers;
+                    // neither does one that got partitioned (or whose
+                    // response a drop window eats) — the request's effects
+                    // above stand regardless.
+                    if !self.node_ref(m.node).is_alive() || self.fault_silences(m.node) {
+                        self.inner.graveyard.borrow_mut().push(m.tx);
+                        return None;
+                    }
+                    let (_, ser_end) = self.inner.switch.reserve(link_ns(m.resp_bytes));
+                    let back = ser_end + wire.sample(&self.inner.rng) + self.fault_extra_ns(m.node);
+                    m.stage = Stage::Deliver;
+                    if self.wait_until(back, token) {
+                        return Some(m);
+                    }
+                }
+                Stage::Deliver => {
+                    m.tx.send(m.results);
+                    return None;
+                }
+            }
+        }
     }
 }
 

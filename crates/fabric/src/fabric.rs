@@ -6,7 +6,7 @@ use std::rc::Rc;
 use swarm_sim::{FifoResource, Nanos, OneshotSender, Sim, SimRng};
 
 use crate::config::FabricConfig;
-use crate::endpoint::Endpoint;
+use crate::endpoint::{Endpoint, Messages};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::node::{Node, NodeId};
 use crate::op::OpResult;
@@ -82,6 +82,8 @@ pub(crate) struct FabricInner {
     /// side observes *silence* (failure detection is timeout-driven, §7.7),
     /// not an eager error.
     pub(crate) graveyard: RefCell<Vec<OneshotSender<Vec<OpResult>>>>,
+    /// Messages in flight, each stepped through its stages by the executor.
+    pub(crate) messages: RefCell<Messages>,
     pub(crate) endpoints: Cell<usize>,
     pub(crate) stats: Cell<TrafficStats>,
     /// Stream for per-message draws (wire jitter, drop rolls): the shared
@@ -108,6 +110,7 @@ impl Fabric {
                 nodes: (0..num_nodes).map(|_| Node::new(sim)).collect(),
                 switch: FifoResource::new(sim),
                 graveyard: RefCell::new(Vec::new()),
+                messages: RefCell::new(Messages::default()),
                 endpoints: Cell::new(0),
                 stats: Cell::new(TrafficStats::default()),
                 rng,

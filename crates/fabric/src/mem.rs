@@ -14,7 +14,8 @@
 //!
 //! [`NodeMemory::write_chunked`] lands chunk 0, parks the (shared, never
 //! copied) payload in an in-flight list and returns a [`Ticker`] that ticks
-//! once per chunk time. The ticker's task is woken only by the last tick;
+//! once per chunk time. Only the last tick reaches the writer — it wakes an
+//! awaiting task, or steps the message that armed it (`Ticker::arm_step`);
 //! every earlier tick just appends the write's tag to this node's
 //! [`TickLog`]. *Settling* replays that log: one chunk of the tagged write
 //! lands per entry, in log order. The invariants:
@@ -28,7 +29,7 @@
 //!   instant included (the log is appended to by the executor as each tick
 //!   fires).
 //! * **A write that ended has landed.** The writer calls
-//!   [`NodeMemory::settle`] when its ticker resolves; all its ticks are in
+//!   [`NodeMemory::settle`] when its ticker's last tick reaches it; all its ticks are in
 //!   the log by then, so its entry leaves the in-flight list. Nothing else —
 //!   a crash of the node included — stops a started write from landing in
 //!   full.

@@ -8,7 +8,7 @@ use std::rc::Rc;
 ///
 /// Write payloads are shared, not copied, on their way through the fabric:
 /// the KV layer builds one padded buffer per logical write and every hop
-/// (op construction, the in-flight message task, chunked application) holds
+/// (op construction, the message in flight, chunked application) holds
 /// the same `Rc`. Extends `swarm-core::MVal`'s refcounting through the
 /// endpoint. A `Vec<u8>` converts with `.into()` (a move, not a copy).
 pub type Payload = Rc<Vec<u8>>;

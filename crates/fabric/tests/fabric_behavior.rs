@@ -759,19 +759,40 @@ fn a_write_in_flight_when_its_node_crashes_still_lands_in_full() {
 }
 
 #[test]
-fn a_chunked_write_polls_its_task_no_more_than_a_one_chunk_write() {
-    // 32 chunks are 32 timer events but one sleep of the message task: the
-    // per-chunk wake-and-poll must not come back.
-    let counters = |len: usize| {
+fn a_message_costs_no_task_poll_whatever_its_chunks() {
+    // A message is stepped through its stages, not polled as a task:
+    // awaiting one read or write polls only the awaiting task, once to
+    // start and once for the reply. 32 chunks are 32 timer events but no
+    // poll either: the per-chunk wake-and-poll must not come back. The
+    // events and the final instants are the wire model's: stepping a
+    // message moves neither.
+    let run = |write: Option<usize>| {
         let (sim, fabric) = setup(33, FabricConfig::deterministic(), 1);
+        let len = write.unwrap_or(64);
         let addr = fabric.node(NodeId(0)).alloc(len as u64, 8);
         let ep = fabric.endpoint();
-        sim.block_on(async move { ep.write(NodeId(0), addr, vec![1u8; len]).await.unwrap() });
-        sim.counters()
+        sim.block_on(async move {
+            match write {
+                Some(len) => ep.write(NodeId(0), addr, vec![1u8; len]).await.unwrap(),
+                None => assert_eq!(ep.read(NodeId(0), addr, len).await.unwrap().len(), len),
+            }
+        });
+        (sim.counters(), sim.now())
     };
-    let (one, many) = (counters(256), counters(8192));
+    let ((read, read_end), (one, one_end), (many, many_end)) =
+        (run(None), run(Some(256)), run(Some(8192)));
     assert_eq!(many.timer_events, one.timer_events + 31);
     assert_eq!(many.tasks_polled, one.tasks_polled);
+    for (c, events, end, want_end) in [
+        (read, 4, read_end, 1_896),
+        (one, 5, one_end, 1_639),
+        (many, 36, many_end, 2_909),
+    ] {
+        assert_eq!(c.tasks_polled, 2, "{c:?}");
+        assert_eq!(c.tasks_spawned, 2, "the awaiting task and the message");
+        assert_eq!((c.events_scheduled, c.boxed_events), (events, 0), "{c:?}");
+        assert_eq!(end, want_end);
+    }
 }
 
 #[test]

@@ -2,8 +2,9 @@
 //!
 //! The executor owns an event queue ordered by `(virtual time, sequence)` and
 //! a set of tasks (non-`Send` futures). Running the simulation alternates
-//! between polling ready tasks and firing the earliest pending event, which
-//! advances the virtual clock. Because ties are broken by a monotonically
+//! between polling ready tasks (and stepping ready state machines, see
+//! *Steps*) and firing the earliest pending event, which advances the
+//! virtual clock. Because ties are broken by a monotonically
 //! increasing sequence number and the only source of randomness is a seeded
 //! RNG, executions are bit-for-bit reproducible.
 //!
@@ -13,12 +14,12 @@
 //! per-event and per-poll costs are engineered to be allocation-free:
 //!
 //! * **Events** live in a slab ([`EventSlot`]) and come in three kinds.
-//!   [`EventKind::Wake`] — "wake this task at time T" (sleeps, message
-//!   deliveries, deadlines) — carries a cached [`Waker`] and no heap closure.
-//!   [`EventKind::Tick`] is a chain of such timers that re-arms itself in
-//!   its slot and wakes its task only at the end (see *Tickers* below).
-//!   Only the explicit [`Sim::schedule_at`] API ([`EventKind::Call`]) boxes
-//!   a `dyn FnOnce`.
+//!   [`EventKind::Timer`] — "wake this task (or step this machine) at time
+//!   T" (sleeps, message stages, deadlines) — carries a cached [`Waker`] or
+//!   a [`Stepper`] handle and no heap closure. [`EventKind::Tick`] is a
+//!   chain of such timers that re-arms itself in its slot and fires only at
+//!   the end (see *Tickers* below). Only the explicit [`Sim::schedule_at`]
+//!   API ([`EventKind::Call`]) boxes a `dyn FnOnce`.
 //! * **Ordering** uses an index-based 4-ary min-heap of `(at, seq, slab key)`
 //!   entries. Exact `(at, seq)` order is preserved, so swapping the old
 //!   `BinaryHeap<Reverse<Event>>` for this heap changes no execution.
@@ -55,6 +56,31 @@
 //!   as a plain wake — the stale event a completed or dropped `Sleep`
 //!   leaves — and the chain goes on from a freshly drawn event, or stops.
 //!
+//! # Steps
+//!
+//! A [`Stepper`] owns state machines that would otherwise each be a short
+//! task of straight-line code between sleeps (`swarm-fabric`'s messages,
+//! one per one-sided RDMA message). The executor advances machine `token`
+//! by calling `step(token)`: no future, no waker, no poll. Three hooks put
+//! a step exactly where the task's poll would have been, so the two are
+//! indistinguishable to every other task and event:
+//!
+//! * **[`Sim::defer`] is the spawn.** It queues the first step at the back
+//!   of the ready queue, where the spawned task's first poll would wait its
+//!   turn, and counts in `tasks_spawned` as that spawn did.
+//! * **[`Sim::step_at`] is the sleep.** It registers a timer event that
+//!   draws its sequence number where `sleep_until(at)` would (the machine
+//!   checks `at` against now first, as `Sleep` does) and counts like one;
+//!   when it fires the step runs at once, as the woken task, polled first
+//!   from the empty ready queue, would.
+//! * **[`Ticker::arm_step`] is the awaited ticker.** It fires the ticks
+//!   already due and arms the rest of the chain, as the first poll does;
+//!   the last tick steps the machine instead of waking a task.
+//!
+//! Same `(at, seq)` draws and the same order of effects, so every seeded
+//! run replays bit for bit; `tasks_polled` is the only counter that
+//! differs, and [`Sim::live_tasks`] counts tasks only.
+//!
 //! # Safety of the `Rc`-backed waker
 //!
 //! `std::task::Waker` is `Send + Sync` by type, but this executor's wakers
@@ -75,9 +101,9 @@ use crate::time::Nanos;
 
 /// Identifier of a spawned task.
 ///
-/// Task slots are recycled after completion (simulations spawn one short
-/// task per in-flight fabric message, i.e. millions per experiment); the
-/// generation counter keeps stale wakers from waking a recycled slot.
+/// Task slots are recycled after completion (background writes spawn a
+/// short task each, many per experiment); the generation counter keeps
+/// stale wakers from waking a recycled slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId {
     idx: usize,
@@ -86,19 +112,33 @@ pub struct TaskId {
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 
-/// Queue of tasks made runnable by wakers. Strict FIFO; single-threaded, so
-/// a `RefCell` suffices (wakers are guaranteed not to cross threads, see the
-/// module docs).
+/// A state machine the executor advances by calling [`Stepper::step`]
+/// instead of polling a future (module docs, *Steps*). `token` tells the
+/// stepper which of its machines to advance.
+pub trait Stepper {
+    /// Advances machine `token` by one stage.
+    fn step(self: Rc<Self>, token: u32);
+}
+
+/// One entry of the ready queue: a task to poll or a machine to step.
+enum Ready {
+    Task(TaskId),
+    Step(Rc<dyn Stepper>, u32),
+}
+
+/// Queue of tasks made runnable by wakers, and of steps queued by
+/// [`Sim::defer`]. Strict FIFO; single-threaded, so a `RefCell` suffices
+/// (wakers are guaranteed not to cross threads, see the module docs).
 #[derive(Default)]
 struct ReadyQueue {
-    queue: RefCell<VecDeque<TaskId>>,
+    queue: RefCell<VecDeque<Ready>>,
 }
 
 impl ReadyQueue {
-    fn push(&self, id: TaskId) {
-        self.queue.borrow_mut().push_back(id);
+    fn push(&self, r: Ready) {
+        self.queue.borrow_mut().push_back(r);
     }
-    fn pop(&self) -> Option<TaskId> {
+    fn pop(&self) -> Option<Ready> {
         self.queue.borrow_mut().pop_front()
     }
 }
@@ -126,7 +166,7 @@ impl WakerData {
 
     fn wake(&self) {
         self.assert_thread();
-        self.ready.push(self.id);
+        self.ready.push(Ready::Task(self.id));
     }
 }
 
@@ -177,14 +217,29 @@ struct TaskSlot {
     waker: Option<Waker>,
 }
 
+/// What a timer event does when it fires: wake a task or step a machine.
+enum Target {
+    Wake(Waker),
+    Step(Rc<dyn Stepper>, u32),
+}
+
+impl Target {
+    fn fire(self) {
+        match self {
+            Target::Wake(w) => w.wake(),
+            Target::Step(s, token) => s.step(token),
+        }
+    }
+}
+
 /// A scheduled event: what to do when its `(at, seq)` heap entry pops.
 enum EventKind {
-    /// Wake a stored waker — the closure-free fast path used by every timer
-    /// (sleeps, message deliveries, deadlines).
-    Wake(Waker),
+    /// Fire a target — the closure-free fast path used by every timer
+    /// (sleeps, message stages, deadlines).
+    Timer(Target),
     /// A chain of timers one `period` apart that re-arms itself in this
-    /// slot and wakes the waker on its last tick only ([`Sim::ticker`]).
-    Tick(Waker, Tick),
+    /// slot and fires its target on its last tick only ([`Sim::ticker`]).
+    Tick(Target, Tick),
     /// Run a boxed action ([`Sim::schedule_at`]'s general case).
     Call(Box<dyn FnOnce(&Sim)>),
     /// A fired slot awaiting reuse.
@@ -361,9 +416,11 @@ pub struct SimCounters {
     pub timer_events: u64,
     /// Events that boxed a `dyn FnOnce` ([`Sim::schedule_at`]).
     pub boxed_events: u64,
-    /// Tasks spawned.
+    /// Tasks spawned, plus state machines started with [`Sim::defer`] (one
+    /// per fabric message): each stands where a spawn would.
     pub tasks_spawned: u64,
-    /// Task polls executed.
+    /// Task polls executed. Steps of a [`Stepper`] are not polls and do
+    /// not count.
     pub tasks_polled: u64,
 }
 
@@ -478,8 +535,8 @@ impl Sim {
         self.schedule_at(self.now() + delay, action);
     }
 
-    /// Registers a closure-free "wake `waker` at `at`" event.
-    fn register_wake_at(&self, at: Nanos, waker: Waker) -> TimerKey {
+    /// Registers a closure-free "fire `target` at `at`" event.
+    fn register_timer_at(&self, at: Nanos, target: Target) -> TimerKey {
         let at = at.max(self.now());
         let seq = self.next_seq();
         self.bump_counters(|c| {
@@ -489,13 +546,30 @@ impl Sim {
         self.inner
             .events
             .borrow_mut()
-            .push(at, seq, EventKind::Wake(waker))
+            .push(at, seq, EventKind::Timer(target))
+    }
+
+    /// Steps machine `token` of `stepper` at virtual time `at` (clamped to
+    /// be no earlier than now): the timer event a task's `sleep_until(at)`
+    /// registers, firing a step where it would have woken the task (module
+    /// docs, *Steps*).
+    pub fn step_at(&self, at: Nanos, stepper: Rc<dyn Stepper>, token: u32) {
+        self.register_timer_at(at, Target::Step(stepper, token));
+    }
+
+    /// Queues a step of machine `token` of `stepper` at the back of the
+    /// ready queue, where a task spawned now would be polled first. It
+    /// counts in `tasks_spawned`: it starts a machine the way a spawn
+    /// starts a task (module docs, *Steps*).
+    pub fn defer(&self, stepper: Rc<dyn Stepper>, token: u32) {
+        self.bump_counters(|c| c.tasks_spawned += 1);
+        self.inner.ready.push(Ready::Step(stepper, token));
     }
 
     /// Points a pending wake event at `waker` (no-op once fired). Keeps
     /// re-polled [`Sleep`]s waking the *latest* context, not the first one.
     fn reregister_waker(&self, t: TimerKey, waker: &Waker) {
-        if let Some(EventKind::Wake(w) | EventKind::Tick(w, _)) =
+        if let Some(EventKind::Timer(Target::Wake(w)) | EventKind::Tick(Target::Wake(w), _)) =
             self.inner.events.borrow_mut().pending(t)
         {
             if !w.will_wake(waker) {
@@ -514,7 +588,7 @@ impl Sim {
 
     /// Registers the next event of a ticker's chain: `tick.left` ticks
     /// remain, the first of them at `at`.
-    fn register_tick(&self, at: Nanos, waker: Waker, tick: Tick) -> TimerKey {
+    fn register_tick(&self, at: Nanos, target: Target, tick: Tick) -> TimerKey {
         let seq = self.next_seq();
         self.bump_counters(|c| {
             c.events_scheduled += 1;
@@ -523,7 +597,7 @@ impl Sim {
         self.inner
             .events
             .borrow_mut()
-            .push(at, seq, EventKind::Tick(waker, tick))
+            .push(at, seq, EventKind::Tick(target, tick))
     }
 
     /// Turns a ticker's pending event into the plain wake a finished or
@@ -533,8 +607,8 @@ impl Sim {
         let mut events = self.inner.events.borrow_mut();
         let kind = events.pending(t)?;
         match std::mem::replace(kind, EventKind::Vacant) {
-            EventKind::Tick(waker, tick) => {
-                *kind = EventKind::Wake(waker);
+            EventKind::Tick(target, tick) => {
+                *kind = EventKind::Timer(target);
                 Some(tick)
             }
             _ => unreachable!("a ticker's key points at its tick event"),
@@ -567,11 +641,12 @@ impl Sim {
         drop(tasks);
         self.bump_counters(|c| c.tasks_spawned += 1);
         self.inner.live_tasks.set(self.inner.live_tasks.get() + 1);
-        self.inner.ready.push(id);
+        self.inner.ready.push(Ready::Task(id));
         id
     }
 
-    /// Number of tasks that have been spawned but not yet completed.
+    /// Number of tasks that have been spawned but not yet completed
+    /// (machines started with [`Sim::defer`] are not tasks).
     pub fn live_tasks(&self) -> usize {
         self.inner.live_tasks.get()
     }
@@ -662,8 +737,10 @@ impl Sim {
         }
         let kind = events.pop();
         drop(events);
+        // A step runs here, not from the ready queue: that is empty when
+        // an event fires, so a woken task would be polled first right now.
         match kind {
-            EventKind::Wake(w) | EventKind::Tick(w, _) => w.wake(),
+            EventKind::Timer(target) | EventKind::Tick(target, _) => target.fire(),
             EventKind::Call(f) => f(self),
             EventKind::Vacant => {}
         }
@@ -683,8 +760,11 @@ impl Sim {
         loop {
             // Drain all tasks runnable at the current instant, then advance
             // time to the next event.
-            while let Some(id) = self.inner.ready.pop() {
-                self.poll_task(id);
+            while let Some(ready) = self.inner.ready.pop() {
+                match ready {
+                    Ready::Task(id) => self.poll_task(id),
+                    Ready::Step(stepper, token) => stepper.step(token),
+                }
             }
             if !self.fire_next(deadline) {
                 return self.now();
@@ -744,7 +824,9 @@ impl Future for Sleep {
         match self.timer {
             Some(t) => self.sim.reregister_waker(t, cx.waker()),
             None => {
-                let t = self.sim.register_wake_at(self.deadline, cx.waker().clone());
+                let t = self
+                    .sim
+                    .register_timer_at(self.deadline, Target::Wake(cx.waker().clone()));
                 self.timer = Some(t);
             }
         }
@@ -773,20 +855,51 @@ enum TickerState {
     Done,
 }
 
+impl Ticker {
+    /// Instant of the next tick while `left` remain.
+    fn next(&self, left: u32) -> Nanos {
+        self.end - self.period * Nanos::from(left - 1)
+    }
+
+    /// Fires the ticks of `tick` due now — the way a `Sleep` polled at its
+    /// deadline completes without waiting for its event — and registers the
+    /// rest of the chain to `target`; `None` if no tick is left.
+    fn start(&self, mut tick: Tick, target: impl FnOnce() -> Target) -> Option<TimerKey> {
+        let now = self.sim.now();
+        while tick.left > 0 && now >= self.next(tick.left) {
+            tick.fire();
+        }
+        (tick.left > 0).then(|| self.sim.register_tick(self.next(tick.left), target(), tick))
+    }
+
+    /// Runs the chain for machine `token` of `stepper` instead of an
+    /// awaiting task: what the first poll of the awaited ticker does, with
+    /// the last tick stepping the machine where it would have woken the
+    /// task (module docs, *Steps*). False if every tick was already due:
+    /// nothing is armed, and the caller goes on at once, as the task would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ticker was polled before.
+    pub fn arm_step(mut self, stepper: Rc<dyn Stepper>, token: u32) -> bool {
+        let TickerState::Idle(tick) = std::mem::replace(&mut self.state, TickerState::Done) else {
+            panic!("arm_step on a ticker that was polled");
+        };
+        self.start(tick, || Target::Step(stepper, token)).is_some()
+    }
+}
+
 impl Future for Ticker {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let this = &mut *self;
-        let (now, end, period) = (this.sim.now(), this.end, this.period);
-        // Instant of the next tick while `left` remain.
-        let next = |left: u32| end - period * Nanos::from(left - 1);
-        let mut tick = match std::mem::replace(&mut this.state, TickerState::Done) {
+        let tick = match std::mem::replace(&mut this.state, TickerState::Done) {
             TickerState::Done => return Poll::Ready(()),
             TickerState::Idle(tick) => tick,
             TickerState::Armed(t) => match this.sim.ticks_left(t) {
                 None => return Poll::Ready(()),
-                Some(left) if now < next(left) => {
+                Some(left) if this.sim.now() < this.next(left) => {
                     this.sim.reregister_waker(t, cx.waker());
                     this.state = TickerState::Armed(t);
                     return Poll::Pending;
@@ -796,19 +909,13 @@ impl Future for Ticker {
                 Some(_) => this.sim.stop_tick(t).expect("ticks are left"),
             },
         };
-        // A tick due now fires on this poll, the way a `Sleep` polled at its
-        // deadline completes without waiting for its event.
-        while tick.left > 0 && now >= next(tick.left) {
-            tick.fire();
+        match this.start(tick, || Target::Wake(cx.waker().clone())) {
+            Some(key) => {
+                this.state = TickerState::Armed(key);
+                Poll::Pending
+            }
+            None => Poll::Ready(()),
         }
-        if tick.left == 0 {
-            return Poll::Ready(());
-        }
-        let key = this
-            .sim
-            .register_tick(next(tick.left), cx.waker().clone(), tick);
-        this.state = TickerState::Armed(key);
-        Poll::Pending
     }
 }
 
@@ -1151,6 +1258,149 @@ mod tests {
         log.drain(|tag| ticks.push(tag));
         assert_eq!(ticks, vec![7; 31], "every tick but the last is logged");
         assert!(log.is_empty());
+    }
+
+    /// What happened, in order, each with its instant.
+    type Trace = Rc<RefCell<Vec<(Nanos, u32)>>>;
+
+    /// Records each step it takes as `(now, 1_000 + token)`.
+    struct StepLog {
+        sim: Sim,
+        trace: Trace,
+    }
+
+    impl Stepper for StepLog {
+        fn step(self: Rc<Self>, token: u32) {
+            self.trace
+                .borrow_mut()
+                .push((self.sim.now(), 1_000 + token));
+        }
+    }
+
+    fn step_log(sim: &Sim) -> (Rc<StepLog>, Trace) {
+        let trace = Rc::new(RefCell::new(Vec::new()));
+        let steps = Rc::new(StepLog {
+            sim: sim.clone(),
+            trace: Rc::clone(&trace),
+        });
+        (steps, trace)
+    }
+
+    #[test]
+    fn a_deferred_step_runs_where_a_spawned_task_is_first_polled() {
+        let sim = Sim::new(1);
+        let (steps, trace) = step_log(&sim);
+        for what in 0..3u32 {
+            if what == 1 {
+                sim.defer(Rc::clone(&steps) as Rc<dyn Stepper>, what);
+                continue;
+            }
+            let (s, trace) = (sim.clone(), Rc::clone(&trace));
+            sim.spawn(async move { trace.borrow_mut().push((s.now(), what)) });
+        }
+        assert!(trace.borrow().is_empty(), "a deferred step waits its turn");
+        sim.run();
+        assert_eq!(*trace.borrow(), [(0, 0), (0, 1_001), (0, 2)]);
+        let c = sim.counters();
+        assert_eq!((c.tasks_spawned, c.tasks_polled), (3, 2));
+        assert_eq!(sim.live_tasks(), 0);
+    }
+
+    #[test]
+    fn step_at_and_sleep_until_fire_in_registration_order() {
+        for step_first in [true, false] {
+            let sim = Sim::new(1);
+            let (steps, trace) = step_log(&sim);
+            let s = sim.clone();
+            let woke = Rc::clone(&trace);
+            sim.spawn(async move {
+                // Draws sequence number 0 first, so no tie below is broken
+                // by sequence numbers that happen to be equal.
+                s.sleep_until(1).await;
+                let mut sleep = std::pin::pin!(s.sleep_until(10));
+                let mut steps = Some(steps);
+                if step_first {
+                    s.step_at(10, steps.take().unwrap(), 7);
+                }
+                // Registers the sleep's event without waiting on it yet.
+                std::future::poll_fn(|cx| {
+                    assert!(sleep.as_mut().poll(cx).is_pending());
+                    Poll::Ready(())
+                })
+                .await;
+                if let Some(steps) = steps {
+                    s.step_at(10, steps, 7);
+                }
+                sleep.await;
+                woke.borrow_mut().push((s.now(), 0));
+            });
+            sim.run();
+            let want = if step_first {
+                [(10, 1_007), (10, 0)]
+            } else {
+                [(10, 0), (10, 1_007)]
+            };
+            assert_eq!(*trace.borrow(), want, "step first: {step_first}");
+            let c = sim.counters();
+            assert_eq!((c.events_scheduled, c.timer_events), (3, 3));
+        }
+    }
+
+    /// A ticker of 5 ticks 10 ns apart, made at 0 and started at `start`
+    /// — by `arm_step` or by awaiting it — beside a task draining the tick
+    /// log every nanosecond: the drained tags and the completion, each
+    /// with its instant, the final sequence number and the counters.
+    fn armed_or_awaited(stepped: bool, start: Nanos) -> (Vec<(Nanos, u32)>, u64, SimCounters) {
+        let sim = Sim::new(1);
+        let (steps, trace) = step_log(&sim);
+        let log = Rc::new(TickLog::default());
+        let (s, l, t) = (sim.clone(), Rc::clone(&log), Rc::clone(&trace));
+        sim.spawn(async move {
+            for at in 0..80 {
+                s.sleep_until(at).await;
+                l.drain(|tag| t.borrow_mut().push((s.now(), tag)));
+            }
+        });
+        let (s, t) = (sim.clone(), Rc::clone(&trace));
+        let ticker = sim.ticker(10, 5, &log, 3);
+        sim.spawn(async move {
+            s.sleep_until(start).await;
+            let done = if stepped {
+                !ticker.arm_step(steps, 9)
+            } else {
+                ticker.await;
+                true
+            };
+            if done {
+                t.borrow_mut().push((s.now(), 1_009));
+            }
+        });
+        sim.run();
+        let trace = trace.borrow().clone();
+        (trace, sim.inner.seq.get(), sim.counters())
+    }
+
+    #[test]
+    fn an_armed_ticker_logs_and_draws_like_an_awaited_one() {
+        // From 0 no tick is due yet; from 25 two are, from 50 all five.
+        for start in [0, 25, 50, 60] {
+            let (awaited, seq, c) = armed_or_awaited(false, start);
+            let (armed, seq_armed, c_armed) = armed_or_awaited(true, start);
+            assert_eq!(armed, awaited, "start {start}: ticks or the step moved");
+            assert_eq!(seq_armed, seq, "start {start}: sequence numbers differ");
+            assert_eq!(
+                (c_armed.events_scheduled, c_armed.timer_events),
+                (c.events_scheduled, c.timer_events),
+                "start {start}"
+            );
+            let ends: Vec<_> = armed.iter().filter(|(_, w)| *w == 1_009).collect();
+            assert_eq!(ends, [&(start.max(50), 1_009)], "start {start}: one step");
+            let ticks = armed.iter().filter(|(_, w)| *w == 3).count();
+            assert_eq!(ticks, 4, "start {start}: every tick but the last logs");
+        }
+        // Ticks already due are logged at the arming instant.
+        let (armed, ..) = armed_or_awaited(true, 25);
+        assert_eq!(armed[..2], [(25, 3), (25, 3)]);
     }
 
     #[test]

@@ -66,7 +66,7 @@ mod time;
 pub use clock::GuessClock;
 pub use combinators::{join2, join_boxed, race2, timeout_at, BoxFuture, Either, Quorum, TimedOut};
 pub use dist::Jitter;
-pub use executor::{Sim, SimCounters, Sleep, TaskId, TickLog, Ticker};
+pub use executor::{Sim, SimCounters, Sleep, Stepper, TaskId, TickLog, Ticker};
 pub use oneshot::{oneshot, OneshotReceiver, OneshotSender};
 pub use resource::FifoResource;
 pub use rng::SimRng;
