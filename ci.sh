@@ -194,11 +194,11 @@ stage benchmark-smoke sh -c '
     # node memory, 487 when every reserved byte was zero-filled). hotkey_16c
     # (smoke keeps loaded_keys) says whether a key still costs node memory
     # only for the rings somebody wrote (crates/core/src/innout.rs) and a
-    # client handle only its own words: 60 MiB measured, three runs within
-    # 0.2 (461 when every key had the rings of 16 writers interleaved with
-    # its metadata, 77 when every cached handle cloned the state of its
-    # client and the layouts of its key). No apostrophe in this script: it
-    # is one single-quoted word.
+    # client handle only its own words: 48 MiB measured (461 when every
+    # key had the rings of 16 writers interleaved with its metadata, 77
+    # when every cached handle cloned the state of its client and the
+    # layouts of its key). No apostrophe in this script: it is one
+    # single-quoted word.
     while read -r workload ceiling expected; do
         result=$(bash benchmark/run.sh --smoke --workload "$workload" --seed 42 --trace 0 \
             --out "${CARGO_TARGET_DIR:-target}/benchmark-smoke-$workload" | tail -n 1)

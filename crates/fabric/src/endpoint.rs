@@ -195,6 +195,8 @@ enum Stage {
     Depart,
     /// Hands its results to the submitter.
     Deliver,
+    /// Swallowed by a crashed node or a fault: never answers.
+    Silenced,
 }
 
 /// One message in flight: a slot of [`Messages`], stepped by the fabric.
@@ -238,15 +240,24 @@ impl Messages {
 
 impl Stepper for FabricInner {
     fn step(self: Rc<Self>, token: u32) {
-        let m = self.messages.borrow_mut().slots[token as usize]
-            .take()
-            .expect("a step belongs to a message in flight");
         let fabric = Fabric { inner: self };
-        let waiting = fabric.advance(m, token);
         let mut messages = fabric.inner.messages.borrow_mut();
-        match waiting {
-            Some(m) => messages.slots[token as usize] = Some(m),
-            None => messages.free.push(token),
+        let Messages { slots, free } = &mut *messages;
+        let slot = &mut slots[token as usize];
+        let m = slot
+            .as_mut()
+            .expect("a step belongs to a message in flight");
+        if fabric.advance(m, token) {
+            return;
+        }
+        let m = slot.take().expect("the message is in its slot");
+        free.push(token);
+        drop(messages);
+        // Its sender goes to the graveyard if it is silenced, so the
+        // submitter sees silence rather than a dropped reply.
+        match m.stage {
+            Stage::Deliver => m.tx.send(m.results),
+            _ => fabric.inner.graveyard.borrow_mut().push(m.tx),
         }
     }
 }
@@ -264,10 +275,9 @@ impl Fabric {
         true
     }
 
-    /// Runs `m`'s stages from where it stands until one waits, returning
-    /// the message, or until it is done: delivered, or silenced with its
-    /// sender in the graveyard.
-    fn advance(&self, mut m: Message, token: u32) -> Option<Message> {
+    /// Runs `m`'s stages from where it stands until one waits (true) or
+    /// the message is done (false): due for delivery, or silenced.
+    fn advance(&self, m: &mut Message, token: u32) -> bool {
         let sim = &self.inner.sim;
         let wire = &self.config().wire;
         loop {
@@ -275,7 +285,7 @@ impl Fabric {
                 Stage::Posted => {
                     m.stage = Stage::Uplink;
                     if self.wait_until(m.submit_done, token) {
-                        return Some(m);
+                        return true;
                     }
                 }
                 Stage::Uplink => {
@@ -294,7 +304,7 @@ impl Fabric {
                     drop(qp);
                     m.stage = Stage::Arrive;
                     if self.wait_until(arrival, token) {
-                        return Some(m);
+                        return true;
                     }
                 }
                 Stage::Arrive => {
@@ -302,8 +312,8 @@ impl Fabric {
                     // fault — swallows the request silently.
                     let target = self.node_ref(m.node);
                     if !target.is_alive() || self.fault_silences(m.node) {
-                        self.inner.graveyard.borrow_mut().push(m.tx);
-                        return None;
+                        m.stage = Stage::Silenced;
+                        return false;
                     }
                     target.account();
                     // The NIC reservation shapes response timing and
@@ -328,7 +338,7 @@ impl Fabric {
                         // completed.
                         m.stage = Stage::Depart;
                         if self.wait_until(m.nic_done, token) {
-                            return Some(m);
+                            return true;
                         }
                         continue;
                     };
@@ -348,7 +358,7 @@ impl Fabric {
                             m.stage = Stage::Landed(i);
                             let stepper = Rc::clone(&self.inner) as Rc<dyn Stepper>;
                             if ticker.arm_step(stepper, token) {
-                                return Some(m);
+                                return true;
                             }
                         }
                         Op::Cas {
@@ -372,20 +382,17 @@ impl Fabric {
                     // response a drop window eats) — the request's effects
                     // above stand regardless.
                     if !self.node_ref(m.node).is_alive() || self.fault_silences(m.node) {
-                        self.inner.graveyard.borrow_mut().push(m.tx);
-                        return None;
+                        m.stage = Stage::Silenced;
+                        return false;
                     }
                     let (_, ser_end) = self.inner.switch.reserve(link_ns(m.resp_bytes));
                     let back = ser_end + wire.sample(&self.inner.rng) + self.fault_extra_ns(m.node);
                     m.stage = Stage::Deliver;
                     if self.wait_until(back, token) {
-                        return Some(m);
+                        return true;
                     }
                 }
-                Stage::Deliver => {
-                    m.tx.send(m.results);
-                    return None;
-                }
+                Stage::Deliver | Stage::Silenced => return false,
             }
         }
     }
