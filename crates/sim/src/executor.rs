@@ -14,12 +14,13 @@
 //! per-event and per-poll costs are engineered to be allocation-free:
 //!
 //! * **Events** live in a slab ([`EventSlot`]) and come in three kinds.
-//!   [`EventKind::Timer`] — "wake this task (or step this machine) at time
-//!   T" (sleeps, message stages, deadlines) — carries a cached [`Waker`] or
-//!   a [`Stepper`] handle and no heap closure. [`EventKind::Tick`] is a
-//!   chain of such timers that re-arms itself in its slot and fires only at
-//!   the end (see *Tickers* below). Only the explicit [`Sim::schedule_at`]
-//!   API ([`EventKind::Call`]) boxes a `dyn FnOnce`.
+//!   [`EventKind::Wake`] — "wake this task at time T" (sleeps, deadlines)
+//!   — carries a cached [`Waker`] and no heap closure; [`EventKind::Step`]
+//!   is its twin for a state machine (message stages, see *Steps*).
+//!   [`EventKind::Tick`] is a chain of such timers that re-arms itself in
+//!   its slot and fires only at the end (see *Tickers* below). Only the
+//!   explicit [`Sim::schedule_at`] API ([`EventKind::Call`]) boxes a
+//!   `dyn FnOnce`.
 //! * **Ordering** uses an index-based 4-ary min-heap of `(at, seq, slab key)`
 //!   entries. Exact `(at, seq)` order is preserved, so swapping the old
 //!   `BinaryHeap<Reverse<Event>>` for this heap changes no execution.
@@ -27,7 +28,9 @@
 //!   cloned per use — a non-atomic refcount bump, not an allocation. The
 //!   waker is hand-rolled over `Rc` (the only `unsafe` in the crate, see
 //!   below), so waking pushes onto a plain `RefCell<VecDeque>` ready queue
-//!   with no mutex and no atomics.
+//!   with no mutex and no atomics. A task's entry there is its bare
+//!   `TaskId`; a step queued by [`Sim::defer`] waits in a second FIFO,
+//!   with a marker holding its place, so tasks pay nothing for steps.
 //!
 //! # Tickers
 //!
@@ -129,17 +132,39 @@ enum Ready {
 /// Queue of tasks made runnable by wakers, and of steps queued by
 /// [`Sim::defer`]. Strict FIFO; single-threaded, so a `RefCell` suffices
 /// (wakers are guaranteed not to cross threads, see the module docs).
+/// A step waits in `steps`, with a [`STEP`] marker holding its place in
+/// `queue`, so that a task's entry stays one `TaskId`.
 #[derive(Default)]
 struct ReadyQueue {
-    queue: RefCell<VecDeque<Ready>>,
+    queue: RefCell<VecDeque<TaskId>>,
+    steps: RefCell<VecDeque<(Rc<dyn Stepper>, u32)>>,
 }
 
+/// Marks a step's place in the ready queue; no task has this id.
+const STEP: TaskId = TaskId {
+    idx: usize::MAX,
+    gen: u64::MAX,
+};
+
 impl ReadyQueue {
-    fn push(&self, r: Ready) {
-        self.queue.borrow_mut().push_back(r);
+    fn push(&self, id: TaskId) {
+        self.queue.borrow_mut().push_back(id);
+    }
+    fn push_step(&self, stepper: Rc<dyn Stepper>, token: u32) {
+        self.steps.borrow_mut().push_back((stepper, token));
+        self.queue.borrow_mut().push_back(STEP);
     }
     fn pop(&self) -> Option<Ready> {
-        self.queue.borrow_mut().pop_front()
+        let id = self.queue.borrow_mut().pop_front()?;
+        if id != STEP {
+            return Some(Ready::Task(id));
+        }
+        let (stepper, token) = self
+            .steps
+            .borrow_mut()
+            .pop_front()
+            .expect("a step for its marker");
+        Some(Ready::Step(stepper, token))
     }
 }
 
@@ -166,7 +191,7 @@ impl WakerData {
 
     fn wake(&self) {
         self.assert_thread();
-        self.ready.push(Ready::Task(self.id));
+        self.ready.push(self.id);
     }
 }
 
@@ -224,6 +249,14 @@ enum Target {
 }
 
 impl Target {
+    /// The one-shot event that fires this target.
+    fn into_event(self) -> EventKind {
+        match self {
+            Target::Wake(w) => EventKind::Wake(w),
+            Target::Step(s, token) => EventKind::Step(s, token),
+        }
+    }
+
     fn fire(self) {
         match self {
             Target::Wake(w) => w.wake(),
@@ -234,9 +267,11 @@ impl Target {
 
 /// A scheduled event: what to do when its `(at, seq)` heap entry pops.
 enum EventKind {
-    /// Fire a target — the closure-free fast path used by every timer
-    /// (sleeps, message stages, deadlines).
-    Timer(Target),
+    /// Wake a stored waker — the closure-free fast path used by every
+    /// timer a task waits on (sleeps, deadlines).
+    Wake(Waker),
+    /// Step a machine ([`Sim::step_at`]).
+    Step(Rc<dyn Stepper>, u32),
     /// A chain of timers one `period` apart that re-arms itself in this
     /// slot and fires its target on its last tick only ([`Sim::ticker`]).
     Tick(Target, Tick),
@@ -546,7 +581,7 @@ impl Sim {
         self.inner
             .events
             .borrow_mut()
-            .push(at, seq, EventKind::Timer(target))
+            .push(at, seq, target.into_event())
     }
 
     /// Steps machine `token` of `stepper` at virtual time `at` (clamped to
@@ -563,13 +598,13 @@ impl Sim {
     /// starts a task (module docs, *Steps*).
     pub fn defer(&self, stepper: Rc<dyn Stepper>, token: u32) {
         self.bump_counters(|c| c.tasks_spawned += 1);
-        self.inner.ready.push(Ready::Step(stepper, token));
+        self.inner.ready.push_step(stepper, token);
     }
 
     /// Points a pending wake event at `waker` (no-op once fired). Keeps
     /// re-polled [`Sleep`]s waking the *latest* context, not the first one.
     fn reregister_waker(&self, t: TimerKey, waker: &Waker) {
-        if let Some(EventKind::Timer(Target::Wake(w)) | EventKind::Tick(Target::Wake(w), _)) =
+        if let Some(EventKind::Wake(w) | EventKind::Tick(Target::Wake(w), _)) =
             self.inner.events.borrow_mut().pending(t)
         {
             if !w.will_wake(waker) {
@@ -608,7 +643,7 @@ impl Sim {
         let kind = events.pending(t)?;
         match std::mem::replace(kind, EventKind::Vacant) {
             EventKind::Tick(target, tick) => {
-                *kind = EventKind::Timer(target);
+                *kind = target.into_event();
                 Some(tick)
             }
             _ => unreachable!("a ticker's key points at its tick event"),
@@ -641,7 +676,7 @@ impl Sim {
         drop(tasks);
         self.bump_counters(|c| c.tasks_spawned += 1);
         self.inner.live_tasks.set(self.inner.live_tasks.get() + 1);
-        self.inner.ready.push(Ready::Task(id));
+        self.inner.ready.push(id);
         id
     }
 
@@ -740,7 +775,9 @@ impl Sim {
         // A step runs here, not from the ready queue: that is empty when
         // an event fires, so a woken task would be polled first right now.
         match kind {
-            EventKind::Timer(target) | EventKind::Tick(target, _) => target.fire(),
+            EventKind::Wake(w) => w.wake(),
+            EventKind::Step(s, t) => s.step(t),
+            EventKind::Tick(target, _) => target.fire(),
             EventKind::Call(f) => f(self),
             EventKind::Vacant => {}
         }

@@ -1,9 +1,10 @@
 //! Single-producer single-consumer one-shot channel for task wakeups.
 //!
 //! Used by simulated devices to deliver operation completions back to the
-//! issuing task. Senders live inside scheduled events; receivers are awaited
-//! by protocol code. If the sender is dropped without sending (e.g., the
-//! target memory node crashed), the receiver resolves to `None`.
+//! issuing task. Senders live with the work in flight (a fabric message
+//! holds its reply's); receivers are awaited by protocol code. If the sender
+//! is dropped without sending, the receiver resolves to `None`; a device
+//! that must look silent instead (a crashed memory node) keeps the sender.
 
 use std::cell::RefCell;
 use std::future::Future;
