@@ -2,7 +2,7 @@
 # Staged CI gate.
 #
 #   ./ci.sh           full gate: env-purity grep, fmt, clippy, debug tests,
-#                     rustdoc lints, release build, the examples run,
+#                     mutants, rustdoc lints, release build, the examples run,
 #                     benchmark package build +
 #                     tests and its exact simulated-metrics pin, release
 #                     chaos sweep, bench stdout goldens
@@ -143,6 +143,36 @@ if [ "$QUICK" -eq 1 ]; then
     printf '%s' "$REPORT"
     exit 0
 fi
+
+# Mutants: each patch under tests/mutants/ is a one-line breakage that a
+# named unit test must catch. A patch names its test on a
+# `test: <package> <test path>` line above its diff. The stage applies each
+# patch in turn, requires that one test to run and fail (a patch that does
+# not build fails the stage), and reverses it, also when the stage fails or is interrupted, so the tree is
+# left as it was found.
+stage mutants sh -c '
+    set -eu
+    applied=
+    restore() { [ -z "$applied" ] || git apply -R "$applied"; applied=; }
+    trap restore EXIT
+    trap "exit 130" INT TERM HUP
+    log=${CARGO_TARGET_DIR:-target}/mutants.log
+    for patch in tests/mutants/*.patch; do
+        set -- $(sed -n "s/^test: //p" "$patch")
+        git apply "$patch"
+        applied=$patch
+        if cargo test -p "$1" --lib -- --exact "$2" > "$log" 2>&1; then
+            echo "FAIL mutants: $2 passes under $patch" >&2
+            exit 1
+        fi
+        if ! grep -qF "test $2 ... FAILED" "$log"; then
+            cat "$log" >&2
+            echo "FAIL mutants: $2 did not run and fail under $patch" >&2
+            exit 1
+        fi
+        restore
+        echo "   $(basename "$patch" .patch): $2 fails"
+    done'
 
 stage doc env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 stage build-release cargo build --release

@@ -8,6 +8,7 @@
 //! per-op application work.
 
 use crate::{mean_latency_ns, run_system, write_csv, ExpParams, Protocol};
+use swarm_kv::OP_OVERHEAD_NS;
 use swarm_sim::NANOS_PER_SEC;
 use swarm_workload::WorkloadSpec;
 
@@ -35,11 +36,12 @@ pub fn run(quick: bool) {
         });
         let dur_ns = (stats.end_ns - stats.start_ns).max(1);
 
-        // CPU%: polling clients are busy for issue + poll + app work.
+        // CPU%: polling clients are busy for issue + poll + app work, the
+        // per-op charge every driver's workers pay.
         let avg_lat = mean_latency_ns(&stats);
         let rate_per_client = NANOS_PER_SEC as f64 / pace_ns as f64;
-        let cpu_pct =
-            (rate_per_client * (avg_lat + 1_000.0) / NANOS_PER_SEC as f64 * 100.0).min(100.0);
+        let busy_ns = avg_lat + OP_OVERHEAD_NS as f64;
+        let cpu_pct = (rate_per_client * busy_ns / NANOS_PER_SEC as f64 * 100.0).min(100.0);
 
         // Cache: entries * modeled entry bytes, for the 1M-key keyspace.
         let entry_bytes = if sys == Protocol::SafeGuess { 32 } else { 24 };

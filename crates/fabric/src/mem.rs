@@ -14,11 +14,11 @@
 //!
 //! [`NodeMemory::write_chunked`] lands chunk 0, parks the (shared, never
 //! copied) payload in an in-flight list and returns a [`Ticker`] that ticks
-//! once per chunk time. Only the last tick reaches the writer — it wakes an
-//! awaiting task, or steps the message that armed it (`Ticker::arm_step`);
-//! every earlier tick just appends the write's tag to this node's
-//! [`TickLog`]. *Settling* replays that log: one chunk of the tagged write
-//! lands per entry, in log order. The invariants:
+//! once per chunk time. Only the last tick reaches the writer: it steps the
+//! message that armed it ([`Ticker::arm_step`]). Every earlier tick just
+//! appends the write's tag to this node's [`TickLog`]. *Settling* replays
+//! that log: one chunk of the tagged write lands per entry, in log order.
+//! The invariants:
 //!
 //! * **Every access settles first.** `read`, `write`, `write_shared`,
 //!   `read_u64`, `cas_u64` (and `write_chunked` itself) replay the log before
@@ -480,10 +480,11 @@ impl NodeMemory {
     }
 
     /// Starts writing `data` at `addr` in chunks of `chunk` bytes, one per
-    /// `chunk_ns`: the first chunk lands now, and the returned ticker
-    /// resolves one `chunk_ns` after the last. Call [`NodeMemory::settle`]
-    /// once it has (module docs). A write of more than one chunk lands as a
-    /// run of `data`, which node memory then shares (*Shared runs*).
+    /// `chunk_ns`: the first chunk lands now, and the returned ticker, once
+    /// armed, steps its machine one `chunk_ns` after the last. Call
+    /// [`NodeMemory::settle`] in that step (module docs). A write of more
+    /// than one chunk lands as a run of `data`, which node memory then
+    /// shares (*Shared runs*).
     ///
     /// # Panics
     ///
@@ -632,6 +633,16 @@ impl NodeMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swarm_sim::Stepper;
+
+    /// Settles its memory where a chunked write's last tick steps it.
+    struct Settle(Rc<NodeMemory>);
+
+    impl Stepper for Settle {
+        fn step(self: Rc<Self>, _: u32) {
+            self.0.settle();
+        }
+    }
 
     #[test]
     fn alloc_respects_alignment() {
@@ -825,21 +836,15 @@ mod tests {
     fn a_chunked_write_lands_as_a_run_and_a_one_chunk_write_as_a_copy() {
         let sim = Sim::new(2);
         let m = Rc::new(NodeMemory::new());
+        let settle: Rc<dyn Stepper> = Rc::new(Settle(Rc::clone(&m)));
         let a = m.alloc(256, 8);
         let big: Rc<Vec<u8>> = Rc::new((1..=100).collect());
         let small = Rc::new(vec![7u8; 16]);
-        let (s, m2, b, sm) = (
-            sim.clone(),
-            Rc::clone(&m),
-            Rc::clone(&big),
-            Rc::clone(&small),
-        );
-        sim.block_on(async move {
-            m2.write_chunked(&s, a, &b, 16, 5).await;
-            m2.settle();
-            m2.write_chunked(&s, a + 200, &sm, 16, 5).await;
-            m2.settle();
-        });
+        for (at, data) in [(a, &big), (a + 200, &small)] {
+            let ticker = m.write_chunked(&sim, at, data, 16, 5);
+            assert!(ticker.arm_step(Rc::clone(&settle), 0));
+            sim.run();
+        }
         assert_eq!(runs(&m), vec![(a, a + 100)]);
         assert_eq!(Rc::strong_count(&big), 2, "its run holds it");
         assert_eq!(Rc::strong_count(&small), 1, "copied, not held");
@@ -962,6 +967,7 @@ mod tests {
             let pick = |lo: u64, hi: u64| rng.rand_range(lo, hi);
             let (sim, model_sim) = (Sim::new(seed), Sim::new(seed));
             let (mem, model) = (Rc::new(NodeMemory::new()), Rc::new(Flat::default()));
+            let settle: Rc<dyn Stepper> = Rc::new(Settle(Rc::clone(&mem)));
             let mut payloads: Vec<Rc<Vec<u8>>> = Vec::new();
             // `(address, length)` of every landing so far.
             let mut sites: Vec<(u64, usize)> = Vec::new();
@@ -1038,10 +1044,14 @@ mod tests {
                         let at = site.unwrap_or_else(|| pick(0, size - d.len() as u64 + 1));
                         sites.push((at, d.len()));
                         let bytes = d.to_vec();
-                        let (s, m) = (sim.clone(), Rc::clone(&mem));
+                        let (s, m, settle) = (sim.clone(), Rc::clone(&mem), Rc::clone(&settle));
                         sim.spawn(async move {
-                            m.write_chunked(&s, at, &d, chunk, CHUNK_NS).await;
-                            m.settle();
+                            if !m
+                                .write_chunked(&s, at, &d, chunk, CHUNK_NS)
+                                .arm_step(settle, 0)
+                            {
+                                m.settle();
+                            }
                         });
                         let (s, m) = (model_sim.clone(), Rc::clone(&model));
                         model_sim.spawn(async move {

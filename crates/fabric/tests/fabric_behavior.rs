@@ -8,7 +8,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 
 use swarm_fabric::{chunk_ns, Fabric, FabricConfig, NodeId, NodeMemory, Op, Payload, CHUNK_BYTES};
-use swarm_sim::{timeout_at, Nanos, Quorum, Sim, NANOS_PER_MICRO};
+use swarm_sim::{oneshot, timeout_at, Nanos, OneshotSender, Quorum, Sim, Stepper, NANOS_PER_MICRO};
 
 fn setup(seed: u64, cfg: FabricConfig, nodes: usize) -> (Sim, Fabric) {
     let sim = Sim::new(seed);
@@ -509,10 +509,29 @@ async fn write_chunk_by_chunk(sim: Sim, mem: Rc<NodeMemory>, addr: u64, data: Ve
     }
 }
 
+/// Settles its memory and sends on its channel where a chunked write's last
+/// tick steps it.
+struct Landed {
+    mem: Rc<NodeMemory>,
+    done: RefCell<Option<OneshotSender<()>>>,
+}
+
+impl Stepper for Landed {
+    fn step(self: Rc<Self>, _: u32) {
+        self.mem.settle();
+        if let Some(done) = self.done.take() {
+            done.send(());
+        }
+    }
+}
+
 async fn write_ticked(sim: Sim, mem: Rc<NodeMemory>, addr: u64, data: Rc<Vec<u8>>) {
-    mem.write_chunked(&sim, addr, &data, CHUNK_BYTES, chunk_ns())
-        .await;
-    mem.settle();
+    let (done, landed) = oneshot();
+    let ticker = mem.write_chunked(&sim, addr, &data, CHUNK_BYTES, chunk_ns());
+    let done = RefCell::new(Some(done));
+    if ticker.arm_step(Rc::new(Landed { mem, done }), 0) {
+        landed.await;
+    }
 }
 
 #[test]
@@ -763,9 +782,9 @@ fn a_message_costs_no_task_poll_whatever_its_chunks() {
     // A message is stepped through its stages, not polled as a task:
     // awaiting one read or write polls only the awaiting task, once to
     // start and once for the reply. 32 chunks are 32 timer events but no
-    // poll either: the per-chunk wake-and-poll must not come back. The
-    // events and the final instants are the wire model's: stepping a
-    // message moves neither.
+    // poll either: the per-chunk wake-and-poll must not come back; a 0-byte
+    // write has no chunk and no tick. The events and the final instants are
+    // the wire model's: stepping a message moves neither.
     let run = |write: Option<usize>| {
         let (sim, fabric) = setup(33, FabricConfig::deterministic(), 1);
         let len = write.unwrap_or(64);
@@ -779,12 +798,15 @@ fn a_message_costs_no_task_poll_whatever_its_chunks() {
         });
         (sim.counters(), sim.now())
     };
-    let ((read, read_end), (one, one_end), (many, many_end)) =
-        (run(None), run(Some(256)), run(Some(8192)));
+    let ((read, read_end), (none, none_end)) = (run(None), run(Some(0)));
+    let ((one, one_end), (many, many_end)) = (run(Some(256)), run(Some(8192)));
     assert_eq!(many.timer_events, one.timer_events + 31);
     assert_eq!(many.tasks_polled, one.tasks_polled);
+    // A 0-byte write arms no tick: the message goes on at once.
+    assert_eq!(none.timer_events, one.timer_events - 1);
     for (c, events, end, want_end) in [
         (read, 4, read_end, 1_896),
+        (none, 4, none_end, 1_599),
         (one, 5, one_end, 1_639),
         (many, 36, many_end, 2_909),
     ] {

@@ -125,7 +125,7 @@ pub use builder::{Protocol, StoreBuilder, StoreCluster};
 pub use cache::LfuCache;
 pub use client::{CacheCapacity, StoreClient};
 pub use cluster::{Cluster, ClusterConfig, KeyInfo, LOADER_TID};
-pub use exec::RunStats;
+pub use exec::{RunStats, OP_OVERHEAD_NS};
 pub use fusee::FuseeCluster;
 pub use index::{Index, Swap, INDEX_MSG_BYTES};
 pub use membership::Membership;

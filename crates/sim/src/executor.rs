@@ -13,12 +13,12 @@
 //! Simulations push millions of fabric messages through this loop, so the
 //! per-event and per-poll costs are engineered to be allocation-free:
 //!
-//! * **Events** live in a slab ([`EventSlot`]) and come in three kinds.
+//! * **Events** live in a slab ([`EventSlot`]) and come in four kinds.
 //!   [`EventKind::Wake`] — "wake this task at time T" (sleeps, deadlines)
 //!   — carries a cached [`Waker`] and no heap closure; [`EventKind::Step`]
 //!   is its twin for a state machine (message stages, see *Steps*).
-//!   [`EventKind::Tick`] is a chain of such timers that re-arms itself in
-//!   its slot and fires only at the end (see *Tickers* below). Only the
+//!   [`EventKind::Tick`] is a chain of step timers that re-arms itself in
+//!   its slot and steps only at the end (see *Tickers* below). Only the
 //!   explicit [`Sim::schedule_at`] API ([`EventKind::Call`]) boxes a
 //!   `dyn FnOnce`.
 //! * **Ordering** uses an index-based 4-ary min-heap of `(at, seq, slab key)`
@@ -34,30 +34,29 @@
 //!
 //! # Tickers
 //!
-//! [`Sim::ticker`]`(period, n, log, tag)` stands for `n` chained
-//! `sleep_ns(period).await`s whose task does nothing observable between
-//! them except append `tag` to `log` ([`TickLog`]). The invariants that make
-//! the two indistinguishable to every other task and event:
+//! A [`Ticker`] made by [`Sim::ticker`]`(period, n, log, tag)` at instant
+//! `t0` and armed by [`Ticker::arm_step`]`(stepper, token)` stands for a
+//! task that runs `sleep_until(t0 + k * period).await` for `k` in `1..=n`,
+//! does nothing observable between them except append `tag` to `log`
+//! ([`TickLog`]), and then steps machine `token` (see *Steps*). The
+//! invariants that make the two indistinguishable to every other task and
+//! event:
 //!
-//! * **Same `(at, seq)` draws.** The first tick's sequence number is drawn
-//!   when the ticker is first polled, where the first `Sleep` registers.
-//!   When tick `k < n` fires, the executor draws tick `k + 1`'s sequence
-//!   number and moves the heap entry there before anything else runs —
-//!   exactly where the woken task, polled alone right after its wake event,
-//!   would have registered sleep `k + 1`. Each re-arm counts in
-//!   `events_scheduled` and `timer_events` like the sleep it replaces.
+//! * **Same `(at, seq)` draws.** Arming fires the ticks already due, as
+//!   such a sleep completes without registering, and draws the next tick's
+//!   sequence number where its `Sleep` registers. When tick `k < n` fires,
+//!   the executor draws tick `k + 1`'s sequence number and moves the heap
+//!   entry there before anything else runs — exactly where the woken task,
+//!   polled alone right after its wake event, would have registered sleep
+//!   `k + 1`. Each re-arm counts in `events_scheduled` and `timer_events`
+//!   like the sleep it replaces.
 //! * **Same order of effects.** Every tick but the last appends its tag to
 //!   the log at the instant it fires; the log is the firing order across
 //!   all tickers sharing it. Whoever owns the effects replays the log
 //!   before looking at the state they change (`swarm-fabric`'s `NodeMemory`
 //!   does, for chunked writes).
-//! * **One wake.** Only tick `n` wakes the awaiting task, so the chain
-//!   costs one poll instead of `n`; `tasks_polled` is the only counter that
-//!   differs.
-//! * **Same leftovers.** A ticker polled at a tick's instant before that
-//!   tick's event fired, or dropped mid-chain, leaves that one event behind
-//!   as a plain wake — the stale event a completed or dropped `Sleep`
-//!   leaves — and the chain goes on from a freshly drawn event, or stops.
+//! * **One step.** Tick `n` steps the machine, as the woken task, polled
+//!   first from the empty ready queue, would go on; no tick is a poll.
 //!
 //! # Steps
 //!
@@ -76,9 +75,9 @@
 //!   checks `at` against now first, as `Sleep` does) and counts like one;
 //!   when it fires the step runs at once, as the woken task, polled first
 //!   from the empty ready queue, would.
-//! * **[`Ticker::arm_step`] is the awaited ticker.** It fires the ticks
-//!   already due and arms the rest of the chain, as the first poll does;
-//!   the last tick steps the machine instead of waking a task.
+//! * **[`Ticker::arm_step`] is the chain of sleeps.** It fires the ticks
+//!   already due and arms the rest of the chain (see *Tickers*); the last
+//!   tick steps the machine instead of waking a task.
 //!
 //! Same `(at, seq)` draws and the same order of effects, so every seeded
 //! run replays bit for bit; `tasks_polled` is the only counter that
@@ -242,29 +241,6 @@ struct TaskSlot {
     waker: Option<Waker>,
 }
 
-/// What a timer event does when it fires: wake a task or step a machine.
-enum Target {
-    Wake(Waker),
-    Step(Rc<dyn Stepper>, u32),
-}
-
-impl Target {
-    /// The one-shot event that fires this target.
-    fn into_event(self) -> EventKind {
-        match self {
-            Target::Wake(w) => EventKind::Wake(w),
-            Target::Step(s, token) => EventKind::Step(s, token),
-        }
-    }
-
-    fn fire(self) {
-        match self {
-            Target::Wake(w) => w.wake(),
-            Target::Step(s, token) => s.step(token),
-        }
-    }
-}
-
 /// A scheduled event: what to do when its `(at, seq)` heap entry pops.
 enum EventKind {
     /// Wake a stored waker — the closure-free fast path used by every
@@ -273,8 +249,8 @@ enum EventKind {
     /// Step a machine ([`Sim::step_at`]).
     Step(Rc<dyn Stepper>, u32),
     /// A chain of timers one `period` apart that re-arms itself in this
-    /// slot and fires its target on its last tick only ([`Sim::ticker`]).
-    Tick(Target, Tick),
+    /// slot and steps the machine on its last tick only ([`Ticker`]).
+    Tick(Rc<dyn Stepper>, u32, Tick),
     /// Run a boxed action ([`Sim::schedule_at`]'s general case).
     Call(Box<dyn FnOnce(&Sim)>),
     /// A fired slot awaiting reuse.
@@ -322,8 +298,7 @@ impl Tick {
 /// Slab slot for one pending event. A slot is freed when its heap entry pops
 /// (a re-arming [`EventKind::Tick`] keeps its slot and moves its entry to
 /// the next tick), so a live key never has two heap entries; the generation
-/// guards [`TimerKey`] handles held by `Sleep` and `Ticker` futures across
-/// slot reuse.
+/// guards [`TimerKey`] handles held by `Sleep` futures across slot reuse.
 struct EventSlot {
     gen: u64,
     kind: EventKind,
@@ -341,7 +316,7 @@ fn entry_less(a: &HeapEntry, b: &HeapEntry) -> bool {
     (a.at, a.seq) < (b.at, b.seq)
 }
 
-/// Handle to a pending timer event, held by [`Sleep`] and [`Ticker`].
+/// Handle to a pending timer event, held by [`Sleep`].
 #[derive(Clone, Copy)]
 struct TimerKey {
     key: u32,
@@ -570,18 +545,16 @@ impl Sim {
         self.schedule_at(self.now() + delay, action);
     }
 
-    /// Registers a closure-free "fire `target` at `at`" event.
-    fn register_timer_at(&self, at: Nanos, target: Target) -> TimerKey {
+    /// Registers a closure-free timer event: `kind` fires at `at` (clamped
+    /// to be no earlier than now).
+    fn register_timer_at(&self, at: Nanos, kind: EventKind) -> TimerKey {
         let at = at.max(self.now());
         let seq = self.next_seq();
         self.bump_counters(|c| {
             c.events_scheduled += 1;
             c.timer_events += 1;
         });
-        self.inner
-            .events
-            .borrow_mut()
-            .push(at, seq, target.into_event())
+        self.inner.events.borrow_mut().push(at, seq, kind)
     }
 
     /// Steps machine `token` of `stepper` at virtual time `at` (clamped to
@@ -589,7 +562,7 @@ impl Sim {
     /// registers, firing a step where it would have woken the task (module
     /// docs, *Steps*).
     pub fn step_at(&self, at: Nanos, stepper: Rc<dyn Stepper>, token: u32) {
-        self.register_timer_at(at, Target::Step(stepper, token));
+        self.register_timer_at(at, EventKind::Step(stepper, token));
     }
 
     /// Queues a step of machine `token` of `stepper` at the back of the
@@ -604,49 +577,10 @@ impl Sim {
     /// Points a pending wake event at `waker` (no-op once fired). Keeps
     /// re-polled [`Sleep`]s waking the *latest* context, not the first one.
     fn reregister_waker(&self, t: TimerKey, waker: &Waker) {
-        if let Some(EventKind::Wake(w) | EventKind::Tick(Target::Wake(w), _)) =
-            self.inner.events.borrow_mut().pending(t)
-        {
+        if let Some(EventKind::Wake(w)) = self.inner.events.borrow_mut().pending(t) {
             if !w.will_wake(waker) {
                 *w = waker.clone();
             }
-        }
-    }
-
-    /// Ticks left in a ticker's pending event; `None` once the last fired.
-    fn ticks_left(&self, t: TimerKey) -> Option<u32> {
-        match self.inner.events.borrow_mut().pending(t)? {
-            EventKind::Tick(_, tick) => Some(tick.left),
-            _ => unreachable!("a ticker's key points at its tick event"),
-        }
-    }
-
-    /// Registers the next event of a ticker's chain: `tick.left` ticks
-    /// remain, the first of them at `at`.
-    fn register_tick(&self, at: Nanos, target: Target, tick: Tick) -> TimerKey {
-        let seq = self.next_seq();
-        self.bump_counters(|c| {
-            c.events_scheduled += 1;
-            c.timer_events += 1;
-        });
-        self.inner
-            .events
-            .borrow_mut()
-            .push(at, seq, EventKind::Tick(target, tick))
-    }
-
-    /// Turns a ticker's pending event into the plain wake a finished or
-    /// dropped `Sleep` leaves behind and returns the chain's unfired rest;
-    /// `None` once the last tick has fired.
-    fn stop_tick(&self, t: TimerKey) -> Option<Tick> {
-        let mut events = self.inner.events.borrow_mut();
-        let kind = events.pending(t)?;
-        match std::mem::replace(kind, EventKind::Vacant) {
-            EventKind::Tick(target, tick) => {
-                *kind = target.into_event();
-                Some(tick)
-            }
-            _ => unreachable!("a ticker's key points at its tick event"),
         }
     }
 
@@ -700,21 +634,19 @@ impl Sim {
         self.sleep_until(self.now() + dur)
     }
 
-    /// Future that resolves after `ticks` ticks, `period` apart, each but
-    /// the last appending `tag` to `log` as it fires — what `ticks` chained
-    /// `sleep_ns(period).await`s logging between them do, at one poll of the
-    /// awaiting task instead of `ticks` (module docs, *Tickers*).
+    /// A chain of `ticks` ticks from now, `period` apart, each but the last
+    /// appending `tag` to `log` as it fires; [`Ticker::arm_step`] runs it
+    /// (module docs, *Tickers*).
     pub fn ticker(&self, period: Nanos, ticks: u32, log: &Rc<TickLog>, tag: u32) -> Ticker {
         Ticker {
             sim: self.clone(),
-            period,
             end: self.now() + period * Nanos::from(ticks),
-            state: TickerState::Idle(Tick {
+            tick: Tick {
                 log: Rc::clone(log),
                 period,
                 left: ticks,
                 tag,
-            }),
+            },
         }
     }
 
@@ -754,7 +686,7 @@ impl Sim {
         };
         debug_assert!(top.at >= self.now());
         self.inner.now.set(top.at);
-        if let EventKind::Tick(_, tick) = &mut events.slots[top.key as usize].kind {
+        if let EventKind::Tick(_, _, tick) = &mut events.slots[top.key as usize].kind {
             if tick.fire() {
                 // Re-arm in place — same slot, same heap position sifted
                 // down — drawing the sequence number where the chained
@@ -776,8 +708,7 @@ impl Sim {
         // an event fires, so a woken task would be polled first right now.
         match kind {
             EventKind::Wake(w) => w.wake(),
-            EventKind::Step(s, t) => s.step(t),
-            EventKind::Tick(target, _) => target.fire(),
+            EventKind::Step(s, t) | EventKind::Tick(s, t, _) => s.step(t),
             EventKind::Call(f) => f(self),
             EventKind::Vacant => {}
         }
@@ -863,7 +794,7 @@ impl Future for Sleep {
             None => {
                 let t = self
                     .sim
-                    .register_timer_at(self.deadline, Target::Wake(cx.waker().clone()));
+                    .register_timer_at(self.deadline, EventKind::Wake(cx.waker().clone()));
                 self.timer = Some(t);
             }
         }
@@ -871,96 +802,32 @@ impl Future for Sleep {
     }
 }
 
-/// Future returned by [`Sim::ticker`].
-///
-/// Like a dropped [`Sleep`], a dropped `Ticker` does not cancel its pending
-/// event: that one tick still fires as a plain wake, and the chain ends
-/// there.
+/// A chain of ticks made by [`Sim::ticker`]; [`Ticker::arm_step`] runs it.
 pub struct Ticker {
     sim: Sim,
-    period: Nanos,
     /// Instant of the last tick.
     end: Nanos,
-    state: TickerState,
-}
-
-enum TickerState {
-    /// No event pending: not polled yet.
-    Idle(Tick),
-    /// The chain runs from the event behind this key.
-    Armed(TimerKey),
-    Done,
+    tick: Tick,
 }
 
 impl Ticker {
-    /// Instant of the next tick while `left` remain.
-    fn next(&self, left: u32) -> Nanos {
-        self.end - self.period * Nanos::from(left - 1)
-    }
-
-    /// Fires the ticks of `tick` due now — the way a `Sleep` polled at its
-    /// deadline completes without waiting for its event — and registers the
-    /// rest of the chain to `target`; `None` if no tick is left.
-    fn start(&self, mut tick: Tick, target: impl FnOnce() -> Target) -> Option<TimerKey> {
-        let now = self.sim.now();
-        while tick.left > 0 && now >= self.next(tick.left) {
-            tick.fire();
-        }
-        (tick.left > 0).then(|| self.sim.register_tick(self.next(tick.left), target(), tick))
-    }
-
-    /// Runs the chain for machine `token` of `stepper` instead of an
-    /// awaiting task: what the first poll of the awaited ticker does, with
-    /// the last tick stepping the machine where it would have woken the
-    /// task (module docs, *Steps*). False if every tick was already due:
+    /// Runs the chain for machine `token` of `stepper`: fires the ticks
+    /// already due and arms the rest, the last tick stepping the machine
+    /// (module docs, *Tickers*). False if every tick was already due:
     /// nothing is armed, and the caller goes on at once, as the task would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ticker was polled before.
     pub fn arm_step(mut self, stepper: Rc<dyn Stepper>, token: u32) -> bool {
-        let TickerState::Idle(tick) = std::mem::replace(&mut self.state, TickerState::Done) else {
-            panic!("arm_step on a ticker that was polled");
-        };
-        self.start(tick, || Target::Step(stepper, token)).is_some()
-    }
-}
-
-impl Future for Ticker {
-    type Output = ();
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = &mut *self;
-        let tick = match std::mem::replace(&mut this.state, TickerState::Done) {
-            TickerState::Done => return Poll::Ready(()),
-            TickerState::Idle(tick) => tick,
-            TickerState::Armed(t) => match this.sim.ticks_left(t) {
-                None => return Poll::Ready(()),
-                Some(left) if this.sim.now() < this.next(left) => {
-                    this.sim.reregister_waker(t, cx.waker());
-                    this.state = TickerState::Armed(t);
-                    return Poll::Pending;
-                }
-                // Polled at a tick's instant ahead of its event: the event
-                // goes stale and the chain continues from this poll.
-                Some(_) => this.sim.stop_tick(t).expect("ticks are left"),
-            },
-        };
-        match this.start(tick, || Target::Wake(cx.waker().clone())) {
-            Some(key) => {
-                this.state = TickerState::Armed(key);
-                Poll::Pending
-            }
-            None => Poll::Ready(()),
+        let (now, period) = (self.sim.now(), self.tick.period);
+        let next = |left: u32| self.end - period * Nanos::from(left - 1);
+        while self.tick.left > 0 && now >= next(self.tick.left) {
+            self.tick.fire();
         }
-    }
-}
-
-impl Drop for Ticker {
-    fn drop(&mut self) {
-        if let TickerState::Armed(t) = self.state {
-            self.sim.stop_tick(t);
+        if self.tick.left == 0 {
+            return false;
         }
+        let at = next(self.tick.left);
+        self.sim
+            .register_timer_at(at, EventKind::Tick(stepper, token, self.tick));
+        true
     }
 }
 
@@ -1167,136 +1034,6 @@ mod tests {
         assert!(done.get(), "task B never woke: stale waker used");
     }
 
-    /// What one run of `ticker_scenario` showed: every traced event, the
-    /// tick log, the final instant and the counters.
-    type ScenarioRun = (Vec<(Nanos, u32)>, Vec<u32>, Nanos, SimCounters);
-
-    /// A seeded mix of chains (`n` ticks, `period` apart — some cut short by
-    /// a racing sleep and dropped), sleeper loops and `schedule_at` calls,
-    /// over small ranges so instants collide often. `use_ticker` picks how a
-    /// chain waits: one `Sim::ticker`, or `n` chained `sleep_ns(period)`
-    /// logging between them.
-    fn ticker_scenario(seed: u64, use_ticker: bool) -> ScenarioRun {
-        async fn chain(
-            sim: Sim,
-            use_ticker: bool,
-            period: Nanos,
-            n: u32,
-            log: Rc<TickLog>,
-            tag: u32,
-        ) {
-            if use_ticker {
-                sim.ticker(period, n, &log, tag).await;
-            } else {
-                for k in 0..n {
-                    sim.sleep_ns(period).await;
-                    if k + 1 < n {
-                        log.tags.borrow_mut().push(tag);
-                    }
-                }
-            }
-        }
-
-        let sim = Sim::new(seed);
-        let rng = sim.fork_rng(Some(0x71C));
-        let draw = |lo: u64, hi: u64| rng.rand_range(lo, hi);
-        let trace: Rc<RefCell<Vec<(Nanos, u32)>>> = Rc::new(RefCell::new(Vec::new()));
-        let log = Rc::new(TickLog::default());
-        for id in 0..12u32 {
-            let (s, trace, log) = (sim.clone(), Rc::clone(&trace), Rc::clone(&log));
-            let note = move |s: &Sim, what: u32| trace.borrow_mut().push((s.now(), what));
-            let (start, period, n) = (draw(0, 6), draw(0, 5), draw(0, 7) as u32);
-            match id % 4 {
-                0 | 1 => {
-                    // A chain in its own task; odd ones are raced against a
-                    // sleep that may land on a tick instant, and dropped.
-                    let cut = (id % 4 == 1).then(|| draw(0, 12));
-                    sim.spawn(async move {
-                        s.sleep_ns(start).await;
-                        let c = chain(s.clone(), use_ticker, period, n, log, id);
-                        match cut {
-                            None => c.await,
-                            Some(cut) => {
-                                let won = crate::combinators::race2(c, s.sleep_ns(cut)).await;
-                                let left = matches!(won, crate::combinators::Either::Left(()));
-                                note(&s, 1_000 + id * 2 + u32::from(left));
-                            }
-                        }
-                        note(&s, 100 + id);
-                        // Stay alive so a stale wake is a real poll.
-                        s.sleep_ns(40).await;
-                        note(&s, 200 + id);
-                    });
-                }
-                2 => {
-                    let naps = draw(1, 6);
-                    sim.spawn(async move {
-                        for _ in 0..naps {
-                            s.sleep_ns(period + 1).await;
-                            note(&s, 300 + id);
-                        }
-                    });
-                }
-                _ => sim.schedule_at(start + period, move |s| note(s, 400 + id)),
-            }
-        }
-        let end = sim.run();
-        let mut ticks = Vec::new();
-        log.drain(|tag| ticks.push(tag));
-        let trace = trace.borrow().clone();
-        (trace, ticks, end, sim.counters())
-    }
-
-    #[test]
-    fn ticker_is_indistinguishable_from_chained_sleeps() {
-        let (mut dropped_mid_chain, mut saved_polls) = (0, 0);
-        for seed in 0..400 {
-            let (trace, ticks, end, c) = ticker_scenario(seed, false);
-            let (trace_t, ticks_t, end_t, c_t) = ticker_scenario(seed, true);
-            assert_eq!(
-                trace_t, trace,
-                "seed {seed}: other events fired differently"
-            );
-            assert_eq!(ticks_t, ticks, "seed {seed}: tick order differs");
-            assert_eq!(end_t, end, "seed {seed}: final instant differs");
-            assert_eq!(
-                (c_t.events_scheduled, c_t.timer_events, c_t.boxed_events),
-                (c.events_scheduled, c.timer_events, c.boxed_events),
-                "seed {seed}: a tick must count like the sleep it replaces"
-            );
-            assert_eq!(c_t.tasks_spawned, c.tasks_spawned);
-            assert!(c_t.tasks_polled <= c.tasks_polled, "seed {seed}");
-            saved_polls += c.tasks_polled - c_t.tasks_polled;
-            dropped_mid_chain += trace
-                .iter()
-                .filter(|(_, w)| *w >= 1_000 && w % 2 == 0)
-                .count();
-        }
-        assert!(saved_polls > 400, "tickers saved only {saved_polls} polls");
-        assert!(
-            dropped_mid_chain > 50,
-            "only {dropped_mid_chain} chains were cut"
-        );
-    }
-
-    #[test]
-    fn ticker_wakes_its_task_once() {
-        let sim = Sim::new(1);
-        let log = Rc::new(TickLog::default());
-        let (s, l) = (sim.clone(), Rc::clone(&log));
-        sim.block_on(async move {
-            s.ticker(11, 32, &l, 7).await;
-            assert_eq!(s.now(), 32 * 11);
-        });
-        let c = sim.counters();
-        assert_eq!((c.timer_events, c.boxed_events), (32, 0));
-        assert_eq!(c.tasks_polled, 2, "first poll and the last tick's wake");
-        let mut ticks = Vec::new();
-        log.drain(|tag| ticks.push(tag));
-        assert_eq!(ticks, vec![7; 31], "every tick but the last is logged");
-        assert!(log.is_empty());
-    }
-
     /// What happened, in order, each with its instant.
     type Trace = Rc<RefCell<Vec<(Nanos, u32)>>>;
 
@@ -1321,6 +1058,118 @@ mod tests {
             trace: Rc::clone(&trace),
         });
         (steps, trace)
+    }
+
+    /// Notes `(now, 100 + token)` where machine `token`'s chain ends, then
+    /// `(now, 200 + token)` 40 ns later: what a task does that goes on
+    /// after its chain.
+    struct ChainEnd {
+        sim: Sim,
+        trace: Trace,
+    }
+
+    impl Stepper for ChainEnd {
+        fn step(self: Rc<Self>, token: u32) {
+            let now = self.sim.now();
+            if token < 1_000 {
+                self.trace.borrow_mut().push((now, 100 + token));
+                self.sim.step_at(now + 40, self.clone(), 1_000 + token);
+            } else {
+                self.trace.borrow_mut().push((now, 200 + token - 1_000));
+            }
+        }
+    }
+
+    /// What one run of `ticker_scenario` showed: every traced event, the
+    /// tick log, the final instant and the counters.
+    type ScenarioRun = (Vec<(Nanos, u32)>, Vec<u32>, Nanos, SimCounters);
+
+    /// A seeded mix of chains (`n` ticks, `period` apart, made at one
+    /// instant and run from the same or a later one, by which some ticks
+    /// are due), sleeper loops and `schedule_at` calls, over small ranges
+    /// so instants collide often; `n` and `period` may be 0. `armed` picks
+    /// how a chain runs: one `Ticker::arm_step`, or the reference, a task
+    /// chaining `sleep_until` to each tick's instant and logging between.
+    /// Either way [`ChainEnd`] then steps where the chain ends.
+    fn ticker_scenario(seed: u64, armed: bool) -> ScenarioRun {
+        let sim = Sim::new(seed);
+        let rng = sim.fork_rng(Some(0x71C));
+        let draw = |lo: u64, hi: u64| rng.rand_range(lo, hi);
+        let trace: Trace = Rc::default();
+        let log = Rc::new(TickLog::default());
+        let ends = Rc::new(ChainEnd {
+            sim: sim.clone(),
+            trace: Rc::clone(&trace),
+        });
+        for id in 0..12u32 {
+            let (s, trace, log) = (sim.clone(), Rc::clone(&trace), Rc::clone(&log));
+            let ends = Rc::clone(&ends);
+            let note = move |s: &Sim, what: u32| trace.borrow_mut().push((s.now(), what));
+            let (start, period, n) = (draw(0, 6), draw(0, 5), draw(0, 7) as u32);
+            match id % 4 {
+                0 | 1 => {
+                    // Odd chains are run `wait` after they are made.
+                    let wait = if id % 4 == 1 { draw(0, 12) } else { 0 };
+                    sim.spawn(async move {
+                        s.sleep_ns(start).await;
+                        let (made, ticker) = (s.now(), s.ticker(period, n, &log, id));
+                        s.sleep_ns(wait).await;
+                        if armed {
+                            if ticker.arm_step(ends.clone(), id) {
+                                return;
+                            }
+                        } else {
+                            for k in 1..=n {
+                                s.sleep_until(made + period * Nanos::from(k)).await;
+                                if k < n {
+                                    log.tags.borrow_mut().push(id);
+                                }
+                            }
+                        }
+                        ends.step(id);
+                    });
+                }
+                2 => {
+                    let naps = draw(1, 6);
+                    sim.spawn(async move {
+                        for _ in 0..naps {
+                            s.sleep_ns(period + 1).await;
+                            note(&s, 300 + id);
+                        }
+                    });
+                }
+                _ => sim.schedule_at(start + period, move |s| note(s, 400 + id)),
+            }
+        }
+        let end = sim.run();
+        let mut ticks = Vec::new();
+        log.drain(|tag| ticks.push(tag));
+        let trace = trace.borrow().clone();
+        (trace, ticks, end, sim.counters())
+    }
+
+    #[test]
+    fn ticker_is_indistinguishable_from_chained_sleeps() {
+        let mut saved_polls = 0;
+        for seed in 0..400 {
+            let (trace, ticks, end, c) = ticker_scenario(seed, false);
+            let (trace_t, ticks_t, end_t, c_t) = ticker_scenario(seed, true);
+            assert_eq!(
+                trace_t, trace,
+                "seed {seed}: other events fired differently"
+            );
+            assert_eq!(ticks_t, ticks, "seed {seed}: tick order differs");
+            assert_eq!(end_t, end, "seed {seed}: final instant differs");
+            assert_eq!(
+                (c_t.events_scheduled, c_t.timer_events, c_t.boxed_events),
+                (c.events_scheduled, c.timer_events, c.boxed_events),
+                "seed {seed}: a tick must count like the sleep it replaces"
+            );
+            assert_eq!(c_t.tasks_spawned, c.tasks_spawned);
+            assert!(c_t.tasks_polled <= c.tasks_polled, "seed {seed}");
+            saved_polls += c.tasks_polled - c_t.tasks_polled;
+        }
+        assert!(saved_polls > 400, "tickers saved only {saved_polls} polls");
     }
 
     #[test]
@@ -1383,11 +1232,30 @@ mod tests {
         }
     }
 
-    /// A ticker of 5 ticks 10 ns apart, made at 0 and started at `start`
-    /// — by `arm_step` or by awaiting it — beside a task draining the tick
-    /// log every nanosecond: the drained tags and the completion, each
-    /// with its instant, the final sequence number and the counters.
-    fn armed_or_awaited(stepped: bool, start: Nanos) -> (Vec<(Nanos, u32)>, u64, SimCounters) {
+    #[test]
+    fn an_armed_ticker_steps_its_machine_once() {
+        // An 8 KiB write's chain: 32 ticks, 11 ns apart.
+        let sim = Sim::new(1);
+        let (steps, trace) = step_log(&sim);
+        let log = Rc::new(TickLog::default());
+        assert!(sim.ticker(11, 32, &log, 7).arm_step(steps, 0));
+        sim.run();
+        assert_eq!(*trace.borrow(), [(32 * 11, 1_000)]);
+        let c = sim.counters();
+        assert_eq!((c.timer_events, c.boxed_events), (32, 0));
+        assert_eq!(c.tasks_polled, 0, "a tick is not a poll");
+        let mut ticks = Vec::new();
+        log.drain(|tag| ticks.push(tag));
+        assert_eq!(ticks, vec![7; 31], "every tick but the last is logged");
+        assert!(log.is_empty());
+    }
+
+    /// A ticker of 5 ticks 10 ns apart, made at 0 and run from `start` —
+    /// by `arm_step`, or by a task chaining `sleep_until` to each tick's
+    /// instant — beside a task draining the tick log every nanosecond: the
+    /// drained tags and the end of the chain, each with its instant, the
+    /// final sequence number and the counters.
+    fn armed_or_slept(armed: bool, start: Nanos) -> (Vec<(Nanos, u32)>, u64, SimCounters) {
         let sim = Sim::new(1);
         let (steps, trace) = step_log(&sim);
         let log = Rc::new(TickLog::default());
@@ -1402,15 +1270,19 @@ mod tests {
         let ticker = sim.ticker(10, 5, &log, 3);
         sim.spawn(async move {
             s.sleep_until(start).await;
-            let done = if stepped {
-                !ticker.arm_step(steps, 9)
+            if armed {
+                if ticker.arm_step(steps, 9) {
+                    return;
+                }
             } else {
-                ticker.await;
-                true
-            };
-            if done {
-                t.borrow_mut().push((s.now(), 1_009));
+                for k in 1..=5 {
+                    s.sleep_until(10 * k).await;
+                    if k < 5 {
+                        log.tags.borrow_mut().push(3);
+                    }
+                }
             }
+            t.borrow_mut().push((s.now(), 1_009));
         });
         sim.run();
         let trace = trace.borrow().clone();
@@ -1418,12 +1290,12 @@ mod tests {
     }
 
     #[test]
-    fn an_armed_ticker_logs_and_draws_like_an_awaited_one() {
+    fn an_armed_ticker_logs_and_draws_like_chained_sleeps() {
         // From 0 no tick is due yet; from 25 two are, from 50 all five.
         for start in [0, 25, 50, 60] {
-            let (awaited, seq, c) = armed_or_awaited(false, start);
-            let (armed, seq_armed, c_armed) = armed_or_awaited(true, start);
-            assert_eq!(armed, awaited, "start {start}: ticks or the step moved");
+            let (slept, seq, c) = armed_or_slept(false, start);
+            let (armed, seq_armed, c_armed) = armed_or_slept(true, start);
+            assert_eq!(armed, slept, "start {start}: ticks or the step moved");
             assert_eq!(seq_armed, seq, "start {start}: sequence numbers differ");
             assert_eq!(
                 (c_armed.events_scheduled, c_armed.timer_events),
@@ -1436,7 +1308,7 @@ mod tests {
             assert_eq!(ticks, 4, "start {start}: every tick but the last logs");
         }
         // Ticks already due are logged at the arming instant.
-        let (armed, ..) = armed_or_awaited(true, 25);
+        let (armed, ..) = armed_or_slept(true, 25);
         assert_eq!(armed[..2], [(25, 3), (25, 3)]);
     }
 
