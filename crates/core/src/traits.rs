@@ -4,7 +4,7 @@ use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::rc::Rc;
 
-use swarm_sim::{Histogram, Nanos, Sim};
+use swarm_sim::{Nanos, Sim};
 
 use crate::stamp::Stamp;
 use crate::value::MVal;
@@ -209,6 +209,10 @@ pub(crate) const HEDGE_DELAY_PCT: f64 = 99.0;
 /// Per-node RTT window size: the percentile estimate refreshes from at most
 /// the last this many samples.
 pub(crate) const RTT_WINDOW: usize = 512;
+/// Largest samples of a window an [`RttTracker`] keeps. For any `n <=
+/// RTT_WINDOW` samples the `HEDGE_DELAY_PCT` rank, `round(0.99 · (n − 1))`,
+/// is at most 5 below the top (`rtt_rank_lies_within_the_kept_samples`).
+const RTT_KEPT: usize = 6;
 /// Maximum hedges in flight per client across all its registers; excess
 /// stragglers fall through to the ordinary widen path.
 pub(crate) const MAX_HEDGES_INFLIGHT: usize = 4;
@@ -223,7 +227,8 @@ pub(crate) const MAX_HEDGES_INFLIGHT: usize = 4;
 /// extra copy of the request to spare quorum members; first response wins
 /// and the loser's delivery is idempotent (reads and CAS-MAX writes commute
 /// with themselves). The window (`RTT_WINDOW`) and the in-flight budget
-/// (`MAX_HEDGES_INFLIGHT`) are constants.
+/// (`MAX_HEDGES_INFLIGHT`) are constants; so is `RTT_KEPT`, the samples of a
+/// window that decide its percentile (see [`RttTracker`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HedgeConfig {
     /// Master switch; `false` is bit-identical to the pre-hedging code.
@@ -259,14 +264,18 @@ impl Default for HedgeConfig {
     }
 }
 
-/// Per-node exact-percentile RTT windows (built on
-/// [`swarm_sim::Histogram`]): the estimator behind hedged requests.
+/// Per-node exact-percentile RTT windows: the estimator behind hedged
+/// requests.
 ///
 /// Each node keeps a rolling window of observed request RTTs; the
 /// `HEDGE_DELAY_PCT` percentile is recomputed every
 /// [`HedgeConfig::min_samples`] observations (and the window restarts after
-/// `RTT_WINDOW` samples), so the estimate tracks latency shifts without
-/// sorting on every query.
+/// `RTT_WINDOW` samples), so the estimate tracks latency shifts. The
+/// percentile is the one [`swarm_sim::Histogram::percentile`] reads off the
+/// sorted window, at rank `round(0.99 · (n − 1))` of `n` samples. That rank
+/// lies at most `RTT_KEPT − 1` below the top for any `n <= RTT_WINDOW`, so a
+/// window keeps only its `RTT_KEPT` largest samples and a count: nothing is
+/// sorted, and every query answers exactly as the sorted window would.
 #[derive(Debug)]
 pub struct RttTracker {
     min_samples: usize,
@@ -275,8 +284,33 @@ pub struct RttTracker {
 
 #[derive(Debug, Default)]
 struct NodeWindow {
-    hist: Histogram,
+    /// The window's `RTT_KEPT` largest samples, largest first; all of them
+    /// while it has fewer.
+    top: [Nanos; RTT_KEPT],
+    /// Samples in the window.
+    len: usize,
     est: Option<Nanos>,
+}
+
+impl NodeWindow {
+    fn record(&mut self, ns: Nanos) {
+        let mut i = self.len.min(RTT_KEPT - 1);
+        if self.len < RTT_KEPT || ns > self.top[i] {
+            while i > 0 && self.top[i - 1] < ns {
+                self.top[i] = self.top[i - 1];
+                i -= 1;
+            }
+            self.top[i] = ns;
+        }
+        self.len += 1;
+    }
+
+    /// The window's `HEDGE_DELAY_PCT` percentile, at `Histogram`'s rank.
+    fn percentile(&self) -> Nanos {
+        let n = self.len;
+        let rank = ((HEDGE_DELAY_PCT / 100.0) * (n as f64 - 1.0)).round() as usize;
+        self.top[n - 1 - rank.min(n - 1)]
+    }
 }
 
 impl RttTracker {
@@ -292,13 +326,13 @@ impl RttTracker {
     pub fn observe(&self, node: usize, ns: Nanos) {
         let mut nodes = self.nodes.borrow_mut();
         let w = &mut nodes[node];
-        w.hist.record(ns);
-        let n = w.hist.len();
-        if n >= RTT_WINDOW {
-            w.est = Some(w.hist.percentile(HEDGE_DELAY_PCT));
-            w.hist = Histogram::new();
-        } else if n.is_multiple_of(self.min_samples) {
-            w.est = Some(w.hist.percentile(HEDGE_DELAY_PCT));
+        w.record(ns);
+        let full = w.len >= RTT_WINDOW;
+        if full || w.len.is_multiple_of(self.min_samples) {
+            w.est = Some(w.percentile());
+        }
+        if full {
+            w.len = 0;
         }
     }
 
@@ -590,6 +624,76 @@ mod tests {
         assert_eq!(t.estimate(0), Some(9_000));
         t.observe(0, 10);
         assert_eq!(t.estimate(0), Some(10));
+    }
+
+    /// The estimator as it stood before it kept only the top of a window:
+    /// the whole window in a `Histogram`, sorted at every refresh.
+    struct SortedWindow {
+        hist: swarm_sim::Histogram,
+        est: Option<Nanos>,
+        min_samples: usize,
+    }
+
+    impl SortedWindow {
+        fn observe(&mut self, ns: Nanos) {
+            self.hist.record(ns);
+            let n = self.hist.len();
+            if n >= RTT_WINDOW {
+                self.est = Some(self.hist.percentile(HEDGE_DELAY_PCT));
+                self.hist = swarm_sim::Histogram::new();
+            } else if n.is_multiple_of(self.min_samples) {
+                self.est = Some(self.hist.percentile(HEDGE_DELAY_PCT));
+            }
+        }
+    }
+
+    #[test]
+    fn rtt_tracker_matches_a_sorted_window() {
+        for min_samples in [1, 3, 16] {
+            let cfg = HedgeConfig {
+                min_samples,
+                ..HedgeConfig::on()
+            };
+            let t = RttTracker::new(1, &cfg);
+            let mut sorted = SortedWindow {
+                hist: swarm_sim::Histogram::new(),
+                est: None,
+                min_samples,
+            };
+            let rng = swarm_sim::SimRng::from_seed(min_samples as u64, 0x277);
+            for i in 0..20_000u64 {
+                // Phases of few distinct values (ties), rising and falling
+                // runs, and spikes, each longer than a window or not.
+                let ns = match (i / 700) % 4 {
+                    0 => rng.rand_range(1, 6) * 100,
+                    1 => 1_000 + i % 700,
+                    2 => 100_000 - i % 700,
+                    _ if rng.rand_range(0, 20) == 0 => 50_000 + rng.rand_range(0, 3),
+                    _ => rng.rand_range(1_000, 1_100),
+                };
+                t.observe(0, ns);
+                sorted.observe(ns);
+                assert_eq!(
+                    t.estimate(0),
+                    sorted.est,
+                    "min_samples {min_samples}, observation {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rtt_rank_lies_within_the_kept_samples() {
+        // Histogram's percentile of the samples 0..n is the rank itself.
+        for n in 1..=RTT_WINDOW {
+            let mut h = swarm_sim::Histogram::new();
+            (0..n as Nanos).for_each(|v| h.record(v));
+            let below_top = n - 1 - h.percentile(HEDGE_DELAY_PCT) as usize;
+            assert!(
+                below_top < RTT_KEPT,
+                "n {n}: rank {below_top} below the top"
+            );
+        }
     }
 
     #[test]

@@ -199,47 +199,55 @@ impl Fabric {
         f.drop_until[id.0] = until;
     }
 
-    /// Schedules every event of `plan` onto the simulation. Windowed
-    /// actions (delay spikes, drop windows) expire on their own; explicit
-    /// pairs (crash/restart, partition/heal) last until their counterpart.
+    /// Schedules every event of `plan` onto the simulation, as one
+    /// [`Sim::schedule_all`] batch: the plan waits beside the event heap,
+    /// not in it, and fires in the order a `schedule_at` per action would
+    /// give. Windowed actions (delay spikes, drop windows) expire on their
+    /// own; explicit pairs (crash/restart, partition/heal) last until their
+    /// counterpart.
     pub fn apply_fault_plan(&self, plan: &FaultPlan) {
-        for &(at, action) in plan.events() {
-            // Fail fast at apply time: a bad plan panicking inside a
-            // scheduled closure mid-simulation would not name the culprit.
+        // Fail fast at apply time: a bad plan panicking inside a scheduled
+        // closure mid-simulation would not name the culprit.
+        for &(_, action) in plan.events() {
             assert!(
                 action.node().0 < self.num_nodes(),
                 "fault plan targets {} but the fabric has {} nodes (action: {action})",
                 action.node(),
                 self.num_nodes()
             );
-            // A weak handle: the `Sim` owns this closure and the fabric owns
-            // the `Sim`, so a strong one would keep the whole cluster alive
-            // through any event scheduled past the end of the run.
-            let fabric = Rc::downgrade(&self.inner);
-            self.inner.sim.schedule_at(at, move |sim| {
-                let Some(inner) = fabric.upgrade() else {
-                    return;
-                };
-                let fabric = Fabric { inner };
-                let now = sim.now();
-                match action {
-                    FaultAction::Crash(n) => fabric.crash_node(n),
-                    FaultAction::Restart(n) => fabric.restart_node(n),
-                    FaultAction::Partition(n) => fabric.partition_node(n),
-                    FaultAction::Heal(n) => fabric.heal_node(n),
-                    FaultAction::DelaySpike {
-                        node,
-                        extra_ns,
-                        duration_ns,
-                    } => fabric.delay_node(node, extra_ns, now + duration_ns),
-                    FaultAction::DropWindow {
-                        node,
-                        permille,
-                        duration_ns,
-                    } => fabric.drop_node(node, permille, now + duration_ns),
-                }
-            });
         }
+        self.inner
+            .sim
+            .schedule_all(plan.events().iter().map(|&(at, action)| {
+                // A weak handle: the `Sim` owns this closure and the fabric owns
+                // the `Sim`, so a strong one would keep the whole cluster alive
+                // through any event scheduled past the end of the run.
+                let fabric = Rc::downgrade(&self.inner);
+                let fire = move |sim: &Sim| {
+                    let Some(inner) = fabric.upgrade() else {
+                        return;
+                    };
+                    let fabric = Fabric { inner };
+                    let now = sim.now();
+                    match action {
+                        FaultAction::Crash(n) => fabric.crash_node(n),
+                        FaultAction::Restart(n) => fabric.restart_node(n),
+                        FaultAction::Partition(n) => fabric.partition_node(n),
+                        FaultAction::Heal(n) => fabric.heal_node(n),
+                        FaultAction::DelaySpike {
+                            node,
+                            extra_ns,
+                            duration_ns,
+                        } => fabric.delay_node(node, extra_ns, now + duration_ns),
+                        FaultAction::DropWindow {
+                            node,
+                            permille,
+                            duration_ns,
+                        } => fabric.drop_node(node, permille, now + duration_ns),
+                    }
+                };
+                (at, Box::new(fire) as Box<dyn FnOnce(&Sim)>)
+            }));
     }
 
     /// Extra one-way latency currently injected on `node`'s links (0 when

@@ -19,11 +19,17 @@
 //!   is its twin for a state machine (message stages, see *Steps*).
 //!   [`EventKind::Tick`] is a chain of step timers that re-arms itself in
 //!   its slot and steps only at the end (see *Tickers* below). Only the
-//!   explicit [`Sim::schedule_at`] API ([`EventKind::Call`]) boxes a
-//!   `dyn FnOnce`.
+//!   explicit [`Sim::schedule_at`] ([`EventKind::Call`]) and
+//!   [`Sim::schedule_all`] APIs box a `dyn FnOnce`.
 //! * **Ordering** uses an index-based 4-ary min-heap of `(at, seq, slab key)`
 //!   entries. Exact `(at, seq)` order is preserved, so swapping the old
-//!   `BinaryHeap<Reverse<Event>>` for this heap changes no execution.
+//!   `BinaryHeap<Reverse<Event>>` for this heap changes no execution. The
+//!   actions of a [`Sim::schedule_all`] batch (a fault plan: thousands of
+//!   events known up front) skip the heap: they wait in one list sorted by
+//!   `(at, seq)`, and the next event is the earlier of its head and the heap
+//!   top. Their sequence numbers are drawn as a `schedule_at` loop draws
+//!   them, so the total order, and every execution, stays the same while
+//!   the heap holds only what runs in flight.
 //! * **Wakers** are created once per task slot generation (at spawn) and
 //!   cloned per use — a non-atomic refcount bump, not an allocation. The
 //!   waker is hand-rolled over `Rc` (the only `unsafe` in the crate, see
@@ -323,14 +329,26 @@ struct TimerKey {
     gen: u64,
 }
 
+/// One action of a [`Sim::schedule_all`] batch.
+struct BatchEntry {
+    at: Nanos,
+    seq: u64,
+    action: Box<dyn FnOnce(&Sim)>,
+}
+
 /// Slab-backed event store plus an index-based 4-ary min-heap over it,
 /// ordered by exact `(at, seq)` — the same total order the previous
-/// `BinaryHeap<Reverse<Event>>` used, so executions are unchanged.
+/// `BinaryHeap<Reverse<Event>>` used, so executions are unchanged — and the
+/// list of batch-scheduled actions beside it (module docs, *Hot-path
+/// design*).
 #[derive(Default)]
 struct EventQueue {
     heap: Vec<HeapEntry>,
     slots: Vec<EventSlot>,
     free: Vec<u32>,
+    /// Batch-scheduled actions sorted by `(at, seq)`, latest first, so the
+    /// earliest pops off the end.
+    batch: Vec<BatchEntry>,
 }
 
 impl EventQueue {
@@ -367,6 +385,14 @@ impl EventQueue {
         slot.gen += 1;
         self.free.push(key);
         std::mem::replace(&mut slot.kind, EventKind::Vacant)
+    }
+
+    /// True if the batch's earliest action fires before the heap's top.
+    fn batch_leads(&self) -> bool {
+        match (self.batch.last(), self.heap.first()) {
+            (Some(b), Some(h)) => (b.at, b.seq) < (h.at, h.seq),
+            (b, _) => b.is_some(),
+        }
     }
 
     /// The slot `t` points at, unless its event has fired.
@@ -424,7 +450,8 @@ pub struct SimCounters {
     pub events_scheduled: u64,
     /// Closure-free wake-at-T events (the allocation-free fast path).
     pub timer_events: u64,
-    /// Events that boxed a `dyn FnOnce` ([`Sim::schedule_at`]).
+    /// Events that boxed a `dyn FnOnce` ([`Sim::schedule_at`],
+    /// [`Sim::schedule_all`]).
     pub boxed_events: u64,
     /// Tasks spawned, plus state machines started with [`Sim::defer`] (one
     /// per fabric message): each stands where a spawn would.
@@ -538,6 +565,34 @@ impl Sim {
             .events
             .borrow_mut()
             .push(at, seq, EventKind::Call(Box::new(action)));
+    }
+
+    /// Runs each `(at, action)` pair of `actions` as [`Sim::schedule_at`]
+    /// would, in iteration order: same sequence numbers, same counters, so
+    /// the same firing order. The actions wait in a list beside the event
+    /// heap rather than in it (module docs, *Hot-path design*), which suits
+    /// many events known up front, such as a fault plan.
+    pub fn schedule_all(&self, actions: impl IntoIterator<Item = (Nanos, Box<dyn FnOnce(&Sim)>)>) {
+        let now = self.now();
+        let mut batch: Vec<BatchEntry> = actions
+            .into_iter()
+            .map(|(at, action)| {
+                let seq = self.next_seq();
+                self.bump_counters(|c| {
+                    c.events_scheduled += 1;
+                    c.boxed_events += 1;
+                });
+                BatchEntry {
+                    at: at.max(now),
+                    seq,
+                    action,
+                }
+            })
+            .collect();
+        let mut events = self.inner.events.borrow_mut();
+        batch.append(&mut events.batch);
+        batch.sort_unstable_by_key(|b| std::cmp::Reverse((b.at, b.seq)));
+        events.batch = batch;
     }
 
     /// Runs `action` after `delay` nanoseconds of virtual time.
@@ -681,6 +736,14 @@ impl Sim {
     /// it; false if there is none.
     fn fire_next(&self, deadline: Nanos) -> bool {
         let mut events = self.inner.events.borrow_mut();
+        if events.batch.last().is_some_and(|b| b.at <= deadline) && events.batch_leads() {
+            let b = events.batch.pop().expect("the batch leads");
+            drop(events);
+            debug_assert!(b.at >= self.now());
+            self.inner.now.set(b.at);
+            (b.action)(self);
+            return true;
+        }
         let Some(&top) = events.heap.first().filter(|e| e.at <= deadline) else {
             return false;
         };
@@ -1310,6 +1373,84 @@ mod tests {
         // Ticks already due are logged at the arming instant.
         let (armed, ..) = armed_or_slept(true, 25);
         assert_eq!(armed[..2], [(25, 3), (25, 3)]);
+    }
+
+    /// Actions that note `(now, tag)`, scheduled by one `schedule_all` or,
+    /// the reference, a `schedule_at` loop.
+    fn schedule_notes(s: &Sim, trace: &Trace, batched: bool, notes: &[(Nanos, u32)]) {
+        let action = |tag: u32| -> Box<dyn FnOnce(&Sim)> {
+            let trace = Rc::clone(trace);
+            Box::new(move |s: &Sim| trace.borrow_mut().push((s.now(), tag)))
+        };
+        if batched {
+            s.schedule_all(notes.iter().map(|&(at, tag)| (at, action(tag))));
+        } else {
+            notes
+                .iter()
+                .for_each(|&(at, tag)| s.schedule_at(at, action(tag)));
+        }
+    }
+
+    /// Two batches of notes beside heap events registered before and after
+    /// each, all tied on a few instants: `schedule_at` notes, a step, a
+    /// ticker chain (its log drained every nanosecond) and, from a batched
+    /// action, a third batch. Runs to 27, then to the end.
+    fn batch_scenario(batched: bool) -> (Vec<(Nanos, u32)>, Nanos, Nanos, SimCounters) {
+        let sim = Sim::new(1);
+        let (steps, trace) = step_log(&sim);
+        let log = Rc::new(TickLog::default());
+        let (s, l, t) = (sim.clone(), Rc::clone(&log), Rc::clone(&trace));
+        sim.spawn(async move {
+            for at in 0..45 {
+                s.sleep_until(at).await;
+                l.drain(|tag| t.borrow_mut().push((s.now(), 500 + tag)));
+            }
+        });
+        let (s, t) = (sim.clone(), Rc::clone(&trace));
+        sim.spawn(async move {
+            s.sleep_until(5).await;
+            let note = |at: Nanos, tag: u32| {
+                let t = Rc::clone(&t);
+                s.schedule_at(at, move |s| t.borrow_mut().push((s.now(), tag)));
+            };
+            note(10, 1);
+            s.step_at(20, steps.clone(), 2);
+            // The note due at 3 is in the past: it fires at 5.
+            let first = [(10, 11), (3, 12), (20, 13), (30, 14), (10, 15)];
+            schedule_notes(&s, &t, batched, &first);
+            note(10, 3);
+            s.step_at(20, steps.clone(), 4);
+            assert!(s.ticker(5, 5, &log, 9).arm_step(steps.clone(), 5));
+            s.sleep_until(15).await;
+            schedule_notes(&s, &t, batched, &[(20, 21), (25, 22), (15, 23), (40, 24)]);
+            let (s2, t2) = (s.clone(), Rc::clone(&t));
+            s.schedule_at(30, move |_| {
+                schedule_notes(&s2, &t2, batched, &[(30, 31), (35, 32), (31, 33)])
+            });
+            note(15, 6);
+        });
+        let mid = sim.run_until(27);
+        let end = sim.run();
+        let trace = trace.borrow().clone();
+        (trace, mid, end, sim.counters())
+    }
+
+    #[test]
+    fn a_batch_fires_as_a_schedule_at_loop_does() {
+        let (slept, mid, end, c) = batch_scenario(false);
+        let (batched, mid_b, end_b, c_b) = batch_scenario(true);
+        assert_eq!(batched, slept, "the firing order moved");
+        assert_eq!((mid_b, end_b), (mid, end));
+        assert_eq!(c_b, c);
+        assert_eq!(
+            slept.len(),
+            3 + 3 + 12 + 4,
+            "every note, step and tick fired"
+        );
+        // Ties at 10: registered before the batch, the batch, after it.
+        let at_10: Vec<u32> = slept.iter().filter(|e| e.0 == 10).map(|e| e.1).collect();
+        assert_eq!(at_10[..4], [1, 11, 15, 3]);
+        assert_eq!(slept[0], (5, 12), "a past instant clamps to now");
     }
 
     #[test]
