@@ -12,9 +12,12 @@
 //! never as an eager error — clients learn about failures only through
 //! timeouts, exactly like a real one-sided RDMA deployment.
 
-use swarm_sim::Nanos;
+use swarm_sim::{Nanos, SimRng};
 
 use crate::node::NodeId;
+
+/// The label of [`FaultPlan::random`]'s private stream.
+const PLAN_RNG_LABEL: u64 = 0xFA17;
 
 /// One injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,26 +171,27 @@ impl FaultPlan {
     /// Generates a deterministic pseudo-random plan over `nodes` memory
     /// nodes within `[horizon/8, horizon)`: a mix of crash/restart pairs,
     /// partition windows, delay spikes, and drop windows. The same seed
-    /// always yields the same plan.
+    /// always yields the same plan. It draws from the private stream
+    /// `SimRng::from_seed(seed, PLAN_RNG_LABEL)`, so generating a plan
+    /// consumes nothing from (and thus perturbs nothing in) a simulation's
+    /// stream.
     pub fn random(seed: u64, nodes: usize, horizon: Nanos) -> Self {
         assert!(nodes >= 1);
         assert!(horizon >= 8);
-        let mut state = seed ^ 0xD6E8_FEB8_6659_FD93;
-        let mut next = move || splitmix64(&mut state);
-        let mut rng = move |lo: u64, hi: u64| lo + next() % (hi - lo).max(1);
-        let n_events = 2 + (rng(0, 3) as usize);
+        let rng = SimRng::from_seed(seed, PLAN_RNG_LABEL);
+        let n_events = 2 + rng.rand_range(0, 3) as usize;
         let mut plan = FaultPlan::new();
         for _ in 0..n_events {
-            let node = NodeId(rng(0, nodes as u64) as usize);
-            let at = rng(horizon / 8, horizon / 2);
+            let node = NodeId(rng.rand_range(0, nodes as u64) as usize);
+            let at = rng.rand_range(horizon / 8, horizon / 2);
             // Clamped so tiny horizons still yield valid (positive-length)
             // windows.
-            let dur = rng(horizon / 16, horizon / 4).max(1);
-            plan = match rng(0, 4) {
+            let dur = rng.rand_range(horizon / 16, horizon / 4).max(1);
+            plan = match rng.rand_range(0, 4) {
                 0 => plan.crash_at(at, node).restart_at(at + dur, node),
                 1 => plan.partition_between(at, at + dur, node),
-                2 => plan.delay_spike(at, node, rng(5_000, 25_000), dur),
-                _ => plan.drop_window(at, node, rng(100, 700) as u16, dur),
+                2 => plan.delay_spike(at, node, rng.rand_range(5_000, 25_000), dur),
+                _ => plan.drop_window(at, node, rng.rand_range(100, 700) as u16, dur),
             };
         }
         plan
@@ -207,16 +211,6 @@ impl std::fmt::Display for FaultPlan {
         }
         Ok(())
     }
-}
-
-/// SplitMix64: a tiny deterministic generator so plan *generation* does not
-/// consume (and thus perturb) the simulation RNG stream.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

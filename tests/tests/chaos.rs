@@ -11,7 +11,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use swarm_core::KvHistory;
-use swarm_fabric::{FaultPlan, TrafficStats};
+use swarm_fabric::{FaultPlan, NodeId, TrafficStats};
 use swarm_kv::{
     run_workload, HedgeConfig, HistoryRecorder, Protocol, RunConfig, StoreBuilder, StoreCluster,
 };
@@ -51,6 +51,16 @@ type ChaosRun = (KvHistory, TrafficStats, FaultPlan);
 /// recorded history, the fabric traffic counters and the concrete plan.
 /// `hedge: None` never touches the hedge knob (the pre-hedging build path).
 fn run_chaos(proto: Protocol, kind: PlanKind, seed: u64, hedge: Option<HedgeConfig>) -> ChaosRun {
+    run_plan(proto, seed, hedge, |nodes| kind.plan(seed, nodes))
+}
+
+/// [`run_chaos`] under the plan `plan` builds for the cluster's node count.
+fn run_plan(
+    proto: Protocol,
+    seed: u64,
+    hedge: Option<HedgeConfig>,
+    plan: impl FnOnce(usize) -> FaultPlan,
+) -> ChaosRun {
     let sim = Sim::new(seed);
     let cluster = build(proto, &sim, hedge);
     let rec = HistoryRecorder::new(&sim);
@@ -60,7 +70,7 @@ fn run_chaos(proto: Protocol, kind: PlanKind, seed: u64, hedge: Option<HedgeConf
     if let Some(m) = cluster.membership() {
         m.watch_until(5 * NANOS_PER_MILLI);
     }
-    let plan = kind.plan(seed, cluster.fabric().num_nodes());
+    let plan = plan(cluster.fabric().num_nodes());
     cluster.fabric().apply_fault_plan(&plan);
 
     // One tag counter across all clients, so the checker can tell every
@@ -196,18 +206,71 @@ fn hedged_runs_stay_linearizable_under_every_fault_plan() {
 /// ticket; (b) two inserts over one tombstoned generation each installed
 /// their own, orphaning the first; (c) a tombstone seen at a minority drove
 /// an unmap while other clients' quorums still saw the generation live.
+/// The four `Random` cells are spelled out as the plans the generator drew
+/// for them when they failed, so they keep their schedules whatever
+/// `FaultPlan::random` draws today.
 #[test]
 fn hedged_cells_of_the_three_defects_stay_fixed() {
-    use PlanKind::{JitterAndDrop, Random};
-    for (proto, kind, seed) in [
-        (Protocol::SafeGuess, Random, 3298947619),  // (a)
-        (Protocol::SafeGuess, Random, 3300325525),  // (b)
-        (Protocol::Abd, Random, 3303944508),        // (c)
-        (Protocol::Abd, Random, 3303999941),        // (c)
-        (Protocol::Abd, JitterAndDrop, 3304166240), // (c)
+    let mn = NodeId;
+    for (proto, seed, plan) in [
+        // (a), Random
+        (
+            Protocol::SafeGuess,
+            3298947619,
+            FaultPlan::new()
+                .partition_between(189_474, 286_274, mn(2))
+                .crash_at(233_567, mn(1))
+                .restart_at(267_161, mn(1))
+                .crash_at(247_676, mn(1))
+                .restart_at(368_612, mn(1))
+                .delay_spike(239_350, mn(1), 10_999, 60_842),
+        ),
+        // (b), Random
+        (
+            Protocol::SafeGuess,
+            3300325525,
+            FaultPlan::new()
+                .crash_at(76_906, mn(2))
+                .restart_at(113_351, mn(2))
+                .partition_between(86_866, 183_169, mn(3))
+                .partition_between(236_389, 289_432, mn(1))
+                .crash_at(96_991, mn(0))
+                .restart_at(209_005, mn(0)),
+        ),
+        // (c), Random
+        (
+            Protocol::Abd,
+            3303944508,
+            FaultPlan::new()
+                .partition_between(149_139, 255_399, mn(3))
+                .crash_at(92_509, mn(1))
+                .restart_at(185_166, mn(1))
+                .crash_at(154_577, mn(0))
+                .restart_at(244_589, mn(0))
+                .partition_between(67_186, 123_725, mn(3)),
+        ),
+        // (c), Random
+        (
+            Protocol::Abd,
+            3303999941,
+            FaultPlan::new()
+                .delay_spike(71_775, mn(2), 21_194, 114_752)
+                .drop_window(161_536, mn(2), 592, 98_029)
+                .delay_spike(165_863, mn(3), 15_208, 80_846)
+                .partition_between(98_378, 185_864, mn(0)),
+        ),
+        // (c)
+        (
+            Protocol::Abd,
+            3304166240,
+            PlanKind::JitterAndDrop.plan(3304166240, 4),
+        ),
     ] {
-        let what = cell(proto.name(), kind, seed);
-        let (h, stats, _) = run_chaos(proto, kind, seed, Some(chaos_hedge()));
+        let (h, stats, plan) = run_plan(proto, seed, Some(chaos_hedge()), |nodes| {
+            assert_eq!(nodes, 4, "the cells' plans name four memory nodes");
+            plan
+        });
+        let what = format!("{} / seed {seed}\nfault plan:\n{plan}", proto.name());
         assert_linearizable([&h], &what);
         assert_eq!(
             stats.hedges_fired,
