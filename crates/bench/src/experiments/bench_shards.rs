@@ -46,7 +46,7 @@ use crate::{
 };
 use swarm_kv::HistoryRecorder;
 use swarm_sim::Sim;
-use swarm_workload::{WorkloadSpec, Zipfian};
+use swarm_workload::{ScenarioMix, Zipfian};
 
 /// Client threads (routers) per shard: enough that a single group runs
 /// close to its fabric's saturation knee.
@@ -103,7 +103,7 @@ fn run_cell(dist: Dist, shards: usize, n_keys: u64) -> CellResult {
         measure_ops: 1_500 * clients as u64,
         ..Default::default()
     };
-    let mut workload = p.workload(WorkloadSpec::B);
+    let mut workload = p.workload(ScenarioMix::B);
     if dist == Dist::Uniform {
         workload.keys = Zipfian::uniform(workload.keys.n());
     }

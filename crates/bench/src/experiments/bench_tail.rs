@@ -34,7 +34,7 @@ use crate::{
 use swarm_fabric::{FaultPlan, NodeId, TrafficStats};
 use swarm_kv::{CacheCapacity, ClusterConfig, HedgeConfig, RunStats, StoreBuilder};
 use swarm_sim::{Nanos, Sim, NANOS_PER_MILLI};
-use swarm_workload::{OpType, WorkloadSpec};
+use swarm_workload::{ScenarioMix, ScenarioOpClass};
 
 /// Minimum wait before a stalled quorum widens, all cells (see module doc).
 const WIDEN_FLOOR_NS: Nanos = 20_000;
@@ -114,7 +114,7 @@ fn run_cell(p: &ExpParams, cell: Cell, spike_count: u64) -> CellResult {
         builder = builder.hedge(HedgeConfig::on());
     }
     let cluster = builder.build_cluster(&sim);
-    let wl = p.workload(WorkloadSpec::B);
+    let wl = p.workload(ScenarioMix::B);
     cluster.load_keys(env_scaled_keys(p.n_keys), |k| wl.value_for(k, 0));
     if cell.plan == Plan::Spike {
         cluster
@@ -176,7 +176,10 @@ pub fn run(quick: bool) {
     );
     let mut rows = Vec::new();
     for r in &mut results {
-        let (mut get, mut upd) = (r.stats.lat(OpType::Get), r.stats.lat(OpType::Update));
+        let (mut get, mut upd) = (
+            r.stats.lat(ScenarioOpClass::Get),
+            r.stats.lat(ScenarioOpClass::Update),
+        );
         let t = &r.traffic;
         println!(
             "{:>22} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>7} {:>7} {:>7}",
@@ -220,7 +223,7 @@ pub fn run(quick: bool) {
     let summaries: Vec<(Cell, Nanos, Nanos)> = results
         .iter_mut()
         .map(|r| {
-            let mut get = r.stats.lat(OpType::Get);
+            let mut get = r.stats.lat(ScenarioOpClass::Get);
             (r.cell, get.median(), get.percentile(99.0))
         })
         .collect();

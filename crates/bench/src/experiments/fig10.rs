@@ -4,7 +4,7 @@
 //! some replicas (§7.5).
 
 use crate::{run_system, write_csv, ExpParams, Protocol};
-use swarm_workload::{OpType, WorkloadSpec};
+use swarm_workload::{ScenarioMix, ScenarioOpClass};
 
 /// Runs the experiment: quick volume by default, the paper's when `!quick`.
 pub fn run(quick: bool) {
@@ -27,9 +27,9 @@ pub fn run(quick: bool) {
                 replicas,
                 ..p0.clone()
             };
-            let (stats, _, _) = run_system(p.seed, sys, &p, WorkloadSpec::B, |_| {});
-            let mut g = stats.lat(OpType::Get);
-            let mut u = stats.lat(OpType::Update);
+            let (stats, _, _) = run_system(p.seed, sys, &p, ScenarioMix::B, |_| {});
+            let mut g = stats.lat(ScenarioOpClass::Get);
+            let mut u = stats.lat(ScenarioOpClass::Update);
             let t = stats.throughput_ops() / 1e3 / p.clients as f64;
             println!(
                 "{:<10} {:>9} {:>7.2} ({:.2}/{:.2}) {:>9.2} ({:.2}/{:.2}) {:>12.0}",

@@ -7,7 +7,7 @@
 use crate::{build, run_workload, write_csv, ExpParams, Protocol};
 use swarm_fabric::NodeId;
 use swarm_sim::{Sim, NANOS_PER_MILLI};
-use swarm_workload::WorkloadSpec;
+use swarm_workload::ScenarioMix;
 
 /// Runs the experiment: quick volume by default, the paper's when `!quick`.
 pub fn run(quick: bool) {
@@ -36,7 +36,7 @@ pub fn run(quick: bool) {
     let mut rc = p.run_config();
     rc.deadline_ns = Some(end_at);
     rc.bucket_ns = Some(2 * NANOS_PER_MILLI);
-    let wl = p.workload(WorkloadSpec::A);
+    let wl = p.workload(ScenarioMix::A);
     let stats = run_workload(&sim, &bed.clients, &wl, &rc);
 
     println!("Figure 11: SWARM-KV around a memory-node crash (t=0 at the crash)");

@@ -7,7 +7,7 @@
 //! its get median is 5.59 µs against SWARM-KV's 10.75 µs (ROADMAP item 12).
 
 use crate::{report_cdfs, run_system, write_csv, ExpParams, Protocol};
-use swarm_workload::{OpType, WorkloadSpec};
+use swarm_workload::{ScenarioMix, ScenarioOpClass};
 
 /// Runs the experiment: quick volume by default, the paper's when `!quick`.
 pub fn run(quick: bool) {
@@ -21,14 +21,14 @@ pub fn run(quick: bool) {
     .sized(quick);
     println!("Figure 12: single key, 16 clients, YCSB A");
     for sys in [Protocol::SafeGuess, Protocol::Abd] {
-        let (stats, _, _) = run_system(p.seed, sys, &p, WorkloadSpec::A, |rc| {
+        let (stats, _, _) = run_system(p.seed, sys, &p, ScenarioMix::A, |rc| {
             rc.record_rtts = true;
         });
         println!("{}:", sys.name());
         report_cdfs("fig12", sys.name(), &stats);
         // §7.8's roundtrip breakdown.
         let mut rows = Vec::new();
-        for op in [OpType::Get, OpType::Update] {
+        for op in [ScenarioOpClass::Get, ScenarioOpClass::Update] {
             for r in 1..=6u64 {
                 let f = stats.rtt_fraction(op, r);
                 if f > 0.001 {

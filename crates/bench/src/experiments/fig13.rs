@@ -7,7 +7,7 @@
 //! merge in deterministic cell order.
 
 use crate::{report_cdf, run_system, sweep, write_csv, ExpParams, Protocol};
-use swarm_workload::{OpType, WorkloadSpec};
+use swarm_workload::{ScenarioMix, ScenarioOpClass};
 
 /// Runs the experiment: quick volume by default, the paper's when `!quick`.
 pub fn run(quick: bool) {
@@ -22,12 +22,16 @@ pub fn run(quick: bool) {
             measure_ops: if quick { 60_000 } else { 1_000_000 },
             ..Default::default()
         };
-        let (stats, _, _) = run_system(p.seed, Protocol::SafeGuess, &p, WorkloadSpec::B, |rc| {
+        let (stats, _, _) = run_system(p.seed, Protocol::SafeGuess, &p, ScenarioMix::B, |rc| {
             rc.record_rtts = true;
             rc.prewarm_keys = Some(p.n_keys); // steady-state caches
         });
-        let one_rtt = stats.rtt_fraction(OpType::Update, 1) * 100.0;
-        (stats.lat(OpType::Get), stats.lat(OpType::Update), one_rtt)
+        let one_rtt = stats.rtt_fraction(ScenarioOpClass::Update, 1) * 100.0;
+        (
+            stats.lat(ScenarioOpClass::Get),
+            stats.lat(ScenarioOpClass::Update),
+            one_rtt,
+        )
     });
 
     let mut rows = Vec::new();

@@ -2,7 +2,7 @@
 //! workload B, Zipfian keys, 4 clients, 100 K keys, 64 B values.
 
 use crate::{report_cdfs, run_system, ExpParams, Protocol};
-use swarm_workload::WorkloadSpec;
+use swarm_workload::ScenarioMix;
 
 /// Runs the experiment: quick volume by default, the paper's when `!quick`.
 pub fn run(quick: bool) {
@@ -12,7 +12,7 @@ pub fn run(quick: bool) {
         p.n_keys, p.clients
     );
     for sys in Protocol::all() {
-        let (stats, _, _) = run_system(p.seed, sys, &p, WorkloadSpec::B, |_| {});
+        let (stats, _, _) = run_system(p.seed, sys, &p, ScenarioMix::B, |_| {});
         println!("{}:", sys.name());
         report_cdfs("fig5", sys.name(), &stats);
     }

@@ -4,7 +4,7 @@
 //! metadata word), so SWARM-KV caches ~25% fewer keys (§7.1).
 
 use crate::{env_scaled_keys, report_cdfs, run_system, ExpParams, Protocol};
-use swarm_workload::WorkloadSpec;
+use swarm_workload::ScenarioMix;
 
 const CACHE_BYTES: usize = 5 * 1024 * 1024;
 /// The paper's keyspace, which the 5 MiB caches are sized against.
@@ -30,7 +30,7 @@ pub fn run(quick: bool) {
             cache_entries: Some(entries),
             ..base.clone()
         };
-        let (stats, _, bed) = run_system(p.seed, sys, &p, WorkloadSpec::B, |_| {});
+        let (stats, _, bed) = run_system(p.seed, sys, &p, ScenarioMix::B, |_| {});
         let coverage = entries as f64 / keys as f64 * 100.0;
         let (h, m): (u64, u64) = bed
             .clients

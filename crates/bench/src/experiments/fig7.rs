@@ -5,7 +5,7 @@
 //! merge in deterministic cell order.
 
 use crate::{mean_latency_ns, run_system, sweep, write_csv, ExpParams, Protocol};
-use swarm_workload::WorkloadSpec;
+use swarm_workload::ScenarioMix;
 
 /// Runs the experiment: quick volume by default, the paper's when `!quick`.
 pub fn run(quick: bool) {
@@ -18,7 +18,7 @@ pub fn run(quick: bool) {
     .sized(quick);
 
     let mut cells = Vec::new();
-    for (wl_name, spec) in [("A", WorkloadSpec::A), ("B", WorkloadSpec::B)] {
+    for (wl_name, spec) in [("A", ScenarioMix::A), ("B", ScenarioMix::B)] {
         for sys in [Protocol::SafeGuess, Protocol::Abd] {
             for conc in 1..=8usize {
                 cells.push((wl_name, spec, sys, conc));
@@ -37,7 +37,7 @@ pub fn run(quick: bool) {
     });
 
     let mut results = results.into_iter();
-    for (wl_name, _) in [("A", WorkloadSpec::A), ("B", WorkloadSpec::B)] {
+    for (wl_name, _) in [("A", ScenarioMix::A), ("B", ScenarioMix::B)] {
         println!("Figure 7: YCSB {wl_name}, per-core throughput vs average latency");
         println!(
             "{:<10} {:>5} {:>12} {:>12}",

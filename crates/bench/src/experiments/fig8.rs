@@ -8,7 +8,7 @@
 //! merges in cell order, so the printed numbers are thread-count-invariant.
 
 use crate::{run_system, sweep, write_csv, ExpParams, Protocol};
-use swarm_workload::{OpType, WorkloadSpec};
+use swarm_workload::{ScenarioMix, ScenarioOpClass};
 
 /// Runs the experiment: quick volume by default, the paper's when `!quick`.
 pub fn run(quick: bool) {
@@ -34,12 +34,12 @@ pub fn run(quick: bool) {
             measure_ops: 8_000 * n as u64,
             ..Default::default()
         };
-        let (stats, _, bed) = run_system(p.seed, sys, &p, WorkloadSpec::B, |_| {});
+        let (stats, _, bed) = run_system(p.seed, sys, &p, ScenarioMix::B, |_| {});
         // Hyperthread sharing beyond 32 clients (2x 8c/16t per the
         // testbed, Table 1).
         debug_assert_eq!(bed.clients.len(), n);
-        let g = stats.lat(OpType::Get).mean() / 1e3;
-        let u = stats.lat(OpType::Update).mean() / 1e3;
+        let g = stats.lat(ScenarioOpClass::Get).mean() / 1e3;
+        let u = stats.lat(ScenarioOpClass::Update).mean() / 1e3;
         let t = stats.throughput_ops() / 1e6;
         (g, u, t)
     });

@@ -6,13 +6,13 @@
 //! merge in deterministic cell order.
 
 use crate::{run_system, sweep, write_csv, ExpParams, Protocol};
-use swarm_workload::{OpType, WorkloadSpec};
+use swarm_workload::{ScenarioMix, ScenarioOpClass};
 
 /// Runs the experiment: quick volume by default, the paper's when `!quick`.
 pub fn run(quick: bool) {
     let sizes = [16usize, 64, 256, 1024, 4096, 8192];
     let mut cells = Vec::new();
-    for (wl_name, spec) in [("A", WorkloadSpec::A), ("B", WorkloadSpec::B)] {
+    for (wl_name, spec) in [("A", ScenarioMix::A), ("B", ScenarioMix::B)] {
         for inplace in [true, false] {
             for &vs in &sizes {
                 cells.push((wl_name, spec, inplace, vs));
@@ -30,14 +30,14 @@ pub fn run(quick: bool) {
             ..Default::default()
         };
         let (stats, _, _) = run_system(p.seed, Protocol::SafeGuess, &p, spec, |_| {});
-        let g = stats.lat(OpType::Get).mean() / 1e3;
-        let u = stats.lat(OpType::Update).mean() / 1e3;
+        let g = stats.lat(ScenarioOpClass::Get).mean() / 1e3;
+        let u = stats.lat(ScenarioOpClass::Update).mean() / 1e3;
         let t = stats.throughput_ops() / 1e6;
         (g, u, t)
     });
 
     let mut results = results.into_iter();
-    for (wl_name, _) in [("A", WorkloadSpec::A), ("B", WorkloadSpec::B)] {
+    for (wl_name, _) in [("A", ScenarioMix::A), ("B", ScenarioMix::B)] {
         println!("Figure 9: YCSB {wl_name}, value-size sweep");
         println!(
             "{:<10} {:>8} {:>10} {:>10} {:>12}",

@@ -2,7 +2,7 @@
 //! 99th percentile — under YCSB B (§7.1's standard workload).
 
 use crate::{run_system, write_csv, ExpParams, Protocol};
-use swarm_workload::{OpType, WorkloadSpec};
+use swarm_workload::{ScenarioMix, ScenarioOpClass};
 
 /// Runs the experiment: quick volume by default, the paper's when `!quick`.
 pub fn run(quick: bool) {
@@ -21,12 +21,12 @@ pub fn run(quick: bool) {
     );
     let mut rows = Vec::new();
     for sys in Protocol::all() {
-        let (stats, _, _) = run_system(p.seed, sys, &p, WorkloadSpec::B, |rc| {
+        let (stats, _, _) = run_system(p.seed, sys, &p, ScenarioMix::B, |rc| {
             rc.record_rtts = true;
             // Table 2 reports the steady state: all locations cached.
             rc.prewarm_keys = Some(p.n_keys);
         });
-        let common = |op: OpType| {
+        let common = |op: ScenarioOpClass| {
             // The most frequent roundtrip count.
             stats
                 .rtt_counts(op)
@@ -35,9 +35,12 @@ pub fn run(quick: bool) {
                 .map(|(&r, _)| r)
                 .unwrap_or(0)
         };
-        let (gc, uc) = (common(OpType::Get), common(OpType::Update));
-        let gp = stats.rtt_percentile(OpType::Get, 99.0);
-        let up = stats.rtt_percentile(OpType::Update, 99.0);
+        let (gc, uc) = (
+            common(ScenarioOpClass::Get),
+            common(ScenarioOpClass::Update),
+        );
+        let gp = stats.rtt_percentile(ScenarioOpClass::Get, 99.0);
+        let up = stats.rtt_percentile(ScenarioOpClass::Update, 99.0);
         println!(
             "{:<10} {:>12} {:>14} {:>9} {:>11}",
             sys.name(),

@@ -10,7 +10,7 @@
 use crate::{mean_latency_ns, run_system, write_csv, ExpParams, Protocol};
 use swarm_kv::OP_OVERHEAD_NS;
 use swarm_sim::NANOS_PER_SEC;
-use swarm_workload::WorkloadSpec;
+use swarm_workload::ScenarioMix;
 
 /// Runs the experiment: quick volume by default, the paper's when `!quick`.
 pub fn run(quick: bool) {
@@ -31,7 +31,7 @@ pub fn run(quick: bool) {
     let mut rows = Vec::new();
     for sys in Protocol::all() {
         let p = p0.clone();
-        let (stats, _, bed) = run_system(p.seed, sys, &p, WorkloadSpec::B, |rc| {
+        let (stats, _, bed) = run_system(p.seed, sys, &p, ScenarioMix::B, |rc| {
             rc.pace_ns = Some(pace_ns);
         });
         let dur_ns = (stats.end_ns - stats.start_ns).max(1);

@@ -54,7 +54,7 @@ use swarm_kv::{
     CacheCapacity, KvStore, RunConfig, RunStats, StoreBuilder, StoreClient, StoreCluster,
 };
 use swarm_sim::{Histogram, Sim};
-use swarm_workload::{OpType, Workload, WorkloadSpec};
+use swarm_workload::{ScenarioMix, ScenarioOpClass, Workload};
 
 pub use swarm_kv::Protocol;
 
@@ -140,7 +140,7 @@ impl ExpParams {
 
     /// The YCSB workload object for this experiment (keyspace shrunk under
     /// `SWARM_BENCH_OPS_SCALE`, consistently with [`build`]).
-    pub fn workload(&self, spec: WorkloadSpec) -> Workload {
+    pub fn workload(&self, spec: ScenarioMix) -> Workload {
         Workload::ycsb(spec, env_scaled_keys(self.n_keys), self.value_size)
     }
 
@@ -167,7 +167,7 @@ pub struct Testbed {
 /// Builds (and bulk-loads) one system under test.
 pub fn build(sim: &Sim, sys: Protocol, p: &ExpParams) -> Testbed {
     let n_keys = env_scaled_keys(p.n_keys);
-    let wl = p.workload(WorkloadSpec::C);
+    let wl = p.workload(ScenarioMix::C);
     let cluster = p.builder(sys).build_cluster(sim);
     cluster.load_keys(n_keys, |k| wl.value_for(k, 0));
     let clients = cluster.clients(p.clients);
@@ -188,7 +188,7 @@ pub fn run_system(
     seed: u64,
     sys: Protocol,
     p: &ExpParams,
-    spec: WorkloadSpec,
+    spec: ScenarioMix,
     tweak: impl FnOnce(&mut RunConfig),
 ) -> (RunStats, Sim, Testbed) {
     let sim = Sim::new(seed);
@@ -213,7 +213,10 @@ pub fn mean_latency_ns(stats: &RunStats) -> f64 {
 /// [`report_cdf`] for a run's gets and updates, as series `<name>_get` and
 /// `<name>_update`.
 pub fn report_cdfs(exp: &str, name: &str, stats: &RunStats) {
-    for (op, suffix) in [(OpType::Get, "get"), (OpType::Update, "update")] {
+    for (op, suffix) in [
+        (ScenarioOpClass::Get, "get"),
+        (ScenarioOpClass::Update, "update"),
+    ] {
         report_cdf(exp, &format!("{name}_{suffix}"), &mut stats.lat(op));
     }
 }

@@ -7,17 +7,15 @@
 //! their [`OpSource`].
 //!
 //! The unit of work is the six-class [`ScenarioOp`]; a YCSB op is its
-//! four-class case ([`ScenarioOp::ycsb`]). Payloads come from a caller
-//! supplied `value(key, version)`: `Workload::value_for` and
-//! `scenario_value` differ in their first eight bytes, and recorded
-//! histories depend on them.
+//! four-class case, built by the same [`ScenarioOp::new`]. Every payload is
+//! `scenario_value(key, version, size)` at the worker's one value size.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use swarm_sim::{Histogram, Nanos, Sim, TimeSeries, NANOS_PER_MILLI, NANOS_PER_SEC};
-use swarm_workload::{ScenarioOp, ScenarioOpClass, Workload};
+use swarm_workload::{scenario_value, ScenarioOp, ScenarioOpClass, Workload};
 
 use crate::runner::RunConfig;
 use crate::store::{KvResult, KvStore};
@@ -65,19 +63,18 @@ impl RunStats {
         self.measured_ops as f64 * NANOS_PER_SEC as f64 / (self.end_ns - self.start_ns) as f64
     }
 
-    /// Latency histogram for one class — an `OpType` or a
-    /// `ScenarioOpClass` (empty histogram if none ran).
-    pub fn lat(&self, class: impl Into<ScenarioOpClass>) -> Histogram {
-        self.latency[class.into() as usize].clone()
+    /// Latency histogram for one class (empty histogram if none ran).
+    pub fn lat(&self, class: ScenarioOpClass) -> Histogram {
+        self.latency[class as usize].clone()
     }
 
     /// Roundtrip counts (`rtts -> ops`) for one class.
-    pub fn rtt_counts(&self, class: impl Into<ScenarioOpClass>) -> &BTreeMap<u64, u64> {
-        &self.rtts[class.into() as usize]
+    pub fn rtt_counts(&self, class: ScenarioOpClass) -> &BTreeMap<u64, u64> {
+        &self.rtts[class as usize]
     }
 
     /// Fraction of `class` operations that used exactly `r` roundtrips.
-    pub fn rtt_fraction(&self, class: impl Into<ScenarioOpClass>, r: u64) -> f64 {
+    pub fn rtt_fraction(&self, class: ScenarioOpClass, r: u64) -> f64 {
         let m = self.rtt_counts(class);
         let total: u64 = m.values().sum();
         if total == 0 {
@@ -87,7 +84,7 @@ impl RunStats {
     }
 
     /// The roundtrip count at percentile `p` for `class`.
-    pub fn rtt_percentile(&self, class: impl Into<ScenarioOpClass>, p: f64) -> u64 {
+    pub fn rtt_percentile(&self, class: ScenarioOpClass, p: f64) -> u64 {
         let m = self.rtt_counts(class);
         let total: u64 = m.values().sum();
         let target = (p / 100.0 * total as f64).ceil() as u64;
@@ -136,14 +133,12 @@ fn wrote(r: KvResult<()>) -> Executed {
     }
 }
 
-/// Executes one operation against `store`. Payloads are built only for
-/// mutating ops, at the moment they are issued (`value` is pure, so the
-/// laziness cannot perturb the execution).
-pub(crate) async fn execute<S: KvStore>(
-    store: &S,
-    op: ScenarioOp,
-    value: &impl Fn(u64, u64) -> Vec<u8>,
-) -> Executed {
+/// Executes one operation against `store`, writing `value_size`-byte
+/// payloads. Payloads are built only for mutating ops, at the moment they
+/// are issued (`scenario_value` is pure, so the laziness cannot perturb the
+/// execution).
+pub(crate) async fn execute<S: KvStore>(store: &S, op: ScenarioOp, value_size: usize) -> Executed {
+    let value = |key, version| scenario_value(key, version, value_size);
     match op {
         ScenarioOp::Get { key } => match store.get(key).await {
             Ok(Some(_)) => Executed::Done,
@@ -217,10 +212,11 @@ impl OpSource {
                 // CPU work: the `table2`/`fig5` ≡ `BENCH_seed.json` contract
                 // pins this order.
                 let rng = sim.rng();
-                let (op, key) = workload.next_op(rng.rand_u64(), rng.rand_f64());
+                let (class, key) = workload.next_op(rng.rand_u64(), rng.rand_f64());
                 let mut b = budget.borrow_mut();
                 b.version += 1;
-                ScenarioOp::ycsb(op, key, b.version)
+                // No scan limit: `run_workload` refuses a mix with scans.
+                ScenarioOp::new(class, key, b.version, 0)
             }
             OpSource::Planned(ops) => ops.next().expect("a claimed op").1,
         }
@@ -235,18 +231,18 @@ pub(crate) struct Run {
     pub active: Cell<usize>,
 }
 
-/// One client worker: its op source, the knobs that pace it, the payload
-/// function, and the run it records into.
-pub(crate) struct Worker<V> {
+/// One client worker: its op source, the knobs that pace it, the size of
+/// the payloads it writes, and the run it records into.
+pub(crate) struct Worker {
     pub source: OpSource,
     /// The per-op knobs; the volume knobs belong to whoever built `source`.
     pub cfg: RunConfig,
-    /// Builds a mutation's payload from `(key, version)`.
-    pub value: V,
+    /// Every mutation writes `scenario_value(key, version, value_size)`.
+    pub value_size: usize,
     pub run: Rc<Run>,
 }
 
-impl<V: Fn(u64, u64) -> Vec<u8> + 'static> Worker<V> {
+impl Worker {
     /// Spawns the worker loop on `sim` against `store`: claim an op, pay
     /// its client CPU work, execute it, record it — until the source runs
     /// dry or the deadline passes.
@@ -277,7 +273,7 @@ impl<V: Fn(u64, u64) -> Vec<u8> + 'static> Worker<V> {
                 let op = self.source.take(&sim);
 
                 let (r0, t0) = (store.rounds(), sim.now());
-                let result = execute(&*store, op, &self.value).await;
+                let result = execute(&*store, op, self.value_size).await;
                 let t1 = sim.now();
 
                 if measured {
@@ -321,7 +317,7 @@ pub(crate) fn drive(sim: &Sim, run: &Run) -> RunStats {
 mod tests {
     use super::*;
     use crate::{Protocol, StoreBuilder};
-    use swarm_workload::OpType;
+    use swarm_workload::ScenarioMix;
 
     /// The workers of one client share its roundtrip counter, so a per-op
     /// delta exists only at concurrency 1; above it nothing is recorded
@@ -335,7 +331,7 @@ mod tests {
             crate::run_workload(
                 &sim,
                 &cluster.clients(1),
-                &Workload::ycsb(swarm_workload::WorkloadSpec::B, 64, 64),
+                &Workload::ycsb(ScenarioMix::B, 64, 64),
                 &RunConfig {
                     warmup_ops: 100,
                     measure_ops: 400,
@@ -346,45 +342,12 @@ mod tests {
             )
         };
         let sequential = run(1);
-        let recorded: u64 = sequential.rtt_counts(OpType::Get).values().sum();
-        assert_eq!(recorded, sequential.lat(OpType::Get).len() as u64);
+        let recorded: u64 = sequential.rtt_counts(ScenarioOpClass::Get).values().sum();
+        assert_eq!(recorded, sequential.lat(ScenarioOpClass::Get).len() as u64);
         let overlapped = run(4);
         assert_eq!(overlapped.measured_ops, 400);
         for class in ScenarioOpClass::all() {
             assert!(overlapped.rtt_counts(class).is_empty(), "{class:?}");
         }
-    }
-
-    /// Every field set to something distinctive, derived from `n`.
-    fn stats(n: u64) -> RunStats {
-        let mut s = RunStats {
-            series: Some(TimeSeries::new(1_000)),
-            scanned_items: n,
-            ..Default::default()
-        };
-        s.record(ScenarioOpClass::Get, 100 * n, 100 * n + 10, true);
-        s.record(ScenarioOpClass::Rmw, 100 * n + 10, 100 * n + 50, false);
-        for rtts in [n, 9] {
-            *s.rtts[ScenarioOpClass::Get as usize]
-                .entry(rtts)
-                .or_insert(0) += 1;
-        }
-        s
-    }
-
-    #[test]
-    fn lat_takes_either_class_type() {
-        let s = stats(3);
-        for (op, class) in [
-            (OpType::Get, ScenarioOpClass::Get),
-            (OpType::Update, ScenarioOpClass::Update),
-            (OpType::Insert, ScenarioOpClass::Insert),
-            (OpType::Delete, ScenarioOpClass::Delete),
-        ] {
-            assert_eq!(ScenarioOpClass::from(op), class);
-            assert_eq!(s.lat(op).len(), s.lat(class).len());
-            assert_eq!(s.lat(op).cdf(2), s.lat(class).cdf(2));
-        }
-        assert_eq!(s.lat(OpType::Get).len(), 1);
     }
 }

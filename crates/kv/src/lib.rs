@@ -76,9 +76,8 @@
 //! and record latency and roundtrips — and the crate has one copy of it
 //! (`exec.rs`): one `execute` of a six-class op (a YCSB op is the
 //! four-class case) against any [`KvStore`], one worker loop, one result
-//! type ([`RunStats`], whose `lat` takes an `OpType` or a
-//! `ScenarioOpClass`). The two drivers differ only in where a worker's ops
-//! come from:
+//! type ([`RunStats`], indexed by `ScenarioOpClass`). The two drivers
+//! differ only in where a worker's ops come from:
 //!
 //! * [`run_workload`] draws YCSB ops from the simulation's RNG stream at
 //!   runtime against a shared op budget — with several ops in flight per

@@ -28,7 +28,7 @@ use crate::store::{KvError, KvResult, KvStore, ScanItems};
 
 /// Derives the checker's `u64` value tag from stored bytes: the first 8
 /// bytes little-endian (values of 8+ bytes with distinct prefixes — e.g.
-/// `Workload::value_for` payloads or tag-prefixed chaos values — map to
+/// `scenario_value` payloads or tag-prefixed chaos values — map to
 /// distinct tags), or an xxh64 for shorter payloads.
 pub fn value_tag(value: &[u8]) -> u64 {
     if value.len() >= 8 {
@@ -255,12 +255,12 @@ mod tests {
     /// clients on one key, YCSB A, 70 000 ops recorded and checked whole.
     #[test]
     fn sixteen_clients_on_one_key_linearize_at_bench_volume() {
-        use swarm_workload::{Workload, WorkloadSpec};
+        use swarm_workload::{ScenarioMix, Workload};
         let sim = Sim::new(16);
         let cluster = StoreBuilder::new(Protocol::SafeGuess)
             .max_clients(16)
             .build_cluster(&sim);
-        let wl = Workload::ycsb(WorkloadSpec::A, 1, 64);
+        let wl = Workload::ycsb(ScenarioMix::A, 1, 64);
         let rec = HistoryRecorder::new(&sim);
         cluster.load_keys(1, |k| {
             let v = wl.value_for(k, 0);

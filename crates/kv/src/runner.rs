@@ -62,12 +62,24 @@ impl Default for RunConfig {
 /// This is the runtime-drawn driver of the one op path (`exec.rs`):
 /// workers claim op slots from a run-wide budget and draw each `(op, key)`
 /// from the simulation's RNG stream.
+///
+/// # Panics
+///
+/// Panics if the mix has a scan or read-modify-write share: this driver
+/// draws YCSB's four classes only (`run_scenario` runs all six).
 pub fn run_workload<S: KvStore + 'static>(
     sim: &Sim,
     stores: &[Rc<S>],
     workload: &Workload,
     cfg: &RunConfig,
 ) -> RunStats {
+    let mix = workload.spec;
+    assert!(
+        mix.scan_pct == 0 && mix.rmw_pct == 0,
+        "run_workload draws no scans or RMWs, but the mix has a {}% scan and a {}% RMW share",
+        mix.scan_pct,
+        mix.rmw_pct
+    );
     let run = Rc::new(Run::default());
     run.stats.borrow_mut().series = cfg.bucket_ns.map(TimeSeries::new);
     let budget = Rc::new(RefCell::new(Budget {
@@ -77,18 +89,45 @@ pub fn run_workload<S: KvStore + 'static>(
     }));
     for store in stores {
         for _ in 0..cfg.concurrency {
-            let payloads = workload.clone();
             Worker {
                 source: OpSource::Drawn {
                     workload: workload.clone(),
                     budget: Rc::clone(&budget),
                 },
                 cfg: cfg.clone(),
-                value: move |key, version| payloads.value_for(key, version),
+                value_size: workload.value_size,
                 run: Rc::clone(&run),
             }
             .spawn(sim, Rc::clone(store));
         }
     }
     drive(sim, &run)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::StoreClient;
+    use swarm_workload::ScenarioMix;
+
+    /// A mix with a scan or RMW share is refused before anything runs, and
+    /// the message names the shares.
+    #[test]
+    #[should_panic(expected = "has a 10% scan and a 20% RMW share")]
+    fn a_mix_with_scans_or_rmws_is_refused() {
+        let mix = ScenarioMix {
+            get_pct: 60,
+            update_pct: 10,
+            insert_pct: 0,
+            delete_pct: 0,
+            scan_pct: 10,
+            rmw_pct: 20,
+        };
+        run_workload::<StoreClient>(
+            &Sim::new(1),
+            &[],
+            &Workload::ycsb(mix, 64, 64),
+            &RunConfig::default(),
+        );
+    }
 }

@@ -17,7 +17,7 @@
 use std::rc::Rc;
 
 use swarm_sim::Sim;
-use swarm_workload::{scenario_value, ScenarioOp, ScenarioSpec};
+use swarm_workload::{ScenarioOp, ScenarioSpec};
 
 use crate::exec::{drive, OpSource, Run, RunStats, Worker};
 use crate::runner::RunConfig;
@@ -66,12 +66,11 @@ pub fn run_scenario<S: KvStore + 'static>(
     }
 
     let run = Rc::new(Run::default());
-    let cap = cfg.value_cap;
     for (store, slice) in stores.iter().zip(slices) {
         Worker {
             source: OpSource::Planned(slice.into_iter()),
             cfg: RunConfig::default(),
-            value: move |key, version| scenario_value(key, version, cap),
+            value_size: cfg.value_cap,
             run: Rc::clone(&run),
         }
         .spawn(sim, Rc::clone(store));
@@ -84,7 +83,7 @@ mod tests {
     use super::*;
     use crate::store::{KvResult, ScanItems};
     use crate::{Protocol, StoreBuilder};
-    use swarm_workload::{Phase, ScenarioMix, ScenarioOpClass};
+    use swarm_workload::{scenario_value, Phase, ScenarioMix, ScenarioOpClass};
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec::new("mixed", 64)

@@ -361,7 +361,7 @@ mod tests {
     /// reads 1.33x here).
     #[test]
     fn a_router_is_one_client_whatever_the_shard_count() {
-        use swarm_workload::{Workload, WorkloadSpec, Zipfian};
+        use swarm_workload::{ScenarioMix, Workload, Zipfian};
         let throughput = |shards: usize, concurrency: usize| {
             let sim = Sim::new(48);
             let cluster = crate::StoreBuilder::new(Protocol::SafeGuess)
@@ -369,7 +369,7 @@ mod tests {
                 .max_clients(2)
                 .shards(shards)
                 .build_sharded(&sim);
-            let mut wl = Workload::ycsb(WorkloadSpec::C, 512, 64);
+            let mut wl = Workload::ycsb(ScenarioMix::C, 512, 64);
             wl.keys = Zipfian::uniform(512);
             cluster.load_keys(512, |k| wl.value_for(k, 0));
             let cfg = crate::RunConfig {

@@ -5,7 +5,7 @@
 
 use swarm_kv::{run_workload, Protocol, RunConfig, StoreBuilder};
 use swarm_sim::Sim;
-use swarm_workload::{Workload, WorkloadSpec};
+use swarm_workload::{ScenarioMix, Workload};
 
 #[test]
 fn harness_environment_does_not_reach_the_library() {
@@ -16,7 +16,7 @@ fn harness_environment_does_not_reach_the_library() {
         measure_ops: 2_000,
         ..Default::default()
     };
-    let wl = Workload::ycsb(WorkloadSpec::B, 256, 64);
+    let wl = Workload::ycsb(ScenarioMix::B, 256, 64);
 
     let sim = Sim::new(5);
     let cluster = StoreBuilder::new(Protocol::SafeGuess).build_cluster(&sim);

@@ -11,7 +11,7 @@ use swarm_kv::{
     StoreBuilder, StoreCluster,
 };
 use swarm_sim::{join_boxed, BoxFuture, Jitter, Sim};
-use swarm_workload::{OpType, Workload, WorkloadSpec};
+use swarm_workload::{ScenarioMix, ScenarioOpClass, Workload};
 
 /// Boxes one op for `join_boxed`, which runs a list of them concurrently
 /// and returns their results in input order.
@@ -310,7 +310,7 @@ fn table2_roundtrip_counts() {
         run_workload(
             &sim,
             &clients,
-            &Workload::ycsb(WorkloadSpec::B, 64, 64),
+            &Workload::ycsb(ScenarioMix::B, 64, 64),
             &RunConfig {
                 warmup_ops: 2_000,
                 measure_ops: 2_000,
@@ -322,43 +322,43 @@ fn table2_roundtrip_counts() {
 
     let stats = run_one(5, Protocol::SafeGuess);
     assert!(
-        stats.rtt_fraction(OpType::Get, 1) > 0.95,
+        stats.rtt_fraction(ScenarioOpClass::Get, 1) > 0.95,
         "SWARM gets in 1 RTT: {}",
-        stats.rtt_fraction(OpType::Get, 1)
+        stats.rtt_fraction(ScenarioOpClass::Get, 1)
     );
     assert!(
-        stats.rtt_fraction(OpType::Update, 1) > 0.90,
+        stats.rtt_fraction(ScenarioOpClass::Update, 1) > 0.90,
         "SWARM updates in 1 RTT: {}",
-        stats.rtt_fraction(OpType::Update, 1)
+        stats.rtt_fraction(ScenarioOpClass::Update, 1)
     );
-    assert_eq!(stats.rtt_percentile(OpType::Get, 99.0), 1);
+    assert_eq!(stats.rtt_percentile(ScenarioOpClass::Get, 99.0), 1);
 
     let stats = run_one(6, Protocol::Abd);
     assert!(
-        stats.rtt_fraction(OpType::Get, 2) > 0.9,
+        stats.rtt_fraction(ScenarioOpClass::Get, 2) > 0.9,
         "DM-ABD gets in 2 RTTs: {}",
-        stats.rtt_fraction(OpType::Get, 2)
+        stats.rtt_fraction(ScenarioOpClass::Get, 2)
     );
     assert!(
-        stats.rtt_fraction(OpType::Update, 2) > 0.9,
+        stats.rtt_fraction(ScenarioOpClass::Update, 2) > 0.9,
         "DM-ABD updates in 2 RTTs: {}",
-        stats.rtt_fraction(OpType::Update, 2)
+        stats.rtt_fraction(ScenarioOpClass::Update, 2)
     );
 
     let stats = run_one(7, Protocol::Fusee);
-    let f1 = stats.rtt_fraction(OpType::Get, 1);
-    let f2 = stats.rtt_fraction(OpType::Get, 2);
+    let f1 = stats.rtt_fraction(ScenarioOpClass::Get, 1);
+    let f2 = stats.rtt_fraction(ScenarioOpClass::Get, 2);
     assert!(f1 + f2 > 0.99, "FUSEE gets 1-2 RTTs: {f1}+{f2}");
     assert!(f1 > 0.5, "most FUSEE gets cached: {f1}");
     assert!(
-        stats.rtt_fraction(OpType::Update, 4) > 0.9,
+        stats.rtt_fraction(ScenarioOpClass::Update, 4) > 0.9,
         "FUSEE updates in 4 RTTs: {}",
-        stats.rtt_fraction(OpType::Update, 4)
+        stats.rtt_fraction(ScenarioOpClass::Update, 4)
     );
 
     let stats = run_one(8, Protocol::Raw);
-    assert!(stats.rtt_fraction(OpType::Get, 1) > 0.99);
-    assert!(stats.rtt_fraction(OpType::Update, 1) > 0.99);
+    assert!(stats.rtt_fraction(ScenarioOpClass::Get, 1) > 0.99);
+    assert!(stats.rtt_fraction(ScenarioOpClass::Update, 1) > 0.99);
 }
 
 /// §7.1 calibration: median latencies must land near the paper's
@@ -371,15 +371,15 @@ fn latency_medians_match_paper_shape() {
         measure_ops: 10_000,
         ..Default::default()
     };
-    let wl = Workload::ycsb(WorkloadSpec::B, 1_000, 64);
+    let wl = Workload::ycsb(ScenarioMix::B, 1_000, 64);
     let medians = |seed: u64, proto: Protocol| {
         let sim = Sim::new(seed);
         let cluster = built(&sim, proto, 1_000);
         let clients = cluster.clients(4);
         let stats = run_workload(&sim, &clients, &wl, &cfg);
         (
-            stats.lat(OpType::Get).median() as f64 / 1e3,
-            stats.lat(OpType::Update).median() as f64 / 1e3,
+            stats.lat(ScenarioOpClass::Get).median() as f64 / 1e3,
+            stats.lat(ScenarioOpClass::Update).median() as f64 / 1e3,
         )
     };
 
@@ -435,7 +435,7 @@ fn runner_reports_throughput_and_latency() {
     let stats = run_workload(
         &sim,
         &clients,
-        &Workload::ycsb(WorkloadSpec::A, 128, 64),
+        &Workload::ycsb(ScenarioMix::A, 128, 64),
         &RunConfig {
             warmup_ops: 200,
             measure_ops: 1_000,
@@ -449,8 +449,8 @@ fn runner_reports_throughput_and_latency() {
         "{}",
         stats.throughput_ops()
     );
-    assert!(stats.lat(OpType::Get).len() > 300);
-    assert!(stats.lat(OpType::Update).len() > 300);
+    assert!(stats.lat(ScenarioOpClass::Get).len() > 300);
+    assert!(stats.lat(ScenarioOpClass::Update).len() > 300);
 }
 
 #[test]
@@ -462,7 +462,7 @@ fn concurrent_ops_increase_throughput() {
         run_workload(
             &sim,
             &clients,
-            &Workload::ycsb(WorkloadSpec::B, 512, 64),
+            &Workload::ycsb(ScenarioMix::B, 512, 64),
             &RunConfig {
                 warmup_ops: 500,
                 measure_ops: 4_000,
@@ -737,7 +737,7 @@ fn runner_drives_sharded_routers_with_per_shard_stats() {
     let stats = run_workload(
         &sim,
         &routers,
-        &Workload::ycsb(WorkloadSpec::B, 512, 64),
+        &Workload::ycsb(ScenarioMix::B, 512, 64),
         &RunConfig {
             warmup_ops: 200,
             measure_ops: 2_000,

@@ -135,14 +135,16 @@ pub enum ScenarioOp {
 }
 
 impl ScenarioOp {
-    /// The four-class case: a YCSB `(op, key, version)` draw as a resolved
-    /// operation.
-    pub fn ycsb(op: crate::OpType, key: u64, version: u64) -> ScenarioOp {
-        match op {
-            crate::OpType::Get => ScenarioOp::Get { key },
-            crate::OpType::Update => ScenarioOp::Update { key, version },
-            crate::OpType::Insert => ScenarioOp::Insert { key, version },
-            crate::OpType::Delete => ScenarioOp::Delete { key },
+    /// The op of class `class` on `key`: `version` tags a mutation's
+    /// payload and `limit` bounds a scan; a class without one ignores it.
+    pub fn new(class: ScenarioOpClass, key: u64, version: u64, limit: usize) -> ScenarioOp {
+        match class {
+            ScenarioOpClass::Get => ScenarioOp::Get { key },
+            ScenarioOpClass::Update => ScenarioOp::Update { key, version },
+            ScenarioOpClass::Insert => ScenarioOp::Insert { key, version },
+            ScenarioOpClass::Delete => ScenarioOp::Delete { key },
+            ScenarioOpClass::Scan => ScenarioOp::Scan { start: key, limit },
+            ScenarioOpClass::Rmw => ScenarioOp::Rmw { key, version },
         }
     }
 
@@ -171,9 +173,9 @@ impl ScenarioOp {
     }
 }
 
-/// A six-way operation mix (percentages must sum to 100). Extends the
-/// four-way [`crate::WorkloadSpec`] with scans and read-modify-writes,
-/// which completes the standard YCSB core workload family A–F.
+/// A six-way operation mix (percentages must sum to 100): the standard
+/// YCSB core workload family A–F. A mix without scans or read-modify-writes
+/// is YCSB's four-class case, what `swarm_kv::run_workload` draws.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScenarioMix {
     /// Percent of point reads.
@@ -290,31 +292,6 @@ impl ScenarioMix {
             return ScenarioOpClass::Scan;
         }
         ScenarioOpClass::Rmw
-    }
-}
-
-impl From<crate::WorkloadSpec> for ScenarioMix {
-    /// Widens a four-way mix (no scans, no RMWs) into the six-way form.
-    fn from(s: crate::WorkloadSpec) -> Self {
-        ScenarioMix {
-            get_pct: s.get_pct,
-            update_pct: s.update_pct,
-            insert_pct: s.insert_pct,
-            delete_pct: s.delete_pct,
-            ..Self::ZERO
-        }
-    }
-}
-
-impl From<crate::OpType> for ScenarioOpClass {
-    /// The four YCSB op kinds are the first four classes.
-    fn from(op: crate::OpType) -> Self {
-        match op {
-            crate::OpType::Get => ScenarioOpClass::Get,
-            crate::OpType::Update => ScenarioOpClass::Update,
-            crate::OpType::Insert => ScenarioOpClass::Insert,
-            crate::OpType::Delete => ScenarioOpClass::Delete,
-        }
     }
 }
 
@@ -447,20 +424,31 @@ impl ScenarioSpec {
     }
 }
 
-/// Deterministic per-`(key, version)` payload of exactly `size` bytes: the
-/// first 8 bytes are a little-endian tag unique per `(key, version)` (what
-/// `swarm_kv::value_tag` recovers), the rest a tag-derived pattern.
-/// Mirrors `Workload::value_for` with an explicit size.
+/// Deterministic per-`(key, version)` payload of exactly `size` bytes, the
+/// one payload every driver writes.
+///
+/// Byte `i` is `tag[i % 8] ^ (i as u8)` for the little-endian bytes of
+/// `tag = key * 0x9E3779B97F4A7C15 + version`: a pattern that repeats
+/// every 256 bytes, so one block is built a word at a time and copied. The
+/// first 8 bytes (what `swarm_kv::value_tag` reads) are `tag` XOR a
+/// constant, so they are unique per `(key, version)`.
 pub fn scenario_value(key: u64, version: u64, size: usize) -> Vec<u8> {
-    let mut v = vec![0u8; size];
-    let tag = key
-        .wrapping_mul(0x9E3779B97F4A7C15)
-        .wrapping_add(version)
-        .to_le_bytes();
-    for (i, b) in v.iter_mut().enumerate() {
-        *b = tag[i % 8] ^ (i as u8);
+    let tag = key.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(version);
+    let mut block = [0u8; 256];
+    for (j, w) in block[..size.min(256).next_multiple_of(8)]
+        .chunks_exact_mut(8)
+        .enumerate()
+    {
+        // Byte indices `8j..8j + 8`, one per lane; `8j + 7 < 256`, so no
+        // lane carries into the next.
+        let index = 0x0101_0101_0101_0101 * (8 * j as u64) + 0x0706_0504_0302_0100;
+        w.copy_from_slice(&(tag ^ index).to_le_bytes());
     }
-    v[..8.min(size)].copy_from_slice(&tag[..8.min(size)]);
+    let mut v = Vec::with_capacity(size);
+    while size - v.len() >= 256 {
+        v.extend_from_slice(&block);
+    }
+    v.extend_from_slice(&block[..size - v.len()]);
     v
 }
 
@@ -503,17 +491,12 @@ impl Iterator for ScenarioStream<'_> {
         let class = phase.mix.pick(self.rng.roll(100));
         let rank_u = self.rng.next_f64();
         let key = sample_rotated(keys, rank_u, phase.rotation);
-        Some(match class {
-            ScenarioOpClass::Get => ScenarioOp::Get { key },
-            ScenarioOpClass::Update => ScenarioOp::Update { key, version },
-            ScenarioOpClass::Insert => ScenarioOp::Insert { key, version },
-            ScenarioOpClass::Delete => ScenarioOp::Delete { key },
-            ScenarioOpClass::Scan => ScenarioOp::Scan {
-                start: key,
-                limit: 1 + self.rng.roll(self.spec.scan_max_len as u64) as usize,
-            },
-            ScenarioOpClass::Rmw => ScenarioOp::Rmw { key, version },
-        })
+        // Only a scan draws its length, after its key.
+        let limit = match class {
+            ScenarioOpClass::Scan => 1 + self.rng.roll(self.spec.scan_max_len as u64) as usize,
+            _ => 0,
+        };
+        Some(ScenarioOp::new(class, key, version, limit))
     }
 }
 
@@ -628,6 +611,32 @@ mod tests {
         assert_eq!(f_rmws, 50);
     }
 
+    /// The edges run get → update → insert → delete: the draws a four-class
+    /// mix (`run_workload`'s figures, `driver_parity`'s `MIXED`) turn into
+    /// ops depend on that order.
+    #[test]
+    fn pick_order_is_get_update_insert_delete() {
+        let mixed = ScenarioMix {
+            get_pct: 50,
+            update_pct: 30,
+            insert_pct: 10,
+            delete_pct: 10,
+            scan_pct: 0,
+            rmw_pct: 0,
+        };
+        let expected = [
+            (ScenarioOpClass::Get, 50),
+            (ScenarioOpClass::Update, 30),
+            (ScenarioOpClass::Insert, 10),
+            (ScenarioOpClass::Delete, 10),
+        ]
+        .into_iter()
+        .flat_map(|(class, n)| std::iter::repeat_n(class, n));
+        for (roll, class) in (0..100).zip(expected) {
+            assert_eq!(mixed.pick(roll), class, "roll {roll}");
+        }
+    }
+
     #[test]
     fn keys_stay_in_range_and_scans_respect_bounds() {
         let spec = six_mix_spec(2_000);
@@ -678,10 +687,13 @@ mod tests {
         assert_eq!(scenario_value(1, 0, 64).len(), 64);
         assert_ne!(scenario_value(1, 0, 64), scenario_value(2, 0, 64));
         assert_ne!(scenario_value(1, 0, 64), scenario_value(1, 1, 64));
-        // The tag prefix round-trips through a first-8-bytes-LE reader.
+        // A first-8-bytes-LE reader sees the tag XOR the bytes' indices.
         let v = scenario_value(3, 7, 64);
         let tag = u64::from_le_bytes(v[..8].try_into().unwrap());
-        assert_eq!(tag, 3u64.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(7));
+        assert_eq!(
+            tag,
+            3u64.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(7) ^ 0x0706_0504_0302_0100
+        );
     }
 
     #[test]

@@ -66,7 +66,9 @@ impl Zipfian {
     pub fn sample(&self, u: f64) -> u64 {
         let rank = self.sample_rank(u);
         if self.scramble {
-            // Fibonacci-hash scramble, bijective over 0..n via re-ranking.
+            // Hash scramble spreading hot ranks over the key space. Not a
+            // bijection on 0..n: `scramble64(rank) % n` collides
+            // occasionally, as YCSB's own does.
             scramble64(rank) % self.n
         } else {
             rank

@@ -20,7 +20,7 @@ use swarm_tests::{
     assert_linearizable, cell, chaos_hedge, seeds, tagged, MixedWorker, PlanKind, INITIAL_TAG_BASE,
     OP_DEADLINE_NS, VALUE_SIZE,
 };
-use swarm_workload::{Workload, WorkloadSpec, Zipfian};
+use swarm_workload::{ScenarioMix, Workload, Zipfian};
 
 const KEYS: u64 = 12;
 const CLIENTS: usize = 3;
@@ -348,10 +348,8 @@ fn runner_workloads_emit_checkable_histories_under_chaos() {
     let clients: Vec<_> = (0..CLIENTS)
         .map(|cid| rec.wrap(cluster.client(cid)))
         .collect();
-    // A near-uniform key distribution keeps every per-key subhistory well
-    // under the checker's 128-op bound.
     let workload = Workload {
-        spec: WorkloadSpec::A,
+        spec: ScenarioMix::A,
         keys: Zipfian::new(n_keys, 0.2, true),
         value_size: VALUE_SIZE,
     };

@@ -10,7 +10,7 @@ use swarm_core::{KvHistory, KvOpKind};
 use swarm_fabric::NodeId;
 use swarm_kv::{run_workload, KvStore, Protocol, RunConfig, StoreBuilder, StoreCluster};
 use swarm_sim::{Sim, NANOS_PER_MILLI};
-use swarm_workload::{OpType, Workload, WorkloadSpec};
+use swarm_workload::{ScenarioMix, ScenarioOpClass, Workload};
 
 /// A cluster whose loaded values encode the key in the first 8 bytes.
 fn cluster(sim: &Sim, proto: Protocol, n_keys: u64) -> StoreCluster {
@@ -32,7 +32,7 @@ fn same_seed_reproduces_identical_results() {
         let stats = run_workload(
             &sim,
             &clients,
-            &Workload::ycsb(WorkloadSpec::A, 256, 64),
+            &Workload::ycsb(ScenarioMix::A, 256, 64),
             &RunConfig {
                 warmup_ops: 200,
                 measure_ops: 2_000,
@@ -41,8 +41,8 @@ fn same_seed_reproduces_identical_results() {
         );
         (
             stats.measured_ops,
-            stats.lat(OpType::Get).mean(),
-            stats.lat(OpType::Update).mean(),
+            stats.lat(ScenarioOpClass::Get).mean(),
+            stats.lat(ScenarioOpClass::Update).mean(),
             stats.end_ns,
         )
     };
@@ -60,7 +60,7 @@ fn headline_claims_hold_under_ycsb_a() {
         let stats = run_workload(
             &sim,
             &clients,
-            &Workload::ycsb(WorkloadSpec::A, 2_000, 64),
+            &Workload::ycsb(ScenarioMix::A, 2_000, 64),
             &RunConfig {
                 warmup_ops: 4_000,
                 measure_ops: 12_000,
@@ -68,8 +68,8 @@ fn headline_claims_hold_under_ycsb_a() {
             },
         );
         (
-            stats.lat(OpType::Get).median(),
-            stats.lat(OpType::Update).median(),
+            stats.lat(ScenarioOpClass::Get).median(),
+            stats.lat(ScenarioOpClass::Update).median(),
         )
     };
     let (sg_get, sg_upd) = median(Protocol::SafeGuess);
@@ -143,7 +143,7 @@ fn availability_through_crash_no_failed_ops() {
     let stats = run_workload(
         &sim,
         &clients,
-        &Workload::ycsb(WorkloadSpec::A, 1_000, 64),
+        &Workload::ycsb(ScenarioMix::A, 1_000, 64),
         &RunConfig {
             warmup_ops: 0,
             measure_ops: 20_000,
@@ -155,7 +155,7 @@ fn availability_through_crash_no_failed_ops() {
     assert_eq!(stats.failed_ops, 0, "SWARM-KV lost availability");
     // Tail latency shows the brief quorum-widening spikes, but the median
     // stays microsecond-scale.
-    let mut g = stats.lat(OpType::Get);
+    let mut g = stats.lat(ScenarioOpClass::Get);
     assert!(g.median() < 6_000, "median {}", g.median());
 }
 
@@ -236,7 +236,7 @@ fn seed_sweep_reruns_are_bit_identical() {
         let stats = run_workload(
             &sim,
             &clients,
-            &Workload::ycsb(WorkloadSpec::B, 128, 64),
+            &Workload::ycsb(ScenarioMix::B, 128, 64),
             &RunConfig {
                 warmup_ops: 50,
                 measure_ops: 600,
@@ -246,8 +246,8 @@ fn seed_sweep_reruns_are_bit_identical() {
         (
             stats.measured_ops,
             stats.end_ns,
-            stats.lat(OpType::Get).mean().to_bits(),
-            stats.lat(OpType::Update).mean().to_bits(),
+            stats.lat(ScenarioOpClass::Get).mean().to_bits(),
+            stats.lat(ScenarioOpClass::Update).mean().to_bits(),
             c.fabric().stats(),
             sim.counters(),
         )

@@ -44,7 +44,7 @@ use swarm_kv::{
     ScenarioRunConfig, StoreBuilder,
 };
 use swarm_sim::{Histogram, Nanos, Sim, NANOS_PER_MICRO};
-use swarm_workload::{Phase, ScenarioMix, ScenarioOpClass, ScenarioSpec, Workload, WorkloadSpec};
+use swarm_workload::{Phase, ScenarioMix, ScenarioOpClass, ScenarioSpec, Workload};
 
 const PINNED: &[(&str, u64)] = &[
     ("workload/sequential", 0xdbe1ce5522b69754),
@@ -68,11 +68,13 @@ const PINNED: &[(&str, u64)] = &[
 
 /// A mix with all four YCSB classes, so inserts, deletes, and the failed
 /// gets that follow a delete are all on the digested path.
-const MIXED: WorkloadSpec = WorkloadSpec {
+const MIXED: ScenarioMix = ScenarioMix {
     get_pct: 50,
     update_pct: 30,
     insert_pct: 10,
     delete_pct: 10,
+    scan_pct: 0,
+    rmw_pct: 0,
 };
 
 const N_KEYS: u64 = 128;
@@ -256,7 +258,7 @@ fn staged_cell(
 /// with an assertion that it reaches the stage it is named after.
 fn staged_cells() -> Vec<(&'static str, u64)> {
     // Gets and updates only: every op succeeds unless a deadline cancels it.
-    let mixed = Workload::ycsb(WorkloadSpec::A, N_KEYS, 64);
+    let mixed = Workload::ycsb(ScenarioMix::A, N_KEYS, 64);
     let cfg = RunConfig {
         warmup_ops: 100,
         measure_ops: 1_500,
@@ -320,7 +322,7 @@ fn staged_cells() -> Vec<(&'static str, u64)> {
 
     // Sixteen clients on one key of the loaded store: guesses collide, so
     // writers and readers arbitrate through `TsLock::try_lock`.
-    let hot = Workload::ycsb(WorkloadSpec::A, 1, 64);
+    let hot = Workload::ycsb(ScenarioMix::A, 1, 64);
     let staging = Staging {
         hedge: None,
         op_deadline_ns: None,
@@ -375,7 +377,7 @@ fn scenario_cell(seed: u64, protocol: Protocol) -> u64 {
     let spec = ScenarioSpec::new("parity", 64)
         .phase(Phase::new(150, ScenarioMix::E).theta(0.9))
         .phase(Phase::new(150, ScenarioMix::F).theta(0.99).rotate(32))
-        .phase(Phase::new(100, ScenarioMix::from(MIXED)));
+        .phase(Phase::new(100, MIXED));
     let cfg = ScenarioRunConfig {
         seed: seed ^ 0x5CE9,
         ..Default::default()

@@ -21,7 +21,7 @@ use swarm_tests::{
     assert_linearizable, cell, seeds, shard_fault_plan, tagged, MixedWorker, INITIAL_TAG_BASE,
     OP_DEADLINE_NS, VALUE_SIZE,
 };
-use swarm_workload::{Workload, WorkloadSpec};
+use swarm_workload::{ScenarioMix, Workload};
 
 const SHARDS: usize = 3;
 const CLIENTS_PER_SHARD: usize = 2;
@@ -204,7 +204,7 @@ fn sharded_sweep_is_thread_count_invariant_and_rerunnable() {
         let stats = run_workload(
             &sim,
             &routers,
-            &Workload::ycsb(WorkloadSpec::B, 64, VALUE_SIZE),
+            &Workload::ycsb(ScenarioMix::B, 64, VALUE_SIZE),
             &RunConfig {
                 warmup_ops: 50,
                 measure_ops: 400,

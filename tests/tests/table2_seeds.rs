@@ -14,7 +14,7 @@
 
 use swarm_bench::{run_system, sweep, ExpParams, Protocol};
 use swarm_tests::seeds;
-use swarm_workload::{OpType, WorkloadSpec};
+use swarm_workload::{ScenarioMix, ScenarioOpClass};
 
 /// The seeds the defect was measured on.
 const FIRST_SEED: u64 = 420;
@@ -31,13 +31,13 @@ fn swarm_kv_p99_roundtrips(seed: u64) -> (u64, u64) {
         measure_ops: 60_000,
         ..Default::default()
     };
-    let (stats, _, _) = run_system(seed, Protocol::SafeGuess, &p, WorkloadSpec::B, |rc| {
+    let (stats, _, _) = run_system(seed, Protocol::SafeGuess, &p, ScenarioMix::B, |rc| {
         rc.record_rtts = true;
         rc.prewarm_keys = Some(p.n_keys);
     });
     (
-        stats.rtt_percentile(OpType::Get, 99.0),
-        stats.rtt_percentile(OpType::Update, 99.0),
+        stats.rtt_percentile(ScenarioOpClass::Get, 99.0),
+        stats.rtt_percentile(ScenarioOpClass::Update, 99.0),
     )
 }
 
